@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-serve-json bench-lint-json bench-feedback bench-arbiter bench-hotpath bench-history bench-fleet bench-cloud alloc-check smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud lint lint-fix-check
+.PHONY: check fmt vet build test race fuzz bench-check bench bench-json bench-serve-json bench-lint-json bench-feedback bench-arbiter bench-hotpath bench-history bench-fleet bench-cloud alloc-check smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud lint lint-fix-check
 
-check: fmt vet build lint lint-fix-check race alloc-check bench smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud
+check: fmt vet build lint lint-fix-check race fuzz alloc-check bench-check bench smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud
 
 # Fail when any file needs gofmt.
 fmt:
@@ -35,11 +35,24 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Short native-fuzz pass: the join-graph index against the string-keyed
+# reference kernel on schemas and subtrees decoded from arbitrary bytes.
+# (The checked-in seed corpus already runs under plain `go test`.)
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
+
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, cached signatures, incremental memo).
 # A per-candidate allocation regression fails `make check` here.
 alloc-check:
 	$(GO) test -run TestHotPathAllocCeilings .
+
+# The repository's benchmark is a module of its own (bench/, `replace raqo
+# => ../`) that the root build and tests do not see: vet and test it here,
+# so a change to a constructor or type it compiles against fails the gate.
+bench-check:
+	$(GO) -C bench vet .
+	$(GO) -C bench test ./...
 
 # Short benchmark pass over the concurrency-sensitive paths; failures here
 # are correctness failures (the benchmarks assert planner errors).

@@ -13,6 +13,7 @@ package raqo_test
 
 import (
 	"encoding/json"
+	"math/rand"
 	"os"
 	"runtime"
 	"testing"
@@ -21,7 +22,9 @@ import (
 	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/execsim"
+	"raqo/internal/optimizer/randomized"
 	"raqo/internal/plan"
+	"raqo/internal/resource"
 	"raqo/internal/workload"
 )
 
@@ -46,6 +49,39 @@ func hotPathOptimizer(tb testing.TB) (*core.Optimizer, *plan.Query) {
 	return o, q
 }
 
+// coldPlanner returns a function planning one relations-way query over a
+// seeded random 100-table schema from cold — a new optimizer with an
+// empty nearest-neighbour resource-plan cache per call, no cost memo —
+// which is the regime of the paper's scaling experiments (Figure 15) and
+// of the benchmark's plan_scale workload, where join enumeration rather
+// than costing dominates.
+func coldPlanner(tb testing.TB, planner core.PlannerKind, relations int) func() {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(715))
+	s, err := catalog.Random(rng, 100, catalog.DefaultRandomConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q, err := workload.RandomQuery(rng, s, relations)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() {
+		o, err := core.New(cluster.Default(), core.Options{
+			Planner:    planner,
+			Resource:   &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},
+			Seed:       7,
+			Randomized: randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := o.Optimize(q); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // TestHotPathAllocCeilings asserts hard allocation ceilings on the
 // steady-state hot paths. The ceilings carry slack over the measured
 // numbers (see BENCH_hotpath.json) so noise does not flake the gate,
@@ -61,15 +97,29 @@ func TestHotPathAllocCeilings(t *testing.T) {
 
 	// Warm joint optimization of the 8-relation TPC-H All query: the full
 	// Selinger DP with pooled state, arena plans and memoized costs. The
-	// seed measured ~3162 allocs on this path; the overhaul's acceptance
-	// ceiling is 1000 and the measured number is now far below it.
+	// seed measured ~3162 allocs on this path and the pooling overhaul
+	// brought it to 34 (the winning plan's deep copy, mostly); the ceiling
+	// is that plus slack for a pool emptied by a collection mid-run.
 	o, q := hotPathOptimizer(t)
 	if got := testing.AllocsPerRun(50, func() {
 		if _, err := o.Optimize(q); err != nil {
 			t.Fatal(err)
 		}
-	}); got > 1000 {
-		t.Errorf("warm Optimize(All) allocates %.0f/op, ceiling 1000", got)
+	}); got > 64 {
+		t.Errorf("warm Optimize(All) allocates %.0f/op, ceiling 64", got)
+	}
+
+	// Cold planning on a 100-table schema, the regime the join-graph index
+	// serves: what is left is resource-plan cache fills and the plans
+	// themselves (measured 201 and 557; before the index 203 and 736). A
+	// per-candidate allocation in the enumeration kernel — thousands of
+	// Selinger candidates, thousands of joinable-pair tests per random
+	// tree — would be off these by an order of magnitude.
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.Selinger, 12)); got > 260 {
+		t.Errorf("cold Selinger-12 allocates %.0f/op, ceiling 260", got)
+	}
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30)); got > 680 {
+		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 680", got)
 	}
 
 	// Cached plan signatures: recomputing on an unchanged tree must not
@@ -171,6 +221,9 @@ func TestWriteHotpathBenchJSON(t *testing.T) {
 	}
 	record("HotPathOptimize/query=All", BenchmarkHotPathOptimize)
 	record("HotPathIncrementalExact/query=All", BenchmarkHotPathIncrementalExact)
+	for _, c := range coldCases {
+		record("HotPathCold/"+c.name, benchmarkCold(c.planner, c.relations))
+	}
 	record("HotPathSignatureCached", func(b *testing.B) {
 		o, q := hotPathOptimizer(b)
 		d, err := o.Optimize(q)
@@ -197,7 +250,8 @@ func TestWriteHotpathBenchJSON(t *testing.T) {
 		Note: "Steady-state planning hot paths behind the alloc gate " +
 			"(TestHotPathAllocCeilings): warm 8-relation joint optimization with " +
 			"pooled DP state and arena plans, the incremental re-optimizer's " +
-			"exact-memo answer, and a cached plan-signature read.",
+			"exact-memo answer, cold 12- and 30-relation planning on a random " +
+			"100-table schema, and a cached plan-signature read.",
 		Benchmarks: entries,
 	}
 	data, err := json.MarshalIndent(report, "", "  ")
@@ -208,4 +262,34 @@ func TestWriteHotpathBenchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_hotpath.json with %d benchmarks", len(entries))
+}
+
+// coldCases are the two query classes that own the plan_scale workload's
+// p90 and p50.
+var coldCases = []struct {
+	name      string
+	planner   core.PlannerKind
+	relations int
+}{
+	{"selinger-12", core.Selinger, 12},
+	{"randomized-30", core.FastRandomized, 30},
+}
+
+func benchmarkCold(planner core.PlannerKind, relations int) func(b *testing.B) {
+	return func(b *testing.B) {
+		run := coldPlanner(b, planner, relations)
+		run()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			run()
+		}
+	}
+}
+
+// BenchmarkHotPathCold times cold planning on a 100-table schema.
+func BenchmarkHotPathCold(b *testing.B) {
+	for _, c := range coldCases {
+		b.Run(c.name, benchmarkCold(c.planner, c.relations))
+	}
 }

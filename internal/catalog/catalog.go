@@ -13,6 +13,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"raqo/internal/units"
 )
@@ -44,6 +45,10 @@ type Schema struct {
 	tables map[string]Table
 	edges  map[string]map[string]float64 // adjacency with selectivities
 	names  []string                      // sorted table names for determinism
+
+	// idx is the join-graph index derived from the fields above: nil after
+	// a mutation, rebuilt by the next Index call.
+	idx atomic.Pointer[Index]
 }
 
 // NewSchema returns an empty schema.
@@ -71,6 +76,7 @@ func (s *Schema) AddTable(t Table) error {
 	s.names = append(s.names, "")
 	copy(s.names[i+1:], s.names[i:])
 	s.names[i] = t.Name
+	s.idx.Store(nil)
 	return nil
 }
 
@@ -96,6 +102,7 @@ func (s *Schema) AddJoin(a, b string, selectivity float64) error {
 	}
 	s.edges[a][b] = selectivity
 	s.edges[b][a] = selectivity
+	s.idx.Store(nil)
 	return nil
 }
 
@@ -176,28 +183,16 @@ func (s *Schema) Connected(tables []string) bool {
 	if len(tables) == 0 {
 		return false
 	}
-	want := make(map[string]bool, len(tables))
+	g := s.Index()
+	want := make([]uint64, g.words)
 	for _, t := range tables {
-		if _, ok := s.tables[t]; !ok {
+		r := g.Rank(t)
+		if r < 0 {
 			return false
 		}
-		want[t] = true
+		want[r/64] |= 1 << (r % 64)
 	}
-	seen := map[string]bool{tables[0]: true}
-	stack := []string{tables[0]}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		// Neighbors is sorted, so the traversal order — and any state
-		// derived from it — is independent of edge-map iteration order.
-		for _, n := range s.Neighbors(cur) {
-			if want[n] && !seen[n] {
-				seen[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	return len(seen) == len(want)
+	return g.connected(want)
 }
 
 // Clone returns a deep copy of the schema. Useful when an experiment wants
@@ -234,5 +229,6 @@ func (s *Schema) SetTableSize(name string, size units.Bytes) error {
 	}
 	t.Rows = rows
 	s.tables[name] = t
+	s.idx.Store(nil)
 	return nil
 }

@@ -92,6 +92,12 @@ type TreeScratch struct {
 	comps []*plan.Node
 	pairs [][2]int
 	joins []*plan.Node
+
+	// leaves are the scan leaves of leavesOf, the query RandomTree last
+	// drew a tree for. Scans are immutable, so all the trees drawn for one
+	// query share theirs, as mutated trees share untouched subtrees.
+	leavesOf *plan.Query
+	leaves   []*plan.Node
 }
 
 // RandomTree builds a uniformly random bushy join tree for the query: it
@@ -104,20 +110,24 @@ func RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
 
 // RandomTree is the buffer-reusing form of the package-level RandomTree.
 func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
-	comps := ts.comps[:0]
-	for _, r := range q.Rels {
-		leaf, err := plan.NewScan(q.Schema, r)
-		if err != nil {
-			return nil, err
+	if ts.leavesOf != q {
+		ts.leavesOf, ts.leaves = nil, ts.leaves[:0]
+		for _, r := range q.Rels {
+			leaf, err := plan.NewScan(q.Schema, r)
+			if err != nil {
+				return nil, err
+			}
+			ts.leaves = append(ts.leaves, leaf)
 		}
-		comps = append(comps, leaf)
+		ts.leavesOf = q
 	}
+	comps := append(ts.comps[:0], ts.leaves...)
 	for len(comps) > 1 {
 		// Collect joinable component pairs.
 		pairs := ts.pairs[:0]
 		for i := 0; i < len(comps); i++ {
 			for j := i + 1; j < len(comps); j++ {
-				if componentsJoinable(q.Schema, comps[i], comps[j]) {
+				if plan.Joinable(comps[i], comps[j]) {
 					pairs = append(pairs, [2]int{i, j})
 				}
 			}
@@ -144,10 +154,6 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 	comps[0] = nil
 	ts.comps = comps[:0]
 	return root, nil
-}
-
-func componentsJoinable(s *catalog.Schema, a, b *plan.Node) bool {
-	return plan.Joinable(s, a, b)
 }
 
 // Mutation is a local plan transformation used by randomized search.

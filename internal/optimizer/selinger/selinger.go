@@ -193,11 +193,13 @@ func (p *Planner) bestFor(st *dpState, mask uint32, q *plan.Query, sc *plan.Join
 		if !ok {
 			continue // disconnected prefix
 		}
+		// The candidate's statistics depend on its inputs only: derived
+		// once here, shared by every join algorithm below.
+		if _, err := sc.Join(q.Schema, plan.Algos[0], prev.node, st.leaves[i]); err != nil {
+			continue // cross product: relation i not joinable with rest
+		}
 		for _, algo := range plan.Algos {
-			j, err := sc.Join(q.Schema, algo, prev.node, st.leaves[i])
-			if err != nil {
-				continue // cross product: relation i not joinable with rest
-			}
+			j := sc.Rejoin(algo)
 			oc, err := p.Coster.CostOperator(j)
 			if err != nil {
 				continue // e.g. no feasible resources for this operator

@@ -19,10 +19,11 @@ import (
 // so handed-out *Node pointers never move when the arena grows.
 const arenaChunk = 64
 
-// arenaRelChunk is the minimum capacity of one relation-name slab.
-const arenaRelChunk = 1024
+// arenaSetChunk is the minimum capacity, in words, of one relation-set
+// slab.
+const arenaSetChunk = 1024
 
-// Arena allocates plan nodes (and their relation lists) from reusable
+// Arena allocates plan nodes (and their relation sets) from reusable
 // slabs. Reset recycles every outstanding node at once while keeping the
 // slabs, so a planner that builds thousands of DP entries per call
 // allocates only on its first use. An Arena is not safe for concurrent
@@ -31,7 +32,7 @@ type Arena struct {
 	chunks [][]Node // fixed-size slabs; pointers into them are stable
 	ci     int      // chunk currently being carved
 	used   int      // nodes handed out of chunks[ci]
-	rels   []string // current relation-name slab, carved by length
+	sets   []uint64 // current relation-set slab, carved by length
 }
 
 // Reset recycles all nodes previously allocated from the arena. Their
@@ -39,7 +40,7 @@ type Arena struct {
 // Clone()d any tree that outlives the arena.
 func (a *Arena) Reset() {
 	a.ci, a.used = 0, 0
-	a.rels = a.rels[:0]
+	a.sets = a.sets[:0]
 }
 
 // alloc carves one zeroed node out of the current slab.
@@ -57,61 +58,43 @@ func (a *Arena) alloc() *Node {
 	return n
 }
 
-// relSpace returns a zero-length slice with capacity for need relation
-// names, carved from the current slab. When a slab fills, the arena
-// abandons it for a fresh one; previously returned slices keep pointing
-// into the old slab, which stays alive for as long as they do.
-func (a *Arena) relSpace(need int) []string {
-	if cap(a.rels)-len(a.rels) < need {
-		size := arenaRelChunk
-		if need > size {
-			size = need
-		}
-		a.rels = make([]string, 0, size)
+// carve returns need words (contents arbitrary) of the current
+// relation-set slab. When the slab fills, the arena abandons it for one
+// twice the size — sets carved earlier keep the old slab alive for as
+// long as they are — so that after a Reset the one slab kept fits a call
+// of the same size whole.
+func (a *Arena) carve(need int) []uint64 {
+	if cap(a.sets)-len(a.sets) < need {
+		a.sets = make([]uint64, 0, max(arenaSetChunk, 2*cap(a.sets), need))
 	}
-	start := len(a.rels)
-	return a.rels[start:start]
-}
-
-// commitRels records that merged (carved via relSpace) is now in use.
-func (a *Arena) commitRels(merged []string) {
-	a.rels = a.rels[:len(a.rels)+len(merged)]
+	start := len(a.sets)
+	a.sets = a.sets[:start+need]
+	return a.sets[start : start+need : start+need]
 }
 
 // Scan builds a scan leaf in the arena, equivalent to NewScan.
 func (a *Arena) Scan(s *catalog.Schema, table string) (*Node, error) {
-	t, ok := s.Table(table)
-	if !ok {
+	g := s.Index()
+	rank := g.Rank(table)
+	if rank < 0 {
 		return nil, fmt.Errorf("plan: unknown table %q", table)
 	}
 	n := a.alloc()
-	n.Table = table
-	n.rows = float64(t.Rows)
-	n.bytes = float64(t.Size())
-	rl := append(a.relSpace(1), table)
-	a.commitRels(rl)
-	n.rels = rl
+	n.initScan(g, rank, a.carve(2*g.Words()))
 	return n, nil
 }
 
 // Join builds a join node in the arena, equivalent to NewJoin but
-// returning the bare sentinel errors (ErrOverlap, ErrCrossProduct) on
-// rejected candidates so the planner's skip path stays allocation-free.
+// returning the bare sentinel errors (ErrOverlap, ErrCrossProduct,
+// ErrStaleSchema) on rejected candidates so the planner's skip path stays
+// allocation-free.
 func (a *Arena) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node, error) {
-	merged, err := mergeRelsInto(a.relSpace(len(left.rels)+len(right.rels)), left.rels, right.rels)
+	rows, bytes, err := joinStats(s.Index(), left, right)
 	if err != nil {
 		return nil, err
 	}
-	rows, bytes, err := joinStats(s, left, right)
-	if err != nil {
-		return nil, err
-	}
-	a.commitRels(merged)
 	n := a.alloc()
-	n.Algo = algo
-	n.Left, n.Right = left, right
-	n.rows, n.bytes = rows, bytes
-	n.rels = merged
+	n.initJoin(algo, left, right, rows, bytes, a.carve(len(left.sets)))
 	return n, nil
 }
 
@@ -123,27 +106,39 @@ func (a *Arena) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node
 // use one JoinScratch per worker.
 type JoinScratch struct {
 	n    Node
-	rels []string
+	sets []uint64
 }
 
 // Join points the scratch node at a join of left and right, equivalent
 // to NewJoin but reusing the scratch's storage. Rejected candidates
-// return the bare sentinel errors (ErrOverlap, ErrCrossProduct).
+// return the bare sentinel errors (ErrOverlap, ErrCrossProduct,
+// ErrStaleSchema).
 func (sc *JoinScratch) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node, error) {
-	merged, err := mergeRelsInto(sc.rels[:0], left.rels, right.rels)
+	rows, bytes, err := joinStats(s.Index(), left, right)
 	if err != nil {
 		return nil, err
 	}
-	sc.rels = merged
-	rows, bytes, err := joinStats(s, left, right)
-	if err != nil {
-		return nil, err
+	if need := len(left.sets); cap(sc.sets) < need {
+		sc.sets = make([]uint64, need)
+	} else {
+		sc.sets = sc.sets[:need]
 	}
 	n := &sc.n
 	n.reset()
-	n.Algo = algo
-	n.Left, n.Right = left, right
-	n.rows, n.bytes = rows, bytes
-	n.rels = merged
+	n.initJoin(algo, left, right, rows, bytes, sc.sets)
 	return n, nil
+}
+
+// Rejoin re-initializes the scratch node as the same join under another
+// algorithm: the inputs, and so the statistics and relation sets, are
+// those of the last successful Join, while the resource annotation and
+// the cached signatures start afresh as they would from Join.
+//
+//raqo:noalloc
+func (sc *JoinScratch) Rejoin(algo JoinAlgo) *Node {
+	n := &sc.n
+	n.Algo = algo
+	n.Res = Resources{}
+	n.dropSignatures()
+	return n
 }

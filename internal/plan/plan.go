@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,6 +30,10 @@ var (
 	ErrCrossProduct = errors.New("plan: cross product join")
 	// ErrOverlap reports a join whose sides cover a common relation.
 	ErrOverlap = errors.New("plan: relation appears on both join sides")
+	// ErrStaleSchema reports a join input built before the schema's latest
+	// mutation (or against another schema): its relation sets are over
+	// table ranks the schema no longer uses.
+	ErrStaleSchema = errors.New("plan: node built against an earlier form of the schema")
 )
 
 // JoinAlgo is a physical join operator implementation. The paper studies
@@ -142,7 +148,14 @@ type Node struct {
 
 	rows  float64
 	bytes float64
-	rels  []string // sorted relations covered by this subtree
+
+	// g is the join-graph index the node was built against and sets the
+	// node's two relation sets over g's table ranks, g.Words() words each:
+	// the relations the subtree covers, then the union of their adjacency
+	// rows (every relation joinable with the subtree). Overlap is then
+	// a.set ∩ b.set and joinability a.nbr ∩ b.set, whatever the sides' size.
+	g    *catalog.Index
+	sets []uint64
 
 	// sig caches Signature(). A node's shape (table, algo, children,
 	// statistics) is immutable after construction — only Res mutates — so
@@ -170,65 +183,132 @@ func (n *Node) reset() {
 	n.Left, n.Right = nil, nil
 	n.Res = Resources{}
 	n.rows, n.bytes = 0, 0
-	n.rels = nil
-	n.sig.Store(nil)
-	n.sigRes.Store(nil)
+	n.g, n.sets = nil, nil
+	n.dropSignatures()
+}
+
+// dropSignatures forgets the cached signatures. The hot loops call it on
+// nodes that almost never have one, and an atomic load is a plain read
+// where an atomic store is not, so it looks before it stores.
+//
+//raqo:noalloc
+func (n *Node) dropSignatures() {
+	if n.sig.Load() != nil {
+		n.sig.Store(nil)
+	}
+	if n.sigRes.Load() != nil {
+		n.sigRes.Store(nil)
+	}
+}
+
+// set returns the relation set the subtree covers.
+//
+//raqo:noalloc
+func (n *Node) set() []uint64 { return n.sets[:len(n.sets)/2] }
+
+// nbr returns the union of the adjacency rows of the covered relations.
+//
+//raqo:noalloc
+func (n *Node) nbr() []uint64 { return n.sets[len(n.sets)/2:] }
+
+// cardinality returns the number of members of a relation set.
+//
+//raqo:noalloc
+func cardinality(set []uint64) int {
+	n := 0
+	for _, x := range set {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// intersects reports whether two relation sets share a member.
+//
+//raqo:noalloc
+func intersects(a, b []uint64) bool {
+	for i, x := range a {
+		if x&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// initScan makes n a scan of the table at rank in g, with its relation
+// sets in sets (2·g.Words() words, contents arbitrary).
+//
+//raqo:noalloc
+func (n *Node) initScan(g *catalog.Index, rank int, sets []uint64) {
+	n.Table = g.Name(rank)
+	rows, size := g.Stats(rank)
+	n.rows, n.bytes = rows, float64(size)
+	w := g.Words()
+	clear(sets[:w])
+	sets[rank/64] |= 1 << (rank % 64)
+	copy(sets[w:], g.Adj(rank))
+	n.g, n.sets = g, sets
+}
+
+// initJoin makes n the join of left and right, which joinStats accepted,
+// with the statistics it computed for them and its relation sets — the
+// unions of the sides' — in sets (as long as theirs, contents arbitrary).
+//
+//raqo:noalloc
+func (n *Node) initJoin(algo JoinAlgo, left, right *Node, rows, bytes float64, sets []uint64) {
+	n.Algo = algo
+	n.Left, n.Right = left, right
+	n.rows, n.bytes = rows, bytes
+	for i := range sets {
+		sets[i] = left.sets[i] | right.sets[i]
+	}
+	n.g, n.sets = left.g, sets
 }
 
 // NewScan builds a scan leaf for the named table.
 func NewScan(s *catalog.Schema, table string) (*Node, error) {
-	t, ok := s.Table(table)
-	if !ok {
+	g := s.Index()
+	rank := g.Rank(table)
+	if rank < 0 {
 		return nil, fmt.Errorf("plan: unknown table %q", table)
 	}
-	return &Node{
-		Table: table,
-		rows:  float64(t.Rows),
-		bytes: float64(t.Size()),
-		rels:  []string{table},
-	}, nil
+	n := &Node{}
+	n.initScan(g, rank, make([]uint64, 2*g.Words()))
+	return n, nil
 }
 
 // NewJoin builds a join node over two subtrees, estimating output
 // cardinality as |L|·|R|·∏(selectivities of join-graph edges crossing the
 // two sides). It returns an error when no edge crosses the sides (a cross
-// product) or when the sides overlap.
+// product), when the sides overlap, or when a side was built before the
+// schema last changed.
 func NewJoin(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node, error) {
 	if left == nil || right == nil {
 		return nil, fmt.Errorf("plan: nil join input")
 	}
-	rels, err := mergeRelsInto(make([]string, 0, len(left.rels)+len(right.rels)), left.rels, right.rels)
+	rows, bytes, err := joinStats(s.Index(), left, right)
 	if err != nil {
-		return nil, fmt.Errorf("plan: relations of %v and %v: %w", left.rels, right.rels, err)
+		return nil, fmt.Errorf("plan: joining %v and %v: %w", left.Relations(), right.Relations(), err)
 	}
-	rows, bytes, err := joinStats(s, left, right)
-	if err != nil {
-		return nil, fmt.Errorf("plan: cross product between %v and %v: %w", left.rels, right.rels, err)
-	}
-	return &Node{
-		Algo:  algo,
-		Left:  left,
-		Right: right,
-		rows:  rows,
-		bytes: bytes,
-		rels:  rels,
-	}, nil
+	n := &Node{}
+	n.initJoin(algo, left, right, rows, bytes, make([]uint64, len(left.sets)))
+	return n, nil
 }
 
-// joinStats estimates the output cardinality and size of joining two
-// subtrees: |L|·|R|·∏(selectivities of join-graph edges crossing the two
-// sides). It returns ErrCrossProduct when no edge crosses the sides.
-func joinStats(s *catalog.Schema, left, right *Node) (rows, bytes float64, err error) {
-	sel := 1.0
-	crossing := 0
-	for _, a := range left.rels {
-		for _, b := range right.rels {
-			if es, ok := s.Selectivity(a, b); ok {
-				sel *= es
-				crossing++
-			}
-		}
+// joinStats checks a candidate join of two subtrees and estimates its
+// output cardinality and size: |L|·|R|·∏(selectivities of join-graph
+// edges crossing the two sides). It returns ErrStaleSchema when a side was
+// not built against g, ErrOverlap when the sides share a relation and
+// ErrCrossProduct when no edge crosses them.
+//
+//raqo:noalloc
+func joinStats(g *catalog.Index, left, right *Node) (rows, bytes float64, err error) {
+	if left.g != g || right.g != g {
+		return 0, 0, ErrStaleSchema
 	}
+	if intersects(left.set(), right.set()) {
+		return 0, 0, ErrOverlap
+	}
+	sel, crossing := g.CrossSelectivity(left.set(), right.set(), right.nbr())
 	if crossing == 0 {
 		return 0, 0, ErrCrossProduct
 	}
@@ -243,40 +323,13 @@ func joinStats(s *catalog.Schema, left, right *Node) (rows, bytes float64, err e
 	return rows, rows * width, nil
 }
 
-// mergeRelsInto merges two sorted, disjoint relation lists into dst
-// (typically dst[:0] of a reused buffer), returning ErrOverlap when the
-// sides share a relation.
-func mergeRelsInto(dst []string, a, b []string) ([]string, error) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return nil, ErrOverlap
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		default:
-			dst = append(dst, b[j])
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst, nil
-}
-
 // Joinable reports whether any relation covered by a is joinable (shares a
-// join-graph edge) with any relation covered by b — without allocating, in
-// contrast to walking the copies Relations returns.
-func Joinable(s *catalog.Schema, a, b *Node) bool {
-	for _, x := range a.rels {
-		for _, y := range b.rels {
-			if s.Joinable(x, y) {
-				return true
-			}
-		}
-	}
-	return false
+// join-graph edge) with any relation covered by b. Nodes built against
+// different forms of a schema are not joinable.
+//
+//raqo:noalloc
+func Joinable(a, b *Node) bool {
+	return a.g == b.g && intersects(a.nbr(), b.set())
 }
 
 // IsScan reports whether the node is a table scan.
@@ -293,10 +346,15 @@ func (n *Node) Bytes() units.Bytes { return units.Bytes(n.bytes) }
 // OutputGB returns the estimated output size in GB.
 func (n *Node) OutputGB() float64 { return n.bytes / float64(units.GB) }
 
-// Relations returns the sorted relations covered by the subtree.
+// Relations returns the sorted relations covered by the subtree, decoded
+// from the node's relation set.
 func (n *Node) Relations() []string {
-	out := make([]string, len(n.rels))
-	copy(out, n.rels)
+	out := make([]string, 0, cardinality(n.set()))
+	for w, x := range n.set() {
+		for ; x != 0; x &= x - 1 {
+			out = append(out, n.g.Name(w*64+bits.TrailingZeros64(x)))
+		}
+	}
 	return out
 }
 
@@ -355,12 +413,11 @@ func (n *Node) Clone() *Node {
 		Res:   n.Res,
 		rows:  n.rows,
 		bytes: n.bytes,
+		g:     n.g,
+		sets:  append([]uint64(nil), n.sets...),
 	}
 	c.Left = n.Left.Clone()
 	c.Right = n.Right.Clone()
-	rels := make([]string, len(n.rels))
-	copy(rels, n.rels)
-	c.rels = rels
 	c.sig.Store(n.sig.Load())
 	c.sigRes.Store(n.sigRes.Load())
 	return c
@@ -477,48 +534,67 @@ func (n *Node) render(b *strings.Builder, depth int) {
 // Validate checks structural invariants of the plan against a query: it
 // must cover exactly the query's relations, every join must be edge-backed,
 // and no relation may repeat. Statistics consistency is implied by
-// construction; Validate exists to catch hand-built or mutated trees.
+// construction; Validate exists to catch hand-built or mutated trees, so
+// it does not trust the relation sets cached at construction: a scan's
+// must be its table's, and a join's the unions of its inputs'.
 func (n *Node) Validate(q *Query) error {
 	if n == nil {
 		return fmt.Errorf("plan: nil plan")
 	}
-	got := n.Relations()
-	if len(got) != len(q.Rels) {
-		return fmt.Errorf("plan: covers %d relations, query has %d", len(got), len(q.Rels))
+	g := q.Schema.Index()
+	if err := n.validate(g); err != nil {
+		return err
 	}
-	for i := range got {
-		if got[i] != q.Rels[i] {
-			return fmt.Errorf("plan: covers %v, query wants %v", got, q.Rels)
+	want := make([]uint64, g.Words())
+	for _, r := range q.Rels {
+		rank := g.Rank(r)
+		if rank < 0 {
+			return fmt.Errorf("plan: query relation %q is not in the schema", r)
+		}
+		want[rank/64] |= 1 << (rank % 64)
+	}
+	if !slices.Equal(n.set(), want) {
+		return fmt.Errorf("plan: covers %v, query wants %v", n.Relations(), q.Rels)
+	}
+	return nil
+}
+
+// validate checks the subtree at n bottom-up against g.
+func (n *Node) validate(g *catalog.Index) error {
+	if n.g != g || len(n.sets) != 2*g.Words() {
+		return fmt.Errorf("plan: %w", ErrStaleSchema)
+	}
+	if n.IsScan() {
+		rank := g.Rank(n.Table)
+		if rank < 0 {
+			return fmt.Errorf("plan: scan of unknown table %q", n.Table)
+		}
+		if set := n.set(); cardinality(set) != 1 || set[rank/64] != 1<<(rank%64) || !slices.Equal(n.nbr(), g.Adj(rank)) {
+			return fmt.Errorf("plan: scan of %q carries another table's relation sets", n.Table)
+		}
+		return nil
+	}
+	if n.Left == nil || n.Right == nil {
+		return fmt.Errorf("plan: join with missing input")
+	}
+	if err := n.Left.validate(g); err != nil {
+		return err
+	}
+	if err := n.Right.validate(g); err != nil {
+		return err
+	}
+	switch {
+	case intersects(n.Left.set(), n.Right.set()):
+		return fmt.Errorf("plan: joining %v and %v: %w", n.Left.Relations(), n.Right.Relations(), ErrOverlap)
+	case !intersects(n.Left.nbr(), n.Right.set()):
+		return fmt.Errorf("plan: joining %v and %v: %w", n.Left.Relations(), n.Right.Relations(), ErrCrossProduct)
+	}
+	for i, x := range n.sets {
+		if x != n.Left.sets[i]|n.Right.sets[i] {
+			return fmt.Errorf("plan: join over %v is not the union of its inputs", n.Relations())
 		}
 	}
-	var walk func(m *Node) error
-	walk = func(m *Node) error {
-		if m.IsScan() {
-			if _, ok := q.Schema.Table(m.Table); !ok {
-				return fmt.Errorf("plan: scan of unknown table %q", m.Table)
-			}
-			return nil
-		}
-		if m.Left == nil || m.Right == nil {
-			return fmt.Errorf("plan: join with missing input")
-		}
-		crossing := false
-		for _, a := range m.Left.rels {
-			for _, b := range m.Right.rels {
-				if q.Schema.Joinable(a, b) {
-					crossing = true
-				}
-			}
-		}
-		if !crossing {
-			return fmt.Errorf("plan: cross product between %v and %v", m.Left.rels, m.Right.rels)
-		}
-		if err := walk(m.Left); err != nil {
-			return err
-		}
-		return walk(m.Right)
-	}
-	return walk(n)
+	return nil
 }
 
 // LeftDeep builds a left-deep plan joining the given relations in order with
