@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-check bench bench-json bench-serve-json bench-lint-json bench-feedback bench-arbiter bench-hotpath bench-history bench-fleet bench-cloud alloc-check smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud lint lint-fix-check
+.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud lint lint-fix-check
 
 check: fmt vet build lint lint-fix-check race fuzz alloc-check bench-check bench smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud
 
@@ -36,10 +36,13 @@ race:
 	$(GO) test -race ./...
 
 # Short native-fuzz pass: the join-graph index against the string-keyed
-# reference kernel on schemas and subtrees decoded from arbitrary bytes.
-# (The checked-in seed corpus already runs under plain `go test`.)
+# reference kernel on schemas and subtrees decoded from arbitrary bytes,
+# and the resource-plan cache against a linear-scan reference on
+# insert/probe/reset sequences decoded the same way. (The checked-in seed
+# corpora already run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
+	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, cached signatures, incremental memo).
@@ -54,54 +57,11 @@ bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test ./...
 
-# Short benchmark pass over the concurrency-sensitive paths; failures here
-# are correctness failures (the benchmarks assert planner errors).
+# Short benchmark pass over the concurrency-sensitive paths, on one and two
+# procs so the cache's shared lock is exercised across threads; failures
+# here are correctness failures (the benchmarks assert planner errors).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention' -benchtime=0.2s -benchmem .
-
-# Record the concurrency benchmark numbers in BENCH_optimize.json.
-bench-json:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteBenchJSON .
-
-# Record the optimizer-service throughput/latency in BENCH_serve.json.
-bench-serve-json:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteServeBenchJSON .
-
-# Record the raqolint load/analyze cost in BENCH_lint.json.
-bench-lint-json:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteLintBenchJSON .
-
-# Record feedback ingest + online recalibration cost in BENCH_feedback.json.
-bench-feedback:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteFeedbackBenchJSON .
-
-# Record the workload arbiter's per-arrival overhead and online admission
-# throughput in BENCH_arbiter.json.
-bench-arbiter:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteArbiterBenchJSON .
-
-# Record the hot-path planning numbers behind the alloc gate in
-# BENCH_hotpath.json.
-bench-hotpath:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteHotpathBenchJSON .
-
-# Record the history store's ingest/query numbers (with allocs_per_op)
-# in BENCH_history.json. The recording test also enforces the acceptance
-# floor: warm append at >=1M points/s with 0 allocs/op.
-bench-history:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteHistoryBenchJSON .
-
-# Record the fleet's multi-process scaling numbers (throughput, forwards,
-# hot-cache hit rate at 1/2/4 nodes plus the ring-lookup cost) in
-# BENCH_fleet.json. Spawns real serve processes.
-bench-fleet:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteFleetBenchJSON .
-
-# Record the cloud arbiter's replay throughput (arrivals/sec), the
-# preemption-recovery round-trip cost and the per-step autoscaler
-# overhead in BENCH_cloud.json.
-bench-cloud:
-	RAQO_BENCH_JSON=1 $(GO) test -run TestWriteCloudBenchJSON .
+	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke test: start `raqo serve` on an ephemeral port, hit
 # /healthz and /v1/optimize, then check the SIGTERM drain.

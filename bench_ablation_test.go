@@ -240,34 +240,6 @@ func BenchmarkAblationMemoryPruning(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCacheIndex compares the paper's sorted-array cache index
-// with the CSB+-tree-style layout at large key counts.
-func BenchmarkAblationCacheIndex(b *testing.B) {
-	cond := cluster.Default()
-	models := mustModels(b)
-	smj, _ := models.For(plan.SMJ)
-	for _, kind := range []resource.IndexKind{resource.SortedArray, resource.BPlusTree} {
-		b.Run(kind.String(), func(b *testing.B) {
-			cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor,
-				ThresholdGB: 1e-4, Index: kind}
-			// Preload 100K distinct keys.
-			for i := 0; i < 100_000; i++ {
-				if _, err := cache.Plan(smj, float64(i)*1e-4, cond); err != nil {
-					b.Fatal(err)
-				}
-			}
-			rng := rand.New(rand.NewSource(9))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cache.Plan(smj, rng.Float64()*10, cond); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMicroHillClimb measures a single resource-planning call.
 func BenchmarkMicroHillClimb(b *testing.B) {
 	cond := cluster.Default()

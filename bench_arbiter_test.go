@@ -3,16 +3,9 @@
 // SubmitWait admission path. Run with:
 //
 //	go test -bench Arbiter -benchtime=0.2s .
-//
-// RAQO_BENCH_JSON=1 go test -run TestWriteArbiterBenchJSON records the
-// numbers — including per-arrival overhead and admissions/sec — in
-// BENCH_arbiter.json.
 package raqo_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -142,87 +135,4 @@ func BenchmarkArbiterSubmitWait(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestWriteArbiterBenchJSON records the arbiter benchmarks in
-// BENCH_arbiter.json. Gated behind RAQO_BENCH_JSON=1 because it runs the
-// suite via testing.Benchmark.
-func TestWriteArbiterBenchJSON(t *testing.T) {
-	if os.Getenv("RAQO_BENCH_JSON") == "" {
-		t.Skip("set RAQO_BENCH_JSON=1 to record BENCH_arbiter.json")
-	}
-	type entry struct {
-		Name             string  `json:"name"`
-		NsPerOp          float64 `json:"ns_per_op"`
-		OpsPerSec        float64 `json:"ops_per_sec"`
-		NsPerArrival     float64 `json:"ns_per_arrival,omitempty"`
-		AdmissionsPerSec float64 `json:"admissions_per_sec,omitempty"`
-		AllocsPerOp      int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	record := func(name string, arrivalsPerOp int, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		e := entry{
-			Name:        name,
-			NsPerOp:     ns,
-			OpsPerSec:   1e9 / ns,
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if arrivalsPerOp > 0 {
-			e.NsPerArrival = ns / float64(arrivalsPerOp)
-			e.AdmissionsPerSec = 1e9 / e.NsPerArrival
-		}
-		entries = append(entries, e)
-	}
-	for _, policy := range []scheduler.Policy{scheduler.Wait, scheduler.Reoptimize} {
-		arrivals := benchArrivals(t, policy)
-		record("ArbiterWorkload/"+policy.String(), len(arrivals), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				a := newBenchArbiter(b)
-				b.StartTimer()
-				if _, err := a.Run(arrivals); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	record("ArbiterSubmitWait/reoptimize", 1, func(b *testing.B) {
-		a := newBenchArbiter(b)
-		names := []string{workload.Q12, workload.Q3, workload.Q2}
-		tenants := []string{"etl", "bi", "adhoc"}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, err := a.SubmitWait(tenants[i%len(tenants)], names[i%len(names)], scheduler.Reoptimize)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Note       string  `json:"note"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "ArbiterWorkload replays the seeded 36-query multi-tenant stream end to end " +
-			"(per-arrival = full discrete-event overhead incl. admission, re-optimization " +
-			"and pool bookkeeping); ArbiterSubmitWait is the warm online admission path " +
-			"behind POST /v1/submit.",
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_arbiter.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_arbiter.json with %d benchmarks", len(entries))
 }

@@ -3,17 +3,9 @@
 // preempt-and-recover round trip. Run with:
 //
 //	go test -bench Cloud -benchtime=0.2s .
-//
-// RAQO_BENCH_JSON=1 go test -run TestWriteCloudBenchJSON records the
-// numbers — arrivals/sec, the preemption-recovery round-trip cost and
-// the per-scale-event overhead of the autoscaler loop — in
-// BENCH_cloud.json.
 package raqo_test
 
 import (
-	"encoding/json"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -175,115 +167,4 @@ func BenchmarkCloudPreemptRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestWriteCloudBenchJSON records the cloud benchmarks in
-// BENCH_cloud.json. Gated behind RAQO_BENCH_JSON=1 because it runs the
-// suite via testing.Benchmark.
-func TestWriteCloudBenchJSON(t *testing.T) {
-	if os.Getenv("RAQO_BENCH_JSON") == "" {
-		t.Skip("set RAQO_BENCH_JSON=1 to record BENCH_cloud.json")
-	}
-	type entry struct {
-		Name            string  `json:"name"`
-		NsPerOp         float64 `json:"ns_per_op"`
-		OpsPerSec       float64 `json:"ops_per_sec"`
-		NsPerArrival    float64 `json:"ns_per_arrival,omitempty"`
-		ArrivalsPerSec  float64 `json:"arrivals_per_sec,omitempty"`
-		NsPerScaleEvent float64 `json:"ns_per_scale_event,omitempty"`
-		AllocsPerOp     int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	record := func(name string, arrivalsPerOp, scalePerOp int, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		e := entry{
-			Name:        name,
-			NsPerOp:     ns,
-			OpsPerSec:   1e9 / ns,
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if arrivalsPerOp > 0 {
-			e.NsPerArrival = ns / float64(arrivalsPerOp)
-			e.ArrivalsPerSec = 1e9 / e.NsPerArrival
-		}
-		if scalePerOp > 0 {
-			e.NsPerScaleEvent = ns / float64(scalePerOp)
-		}
-		entries = append(entries, e)
-	}
-	trace := benchCloudTrace(t)
-	record("CloudWorkload/static", len(trace), 0, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			a := newBenchCloud(b, false, false)
-			b.StartTimer()
-			runBenchCloud(b, a, trace)
-		}
-	})
-	// One replay outside the timer pins the deterministic scale-event
-	// count, so the elastic entry can report per-step autoscaler cost.
-	pin := newBenchCloud(t, true, true)
-	if _, err := pin.Run(trace); err != nil {
-		t.Fatal(err)
-	}
-	if err := pin.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	scaleEvents := len(pin.ScaleEvents())
-	if scaleEvents == 0 {
-		t.Fatal("elastic replay produced no scale events; the autoscaler entry would be meaningless")
-	}
-	record("CloudWorkload/autoscaler", len(trace), scaleEvents, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			a := newBenchCloud(b, true, true)
-			b.StartTimer()
-			runBenchCloud(b, a, trace)
-		}
-	})
-	record("CloudPreemptRecover", 0, 0, func(b *testing.B) {
-		a := newBenchCloud(b, false, false)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := a.SubmitWait("etl", workload.Q12, cloud.RecoverReoptimize); err != nil {
-				b.Fatal(err)
-			}
-			if n, err := a.PreemptFraction(1); err != nil || n != 1 {
-				b.Fatalf("revoked %d, err %v", n, err)
-			}
-			if err := a.Drain(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Note       string  `json:"note"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "CloudWorkload replays the seeded 24-query stream through the priced pool " +
-			"(per-arrival = admission over the class preference order, billing and pool " +
-			"bookkeeping; the autoscaler variant adds seeded spot interruption, recovery " +
-			"and the scaling loop — ns_per_scale_event is its per-step cost); " +
-			"CloudPreemptRecover is one admit → storm-revoke → recover → finish round trip, " +
-			"the machinery behind POST /v1/cloud/preempt.",
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_cloud.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_cloud.json with %d benchmarks", len(entries))
 }

@@ -3,16 +3,10 @@
 // (train + atomic swap + cache invalidation). Run with:
 //
 //	go test -bench Feedback -benchtime=0.2s .
-//
-// RAQO_BENCH_JSON=1 go test -run TestWriteFeedbackBenchJSON records the
-// numbers in BENCH_feedback.json.
 package raqo_test
 
 import (
-	"encoding/json"
-	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"raqo"
@@ -81,96 +75,4 @@ func BenchmarkRecalibrate(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestWriteFeedbackBenchJSON records the feedback benchmarks in
-// BENCH_feedback.json. Gated behind RAQO_BENCH_JSON=1 because it runs the
-// suite via testing.Benchmark.
-func TestWriteFeedbackBenchJSON(t *testing.T) {
-	if os.Getenv("RAQO_BENCH_JSON") == "" {
-		t.Skip("set RAQO_BENCH_JSON=1 to record BENCH_feedback.json")
-	}
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		OpsPerSec   float64 `json:"ops_per_sec"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	record := func(name string, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		entries = append(entries, entry{
-			Name:        name,
-			NsPerOp:     ns,
-			OpsPerSec:   1e9 / ns,
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	obs := benchObservations(t)
-	record("FeedbackAppend/memory", func(b *testing.B) {
-		rec := feedback.NewRecalibrator(
-			feedback.NewStore(0, nil), feedback.NewDetector(feedback.DriftConfig{}), raqo.PaperModels())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := rec.Feed(obs[i%len(obs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	record("FeedbackAppend/journaled", func(b *testing.B) {
-		j, err := feedback.OpenJournal(filepath.Join(b.TempDir(), "journal.jsonl"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer j.Close()
-		rec := feedback.NewRecalibrator(
-			feedback.NewStore(0, j), feedback.NewDetector(feedback.DriftConfig{}), raqo.PaperModels())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := rec.Feed(obs[i%len(obs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	record("Recalibrate/grid", func(b *testing.B) {
-		store := feedback.NewStore(len(obs), nil)
-		rec := feedback.NewRecalibrator(store, feedback.NewDetector(feedback.DriftConfig{}), raqo.PaperModels())
-		rec.Cache = raqo.CachedResourcePlanner(1)
-		for _, o := range obs {
-			if err := rec.Feed(o); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := rec.Recalibrate(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Note       string  `json:"note"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "feedback ingest is one ring append + drift-window push (journaled adds one " +
-			"JSONL write+flush); recalibration is a full retrain over the accumulated grid " +
-			"plus the versioned model swap and CAS cache reset.",
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_feedback.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_feedback.json with %d benchmarks", len(entries))
 }

@@ -5,16 +5,10 @@
 // with:
 //
 //	go test -bench History -benchtime=0.2s .
-//
-// RAQO_BENCH_JSON=1 go test -run TestWriteHistoryBenchJSON records the
-// numbers in BENCH_history.json.
 package raqo_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"raqo/internal/history"
@@ -192,71 +186,4 @@ func BenchmarkHistoryQuantileRange(b *testing.B) {
 			b.Fatalf("empty quantile: v=%v n=%d", v, n)
 		}
 	}
-}
-
-// TestWriteHistoryBenchJSON records the history-store numbers in
-// BENCH_history.json. Gated behind RAQO_BENCH_JSON=1 because it runs
-// the suite via testing.Benchmark.
-func TestWriteHistoryBenchJSON(t *testing.T) {
-	if os.Getenv("RAQO_BENCH_JSON") == "" {
-		t.Skip("set RAQO_BENCH_JSON=1 to record BENCH_history.json")
-	}
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		OpsPerSec   float64 `json:"ops_per_sec"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	record := func(name string, fn func(b *testing.B)) entry {
-		r := testing.Benchmark(fn)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		e := entry{
-			Name:        name,
-			NsPerOp:     ns,
-			OpsPerSec:   1e9 / ns,
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		entries = append(entries, e)
-		return e
-	}
-	appendE := record("HistoryAppend/warm", BenchmarkHistoryAppend)
-	ingestE := record("HistoryIngest/series=64,commit=16k", BenchmarkHistoryIngest)
-	record("HistoryQueryRollup/span=48h,step=1h", BenchmarkHistoryQueryRollup)
-	record("HistoryQuantileRange/span=24h,p90", BenchmarkHistoryQuantileRange)
-
-	// The acceptance bar rides along with the recording: warm append must
-	// sustain at least 1M points/s without allocating.
-	if appendE.OpsPerSec < 1e6 {
-		t.Errorf("warm append sustains %.0f points/s, acceptance floor 1e6", appendE.OpsPerSec)
-	}
-	if appendE.AllocsPerOp > 0 {
-		t.Errorf("warm append allocates %d/op, want 0", appendE.AllocsPerOp)
-	}
-	if ingestE.OpsPerSec < 1e6 {
-		t.Errorf("commit-inclusive ingest sustains %.0f points/s, acceptance floor 1e6", ingestE.OpsPerSec)
-	}
-
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Note       string  `json:"note"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "Embedded history store (internal/history): warm zero-alloc append " +
-			"staging, sustained ingest with durable commits every 16k points " +
-			"across 64 series, and rollup-backed range/quantile queries over " +
-			"48 virtual hours. One op is one point on the ingest benchmarks.",
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_history.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_history.json with %d benchmarks", len(entries))
 }

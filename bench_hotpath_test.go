@@ -6,21 +6,16 @@
 // pin that down. Run the timings with:
 //
 //	go test -bench HotPath -benchtime=0.2s .
-//
-// RAQO_BENCH_JSON=1 go test -run TestWriteHotpathBenchJSON records the
-// numbers in BENCH_hotpath.json.
 package raqo_test
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 
 	"raqo/internal/catalog"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
+	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/optimizer/randomized"
 	"raqo/internal/plan"
@@ -84,9 +79,9 @@ func coldPlanner(tb testing.TB, planner core.PlannerKind, relations int) func() 
 
 // TestHotPathAllocCeilings asserts hard allocation ceilings on the
 // steady-state hot paths. The ceilings carry slack over the measured
-// numbers (see BENCH_hotpath.json) so noise does not flake the gate,
-// but an accidental per-candidate or per-operator allocation — the
-// regressions the pooled state exists to prevent — blows through them.
+// numbers (`go test -bench HotPath -benchmem .`) so noise does not flake
+// the gate, but an accidental per-candidate or per-operator allocation —
+// the regressions the pooled state exists to prevent — blows through them.
 func TestHotPathAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector adds allocations; ceilings hold on plain builds only")
@@ -120,6 +115,24 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30)); got > 680 {
 		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 680", got)
+	}
+
+	// Warm resource-plan cache hit, the probe every costed candidate pays:
+	// a nearest-neighbour answer from a populated index is one read lock
+	// and one binary search, no allocation.
+	cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.1}
+	smj := cost.PaperSMJ()
+	for i := 0; i < 64; i++ {
+		if _, err := cache.Plan(smj, float64(i), cluster.Default()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if _, n, err := cache.PlanCounted(smj, 31.05, cluster.Default()); err != nil || n != 0 {
+			t.Fatalf("warm cache hit: evaluations=%d err=%v", n, err)
+		}
+	}); got > 0 {
+		t.Errorf("warm nearest-neighbour cache hit allocates %.0f/op, ceiling 0", got)
 	}
 
 	// Cached plan signatures: recomputing on an unchanged tree must not
@@ -193,75 +206,6 @@ func BenchmarkHotPathIncrementalExact(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestWriteHotpathBenchJSON records the hot-path numbers in
-// BENCH_hotpath.json. Gated behind RAQO_BENCH_JSON=1 because it runs
-// the suite via testing.Benchmark.
-func TestWriteHotpathBenchJSON(t *testing.T) {
-	if os.Getenv("RAQO_BENCH_JSON") == "" {
-		t.Skip("set RAQO_BENCH_JSON=1 to record BENCH_hotpath.json")
-	}
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		OpsPerSec   float64 `json:"ops_per_sec"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	record := func(name string, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		entries = append(entries, entry{
-			Name:        name,
-			NsPerOp:     ns,
-			OpsPerSec:   1e9 / ns,
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	record("HotPathOptimize/query=All", BenchmarkHotPathOptimize)
-	record("HotPathIncrementalExact/query=All", BenchmarkHotPathIncrementalExact)
-	for _, c := range coldCases {
-		record("HotPathCold/"+c.name, benchmarkCold(c.planner, c.relations))
-	}
-	record("HotPathSignatureCached", func(b *testing.B) {
-		o, q := hotPathOptimizer(b)
-		d, err := o.Optimize(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sig := d.Plan.SignatureWithResources()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if d.Plan.SignatureWithResources() != sig {
-				b.Fatal("signature drifted")
-			}
-		}
-	})
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Note       string  `json:"note"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "Steady-state planning hot paths behind the alloc gate " +
-			"(TestHotPathAllocCeilings): warm 8-relation joint optimization with " +
-			"pooled DP state and arena plans, the incremental re-optimizer's " +
-			"exact-memo answer, cold 12- and 30-relation planning on a random " +
-			"100-table schema, and a cached plan-signature read.",
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_hotpath.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_hotpath.json with %d benchmarks", len(entries))
 }
 
 // coldCases are the two query classes that own the plan_scale workload's

@@ -1,16 +1,11 @@
 // Benchmarks for the concurrent optimize path: the parallel Selinger DP,
 // the batch API, and resource-plan cache contention. Run with:
 //
-//	go test -bench='OptimizeParallel|OptimizeBatch|CacheContention' -benchmem
-//
-// RAQO_BENCH_JSON=1 go test -run TestWriteBenchJSON records the numbers in
-// BENCH_optimize.json.
+//	go test -bench='OptimizeParallel|OptimizeBatch|CacheContention' -benchmem -cpu 1,2
 package raqo_test
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -91,23 +86,13 @@ func benchBatch(b *testing.B, queries []*raqo.Query, parallel int) {
 }
 
 // BenchmarkCacheContention hammers a warm resource-plan cache from 8
-// goroutines, comparing the single-stripe (global lock) configuration with
-// the default 16-way striping.
+// goroutines; run it at -cpu 1,2 so the read lock is shared across procs.
 func BenchmarkCacheContention(b *testing.B) {
-	for _, stripes := range []int{1, 16} {
-		b.Run(fmt.Sprintf("stripes=%d", stripes), func(b *testing.B) {
-			benchCacheContention(b, stripes)
-		})
-	}
-}
-
-func benchCacheContention(b *testing.B, stripes int) {
 	const keys = 64
 	c := &resource.Cache{
 		Inner:       &resource.HillClimb{},
 		Mode:        resource.NearestNeighbor,
 		ThresholdGB: 0.1,
-		Stripes:     stripes,
 	}
 	m := cost.PaperSMJ()
 	cond := cluster.Default()
@@ -128,74 +113,4 @@ func benchCacheContention(b *testing.B, stripes int) {
 			i++
 		}
 	})
-}
-
-// TestWriteBenchJSON records the concurrency benchmarks in
-// BENCH_optimize.json. Gated behind RAQO_BENCH_JSON=1 because it runs the
-// full suite via testing.Benchmark.
-func TestWriteBenchJSON(t *testing.T) {
-	if os.Getenv("RAQO_BENCH_JSON") == "" {
-		t.Skip("set RAQO_BENCH_JSON=1 to record BENCH_optimize.json")
-	}
-	type entry struct {
-		Name        string  `json:"name"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		AllocsPerOp int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	record := func(name string, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		entries = append(entries, entry{
-			Name:        name,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-		})
-	}
-	for _, w := range benchWorkerCounts() {
-		w := w
-		record(fmt.Sprintf("OptimizeParallel/workers=%d", w), func(b *testing.B) {
-			benchOptimize(b, w)
-		})
-	}
-	sch := raqo.TPCH(100)
-	var queries []*raqo.Query
-	for _, name := range []string{"Q12", "Q3", "Q2", "All"} {
-		q, err := raqo.TPCHQuery(sch, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-	for _, p := range []int{1, 4} {
-		p := p
-		record(fmt.Sprintf("OptimizeBatch/parallel=%d", p), func(b *testing.B) {
-			benchBatch(b, queries, p)
-		})
-	}
-	for _, s := range []int{1, 16} {
-		s := s
-		record(fmt.Sprintf("CacheContention/stripes=%d", s), func(b *testing.B) {
-			benchCacheContention(b, s)
-		})
-	}
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Note       string  `json:"note"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "wall-clock speedup from parallel planning requires multiple CPUs; " +
-			"on a single-CPU host the parallel DP measures goroutine fan-out overhead, not speedup",
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_optimize.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_optimize.json with %d benchmarks", len(entries))
 }

@@ -3,18 +3,11 @@
 // encoding) without TCP in the way. Run with:
 //
 //	go test -bench ServeOptimize -benchtime=0.2s .
-//
-// RAQO_BENCH_JSON=1 go test -run TestWriteServeBenchJSON records
-// throughput and latency in BENCH_serve.json.
 package raqo_test
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -66,73 +59,4 @@ func BenchmarkServeOptimize(b *testing.B) {
 			})
 		})
 	}
-}
-
-// TestWriteServeBenchJSON records the service benchmarks in
-// BENCH_serve.json. Gated behind RAQO_BENCH_JSON=1 because it runs the
-// suite via testing.Benchmark.
-func TestWriteServeBenchJSON(t *testing.T) {
-	if os.Getenv("RAQO_BENCH_JSON") == "" {
-		t.Skip("set RAQO_BENCH_JSON=1 to record BENCH_serve.json")
-	}
-	type entry struct {
-		Name           string  `json:"name"`
-		NsPerOp        float64 `json:"ns_per_op"`
-		RequestsPerSec float64 `json:"requests_per_sec"`
-		AllocsPerOp    int64   `json:"allocs_per_op"`
-	}
-	var entries []entry
-	record := func(name string, fn func(b *testing.B)) {
-		r := testing.Benchmark(fn)
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
-		entries = append(entries, entry{
-			Name:           name,
-			NsPerOp:        ns,
-			RequestsPerSec: 1e9 / ns,
-			AllocsPerOp:    r.AllocsPerOp(),
-		})
-	}
-	for _, query := range []string{"Q12", "Q3", "All"} {
-		query := query
-		record(fmt.Sprintf("ServeOptimize/query=%s", query), func(b *testing.B) {
-			s := newBenchServer(b)
-			serveOptimizeOnce(b, s, query)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				serveOptimizeOnce(b, s, query)
-			}
-		})
-	}
-	record("ServeOptimize/parallel", func(b *testing.B) {
-		s := newBenchServer(b)
-		serveOptimizeOnce(b, s, "Q12")
-		b.ReportAllocs()
-		b.ResetTimer()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				serveOptimizeOnce(b, s, "Q12")
-			}
-		})
-	})
-	report := struct {
-		GoMaxProcs int     `json:"gomaxprocs"`
-		NumCPU     int     `json:"num_cpu"`
-		Note       string  `json:"note"`
-		Benchmarks []entry `json:"benchmarks"`
-	}{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Note: "full in-process handler stack (mux, admission, planning, JSON) with a warm " +
-			"cache and cost memo; no TCP. ns_per_op is per-request service time.",
-		Benchmarks: entries,
-	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_serve.json with %d benchmarks", len(entries))
 }

@@ -56,16 +56,13 @@ type Config struct {
 	Base    cluster.Conditions
 	Engine  execsim.Params
 	Pricing cost.Pricing
-	// Optimizer plans submissions and re-optimizations. The arbiter owns
-	// it exclusively: its conditions are re-pointed per admission round,
-	// so it must not be shared with concurrent callers. All planning is
-	// routed through a core.Incremental wrapper, so repeated conditions
-	// answer from its exact memo and small restrictions patch in place of
-	// a full re-plan — provably bit-identical to planning from scratch.
+	// Optimizer plans submissions and re-optimizations. All planning is
+	// routed through the arbiter's own core.Incremental wrapper, which
+	// passes the admission-time conditions per call — so the optimizer may
+	// be shared with other callers — and answers repeated conditions from
+	// its exact memo and small restrictions by patching in place of a full
+	// re-plan, provably bit-identical to planning from scratch.
 	Optimizer *core.Optimizer
-	// Workers is the intra-query parallelism hint carried by the optimizer
-	// itself; re-optimization outcomes are bit-identical across values.
-	Workers int
 	// ReoptEnvelope is the validity envelope of incremental
 	// re-optimization (relative shrink of the condition bounds that may be
 	// patched rather than fully re-planned); <= 0 selects

@@ -66,7 +66,6 @@ func testConfig(t testing.TB, workers int) arbiter.Config {
 		Engine:    execsim.Hive(),
 		Pricing:   cost.DefaultPricing(),
 		Optimizer: newOptimizer(t, models, workers),
-		Workers:   workers,
 		Queries:   queries,
 		Tenants: []arbiter.TenantConfig{
 			{Name: "etl", Weight: 2},

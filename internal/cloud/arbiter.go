@@ -111,11 +111,11 @@ type Config struct {
 	Base    cluster.Conditions
 	Engine  execsim.Params
 	Pricing cost.Pricing
-	// Optimizer plans submissions and per-class re-optimizations; the
-	// arbiter owns it exclusively (all planning routes through a
-	// core.Incremental wrapper, bit-identical to planning from scratch).
+	// Optimizer plans submissions and per-class re-optimizations. All
+	// planning routes through the arbiter's own core.Incremental wrapper
+	// (bit-identical to planning from scratch), which passes conditions
+	// per call, so the optimizer may be shared with other callers.
 	Optimizer     *core.Optimizer
-	Workers       int
 	ReoptEnvelope float64
 	Queries       map[string]*plan.Query
 	Tenants       []TenantConfig

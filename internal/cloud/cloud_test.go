@@ -76,7 +76,6 @@ func testConfig(t testing.TB, workers int, m cloud.Market) cloud.Config {
 		Engine:    execsim.Hive(),
 		Pricing:   cost.DefaultPricing(),
 		Optimizer: newOptimizer(t, models, workers),
-		Workers:   workers,
 		Queries:   queries,
 		Tenants: []cloud.TenantConfig{
 			{Name: "etl", Weight: 2},

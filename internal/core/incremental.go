@@ -104,7 +104,8 @@ type incEntry struct {
 //
 // An Incremental is not safe for concurrent use: the arbiter drives it
 // from its single-threaded event loop, and the server serializes /v1/submit
-// on the arbiter mutex.
+// on the arbiter mutex. It never changes the wrapped optimizer's
+// conditions, so several Incrementals may share one Optimizer.
 type Incremental struct {
 	opt *Optimizer
 	// envelope is the validity envelope (relative shrink) of the patch
@@ -168,10 +169,7 @@ func (inc *Incremental) OptimizeCtx(ctx context.Context, q *plan.Query, cond clu
 		}
 		inc.stats.Fallback++
 	}
-	if err := inc.opt.SetConditions(cond); err != nil {
-		return nil, ReoptFull, err
-	}
-	d, err := inc.opt.OptimizeCtx(ctx, q)
+	d, err := inc.opt.optimizeUnder(ctx, q, cond)
 	if err != nil {
 		return nil, ReoptFull, err
 	}

@@ -230,7 +230,14 @@ func (o *Optimizer) Optimize(q *plan.Query) (*Decision, error) {
 // observes ctx and returns ctx's error promptly after cancellation, so an
 // abandoned request stops consuming CPU.
 func (o *Optimizer) OptimizeCtx(ctx context.Context, q *plan.Query) (*Decision, error) {
-	return o.run(ctx, q, o.coster(o.opts.Resource, plan.Resources{}, o.cond))
+	return o.optimizeUnder(ctx, q, o.cond)
+}
+
+// optimizeUnder is the joint optimization under explicit conditions. It
+// touches no mutable optimizer state, so callers planning under different
+// conditions (Incremental, OptimizeRobust) can share one Optimizer.
+func (o *Optimizer) optimizeUnder(ctx context.Context, q *plan.Query, cond cluster.Conditions) (*Decision, error) {
+	return o.run(ctx, q, o.coster(o.opts.Resource, plan.Resources{}, cond))
 }
 
 // OptimizeFixed is the plain QO baseline: query planning only, pricing

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -63,8 +64,6 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 		}
 	}
 	start := time.Now()
-	saved := o.cond
-	defer func() { o.cond = saved }()
 
 	// Candidate shapes: the per-scenario optima.
 	type candidate struct {
@@ -74,8 +73,7 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 	var candidates []candidate
 	seen := map[string]bool{}
 	for _, c := range scenarios {
-		o.cond = c
-		d, err := o.Optimize(q)
+		d, err := o.optimizeUnder(context.Background(), q, c)
 		if err != nil {
 			return nil, err
 		}

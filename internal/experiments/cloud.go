@@ -138,7 +138,6 @@ func runCloudCell(models *cost.Models, queries map[string]*plan.Query, s cloudSe
 		Engine:     execsim.Hive(),
 		Pricing:    cost.DefaultPricing(),
 		Optimizer:  opt,
-		Workers:    workers,
 		Queries:    queries,
 		Tenants:    cloudTenants(),
 		Faults:     tr.faults,

@@ -192,12 +192,18 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The node owns its connection pool. http.DefaultTransport is
+	// process-wide: a connection that an earlier node of this process left
+	// idle there is offered to the next one after the peer behind it has
+	// gone, which fails that node's first forward and marks a healthy peer
+	// down until the next probe.
+	tr := http.DefaultTransport.(*http.Transport).Clone()
 	n := &Node{
 		cfg:      cfg,
 		srv:      srv,
 		ring:     r,
-		client:   &http.Client{Timeout: cfg.ForwardTimeout},
-		probec:   &http.Client{Timeout: cfg.ProbeTimeout},
+		client:   &http.Client{Timeout: cfg.ForwardTimeout, Transport: tr},
+		probec:   &http.Client{Timeout: cfg.ProbeTimeout, Transport: tr},
 		down:     make(map[string]bool, len(peers)),
 		publishc: make(chan *ModelWire, 4),
 	}
@@ -253,7 +259,8 @@ func (n *Node) Metrics() *Metrics { return n.metrics }
 
 // Start launches the node's background loops — the peer health prober and
 // the model publisher — until ctx is cancelled. The returned function
-// blocks until both have stopped.
+// blocks until both have stopped, then drops the node's idle peer
+// connections.
 func (n *Node) Start(ctx context.Context) (wait func()) {
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -265,7 +272,10 @@ func (n *Node) Start(ctx context.Context) (wait func()) {
 		defer wg.Done()
 		n.publishLoop(ctx)
 	}()
-	return wg.Wait
+	return func() {
+		wg.Wait()
+		n.client.CloseIdleConnections() // probec shares the transport
+	}
 }
 
 // Serve runs the wrapped server's listen/drain lifecycle with the fleet

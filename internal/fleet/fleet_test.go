@@ -334,6 +334,64 @@ func TestFleetDegradedMode(t *testing.T) {
 	}
 }
 
+// TestFleetRestartOnSameAddresses: a fleet stopped and rebuilt in the same
+// process on the same addresses (what a benchmark's next system is) must
+// forward its first request to the new owner, not find it "down". Each
+// node pools its own peer connections: on the process-wide pool the new
+// forwarder could be handed a connection the old owner had closed.
+func TestFleetRestartOnSameAddresses(t *testing.T) {
+	// The test's own requests must not ride a pooled connection either.
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	optimize := func(addr string) (*http.Response, string) {
+		t.Helper()
+		resp, err := client.Post("http://"+addr+"/v1/optimize", "application/json", strings.NewReader(`{"query":"Q12"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, string(b)
+	}
+
+	nodes := startTestFleet(t, 2)
+	addrs := []string{nodes[0].addr, nodes[1].addr}
+	owner := ownerOf(nodes, "q/Q12")
+	entry := addrs[0]
+	if entry == owner {
+		entry = addrs[1]
+	}
+	for gen := 1; gen <= 3; gen++ {
+		if gen > 1 {
+			for i, a := range addrs {
+				ln, err := net.Listen("tcp", a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes[i] = newTestNode(t, addrs, i)
+				nodes[i].serve(ln)
+				t.Cleanup(nodes[i].stop)
+			}
+		}
+		resp, body := optimize(entry)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("generation %d: HTTP %d: %s", gen, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Raqo-Fleet-Node"); got != owner {
+			t.Errorf("generation %d: first request served by %q, want the owner %q", gen, got, owner)
+		}
+		m := nodeByAddr(t, nodes, entry).node.Metrics()
+		if m.ForwardErrors.Value() != 0 || m.Degraded.Value() != 0 {
+			t.Errorf("generation %d: forwardErrors=%d degraded=%d, want 0/0", gen, m.ForwardErrors.Value(), m.Degraded.Value())
+		}
+		for _, tn := range nodes {
+			tn.stop()
+		}
+	}
+}
+
 // TestFleetHotCache checks the read-through cache for hot remote shards:
 // a repeated forwarded optimize is answered from local memory, and a
 // model-version change implicitly invalidates it.

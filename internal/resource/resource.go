@@ -209,92 +209,41 @@ func (m LookupMode) String() string {
 	return fmt.Sprintf("LookupMode(%d)", int(m))
 }
 
-// IndexKind selects the cache's index layout. The paper's prototype "keeps
-// a sorted array of keys ... and we perform a binary search for lookup" and
-// notes "we could also layout the array as a CSB+-Tree for larger
-// workloads" — both are provided.
-type IndexKind int
-
-// Cache index layouts.
-const (
-	// SortedArray is the paper's prototype layout.
-	SortedArray IndexKind = iota
-	// BPlusTree is the CSB+-tree-style layout for larger workloads.
-	BPlusTree
-)
-
-// String names the layout.
-func (k IndexKind) String() string {
-	switch k {
-	case SortedArray:
-		return "sorted-array"
-	case BPlusTree:
-		return "b+tree"
-	}
-	return fmt.Sprintf("IndexKind(%d)", int(k))
-}
-
-// Cache wraps a Planner with the resource-plan cache: per cost model, an
-// index of data-characteristic keys (smaller input size) pointing at the
-// best known configuration. Safe for concurrent use.
+// Cache wraps a Planner with the resource-plan cache: per cost model, a
+// sorted array of data-characteristic keys (smaller input size) pointing at
+// the best known configuration — the paper's prototype layout ("a sorted
+// array of keys ... and we perform a binary search for lookup"). Safe for
+// concurrent use; the zero value with an Inner planner is ready.
 //
-// Concurrency design. The cache is lock-striped: entries live in per-bucket
-// indexes keyed by (cost-model name, key bucket), and each index hashes to
-// one of Stripes shards, each with its own RWMutex. Buckets are contiguous
-// key ranges at least ThresholdGB wide, so every lookup mode is answered
-// exactly by probing the key's bucket and its two neighbors — concurrent
-// planning of different operators therefore contends only when their data
-// characteristics hash to the same shard. Misses are deduplicated
-// singleflight-style per (model, key): concurrent misses on the same key
-// run the inner planner once, and the waiters share the leader's result
-// (counted as hits, since they consumed no inner evaluations).
+// Concurrency design. One RWMutex guards the per-model arrays and the
+// in-flight table: lookups share the read lock, and only a miss takes the
+// write lock (twice, briefly — never across the inner planner). Misses are
+// deduplicated singleflight-style per (model, key): concurrent misses on
+// the same key run the inner planner once, and the waiters share the
+// leader's result (counted as hits, since they consumed no inner
+// evaluations).
 //
 // Invariant (insert-after-unlock race): an insert can never land in an
-// index dropped by Reset. Reset advances the cache generation before
-// dropping the shard maps, and a miss re-checks the generation while
-// holding the shard lock at insert time — a stale result computed against a
-// pre-Reset cache is returned to its callers but never inserted.
-// In-flight computations survive a Reset only to serve their waiters.
+// index dropped by Reset. Reset advances the generation and drops the
+// arrays under the write lock, and a miss re-checks the generation under
+// that lock at insert time — a stale result computed against a pre-Reset
+// cache is returned to its callers but never inserted. In-flight
+// computations survive a Reset only to serve their waiters.
 type Cache struct {
 	Inner Planner
 	Mode  LookupMode
 	// ThresholdGB is the data-delta threshold for NearestNeighbor and
 	// WeightedAverage matches (the x-axis of Figure 14).
 	ThresholdGB float64
-	// Index selects the layout; the zero value is the paper's sorted
-	// array.
-	Index IndexKind
-	// Stripes is the number of lock shards; 0 selects the default (16).
-	// Stripes=1 degenerates to a single global lock (the pre-striping
-	// behavior, kept for the contention benchmarks). Must not be changed
-	// after the first Plan call.
-	Stripes int
 
-	initOnce  sync.Once
-	shards    []*cacheShard
-	width     float64 // bucket width, >= ThresholdGB
-	gen       atomic.Uint64
+	mu        sync.RWMutex
+	indexes   map[string]*arrayIndex // guarded by mu
+	flights   map[flightKey]*flight  // guarded by mu
+	gen       uint64                 // guarded by mu
+	evictions int64                  // guarded by mu
 	hits      atomic.Int64
 	misses    atomic.Int64
 	deduped   atomic.Int64
-	evictions atomic.Int64
-}
-
-// defaultStripes is the shard count when Stripes is zero.
-const defaultStripes = 16
-
-// cacheShard is one lock stripe: the per-(model,bucket) indexes that hash
-// here plus the in-flight misses whose home bucket hashes here.
-type cacheShard struct {
-	mu      sync.RWMutex
-	indexes map[bucketKey]keyIndex // guarded by mu
-	flights map[flightKey]*flight  // guarded by mu
-}
-
-// bucketKey addresses one index: a cost model and one contiguous key range.
-type bucketKey struct {
-	model  string
-	bucket int64
 }
 
 // flightKey identifies an in-flight miss by its exact key bits.
@@ -311,72 +260,14 @@ type flight struct {
 	err  error
 }
 
-func (c *Cache) init() {
-	c.initOnce.Do(func() {
-		n := c.Stripes
-		if n <= 0 {
-			n = defaultStripes
-		}
-		c.shards = make([]*cacheShard, n)
-		for i := range c.shards {
-			c.shards[i] = &cacheShard{}
-		}
-		// Buckets must span at least the match threshold so a probe of the
-		// key's bucket ± 1 sees every entry within ThresholdGB.
-		c.width = c.ThresholdGB
-		if c.width < 1 {
-			c.width = 1
-		}
-	})
-}
-
-func (c *Cache) bucketOf(key float64) int64 { return int64(math.Floor(key / c.width)) }
-
-// shardFor hashes (model, bucket) onto a stripe (FNV-1a).
-func (c *Cache) shardFor(model string, bucket int64) *cacheShard {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(model); i++ {
-		h = (h ^ uint64(model[i])) * 1099511628211
-	}
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(bucket>>(8*i)))) * 1099511628211
-	}
-	return c.shards[h%uint64(len(c.shards))]
-}
-
-func (c *Cache) newIndex() keyIndex {
-	if c.Index == BPlusTree {
-		return newBPTree()
-	}
-	return &arrayIndex{}
-}
-
-// entryKV is one cached (data characteristic, configuration) pair.
-type entryKV struct {
-	key float64
-	val plan.Resources
-}
-
-// keyIndex is the index layout abstraction: insert, exact probe, nearest
-// key, and a threshold-bounded neighborhood scan.
-type keyIndex interface {
-	insert(key float64, val plan.Resources)
-	exact(key float64) (plan.Resources, bool)
-	nearest(key float64) (entryKV, bool)
-	neighbors(key, threshold float64) []entryKV
-	size() int
-}
-
 // exactEps treats keys closer than this as identical, absorbing float noise.
 const exactEps = 1e-9
 
-// arrayIndex is the paper's sorted-array layout with binary-search probes.
+// arrayIndex is one cost model's sorted array with binary-search probes.
 type arrayIndex struct {
 	keys []float64
 	vals []plan.Resources
 }
-
-func (ix *arrayIndex) size() int { return len(ix.keys) }
 
 func (ix *arrayIndex) insert(key float64, val plan.Resources) {
 	i := sort.SearchFloat64s(ix.keys, key)
@@ -392,132 +283,73 @@ func (ix *arrayIndex) insert(key float64, val plan.Resources) {
 	ix.vals[i] = val
 }
 
-func (ix *arrayIndex) exact(key float64) (plan.Resources, bool) {
-	i := sort.SearchFloat64s(ix.keys, key)
-	for _, j := range []int{i, i - 1} {
-		if j >= 0 && j < len(ix.keys) && math.Abs(ix.keys[j]-key) <= exactEps {
-			return ix.vals[j], true
-		}
-	}
-	return plan.Resources{}, false
+// blend accumulates a proximity-weighted average of configurations.
+type blend struct{ w, nc, gb float64 }
+
+//raqo:noalloc
+func (b *blend) add(dist float64, v plan.Resources) {
+	w := 1 / (dist + exactEps)
+	b.w += w
+	b.nc += w * float64(v.Containers)
+	b.gb += w * v.ContainerGB
 }
 
-func (ix *arrayIndex) nearest(key float64) (entryKV, bool) {
-	if len(ix.keys) == 0 {
-		return entryKV{}, false
-	}
+// lookup is the cache's whole matching rule. An exact match (within
+// exactEps; only the two entries around key's insertion point can qualify)
+// is honored in every mode. NearestNeighbor then takes the closer of those
+// two entries if it is within threshold (the lower key wins a tie).
+// WeightedAverage blends every entry within threshold, weighted by
+// proximity and summed downward from key, then upward, and snaps the blend
+// to cond's grid.
+//
+//raqo:noalloc
+func (ix *arrayIndex) lookup(key float64, mode LookupMode, threshold float64, cond cluster.Conditions) (plan.Resources, bool) {
 	i := sort.SearchFloat64s(ix.keys, key)
-	bestJ, bestD := -1, math.Inf(1)
-	for _, j := range []int{i - 1, i} {
-		if j < 0 || j >= len(ix.keys) {
-			continue
-		}
-		if d := math.Abs(ix.keys[j] - key); d < bestD {
-			bestJ, bestD = j, d
-		}
+	if i < len(ix.keys) && ix.keys[i]-key <= exactEps {
+		return ix.vals[i], true
 	}
-	if bestJ < 0 {
-		return entryKV{}, false
-	}
-	return entryKV{key: ix.keys[bestJ], val: ix.vals[bestJ]}, true
-}
-
-func (ix *arrayIndex) neighbors(key, threshold float64) []entryKV {
-	i := sort.SearchFloat64s(ix.keys, key)
-	var out []entryKV
-	for j := i - 1; j >= 0 && key-ix.keys[j] <= threshold; j-- {
-		out = append(out, entryKV{key: ix.keys[j], val: ix.vals[j]})
-	}
-	for j := i; j < len(ix.keys) && ix.keys[j]-key <= threshold; j++ {
-		out = append(out, entryKV{key: ix.keys[j], val: ix.vals[j]})
-	}
-	return out
-}
-
-// lookup applies the cache mode on top of whichever index layout is in use.
-func lookup(ix keyIndex, key float64, mode LookupMode, threshold float64, cond cluster.Conditions) (plan.Resources, bool) {
-	// Exact match is honored in every mode.
-	if v, ok := ix.exact(key); ok {
-		return v, true
+	if i > 0 && key-ix.keys[i-1] <= exactEps {
+		return ix.vals[i-1], true
 	}
 	switch mode {
 	case NearestNeighbor:
-		if e, ok := ix.nearest(key); ok && math.Abs(e.key-key) <= threshold {
-			return e.val, true
+		j := i
+		if i == len(ix.keys) || (i > 0 && key-ix.keys[i-1] <= ix.keys[i]-key) {
+			j = i - 1
+		}
+		if j >= 0 && math.Abs(ix.keys[j]-key) <= threshold {
+			return ix.vals[j], true
 		}
 	case WeightedAverage:
-		var wSum, ncSum, gbSum float64
-		for _, e := range ix.neighbors(key, threshold) {
-			w := 1 / (math.Abs(e.key-key) + exactEps)
-			wSum += w
-			ncSum += w * float64(e.val.Containers)
-			gbSum += w * e.val.ContainerGB
+		var b blend
+		for j := i - 1; j >= 0 && key-ix.keys[j] <= threshold; j-- {
+			b.add(key-ix.keys[j], ix.vals[j])
 		}
-		if wSum > 0 {
-			r := plan.Resources{
-				Containers:  int(math.Round(ncSum / wSum)),
-				ContainerGB: gbSum / wSum,
-			}
-			return cond.Clamp(r), true
+		for j := i; j < len(ix.keys) && ix.keys[j]-key <= threshold; j++ {
+			b.add(ix.keys[j]-key, ix.vals[j])
+		}
+		if b.w > 0 {
+			return cond.Clamp(plan.Resources{
+				Containers:  int(math.Round(b.nc / b.w)),
+				ContainerGB: b.gb / b.w,
+			}), true
 		}
 	}
 	return plan.Resources{}, false
 }
 
-// probe answers a lookup by gathering candidates from the key's bucket and
-// its two neighbors (each read under its shard's read lock), then applying
-// the cache mode. Bucket width >= ThresholdGB guarantees the three buckets
-// cover every key within the threshold.
+// probe answers a lookup from model's array under the read lock.
+//
+//raqo:noalloc
 func (c *Cache) probe(model string, key float64, cond cluster.Conditions) (plan.Resources, bool) {
-	b := c.bucketOf(key)
-	var nearestE entryKV
-	nearestOK := false
-	var neighbors []entryKV
-	for db := int64(-1); db <= 1; db++ {
-		s := c.shardFor(model, b+db)
-		s.mu.RLock()
-		ix := s.indexes[bucketKey{model, b + db}]
-		if ix != nil {
-			// Exact match is honored in every mode.
-			if v, ok := ix.exact(key); ok {
-				s.mu.RUnlock()
-				return v, true
-			}
-			switch c.Mode {
-			case NearestNeighbor:
-				if e, ok := ix.nearest(key); ok {
-					if !nearestOK || math.Abs(e.key-key) < math.Abs(nearestE.key-key) {
-						nearestE, nearestOK = e, true
-					}
-				}
-			case WeightedAverage:
-				neighbors = append(neighbors, ix.neighbors(key, c.ThresholdGB)...)
-			}
-		}
-		s.mu.RUnlock()
+	var r plan.Resources
+	var hit bool
+	c.mu.RLock()
+	if ix := c.indexes[model]; ix != nil {
+		r, hit = ix.lookup(key, c.Mode, c.ThresholdGB, cond)
 	}
-	switch c.Mode {
-	case NearestNeighbor:
-		if nearestOK && math.Abs(nearestE.key-key) <= c.ThresholdGB {
-			return nearestE.val, true
-		}
-	case WeightedAverage:
-		var wSum, ncSum, gbSum float64
-		for _, e := range neighbors {
-			w := 1 / (math.Abs(e.key-key) + exactEps)
-			wSum += w
-			ncSum += w * float64(e.val.Containers)
-			gbSum += w * e.val.ContainerGB
-		}
-		if wSum > 0 {
-			r := plan.Resources{
-				Containers:  int(math.Round(ncSum / wSum)),
-				ContainerGB: gbSum / wSum,
-			}
-			return cond.Clamp(r), true
-		}
-	}
-	return plan.Resources{}, false
+	c.mu.RUnlock()
+	return r, hit
 }
 
 // Plan implements Planner: look up the cache first; on a miss, run the
@@ -535,7 +367,6 @@ func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions)
 	if c.Inner == nil {
 		return plan.Resources{}, 0, fmt.Errorf("resource: cache has no inner planner")
 	}
-	c.init()
 	model := m.Name()
 	if r, hit := c.probe(model, ssGB, cond); hit {
 		c.hits.Add(1)
@@ -543,23 +374,20 @@ func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions)
 		// cached configuration onto the current grid.
 		return cond.Clamp(r), 0, nil
 	}
-	// Miss: dedupe concurrent misses on the same key via the home shard's
-	// flight table.
-	bucket := c.bucketOf(ssGB)
-	s := c.shardFor(model, bucket)
+	// Miss: dedupe concurrent misses on the same key via the flight table.
 	fk := flightKey{model, math.Float64bits(ssGB)}
-	s.mu.Lock()
+	c.mu.Lock()
 	// Double-check: a racing leader may have inserted this exact key
 	// between our probe and taking the write lock.
-	if ix := s.indexes[bucketKey{model, bucket}]; ix != nil {
-		if v, ok := ix.exact(ssGB); ok {
-			s.mu.Unlock()
+	if ix := c.indexes[model]; ix != nil {
+		if v, ok := ix.lookup(ssGB, Exact, 0, cond); ok {
+			c.mu.Unlock()
 			c.hits.Add(1)
 			return cond.Clamp(v), 0, nil
 		}
 	}
-	if fl, ok := s.flights[fk]; ok {
-		s.mu.Unlock()
+	if fl, ok := c.flights[fk]; ok {
+		c.mu.Unlock()
 		<-fl.done
 		if fl.err != nil {
 			return plan.Resources{}, 0, fl.err
@@ -569,34 +397,33 @@ func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions)
 		return cond.Clamp(fl.res), 0, nil
 	}
 	fl := &flight{done: make(chan struct{})}
-	if s.flights == nil {
-		s.flights = make(map[flightKey]*flight)
+	if c.flights == nil {
+		c.flights = make(map[flightKey]*flight)
 	}
-	s.flights[fk] = fl
-	gen := c.gen.Load()
-	s.mu.Unlock()
+	c.flights[fk] = fl
+	gen := c.gen
+	c.mu.Unlock()
 
 	c.misses.Add(1)
 	r, n, err := PlanWithCount(c.Inner, m, ssGB, cond)
 	fl.res, fl.err = r, err
 
-	s.mu.Lock()
-	delete(s.flights, fk)
+	c.mu.Lock()
+	delete(c.flights, fk)
 	// Generation check: see the Cache doc comment — never insert a result
 	// computed against a cache that Reset has since dropped.
-	if err == nil && c.gen.Load() == gen {
-		bk := bucketKey{model, bucket}
-		ix := s.indexes[bk]
+	if err == nil && c.gen == gen {
+		ix := c.indexes[model]
 		if ix == nil {
-			ix = c.newIndex()
-			if s.indexes == nil {
-				s.indexes = make(map[bucketKey]keyIndex)
+			ix = &arrayIndex{}
+			if c.indexes == nil {
+				c.indexes = make(map[string]*arrayIndex)
 			}
-			s.indexes[bk] = ix
+			c.indexes[model] = ix
 		}
 		ix.insert(ssGB, r)
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(fl.done)
 	if err != nil {
 		return plan.Resources{}, n, err
@@ -636,18 +463,21 @@ type Stats struct {
 	Generation uint64
 }
 
-// Stats returns a snapshot of the cache counters. Counters are read
-// individually, so a snapshot taken under concurrent use is approximate
-// across fields but each field is exact.
+// Stats returns a snapshot of the cache counters. The lookup counters are
+// read individually, so a snapshot taken under concurrent use is
+// approximate across fields but each field is exact.
 func (c *Cache) Stats() Stats {
-	return Stats{
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		Deduped:    c.deduped.Load(),
-		Evictions:  c.evictions.Load(),
-		Entries:    c.Size(),
-		Generation: c.gen.Load(),
+	st := Stats{
+		Hits:    c.hits.Load(),
+		Misses:  c.misses.Load(),
+		Deduped: c.deduped.Load(),
 	}
+	c.mu.RLock()
+	st.Evictions = c.evictions
+	st.Entries = c.sizeLocked()
+	st.Generation = c.gen
+	c.mu.RUnlock()
+	return st
 }
 
 // Reset clears every per-model index (the paper clears the cache before
@@ -656,12 +486,9 @@ func (c *Cache) Stats() Stats {
 // and are discarded rather than inserted (see the generation invariant on
 // Cache).
 func (c *Cache) Reset() {
-	c.init()
-	// Advance the generation before dropping any index so a concurrent
-	// insert either observes the bump (and skips) or lands before the drop
-	// (and is dropped with the index).
-	c.gen.Add(1)
-	c.drop()
+	c.mu.Lock()
+	c.dropLocked()
+	c.mu.Unlock()
 }
 
 // ResetIfGeneration resets the cache only if its generation still equals
@@ -672,41 +499,34 @@ func (c *Cache) Reset() {
 // already rebuilt in the meantime. Exactly one of any set of concurrent
 // callers holding the same observed generation wins.
 func (c *Cache) ResetIfGeneration(gen uint64) bool {
-	c.init()
-	// Same ordering as Reset: the CAS bump is visible before any index is
-	// dropped, so concurrent inserts cannot land in a dropped index.
-	if !c.gen.CompareAndSwap(gen, gen+1) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.gen != gen {
 		return false
 	}
-	c.drop()
+	c.dropLocked()
 	return true
 }
 
-// drop clears every shard index, counting the evicted entries. The caller
-// must already have advanced the generation.
-func (c *Cache) drop() {
-	dropped := int64(0)
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for _, ix := range s.indexes {
-			dropped += int64(ix.size())
-		}
-		s.indexes = nil
-		s.mu.Unlock()
-	}
-	c.evictions.Add(dropped)
+// dropLocked advances the generation and clears every index, counting the
+// evicted entries.
+func (c *Cache) dropLocked() {
+	c.gen++
+	c.evictions += int64(c.sizeLocked())
+	c.indexes = nil
 }
 
 // Size returns the total number of cached entries across models.
 func (c *Cache) Size() int {
-	c.init()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.sizeLocked()
+}
+
+func (c *Cache) sizeLocked() int {
 	n := 0
-	for _, s := range c.shards {
-		s.mu.RLock()
-		for _, ix := range s.indexes {
-			n += ix.size()
-		}
-		s.mu.RUnlock()
+	for _, ix := range c.indexes {
+		n += len(ix.keys)
 	}
 	return n
 }

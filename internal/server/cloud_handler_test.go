@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"raqo/internal/cloud"
@@ -131,5 +132,64 @@ func TestCloudSubmitEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad drain status = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestSubmitPathsShareOneOptimizer: the workload arbiter and the cloud
+// arbiter plan on one shared simulation optimizer. Hammering both
+// endpoints at once must answer each endpoint's stream exactly as a
+// server that saw the two streams one after the other (run with -race).
+func TestSubmitPathsShareOneOptimizer(t *testing.T) {
+	const n = 16
+	queries := []string{"Q12", "Q3", "Q2", "All"}
+	stream := func(url, path string) ([]string, error) {
+		var out []string
+		for i := 0; i < n; i++ {
+			body := `{"query":"` + queries[i%len(queries)] + `"}`
+			resp, err := http.Post(url+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				return nil, err
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, resp.Status+" "+string(b))
+		}
+		return out, nil
+	}
+	paths := []string{"/v1/submit", "/v1/cloud/submit"}
+
+	_, seq := newTestServer(t, Config{Options: trainedOptions(t)})
+	var want [2][]string
+	for i, p := range paths {
+		var err error
+		if want[i], err = stream(seq.URL, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, par := newTestServer(t, Config{Options: trainedOptions(t)})
+	var got [2][]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, p := range paths {
+		wg.Add(1)
+		go func(i int, p string) {
+			defer wg.Done()
+			got[i], errs[i] = stream(par.URL, p)
+		}(i, p)
+	}
+	wg.Wait()
+	for i, p := range paths {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		for j := range want[i] {
+			if got[i][j] != want[i][j] {
+				t.Fatalf("%s answer %d differs under concurrency:\n got %s\nwant %s", p, j, got[i][j], want[i][j])
+			}
+		}
 	}
 }

@@ -82,8 +82,7 @@ type Config struct {
 	CacheThresholdGB float64
 	// DisableCostMemo turns off the shared operator-cost memo (on by
 	// default in serving so repeated sub-problems skip costing entirely).
-	// With the memo off every costing consults the resource-plan cache,
-	// which is the configuration that exercises the cache's concurrency.
+	// With the memo off every costing probes the resource-plan cache.
 	DisableCostMemo bool
 
 	// MaxInFlight bounds concurrently planning requests; 0 selects
@@ -307,12 +306,15 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	sch := catalog.TPCH(cfg.SF)
-	// The arbiter owns a second optimizer: its conditions are re-pointed
-	// per admission round, which the shared serving optimizer (planning
-	// under the fixed Config.Conditions) must never see. Both follow the
-	// same live model set via OnSwap below.
+	// The two arbiters share one simulation optimizer beside the serving
+	// one: it plans memory-aware (Engine) with a bare hill climb, where the
+	// serving optimizer answers from the resource-plan cache. Each arbiter
+	// passes its admission-time conditions per call through its own
+	// core.Incremental, so the optimizer holds no per-arbiter state; its
+	// cost memo is keyed by those conditions and safe for concurrent use.
+	// Both optimizers follow the same live model set via OnSwap.
 	engine := execsim.Hive()
-	arbOpt, err := core.New(cfg.Conditions, core.Options{
+	simOpt, err := core.New(cfg.Conditions, core.Options{
 		Models:       opt.Models(),
 		Engine:       &engine,
 		MemoizeCosts: true,
@@ -322,7 +324,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	rec.OnSwap(func(_ feedback.Recalibration, info *feedback.ModelInfo) {
-		_ = arbOpt.SetModels(info.Models)
+		_ = simOpt.SetModels(info.Models)
 	})
 	queries, err := workload.TPCHQueries(sch)
 	if err != nil {
@@ -333,8 +335,7 @@ func New(cfg Config) (*Server, error) {
 		Base:       cfg.Conditions,
 		Engine:     engine,
 		Pricing:    cost.DefaultPricing(),
-		Optimizer:  arbOpt,
-		Workers:    cfg.Options.Workers,
+		Optimizer:  simOpt,
 		Queries:    queries,
 		Tenants:    cfg.ArbiterTenants,
 		Feedback:   arbiterObserver(rec),
@@ -345,29 +346,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 
-	// The cloud arbiter owns a third optimizer for the same reason the
-	// workload arbiter owns its second: admission re-points conditions per
-	// class, which no concurrent planner must observe. It too follows the
-	// live model set.
-	cloudOpt, err := core.New(cfg.Conditions, core.Options{
-		Models:       opt.Models(),
-		Engine:       &engine,
-		MemoizeCosts: true,
-		Workers:      cfg.Options.Workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rec.OnSwap(func(_ feedback.Recalibration, info *feedback.ModelInfo) {
-		_ = cloudOpt.SetModels(info.Models)
-	})
 	cld, err := cloud.New(cloud.Config{
 		Market:     cloudMarket(cfg),
 		Base:       cfg.Conditions,
 		Engine:     engine,
 		Pricing:    cost.DefaultPricing(),
-		Optimizer:  cloudOpt,
-		Workers:    cfg.Options.Workers,
+		Optimizer:  simOpt,
 		Queries:    queries,
 		Tenants:    cfg.CloudTenants,
 		Faults:     cloudFaults(cfg),
