@@ -37,12 +37,17 @@ race:
 
 # Short native-fuzz pass: the join-graph index against the string-keyed
 # reference kernel on schemas and subtrees decoded from arbitrary bytes,
-# and the resource-plan cache against a linear-scan reference on
-# insert/probe/reset sequences decoded the same way. (The checked-in seed
-# corpora already run under plain `go test`.)
+# the resource-plan cache against a linear-scan reference on
+# insert/probe/reset sequences decoded the same way, the history rollup
+# block decoder on arbitrary bytes (no panic, bounded allocation, stable
+# round trip) and the dense-window sketch against the map-based reference
+# on decoded Add/AddN/Merge sequences. (The checked-in seed corpora already
+# run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
+	$(GO) test -run '^$$' -fuzz FuzzRollupBlock -fuzztime=10s ./internal/history
+	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s ./internal/history
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, cached signatures, incremental memo).
@@ -58,10 +63,11 @@ bench-check:
 	$(GO) -C bench test ./...
 
 # Short benchmark pass over the concurrency-sensitive paths, on one and two
-# procs so the cache's shared lock is exercised across threads; failures
-# here are correctness failures (the benchmarks assert planner errors).
+# procs so the cache's shared lock is exercised across threads, plus the
+# history read path; failures here are correctness failures (the benchmarks
+# assert planner errors and the shape of history answers).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke test: start `raqo serve` on an ephemeral port, hit
 # /healthz and /v1/optimize, then check the SIGTERM drain.

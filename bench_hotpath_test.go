@@ -17,6 +17,8 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
+	"raqo/internal/feedback"
+	"raqo/internal/history"
 	"raqo/internal/optimizer/randomized"
 	"raqo/internal/plan"
 	"raqo/internal/resource"
@@ -174,6 +176,39 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		serveOptimizeOnce(t, s, "All")
 	}); got > 1000 {
 		t.Errorf("warm /v1/optimize query=All allocates %.0f/op, ceiling 1000", got)
+	}
+
+	// The /v1/history read: ten minute buckets at step 60 from the day-scale
+	// store is the result slice plus one sketch window per output bucket —
+	// 11 allocations where the map-based sketch and the bucket-map walk
+	// took 301 — and the three quantiles the handler then reads off each
+	// bucket are one in-place pass over that window.
+	st := benchHistoryQueryStore(t)
+	var rows []history.Bucket
+	if got := testing.AllocsPerRun(50, func() {
+		var err error
+		if rows, err = st.Query("bench.series.00", 6000, 6600, 60); err != nil || len(rows) != 10 {
+			t.Fatalf("ten-bucket query: %d rows, err=%v", len(rows), err)
+		}
+	}); got > 11 {
+		t.Errorf("ten-bucket Store.Query allocates %.0f/op, ceiling 11", got)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if q := rows[3].Quantiles(0.5, 0.9, 0.99); q[0] > q[2] {
+			t.Fatal("quantiles out of order")
+		}
+	}); got > 0 {
+		t.Errorf("Bucket.Quantiles allocates %.0f/op, ceiling 0", got)
+	}
+
+	// The drift check every feedback acknowledgement makes: one counting
+	// pass per window — no key sort, no ClassStats slice, no sorted copies.
+	det := feedback.NewDetector(feedback.DriftConfig{})
+	for _, ob := range benchObservations(t) {
+		det.Observe(ob)
+	}
+	if got := testing.AllocsPerRun(50, func() { det.Drifted() }); got > 0 {
+		t.Errorf("Detector.Drifted allocates %.0f/op, ceiling 0", got)
 	}
 }
 

@@ -79,15 +79,9 @@ func (w *window) len() int {
 	return w.next
 }
 
-// quantile returns the q-quantile of the window's samples (nearest-rank on
-// a sorted copy, deterministic).
-func (w *window) quantile(q float64) float64 {
-	n := w.len()
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), w.errs[:n]...)
-	sort.Float64s(sorted)
+// quantileIdx is the position of the q-quantile among n sorted samples
+// (nearest-rank, deterministic).
+func quantileIdx(q float64, n int) int {
 	idx := int(q*float64(n)) - 1
 	if idx < 0 {
 		idx = 0
@@ -95,7 +89,36 @@ func (w *window) quantile(q float64) float64 {
 	if idx >= n {
 		idx = n - 1
 	}
-	return sorted[idx]
+	return idx
+}
+
+// quantile returns the q-quantile of the window's samples, from a sorted
+// copy.
+func (w *window) quantile(q float64) float64 {
+	n := w.len()
+	if n == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), w.errs[:n]...)
+	sort.Float64s(sorted)
+	return sorted[quantileIdx(q, n)]
+}
+
+// quantileExceeds reports quantile(q) > threshold without sorting: the
+// sample at sorted position idx exceeds the threshold exactly when at least
+// n-idx samples do. (A NaN sample sorts first and never exceeds, in both.)
+func (w *window) quantileExceeds(q, threshold float64) bool {
+	n := w.len()
+	if n == 0 {
+		return false
+	}
+	above := 0
+	for _, e := range w.errs[:n] {
+		if e > threshold {
+			above++
+		}
+	}
+	return above >= n-quantileIdx(q, n)
 }
 
 // ClassStats is the drift state of one (engine, operator class) window.
@@ -226,10 +249,15 @@ func (d *Detector) pushLocked(k classKey, e float64) {
 	w.push(e)
 }
 
-// Drifted reports whether any class currently exceeds the drift threshold.
+// Drifted reports whether any class currently exceeds the drift threshold
+// — any(Stats().Drifted), answered with one counting pass per window: it
+// runs on every feedback acknowledgement.
 func (d *Detector) Drifted() bool {
-	for _, s := range d.Stats() {
-		if s.Drifted {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	//raqolint:ignore maprange "does any window exceed" has the same answer in every order
+	for _, w := range d.windows {
+		if w.len() >= d.cfg.MinSamples && w.quantileExceeds(d.cfg.Quantile, d.cfg.Threshold) {
 			return true
 		}
 	}

@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -209,6 +210,45 @@ func TestDetectorDriftGating(t *testing.T) {
 	d.Reset()
 	if d.Drifted() || len(d.Stats()) != 0 {
 		t.Error("Reset did not clear windows")
+	}
+}
+
+// TestDriftedMatchesStats holds the counting form of Drifted to the sorted
+// form in Stats: after every observation, over seeded error streams that sit
+// around the threshold (ties included) and windows around MinSamples, before
+// and after the ring wraps.
+func TestDriftedMatchesStats(t *testing.T) {
+	sawDrift, sawCalm := false, false
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := DriftConfig{
+			Window:     2 + rng.Intn(12),
+			Quantile:   []float64{0.01, 0.25, 0.5, 0.9, 0.99, 1}[rng.Intn(6)],
+			Threshold:  0.5,
+			MinSamples: 1 + rng.Intn(8),
+		}
+		d := NewDetector(cfg)
+		for i := 0; i < 4*cfg.Window; i++ {
+			// Relative error is one of a few values straddling the
+			// threshold, 0.5 itself among them.
+			relErr := []float64{0, 0.25, 0.5, 0.5, 0.75, 3}[rng.Intn(6)]
+			o := Observation{Engine: []string{"hive", "spark"}[rng.Intn(2)], PredictedSeconds: 100 * (1 + relErr), ObservedSeconds: 100}
+			if rng.Intn(3) == 0 {
+				o.Operators = []OperatorSample{{Algo: "SMJ", PredictedSeconds: 10 * (1 + relErr), ObservedSeconds: 10}}
+			}
+			d.Observe(o)
+			want := false
+			for _, s := range d.Stats() {
+				want = want || s.Drifted
+			}
+			if got := d.Drifted(); got != want {
+				t.Fatalf("seed %d cfg %+v after %d observations: Drifted() = %v, Stats() says %v: %+v", seed, cfg, i+1, got, want, d.Stats())
+			}
+			sawDrift, sawCalm = sawDrift || want, sawCalm || !want
+		}
+	}
+	if !sawDrift || !sawCalm {
+		t.Fatal("streams never exercised both answers")
 	}
 }
 

@@ -65,25 +65,29 @@ func TestHarnessFleetLifecycle(t *testing.T) {
 		}
 	}
 
-	// Every query sent to node 0 is answered by a fleet member with a 200,
-	// and at least one query is answered by the *other* process (real
-	// cross-process forwarding).
+	// Every query is answered by a fleet member with a 200 whichever node
+	// it enters at, and at least one is answered by the *other* process
+	// (real cross-process forwarding). Ownership follows the ephemeral
+	// addresses, so each query enters at both nodes: whoever owns it, one
+	// of the two entries has to forward.
 	crossServed := false
 	for _, q := range []string{"Q12", "Q3", "Q2"} {
-		resp, body := post(addrs[0], "/v1/optimize", `{"query":"`+q+`"}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("optimize %s: HTTP %d: %s", q, resp.StatusCode, body)
-		}
-		switch served := resp.Header.Get("X-Raqo-Fleet-Node"); served {
-		case addrs[0]:
-		case addrs[1]:
-			crossServed = true
-		default:
-			t.Fatalf("optimize %s served by unknown node %q", q, served)
+		for _, entry := range addrs {
+			resp, body := post(entry, "/v1/optimize", `{"query":"`+q+`"}`)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("optimize %s via %s: HTTP %d: %s", q, entry, resp.StatusCode, body)
+			}
+			switch served := resp.Header.Get("X-Raqo-Fleet-Node"); served {
+			case entry:
+			case addrs[0], addrs[1]:
+				crossServed = true
+			default:
+				t.Fatalf("optimize %s served by unknown node %q", q, served)
+			}
 		}
 	}
 	if !crossServed {
-		t.Error("no request crossed processes (all three queries owned by the entry node?)")
+		t.Error("no request crossed processes")
 	}
 
 	// Crash node 1: requests through node 0 must still succeed (degraded

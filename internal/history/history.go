@@ -83,7 +83,7 @@ func (c Config) withDefaults() Config {
 
 // Series is a registered time series: a stable numeric id for the hot
 // append path plus cached current-bucket pointers so in-order appends
-// update rollups without map lookups.
+// update rollups without a lookup.
 type Series struct {
 	id   uint32
 	name string
@@ -330,9 +330,8 @@ func (st *Store) commitLocked() error {
 	// into the rollup buckets only after the block write succeeded, so
 	// queries never see a point that a crash could take back.
 	for off := 0; off+pointRecordLen <= len(st.pending); off += pointRecordLen {
-		sid := uint32FromLE(st.pending[off:])
-		ts := int64(uint64FromLE(st.pending[off+4:]))
-		v := math.Float64frombits(uint64FromLE(st.pending[off+12:]))
+		sid, ts, bits := getPoint(st.pending[off:])
+		v := math.Float64frombits(bits)
 		s := st.series[sid]
 		st.lv1m.bump(sid, &s.cur1m, ts, v)
 		st.lv1h.bump(sid, &s.cur1h, ts, v)
@@ -426,10 +425,9 @@ func (st *Store) rollSegmentLocked(segID uint64) error {
 				return err
 			}
 		}
-		if err := lv.appendSegment(segID, lv.active); err != nil {
+		if err := lv.appendSegment(segID); err != nil {
 			return err
 		}
-		lv.active = make(map[bucketKey]*Bucket)
 	}
 	for _, s := range st.series {
 		s.cur1m, s.cur1h = nil, nil
@@ -531,8 +529,8 @@ func (st *Store) Stats() Stats {
 		StoredPoints:   st.activeCount,
 		Segments:       len(st.sealed),
 		SegmentBytes:   st.activeSize,
-		Buckets1m:      len(st.lv1m.persisted) + len(st.lv1m.active),
-		Buckets1h:      len(st.lv1h.persisted) + len(st.lv1h.active),
+		Buckets1m:      st.lv1m.persisted.n + st.lv1m.active.n,
+		Buckets1h:      st.lv1h.persisted.n + st.lv1h.active.n,
 		HighWater:      st.hwm,
 		SealedTotal:    st.sealSeq,
 		RetainedTotal:  st.retained,

@@ -599,7 +599,7 @@ func TestRollupBlockRoundTripZeroOnlySketch(t *testing.T) {
 		t.Fatalf("segID=%d entries=%d", segID, len(got))
 	}
 	g := got[0].b
-	if g.Count != 1 || g.Sum != 0 || g.sk == nil || g.sk.zero != 1 || len(g.sk.counts) != 0 {
+	if g.Count != 1 || g.Sum != 0 || g.sk.zero != 1 || len(g.sk.counts) != 0 {
 		t.Fatalf("decoded bucket %+v sketch %+v", g, g.sk)
 	}
 }

@@ -18,8 +18,9 @@ func (st *Store) recoverLocked() error {
 	// 1. Read the rollup logs, keeping aggregates grouped per segment so
 	// entries for segments that still exist (which are re-rolled from
 	// their raw points below) can be discarded without double counting.
-	logged := map[*level]map[uint64][]rollupEntry{}
-	for _, lv := range [2]*level{st.lv1m, st.lv1h} {
+	levels := [2]*level{st.lv1m, st.lv1h}
+	var logged [2]map[uint64][]rollupEntry
+	for li, lv := range levels {
 		bySeg := make(map[uint64][]rollupEntry)
 		if _, err := os.Stat(lv.logPath); err == nil {
 			_, err := recoverFile(lv.logPath, rollupMagic, func(payload []byte) error {
@@ -36,7 +37,7 @@ func (st *Store) recoverLocked() error {
 		} else if !os.IsNotExist(err) {
 			return fmt.Errorf("history: %w", err)
 		}
-		logged[lv] = bySeg
+		logged[li] = bySeg
 	}
 
 	// 2. Recover every segment on disk: truncate torn tails, collect
@@ -50,8 +51,7 @@ func (st *Store) recoverLocked() error {
 	sort.Strings(paths) // zero-padded ids: lexicographic == numeric
 	type segRoll struct {
 		meta segMeta
-		by1m map[bucketKey]*Bucket
-		by1h map[bucketKey]*Bucket
+		by   [2]bucketSet // the segment's buckets per level
 	}
 	var segs []segRoll
 	for _, path := range paths {
@@ -59,12 +59,8 @@ func (st *Store) recoverLocked() error {
 		if _, err := fmt.Sscanf(filepath.Base(path), "seg-%d.log", &id); err != nil {
 			return fmt.Errorf("history: unrecognized segment file %s", path)
 		}
-		sr := segRoll{
-			meta: segMeta{id: id, path: path},
-			by1m: make(map[bucketKey]*Bucket),
-			by1h: make(map[bucketKey]*Bucket),
-		}
-		res, err := scanPoints(path, func(sid uint32, ts int64, bits uint64) {
+		sr := segRoll{meta: segMeta{id: id, path: path}}
+		res, err := recoverFile(path, segMagic, eachPoint(path, func(sid uint32, ts int64, bits uint64) {
 			v := math.Float64frombits(bits)
 			if sr.meta.points == 0 {
 				sr.meta.minTs, sr.meta.maxTs = ts, ts
@@ -77,9 +73,10 @@ func (st *Store) recoverLocked() error {
 				}
 			}
 			sr.meta.points++
-			bumpMap(sr.by1m, st.lv1m, sid, ts, v)
-			bumpMap(sr.by1h, st.lv1h, sid, ts, v)
-		})
+			for li, lv := range levels {
+				sr.by[li].at(sid, alignDown(ts, lv.width)).add(v)
+			}
+		}))
 		if err != nil {
 			return err
 		}
@@ -110,11 +107,11 @@ func (st *Store) recoverLocked() error {
 	for _, sr := range segs {
 		exists[sr.meta.id] = true
 	}
-	historics := make(map[*level]map[bucketKey]*Bucket)
-	for _, lv := range [2]*level{st.lv1m, st.lv1h} {
-		historic := make(map[bucketKey]*Bucket)
-		segIDs := make([]uint64, 0, len(logged[lv]))
-		for segID := range logged[lv] {
+	var historics [2]bucketSet
+	for li, lv := range levels {
+		historic := &historics[li]
+		segIDs := make([]uint64, 0, len(logged[li]))
+		for segID := range logged[li] {
 			segIDs = append(segIDs, segID)
 		}
 		sort.Slice(segIDs, func(i, j int) bool { return segIDs[i] < segIDs[j] })
@@ -122,29 +119,21 @@ func (st *Store) recoverLocked() error {
 			if exists[segID] {
 				continue // superseded by the re-roll from raw points
 			}
-			for _, e := range logged[lv][segID] {
-				if b, ok := historic[e.key]; ok {
-					b.merge(e.b)
-				} else {
-					historic[e.key] = e.b
-				}
+			for _, e := range logged[li][segID] {
+				historic.merge(e.key.sid, e.b)
 			}
 		}
 		// Raw points of these buckets are gone; their bucket end bounds
 		// the high-water mark they imply.
-		//raqolint:ignore maprange loop only takes a max over the keys, which is order-free
-		for k := range historic {
-			if end := k.start + lv.width - 1; end > st.hwm {
-				st.hwm = end
+		for _, r := range historic.runs {
+			if n := len(r.buckets); n > 0 {
+				st.hwm = max(st.hwm, r.buckets[n-1].Start+lv.width-1)
 			}
 		}
-		historics[lv] = historic
 	}
-	for _, lv := range [2]*level{st.lv1m, st.lv1h} {
-		historic := historics[lv]
-		for _, k := range historicKeysFiltered(historic, lv, st.hwm) {
-			delete(historic, k)
-		}
+	for li, lv := range levels {
+		historic := &historics[li]
+		historic.trimBefore(lv.expiry(st.hwm))
 
 		tmp := lv.logPath + ".tmp"
 		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -156,24 +145,27 @@ func (st *Store) recoverLocked() error {
 			return fmt.Errorf("history: %w", err)
 		}
 		var hdr [blockHeaderLen]byte
-		if len(historic) > 0 {
-			if err := appendBlock(f, &hdr, encodeRollupBlock(compactedSegID, sortedEntries(historic))); err != nil {
+		if historic.n > 0 {
+			if err := appendBlock(f, &hdr, encodeRollupBlock(compactedSegID, historic.entries())); err != nil {
 				f.Close()
 				return fmt.Errorf("history: %w", err)
 			}
 		}
-		for _, sr := range segs {
-			buckets := sr.by1m
-			if lv == st.lv1h {
-				buckets = sr.by1h
+		// In-memory persisted view = historic + every surviving segment,
+		// whose buckets it takes over once they are in the file.
+		lv.persisted = *historic
+		for i := range segs {
+			entries := segs[i].by[li].entries()
+			if len(entries) > 0 {
+				if err := appendBlock(f, &hdr, encodeRollupBlock(segs[i].meta.id, entries)); err != nil {
+					f.Close()
+					return fmt.Errorf("history: %w", err)
+				}
 			}
-			if len(buckets) == 0 {
-				continue
+			for _, e := range entries {
+				lv.persisted.merge(e.key.sid, e.b)
 			}
-			if err := appendBlock(f, &hdr, encodeRollupBlock(sr.meta.id, sortedEntries(buckets))); err != nil {
-				f.Close()
-				return fmt.Errorf("history: %w", err)
-			}
+			lv.rolled[segs[i].meta.id] = true
 		}
 		if err := f.Close(); err != nil {
 			return fmt.Errorf("history: %w", err)
@@ -181,54 +173,10 @@ func (st *Store) recoverLocked() error {
 		if err := os.Rename(tmp, lv.logPath); err != nil {
 			return fmt.Errorf("history: %w", err)
 		}
-
-		// In-memory persisted view = historic + every surviving segment.
-		lv.persisted = historic
-		for _, sr := range segs {
-			buckets := sr.by1m
-			if lv == st.lv1h {
-				buckets = sr.by1h
-			}
-			for _, e := range sortedEntries(buckets) {
-				lv.mergePersisted(e.key, e.b)
-			}
-			lv.rolled[sr.meta.id] = true
-		}
 		if err := st.openRollupLogLocked(lv); err != nil {
 			return err
 		}
 	}
 
 	return st.retainLocked()
-}
-
-// historicKeysFiltered returns the keys of buckets that have aged out of
-// the level's retention (collected for deletion outside the range loop).
-func historicKeysFiltered(m map[bucketKey]*Bucket, lv *level, hwm int64) []bucketKey {
-	cutoff := hwm - lv.retention
-	var out []bucketKey
-	for k := range m {
-		if k.start+lv.width <= cutoff {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].sid != out[j].sid {
-			return out[i].sid < out[j].sid
-		}
-		return out[i].start < out[j].start
-	})
-	return out
-}
-
-// bumpMap folds a recovered point into a plain bucket map (the open-time
-// analogue of level.bump, without the per-series cache).
-func bumpMap(m map[bucketKey]*Bucket, lv *level, sid uint32, ts int64, v float64) {
-	k := bucketKey{sid, lv.bucketStart(ts)}
-	b := m[k]
-	if b == nil {
-		b = &Bucket{Start: k.start}
-		m[k] = b
-	}
-	b.add(v)
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 )
 
 // ErrUnknownSeries reports a query against a series the store has never
@@ -47,57 +46,51 @@ func (st *Store) Query(series string, from, to, step int64) ([]Bucket, error) {
 }
 
 // queryLevel aggregates a rollup level's buckets (persisted + active
-// segment) into step-aligned output buckets. Sources are sorted before
-// merging: counts and extrema are order-free, but float sums are not
-// associative, and query output must be bit-stable across runs.
+// segment) into step-aligned output buckets. Both runs are ascending, so
+// output buckets are emitted in order as the two are merged. The merge
+// order is fixed — ascending start, persisted before active when both hold
+// the same window (points straddling a seal): counts and extrema are
+// order-free, but float sums are not associative, and query output must be
+// bit-stable across runs.
 func (st *Store) queryLevelLocked(lv *level, sid uint32, from, to, step int64) []Bucket {
 	lo := alignDown(from, lv.width)
-	type row struct {
-		start int64
-		b     *Bucket
+	p, a := lv.persisted.span(sid, lo, to), lv.active.span(sid, lo, to)
+	out := make([]Bucket, 0, stepWindows(p, step)+stepWindows(a, step))
+	for len(p) > 0 || len(a) > 0 {
+		var src *Bucket
+		if len(a) == 0 || (len(p) > 0 && p[0].Start <= a[0].Start) {
+			src, p = p[0], p[1:]
+		} else {
+			src, a = a[0], a[1:]
+		}
+		start := alignDown(src.Start, step)
+		if n := len(out); n == 0 || out[n-1].Start != start {
+			out = append(out, Bucket{Start: start})
+		}
+		out[len(out)-1].merge(src)
 	}
-	var rows []row
-	for k, b := range lv.persisted {
-		if k.sid == sid && k.start >= lo && k.start < to {
-			rows = append(rows, row{k.start, b})
+	return out
+}
+
+// stepWindows counts the step-aligned windows an ascending run falls in.
+func stepWindows(run []*Bucket, step int64) int {
+	n, prev := 0, int64(0)
+	for i, b := range run {
+		if w := alignDown(b.Start, step); i == 0 || w != prev {
+			n, prev = n+1, w
 		}
 	}
-	for k, b := range lv.active {
-		if k.sid == sid && k.start >= lo && k.start < to {
-			rows = append(rows, row{k.start, b})
-		}
-	}
-	// Stable keeps persisted before active when both hold the same window
-	// (points straddling a seal), fixing one merge order.
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].start < rows[j].start })
-	out := make(map[int64]*Bucket)
-	for _, r := range rows {
-		start := alignDown(r.start, step)
-		o := out[start]
-		if o == nil {
-			o = &Bucket{Start: start}
-			out[start] = o
-		}
-		o.merge(r.b)
-	}
-	return sortBuckets(out)
+	return n
 }
 
 // queryRaw scans the raw segments overlapping [from, to) and buckets the
 // points at step resolution.
 func (st *Store) queryRawLocked(sid uint32, from, to, step int64) ([]Bucket, error) {
-	out := make(map[int64]*Bucket)
+	var out bucketSet // points within a segment are not time-ordered
 	fold := func(sidP uint32, ts int64, bits uint64) {
-		if sidP != sid || ts < from || ts >= to {
-			return
+		if sidP == sid && ts >= from && ts < to {
+			out.at(sid, alignDown(ts, step)).add(math.Float64frombits(bits))
 		}
-		start := alignDown(ts, step)
-		o := out[start]
-		if o == nil {
-			o = &Bucket{Start: start}
-			out[start] = o
-		}
-		o.add(math.Float64frombits(bits))
 	}
 	for _, m := range st.sealed {
 		if m.maxTs < from || m.minTs >= to {
@@ -105,36 +98,20 @@ func (st *Store) queryRawLocked(sid uint32, from, to, step int64) ([]Bucket, err
 		}
 		// Sealed segments are immutable and were verified at seal/open
 		// time; scanBlocks (no truncation) keeps queries read-only.
-		if _, err := scanBlocksPoints(m.path, fold); err != nil {
+		if _, err := scanBlocks(m.path, segMagic, eachPoint(m.path, fold)); err != nil {
 			return nil, err
 		}
 	}
 	if st.active != nil && st.activeCount > 0 && st.activeMax >= from && st.activeMin < to {
-		if _, err := scanBlocksPoints(st.activePath, fold); err != nil {
+		if _, err := scanBlocks(st.activePath, segMagic, eachPoint(st.activePath, fold)); err != nil {
 			return nil, err
 		}
 	}
-	return sortBuckets(out), nil
-}
-
-// scanBlocksPoints is the read-only point scan used by queries (recovery
-// uses scanPoints, which additionally truncates torn tails).
-func scanBlocksPoints(path string, fn func(sid uint32, ts int64, bits uint64)) (scanResult, error) {
-	return scanBlocks(path, segMagic, func(payload []byte) error {
-		for off := 0; off+pointRecordLen <= len(payload); off += pointRecordLen {
-			fn(uint32FromLE(payload[off:]), int64(uint64FromLE(payload[off+4:])), uint64FromLE(payload[off+12:]))
-		}
-		return nil
-	})
-}
-
-func uint32FromLE(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func uint64FromLE(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+	rows := make([]Bucket, 0, out.n)
+	for _, e := range out.entries() {
+		rows = append(rows, *e.b)
+	}
+	return rows, nil
 }
 
 // alignDown aligns ts down to a w-second grid (correct for negative ts).
@@ -143,20 +120,6 @@ func alignDown(ts, w int64) int64 {
 		return ts - ts%w
 	}
 	return ts - (w+ts%w)%w
-}
-
-// sortBuckets flattens an aggregation map oldest-first.
-func sortBuckets(m map[int64]*Bucket) []Bucket {
-	starts := make([]int64, 0, len(m))
-	for s := range m {
-		starts = append(starts, s)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	out := make([]Bucket, 0, len(starts))
-	for _, s := range starts {
-		out = append(out, *m[s])
-	}
-	return out
 }
 
 // QuantileRange answers the q-quantile of a series over [from, to) from
@@ -179,18 +142,14 @@ func (st *Store) QuantileRange(series string, from, to int64, q float64) (float6
 	if from < st.hwm-st.cfg.Retention1m {
 		lv = st.lv1h
 	}
-	merged := newSketch()
-	fold := func(m map[bucketKey]*Bucket) {
-		//raqolint:ignore maprange sketch merge only adds int64 bucket counts, which is exactly commutative
-		for k, b := range m {
-			if k.sid != s.id || k.start < alignDown(from, lv.width) || k.start >= to {
-				continue
-			}
-			merged.Merge(b.sk)
-		}
+	var merged Sketch
+	lo := alignDown(from, lv.width)
+	for _, b := range lv.persisted.span(s.id, lo, to) {
+		merged.Merge(&b.sk)
 	}
-	fold(lv.persisted)
-	fold(lv.active)
+	for _, b := range lv.active.span(s.id, lo, to) {
+		merged.Merge(&b.sk)
+	}
 	n := merged.Count()
 	if n == 0 {
 		return 0, 0, nil

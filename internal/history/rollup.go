@@ -18,7 +18,7 @@ type Bucket struct {
 	Sum   float64
 	Min   float64
 	Max   float64
-	sk    *Sketch
+	sk    Sketch
 }
 
 // add folds one value into the bucket.
@@ -31,9 +31,6 @@ func (b *Bucket) add(v float64) {
 	}
 	b.Count++
 	b.Sum += v
-	if b.sk == nil {
-		b.sk = newSketch()
-	}
 	b.sk.Add(v)
 }
 
@@ -50,10 +47,7 @@ func (b *Bucket) merge(o *Bucket) {
 	}
 	b.Count += o.Count
 	b.Sum += o.Sum
-	if b.sk == nil {
-		b.sk = newSketch()
-	}
-	b.sk.Merge(o.sk)
+	b.sk.Merge(&o.sk)
 }
 
 // Mean returns Sum/Count (0 when empty).
@@ -66,17 +60,129 @@ func (b *Bucket) Mean() float64 {
 
 // Quantile returns the bucket's q-quantile from its sketch (~2% relative
 // error; 0 when empty).
-func (b *Bucket) Quantile(q float64) float64 {
-	if b.sk == nil {
-		return 0
-	}
-	return b.sk.Quantile(q)
+func (b *Bucket) Quantile(q float64) float64 { return b.sk.Quantile(q) }
+
+// Quantiles overwrites each qs[i] with the bucket's qs[i]-quantile and
+// returns qs. Ascending qs — p50, p90, p99 — cost one pass over the sketch
+// and, called with literal arguments, no allocation.
+func (b *Bucket) Quantiles(qs ...float64) []float64 {
+	b.sk.quantiles(qs)
+	return qs
 }
 
 // bucketKey addresses one bucket within a level.
 type bucketKey struct {
 	sid   uint32
 	start int64
+}
+
+// rollupEntry pairs a key with its bucket for serialization.
+type rollupEntry struct {
+	key bucketKey
+	b   *Bucket
+}
+
+// seriesRun is one series' buckets within a bucketSet, ascending by Start.
+type seriesRun struct {
+	sid     uint32
+	buckets []*Bucket
+}
+
+// bucketSet holds rollup buckets in (series id, start) order: the order
+// log blocks are written in, and within a series the order range reads,
+// retention and query merging want. A point arriving in time order appends
+// at its run's tail; anything else is a binary search and an insert.
+type bucketSet struct {
+	runs []seriesRun // ascending sid
+	n    int         // buckets held
+}
+
+// find returns the position of sid's run, or where it belongs.
+func (bs *bucketSet) find(sid uint32) (int, bool) {
+	i := sort.Search(len(bs.runs), func(i int) bool { return bs.runs[i].sid >= sid })
+	return i, i < len(bs.runs) && bs.runs[i].sid == sid
+}
+
+// locate returns sid's run (created if absent) and where start sits, or
+// belongs, in it.
+func (bs *bucketSet) locate(sid uint32, start int64) (r *seriesRun, k int, found bool) {
+	i, ok := bs.find(sid)
+	if !ok {
+		bs.runs = append(bs.runs, seriesRun{})
+		copy(bs.runs[i+1:], bs.runs[i:])
+		bs.runs[i] = seriesRun{sid: sid}
+	}
+	r = &bs.runs[i]
+	k = len(r.buckets)
+	if k == 0 || r.buckets[k-1].Start < start {
+		return r, k, false
+	}
+	k = sort.Search(k, func(j int) bool { return r.buckets[j].Start >= start })
+	return r, k, r.buckets[k].Start == start
+}
+
+// insert places b at position k of r.
+func (bs *bucketSet) insert(r *seriesRun, k int, b *Bucket) {
+	r.buckets = append(r.buckets, nil)
+	copy(r.buckets[k+1:], r.buckets[k:])
+	r.buckets[k] = b
+	bs.n++
+}
+
+// at returns the bucket of (sid, start), adding an empty one if absent.
+func (bs *bucketSet) at(sid uint32, start int64) *Bucket {
+	r, k, found := bs.locate(sid, start)
+	if !found {
+		bs.insert(r, k, &Bucket{Start: start})
+	}
+	return r.buckets[k]
+}
+
+// merge folds b into the bucket at (sid, b.Start); if there is none the
+// set takes b itself, so the caller must be done with it.
+func (bs *bucketSet) merge(sid uint32, b *Bucket) {
+	if r, k, found := bs.locate(sid, b.Start); found {
+		r.buckets[k].merge(b)
+	} else {
+		bs.insert(r, k, b)
+	}
+}
+
+// span returns sid's buckets with lo <= Start < hi, ascending. The slice
+// aliases the set.
+func (bs *bucketSet) span(sid uint32, lo, hi int64) []*Bucket {
+	i, ok := bs.find(sid)
+	if !ok {
+		return nil
+	}
+	b := bs.runs[i].buckets
+	b = b[sort.Search(len(b), func(j int) bool { return b[j].Start >= lo }):]
+	return b[:sort.Search(len(b), func(j int) bool { return b[j].Start >= hi })]
+}
+
+// trimBefore drops every bucket that starts before start: a prefix of
+// each run. The slots are zeroed so the buckets can be collected; the
+// array itself is reclaimed when append next moves the run.
+func (bs *bucketSet) trimBefore(start int64) {
+	for i := range bs.runs {
+		r := &bs.runs[i]
+		k := sort.Search(len(r.buckets), func(j int) bool { return r.buckets[j].Start >= start })
+		clear(r.buckets[:k])
+		r.buckets = r.buckets[k:]
+		bs.n -= k
+	}
+}
+
+// entries lists the set in (series, start) order, so log blocks are
+// byte-deterministic.
+func (bs *bucketSet) entries() []rollupEntry {
+	out := make([]rollupEntry, 0, bs.n)
+	for _, r := range bs.runs {
+		for _, b := range r.buckets {
+			out = append(out, rollupEntry{bucketKey{r.sid, b.Start}, b})
+		}
+	}
+	return out
 }
 
 // level is one rollup resolution: the persisted buckets (durable in the
@@ -89,8 +195,8 @@ type level struct {
 	logPath   string
 	logF      *os.File
 
-	persisted map[bucketKey]*Bucket
-	active    map[bucketKey]*Bucket
+	persisted bucketSet
+	active    bucketSet
 	rolled    map[uint64]bool // segment ids already durable in the log
 	lastSweep int64
 }
@@ -100,64 +206,24 @@ func newLevel(width, retention int64, logPath string) *level {
 		width:     width,
 		retention: retention,
 		logPath:   logPath,
-		persisted: make(map[bucketKey]*Bucket),
-		active:    make(map[bucketKey]*Bucket),
 		rolled:    make(map[uint64]bool),
 	}
 }
 
-// bucketStart aligns ts down to the level's bucket grid.
-func (lv *level) bucketStart(ts int64) int64 {
-	if ts >= 0 {
-		return ts - ts%lv.width
-	}
-	return ts - (lv.width+ts%lv.width)%lv.width
-}
-
 // bump folds one active-segment point into the level. The caller passes
 // the series' cached current-bucket pointer so in-order appends skip the
-// map lookup entirely; the cache is invalidated on segment seal.
+// lookup entirely; the cache is invalidated on segment seal.
 func (lv *level) bump(sid uint32, cur **Bucket, ts int64, v float64) {
-	start := lv.bucketStart(ts)
-	if b := *cur; b != nil && b.Start == start {
-		b.add(v)
-		return
+	start := alignDown(ts, lv.width)
+	if b := *cur; b == nil || b.Start != start {
+		*cur = lv.active.at(sid, start)
 	}
-	k := bucketKey{sid, start}
-	b := lv.active[k]
-	if b == nil {
-		b = &Bucket{Start: start}
-		lv.active[k] = b
-	}
-	b.add(v)
-	*cur = b
+	(*cur).add(v)
 }
 
 // compactedSegID tags log blocks holding the merged aggregates of
 // segments that no longer exist on disk (written by open-time compaction).
 const compactedSegID = ^uint64(0)
-
-// rollupEntry pairs a key with its bucket for sorted serialization.
-type rollupEntry struct {
-	key bucketKey
-	b   *Bucket
-}
-
-// sortedEntries returns a bucket map's entries ordered by (series, start)
-// so log blocks are byte-deterministic regardless of map iteration order.
-func sortedEntries(m map[bucketKey]*Bucket) []rollupEntry {
-	out := make([]rollupEntry, 0, len(m))
-	for k, b := range m {
-		out = append(out, rollupEntry{k, b})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].key.sid != out[j].key.sid {
-			return out[i].key.sid < out[j].key.sid
-		}
-		return out[i].key.start < out[j].key.start
-	})
-	return out
-}
 
 // encodeRollupBlock serializes one segment's bucket aggregates:
 //
@@ -168,109 +234,91 @@ func sortedEntries(m map[bucketKey]*Bucket) []rollupEntry {
 func encodeRollupBlock(segID uint64, entries []rollupEntry) []byte {
 	size := 12
 	for _, e := range entries {
-		n := 0
-		if e.b.sk != nil {
-			n = len(e.b.sk.counts)
-		}
-		size += 4 + 8 + 8 + 24 + 8 + 2 + n*10
+		size += entryFixedLen + e.b.sk.populated()*sketchSlotLen
 	}
-	buf := make([]byte, 0, size)
-	var tmp [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		buf = append(buf, tmp[:4]...)
-	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:8], v)
-		buf = append(buf, tmp[:8]...)
-	}
-	put16 := func(v uint16) {
-		binary.LittleEndian.PutUint16(tmp[:2], v)
-		buf = append(buf, tmp[:2]...)
-	}
-	put64(segID)
-	put32(uint32(len(entries)))
+	le := binary.LittleEndian
+	buf := le.AppendUint32(le.AppendUint64(make([]byte, 0, size), segID), uint32(len(entries)))
 	for _, e := range entries {
-		put32(e.key.sid)
-		put64(uint64(e.key.start))
-		put64(uint64(e.b.Count))
-		put64(math.Float64bits(e.b.Sum))
-		put64(math.Float64bits(e.b.Min))
-		put64(math.Float64bits(e.b.Max))
-		var zero int64
-		var idxs []int16
-		if e.b.sk != nil {
-			zero = e.b.sk.zero
-			idxs = e.b.sk.sortedIdx()
-		}
-		put64(uint64(zero))
-		put16(uint16(len(idxs)))
-		for _, idx := range idxs {
-			put16(uint16(idx))
-			put64(uint64(e.b.sk.counts[idx]))
+		buf = le.AppendUint32(buf, e.key.sid)
+		buf = le.AppendUint64(buf, uint64(e.key.start))
+		buf = le.AppendUint64(buf, uint64(e.b.Count))
+		buf = le.AppendUint64(buf, math.Float64bits(e.b.Sum))
+		buf = le.AppendUint64(buf, math.Float64bits(e.b.Min))
+		buf = le.AppendUint64(buf, math.Float64bits(e.b.Max))
+		sk := &e.b.sk
+		buf = le.AppendUint64(buf, uint64(sk.zero))
+		// Only the populated slots of the window go to disk, ascending.
+		buf = le.AppendUint16(buf, uint16(sk.populated()))
+		for i, c := range sk.counts {
+			if c != 0 {
+				buf = le.AppendUint16(buf, uint16(sk.lo+int16(i)))
+				buf = le.AppendUint64(buf, uint64(c))
+			}
 		}
 	}
 	return buf
 }
 
-// decodeRollupBlock parses one log block into (segID, entries).
+// Fixed portion of one entry: 4 sid + 8 start + 8 count + 8 sum + 8 min +
+// 8 max + 8 sketch zero + 2 sketch bucket count = 54 bytes. (An entry
+// whose sketch holds only the zero bucket is exactly this long, so
+// over-asking in the decoder would reject valid blocks at the tail.) Each
+// sketch bucket after it is 2 index + 8 count bytes.
+const (
+	entryFixedLen = 54
+	sketchSlotLen = 10
+)
+
+// decodeRollupBlock parses one log block into (segID, entries). The bytes
+// passed a checksum but are otherwise untrusted: nothing is allocated that
+// the payload's own length does not pay for, beyond one sketch window per
+// entry, and a sketch is accepted only in the shape encodeRollupBlock
+// writes — indices inside the clamp, strictly ascending, counts positive.
 func decodeRollupBlock(payload []byte) (uint64, []rollupEntry, error) {
-	off := 0
-	need := func(n int) error {
-		if off+n > len(payload) {
-			return fmt.Errorf("history: rollup block truncated at offset %d", off)
-		}
-		return nil
+	le := binary.LittleEndian
+	if len(payload) < 12 {
+		return 0, nil, fmt.Errorf("history: rollup block truncated at offset 0")
 	}
-	get32 := func() uint32 {
-		v := binary.LittleEndian.Uint32(payload[off:])
-		off += 4
-		return v
+	segID, count, off := le.Uint64(payload), int(le.Uint32(payload[8:])), 12
+	if count > (len(payload)-off)/entryFixedLen {
+		return 0, nil, fmt.Errorf("history: rollup block truncated: %d entries declared in %d bytes", count, len(payload))
 	}
-	get64 := func() uint64 {
-		v := binary.LittleEndian.Uint64(payload[off:])
-		off += 8
-		return v
-	}
-	get16 := func() uint16 {
-		v := binary.LittleEndian.Uint16(payload[off:])
-		off += 2
-		return v
-	}
-	if err := need(12); err != nil {
-		return 0, nil, err
-	}
-	segID := get64()
-	count := int(get32())
 	entries := make([]rollupEntry, 0, count)
-	// Fixed portion of one entry: 4 sid + 8 start + 8 count + 8 sum +
-	// 8 min + 8 max + 8 sketch zero + 2 sketch bucket count = 54 bytes.
-	// (An entry whose sketch holds only the zero bucket is exactly this
-	// long, so over-asking here would reject valid blocks at the tail.)
-	const entryFixedLen = 54
 	for i := 0; i < count; i++ {
-		if err := need(entryFixedLen); err != nil {
-			return 0, nil, err
+		if len(payload)-off < entryFixedLen {
+			return 0, nil, fmt.Errorf("history: rollup block truncated at offset %d", off)
 		}
-		key := bucketKey{sid: get32(), start: int64(get64())}
+		e := payload[off:]
+		key := bucketKey{sid: le.Uint32(e), start: int64(le.Uint64(e[4:]))}
 		b := &Bucket{
 			Start: key.start,
-			Count: int64(get64()),
-			Sum:   math.Float64frombits(get64()),
-			Min:   math.Float64frombits(get64()),
-			Max:   math.Float64frombits(get64()),
+			Count: int64(le.Uint64(e[12:])),
+			Sum:   math.Float64frombits(le.Uint64(e[20:])),
+			Min:   math.Float64frombits(le.Uint64(e[28:])),
+			Max:   math.Float64frombits(le.Uint64(e[36:])),
 		}
-		zero := int64(get64())
-		n := int(get16())
-		if err := need(n * 10); err != nil {
-			return 0, nil, err
+		b.sk.zero = int64(le.Uint64(e[44:]))
+		b.sk.total = b.sk.zero
+		n := int(le.Uint16(e[52:]))
+		off += entryFixedLen
+		if len(payload)-off < n*sketchSlotLen {
+			return 0, nil, fmt.Errorf("history: rollup block truncated at offset %d", off)
 		}
-		if zero != 0 || n > 0 {
-			b.sk = newSketch()
-			b.sk.zero = zero
-			for j := 0; j < n; j++ {
-				idx := int16(get16())
-				b.sk.counts[idx] = int64(get64())
+		if n > 0 {
+			first, last := int16(le.Uint16(payload[off:])), int16(le.Uint16(payload[off+(n-1)*sketchSlotLen:]))
+			if first < sketchMinIdx || last > sketchMaxIdx || first > last {
+				return 0, nil, fmt.Errorf("history: rollup block corrupt at offset %d: sketch indices %d..%d", off, first, last)
+			}
+			b.sk.lo = first
+			b.sk.counts = make([]int64, int(last-first)+1)
+			for prev := int(first) - 1; n > 0; n, off = n-1, off+sketchSlotLen {
+				idx, c := int16(le.Uint16(payload[off:])), int64(le.Uint64(payload[off+2:]))
+				if int(idx) <= prev || idx > last || c <= 0 {
+					return 0, nil, fmt.Errorf("history: rollup block corrupt at offset %d: sketch bucket %d count %d", off, idx, c)
+				}
+				b.sk.counts[idx-first] = c
+				b.sk.total += c
+				prev = int(idx)
 			}
 		}
 		entries = append(entries, rollupEntry{key, b})
@@ -278,11 +326,11 @@ func decodeRollupBlock(payload []byte) (uint64, []rollupEntry, error) {
 	return segID, entries, nil
 }
 
-// appendSegment writes one sealed segment's active buckets to the log
-// (durability first), then merges them into the persisted view and marks
+// appendSegment writes the just-sealed segment's active buckets to the log
+// (durability first), then moves them into the persisted view and marks
 // the segment rolled.
-func (lv *level) appendSegment(segID uint64, buckets map[bucketKey]*Bucket) error {
-	entries := sortedEntries(buckets)
+func (lv *level) appendSegment(segID uint64) error {
+	entries := lv.active.entries()
 	if len(entries) > 0 {
 		var hdr [blockHeaderLen]byte
 		if err := appendBlock(lv.logF, &hdr, encodeRollupBlock(segID, entries)); err != nil {
@@ -290,20 +338,11 @@ func (lv *level) appendSegment(segID uint64, buckets map[bucketKey]*Bucket) erro
 		}
 	}
 	for _, e := range entries {
-		lv.mergePersisted(e.key, e.b)
+		lv.persisted.merge(e.key.sid, e.b)
 	}
+	lv.active = bucketSet{}
 	lv.rolled[segID] = true
 	return nil
-}
-
-// mergePersisted folds one bucket into the persisted view.
-func (lv *level) mergePersisted(k bucketKey, b *Bucket) {
-	if p, ok := lv.persisted[k]; ok {
-		p.merge(b)
-		return
-	}
-	cp := *b
-	lv.persisted[k] = &cp
 }
 
 // sweep drops persisted buckets that have aged out of the level's
@@ -313,11 +352,10 @@ func (lv *level) sweep(hwm int64) {
 		return
 	}
 	lv.lastSweep = hwm
-	cutoff := hwm - lv.retention
-	//raqolint:ignore maprange loop only deletes aged keys from the map it ranges, which is order-free
-	for k := range lv.persisted {
-		if k.start+lv.width <= cutoff {
-			delete(lv.persisted, k)
-		}
-	}
+	lv.persisted.trimBefore(lv.expiry(hwm))
 }
+
+// expiry is the start of the oldest bucket the level still keeps when the
+// high-water mark is hwm: a bucket goes once its end is at or behind
+// hwm - retention.
+func (lv *level) expiry(hwm int64) int64 { return hwm - lv.retention - lv.width + 1 }

@@ -142,19 +142,22 @@ func recoverFile(path, magic string, fn func(payload []byte) error) (scanResult,
 	return res, nil
 }
 
-// scanPoints decodes a data segment, calling fn per point record. Records
-// are fixed-width, so a payload is always a whole number of points.
-func scanPoints(path string, fn func(sid uint32, ts int64, bits uint64)) (scanResult, error) {
-	return recoverFile(path, segMagic, func(payload []byte) error {
+// eachPoint is the block callback that decodes a data segment's payload,
+// calling fn per point record. Records are fixed-width, so a payload is
+// always a whole number of points.
+func eachPoint(path string, fn func(sid uint32, ts int64, bits uint64)) func(payload []byte) error {
+	return func(payload []byte) error {
 		if len(payload)%pointRecordLen != 0 {
 			return fmt.Errorf("history: %s: block payload %d not a whole number of points", path, len(payload))
 		}
-		for off := 0; off+pointRecordLen <= len(payload); off += pointRecordLen {
-			sid := binary.LittleEndian.Uint32(payload[off : off+4])
-			ts := int64(binary.LittleEndian.Uint64(payload[off+4 : off+12]))
-			bits := binary.LittleEndian.Uint64(payload[off+12 : off+20])
-			fn(sid, ts, bits)
+		for ; len(payload) > 0; payload = payload[pointRecordLen:] {
+			fn(getPoint(payload))
 		}
 		return nil
-	})
+	}
+}
+
+// getPoint decodes the point record at the head of buf.
+func getPoint(buf []byte) (sid uint32, ts int64, bits uint64) {
+	return binary.LittleEndian.Uint32(buf[0:4]), int64(binary.LittleEndian.Uint64(buf[4:12])), binary.LittleEndian.Uint64(buf[12:20])
 }

@@ -105,6 +105,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	for i := range rows {
 		b := &rows[i]
+		q := b.Quantiles(0.5, 0.9, 0.99)
 		resp.Buckets[i] = HistoryBucket{
 			Start: b.Start,
 			Count: b.Count,
@@ -112,9 +113,9 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			Min:   b.Min,
 			Max:   b.Max,
 			Mean:  b.Mean(),
-			P50:   b.Quantile(0.5),
-			P90:   b.Quantile(0.9),
-			P99:   b.Quantile(0.99),
+			P50:   q[0],
+			P90:   q[1],
+			P99:   q[2],
 		}
 	}
 	writeResult(w, resp)
