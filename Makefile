@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud lint lint-fix-check
+.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check smoke lint lint-fix-check
 
-check: fmt vet build lint lint-fix-check race fuzz alloc-check bench-check bench smoke smoke-feedback smoke-arbiter smoke-history smoke-fleet smoke-cloud
+check: fmt vet build lint lint-fix-check race fuzz alloc-check bench-check bench smoke
 
 # Fail when any file needs gofmt.
 fmt:
@@ -50,7 +50,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s ./internal/history
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
-# (pooled DP state, arena plans, cached signatures, incremental memo).
+# (pooled DP state, arena plans, structural plan equality, exact memo).
 # A per-candidate allocation regression fails `make check` here.
 alloc-check:
 	$(GO) test -run TestHotPathAllocCeilings .
@@ -69,37 +69,26 @@ bench-check:
 bench:
 	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange' -benchtime=0.2s -benchmem -cpu 1,2 .
 
-# End-to-end smoke test: start `raqo serve` on an ephemeral port, hit
-# /healthz and /v1/optimize, then check the SIGTERM drain.
-smoke:
-	sh scripts/smoke_serve.sh
+# End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
+# scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,
+# wait for the ready line, SIGTERM drain, cleanup). `make smoke` runs all
+# six, `make smoke-<name>` one:
+#   serve     /healthz and /v1/optimize, then the drain
+#   feedback  fast recalibration loop: stream drifting feedback, wait for
+#             the model version to advance, replay the journal offline
+#             with `raqo calibrate`
+#   arbiter   submit under the reoptimize and wait policies, verify
+#             stats/drain/metrics
+#   history   -history-dir: ingest feedback, kill -9, restart on the same
+#             dir, the acknowledged points survived and query correctly
+#   fleet     three processes with static -peers: deterministic routing,
+#             model convergence after a recalibration on the journal
+#             shard, degraded answers under a hard kill, the drain
+#   cloud     seeded priced pool with the autoscaler on: submit onto spot,
+#             fire a preemption storm, zero-loss recovery on drain
+SMOKES = serve feedback arbiter history fleet cloud
 
-# End-to-end adaptivity smoke test: serve with a fast recalibration loop,
-# stream drifting feedback, wait for the model version to advance, then
-# replay the journal offline with `raqo calibrate`.
-smoke-feedback:
-	sh scripts/smoke_feedback.sh
+smoke: $(SMOKES:%=smoke-%)
 
-# End-to-end workload-arbitration smoke test: serve, submit queries under
-# the reoptimize and wait policies, verify stats/drain/metrics.
-smoke-arbiter:
-	sh scripts/smoke_arbiter.sh
-
-# End-to-end crash-safety smoke test for the history store: serve with
-# -history-dir, ingest feedback, kill -9 the server, restart on the same
-# dir and verify the acknowledged points survived and query correctly.
-smoke-history:
-	sh scripts/smoke_history.sh
-
-# End-to-end fleet smoke test: three serve processes with static -peers
-# membership; checks deterministic routing, model convergence after a
-# recalibration on the journal shard, degraded answers under a hard kill,
-# and the drain.
-smoke-fleet:
-	sh scripts/smoke_fleet.sh
-
-# End-to-end cloud-economics smoke test: serve with a seeded priced pool
-# and the autoscaler on, submit onto the spot tier, fire a preemption
-# storm, verify zero-loss recovery on drain and the cloud metrics.
-smoke-cloud:
-	sh scripts/smoke_cloud.sh
+smoke-%:
+	sh scripts/smoke_$*.sh

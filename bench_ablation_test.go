@@ -28,7 +28,7 @@ func BenchmarkAblationHillClimbStart(b *testing.B) {
 	smj, _ := models.For(plan.SMJ)
 	starts := map[string]plan.Resources{
 		"min": {},
-		"max": cond.MaxResources(),
+		"max": {Containers: cond.MaxContainers, ContainerGB: cond.MaxContainerGB},
 		"mid": {Containers: 50, ContainerGB: 5},
 	}
 	for name, start := range starts {

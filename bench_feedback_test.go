@@ -38,7 +38,7 @@ func BenchmarkFeedbackAppend(b *testing.B) {
 		}
 	})
 	b.Run("journaled", func(b *testing.B) {
-		j, err := feedback.OpenJournal(filepath.Join(b.TempDir(), "journal.jsonl"))
+		j, err := feedback.OpenJournalConfig(filepath.Join(b.TempDir(), "journal.jsonl"), feedback.JournalConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

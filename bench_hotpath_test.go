@@ -1,7 +1,7 @@
 // Allocation gates for the planning hot path. TestHotPathAllocCeilings
 // runs under plain `go test` (and `make check` via the alloc-check
 // target) and fails on allocation regressions: the pooled DP state,
-// plan arena, cached signatures and incremental re-optimization memo
+// plan arena, structural plan equality and exact re-optimization memo
 // keep steady-state planning allocations bounded, and these ceilings
 // pin that down. Run the timings with:
 //
@@ -137,24 +137,24 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		t.Errorf("warm nearest-neighbour cache hit allocates %.0f/op, ceiling 0", got)
 	}
 
-	// Cached plan signatures: recomputing on an unchanged tree must not
-	// rebuild the string.
+	// Plan identity: the arbiters' "did the re-plan change anything?" is a
+	// structural walk of both trees, never a string build.
 	d, err := o.Optimize(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := d.Plan.SignatureWithResources()
+	same := d.Plan.Clone()
 	if got := testing.AllocsPerRun(50, func() {
-		if d.Plan.SignatureWithResources() != sig {
-			t.Fatal("signature drifted")
+		if !d.Plan.Equal(same) {
+			t.Fatal("a clone is not Equal to its original")
 		}
-	}); got > 2 {
-		t.Errorf("cached SignatureWithResources allocates %.0f/op, ceiling 2", got)
+	}); got > 0 {
+		t.Errorf("Node.Equal allocates %.0f/op, ceiling 0", got)
 	}
 
 	// Incremental re-optimization exact hit: answering a repeated
 	// condition must be a memo lookup, not a re-plan.
-	inc := core.NewIncremental(o, 0)
+	inc := core.NewIncremental(o)
 	cond := cluster.Default()
 	if _, _, err := inc.Optimize(q, cond); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func BenchmarkHotPathOptimize(b *testing.B) {
 // incremental re-optimization.
 func BenchmarkHotPathIncrementalExact(b *testing.B) {
 	o, q := hotPathOptimizer(b)
-	inc := core.NewIncremental(o, 0)
+	inc := core.NewIncremental(o)
 	cond := cluster.Default()
 	if _, _, err := inc.Optimize(q, cond); err != nil {
 		b.Fatal(err)

@@ -32,7 +32,6 @@ func main() {
 	moduleDir := flag.String("C", ".", "module root to lint")
 	goldenDir := flag.String("golden", "", "verify analyzers against the // want markers of this testdata tree instead of linting the module")
 	only := flag.String("only", "", "comma-separated analyzer or rule names to run (default: all)")
-	rules := flag.String("rules", "", "alias of -only, kept for older invocations")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array (file, line, col, rule, message, suppressed) instead of human-readable lines; suppressed findings are included, marked")
 	quiet := flag.Bool("q", false, "suppress the timing summary")
 	flag.Usage = func() {
@@ -48,14 +47,7 @@ func main() {
 	}
 	flag.Parse()
 
-	selector := *only
-	if selector == "" {
-		selector = *rules
-	} else if *rules != "" && *rules != *only {
-		fmt.Fprintln(os.Stderr, "raqolint: -only and -rules are aliases; pass one")
-		os.Exit(2)
-	}
-	analyzers := selectAnalyzers(selector)
+	analyzers := selectAnalyzers(*only)
 	start := time.Now()
 	var (
 		pkgs  []*lint.Package
@@ -197,7 +189,7 @@ func selectAnalyzers(csv string) []*lint.Analyzer {
 		os.Exit(2)
 	}
 	if len(out) == 0 {
-		fmt.Fprintln(os.Stderr, "raqolint: -rules selected no analyzers")
+		fmt.Fprintln(os.Stderr, "raqolint: -only selected no analyzers")
 		os.Exit(2)
 	}
 	return out

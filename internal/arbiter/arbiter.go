@@ -58,16 +58,10 @@ type Config struct {
 	Pricing cost.Pricing
 	// Optimizer plans submissions and re-optimizations. All planning is
 	// routed through the arbiter's own core.Incremental wrapper, which
-	// passes the admission-time conditions per call — so the optimizer may
-	// be shared with other callers — and answers repeated conditions from
-	// its exact memo and small restrictions by patching in place of a full
-	// re-plan, provably bit-identical to planning from scratch.
+	// passes the conditions per call — so the optimizer may be shared with
+	// other callers — and answers conditions it has planned before under
+	// the live models from its exact memo.
 	Optimizer *core.Optimizer
-	// ReoptEnvelope is the validity envelope of incremental
-	// re-optimization (relative shrink of the condition bounds that may be
-	// patched rather than fully re-planned); <= 0 selects
-	// core.DefaultReoptEnvelope.
-	ReoptEnvelope float64
 	// Queries resolves arrival query names to logical queries.
 	Queries map[string]*plan.Query
 	Tenants []TenantConfig
@@ -144,14 +138,14 @@ type Stats struct {
 	Recals         int64
 	FreeContainers int
 	HeldGB         float64
-	// Re-optimization answer sources (see core.IncrementalStats): plans
-	// answered from scratch, from the exact-conditions memo, or by
-	// patch-validating the cached plan. ReoptFallback counts patch
-	// attempts that failed validation (a subset of ReoptFull).
-	ReoptFull     int64
-	ReoptExact    int64
-	ReoptPatched  int64
-	ReoptFallback int64
+	// Planning answer sources (see core.IncrementalStats), submissions and
+	// re-optimizations alike: planned from scratch, or answered from the
+	// exact-conditions memo.
+	ReoptFull  int64
+	ReoptExact int64
+	// ReoptPatched is always zero: the patch path it counted is gone, and
+	// the field stays only because the benchmark (bench/layers.go) reads it.
+	ReoptPatched int64
 }
 
 // ErrRejected wraps every backpressure rejection (queue full, request
@@ -195,11 +189,6 @@ type tenantState struct {
 	held    int // containers currently allocated to this tenant
 }
 
-type subKey struct {
-	query   string
-	version uint64
-}
-
 // Arbiter is the workload arbiter. It is not safe for concurrent use; the
 // HTTP layer serializes access with a mutex.
 type Arbiter struct {
@@ -210,7 +199,6 @@ type Arbiter struct {
 	byName      map[string]*tenantState
 	inflight    map[int64]*running // by pool allocation token; never ranged
 	completed   []Outcome
-	subPlans    map[subKey]*core.Decision
 	totalWeight float64
 	sinceRecal  int
 	joinBuf     []*plan.Node // reused by admitDegraded's clamp walk
@@ -248,10 +236,9 @@ func New(cfg Config) (*Arbiter, error) {
 	a := &Arbiter{
 		cfg:      cfg,
 		pool:     pool,
-		reopt:    core.NewIncremental(cfg.Optimizer, cfg.ReoptEnvelope),
+		reopt:    core.NewIncremental(cfg.Optimizer),
 		byName:   make(map[string]*tenantState, len(cfg.Tenants)),
 		inflight: make(map[int64]*running),
-		subPlans: make(map[subKey]*core.Decision),
 	}
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" {
@@ -302,37 +289,7 @@ func (a *Arbiter) Stats() Stats {
 		HeldGB:         a.pool.HeldGB(),
 		ReoptFull:      ist.Full,
 		ReoptExact:     ist.Exact,
-		ReoptPatched:   ist.Patched,
-		ReoptFallback:  ist.Fallback,
 	}
-}
-
-// modelVersion keys the submission-plan cache: recalibration publishes a
-// new version, naturally refreshing plans fixed under stale models.
-func (a *Arbiter) modelVersion() uint64 {
-	if a.cfg.Feedback != nil && a.cfg.Feedback.Recal != nil {
-		return a.cfg.Feedback.Recal.Current().Version
-	}
-	return 1
-}
-
-// submissionPlan optimizes a query under the full Base conditions — the
-// plan a client fixes at submission time — cached per (query, model
-// version) in front of the incremental engine's own exact memo. Routing
-// the miss path through the incremental engine seeds its patch baseline
-// with the Base-conditions plan, so admission-time re-optimizations under
-// mildly restricted conditions can validate-and-reuse it.
-func (a *Arbiter) submissionPlan(name string, q *plan.Query) (*core.Decision, error) {
-	key := subKey{query: name, version: a.modelVersion()}
-	if d, ok := a.subPlans[key]; ok {
-		return d, nil
-	}
-	d, _, err := a.reopt.Optimize(q, a.cfg.Base)
-	if err != nil {
-		return nil, err
-	}
-	a.subPlans[key] = d
-	return d, nil
 }
 
 // reject counts one rejection and wraps ErrRejected.
@@ -366,7 +323,10 @@ func (a *Arbiter) Submit(arr Arrival) error {
 	if ts.cfg.MaxQueue > 0 && len(ts.queue) >= ts.cfg.MaxQueue {
 		return a.reject("tenant %s queue full (%d)", arr.Tenant, ts.cfg.MaxQueue)
 	}
-	dec, err := a.submissionPlan(arr.Query, q)
+	// The plan a client fixes at submission time is optimized under the
+	// full Base conditions; after a query's first submission the memo
+	// answers, per live model set.
+	dec, _, err := a.reopt.Optimize(q, a.cfg.Base)
 	if err != nil {
 		return err
 	}
@@ -576,13 +536,9 @@ type replanItem struct {
 }
 
 // replanBatch re-optimizes every stashed queue head under its stash-time
-// conditions through the incremental engine — repeated conditions answer
-// from the exact memo, small restrictions patch-validate the cached plan,
-// and only genuinely new conditions pay a full joint optimization — then
-// admits the new plans in stash order while they still fit the shrinking
-// pool. Incremental answers are bit-identical to planning every item from
-// scratch (the core determinism suite proves it), so outcome streams are
-// unchanged from the batched implementation.
+// conditions — repeated conditions answer from the exact memo, only new
+// ones pay a full joint optimization — then admits the new plans in stash
+// order while they still fit the shrinking pool.
 func (a *Arbiter) replanBatch(stash []replanItem, fairShare bool) (bool, error) {
 	admittedAny := false
 	for _, it := range stash {
@@ -596,8 +552,7 @@ func (a *Arbiter) replanBatch(stash []replanItem, fairShare bool) (bool, error) 
 		if !ok || !scheduler.Fits(d.Plan, cond) {
 			continue
 		}
-		replanned := d.Plan.SignatureWithResources() != it.p.dec.Plan.SignatureWithResources()
-		if err := a.admit(it.ts, it.p, d, replanned, false); err != nil {
+		if err := a.admit(it.ts, it.p, d, !d.Plan.Equal(it.p.dec.Plan), false); err != nil {
 			return false, err
 		}
 		admittedAny = true

@@ -328,11 +328,11 @@ func TestSubmitWaitOnline(t *testing.T) {
 	}
 }
 
-// TestFeedbackRecalibratesMidWorkload wires a deliberately skewed cost
-// model into the arbiter: simulated completions stream into the
-// recalibrator at their virtual finish times, drift fires mid-workload,
-// and the model version advances while the workload is still running.
-func TestFeedbackRecalibratesMidWorkload(t *testing.T) {
+// skewedRecalConfig is a single-tenant arbiter planning with deliberately
+// 4x-skewed cost models, wired so that simulated completions stream into
+// the returned recalibrator and every model swap reaches the optimizer.
+func skewedRecalConfig(t testing.TB) (arbiter.Config, *feedback.Recalibrator) {
+	t.Helper()
 	truth, queries := testFixtures(t)
 	skewed := cost.NewModels()
 	for _, algo := range plan.Algos {
@@ -368,7 +368,7 @@ func TestFeedbackRecalibratesMidWorkload(t *testing.T) {
 			t.Errorf("SetModels: %v", err)
 		}
 	})
-	cfg := arbiter.Config{
+	return arbiter.Config{
 		Capacity:   100,
 		Base:       cluster.Default(),
 		Engine:     execsim.Hive(),
@@ -378,14 +378,28 @@ func TestFeedbackRecalibratesMidWorkload(t *testing.T) {
 		Tenants:    []arbiter.TenantConfig{{Name: "etl"}},
 		Feedback:   &feedback.Observer{Recal: rec},
 		RecalEvery: 4,
-	}
+	}, rec
+}
+
+// singleTenantWorkload is the seeded Reoptimize stream of testWorkload
+// with every arrival on the one tenant of skewedRecalConfig.
+func singleTenantWorkload() arbiter.WorkloadConfig {
+	wl := testWorkload(scheduler.Reoptimize)
+	wl.Tenants = []arbiter.TenantShare{{Name: "etl", Weight: 1}}
+	return wl
+}
+
+// TestFeedbackRecalibratesMidWorkload wires a deliberately skewed cost
+// model into the arbiter: simulated completions stream into the
+// recalibrator at their virtual finish times, drift fires mid-workload,
+// and the model version advances while the workload is still running.
+func TestFeedbackRecalibratesMidWorkload(t *testing.T) {
+	cfg, rec := skewedRecalConfig(t)
 	a, err := arbiter.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := testWorkload(scheduler.Reoptimize)
-	wl.Tenants = []arbiter.TenantShare{{Name: "etl", Weight: 1}}
-	arrivals, err := arbiter.GenerateArrivals(wl)
+	arrivals, err := arbiter.GenerateArrivals(singleTenantWorkload())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,15 +113,14 @@ type Config struct {
 	Pricing cost.Pricing
 	// Optimizer plans submissions and per-class re-optimizations. All
 	// planning routes through the arbiter's own core.Incremental wrapper
-	// (bit-identical to planning from scratch), which passes conditions
-	// per call, so the optimizer may be shared with other callers.
-	Optimizer     *core.Optimizer
-	ReoptEnvelope float64
-	Queries       map[string]*plan.Query
-	Tenants       []TenantConfig
-	Faults        FaultConfig
-	Autoscaler    AutoscalerConfig
-	Metrics       *Metrics
+	// (an exact-conditions memo), which passes conditions per call, so the
+	// optimizer may be shared with other callers.
+	Optimizer  *core.Optimizer
+	Queries    map[string]*plan.Query
+	Tenants    []TenantConfig
+	Faults     FaultConfig
+	Autoscaler AutoscalerConfig
+	Metrics    *Metrics
 }
 
 // Arrival is one query submission in a workload stream.
@@ -267,7 +266,6 @@ type Arbiter struct {
 	byName      map[string]*tenantState
 	inflight    map[int64]*running // by pool token; never ranged
 	completed   []Outcome
-	subPlans    map[string]*core.Decision
 	pref        []int // class indices in admission-preference order
 	totalWeight float64
 	joinBuf     []*plan.Node
@@ -317,10 +315,9 @@ func New(cfg Config) (*Arbiter, error) {
 		pool:     pool,
 		inj:      inj,
 		scaler:   scaler,
-		reopt:    core.NewIncremental(cfg.Optimizer, cfg.ReoptEnvelope),
+		reopt:    core.NewIncremental(cfg.Optimizer),
 		byName:   make(map[string]*tenantState, len(cfg.Tenants)),
 		inflight: make(map[int64]*running),
-		subPlans: make(map[string]*core.Decision),
 	}
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" {
@@ -436,21 +433,6 @@ func (a *Arbiter) overCap(ts *tenantState) bool {
 	return ts.cfg.BudgetCapUSD > 0 && ts.billed >= ts.cfg.BudgetCapUSD
 }
 
-// submissionPlan optimizes a query under the full Base conditions,
-// cached per query name (the cloud arbiter has no model recalibration,
-// so plans never go stale within a run).
-func (a *Arbiter) submissionPlan(name string, q *plan.Query) (*core.Decision, error) {
-	if d, ok := a.subPlans[name]; ok {
-		return d, nil
-	}
-	d, _, err := a.reopt.Optimize(q, a.cfg.Base)
-	if err != nil {
-		return nil, err
-	}
-	a.subPlans[name] = d
-	return d, nil
-}
-
 // reject counts one submission-time rejection and wraps ErrRejected.
 func (a *Arbiter) reject(format string, args ...interface{}) error {
 	a.rejectedSubmit++
@@ -479,7 +461,9 @@ func (a *Arbiter) Submit(arr Arrival) error {
 	if ts.cfg.MaxQueue > 0 && len(ts.queue) >= ts.cfg.MaxQueue {
 		return a.reject("tenant %s queue full (%d)", arr.Tenant, ts.cfg.MaxQueue)
 	}
-	dec, err := a.submissionPlan(arr.Query, q)
+	// The submission-time plan is optimized under the full Base
+	// conditions; the memo answers after a query's first submission.
+	dec, _, err := a.reopt.Optimize(q, a.cfg.Base)
 	if err != nil {
 		return err
 	}
@@ -704,7 +688,7 @@ func (a *Arbiter) admitHead(ts *tenantState, p *pending, fairShare bool) (bool, 
 				continue
 			}
 			d = dd
-			replanned = dd.Plan.SignatureWithResources() != p.dec.Plan.SignatureWithResources()
+			replanned = !dd.Plan.Equal(p.dec.Plan)
 		}
 		res, err := a.cfg.Engine.Execute(d.Plan, a.cfg.Pricing)
 		if err != nil {

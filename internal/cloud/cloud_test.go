@@ -56,6 +56,9 @@ func newOptimizer(t testing.TB, models *cost.Models, workers int) *core.Optimize
 	return opt
 }
 
+// spotIdx is the spot class's index in testMarket's pool.
+const spotIdx = 1
+
 // testMarket is a two-tier market with an elastic spot class.
 func testMarket(elastic bool) cloud.Market {
 	m := cloud.DefaultMarket(12, 24, 0.7)
@@ -439,9 +442,8 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 	if st.Lost != 0 {
 		t.Fatalf("lost %d", st.Lost)
 	}
-	spotIdx, ok := a.Pool().ClassIndex("spot-10g")
-	if !ok {
-		t.Fatal("spot class missing")
+	if name := a.Pool().Class(spotIdx).Name; name != "spot-10g" {
+		t.Fatalf("class %d is %s, not the spot class", spotIdx, name)
 	}
 	if got := a.Pool().CapacityOf(spotIdx); got > 8 {
 		t.Fatalf("spot capacity %d did not shed back toward its floor", got)
@@ -530,7 +532,6 @@ func TestPreemptFractionOnline(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spotIdx, _ := a.Pool().ClassIndex("spot-10g")
 	if a.Pool().FreeOf(spotIdx) == a.Pool().CapacityOf(spotIdx) {
 		t.Skip("no running spot allocations to preempt")
 	}

@@ -107,15 +107,6 @@ func (m Market) Validate() error {
 	return nil
 }
 
-// TotalCount sums the initially provisioned containers across classes.
-func (m Market) TotalCount() int {
-	n := 0
-	for _, c := range m.Classes {
-		n += c.Count
-	}
-	return n
-}
-
 // baseRate prices one provisioned 1GB container-hour at the default
 // usage price (cost.DefaultPricing is $1e-5/GB·s): the on-demand rate is
 // proportional to the container size.

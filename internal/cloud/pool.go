@@ -21,7 +21,6 @@ import (
 // discrete-event loop.
 type Pool struct {
 	classes []*classState
-	byName  map[string]int // name -> class index; lookups only, never ranged
 	now     float64
 	seq     int64
 	refs    map[int64]allocRef // cloud token -> location; never ranged
@@ -78,11 +77,8 @@ func NewPool(m Market) (*Pool, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Pool{
-		byName: make(map[string]int, len(m.Classes)),
-		refs:   make(map[int64]allocRef),
-	}
-	for i, def := range m.Classes {
+	p := &Pool{refs: make(map[int64]allocRef)}
+	for _, def := range m.Classes {
 		cp, err := cluster.NewPool(def.Count)
 		if err != nil {
 			return nil, fmt.Errorf("cloud: class %s: %w", def.Name, err)
@@ -94,7 +90,6 @@ func NewPool(m Market) (*Pool, error) {
 			toCloud:       make(map[int64]int64),
 		}
 		p.classes = append(p.classes, cs)
-		p.byName[def.Name] = i
 	}
 	return p, nil
 }
@@ -107,12 +102,6 @@ func (p *Pool) Classes() int { return len(p.classes) }
 
 // Class returns the class definition at index i.
 func (p *Pool) Class(i int) InstanceClass { return p.classes[i].def }
-
-// ClassIndex resolves a class name; ok is false for unknown names.
-func (p *Pool) ClassIndex(name string) (int, bool) {
-	i, ok := p.byName[name]
-	return i, ok
-}
 
 // CapacityOf returns the live provisioned containers of class i.
 func (p *Pool) CapacityOf(i int) int { return p.classes[i].pool.Capacity() }

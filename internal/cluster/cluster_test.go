@@ -13,14 +13,11 @@ func TestDefaultConditions(t *testing.T) {
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.NumConfigs(); got != 1000 {
-		t.Errorf("NumConfigs = %d, want 1000 (100 counts x 10 sizes)", got)
+	if c.ContainerLevels() != 100 || c.SizeLevels() != 10 {
+		t.Errorf("levels = %d x %d, want 100 counts x 10 sizes", c.ContainerLevels(), c.SizeLevels())
 	}
 	if got := c.MinResources(); got != (plan.Resources{Containers: 1, ContainerGB: 1}) {
 		t.Errorf("MinResources = %v", got)
-	}
-	if got := c.MaxResources(); got != (plan.Resources{Containers: 100, ContainerGB: 10}) {
-		t.Errorf("MaxResources = %v", got)
 	}
 }
 
@@ -90,8 +87,8 @@ func TestForEachEnumeratesAll(t *testing.T) {
 		seen = append(seen, r)
 		return true
 	})
-	if int64(len(seen)) != c.NumConfigs() {
-		t.Errorf("enumerated %d configs, NumConfigs says %d", len(seen), c.NumConfigs())
+	if want := c.ContainerLevels() * c.SizeLevels(); len(seen) != want {
+		t.Errorf("enumerated %d configs, the grid has %d", len(seen), want)
 	}
 	// Early stop.
 	n := 0

@@ -59,11 +59,6 @@ func (c Conditions) MinResources() plan.Resources {
 	return plan.Resources{Containers: c.MinContainers, ContainerGB: c.MinContainerGB}
 }
 
-// MaxResources returns the largest configuration.
-func (c Conditions) MaxResources() plan.Resources {
-	return plan.Resources{Containers: c.MaxContainers, ContainerGB: c.MaxContainerGB}
-}
-
 // Contains reports whether the configuration lies on the discrete grid
 // within bounds.
 func (c Conditions) Contains(r plan.Resources) bool {
@@ -110,11 +105,6 @@ func (c Conditions) ContainerLevels() int {
 // r_c).
 func (c Conditions) SizeLevels() int {
 	return int((c.MaxContainerGB-c.MinContainerGB)/c.GBStep+1e-9) + 1
-}
-
-// NumConfigs returns the size of the discrete resource space, r_p · r_c.
-func (c Conditions) NumConfigs() int64 {
-	return int64(c.ContainerLevels()) * int64(c.SizeLevels())
 }
 
 // ForEach calls fn for every configuration in the space, in deterministic

@@ -194,9 +194,7 @@ func (c *Coster) costJoin(j *plan.Node, model cost.Model) (optimizer.OpCost, boo
 
 // restrictForBroadcast raises the minimum container size so the operator's
 // hash side fits the engine's memory budget; it errors when even the
-// largest container cannot hold it. Standalone (rather than a Coster
-// method) so the incremental re-optimizer can probe an operator under
-// hypothetical conditions without building a coster.
+// largest container cannot hold it.
 func restrictForBroadcast(engine *execsim.Params, cond cluster.Conditions, j *plan.Node) (cluster.Conditions, error) {
 	need := j.SmallerInputGB() / engine.OOMFrac
 	if need <= cond.MinContainerGB {

@@ -14,8 +14,8 @@ import (
 
 // condLadder is a drift scenario for the incremental re-optimizer: a
 // sequence of cluster conditions as a shared pool fills and frees. It
-// mixes repeats (exact-memo territory), small restrictions (patch
-// territory), growth and beyond-envelope crashes (full-replan territory).
+// mixes repeats (exact-memo territory) with small restrictions, growth
+// and crashes (full-replan territory).
 func condLadder(t *testing.T) []cluster.Conditions {
 	t.Helper()
 	base := cluster.Default()
@@ -71,7 +71,7 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				inc := NewIncremental(o, 0)
+				inc := NewIncremental(o)
 				for step, cond := range ladder {
 					got, src, err := inc.Optimize(q, cond)
 					if err != nil {
@@ -116,7 +116,8 @@ func itoa(n int) string {
 }
 
 // TestIncrementalSources exercises the answer-source accounting: repeats
-// hit the exact memo, small restrictions patch, big crashes re-plan.
+// hit the exact memo, every other condition re-plans, a model swap
+// invalidates the memo and the FIFO bound evicts the oldest conditions.
 func TestIncrementalSources(t *testing.T) {
 	s := catalog.TPCH(100)
 	q, err := workload.TPCHQuery(s, workload.All)
@@ -127,7 +128,7 @@ func TestIncrementalSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewIncremental(o, 0)
+	inc := NewIncremental(o)
 	base := cluster.Default()
 
 	mustSrc := func(max int, want ReoptSource) {
@@ -147,14 +148,11 @@ func TestIncrementalSources(t *testing.T) {
 
 	mustSrc(100, ReoptFull) // first sight
 	mustSrc(100, ReoptExact)
-	// All's operators plan well below 90 containers, so a small shrink
-	// leaves every probe identical: patched.
-	mustSrc(90, ReoptPatched)
-	mustSrc(90, ReoptExact) // patched answers are memoized too
-	mustSrc(30, ReoptFull)  // beyond the 25% envelope from the last full plan (100)
-	st := inc.Stats()
-	if st.Exact != 2 || st.Patched != 1 || st.Full != 2 {
-		t.Errorf("stats = %+v, want 2 exact / 1 patched / 2 full", st)
+	mustSrc(90, ReoptFull) // a restriction is new conditions
+	mustSrc(90, ReoptExact)
+	mustSrc(30, ReoptFull)
+	if st := inc.Stats(); st.Exact != 2 || st.Full != 3 {
+		t.Errorf("stats = %+v, want 2 exact / 3 full", st)
 	}
 
 	// A model swap invalidates everything planned before it.
@@ -162,6 +160,18 @@ func TestIncrementalSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustSrc(100, ReoptFull)
+
+	// The memo is FIFO-bounded: the third distinct conditions evict the
+	// first, and only the first.
+	inc.maxExact = 2
+	mustSrc(90, ReoptFull)
+	mustSrc(30, ReoptFull) // evicts 100
+	mustSrc(90, ReoptExact)
+	mustSrc(100, ReoptFull) // evicts 90
+	mustSrc(30, ReoptExact)
+	if _, _, err := inc.Optimize(q, cluster.Conditions{}); err == nil {
+		t.Error("invalid conditions accepted")
+	}
 }
 
 // TestIncrementalSharesPlanSafely: the memoized decision is returned by
@@ -176,7 +186,7 @@ func TestIncrementalMemoStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewIncremental(o, 0)
+	inc := NewIncremental(o)
 	d1, _, err := inc.Optimize(q, cluster.Default())
 	if err != nil {
 		t.Fatal(err)

@@ -230,13 +230,17 @@ func (o *Optimizer) Optimize(q *plan.Query) (*Decision, error) {
 // observes ctx and returns ctx's error promptly after cancellation, so an
 // abandoned request stops consuming CPU.
 func (o *Optimizer) OptimizeCtx(ctx context.Context, q *plan.Query) (*Decision, error) {
-	return o.optimizeUnder(ctx, q, o.cond)
+	return o.OptimizeUnder(ctx, q, o.cond)
 }
 
-// optimizeUnder is the joint optimization under explicit conditions. It
+// OptimizeUnder is the joint optimization under explicit conditions. It
 // touches no mutable optimizer state, so callers planning under different
-// conditions (Incremental, OptimizeRobust) can share one Optimizer.
-func (o *Optimizer) optimizeUnder(ctx context.Context, q *plan.Query, cond cluster.Conditions) (*Decision, error) {
+// conditions (Incremental, OptimizeRobust, Reoptimize, the scheduler) can
+// share one Optimizer.
+func (o *Optimizer) OptimizeUnder(ctx context.Context, q *plan.Query, cond cluster.Conditions) (*Decision, error) {
+	if err := cond.Validate(); err != nil {
+		return nil, err
+	}
 	return o.run(ctx, q, o.coster(o.opts.Resource, plan.Resources{}, cond))
 }
 
@@ -352,13 +356,9 @@ func (o *Optimizer) Reoptimize(q *plan.Query, prev *Decision, newCond cluster.Co
 	if prev == nil || prev.Plan == nil {
 		return nil, false, fmt.Errorf("core: no previous decision to re-optimize")
 	}
-	if err := o.SetConditions(newCond); err != nil {
-		return nil, false, err
-	}
-	next, err := o.Optimize(q)
+	next, err := o.OptimizeUnder(context.Background(), q, newCond)
 	if err != nil {
 		return nil, false, err
 	}
-	changed := next.Plan.SignatureWithResources() != prev.Plan.SignatureWithResources()
-	return next, changed, nil
+	return next, !next.Plan.Equal(prev.Plan), nil
 }

@@ -73,7 +73,7 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 	var candidates []candidate
 	seen := map[string]bool{}
 	for _, c := range scenarios {
-		d, err := o.optimizeUnder(context.Background(), q, c)
+		d, err := o.OptimizeUnder(context.Background(), q, c)
 		if err != nil {
 			return nil, err
 		}

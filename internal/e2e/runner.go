@@ -3,7 +3,6 @@ package e2e
 import (
 	"fmt"
 
-	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
@@ -95,64 +94,6 @@ func RunComparison(engine execsim.Params, opt *core.Optimizer, queries map[strin
 	return report, nil
 }
 
-// QueueComparison estimates the Figure-1-style queueing consequence of the
-// two strategies: each query's container demand and runtime feed the shared-
-// cluster simulator as a repeating trace, and the mean queue/run ratio is
-// reported. RAQO's right-sized requests queue less than a uniform guess on
-// the same cluster.
-func QueueComparison(report *WorkloadReport, capacity int, copies int) (defRatio, raqoRatio float64, err error) {
-	mk := func(outcomes []QueryOutcome) ([]cluster.Job, error) {
-		var jobs []cluster.Job
-		id := 0
-		now := 0.0
-		for c := 0; c < copies; c++ {
-			for _, o := range outcomes {
-				demand := maxContainers(o.Plan)
-				if demand > capacity {
-					demand = capacity
-				}
-				if demand < 1 {
-					demand = 1
-				}
-				jobs = append(jobs, cluster.Job{
-					ID: id, Arrival: now, Containers: demand, Duration: o.Seconds,
-				})
-				id++
-				now += o.Seconds / 4 // arrivals faster than service: contention
-			}
-		}
-		return jobs, nil
-	}
-	mean := func(rs []cluster.JobResult) float64 {
-		if len(rs) == 0 {
-			return 0
-		}
-		sum := 0.0
-		for _, r := range rs {
-			sum += r.Ratio()
-		}
-		return sum / float64(len(rs))
-	}
-	sim := &cluster.Simulator{Capacity: capacity}
-	defJobs, err := mk(report.Default)
-	if err != nil {
-		return 0, 0, err
-	}
-	defRes, err := sim.Run(defJobs)
-	if err != nil {
-		return 0, 0, err
-	}
-	raqoJobs, err := mk(report.RAQO)
-	if err != nil {
-		return 0, 0, err
-	}
-	raqoRes, err := sim.Run(raqoJobs)
-	if err != nil {
-		return 0, 0, err
-	}
-	return mean(defRes), mean(raqoRes), nil
-}
-
 // connectedOrder arranges a query's relations so every left-deep prefix is
 // connected: start from the first relation and repeatedly append the
 // lexicographically smallest joinable remaining one.
@@ -184,14 +125,4 @@ func connectedOrder(q *plan.Query) []string {
 		order = append(order, next)
 	}
 	return order
-}
-
-func maxContainers(p *plan.Node) int {
-	max := 0
-	for _, j := range p.Joins() {
-		if j.Res.Containers > max {
-			max = j.Res.Containers
-		}
-	}
-	return max
 }

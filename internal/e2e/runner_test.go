@@ -67,35 +67,10 @@ func TestRunComparisonValidation(t *testing.T) {
 	}
 }
 
-func TestQueueComparison(t *testing.T) {
-	report := comparisonReport(t)
-	defRatio, raqoRatio, err := QueueComparison(report, 100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if defRatio < 0 || raqoRatio < 0 {
-		t.Fatalf("ratios: %v, %v", defRatio, raqoRatio)
-	}
-	// The paper's Section I tension, reproduced end to end: speed-optimal
-	// joint plans request big container gangs, so on a *shared* cluster
-	// they queue more than a timid 10-container guess — which is exactly
-	// why RAQO's budget and price modes exist.
-	if raqoRatio <= defRatio {
-		t.Logf("note: RAQO ratio %v vs default %v (shared cluster not saturated at this cadence)", raqoRatio, defRatio)
-	}
-	// Deterministic.
-	d2, r2, err := QueueComparison(report, 100, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 != defRatio || r2 != raqoRatio {
-		t.Error("QueueComparison not deterministic")
-	}
-}
-
 // Budget-constrained RAQO (r => p within the guessed quota) keeps the
-// default's queueing profile while still beating its execution times — the
-// resolution of the queueing tension above.
+// default's container footprint — speed-optimal joint plans request big
+// gangs that queue on a shared cluster — while still beating its execution
+// times.
 func TestBudgetedRAQOBeatsDefaultAtSameFootprint(t *testing.T) {
 	engine := execsim.Hive()
 	models, err := workload.TrainedModels(engine)

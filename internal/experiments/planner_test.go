@@ -6,10 +6,7 @@ import (
 )
 
 func TestFigure12Shapes(t *testing.T) {
-	r, err := Figure12()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figureReport(t, "fig12")
 	tbl := r.Tables[0]
 	// 4 queries x 2 planners x 2 modes = 16 rows.
 	if len(tbl.Rows) != 16 {
@@ -134,10 +131,7 @@ func TestFigure15bScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scaling experiment")
 	}
-	r, err := Figure15b()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := figureReport(t, "fig15b")
 	tbl := r.Tables[0]
 	if len(tbl.Rows) != 40 {
 		t.Fatalf("rows = %d, want 40 cluster conditions", len(tbl.Rows))

@@ -267,13 +267,8 @@ type JournalConfig struct {
 	MaxFiles int
 }
 
-// OpenJournal opens (creating if needed) a journal file for appending,
-// without rotation.
-func OpenJournal(path string) (*Journal, error) {
-	return OpenJournalConfig(path, JournalConfig{})
-}
-
-// OpenJournalConfig opens a journal with the given rotation policy.
+// OpenJournalConfig opens (creating if needed) a journal file for
+// appending, with the given rotation policy.
 func OpenJournalConfig(path string, cfg JournalConfig) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {

@@ -92,7 +92,7 @@ func TestStoreRejectsInvalid(t *testing.T) {
 
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fb.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalConfig(path, JournalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	// Reopening appends rather than truncating.
-	j2, err := OpenJournal(path)
+	j2, err := OpenJournalConfig(path, JournalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

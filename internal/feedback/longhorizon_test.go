@@ -278,7 +278,7 @@ func TestRelErrSeriesRoundTrip(t *testing.T) {
 
 func TestObservedAtJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "j.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalConfig(path, JournalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -305,7 +305,7 @@ func TestEndToEndAdaptivity(t *testing.T) {
 // demands bit-identical recalibrated coefficients and versions.
 func TestRecalibrationDeterministic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "fb.jsonl")
-	j, err := OpenJournal(path)
+	j, err := OpenJournalConfig(path, JournalConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

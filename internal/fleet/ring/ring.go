@@ -133,29 +133,6 @@ func (r *Ring) ownerIndex(h uint64) int {
 	return i
 }
 
-// Owners returns up to n distinct nodes for key, walking clockwise from
-// the key's position — the owner first, then the nodes that would take
-// over if it left. n is clamped to the fleet size.
-func (r *Ring) Owners(key string, n int) []string {
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
-	start := r.ownerIndex(Hash(key))
-	for i := 0; len(out) < n && i < len(r.points); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.node] {
-			seen[p.node] = true
-			out = append(out, p.node)
-		}
-	}
-	return out
-}
-
 // Nodes returns the ring's membership, sorted. The slice is shared — do
 // not mutate it.
 func (r *Ring) Nodes() []string { return r.nodes }
@@ -170,30 +147,4 @@ func (r *Ring) VNodes() int { return r.vnodes }
 func (r *Ring) Contains(node string) bool {
 	i := sort.SearchStrings(r.nodes, node)
 	return i < len(r.nodes) && r.nodes[i] == node
-}
-
-// WithNode returns a new ring with node added (error if present).
-func (r *Ring) WithNode(node string) (*Ring, error) {
-	if r.Contains(node) {
-		return nil, fmt.Errorf("ring: node %q already present", node)
-	}
-	return New(append(append([]string{}, r.nodes...), node), r.vnodes)
-}
-
-// WithoutNode returns a new ring with node removed (error if absent or if
-// it is the last node).
-func (r *Ring) WithoutNode(node string) (*Ring, error) {
-	if !r.Contains(node) {
-		return nil, fmt.Errorf("ring: node %q not present", node)
-	}
-	if len(r.nodes) == 1 {
-		return nil, fmt.Errorf("ring: cannot remove last node %q", node)
-	}
-	rest := make([]string, 0, len(r.nodes)-1)
-	for _, n := range r.nodes {
-		if n != node {
-			rest = append(rest, n)
-		}
-	}
-	return New(rest, r.vnodes)
 }

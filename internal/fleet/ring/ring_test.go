@@ -100,7 +100,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 	before := placement(t, r3, keys)
 
-	r4, err := r3.WithNode("d:4")
+	r4, err := New([]string{"a:1", "b:2", "c:3", "d:4"}, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRingMinimalMovement(t *testing.T) {
 		t.Errorf("join moved %d keys, want <= %d (ideal %d)", moved, bound, ideal)
 	}
 
-	back, err := r4.WithoutNode("d:4")
+	back, err := New(nodes, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,32 +157,6 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingOwners checks the clockwise-successor list: distinct nodes,
-// owner first, clamped at fleet size.
-func TestRingOwners(t *testing.T) {
-	r, err := New([]string{"a:1", "b:2", "c:3"}, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	owners := r.Owners("some-key", 5)
-	if len(owners) != 3 {
-		t.Fatalf("Owners returned %d nodes, want 3 (clamped)", len(owners))
-	}
-	if owners[0] != r.Owner("some-key") {
-		t.Errorf("Owners[0] = %q, Owner = %q", owners[0], r.Owner("some-key"))
-	}
-	seen := map[string]bool{}
-	for _, o := range owners {
-		if seen[o] {
-			t.Errorf("duplicate node %q in Owners", o)
-		}
-		seen[o] = true
-	}
-	if got := r.Owners("some-key", 0); got != nil {
-		t.Errorf("Owners(_, 0) = %v, want nil", got)
-	}
-}
-
 // TestRingValidation covers the constructor's error paths.
 func TestRingValidation(t *testing.T) {
 	if _, err := New(nil, 64); err == nil {
@@ -200,19 +174,6 @@ func TestRingValidation(t *testing.T) {
 	r, err := New([]string{"a", "b"}, 8)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := r.WithNode("a"); err == nil {
-		t.Error("WithNode accepted an existing node")
-	}
-	if _, err := r.WithoutNode("zzz"); err == nil {
-		t.Error("WithoutNode accepted an absent node")
-	}
-	one, err := New([]string{"solo"}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := one.WithoutNode("solo"); err == nil {
-		t.Error("removing the last node accepted")
 	}
 	if !r.Contains("a") || r.Contains("zzz") {
 		t.Error("Contains misreports membership")

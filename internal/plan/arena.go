@@ -54,7 +54,7 @@ func (a *Arena) alloc() *Node {
 	}
 	n := &a.chunks[a.ci][a.used]
 	a.used++
-	n.reset()
+	*n = Node{}
 	return n
 }
 
@@ -124,21 +124,20 @@ func (sc *JoinScratch) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node)
 		sc.sets = sc.sets[:need]
 	}
 	n := &sc.n
-	n.reset()
+	*n = Node{}
 	n.initJoin(algo, left, right, rows, bytes, sc.sets)
 	return n, nil
 }
 
 // Rejoin re-initializes the scratch node as the same join under another
 // algorithm: the inputs, and so the statistics and relation sets, are
-// those of the last successful Join, while the resource annotation and
-// the cached signatures start afresh as they would from Join.
+// those of the last successful Join, while the resource annotation
+// starts afresh as it would from Join.
 //
 //raqo:noalloc
 func (sc *JoinScratch) Rejoin(algo JoinAlgo) *Node {
 	n := &sc.n
 	n.Algo = algo
 	n.Res = Resources{}
-	n.dropSignatures()
 	return n
 }

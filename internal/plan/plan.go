@@ -7,16 +7,13 @@ package plan
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"raqo/internal/catalog"
-	"raqo/internal/intern"
 	"raqo/internal/units"
 )
 
@@ -156,49 +153,6 @@ type Node struct {
 	// a.set ∩ b.set and joinability a.nbr ∩ b.set, whatever the sides' size.
 	g    *catalog.Index
 	sets []uint64
-
-	// sig caches Signature(). A node's shape (table, algo, children,
-	// statistics) is immutable after construction — only Res mutates — so
-	// the shape signature is cached unconditionally once computed.
-	sig atomic.Pointer[string]
-	// sigRes caches SignatureWithResources() together with a fingerprint
-	// of the resource annotations it was computed under; mutating any Res
-	// in the subtree changes the fingerprint and invalidates the cache.
-	sigRes atomic.Pointer[resSignature]
-}
-
-// resSignature is a cached SignatureWithResources with the resource
-// fingerprint it is valid for.
-type resSignature struct {
-	fp uint64
-	s  string
-}
-
-// reset returns the node to its zero state for reuse by an Arena or
-// JoinScratch. Fields are cleared individually because the atomic cache
-// pointers make Node non-copyable.
-func (n *Node) reset() {
-	n.Table = ""
-	n.Algo = 0
-	n.Left, n.Right = nil, nil
-	n.Res = Resources{}
-	n.rows, n.bytes = 0, 0
-	n.g, n.sets = nil, nil
-	n.dropSignatures()
-}
-
-// dropSignatures forgets the cached signatures. The hot loops call it on
-// nodes that almost never have one, and an atomic load is a plain read
-// where an atomic store is not, so it looks before it stores.
-//
-//raqo:noalloc
-func (n *Node) dropSignatures() {
-	if n.sig.Load() != nil {
-		n.sig.Store(nil)
-	}
-	if n.sigRes.Load() != nil {
-		n.sigRes.Store(nil)
-	}
 }
 
 // set returns the relation set the subtree covers.
@@ -400,97 +354,51 @@ func (n *Node) AppendJoins(dst []*Node) []*Node {
 	return append(dst, n)
 }
 
-// Clone deep-copies the plan tree, including resource annotations. Cached
-// signatures carry over: the clone has the same shape, and the resource
-// signature stays fingerprint-guarded.
+// Clone deep-copies the plan tree, including resource annotations.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	c := &Node{
-		Table: n.Table,
-		Algo:  n.Algo,
-		Res:   n.Res,
-		rows:  n.rows,
-		bytes: n.bytes,
-		g:     n.g,
-		sets:  append([]uint64(nil), n.sets...),
-	}
+	c := *n
+	c.sets = append([]uint64(nil), n.sets...)
 	c.Left = n.Left.Clone()
 	c.Right = n.Right.Clone()
-	c.sig.Store(n.sig.Load())
-	c.sigRes.Store(n.sigRes.Load())
-	return c
+	return &c
+}
+
+// Equal reports whether two plans are the same joint plan: same join
+// order, same operator implementations and the same resource annotation
+// on every join — exactly when their SignatureWithResources agree. It
+// walks both trees without allocating: the arbiters ask it once per
+// re-planned admission.
+//
+//raqo:noalloc
+func (n *Node) Equal(o *Node) bool {
+	if n == nil || o == nil {
+		return n == o
+	}
+	if n.IsScan() || o.IsScan() {
+		return n.Table == o.Table
+	}
+	return n.Algo == o.Algo && n.Res == o.Res && n.Left.Equal(o.Left) && n.Right.Equal(o.Right)
 }
 
 // Signature returns a canonical string identifying the plan's logical and
 // physical shape (join order + operator implementations), ignoring resource
 // annotations. Two plans with equal signatures are the same plan.
-//
-// The string is computed once per node (shape is immutable after
-// construction) and interned, so repeated calls on hot paths neither
-// rebuild nor re-allocate it.
 func (n *Node) Signature() string {
-	if p := n.sig.Load(); p != nil {
-		return *p
-	}
 	var b strings.Builder
 	n.writeSig(&b, false)
-	s := intern.String(b.String())
-	n.sig.Store(&s)
-	return s
+	return b.String()
 }
 
 // SignatureWithResources is Signature but also distinguishing the resource
-// annotations, used by tests and the adaptive re-optimizer.
-//
-// The string is cached against a fingerprint of the subtree's resource
-// annotations: re-annotating any operator (the one mutable field of a
-// node) invalidates the cache, while repeated calls on an unchanged plan
-// return the interned string without rebuilding it.
+// annotations: the stored identity of a joint plan (feedback observations,
+// golden files). To compare two plans in memory use Equal.
 func (n *Node) SignatureWithResources() string {
-	fp := n.resFingerprint(14695981039346656037)
-	if p := n.sigRes.Load(); p != nil && p.fp == fp {
-		return p.s
-	}
 	var b strings.Builder
 	n.writeSig(&b, true)
-	s := intern.String(b.String())
-	n.sigRes.Store(&resSignature{fp: fp, s: s})
-	return s
-}
-
-// resFingerprint folds the subtree's resource annotations (and enough
-// shape to anchor them to positions) into an FNV-1a hash.
-//
-//raqo:noalloc
-func (n *Node) resFingerprint(h uint64) uint64 {
-	const prime = 1099511628211
-	if n == nil {
-		return (h ^ 0x2e) * prime
-	}
-	if n.IsScan() {
-		h = (h ^ 0x73) * prime
-		return h
-	}
-	h = (h ^ uint64(n.Algo) ^ 0x4a) * prime
-	h = mix64(h, uint64(n.Res.Containers))
-	h = mix64(h, floatBits(n.Res.ContainerGB))
-	h = n.Left.resFingerprint(h)
-	h = n.Right.resFingerprint(h)
-	return h
-}
-
-//raqo:noalloc
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-
-//raqo:noalloc
-func mix64(h, v uint64) uint64 {
-	const prime = 1099511628211
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v >> (8 * i) & 0xff)) * prime
-	}
-	return h
+	return b.String()
 }
 
 func (n *Node) writeSig(b *strings.Builder, withRes bool) {

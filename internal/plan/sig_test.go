@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -38,8 +39,8 @@ func sigTree(t *testing.T) *Node {
 	return n
 }
 
-// TestSignatureCachedStable: repeated calls return the same (interned)
-// string and agree with a fresh identically-shaped tree.
+// TestSignatureCachedStable: repeated calls return the same string and
+// agree with a fresh identically-shaped tree.
 func TestSignatureCachedStable(t *testing.T) {
 	n := sigTree(t)
 	first := n.Signature()
@@ -56,7 +57,7 @@ func TestSignatureCachedStable(t *testing.T) {
 
 // TestSignatureWithResourcesInvalidatedOnMutation: mutating an operator's
 // resource annotation after a signature was computed must produce a new,
-// different signature (the one mutable field is the one the cache guards).
+// different signature.
 func TestSignatureWithResourcesInvalidatedOnMutation(t *testing.T) {
 	n := sigTree(t)
 	for _, j := range n.Joins() {
@@ -64,11 +65,11 @@ func TestSignatureWithResourcesInvalidatedOnMutation(t *testing.T) {
 	}
 	before := n.SignatureWithResources()
 	if again := n.SignatureWithResources(); again != before {
-		t.Fatalf("cached signature unstable: %q vs %q", again, before)
+		t.Fatalf("signature unstable: %q vs %q", again, before)
 	}
 
-	// Mutate a deep operator, not the root: the root's cached signature
-	// must still notice.
+	// Mutate a deep operator, not the root: the root's signature must
+	// still notice.
 	n.Left.Res = Resources{Containers: 40, ContainerGB: 6}
 	after := n.SignatureWithResources()
 	if after == before {
@@ -139,6 +140,65 @@ func TestCloneCarriesSignatures(t *testing.T) {
 	}
 }
 
+// TestEqualMatchesSignature is Equal's oracle: over seeded random bushy
+// trees, each against a clone perturbed in one of the ways two joint plans
+// can differ (or in none, or against an unrelated tree), Equal agrees with
+// comparing SignatureWithResources, in both directions.
+func TestEqualMatchesSignature(t *testing.T) {
+	s := catalog.TPCH(100)
+	rng := rand.New(rand.NewSource(20))
+	randomPlan := func() *Node {
+		tw, _ := randomTwin(t, rng, s, 2+rng.Intn(6), nil)
+		n := tw.node.Clone()
+		for _, j := range n.Joins() {
+			j.Algo = Algos[rng.Intn(len(Algos))]
+			if rng.Intn(4) > 0 { // a quarter of the operators stay unplanned
+				j.Res = Resources{Containers: 1 + rng.Intn(3), ContainerGB: float64(1 + rng.Intn(2))}
+			}
+		}
+		return n
+	}
+	equal, differ := 0, 0
+	for i := 0; i < 600; i++ {
+		a := randomPlan()
+		b := a.Clone()
+		joins := b.Joins()
+		j := joins[rng.Intn(len(joins))]
+		switch rng.Intn(7) {
+		case 0: // the same plan
+		case 1:
+			j.Res.Containers++
+		case 2:
+			j.Res.ContainerGB += 0.5
+		case 3:
+			j.Left, j.Right = j.Right, j.Left
+		case 4:
+			j.Algo = SMJ + BHJ - j.Algo
+		case 5:
+			j.Res = Resources{} // no change where it already was unplanned
+		case 6:
+			b = randomPlan()
+		}
+		want := a.SignatureWithResources() == b.SignatureWithResources()
+		if a.Equal(b) != want || b.Equal(a) != want {
+			t.Fatalf("pair %d: Equal = %v / %v, signatures equal = %v\n%s\n%s",
+				i, a.Equal(b), b.Equal(a), want, a.SignatureWithResources(), b.SignatureWithResources())
+		}
+		if want {
+			equal++
+		} else {
+			differ++
+		}
+	}
+	if equal < 50 || differ < 50 {
+		t.Fatalf("lopsided oracle: %d equal pairs, %d different", equal, differ)
+	}
+	var none *Node
+	if !none.Equal(nil) || none.Equal(sigTree(t)) || sigTree(t).Equal(nil) {
+		t.Fatal("nil plans: only nil equals nil")
+	}
+}
+
 // TestArenaMatchesNew: arena-built plans are statistically identical to
 // heap-built ones, and reset recycling reuses storage without leaking
 // state into the next query.
@@ -189,7 +249,7 @@ func TestArenaRejectsBadJoins(t *testing.T) {
 }
 
 // TestJoinScratchReuse: successive scratch joins reuse one node and stay
-// equivalent to NewJoin, including signature invalidation across reuses.
+// equivalent to NewJoin, with nothing of the previous join left behind.
 func TestJoinScratchReuse(t *testing.T) {
 	s := sigSchema(t)
 	la, _ := NewScan(s, "a")
@@ -217,7 +277,7 @@ func TestJoinScratchReuse(t *testing.T) {
 		t.Fatalf("scratch join diverges from NewJoin: %q vs %q", j2.Signature(), ref.Signature())
 	}
 	if j2.Signature() == sig1 {
-		t.Fatal("stale cached signature survived scratch reuse")
+		t.Fatal("stale signature survived scratch reuse")
 	}
 }
 

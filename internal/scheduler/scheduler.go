@@ -7,6 +7,7 @@
 package scheduler
 
 import (
+	"context"
 	"fmt"
 
 	"raqo/internal/cluster"
@@ -87,12 +88,6 @@ type Scheduler struct {
 	Pricing cost.Pricing
 	// Optimizer is consulted by the Reoptimize policy; required for it.
 	Optimizer *core.Optimizer
-	// Reopt, when set, answers Reoptimize submissions through the
-	// incremental re-optimization engine instead of a from-scratch joint
-	// optimization: repeated conditions hit its exact memo and small
-	// restrictions patch-validate the cached plan, with answers provably
-	// bit-identical to planning from scratch. It must wrap Optimizer.
-	Reopt *core.Incremental
 	// DrainRate approximates how fast queued-for resources free up, in
 	// containers per second, when the Wait policy must queue a job.
 	DrainRate float64
@@ -230,16 +225,8 @@ func (s *Scheduler) Submit(q *plan.Query, submitted *plan.Node, avail cluster.Co
 		if q == nil {
 			return nil, fmt.Errorf("scheduler: Reoptimize policy needs the logical query")
 		}
-		var d *core.Decision
-		var err error
-		if s.Reopt != nil {
-			d, _, err = s.Reopt.Optimize(q, avail)
-		} else {
-			if err := s.Optimizer.SetConditions(avail); err != nil {
-				return nil, err
-			}
-			d, err = s.Optimizer.Optimize(q)
-		}
+		// Conditions are an argument: the optimizer may be shared.
+		d, err := s.Optimizer.OptimizeUnder(context.Background(), q, avail)
 		if err != nil {
 			return nil, err
 		}
@@ -251,7 +238,7 @@ func (s *Scheduler) Submit(q *plan.Query, submitted *plan.Node, avail cluster.Co
 		return &Outcome{
 			Policy:      policy,
 			ExecSeconds: res.Seconds,
-			Replanned:   d.Plan.SignatureWithResources() != submitted.SignatureWithResources(),
+			Replanned:   !d.Plan.Equal(submitted),
 			Result:      res,
 		}, nil
 	}

@@ -91,13 +91,10 @@ type ArbiterStatsResponse struct {
 	Recals         int64   `json:"recalibrations"`
 	FreeContainers int     `json:"freeContainers"`
 	HeldGB         float64 `json:"heldGB"`
-	// Incremental re-optimization answer sources: from-scratch plans,
-	// exact-conditions memo hits, patch-validated reuses, and failed patch
-	// attempts that fell back to a full plan.
-	ReoptFull     int64 `json:"reoptFull"`
-	ReoptExact    int64 `json:"reoptExact"`
-	ReoptPatched  int64 `json:"reoptPatched"`
-	ReoptFallback int64 `json:"reoptFallback"`
+	// Planning answer sources: from-scratch plans and exact-conditions
+	// memo hits.
+	ReoptFull  int64 `json:"reoptFull"`
+	ReoptExact int64 `json:"reoptExact"`
 }
 
 // NewArbiterStatsResponse converts an arbiter stats snapshot.
@@ -120,8 +117,6 @@ func NewArbiterStatsResponse(st arbiter.Stats) ArbiterStatsResponse {
 		HeldGB:         st.HeldGB,
 		ReoptFull:      st.ReoptFull,
 		ReoptExact:     st.ReoptExact,
-		ReoptPatched:   st.ReoptPatched,
-		ReoptFallback:  st.ReoptFallback,
 	}
 }
 

@@ -121,9 +121,10 @@ type Config struct {
 	// HistoryDir, when set, opens an embedded time-series history store
 	// there (internal/history): every telemetry series is gathered into it
 	// on the HistoryInterval ticker, the drift detector streams its
-	// per-class error series in (enabling history-backed long-horizon
-	// drift detection), and GET /v1/history serves time-range queries.
-	// Empty disables history entirely.
+	// per-class error series in, and GET /v1/history serves time-range
+	// queries. The server itself never reads the series back: long-horizon
+	// drift detection over them (feedback.Detector.SetHistory) is driven
+	// only by `raqo figure history`. Empty disables history entirely.
 	HistoryDir string
 	// HistoryRetention is the store's raw-segment retention in seconds;
 	// 0 selects the store default (rollups retain far longer).
@@ -288,9 +289,8 @@ func New(cfg Config) (*Server, error) {
 	})
 	m.AttachFeedback(rec)
 
-	// The history store (when configured) closes the long-horizon loop:
-	// the detector streams every error sample in, and its baseline reads
-	// come back out of the rollups.
+	// The history store (when configured) receives every error sample the
+	// detector sees and every gathered telemetry series.
 	var hist *history.Store
 	if cfg.HistoryDir != "" {
 		hist, err = history.Open(cfg.HistoryDir, history.Config{RawRetention: cfg.HistoryRetention})
@@ -301,7 +301,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		rec.Detector().SetRecorder(hist)
-		rec.Detector().SetHistory(hist, feedback.LongHorizonConfig{})
 		m.AttachHistory(hist)
 	}
 

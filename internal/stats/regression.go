@@ -164,43 +164,3 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 	}
 	return x, nil
 }
-
-// R2 returns the coefficient of determination of the model on the samples
-// (1 is a perfect fit; can be negative for a model worse than the mean).
-func R2(m *LinearModel, xs [][]float64, ys []float64) float64 {
-	if len(ys) == 0 {
-		return math.NaN()
-	}
-	mean := 0.0
-	for _, y := range ys {
-		mean += y
-	}
-	mean /= float64(len(ys))
-	var ssRes, ssTot float64
-	for i, x := range xs {
-		d := ys[i] - m.Predict(x)
-		ssRes += d * d
-		t := ys[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return math.Inf(-1)
-	}
-	return 1 - ssRes/ssTot
-}
-
-// RMSE returns the root mean squared error of the model on the samples.
-func RMSE(m *LinearModel, xs [][]float64, ys []float64) float64 {
-	if len(ys) == 0 {
-		return math.NaN()
-	}
-	var sum float64
-	for i, x := range xs {
-		d := ys[i] - m.Predict(x)
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(ys)))
-}

@@ -10,30 +10,17 @@
 # Exits non-zero on any failure.
 set -eu
 
-GO=${GO:-go}
 SECONDS_CPU=${PROFILE_SECONDS:-10}
 outdir=${PROFILE_DIR:-profiles}
-tmp=$(mktemp -d)
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_build profile-hotpath
 out="$tmp/serve.out"
-pid=""
-stormpid=""
-trap 'if [ -n "${stormpid:-}" ]; then kill "$stormpid" 2>/dev/null || true; fi; if [ -n "${pid:-}" ]; then kill "$pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT INT TERM
 
-"$GO" build -o "$tmp/raqo" ./cmd/raqo
-
-"$tmp/raqo" serve -addr 127.0.0.1:0 -pprof 127.0.0.1:0 >"$out" 2>&1 &
-pid=$!
-
-addr=""
-pprof=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^raqo serve: listening on \([^ ]*\).*/\1/p' "$out")
-    pprof=$(sed -n 's/^raqo serve: pprof on \([^ ]*\).*/\1/p' "$out")
-    [ -n "$addr" ] && [ -n "$pprof" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "profile-hotpath: server died at startup:"; cat "$out"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] && [ -n "$pprof" ] || { echo "profile-hotpath: server never reported its addresses:"; cat "$out"; exit 1; }
+smoke_start "$out" -addr 127.0.0.1:0 -pprof 127.0.0.1:0
+smoke_wait "$out"
+# The pprof listener's line is printed before the ready line.
+pprof=$(sed -n 's/^raqo serve: pprof on \([^ ]*\).*/\1/p' "$out")
+[ -n "$pprof" ] || { echo "profile-hotpath: server never reported its pprof address:"; cat "$out"; exit 1; }
 
 # Warm the caches so the profile shows steady state, not first-request
 # model training and cache fills.
@@ -64,6 +51,7 @@ storm() {
 }
 storm &
 stormpid=$!
+smoke_pids="$smoke_pids $stormpid"
 
 mkdir -p "$outdir"
 echo "profile-hotpath: recording ${SECONDS_CPU}s CPU profile under load ($addr)..."
@@ -72,16 +60,8 @@ curl -fsS -o "$outdir/allocs_hotpath.pb.gz" "http://$pprof/debug/pprof/allocs"
 
 kill "$stormpid" 2>/dev/null || true
 wait "$stormpid" 2>/dev/null || true
-stormpid=""
 
-kill -TERM "$pid"
-i=0
-while kill -0 "$pid" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "profile-hotpath: server did not drain after SIGTERM"; exit 1; }
-    sleep 0.1
-done
-pid=""
+smoke_stop "$pid"
 
 for f in cpu_hotpath.pb.gz allocs_hotpath.pb.gz; do
     [ -s "$outdir/$f" ] || { echo "profile-hotpath: $outdir/$f is empty"; exit 1; }

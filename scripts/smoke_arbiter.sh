@@ -7,25 +7,12 @@
 # down. Exits non-zero on any failure.
 set -eu
 
-GO=${GO:-go}
-tmp=$(mktemp -d)
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_build smoke-arbiter
 out="$tmp/serve.out"
-pid=""
-trap 'if [ -n "${pid:-}" ]; then kill "$pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT INT TERM
 
-"$GO" build -o "$tmp/raqo" ./cmd/raqo
-
-"$tmp/raqo" serve -addr 127.0.0.1:0 >"$out" 2>&1 &
-pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^raqo serve: listening on \([^ ]*\).*/\1/p' "$out")
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "smoke-arbiter: server died at startup:"; cat "$out"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "smoke-arbiter: server never reported its address:"; cat "$out"; exit 1; }
+smoke_start "$out" -addr 127.0.0.1:0
+smoke_wait "$out"
 
 # An idle virtual cluster: nothing admitted, the full pool free.
 st=$(curl -fsS "http://$addr/v1/arbiter/stats")
@@ -60,13 +47,6 @@ echo "$st" | grep -q '"completed": 2' || { echo "smoke-arbiter: drain should com
 echo "$st" | grep -q '"inFlight": 0' || { echo "smoke-arbiter: drain left work in flight: $st"; exit 1; }
 echo "$st" | grep -q '"freeContainers": 100' || { echo "smoke-arbiter: drained pool not idle: $st"; exit 1; }
 
-kill -TERM "$pid"
-i=0
-while kill -0 "$pid" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "smoke-arbiter: server did not drain after SIGTERM"; exit 1; }
-    sleep 0.1
-done
-pid=""
+smoke_stop "$pid"
 
 echo "smoke-arbiter: workload arbitration OK ($addr)"

@@ -8,25 +8,12 @@
 # any failure.
 set -eu
 
-GO=${GO:-go}
-tmp=$(mktemp -d)
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_build smoke-cloud
 out="$tmp/serve.out"
-pid=""
-trap 'if [ -n "${pid:-}" ]; then kill "$pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT INT TERM
 
-"$GO" build -o "$tmp/raqo" ./cmd/raqo
-
-"$tmp/raqo" serve -addr 127.0.0.1:0 -cloud-seed 7 -cloud-autoscale >"$out" 2>&1 &
-pid=$!
-
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^raqo serve: listening on \([^ ]*\).*/\1/p' "$out")
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "smoke-cloud: server died at startup:"; cat "$out"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "smoke-cloud: server never reported its address:"; cat "$out"; exit 1; }
+smoke_start "$out" -addr 127.0.0.1:0 -cloud-seed 7 -cloud-autoscale
+smoke_wait "$out"
 
 # An idle priced pool: the default two-tier market, nothing admitted.
 st=$(curl -fsS "http://$addr/v1/cloud/stats")
@@ -70,13 +57,6 @@ echo "$st" | grep -q '"preemptions": 1' || { echo "smoke-cloud: drain should cou
 echo "$st" | grep -q '"lost": 0' || { echo "smoke-cloud: drain lost a query: $st"; exit 1; }
 echo "$st" | grep -q '"spend_usd": 0,' && { echo "smoke-cloud: no spend accrued: $st"; exit 1; }
 
-kill -TERM "$pid"
-i=0
-while kill -0 "$pid" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "smoke-cloud: server did not drain after SIGTERM"; exit 1; }
-    sleep 0.1
-done
-pid=""
+smoke_stop "$pid"
 
 echo "smoke-cloud: cloud economics OK ($addr)"

@@ -6,31 +6,14 @@
 # `raqo calibrate`. Exits non-zero on any failure.
 set -eu
 
-GO=${GO:-go}
-tmp=$(mktemp -d)
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_build smoke-feedback
 out="$tmp/serve.out"
 journal="$tmp/journal.jsonl"
-# pid is set only after the server forks; guard the expansion so the trap
-# stays safe under `set -u` when the build fails before the fork.
-pid=""
-trap 'if [ -n "${pid:-}" ]; then kill "$pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT INT TERM
 
-"$GO" build -o "$tmp/raqo" ./cmd/raqo
-
-"$tmp/raqo" serve -addr 127.0.0.1:0 -trained=false \
-    -journal "$journal" -drift-min-samples 4 -recal-interval 200ms \
-    >"$out" 2>&1 &
-pid=$!
-
-# The ready line prints the bound address: "raqo serve: listening on HOST:PORT ...".
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^raqo serve: listening on \([^ ]*\).*/\1/p' "$out")
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "smoke-feedback: server died at startup:"; cat "$out"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "smoke-feedback: server never reported its address:"; cat "$out"; exit 1; }
+smoke_start "$out" -addr 127.0.0.1:0 -trained=false \
+    -journal "$journal" -drift-min-samples 4 -recal-interval 200ms
+smoke_wait "$out"
 
 model=$(curl -fsS "http://$addr/v1/model")
 echo "$model" | grep -q '"version": 1' || { echo "smoke-feedback: seed model should be version 1: $model"; exit 1; }
@@ -66,14 +49,7 @@ done
 echo "$model" | grep -q '"fb' || { echo "smoke-feedback: no recalibrated model name: $model"; exit 1; }
 echo "$model" | grep -q '"cacheGeneration": 0' && { echo "smoke-feedback: cache generation never advanced: $model"; exit 1; }
 
-kill -TERM "$pid"
-i=0
-while kill -0 "$pid" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "smoke-feedback: server did not drain after SIGTERM"; exit 1; }
-    sleep 0.1
-done
-pid=""
+smoke_stop "$pid"
 
 # The drained server flushed every accepted observation to the journal;
 # the offline replay must reach the same retrained version.

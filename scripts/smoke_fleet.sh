@@ -7,12 +7,9 @@
 # non-zero on any failure.
 set -eu
 
-GO=${GO:-go}
-tmp=$(mktemp -d)
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_build smoke-fleet
 pids=""
-trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$tmp"' EXIT INT TERM
-
-"$GO" build -o "$tmp/raqo" ./cmd/raqo
 
 # Three fixed localhost ports derived from the PID; if one is taken the
 # whole trio is restarted a few slots up (membership must be agreed before
@@ -29,19 +26,16 @@ while [ "$attempt" -lt 5 ]; do
     for a in "$a1" "$a2" "$a3"; do
         i=$((i + 1))
         peers=$(printf '%s,%s,%s' "$a1" "$a2" "$a3" | sed "s/$a//;s/,,/,/;s/^,//;s/,\$//")
-        "$tmp/raqo" serve -addr "$a" -node-id "$a" -peers "$peers" \
+        smoke_start "$tmp/node$i.log" -addr "$a" -node-id "$a" -peers "$peers" \
             -trained=false -drift-min-samples 4 -recal-interval 200ms \
-            -journal "$tmp/journal$i.jsonl" >"$tmp/node$i.log" 2>&1 &
-        pids="$pids $!"
+            -journal "$tmp/journal$i.jsonl"
+        pids="$pids $pid"
     done
     ok=1
-    for n in 1 2 3; do
-        ready=""
-        for _ in $(seq 1 100); do
-            grep -q '^raqo serve: listening on ' "$tmp/node$n.log" && { ready=1; break; }
-            sleep 0.1
-        done
-        [ -n "$ready" ] || { ok=""; break; }
+    n=0
+    for p in $pids; do
+        n=$((n + 1))
+        smoke_wait "$tmp/node$n.log" "$p" >/dev/null || { ok=""; break; }
     done
     [ -n "$ok" ] && break
     # A node failed to come up (port collision): kill the trio and retry.
@@ -124,15 +118,6 @@ done
 # Drain the survivors gracefully.
 p1=$(echo "$pids" | awk '{print $1}')
 p2=$(echo "$pids" | awk '{print $2}')
-kill -TERM "$p1" "$p2"
-for p in "$p1" "$p2"; do
-    i=0
-    while kill -0 "$p" 2>/dev/null; do
-        i=$((i + 1))
-        [ "$i" -gt 100 ] && { echo "smoke-fleet: node did not drain after SIGTERM"; exit 1; }
-        sleep 0.1
-    done
-done
-pids=""
+smoke_stop "$p1" "$p2"
 
 echo "smoke-fleet: fleet OK ($a1 $a2 $a3)"

@@ -7,32 +7,17 @@
 # still answers range queries correctly. Exits non-zero on any failure.
 set -eu
 
-GO=${GO:-go}
-tmp=$(mktemp -d)
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_build smoke-history
 out="$tmp/serve.out"
 hist="$tmp/history"
-# pid is set only after the server forks; guard the expansion so the trap
-# stays safe under `set -u` when the build fails before the fork.
-pid=""
-trap 'if [ -n "${pid:-}" ]; then kill -9 "$pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT INT TERM
-
-"$GO" build -o "$tmp/raqo" ./cmd/raqo
 
 # start_server OUT_FILE: fork `raqo serve` on the shared history dir with
 # a fast gather tick, wait for the ready line and set $pid/$addr.
 start_server() {
-    "$tmp/raqo" serve -addr 127.0.0.1:0 -trained=false \
-        -history-dir "$hist" -history-interval 100ms \
-        >"$1" 2>&1 &
-    pid=$!
-    addr=""
-    for _ in $(seq 1 100); do
-        addr=$(sed -n 's/^raqo serve: listening on \([^ ]*\).*/\1/p' "$1")
-        [ -n "$addr" ] && break
-        kill -0 "$pid" 2>/dev/null || { echo "smoke-history: server died at startup:"; cat "$1"; exit 1; }
-        sleep 0.1
-    done
-    [ -n "$addr" ] || { echo "smoke-history: server never reported its address:"; cat "$1"; exit 1; }
+    smoke_start "$1" -addr 127.0.0.1:0 -trained=false \
+        -history-dir "$hist" -history-interval 100ms
+    smoke_wait "$1"
 }
 
 start_server "$out"
@@ -74,7 +59,6 @@ done
 # the active segment is cut wherever the last block write ended.
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
-pid=""
 
 # Restart on the same directory. Recovery truncates any torn tail and
 # rebuilds the rollups; every acknowledged point must still be there.
@@ -97,13 +81,6 @@ resp3=$(curl -fsS "http://$addr/v1/history?series=feedback.relerr.hive.query&fro
 count3=$(echo "$resp3" | grep -c '"count": 1') || true
 [ "$count3" -eq 4 ] || { echo "smoke-history: post-recovery ingest broken, want 4 buckets: $resp3"; exit 1; }
 
-kill -TERM "$pid"
-i=0
-while kill -0 "$pid" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "smoke-history: server did not drain after SIGTERM"; exit 1; }
-    sleep 0.1
-done
-pid=""
+smoke_stop "$pid"
 
 echo "smoke-history: crash recovery OK ($addr, $count2 buckets survived kill -9)"

@@ -4,28 +4,12 @@
 # check the graceful drain. Exits non-zero on any failure.
 set -eu
 
-GO=${GO:-go}
-tmp=$(mktemp -d)
+. "$(dirname "$0")/smoke_lib.sh"
+smoke_build smoke
 out="$tmp/serve.out"
-# pid is set only after the server forks; guard the expansion so the trap
-# stays safe under `set -u` when the build fails before the fork.
-pid=""
-trap 'if [ -n "${pid:-}" ]; then kill "$pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT INT TERM
 
-"$GO" build -o "$tmp/raqo" ./cmd/raqo
-
-"$tmp/raqo" serve -addr 127.0.0.1:0 -trained=false >"$out" 2>&1 &
-pid=$!
-
-# The ready line prints the bound address: "raqo serve: listening on HOST:PORT ...".
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^raqo serve: listening on \([^ ]*\).*/\1/p' "$out")
-    [ -n "$addr" ] && break
-    kill -0 "$pid" 2>/dev/null || { echo "smoke: server died at startup:"; cat "$out"; exit 1; }
-    sleep 0.1
-done
-[ -n "$addr" ] || { echo "smoke: server never reported its address:"; cat "$out"; exit 1; }
+smoke_start "$out" -addr 127.0.0.1:0 -trained=false
+smoke_wait "$out"
 
 health=$(curl -fsS "http://$addr/healthz")
 echo "$health" | grep -q '"status": "ok"' || { echo "smoke: bad healthz: $health"; exit 1; }
@@ -34,12 +18,6 @@ opt=$(curl -fsS -X POST "http://$addr/v1/optimize" -d '{"query":"Q12"}')
 echo "$opt" | grep -q '"query": "Q12"' || { echo "smoke: bad optimize response: $opt"; exit 1; }
 echo "$opt" | grep -q '"plan": {' || { echo "smoke: optimize response missing plan: $opt"; exit 1; }
 
-kill -TERM "$pid"
-i=0
-while kill -0 "$pid" 2>/dev/null; do
-    i=$((i + 1))
-    [ "$i" -gt 100 ] && { echo "smoke: server did not drain after SIGTERM"; exit 1; }
-    sleep 0.1
-done
+smoke_stop "$pid"
 
 echo "smoke: serve OK ($addr)"
