@@ -1,6 +1,7 @@
 // Benchmarks for the optimizer service's request path: the full handler
-// stack (routing, admission, planning against the warm cache/memo, JSON
-// encoding) without TCP in the way. Run with:
+// stack (routing, the response memo, and behind it admission, planning
+// against the warm cache/memo and JSON encoding) without TCP in the way.
+// Run with:
 //
 //	go test -bench ServeOptimize -benchtime=0.2s .
 package raqo_test
@@ -8,6 +9,7 @@ package raqo_test
 import (
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,8 +29,11 @@ func newBenchServer(b testing.TB) *server.Server {
 }
 
 func serveOptimizeOnce(b testing.TB, s *server.Server, query string) {
-	req := httptest.NewRequest(http.MethodPost, "/v1/optimize",
-		strings.NewReader(`{"query":"`+query+`"}`))
+	serveOptimizeBody(b, s, `{"query":"`+query+`"}`)
+}
+
+func serveOptimizeBody(b testing.TB, s *server.Server, body string) {
+	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(body))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
@@ -37,26 +42,34 @@ func serveOptimizeOnce(b testing.TB, s *server.Server, query string) {
 }
 
 // BenchmarkServeOptimize measures steady-state /v1/optimize service time
-// for a repeated-query workload (warm cache and memo — the serving
-// regime), sequentially and with concurrent senders.
+// with the resource-plan cache and cost memo warm. hit repeats one body,
+// which the response memo answers with stored bytes; miss sends Q12 in a
+// body never seen before (joint mode ignores containers), so every request
+// takes the whole decode → admit → plan → encode → file path, FIFO
+// eviction included; parallel is hit with concurrent senders.
 func BenchmarkServeOptimize(b *testing.B) {
-	for _, mode := range []string{"serial", "parallel"} {
+	for _, mode := range []string{"hit", "miss", "parallel"} {
 		b.Run(mode, func(b *testing.B) {
 			s := newBenchServer(b)
-			serveOptimizeOnce(b, s, "Q12") // warm the cache and memo
+			serveOptimizeOnce(b, s, "Q12") // warm the caches and file the hit
 			b.ReportAllocs()
 			b.ResetTimer()
-			if mode == "serial" {
+			switch mode {
+			case "hit":
 				for i := 0; i < b.N; i++ {
 					serveOptimizeOnce(b, s, "Q12")
 				}
-				return
-			}
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					serveOptimizeOnce(b, s, "Q12")
+			case "miss":
+				for i := 0; i < b.N; i++ {
+					serveOptimizeBody(b, s, `{"query":"Q12","containers":`+strconv.Itoa(i+1)+`}`)
 				}
-			})
+			case "parallel":
+				b.RunParallel(func(pb *testing.PB) {
+					for pb.Next() {
+						serveOptimizeOnce(b, s, "Q12")
+					}
+				})
+			}
 		})
 	}
 }

@@ -9,7 +9,11 @@
 // /v1/batch, tenant names for /v1/submit, a single well-known key for the
 // feedback journal — and any node proxies a request it does not own to
 // the owning shard in exactly one hop (a forwarded request is always
-// served where it lands; ring agreement makes that the owner).
+// served where it lands; ring agreement makes that the owner). The fleet
+// keeps no cache of its own: an owner's 200 to a forwarded optimize is
+// filed in the local server's response memo, the same exact-hit tier that
+// answers repeats of the node's own keys, so the next identical request
+// skips the hop.
 //
 // Failure never surfaces to the client: when the owning peer is
 // unreachable the request is planned locally against this node's own
@@ -41,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"raqo/internal/cost"
 	"raqo/internal/feedback"
 	"raqo/internal/fleet/ring"
 	"raqo/internal/server"
@@ -86,10 +91,6 @@ type Config struct {
 	ProbeTimeout time.Duration
 	// ForwardTimeout bounds one proxied request; 0 selects 10s.
 	ForwardTimeout time.Duration
-	// HotCacheSize bounds the read-through cache of forwarded optimize
-	// responses (hot shards served from local memory on repeats);
-	// 0 selects 256, negative disables the cache.
-	HotCacheSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -101,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ForwardTimeout == 0 {
 		c.ForwardTimeout = 10 * time.Second
-	}
-	if c.HotCacheSize == 0 {
-		c.HotCacheSize = 256
 	}
 	return c
 }
@@ -164,7 +162,6 @@ type Node struct {
 	client  *http.Client // forwarding
 	probec  *http.Client // health probes + model pulls
 	metrics *Metrics
-	hot     *hotCache
 
 	mu   sync.Mutex
 	down map[string]bool // guarded by mu — peers currently unreachable
@@ -206,9 +203,6 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		probec:   &http.Client{Timeout: cfg.ProbeTimeout, Transport: tr},
 		down:     make(map[string]bool, len(peers)),
 		publishc: make(chan *ModelWire, 4),
-	}
-	if cfg.HotCacheSize > 0 {
-		n.hot = newHotCache(cfg.HotCacheSize)
 	}
 	n.metrics = newMetrics(srv.Metrics().Registry, n)
 
@@ -340,9 +334,9 @@ func submitKey(body []byte) string {
 }
 
 // routed wraps one endpoint in ring routing: own the key → serve locally;
-// a peer owns it → forward one hop (or serve a hot-cache repeat); the
-// owner is down or the forward fails → degraded local service, never an
-// error.
+// a peer owns it → forward one hop (or, for an optimize the local
+// server's response memo has seen, answer from it); the owner is down or
+// the forward fails → degraded local service, never an error.
 func (n *Node) routed(endpoint string, keyFn func([]byte) string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
@@ -377,17 +371,23 @@ func (n *Node) routed(endpoint string, keyFn func([]byte) string) http.HandlerFu
 			n.serveLocal(w, r, body)
 			return
 		}
-		if n.hot != nil && endpoint == "/v1/optimize" {
-			if e, ok := n.hot.get(body, n.modelVersion()); ok {
+		// The local server's response memo is the one exact-hit tier: it
+		// holds the owner's answers to keys this node forwarded beside the
+		// node's own, so a repeat costs the same wherever the key lives.
+		var planned *cost.Models
+		if endpoint == "/v1/optimize" {
+			resp, models, ok := n.srv.LookupOptimize(body)
+			if ok {
 				n.metrics.HotHits.Inc()
-				w.Header().Set("Content-Type", e.contentType)
-				w.Header().Set(servedByHeader, e.servedBy)
+				w.Header().Set("Content-Type", "application/json")
+				w.Header().Set(servedByHeader, owner)
 				w.Header().Set("X-Raqo-Fleet-Cache", "hit")
-				_, _ = w.Write(e.body)
+				_, _ = w.Write(resp)
 				return
 			}
+			planned = models
 		}
-		n.forward(w, r, owner, endpoint, body)
+		n.forward(w, r, owner, endpoint, body, planned)
 	}
 }
 
@@ -401,8 +401,11 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 }
 
 // forward proxies the request to the owning peer. Any transport failure
-// marks the peer down and falls back to degraded local service.
-func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint string, body []byte) {
+// marks the peer down and falls back to degraded local service. A 200 to
+// an optimize is filed in the local response memo under planned, the
+// model set the memo lookup that missed ran under (nil for every other
+// endpoint).
+func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint string, body []byte, planned *cost.Models) {
 	ctx, cancel := context.WithTimeout(r.Context(), n.cfg.ForwardTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -440,12 +443,8 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint s
 	if servedBy == "" {
 		servedBy = owner
 	}
-	if n.hot != nil && endpoint == "/v1/optimize" && resp.StatusCode == http.StatusOK {
-		n.hot.put(body, n.modelVersion(), hotEntry{
-			contentType: resp.Header.Get("Content-Type"),
-			servedBy:    servedBy,
-			body:        respBody,
-		})
+	if planned != nil && resp.StatusCode == http.StatusOK {
+		n.srv.FileOptimize(body, respBody, planned)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
@@ -457,10 +456,6 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint s
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(respBody)
 }
-
-// modelVersion is the live local model version (hot-cache entries are
-// keyed by it, so a model swap invalidates every cached response).
-func (n *Node) modelVersion() uint64 { return n.srv.Recalibrator().Current().Version }
 
 // --- peer health -------------------------------------------------------
 
@@ -517,7 +512,7 @@ func (n *Node) probeOnce(ctx context.Context) {
 			continue
 		}
 		n.markPeer(peer, true)
-		if st.ModelVersion > n.modelVersion() {
+		if st.ModelVersion > n.srv.Recalibrator().Current().Version {
 			n.pullModel(ctx, peer)
 		}
 	}
@@ -667,7 +662,7 @@ func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		NodeID:        n.cfg.NodeID,
 		RingNodes:     n.ring.Nodes(),
 		VNodes:        n.ring.VNodes(),
-		ModelVersion:  n.modelVersion(),
+		ModelVersion:  n.srv.Recalibrator().Current().Version,
 		ForwardErrors: n.metrics.ForwardErrors.Value(),
 		Degraded:      n.metrics.Degraded.Value(),
 	}
@@ -705,6 +700,10 @@ func (n *Node) handleModelPush(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, http.StatusBadRequest, fmt.Errorf("bad model body: %w", err))
 		return
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeFleetError(w, http.StatusBadRequest, errors.New("bad model body: trailing data after the JSON value"))
+		return
+	}
 	installed, err := n.adopt(&wire)
 	if err != nil {
 		writeFleetError(w, http.StatusBadRequest, err)
@@ -713,7 +712,7 @@ func (n *Node) handleModelPush(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = server.WriteJSON(w, map[string]any{
 		"installed": installed,
-		"version":   n.modelVersion(),
+		"version":   n.srv.Recalibrator().Current().Version,
 	})
 }
 
@@ -722,69 +721,4 @@ func writeFleetError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = server.WriteJSON(w, server.ErrorResponse{Error: err.Error()})
-}
-
-// --- hot-shard response cache ------------------------------------------
-
-// hotEntry is one cached forwarded optimize response.
-type hotEntry struct {
-	contentType string
-	servedBy    string
-	body        []byte
-}
-
-// hotCache is a bounded FIFO read-through cache of forwarded optimize
-// responses, keyed by (request body, model version). Hot shards' repeat
-// queries are answered from local memory without a network hop; keying by
-// model version means a recalibration invalidates every stale response
-// implicitly (stale versions age out of the FIFO).
-type hotCache struct {
-	capacity int
-
-	mu      sync.Mutex
-	entries map[hotKey]hotEntry // guarded by mu
-	order   []hotKey            // guarded by mu — FIFO eviction order
-}
-
-type hotKey struct {
-	body    string
-	version uint64
-}
-
-func newHotCache(capacity int) *hotCache {
-	return &hotCache{
-		capacity: capacity,
-		entries:  make(map[hotKey]hotEntry, capacity),
-	}
-}
-
-func (c *hotCache) get(body []byte, version uint64) (hotEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[hotKey{body: string(body), version: version}]
-	return e, ok
-}
-
-func (c *hotCache) put(body []byte, version uint64, e hotEntry) {
-	k := hotKey{body: string(body), version: version}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, exists := c.entries[k]; exists {
-		c.entries[k] = e
-		return
-	}
-	for len(c.entries) >= c.capacity && len(c.order) > 0 {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, oldest)
-	}
-	c.entries[k] = e
-	c.order = append(c.order, k)
-}
-
-// len reports the live entry count (tests).
-func (c *hotCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }

@@ -208,10 +208,10 @@ func TestFleetRoutingSingleHop(t *testing.T) {
 			}
 		}
 	}
-	// Two of three nodes forwarded each query exactly once (hot cache off
-	// the table: distinct queries only repeat per node once... each node
-	// sent 3 queries, owning some). Just assert some forwarding happened
-	// and no misroutes or errors.
+	// Each node sent each query once, so no request repeats at a node and
+	// the response memo answers none; two of three nodes forwarded each
+	// query. Just assert some forwarding happened and no misroutes or
+	// errors.
 	var forwards int64
 	for _, tn := range nodes {
 		forwards += tn.node.Metrics().Forwards.With("/v1/optimize").Value()
@@ -392,9 +392,10 @@ func TestFleetRestartOnSameAddresses(t *testing.T) {
 	}
 }
 
-// TestFleetHotCache checks the read-through cache for hot remote shards:
-// a repeated forwarded optimize is answered from local memory, and a
-// model-version change implicitly invalidates it.
+// TestFleetHotCache checks that the local server's response memo is the
+// exact-hit tier for remote shards too: a repeated forwarded optimize is
+// answered from local memory with the owner's bytes, the owner answers
+// its own repeat the same way, and a model swap invalidates both.
 func TestFleetHotCache(t *testing.T) {
 	nodes := startTestFleet(t, 3)
 	owner := ownerOf(nodes, "q/Q3")
@@ -415,7 +416,7 @@ func TestFleetHotCache(t *testing.T) {
 	}
 	resp2, body2 := postJSON(t, sender.addr, "/v1/optimize", req)
 	if resp2.Header.Get("X-Raqo-Fleet-Cache") != "hit" {
-		t.Fatal("repeat forward was not served from the hot cache")
+		t.Fatal("repeat forward was not served from the response memo")
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Error("cached response differs from the forwarded one")
@@ -424,10 +425,30 @@ func TestFleetHotCache(t *testing.T) {
 		t.Errorf("cached response attributed to %q, want owner %q", got, owner)
 	}
 	if v := sender.node.Metrics().HotHits.Value(); v != 1 {
-		t.Errorf("hot cache hits = %d, want 1", v)
+		t.Errorf("hot hits = %d, want 1", v)
+	}
+	if v := sender.srv.Metrics().MemoHits.Value(); v != 1 {
+		t.Errorf("sender's memo hits = %d, want 1: the fleet answers from the server's memo, not a tier of its own", v)
+	}
+	if v := sender.node.Metrics().Forwards.With("/v1/optimize").Value(); v != 1 {
+		t.Errorf("forwards = %d, want 1", v)
 	}
 
-	// A new model version must bypass every cached response.
+	// The owner files its own answer in the same tier: its repeat is the
+	// stored bytes too.
+	ownerNode := nodeByAddr(t, nodes, owner)
+	_, body3 := postJSON(t, owner, "/v1/optimize", req)
+	if !bytes.Equal(body1, body3) {
+		t.Error("the owner's repeat differs from its first answer")
+	}
+	if v := ownerNode.srv.Metrics().MemoHits.Value(); v != 1 {
+		t.Errorf("owner's memo hits = %d, want 1", v)
+	}
+	if v := ownerNode.node.Metrics().HotHits.Value(); v != 0 {
+		t.Errorf("owner counted %d hot hits for a key it owns", v)
+	}
+
+	// A new model set must bypass every cached response.
 	wire, err := fleet.EncodeModelInfo("test", sender.srv.Recalibrator().Current(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -442,7 +463,34 @@ func TestFleetHotCache(t *testing.T) {
 	}
 	resp3, _ := postJSON(t, sender.addr, "/v1/optimize", req)
 	if resp3.Header.Get("X-Raqo-Fleet-Cache") == "hit" {
-		t.Error("request after model swap was served from the stale cache")
+		t.Error("request after model swap was served from the stale memo")
+	}
+	if v := sender.node.Metrics().Forwards.With("/v1/optimize").Value(); v != 2 {
+		t.Errorf("forwards = %d after the swap, want 2", v)
+	}
+}
+
+// TestFleetModelPushStrict: the model-push endpoint takes one JSON value
+// and nothing after it, like the server's POST endpoints.
+func TestFleetModelPushStrict(t *testing.T) {
+	nodes := startTestFleet(t, 2)
+	wire, err := fleet.EncodeModelInfo("test", nodes[0].srv.Recalibrator().Current(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire.Version = 2
+	payload, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, nodes[0].addr, "/v1/fleet/model", string(payload)+`{"junk":1}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("push with trailing data: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if v := nodes[0].srv.Recalibrator().Current().Version; v != 1 {
+		t.Fatalf("rejected push installed version %d", v)
+	}
+	if resp, body := postJSON(t, nodes[0].addr, "/v1/fleet/model", string(payload)+"\n"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: HTTP %d: %s", resp.StatusCode, body)
 	}
 }
 

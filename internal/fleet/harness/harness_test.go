@@ -103,12 +103,14 @@ func TestHarnessFleetLifecycle(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("degraded optimize %s: HTTP %d: %s", q, resp.StatusCode, body)
 		}
-		// Either the node planned locally (degraded mode) or it answered
-		// from its hot cache of the dead owner's earlier response — both
-		// keep the fleet promise; an error or a hang would not.
+		// Either the node answered locally (degraded mode: planned, or
+		// replayed from its response memo) or, not yet knowing the owner is
+		// gone, it answered from the memo's copy of the dead owner's earlier
+		// response — both keep the fleet promise; an error or a hang would
+		// not.
 		served := resp.Header.Get("X-Raqo-Fleet-Node")
 		if served != addrs[0] && resp.Header.Get("X-Raqo-Fleet-Cache") != "hit" {
-			t.Fatalf("degraded optimize %s served by %q, want local %q or a hot-cache hit", q, served, addrs[0])
+			t.Fatalf("degraded optimize %s served by %q, want local %q or a memo hit", q, served, addrs[0])
 		}
 	}
 

@@ -32,7 +32,7 @@ func newMetrics(reg *telemetry.Registry, n *Node) *Metrics {
 		Misroutes: reg.Counter("raqo_fleet_misroutes_total",
 			"Forwarded requests whose key this node does not own (ring disagreement between peers)."),
 		HotHits: reg.Counter("raqo_fleet_hot_cache_hits_total",
-			"Forwarded optimize requests answered from the local hot-shard response cache."),
+			"Optimize requests for a peer-owned key answered from the local server's response memo instead of a forward."),
 		Publishes: reg.Counter("raqo_fleet_model_publishes_total",
 			"Model-set publications pushed to peers after a local recalibration."),
 		PublishErrors: reg.Counter("raqo_fleet_model_publish_errors_total",

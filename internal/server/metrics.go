@@ -27,6 +27,7 @@ type Metrics struct {
 	Queued    *telemetry.Gauge        // raqo_http_queued
 	Rejected  *telemetry.Counter      // raqo_http_rejected_total
 	Cancelled *telemetry.Counter      // raqo_http_cancelled_total
+	MemoHits  *telemetry.Counter      // raqo_optimize_memo_hits_total
 
 	// Feedback loop (nil under NewPlanningMetrics).
 	FeedbackError *telemetry.Histogram // raqo_feedback_rel_error
@@ -55,6 +56,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	m.Queued = reg.Gauge("raqo_http_queued", "Requests waiting in the admission queue.")
 	m.Rejected = reg.Counter("raqo_http_rejected_total", "Requests rejected with 429 by admission control.")
 	m.Cancelled = reg.Counter("raqo_http_cancelled_total", "Requests abandoned by the client before completion.")
+	m.MemoHits = reg.Counter("raqo_optimize_memo_hits_total",
+		"/v1/optimize requests answered with the stored bytes of an earlier identical body under the live cost models (planner-work counters advance on misses only).")
 	m.FeedbackError = reg.Histogram("raqo_feedback_rel_error",
 		"Relative prediction error |predicted-observed|/observed of ingested feedback.",
 		[]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10})

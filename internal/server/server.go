@@ -2,8 +2,10 @@
 // service the paper's Figure 8 architecture describes: a component inside
 // a shared big-data system that answers joint (plan, resource) requests
 // continuously. A process-wide warm resource-plan cache and operator-cost
-// memo realize the cross-query reuse of Figures 14/15b in serving;
-// admission control bounds in-flight planning work (bounded slots + FIFO
+// memo realize the cross-query reuse of Figures 14/15b in serving, and in
+// front of them a response memo answers an exact repeat of an optimize
+// request with the bytes that answered it before (memo.go); admission
+// control bounds in-flight planning work (bounded slots + FIFO
 // wait queue + 429 on overload, the serving restatement of
 // internal/scheduler's policies); request contexts are threaded into the
 // planner search loops so abandoned requests stop burning CPU.
@@ -33,10 +35,12 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -225,7 +229,9 @@ type Server struct {
 	cfg     Config
 	sch     *catalog.Schema
 	opt     *core.Optimizer
-	cache   *resource.Cache // nil when the caller supplied Options.Resource
+	queries map[string]*plan.Query // the named TPC-H queries, built once
+	cache   *resource.Cache        // nil when the caller supplied Options.Resource
+	memo    *responseMemo          // exact-hit tier of /v1/optimize
 	metrics *Metrics
 	admit   *admission
 	mux     *http.ServeMux
@@ -365,7 +371,9 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		sch:     sch,
 		opt:     opt,
+		queries: queries,
 		cache:   cache,
+		memo:    newResponseMemo(opt, m.MemoHits),
 		metrics: m,
 		admit:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, m.Queued),
 		start:   time.Now(),
@@ -377,6 +385,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	reg.GaugeFunc("raqo_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
+	reg.GaugeFunc("raqo_optimize_memo_entries", "Encoded /v1/optimize answers held for exact-repeat requests under the live cost models.",
+		func() float64 { return float64(s.memo.len()) })
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/optimize", s.instrument("/v1/optimize", s.handleOptimize))
@@ -590,15 +600,30 @@ func writeResult(w http.ResponseWriter, v any) {
 	_ = WriteJSON(w, v)
 }
 
+// writeEncoded sends an already encoded 200 JSON body.
+func writeEncoded(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
+}
+
 // maxBodyBytes bounds request bodies; optimizer requests are tiny.
 const maxBodyBytes = 1 << 20
 
 // decodeBody strictly decodes a JSON request body.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeStrict decodes exactly one JSON value with no unknown fields and
+// nothing but whitespace after it.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("bad request body: trailing data after the JSON value")
 	}
 	return nil
 }
@@ -610,8 +635,11 @@ func (s *Server) resolveQuery(name string, relations []string) (*plan.Query, str
 	case name != "" && len(relations) > 0:
 		return nil, "", errors.New("specify query or relations, not both")
 	case name != "":
-		q, err := workload.TPCHQuery(s.sch, name)
-		return q, name, err
+		if q, ok := s.queries[name]; ok {
+			return q, name, nil
+		}
+		_, err := workload.TPCHQuery(s.sch, name) // the unknown-name error
+		return nil, "", err
 	case len(relations) > 0:
 		q, err := plan.NewQuery(s.sch, relations...)
 		if err != nil {
@@ -663,9 +691,21 @@ func (s *Server) writePlanningError(w http.ResponseWriter, r *http.Request, err 
 	}
 }
 
+// handleOptimize answers an exact repeat of a request body from the
+// response memo and plans anything else, filing the 200 it produces.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
+	}
+	cached, models, ok := s.memo.get(body)
+	if ok {
+		writeEncoded(w, cached)
+		return
+	}
 	var req OptimizeRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -702,8 +742,28 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.metrics.ObserveDecision(d)
-		writeResult(w, NewOptimizeResponse(name, mode, s.opt.Planner(), d))
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, NewOptimizeResponse(name, mode, s.opt.Planner(), d)); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeEncoded(w, buf.Bytes())
+		s.memo.put(body, buf.Bytes(), models)
 	})
+}
+
+// LookupOptimize looks a /v1/optimize request body up in the response
+// memo on behalf of a front that routes such requests elsewhere (the
+// fleet layer, for keys a peer owns). On a miss it returns the model set
+// the lookup ran under, which FileOptimize takes back with the answer.
+func (s *Server) LookupOptimize(body []byte) (resp []byte, models *cost.Models, ok bool) {
+	return s.memo.get(body)
+}
+
+// FileOptimize files resp, the 200 body another node answered body with,
+// unless the live model set has moved on from models since LookupOptimize.
+func (s *Server) FileOptimize(body, resp []byte, models *cost.Models) {
+	s.memo.put(body, resp, models)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {

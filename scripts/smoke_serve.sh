@@ -1,7 +1,9 @@
 #!/bin/sh
 # Smoke test for `raqo serve`: build the CLI, start the service on an
-# ephemeral port, hit /healthz and one /v1/optimize, then terminate and
-# check the graceful drain. Exits non-zero on any failure.
+# ephemeral port, hit /healthz and /v1/optimize twice (the identical
+# second request must be a response-memo hit with the first one's bytes),
+# then terminate and check the graceful drain. Exits non-zero on any
+# failure.
 set -eu
 
 . "$(dirname "$0")/smoke_lib.sh"
@@ -17,6 +19,12 @@ echo "$health" | grep -q '"status": "ok"' || { echo "smoke: bad healthz: $health
 opt=$(curl -fsS -X POST "http://$addr/v1/optimize" -d '{"query":"Q12"}')
 echo "$opt" | grep -q '"query": "Q12"' || { echo "smoke: bad optimize response: $opt"; exit 1; }
 echo "$opt" | grep -q '"plan": {' || { echo "smoke: optimize response missing plan: $opt"; exit 1; }
+
+again=$(curl -fsS -X POST "http://$addr/v1/optimize" -d '{"query":"Q12"}')
+[ "$again" = "$opt" ] || { echo "smoke: repeat optimize differs from the first answer: $again"; exit 1; }
+metrics=$(curl -fsS "http://$addr/metrics")
+echo "$metrics" | grep -q '^raqo_optimize_memo_hits_total 1$' || { echo "smoke: second identical optimize was not a memo hit"; exit 1; }
+echo "$metrics" | grep -q '^raqo_optimize_memo_entries 1$' || { echo "smoke: memo does not report one live entry"; exit 1; }
 
 smoke_stop "$pid"
 
