@@ -40,14 +40,17 @@ race:
 # the resource-plan cache against a linear-scan reference on
 # insert/probe/reset sequences decoded the same way, the history rollup
 # block decoder on arbitrary bytes (no panic, bounded allocation, stable
-# round trip) and the dense-window sketch against the map-based reference
-# on decoded Add/AddN/Merge sequences. (The checked-in seed corpora already
-# run under plain `go test`.)
+# round trip), the dense-window sketch against the map-based reference
+# on decoded Add/AddN/Merge sequences and the fleet's peer transport on
+# arbitrary bytes as a peer's answer (no panic, no body over the bound, no
+# connection pooled with bytes left in it, the next call gets its own
+# answer). (The seed corpora already run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
 	$(GO) test -run '^$$' -fuzz FuzzRollupBlock -fuzztime=10s ./internal/history
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s ./internal/history
+	$(GO) test -run '^$$' -fuzz FuzzPeerResponse -fuzztime=10s ./internal/fleet
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, structural plan equality, exact memo).
@@ -64,10 +67,11 @@ bench-check:
 
 # Short benchmark pass over the concurrency-sensitive paths, on one and two
 # procs so the cache's shared lock is exercised across threads, plus the
-# history read path; failures here are correctness failures (the benchmarks
-# assert planner errors and the shape of history answers).
+# history read path and the fleet hop; failures here are correctness
+# failures (the benchmarks assert planner errors, the shape of history
+# answers and a 200 through the peer transport).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
 # scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,

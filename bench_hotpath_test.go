@@ -193,6 +193,19 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		t.Errorf("memo-hit /v1/optimize query=All allocates %.0f/op, ceiling 28", got)
 	}
 
+	// One forwarded /v1/submit between two in-process fleet nodes, counted
+	// across both: the entry node's routing and peer transport, the owner's
+	// net/http server and arbiter, the relay (measured 117, with the test's
+	// own request and recorder; 176 when the hop went through net/http's
+	// client). A request object, goroutine or timer per hop goes through it.
+	forward := newBenchFleet(t)
+	forward(true, "t/default", "/v1/submit", `{"query":"Q12"}`) // dial
+	if got := testing.AllocsPerRun(50, func() {
+		forward(true, "t/default", "/v1/submit", `{"query":"Q12"}`)
+	}); got > 140 {
+		t.Errorf("forwarded /v1/submit allocates %.0f/op across both nodes, ceiling 140", got)
+	}
+
 	// The /v1/history read: ten minute buckets at step 60 from the day-scale
 	// store is the result slice plus one sketch window per output bucket —
 	// 11 allocations where the map-based sketch and the bucket-map walk

@@ -4,15 +4,19 @@
 // Run with:
 //
 //	go test -bench ServeOptimize -benchtime=0.2s .
+//	go test -bench FleetForward -benchtime=0.5s -cpu 1 .
 package raqo_test
 
 import (
+	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
+	"raqo/internal/fleet"
 	"raqo/internal/server"
 )
 
@@ -69,6 +73,85 @@ func BenchmarkServeOptimize(b *testing.B) {
 						serveOptimizeOnce(b, s, "Q12")
 					}
 				})
+			}
+		})
+	}
+}
+
+// newBenchFleet starts two fleet nodes in this process, each serving its
+// routing handler on a loopback listener with its background loops
+// running, and returns a function posting body to path on the node that
+// does *not* own key (remote) or the one that does.
+func newBenchFleet(tb testing.TB) (post func(remote bool, key, path, body string)) {
+	tb.Helper()
+	var lns [2]net.Listener
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			tb.Fatal(err)
+		}
+		lns[i] = ln
+	}
+	var nodes [2]*fleet.Node
+	var stops []func()
+	ctx, cancel := context.WithCancel(context.Background())
+	for i, ln := range lns {
+		node, err := fleet.NewNode(fleet.Config{
+			NodeID: ln.Addr().String(),
+			Peers:  []string{lns[1-i].Addr().String()},
+		}, newBenchServer(tb))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		nodes[i] = node
+		hs := &http.Server{Handler: node.Handler()}
+		go func(ln net.Listener) { _ = hs.Serve(ln) }(ln)
+		stops = append(stops, node.Start(ctx), func() { _ = hs.Close() })
+	}
+	tb.Cleanup(func() {
+		cancel()
+		for _, stop := range stops {
+			stop()
+		}
+	})
+	return func(remote bool, key, path, body string) {
+		node := nodes[0]
+		if owns := node.Ring().Owner(key) == lns[0].Addr().String(); owns == remote {
+			node = nodes[1]
+		}
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		rec := httptest.NewRecorder()
+		node.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			tb.Fatalf("POST %s: status %d, body %s", path, rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkFleetForward is the fleet_hop workload's three request kinds
+// between two in-process nodes, the peer hop over loopback TCP:
+// forwarded-submit is a /v1/submit for a tenant the other node owns (one
+// hop through the peer transport, the owner's arbiter behind it),
+// local-submit the same request handed to the owner (the work without the
+// hop), hot-optimize an optimize on a peer-owned key answered from the
+// entry node's response memo. Run at -cpu 1, as the benchmark does.
+func BenchmarkFleetForward(b *testing.B) {
+	const submit, optimize = `{"query":"Q12"}`, `{"query":"Q3"}`
+	for _, mode := range []string{"forwarded-submit", "local-submit", "hot-optimize"} {
+		b.Run(mode, func(b *testing.B) {
+			post := newBenchFleet(b)
+			post(true, "q/Q3", "/v1/optimize", optimize) // file the owner's answer
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				switch mode {
+				case "forwarded-submit":
+					post(true, "t/default", "/v1/submit", submit)
+				case "local-submit":
+					post(false, "t/default", "/v1/submit", submit)
+				case "hot-optimize":
+					post(true, "q/Q3", "/v1/optimize", optimize)
+				}
 			}
 		})
 	}

@@ -159,8 +159,7 @@ type Node struct {
 	srv     *server.Server
 	ring    *ring.Ring
 	mux     *http.ServeMux
-	client  *http.Client // forwarding
-	probec  *http.Client // health probes + model pulls
+	peers   *transport // every node-to-node call: forwards, probes, model push/pull
 	metrics *Metrics
 
 	mu   sync.Mutex
@@ -189,22 +188,15 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The node owns its connection pool. http.DefaultTransport is
-	// process-wide: a connection that an earlier node of this process left
-	// idle there is offered to the next one after the peer behind it has
-	// gone, which fails that node's first forward and marks a healthy peer
-	// down until the next probe.
-	tr := http.DefaultTransport.(*http.Transport).Clone()
 	n := &Node{
 		cfg:      cfg,
 		srv:      srv,
 		ring:     r,
-		client:   &http.Client{Timeout: cfg.ForwardTimeout, Transport: tr},
-		probec:   &http.Client{Timeout: cfg.ProbeTimeout, Transport: tr},
 		down:     make(map[string]bool, len(peers)),
 		publishc: make(chan *ModelWire, 4),
 	}
 	n.metrics = newMetrics(srv.Metrics().Registry, n)
+	n.peers = &transport{self: cfg.NodeID, m: n.metrics, idle: make(map[string][]*peerConn, len(peers))}
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/fleet/status", n.handleStatus)
@@ -268,7 +260,7 @@ func (n *Node) Start(ctx context.Context) (wait func()) {
 	}()
 	return func() {
 		wg.Wait()
-		n.client.CloseIdleConnections() // probec shares the transport
+		n.peers.closeIdle()
 	}
 }
 
@@ -391,34 +383,21 @@ func (n *Node) routed(endpoint string, keyFn func([]byte) string) http.HandlerFu
 	}
 }
 
-// serveLocal hands the (re-wound) request to the wrapped server.
+// serveLocal rewinds the handler's own request and hands it to the wrapped server.
 func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 	w.Header().Set(servedByHeader, n.cfg.NodeID)
-	r2 := r.Clone(r.Context())
-	r2.Body = io.NopCloser(bytes.NewReader(body))
-	r2.ContentLength = int64(len(body))
-	n.srv.Handler().ServeHTTP(w, r2)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	r.ContentLength = int64(len(body))
+	n.srv.Handler().ServeHTTP(w, r)
 }
 
-// forward proxies the request to the owning peer. Any transport failure
-// marks the peer down and falls back to degraded local service. A 200 to
-// an optimize is filed in the local response memo under planned, the
-// model set the memo lookup that missed ran under (nil for every other
-// endpoint).
+// forward proxies the request to the owning peer. Any transport failure —
+// no answer inside ForwardTimeout, a malformed or an oversized one — marks
+// the peer down and falls back to degraded local service. A 200 to an
+// optimize is filed in the local response memo under planned, the model set
+// the memo lookup that missed ran under (nil for every other endpoint).
 func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint string, body []byte, planned *cost.Models) {
-	ctx, cancel := context.WithTimeout(r.Context(), n.cfg.ForwardTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		"http://"+owner+r.URL.RequestURI(), bytes.NewReader(body))
-	if err != nil {
-		n.metrics.ForwardErrors.Inc()
-		n.metrics.Degraded.Inc()
-		n.serveLocal(w, r, body)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(hopHeader, n.cfg.NodeID)
-	resp, err := n.client.Do(req)
+	status, header, respBody, err := n.peers.do(r.Context(), n.cfg.ForwardTimeout, owner, http.MethodPost, r.URL.RequestURI(), body, maxRespBytes)
 	if err != nil {
 		// The peer is unreachable (or timed out). Answer locally — a cold
 		// cache for this shard's keys, never a client-visible failure —
@@ -429,31 +408,22 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint s
 		n.serveLocal(w, r, body)
 		return
 	}
-	defer func() { _ = resp.Body.Close() }()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxRespBytes))
-	if err != nil {
-		n.markPeer(owner, false)
-		n.metrics.ForwardErrors.Inc()
-		n.metrics.Degraded.Inc()
-		n.serveLocal(w, r, body)
-		return
-	}
 	n.metrics.Forwards.With(endpoint).Inc()
-	servedBy := resp.Header.Get(servedByHeader)
+	servedBy := header.Get(servedByHeader)
 	if servedBy == "" {
 		servedBy = owner
 	}
-	if planned != nil && resp.StatusCode == http.StatusOK {
+	if planned != nil && status == http.StatusOK {
 		n.srv.FileOptimize(body, respBody, planned)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
+	if ct := header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
+	if ra := header.Get("Retry-After"); ra != "" {
 		w.Header().Set("Retry-After", ra)
 	}
 	w.Header().Set(servedByHeader, servedBy)
-	w.WriteHeader(resp.StatusCode)
+	w.WriteHeader(status)
 	_, _ = w.Write(respBody)
 }
 
@@ -506,8 +476,8 @@ func (n *Node) probeLoop(ctx context.Context) {
 // order — deterministic, no map iteration).
 func (n *Node) probeOnce(ctx context.Context) {
 	for _, peer := range n.cfg.Peers {
-		st, err := n.fetchStatus(ctx, peer)
-		if err != nil {
+		var st StatusResponse
+		if err := n.getJSON(ctx, peer, "/v1/fleet/status", &st); err != nil {
 			n.markPeer(peer, false)
 			continue
 		}
@@ -518,51 +488,26 @@ func (n *Node) probeOnce(ctx context.Context) {
 	}
 }
 
-// fetchStatus probes one peer's /v1/fleet/status.
-func (n *Node) fetchStatus(ctx context.Context, peer string) (*StatusResponse, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+"/v1/fleet/status", nil)
+// getJSON GETs one of a peer's fleet endpoints into v. A peer that gives
+// no complete answer inside ProbeTimeout is marked down.
+func (n *Node) getJSON(ctx context.Context, peer, path string, v any) error {
+	status, _, body, err := n.peers.do(ctx, n.cfg.ProbeTimeout, peer, http.MethodGet, path, nil, maxBodyBytes)
 	if err != nil {
-		return nil, err
+		n.markPeer(peer, false)
+		return err
 	}
-	resp, err := n.probec.Do(req)
-	if err != nil {
-		return nil, err
+	if status != http.StatusOK {
+		return fmt.Errorf("fleet: GET %s%s: HTTP %d", peer, path, status)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fleet: status probe of %s: HTTP %d", peer, resp.StatusCode)
-	}
-	var st StatusResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
+	return json.Unmarshal(body, v)
 }
 
 // pullModel fetches and installs a peer's live model set.
 func (n *Node) pullModel(ctx context.Context, peer string) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+"/v1/fleet/model", nil)
-	if err != nil {
-		return
-	}
-	resp, err := n.probec.Do(req)
-	if err != nil {
-		n.markPeer(peer, false)
-		return
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
 	var w ModelWire
-	if err := json.NewDecoder(io.LimitReader(resp.Body, maxBodyBytes)).Decode(&w); err != nil {
-		return
+	if n.getJSON(ctx, peer, "/v1/fleet/model", &w) == nil {
+		_, _ = n.adopt(&w)
 	}
-	_, _ = n.adopt(&w)
 }
 
 // --- model distribution ------------------------------------------------
@@ -589,26 +534,11 @@ func (n *Node) publish(ctx context.Context, wire *ModelWire) {
 		return
 	}
 	for _, peer := range n.cfg.Peers {
-		reqCtx, cancel := context.WithTimeout(ctx, n.cfg.ForwardTimeout)
-		req, err := http.NewRequestWithContext(reqCtx, http.MethodPost,
-			"http://"+peer+"/v1/fleet/model", bytes.NewReader(payload))
+		status, _, _, err := n.peers.do(ctx, n.cfg.ForwardTimeout, peer, http.MethodPost, "/v1/fleet/model", payload, maxBodyBytes)
 		if err != nil {
-			cancel()
-			n.metrics.PublishErrors.Inc()
-			continue
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := n.client.Do(req)
-		if err != nil {
-			cancel()
 			n.markPeer(peer, false)
-			n.metrics.PublishErrors.Inc()
-			continue
 		}
-		_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxBodyBytes))
-		_ = resp.Body.Close()
-		cancel()
-		if resp.StatusCode != http.StatusOK {
+		if err != nil || status != http.StatusOK {
 			n.metrics.PublishErrors.Inc()
 			continue
 		}

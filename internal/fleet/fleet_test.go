@@ -671,6 +671,8 @@ func TestFleetMetricsExposition(t *testing.T) {
 		"raqo_fleet_ring_nodes 3",
 		"raqo_fleet_peers_healthy 2",
 		"raqo_fleet_model_installs_total 0",
+		"raqo_fleet_peer_dials_total 1",
+		"raqo_fleet_peer_conns_idle 1",
 		"raqo_fleet_model_propagation_seconds_bucket",
 		`raqo_fleet_model_propagation_seconds_bucket{le="+Inf"} 0`,
 		"raqo_fleet_model_propagation_seconds_count 0",

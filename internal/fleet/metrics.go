@@ -13,6 +13,8 @@ type Metrics struct {
 	Degraded       *telemetry.Counter    // raqo_fleet_degraded_total
 	Misroutes      *telemetry.Counter    // raqo_fleet_misroutes_total
 	HotHits        *telemetry.Counter    // raqo_fleet_hot_cache_hits_total
+	PeerDials      *telemetry.Counter    // raqo_fleet_peer_dials_total
+	PeerIdle       *telemetry.Gauge      // raqo_fleet_peer_conns_idle
 	Publishes      *telemetry.Counter    // raqo_fleet_model_publishes_total
 	PublishErrors  *telemetry.Counter    // raqo_fleet_model_publish_errors_total
 	Installs       *telemetry.Counter    // raqo_fleet_model_installs_total
@@ -33,6 +35,10 @@ func newMetrics(reg *telemetry.Registry, n *Node) *Metrics {
 			"Forwarded requests whose key this node does not own (ring disagreement between peers)."),
 		HotHits: reg.Counter("raqo_fleet_hot_cache_hits_total",
 			"Optimize requests for a peer-owned key answered from the local server's response memo instead of a forward."),
+		PeerDials: reg.Counter("raqo_fleet_peer_dials_total",
+			"Connections dialed to peers; flat while forwards grow means keep-alive reuse."),
+		PeerIdle: reg.Gauge("raqo_fleet_peer_conns_idle",
+			"Keep-alive peer connections pooled for reuse."),
 		Publishes: reg.Counter("raqo_fleet_model_publishes_total",
 			"Model-set publications pushed to peers after a local recalibration."),
 		PublishErrors: reg.Counter("raqo_fleet_model_publish_errors_total",

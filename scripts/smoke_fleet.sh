@@ -66,6 +66,27 @@ for q in Q12 Q3 Q2 All; do
     done
 done
 
+# Keep-alive reuse on the peer transport: submissions are never answered
+# from a memo, so from a node that does not own the default tenant every
+# one is a hop — forwards grow by five, dials do not (one is allowed to a
+# health probe holding the pooled connection at that moment).
+entry=$a1
+curl -fsS -D "$tmp/hdr" -o /dev/null -X POST "http://$a1/v1/submit" -d '{"query":"Q12"}'
+served=$(tr -d '\r' <"$tmp/hdr" | sed -n 's/^[Xx]-[Rr]aqo-[Ff]leet-[Nn]ode: //p')
+[ "$served" = "$a1" ] && entry=$a2
+curl -fsS -o /dev/null -X POST "http://$entry/v1/submit" -d '{"query":"Q12"}'
+fleet_metric() { curl -fsS "http://$entry/metrics" | sed -n "s|^$1 ||p"; }
+f0=$(fleet_metric 'raqo_fleet_forwards_total{endpoint="/v1/submit"}')
+d0=$(fleet_metric raqo_fleet_peer_dials_total)
+for _ in 1 2 3 4 5; do
+    curl -fsS -o /dev/null -X POST "http://$entry/v1/submit" -d '{"query":"Q12"}'
+done
+f1=$(fleet_metric 'raqo_fleet_forwards_total{endpoint="/v1/submit"}')
+d1=$(fleet_metric raqo_fleet_peer_dials_total)
+idle=$(fleet_metric raqo_fleet_peer_conns_idle)
+[ "$((f1 - f0))" -eq 5 ] && [ "$((d1 - d0))" -le 1 ] && [ "$idle" -ge 1 ] || {
+    echo "smoke-fleet: five forwards from $entry: forwards $f0 -> $f1, dials $d0 -> $d1, idle $idle"; exit 1; }
+
 # Stream drifting feedback into node 1; the fleet routes it to whichever
 # shard owns the feedback journal, that node recalibrates (200ms loop) and
 # publishes, and *every* node must converge on the new version. /v1/model
@@ -99,7 +120,8 @@ done
 
 # The fleet telemetry families are on every node's /metrics.
 metrics=$(curl -fsS "http://$a1/metrics")
-for fam in raqo_fleet_forwards_total raqo_fleet_ring_nodes raqo_fleet_peers_healthy raqo_fleet_model_installs_total; do
+for fam in raqo_fleet_forwards_total raqo_fleet_ring_nodes raqo_fleet_peers_healthy raqo_fleet_model_installs_total \
+    raqo_fleet_peer_dials_total raqo_fleet_peer_conns_idle; do
     echo "$metrics" | grep -q "$fam" || { echo "smoke-fleet: /metrics missing $fam"; exit 1; }
 done
 echo "$metrics" | grep -q '^raqo_fleet_ring_nodes 3' || { echo "smoke-fleet: ring should have 3 nodes"; exit 1; }
