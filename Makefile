@@ -41,16 +41,24 @@ race:
 # insert/probe/reset sequences decoded the same way, the history rollup
 # block decoder on arbitrary bytes (no panic, bounded allocation, stable
 # round trip), the dense-window sketch against the map-based reference
-# on decoded Add/AddN/Merge sequences and the fleet's peer transport on
+# on decoded Add/AddN/Merge sequences, the fleet's peer transport on
 # arbitrary bytes as a peer's answer (no panic, no body over the bound, no
 # connection pooled with bytes left in it, the next call gets its own
-# answer). (The seed corpora already run under plain `go test`.)
+# answer) and the feedback codec against encoding/json: arbitrary bytes as
+# a /v1/feedback body (what the codec takes, encoding/json decodes to the
+# same observations; taken or declined, the handler answers as it did
+# before the codec) and observations built from arbitrary strings and
+# float bits (AppendJSON writes json.Marshal's bytes or returns its error,
+# and reads back what it wrote). (The seed corpora already run under plain
+# `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
 	$(GO) test -run '^$$' -fuzz FuzzRollupBlock -fuzztime=10s ./internal/history
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s ./internal/history
 	$(GO) test -run '^$$' -fuzz FuzzPeerResponse -fuzztime=10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzObservationDecode -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzObservationAppend -fuzztime=10s ./internal/feedback
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, structural plan equality, exact memo).
@@ -67,24 +75,27 @@ bench-check:
 
 # Short benchmark pass over the concurrency-sensitive paths, on one and two
 # procs so the cache's shared lock is exercised across threads, plus the
-# history read path and the fleet hop; failures here are correctness
-# failures (the benchmarks assert planner errors, the shape of history
-# answers and a 200 through the peer transport).
+# history read path, the fleet hop and the feedback journal's two ends;
+# failures here are correctness failures (the benchmarks assert planner
+# errors, the shape of history answers, a 200 through the peer transport,
+# a 200 for a feedback batch and a full journal replay).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward|FeedbackIngest' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
 # scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,
 # wait for the ready line, SIGTERM drain, cleanup). `make smoke` runs all
 # six, `make smoke-<name>` one:
 #   serve     /healthz and /v1/optimize, then the drain
-#   feedback  fast recalibration loop: stream drifting feedback, wait for
-#             the model version to advance, replay the journal offline
-#             with `raqo calibrate`
+#   feedback  fast recalibration loop: stream drifting feedback (through
+#             the codec, one journal write), wait for the model version
+#             to advance, force one encoding/json fallback, replay the
+#             journal offline with `raqo calibrate`
 #   arbiter   submit under the reoptimize and wait policies, verify
 #             stats/drain/metrics
-#   history   -history-dir: ingest feedback, kill -9, restart on the same
-#             dir, the acknowledged points survived and query correctly
+#   history   -history-dir and -journal: ingest feedback, kill -9, restart
+#             on the same files, the acknowledged points survived and
+#             query correctly
 #   fleet     three processes with static -peers: deterministic routing,
 #             model convergence after a recalibration on the journal
 #             shard, degraded answers under a hard kill, the drain

@@ -10,7 +10,10 @@ package raqo_test
 
 import (
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 
 	"raqo/internal/catalog"
@@ -204,6 +207,27 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		forward(true, "t/default", "/v1/submit", `{"query":"Q12"}`)
 	}); got > 140 {
 		t.Errorf("forwarded /v1/submit allocates %.0f/op across both nodes, ceiling 140", got)
+	}
+
+	// One eight-observation /v1/feedback batch in the repository benchmark's
+	// shape, with the journal and the history store attached: the codec's
+	// observation slab and one string per signature, the journal line buffer
+	// reused, plus the test's own request and recorder, the mux, the metrics
+	// and the response encoder (measured 38; 138 when encoding/json decoded
+	// the batch and encoded each journal line). A reflective decode or a
+	// per-observation journal write goes through the ceiling.
+	fb := newFeedbackBenchServer(t)
+	fbBody := benchFeedbackBodies(t, 1)[0]
+	serveFeedbackBody(t, fb, fbBody)
+	if got := testing.AllocsPerRun(50, func() {
+		serveFeedbackBody(t, fb, fbBody)
+	}); got > 44 {
+		t.Errorf("eight-observation /v1/feedback allocates %.0f/op, ceiling 44", got)
+	}
+	scrape := httptest.NewRecorder()
+	fb.ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if !strings.Contains(scrape.Body.String(), "\nraqo_feedback_decode_fallback_total 0\n") {
+		t.Error("the benchmark-shaped batch fell back to encoding/json")
 	}
 
 	// The /v1/history read: ten minute buckets at step 60 from the day-scale

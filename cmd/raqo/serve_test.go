@@ -100,7 +100,8 @@ func TestParseServeFlagsRejectsUnknownPlanner(t *testing.T) {
 // TestCalibrateCmdReducesError writes a journal of accurate observations
 // (simulator ground truth) and replays it with the paper-coefficient seed:
 // the reported error must drop across recalibration, and replaying the
-// same journal twice must print identical numbers (determinism).
+// same journal twice must print identical numbers (determinism). The
+// journal ends in a line a crash cut short, which the replay must skip.
 func TestCalibrateCmdReducesError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	grid := workload.DefaultProfileGrid(raqo.Hive())[:60]
@@ -114,6 +115,9 @@ func TestCalibrateCmdReducesError(t *testing.T) {
 		if err := enc.Encode(o); err != nil {
 			t.Fatalf("encode: %v", err)
 		}
+	}
+	if _, err := f.WriteString(`{"signature":"torn","engine":"hi`); err != nil {
+		t.Fatalf("write torn tail: %v", err)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatalf("close journal: %v", err)
@@ -143,6 +147,9 @@ func TestCalibrateCmdReducesError(t *testing.T) {
 	}
 	if !strings.Contains(out, "version 2") {
 		t.Errorf("calibrate output missing recalibrated version:\n%s", out)
+	}
+	if !strings.Contains(out, strconv.Itoa(len(obs))+" observations") {
+		t.Errorf("calibrate did not replay the %d whole lines:\n%s", len(obs), out)
 	}
 
 	if again := run(); again != out {

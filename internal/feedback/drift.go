@@ -58,9 +58,10 @@ type classKey struct {
 
 // window is a bounded ring of relative errors.
 type window struct {
-	errs []float64
-	next int
-	full bool
+	errs   []float64
+	next   int
+	full   bool
+	series string // RelErrSeries of the window's class, built once
 }
 
 func (w *window) push(e float64) {
@@ -220,33 +221,41 @@ func (d *Detector) LongHorizonDrifted(now int64) (bool, error) {
 	return false, nil
 }
 
-// Observe feeds one observation's operator samples into the per-class
-// windows. The query-level prediction error is tracked under the pseudo
-// class "query" so drift is detectable even for observations without
-// operator detail. With a recorder attached, every sample also streams
-// into its RelErrSeries at the observation's ObservedAt timestamp.
+// Observe feeds one observation: ObserveBatch of one.
 func (d *Detector) Observe(o Observation) {
+	d.ObserveBatch([]Observation{o})
+}
+
+// ObserveBatch feeds each observation's operator samples into the
+// per-class windows, under one acquisition of the lock. The query-level
+// prediction error is tracked under the pseudo class "query" so drift is
+// detectable even for observations without operator detail. With a
+// recorder attached, every sample also streams into its RelErrSeries at
+// the observation's ObservedAt timestamp.
+func (d *Detector) ObserveBatch(obs []Observation) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.pushLocked(classKey{o.Engine, "query"}, relError(o.PredictedSeconds, o.ObservedSeconds))
-	if d.rec != nil {
-		d.rec.Record(RelErrSeries(o.Engine, "query"), o.ObservedAt, o.RelError())
-	}
-	for _, s := range o.Operators {
-		d.pushLocked(classKey{o.Engine, s.Algo}, s.RelError())
-		if d.rec != nil {
-			d.rec.Record(RelErrSeries(o.Engine, s.Algo), o.ObservedAt, s.RelError())
+	for i := range obs {
+		o := &obs[i]
+		d.pushLocked(o.Engine, "query", o.ObservedAt, o.RelError())
+		for j := range o.Operators {
+			s := &o.Operators[j]
+			d.pushLocked(o.Engine, s.Algo, o.ObservedAt, s.RelError())
 		}
 	}
 }
 
-func (d *Detector) pushLocked(k classKey, e float64) {
+func (d *Detector) pushLocked(engine, class string, at int64, e float64) {
+	k := classKey{engine, class}
 	w := d.windows[k]
 	if w == nil {
-		w = &window{errs: make([]float64, d.cfg.Window)}
+		w = &window{errs: make([]float64, d.cfg.Window), series: RelErrSeries(engine, class)}
 		d.windows[k] = w
 	}
 	w.push(e)
+	if d.rec != nil {
+		d.rec.Record(w.series, at, e)
+	}
 }
 
 // Drifted reports whether any class currently exceeds the drift threshold

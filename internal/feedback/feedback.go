@@ -29,6 +29,7 @@ package feedback
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -37,6 +38,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"raqo/internal/cost"
 	"raqo/internal/plan"
@@ -163,27 +165,49 @@ func NewStore(capacity int, journal *Journal) *Store {
 	return &Store{ring: make([]Observation, capacity), journal: journal}
 }
 
-// Append validates and records one observation, journaling it first so a
-// crash never loses acknowledged feedback.
+// InvalidError reports which observation of a batch failed Validate; its
+// text is the validation error's own.
+type InvalidError struct {
+	Index int
+	Err   error
+}
+
+func (e *InvalidError) Error() string { return e.Err.Error() }
+func (e *InvalidError) Unwrap() error { return e.Err }
+
+// Append validates and records one observation: AppendBatch of one.
+func (s *Store) Append(o Observation) error {
+	return s.AppendBatch([]Observation{o})
+}
+
+// AppendBatch validates and records a batch, all of it or none: an invalid
+// observation is an *InvalidError before anything is written, and the
+// journal takes the batch in one write before the ring sees any of it, so
+// a crash never loses acknowledged feedback and a failed batch leaves
+// nothing behind for the client's retry to double.
 //
 //raqo:ack
-func (s *Store) Append(o Observation) error {
-	if err := o.Validate(); err != nil {
-		return err
+func (s *Store) AppendBatch(obs []Observation) error {
+	for i := range obs {
+		if err := obs[i].Validate(); err != nil {
+			return &InvalidError{Index: i, Err: err}
+		}
 	}
 	if s.journal != nil {
-		if err := s.journal.Append(o); err != nil {
+		if err := s.journal.AppendBatch(obs); err != nil {
 			return err
 		}
 	}
 	s.mu.Lock()
-	s.ring[s.next] = o
-	s.next++
-	if s.next == len(s.ring) {
-		s.next = 0
-		s.full = true
+	for i := range obs {
+		s.ring[s.next] = obs[i]
+		s.next++
+		if s.next == len(s.ring) {
+			s.next = 0
+			s.full = true
+		}
 	}
-	s.total++
+	s.total += int64(len(obs))
 	s.mu.Unlock()
 	return nil
 }
@@ -241,6 +265,12 @@ func (s *Store) Profiles() []cost.Profile {
 // fresh store and recalibrator reproduces the exact model state (see the
 // determinism test), which is also what `raqo calibrate` does offline.
 //
+// A batch reaches the file in one write, and a line counts only once its
+// newline is there: whatever follows the last newline is a write a crash
+// cut short, never acknowledged. Opening the journal cuts it off before
+// the first append could glue a good line onto it, and ReadJournal skips
+// it.
+//
 // With rotation enabled (JournalConfig.MaxBytes > 0) the active file is
 // renamed to `<path>.<n>` once it grows past the limit — n counting up, so
 // lexicographically-later numbered files are newer — and a fresh active
@@ -249,12 +279,13 @@ func (s *Store) Profiles() []cost.Profile {
 // bounds how many rotated files are kept; pruning deletes the oldest
 // evidence first, mirroring the in-memory ring's overwrite policy.
 type Journal struct {
-	mu   sync.Mutex
-	path string        // immutable after open
-	f    *os.File      // guarded by mu; nil once closed
-	w    *bufio.Writer // guarded by mu
-	size int64         // guarded by mu
-	cfg  JournalConfig // immutable after open
+	mu     sync.Mutex
+	path   string        // immutable after open
+	f      *os.File      // guarded by mu; nil once closed
+	size   int64         // guarded by mu
+	buf    []byte        // guarded by mu; the encoded batch, reused
+	cfg    JournalConfig // immutable after open
+	writes atomic.Int64  // writes that reached the file
 }
 
 // JournalConfig tunes journal rotation. The zero value disables it.
@@ -268,114 +299,183 @@ type JournalConfig struct {
 }
 
 // OpenJournalConfig opens (creating if needed) a journal file for
-// appending, with the given rotation policy.
+// appending, with the given rotation policy, and cuts off a torn tail.
 func OpenJournalConfig(path string, cfg JournalConfig) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: open journal: %w", err)
 	}
-	info, err := f.Stat()
+	size, err := trimTornTail(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("feedback: open journal: %w", err)
 	}
-	return &Journal{path: path, f: f, w: bufio.NewWriter(f), size: info.Size(), cfg: cfg}, nil
+	return &Journal{path: path, f: f, size: size, cfg: cfg}, nil
+}
+
+// trimTornTail truncates f to just after its last newline and returns the
+// size that leaves.
+func trimTornTail(f *os.File) (int64, error) {
+	info, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	var chunk [4096]byte
+	end := info.Size()
+	for end > 0 {
+		n := min(end, int64(len(chunk)))
+		if _, err := f.ReadAt(chunk[:n], end-n); err != nil {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(chunk[:n], '\n'); i >= 0 {
+			end += int64(i+1) - n
+			break
+		}
+		end -= n
+	}
+	if end < info.Size() {
+		if err := f.Truncate(end); err != nil {
+			return 0, err
+		}
+	}
+	return end, nil
 }
 
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Append writes one observation as a JSON line and flushes it, rotating
-// first if the line would push the active file past the size limit.
+// Writes returns how many writes have reached the journal's files: one
+// per batch, plus one for each rotation boundary inside a batch.
+func (j *Journal) Writes() int64 { return j.writes.Load() }
+
+// Append writes one observation: AppendBatch of one.
 func (j *Journal) Append(o Observation) error {
-	b, err := json.Marshal(o)
-	if err != nil {
-		return fmt.Errorf("feedback: journal encode: %w", err)
-	}
+	return j.AppendBatch([]Observation{o})
+}
+
+// AppendBatch writes the observations as JSON lines with one write. With
+// rotation on, the files end up byte for byte as if the lines had been
+// appended one at a time: a line that would push the active file past the
+// limit rotates it first, so a batch across that boundary is two writes.
+// A batch that fails leaves no line behind, short of one that spans
+// several rotations: what an earlier rotation carried off stays.
+func (j *Journal) AppendBatch(obs []Observation) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	buf := j.buf[:0]
+	for i := range obs {
+		var err error
+		if buf, err = AppendJSON(buf, &obs[i]); err != nil {
+			return fmt.Errorf("feedback: journal encode: %w", err)
+		}
+		buf = append(buf, '\n')
+	}
+	j.buf = buf
 	if j.f == nil {
 		return fmt.Errorf("feedback: journal %s is closed", j.path)
 	}
-	if j.cfg.MaxBytes > 0 && j.size > 0 && j.size+int64(len(b))+1 > j.cfg.MaxBytes {
-		if err := j.rotateLocked(); err != nil {
-			return err
+	if j.cfg.MaxBytes > 0 {
+		for line := 0; line < len(buf); {
+			n := bytes.IndexByte(buf[line:], '\n') + 1
+			if size := j.size + int64(line); size > 0 && size+int64(n) > j.cfg.MaxBytes {
+				if err := j.rotateLocked(buf[:line]); err != nil {
+					return err
+				}
+				buf, line = buf[line:], 0
+			}
+			line += n
 		}
 	}
-	if _, err := j.w.Write(append(b, '\n')); err != nil {
+	return j.writeLocked(buf)
+}
+
+// writeLocked appends p to the active file. A write that fails part-way is
+// cut off again, so the next batch does not start in mid-line.
+func (j *Journal) writeLocked(p []byte) error {
+	if len(p) == 0 {
+		return nil
+	}
+	if n, err := j.f.Write(p); err != nil {
+		if n > 0 {
+			_ = j.f.Truncate(j.size) // best effort; ReadJournal surfaces what stays
+		}
 		return fmt.Errorf("feedback: journal write: %w", err)
 	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("feedback: journal flush: %w", err)
-	}
-	j.size += int64(len(b)) + 1
+	j.writes.Add(1)
+	j.size += int64(len(p))
 	return nil
 }
 
-// rotateLocked renames the active file to the next numbered slot, prunes
-// rotated files beyond MaxFiles (oldest first) and starts a fresh active
-// file. A failure mid-rotation degrades rather than disables: the path is
-// reopened for append so later Appends keep journaling (into an oversized
-// or fresh file) instead of permanently returning "journal is closed".
-func (j *Journal) rotateLocked() error {
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("feedback: journal flush: %w", err)
-	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("feedback: journal close: %w", err)
-	}
-	j.f = nil
-	if err := j.rotateFilesLocked(); err != nil {
-		j.reopenDegradedLocked()
+// rotateLocked writes tail — the lines of the batch in hand that still
+// belong to the active file — renames that file to the next numbered slot,
+// prunes rotated files beyond MaxFiles (oldest first) and starts a fresh
+// active file. A failure mid-rotation degrades rather than disables: tail
+// is cut off again, because its batch is about to be refused, and the path
+// is reopened for append so later batches keep journaling (into an
+// oversized or fresh file) instead of permanently returning "journal is
+// closed".
+func (j *Journal) rotateLocked(tail []byte) error {
+	if err := j.writeLocked(tail); err != nil {
 		return err
 	}
-	return nil
+	at, err := j.rotateFilesLocked()
+	if err != nil {
+		if len(tail) > 0 {
+			_ = os.Truncate(at, j.size-int64(len(tail))) // best effort, as in writeLocked
+		}
+		j.reopenDegradedLocked()
+	}
+	return err
 }
 
-// rotateFilesLocked is the rename/prune/reopen step of rotation; on entry
-// the active file is closed and j.f is nil.
-func (j *Journal) rotateFilesLocked() error {
+// rotateFilesLocked is the close/rename/prune/reopen step of rotation. It
+// returns where the file that was active is now; on an error j.f is nil.
+func (j *Journal) rotateFilesLocked() (string, error) {
+	err := j.f.Close()
+	j.f = nil
+	if err != nil {
+		return j.path, fmt.Errorf("feedback: journal close: %w", err)
+	}
 	nums, err := rotatedJournalNums(j.path)
 	if err != nil {
-		return err
+		return j.path, err
 	}
 	next := 1
 	if len(nums) > 0 {
 		next = nums[len(nums)-1] + 1
 	}
-	if err := os.Rename(j.path, fmt.Sprintf("%s.%d", j.path, next)); err != nil {
-		return fmt.Errorf("feedback: journal rotate: %w", err)
+	rotated := fmt.Sprintf("%s.%d", j.path, next)
+	if err := os.Rename(j.path, rotated); err != nil {
+		return j.path, fmt.Errorf("feedback: journal rotate: %w", err)
 	}
 	nums = append(nums, next)
 	if j.cfg.MaxFiles > 0 {
 		for len(nums) > j.cfg.MaxFiles {
 			if err := os.Remove(fmt.Sprintf("%s.%d", j.path, nums[0])); err != nil {
-				return fmt.Errorf("feedback: journal prune: %w", err)
+				return rotated, fmt.Errorf("feedback: journal prune: %w", err)
 			}
 			nums = nums[1:]
 		}
 	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("feedback: journal rotate: %w", err)
+		return rotated, fmt.Errorf("feedback: journal rotate: %w", err)
 	}
 	j.f = f
-	j.w = bufio.NewWriter(f)
 	j.size = 0
-	return nil
+	return rotated, nil
 }
 
 // reopenDegradedLocked best-effort reopens the journal path for append
 // after a failed rotation. If the rename already happened the path comes
 // back as a fresh file; otherwise appends continue into the oversized one.
-// If even the reopen fails, j.f stays nil and Append keeps erroring.
+// If even the reopen fails, j.f stays nil and AppendBatch keeps erroring.
 func (j *Journal) reopenDegradedLocked() {
 	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return
 	}
 	j.f = f
-	j.w = bufio.NewWriter(f)
 	j.size = 0
 	if info, err := f.Stat(); err == nil {
 		j.size = info.Size()
@@ -401,43 +501,50 @@ func rotatedJournalNums(path string) ([]int, error) {
 	return nums, nil
 }
 
-// Close flushes and closes the journal file.
+// Close closes the journal file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return nil
 	}
-	flushErr := j.w.Flush()
-	closeErr := j.f.Close()
+	err := j.f.Close()
 	j.f = nil
-	if flushErr != nil {
-		return flushErr
-	}
-	return closeErr
+	return err
 }
 
 // ReadJournal replays a journal into observations, in append order: any
 // rotated files (`<path>.<n>`) oldest first, then the active file. Invalid
-// lines fail the replay: a journal is written only through Append, so
-// corruption is worth surfacing, not skipping.
+// lines fail the replay: a journal is written only through AppendBatch, so
+// corruption is worth surfacing, not skipping. The one exception is what
+// follows a file's last newline, a write a crash cut short.
 func ReadJournal(path string) ([]Observation, error) {
 	nums, err := rotatedJournalNums(path)
 	if err != nil {
 		return nil, err
 	}
 	var out []Observation
+	var dec decoder
 	for _, n := range nums {
-		out, err = readJournalFile(fmt.Sprintf("%s.%d", path, n), out)
+		out, err = readJournalFile(fmt.Sprintf("%s.%d", path, n), &dec, out)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return readJournalFile(path, out)
+	return readJournalFile(path, &dec, out)
+}
+
+// terminatedLines is bufio.ScanLines without its last rule: bytes after
+// the final newline are dropped, not returned as a line.
+func terminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
+	if atEOF && bytes.IndexByte(data, '\n') < 0 {
+		return len(data), nil, nil
+	}
+	return bufio.ScanLines(data, atEOF)
 }
 
 // readJournalFile appends one journal file's observations to out.
-func readJournalFile(path string, out []Observation) ([]Observation, error) {
+func readJournalFile(path string, dec *decoder, out []Observation) ([]Observation, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("feedback: read journal: %w", err)
@@ -445,20 +552,24 @@ func readJournalFile(path string, out []Observation) ([]Observation, error) {
 	defer f.Close()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc.Split(terminatedLines)
 	line := 0
 	for sc.Scan() {
 		line++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var o Observation
-		if err := json.Unmarshal(sc.Bytes(), &o); err != nil {
-			return nil, fmt.Errorf("feedback: journal %s line %d: %w", path, line, err)
+		out = append(out, Observation{})
+		o := &out[len(out)-1]
+		if !dec.line(sc.Bytes(), o) {
+			*o = Observation{}
+			if err := json.Unmarshal(sc.Bytes(), o); err != nil {
+				return nil, fmt.Errorf("feedback: journal %s line %d: %w", path, line, err)
+			}
 		}
 		if err := o.Validate(); err != nil {
 			return nil, fmt.Errorf("feedback: journal %s line %d: %w", path, line, err)
 		}
-		out = append(out, o)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("feedback: journal %s: %w", path, err)

@@ -1,10 +1,13 @@
 package feedback
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"raqo/internal/cost"
@@ -145,6 +148,135 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if len(got) != 6 {
 		t.Fatalf("after reopen: %d observations, want 6", len(got))
+	}
+}
+
+// marshalLines is the journal one json.Marshal per observation writes.
+func marshalLines(t *testing.T, obs ...Observation) []byte {
+	t.Helper()
+	var out []byte
+	for _, o := range obs {
+		line, err := json.Marshal(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(append(out, line...), '\n')
+	}
+	return out
+}
+
+// TestJournalTornTail: bytes after a file's last newline are a write a
+// crash cut short. Replay skips them (the offline `raqo calibrate` path
+// reads a journal nobody reopened), and opening the journal cuts them off,
+// so the next append starts a line of its own instead of completing the
+// fragment into a corrupt line in the middle of the file.
+func TestJournalTornTail(t *testing.T) {
+	whole := marshalLines(t, obs(0), obs(1), obs(2))
+	next := marshalLines(t, obs(3))
+	cases := []struct {
+		name     string
+		file     []byte
+		replayed int
+	}{
+		{"clean", whole, 3},
+		{"fragment", append(append([]byte(nil), whole...), next[:len(next)/2]...), 3},
+		{"fragment longer than a read", append(append([]byte(nil), whole...), bytes.Repeat([]byte("x"), 10_000)...), 3},
+		{"nothing but a fragment", next[:len(next)-1], 0},
+		{"empty", nil, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "fb.jsonl")
+			if err := os.WriteFile(path, c.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := ReadJournal(path)
+			if err != nil || len(got) != c.replayed {
+				t.Fatalf("replay before reopening: %d observations, err=%v; want %d", len(got), err, c.replayed)
+			}
+			j, err := OpenJournalConfig(path, JournalConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendBatch([]Observation{obs(3)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append([]byte(nil), whole[:len(whole)*c.replayed/3]...), next...)
+			if file, err := os.ReadFile(path); err != nil || !bytes.Equal(file, want) {
+				t.Fatalf("after reopen and append the file is\n%s\nwant\n%s", file, want)
+			}
+			if got, err = ReadJournal(path); err != nil || len(got) != c.replayed+1 {
+				t.Fatalf("replay after the append: %d observations, err=%v; want %d", len(got), err, c.replayed+1)
+			}
+		})
+	}
+}
+
+// TestJournalBatchRotation: batches leave the files, names and bytes, that
+// the same observations appended one at a time leave, wherever in a batch
+// the size limit falls, with and without pruning.
+func TestJournalBatchRotation(t *testing.T) {
+	var stream []Observation
+	for i := 0; i < 23; i++ {
+		stream = append(stream, obs(i))
+	}
+	lineLen := int64(len(marshalLines(t, stream[0])))
+	files := func(dir string) map[string]string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]string{}
+		for _, e := range entries {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	for _, cfg := range []JournalConfig{
+		{MaxBytes: 3*lineLen + lineLen/2},
+		{MaxBytes: 3*lineLen + lineLen/2, MaxFiles: 2},
+		{MaxBytes: 1}, // every line rotates
+		{},
+	} {
+		write := func(batch int) (map[string]string, int64) {
+			dir := t.TempDir()
+			j, err := OpenJournalConfig(filepath.Join(dir, "fb.jsonl"), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(stream); i += batch {
+				if err := j.AppendBatch(stream[i:min(i+batch, len(stream))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return files(dir), j.Writes()
+		}
+		want, writes1 := write(1)
+		if writes1 != int64(len(stream)) {
+			t.Fatalf("%+v: %d writes for %d single appends", cfg, writes1, len(stream))
+		}
+		for _, batch := range []int{2, 5, 8, len(stream)} {
+			got, writes := write(batch)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v, batches of %d: files\n%v\nwant\n%v", cfg, batch, got, want)
+			}
+			if batches := int64((len(stream) + batch - 1) / batch); writes < batches || writes > writes1 || (cfg.MaxBytes == 0 && writes != batches) {
+				t.Fatalf("%+v, batches of %d: %d writes for %d batches", cfg, batch, writes, batches)
+			}
+		}
+		if cfg.MaxBytes > 0 && len(want) < 2 {
+			t.Fatalf("%+v: setup never rotated: %d files", cfg, len(want))
+		}
 	}
 }
 

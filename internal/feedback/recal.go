@@ -124,12 +124,19 @@ func (r *Recalibrator) OnSwap(fn func(Recalibration, *ModelInfo)) {
 	r.mu.Unlock()
 }
 
-// Feed records one observation into both the store and the detector.
+// Feed records one observation: FeedBatch of one.
 func (r *Recalibrator) Feed(o Observation) error {
-	if err := r.store.Append(o); err != nil {
+	return r.FeedBatch([]Observation{o})
+}
+
+// FeedBatch records a batch into the store and then the detector. The
+// detector, and through it the history recorder, sees the batch only once
+// the store has it durably, so a refused batch leaves no trace.
+func (r *Recalibrator) FeedBatch(obs []Observation) error {
+	if err := r.store.AppendBatch(obs); err != nil {
 		return err
 	}
-	r.det.Observe(o)
+	r.det.ObserveBatch(obs)
 	return nil
 }
 

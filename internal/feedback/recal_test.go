@@ -1,10 +1,15 @@
 package feedback
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -336,25 +341,112 @@ func TestRecalibrationDeterministic(t *testing.T) {
 	}
 	rec2, rec3 := replay(), replay()
 
-	for _, pair := range [][2]*Recalibrator{{rec1, rec2}, {rec2, rec3}} {
-		a, b := pair[0].Current(), pair[1].Current()
-		if a.Version != b.Version || a.TrainedOn != b.TrainedOn {
-			t.Fatalf("version/trainedOn diverged: %+v vs %+v", a, b)
+	sameModels(t, rec1.Current(), rec2.Current())
+	sameModels(t, rec2.Current(), rec3.Current())
+}
+
+// sameModels demands two model versions agree bit for bit.
+func sameModels(t *testing.T, a, b *ModelInfo) {
+	t.Helper()
+	if a.Version != b.Version || a.TrainedOn != b.TrainedOn {
+		t.Fatalf("version/trainedOn diverged: %+v vs %+v", a, b)
+	}
+	for _, algo := range plan.Algos {
+		ma, _ := a.Models.For(algo)
+		mb, _ := b.Models.For(algo)
+		ra, rb := ma.(*cost.Regression), mb.(*cost.Regression)
+		if ra.Linear.Intercept != rb.Linear.Intercept {
+			t.Fatalf("%s intercept diverged", algo)
 		}
-		for _, algo := range plan.Algos {
-			ma, _ := a.Models.For(algo)
-			mb, _ := b.Models.For(algo)
-			ra, rb := ma.(*cost.Regression), mb.(*cost.Regression)
-			if ra.Linear.Intercept != rb.Linear.Intercept {
-				t.Fatalf("%s intercept diverged", algo)
-			}
-			for i := range ra.Linear.Coef {
-				if ra.Linear.Coef[i] != rb.Linear.Coef[i] {
-					t.Fatalf("%s coef[%d] diverged: %v vs %v", algo, i, ra.Linear.Coef[i], rb.Linear.Coef[i])
-				}
+		for i := range ra.Linear.Coef {
+			if ra.Linear.Coef[i] != rb.Linear.Coef[i] {
+				t.Fatalf("%s coef[%d] diverged: %v vs %v", algo, i, ra.Linear.Coef[i], rb.Linear.Coef[i])
 			}
 		}
 	}
+}
+
+// benchShaped draws n observations the way the repository benchmark's
+// feedback_rw preload does (bench/gen.go): two-join plans, full-precision
+// floats, 80 observations per virtual second.
+func benchShaped(n int) []Observation {
+	rng := rand.New(rand.NewSource(7))
+	algos := []string{"SMJ", "BHJ"}
+	out := make([]Observation, n)
+	for i := range out {
+		o := &out[i]
+		*o = Observation{Signature: fmt.Sprintf("bench-%d", rng.Intn(64)), Engine: "hive", ObservedAt: 1_700_000_000 + int64(i/80)}
+		for j := 0; j < 2; j++ {
+			obs := 5 + 200*rng.Float64()
+			pred := obs * (0.7 + 0.6*rng.Float64())
+			o.Operators = append(o.Operators, OperatorSample{
+				Algo: algos[rng.Intn(2)], SSGB: 0.1 + 8*rng.Float64(), CSGB: float64(1 + rng.Intn(10)),
+				NC: float64(10 + rng.Intn(91)), PredictedSeconds: pred, ObservedSeconds: obs,
+			})
+			o.PredictedSeconds += pred
+			o.ObservedSeconds += obs
+		}
+	}
+	return out
+}
+
+// TestJournalBytesUnchanged: feeding the benchmark's preload shape in
+// batches writes the file one json.Marshal per observation would, and
+// replaying it through the codec serves the same model bit for bit as the
+// recalibrator that took the batches.
+func TestJournalBytesUnchanged(t *testing.T) {
+	obs := benchShaped(800)
+	path := filepath.Join(t.TempDir(), "feedback.jsonl")
+	j, err := OpenJournalConfig(path, JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec1, _ := newRecalibrator(t, j)
+	var want []byte
+	for i := 0; i < len(obs); i += 8 {
+		if err := rec1.FeedBatch(obs[i : i+8]); err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range obs[i : i+8] {
+			line, err := json.Marshal(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(append(want, line...), '\n')
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("journal differs from one json.Marshal per line (err=%v, %d vs %d bytes)", err, len(got), len(want))
+	}
+	if w := j.Writes(); w != int64(len(obs)/8) {
+		t.Fatalf("journal took %d writes for %d batches", w, len(obs)/8)
+	}
+
+	replayed, err := ReadJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(replayed, obs) {
+		t.Fatal("replay differs from what was fed")
+	}
+	rec2, _ := newRecalibrator(t, nil)
+	for _, o := range replayed {
+		if err := rec2.Feed(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(rec1.Detector().Stats(), rec2.Detector().Stats()) {
+		t.Fatal("detector windows differ between batch feed and per-observation replay")
+	}
+	for _, rec := range []*Recalibrator{rec1, rec2} {
+		if _, err := rec.Recalibrate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameModels(t, rec1.Current(), rec2.Current())
 }
 
 func TestLoopRecalibratesAndStopsOnCancel(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // Durable returns the durability-ordering analyzer. Rules:
 //
 //   - "durable": in a function marked //raqo:ack, a durable write —
-//     a Commit/Sync method call, or Append on a journal — must dominate
+//     a Commit/Sync method call, or Append/AppendBatch on a journal — must dominate
 //     every path reaching an acknowledgement (an HTTP 2xx write or a
 //     `return nil` success). The check is a forward must-dataflow over
 //     the CFG with one refinement: the `if x != nil { x.Commit() ... }`
@@ -86,8 +86,8 @@ func hasMarker(doc *ast.CommentGroup, marker string) bool {
 }
 
 // isDurableCall recognizes the durable-write primitives: any Commit or
-// Sync method call, and Append on a receiver whose type name contains
-// "Journal".
+// Sync method call, and Append or AppendBatch on a receiver whose type
+// name contains "Journal".
 func isDurableCall(p *Package, call *ast.CallExpr) bool {
 	sel, ok := stripParens(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -97,7 +97,7 @@ func isDurableCall(p *Package, call *ast.CallExpr) bool {
 	case "Commit", "Sync":
 		// Must be a method (not a package-qualified function).
 		return p.pkgPathOf(sel.X) == "" && p.Info.Types[sel.X].Type != nil
-	case "Append":
+	case "Append", "AppendBatch":
 		tv, ok := p.Info.Types[sel.X]
 		if !ok || tv.Type == nil {
 			return false

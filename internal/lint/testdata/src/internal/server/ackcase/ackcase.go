@@ -9,11 +9,12 @@ import (
 	"net/http"
 )
 
-// obsJournal stands in for the feedback journal: Append on a *Journal
-// receiver is a durable write.
+// obsJournal stands in for the feedback journal: Append and AppendBatch
+// on a *Journal receiver are durable writes.
 type obsJournal struct{}
 
-func (j *obsJournal) Append(v int) error { return nil }
+func (j *obsJournal) Append(v int) error        { return nil }
+func (j *obsJournal) AppendBatch(v []int) error { return nil }
 
 // wal stands in for the history store: Commit is a durable write.
 type wal struct{}
@@ -95,4 +96,28 @@ func GuardedAck(j *obsJournal) error {
 		}
 	}
 	return nil
+}
+
+// GuardedBatchAck is GuardedAck with the batch write: the shape of the
+// feedback store's AppendBatch.
+//
+//raqo:ack
+func GuardedBatchAck(j *obsJournal, batch []int) error {
+	if j != nil {
+		if err := j.AppendBatch(batch); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// BatchAfterAck validates, acknowledges an empty batch early and only
+// then reaches the durable write.
+//
+//raqo:ack
+func BatchAfterAck(j *obsJournal, batch []int) error {
+	if len(batch) == 0 {
+		return nil // want `\[durable\] success return in //raqo:ack BatchAfterAck is reachable without a durable write`
+	}
+	return j.AppendBatch(batch)
 }

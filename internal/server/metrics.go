@@ -30,8 +30,9 @@ type Metrics struct {
 	MemoHits  *telemetry.Counter      // raqo_optimize_memo_hits_total
 
 	// Feedback loop (nil under NewPlanningMetrics).
-	FeedbackError *telemetry.Histogram // raqo_feedback_rel_error
-	RecalDuration *telemetry.Histogram // raqo_recalibration_seconds
+	FeedbackError    *telemetry.Histogram // raqo_feedback_rel_error
+	FeedbackFallback *telemetry.Counter   // raqo_feedback_decode_fallback_total
+	RecalDuration    *telemetry.Histogram // raqo_recalibration_seconds
 
 	// History gather loop (nil under NewPlanningMetrics).
 	GatherErrors *telemetry.Counter // raqo_history_gather_errors_total
@@ -61,6 +62,8 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 	m.FeedbackError = reg.Histogram("raqo_feedback_rel_error",
 		"Relative prediction error |predicted-observed|/observed of ingested feedback.",
 		[]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10})
+	m.FeedbackFallback = reg.Counter("raqo_feedback_decode_fallback_total",
+		"/v1/feedback bodies outside the canonical shape, decoded (or refused) by encoding/json instead of the feedback codec.")
 	m.RecalDuration = reg.Histogram("raqo_recalibration_seconds",
 		"Wall time of one online cost-model recalibration.",
 		[]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1})
@@ -98,9 +101,9 @@ func (m *Metrics) AttachCache(c *resource.Cache) {
 }
 
 // AttachFeedback exports the feedback subsystem's state as func-backed
-// metrics: live model version, observation volume, recalibration count and
-// latest duration.
-func (m *Metrics) AttachFeedback(rec *feedback.Recalibrator) {
+// metrics: live model version, observation volume, journal writes (journal
+// may be nil), recalibration count and latest duration.
+func (m *Metrics) AttachFeedback(rec *feedback.Recalibrator, journal *feedback.Journal) {
 	if rec == nil {
 		return
 	}
@@ -109,6 +112,10 @@ func (m *Metrics) AttachFeedback(rec *feedback.Recalibrator) {
 		func() float64 { return float64(rec.Current().Version) })
 	reg.CounterFunc("raqo_feedback_observations_total", "Execution observations ever accepted into the feedback store.",
 		func() float64 { return float64(rec.Store().Total()) })
+	if journal != nil {
+		reg.CounterFunc("raqo_feedback_journal_writes_total", "Writes that reached the feedback journal: one per accepted batch, one more where a batch crosses a rotation.",
+			func() float64 { return float64(journal.Writes()) })
+	}
 	reg.GaugeFunc("raqo_feedback_store_entries", "Observations currently held in the feedback ring.",
 		func() float64 { return float64(rec.Store().Len()) })
 	reg.CounterFunc("raqo_recalibrations_total", "Completed online cost-model recalibrations.",

@@ -46,6 +46,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"raqo/internal/arbiter"
@@ -293,7 +294,7 @@ func New(cfg Config) (*Server, error) {
 		_ = opt.SetModels(info.Models)
 		m.RecalDuration.Observe(r.Duration.Seconds())
 	})
-	m.AttachFeedback(rec)
+	m.AttachFeedback(rec, journal)
 
 	// The history store (when configured) receives every error sample the
 	// detector sees and every gathered telemetry series.
@@ -833,43 +834,85 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleFeedback ingests execution feedback. The 200 acknowledges
-// durability: every observation is journaled (via Feed) and the history
-// block committed before writeResult runs.
+// feedbackScratch is what decoding one /v1/feedback request needs and
+// nothing keeps afterwards: the store copies the observations it takes.
+type feedbackScratch struct {
+	body bytes.Buffer
+	obs  []feedback.Observation
+}
+
+var feedbackScratchPool = sync.Pool{New: func() any { return new(feedbackScratch) }}
+
+// release returns sc to the pool holding nothing of the request it served.
+func (sc *feedbackScratch) release() {
+	sc.body.Reset()
+	clear(sc.obs)
+	sc.obs = sc.obs[:0]
+	feedbackScratchPool.Put(sc)
+}
+
+// failingReader yields err: what a decoder met after the body bytes that
+// did arrive.
+type failingReader struct{ err error }
+
+func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
+
+// handleFeedback ingests execution feedback, a batch as one unit: it is
+// refused whole (400 for a malformed or invalid batch, 500 when the
+// journal or the history store fails) or acknowledged whole. The 200
+// acknowledges durability: the batch is journaled (one write, in
+// FeedBatch) and the history block committed before writeResult runs.
 //
 //raqo:ack
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
-	var req FeedbackRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
+	sc := feedbackScratchPool.Get().(*feedbackScratch)
+	defer sc.release()
+	_, readErr := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var obs []feedback.Observation
+	canonical := false
+	if readErr == nil {
+		obs, canonical = feedback.DecodeBatch(sc.body.Bytes(), sc.obs)
 	}
-	if len(req.Observations) == 0 {
+	if canonical {
+		sc.obs = obs
+	} else {
+		// Anything but the canonical shape, a cut-off body included, gets
+		// encoding/json's verdict on the same bytes and the same read error.
+		s.metrics.FeedbackFallback.Inc()
+		var body io.Reader = &sc.body
+		if readErr != nil {
+			body = io.MultiReader(body, failingReader{readErr})
+		}
+		var req FeedbackRequest
+		if err := decodeStrict(body, &req); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		obs = req.Observations
+	}
+	if len(obs) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("missing observations"))
 		return
 	}
-	// All-or-nothing: validate the whole batch before feeding any of it,
-	// so a client bug can't leave half a batch in the journal.
-	for i := range req.Observations {
-		if err := req.Observations[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
-			return
-		}
-	}
 	now := time.Now().Unix()
-	for i := range req.Observations {
-		o := req.Observations[i]
-		if o.ObservedAt == 0 {
+	for i := range obs {
+		if obs[i].ObservedAt == 0 {
 			// Untimestamped observations completed "about now" as far as
 			// the history store is concerned.
-			o.ObservedAt = now
+			obs[i].ObservedAt = now
 		}
-		if err := s.rec.Feed(o); err != nil {
-			// Validation passed, so only journal I/O can fail here.
-			writeError(w, http.StatusInternalServerError, err)
-			return
+	}
+	if err := s.rec.FeedBatch(obs); err != nil {
+		var invalid *feedback.InvalidError
+		if errors.As(err, &invalid) {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", invalid.Index, invalid.Err))
+		} else {
+			writeError(w, http.StatusInternalServerError, err) // journal I/O
 		}
-		s.metrics.FeedbackError.Observe(o.RelError())
+		return
+	}
+	for i := range obs {
+		s.metrics.FeedbackError.Observe(obs[i].RelError())
 	}
 	// Journal-before-ack for the error series too: the batch's history
 	// points are durable before the 200 goes out.
@@ -880,7 +923,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeResult(w, FeedbackResponse{
-		Accepted: len(req.Observations),
+		Accepted: len(obs),
 		Stored:   s.rec.Store().Len(),
 		Total:    s.rec.Store().Total(),
 		Drifted:  s.rec.Detector().Drifted(),

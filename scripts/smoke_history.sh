@@ -4,7 +4,9 @@
 # acknowledged POST is committed to the store before the 200), kill the
 # server with SIGKILL — no drain, no flush — restart on the same
 # directory, and verify every acknowledged point survived recovery and
-# still answers range queries correctly. Exits non-zero on any failure.
+# still answers range queries correctly. The server also journals: each
+# batch is one journal write through the feedback codec, and the restart
+# reopens the journal the kill left behind. Exits non-zero on any failure.
 set -eu
 
 . "$(dirname "$0")/smoke_lib.sh"
@@ -15,9 +17,17 @@ hist="$tmp/history"
 # start_server OUT_FILE: fork `raqo serve` on the shared history dir with
 # a fast gather tick, wait for the ready line and set $pid/$addr.
 start_server() {
-    smoke_start "$1" -addr 127.0.0.1:0 -trained=false \
+    smoke_start "$1" -addr 127.0.0.1:0 -trained=false -journal "$tmp/journal.jsonl" \
         -history-dir "$hist" -history-interval 100ms
     smoke_wait "$1"
+}
+
+# ingest_metrics: the batch posted to this process went through the codec
+# and was one journal write.
+ingest_metrics() {
+    metrics=$(curl -fsS "http://$addr/metrics")
+    echo "$metrics" | grep -q '^raqo_feedback_decode_fallback_total 0$' || { echo "smoke-history: a batch fell back to encoding/json"; exit 1; }
+    echo "$metrics" | grep -q '^raqo_feedback_journal_writes_total 1$' || { echo "smoke-history: one batch should be one journal write"; exit 1; }
 }
 
 start_server "$out"
@@ -35,6 +45,7 @@ while [ "$i" -lt 3 ]; do
 done
 fb=$(curl -fsS -X POST "http://$addr/v1/feedback" -d "{\"observations\":[$obs]}")
 echo "$fb" | grep -q '"accepted": 3' || { echo "smoke-history: bad feedback response: $fb"; exit 1; }
+ingest_metrics
 
 # The acknowledged points are already durable and queryable: the error
 # series shows three one-point buckets with mean 0.75.
@@ -77,6 +88,7 @@ echo "$list2" | grep -q 'raqo_history_points_total' || { echo "smoke-history: ga
 fb2=$(curl -fsS -X POST "http://$addr/v1/feedback" \
     -d "{\"observations\":[{\"signature\":\"smoke-post\",\"engine\":\"hive\",\"predictedSeconds\":10,\"observedSeconds\":40,\"observedAt\":$((t0 + 180))}]}")
 echo "$fb2" | grep -q '"accepted": 1' || { echo "smoke-history: restarted server rejected feedback: $fb2"; exit 1; }
+ingest_metrics
 resp3=$(curl -fsS "http://$addr/v1/history?series=feedback.relerr.hive.query&from=$t0&to=$((t0 + 240))&step=60")
 count3=$(echo "$resp3" | grep -c '"count": 1') || true
 [ "$count3" -eq 4 ] || { echo "smoke-history: post-recovery ingest broken, want 4 buckets: $resp3"; exit 1; }
