@@ -167,7 +167,9 @@ func (c *Coster) costJoin(j *plan.Node, model cost.Model) (optimizer.OpCost, boo
 		var err error
 		var n int64
 		r, n, err = resource.PlanWithCount(c.Resources, model, j.SmallerInputGB(), cond)
-		c.resIters.Add(n)
+		if n != 0 { // a cache hit evaluates nothing: skip the shared atomic
+			c.resIters.Add(n)
+		}
 		if err != nil {
 			return optimizer.OpCost{}, false, fmt.Errorf("core: resource planning for %s over %v: %w",
 				j.Algo, j.Relations(), err)

@@ -13,6 +13,7 @@ package optimizer
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"raqo/internal/catalog"
@@ -82,22 +83,45 @@ type Planner interface {
 	Plan(q *plan.Query) (*Result, error)
 }
 
+// AppendJoinGraph appends to dst the join graph among leaves as a bit
+// matrix of ⌈len(leaves)/64⌉-word rows, one per leaf: row i has bit j set
+// when plan.Joinable(leaves[i], leaves[j]). The diagonal is clear.
+func AppendJoinGraph(dst []uint64, leaves []*plan.Node) []uint64 {
+	words := (len(leaves) + 63) / 64
+	for i, a := range leaves {
+		row := len(dst)
+		for range words {
+			dst = append(dst, 0)
+		}
+		for j, b := range leaves {
+			if i != j && plan.Joinable(a, b) {
+				dst[row+j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+	return dst
+}
+
 // TreeScratch holds the reusable buffers of the random-tree and mutation
-// paths: the component worklist, the joinable-pair list and the join-node
-// list the mutation target is drawn from. A zero TreeScratch is ready to
-// use; it grows to the working-set size once and is then allocation-free
-// across calls. Not safe for concurrent use — the randomized planner keeps
-// one per restart worker.
+// paths: the component worklist and its adjacency matrix, and the
+// join-node list the mutation target is drawn from. A zero TreeScratch is
+// ready to use; it grows to the working-set size once and is then
+// allocation-free across calls. Not safe for concurrent use — the
+// randomized planner keeps one per restart worker.
 type TreeScratch struct {
 	comps []*plan.Node
-	pairs [][2]int
+	adj   []uint64 // comps' join graph, as AppendJoinGraph lays it out
 	joins []*plan.Node
 
-	// leaves are the scan leaves of leavesOf, the query RandomTree last
-	// drew a tree for. Scans are immutable, so all the trees drawn for one
-	// query share theirs, as mutated trees share untouched subtrees.
+	// leaves are the scan leaves of leavesOf as of the index snapshot
+	// leavesAt, and leafAdj their join graph: the query and schema form
+	// RandomTree last drew a tree for. Scans are
+	// immutable, so all the trees drawn for one query share theirs, as
+	// mutated trees share untouched subtrees.
 	leavesOf *plan.Query
+	leavesAt *catalog.Index
 	leaves   []*plan.Node
+	leafAdj  []uint64
 }
 
 // RandomTree builds a uniformly random bushy join tree for the query: it
@@ -109,9 +133,17 @@ func RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
 }
 
 // RandomTree is the buffer-reusing form of the package-level RandomTree.
+//
+// The joinable component pairs are never listed: the scratch keeps the
+// components' join graph as a symmetric bit matrix, counts the pairs
+// (i < j) above its diagonal, draws one index and walks to that pair in
+// the lexicographic order a pair-by-pair scan would have listed them — the
+// same draws from rng, so the same tree. A merge ORs the absorbed
+// component's row and column into the survivor's, as the joined node's
+// relation sets are unions of its inputs'.
 func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
-	if ts.leavesOf != q {
-		ts.leavesOf, ts.leaves = nil, ts.leaves[:0]
+	if g := q.Schema.Index(); ts.leavesOf != q || ts.leavesAt != g {
+		ts.leavesOf, ts.leavesAt, ts.leaves = nil, nil, ts.leaves[:0]
 		for _, r := range q.Rels {
 			leaf, err := plan.NewScan(q.Schema, r)
 			if err != nil {
@@ -119,41 +151,108 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 			}
 			ts.leaves = append(ts.leaves, leaf)
 		}
-		ts.leavesOf = q
+		ts.leafAdj = AppendJoinGraph(ts.leafAdj[:0], ts.leaves)
+		ts.leavesOf, ts.leavesAt = q, g
 	}
 	comps := append(ts.comps[:0], ts.leaves...)
+	adj := append(ts.adj[:0], ts.leafAdj...)
+	ts.adj = adj
+	w := (len(comps) + 63) / 64
 	for len(comps) > 1 {
-		// Collect joinable component pairs.
-		pairs := ts.pairs[:0]
-		for i := 0; i < len(comps); i++ {
-			for j := i + 1; j < len(comps); j++ {
-				if plan.Joinable(comps[i], comps[j]) {
-					pairs = append(pairs, [2]int{i, j})
-				}
-			}
+		m := len(comps)
+		total := 0
+		for i := range m {
+			total += pairsAbove(adj[i*w:(i+1)*w], i)
 		}
-		ts.pairs = pairs
-		if len(pairs) == 0 {
+		if total == 0 {
 			ts.comps = comps[:0]
 			return nil, fmt.Errorf("optimizer: query relations not connected")
 		}
-		p := pairs[rng.Intn(len(pairs))]
+		p0, p1 := nthPair(adj, w, rng.Intn(total))
 		algo := plan.Algos[rng.Intn(len(plan.Algos))]
-		joined, err := plan.NewJoin(q.Schema, algo, comps[p[0]], comps[p[1]])
+		joined, err := plan.NewJoin(q.Schema, algo, comps[p0], comps[p1])
 		if err != nil {
 			ts.comps = comps[:0]
 			return nil, err
 		}
-		// Replace a, remove b.
-		comps[p[0]] = joined
-		comps[p[1]] = comps[len(comps)-1]
-		comps = comps[:len(comps)-1]
+		// Replace p0, move the last component into p1.
+		comps[p0] = joined
+		comps[p1] = comps[m-1]
+		comps = comps[:m-1]
+		mergeRows(adj, w, m, p0, p1)
 	}
 	root := comps[0]
 	// Keep the grown buffer but drop the node reference.
 	comps[0] = nil
 	ts.comps = comps[:0]
 	return root, nil
+}
+
+// pairsAbove counts the bits of row i above the diagonal.
+//
+//raqo:noalloc
+func pairsAbove(row []uint64, i int) int {
+	n := bits.OnesCount64(row[i/64] & (^uint64(0) << (i%64 + 1)))
+	for _, x := range row[i/64+1:] {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// nthPair returns the k-th (from 0) set bit above the diagonal of the
+// adjacency matrix, rows first: the k-th joinable pair (i, j), i < j, in
+// lexicographic order.
+//
+//raqo:noalloc
+func nthPair(adj []uint64, w, k int) (int, int) {
+	for i := 0; ; i++ {
+		row := adj[i*w : (i+1)*w]
+		if c := pairsAbove(row, i); k >= c {
+			k -= c
+			continue
+		}
+		for x := i / 64; ; x++ {
+			word := row[x]
+			if x == i/64 {
+				word &= ^uint64(0) << (i%64 + 1)
+			}
+			if c := bits.OnesCount64(word); k >= c {
+				k -= c
+				continue
+			}
+			for ; k > 0; k-- {
+				word &= word - 1
+			}
+			return i, x*64 + bits.TrailingZeros64(word)
+		}
+	}
+}
+
+// mergeRows updates the m-component adjacency matrix for the join of p0
+// and p1 (p0 < p1) into p0 and the move of component m-1 into p1: p1's row
+// and column are ORed into p0's, then m-1's replace p1's and are cleared.
+//
+//raqo:noalloc
+func mergeRows(adj []uint64, w, m, p0, p1 int) {
+	last := m - 1
+	r0, r1 := adj[p0*w:(p0+1)*w], adj[p1*w:(p1+1)*w]
+	for x := range r0 {
+		r0[x] |= r1[x]
+	}
+	for i := range m {
+		row := adj[i*w : (i+1)*w]
+		if row[p1/64]&(1<<(p1%64)) != 0 {
+			row[p0/64] |= 1 << (p0 % 64)
+		}
+		row[p1/64] &^= 1 << (p1 % 64)
+		if row[last/64]&(1<<(last%64)) != 0 {
+			row[last/64] &^= 1 << (last % 64)
+			row[p1/64] |= 1 << (p1 % 64)
+		}
+	}
+	copy(r1, adj[last*w:(last+1)*w])
+	clear(adj[last*w : (last+1)*w])
+	r0[p0/64] &^= 1 << (p0 % 64)
 }
 
 // Mutation is a local plan transformation used by randomized search.

@@ -3,6 +3,14 @@
 // al., SIGMOD 1979), with the per-operator costing hook that lets RAQO plug
 // resource planning into the enumeration.
 //
+// The DP runs over connected subsets only. Level s+1's masks are the
+// one-leaf extensions of the masks level s planned by a leaf joinable with
+// them, visited in ascending mask order; a subset the join graph does not
+// connect is never generated, and a leaf not joinable with the rest of a
+// mask is skipped before any join is built. The candidates, their order
+// and so every costing call must stay those of a sweep over all 2^n masks:
+// the resource-plan cache answers by what it was asked before.
+//
 // The DP can run its per-level enumeration concurrently (see
 // Planner.Workers): within one subset size every candidate's inputs come
 // from strictly smaller subsets, so the masks of a level are independent
@@ -84,20 +92,28 @@ type candidate struct {
 type dpState struct {
 	arena    plan.Arena
 	leaves   []*plan.Node
-	slice    []entry // dense table, mask-indexed (n <= sliceTableMax)
+	adj      []uint64 // per leaf, the leaves it is joinable with (one word: n <= MaxRelations)
+	slice    []entry  // dense table, mask-indexed (n <= sliceTableMax)
 	m        map[uint32]entry
 	useSlice bool
 	level    []uint32 // masks of the current DP level, ascending
+	next     []uint64 // 2^n-bit set of the next level's masks; all zero between levels
 	results  []candidate
 	scratch  []*plan.JoinScratch
 }
 
 var statePool = sync.Pool{New: func() any { return new(dpState) }}
 
-// prepare sizes the table for an n-relation query and clears any previous
-// run's entries (dpState.release drops the node pointers; the table cells
-// themselves are cleared here, bounded to the 2^n cells this query uses).
+// prepare sizes the table and the next-level bitmap for an n-relation
+// query and clears any previous run's entries (dpState.release drops the
+// node pointers; the table cells themselves are cleared here, bounded to
+// the 2^n cells this query uses).
 func (st *dpState) prepare(n int) {
+	if words := (1<<uint(n) + 63) / 64; cap(st.next) < words {
+		st.next = make([]uint64, words)
+	} else {
+		st.next = st.next[:words]
+	}
 	if n <= sliceTableMax {
 		size := 1 << uint(n)
 		if cap(st.slice) < size {
@@ -189,14 +205,17 @@ func (p *Planner) bestFor(st *dpState, mask uint32, q *plan.Query, sc *plan.Join
 	for sub := mask; sub != 0; sub &= sub - 1 {
 		i := bits.TrailingZeros32(sub)
 		rest := mask &^ (1 << uint(i))
+		if st.adj[i]&uint64(rest) == 0 {
+			continue // cross product: relation i not joinable with rest
+		}
 		prev, ok := st.get(rest)
 		if !ok {
-			continue // disconnected prefix
+			continue // rest has no plan: disconnected, or no feasible one
 		}
 		// The candidate's statistics depend on its inputs only: derived
 		// once here, shared by every join algorithm below.
 		if _, err := sc.Join(q.Schema, plan.Algos[0], prev.node, st.leaves[i]); err != nil {
-			continue // cross product: relation i not joinable with rest
+			continue
 		}
 		for _, algo := range plan.Algos {
 			j := sc.Rejoin(algo)
@@ -230,17 +249,37 @@ func (p *Planner) materialize(st *dpState, mask uint32, c candidate, q *plan.Que
 	return nil
 }
 
-// levelMasks fills st.level with the masks of one subset size in ascending
-// order (Gosper's hack), matching the sequential enumeration order.
-func (st *dpState) levelMasks(size int, full uint32) []uint32 {
-	st.level = st.level[:0]
-	for m := uint64(1)<<uint(size) - 1; m <= uint64(full); {
-		st.level = append(st.level, uint32(m))
-		c := m & -m
-		r := m + c
-		m = (((r ^ m) >> 2) / c) | r
+// nextLevel replaces st.level, the masks one DP level materialized, with
+// the candidate masks of the level above in ascending order: each
+// materialized mask extended by one leaf it is joinable with. Those are
+// exactly the masks bestFor can find a candidate for — every other mask of
+// that size has no split into a planned subset and a leaf joinable with it
+// — so the DP visits the connected subsets only, in the order a sweep of
+// all same-size masks would reach them. The extensions are deduplicated
+// and ordered through the st.next bitmap, which the drain leaves zero.
+func (st *dpState) nextLevel() []uint32 {
+	lo, hi := len(st.next), -1
+	for _, m := range st.level {
+		var nbr uint64
+		for x := m; x != 0; x &= x - 1 {
+			nbr |= st.adj[bits.TrailingZeros32(x)]
+		}
+		for x := uint32(nbr) &^ m; x != 0; x &= x - 1 {
+			ext := m | x&-x
+			w := int(ext / 64)
+			st.next[w] |= 1 << (ext % 64)
+			lo, hi = min(lo, w), max(hi, w)
+		}
 	}
-	return st.level
+	level := st.level[:0]
+	for w := lo; w <= hi; w++ {
+		for x := st.next[w]; x != 0; x &= x - 1 {
+			level = append(level, uint32(w*64+bits.TrailingZeros64(x)))
+		}
+		st.next[w] = 0
+	}
+	st.level = level
+	return level
 }
 
 // Plan runs the DP and returns the cheapest (by time) left-deep plan.
@@ -266,8 +305,10 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 		}
 		st.leaves = append(st.leaves, leaf)
 	}
+	st.adj = optimizer.AppendJoinGraph(st.adj[:0], st.leaves)
 	for i := 0; i < n; i++ {
 		st.put(1<<uint(i), entry{node: st.leaves[i]})
+		st.level = append(st.level, 1<<uint(i))
 	}
 	var considered int64
 
@@ -276,9 +317,8 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 		ctx = context.Background()
 	}
 	workers := p.workers()
-	full := uint32(1)<<uint(n) - 1
 	for size := 2; size <= n; size++ {
-		masks := st.levelMasks(size, full)
+		masks := st.nextLevel()
 		if w := workers; w > 1 && len(masks) > 1 {
 			if err := p.runLevel(ctx, st, masks, q, w, &considered); err != nil {
 				return nil, err
@@ -286,6 +326,7 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 			continue
 		}
 		sc := st.scratchFor(1)[0]
+		planned := masks[:0]
 		for _, mask := range masks {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("selinger: planning cancelled: %w", err)
@@ -294,10 +335,12 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 				if err := p.materialize(st, mask, c, q); err != nil {
 					return nil, err
 				}
+				planned = append(planned, mask)
 			}
 		}
+		st.level = planned
 	}
-	e, ok := st.get(full)
+	e, ok := st.get(uint32(1)<<uint(n) - 1)
 	if !ok {
 		return nil, fmt.Errorf("selinger: no feasible plan for %v", q.Rels)
 	}
@@ -309,10 +352,10 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 // runLevel fans one DP level's masks across a worker pool. Workers only
 // read table entries of smaller subsets and write disjoint slots of the
 // per-level candidate buffer; the merge back into the table is
-// single-threaded and in ascending mask order, keeping the table identical
-// to a sequential run. Cancellation is checked before each claimed mask; a
-// cancelled level returns ctx's error without merging, since the table
-// would be partial.
+// single-threaded and in ascending mask order, keeping the table — and
+// st.level, left holding the masks it planned — identical to a sequential
+// run. Cancellation is checked before each claimed mask; a cancelled level
+// returns ctx's error without merging, since the table would be partial.
 func (p *Planner) runLevel(ctx context.Context, st *dpState, masks []uint32, q *plan.Query, workers int, considered *int64) error {
 	if workers > len(masks) {
 		workers = len(masks)
@@ -347,13 +390,16 @@ func (p *Planner) runLevel(ctx context.Context, st *dpState, masks []uint32, q *
 		return fmt.Errorf("selinger: planning cancelled: %w", err)
 	}
 	*considered += total.Load()
+	planned := masks[:0]
 	for i, c := range results {
 		if c.ok {
 			if err := p.materialize(st, masks[i], c, q); err != nil {
 				return err
 			}
+			planned = append(planned, masks[i])
 		}
 	}
+	st.level = planned
 	return nil
 }
 
