@@ -52,8 +52,12 @@ race:
 # and reads back what it wrote), and the enumeration kernels on a join
 # graph and a query decoded the same way, disconnected ones included (the
 # random tree draws what the pair-by-pair scan drew, the Selinger DP asks
-# the coster what the full mask sweep asked, in the same order). (The seed
-# corpora already run under plain `go test`.)
+# the coster what the full mask sweep asked, in the same order), the fault
+# draws' seed-free source against rand.NewSource on any seed and stream
+# length, and the response encoder against json.Encoder's SetIndent on
+# anything encoding/json decodes plus arbitrary bytes as strings (the same
+# bytes, the same error). (The seed corpora already run under plain `go
+# test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -63,6 +67,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzObservationDecode -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzObservationAppend -fuzztime=10s ./internal/feedback
 	$(GO) test -run '^$$' -fuzz FuzzEnumeration -fuzztime=10s ./internal/optimizer
+	$(GO) test -run '^$$' -fuzz FuzzDrawSource -fuzztime=10s ./internal/cloud
+	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s ./internal/server
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, structural plan equality, exact memo).
@@ -79,14 +85,15 @@ bench-check:
 
 # Short benchmark pass over the concurrency-sensitive paths, on one and two
 # procs so the cache's shared lock is exercised across threads, plus the
-# history read path, the fleet hop, the feedback journal's two ends and
+# history read path, the fleet hop, the feedback journal's two ends,
 # cold planning on a 100-table schema (Selinger-12, randomized-30 and one
-# random tree, the enumeration kernels); failures here are correctness
-# failures (the benchmarks assert planner errors, the shape of history
-# answers, a 200 through the peer transport, a 200 for a feedback batch
-# and a full journal replay).
+# random tree, the enumeration kernels) and the submit path's kernels (a
+# cloud SubmitWait, one fault draw, the response encoder); failures here
+# are correctness failures (the benchmarks assert planner errors, the shape
+# of history answers, a 200 through the peer transport, a 200 for a
+# feedback batch, a full journal replay, admissions and encodes).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward|FeedbackIngest|HotPathCold|RandomTree' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward|FeedbackIngest|HotPathCold|RandomTree|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
 # scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,

@@ -1,8 +1,9 @@
 // Benchmarks for the cloud arbiter: a full seeded priced-pool replay
-// (static market and elastic+faulty market), and the online
-// preempt-and-recover round trip. Run with:
+// (static market and elastic+faulty market), the online admission path,
+// one seeded fault draw and the online preempt-and-recover round trip.
+// Run with:
 //
-//	go test -bench Cloud -benchtime=0.2s .
+//	go test -bench 'Cloud|InjectorDraw' -benchtime=0.2s .
 package raqo_test
 
 import (
@@ -168,3 +169,36 @@ func BenchmarkCloudPreemptRecover(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCloudSubmitWait is BenchmarkArbiterSubmitWait's counterpart on
+// the priced pool with seeded spot interruption: one SubmitWait round trip
+// on a warm arbiter, the cost POST /v1/cloud/submit pays per request on
+// top of HTTP, its fault draw included.
+func BenchmarkCloudSubmitWait(b *testing.B) {
+	a := newBenchCloud(b, false, true)
+	names := []string{workload.Q12, workload.Q3, workload.Q2}
+	tenants := []string{"etl", "bi", "adhoc"}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.SubmitWait(tenants[i%len(tenants)], names[i%len(names)], cloud.RecoverReoptimize); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInjectorDraw times one admission's fault draw with every fault
+// process on: four values of the admission's math/rand stream.
+func BenchmarkInjectorDraw(b *testing.B) {
+	in, err := cloud.NewInjector(cloud.FaultConfig{Seed: 7, SpotMeanLifeSeconds: 7200, StragglerProb: 0.1, OOMProb: 0.05})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchDraw = in.Draw(int64(i), cloud.Spot, 100, 300)
+	}
+}
+
+var benchDraw cloud.Draw

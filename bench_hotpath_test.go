@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"raqo/internal/catalog"
+	"raqo/internal/cloud"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
@@ -27,6 +28,7 @@ import (
 	"raqo/internal/optimizer/randomized"
 	"raqo/internal/plan"
 	"raqo/internal/resource"
+	"raqo/internal/server"
 	"raqo/internal/workload"
 )
 
@@ -264,6 +266,41 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(50, func() { det.Drifted() }); got > 0 {
 		t.Errorf("Detector.Drifted allocates %.0f/op, ceiling 0", got)
+	}
+
+	// One admission's fault draw replays its math/rand stream in the
+	// injector's own source (one 5.4 KB source per draw before).
+	inj, err := cloud.NewInjector(cloud.FaultConfig{Seed: 7, SpotMeanLifeSeconds: 7200, StragglerProb: 0.1, OOMProb: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := int64(0)
+	if got := testing.AllocsPerRun(50, func() {
+		seq++
+		inj.Draw(seq, cloud.Spot, 100, 300)
+	}); got > 0 {
+		t.Errorf("Injector.Draw allocates %.0f/op, ceiling 0", got)
+	}
+
+	// A local /v1/submit and /v1/cloud/submit, seeded faults on, with the
+	// test's own request and recorder: decode, the arbiter's admission and
+	// the encoded outcome (measured 46 and 44; 53 and 52 with a math/rand
+	// source per draw and the encoder's indent pass). The ceilings are the
+	// measurements plus 15 %.
+	sub, err := server.New(server.Config{CloudSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path    string
+		ceiling float64
+	}{{"/v1/submit", 53}, {"/v1/cloud/submit", 51}} {
+		serveBody(t, sub, c.path, `{"query":"Q12"}`)
+		if got := testing.AllocsPerRun(50, func() {
+			serveBody(t, sub, c.path, `{"query":"Q12"}`)
+		}); got > c.ceiling {
+			t.Errorf("local %s allocates %.0f/op, ceiling %.0f", c.path, got, c.ceiling)
+		}
 	}
 }
 

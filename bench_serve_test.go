@@ -5,10 +5,12 @@
 //
 //	go test -bench ServeOptimize -benchtime=0.2s .
 //	go test -bench FleetForward -benchtime=0.5s -cpu 1 .
+//	go test -bench WriteJSON -benchtime=0.2s .
 package raqo_test
 
 import (
 	"context"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -16,8 +18,11 @@ import (
 	"strings"
 	"testing"
 
+	"raqo/internal/core"
 	"raqo/internal/fleet"
+	"raqo/internal/scheduler"
 	"raqo/internal/server"
+	"raqo/internal/workload"
 )
 
 func newBenchServer(b testing.TB) *server.Server {
@@ -37,11 +42,16 @@ func serveOptimizeOnce(b testing.TB, s *server.Server, query string) {
 }
 
 func serveOptimizeBody(b testing.TB, s *server.Server, body string) {
-	req := httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(body))
+	serveBody(b, s, "/v1/optimize", body)
+}
+
+// serveBody posts body to path through s's handler and requires a 200.
+func serveBody(b testing.TB, s *server.Server, path, body string) {
+	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		b.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+		b.Fatalf("POST %s: status = %d, body %s", path, rec.Code, rec.Body)
 	}
 }
 
@@ -151,6 +161,37 @@ func BenchmarkFleetForward(b *testing.B) {
 					post(false, "t/default", "/v1/submit", submit)
 				case "hot-optimize":
 					post(true, "q/Q3", "/v1/optimize", optimize)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkWriteJSON times the response encoder on the two bodies that
+// dominate the submit and optimize paths: a /v1/submit outcome and the
+// plan of TPC-H All.
+func BenchmarkWriteJSON(b *testing.B) {
+	out, err := newBenchArbiter(b).SubmitWait("etl", workload.Q3, scheduler.Reoptimize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	o, q := hotPathOptimizer(b)
+	d, err := o.Optimize(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		v    any
+	}{
+		{"submit", server.NewSubmitResponse(out)},
+		{"optimize-All", server.NewOptimizeResponse(workload.All, "joint", core.Selinger, d)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := server.WriteJSON(io.Discard, c.v); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -110,11 +110,13 @@ type Draw struct {
 
 // Injector derives per-admission fault draws and keeps the schedule of
 // pending fault events. It is the single source of randomness in the
-// cloud layer.
+// cloud layer. It is not safe for concurrent use.
 type Injector struct {
 	cfg       FaultConfig
 	events    faultHeap
 	stormDone bool
+	src       drawSource
+	rng       *rand.Rand // over src, re-seeded by every Draw
 }
 
 // NewInjector builds an injector from a validated configuration.
@@ -128,7 +130,9 @@ func NewInjector(cfg FaultConfig) (*Injector, error) {
 	if cfg.StormAtSeconds > 0 && cfg.StormFraction == 0 {
 		cfg.StormFraction = 0.5
 	}
-	return &Injector{cfg: cfg}, nil
+	in := &Injector{cfg: cfg}
+	in.rng = rand.New(&in.src)
+	return in, nil
 }
 
 // Config returns the injector's (defaulted) configuration.
@@ -149,7 +153,9 @@ func splitmix(x uint64) uint64 {
 // exec) always rolls the same fate.
 func (in *Injector) Draw(seq int64, tier Tier, start, execSeconds float64) Draw {
 	d := Draw{ExecSeconds: execSeconds, PreemptAt: -1, OOMAt: -1}
-	rng := rand.New(rand.NewSource(int64(splitmix(uint64(in.cfg.Seed) ^ splitmix(uint64(seq))))))
+	// The stream of rand.NewSource(seed), without building that source.
+	in.src.Seed(int64(splitmix(uint64(in.cfg.Seed) ^ splitmix(uint64(seq)))))
+	rng := in.rng
 	// Fixed draw order: straggler, OOM, spot lifetime — consuming the
 	// stream identically whether or not each process is enabled keeps a
 	// single fault's schedule stable when another is toggled.

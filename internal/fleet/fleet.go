@@ -602,9 +602,8 @@ func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	for _, p := range n.cfg.Peers {
 		st.Peers = append(st.Peers, PeerStatus{Addr: p, Healthy: !n.isDown(p)})
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(servedByHeader, n.cfg.NodeID)
-	_ = server.WriteJSON(w, st)
+	server.WriteResult(w, st)
 }
 
 // handleModelGet serves the live model set in wire form (the prober's
@@ -617,8 +616,7 @@ func (n *Node) handleModelGet(w http.ResponseWriter, _ *http.Request) {
 		writeFleetError(w, http.StatusConflict, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = server.WriteJSON(w, wire)
+	server.WriteResult(w, wire)
 }
 
 // handleModelPush ingests a peer's published model version.
@@ -639,8 +637,7 @@ func (n *Node) handleModelPush(w http.ResponseWriter, r *http.Request) {
 		writeFleetError(w, http.StatusBadRequest, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = server.WriteJSON(w, map[string]any{
+	server.WriteResult(w, map[string]any{
 		"installed": installed,
 		"version":   n.srv.Recalibrator().Current().Version,
 	})

@@ -160,7 +160,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.arb.mu.Unlock()
 	switch {
 	case err == nil:
-		writeResult(w, NewSubmitResponse(out))
+		WriteResult(w, NewSubmitResponse(out))
 	case errors.Is(err, arbiter.ErrRejected):
 		s.metrics.Rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())+1))
@@ -198,7 +198,7 @@ func (s *Server) handleArbiterStats(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeResult(w, NewArbiterStatsResponse(s.arb.arb.Stats()))
+	WriteResult(w, NewArbiterStatsResponse(s.arb.arb.Stats()))
 }
 
 // defaultArbiterTenants is the single-tenant configuration installed when

@@ -130,7 +130,7 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 	s.cld.mu.Unlock()
 	switch {
 	case err == nil:
-		writeResult(w, NewCloudSubmitResponse(out))
+		WriteResult(w, NewCloudSubmitResponse(out))
 	case errors.Is(err, cloud.ErrRejected):
 		s.metrics.Rejected.Inc()
 		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())+1))
@@ -167,7 +167,7 @@ func (s *Server) handleCloudPreempt(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeResult(w, CloudPreemptResponse{Revoked: n, Stats: s.cld.arb.Stats()})
+	WriteResult(w, CloudPreemptResponse{Revoked: n, Stats: s.cld.arb.Stats()})
 }
 
 func (s *Server) handleCloudStats(w http.ResponseWriter, r *http.Request) {
@@ -188,7 +188,7 @@ func (s *Server) handleCloudStats(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeResult(w, s.cld.arb.Stats())
+	WriteResult(w, s.cld.arb.Stats())
 }
 
 // defaultCloudTenants is the single-tenant configuration installed when

@@ -49,7 +49,7 @@ func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeResult(w, FeedbackResponse{
+	WriteResult(w, FeedbackResponse{
 		Accepted: len(req.Observations),
 		Stored:   s.rec.Store().Len(),
 		Total:    s.rec.Store().Total(),

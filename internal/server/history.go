@@ -64,7 +64,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	series := qp.Get("series")
 	if series == "" {
 		hs := s.hist.Stats()
-		writeResult(w, HistorySeriesResponse{
+		WriteResult(w, HistorySeriesResponse{
 			Series:    s.hist.SeriesNames(),
 			Points:    hs.CommittedTotal,
 			HighWater: hs.HighWater,
@@ -118,7 +118,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			P99:   q[2],
 		}
 	}
-	writeResult(w, resp)
+	WriteResult(w, resp)
 }
 
 // gatherHistory samples every telemetry series into the history store at

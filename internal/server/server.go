@@ -595,10 +595,18 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	_ = WriteJSON(w, ErrorResponse{Error: err.Error()})
 }
 
-// writeResult renders a 200 JSON body.
-func writeResult(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = WriteJSON(w, v)
+// WriteResult renders v as a 200 JSON body through WriteJSON's encoder.
+// Encoding finishes before anything is written, so a value that does not
+// encode (a non-finite float) is answered with a 500 ErrorResponse rather
+// than an empty 200.
+func WriteResult(w http.ResponseWriter, v any) {
+	b, err := encodeJSON(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeEncoded(w, b.out)
+	b.release()
 }
 
 // writeEncoded sends an already encoded 200 JSON body.
@@ -804,7 +812,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if m := s.opt.Memo(); m != nil {
 			resp.Memo = &MemoStats{Hits: m.Hits(), Misses: m.Misses(), Entries: m.Size()}
 		}
-		writeResult(w, resp)
+		WriteResult(w, resp)
 	})
 }
 
@@ -826,7 +834,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.metrics.ObserveDecision(d)
-		writeResult(w, ExplainResponse{
+		WriteResult(w, ExplainResponse{
 			OptimizeResponse: NewOptimizeResponse(name, "joint", s.opt.Planner(), d),
 			Operators:        NewExplainOperators(ops),
 			PlanTree:         d.Plan.String(),
@@ -861,7 +869,7 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 // refused whole (400 for a malformed or invalid batch, 500 when the
 // journal or the history store fails) or acknowledged whole. The 200
 // acknowledges durability: the batch is journaled (one write, in
-// FeedBatch) and the history block committed before writeResult runs.
+// FeedBatch) and the history block committed before WriteResult runs.
 //
 //raqo:ack
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -922,7 +930,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeResult(w, FeedbackResponse{
+	WriteResult(w, FeedbackResponse{
 		Accepted: len(obs),
 		Stored:   s.rec.Store().Len(),
 		Total:    s.rec.Store().Total(),
@@ -931,11 +939,11 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
-	writeResult(w, NewModelResponse(s.rec))
+	WriteResult(w, NewModelResponse(s.rec))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeResult(w, map[string]any{
+	WriteResult(w, map[string]any{
 		"status":        "ok",
 		"uptimeSeconds": time.Since(s.start).Seconds(),
 	})
