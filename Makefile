@@ -67,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzObservationDecode -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzObservationAppend -fuzztime=10s ./internal/feedback
 	$(GO) test -run '^$$' -fuzz FuzzEnumeration -fuzztime=10s ./internal/optimizer
+	$(GO) test -run '^$$' -fuzz FuzzRegressionCost -fuzztime=10s ./internal/cost
 	$(GO) test -run '^$$' -fuzz FuzzDrawSource -fuzztime=10s ./internal/cloud
 	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s ./internal/server
 
@@ -87,13 +88,14 @@ bench-check:
 # procs so the cache's shared lock is exercised across threads, plus the
 # history read path, the fleet hop, the feedback journal's two ends,
 # cold planning on a 100-table schema (Selinger-12, randomized-30 and one
-# random tree, the enumeration kernels) and the submit path's kernels (a
+# random tree, the enumeration kernels), one cost-model evaluation, and the
+# submit path's kernels (a
 # cloud SubmitWait, one fault draw, the response encoder); failures here
 # are correctness failures (the benchmarks assert planner errors, the shape
 # of history answers, a 200 through the peer transport, a 200 for a
 # feedback batch, a full journal replay, admissions and encodes).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward|FeedbackIngest|HotPathCold|RandomTree|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
 # scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,

@@ -61,6 +61,18 @@ func hotPathOptimizer(tb testing.TB) (*core.Optimizer, *plan.Query) {
 // than costing dominates.
 func coldPlanner(tb testing.TB, planner core.PlannerKind, relations int) func() {
 	tb.Helper()
+	q := coldQuery(tb, relations)
+	return func() {
+		if _, err := coldOptimizer(tb, planner).Optimize(q); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// coldQuery is the cold cases' relations-way query over a seeded random
+// 100-table schema.
+func coldQuery(tb testing.TB, relations int) *plan.Query {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(715))
 	s, err := catalog.Random(rng, 100, catalog.DefaultRandomConfig())
 	if err != nil {
@@ -70,20 +82,22 @@ func coldPlanner(tb testing.TB, planner core.PlannerKind, relations int) func() 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return func() {
-		o, err := core.New(cluster.Default(), core.Options{
-			Planner:    planner,
-			Resource:   &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},
-			Seed:       7,
-			Randomized: randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2},
-		})
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if _, err := o.Optimize(q); err != nil {
-			tb.Fatal(err)
-		}
+	return q
+}
+
+// coldOptimizer is a new optimizer in the cold cases' configuration.
+func coldOptimizer(tb testing.TB, planner core.PlannerKind) *core.Optimizer {
+	tb.Helper()
+	o, err := core.New(cluster.Default(), core.Options{
+		Planner:    planner,
+		Resource:   &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},
+		Seed:       7,
+		Randomized: randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2},
+	})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	return o
 }
 
 // TestHotPathAllocCeilings asserts hard allocation ceilings on the
@@ -114,18 +128,47 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 
 	// Cold planning on a 100-table schema, the regime the join-graph index
-	// serves: what is left is resource-plan cache fills and the plans
-	// themselves (measured 180 and 536, with and without the component
-	// matrix and the next-level bitmap; before the index 203 and 736). The
-	// ceilings are those plus 15 %. A per-candidate allocation in the
-	// enumeration kernel — thousands of Selinger candidates, a matrix
-	// update per random-tree merge — would be off these by an order of
-	// magnitude.
-	if got := testing.AllocsPerRun(20, coldPlanner(t, core.Selinger, 12)); got > 207 {
-		t.Errorf("cold Selinger-12 allocates %.0f/op, ceiling 207", got)
+	// serves: what is left is the new optimizer and its coster, the
+	// resource-plan cache fills and the winning plan's two-allocation
+	// copy (measured 135 and 108; 180 and 536 when the randomized search
+	// built every tree on the heap and Clone allocated per node, 203 and 736
+	// before the index). The ceilings are those plus 15 %. A per-candidate
+	// allocation in the enumeration kernel — thousands of Selinger
+	// candidates, a node per random-tree merge or mutation — would be off
+	// these by an order of magnitude.
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.Selinger, 12)); got > 155 {
+		t.Errorf("cold Selinger-12 allocates %.0f/op, ceiling 155", got)
 	}
-	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30)); got > 616 {
-		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 616", got)
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30)); got > 124 {
+		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 124", got)
+	}
+
+	// The same randomized-30 query re-planned by one optimizer: the search
+	// state, its arena and generator come from the pool and the cache is
+	// warm, so what is left is the coster, the planner, the Decision and the
+	// winner's copy (measured 7; 434 with heap-built trees). The ceiling
+	// leaves room for a pool a collection emptied mid-run.
+	warmRandomized, warmQuery := coldOptimizer(t, core.FastRandomized), coldQuery(t, 30)
+	if _, err := warmRandomized.Optimize(warmQuery); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if _, err := warmRandomized.Optimize(warmQuery); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 12 {
+		t.Errorf("warm FastRandomized-30 Optimize allocates %.0f/op, ceiling 12", got)
+	}
+
+	// One cost-model evaluation, of which a cold op makes ~1 500: the
+	// unrolled regression, no feature slice.
+	smjModel := cost.PaperSMJ()
+	if got := testing.AllocsPerRun(50, func() {
+		if smjModel.Cost(1.5, 3, 40) <= 0 {
+			t.Fatal("non-positive floored cost")
+		}
+	}); got > 0 {
+		t.Errorf("Regression.Cost allocates %.0f/op, ceiling 0", got)
 	}
 
 	// Warm resource-plan cache hit, the probe every costed candidate pays:
@@ -366,8 +409,9 @@ func BenchmarkHotPathCold(b *testing.B) {
 }
 
 // BenchmarkRandomTree times one random bushy tree for the randomized-30
-// cold case's query through a reused TreeScratch: the seed-plan step of
-// the randomized planner, nothing but enumeration and the joins it builds.
+// cold case's query through a reused TreeScratch, reset after each tree as
+// a search's pooled state is: the seed-plan step of the randomized planner,
+// nothing but enumeration and the joins it builds in the arena.
 func BenchmarkRandomTree(b *testing.B) {
 	rng := rand.New(rand.NewSource(715))
 	s, err := catalog.Random(rng, 100, catalog.DefaultRandomConfig())
@@ -385,5 +429,20 @@ func BenchmarkRandomTree(b *testing.B) {
 		if _, err := ts.RandomTree(rng, q); err != nil {
 			b.Fatal(err)
 		}
+		ts.Reset()
+	}
+}
+
+// BenchmarkRegressionCost times one evaluation of the paper's SMJ model,
+// floored, over the inputs a hill climb steps through.
+func BenchmarkRegressionCost(b *testing.B) {
+	m := cost.PaperSMJ()
+	var sum float64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sum += m.Cost(1.5, float64(1+i%10), float64(1+i%100))
+	}
+	if sum <= 0 {
+		b.Fatal("non-positive floored costs")
 	}
 }

@@ -65,12 +65,27 @@ func NewRegression(name string, lm *stats.LinearModel) *Regression {
 
 // Cost implements Model, flooring the prediction at a small positive value
 // unless Unfloored is set.
+//
+// It is Predict over Features unrolled: the seven terms are added to the
+// intercept in Predict's order, so the sum rounds identically, and the
+// floor is a comparison that lets NaN through, as math.Max does. (Which
+// NaN an unfloored sum of NaNs carries depends on operand order in the
+// generated code, which Go leaves unspecified; floored, it is math.Max's.)
 func (r *Regression) Cost(ss, cs, nc float64) float64 {
-	p := r.Linear.Predict(stats.Features(ss, cs, nc))
-	if r.Unfloored {
-		return p
+	c := r.Linear.Coef
+	if len(c) != stats.NumFeatures {
+		return r.Linear.Predict(stats.Features(ss, cs, nc)) // panics: wrong length
 	}
-	return math.Max(p, minCost)
+	p := r.Linear.Intercept + c[0]*ss + c[1]*(ss*ss) + c[2]*cs + c[3]*(cs*cs) + c[4]*nc + c[5]*(nc*nc) + c[6]*(cs*nc)
+	switch {
+	case r.Unfloored:
+		return p
+	case p < minCost:
+		return minCost
+	case p != p:
+		return math.Max(p, minCost) // NaN: the very NaN bits math.Max returns
+	}
+	return p
 }
 
 // Name implements Model.
@@ -113,15 +128,16 @@ type Profile struct {
 	Seconds float64 // measured stage time
 }
 
-// Models maps each join implementation to its cost model.
+// Models maps each join implementation to its cost model: one slot per
+// algorithm, indexed by its value.
 type Models struct {
-	byAlgo map[plan.JoinAlgo]Model
+	byAlgo []Model
 }
 
 // NewModels builds a model set; every algorithm in plan.Algos must be
 // covered before costing plans.
 func NewModels() *Models {
-	return &Models{byAlgo: make(map[plan.JoinAlgo]Model)}
+	return &Models{byAlgo: make([]Model, len(plan.Algos))}
 }
 
 // Set registers the model for an algorithm and returns the set for chaining.
@@ -132,8 +148,10 @@ func (m *Models) Set(a plan.JoinAlgo, model Model) *Models {
 
 // For returns the model for an algorithm.
 func (m *Models) For(a plan.JoinAlgo) (Model, bool) {
-	mod, ok := m.byAlgo[a]
-	return mod, ok
+	if a < 0 || int(a) >= len(m.byAlgo) || m.byAlgo[a] == nil {
+		return nil, false
+	}
+	return m.byAlgo[a], true
 }
 
 // PaperModels returns the model set with the paper's published SMJ and BHJ

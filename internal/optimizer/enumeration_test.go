@@ -90,11 +90,62 @@ func checkRandomTrees(t testing.TB, ts *optimizer.TreeScratch, q *plan.Query, se
 	}
 }
 
+// checkMutations runs a chain of Mutate calls from a random tree for q, in
+// ts's arena and on the heap reference with equally seeded generators, and
+// fails on the first step whose outcome or tree differs, or if the
+// generators end apart. Every tree of the chain stays live to its end, as
+// the randomized planner's archive does, and must still equal its heap
+// twin then: the arena must not have recycled a node a live tree holds.
+// The chain starts over from the seed tree now and then, as the planner
+// mutates any archived plan, not only the latest.
+func checkMutations(t testing.TB, ts *optimizer.TreeScratch, q *plan.Query, seed int64, steps int) {
+	t.Helper()
+	defer ts.Reset()
+	var hs optimizer.HeapScratch
+	got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+	a, errA := ts.RandomTree(got, q)
+	b, errB := hs.RandomTree(want, q)
+	if !sameError(errA, errB) {
+		t.Fatalf("%v seed %d: error %v, heap reference %v", q.Rels, seed, errA, errB)
+	}
+	if errA != nil {
+		return
+	}
+	arena, heap := []*plan.Node{a}, []*plan.Node{b}
+	for step := range steps {
+		from := len(arena) - 1
+		if step%5 == 4 {
+			from = 0
+		}
+		a, okA := ts.Mutate(got, q.Schema, arena[from])
+		b, okB := hs.Mutate(want, q.Schema, heap[from])
+		if okA != okB {
+			t.Fatalf("%v seed %d step %d: applicable %v, heap reference %v", q.Rels, seed, step, okA, okB)
+		}
+		if !okA {
+			continue
+		}
+		if !sameTree(a, b) {
+			t.Fatalf("%v seed %d step %d: tree\n%s\nheap reference\n%s", q.Rels, seed, step, a, b)
+		}
+		arena, heap = append(arena, a), append(heap, b)
+	}
+	for i := range arena {
+		if !sameTree(arena[i], heap[i]) {
+			t.Fatalf("%v seed %d: chain tree %d changed after later mutations:\n%s\nheap reference\n%s", q.Rels, seed, i, arena[i], heap[i])
+		}
+	}
+	if g, w := got.Int63(), want.Int63(); g != w {
+		t.Fatalf("%v seed %d: generator positions differ after %d mutations", q.Rels, seed, steps)
+	}
+}
+
 // TestRandomTreeMatchesPairScan holds the adjacency-matrix random tree to
 // the pair scan it replaced: over TPC-H and the 30- and 100-table random
 // schemas, connected queries of 2 to 60 relations and disconnected ones,
-// many seeds, one TreeScratch reused throughout, the same trees, the same
-// errors and the same generator position afterwards. The matrix is
+// many seeds, one TreeScratch reused throughout (and reset once per
+// query), the same trees, the same errors and the same generator position
+// afterwards. The matrix is
 // symmetric because Joinable is, which it asserts on every schema's scans.
 func TestRandomTreeMatchesPairScan(t *testing.T) {
 	schemas := enumSchemas(t)
@@ -123,6 +174,11 @@ func TestRandomTreeMatchesPairScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			for seed := range int64(6) {
+				if seed == 3 {
+					// The same query again, in the recycled arena: its
+					// leaves must be rebuilt, not the old ones handed out.
+					ts.Reset()
+				}
 				checkRandomTrees(t, &ts, q, seed, 4)
 			}
 			disconnected := rawQuery(s, randomSubset(rng, s, k))
@@ -144,6 +200,47 @@ func TestRandomTreeMatchesPairScan(t *testing.T) {
 	}
 	if !sameTree(a, b) {
 		t.Fatalf("package-level RandomTree:\n%s\nreference\n%s", a, b)
+	}
+}
+
+// TestMutateMatchesHeap holds the arena-built mutations to the heap-built
+// ones they replaced: over TPC-H and the 30- and 100-table random schemas,
+// connected queries of 2 to 60 relations, chains of mutations through one
+// TreeScratch reused (and reset) throughout draw the same trees from the
+// same generator positions, and none of them changes while the chain grows.
+// The package-level Mutate, over a fresh scratch, does the same.
+func TestMutateMatchesHeap(t *testing.T) {
+	schemas := enumSchemas(t)
+	rng := rand.New(rand.NewSource(1994))
+	var ts optimizer.TreeScratch
+	for _, name := range []string{"tpch", "random30", "random100"} {
+		s := schemas[name]
+		for k := 2; k <= min(60, s.NumTables()); k++ {
+			q, err := workload.RandomQuery(rng, s, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := range int64(3) {
+				checkMutations(t, &ts, q, seed, 40)
+			}
+		}
+	}
+	q, err := workload.RandomQuery(rng, schemas["random100"], 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs optimizer.HeapScratch
+	root, err := hs.RandomTree(rand.New(rand.NewSource(5)), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
+	for step := range 20 {
+		a, okA := optimizer.Mutate(got, q.Schema, root)
+		b, okB := hs.Mutate(want, q.Schema, root)
+		if okA != okB || okA && !sameTree(a, b) {
+			t.Fatalf("package-level Mutate step %d: %v\n%s\nheap reference %v\n%s", step, okA, a, okB, b)
+		}
 	}
 }
 
@@ -294,9 +391,10 @@ func (b *fuzzInput) next() int {
 // 64-bit row word — whose name order differs from their insertion order,
 // with up to three edges per table and so often disconnected, and a query
 // over it that NewQuery has not vetted. The random tree must match the
-// pair scan draw for draw and, up to 12 relations, the Selinger DP must
-// match the full sweep call for call. The seed corpus (below and under
-// testdata/fuzz) runs under plain `go test`.
+// pair scan draw for draw, a chain of mutations from one must match the
+// heap-built reference step for step and, up to 12 relations, the Selinger
+// DP must match the full sweep call for call. The seed corpus (below and
+// under testdata/fuzz) runs under plain `go test`.
 func FuzzEnumeration(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog, twice over the join graph"))
@@ -331,7 +429,9 @@ func FuzzEnumeration(f *testing.F) {
 		}
 		q := rawQuery(s, rels)
 		var ts optimizer.TreeScratch
-		checkRandomTrees(t, &ts, q, int64(in.next()), 3)
+		seed := int64(in.next())
+		checkRandomTrees(t, &ts, q, seed, 3)
+		checkMutations(t, &ts, q, seed, 1+in.next()%40)
 		if len(q.Rels) <= 12 {
 			checkSelinger(t, q)
 		}

@@ -102,13 +102,17 @@ func AppendJoinGraph(dst []uint64, leaves []*plan.Node) []uint64 {
 	return dst
 }
 
-// TreeScratch holds the reusable buffers of the random-tree and mutation
-// paths: the component worklist and its adjacency matrix, and the
-// join-node list the mutation target is drawn from. A zero TreeScratch is
-// ready to use; it grows to the working-set size once and is then
-// allocation-free across calls. Not safe for concurrent use — the
-// randomized planner keeps one per restart worker.
+// TreeScratch holds the reusable state of the random-tree and mutation
+// paths: the arena every node they build comes from, the component
+// worklist and its adjacency matrix, and the join-node list the mutation
+// target is drawn from. A zero TreeScratch is ready to use; it grows to
+// the working-set size once, and after a Reset it builds again into the
+// same storage. The trees it returns live in its arena: they are valid
+// until the next Reset, and whatever must outlive that is Clone()d out.
+// Not safe for concurrent use — the randomized planner keeps one per
+// restart.
 type TreeScratch struct {
+	arena plan.Arena
 	comps []*plan.Node
 	adj   []uint64 // comps' join graph, as AppendJoinGraph lays it out
 	joins []*plan.Node
@@ -124,15 +128,24 @@ type TreeScratch struct {
 	leafAdj  []uint64
 }
 
+// Reset recycles every node the scratch has built. It also forgets the
+// cached leaves: they were carved from the recycled arena, and the key
+// they are cached under is pointer identity, which a later query can
+// reuse.
+func (ts *TreeScratch) Reset() {
+	ts.arena.Reset()
+	clear(ts.leaves)
+	ts.leavesOf, ts.leavesAt, ts.leaves = nil, nil, ts.leaves[:0]
+}
+
 // RandomTree builds a uniformly random bushy join tree for the query: it
 // repeatedly joins two random joinable connected components with a random
 // operator implementation. Used to seed the randomized planner.
 func RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
-	var ts TreeScratch
-	return ts.RandomTree(rng, q)
+	return new(TreeScratch).RandomTree(rng, q)
 }
 
-// RandomTree is the buffer-reusing form of the package-level RandomTree.
+// RandomTree is the storage-reusing form of the package-level RandomTree.
 //
 // The joinable component pairs are never listed: the scratch keeps the
 // components' join graph as a symmetric bit matrix, counts the pairs
@@ -145,7 +158,7 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 	if g := q.Schema.Index(); ts.leavesOf != q || ts.leavesAt != g {
 		ts.leavesOf, ts.leavesAt, ts.leaves = nil, nil, ts.leaves[:0]
 		for _, r := range q.Rels {
-			leaf, err := plan.NewScan(q.Schema, r)
+			leaf, err := ts.arena.Scan(q.Schema, r)
 			if err != nil {
 				return nil, err
 			}
@@ -170,10 +183,11 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 		}
 		p0, p1 := nthPair(adj, w, rng.Intn(total))
 		algo := plan.Algos[rng.Intn(len(plan.Algos))]
-		joined, err := plan.NewJoin(q.Schema, algo, comps[p0], comps[p1])
+		joined, err := ts.arena.Join(q.Schema, algo, comps[p0], comps[p1])
 		if err != nil {
 			ts.comps = comps[:0]
-			return nil, err
+			// The arena returns the bare sentinel; say what NewJoin says.
+			return nil, fmt.Errorf("plan: joining %v and %v: %w", comps[p0].Relations(), comps[p1].Relations(), err)
 		}
 		// Replace p0, move the last component into p1.
 		comps[p0] = joined
@@ -275,11 +289,11 @@ var Mutations = []Mutation{Exchange, AssocLeft, AssocRight, FlipAlgo}
 // tree. ok is false when the chosen mutation is inapplicable at the chosen
 // node (the caller simply retries); the input tree is never modified.
 func Mutate(rng *rand.Rand, s *catalog.Schema, root *plan.Node) (*plan.Node, bool) {
-	var ts TreeScratch
-	return ts.Mutate(rng, s, root)
+	return new(TreeScratch).Mutate(rng, s, root)
 }
 
-// Mutate is the buffer-reusing form of the package-level Mutate.
+// Mutate is the storage-reusing form of the package-level Mutate: the
+// nodes it builds come from the scratch's arena.
 func (ts *TreeScratch) Mutate(rng *rand.Rand, s *catalog.Schema, root *plan.Node) (*plan.Node, bool) {
 	joins := root.AppendJoins(ts.joins[:0])
 	ts.joins = joins
@@ -288,7 +302,7 @@ func (ts *TreeScratch) Mutate(rng *rand.Rand, s *catalog.Schema, root *plan.Node
 	}
 	target := joins[rng.Intn(len(joins))]
 	m := Mutations[rng.Intn(len(Mutations))]
-	out, err := rebuild(s, root, target, m)
+	out, err := ts.rebuild(s, root, target, m)
 	if err != nil || out == nil {
 		return nil, false
 	}
@@ -298,61 +312,61 @@ func (ts *TreeScratch) Mutate(rng *rand.Rand, s *catalog.Schema, root *plan.Node
 // rebuild copies root, replacing target with its transformed version; nodes
 // off the path to target are shared (they are immutable apart from Res,
 // which planners reassign anyway).
-func rebuild(s *catalog.Schema, n, target *plan.Node, m Mutation) (*plan.Node, error) {
+func (ts *TreeScratch) rebuild(s *catalog.Schema, n, target *plan.Node, m Mutation) (*plan.Node, error) {
 	if n == target {
-		return transform(s, n, m)
+		return ts.transform(s, n, m)
 	}
 	if n.IsScan() {
 		return n, nil
 	}
-	left, err := rebuild(s, n.Left, target, m)
+	left, err := ts.rebuild(s, n.Left, target, m)
 	if err != nil || left == nil {
 		return left, err
 	}
-	right, err := rebuild(s, n.Right, target, m)
+	right, err := ts.rebuild(s, n.Right, target, m)
 	if err != nil || right == nil {
 		return right, err
 	}
 	if left == n.Left && right == n.Right {
 		return n, nil
 	}
-	return plan.NewJoin(s, n.Algo, left, right)
+	return ts.arena.Join(s, n.Algo, left, right)
 }
 
 // transform applies the mutation at node j; returns (nil, nil) when
 // inapplicable.
-func transform(s *catalog.Schema, j *plan.Node, m Mutation) (*plan.Node, error) {
+func (ts *TreeScratch) transform(s *catalog.Schema, j *plan.Node, m Mutation) (*plan.Node, error) {
 	switch m {
 	case Exchange:
-		return plan.NewJoin(s, j.Algo, j.Right, j.Left)
+		return ts.arena.Join(s, j.Algo, j.Right, j.Left)
 	case FlipAlgo:
 		other := plan.SMJ
 		if j.Algo == plan.SMJ {
 			other = plan.BHJ
 		}
-		return plan.NewJoin(s, other, j.Left, j.Right)
+		return ts.arena.Join(s, other, j.Left, j.Right)
 	case AssocLeft:
 		// (A ⋈ B) ⋈ C  ->  A ⋈ (B ⋈ C)
 		if j.Left.IsScan() {
 			return nil, nil
 		}
 		a, b, c := j.Left.Left, j.Left.Right, j.Right
-		bc, err := plan.NewJoin(s, j.Left.Algo, b, c)
+		bc, err := ts.arena.Join(s, j.Left.Algo, b, c)
 		if err != nil {
 			return nil, nil // B-C not joinable: inapplicable, not an error
 		}
-		return plan.NewJoin(s, j.Algo, a, bc)
+		return ts.arena.Join(s, j.Algo, a, bc)
 	case AssocRight:
 		// A ⋈ (B ⋈ C)  ->  (A ⋈ B) ⋈ C
 		if j.Right.IsScan() {
 			return nil, nil
 		}
 		a, b, c := j.Left, j.Right.Left, j.Right.Right
-		ab, err := plan.NewJoin(s, j.Right.Algo, a, b)
+		ab, err := ts.arena.Join(s, j.Right.Algo, a, b)
 		if err != nil {
 			return nil, nil
 		}
-		return plan.NewJoin(s, j.Algo, ab, c)
+		return ts.arena.Join(s, j.Algo, ab, c)
 	}
 	return nil, fmt.Errorf("optimizer: unknown mutation %d", int(m))
 }

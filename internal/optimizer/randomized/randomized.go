@@ -10,6 +10,12 @@
 // (Planner.Workers). Archives merge in restart order under the same
 // (1+ε)-dominance rule, so a multi-restart run is reproducible regardless
 // of how many workers execute it.
+//
+// Each restart builds its trees in the node arena of a pooled search state
+// and re-seeds the state's generator, so a search allocates almost
+// nothing. The plans Plan and PlanPareto return are copies, cloned out of
+// the arenas before the states go back to the pool: callers own them, and
+// no later search can overwrite them.
 package randomized
 
 import (
@@ -123,16 +129,44 @@ func restartSeed(base int64, i int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// searchState is the reusable working memory of one restart: the tree
+// scratch whose arena holds every plan the search builds, a generator to
+// re-seed, and the archive buffers. States are pooled, so a search
+// allocates its trees, its generator and its slices only on a pool miss.
+type searchState struct {
+	ts       optimizer.TreeScratch
+	rng      *rand.Rand
+	archive  []ParetoEntry
+	snapshot []ParetoEntry
+}
+
+var statePool = sync.Pool{New: func() any { return &searchState{rng: rand.New(rand.NewSource(0))} }}
+
+// release recycles the arena and drops every plan pointer.
+//
+//raqo:noalloc
+func (st *searchState) release() {
+	st.ts.Reset()
+	clear(st.archive[:cap(st.archive)])
+	clear(st.snapshot[:cap(st.snapshot)])
+	st.archive, st.snapshot = st.archive[:0], st.snapshot[:0]
+}
+
+func getState() *searchState { return statePool.Get().(*searchState) }
+
+func putState(st *searchState) {
+	st.release()
+	statePool.Put(st)
+}
+
 // searchOnce runs one seeded local search — the original single-RNG
-// algorithm — and returns its archive and the number of candidates priced.
-// ctx is observed per seed plan and per archived-plan mutation batch. The
-// random-tree and mutation buffers live in one TreeScratch per search, and
-// the per-iteration archive snapshot reuses a single growing buffer, so
-// the inner loop's slice traffic is amortized away.
-func (p *Planner) searchOnce(ctx context.Context, rng *rand.Rand, q *plan.Query, opts Options) ([]ParetoEntry, int, error) {
-	var archive []ParetoEntry
-	var ts optimizer.TreeScratch
-	var snapshot []ParetoEntry
+// algorithm — in st and returns its archive and the number of candidates
+// priced. ctx is observed per seed plan and per archived-plan mutation
+// batch. Every tree lives in st's arena, and the archive and the
+// per-iteration snapshot reuse st's buffers, so the inner loop allocates
+// nothing once the state has grown.
+func (p *Planner) searchOnce(ctx context.Context, st *searchState, rng *rand.Rand, q *plan.Query, opts Options) ([]ParetoEntry, int, error) {
+	archive := st.archive[:0]
 	considered := 0
 	insert := func(n *plan.Node) {
 		oc, err := optimizer.PlanCost(p.Coster, n)
@@ -147,7 +181,7 @@ func (p *Planner) searchOnce(ctx context.Context, rng *rand.Rand, q *plan.Query,
 		if err := ctx.Err(); err != nil {
 			return nil, considered, fmt.Errorf("randomized: search cancelled: %w", err)
 		}
-		t, err := ts.RandomTree(rng, q)
+		t, err := st.ts.RandomTree(rng, q)
 		if err != nil {
 			return nil, considered, err
 		}
@@ -158,13 +192,13 @@ func (p *Planner) searchOnce(ctx context.Context, rng *rand.Rand, q *plan.Query,
 	}
 
 	for it := 0; it < opts.Iterations; it++ {
-		snapshot = append(snapshot[:0], archive...)
-		for _, e := range snapshot {
+		st.snapshot = append(st.snapshot[:0], archive...)
+		for _, e := range st.snapshot {
 			if err := ctx.Err(); err != nil {
 				return nil, considered, fmt.Errorf("randomized: search cancelled: %w", err)
 			}
 			for m := 0; m < opts.MutationsPerPlan; m++ {
-				mut, ok := ts.Mutate(rng, q.Schema, e.Plan)
+				mut, ok := st.ts.Mutate(rng, q.Schema, e.Plan)
 				if !ok {
 					continue
 				}
@@ -172,6 +206,7 @@ func (p *Planner) searchOnce(ctx context.Context, rng *rand.Rand, q *plan.Query,
 			}
 		}
 	}
+	st.archive = archive
 	return archive, considered, nil
 }
 
@@ -189,11 +224,13 @@ func (p *Planner) workers(restarts int) int {
 	return w
 }
 
-// PlanPareto runs the randomized search and returns the approximate Pareto
-// archive plus the number of candidate plans priced.
-func (p *Planner) PlanPareto(q *plan.Query) ([]ParetoEntry, int, error) {
+// search runs the restarts, each in a pooled state, and hands their merged
+// archive and the number of candidates priced to keep. The archive's plans
+// live in the states' arenas, which are recycled when search returns: keep
+// must Clone out whatever it returns.
+func (p *Planner) search(q *plan.Query, keep func(archive []ParetoEntry, considered int) error) (int, error) {
 	if p.Coster == nil {
-		return nil, 0, fmt.Errorf("randomized: nil coster")
+		return 0, fmt.Errorf("randomized: nil coster")
 	}
 	opts := p.Opts.withDefaults()
 	ctx := p.Ctx
@@ -202,11 +239,18 @@ func (p *Planner) PlanPareto(q *plan.Query) ([]ParetoEntry, int, error) {
 	}
 
 	if opts.Restarts == 1 {
+		st := getState()
+		defer putState(st)
 		rng := p.RNG
 		if rng == nil {
-			rng = rand.New(rand.NewSource(p.Seed))
+			st.rng.Seed(p.Seed)
+			rng = st.rng
 		}
-		return p.searchOnce(ctx, rng, q, opts)
+		archive, considered, err := p.searchOnce(ctx, st, rng, q, opts)
+		if err != nil {
+			return considered, err
+		}
+		return considered, keep(archive, considered)
 	}
 
 	type restartResult struct {
@@ -215,6 +259,14 @@ func (p *Planner) PlanPareto(q *plan.Query) ([]ParetoEntry, int, error) {
 		err        error
 	}
 	results := make([]restartResult, opts.Restarts)
+	states := make([]*searchState, opts.Restarts)
+	defer func() {
+		for _, st := range states {
+			if st != nil {
+				putState(st)
+			}
+		}
+	}()
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers(opts.Restarts); w++ {
@@ -226,8 +278,10 @@ func (p *Planner) PlanPareto(q *plan.Query) ([]ParetoEntry, int, error) {
 				if i >= opts.Restarts {
 					return
 				}
-				rng := rand.New(rand.NewSource(restartSeed(p.Seed, i)))
-				a, n, err := p.searchOnce(ctx, rng, q, opts)
+				st := getState()
+				states[i] = st
+				st.rng.Seed(restartSeed(p.Seed, i))
+				a, n, err := p.searchOnce(ctx, st, st.rng, q, opts)
 				results[i] = restartResult{archive: a, considered: n, err: err}
 			}
 		}()
@@ -241,33 +295,56 @@ func (p *Planner) PlanPareto(q *plan.Query) ([]ParetoEntry, int, error) {
 	considered := 0
 	for i := range results {
 		if err := results[i].err; err != nil {
-			return nil, 0, fmt.Errorf("restart %d: %w", i, err)
+			return 0, fmt.Errorf("restart %d: %w", i, err)
 		}
 		considered += results[i].considered
 		for _, e := range results[i].archive {
 			merged = addEntry(merged, e, opts.Epsilon)
 		}
 	}
-	return merged, considered, nil
+	return considered, keep(merged, considered)
+}
+
+// PlanPareto runs the randomized search and returns the approximate Pareto
+// archive plus the number of candidate plans priced. Each entry's plan is
+// a copy of its own, outside the search's arenas.
+func (p *Planner) PlanPareto(q *plan.Query) ([]ParetoEntry, int, error) {
+	var out []ParetoEntry
+	considered, err := p.search(q, func(archive []ParetoEntry, _ int) error {
+		out = make([]ParetoEntry, len(archive))
+		for i, e := range archive {
+			out[i] = ParetoEntry{Plan: e.Plan.Clone(), Cost: e.Cost}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, considered, err
+	}
+	return out, considered, nil
 }
 
 // Plan returns the archived plan with the lowest execution time — the
-// single-objective view used when comparing against Selinger.
+// single-objective view used when comparing against Selinger — as a copy
+// outside the search's arenas.
 func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
-	archive, considered, err := p.PlanPareto(q)
+	var res *optimizer.Result
+	_, err := p.search(q, func(archive []ParetoEntry, considered int) error {
+		best := archive[0]
+		for _, e := range archive[1:] {
+			if e.Cost.Seconds < best.Cost.Seconds {
+				best = e
+			}
+		}
+		// Re-cost the winner so its operators carry their final resource
+		// annotations (mutated subtrees are rebuilt without Res).
+		if _, err := optimizer.PlanCost(p.Coster, best.Plan); err != nil {
+			return err
+		}
+		res = &optimizer.Result{Plan: best.Plan.Clone(), Cost: best.Cost, PlansConsidered: considered}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	best := archive[0]
-	for _, e := range archive[1:] {
-		if e.Cost.Seconds < best.Cost.Seconds {
-			best = e
-		}
-	}
-	// Re-cost the winner so its operators carry their final resource
-	// annotations (mutated subtrees are rebuilt without Res).
-	if _, err := optimizer.PlanCost(p.Coster, best.Plan); err != nil {
-		return nil, err
-	}
-	return &optimizer.Result{Plan: best.Plan, Cost: best.Cost, PlansConsidered: considered}, nil
+	return res, nil
 }

@@ -1,10 +1,13 @@
 package plan
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"unsafe"
 
 	"raqo/internal/catalog"
 )
@@ -107,6 +110,73 @@ func TestKernelMatchesReference(t *testing.T) {
 				t.Errorf("%s: no pair ended in %v; classes seen: %v", name, class, classes)
 			}
 		}
+	}
+}
+
+// preorder lists the subtree's nodes, parents first.
+func preorder(n *Node, dst []*Node) []*Node {
+	if n == nil {
+		return dst
+	}
+	dst = append(dst, n)
+	return preorder(n.Right, preorder(n.Left, dst))
+}
+
+// TestCloneMatchesReference holds the two-allocation Clone to the
+// node-by-node one it replaced: over random bushy trees on TPC-H and the
+// 100-table schema (two-word relation sets), annotated and not, the copy is
+// Equal to the reference's, node for node the same statistics and the same
+// relation sets, and shares no node and no set backing with the original
+// or between its own nodes — each node's sets have cap == len.
+func TestCloneMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1979))
+	s100, err := catalog.Random(rng, 100, catalog.DefaultRandomConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*catalog.Schema{catalog.TPCH(100), s100} {
+		for round := 0; round < 100; round++ {
+			tw, _ := randomTwin(t, rng, s, 1+rng.Intn(min(30, s.NumTables())), nil)
+			n := tw.node
+			for _, j := range n.Joins() {
+				if rng.Intn(3) > 0 {
+					j.Res = Resources{Containers: 1 + rng.Intn(100), ContainerGB: float64(1 + rng.Intn(8))}
+				}
+			}
+			got, want := n.Clone(), refClone(n)
+			if !got.Equal(want) || !got.Equal(n) {
+				t.Fatalf("clone\n%s\nreference\n%s", got, want)
+			}
+			gotNodes, wantNodes, origNodes := preorder(got, nil), preorder(want, nil), preorder(n, nil)
+			if len(gotNodes) != len(wantNodes) {
+				t.Fatalf("clone has %d nodes, reference %d", len(gotNodes), len(wantNodes))
+			}
+			type span struct{ lo, hi uintptr }
+			var spans []span
+			for i, g := range gotNodes {
+				w, o := wantNodes[i], origNodes[i]
+				if g == o || g.Table != w.Table || g.Algo != w.Algo || g.Res != w.Res || g.g != w.g ||
+					g.rows != w.rows || g.bytes != w.bytes || !slices.Equal(g.sets, w.sets) {
+					t.Fatalf("node %d: clone %+v, reference %+v", i, *g, *w)
+				}
+				if cap(g.sets) != len(g.sets) {
+					t.Fatalf("node %d: sets cap %d, len %d", i, cap(g.sets), len(g.sets))
+				}
+				for _, m := range []*Node{g, o} {
+					lo := uintptr(unsafe.Pointer(unsafe.SliceData(m.sets)))
+					spans = append(spans, span{lo, lo + uintptr(len(m.sets))*8})
+				}
+			}
+			slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+			for i := 1; i < len(spans); i++ {
+				if spans[i].lo < spans[i-1].hi {
+					t.Fatal("two nodes' relation sets share backing")
+				}
+			}
+		}
+	}
+	if (*Node)(nil).Clone() != nil {
+		t.Fatal("a nil plan cloned to non-nil")
 	}
 }
 

@@ -354,16 +354,51 @@ func (n *Node) AppendJoins(dst []*Node) []*Node {
 	return append(dst, n)
 }
 
-// Clone deep-copies the plan tree, including resource annotations.
+// Clone deep-copies the plan tree, including resource annotations, in two
+// allocations: one slice holds every node of the copy and one every
+// node's relation sets, each carved with cap == len so no two nodes share
+// writable backing.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	c := *n
-	c.sets = append([]uint64(nil), n.sets...)
-	c.Left = n.Left.Clone()
-	c.Right = n.Right.Clone()
-	return &c
+	nodes, words := n.size()
+	c := cloner{nodes: make([]Node, nodes), sets: make([]uint64, words)}
+	return c.clone(n)
+}
+
+// size counts the subtree's nodes and their relation-set words.
+func (n *Node) size() (nodes, words int) {
+	if n == nil {
+		return 0, 0
+	}
+	ln, lw := n.Left.size()
+	rn, rw := n.Right.size()
+	return 1 + ln + rn, len(n.sets) + lw + rw
+}
+
+// cloner carves a tree copy out of the storage Clone sized for it.
+type cloner struct {
+	nodes []Node
+	sets  []uint64
+}
+
+func (c *cloner) clone(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
+	m := &c.nodes[0]
+	c.nodes = c.nodes[1:]
+	*m = *n
+	m.sets = nil
+	if k := len(n.sets); k > 0 {
+		m.sets = c.sets[:k:k]
+		copy(m.sets, n.sets)
+		c.sets = c.sets[k:]
+	}
+	m.Left = c.clone(n.Left)
+	m.Right = c.clone(n.Right)
+	return m
 }
 
 // Equal reports whether two plans are the same joint plan: same join

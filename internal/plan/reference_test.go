@@ -75,6 +75,19 @@ func refJoinable(s *catalog.Schema, a, b *refNode) bool {
 	return false
 }
 
+// refClone is the former Clone, one node and one relation-set slice
+// allocated per node: the oracle of the two-allocation Clone.
+func refClone(n *Node) *Node {
+	if n == nil {
+		return nil
+	}
+	c := *n
+	c.sets = append([]uint64(nil), n.sets...)
+	c.Left = refClone(n.Left)
+	c.Right = refClone(n.Right)
+	return &c
+}
+
 // refNode is what the former Node kept per subtree: its statistics and
 // its sorted relation names.
 type refNode struct {

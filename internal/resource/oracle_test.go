@@ -187,6 +187,53 @@ func TestCacheMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestLowerBoundMatchesSearchFloat64s holds the closure-free lower bound to
+// the sort.SearchFloat64s it replaced: the same index for every key on
+// empty, single and duplicate-heavy arrays, ±0, ±Inf, and arrays with NaNs
+// in them, where `>=` is not monotone and only the same halving steps land
+// on the same index.
+func TestLowerBoundMatchesSearchFloat64s(t *testing.T) {
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	arrays := [][]float64{
+		nil,
+		{},
+		{1},
+		{nan},
+		{negZero, 0},
+		{0, negZero},
+		{1, 1, 1, 1},
+		{1, 2, 2, 2, 3},
+		{math.Inf(-1), -1, negZero, 0, 1, math.Inf(1)},
+		{nan, 1, 2},
+		{1, nan, 2},
+		{1, 2, nan},
+		{nan, nan, nan, nan, nan},
+		{0, 0.5, nan, 0.5, 1, nan, 2, 3},
+	}
+	rng := rand.New(rand.NewSource(17))
+	for range 200 {
+		a := make([]float64, rng.Intn(40))
+		for i := range a {
+			a[i] = float64(rng.Intn(10)) / 2
+		}
+		sort.Float64s(a)
+		for range rng.Intn(3) {
+			if len(a) > 0 {
+				a[rng.Intn(len(a))] = nan
+			}
+		}
+		arrays = append(arrays, a)
+	}
+	keys := []float64{nan, negZero, 0, math.Inf(-1), math.Inf(1), -1, 0.5, 1, 1.5, 2, 2.5, 3, 5, 100}
+	for _, a := range arrays {
+		for _, key := range keys {
+			if got, want := lowerBound(a, key), sort.SearchFloat64s(a, key); got != want {
+				t.Fatalf("lowerBound(%v, %v) = %d, sort.SearchFloat64s %d", a, key, got, want)
+			}
+		}
+	}
+}
+
 // FuzzCacheLookup decodes its input into a mode, a threshold and an op
 // sequence (first byte, then two bytes per op) and holds the cache to the
 // linear-scan reference. The seed corpus (below and under testdata/fuzz)

@@ -17,7 +17,6 @@ package resource
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -237,10 +236,10 @@ type Cache struct {
 	ThresholdGB float64
 
 	mu        sync.RWMutex
-	indexes   map[string]*arrayIndex // guarded by mu
-	flights   map[flightKey]*flight  // guarded by mu
-	gen       uint64                 // guarded by mu
-	evictions int64                  // guarded by mu
+	indexes   []*arrayIndex         // one per cost model; guarded by mu
+	flights   map[flightKey]*flight // guarded by mu
+	gen       uint64                // guarded by mu
+	evictions int64                 // guarded by mu
 	hits      atomic.Int64
 	misses    atomic.Int64
 	deduped   atomic.Int64
@@ -265,12 +264,31 @@ const exactEps = 1e-9
 
 // arrayIndex is one cost model's sorted array with binary-search probes.
 type arrayIndex struct {
-	keys []float64
-	vals []plan.Resources
+	model string
+	keys  []float64
+	vals  []plan.Resources
+}
+
+// lowerBound is sort.SearchFloat64s without its closure: the first i with
+// keys[i] >= key, found by the same halving steps, so it lands on the same
+// index even where a NaN makes that predicate non-monotone.
+//
+//raqo:noalloc
+func lowerBound(keys []float64, key float64) int {
+	i, j := 0, len(keys)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if !(keys[h] >= key) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 func (ix *arrayIndex) insert(key float64, val plan.Resources) {
-	i := sort.SearchFloat64s(ix.keys, key)
+	i := lowerBound(ix.keys, key)
 	if i < len(ix.keys) && math.Abs(ix.keys[i]-key) <= exactEps {
 		ix.vals[i] = val
 		return
@@ -304,7 +322,7 @@ func (b *blend) add(dist float64, v plan.Resources) {
 //
 //raqo:noalloc
 func (ix *arrayIndex) lookup(key float64, mode LookupMode, threshold float64, cond cluster.Conditions) (plan.Resources, bool) {
-	i := sort.SearchFloat64s(ix.keys, key)
+	i := lowerBound(ix.keys, key)
 	if i < len(ix.keys) && ix.keys[i]-key <= exactEps {
 		return ix.vals[i], true
 	}
@@ -338,6 +356,19 @@ func (ix *arrayIndex) lookup(key float64, mode LookupMode, threshold float64, co
 	return plan.Resources{}, false
 }
 
+// indexLocked returns model's array, or nil. There is one array per cost
+// model — two in practice — so a scan comparing names beats hashing one.
+//
+//raqo:noalloc
+func (c *Cache) indexLocked(model string) *arrayIndex {
+	for _, ix := range c.indexes {
+		if ix.model == model {
+			return ix
+		}
+	}
+	return nil
+}
+
 // probe answers a lookup from model's array under the read lock.
 //
 //raqo:noalloc
@@ -345,7 +376,7 @@ func (c *Cache) probe(model string, key float64, cond cluster.Conditions) (plan.
 	var r plan.Resources
 	var hit bool
 	c.mu.RLock()
-	if ix := c.indexes[model]; ix != nil {
+	if ix := c.indexLocked(model); ix != nil {
 		r, hit = ix.lookup(key, c.Mode, c.ThresholdGB, cond)
 	}
 	c.mu.RUnlock()
@@ -379,7 +410,7 @@ func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions)
 	c.mu.Lock()
 	// Double-check: a racing leader may have inserted this exact key
 	// between our probe and taking the write lock.
-	if ix := c.indexes[model]; ix != nil {
+	if ix := c.indexLocked(model); ix != nil {
 		if v, ok := ix.lookup(ssGB, Exact, 0, cond); ok {
 			c.mu.Unlock()
 			c.hits.Add(1)
@@ -413,13 +444,10 @@ func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions)
 	// Generation check: see the Cache doc comment — never insert a result
 	// computed against a cache that Reset has since dropped.
 	if err == nil && c.gen == gen {
-		ix := c.indexes[model]
+		ix := c.indexLocked(model)
 		if ix == nil {
-			ix = &arrayIndex{}
-			if c.indexes == nil {
-				c.indexes = make(map[string]*arrayIndex)
-			}
-			c.indexes[model] = ix
+			ix = &arrayIndex{model: model}
+			c.indexes = append(c.indexes, ix)
 		}
 		ix.insert(ssGB, r)
 	}
