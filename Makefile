@@ -54,10 +54,12 @@ race:
 # random tree draws what the pair-by-pair scan drew, the Selinger DP asks
 # the coster what the full mask sweep asked, in the same order), the fault
 # draws' seed-free source against rand.NewSource on any seed and stream
-# length, and the response encoder against json.Encoder's SetIndent on
+# length, the response encoder against json.Encoder's SetIndent on
 # anything encoding/json decodes plus arbitrary bytes as strings (the same
-# bytes, the same error). (The seed corpora already run under plain `go
-# test`.)
+# bytes, the same error), and the /v1/history fixed-shape encoder against
+# WriteResult on arbitrary series names and rows (the same status, headers
+# and bytes, a non-finite value's 500 included). (The seed corpora already
+# run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -70,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRegressionCost -fuzztime=10s ./internal/cost
 	$(GO) test -run '^$$' -fuzz FuzzDrawSource -fuzztime=10s ./internal/cloud
 	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzHistoryJSON -fuzztime=10s ./internal/server
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, structural plan equality, exact memo).
@@ -86,16 +89,18 @@ bench-check:
 
 # Short benchmark pass over the concurrency-sensitive paths, on one and two
 # procs so the cache's shared lock is exercised across threads, plus the
-# history read path, the fleet hop, the feedback journal's two ends,
+# history read path (the store query and one GET /v1/history through the
+# handler), the fleet hop, the feedback journal's two ends,
 # cold planning on a 100-table schema (Selinger-12, randomized-30 and one
 # random tree, the enumeration kernels), one cost-model evaluation, and the
 # submit path's kernels (a
 # cloud SubmitWait, one fault draw, the response encoder); failures here
 # are correctness failures (the benchmarks assert planner errors, the shape
-# of history answers, a 200 through the peer transport, a 200 for a
-# feedback batch, a full journal replay, admissions and encodes).
+# of history answers, a ten-bucket 200 from the history handler, a 200
+# through the peer transport, a 200 for a feedback batch, a full journal
+# replay, admissions and encodes).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
 # scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,

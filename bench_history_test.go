@@ -9,9 +9,16 @@ package raqo_test
 
 import (
 	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"raqo/internal/feedback"
 	"raqo/internal/history"
+	"raqo/internal/server"
 )
 
 // benchHistoryStore opens a store in a per-test temp dir with a segment
@@ -185,5 +192,60 @@ func BenchmarkHistoryQuantileRange(b *testing.B) {
 		if n == 0 || v <= 0 {
 			b.Fatalf("empty quantile: v=%v n=%d", v, n)
 		}
+	}
+}
+
+// historyGETPath is the read the repository benchmark's feedback_rw
+// workload makes: ten minute buckets of the query-level error series.
+// (1 700 000 340 is on the minute grid.)
+var historyGETPath = fmt.Sprintf("/v1/history?series=%s&from=%d&to=%d&step=60",
+	feedback.RelErrSeries("hive", "query"), 1_700_000_340, 1_700_000_940)
+
+// newHistoryBenchServer builds a server with a history store holding 16
+// virtual minutes of feedback, 8 observations a second, committed per
+// batch of eight as POST /v1/feedback commits them.
+func newHistoryBenchServer(tb testing.TB) *server.Server {
+	tb.Helper()
+	s, err := server.New(server.Config{
+		HistoryDir:      filepath.Join(tb.TempDir(), "history"),
+		RecalInterval:   -1,
+		HistoryInterval: -1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = s.Close() })
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8*960; i++ {
+		if err := s.Recalibrator().Feed(benchShapeObservation(rng, 1_700_000_000+int64(i/8))); err != nil {
+			tb.Fatal(err)
+		}
+		if i%8 == 7 {
+			if err := s.History().Commit(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	return s
+}
+
+// serveHistoryGET answers historyGETPath and checks it is ten buckets.
+func serveHistoryGET(tb testing.TB, s *server.Server) {
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, historyGETPath, nil))
+	if rec.Code != http.StatusOK || strings.Count(rec.Body.String(), `"start"`) != 10 {
+		tb.Fatalf("status = %d, body %s", rec.Code, rec.Body)
+	}
+}
+
+// BenchmarkHistoryGET times one GET /v1/history through the full handler
+// stack: parameter parsing, the rollup query and the encoded answer.
+func BenchmarkHistoryGET(b *testing.B) {
+	s := newHistoryBenchServer(b)
+	serveHistoryGET(b, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveHistoryGET(b, s)
 	}
 }

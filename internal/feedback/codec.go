@@ -1,6 +1,7 @@
 package feedback
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"strconv"
@@ -24,6 +25,11 @@ import (
 //     an unknown, repeated or differently-cased key, an escape or a number
 //     out of range is "not canonical": the decoder reports it and the
 //     caller decodes the same bytes with encoding/json instead.
+//
+// The journal line of an observation that arrived in the canonical shape
+// is the span of the request it was decoded from (DecodeBatch's lines):
+// the codec decodes it back to the same observation, and for what
+// json.Marshal wrote it is byte for byte what AppendJSON would write.
 
 // AppendJSON appends the JSON encoding of o to dst: the bytes, or the
 // error, of json.Marshal(o).
@@ -40,13 +46,13 @@ func AppendJSON(dst []byte, o *Observation) ([]byte, error) {
 	dst = append(dst, `","engine":"`...)
 	dst = append(dst, o.Engine...)
 	dst = append(dst, `","predictedSeconds":`...)
-	dst = appendFloat(dst, o.PredictedSeconds)
+	dst = AppendFloat(dst, o.PredictedSeconds)
 	dst = append(dst, `,"observedSeconds":`...)
-	dst = appendFloat(dst, o.ObservedSeconds)
+	dst = AppendFloat(dst, o.ObservedSeconds)
 	dst = append(dst, `,"predictedDollars":`...)
-	dst = appendFloat(dst, float64(o.PredictedDollars))
+	dst = AppendFloat(dst, float64(o.PredictedDollars))
 	dst = append(dst, `,"observedDollars":`...)
-	dst = appendFloat(dst, float64(o.ObservedDollars))
+	dst = AppendFloat(dst, float64(o.ObservedDollars))
 	if o.ObservedAt != 0 {
 		dst = append(dst, `,"observedAt":`...)
 		dst = strconv.AppendInt(dst, o.ObservedAt, 10)
@@ -61,15 +67,15 @@ func AppendJSON(dst []byte, o *Observation) ([]byte, error) {
 			dst = append(dst, `{"algo":"`...)
 			dst = append(dst, s.Algo...)
 			dst = append(dst, `","ssGB":`...)
-			dst = appendFloat(dst, s.SSGB)
+			dst = AppendFloat(dst, s.SSGB)
 			dst = append(dst, `,"csGB":`...)
-			dst = appendFloat(dst, s.CSGB)
+			dst = AppendFloat(dst, s.CSGB)
 			dst = append(dst, `,"nc":`...)
-			dst = appendFloat(dst, s.NC)
+			dst = AppendFloat(dst, s.NC)
 			dst = append(dst, `,"predictedSeconds":`...)
-			dst = appendFloat(dst, s.PredictedSeconds)
+			dst = AppendFloat(dst, s.PredictedSeconds)
 			dst = append(dst, `,"observedSeconds":`...)
-			dst = appendFloat(dst, s.ObservedSeconds)
+			dst = AppendFloat(dst, s.ObservedSeconds)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -79,20 +85,20 @@ func AppendJSON(dst []byte, o *Observation) ([]byte, error) {
 
 // canonical reports whether AppendJSON can write o itself.
 func canonical(o *Observation) bool {
-	ok := plainString(o.Signature) && plainString(o.Engine) &&
-		finite(o.PredictedSeconds) && finite(o.ObservedSeconds) &&
-		finite(float64(o.PredictedDollars)) && finite(float64(o.ObservedDollars))
+	ok := PlainString(o.Signature) && PlainString(o.Engine) &&
+		Finite(o.PredictedSeconds) && Finite(o.ObservedSeconds) &&
+		Finite(float64(o.PredictedDollars)) && Finite(float64(o.ObservedDollars))
 	for i := range o.Operators {
 		s := &o.Operators[i]
-		ok = ok && plainString(s.Algo) && finite(s.SSGB) && finite(s.CSGB) && finite(s.NC) &&
-			finite(s.PredictedSeconds) && finite(s.ObservedSeconds)
+		ok = ok && PlainString(s.Algo) && Finite(s.SSGB) && Finite(s.CSGB) && Finite(s.NC) &&
+			Finite(s.PredictedSeconds) && Finite(s.ObservedSeconds)
 	}
 	return ok
 }
 
-// plainString reports whether json.Marshal writes s as it stands between
-// two quotes.
-func plainString(s string) bool {
+// PlainString reports whether json.Marshal writes s as it stands between
+// two quotes (HTML escaping on or off).
+func PlainString(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			return false
@@ -101,12 +107,15 @@ func plainString(s string) bool {
 	return true
 }
 
-func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
+// Finite reports whether f is neither infinite nor NaN: whether
+// encoding/json encodes it.
+func Finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 
-// appendFloat formats a finite float64 the way encoding/json does: the
+// AppendFloat formats a finite float64 the way encoding/json does: the
 // shortest representation that round-trips, exponent form below 1e-6 and
-// from 1e21, with a two-digit exponent's leading zero dropped.
-func appendFloat(b []byte, f float64) []byte {
+// from 1e21, with a two-digit exponent's leading zero dropped. It is the
+// one float formatter of the hand-written encoders, here and in the server.
+func AppendFloat(b []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -121,28 +130,48 @@ func appendFloat(b []byte, f float64) []byte {
 
 // DecodeBatch decodes the canonical form of a POST /v1/feedback body,
 // {"observations":[...]} with at least one canonical observation, into
-// obs[:0]. ok is false for any other body; nothing is then known about it
-// and the caller decodes it with encoding/json. The result shares no
-// memory with body.
-func DecodeBatch(body []byte, obs []Observation) (out []Observation, ok bool) {
+// obs[:0], and into lines[:0] each observation's journal line: the span of
+// body it was decoded from, surrounding whitespace trimmed. A line is nil
+// when the span holds a line break, or when observedAt is absent or 0 (the
+// server stamps such an observation, so its wire bytes no longer are it).
+// ok is false for any other body; nothing is then known about it and the
+// caller decodes it with encoding/json. The observations share no memory
+// with body; the lines are slices of it.
+func DecodeBatch(body []byte, obs []Observation, lines [][]byte) (outObs []Observation, outLines [][]byte, ok bool) {
 	key, i := member(body, skipByte(body, 0, '{'))
 	if string(key) != "observations" {
-		return nil, false
+		return nil, nil, false
 	}
 	i = skipByte(body, i, '[')
 	var d decoder
-	obs = obs[:0]
+	obs, lines = obs[:0], lines[:0]
 	for more := i >= 0; more; {
 		obs = append(obs, Observation{})
+		start := i
 		if i = d.observation(body, i, &obs[len(obs)-1]); i < 0 {
-			return nil, false
+			return nil, nil, false
 		}
+		lines = append(lines, journalLine(body[start:i], &obs[len(obs)-1]))
 		i, more = next(body, i, ']')
 	}
 	if i = skipByte(body, i, '}'); i != len(body) {
-		return nil, false
+		return nil, nil, false
 	}
-	return obs, true
+	return obs, lines, true
+}
+
+// journalLine returns span, the bytes o was decoded from, as o's journal
+// line, or nil when they cannot stand for o on a line of their own.
+func journalLine(span []byte, o *Observation) []byte {
+	end := len(span)
+	for end > 0 && isSpace(span[end-1]) {
+		end--
+	}
+	span = span[:end]
+	if o.ObservedAt == 0 || bytes.IndexByte(span, '\n') >= 0 || bytes.IndexByte(span, '\r') >= 0 {
+		return nil
+	}
+	return span
 }
 
 // decoder carries what decoding a run of observations shares: the slab
@@ -165,11 +194,13 @@ func (d *decoder) line(b []byte, o *Observation) bool {
 // chain and one check at the end suffices.
 
 func skipSpace(b []byte, i int) int {
-	for i >= 0 && i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\t' || b[i] == '\r') {
+	for i >= 0 && i < len(b) && isSpace(b[i]) {
 		i++
 	}
 	return i
 }
+
+func isSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\t' || c == '\r' }
 
 // skipByte consumes whitespace, then c, then whitespace.
 func skipByte(b []byte, i int, c byte) int {
@@ -226,22 +257,25 @@ func number(b []byte, i int) (lit []byte, integer bool, end int) {
 	if j < len(b) && b[j] == '-' {
 		j++
 	}
-	digits := func() bool {
+	if j < len(b) && b[j] == '0' {
+		j++
+	} else {
 		k := j
 		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
 			j++
 		}
-		return j > k
-	}
-	if j < len(b) && b[j] == '0' {
-		j++
-	} else if !digits() {
-		return nil, false, -1
+		if j == k {
+			return nil, false, -1
+		}
 	}
 	integer = true
 	if j < len(b) && b[j] == '.' {
 		j++
-		if integer = false; !digits() {
+		k := j
+		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
+			j++
+		}
+		if integer = false; j == k {
 			return nil, false, -1
 		}
 	}
@@ -250,7 +284,11 @@ func number(b []byte, i int) (lit []byte, integer bool, end int) {
 		if j < len(b) && (b[j] == '+' || b[j] == '-') {
 			j++
 		}
-		if integer = false; !digits() {
+		k := j
+		for j < len(b) && b[j] >= '0' && b[j] <= '9' {
+			j++
+		}
+		if integer = false; j == k {
 			return nil, false, -1
 		}
 	}

@@ -9,7 +9,12 @@
 //     (signature, engine, predicted vs observed time and money) and per
 //     operator (the cost-model features and the measured stage time) — with
 //     an optional append-only JSONL journal so the accumulated evidence
-//     survives restarts.
+//     survives restarts. Each journal line is a single-line JSON object
+//     that the codec decodes to exactly the acknowledged observation: the
+//     request bytes the observation was decoded from when it arrived in
+//     the canonical shape with its own observedAt (for what json.Marshal
+//     writes, byte for byte AppendJSON's line), AppendJSON's encoding
+//     otherwise.
 //   - Detector: windowed relative-error quantiles per (engine, operator
 //     class); when the configured quantile exceeds the threshold, the
 //     model has drifted.
@@ -23,7 +28,7 @@
 //
 // Everything is deterministic given the same observation sequence: the
 // ring preserves append order, training consumes samples in that order,
-// and quantiles are computed over sorted copies — replaying a journal
+// and quantiles are order statistics of the windows — replaying a journal
 // reproduces the same model coefficients bit for bit.
 package feedback
 
@@ -177,24 +182,25 @@ func (e *InvalidError) Unwrap() error { return e.Err }
 
 // Append validates and records one observation: AppendBatch of one.
 func (s *Store) Append(o Observation) error {
-	return s.AppendBatch([]Observation{o})
+	return s.AppendBatch([]Observation{o}, nil)
 }
 
 // AppendBatch validates and records a batch, all of it or none: an invalid
 // observation is an *InvalidError before anything is written, and the
 // journal takes the batch in one write before the ring sees any of it, so
 // a crash never loses acknowledged feedback and a failed batch leaves
-// nothing behind for the client's retry to double.
+// nothing behind for the client's retry to double. lines, when not nil,
+// holds each observation's journal line, as Journal.AppendBatch takes them.
 //
 //raqo:ack
-func (s *Store) AppendBatch(obs []Observation) error {
+func (s *Store) AppendBatch(obs []Observation, lines [][]byte) error {
 	for i := range obs {
 		if err := obs[i].Validate(); err != nil {
 			return &InvalidError{Index: i, Err: err}
 		}
 	}
 	if s.journal != nil {
-		if err := s.journal.AppendBatch(obs); err != nil {
+		if err := s.journal.AppendBatch(obs, lines); err != nil {
 			return err
 		}
 	}
@@ -261,7 +267,8 @@ func (s *Store) Profiles() []cost.Profile {
 }
 
 // Journal is the append-only JSONL persistence behind a Store: one
-// observation per line, in append order. Replaying the file through a
+// observation per line, in append order, each line a JSON object the
+// codec decodes to exactly that observation. Replaying the file through a
 // fresh store and recalibrator reproduces the exact model state (see the
 // determinism test), which is also what `raqo calibrate` does offline.
 //
@@ -350,23 +357,31 @@ func (j *Journal) Writes() int64 { return j.writes.Load() }
 
 // Append writes one observation: AppendBatch of one.
 func (j *Journal) Append(o Observation) error {
-	return j.AppendBatch([]Observation{o})
+	return j.AppendBatch([]Observation{o}, nil)
 }
 
-// AppendBatch writes the observations as JSON lines with one write. With
+// AppendBatch writes the observations as JSON lines with one write. A line
+// is lines[i] when lines is not nil and lines[i] is not: the bytes obs[i]
+// was decoded from, a single-line object the codec decodes to exactly
+// obs[i] (DecodeBatch's lines). Every other line is AppendJSON's encoding. The
+// lines are copied; nothing keeps a reference to them. With
 // rotation on, the files end up byte for byte as if the lines had been
 // appended one at a time: a line that would push the active file past the
 // limit rotates it first, so a batch across that boundary is two writes.
 // A batch that fails leaves no line behind, short of one that spans
 // several rotations: what an earlier rotation carried off stays.
-func (j *Journal) AppendBatch(obs []Observation) error {
+func (j *Journal) AppendBatch(obs []Observation, lines [][]byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	buf := j.buf[:0]
 	for i := range obs {
-		var err error
-		if buf, err = AppendJSON(buf, &obs[i]); err != nil {
-			return fmt.Errorf("feedback: journal encode: %w", err)
+		if lines != nil && lines[i] != nil {
+			buf = append(buf, lines[i]...)
+		} else {
+			var err error
+			if buf, err = AppendJSON(buf, &obs[i]); err != nil {
+				return fmt.Errorf("feedback: journal encode: %w", err)
+			}
 		}
 		buf = append(buf, '\n')
 	}
@@ -514,8 +529,12 @@ func (j *Journal) Close() error {
 }
 
 // ReadJournal replays a journal into observations, in append order: any
-// rotated files (`<path>.<n>`) oldest first, then the active file. Invalid
-// lines fail the replay: a journal is written only through AppendBatch, so
+// rotated files (`<path>.<n>`) oldest first, then the active file. Each
+// line is a single-line JSON object that decodes to exactly the
+// observation that was acknowledged: the codec's canonical shape as the
+// client sent it or as AppendJSON wrote it, or (from AppendJSON's
+// json.Marshal fallback) anything encoding/json reads. Invalid lines fail
+// the replay: a journal is written only through AppendBatch, so
 // corruption is worth surfacing, not skipping. The one exception is what
 // follows a file's last newline, a write a crash cut short.
 func ReadJournal(path string) ([]Observation, error) {

@@ -198,7 +198,7 @@ func TestJournalTornTail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.AppendBatch([]Observation{obs(3)}); err != nil {
+			if err := j.AppendBatch([]Observation{obs(3)}, nil); err != nil {
 				t.Fatal(err)
 			}
 			if err := j.Close(); err != nil {
@@ -252,7 +252,7 @@ func TestJournalBatchRotation(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < len(stream); i += batch {
-				if err := j.AppendBatch(stream[i:min(i+batch, len(stream))]); err != nil {
+				if err := j.AppendBatch(stream[i:min(i+batch, len(stream))], nil); err != nil {
 					t.Fatal(err)
 				}
 			}

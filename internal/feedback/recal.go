@@ -126,14 +126,15 @@ func (r *Recalibrator) OnSwap(fn func(Recalibration, *ModelInfo)) {
 
 // Feed records one observation: FeedBatch of one.
 func (r *Recalibrator) Feed(o Observation) error {
-	return r.FeedBatch([]Observation{o})
+	return r.FeedBatch([]Observation{o}, nil)
 }
 
 // FeedBatch records a batch into the store and then the detector. The
 // detector, and through it the history recorder, sees the batch only once
-// the store has it durably, so a refused batch leaves no trace.
-func (r *Recalibrator) FeedBatch(obs []Observation) error {
-	if err := r.store.AppendBatch(obs); err != nil {
+// the store has it durably, so a refused batch leaves no trace. lines,
+// when not nil, are the observations' journal lines (Store.AppendBatch).
+func (r *Recalibrator) FeedBatch(obs []Observation, lines [][]byte) error {
+	if err := r.store.AppendBatch(obs, lines); err != nil {
 		return err
 	}
 	r.det.ObserveBatch(obs)

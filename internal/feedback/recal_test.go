@@ -404,7 +404,7 @@ func TestJournalBytesUnchanged(t *testing.T) {
 	rec1, _ := newRecalibrator(t, j)
 	var want []byte
 	for i := 0; i < len(obs); i += 8 {
-		if err := rec1.FeedBatch(obs[i : i+8]); err != nil {
+		if err := rec1.FeedBatch(obs[i:i+8], nil); err != nil {
 			t.Fatal(err)
 		}
 		for _, o := range obs[i : i+8] {

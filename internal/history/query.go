@@ -52,35 +52,80 @@ func (st *Store) Query(series string, from, to, step int64) ([]Bucket, error) {
 // the same window (points straddling a seal): counts and extrema are
 // order-free, but float sums are not associative, and query output must be
 // bit-stable across runs.
+//
+// A first pass sizes the answer: the output buckets, and for each the
+// union of its sources' sketch windows, which is the window merging them
+// leaves it with. One slab holds all those windows, each output sketch
+// starting on an empty slice of its share, so the merges fill it without
+// growing it: the rows and the slab are the query's two allocations.
 func (st *Store) queryLevelLocked(lv *level, sid uint32, from, to, step int64) []Bucket {
 	lo := alignDown(from, lv.width)
-	p, a := lv.persisted.span(sid, lo, to), lv.active.span(sid, lo, to)
-	out := make([]Bucket, 0, stepWindows(p, step)+stepWindows(a, step))
-	for len(p) > 0 || len(a) > 0 {
-		var src *Bucket
-		if len(a) == 0 || (len(p) > 0 && p[0].Start <= a[0].Start) {
-			src, p = p[0], p[1:]
-		} else {
-			src, a = a[0], a[1:]
+	all := mergeRun{lv.persisted.span(sid, lo, to), lv.active.span(sid, lo, to)}
+	n, words := 0, 0
+	for r := all; r.more(); n++ {
+		_, k, w := r.window(step)
+		r.skip(k)
+		words += w
+	}
+	out, slab := make([]Bucket, n), make([]int64, words)
+	r := all
+	for i := range out {
+		start, k, w := r.window(step)
+		out[i].Start = start
+		if w > 0 {
+			out[i].sk.counts, slab = slab[:0:w], slab[w:]
 		}
-		start := alignDown(src.Start, step)
-		if n := len(out); n == 0 || out[n-1].Start != start {
-			out = append(out, Bucket{Start: start})
+		for ; k > 0; k-- {
+			out[i].merge(r.next())
 		}
-		out[len(out)-1].merge(src)
 	}
 	return out
 }
 
-// stepWindows counts the step-aligned windows an ascending run falls in.
-func stepWindows(run []*Bucket, step int64) int {
-	n, prev := 0, int64(0)
-	for i, b := range run {
-		if w := alignDown(b.Start, step); i == 0 || w != prev {
-			n, prev = n+1, w
+// mergeRun walks a level's persisted and active buckets of one series in
+// merge order: ascending start, persisted first on a tie.
+type mergeRun struct{ p, a []*Bucket }
+
+func (r *mergeRun) more() bool { return len(r.p) > 0 || len(r.a) > 0 }
+
+func (r *mergeRun) next() *Bucket {
+	var b *Bucket
+	if len(r.a) == 0 || (len(r.p) > 0 && r.p[0].Start <= r.a[0].Start) {
+		b, r.p = r.p[0], r.p[1:]
+	} else {
+		b, r.a = r.a[0], r.a[1:]
+	}
+	return b
+}
+
+func (r *mergeRun) skip(k int) {
+	for ; k > 0; k-- {
+		r.next()
+	}
+}
+
+// window looks at the sources of the next output bucket without taking
+// them: its step-aligned start, how many sources it merges and the width
+// of the union of their sketch windows.
+func (r mergeRun) window(step int64) (start int64, k, width int) {
+	lo, hi := 0, -1
+	for r.more() {
+		b := r.next()
+		s := alignDown(b.Start, step)
+		if k > 0 && s != start {
+			break
+		}
+		start, k = s, k+1
+		if n := len(b.sk.counts); n > 0 {
+			l, h := int(b.sk.lo), int(b.sk.lo)+n-1
+			if hi < lo {
+				lo, hi = l, h
+			} else {
+				lo, hi = min(lo, l), max(hi, h)
+			}
 		}
 	}
-	return n
+	return start, k, hi - lo + 1
 }
 
 // queryRaw scans the raw segments overlapping [from, to) and buckets the

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -219,6 +220,85 @@ func TestSketchMatchesReference(t *testing.T) {
 			parts[i].merge(parts[j])
 			parts[i].check(t)
 			parts = append(parts[:j], parts[j+1:]...)
+		}
+	}
+}
+
+// parentQueryLevel is queryLevelLocked as it was before the slab: each
+// output bucket's sketch window grown by its merges. The slab query is
+// held to its rows, sketches included.
+func parentQueryLevel(lv *level, sid uint32, from, to, step int64) []Bucket {
+	lo := alignDown(from, lv.width)
+	p, a := lv.persisted.span(sid, lo, to), lv.active.span(sid, lo, to)
+	out := make([]Bucket, 0)
+	for len(p) > 0 || len(a) > 0 {
+		var src *Bucket
+		if len(a) == 0 || (len(p) > 0 && p[0].Start <= a[0].Start) {
+			src, p = p[0], p[1:]
+		} else {
+			src, a = a[0], a[1:]
+		}
+		start := alignDown(src.Start, step)
+		if n := len(out); n == 0 || out[n-1].Start != start {
+			out = append(out, Bucket{Start: start})
+		}
+		out[len(out)-1].merge(src)
+	}
+	return out
+}
+
+// TestQueryLevelMatchesReference: on a store that seals often, so output
+// buckets merge persisted and active sources, some of the same minute,
+// the slab query returns the parent's rows at every step, and every
+// sketch window fills its share of the slab exactly.
+func TestQueryLevelMatchesReference(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{SegmentMaxBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rng := rand.New(rand.NewSource(3))
+	s, err := st.Series("q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ts := int64(0); ts < 30*3600; ts += 1 + rng.Int63n(40) {
+		v := math.Exp(rng.NormFloat64() * 4) // across many decades, zeros and the clamp
+		if rng.Intn(20) == 0 {
+			v = 0
+		}
+		st.Append(s, ts-rng.Int63n(90), v)
+		if rng.Intn(30) == 0 {
+			if err := st.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	sid := st.byName["q"].id
+	for _, lv := range []*level{st.lv1m, st.lv1h} {
+		if len(lv.persisted.span(sid, math.MinInt64, math.MaxInt64)) == 0 || len(lv.active.span(sid, math.MinInt64, math.MaxInt64)) == 0 {
+			t.Fatalf("width %d: the store left no persisted or no active buckets to merge", lv.width)
+		}
+		for _, step := range []int64{60, 120, 300, 420, 3600, 7200, 86400} {
+			if step%lv.width != 0 {
+				continue
+			}
+			for _, r := range [][2]int64{{0, 30 * 3600}, {-1000, 1}, {3601, 3 * 3600}, {17, 18}} {
+				got := st.queryLevelLocked(lv, sid, r[0], r[1], step)
+				if want := parentQueryLevel(lv, sid, r[0], r[1], step); !reflect.DeepEqual(got, want) {
+					t.Fatalf("width %d step %d range %v: %d rows, parent %d, or they differ", lv.width, step, r, len(got), len(want))
+				}
+				for i := range got {
+					if c := got[i].sk.counts; cap(c) != len(c) {
+						t.Fatalf("width %d step %d: row %d window %d of capacity %d", lv.width, step, i, len(c), cap(c))
+					}
+				}
+			}
 		}
 	}
 }

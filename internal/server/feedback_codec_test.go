@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -20,8 +22,9 @@ import (
 )
 
 // parentHandleFeedback is handleFeedback as it stood before the feedback
-// codec: encoding/json on the request stream, one Feed per observation. It
-// is the reference the handler's status and body are held to.
+// codec: encoding/json on the request stream, one Feed per observation,
+// each journal line re-encoded by AppendJSON. It is the reference the
+// handler's status, body and journal are held to.
 func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -58,11 +61,17 @@ func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 }
 
 // bareFeedbackServer is the part of a Server the feedback handlers touch:
-// a recalibrator over a small ring, no journal, no history.
-func bareFeedbackServer() *Server {
-	rec := feedback.NewRecalibrator(feedback.NewStore(64, nil),
+// a recalibrator over a small ring with a journal at path, no history.
+func bareFeedbackServer(t *testing.T, path string) *Server {
+	t.Helper()
+	j, err := feedback.OpenJournalConfig(path, feedback.JournalConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = j.Close() })
+	rec := feedback.NewRecalibrator(feedback.NewStore(64, j),
 		feedback.NewDetector(feedback.DriftConfig{MinSamples: 2}), cost.NewModels())
-	return &Server{rec: rec, metrics: NewMetrics(telemetry.NewRegistry())}
+	return &Server{rec: rec, journal: j, metrics: NewMetrics(telemetry.NewRegistry())}
 }
 
 // clip shortens a body for a failure message.
@@ -76,11 +85,23 @@ func clip(body []byte) string {
 // checkFeedbackBody holds the codec to encoding/json on one request body:
 // what DecodeBatch takes, decodeStrict takes and decodes to the same
 // observations; and, taken or declined, the handler answers with the
-// parent's status and bytes and leaves the store and the detector as the
-// parent would. It returns whether the handler let the codec take the body.
+// parent's status and bytes and leaves the store, the detector and the
+// journal as the parent would. Replayed, both journals hold bit-identical
+// observations; the handler's holds each accepted observation's wire line
+// or, where DecodeBatch gave none, AppendJSON's; and for a body json.Marshal
+// wrote, the two files are byte-identical. It returns whether the handler
+// let the codec take the body.
 func checkFeedbackBody(t *testing.T, body []byte) bool {
 	t.Helper()
-	got, ok := feedback.DecodeBatch(body, nil)
+	took, _, _ := serveFeedbackPair(t, body)
+	return took
+}
+
+// serveFeedbackPair is checkFeedbackBody, returning the two journal files
+// as well: the handler's and the parent's.
+func serveFeedbackPair(t *testing.T, body []byte) (took bool, journal, parentJournal []byte) {
+	t.Helper()
+	got, lines, ok := feedback.DecodeBatch(body, nil, nil)
 	var req FeedbackRequest
 	err := decodeStrict(bytes.NewReader(body), &req)
 	if ok && err != nil {
@@ -89,14 +110,29 @@ func checkFeedbackBody(t *testing.T, body []byte) bool {
 	if ok && !reflect.DeepEqual(got, req.Observations) {
 		t.Fatalf("body %s\n codec %#v\n json  %#v", clip(body), got, req.Observations)
 	}
+	if ok && len(lines) != len(got) {
+		t.Fatalf("body %s: %d lines for %d observations", clip(body), len(lines), len(got))
+	}
 
-	serve := func(handle func(*Server, http.ResponseWriter, *http.Request)) (*Server, *httptest.ResponseRecorder) {
-		s, w := bareFeedbackServer(), httptest.NewRecorder()
+	dir := t.TempDir()
+	serve := func(path string, handle func(*Server, http.ResponseWriter, *http.Request)) (*Server, *httptest.ResponseRecorder) {
+		s, w := bareFeedbackServer(t, filepath.Join(dir, path)), httptest.NewRecorder()
 		handle(s, w, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
 		return s, w
 	}
-	s, w := serve((*Server).handleFeedback)
-	ref, want := serve(parentHandleFeedback)
+	// Both handlers stamp untimestamped observations with the wall clock: a
+	// pair of runs that straddles a second is run again.
+	var s, ref *Server
+	var w, want *httptest.ResponseRecorder
+	var now int64
+	for try := 0; ; try++ {
+		now = time.Now().Unix()
+		s, w = serve(fmt.Sprintf("codec-%d.jsonl", try), (*Server).handleFeedback)
+		ref, want = serve(fmt.Sprintf("parent-%d.jsonl", try), parentHandleFeedback)
+		if time.Now().Unix() == now {
+			break
+		}
+	}
 	if w.Code != want.Code || w.Body.String() != want.Body.String() {
 		t.Fatalf("body %s\n answered %d %s\n parent   %d %s", clip(body), w.Code, w.Body, want.Code, want.Body)
 	}
@@ -107,11 +143,99 @@ func checkFeedbackBody(t *testing.T, body []byte) bool {
 		!reflect.DeepEqual(s.rec.Detector().Stats(), ref.rec.Detector().Stats()) {
 		t.Fatalf("body %s: store and detector differ from the parent's", clip(body))
 	}
-	took := s.metrics.FeedbackFallback.Value() == 0
+	took = s.metrics.FeedbackFallback.Value() == 0
 	if took != (ok && len(body) <= maxBodyBytes) {
 		t.Fatalf("body %s: codec takes it = %v, fallbacks counted = %d", clip(body), ok, s.metrics.FeedbackFallback.Value())
 	}
-	return took
+	checkJournals(t, body, s.journal.Path(), ref.journal.Path())
+	journal, parentJournal = readFile(t, s.journal.Path()), readFile(t, ref.journal.Path())
+	if took && w.Code == http.StatusOK {
+		var lineFile []byte // the wire lines, AppendJSON where there is none
+		for i := range got {
+			if lines[i] != nil {
+				lineFile = append(lineFile, lines[i]...)
+			} else {
+				o := got[i]
+				if o.ObservedAt == 0 {
+					o.ObservedAt = now
+				}
+				if lineFile, err = feedback.AppendJSON(lineFile, &o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			lineFile = append(lineFile, '\n')
+		}
+		if !bytes.Equal(journal, lineFile) {
+			t.Fatalf("body %s: journal\n%s\nwant\n%s", clip(body), journal, lineFile)
+		}
+	}
+	return took, journal, parentJournal
+}
+
+// checkJournals holds the handler's journal to the parent's: replayed, the
+// same observations to the bit; for a body in json.Marshal's bytes, the
+// same file.
+func checkJournals(t *testing.T, body []byte, path, parentPath string) {
+	t.Helper()
+	got, err := feedback.ReadJournal(path)
+	if err != nil {
+		t.Fatalf("body %s: replaying the journal: %v", clip(body), err)
+	}
+	want, err := feedback.ReadJournal(parentPath)
+	if err != nil {
+		t.Fatalf("body %s: replaying the parent's journal: %v", clip(body), err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("body %s: journal replays %d observations, parent's %d", clip(body), len(got), len(want))
+	}
+	for i := range got {
+		if g, w := observationBits(&got[i]), observationBits(&want[i]); g != w {
+			t.Fatalf("body %s: journal observation %d\n %s\n parent's\n %s", clip(body), i, g, w)
+		}
+	}
+	if marshalShaped(body) {
+		sameJournalBytes(t, body, readFile(t, path), readFile(t, parentPath))
+	}
+}
+
+func sameJournalBytes(t *testing.T, body, journal, parentJournal []byte) {
+	t.Helper()
+	if !bytes.Equal(journal, parentJournal) {
+		t.Fatalf("body %s: journal\n%s\nparent's\n%s", clip(body), journal, parentJournal)
+	}
+}
+
+// marshalShaped reports whether body is byte for byte what json.Marshal
+// writes for the batch it decodes to.
+func marshalShaped(body []byte) bool {
+	var req FeedbackRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return false
+	}
+	b, err := json.Marshal(req)
+	return err == nil && bytes.Equal(b, body)
+}
+
+// observationBits renders o with every float as its bits, so -0 and 0 or
+// two NaNs differ where they differ.
+func observationBits(o *feedback.Observation) string {
+	out := fmt.Sprintf("%q %q %x %x %x %x at=%d", o.Signature, o.Engine,
+		math.Float64bits(o.PredictedSeconds), math.Float64bits(o.ObservedSeconds),
+		math.Float64bits(float64(o.PredictedDollars)), math.Float64bits(float64(o.ObservedDollars)), o.ObservedAt)
+	for _, s := range o.Operators {
+		out += fmt.Sprintf(" [%q %x %x %x %x %x]", s.Algo, math.Float64bits(s.SSGB), math.Float64bits(s.CSGB),
+			math.Float64bits(s.NC), math.Float64bits(s.PredictedSeconds), math.Float64bits(s.ObservedSeconds))
+	}
+	return out
+}
+
+func readFile(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // feedbackBodies are named /v1/feedback bodies and whether the codec takes
@@ -129,6 +253,12 @@ var feedbackBodies = []struct {
 	{"invalid observation", `{"observations":[{"engine":"hive","observedSeconds":1},{"engine":"","observedSeconds":1}]}`, true},
 	{"observedAt zero", `{"observations":[{"engine":"hive","observedSeconds":1,"observedAt":0}]}`, true},
 	{"html characters", `{"observations":[{"signature":"<a>&","engine":"hive","observedSeconds":1}]}`, true},
+	{"newline inside an observation", "{\"observations\":[{\"engine\":\"hive\",\n\"observedSeconds\":1,\"observedAt\":1700000000},{\"engine\":\"hive\",\"observedSeconds\":2,\"observedAt\":1700000000}]}", true},
+	{"carriage return inside an observation", "{\"observations\":[{\"engine\":\"hive\",\r\"observedSeconds\":1,\"observedAt\":1700000000}]}", true},
+	{"observedAt missing", `{"observations":[{"signature":"s","engine":"hive","predictedSeconds":3,"observedSeconds":1,"operators":[{"algo":"SMJ","ssGB":1,"csGB":3,"nc":5,"predictedSeconds":10,"observedSeconds":40}]}]}`, true},
+	{"observedAt minus zero", `{"observations":[{"engine":"hive","observedSeconds":1,"observedAt":-0}]}`, true},
+	{"reordered keys, spaces and tabs", "{\"observations\":[ {\"observedAt\":1700000001,\t\"observedSeconds\" : 2.5 , \"engine\":\"spark\",\"operators\":[ {\"observedSeconds\":3,\t\"nc\":4,\"algo\":\"BHJ\",\"csGB\":2,\"ssGB\":1,\"predictedSeconds\":2} ],\"signature\":\"q-9\"\t} , {\"engine\":\"hive\",\"observedSeconds\":1,\"observedAt\":1700000001} ]}", true},
+	{"literals json.Marshal would write otherwise", `{"observations":[{"engine":"hive","predictedSeconds":1.50,"observedSeconds":1E2,"predictedDollars":-0,"observedDollars":123456789012345678901234567890,"observedAt":1700000002,"operators":[{"algo":"SMJ","ssGB":0.123456789012345678901234567890,"csGB":1e-7,"nc":5e0,"predictedSeconds":1.0e+21,"observedSeconds":0.000001}]}]}`, true},
 
 	{"escaped signature and mixed-case key", `{"observations":[{"signature":"a\"b","Engine":"hive","observedSeconds":1}]}`, false},
 	{"non-ASCII", `{"observations":[{"signature":"⋈","engine":"hive","observedSeconds":1}]}`, false},
@@ -154,6 +284,46 @@ func TestFeedbackCodecMatchesParent(t *testing.T) {
 	for _, c := range feedbackBodies {
 		if ok := checkFeedbackBody(t, []byte(c.body)); ok != c.canonical {
 			t.Errorf("%s: codec took it = %v, want %v", c.name, ok, c.canonical)
+		}
+	}
+}
+
+// TestFeedbackJournalMatchesParentBytes: for batches json.Marshal wrote,
+// with and without observedAt, and for smoke_feedback's batches (no
+// observedAt, so stamped and re-encoded), the journal is the parent's file
+// byte for byte. (smoke_history's observations carry observedAt but no
+// dollars: their lines keep the client's bytes and replay the same.)
+func TestFeedbackJournalMatchesParentBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		var req FeedbackRequest
+		for j := 0; j < 8; j++ {
+			o := validObservation(rng.Intn(100))
+			o.PredictedSeconds = o.ObservedSeconds * (0.7 + 0.6*rng.Float64())
+			o.Operators[0].SSGB = 0.1 + 8*rng.Float64()
+			if i%2 == 0 {
+				o.ObservedAt = 1_700_000_000 + rng.Int63n(600)
+			}
+			req.Observations = append(req.Observations, o)
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !marshalShaped(body) {
+			t.Fatalf("%s is not json.Marshal's bytes", clip(body))
+		}
+		if !checkFeedbackBody(t, body) {
+			t.Fatalf("codec declined %s", clip(body))
+		}
+	}
+	for _, c := range feedbackBodies {
+		if c.name == "smoke_feedback shape" {
+			took, journal, parentJournal := serveFeedbackPair(t, []byte(c.body))
+			if !took || len(journal) == 0 {
+				t.Fatalf("%s: codec took it = %v, journal %q", c.name, took, journal)
+			}
+			sameJournalBytes(t, []byte(c.body), journal, parentJournal)
 		}
 	}
 }

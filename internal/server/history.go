@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"raqo/internal/feedback"
 	"raqo/internal/history"
 )
 
@@ -96,6 +97,11 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
+	writeHistory(w, series, from, to, step, rows)
+}
+
+// newHistoryResponse is the wire form of a range query's rows.
+func newHistoryResponse(series string, from, to, step int64, rows []history.Bucket) HistoryResponse {
 	resp := HistoryResponse{
 		Series:  series,
 		From:    from,
@@ -118,7 +124,75 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			P99:   q[2],
 		}
 	}
-	WriteResult(w, resp)
+	return resp
+}
+
+// writeHistory answers a range query with WriteResult's bytes for
+// newHistoryResponse(...), written straight from the rows. A series name
+// that would need escaping, or a value that does not encode, goes through
+// WriteResult itself, which answers the latter with its 500.
+func writeHistory(w http.ResponseWriter, series string, from, to, step int64, rows []history.Bucket) {
+	b := jsonBuffers.Get().(*jsonBuffer)
+	out, ok := appendHistoryResponse(b.out[:0], series, from, to, step, rows)
+	b.out = out
+	if ok {
+		writeEncoded(w, out)
+	} else {
+		WriteResult(w, newHistoryResponse(series, from, to, step, rows))
+	}
+	b.release()
+}
+
+// historyFloatKeys lead the float members of a HistoryBucket, in order.
+var historyFloatKeys = [...]string{
+	",\n      \"sum\": ",
+	",\n      \"min\": ",
+	",\n      \"max\": ",
+	",\n      \"mean\": ",
+	",\n      \"p50\": ",
+	",\n      \"p90\": ",
+	",\n      \"p99\": ",
+}
+
+// appendHistoryResponse appends the indented JSON of
+// newHistoryResponse(...) to dst; ok is false, and dst half written, when
+// the series name needs escaping or a value is not finite.
+func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows []history.Bucket) (_ []byte, ok bool) {
+	if !feedback.PlainString(series) {
+		return dst, false
+	}
+	dst = append(dst, "{\n  \"series\": \""...)
+	dst = append(dst, series...)
+	dst = append(dst, "\",\n  \"from\": "...)
+	dst = strconv.AppendInt(dst, from, 10)
+	dst = append(dst, ",\n  \"to\": "...)
+	dst = strconv.AppendInt(dst, to, 10)
+	dst = append(dst, ",\n  \"step\": "...)
+	dst = strconv.AppendInt(dst, step, 10)
+	dst = append(dst, ",\n  \"buckets\": ["...)
+	for i := range rows {
+		b := &rows[i]
+		q := b.Quantiles(0.5, 0.9, 0.99)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n    {\n      \"start\": "...)
+		dst = strconv.AppendInt(dst, b.Start, 10)
+		dst = append(dst, ",\n      \"count\": "...)
+		dst = strconv.AppendInt(dst, b.Count, 10)
+		for j, v := range [...]float64{b.Sum, b.Min, b.Max, b.Mean(), q[0], q[1], q[2]} {
+			if !feedback.Finite(v) {
+				return dst, false
+			}
+			dst = append(dst, historyFloatKeys[j]...)
+			dst = feedback.AppendFloat(dst, v)
+		}
+		dst = append(dst, "\n    }"...)
+	}
+	if len(rows) > 0 {
+		dst = append(dst, "\n  "...)
+	}
+	return append(dst, "]\n}\n"...), true
 }
 
 // gatherHistory samples every telemetry series into the history store at

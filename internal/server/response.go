@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
+	"strconv"
 	"sync"
 
 	"raqo/internal/core"
@@ -169,6 +171,27 @@ type FeedbackResponse struct {
 	Stored   int   `json:"stored"`   // observations currently in the ring
 	Total    int64 `json:"total"`    // observations ever accepted
 	Drifted  bool  `json:"drifted"`  // drift detector state after ingestion
+}
+
+// writeFeedbackResponse sends WriteResult's bytes for r, written field by
+// field: four members of fixed shape, none of which can fail to encode.
+func writeFeedbackResponse(w http.ResponseWriter, r FeedbackResponse) {
+	b := jsonBuffers.Get().(*jsonBuffer)
+	b.out = appendFeedbackResponse(b.out[:0], r)
+	writeEncoded(w, b.out)
+	b.release()
+}
+
+func appendFeedbackResponse(dst []byte, r FeedbackResponse) []byte {
+	dst = append(dst, "{\n  \"accepted\": "...)
+	dst = strconv.AppendInt(dst, int64(r.Accepted), 10)
+	dst = append(dst, ",\n  \"stored\": "...)
+	dst = strconv.AppendInt(dst, int64(r.Stored), 10)
+	dst = append(dst, ",\n  \"total\": "...)
+	dst = strconv.AppendInt(dst, r.Total, 10)
+	dst = append(dst, ",\n  \"drifted\": "...)
+	dst = strconv.AppendBool(dst, r.Drifted)
+	return append(dst, "\n}\n"...)
 }
 
 // ModelResponse is the body of GET /v1/model: the live cost-model version

@@ -843,10 +843,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 // feedbackScratch is what decoding one /v1/feedback request needs and
-// nothing keeps afterwards: the store copies the observations it takes.
+// nothing keeps afterwards: the store copies the observations it takes and
+// the journal the lines, which are slices of body.
 type feedbackScratch struct {
-	body bytes.Buffer
-	obs  []feedback.Observation
+	body  bytes.Buffer
+	obs   []feedback.Observation
+	lines [][]byte
 }
 
 var feedbackScratchPool = sync.Pool{New: func() any { return new(feedbackScratch) }}
@@ -856,6 +858,8 @@ func (sc *feedbackScratch) release() {
 	sc.body.Reset()
 	clear(sc.obs)
 	sc.obs = sc.obs[:0]
+	clear(sc.lines)
+	sc.lines = sc.lines[:0]
 	feedbackScratchPool.Put(sc)
 }
 
@@ -869,7 +873,10 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 // refused whole (400 for a malformed or invalid batch, 500 when the
 // journal or the history store fails) or acknowledged whole. The 200
 // acknowledges durability: the batch is journaled (one write, in
-// FeedBatch) and the history block committed before WriteResult runs.
+// FeedBatch) and the history block committed before the answer is written.
+// An observation decoded by the codec is journaled as the bytes it
+// arrived in (feedback.DecodeBatch's lines); one from the encoding/json
+// fallback or stamped here is re-encoded.
 //
 //raqo:ack
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
@@ -877,12 +884,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	defer sc.release()
 	_, readErr := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	var obs []feedback.Observation
+	var lines [][]byte
 	canonical := false
 	if readErr == nil {
-		obs, canonical = feedback.DecodeBatch(sc.body.Bytes(), sc.obs)
+		obs, lines, canonical = feedback.DecodeBatch(sc.body.Bytes(), sc.obs, sc.lines)
 	}
 	if canonical {
-		sc.obs = obs
+		sc.obs, sc.lines = obs, lines
 	} else {
 		// Anything but the canonical shape, a cut-off body included, gets
 		// encoding/json's verdict on the same bytes and the same read error.
@@ -910,7 +918,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			obs[i].ObservedAt = now
 		}
 	}
-	if err := s.rec.FeedBatch(obs); err != nil {
+	if err := s.rec.FeedBatch(obs, lines); err != nil {
 		var invalid *feedback.InvalidError
 		if errors.As(err, &invalid) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", invalid.Index, invalid.Err))
@@ -930,7 +938,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	WriteResult(w, FeedbackResponse{
+	writeFeedbackResponse(w, FeedbackResponse{
 		Accepted: len(obs),
 		Stored:   s.rec.Store().Len(),
 		Total:    s.rec.Store().Total(),
