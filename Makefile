@@ -87,8 +87,9 @@ bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test ./...
 
-# Short benchmark pass over the concurrency-sensitive paths, on one and two
-# procs so the cache's shared lock is exercised across threads, plus the
+# Short benchmark pass over the concurrency-sensitive paths (the batch API
+# and the resource-plan cache), on one and two procs so the cache's shared
+# lock is exercised across threads, plus the
 # history read path (the store query and one GET /v1/history through the
 # handler), the fleet hop, the feedback journal's two ends,
 # cold planning on a 100-table schema (Selinger-12, randomized-30 and one
@@ -100,7 +101,7 @@ bench-check:
 # through the peer transport, a 200 for a feedback batch, a full journal
 # replay, admissions and encodes).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeParallel|OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
 
 # End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
 # scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,

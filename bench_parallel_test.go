@@ -1,12 +1,12 @@
-// Benchmarks for the concurrent optimize path: the parallel Selinger DP,
-// the batch API, and resource-plan cache contention. Run with:
+// Benchmarks for the concurrent optimize path: the batch API, which runs
+// one planning call per query on a bounded pool, and resource-plan cache
+// contention. Run with:
 //
-//	go test -bench='OptimizeParallel|OptimizeBatch|CacheContention' -benchmem -cpu 1,2
+//	go test -run '^$' -bench='OptimizeBatch|CacheContention' -benchmem -cpu 1,2
 package raqo_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"raqo"
@@ -14,43 +14,6 @@ import (
 	"raqo/internal/cost"
 	"raqo/internal/resource"
 )
-
-// benchWorkerCounts are the Selinger fan-out widths benchmarked: sequential
-// baseline, 4 workers, and one entry per available CPU (deduplicated).
-func benchWorkerCounts() []int {
-	counts := []int{1, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-func benchOptimize(b *testing.B, workers int) {
-	sch := raqo.TPCH(100)
-	q, err := raqo.TPCHQuery(sch, "All") // 8 relations: the deepest DP the seed workload has
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{Workers: workers})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Optimize(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeParallel measures the parallel Selinger DP on TPC-H All
-// at 1, 4 and NumCPU workers.
-func BenchmarkOptimizeParallel(b *testing.B) {
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchOptimize(b, w) })
-	}
-}
 
 // BenchmarkOptimizeBatch measures the multi-query batch API over the whole
 // TPC-H evaluation workload at increasing inter-query parallelism.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"strings"
 	"testing"
 
 	"raqo"
@@ -105,5 +106,22 @@ func TestBatchJSONMatchesServerShape(t *testing.T) {
 	}
 	if wire.Memo == nil || wire.Memo.Hits == 0 {
 		t.Errorf("missing or empty memo stats: %+v", wire.Memo)
+	}
+}
+
+// TestBatchTrimsQueryNames runs `raqo batch` with blanks around the query
+// names: the text table's rows, like the JSON, name the trimmed query.
+func TestBatchTrimsQueryNames(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return batchCmd([]string{"-queries", "Q12, Q3"})
+	})
+	lines := strings.Split(string(out), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("short batch output:\n%s", out)
+	}
+	for i, want := range []string{"Q12 ", "Q3 "} {
+		if row := lines[1+i]; !strings.HasPrefix(row, want) {
+			t.Errorf("row %d = %q, want it to start with %q", i, row, want)
+		}
 	}
 }

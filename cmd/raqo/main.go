@@ -6,7 +6,7 @@
 //
 //	raqo figure <fig1|fig2|...|fig15b|all>
 //	raqo optimize -query Q3 [-planner selinger|randomized] [-mode joint|fixed|budget|price] [-json]
-//	raqo batch [-queries Q12,Q3,Q2,All] [-parallel N] [-workers N] [-memo] [-cache GB] [-json]
+//	raqo batch [-queries Q12,Q3,Q2,All] [-parallel N] [-memo] [-cache GB] [-json]
 //	raqo serve [-addr :8080] [-planner selinger|randomized] [-max-inflight N] [-queue-depth N] [-journal FILE]
 //	raqo calibrate -journal FILE [-trained]
 //	raqo trees [-engine hive|spark]
@@ -198,7 +198,6 @@ func batchCmd(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	queryList := fs.String("queries", "Q12,Q3,Q2,All", "comma-separated TPC-H queries")
 	parallel := fs.Int("parallel", 0, "concurrent queries (0 = NumCPU)")
-	workers := fs.Int("workers", 1, "intra-query planning workers (-1 = NumCPU)")
 	memo := fs.Bool("memo", false, "memoize operator costings across the batch")
 	cacheThreshold := fs.Float64("cache", 0, "resource-plan cache data-delta threshold in GB (0 = no cache)")
 	sf := fs.Float64("sf", 100, "TPC-H scale factor")
@@ -210,13 +209,14 @@ func batchCmd(args []string) error {
 	names := strings.Split(*queryList, ",")
 	queries := make([]*raqo.Query, len(names))
 	for i, name := range names {
-		q, err := raqo.TPCHQuery(sch, strings.TrimSpace(name))
+		names[i] = strings.TrimSpace(name)
+		q, err := raqo.TPCHQuery(sch, names[i])
 		if err != nil {
 			return err
 		}
 		queries[i] = q
 	}
-	opts := raqo.Options{Workers: *workers, MemoizeCosts: *memo}
+	opts := raqo.Options{MemoizeCosts: *memo}
 	var cache *resource.Cache
 	if *cacheThreshold > 0 {
 		cache = raqo.CachedResourcePlanner(*cacheThreshold)
@@ -244,7 +244,7 @@ func batchCmd(args []string) error {
 	if *jsonOut {
 		resp := server.BatchResponse{Results: make([]server.OptimizeResponse, len(decisions))}
 		for i, d := range decisions {
-			resp.Results[i] = server.NewOptimizeResponse(strings.TrimSpace(names[i]), "joint", opt.Planner(), d)
+			resp.Results[i] = server.NewOptimizeResponse(names[i], "joint", opt.Planner(), d)
 		}
 		if cache != nil {
 			cs := server.NewCacheStats(cache.Stats())

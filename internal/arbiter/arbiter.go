@@ -13,7 +13,7 @@
 // Everything runs on the cluster.Pool virtual clock — no wall-clock reads
 // (enforced by the raqolint `clock` rule) — and the event loop is single-
 // threaded, so a given arrival stream produces bit-identical outcomes
-// across runs and optimizer worker counts.
+// across runs.
 package arbiter
 
 import (

@@ -42,13 +42,12 @@ func testFixtures(t testing.TB) (*cost.Models, map[string]*plan.Query) {
 	return trainedHive, tpchQueries
 }
 
-func newOptimizer(t testing.TB, models *cost.Models, workers int) *core.Optimizer {
+func newOptimizer(t testing.TB, models *cost.Models) *core.Optimizer {
 	t.Helper()
 	engine := execsim.Hive()
 	opt, err := core.New(cluster.Default(), core.Options{
 		Models:       models,
 		Engine:       &engine,
-		Workers:      workers,
 		MemoizeCosts: true,
 	})
 	if err != nil {
@@ -57,7 +56,7 @@ func newOptimizer(t testing.TB, models *cost.Models, workers int) *core.Optimize
 	return opt
 }
 
-func testConfig(t testing.TB, workers int) arbiter.Config {
+func testConfig(t testing.TB) arbiter.Config {
 	t.Helper()
 	models, queries := testFixtures(t)
 	return arbiter.Config{
@@ -65,7 +64,7 @@ func testConfig(t testing.TB, workers int) arbiter.Config {
 		Base:      cluster.Default(),
 		Engine:    execsim.Hive(),
 		Pricing:   cost.DefaultPricing(),
-		Optimizer: newOptimizer(t, models, workers),
+		Optimizer: newOptimizer(t, models),
 		Queries:   queries,
 		Tenants: []arbiter.TenantConfig{
 			{Name: "etl", Weight: 2},
@@ -94,9 +93,9 @@ func testWorkload(policy scheduler.Policy) arbiter.WorkloadConfig {
 	}
 }
 
-func runWorkload(t *testing.T, workers int, policy scheduler.Policy) ([]arbiter.Outcome, arbiter.Stats) {
+func runWorkload(t *testing.T, policy scheduler.Policy) ([]arbiter.Outcome, arbiter.Stats) {
 	t.Helper()
-	a, err := arbiter.New(testConfig(t, workers))
+	a, err := arbiter.New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +112,7 @@ func runWorkload(t *testing.T, workers int, policy scheduler.Policy) ([]arbiter.
 
 func TestRunCompletesWorkload(t *testing.T) {
 	for _, policy := range []scheduler.Policy{scheduler.Wait, scheduler.Degrade, scheduler.Reoptimize} {
-		outcomes, st := runWorkload(t, 1, policy)
+		outcomes, st := runWorkload(t, policy)
 		if int64(len(outcomes))+st.Rejected+st.Failed != 36 {
 			t.Fatalf("%v: %d completed + %d rejected + %d failed != 36 arrivals",
 				policy, len(outcomes), st.Rejected, st.Failed)
@@ -141,25 +140,17 @@ func TestRunCompletesWorkload(t *testing.T) {
 	}
 }
 
-// TestDeterministicAcrossRunsAndWorkers is the tentpole's bit-identical
-// bar: the same seeded workload yields deeply equal outcome streams on
-// repeat runs and across optimizer worker counts.
-func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
+// TestDeterministicAcrossRuns is the arbiter's bit-identical bar: the
+// same seeded workload yields deeply equal outcome streams on repeat runs.
+func TestDeterministicAcrossRuns(t *testing.T) {
 	for _, policy := range []scheduler.Policy{scheduler.Wait, scheduler.Reoptimize} {
-		base, baseStats := runWorkload(t, 1, policy)
-		again, againStats := runWorkload(t, 1, policy)
+		base, baseStats := runWorkload(t, policy)
+		again, againStats := runWorkload(t, policy)
 		if !reflect.DeepEqual(base, again) {
 			t.Fatalf("%v: repeat run diverged", policy)
 		}
 		if baseStats != againStats {
 			t.Fatalf("%v: repeat stats diverged: %+v vs %+v", policy, baseStats, againStats)
-		}
-		wide, wideStats := runWorkload(t, 4, policy)
-		if !reflect.DeepEqual(base, wide) {
-			t.Fatalf("%v: workers=4 run diverged from workers=1", policy)
-		}
-		if baseStats != wideStats {
-			t.Fatalf("%v: workers=4 stats diverged: %+v vs %+v", policy, baseStats, wideStats)
 		}
 	}
 }
@@ -168,8 +159,8 @@ func TestDeterministicAcrossRunsAndWorkers(t *testing.T) {
 // re-optimizing under currently free conditions must cut the tail
 // queue-time/run-time ratio versus waiting for the submitted gang.
 func TestReoptimizeCollapsesQueueRatio(t *testing.T) {
-	wait, _ := runWorkload(t, 1, scheduler.Wait)
-	reopt, st := runWorkload(t, 1, scheduler.Reoptimize)
+	wait, _ := runWorkload(t, scheduler.Wait)
+	reopt, st := runWorkload(t, scheduler.Reoptimize)
 	p95 := func(outs []arbiter.Outcome) float64 {
 		var rs []float64
 		for _, o := range outs {
@@ -187,7 +178,7 @@ func TestReoptimizeCollapsesQueueRatio(t *testing.T) {
 }
 
 func TestMaxInFlightBackpressure(t *testing.T) {
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.Tenants = []arbiter.TenantConfig{{Name: "etl", MaxInFlight: 2}}
 	a, err := arbiter.New(cfg)
 	if err != nil {
@@ -221,7 +212,7 @@ func TestMaxInFlightBackpressure(t *testing.T) {
 }
 
 func TestMaxQueueSheds(t *testing.T) {
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.Tenants = []arbiter.TenantConfig{{Name: "etl", MaxQueue: 1}}
 	a, err := arbiter.New(cfg)
 	if err != nil {
@@ -249,7 +240,7 @@ func TestMaxQueueSheds(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	a, err := arbiter.New(testConfig(t, 1))
+	a, err := arbiter.New(testConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +256,7 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 func TestWaitOversizedRejected(t *testing.T) {
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	// A pool smaller than any optimal gang: Wait submissions would queue
 	// forever, so they must be rejected up front.
 	cfg.Capacity = cluster.Default().MinContainers
@@ -288,7 +279,7 @@ func TestWaitOversizedRejected(t *testing.T) {
 }
 
 func TestSubmitWaitOnline(t *testing.T) {
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.Metrics = arbiter.NewMetrics(telemetry.NewRegistry())
 	a, err := arbiter.New(cfg)
 	if err != nil {
@@ -446,22 +437,22 @@ func TestGenerateArrivalsDeterministic(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	cfg := testConfig(t, 1)
+	cfg := testConfig(t)
 	cfg.Capacity = 0
 	if _, err := arbiter.New(cfg); err == nil {
 		t.Fatal("zero capacity accepted")
 	}
-	cfg = testConfig(t, 1)
+	cfg = testConfig(t)
 	cfg.Optimizer = nil
 	if _, err := arbiter.New(cfg); err == nil {
 		t.Fatal("nil optimizer accepted")
 	}
-	cfg = testConfig(t, 1)
+	cfg = testConfig(t)
 	cfg.Tenants = nil
 	if _, err := arbiter.New(cfg); err == nil {
 		t.Fatal("no tenants accepted")
 	}
-	cfg = testConfig(t, 1)
+	cfg = testConfig(t)
 	cfg.Tenants = []arbiter.TenantConfig{{Name: "a"}, {Name: "a"}}
 	if _, err := arbiter.New(cfg); err == nil {
 		t.Fatal("duplicate tenant accepted")

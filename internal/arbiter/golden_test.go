@@ -75,7 +75,7 @@ func goldenOutcomes(t *testing.T) string {
 		fmt.Fprintln(&b, "stats", bitsString(reflect.ValueOf(a.Stats())))
 	}
 	for _, policy := range []scheduler.Policy{scheduler.Wait, scheduler.Degrade, scheduler.Reoptimize} {
-		section(policy.String(), testConfig(t, 1), testWorkload(policy))
+		section(policy.String(), testConfig(t), testWorkload(policy))
 	}
 	cfg, _ := skewedRecalConfig(t)
 	section("reoptimize+recalibration", cfg, singleTenantWorkload())

@@ -41,13 +41,12 @@ func testFixtures(t testing.TB) (*cost.Models, map[string]*plan.Query) {
 	return trainedHive, tpchQueries
 }
 
-func newOptimizer(t testing.TB, models *cost.Models, workers int) *core.Optimizer {
+func newOptimizer(t testing.TB, models *cost.Models) *core.Optimizer {
 	t.Helper()
 	engine := execsim.Hive()
 	opt, err := core.New(cluster.Default(), core.Options{
 		Models:       models,
 		Engine:       &engine,
-		Workers:      workers,
 		MemoizeCosts: true,
 	})
 	if err != nil {
@@ -70,7 +69,7 @@ func testMarket(elastic bool) cloud.Market {
 	return m
 }
 
-func testConfig(t testing.TB, workers int, m cloud.Market) cloud.Config {
+func testConfig(t testing.TB, m cloud.Market) cloud.Config {
 	t.Helper()
 	models, queries := testFixtures(t)
 	return cloud.Config{
@@ -78,7 +77,7 @@ func testConfig(t testing.TB, workers int, m cloud.Market) cloud.Config {
 		Base:      cluster.Default(),
 		Engine:    execsim.Hive(),
 		Pricing:   cost.DefaultPricing(),
-		Optimizer: newOptimizer(t, models, workers),
+		Optimizer: newOptimizer(t, models),
 		Queries:   queries,
 		Tenants: []cloud.TenantConfig{
 			{Name: "etl", Weight: 2},
@@ -268,7 +267,7 @@ func TestInjectorDrawDeterministicAndIndependent(t *testing.T) {
 
 func TestRunCompletesAllShapes(t *testing.T) {
 	for _, shape := range []cloud.Shape{cloud.Steady, cloud.Diurnal, cloud.Bursty} {
-		cfg := testConfig(t, 1, testMarket(false))
+		cfg := testConfig(t, testMarket(false))
 		outcomes, st := mustRun(t, cfg, testTrace(shape, 30, cloud.RecoverReoptimize))
 		if int64(len(outcomes))+st.Rejected != 30 {
 			t.Fatalf("%v: %d completed + %d rejected != 30", shape, len(outcomes), st.Rejected)
@@ -293,8 +292,8 @@ func TestRunCompletesAllShapes(t *testing.T) {
 
 // faultyConfig layers spot interruption, stragglers, OOM and a storm on
 // the test market.
-func faultyConfig(t testing.TB, workers int, elastic bool) cloud.Config {
-	cfg := testConfig(t, workers, testMarket(elastic))
+func faultyConfig(t testing.TB, elastic bool) cloud.Config {
+	cfg := testConfig(t, testMarket(elastic))
 	cfg.Faults = cloud.FaultConfig{
 		Seed:                7,
 		SpotMeanLifeSeconds: 900,
@@ -308,7 +307,7 @@ func faultyConfig(t testing.TB, workers int, elastic bool) cloud.Config {
 
 func TestPreemptionStormZeroLost(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	cfg := faultyConfig(t, 1, false)
+	cfg := faultyConfig(t, false)
 	cfg.Metrics = cloud.NewMetrics(reg)
 	outcomes, st := mustRun(t, cfg, testTrace(cloud.Bursty, 40, cloud.RecoverReoptimize))
 	if st.Lost != 0 {
@@ -350,7 +349,7 @@ func TestPreemptionStormZeroLost(t *testing.T) {
 func TestRecoveryPolicies(t *testing.T) {
 	// Under RecoverOnDemand, every query that was preempted must finish on
 	// the on-demand tier.
-	cfg := faultyConfig(t, 1, false)
+	cfg := faultyConfig(t, false)
 	outcomes, st := mustRun(t, cfg, testTrace(cloud.Bursty, 40, cloud.RecoverOnDemand))
 	if st.Preemptions == 0 {
 		t.Fatal("no preemptions; trace too light")
@@ -365,7 +364,7 @@ func TestRecoveryPolicies(t *testing.T) {
 	}
 
 	// Under RecoverDegrade, preempted queries re-admit with a clamped plan.
-	cfg = faultyConfig(t, 1, false)
+	cfg = faultyConfig(t, false)
 	outcomes, st = mustRun(t, cfg, testTrace(cloud.Bursty, 40, cloud.RecoverDegrade))
 	if st.Lost != 0 {
 		t.Fatalf("degrade lost %d", st.Lost)
@@ -381,38 +380,24 @@ func TestRecoveryPolicies(t *testing.T) {
 	}
 }
 
-func TestRunDeterministicAcrossRunsAndWorkers(t *testing.T) {
-	type result struct {
-		outcomes []cloud.Outcome
-		stats    cloud.Stats
-		scale    []cloud.ScaleEvent
-	}
-	run := func(workers int) result {
-		cfg := faultyConfig(t, workers, true)
+func TestRunDeterministicAcrossRuns(t *testing.T) {
+	run := func() ([]cloud.Outcome, cloud.Stats) {
+		cfg := faultyConfig(t, true)
 		cfg.Autoscaler = cloud.AutoscalerConfig{Enabled: true}
-		outcomes, st := mustRun(t, cfg, testTrace(cloud.Diurnal, 40, cloud.RecoverReoptimize))
-		a := result{outcomes: outcomes, stats: st}
-		return a
+		return mustRun(t, cfg, testTrace(cloud.Diurnal, 40, cloud.RecoverReoptimize))
 	}
-	base := run(1)
-	again := run(1)
-	wide := run(4)
-	if !reflect.DeepEqual(base.outcomes, again.outcomes) {
+	base, baseStats := run()
+	again, againStats := run()
+	if !reflect.DeepEqual(base, again) {
 		t.Fatal("same seed, two runs: outcomes differ")
 	}
-	if !reflect.DeepEqual(base.stats, again.stats) {
-		t.Fatalf("same seed, two runs: stats differ\n%+v\n%+v", base.stats, again.stats)
-	}
-	if !reflect.DeepEqual(base.outcomes, wide.outcomes) {
-		t.Fatal("workers 1 vs 4: outcomes differ")
-	}
-	if !reflect.DeepEqual(base.stats, wide.stats) {
-		t.Fatalf("workers 1 vs 4: stats differ\n%+v\n%+v", base.stats, wide.stats)
+	if !reflect.DeepEqual(baseStats, againStats) {
+		t.Fatalf("same seed, two runs: stats differ\n%+v\n%+v", baseStats, againStats)
 	}
 }
 
 func TestAutoscalerGrowsAndShrinks(t *testing.T) {
-	cfg := testConfig(t, 1, testMarket(true))
+	cfg := testConfig(t, testMarket(true))
 	cfg.Autoscaler = cloud.AutoscalerConfig{Enabled: true, IntervalSeconds: 60, LagSeconds: 120, GranuleSeconds: 60}
 	a, err := cloud.New(cfg)
 	if err != nil {
@@ -456,7 +441,7 @@ func TestAutoscalerGrowsAndShrinks(t *testing.T) {
 }
 
 func TestBudgetCapSwitchesTenantToSpot(t *testing.T) {
-	cfg := testConfig(t, 1, testMarket(false))
+	cfg := testConfig(t, testMarket(false))
 	cfg.Tenants = []cloud.TenantConfig{
 		{Name: "etl", Weight: 2, BudgetCapUSD: 0.0004, OnCap: cloud.CapSpotOnly},
 		{Name: "bi", Weight: 1},
@@ -493,7 +478,7 @@ func TestBudgetCapSwitchesTenantToSpot(t *testing.T) {
 }
 
 func TestSubmitWaitOnline(t *testing.T) {
-	cfg := testConfig(t, 1, testMarket(false))
+	cfg := testConfig(t, testMarket(false))
 	a, err := cloud.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -521,7 +506,7 @@ func TestSubmitWaitOnline(t *testing.T) {
 }
 
 func TestPreemptFractionOnline(t *testing.T) {
-	cfg := faultyConfig(t, 1, false)
+	cfg := faultyConfig(t, false)
 	cfg.Faults = cloud.FaultConfig{Seed: 7} // no stochastic faults; we inject
 	a, err := cloud.New(cfg)
 	if err != nil {

@@ -9,7 +9,7 @@ import (
 // FaultConfig parameterizes the seeded fault-injection processes. All
 // probabilities and times are evaluated on the virtual clock from seeds
 // derived per admission, so fault schedules are bit-identical across
-// runs and optimizer worker counts.
+// runs.
 type FaultConfig struct {
 	Seed int64
 	// SpotMeanLifeSeconds is the mean of the exponential lifetime drawn

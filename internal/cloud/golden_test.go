@@ -74,11 +74,11 @@ func goldenOutcomes(t *testing.T) string {
 		fmt.Fprintln(&b, "stats", bitsString(reflect.ValueOf(a.Stats())))
 		fmt.Fprintln(&b, "scale", bitsString(reflect.ValueOf(a.ScaleEvents())))
 	}
-	section("static", testConfig(t, 1, testMarket(false)), testTrace(cloud.Steady, 40, cloud.RecoverReoptimize))
+	section("static", testConfig(t, testMarket(false)), testTrace(cloud.Steady, 40, cloud.RecoverReoptimize))
 	for _, rec := range []cloud.Recovery{cloud.RecoverReoptimize, cloud.RecoverOnDemand, cloud.RecoverDegrade} {
-		section("spot+faults/"+rec.String(), faultyConfig(t, 1, false), testTrace(cloud.Bursty, 40, rec))
+		section("spot+faults/"+rec.String(), faultyConfig(t, false), testTrace(cloud.Bursty, 40, rec))
 	}
-	cfg := faultyConfig(t, 1, true)
+	cfg := faultyConfig(t, true)
 	cfg.Autoscaler = cloud.AutoscalerConfig{Enabled: true}
 	section("autoscaled+faults", cfg, testTrace(cloud.Diurnal, 40, cloud.RecoverReoptimize))
 	return b.String()

@@ -9,8 +9,7 @@
 // Like the arbiter, everything runs on virtual time with no wall-clock
 // reads (enforced by the raqolint `clock` rule), and every random draw
 // flows from an explicitly derived seed, so a given arrival stream and
-// fault configuration produce bit-identical outcomes across runs and
-// optimizer worker counts.
+// fault configuration produce bit-identical outcomes across runs.
 package cloud
 
 import (

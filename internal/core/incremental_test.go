@@ -41,12 +41,11 @@ func condLadder(t *testing.T) []cluster.Conditions {
 
 // TestIncrementalMatchesScratch is the acceptance bar of incremental
 // re-optimization: across the TPC-H workload, a drifting-conditions
-// ladder, Workers 1 vs 4 and base vs reversed catalog insertion order,
-// every incremental decision must be bit-identical (plan signature with
-// resources, modeled time and money) to planning from scratch with a
-// fresh optimizer under the same conditions. PlansConsidered and
-// ResourceIterations are planner-effort metrics and intentionally differ
-// on memoized answers.
+// ladder and base vs reversed catalog insertion order, every incremental
+// decision must be bit-identical (plan signature with resources, modeled
+// time and money) to planning from scratch with a fresh optimizer under
+// the same conditions. PlansConsidered and ResourceIterations are
+// planner-effort metrics and intentionally differ on memoized answers.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	base := catalog.TPCH(100)
 	schemas := []struct {
@@ -58,43 +57,41 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 	}
 	engine := execsim.Hive()
 	ladder := condLadder(t)
-	for _, workers := range []int{1, 4} {
-		for _, sc := range schemas {
-			for _, qname := range workload.QueryNames {
-				q, err := workload.TPCHQuery(sc.s, qname)
+	for _, sc := range schemas {
+		for _, qname := range workload.QueryNames {
+			q, err := workload.TPCHQuery(sc.s, qname)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{Seed: 42, Engine: &engine,
+				MemoizeCosts: true, Resource: &resource.Cache{Inner: &resource.HillClimb{}}}
+			o, err := New(cluster.Default(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc := NewIncremental(o)
+			for step, cond := range ladder {
+				got, src, err := inc.Optimize(q, cond)
+				if err != nil {
+					t.Fatalf("schema=%s %s step %d: incremental: %v", sc.name, qname, step, err)
+				}
+				// From scratch: a fresh optimizer, fresh caches, same conditions.
+				fo, err := New(cond, Options{Seed: 42, Engine: &engine})
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := Options{Seed: 42, Workers: workers, Engine: &engine,
-					MemoizeCosts: true, Resource: &resource.Cache{Inner: &resource.HillClimb{}}}
-				o, err := New(cluster.Default(), opts)
+				want, err := fo.Optimize(q)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("schema=%s %s step %d: scratch: %v", sc.name, qname, step, err)
 				}
-				inc := NewIncremental(o)
-				for step, cond := range ladder {
-					got, src, err := inc.Optimize(q, cond)
-					if err != nil {
-						t.Fatalf("workers=%d schema=%s %s step %d: incremental: %v", workers, sc.name, qname, step, err)
-					}
-					// From scratch: a fresh optimizer, fresh caches, same conditions.
-					fo, err := New(cond, Options{Seed: 42, Workers: workers, Engine: &engine})
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, err := fo.Optimize(q)
-					if err != nil {
-						t.Fatalf("workers=%d schema=%s %s step %d: scratch: %v", workers, sc.name, qname, step, err)
-					}
-					label := "workers=" + itoa(workers) + " schema=" + sc.name + " " + qname +
-						" step " + itoa(step) + " (" + src.String() + ")"
-					if gs, ws := got.Plan.SignatureWithResources(), want.Plan.SignatureWithResources(); gs != ws {
-						t.Errorf("%s: plan differs:\n%s\nvs scratch\n%s", label, gs, ws)
-					}
-					if got.Time != want.Time || got.Money != want.Money {
-						t.Errorf("%s: cost differs: time %v vs %v, money %v vs %v",
-							label, got.Time, want.Time, got.Money, want.Money)
-					}
+				label := "schema=" + sc.name + " " + qname +
+					" step " + itoa(step) + " (" + src.String() + ")"
+				if gs, ws := got.Plan.SignatureWithResources(), want.Plan.SignatureWithResources(); gs != ws {
+					t.Errorf("%s: plan differs:\n%s\nvs scratch\n%s", label, gs, ws)
+				}
+				if got.Time != want.Time || got.Money != want.Money {
+					t.Errorf("%s: cost differs: time %v vs %v, money %v vs %v",
+						label, got.Time, want.Time, got.Money, want.Money)
 				}
 			}
 		}

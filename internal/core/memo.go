@@ -39,8 +39,8 @@ type memoFlight struct {
 // and Reoptimize calls under unchanged conditions. Concurrent computations
 // of the same key are deduplicated singleflight-style, so the inner
 // resource planner runs exactly once per distinct key no matter how many
-// workers race on it; that keeps evaluation counters deterministic under
-// parallel planning. Safe for concurrent use.
+// planning calls race on it; that keeps evaluation counters deterministic
+// under OptimizeBatch. Safe for concurrent use.
 type CostMemo struct {
 	mu      sync.Mutex
 	entries map[memoKey]memoEntry   // guarded by mu

@@ -59,12 +59,6 @@ type Options struct {
 	// candidates whose build side cannot fit any container allowed by the
 	// conditions are pruned from the search instead of being costed.
 	Engine *execsim.Params
-	// Workers bounds intra-query planning parallelism (the Selinger
-	// per-DP-level fan-out and the randomized planner's restarts): 0 or 1
-	// plans sequentially; negative selects runtime.NumCPU(). The parallel
-	// Selinger DP is bit-identical to the sequential one under the default
-	// deterministic resource planners.
-	Workers int
 	// MemoizeCosts enables the per-Optimizer operator-cost memo: repeated
 	// (cost model, data characteristic) sub-problems — within one DP and
 	// across queries/Reoptimize calls under unchanged conditions — skip
@@ -192,9 +186,9 @@ func (o *Optimizer) seedFor(q *plan.Query) int64 {
 func (o *Optimizer) planner(ctx context.Context, c optimizer.OperatorCoster, q *plan.Query) optimizer.Planner {
 	switch o.opts.Planner {
 	case FastRandomized:
-		return &randomized.Planner{Coster: c, Opts: o.opts.Randomized, Seed: o.seedFor(q), Workers: o.opts.Workers, Ctx: ctx}
+		return &randomized.Planner{Coster: c, Opts: o.opts.Randomized, Seed: o.seedFor(q), Ctx: ctx}
 	default:
-		return &selinger.Planner{Coster: c, Workers: o.opts.Workers, Ctx: ctx}
+		return &selinger.Planner{Coster: c, Ctx: ctx}
 	}
 }
 
@@ -308,7 +302,7 @@ func (o *Optimizer) OptimizeForPriceCtx(ctx context.Context, q *plan.Query, budg
 		return nil, fmt.Errorf("core: price budget must be positive, got %v", budget)
 	}
 	c := o.coster(o.opts.Resource, plan.Resources{}, o.cond)
-	rp := &randomized.Planner{Coster: c, Opts: o.opts.Randomized, Seed: o.seedFor(q), Workers: o.opts.Workers, Ctx: ctx}
+	rp := &randomized.Planner{Coster: c, Opts: o.opts.Randomized, Seed: o.seedFor(q), Ctx: ctx}
 	start := time.Now()
 	archive, considered, err := rp.PlanPareto(q)
 	if err != nil {

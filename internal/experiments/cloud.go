@@ -121,12 +121,11 @@ func cloudTenants() []cloud.TenantConfig {
 }
 
 // runCloudCell replays one trace through one setup.
-func runCloudCell(models *cost.Models, queries map[string]*plan.Query, s cloudSetup, tr cloudTrace, workers int) (*cloudRun, error) {
+func runCloudCell(models *cost.Models, queries map[string]*plan.Query, s cloudSetup, tr cloudTrace) (*cloudRun, error) {
 	engine := execsim.Hive()
 	opt, err := core.New(cluster.Default(), core.Options{
 		Models:       models,
 		Engine:       &engine,
-		Workers:      workers,
 		MemoizeCosts: true,
 	})
 	if err != nil {
@@ -190,12 +189,8 @@ func runCloudCell(models *cost.Models, queries map[string]*plan.Query, s cloudSe
 // three procurement strategies, comparing dollars spent and P95 latency.
 // The headline is $-per-workload saved at equal-or-better P95 by
 // spot+autoscaler over peak-provisioned on-demand. Self-asserting and
-// byte-identical across runs and optimizer worker counts.
-func CloudEconomics() (*Report, error) { return CloudEconomicsWorkers(1) }
-
-// CloudEconomicsWorkers is CloudEconomics with an explicit optimizer
-// worker count — the determinism tests compare Workers 1 vs 4.
-func CloudEconomicsWorkers(workers int) (*Report, error) {
+// byte-identical across runs.
+func CloudEconomics() (*Report, error) {
 	models, err := workload.TrainedModels(execsim.Hive())
 	if err != nil {
 		return nil, err
@@ -210,7 +205,7 @@ func CloudEconomicsWorkers(workers int) (*Report, error) {
 	for _, tr := range traces {
 		runs[tr.name] = make(map[string]*cloudRun, len(setups))
 		for _, s := range setups {
-			run, err := runCloudCell(models, queries, s, tr, workers)
+			run, err := runCloudCell(models, queries, s, tr)
 			if err != nil {
 				return nil, err
 			}

@@ -52,7 +52,7 @@ func TestPlanParetoObservesCancellationMidSearch(t *testing.T) {
 	}
 	for _, restarts := range []int{1, 4} {
 		inner := &optimizertest.SizeCoster{Res: plan.Resources{Containers: 10, ContainerGB: 3}}
-		base := &Planner{Coster: inner, Opts: Options{Restarts: restarts}, Workers: restarts}
+		base := &Planner{Coster: inner, Opts: Options{Restarts: restarts}}
 		if _, _, err := base.PlanPareto(q); err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestPlanParetoObservesCancellationMidSearch(t *testing.T) {
 			cancel: cancel,
 			after:  full / 10,
 		}
-		p := &Planner{Coster: cc, Opts: Options{Restarts: restarts}, Workers: restarts, Ctx: ctx}
+		p := &Planner{Coster: cc, Opts: Options{Restarts: restarts}, Ctx: ctx}
 		_, _, err := p.PlanPareto(q)
 		cancel()
 		if !errors.Is(err, context.Canceled) {

@@ -5,11 +5,10 @@
 // Pareto-optimal within a target approximation precision over (execution
 // time, monetary cost).
 //
-// The search restarts independently Options.Restarts times; restarts are
-// seeded deterministically from Planner.Seed and can run concurrently
-// (Planner.Workers). Archives merge in restart order under the same
-// (1+ε)-dominance rule, so a multi-restart run is reproducible regardless
-// of how many workers execute it.
+// The search restarts independently Options.Restarts times, one after the
+// other; restarts are seeded deterministically from Planner.Seed, and
+// their archives merge in restart order under the same (1+ε)-dominance
+// rule, so a multi-restart run is reproducible.
 //
 // Each restart builds its trees in the node arena of a pooled search state
 // and re-seeds the state's generator, so a search allocates almost
@@ -22,9 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"raqo/internal/cost"
 	"raqo/internal/optimizer"
@@ -72,20 +69,10 @@ type Planner struct {
 	Coster optimizer.OperatorCoster
 	Opts   Options
 
-	// RNG, when set, drives a single-restart search exactly as in earlier
-	// versions (bit-identical plans for a given source). It cannot be shared
-	// across concurrent restarts, so with Opts.Restarts > 1 it is ignored
-	// and Seed is used instead.
-	RNG *rand.Rand
-
-	// Seed derives each restart's private RNG when RNG is nil. The zero
-	// value is a valid seed.
+	// Seed seeds the search: a single-restart search draws from
+	// rand.NewSource(Seed)'s stream, and restart i of several from a seed
+	// mixed from Seed and i. The zero value is a valid seed.
 	Seed int64
-
-	// Workers bounds how many restarts run concurrently: 0 or 1 is
-	// sequential; negative selects runtime.NumCPU(). With Workers > 1 the
-	// Coster must be safe for concurrent use.
-	Workers int
 
 	// Ctx, when non-nil, is observed between search steps (per seed plan
 	// and per mutation batch): once it is cancelled the search stops and
@@ -159,13 +146,14 @@ func putState(st *searchState) {
 	statePool.Put(st)
 }
 
-// searchOnce runs one seeded local search — the original single-RNG
-// algorithm — in st and returns its archive and the number of candidates
-// priced. ctx is observed per seed plan and per archived-plan mutation
-// batch. Every tree lives in st's arena, and the archive and the
-// per-iteration snapshot reuse st's buffers, so the inner loop allocates
-// nothing once the state has grown.
-func (p *Planner) searchOnce(ctx context.Context, st *searchState, rng *rand.Rand, q *plan.Query, opts Options) ([]ParetoEntry, int, error) {
+// searchOnce runs one local search, drawing from st's seeded generator, in
+// st and returns its archive and the number of candidates priced. ctx is
+// observed per seed plan and per archived-plan mutation batch. Every tree
+// lives in st's arena, and the archive and the per-iteration snapshot
+// reuse st's buffers, so the inner loop allocates nothing once the state
+// has grown.
+func (p *Planner) searchOnce(ctx context.Context, st *searchState, q *plan.Query, opts Options) ([]ParetoEntry, int, error) {
+	rng := st.rng
 	archive := st.archive[:0]
 	considered := 0
 	insert := func(n *plan.Node) {
@@ -210,20 +198,6 @@ func (p *Planner) searchOnce(ctx context.Context, st *searchState, rng *rand.Ran
 	return archive, considered, nil
 }
 
-func (p *Planner) workers(restarts int) int {
-	w := p.Workers
-	if w < 0 {
-		w = runtime.NumCPU()
-	}
-	if w < 1 {
-		w = 1
-	}
-	if w > restarts {
-		w = restarts
-	}
-	return w
-}
-
 // search runs the restarts, each in a pooled state, and hands their merged
 // archive and the number of candidates priced to keep. The archive's plans
 // live in the states' arenas, which are recycled when search returns: keep
@@ -241,64 +215,36 @@ func (p *Planner) search(q *plan.Query, keep func(archive []ParetoEntry, conside
 	if opts.Restarts == 1 {
 		st := getState()
 		defer putState(st)
-		rng := p.RNG
-		if rng == nil {
-			st.rng.Seed(p.Seed)
-			rng = st.rng
-		}
-		archive, considered, err := p.searchOnce(ctx, st, rng, q, opts)
+		st.rng.Seed(p.Seed)
+		archive, considered, err := p.searchOnce(ctx, st, q, opts)
 		if err != nil {
 			return considered, err
 		}
 		return considered, keep(archive, considered)
 	}
 
-	type restartResult struct {
-		archive    []ParetoEntry
-		considered int
-		err        error
-	}
-	results := make([]restartResult, opts.Restarts)
-	states := make([]*searchState, opts.Restarts)
+	// Each restart keeps its state until keep has cloned what it returns:
+	// the merged plans live in the states' arenas. Archives fold together
+	// in restart order under the same ε-dominance rule, without re-costing;
+	// the first failing restart ends the search.
+	states := make([]*searchState, 0, opts.Restarts)
 	defer func() {
 		for _, st := range states {
-			if st != nil {
-				putState(st)
-			}
+			putState(st)
 		}
 	}()
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < p.workers(opts.Restarts); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= opts.Restarts {
-					return
-				}
-				st := getState()
-				states[i] = st
-				st.rng.Seed(restartSeed(p.Seed, i))
-				a, n, err := p.searchOnce(ctx, st, st.rng, q, opts)
-				results[i] = restartResult{archive: a, considered: n, err: err}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// Deterministic merge: archives fold together in restart order under
-	// the same ε-dominance rule, without re-costing. Errors surface by
-	// lowest restart index so failures are reproducible too.
 	var merged []ParetoEntry
 	considered := 0
-	for i := range results {
-		if err := results[i].err; err != nil {
+	for i := 0; i < opts.Restarts; i++ {
+		st := getState()
+		states = append(states, st)
+		st.rng.Seed(restartSeed(p.Seed, i))
+		archive, n, err := p.searchOnce(ctx, st, q, opts)
+		if err != nil {
 			return 0, fmt.Errorf("restart %d: %w", i, err)
 		}
-		considered += results[i].considered
-		for _, e := range results[i].archive {
+		considered += n
+		for _, e := range archive {
 			merged = addEntry(merged, e, opts.Epsilon)
 		}
 	}

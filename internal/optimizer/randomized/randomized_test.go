@@ -28,7 +28,7 @@ func query(t *testing.T, s *catalog.Schema, rels ...string) *plan.Query {
 func TestPlanValidAndNearOptimal(t *testing.T) {
 	s := catalog.TPCH(10)
 	q := query(t, s, catalog.Lineitem, catalog.Orders, catalog.Customer, catalog.Nation, catalog.Region)
-	p := &Planner{Coster: coster(), RNG: rand.New(rand.NewSource(7)), Opts: Options{Iterations: 30}}
+	p := &Planner{Coster: coster(), Seed: 7, Opts: Options{Iterations: 30}}
 	got, err := p.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestPlanValidAndNearOptimal(t *testing.T) {
 func TestParetoArchiveIsNonDominated(t *testing.T) {
 	s := catalog.TPCH(10)
 	q := query(t, s, s.Tables()...)
-	p := &Planner{Coster: coster(), RNG: rand.New(rand.NewSource(11))}
+	p := &Planner{Coster: coster(), Seed: 11}
 	archive, considered, err := p.PlanPareto(q)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestPlanDeterministicWithSeed(t *testing.T) {
 	s := catalog.TPCH(10)
 	q := query(t, s, s.Tables()...)
 	run := func() string {
-		p := &Planner{Coster: coster(), RNG: rand.New(rand.NewSource(5))}
+		p := &Planner{Coster: coster(), Seed: 5}
 		res, err := p.Plan(q)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestPlanScalesTo100Tables(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := query(t, s, s.Tables()...)
-	p := &Planner{Coster: coster(), RNG: rand.New(rand.NewSource(100)), Opts: Options{Iterations: 3, Seeds: 4}}
+	p := &Planner{Coster: coster(), Seed: 100, Opts: Options{Iterations: 3, Seeds: 4}}
 	res, err := p.Plan(q)
 	if err != nil {
 		t.Fatal(err)
@@ -120,14 +120,14 @@ func TestPlanScalesTo100Tables(t *testing.T) {
 func TestPlanErrors(t *testing.T) {
 	s := catalog.TPCH(1)
 	q := query(t, s, catalog.Lineitem, catalog.Orders)
-	if _, err := (&Planner{RNG: rand.New(rand.NewSource(1))}).Plan(q); err == nil {
+	if _, err := (&Planner{Seed: 1}).Plan(q); err == nil {
 		t.Error("nil coster accepted")
 	}
-	// A nil RNG is valid: the planner falls back to its Seed field.
+	// The zero Seed is a valid seed.
 	if _, err := (&Planner{Coster: coster()}).Plan(q); err != nil {
-		t.Errorf("nil RNG (seed fallback): %v", err)
+		t.Errorf("zero seed: %v", err)
 	}
-	p := &Planner{Coster: optimizertest.FailingCoster{}, RNG: rand.New(rand.NewSource(1))}
+	p := &Planner{Coster: optimizertest.FailingCoster{}, Seed: 1}
 	if _, err := p.Plan(q); err == nil {
 		t.Error("all-infeasible plans should error")
 	}
@@ -149,7 +149,7 @@ func TestOptionsDefaults(t *testing.T) {
 func TestPlanAnnotatesResources(t *testing.T) {
 	s := catalog.TPCH(10)
 	q := query(t, s, catalog.Lineitem, catalog.Orders, catalog.Customer)
-	p := &Planner{Coster: coster(), RNG: rand.New(rand.NewSource(21))}
+	p := &Planner{Coster: coster(), Seed: 21}
 	res, err := p.Plan(q)
 	if err != nil {
 		t.Fatal(err)

@@ -1,79 +1,18 @@
 package randomized
 
 import (
-	"math/rand"
 	"testing"
 
 	"raqo/internal/catalog"
 	"raqo/internal/cost"
 )
 
-// TestRestartsDeterministicAcrossWorkers: multi-restart search must produce
-// the same merged archive no matter how many workers execute the restarts,
-// and across repeated runs with the same seed.
-func TestRestartsDeterministicAcrossWorkers(t *testing.T) {
-	s := catalog.TPCH(10)
-	q := query(t, s, catalog.Lineitem, catalog.Orders, catalog.Customer, catalog.Nation, catalog.Region)
-	run := func(workers int) ([]string, int) {
-		p := &Planner{
-			Coster:  coster(),
-			Seed:    42,
-			Workers: workers,
-			Opts:    Options{Restarts: 4, Iterations: 5},
-		}
-		archive, considered, err := p.PlanPareto(q)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		sigs := make([]string, len(archive))
-		for i, e := range archive {
-			sigs[i] = e.Plan.Signature()
-		}
-		return sigs, considered
-	}
-	wantSigs, wantConsidered := run(1)
-	for _, workers := range []int{2, 4, -1} {
-		sigs, considered := run(workers)
-		if len(sigs) != len(wantSigs) {
-			t.Fatalf("workers=%d: archive size %d != %d", workers, len(sigs), len(wantSigs))
-		}
-		for i := range sigs {
-			if sigs[i] != wantSigs[i] {
-				t.Errorf("workers=%d: archive[%d] = %s, want %s", workers, i, sigs[i], wantSigs[i])
-			}
-		}
-		if considered != wantConsidered {
-			t.Errorf("workers=%d: considered %d != %d", workers, considered, wantConsidered)
-		}
-	}
-}
-
-// TestRestartsSeedFallbackMatchesRNG: with Restarts == 1, a nil RNG plus
-// Seed must behave exactly like an explicit rand.New(rand.NewSource(Seed)).
-func TestRestartsSeedFallbackMatchesRNG(t *testing.T) {
-	s := catalog.TPCH(10)
-	q := query(t, s, s.Tables()...)
-	withRNG := &Planner{Coster: coster(), RNG: rand.New(rand.NewSource(17))}
-	withSeed := &Planner{Coster: coster(), Seed: 17}
-	a, err := withRNG.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := withSeed.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Plan.Signature() != b.Plan.Signature() || a.PlansConsidered != b.PlansConsidered {
-		t.Errorf("seed fallback diverged from explicit RNG:\n%s\n%s", a.Plan.Signature(), b.Plan.Signature())
-	}
-}
-
 // TestRestartsArchiveStaysNonDominated: the merged multi-restart archive
 // must respect strict Pareto non-domination like a single search's.
 func TestRestartsArchiveStaysNonDominated(t *testing.T) {
 	s := catalog.TPCH(10)
 	q := query(t, s, s.Tables()...)
-	p := &Planner{Coster: coster(), Seed: 3, Workers: 4, Opts: Options{Restarts: 3}}
+	p := &Planner{Coster: coster(), Seed: 3, Opts: Options{Restarts: 3}}
 	archive, considered, err := p.PlanPareto(q)
 	if err != nil {
 		t.Fatal(err)

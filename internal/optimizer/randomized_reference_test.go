@@ -235,31 +235,28 @@ func sameRun(t *testing.T, what string, got, want searchRun) {
 
 // TestRandomizedArenaMatchesHeap holds the pooled-arena randomized planner
 // to the heap-building one it replaced. Over TPC-H and the 30- and
-// 100-table random schemas, queries of 2 to 60 relations, with a caller's
-// generator and with the seed fallback, one restart and three (one worker
-// and four), PlanPareto's archive and Plan's result must be the same plans,
+// 100-table random schemas, queries of 2 to 60 relations, one restart and
+// three, PlanPareto's archive and Plan's result must be the same plans,
 // resources included, at the same cost bits, after the same number of
-// priced candidates, resource iterations and cache lookups. Each query is
-// planned twice after the reference, so the second run takes the state the
-// first left in the pool — same query, same *Query pointer, recycled arena.
-// With one worker the coster sits behind a nearest-neighbour cache, whose
-// answers depend on the order it is asked in. Restarts on four workers
-// interleave their calls, so there it plans every operator afresh with a
-// hill climb, whose answers and evaluation counts do not; any cache, even an
-// exact-match one, fills differently when two keys within its tolerance
-// race.
+// priced candidates, resource iterations and cache lookups. The "rng"
+// config hands the reference rand.New(rand.NewSource(seed)) and the
+// planner only the seed, so the planner's seeded stream is held to the
+// caller's-generator one. Each query is planned twice after the
+// reference, so the second run takes the state the first left in the
+// pool — same query, same *Query pointer, recycled arena. The coster sits
+// behind a nearest-neighbour cache, whose answers depend on the order it
+// is asked in.
 func TestRandomizedArenaMatchesHeap(t *testing.T) {
 	schemas := enumSchemas(t)
 	rng := rand.New(rand.NewSource(2016))
 	configs := []struct {
-		name              string
-		restarts, workers int
-		withRNG           bool
+		name     string
+		restarts int
+		withRNG  bool
 	}{
-		{"rng", 1, 1, true},
-		{"seed", 1, 1, false},
-		{"restarts3", 3, 1, false},
-		{"restarts3-workers4", 3, 4, false},
+		{"rng", 1, true},
+		{"seed", 1, false},
+		{"restarts3", 3, false},
 	}
 	for _, name := range []string{"tpch", "random30", "random100"} {
 		s := schemas[name]
@@ -278,13 +275,8 @@ func TestRandomizedArenaMatchesHeap(t *testing.T) {
 				// run plans q once behind a fresh coster and cache, through
 				// the heap reference or the planner.
 				run := func(heap, pareto bool) searchRun {
-					var cache *resource.Cache
-					var planner resource.Planner = &resource.HillClimb{}
-					if c.workers == 1 {
-						cache = &resource.Cache{Inner: planner, Mode: resource.NearestNeighbor, ThresholdGB: 0.01}
-						planner = cache
-					}
-					coster := &core.Coster{Models: cost.PaperModels(), Pricing: cost.DefaultPricing(), Resources: planner, Cond: cluster.Default()}
+					cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01}
+					coster := &core.Coster{Models: cost.PaperModels(), Pricing: cost.DefaultPricing(), Resources: cache, Cond: cluster.Default()}
 					var gen *rand.Rand
 					if c.withRNG {
 						gen = rand.New(rand.NewSource(seed))
@@ -292,25 +284,23 @@ func TestRandomizedArenaMatchesHeap(t *testing.T) {
 					var r searchRun
 					switch {
 					case heap && pareto:
-						p := &heapPlanner{Coster: coster, Opts: opts, RNG: gen, Seed: seed, Workers: c.workers}
+						p := &heapPlanner{Coster: coster, Opts: opts, RNG: gen, Seed: seed}
 						r.archive, r.considered, r.err = p.PlanPareto(q)
 					case heap:
-						p := &heapPlanner{Coster: coster, Opts: opts, RNG: gen, Seed: seed, Workers: c.workers}
+						p := &heapPlanner{Coster: coster, Opts: opts, RNG: gen, Seed: seed}
 						r.best, r.err = p.Plan(q)
 					case pareto:
-						p := &randomized.Planner{Coster: coster, Opts: opts, RNG: gen, Seed: seed, Workers: c.workers}
+						p := &randomized.Planner{Coster: coster, Opts: opts, Seed: seed}
 						r.archive, r.considered, r.err = p.PlanPareto(q)
 					default:
-						p := &randomized.Planner{Coster: coster, Opts: opts, RNG: gen, Seed: seed, Workers: c.workers}
+						p := &randomized.Planner{Coster: coster, Opts: opts, Seed: seed}
 						r.best, r.err = p.Plan(q)
 					}
 					if r.best != nil {
 						r.considered = r.best.PlansConsidered
 					}
 					r.iters = coster.ResourceIters()
-					if cache != nil {
-						r.stats = cache.Stats()
-					}
+					r.stats = cache.Stats()
 					return r
 				}
 				for _, pareto := range []bool{true, false} {

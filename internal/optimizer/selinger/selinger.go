@@ -11,22 +11,12 @@
 // and so every costing call must stay those of a sweep over all 2^n masks:
 // the resource-plan cache answers by what it was asked before.
 //
-// The DP can run its per-level enumeration concurrently (see
-// Planner.Workers): within one subset size every candidate's inputs come
-// from strictly smaller subsets, so the masks of a level are independent
-// and fan out across a worker pool. Each mask is costed by exactly one
-// worker in the same candidate order as the sequential DP and the level's
-// results merge back in ascending mask order, so the chosen plan — and the
-// PlansConsidered count — are bit-identical to the sequential run whenever
-// the coster is deterministic.
-//
-// The DP's working state — the best-plan table, per-level mask and result
-// buffers, per-worker join scratch nodes and the node arena the winning
-// sub-plans are materialized in — lives in a sync.Pool of dpState values,
-// so repeated planning calls allocate near-zero: candidates are costed in
-// reusable scratch nodes, only per-mask winners are materialized (in the
-// arena), and the final plan is deep-copied out before the state is
-// recycled.
+// The DP's working state — the best-plan table, the per-level mask buffer,
+// the join scratch node and the node arena the winning sub-plans are
+// materialized in — lives in a sync.Pool of dpState values, so repeated
+// planning calls allocate near-zero: candidates are costed in a reusable
+// scratch node, only per-mask winners are materialized (in the arena), and
+// the final plan is deep-copied out before the state is recycled.
 package selinger
 
 import (
@@ -34,9 +24,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"raqo/internal/optimizer"
 	"raqo/internal/plan"
@@ -55,13 +43,8 @@ const sliceTableMax = 16
 // Planner is a Selinger-style left-deep query planner.
 type Planner struct {
 	// Coster prices each candidate join operator (and, in RAQO mode, plans
-	// its resources). Required. With Workers > 1 it is called from several
-	// goroutines and must be safe for concurrent use.
+	// its resources). Required.
 	Coster optimizer.OperatorCoster
-
-	// Workers bounds the per-DP-level fan-out: 0 or 1 runs the DP
-	// sequentially; negative selects runtime.NumCPU().
-	Workers int
 
 	// Ctx, when non-nil, is observed between DP candidates: once it is
 	// cancelled, Plan stops costing further masks and returns ctx.Err()
@@ -76,9 +59,9 @@ type entry struct {
 }
 
 // candidate is the outcome of costing every (subset, algo) pair for one
-// mask: a recipe for the winning join, recorded by value so workers never
-// materialize plan nodes. The winner is rebuilt in the arena at merge
-// time.
+// mask: a recipe for the winning join, recorded by value so losing
+// candidates never materialize plan nodes. Only the winner is rebuilt in
+// the arena.
 type candidate struct {
 	rest uint32 // mask of the left (smaller-subset) input
 	leaf int    // index of the right input relation
@@ -98,8 +81,7 @@ type dpState struct {
 	useSlice bool
 	level    []uint32 // masks of the current DP level, ascending
 	next     []uint64 // 2^n-bit set of the next level's masks; all zero between levels
-	results  []candidate
-	scratch  []*plan.JoinScratch
+	scratch  plan.JoinScratch
 }
 
 var statePool = sync.Pool{New: func() any { return new(dpState) }}
@@ -153,7 +135,6 @@ func (st *dpState) release() {
 		clear(st.m)
 	}
 	st.level = st.level[:0]
-	st.results = st.results[:0]
 }
 
 //raqo:noalloc
@@ -175,32 +156,13 @@ func (st *dpState) put(mask uint32, e entry) {
 	st.m[mask] = e
 }
 
-// scratchFor returns w independent join-scratch nodes.
-func (st *dpState) scratchFor(w int) []*plan.JoinScratch {
-	for len(st.scratch) < w {
-		st.scratch = append(st.scratch, &plan.JoinScratch{})
-	}
-	return st.scratch[:w]
-}
-
-func (p *Planner) workers() int {
-	w := p.Workers
-	if w < 0 {
-		w = runtime.NumCPU()
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // bestFor prices every (subset, join-algo) candidate for one mask, reading
 // only entries of strictly smaller subsets from the table. Candidates are
-// built in the caller's scratch node and only the winning recipe is
-// recorded, so no plan nodes are allocated. It preserves the sequential
-// DP's candidate order and strict-improvement tie-breaking, so the winner
-// is independent of which worker runs it.
-func (p *Planner) bestFor(st *dpState, mask uint32, q *plan.Query, sc *plan.JoinScratch, considered *int64) candidate {
+// built in the state's scratch node and only the winning recipe is
+// recorded, so no plan nodes are allocated. Ties keep the earlier
+// candidate (strict improvement only).
+func (p *Planner) bestFor(st *dpState, mask uint32, q *plan.Query, considered *int) candidate {
+	sc := &st.scratch
 	var best candidate
 	for sub := mask; sub != 0; sub &= sub - 1 {
 		i := bits.TrailingZeros32(sub)
@@ -234,7 +196,7 @@ func (p *Planner) bestFor(st *dpState, mask uint32, q *plan.Query, sc *plan.Join
 }
 
 // materialize rebuilds one winning candidate in the arena and records it
-// in the table. Single-threaded: only the merge path calls it.
+// in the table.
 func (p *Planner) materialize(st *dpState, mask uint32, c candidate, q *plan.Query) error {
 	prev, ok := st.get(c.rest)
 	if !ok {
@@ -310,28 +272,20 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 		st.put(1<<uint(i), entry{node: st.leaves[i]})
 		st.level = append(st.level, 1<<uint(i))
 	}
-	var considered int64
+	considered := 0
 
 	ctx := p.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	workers := p.workers()
 	for size := 2; size <= n; size++ {
 		masks := st.nextLevel()
-		if w := workers; w > 1 && len(masks) > 1 {
-			if err := p.runLevel(ctx, st, masks, q, w, &considered); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		sc := st.scratchFor(1)[0]
 		planned := masks[:0]
 		for _, mask := range masks {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("selinger: planning cancelled: %w", err)
 			}
-			if c := p.bestFor(st, mask, q, sc, &considered); c.ok {
+			if c := p.bestFor(st, mask, q, &considered); c.ok {
 				if err := p.materialize(st, mask, c, q); err != nil {
 					return nil, err
 				}
@@ -346,61 +300,7 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 	}
 	// The winning tree lives in the pooled arena; deep-copy it out before
 	// the deferred release recycles the storage.
-	return &optimizer.Result{Plan: e.node.Clone(), Cost: e.cost, PlansConsidered: int(considered)}, nil
-}
-
-// runLevel fans one DP level's masks across a worker pool. Workers only
-// read table entries of smaller subsets and write disjoint slots of the
-// per-level candidate buffer; the merge back into the table is
-// single-threaded and in ascending mask order, keeping the table — and
-// st.level, left holding the masks it planned — identical to a sequential
-// run. Cancellation is checked before each claimed mask; a cancelled level
-// returns ctx's error without merging, since the table would be partial.
-func (p *Planner) runLevel(ctx context.Context, st *dpState, masks []uint32, q *plan.Query, workers int, considered *int64) error {
-	if workers > len(masks) {
-		workers = len(masks)
-	}
-	if cap(st.results) < len(masks) {
-		st.results = make([]candidate, len(masks))
-	} else {
-		st.results = st.results[:len(masks)]
-	}
-	results := st.results
-	scratch := st.scratchFor(workers)
-	var next atomic.Int64
-	var total atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(sc *plan.JoinScratch) {
-			defer wg.Done()
-			var local int64
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(masks) || ctx.Err() != nil {
-					break
-				}
-				results[i] = p.bestFor(st, masks[i], q, sc, &local)
-			}
-			total.Add(local)
-		}(scratch[w])
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("selinger: planning cancelled: %w", err)
-	}
-	*considered += total.Load()
-	planned := masks[:0]
-	for i, c := range results {
-		if c.ok {
-			if err := p.materialize(st, masks[i], c, q); err != nil {
-				return err
-			}
-			planned = append(planned, masks[i])
-		}
-	}
-	st.level = planned
-	return nil
+	return &optimizer.Result{Plan: e.node.Clone(), Cost: e.cost, PlansConsidered: considered}, nil
 }
 
 // Exhaustive enumerates every left-deep join order and operator combination

@@ -102,8 +102,7 @@ func (a *Arena) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node
 // that build a candidate, cost it, and either discard it or copy the
 // few values worth keeping. The returned node aliases the scratch: it is
 // valid only until the next Join call, and must never be linked into a
-// tree that outlives it. Not safe for concurrent use; parallel planners
-// use one JoinScratch per worker.
+// tree that outlives it. Not safe for concurrent use.
 type JoinScratch struct {
 	n    Node
 	sets []uint64

@@ -324,7 +324,6 @@ func New(cfg Config) (*Server, error) {
 		Models:       opt.Models(),
 		Engine:       &engine,
 		MemoizeCosts: true,
-		Workers:      cfg.Options.Workers,
 	})
 	if err != nil {
 		return nil, err
