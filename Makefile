@@ -52,14 +52,17 @@ race:
 # and reads back what it wrote), and the enumeration kernels on a join
 # graph and a query decoded the same way, disconnected ones included (the
 # random tree draws what the pair-by-pair scan drew, the Selinger DP asks
-# the coster what the full mask sweep asked, in the same order), the fault
-# draws' seed-free source against rand.NewSource on any seed and stream
-# length, the response encoder against json.Encoder's SetIndent on
+# the coster what the full mask sweep asked, in the same order), the
+# seed-free math/rand source (fault draws, randomized restarts) against
+# rand.NewSource on any seed and stream length, the response encoder against json.Encoder's SetIndent on
 # anything encoding/json decodes plus arbitrary bytes as strings (the same
 # bytes, the same error), and the /v1/history fixed-shape encoder against
 # WriteResult on arbitrary series names and rows (the same status, headers
-# and bytes, a non-finite value's 500 included). (The seed corpora already
-# run under plain `go test`.)
+# and bytes, a non-finite value's 500 included), and a planning call's
+# reuse of resource-plan cache answers against asking the cache every time
+# on costing/reset/call-boundary scripts decoded from bytes (the same
+# answers, bits, counts and cache stats). (The seed corpora already run
+# under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -70,9 +73,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzObservationAppend -fuzztime=10s ./internal/feedback
 	$(GO) test -run '^$$' -fuzz FuzzEnumeration -fuzztime=10s ./internal/optimizer
 	$(GO) test -run '^$$' -fuzz FuzzRegressionCost -fuzztime=10s ./internal/cost
-	$(GO) test -run '^$$' -fuzz FuzzDrawSource -fuzztime=10s ./internal/cloud
+	$(GO) test -run '^$$' -fuzz FuzzDrawSource -fuzztime=10s ./internal/randsrc
 	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzHistoryJSON -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s ./internal/core
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, structural plan equality, exact memo).
@@ -92,8 +96,10 @@ bench-check:
 # lock is exercised across threads, plus the
 # history read path (the store query and one GET /v1/history through the
 # handler), the fleet hop, the feedback journal's two ends,
-# cold planning on a 100-table schema (Selinger-12, randomized-30 and one
-# random tree, the enumeration kernels), one cost-model evaluation, and the
+# cold planning on a 100-table schema (Selinger-12 and randomized-30 over
+# an empty resource-plan cache and, -passwarm, over one cache kept across
+# runs as in a plan_scale pass; one random tree, the enumeration kernels),
+# one cost-model evaluation, and the
 # submit path's kernels (a
 # cloud SubmitWait, one fault draw, the response encoder); failures here
 # are correctness failures (the benchmarks assert planner errors, the shape

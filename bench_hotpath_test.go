@@ -54,16 +54,23 @@ func hotPathOptimizer(tb testing.TB) (*core.Optimizer, *plan.Query) {
 }
 
 // coldPlanner returns a function planning one relations-way query over a
-// seeded random 100-table schema from cold — a new optimizer with an
-// empty nearest-neighbour resource-plan cache per call, no cost memo —
-// which is the regime of the paper's scaling experiments (Figure 15) and
-// of the benchmark's plan_scale workload, where join enumeration rather
-// than costing dominates.
-func coldPlanner(tb testing.TB, planner core.PlannerKind, relations int) func() {
+// seeded random 100-table schema from cold — a new optimizer per call, no
+// cost memo — which is the regime of the paper's scaling experiments
+// (Figure 15) and of the benchmark's plan_scale workload, where join
+// enumeration rather than costing dominates. Each call gets an empty
+// nearest-neighbour resource-plan cache, or with passWarm every call shares
+// one, as the optimizers of one plan_scale pass over its query pool do: the
+// first call fills it, and the later ones plan on a cache that answers
+// every question without an insert.
+func coldPlanner(tb testing.TB, planner core.PlannerKind, relations int, passWarm bool) func() {
 	tb.Helper()
 	q := coldQuery(tb, relations)
+	cache := coldCache()
 	return func() {
-		if _, err := coldOptimizer(tb, planner).Optimize(q); err != nil {
+		if !passWarm {
+			cache = coldCache()
+		}
+		if _, err := coldOptimizer(tb, planner, cache).Optimize(q); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -85,12 +92,20 @@ func coldQuery(tb testing.TB, relations int) *plan.Query {
 	return q
 }
 
-// coldOptimizer is a new optimizer in the cold cases' configuration.
-func coldOptimizer(tb testing.TB, planner core.PlannerKind) *core.Optimizer {
+// coldCache is an empty resource-plan cache in the cold cases'
+// configuration: hill climbing behind a nearest-neighbour cache at
+// plan_scale's threshold.
+func coldCache() *resource.Cache {
+	return &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01}
+}
+
+// coldOptimizer is a new optimizer in the cold cases' configuration,
+// planning resources with rp.
+func coldOptimizer(tb testing.TB, planner core.PlannerKind, rp resource.Planner) *core.Optimizer {
 	tb.Helper()
 	o, err := core.New(cluster.Default(), core.Options{
 		Planner:    planner,
-		Resource:   &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},
+		Resource:   rp,
 		Seed:       7,
 		Randomized: randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2},
 	})
@@ -136,11 +151,29 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	// allocation in the enumeration kernel — thousands of Selinger
 	// candidates, a node per random-tree merge or mutation — would be off
 	// these by an order of magnitude.
-	if got := testing.AllocsPerRun(20, coldPlanner(t, core.Selinger, 12)); got > 155 {
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.Selinger, 12, false)); got > 155 {
 		t.Errorf("cold Selinger-12 allocates %.0f/op, ceiling 155", got)
 	}
-	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30)); got > 124 {
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30, false)); got > 124 {
 		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 124", got)
+	}
+
+	// The cold Selinger-12 query re-planned by new optimizers on the cache a
+	// first plan filled, as in a plan_scale pass: the coster answers the
+	// repeats from a pooled per-call table, which must cost no allocation.
+	// The same runs with the cache hidden behind a plain Planner, so that no
+	// answer is reused, allocate exactly as much.
+	passWarm := coldPlanner(t, core.Selinger, 12, true)
+	passWarm()
+	warmCache, warmSelinger := coldCache(), coldQuery(t, 12)
+	hidden := func() {
+		if _, err := coldOptimizer(t, core.Selinger, hiddenCache{warmCache}).Optimize(warmSelinger); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hidden()
+	if reuse, plain := testing.AllocsPerRun(20, passWarm), testing.AllocsPerRun(20, hidden); reuse != plain {
+		t.Errorf("pass-warm Selinger-12 allocates %.0f/op with answer reuse, %.0f/op without", reuse, plain)
 	}
 
 	// The same randomized-30 query re-planned by one optimizer: the search
@@ -148,7 +181,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	// warm, so what is left is the coster, the planner, the Decision and the
 	// winner's copy (measured 7; 434 with heap-built trees). The ceiling
 	// leaves room for a pool a collection emptied mid-run.
-	warmRandomized, warmQuery := coldOptimizer(t, core.FastRandomized), coldQuery(t, 30)
+	warmRandomized, warmQuery := coldOptimizer(t, core.FastRandomized, coldCache()), coldQuery(t, 30)
 	if _, err := warmRandomized.Optimize(warmQuery); err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +438,9 @@ var coldCases = []struct {
 	{"randomized-30", core.FastRandomized, 30},
 }
 
-func benchmarkCold(planner core.PlannerKind, relations int) func(b *testing.B) {
+func benchmarkCold(planner core.PlannerKind, relations int, passWarm bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		run := coldPlanner(b, planner, relations)
+		run := coldPlanner(b, planner, relations, passWarm)
 		run()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -417,12 +450,32 @@ func benchmarkCold(planner core.PlannerKind, relations int) func(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPathCold times cold planning on a 100-table schema.
+// BenchmarkHotPathCold times cold planning on a 100-table schema: a new
+// optimizer per run, over an empty resource-plan cache or, in the
+// -passwarm cases, over one cache kept across runs.
 func BenchmarkHotPathCold(b *testing.B) {
 	for _, c := range coldCases {
-		b.Run(c.name, benchmarkCold(c.planner, c.relations))
+		b.Run(c.name, benchmarkCold(c.planner, c.relations, false))
+	}
+	for _, c := range coldCases {
+		b.Run(c.name+"-passwarm", benchmarkCold(c.planner, c.relations, true))
 	}
 }
+
+// hiddenCache forwards a resource-plan cache's Planner and Counted methods
+// and nothing else, so a Coster planning through it cannot see the cache's
+// Version and reuses none of its answers.
+type hiddenCache struct{ c *resource.Cache }
+
+func (h hiddenCache) Plan(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, error) {
+	return h.c.Plan(m, ssGB, cond)
+}
+
+func (h hiddenCache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, int64, error) {
+	return h.c.PlanCounted(m, ssGB, cond)
+}
+
+func (h hiddenCache) Evaluations() int64 { return h.c.Evaluations() }
 
 // BenchmarkRandomTree times one random bushy tree for the randomized-30
 // cold case's query through a reused TreeScratch, reset after each tree as

@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+
+	"raqo/internal/randsrc"
 )
 
 // FaultConfig parameterizes the seeded fault-injection processes. All
@@ -115,8 +117,7 @@ type Injector struct {
 	cfg       FaultConfig
 	events    faultHeap
 	stormDone bool
-	src       drawSource
-	rng       *rand.Rand // over src, re-seeded by every Draw
+	rng       *rand.Rand // over a randsrc.Source, re-seeded by every Draw
 }
 
 // NewInjector builds an injector from a validated configuration.
@@ -130,9 +131,7 @@ func NewInjector(cfg FaultConfig) (*Injector, error) {
 	if cfg.StormAtSeconds > 0 && cfg.StormFraction == 0 {
 		cfg.StormFraction = 0.5
 	}
-	in := &Injector{cfg: cfg}
-	in.rng = rand.New(&in.src)
-	return in, nil
+	return &Injector{cfg: cfg, rng: rand.New(&randsrc.Source{})}, nil
 }
 
 // Config returns the injector's (defaulted) configuration.
@@ -154,8 +153,8 @@ func splitmix(x uint64) uint64 {
 func (in *Injector) Draw(seq int64, tier Tier, start, execSeconds float64) Draw {
 	d := Draw{ExecSeconds: execSeconds, PreemptAt: -1, OOMAt: -1}
 	// The stream of rand.NewSource(seed), without building that source.
-	in.src.Seed(int64(splitmix(uint64(in.cfg.Seed) ^ splitmix(uint64(seq)))))
 	rng := in.rng
+	rng.Seed(int64(splitmix(uint64(in.cfg.Seed) ^ splitmix(uint64(seq)))))
 	// Fixed draw order: straggler, OOM, spot lifetime — consuming the
 	// stream identically whether or not each process is enabled keeps a
 	// single fault's schedule stable when another is toggled.

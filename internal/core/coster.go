@@ -16,8 +16,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"raqo/internal/cluster"
 	"raqo/internal/cost"
@@ -34,8 +32,18 @@ import (
 // Resources nil, it is the plain QO baseline: every operator is priced at
 // the Fixed configuration.
 //
-// A Coster is safe for concurrent use as long as its Resources planner is
-// (every planner in internal/resource is).
+// A Coster is per-call state: it serves one planning call at a time, on one
+// goroutine. Concurrent planning calls each build their own Coster; what
+// they share (the Resources planner, the Memo) is safe for concurrent use.
+//
+// Within one Optimizer planning call, a Coster whose Resources is a
+// *resource.Cache and whose Memo is nil asks the cache each question once
+// while the cache is unchanged: an answer the cache gave without an
+// evaluation is kept in a per-call table and reused, without locking the
+// cache, for as long as the cache's Version reads the same (see
+// answerTable). Reused answers are counted as the cache hits they replace
+// when the call ends, so the cache's Stats read as if every question had
+// been asked.
 type Coster struct {
 	Models  *cost.Models
 	Pricing cost.Pricing
@@ -60,31 +68,57 @@ type Coster struct {
 	// resource planning entirely. See CostMemo.
 	Memo *CostMemo
 
-	pruned   atomic.Int64
-	resIters atomic.Int64
+	pruned   int64
+	resIters int64
 
-	fpOnce sync.Once
-	fp     uint64
+	fp    uint64
+	fpSet bool
+
+	// Set between beginCall and endCall: the cache behind Resources and the
+	// call's answer table; reused counts the answers the table served.
+	cache   *resource.Cache
+	answers *answerTable
+	reused  int64
 }
 
 var _ optimizer.OperatorCoster = (*Coster)(nil)
 
 // Pruned returns how many operators the memory-awareness check rejected
 // (memoized rejections count every time they are served).
-func (c *Coster) Pruned() int64 { return c.pruned.Load() }
+func (c *Coster) Pruned() int64 { return c.pruned }
 
 // ResourceIters returns how many resource configurations this coster's
 // operators consumed (the paper's #Resource-Iterations metric), attributed
 // exactly per call via resource.PlanWithCount — memo and cache hits
 // contribute zero.
-func (c *Coster) ResourceIters() int64 { return c.resIters.Load() }
+func (c *Coster) ResourceIters() int64 { return c.resIters }
+
+// beginCall starts a planning call: it arms per-call answer reuse when
+// Resources is a resource-plan cache and no cost memo sits in front of it.
+// Every beginCall is paired with an endCall.
+func (c *Coster) beginCall() {
+	if cache, ok := c.Resources.(*resource.Cache); ok && c.Memo == nil {
+		c.cache, c.answers, c.reused = cache, getAnswers(), 0
+	}
+}
+
+// endCall ends a planning call: it counts the reused answers as the cache
+// hits they stand for and returns the answer table to its pool.
+func (c *Coster) endCall() {
+	if c.answers == nil {
+		return
+	}
+	c.cache.CountHits(c.reused)
+	putAnswers(c.answers)
+	c.cache, c.answers = nil, nil
+}
 
 // fingerprint hashes everything outside the operator itself that costing
 // depends on — the cluster conditions, the fixed configuration, whether a
 // resource planner is present, and the engine parameters — so memo entries
 // from different coster contexts can never collide.
 func (c *Coster) fingerprint() uint64 {
-	c.fpOnce.Do(func() {
+	if !c.fpSet {
 		h := uint64(14695981039346656037)
 		mix := func(v uint64) {
 			for i := 0; i < 8; i++ {
@@ -110,8 +144,8 @@ func (c *Coster) fingerprint() uint64 {
 			}
 			mixF(c.Engine.OOMFrac)
 		}
-		c.fp = h
-	})
+		c.fp, c.fpSet = h, true
+	}
 	return c.fp
 }
 
@@ -129,6 +163,9 @@ func (c *Coster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
 		return optimizer.OpCost{}, fmt.Errorf("core: no cost model for %s", j.Algo)
 	}
 	if c.Memo == nil {
+		if c.answers != nil {
+			return c.costReusing(j, model)
+		}
 		oc, _, err := c.costJoin(j, model)
 		return oc, err
 	}
@@ -140,7 +177,7 @@ func (c *Coster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
 	if hit {
 		if e.err != nil {
 			if e.pruned {
-				c.pruned.Add(1)
+				c.pruned++
 			}
 			return optimizer.OpCost{}, e.err
 		}
@@ -150,6 +187,35 @@ func (c *Coster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
 	return e.oc, e.err
 }
 
+// costReusing is costJoin behind the call's answer table. A recorded answer
+// is reused only while the cache's Version still equals the one it was
+// given at. An answer is recorded only when the cache gave it without an
+// evaluation and Version read the same before and after: after a miss the
+// cache holds the inserted configuration, whose snap onto the grid need not
+// equal the climb's own bits, so the next ask of that question, an exact
+// hit, is the one recorded.
+func (c *Coster) costReusing(j *plan.Node, model cost.Model) (optimizer.OpCost, error) {
+	bits := math.Float64bits(j.SmallerInputGB())
+	s := c.answers.find(j.Algo, bits)
+	v := c.cache.Version()
+	if s != nil && s.version == v {
+		c.reused++
+		j.Res = s.res
+		return s.oc, nil
+	}
+	iters := c.resIters
+	oc, _, err := c.costJoin(j, model)
+	if err == nil && c.resIters == iters && c.cache.Version() == v {
+		a := answerSlot{epoch: c.answers.epoch, algo: j.Algo, bits: bits, version: v, res: j.Res, oc: oc}
+		if s != nil {
+			*s = a
+		} else {
+			c.answers.insert(a)
+		}
+	}
+	return oc, err
+}
+
 // costJoin is the uncached costing path; it reports whether a returned
 // error was a memory-awareness prune (already counted against pruned).
 func (c *Coster) costJoin(j *plan.Node, model cost.Model) (optimizer.OpCost, bool, error) {
@@ -157,7 +223,7 @@ func (c *Coster) costJoin(j *plan.Node, model cost.Model) (optimizer.OpCost, boo
 	if c.Engine != nil && j.Algo == plan.BHJ {
 		restricted, err := restrictForBroadcast(c.Engine, c.Cond, j)
 		if err != nil {
-			c.pruned.Add(1)
+			c.pruned++
 			return optimizer.OpCost{}, true, err
 		}
 		cond = restricted
@@ -167,9 +233,7 @@ func (c *Coster) costJoin(j *plan.Node, model cost.Model) (optimizer.OpCost, boo
 		var err error
 		var n int64
 		r, n, err = resource.PlanWithCount(c.Resources, model, j.SmallerInputGB(), cond)
-		if n != 0 { // a cache hit evaluates nothing: skip the shared atomic
-			c.resIters.Add(n)
-		}
+		c.resIters += n
 		if err != nil {
 			return optimizer.OpCost{}, false, fmt.Errorf("core: resource planning for %s over %v: %w",
 				j.Algo, j.Relations(), err)
@@ -181,7 +245,7 @@ func (c *Coster) costJoin(j *plan.Node, model cost.Model) (optimizer.OpCost, boo
 		r = c.Fixed
 		if c.Engine != nil && j.Algo == plan.BHJ &&
 			j.SmallerInputGB() > c.Engine.HashCapacityGB(r.ContainerGB, 1) {
-			c.pruned.Add(1)
+			c.pruned++
 			return optimizer.OpCost{}, true, fmt.Errorf("core: %s over %v does not fit %v (build side %.2f GB)",
 				j.Algo, j.Relations(), r, j.SmallerInputGB())
 		}

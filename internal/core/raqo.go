@@ -64,6 +64,12 @@ type Options struct {
 	// across queries/Reoptimize calls under unchanged conditions — skip
 	// CostOperator entirely. Off by default because it changes the
 	// ResourceIterations/cache-hit accounting the paper's figures measure.
+	// The memo is the cross-call reuse, and it is inexact: it keeps serving
+	// a costing after the resource-plan cache behind it would answer
+	// differently. Without it, a planning call still reuses the cache's
+	// answers within the call (see Coster), but only exactly: never an
+	// answer the cache would not give at that instant, and with the
+	// accounting unchanged.
 	MemoizeCosts bool
 }
 
@@ -193,6 +199,8 @@ func (o *Optimizer) planner(ctx context.Context, c optimizer.OperatorCoster, q *
 }
 
 func (o *Optimizer) run(ctx context.Context, q *plan.Query, c *Coster) (*Decision, error) {
+	c.beginCall()
+	defer c.endCall()
 	start := time.Now()
 	res, err := o.planner(ctx, c, q).Plan(q)
 	if err != nil {
@@ -274,6 +282,8 @@ func (o *Optimizer) OptimizeForBudgetCtx(ctx context.Context, q *plan.Query, max
 // plan's operators are annotated in place.
 func (o *Optimizer) PlanResources(p *plan.Node) (*Decision, error) {
 	c := o.coster(o.opts.Resource, plan.Resources{}, o.cond)
+	c.beginCall()
+	defer c.endCall()
 	start := time.Now()
 	oc, err := optimizer.PlanCost(c, p)
 	if err != nil {
@@ -302,6 +312,8 @@ func (o *Optimizer) OptimizeForPriceCtx(ctx context.Context, q *plan.Query, budg
 		return nil, fmt.Errorf("core: price budget must be positive, got %v", budget)
 	}
 	c := o.coster(o.opts.Resource, plan.Resources{}, o.cond)
+	c.beginCall()
+	defer c.endCall()
 	rp := &randomized.Planner{Coster: c, Opts: o.opts.Randomized, Seed: o.seedFor(q), Ctx: ctx}
 	start := time.Now()
 	archive, considered, err := rp.PlanPareto(q)

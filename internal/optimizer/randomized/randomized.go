@@ -11,10 +11,12 @@
 // rule, so a multi-restart run is reproducible.
 //
 // Each restart builds its trees in the node arena of a pooled search state
-// and re-seeds the state's generator, so a search allocates almost
-// nothing. The plans Plan and PlanPareto return are copies, cloned out of
-// the arenas before the states go back to the pool: callers own them, and
-// no later search can overwrite them.
+// and re-seeds the state's generator, a randsrc.Source that replays
+// rand.NewSource's stream without refilling its register, so a search
+// allocates almost nothing and a restart starts in O(1). The plans Plan
+// and PlanPareto return are copies, cloned out of the arenas before the
+// states go back to the pool: callers own them, and no later search can
+// overwrite them.
 package randomized
 
 import (
@@ -26,6 +28,7 @@ import (
 	"raqo/internal/cost"
 	"raqo/internal/optimizer"
 	"raqo/internal/plan"
+	"raqo/internal/randsrc"
 )
 
 // Options configures the planner. Zero values select the paper's defaults.
@@ -127,7 +130,7 @@ type searchState struct {
 	snapshot []ParetoEntry
 }
 
-var statePool = sync.Pool{New: func() any { return &searchState{rng: rand.New(rand.NewSource(0))} }}
+var statePool = sync.Pool{New: func() any { return &searchState{rng: rand.New(&randsrc.Source{})} }}
 
 // release recycles the arena and drops every plan pointer.
 //

@@ -228,6 +228,13 @@ func (m LookupMode) String() string {
 // that lock at insert time — a stale result computed against a pre-Reset
 // cache is returned to its callers but never inserted. In-flight
 // computations survive a Reset only to serve their waiters.
+//
+// Version. Every insert and every drop advances Version under the write
+// lock, and nothing else changes what a lookup answers. So while Version
+// reads the same, the cache answers every (model, key, conditions)
+// question exactly as it did: a caller may keep an answer it took at one
+// Version and reuse it while Version still reads that value, reporting the
+// reuse through CountHits.
 type Cache struct {
 	Inner Planner
 	Mode  LookupMode
@@ -240,6 +247,7 @@ type Cache struct {
 	flights   map[flightKey]*flight // guarded by mu
 	gen       uint64                // guarded by mu
 	evictions int64                 // guarded by mu
+	version   atomic.Uint64         // advanced under mu; see Version
 	hits      atomic.Int64
 	misses    atomic.Int64
 	deduped   atomic.Int64
@@ -450,6 +458,7 @@ func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions)
 			c.indexes = append(c.indexes, ix)
 		}
 		ix.insert(ssGB, r)
+		c.version.Add(1)
 	}
 	c.mu.Unlock()
 	close(fl.done)
@@ -460,8 +469,25 @@ func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions)
 }
 
 // Evaluations implements Planner (delegates to the inner planner, so cache
-// hits contribute zero).
-func (c *Cache) Evaluations() int64 { return c.Inner.Evaluations() }
+// hits contribute zero). A cache with no inner planner has evaluated
+// nothing.
+func (c *Cache) Evaluations() int64 {
+	if c.Inner == nil {
+		return 0
+	}
+	return c.Inner.Evaluations()
+}
+
+// Version identifies the cache's contents: it advances on every insert and
+// on every drop (Reset, and a ResetIfGeneration that resets), so two equal
+// readings mean every lookup in between was answered from the same
+// entries. It is one atomic load and takes no lock.
+func (c *Cache) Version() uint64 { return c.version.Load() }
+
+// CountHits adds n lookups to the hit counter: lookups a caller answered
+// itself with an answer this cache gave at the current Version, which the
+// cache would have answered identically and counted as hits.
+func (c *Cache) CountHits(n int64) { c.hits.Add(n) }
 
 // Hits returns the number of cache hits so far.
 func (c *Cache) Hits() int64 { return c.hits.Load() }
@@ -536,10 +562,11 @@ func (c *Cache) ResetIfGeneration(gen uint64) bool {
 	return true
 }
 
-// dropLocked advances the generation and clears every index, counting the
-// evicted entries.
+// dropLocked advances the generation and the version and clears every
+// index, counting the evicted entries.
 func (c *Cache) dropLocked() {
 	c.gen++
+	c.version.Add(1)
 	c.evictions += int64(c.sizeLocked())
 	c.indexes = nil
 }

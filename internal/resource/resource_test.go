@@ -294,6 +294,54 @@ func TestCacheNoInner(t *testing.T) {
 	if _, err := c.Plan(quadModel(1, 1), 1, cond()); err == nil {
 		t.Error("nil inner accepted")
 	}
+	if _, n, err := c.PlanCounted(quadModel(1, 1), 1, cond()); err == nil || n != 0 {
+		t.Errorf("PlanCounted with nil inner: evaluations=%d err=%v", n, err)
+	}
+	if n := c.Evaluations(); n != 0 {
+		t.Errorf("Evaluations with nil inner = %d, want 0", n)
+	}
+}
+
+// TestCacheVersion pins what advances Version: inserts and drops, and
+// nothing that leaves the entries as they were.
+func TestCacheVersion(t *testing.T) {
+	c := &Cache{Inner: &HillClimb{}, Mode: NearestNeighbor, ThresholdGB: 0.5}
+	m := quadModel(42, 7)
+	step := func(what string, want uint64, do func()) {
+		t.Helper()
+		do()
+		if got := c.Version(); got != want {
+			t.Fatalf("after %s: Version = %d, want %d", what, got, want)
+		}
+	}
+	plan := func(ss float64) func() {
+		return func() {
+			if _, err := c.Plan(m, ss, cond()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step("nothing", 0, func() {})
+	step("a miss", 1, plan(1))
+	step("an exact hit", 1, plan(1))
+	step("a neighbour hit", 1, plan(1.2))
+	step("a second miss", 2, plan(3))
+	step("counting hits", 2, func() { c.CountHits(3) })
+	gen := c.Stats().Generation
+	step("a stale ResetIfGeneration", 2, func() {
+		if c.ResetIfGeneration(gen + 1) {
+			t.Fatal("stale generation reset the cache")
+		}
+	})
+	step("a ResetIfGeneration", 3, func() {
+		if !c.ResetIfGeneration(gen) {
+			t.Fatal("current generation did not reset the cache")
+		}
+	})
+	step("a Reset of an empty cache", 4, c.Reset)
+	if st := c.Stats(); st.Hits != 5 || st.Misses != 2 {
+		t.Errorf("stats %+v: want 5 hits (2 probes + 3 counted), 2 misses", st)
+	}
 }
 
 func TestCacheConcurrentAccess(t *testing.T) {
