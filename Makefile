@@ -61,8 +61,11 @@ race:
 # and bytes, a non-finite value's 500 included), and a planning call's
 # reuse of resource-plan cache answers against asking the cache every time
 # on costing/reset/call-boundary scripts decoded from bytes (the same
-# answers, bits, counts and cache stats). (The seed corpora already run
-# under plain `go test`.)
+# answers, bits, counts and cache stats), and the admission engine on
+# decoded markets, faults, tenants and mixed-policy arrival streams (zero
+# lost after a drain, no class below zero free containers at any event,
+# arrival <= start <= finish, the same bytes on a second run). (The seed
+# corpora already run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -77,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzHistoryJSON -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s ./internal/cloud
 
 # Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
 # (pooled DP state, arena plans, structural plan equality, exact memo).

@@ -11,6 +11,7 @@ import (
 
 	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
+	"raqo/internal/cloud"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
@@ -55,17 +56,19 @@ func newBenchArbiter(tb testing.TB) *arbiter.Arbiter {
 		tb.Fatal(err)
 	}
 	a, err := arbiter.New(arbiter.Config{
-		Capacity:  100,
-		Base:      cluster.Default(),
-		Engine:    execsim.Hive(),
-		Pricing:   cost.DefaultPricing(),
-		Optimizer: opt,
-		Queries:   queries,
-		Tenants: []arbiter.TenantConfig{
-			{Name: "etl", Weight: 2},
-			{Name: "bi", Weight: 1},
-			{Name: "adhoc", Weight: 1},
+		Workload: cloud.Workload{
+			Base:      cluster.Default(),
+			Engine:    execsim.Hive(),
+			Pricing:   cost.DefaultPricing(),
+			Optimizer: opt,
+			Queries:   queries,
+			Tenants: []arbiter.TenantConfig{
+				{Name: "etl", Weight: 2},
+				{Name: "bi", Weight: 1},
+				{Name: "adhoc", Weight: 1},
+			},
 		},
+		Capacity: 100,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -77,26 +80,24 @@ func newBenchArbiter(tb testing.TB) *arbiter.Arbiter {
 // replay; every iteration re-runs the identical workload.
 func benchArrivals(tb testing.TB, policy scheduler.Policy) []arbiter.Arrival {
 	tb.Helper()
-	arrivals, err := arbiter.GenerateArrivals(arbiter.WorkloadConfig{
+	trace, err := cloud.GenerateTrace(cloud.TraceConfig{
 		Seed:                42,
 		Arrivals:            36,
 		MeanIntervalSeconds: 30,
+		Shape:               cloud.Bursty,
 		BurstSize:           6,
-		Tenants: []arbiter.TenantShare{
-			{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1},
-		},
-		Mix: []arbiter.QueryMix{
+		Tenants:             []cloud.Share{{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1}},
+		Mix: []cloud.Share{
 			{Name: workload.Q12, Weight: 4},
 			{Name: workload.Q3, Weight: 3},
 			{Name: workload.Q2, Weight: 2},
 			{Name: workload.All, Weight: 1},
 		},
-		Policy: policy,
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return arrivals
+	return arbiter.Arrivals(trace, policy)
 }
 
 // BenchmarkArbiterWorkload replays the whole seeded stream through a

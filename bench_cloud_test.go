@@ -69,17 +69,19 @@ func newBenchCloud(tb testing.TB, elastic, faulty bool) *cloud.Arbiter {
 		faults = cloud.FaultConfig{Seed: 7, SpotMeanLifeSeconds: 7200}
 	}
 	a, err := cloud.New(cloud.Config{
-		Market:    market,
-		Base:      cluster.Default(),
-		Engine:    execsim.Hive(),
-		Pricing:   cost.DefaultPricing(),
-		Optimizer: opt,
-		Queries:   queries,
-		Tenants: []cloud.TenantConfig{
-			{Name: "etl", Weight: 2},
-			{Name: "bi", Weight: 1},
-			{Name: "adhoc", Weight: 1},
+		Workload: cloud.Workload{
+			Base:      cluster.Default(),
+			Engine:    execsim.Hive(),
+			Pricing:   cost.DefaultPricing(),
+			Optimizer: opt,
+			Queries:   queries,
+			Tenants: []cloud.TenantConfig{
+				{Name: "etl", Weight: 2},
+				{Name: "bi", Weight: 1},
+				{Name: "adhoc", Weight: 1},
+			},
 		},
+		Market:     market,
 		Faults:     faults,
 		Autoscaler: scaler,
 	})

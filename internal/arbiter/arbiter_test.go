@@ -8,6 +8,7 @@ import (
 
 	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
+	"raqo/internal/cloud"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
@@ -60,37 +61,51 @@ func testConfig(t testing.TB) arbiter.Config {
 	t.Helper()
 	models, queries := testFixtures(t)
 	return arbiter.Config{
-		Capacity:  100,
-		Base:      cluster.Default(),
-		Engine:    execsim.Hive(),
-		Pricing:   cost.DefaultPricing(),
-		Optimizer: newOptimizer(t, models),
-		Queries:   queries,
-		Tenants: []arbiter.TenantConfig{
-			{Name: "etl", Weight: 2},
-			{Name: "bi", Weight: 1},
-			{Name: "adhoc", Weight: 1},
+		Workload: cloud.Workload{
+			Base:      cluster.Default(),
+			Engine:    execsim.Hive(),
+			Pricing:   cost.DefaultPricing(),
+			Optimizer: newOptimizer(t, models),
+			Queries:   queries,
+			Tenants: []arbiter.TenantConfig{
+				{Name: "etl", Weight: 2},
+				{Name: "bi", Weight: 1},
+				{Name: "adhoc", Weight: 1},
+			},
 		},
+		Capacity: 100,
 	}
 }
 
-func testWorkload(policy scheduler.Policy) arbiter.WorkloadConfig {
-	return arbiter.WorkloadConfig{
+// testWorkload is the seeded 36-query stream of bursty waves over the
+// three tenants and the TPC-H mix.
+func testWorkload() cloud.TraceConfig {
+	return cloud.TraceConfig{
 		Seed:                42,
 		Arrivals:            36,
 		MeanIntervalSeconds: 30,
+		Shape:               cloud.Bursty,
 		BurstSize:           6,
-		Tenants: []arbiter.TenantShare{
+		Tenants: []cloud.Share{
 			{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1},
 		},
-		Mix: []arbiter.QueryMix{
+		Mix: []cloud.Share{
 			{Name: workload.Q12, Weight: 4},
 			{Name: workload.Q3, Weight: 3},
 			{Name: workload.Q2, Weight: 2},
 			{Name: workload.All, Weight: 1},
 		},
-		Policy: policy,
 	}
+}
+
+// arrivals draws a trace and submits every arrival under one policy.
+func arrivals(t testing.TB, wl cloud.TraceConfig, policy scheduler.Policy) []arbiter.Arrival {
+	t.Helper()
+	trace, err := cloud.GenerateTrace(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return arbiter.Arrivals(trace, policy)
 }
 
 func runWorkload(t *testing.T, policy scheduler.Policy) ([]arbiter.Outcome, arbiter.Stats) {
@@ -99,11 +114,7 @@ func runWorkload(t *testing.T, policy scheduler.Policy) ([]arbiter.Outcome, arbi
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals, err := arbiter.GenerateArrivals(testWorkload(policy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes, err := a.Run(arrivals)
+	outcomes, err := a.Run(arrivals(t, testWorkload(), policy))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +195,10 @@ func TestMaxInFlightBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl := testWorkload(scheduler.Reoptimize)
-	wl.Tenants = []arbiter.TenantShare{{Name: "etl", Weight: 1}}
+	wl := testWorkload()
+	wl.Tenants = []cloud.Share{{Name: "etl", Weight: 1}}
 	wl.Arrivals = 16
-	arrivals, err := arbiter.GenerateArrivals(wl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes, err := a.Run(arrivals)
+	outcomes, err := a.Run(arrivals(t, wl, scheduler.Reoptimize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +251,15 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Submit(arbiter.Arrival{Tenant: "nope", Query: workload.Q12}); err == nil {
-		t.Fatal("unknown tenant accepted")
+	var unknown *arbiter.UnknownError
+	if _, err := a.SubmitWait("nope", workload.Q12, scheduler.Wait); !errors.As(err, &unknown) {
+		t.Fatalf("unknown tenant: %v", err)
 	}
-	if err := a.Submit(arbiter.Arrival{Tenant: "etl", Query: "Q99"}); err == nil {
-		t.Fatal("unknown query accepted")
+	if _, err := a.SubmitWait("etl", "Q99", scheduler.Wait); !errors.As(err, &unknown) {
+		t.Fatalf("unknown query: %v", err)
 	}
-	if err := a.Submit(arbiter.Arrival{Tenant: "etl", Query: workload.Q12, Policy: scheduler.Policy(9)}); err == nil {
-		t.Fatal("unknown policy accepted")
+	if _, err := a.SubmitWait("etl", workload.Q12, scheduler.Policy(9)); !errors.As(err, &unknown) {
+		t.Fatalf("unknown policy: %v", err)
 	}
 }
 
@@ -264,7 +272,7 @@ func TestWaitOversizedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = a.Submit(arbiter.Arrival{Tenant: "etl", Query: workload.All, Policy: scheduler.Wait})
+	_, err = a.SubmitWait("etl", workload.All, scheduler.Wait)
 	if !errors.Is(err, arbiter.ErrRejected) {
 		t.Fatalf("oversized Wait submission: got %v, want ErrRejected", err)
 	}
@@ -360,23 +368,25 @@ func skewedRecalConfig(t testing.TB) (arbiter.Config, *feedback.Recalibrator) {
 		}
 	})
 	return arbiter.Config{
+		Workload: cloud.Workload{
+			Base:      cluster.Default(),
+			Engine:    execsim.Hive(),
+			Pricing:   cost.DefaultPricing(),
+			Optimizer: opt,
+			Queries:   queries,
+			Tenants:   []arbiter.TenantConfig{{Name: "etl"}},
+		},
 		Capacity:   100,
-		Base:       cluster.Default(),
-		Engine:     execsim.Hive(),
-		Pricing:    cost.DefaultPricing(),
-		Optimizer:  opt,
-		Queries:    queries,
-		Tenants:    []arbiter.TenantConfig{{Name: "etl"}},
 		Feedback:   &feedback.Observer{Recal: rec},
 		RecalEvery: 4,
 	}, rec
 }
 
-// singleTenantWorkload is the seeded Reoptimize stream of testWorkload
-// with every arrival on the one tenant of skewedRecalConfig.
-func singleTenantWorkload() arbiter.WorkloadConfig {
-	wl := testWorkload(scheduler.Reoptimize)
-	wl.Tenants = []arbiter.TenantShare{{Name: "etl", Weight: 1}}
+// singleTenantWorkload is the seeded stream of testWorkload with every
+// arrival on the one tenant of skewedRecalConfig.
+func singleTenantWorkload() cloud.TraceConfig {
+	wl := testWorkload()
+	wl.Tenants = []cloud.Share{{Name: "etl", Weight: 1}}
 	return wl
 }
 
@@ -390,11 +400,7 @@ func TestFeedbackRecalibratesMidWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals, err := arbiter.GenerateArrivals(singleTenantWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Run(arrivals); err != nil {
+	if _, err := a.Run(arrivals(t, singleTenantWorkload(), scheduler.Reoptimize)); err != nil {
 		t.Fatal(err)
 	}
 	st := a.Stats()
@@ -409,29 +415,21 @@ func TestFeedbackRecalibratesMidWorkload(t *testing.T) {
 	}
 }
 
+// TestGenerateArrivalsDeterministic: the arbiter's streams are the
+// cloud trace generator's — the same config draws the same stream, and
+// policy runs differ only in the policy field.
 func TestGenerateArrivalsDeterministic(t *testing.T) {
-	a, err := arbiter.GenerateArrivals(testWorkload(scheduler.Wait))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := arbiter.GenerateArrivals(testWorkload(scheduler.Wait))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
+	a := arrivals(t, testWorkload(), scheduler.Wait)
+	if b := arrivals(t, testWorkload(), scheduler.Wait); !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different arrival streams")
 	}
-	// Only the policy field differs between policy runs.
-	c, err := arbiter.GenerateArrivals(testWorkload(scheduler.Reoptimize))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := arrivals(t, testWorkload(), scheduler.Reoptimize)
 	for i := range a {
-		if a[i].Tenant != c[i].Tenant || a[i].Query != c[i].Query || a[i].Time != c[i].Time {
+		if a[i].Tenant != c[i].Tenant || a[i].Query != c[i].Query || a[i].Time != c[i].Time || c[i].Policy != scheduler.Reoptimize {
 			t.Fatalf("arrival %d differs beyond policy: %+v vs %+v", i, a[i], c[i])
 		}
 	}
-	if _, err := arbiter.GenerateArrivals(arbiter.WorkloadConfig{}); err == nil {
+	if _, err := cloud.GenerateTrace(cloud.TraceConfig{}); err == nil {
 		t.Fatal("empty workload config accepted")
 	}
 }

@@ -56,12 +56,8 @@ func bitsString(v reflect.Value) string {
 func goldenOutcomes(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	section := func(name string, cfg arbiter.Config, wl arbiter.WorkloadConfig) {
+	section := func(name string, cfg arbiter.Config, arrivals []arbiter.Arrival) {
 		a, err := arbiter.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals, err := arbiter.GenerateArrivals(wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,10 +71,10 @@ func goldenOutcomes(t *testing.T) string {
 		fmt.Fprintln(&b, "stats", bitsString(reflect.ValueOf(a.Stats())))
 	}
 	for _, policy := range []scheduler.Policy{scheduler.Wait, scheduler.Degrade, scheduler.Reoptimize} {
-		section(policy.String(), testConfig(t), testWorkload(policy))
+		section(policy.String(), testConfig(t), arrivals(t, testWorkload(), policy))
 	}
 	cfg, _ := skewedRecalConfig(t)
-	section("reoptimize+recalibration", cfg, singleTenantWorkload())
+	section("reoptimize+recalibration", cfg, arrivals(t, singleTenantWorkload(), scheduler.Reoptimize))
 	return b.String()
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"raqo/internal/arbiter"
+	"raqo/internal/cloud"
 	"raqo/internal/feedback"
 	"raqo/internal/history"
 	"raqo/internal/scheduler"
@@ -16,8 +17,8 @@ import (
 // daysWorkload stretches the seeded arrival stream across more than a
 // virtual day, so the history store accumulates day-scale rollups without
 // a single wall-clock read.
-func daysWorkload() arbiter.WorkloadConfig {
-	wl := testWorkload(scheduler.Reoptimize)
+func daysWorkload() cloud.TraceConfig {
+	wl := testWorkload()
 	wl.Arrivals = 300
 	wl.MeanIntervalSeconds = 600 // ~50 virtual hours of arrivals
 	return wl
@@ -47,11 +48,7 @@ func runHistoryWorkload(t *testing.T, dir string) ([]feedback.LongHorizonStat, h
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrivals, err := arbiter.GenerateArrivals(daysWorkload())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Run(arrivals); err != nil {
+	if _, err := a.Run(arrivals(t, daysWorkload(), scheduler.Reoptimize)); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Commit(); err != nil {

@@ -94,9 +94,6 @@ func NewAutoscaler(cfg AutoscalerConfig) (*Autoscaler, error) {
 	return &Autoscaler{cfg: cfg, nextTick: cfg.IntervalSeconds}, nil
 }
 
-// Config returns the (defaulted) configuration.
-func (s *Autoscaler) Config() AutoscalerConfig { return s.cfg }
-
 // NextTick returns the next control-loop firing time, if the loop runs.
 func (s *Autoscaler) NextTick() (float64, bool) {
 	if !s.cfg.Enabled {

@@ -73,17 +73,19 @@ func testConfig(t testing.TB, m cloud.Market) cloud.Config {
 	t.Helper()
 	models, queries := testFixtures(t)
 	return cloud.Config{
-		Market:    m,
-		Base:      cluster.Default(),
-		Engine:    execsim.Hive(),
-		Pricing:   cost.DefaultPricing(),
-		Optimizer: newOptimizer(t, models),
-		Queries:   queries,
-		Tenants: []cloud.TenantConfig{
-			{Name: "etl", Weight: 2},
-			{Name: "bi", Weight: 1},
-			{Name: "adhoc", Weight: 1},
+		Workload: cloud.Workload{
+			Base:      cluster.Default(),
+			Engine:    execsim.Hive(),
+			Pricing:   cost.DefaultPricing(),
+			Optimizer: newOptimizer(t, models),
+			Queries:   queries,
+			Tenants: []cloud.TenantConfig{
+				{Name: "etl", Weight: 2},
+				{Name: "bi", Weight: 1},
+				{Name: "adhoc", Weight: 1},
+			},
 		},
+		Market: m,
 	}
 }
 
@@ -502,6 +504,38 @@ func TestSubmitWaitOnline(t *testing.T) {
 	}
 	if st := a.Stats(); st.Lost != 0 || st.InFlight != 0 {
 		t.Fatalf("online drain left %+v", st)
+	}
+}
+
+// TestRejectedSubmitWaitIsNotLost: a SubmitWait that can never be
+// admitted — on a static market nothing is left to happen, on an elastic
+// one only autoscaler ticks are — is a rejection, and the accounting
+// invariant holds: the query is not also counted lost.
+func TestRejectedSubmitWaitIsNotLost(t *testing.T) {
+	for _, elastic := range []bool{false, true} {
+		// 0.5 GB containers host no configuration of the default conditions.
+		tiny := cloud.InstanceClass{Name: "tiny", Tier: cloud.OnDemand, ContainerGB: 0.5, Count: 4}
+		cfg := testConfig(t, cloud.Market{Classes: []cloud.InstanceClass{tiny}})
+		if elastic {
+			cfg.Market.Classes[0].MaxCount = 8
+			cfg.Autoscaler = cloud.AutoscalerConfig{Enabled: true}
+		}
+		cfg.Metrics = cloud.NewMetrics(telemetry.NewRegistry())
+		a, err := cloud.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.SubmitWait("etl", workload.Q12, cloud.RecoverReoptimize); !errors.Is(err, cloud.ErrRejected) {
+			t.Fatalf("elastic=%v: SubmitWait = %v, want ErrRejected", elastic, err)
+		}
+		st := a.Stats()
+		if st.Submitted != 1 || st.Rejected != 1 || st.Queued != 0 || st.Lost != 0 {
+			t.Fatalf("elastic=%v: submitted %d rejected %d queued %d lost %d, want 1/1/0/0",
+				elastic, st.Submitted, st.Rejected, st.Queued, st.Lost)
+		}
+		if got := cfg.Metrics.Lost.Value(); got != 0 {
+			t.Fatalf("elastic=%v: lost gauge %d", elastic, got)
+		}
 	}
 }
 

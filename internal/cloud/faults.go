@@ -134,9 +134,6 @@ func NewInjector(cfg FaultConfig) (*Injector, error) {
 	return &Injector{cfg: cfg, rng: rand.New(&randsrc.Source{})}, nil
 }
 
-// Config returns the injector's (defaulted) configuration.
-func (in *Injector) Config() FaultConfig { return in.cfg }
-
 // splitmix is the SplitMix64 finalizer — the per-admission seed
 // derivation, mixing the configured seed with the admission sequence so
 // each admission rolls an independent, reproducible stream.
@@ -152,6 +149,9 @@ func splitmix(x uint64) uint64 {
 // exec) always rolls the same fate.
 func (in *Injector) Draw(seq int64, tier Tier, start, execSeconds float64) Draw {
 	d := Draw{ExecSeconds: execSeconds, PreemptAt: -1, OOMAt: -1}
+	if in.cfg.StragglerProb == 0 && in.cfg.OOMProb == 0 && in.cfg.SpotMeanLifeSeconds <= 0 {
+		return d // no fault process: nothing to roll (a fault-free pool)
+	}
 	// The stream of rand.NewSource(seed), without building that source.
 	rng := in.rng
 	rng.Seed(int64(splitmix(uint64(in.cfg.Seed) ^ splitmix(uint64(seq)))))

@@ -13,11 +13,10 @@ import (
 )
 
 // update rewrites testdata/golden_outcomes.txt from the current tree. The
-// committed file was generated on the commit *before* the reuse-layer
-// diet (ISSUE 20: the incremental patch path, the submission-plan maps and
-// the plan-signature caches deleted), so a plain run proves every outcome
-// stream is bit-identical to that commit's. Regenerate only for a change
-// that is meant to alter admission outcomes.
+// committed file was last regenerated when the market took the shared
+// cluster's admission order (submitted plan first, then the policy, with
+// Reoptimize heads re-planned after the tenant scan). Regenerate only for
+// a change that is meant to alter admission outcomes.
 var update = flag.Bool("update", false, "rewrite testdata/golden_outcomes.txt")
 
 const goldenPath = "testdata/golden_outcomes.txt"

@@ -1,15 +1,16 @@
-// Package cloud is the priced-capacity layer beneath the workload
-// arbiter: heterogeneous instance classes with distinct container sizes
-// and $/hr prices, preemptible spot capacity with seeded interruption
-// processes, and a budget-aware autoscaler. It generalizes the flat
-// cluster.Pool into a market of per-class pools whose occupancy accrues
-// dollar cost on the virtual clock, and extends the arbiter's admission
-// loop with recovery policies for revoked work.
+// Package cloud holds the one admission engine (Arbiter) and the
+// priced-capacity layer it runs on: heterogeneous instance classes with
+// distinct container sizes and $/hr prices, preemptible spot capacity with
+// seeded interruption processes, and a budget-aware autoscaler. Pool
+// generalizes the flat cluster.Pool into per-class pools whose occupancy
+// accrues dollar cost on the virtual clock; the engine adds recovery
+// policies for revoked work. The shared cluster of internal/arbiter is the
+// engine on a one-class, unpriced, fault-free pool.
 //
-// Like the arbiter, everything runs on virtual time with no wall-clock
-// reads (enforced by the raqolint `clock` rule), and every random draw
-// flows from an explicitly derived seed, so a given arrival stream and
-// fault configuration produce bit-identical outcomes across runs.
+// Everything runs on virtual time with no wall-clock reads (enforced by
+// the raqolint `clock` rule), and every random draw flows from an
+// explicitly derived seed, so a given arrival stream and fault
+// configuration produce bit-identical outcomes across runs.
 package cloud
 
 import (

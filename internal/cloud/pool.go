@@ -24,6 +24,7 @@ type Pool struct {
 	now     float64
 	seq     int64
 	refs    map[int64]allocRef // cloud token -> location; never ranged
+	settled []Release          // Advance's answer, reused by the next call
 }
 
 type allocRef struct {
@@ -140,13 +141,13 @@ func (p *Pool) Free() int {
 // InUse sums the allocated containers across classes.
 func (p *Pool) InUse() int { return p.Capacity() - p.Free() }
 
-// Running sums the outstanding allocations across classes.
-func (p *Pool) Running() int {
-	n := 0
+// HeldGB sums the memory of the held containers across classes.
+func (p *Pool) HeldGB() float64 {
+	gb := 0.0
 	for _, cs := range p.classes {
-		n += cs.pool.Running()
+		gb += cs.pool.HeldGB()
 	}
-	return n
+	return gb
 }
 
 // Allocate holds a gang of containers of the given class until the
@@ -218,12 +219,13 @@ func (p *Pool) RunningSpot() []int64 {
 
 // Advance moves the virtual clock to t (never backwards), lands every
 // scale-up order due by t, and releases every allocation finishing at or
-// before t across all classes, merged into (finish, token) order.
+// before t across all classes, merged into (finish, token) order. The
+// returned slice is valid until the next Advance.
 func (p *Pool) Advance(t float64) []Release {
 	if t > p.now {
 		p.now = t
 	}
-	var out []Release
+	out := p.settled[:0]
 	for i, cs := range p.classes {
 		for len(cs.pendingUp) > 0 && cs.pendingUp[0].at <= p.now {
 			pc := cs.pendingUp[0]
@@ -251,12 +253,15 @@ func (p *Pool) Advance(t float64) []Release {
 			})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Finish != out[j].Finish {
-			return out[i].Finish < out[j].Finish
-		}
-		return out[i].Token < out[j].Token
-	})
+	if len(out) > 1 {
+		sort.Slice(out, func(i, j int) bool {
+			if out[i].Finish != out[j].Finish {
+				return out[i].Finish < out[j].Finish
+			}
+			return out[i].Token < out[j].Token
+		})
+	}
+	p.settled = out
 	return out
 }
 

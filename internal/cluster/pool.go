@@ -8,9 +8,10 @@ import (
 // Pool tracks the container occupancy of a shared cluster over virtual
 // time: a fixed capacity of containers, gang allocations held until their
 // virtual finish times, and a monotone clock. It is the one occupancy
-// model behind both the Figure-1 trace simulator (Simulator.Run) and the
-// workload arbiter (internal/arbiter), so "how many containers are free
-// at virtual time t" has exactly one implementation.
+// model behind both the Figure-1 trace simulator (Simulator.Run) and, one
+// per instance class of a cloud.Pool, the admission engine of both
+// arbiters, so "how many containers are free at virtual time t" has
+// exactly one implementation.
 //
 // Pool is not safe for concurrent use; its owners are single-threaded
 // discrete-event loops.

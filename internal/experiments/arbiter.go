@@ -5,10 +5,12 @@ import (
 
 	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
+	"raqo/internal/cloud"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
+	"raqo/internal/plan"
 	"raqo/internal/scheduler"
 	"raqo/internal/stats"
 	"raqo/internal/workload"
@@ -34,20 +36,17 @@ func ArbiterWorkload() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	wl := arbiter.WorkloadConfig{
+	trace, err := cloud.GenerateTrace(cloud.TraceConfig{
 		Seed:                42,
 		Arrivals:            60,
 		MeanIntervalSeconds: 60,
+		Shape:               cloud.Bursty,
 		BurstSize:           10,
-		Tenants: []arbiter.TenantShare{
-			{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1},
-		},
-		Mix: []arbiter.QueryMix{
-			{Name: workload.Q12, Weight: 4},
-			{Name: workload.Q3, Weight: 3},
-			{Name: workload.Q2, Weight: 2},
-			{Name: workload.All, Weight: 1},
-		},
+		Tenants:             tenantShares(),
+		Mix:                 queryMix(),
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	type policyRun struct {
@@ -58,37 +57,15 @@ func ArbiterWorkload() (*Report, error) {
 	}
 	runs := make([]policyRun, 0, len(arbiterPolicies))
 	for _, policy := range arbiterPolicies {
-		engine := execsim.Hive()
-		opt, err := core.New(cluster.Default(), core.Options{
-			Models:       models,
-			Engine:       &engine,
-			MemoizeCosts: true,
-		})
+		sim, err := simWorkload(models, queries)
 		if err != nil {
 			return nil, err
 		}
-		a, err := arbiter.New(arbiter.Config{
-			Capacity:  100,
-			Base:      cluster.Default(),
-			Engine:    execsim.Hive(),
-			Pricing:   cost.DefaultPricing(),
-			Optimizer: opt,
-			Queries:   queries,
-			Tenants: []arbiter.TenantConfig{
-				{Name: "etl", Weight: 2},
-				{Name: "bi", Weight: 1},
-				{Name: "adhoc", Weight: 1},
-			},
-		})
+		a, err := arbiter.New(arbiter.Config{Workload: sim, Capacity: 100})
 		if err != nil {
 			return nil, err
 		}
-		cfg := wl
-		cfg.Policy = policy
-		arrivals, err := arbiter.GenerateArrivals(cfg)
-		if err != nil {
-			return nil, err
-		}
+		arrivals := arbiter.Arrivals(trace, policy)
 		outcomes, err := a.Run(arrivals)
 		if err != nil {
 			return nil, fmt.Errorf("policy %v: %w", policy, err)
@@ -161,7 +138,45 @@ func ArbiterWorkload() (*Report, error) {
 			"not a paper figure: the Section VIII 'interaction with the DAG scheduler' agenda at workload scale",
 			fmt.Sprintf("adaptive RAQO cuts the P95 queue/run ratio from %.2f (wait) to %.2f (reoptimize) on the same 60-query stream", waitP95, reoptP95),
 			"wait fixes the joint plan at submission (Fig 1 pathology); reoptimize re-plans under the currently free conditions at admission",
-			"virtual-clock discrete-event simulation; byte-identical across runs and optimizer worker counts",
+			"virtual-clock discrete-event simulation; byte-identical across runs",
 		},
 	}, nil
+}
+
+// simWorkload is what the arbiter, history and cloud reports admit: the
+// TPC-H queries from three tenants on the default cluster, planned
+// memory-aware by a fresh optimizer over models.
+func simWorkload(models *cost.Models, queries map[string]*plan.Query) (cloud.Workload, error) {
+	engine := execsim.Hive()
+	opt, err := core.New(cluster.Default(), core.Options{Models: models, Engine: &engine, MemoizeCosts: true})
+	if err != nil {
+		return cloud.Workload{}, err
+	}
+	return cloud.Workload{
+		Base:      cluster.Default(),
+		Engine:    engine,
+		Pricing:   cost.DefaultPricing(),
+		Optimizer: opt,
+		Queries:   queries,
+		Tenants: []cloud.TenantConfig{
+			{Name: "etl", Weight: 2},
+			{Name: "bi", Weight: 1},
+			{Name: "adhoc", Weight: 1},
+		},
+	}, nil
+}
+
+// tenantShares weights the arrivals over simWorkload's tenants.
+func tenantShares() []cloud.Share {
+	return []cloud.Share{{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1}}
+}
+
+// queryMix is the TPC-H query mix of the arbiter and cloud reports.
+func queryMix() []cloud.Share {
+	return []cloud.Share{
+		{Name: workload.Q12, Weight: 4},
+		{Name: workload.Q3, Weight: 3},
+		{Name: workload.Q2, Weight: 2},
+		{Name: workload.All, Weight: 1},
+	}
 }

@@ -5,8 +5,6 @@ import (
 
 	"raqo/internal/catalog"
 	"raqo/internal/cloud"
-	"raqo/internal/cluster"
-	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
@@ -63,15 +61,6 @@ func cloudSetups() []cloudSetup {
 // curve, bursty pipeline waves, and a steady stream with an injected
 // mid-run preemption storm plus OOM and straggler faults.
 func cloudTraces() []cloudTrace {
-	tenants := []cloud.Share{
-		{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1},
-	}
-	mix := []cloud.Share{
-		{Name: workload.Q12, Weight: 4},
-		{Name: workload.Q3, Weight: 3},
-		{Name: workload.Q2, Weight: 2},
-		{Name: workload.All, Weight: 1},
-	}
 	base := func(seed int64, shape cloud.Shape) cloud.TraceConfig {
 		return cloud.TraceConfig{
 			Seed:                seed,
@@ -79,8 +68,8 @@ func cloudTraces() []cloudTrace {
 			MeanIntervalSeconds: 900,
 			Shape:               shape,
 			PeriodSeconds:       14400,
-			Tenants:             tenants,
-			Mix:                 mix,
+			Tenants:             tenantShares(),
+			Mix:                 queryMix(),
 			Recovery:            cloud.RecoverReoptimize,
 		}
 	}
@@ -111,34 +100,15 @@ type cloudRun struct {
 	makespan  float64
 }
 
-// cloudTenants is the shared three-tenant population.
-func cloudTenants() []cloud.TenantConfig {
-	return []cloud.TenantConfig{
-		{Name: "etl", Weight: 2},
-		{Name: "bi", Weight: 1},
-		{Name: "adhoc", Weight: 1},
-	}
-}
-
 // runCloudCell replays one trace through one setup.
 func runCloudCell(models *cost.Models, queries map[string]*plan.Query, s cloudSetup, tr cloudTrace) (*cloudRun, error) {
-	engine := execsim.Hive()
-	opt, err := core.New(cluster.Default(), core.Options{
-		Models:       models,
-		Engine:       &engine,
-		MemoizeCosts: true,
-	})
+	sim, err := simWorkload(models, queries)
 	if err != nil {
 		return nil, err
 	}
 	a, err := cloud.New(cloud.Config{
+		Workload:   sim,
 		Market:     s.market(),
-		Base:       cluster.Default(),
-		Engine:     execsim.Hive(),
-		Pricing:    cost.DefaultPricing(),
-		Optimizer:  opt,
-		Queries:    queries,
-		Tenants:    cloudTenants(),
 		Faults:     tr.faults,
 		Autoscaler: s.autoscaler,
 	})
@@ -300,7 +270,7 @@ func CloudEconomics() (*Report, error) {
 			fmt.Sprintf("spot+autoscaler completes the combined 144-query workload at $%.6f/query vs $%.6f/query on peak-provisioned on-demand (%.1f%% saved) at equal-or-better P95 (%.1fs vs %.1fs)",
 				asPer, odPer, (1-asPer/odPer)*100, asP95, odP95),
 			"every preempted query finishes via its recovery policy: zero lost queries in all nine runs",
-			"virtual-clock discrete-event simulation; byte-identical across runs and optimizer worker counts",
+			"virtual-clock discrete-event simulation; byte-identical across runs",
 		},
 	}, nil
 }

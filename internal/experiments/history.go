@@ -6,9 +6,7 @@ import (
 
 	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
-	"raqo/internal/cluster"
-	"raqo/internal/core"
-	"raqo/internal/cost"
+	"raqo/internal/cloud"
 	"raqo/internal/execsim"
 	"raqo/internal/feedback"
 	"raqo/internal/history"
@@ -58,48 +56,32 @@ func HistoryObservability() (*Report, error) {
 	det.SetHistory(st, lhCfg)
 	rec := feedback.NewRecalibrator(feedback.NewStore(1024, nil), det, models)
 
-	engine := execsim.Hive()
-	opt, err := core.New(cluster.Default(), core.Options{
-		Models: models, Engine: &engine, MemoizeCosts: true,
-	})
+	sim, err := simWorkload(models, queries)
 	if err != nil {
 		return nil, err
 	}
 	a, err := arbiter.New(arbiter.Config{
-		Capacity:  100,
-		Base:      cluster.Default(),
-		Engine:    execsim.Hive(),
-		Pricing:   cost.DefaultPricing(),
-		Optimizer: opt,
-		Queries:   queries,
-		Tenants: []arbiter.TenantConfig{
-			{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1},
-		},
+		Workload: sim,
+		Capacity: 100,
 		Feedback: &feedback.Observer{Recal: rec},
 		History:  st,
 	})
 	if err != nil {
 		return nil, err
 	}
-	arrivals, err := arbiter.GenerateArrivals(arbiter.WorkloadConfig{
+	trace, err := cloud.GenerateTrace(cloud.TraceConfig{
 		Seed:                42,
 		Arrivals:            300,
 		MeanIntervalSeconds: 600, // ~50 virtual hours of arrivals
+		Shape:               cloud.Bursty,
 		BurstSize:           10,
-		Policy:              scheduler.Reoptimize,
-		Tenants: []arbiter.TenantShare{
-			{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1},
-		},
-		Mix: []arbiter.QueryMix{
-			{Name: workload.Q12, Weight: 4},
-			{Name: workload.Q3, Weight: 3},
-			{Name: workload.Q2, Weight: 2},
-			{Name: workload.All, Weight: 1},
-		},
+		Tenants:             tenantShares(),
+		Mix:                 queryMix(),
 	})
 	if err != nil {
 		return nil, err
 	}
+	arrivals := arbiter.Arrivals(trace, scheduler.Reoptimize)
 	if _, err := a.Run(arrivals); err != nil {
 		return nil, err
 	}

@@ -17,9 +17,11 @@ import (
 // break single-hop forwarding. The surrounding internal/fleet package is
 // deliberately NOT in scope: probing, forwarding timeouts and propagation
 // lag are real wall-clock concerns there.
-// internal/cloud is in scope because the priced-capacity layer bills,
-// preempts and autoscales purely on the virtual clock; a wall-clock read
-// there would make dollar figures depend on host speed.
+// internal/cloud is in scope because it holds the one admission engine —
+// the shared cluster of internal/arbiter runs on it too — and the priced
+// layer bills, preempts and autoscales purely on the virtual clock; a
+// wall-clock read there would make outcomes and dollar figures depend on
+// host speed.
 var clockScopes = []string{
 	"internal/cluster", "internal/execsim", "internal/scheduler",
 	"internal/arbiter", "internal/history", "internal/fleet/ring",

@@ -160,8 +160,7 @@ func Fits(p *plan.Node, avail cluster.Conditions) bool {
 // clamped onto cond, reusing buf for the join walk (pass nil when not on
 // a hot path) and returning the possibly-grown buffer. It is the one
 // implementation of the Degrade transformation, shared by the one-shot
-// scheduler, the workload arbiter and the cloud arbiter's degrade
-// recovery.
+// scheduler and the admission engine (internal/cloud).
 func ClampClone(p *plan.Node, cond cluster.Conditions, buf []*plan.Node) (*plan.Node, []*plan.Node) {
 	clamped := p.Clone()
 	buf = clamped.AppendJoins(buf[:0])

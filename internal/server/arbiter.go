@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"raqo/internal/arbiter"
+	"raqo/internal/cloud"
 	"raqo/internal/feedback"
 	"raqo/internal/scheduler"
 )
@@ -16,10 +17,58 @@ import (
 // This file is the HTTP face of internal/arbiter: POST /v1/submit runs
 // one query through the shared-cluster workload arbiter on its virtual
 // clock, GET /v1/arbiter/stats reports (and optionally drains) the
-// simulated cluster. The arbiter is single-threaded by design — its
-// optimizer's conditions are re-pointed per admission round — so the
-// handlers serialize on arbMu rather than going through the planning
-// admission slots.
+// simulated cluster. It also holds what the arbiter and the cloud market
+// (cloud.go) share: the state that serializes a single-threaded admission
+// loop behind a mutex rather than the planning admission slots, the one
+// mapping from admission errors to statuses, and the stats handler.
+
+// sim serializes HTTP access to one single-threaded admission loop: the
+// shared cluster (internal/arbiter) or the priced market (internal/cloud).
+type sim[A interface{ Drain() error }] struct {
+	mu  sync.Mutex
+	arb A // guarded by mu
+}
+
+// writeSubmitError answers a failed submission: backpressure
+// (cloud.ErrRejected) is a 429 with Retry-After, an unknown tenant, query,
+// policy or recovery a 400, and anything else — an execution failure at
+// the chosen resources, a planning error — a 422.
+func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
+	var unknown *cloud.UnknownError
+	switch {
+	case errors.Is(err, cloud.ErrRejected):
+		s.metrics.Rejected.Inc()
+		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())+1))
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.As(err, &unknown):
+		writeError(w, http.StatusBadRequest, err)
+	default:
+		writeError(w, http.StatusUnprocessableEntity, err)
+	}
+}
+
+// serveStats answers a stats GET with stats(arb), draining first under
+// ?drain=1.
+func (st *sim[A]) serveStats(w http.ResponseWriter, r *http.Request, stats func(A) any) {
+	drain := false
+	if v := r.URL.Query().Get("drain"); v != "" {
+		b, err := strconv.ParseBool(v)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("bad drain %q: %w", v, err))
+			return
+		}
+		drain = b
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if drain {
+		if err := st.arb.Drain(); err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+	}
+	WriteResult(w, stats(st.arb))
+}
 
 // SubmitRequest is the body of POST /v1/submit: one workload query for
 // the arbiter's shared cluster.
@@ -120,13 +169,6 @@ func NewArbiterStatsResponse(st arbiter.Stats) ArbiterStatsResponse {
 	}
 }
 
-// arbiterState bundles the server's workload arbiter with the mutex that
-// serializes HTTP access to it.
-type arbiterState struct {
-	mu  sync.Mutex
-	arb *arbiter.Arbiter // guarded by mu
-}
-
 // Arbiter returns the server's workload arbiter (primarily for tests).
 // Callers must not use it concurrently with the HTTP handlers.
 //
@@ -158,53 +200,21 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.arb.mu.Lock()
 	out, err := s.arb.arb.SubmitWait(req.Tenant, req.Query, policy)
 	s.arb.mu.Unlock()
-	switch {
-	case err == nil:
-		WriteResult(w, NewSubmitResponse(out))
-	case errors.Is(err, arbiter.ErrRejected):
-		s.metrics.Rejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())+1))
-		writeError(w, http.StatusTooManyRequests, err)
-	case isUnknownNameError(err):
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		// Execution failure at the chosen resources, or a planning error.
-		writeError(w, http.StatusUnprocessableEntity, err)
+	if err != nil {
+		s.writeSubmitError(w, err)
+		return
 	}
-}
-
-// isUnknownNameError reports whether a submission failed validation (an
-// unknown tenant, query or policy) rather than arbitration.
-func isUnknownNameError(err error) bool {
-	var ue *arbiter.UnknownError
-	return errors.As(err, &ue)
+	WriteResult(w, NewSubmitResponse(out))
 }
 
 func (s *Server) handleArbiterStats(w http.ResponseWriter, r *http.Request) {
-	drain := false
-	if v := r.URL.Query().Get("drain"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad drain %q: %w", v, err))
-			return
-		}
-		drain = b
-	}
-	s.arb.mu.Lock()
-	defer s.arb.mu.Unlock()
-	if drain {
-		if err := s.arb.arb.Drain(); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	WriteResult(w, NewArbiterStatsResponse(s.arb.arb.Stats()))
+	s.arb.serveStats(w, r, func(a *arbiter.Arbiter) any { return NewArbiterStatsResponse(a.Stats()) })
 }
 
-// defaultArbiterTenants is the single-tenant configuration installed when
-// Config.ArbiterTenants is nil.
-func defaultArbiterTenants() []arbiter.TenantConfig {
-	return []arbiter.TenantConfig{{Name: "default", Weight: 1}}
+// defaultTenants is the single unlimited "default" tenant installed when
+// Config.ArbiterTenants or Config.CloudTenants is nil.
+func defaultTenants() []cloud.TenantConfig {
+	return []cloud.TenantConfig{{Name: "default", Weight: 1}}
 }
 
 // arbiterObserver wires arbiter completions into the server's feedback

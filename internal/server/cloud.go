@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
-	"sync"
 
 	"raqo/internal/cloud"
 	"raqo/internal/units"
@@ -15,9 +13,8 @@ import (
 // runs one query through the elastic priced pool on its virtual clock,
 // POST /v1/cloud/preempt fires a spot-interruption storm against the
 // currently running allocations, and GET /v1/cloud/stats reports (and
-// optionally drains) the market. Like the shared-cluster arbiter, the
-// cloud arbiter is single-threaded by design, so the handlers serialize
-// on a mutex rather than going through the planning admission slots.
+// optionally drains) the market. The state, the error mapping and the
+// stats handler are the shared cluster's (arbiter.go).
 
 // CloudSubmitRequest is the body of POST /v1/cloud/submit.
 type CloudSubmitRequest struct {
@@ -93,13 +90,6 @@ type CloudPreemptResponse struct {
 	Stats   cloud.Stats `json:"stats"`
 }
 
-// cloudState bundles the server's cloud arbiter with the mutex that
-// serializes HTTP access to it.
-type cloudState struct {
-	mu  sync.Mutex
-	arb *cloud.Arbiter // guarded by mu
-}
-
 // Cloud returns the server's cloud arbiter (primarily for tests).
 // Callers must not use it concurrently with the HTTP handlers.
 //
@@ -128,26 +118,11 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 	s.cld.mu.Lock()
 	out, err := s.cld.arb.SubmitWait(req.Tenant, req.Query, rec)
 	s.cld.mu.Unlock()
-	switch {
-	case err == nil:
-		WriteResult(w, NewCloudSubmitResponse(out))
-	case errors.Is(err, cloud.ErrRejected):
-		s.metrics.Rejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())+1))
-		writeError(w, http.StatusTooManyRequests, err)
-	case isCloudUnknownNameError(err):
-		writeError(w, http.StatusBadRequest, err)
-	default:
-		// Execution failure at the chosen resources, or a planning error.
-		writeError(w, http.StatusUnprocessableEntity, err)
+	if err != nil {
+		s.writeSubmitError(w, err)
+		return
 	}
-}
-
-// isCloudUnknownNameError reports whether a cloud submission failed
-// validation (an unknown tenant or query) rather than arbitration.
-func isCloudUnknownNameError(err error) bool {
-	var ue *cloud.UnknownError
-	return errors.As(err, &ue)
+	WriteResult(w, NewCloudSubmitResponse(out))
 }
 
 func (s *Server) handleCloudPreempt(w http.ResponseWriter, r *http.Request) {
@@ -171,30 +146,7 @@ func (s *Server) handleCloudPreempt(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloudStats(w http.ResponseWriter, r *http.Request) {
-	drain := false
-	if v := r.URL.Query().Get("drain"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad drain %q: %w", v, err))
-			return
-		}
-		drain = b
-	}
-	s.cld.mu.Lock()
-	defer s.cld.mu.Unlock()
-	if drain {
-		if err := s.cld.arb.Drain(); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-	}
-	WriteResult(w, s.cld.arb.Stats())
-}
-
-// defaultCloudTenants is the single-tenant configuration installed when
-// Config.CloudTenants is nil.
-func defaultCloudTenants() []cloud.TenantConfig {
-	return []cloud.TenantConfig{{Name: "default", Weight: 1}}
+	s.cld.serveStats(w, r, func(a *cloud.Arbiter) any { return a.Stats() })
 }
 
 // cloudMarket builds the serving market from the config knobs: a

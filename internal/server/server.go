@@ -208,7 +208,7 @@ func (c Config) withDefaults() Config {
 		c.ArbiterCapacity = 100
 	}
 	if len(c.ArbiterTenants) == 0 {
-		c.ArbiterTenants = defaultArbiterTenants()
+		c.ArbiterTenants = defaultTenants()
 	}
 	if c.CloudOnDemand == 0 {
 		c.CloudOnDemand = 12
@@ -220,7 +220,7 @@ func (c Config) withDefaults() Config {
 		c.CloudSpotDiscount = 0.7
 	}
 	if len(c.CloudTenants) == 0 {
-		c.CloudTenants = defaultCloudTenants()
+		c.CloudTenants = defaultTenants()
 	}
 	return c
 }
@@ -240,8 +240,8 @@ type Server struct {
 	rec     *feedback.Recalibrator
 	journal *feedback.Journal // nil unless Config.JournalPath was set
 	hist    *history.Store    // nil unless Config.HistoryDir was set
-	arb     *arbiterState
-	cld     *cloudState
+	arb     *sim[*arbiter.Arbiter]
+	cld     *sim[*cloud.Arbiter]
 }
 
 // New builds a Server: schema, shared warm optimizer, metric registry and
@@ -312,7 +312,8 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	sch := catalog.TPCH(cfg.SF)
-	// The two arbiters share one simulation optimizer beside the serving
+	// The shared cluster and the priced market, two pools under one
+	// admission engine, share one simulation optimizer beside the serving
 	// one: it plans memory-aware (Engine) with a bare hill climb, where the
 	// serving optimizer answers from the resource-plan cache. Each arbiter
 	// passes its admission-time conditions per call through its own
@@ -335,14 +336,17 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	shared := cloud.Workload{
+		Base:      cfg.Conditions,
+		Engine:    engine,
+		Pricing:   cost.DefaultPricing(),
+		Optimizer: simOpt,
+		Queries:   queries,
+	}
+	shared.Tenants = cfg.ArbiterTenants
 	arb, err := arbiter.New(arbiter.Config{
+		Workload:   shared,
 		Capacity:   cfg.ArbiterCapacity,
-		Base:       cfg.Conditions,
-		Engine:     engine,
-		Pricing:    cost.DefaultPricing(),
-		Optimizer:  simOpt,
-		Queries:    queries,
-		Tenants:    cfg.ArbiterTenants,
 		Feedback:   arbiterObserver(rec),
 		RecalEvery: cfg.ArbiterRecalEvery,
 		Metrics:    arbiter.NewMetrics(reg),
@@ -351,14 +355,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 
+	shared.Tenants = cfg.CloudTenants
 	cld, err := cloud.New(cloud.Config{
+		Workload:   shared,
 		Market:     cloudMarket(cfg),
-		Base:       cfg.Conditions,
-		Engine:     engine,
-		Pricing:    cost.DefaultPricing(),
-		Optimizer:  simOpt,
-		Queries:    queries,
-		Tenants:    cfg.CloudTenants,
 		Faults:     cloudFaults(cfg),
 		Autoscaler: cloud.AutoscalerConfig{Enabled: cfg.CloudAutoscale},
 		Metrics:    cloud.NewMetrics(reg),
@@ -380,8 +380,8 @@ func New(cfg Config) (*Server, error) {
 		rec:     rec,
 		journal: journal,
 		hist:    hist,
-		arb:     &arbiterState{arb: arb},
-		cld:     &cloudState{arb: cld},
+		arb:     &sim[*arbiter.Arbiter]{arb: arb},
+		cld:     &sim[*cloud.Arbiter]{arb: cld},
 	}
 	reg.GaugeFunc("raqo_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
