@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check smoke lint lint-fix-check
+.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check smoke lint
 
-check: fmt vet build lint lint-fix-check race fuzz alloc-check bench-check bench smoke
+check: fmt vet build lint race fuzz alloc-check bench-check bench smoke
 
 # Fail when any file needs gofmt.
 fmt:
@@ -15,16 +15,13 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: determinism, virtual-clock, units,
-# cancellation and telemetry-cardinality invariants. Prints per-analyzer
-# wall time and fails on any unsuppressed finding.
+# Project-specific static analysis, kept to the bug classes no test catches
+# (DESIGN.md §9). Prints per-analyzer wall time and fails on any
+# unsuppressed finding. The analyzers' own self-test against the golden
+# packages under internal/lint/testdata is `go test ./internal/lint`, which
+# `race` runs.
 lint:
 	$(GO) run ./cmd/raqolint -C .
-
-# Self-test of the analyzers against the golden testdata packages and
-# their `// want` markers.
-lint-fix-check:
-	$(GO) run ./cmd/raqolint -golden internal/lint/testdata/src
 
 build:
 	$(GO) build ./...
@@ -82,11 +79,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s ./internal/cloud
 
-# Allocation gate: hard AllocsPerRun ceilings on the planning hot paths
-# (pooled DP state, arena plans, structural plan equality, exact memo).
-# A per-candidate allocation regression fails `make check` here.
+# Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
+# history hot paths (pooled DP and search state, arena plans, structural plan
+# equality, the resource-plan cache probe, sketches, the warm history
+# append). `race` skips them, because the race detector adds allocations, so
+# this is the only target that runs them.
 alloc-check:
-	$(GO) test -run TestHotPathAllocCeilings .
+	$(GO) test -run '^Test(HotPathAllocCeilings|HistoryAppendAllocFree)$$' .
 
 # The repository's benchmark is a module of its own (bench/, `replace raqo
 # => ../`) that the root build and tests do not see: vet and test it here,

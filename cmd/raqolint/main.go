@@ -1,19 +1,17 @@
 // Command raqolint runs the RAQO-specific static-analysis suite over the
 // module: determinism (map iteration, rand seeding), virtual-clock
-// discipline in the simulators, units hygiene on exported APIs, context
-// observation in optimizer search loops, and telemetry cardinality. See
-// internal/lint for the rules and the //raqolint:ignore suppression
-// policy.
+// discipline in the simulators, units hygiene on exported APIs, telemetry
+// cardinality, pool resets, mutex guards, goroutine shutdown and
+// write-before-acknowledge. See internal/lint for the rules and the
+// //raqolint:ignore suppression policy.
 //
 // Usage:
 //
 //	raqolint [-C dir] [-only maprange,clock,...] [-json]
-//	raqolint -golden internal/lint/testdata/src
 //
-// The default mode lints the module rooted at -C (default ".") and exits
-// non-zero on any finding. The -golden mode instead loads a testdata tree
-// and verifies the analyzers against its `// want "regexp"` markers —
-// the self-test that guards the analyzers, run by `make lint-fix-check`.
+// It lints the module rooted at -C (default ".") and exits non-zero on any
+// finding. The analyzers' own self-test against the golden packages under
+// internal/lint/testdata is `go test ./internal/lint`.
 package main
 
 import (
@@ -30,18 +28,17 @@ import (
 
 func main() {
 	moduleDir := flag.String("C", ".", "module root to lint")
-	goldenDir := flag.String("golden", "", "verify analyzers against the // want markers of this testdata tree instead of linting the module")
 	only := flag.String("only", "", "comma-separated analyzer or rule names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings as a JSON array (file, line, col, rule, message, suppressed) instead of human-readable lines; suppressed findings are included, marked")
 	quiet := flag.Bool("q", false, "suppress the timing summary")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: raqolint [-C dir] [-golden testdata] [-only a,b] [-json]\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: raqolint [-C dir] [-only a,b] [-json]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %s (rules: %s)\n", a.Name, a.Doc, strings.Join(a.Rules, ", "))
 		}
 		fmt.Fprintf(flag.CommandLine.Output(), "\nexit status:\n"+
 			"  0  no findings (suppressed findings do not count)\n"+
-			"  1  findings, or golden-marker mismatches in -golden mode\n"+
+			"  1  findings\n"+
 			"  2  load, type-check, or usage error\n\n")
 		flag.PrintDefaults()
 	}
@@ -49,42 +46,13 @@ func main() {
 
 	analyzers := selectAnalyzers(*only)
 	start := time.Now()
-	var (
-		pkgs  []*lint.Package
-		stats *lint.LoadStats
-		err   error
-	)
-	if *goldenDir != "" {
-		pkgs, stats, err = lint.LoadTree(*goldenDir)
-	} else {
-		pkgs, stats, err = lint.LoadModule(*moduleDir)
-	}
+	pkgs, stats, err := lint.LoadModule(*moduleDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "raqolint:", err)
 		os.Exit(2)
 	}
 
 	findings, silenced, timings := lint.RunDetail(pkgs, analyzers)
-
-	if *goldenDir != "" {
-		mismatches, err := lint.Golden(pkgs, findings)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "raqolint:", err)
-			os.Exit(2)
-		}
-		for _, m := range mismatches {
-			fmt.Println(m)
-		}
-		if !*quiet {
-			fmt.Printf("raqolint golden: %d packages, %d findings matched against want markers in %v\n",
-				stats.Packages, len(findings), time.Since(start).Round(time.Millisecond))
-		}
-		if len(mismatches) > 0 {
-			fmt.Fprintf(os.Stderr, "raqolint: %d golden mismatches\n", len(mismatches))
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *asJSON {
 		if err := writeJSON(os.Stdout, findings, silenced); err != nil {

@@ -79,13 +79,9 @@ func (s *Schema) buildIndex() *Index {
 }
 
 // Words returns the length in uint64 words of a relation set.
-//
-//raqo:noalloc
 func (g *Index) Words() int { return g.words }
 
 // Rank returns the rank of the named table, or -1.
-//
-//raqo:noalloc
 func (g *Index) Rank(name string) int {
 	i := sort.SearchStrings(g.names, name)
 	if i < len(g.names) && g.names[i] == name {
@@ -95,19 +91,13 @@ func (g *Index) Rank(name string) int {
 }
 
 // Name returns the name of the table at a rank.
-//
-//raqo:noalloc
 func (g *Index) Name(rank int) string { return g.names[rank] }
 
 // Stats returns the cardinality and on-disk size of the table at a rank.
-//
-//raqo:noalloc
 func (g *Index) Stats(rank int) (rows float64, size units.Bytes) { return g.rows[rank], g.sizes[rank] }
 
 // Adj returns the adjacency row of the table at a rank: the relation set
 // of its join-graph neighbours. The caller must not modify it.
-//
-//raqo:noalloc
 func (g *Index) Adj(rank int) []uint64 { return g.adj[rank*g.words : (rank+1)*g.words] }
 
 // CrossSelectivity multiplies the selectivities of the join-graph edges
@@ -119,8 +109,6 @@ func (g *Index) Adj(rank int) []uint64 { return g.adj[rank*g.words : (rank+1)*g.
 // multiplication does not associate: left's members in ascending rank and,
 // under each, its neighbours in right in ascending rank — the order of a
 // nested loop over the two sides' sorted relation names.
-//
-//raqo:noalloc
 func (g *Index) CrossSelectivity(left, right, rightAdj []uint64) (sel float64, crossing int) {
 	sel = 1.0
 	for lw, l := range left {

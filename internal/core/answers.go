@@ -61,8 +61,6 @@ func putAnswers(t *answerTable) {
 
 // reset empties the table by advancing its epoch; only when the epoch wraps
 // does it have to clear the slots.
-//
-//raqo:noalloc
 func (t *answerTable) reset() {
 	t.epoch++
 	t.used = 0
@@ -74,16 +72,12 @@ func (t *answerTable) reset() {
 
 // home is the slot a key's probe starts from: Fibonacci hashing, whose top
 // bits mix every key bit.
-//
-//raqo:noalloc
 func (t *answerTable) home(algo plan.JoinAlgo, bits uint64) uint64 {
 	return (bits ^ uint64(algo)) * 0x9e3779b97f4a7c15 >> t.shift
 }
 
 // find returns the slot recording the question (algo, bits), or nil. The
 // table is never full, so the probe ends at an empty slot.
-//
-//raqo:noalloc
 func (t *answerTable) find(algo plan.JoinAlgo, bits uint64) *answerSlot {
 	mask := uint64(len(t.slots) - 1)
 	for i := t.home(algo, bits); ; i = (i + 1) & mask {
@@ -115,8 +109,6 @@ func (t *answerTable) insert(a answerSlot) {
 }
 
 // place writes a into the first empty slot of its probe sequence.
-//
-//raqo:noalloc
 func (t *answerTable) place(a answerSlot) {
 	mask := uint64(len(t.slots) - 1)
 	i := t.home(a.algo, a.bits)

@@ -257,15 +257,12 @@ func (st *Store) SeriesNames() []string {
 // next Commit. The hot path is allocation-free after warmup: one staged
 // 20-byte record; rollup buckets are folded in at Commit, after the
 // block write succeeds.
-//
-//raqo:noalloc
 func (st *Store) Append(s *Series, ts int64, v float64) {
 	st.mu.Lock()
 	st.appendLocked(s, ts, v)
 	st.mu.Unlock()
 }
 
-//raqo:noalloc
 func (st *Store) appendLocked(s *Series, ts int64, v float64) {
 	n := len(st.pending)
 	st.pending = append(st.pending, make([]byte, pointRecordLen)...)

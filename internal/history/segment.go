@@ -57,8 +57,6 @@ func appendBlock(f *os.File, hdr *[blockHeaderLen]byte, payload []byte) error {
 }
 
 // putPoint encodes one point record at buf[off:].
-//
-//raqo:noalloc
 func putPoint(buf []byte, sid uint32, ts int64, bits uint64) {
 	binary.LittleEndian.PutUint32(buf[0:4], sid)
 	binary.LittleEndian.PutUint64(buf[4:12], uint64(ts))

@@ -58,8 +58,6 @@ func sketchValue(idx int16) float64 {
 }
 
 // cover widens the window to include bucket indices lo..hi.
-//
-//raqo:noalloc
 func (s *Sketch) cover(lo, hi int16) {
 	if len(s.counts) == 0 {
 		s.lo = lo
@@ -77,13 +75,9 @@ func (s *Sketch) cover(lo, hi int16) {
 }
 
 // Add records one value.
-//
-//raqo:noalloc
 func (s *Sketch) Add(v float64) { s.AddN(v, 1) }
 
 // AddN records a value n times (merging pre-counted evidence).
-//
-//raqo:noalloc
 func (s *Sketch) AddN(v float64, n int64) {
 	if n <= 0 {
 		return
@@ -101,8 +95,6 @@ func (s *Sketch) AddN(v float64, n int64) {
 }
 
 // Merge adds another sketch's counts into s.
-//
-//raqo:noalloc
 func (s *Sketch) Merge(o *Sketch) {
 	if o == nil {
 		return
@@ -140,8 +132,6 @@ func (s *Sketch) Count() int64 { return s.total }
 
 // Quantile returns the q-quantile (q in [0,1], nearest-rank over bucket
 // counts, deterministic). An empty sketch yields 0.
-//
-//raqo:noalloc
 func (s *Sketch) Quantile(q float64) float64 {
 	qs := [1]float64{q}
 	s.quantiles(qs[:])
@@ -151,8 +141,6 @@ func (s *Sketch) Quantile(q float64) float64 {
 // quantiles overwrites each qs[i] with the qs[i]-quantile. Ascending qs
 // are answered in one pass over the window; a q below its predecessor
 // restarts the scan.
-//
-//raqo:noalloc
 func (s *Sketch) quantiles(qs []float64) {
 	// i is the bucket the scan stands on (-1: the zero bucket) and seen the
 	// values counted up to and including it.

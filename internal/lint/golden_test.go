@@ -2,9 +2,13 @@ package lint
 
 import (
 	"fmt"
+	"go/token"
+	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // wantToken matches one quoted or backquoted regexp in a // want comment.
@@ -108,7 +112,6 @@ func Golden(pkgs []*Package, findings []Finding) ([]string, error) {
 		matchedBy[k] = append(matchedBy[k], f)
 	}
 	keys := make([]lineKey, 0, len(matchedBy))
-	//raqolint:ignore maprange keys are sorted before use
 	for k := range matchedBy {
 		keys = append(keys, k)
 	}
@@ -173,12 +176,79 @@ func Golden(pkgs []*Package, findings []Finding) ([]string, error) {
 	return errs, nil
 }
 
-// GoldenFileCount reports how many files the golden packages contain —
-// used by the driver's summary line.
-func GoldenFileCount(pkgs []*Package) int {
-	n := 0
-	for _, p := range pkgs {
-		n += len(p.Files)
+// loadTree loads every package under dir — a golden-test tree that `go
+// list` ignores (testdata). Each directory containing Go files becomes one
+// package whose Path is its dir-relative slash path, so scope-sensitive
+// analyzers can be exercised by mirroring the real layout (for example
+// testdata/src/internal/cluster/clockbad). Imports resolve against the
+// enclosing module's export data, so golden packages may import real
+// module packages such as raqo/internal/units.
+func loadTree(dir string) ([]*Package, error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
 	}
-	return n
+	moduleDir := abs
+	for {
+		if _, err := os.Stat(filepath.Join(moduleDir, "go.mod")); err == nil {
+			break
+		}
+		parent := filepath.Dir(moduleDir)
+		if parent == moduleDir {
+			return nil, fmt.Errorf("lint: no go.mod above %s", abs)
+		}
+		moduleDir = parent
+	}
+
+	exports, _, err := exportData(moduleDir)
+	if err != nil {
+		return nil, err
+	}
+
+	type pkgDir struct {
+		dir, path string
+		goFiles   []string
+	}
+	var dirs []pkgDir
+	err = filepath.Walk(abs, func(path string, fi os.FileInfo, err error) error {
+		if err != nil || !fi.IsDir() {
+			return err
+		}
+		ents, err := os.ReadDir(path)
+		if err != nil {
+			return err
+		}
+		var goFiles []string
+		for _, e := range ents {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
+				goFiles = append(goFiles, e.Name())
+			}
+		}
+		if len(goFiles) == 0 {
+			return nil
+		}
+		rel, err := filepath.Rel(abs, path)
+		if err != nil {
+			return err
+		}
+		sort.Strings(goFiles)
+		dirs = append(dirs, pkgDir{dir: path, path: filepath.ToSlash(rel), goFiles: goFiles})
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Slice(dirs, func(i, j int) bool { return dirs[i].path < dirs[j].path })
+
+	fset := token.NewFileSet()
+	imp := exportImporter(fset, exports)
+	var pkgs []*Package
+	for _, d := range dirs {
+		p, err := checkDir(fset, imp, moduleDir, d.dir, d.path, d.goFiles)
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs, nil
 }

@@ -150,6 +150,17 @@ func bodyObservesSignal(p *Package, body *ast.BlockStmt) bool {
 	return found
 }
 
+// isContextType reports whether t is context.Context.
+func isContextType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Context" && obj.Pkg() != nil &&
+		strings.HasSuffix(obj.Pkg().Path(), "context")
+}
+
 // isWaitGroup reports whether t is (a pointer to) sync.WaitGroup.
 func isWaitGroup(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {

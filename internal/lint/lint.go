@@ -1,38 +1,34 @@
 // Package lint implements raqolint, the RAQO-specific static-analysis
 // suite. It loads every package in the module with go/parser and go/types
-// and runs analyzers that enforce the project invariants the paper's
-// figures depend on but the compiler cannot check:
+// and runs analyzers for project invariants the compiler cannot check and
+// no test catches when they break:
 //
 //   - nondet: plan/cost/archive state must never depend on map iteration
 //     order, and randomness must flow from explicitly seeded *rand.Rand
 //     values (Figs 5-9 and 12-15 only reproduce if planning is
 //     bit-deterministic).
-//   - clock: the discrete-event simulators (cluster, execsim, scheduler)
-//     must only advance simulated time, never read the wall clock
-//     (Figs 1-4 are virtual-time experiments).
-//   - units: exported APIs must not pass sizes around as anonymously
-//     named float64s, and units.Bytes must not mix with bare numeric
-//     literals (silent GB/bytes/containers confusion is modeling drift,
-//     not a crash).
-//   - ctx: optimizer search loops that hold a context must observe it,
-//     so an abandoned request actually stops burning CPU mid-search.
-//   - metric: telemetry names and labels must be compile-time bounded,
+//   - clock: the discrete-event simulators (cluster, execsim, scheduler,
+//     the arbiter and cloud admission engine), the history store and the
+//     fleet ring must only advance simulated time, never read the wall
+//     clock.
+//   - units: exported APIs must not pass sizes or dollars around as
+//     anonymously named float64s, and units.Bytes must not mix with bare
+//     numeric literals.
+//   - telemetry: metric names and labels must be compile-time bounded,
 //     or /metrics cardinality grows without limit under real traffic.
 //   - pool: objects returned to a sync.Pool must be reset first, or the
 //     hot-path pools recycle stale plan state across queries.
+//   - leak: every `go` statement must observe a context, done channel,
+//     or WaitGroup, so shutdown can reach the goroutine.
 //
-// Four further analyzers are flow-sensitive, built on the CFG + dataflow
-// engine in cfg.go/dataflow.go:
+// Two are flow-sensitive, built on the CFG + dataflow engine in
+// cfg.go/dataflow.go:
 //
 //   - locks: fields annotated `// guarded by <mu>` may only be touched
 //     with that mutex held on every control-flow path.
-//   - leak: every `go` statement must observe a context, done channel,
-//     or WaitGroup, so shutdown can reach the goroutine.
 //   - durable: in //raqo:ack functions the durable write must dominate
 //     every acknowledgement, and Close/Sync errors on durable files may
 //     not be discarded.
-//   - noalloc: //raqo:noalloc hot-path functions must contain no
-//     allocating constructs.
 //
 // Findings print as "file:line:col: [rule] message". A finding can be
 // suppressed with a trailing or immediately preceding comment of the form
@@ -90,8 +86,8 @@ type Analyzer struct {
 // Analyzers returns the full RAQO suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		NonDet(), Clock(), Units(), CtxLoop(), Telemetry(), Pool(),
-		Locks(), Leak(), Durable(), Noalloc(),
+		NonDet(), Clock(), Units(), Telemetry(), Pool(),
+		Locks(), Leak(), Durable(),
 	}
 }
 

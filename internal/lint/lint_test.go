@@ -11,7 +11,7 @@ import (
 // verifies every finding against the `// want` markers — at least one
 // positive and one negative case per analyzer lives there.
 func TestGolden(t *testing.T) {
-	pkgs, _, err := LoadTree("testdata/src")
+	pkgs, err := loadTree("testdata/src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +32,8 @@ func TestGolden(t *testing.T) {
 		seen[f.Rule] = true
 	}
 	for _, rule := range []string{
-		"maprange", "randsrc", "clock", "units", "unitmix", "money", "ctx", "metric", "pool",
-		"locks", "leak", "durable", "ackmark", "noalloc",
+		"maprange", "randsrc", "clock", "units", "unitmix", "money", "metric", "pool",
+		"locks", "leak", "durable", "ackmark",
 	} {
 		if !seen[rule] {
 			t.Errorf("golden tree has no positive case for rule %q", rule)
@@ -47,7 +47,7 @@ func TestGolden(t *testing.T) {
 // findings, so an analyzer that starts over-firing fails here rather
 // than only tripping on the module tree.
 func TestCleanGoldenPackages(t *testing.T) {
-	pkgs, _, err := LoadTree("testdata/src")
+	pkgs, err := loadTree("testdata/src")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestCleanGoldenPackages(t *testing.T) {
 // //raqolint:ignore form must surface as an "ignore" finding, and a
 // reason-less directive must not suppress the finding beneath it.
 func TestMalformedIgnoreDirectives(t *testing.T) {
-	pkgs, _, err := LoadTree("testdata/badignore")
+	pkgs, err := loadTree("testdata/badignore")
 	if err != nil {
 		t.Fatal(err)
 	}

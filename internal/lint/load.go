@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 )
@@ -141,89 +140,6 @@ func LoadModule(dir string) ([]*Package, *LoadStats, error) {
 			continue
 		}
 		p, err := checkDir(fset, imp, abs, lp.Dir, lp.ImportPath, lp.GoFiles)
-		if err != nil {
-			return nil, nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	stats.Check = time.Since(start)
-	stats.Packages = len(pkgs)
-	return pkgs, stats, nil
-}
-
-// LoadTree loads every package under dir — a golden-test tree that `go
-// list` ignores (testdata). Each directory containing Go files becomes one
-// package whose Path is its dir-relative slash path, so scope-sensitive
-// analyzers can be exercised by mirroring the real layout (for example
-// testdata/src/internal/cluster/clockbad). Imports resolve against the
-// enclosing module's export data, so golden packages may import real
-// module packages such as raqo/internal/units.
-func LoadTree(dir string) ([]*Package, *LoadStats, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	moduleDir := abs
-	for {
-		if _, err := os.Stat(filepath.Join(moduleDir, "go.mod")); err == nil {
-			break
-		}
-		parent := filepath.Dir(moduleDir)
-		if parent == moduleDir {
-			return nil, nil, fmt.Errorf("lint: no go.mod above %s", abs)
-		}
-		moduleDir = parent
-	}
-
-	stats := &LoadStats{}
-	start := time.Now()
-	exports, _, err := exportData(moduleDir)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.List = time.Since(start)
-
-	type pkgDir struct {
-		dir, path string
-		goFiles   []string
-	}
-	var dirs []pkgDir
-	err = filepath.Walk(abs, func(path string, fi os.FileInfo, err error) error {
-		if err != nil || !fi.IsDir() {
-			return err
-		}
-		ents, err := os.ReadDir(path)
-		if err != nil {
-			return err
-		}
-		var goFiles []string
-		for _, e := range ents {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-				goFiles = append(goFiles, e.Name())
-			}
-		}
-		if len(goFiles) == 0 {
-			return nil
-		}
-		rel, err := filepath.Rel(abs, path)
-		if err != nil {
-			return err
-		}
-		sort.Strings(goFiles)
-		dirs = append(dirs, pkgDir{dir: path, path: filepath.ToSlash(rel), goFiles: goFiles})
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	sort.Slice(dirs, func(i, j int) bool { return dirs[i].path < dirs[j].path })
-
-	start = time.Now()
-	fset := token.NewFileSet()
-	imp := exportImporter(fset, exports)
-	var pkgs []*Package
-	for _, d := range dirs {
-		p, err := checkDir(fset, imp, moduleDir, d.dir, d.path, d.goFiles)
 		if err != nil {
 			return nil, nil, err
 		}

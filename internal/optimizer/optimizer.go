@@ -203,8 +203,6 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 }
 
 // pairsAbove counts the bits of row i above the diagonal.
-//
-//raqo:noalloc
 func pairsAbove(row []uint64, i int) int {
 	n := bits.OnesCount64(row[i/64] & (^uint64(0) << (i%64 + 1)))
 	for _, x := range row[i/64+1:] {
@@ -216,8 +214,6 @@ func pairsAbove(row []uint64, i int) int {
 // nthPair returns the k-th (from 0) set bit above the diagonal of the
 // adjacency matrix, rows first: the k-th joinable pair (i, j), i < j, in
 // lexicographic order.
-//
-//raqo:noalloc
 func nthPair(adj []uint64, w, k int) (int, int) {
 	for i := 0; ; i++ {
 		row := adj[i*w : (i+1)*w]
@@ -245,8 +241,6 @@ func nthPair(adj []uint64, w, k int) (int, int) {
 // mergeRows updates the m-component adjacency matrix for the join of p0
 // and p1 (p0 < p1) into p0 and the move of component m-1 into p1: p1's row
 // and column are ORed into p0's, then m-1's replace p1's and are cleared.
-//
-//raqo:noalloc
 func mergeRows(adj []uint64, w, m, p0, p1 int) {
 	last := m - 1
 	r0, r1 := adj[p0*w:(p0+1)*w], adj[p1*w:(p1+1)*w]

@@ -44,6 +44,10 @@ func TestPlanParetoCancelledBeforeStart(t *testing.T) {
 	}
 }
 
+// TestPlanParetoObservesCancellationMidSearch cancels once while the seed
+// plans are priced and once while archived plans are mutated: each phase's
+// loop must notice, so the search returns context.Canceled within one seed
+// plan or one mutation batch instead of finishing.
 func TestPlanParetoObservesCancellationMidSearch(t *testing.T) {
 	s := catalog.TPCH(1)
 	q, err := plan.NewQuery(s, s.Tables()...)
@@ -58,20 +62,25 @@ func TestPlanParetoObservesCancellationMidSearch(t *testing.T) {
 		}
 		full := inner.Calls.Load()
 
-		ctx, cancel := context.WithCancel(context.Background())
-		cc := &cancellingCoster{
-			inner:  &optimizertest.SizeCoster{Res: plan.Resources{Containers: 10, ContainerGB: 3}},
-			cancel: cancel,
-			after:  full / 10,
-		}
-		p := &Planner{Coster: cc, Opts: Options{Restarts: restarts}, Ctx: ctx}
-		_, _, err := p.PlanPareto(q)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("restarts=%d: err = %v, want context.Canceled", restarts, err)
-		}
-		if got := cc.calls.Load(); got >= full/2 {
-			t.Errorf("restarts=%d: %d costing calls after cancellation (full search = %d)", restarts, got, full)
+		// The ten seed plans of a restart cost 70 of its ~230 calls: a tenth
+		// of a one-restart search is inside the seed phase, three quarters
+		// inside the mutation rounds.
+		for _, after := range []int64{full / 10, full * 3 / 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cc := &cancellingCoster{
+				inner:  &optimizertest.SizeCoster{Res: plan.Resources{Containers: 10, ContainerGB: 3}},
+				cancel: cancel,
+				after:  after,
+			}
+			p := &Planner{Coster: cc, Opts: Options{Restarts: restarts}, Ctx: ctx}
+			_, _, err := p.PlanPareto(q)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("restarts=%d, cancelled after %d of %d calls: err = %v, want context.Canceled", restarts, after, full, err)
+			}
+			if got := cc.calls.Load(); got-after >= full/4 {
+				t.Errorf("restarts=%d: %d costing calls after cancelling at %d (full search = %d)", restarts, got, after, full)
+			}
 		}
 	}
 }

@@ -133,8 +133,6 @@ type searchState struct {
 var statePool = sync.Pool{New: func() any { return &searchState{rng: rand.New(&randsrc.Source{})} }}
 
 // release recycles the arena and drops every plan pointer.
-//
-//raqo:noalloc
 func (st *searchState) release() {
 	st.ts.Reset()
 	clear(st.archive[:cap(st.archive)])

@@ -119,8 +119,6 @@ func (st *dpState) prepare(n int) {
 
 // release recycles the arena and drops all plan-node pointers so a pooled
 // state never retains a previous query's plans.
-//
-//raqo:noalloc
 func (st *dpState) release() {
 	st.arena.Reset()
 	for i := range st.leaves {
@@ -137,7 +135,6 @@ func (st *dpState) release() {
 	st.level = st.level[:0]
 }
 
-//raqo:noalloc
 func (st *dpState) get(mask uint32) (entry, bool) {
 	if st.useSlice {
 		e := st.slice[mask]
@@ -147,7 +144,6 @@ func (st *dpState) get(mask uint32) (entry, bool) {
 	return e, ok
 }
 
-//raqo:noalloc
 func (st *dpState) put(mask uint32, e entry) {
 	if st.useSlice {
 		st.slice[mask] = e

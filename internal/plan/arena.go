@@ -132,8 +132,6 @@ func (sc *JoinScratch) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node)
 // algorithm: the inputs, and so the statistics and relation sets, are
 // those of the last successful Join, while the resource annotation
 // starts afresh as it would from Join.
-//
-//raqo:noalloc
 func (sc *JoinScratch) Rejoin(algo JoinAlgo) *Node {
 	n := &sc.n
 	n.Algo = algo

@@ -156,18 +156,12 @@ type Node struct {
 }
 
 // set returns the relation set the subtree covers.
-//
-//raqo:noalloc
 func (n *Node) set() []uint64 { return n.sets[:len(n.sets)/2] }
 
 // nbr returns the union of the adjacency rows of the covered relations.
-//
-//raqo:noalloc
 func (n *Node) nbr() []uint64 { return n.sets[len(n.sets)/2:] }
 
 // cardinality returns the number of members of a relation set.
-//
-//raqo:noalloc
 func cardinality(set []uint64) int {
 	n := 0
 	for _, x := range set {
@@ -177,8 +171,6 @@ func cardinality(set []uint64) int {
 }
 
 // intersects reports whether two relation sets share a member.
-//
-//raqo:noalloc
 func intersects(a, b []uint64) bool {
 	for i, x := range a {
 		if x&b[i] != 0 {
@@ -190,8 +182,6 @@ func intersects(a, b []uint64) bool {
 
 // initScan makes n a scan of the table at rank in g, with its relation
 // sets in sets (2·g.Words() words, contents arbitrary).
-//
-//raqo:noalloc
 func (n *Node) initScan(g *catalog.Index, rank int, sets []uint64) {
 	n.Table = g.Name(rank)
 	rows, size := g.Stats(rank)
@@ -206,8 +196,6 @@ func (n *Node) initScan(g *catalog.Index, rank int, sets []uint64) {
 // initJoin makes n the join of left and right, which joinStats accepted,
 // with the statistics it computed for them and its relation sets — the
 // unions of the sides' — in sets (as long as theirs, contents arbitrary).
-//
-//raqo:noalloc
 func (n *Node) initJoin(algo JoinAlgo, left, right *Node, rows, bytes float64, sets []uint64) {
 	n.Algo = algo
 	n.Left, n.Right = left, right
@@ -253,8 +241,6 @@ func NewJoin(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node, error)
 // edges crossing the two sides). It returns ErrStaleSchema when a side was
 // not built against g, ErrOverlap when the sides share a relation and
 // ErrCrossProduct when no edge crosses them.
-//
-//raqo:noalloc
 func joinStats(g *catalog.Index, left, right *Node) (rows, bytes float64, err error) {
 	if left.g != g || right.g != g {
 		return 0, 0, ErrStaleSchema
@@ -280,8 +266,6 @@ func joinStats(g *catalog.Index, left, right *Node) (rows, bytes float64, err er
 // Joinable reports whether any relation covered by a is joinable (shares a
 // join-graph edge) with any relation covered by b. Nodes built against
 // different forms of a schema are not joinable.
-//
-//raqo:noalloc
 func Joinable(a, b *Node) bool {
 	return a.g == b.g && intersects(a.nbr(), b.set())
 }
@@ -406,8 +390,6 @@ func (c *cloner) clone(n *Node) *Node {
 // on every join — exactly when their SignatureWithResources agree. It
 // walks both trees without allocating: the arbiters ask it once per
 // re-planned admission.
-//
-//raqo:noalloc
 func (n *Node) Equal(o *Node) bool {
 	if n == nil || o == nil {
 		return n == o

@@ -280,8 +280,6 @@ type arrayIndex struct {
 // lowerBound is sort.SearchFloat64s without its closure: the first i with
 // keys[i] >= key, found by the same halving steps, so it lands on the same
 // index even where a NaN makes that predicate non-monotone.
-//
-//raqo:noalloc
 func lowerBound(keys []float64, key float64) int {
 	i, j := 0, len(keys)
 	for i < j {
@@ -312,7 +310,6 @@ func (ix *arrayIndex) insert(key float64, val plan.Resources) {
 // blend accumulates a proximity-weighted average of configurations.
 type blend struct{ w, nc, gb float64 }
 
-//raqo:noalloc
 func (b *blend) add(dist float64, v plan.Resources) {
 	w := 1 / (dist + exactEps)
 	b.w += w
@@ -327,8 +324,6 @@ func (b *blend) add(dist float64, v plan.Resources) {
 // WeightedAverage blends every entry within threshold, weighted by
 // proximity and summed downward from key, then upward, and snaps the blend
 // to cond's grid.
-//
-//raqo:noalloc
 func (ix *arrayIndex) lookup(key float64, mode LookupMode, threshold float64, cond cluster.Conditions) (plan.Resources, bool) {
 	i := lowerBound(ix.keys, key)
 	if i < len(ix.keys) && ix.keys[i]-key <= exactEps {
@@ -366,8 +361,6 @@ func (ix *arrayIndex) lookup(key float64, mode LookupMode, threshold float64, co
 
 // indexLocked returns model's array, or nil. There is one array per cost
 // model — two in practice — so a scan comparing names beats hashing one.
-//
-//raqo:noalloc
 func (c *Cache) indexLocked(model string) *arrayIndex {
 	for _, ix := range c.indexes {
 		if ix.model == model {
@@ -378,8 +371,6 @@ func (c *Cache) indexLocked(model string) *arrayIndex {
 }
 
 // probe answers a lookup from model's array under the read lock.
-//
-//raqo:noalloc
 func (c *Cache) probe(model string, key float64, cond cluster.Conditions) (plan.Resources, bool) {
 	var r plan.Resources
 	var hit bool
