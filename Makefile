@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check smoke lint
+.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check lint
 
-check: fmt vet build lint race fuzz alloc-check bench-check bench smoke
+check: fmt vet build lint race fuzz alloc-check bench-check bench
 
 # Fail when any file needs gofmt.
 fmt:
@@ -26,6 +26,9 @@ lint:
 build:
 	$(GO) build ./...
 
+# `test` and `race` include the process tests of cmd/raqo (TestProcess*),
+# which build the raqo binary and drive real `raqo serve` processes
+# (DESIGN.md §7, "End-to-end process tests"); -short skips them.
 test:
 	$(GO) test ./...
 
@@ -111,29 +114,3 @@ bench-check:
 # replay, admissions and encodes).
 bench:
 	$(GO) test -run xxx -bench 'OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
-
-# End-to-end smoke tests, each a scripts/smoke_<name>.sh over the shared
-# scripts/smoke_lib.sh (build, start `raqo serve` on an ephemeral port,
-# wait for the ready line, SIGTERM drain, cleanup). `make smoke` runs all
-# six, `make smoke-<name>` one:
-#   serve     /healthz and /v1/optimize, then the drain
-#   feedback  fast recalibration loop: stream drifting feedback (through
-#             the codec, one journal write), wait for the model version
-#             to advance, force one encoding/json fallback, replay the
-#             journal offline with `raqo calibrate`
-#   arbiter   submit under the reoptimize and wait policies, verify
-#             stats/drain/metrics
-#   history   -history-dir and -journal: ingest feedback, kill -9, restart
-#             on the same files, the acknowledged points survived and
-#             query correctly
-#   fleet     three processes with static -peers: deterministic routing,
-#             model convergence after a recalibration on the journal
-#             shard, degraded answers under a hard kill, the drain
-#   cloud     seeded priced pool with the autoscaler on: submit onto spot,
-#             fire a preemption storm, zero-loss recovery on drain
-SMOKES = serve feedback arbiter history fleet cloud
-
-smoke: $(SMOKES:%=smoke-%)
-
-smoke-%:
-	sh scripts/smoke_$*.sh

@@ -3,8 +3,10 @@ package raqo_test
 import (
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -28,16 +30,26 @@ var (
 	makeTarget = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	// goTestFunc matches the declaration of one.
 	goTestFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*)\(`)
+	// backticked matches a code span; fileName, a word in one that names a
+	// file by its extension.
+	backticked = regexp.MustCompile("`[^`\n]+`")
+	fileName   = regexp.MustCompile(`\.(?:go|txt|json|jsonl|md|sh)$`)
 )
 
 // TestDocReferencesExist keeps the docs' references to the tree real: every
 // internal/, cmd/ or scripts/ path DESIGN.md, README.md and the verify
-// skill name must exist, and every Test, Fuzz or Benchmark name they cite
-// must be declared in some _test.go file, and every `make` target they
-// name must be a Makefile rule. A path or target followed by "<", "{" or
-// "*" is a pattern ("scripts/smoke_<name>.sh"), not a name, and is
-// skipped.
+// skill name must exist, every Test, Fuzz or Benchmark name they cite
+// must be declared in some _test.go file, every `make` target they name
+// must be a Makefile rule, and every backticked word ending in .go, .txt,
+// .json, .jsonl, .md or .sh must be the suffix of a tracked path. A name
+// followed by (or, for a backticked word, holding) "<", "{" or "*" is a
+// pattern ("internal/<pkg>/doc.go"), not a name, and is skipped.
 func TestDocReferencesExist(t *testing.T) {
+	out, err := exec.Command("git", "ls-files").Output()
+	if err != nil {
+		t.Fatalf("git ls-files: %v", err)
+	}
+	files := strings.Fields(string(out))
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
@@ -98,6 +110,14 @@ func TestDocReferencesExist(t *testing.T) {
 		for _, loc := range docTest.FindAllStringIndex(text, -1) {
 			if name := text[loc[0]:loc[1]]; !declared[name] {
 				t.Errorf("%s:%d: %s is not declared in any _test.go file", doc, lineOf(text, loc[0]), name)
+			}
+		}
+		for _, loc := range backticked.FindAllStringIndex(text, -1) {
+			for _, word := range strings.Fields(text[loc[0]+1 : loc[1]-1]) {
+				tracked := func(p string) bool { return strings.HasSuffix(p, word) }
+				if fileName.MatchString(word) && !strings.ContainsAny(word, "<{*") && !slices.ContainsFunc(files, tracked) {
+					t.Errorf("%s:%d: `%s` is not the suffix of a tracked path", doc, lineOf(text, loc[0]), word)
+				}
 			}
 		}
 	}

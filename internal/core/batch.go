@@ -25,8 +25,7 @@ import (
 //
 // If some queries fail, the returned slice still carries every successful
 // decision (failed slots are nil) and the error joins the per-query
-// failures. The optimizer's conditions must not be changed (SetConditions)
-// while a batch is in flight.
+// failures.
 func (o *Optimizer) OptimizeBatch(queries []*plan.Query, parallelism int) ([]*Decision, error) {
 	return o.OptimizeBatchCtx(context.Background(), queries, parallelism)
 }

@@ -289,12 +289,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cluster.Conditions{}, Options{}); err == nil {
 		t.Error("invalid conditions accepted")
 	}
-	o, err := New(cluster.Default(), Options{})
-	if err != nil {
+	if _, err := New(cluster.Default(), Options{}); err != nil {
 		t.Fatal(err)
-	}
-	if err := o.SetConditions(cluster.Conditions{}); err == nil {
-		t.Error("SetConditions accepted invalid conditions")
 	}
 }
 

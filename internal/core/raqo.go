@@ -133,19 +133,9 @@ func (o *Optimizer) Memo() *CostMemo { return o.memo }
 // Planner returns the configured query-planner kind.
 func (o *Optimizer) Planner() PlannerKind { return o.opts.Planner }
 
-// Conditions returns the cluster conditions the optimizer currently plans
-// against.
+// Conditions returns the cluster conditions the optimizer plans against
+// by default; OptimizeUnder takes others per call.
 func (o *Optimizer) Conditions() cluster.Conditions { return o.cond }
-
-// SetConditions updates the optimizer's view of the cluster — the
-// resource-manager feedback channel of the RAQO architecture.
-func (o *Optimizer) SetConditions(c cluster.Conditions) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	o.cond = c
-	return nil
-}
 
 // Decision is a joint query and resource plan with its planning metrics.
 type Decision struct {

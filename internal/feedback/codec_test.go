@@ -20,8 +20,8 @@ var codecLines = []struct {
 	canonical bool
 }{
 	{"bench shape", `{"signature":"bench-12","engine":"hive","predictedSeconds":173.40871843930694,"observedSeconds":215.64410862899327,"predictedDollars":0,"observedDollars":0,"observedAt":1700000625,"operators":[{"algo":"SMJ","ssGB":5.326530436353463,"csGB":7,"nc":84,"predictedSeconds":130.29375737632265,"observedSeconds":152.26723285321554},{"algo":"BHJ","ssGB":0.7421431358608848,"csGB":2,"nc":31,"predictedSeconds":43.11496106298428,"observedSeconds":63.37687577577773}]}`, true},
-	{"smoke_feedback shape", `{"signature":"smoke-3","engine":"hive","predictedSeconds":30,"observedSeconds":120,"operators":[{"algo":"SMJ","ssGB":3,"csGB":5,"nc":7,"predictedSeconds":30,"observedSeconds":120}]}`, true},
-	{"smoke_history shape", `{"signature":"smoke-0","engine":"hive","predictedSeconds":10,"observedSeconds":40,"observedAt":1700000000}`, true},
+	{"hand-written, no observedAt", `{"signature":"smoke-3","engine":"hive","predictedSeconds":30,"observedSeconds":120,"operators":[{"algo":"SMJ","ssGB":3,"csGB":5,"nc":7,"predictedSeconds":30,"observedSeconds":120}]}`, true},
+	{"hand-written, with observedAt", `{"signature":"smoke-0","engine":"hive","predictedSeconds":10,"observedSeconds":40,"observedAt":1700000000}`, true},
 	{"whitespace and any key order", " {\n\t\"engine\" : \"spark\" ,\r\n \"observedSeconds\":1e0, \"signature\":\"\" } ", true},
 	{"empty object", `{}`, true},
 	{"html characters in a string", `{"signature":"a<b>&c","engine":"hive","observedSeconds":1}`, true},

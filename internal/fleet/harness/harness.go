@@ -1,9 +1,9 @@
-// Package harness spawns and supervises a localhost fleet of real `raqo
-// serve` processes: N OS processes, each a full optimizer service wrapped
-// in a fleet routing node, wired together with static -peers membership.
-// It exists for the multi-process integration layer — the smoke script and
-// the scaling benchmark — where in-process tests would not exercise
-// process isolation, real TCP forwarding, or crash/restart behavior.
+// Package harness builds the `raqo` binary and supervises real `raqo
+// serve` processes on localhost: one plain service, or N fleet nodes wired
+// together with static -node-id/-peers membership. It is the one way the
+// process tests in cmd/raqo drive the binary, for what in-process tests
+// cannot reach: the ready line, the SIGTERM drain and exit status, a
+// SIGKILL and a restart on the same files, and real TCP between processes.
 //
 // The address chicken-and-egg (every node must know the full membership
 // before any node has bound a port) is resolved the same way a static
@@ -27,6 +27,13 @@ import (
 // readyPrefix is the line `raqo serve` prints once its listener is bound.
 const readyPrefix = "raqo serve: listening on "
 
+// readyTimeout bounds the wait for a node's ready line, drainTimeout the
+// wait for its exit after SIGTERM.
+const (
+	readyTimeout = 30 * time.Second
+	drainTimeout = 10 * time.Second
+)
+
 // Build compiles the raqo CLI into dir and returns the binary path. The
 // module package path (rather than a relative one) keeps the build working
 // from any working directory inside the module.
@@ -46,29 +53,26 @@ func goTool() string {
 	return "go"
 }
 
-// Options configures a fleet launch.
+// Options configures a launch.
 type Options struct {
-	// Nodes is the fleet size; at least 1.
+	// Nodes is the number of processes; at least 1.
 	Nodes int
-	// Bin is a prebuilt raqo binary. Empty means Build into Dir.
-	Bin string
-	// Dir holds per-node logs (and the binary when Bin is empty). Empty
-	// means a temp dir that Stop removes.
+	// Dir holds the binary and the per-node logs; required.
 	Dir string
 	// Args is appended to every node's `serve` argument list, after the
-	// harness-owned -addr/-node-id/-peers flags.
+	// harness-owned -addr flag and, when Nodes > 1, -node-id/-peers. A
+	// single node runs a plain service; pass -node-id here for a fleet of
+	// one.
 	Args []string
 	// NodeArgs, when set, appends per-node arguments (e.g. a per-node
 	// journal path).
 	NodeArgs func(i int) []string
-	// ReadyTimeout bounds the wait for each node's ready line; default 30s.
-	ReadyTimeout time.Duration
 }
 
 // Node is one supervised `raqo serve` process.
 type Node struct {
-	// Addr is the node's fixed host:port — its listen address and its
-	// fleet node ID.
+	// Addr is the node's fixed host:port: its listen address and, in a
+	// fleet, its node ID.
 	Addr    string
 	logPath string
 	args    []string
@@ -80,48 +84,31 @@ type Node struct {
 
 // Fleet is a running set of raqo serve processes.
 type Fleet struct {
-	// Bin is the binary every node runs; reusable across fleets.
+	// Bin is the binary every node runs.
 	Bin string
 
-	dir    string
-	ownDir bool
-	nodes  []*Node
-	ready  time.Duration
+	nodes []*Node
 }
 
-// Start builds (if needed) and launches an n-node fleet, returning once
-// every node has printed its ready line. On error, any processes already
-// started are killed.
+// Start builds the binary into opts.Dir and launches opts.Nodes processes,
+// returning once every one has printed its ready line. On error, any
+// processes already started are killed.
 func Start(opts Options) (*Fleet, error) {
 	if opts.Nodes < 1 {
 		return nil, fmt.Errorf("harness: need at least 1 node, got %d", opts.Nodes)
 	}
-	f := &Fleet{Bin: opts.Bin, dir: opts.Dir, ready: opts.ReadyTimeout}
-	if f.ready <= 0 {
-		f.ready = 30 * time.Second
+	if opts.Dir == "" {
+		return nil, fmt.Errorf("harness: no directory for the binary and logs")
 	}
-	if f.dir == "" {
-		dir, err := os.MkdirTemp("", "raqo-fleet-*")
-		if err != nil {
-			return nil, err
-		}
-		f.dir = dir
-		f.ownDir = true
-	}
-	if f.Bin == "" {
-		bin, err := Build(f.dir)
-		if err != nil {
-			f.cleanupDir()
-			return nil, err
-		}
-		f.Bin = bin
-	}
-
-	addrs, err := reservePorts(opts.Nodes)
+	bin, err := Build(opts.Dir)
 	if err != nil {
-		f.cleanupDir()
 		return nil, err
 	}
+	addrs, err := reservePorts(opts.Nodes)
+	if err != nil {
+		return nil, err
+	}
+	f := &Fleet{Bin: bin}
 	for i := 0; i < opts.Nodes; i++ {
 		peers := make([]string, 0, opts.Nodes-1)
 		for j, a := range addrs {
@@ -129,9 +116,9 @@ func Start(opts Options) (*Fleet, error) {
 				peers = append(peers, a)
 			}
 		}
-		args := []string{"serve", "-addr", addrs[i], "-node-id", addrs[i]}
+		args := []string{"serve", "-addr", addrs[i]}
 		if len(peers) > 0 {
-			args = append(args, "-peers", strings.Join(peers, ","))
+			args = append(args, "-node-id", addrs[i], "-peers", strings.Join(peers, ","))
 		}
 		args = append(args, opts.Args...)
 		if opts.NodeArgs != nil {
@@ -139,13 +126,13 @@ func Start(opts Options) (*Fleet, error) {
 		}
 		f.nodes = append(f.nodes, &Node{
 			Addr:    addrs[i],
-			logPath: filepath.Join(f.dir, fmt.Sprintf("node%d.log", i)),
+			logPath: filepath.Join(opts.Dir, fmt.Sprintf("node%d.log", i)),
 			args:    args,
-			bin:     f.Bin,
+			bin:     bin,
 		})
 	}
 	for i := range f.nodes {
-		if err := f.nodes[i].start(f.ready); err != nil {
+		if err := f.nodes[i].start(); err != nil {
 			_ = f.Stop()
 			return nil, fmt.Errorf("harness: node %d: %w", i, err)
 		}
@@ -177,7 +164,7 @@ func reservePorts(n int) ([]string, error) {
 }
 
 // start launches the node's process and waits for its ready line.
-func (n *Node) start(readyTimeout time.Duration) error {
+func (n *Node) start() error {
 	logf, err := os.OpenFile(n.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -201,12 +188,12 @@ func (n *Node) start(readyTimeout time.Duration) error {
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 	n.done = done
-	return n.awaitReady(logStart, readyTimeout)
+	return n.awaitReady(logStart)
 }
 
 // awaitReady polls the node's log, past offset, for the serve ready line.
-func (n *Node) awaitReady(offset int64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
+func (n *Node) awaitReady(offset int64) error {
+	deadline := time.Now().Add(readyTimeout)
 	for {
 		if log, err := os.ReadFile(n.logPath); err == nil && int64(len(log)) > offset {
 			if strings.Contains(string(log[offset:]), readyPrefix) {
@@ -220,7 +207,7 @@ func (n *Node) awaitReady(offset int64, timeout time.Duration) error {
 		default:
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("not ready after %v\n%s", timeout, n.Log())
+			return fmt.Errorf("not ready after %v\n%s", readyTimeout, n.Log())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -235,37 +222,26 @@ func (n *Node) Log() string {
 	return string(b)
 }
 
-// Running reports whether the node's process is still alive.
-func (n *Node) Running() bool {
-	if n.done == nil {
-		return false
-	}
-	select {
-	case <-n.done:
-		n.done = nil
-		return false
-	default:
-		return true
-	}
-}
-
 // stop terminates the process: SIGTERM first, escalating to SIGKILL after
-// the grace period.
-func (n *Node) stop(grace time.Duration) error {
+// drainTimeout. A drain that ends in a non-zero exit is an error too.
+func (n *Node) stop() error {
 	if n.done == nil {
 		return nil
 	}
 	_ = n.cmd.Process.Signal(syscall.SIGTERM)
 	select {
-	case <-n.done:
+	case err := <-n.done:
 		n.done = nil
+		if err != nil {
+			return fmt.Errorf("harness: node %s exited after SIGTERM: %v\n%s", n.Addr, err, n.Log())
+		}
 		return nil
-	case <-time.After(grace):
+	case <-time.After(drainTimeout):
 	}
 	_ = n.cmd.Process.Kill()
 	<-n.done
 	n.done = nil
-	return fmt.Errorf("harness: node %s did not drain within %v; killed", n.Addr, grace)
+	return fmt.Errorf("harness: node %s did not drain within %v; killed", n.Addr, drainTimeout)
 }
 
 // Nodes returns the fleet members in launch order.
@@ -304,26 +280,18 @@ func (f *Fleet) Restart(i int) error {
 	if n.done != nil {
 		return fmt.Errorf("harness: node %d still running", i)
 	}
-	return n.start(f.ready)
+	return n.start()
 }
 
-// Stop drains every running node and removes the scratch directory when
-// the harness created it. The first drain failure is reported; remaining
-// nodes are still stopped.
+// Stop drains every running node, each within 10 s of its SIGTERM. The
+// first failure to drain or exit 0 is reported; remaining nodes are still
+// stopped.
 func (f *Fleet) Stop() error {
 	var firstErr error
 	for _, n := range f.nodes {
-		if err := n.stop(10 * time.Second); err != nil && firstErr == nil {
+		if err := n.stop(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	f.cleanupDir()
 	return firstErr
-}
-
-func (f *Fleet) cleanupDir() {
-	if f.ownDir {
-		_ = os.RemoveAll(f.dir)
-		f.ownDir = false
-	}
 }

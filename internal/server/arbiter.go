@@ -37,9 +37,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	var unknown *cloud.UnknownError
 	switch {
 	case errors.Is(err, cloud.ErrRejected):
-		s.metrics.Rejected.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())+1))
-		writeError(w, http.StatusTooManyRequests, err)
+		s.shed(w, err)
 	case errors.As(err, &unknown):
 		writeError(w, http.StatusBadRequest, err)
 	default:

@@ -113,6 +113,16 @@ func TestSubmitEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad drain status = %d, want 400", resp.StatusCode)
 	}
+
+	// Under wait, a gang that fits the idle pool is admitted as requested.
+	resp = postJSON(t, ts.URL+"/v1/submit", SubmitRequest{Tenant: "etl", Query: "Q3", Policy: "wait"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("wait submit status = %d", resp.StatusCode)
+	}
+	decodeBodyInto(t, resp, &out)
+	if out.Policy != "wait" {
+		t.Errorf("policy = %q, want wait", out.Policy)
+	}
 }
 
 func TestSubmitOversizedWaitGets429(t *testing.T) {
@@ -127,8 +137,8 @@ func TestSubmitOversizedWaitGets429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("oversized wait status = %d, want 429", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Errorf("429 Retry-After = %q, want 1", got)
 	}
 
 	// The same query under reoptimize fits the single container.

@@ -239,7 +239,7 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // feedbackBodies are named /v1/feedback bodies and whether the codec takes
-// them itself: the repository benchmark's shape, the smoke scripts', and
+// them itself: the repository benchmark's shape, hand-written batches, and
 // everything that must be left to encoding/json.
 var feedbackBodies = []struct {
 	name      string
@@ -247,8 +247,8 @@ var feedbackBodies = []struct {
 	canonical bool
 }{
 	{"bench shape", `{"observations":[{"signature":"bench-12","engine":"hive","predictedSeconds":173.40871843930694,"observedSeconds":215.64410862899327,"predictedDollars":0,"observedDollars":0,"observedAt":1700000625,"operators":[{"algo":"SMJ","ssGB":5.326530436353463,"csGB":7,"nc":84,"predictedSeconds":130.29375737632265,"observedSeconds":152.26723285321554},{"algo":"BHJ","ssGB":0.7421431358608848,"csGB":2,"nc":31,"predictedSeconds":43.11496106298428,"observedSeconds":63.37687577577773}]},{"signature":"bench-3","engine":"hive","predictedSeconds":1e21,"observedSeconds":1e-7,"predictedDollars":-0,"observedDollars":0,"observedAt":1700000625,"operators":[{"algo":"BHJ","ssGB":1,"csGB":2,"nc":31,"predictedSeconds":4,"observedSeconds":6}]}]}`, true},
-	{"smoke_feedback shape", `{"observations":[{"signature":"smoke-1","engine":"hive","predictedSeconds":10,"observedSeconds":40,"operators":[{"algo":"SMJ","ssGB":1,"csGB":3,"nc":5,"predictedSeconds":10,"observedSeconds":40}]},{"signature":"smoke-2","engine":"hive","predictedSeconds":20,"observedSeconds":80,"operators":[{"algo":"SMJ","ssGB":2,"csGB":4,"nc":6,"predictedSeconds":20,"observedSeconds":80}]}]}`, true},
-	{"smoke_history shape", `{"observations":[{"signature":"smoke-0","engine":"hive","predictedSeconds":10,"observedSeconds":40,"observedAt":1700000000}]}`, true},
+	{"hand-written, no observedAt", `{"observations":[{"signature":"smoke-1","engine":"hive","predictedSeconds":10,"observedSeconds":40,"operators":[{"algo":"SMJ","ssGB":1,"csGB":3,"nc":5,"predictedSeconds":10,"observedSeconds":40}]},{"signature":"smoke-2","engine":"hive","predictedSeconds":20,"observedSeconds":80,"operators":[{"algo":"SMJ","ssGB":2,"csGB":4,"nc":6,"predictedSeconds":20,"observedSeconds":80}]}]}`, true},
+	{"hand-written, with observedAt", `{"observations":[{"signature":"smoke-0","engine":"hive","predictedSeconds":10,"observedSeconds":40,"observedAt":1700000000}]}`, true},
 	{"whitespace everywhere", " {\n \"observations\" : [ {\"engine\":\"hive\" , \"observedSeconds\" : 1 } ,\t{\"observedSeconds\":2,\"engine\":\"spark\"}\r\n] } \n", true},
 	{"invalid observation", `{"observations":[{"engine":"hive","observedSeconds":1},{"engine":"","observedSeconds":1}]}`, true},
 	{"observedAt zero", `{"observations":[{"engine":"hive","observedSeconds":1,"observedAt":0}]}`, true},
@@ -289,10 +289,10 @@ func TestFeedbackCodecMatchesParent(t *testing.T) {
 }
 
 // TestFeedbackJournalMatchesParentBytes: for batches json.Marshal wrote,
-// with and without observedAt, and for smoke_feedback's batches (no
-// observedAt, so stamped and re-encoded), the journal is the parent's file
-// byte for byte. (smoke_history's observations carry observedAt but no
-// dollars: their lines keep the client's bytes and replay the same.)
+// with and without observedAt, and for a hand-written batch without
+// observedAt (stamped and re-encoded), the journal is the parent's file
+// byte for byte. (Hand-written observations with observedAt but no
+// dollars keep the client's bytes and replay the same.)
 func TestFeedbackJournalMatchesParentBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
@@ -318,7 +318,7 @@ func TestFeedbackJournalMatchesParentBytes(t *testing.T) {
 		}
 	}
 	for _, c := range feedbackBodies {
-		if c.name == "smoke_feedback shape" {
+		if c.name == "hand-written, no observedAt" {
 			took, journal, parentJournal := serveFeedbackPair(t, []byte(c.body))
 			if !took || len(journal) == 0 {
 				t.Fatalf("%s: codec took it = %v, journal %q", c.name, took, journal)

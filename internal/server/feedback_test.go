@@ -228,6 +228,9 @@ func TestFeedbackDriftRecalibratesOverHTTP(t *testing.T) {
 	if !fb.Drifted {
 		t.Fatalf("detector did not report drift after %d high-error observations", len(obs))
 	}
+	if v, ok := scrapeMetric(t, base, "raqo_feedback_journal_writes_total"); !ok || v != 1 {
+		t.Errorf("raqo_feedback_journal_writes_total = %g (present %v), want 1 for one batch", v, ok)
+	}
 
 	// The background loop must pick the drift up and swap the model.
 	var model ModelResponse

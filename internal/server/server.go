@@ -44,7 +44,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -99,8 +98,6 @@ type Config struct {
 	QueueTimeout time.Duration
 	// RequestTimeout bounds one request's planning time; 0 selects 30s.
 	RequestTimeout time.Duration
-	// RetryAfter is advertised on 429 responses; 0 selects 1s.
-	RetryAfter time.Duration
 	// DrainTimeout bounds graceful shutdown; 0 selects 10s.
 	DrainTimeout time.Duration
 
@@ -191,9 +188,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
-	}
-	if c.RetryAfter == 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -447,8 +441,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // cmd/raqo), then drains gracefully: the listener closes, in-flight
 // requests get up to DrainTimeout to finish, and Serve returns nil on a
 // clean drain. ready, when non-nil, is called with the bound address once
-// the listener is up — the hook ephemeral-port callers (smoke tests)
-// need.
+// the listener is up — the hook ephemeral-port callers (the ready line
+// of `raqo serve`, tests) need.
 func (s *Server) Serve(ctx context.Context, addr string, ready func(addr string)) error {
 	return s.ServeHandler(ctx, addr, nil, ready)
 }
@@ -667,9 +661,7 @@ func (s *Server) admitted(w http.ResponseWriter, r *http.Request, fn func(ctx co
 	if err := s.admit.acquire(ctx); err != nil {
 		switch {
 		case errors.Is(err, errOverloaded):
-			s.metrics.Rejected.Inc()
-			w.Header().Set("Retry-After", strconv.Itoa(int(s.cfg.RetryAfter.Seconds())+1))
-			writeError(w, http.StatusTooManyRequests, err)
+			s.shed(w, err)
 		default: // client cancelled while queued
 			s.metrics.Cancelled.Inc()
 			writeError(w, statusClientClosedRequest, err)
@@ -682,6 +674,16 @@ func (s *Server) admitted(w http.ResponseWriter, r *http.Request, fn func(ctx co
 	reqCtx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	fn(reqCtx)
+}
+
+// retryAfterSeconds is the Retry-After every 429 advertises.
+const retryAfterSeconds = "1"
+
+// shed answers a request refused for load: 429 with Retry-After.
+func (s *Server) shed(w http.ResponseWriter, err error) {
+	s.metrics.Rejected.Inc()
+	w.Header().Set("Retry-After", retryAfterSeconds)
+	writeError(w, http.StatusTooManyRequests, err)
 }
 
 // writePlanningError maps a failed optimization to an HTTP code: 499 for

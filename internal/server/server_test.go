@@ -367,8 +367,8 @@ func TestOverloadSheds(t *testing.T) {
 		if resp.StatusCode != http.StatusTooManyRequests {
 			t.Fatalf("overflow request %d: status = %d, want 429", i, resp.StatusCode)
 		}
-		if resp.Header.Get("Retry-After") == "" {
-			t.Errorf("429 response missing Retry-After")
+		if got := resp.Header.Get("Retry-After"); got != "1" {
+			t.Errorf("429 Retry-After = %q, want 1", got)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -514,9 +514,11 @@ func TestConcurrentOptimizeSharedCache(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{Query: "Q12"})
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	for i := 0; i < 2; i++ { // the repeat is a response-memo hit
+		resp := postJSON(t, ts.URL+"/v1/optimize", OptimizeRequest{Query: "Q12"})
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
 
 	mresp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -532,7 +534,9 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	text := string(body)
 	for _, want := range []string{
-		`raqo_http_requests_total{endpoint="/v1/optimize"} 1`,
+		`raqo_http_requests_total{endpoint="/v1/optimize"} 2`,
+		"\nraqo_optimize_memo_hits_total 1\n",
+		"\nraqo_optimize_memo_entries 1\n",
 		`# TYPE raqo_http_request_seconds histogram`,
 		`raqo_plans_considered_total`,
 		`raqo_resource_cache_hits_total`,

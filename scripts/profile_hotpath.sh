@@ -10,17 +10,30 @@
 # Exits non-zero on any failure.
 set -eu
 
+GO=${GO:-go}
 SECONDS_CPU=${PROFILE_SECONDS:-10}
 outdir=${PROFILE_DIR:-profiles}
-. "$(dirname "$0")/smoke_lib.sh"
-smoke_build profile-hotpath
-out="$tmp/serve.out"
+tmp=$(mktemp -d)
+pids=""
+trap 'for p in $pids; do kill -9 "$p" 2>/dev/null || true; done; rm -rf "$tmp"' EXIT
+trap 'exit 1' INT TERM
 
-smoke_start "$out" -addr 127.0.0.1:0 -pprof 127.0.0.1:0
-smoke_wait "$out"
-# The pprof listener's line is printed before the ready line.
+"$GO" build -o "$tmp/raqo" ./cmd/raqo
+out="$tmp/serve.out"
+"$tmp/raqo" serve -addr 127.0.0.1:0 -pprof 127.0.0.1:0 >"$out" 2>&1 &
+pid=$!
+pids=$pid
+
+# The ready line names the bound address; the pprof line comes before it.
+addr=""
+for _ in $(seq 1 100); do
+    addr=$(sed -n 's/^raqo serve: listening on \([^ ]*\).*/\1/p' "$out")
+    [ -n "$addr" ] && break
+    kill -0 "$pid" 2>/dev/null || break
+    sleep 0.1
+done
+[ -n "$addr" ] || { echo "profile-hotpath: server never reported its address:"; cat "$out"; exit 1; }
 pprof=$(sed -n 's/^raqo serve: pprof on \([^ ]*\).*/\1/p' "$out")
-[ -n "$pprof" ] || { echo "profile-hotpath: server never reported its pprof address:"; cat "$out"; exit 1; }
 
 # Warm the caches so the profile shows steady state, not first-request
 # model training and cache fills.
@@ -51,7 +64,7 @@ storm() {
 }
 storm &
 stormpid=$!
-smoke_pids="$smoke_pids $stormpid"
+pids="$pids $stormpid"
 
 mkdir -p "$outdir"
 echo "profile-hotpath: recording ${SECONDS_CPU}s CPU profile under load ($addr)..."
@@ -61,7 +74,14 @@ curl -fsS -o "$outdir/allocs_hotpath.pb.gz" "http://$pprof/debug/pprof/allocs"
 kill "$stormpid" 2>/dev/null || true
 wait "$stormpid" 2>/dev/null || true
 
-smoke_stop "$pid"
+# SIGTERM drains the server; it must be gone within 10 s.
+kill -TERM "$pid"
+i=0
+while kill -0 "$pid" 2>/dev/null; do
+    i=$((i + 1))
+    [ "$i" -gt 100 ] && { echo "profile-hotpath: server did not drain after SIGTERM"; exit 1; }
+    sleep 0.1
+done
 
 for f in cpu_hotpath.pb.gz allocs_hotpath.pb.gz; do
     [ -s "$outdir/$f" ] || { echo "profile-hotpath: $outdir/$f is empty"; exit 1; }
