@@ -12,6 +12,8 @@
 //	raqo trees [-engine hive|spark]
 //	raqo trace [-seed N]
 //	raqo simulate -query Q3 [-containers N] [-gb G]
+//	raqo robust -query Q3 [-objective worst-case|average]
+//	raqo workload [-containers N] [-gb G]
 package main
 
 import (
