@@ -64,8 +64,13 @@ race:
 # answers, bits, counts and cache stats), and the admission engine on
 # decoded markets, faults, tenants and mixed-policy arrival streams (zero
 # lost after a drain, no class below zero free containers at any event,
-# arrival <= start <= finish, the same bytes on a second run). (The seed
-# corpora already run under plain `go test`.)
+# arrival <= start <= finish, the same bytes on a second run), the submit
+# codec on arbitrary bytes as both submit bodies (what the canonical scanner
+# takes, encoding/json decodes to the same request; taken or declined, each
+# handler answers with the status, headers and bytes it gave before the
+# scanner) and the fleet router's submit and optimize keys on arbitrary
+# bytes (the keys json.Unmarshal gave). (The seed corpora already run
+# under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -81,6 +86,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHistoryJSON -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s ./internal/cloud
+	$(GO) test -run '^$$' -fuzz FuzzSubmitDecode -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s ./internal/fleet
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

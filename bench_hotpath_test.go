@@ -322,6 +322,32 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		t.Errorf("forwarded /v1/submit allocates %.0f/op across both nodes, ceiling 140", got)
 	}
 
+	// Warm /v1/submit and /v1/cloud/submit in the repository benchmark's
+	// body shape, through the handler stack: the canonical scanner, an
+	// admission whose plan and simulated execution the memo answers, the
+	// fixed-shape encoder and, on the shared cluster, the feedback
+	// observation of a completion, plus the test's own request and
+	// recorder, the mux and the metrics (measured 37 and 34; 50 and 44 with
+	// encoding/json decoding the body and encoding the outcome, a fresh
+	// simulation per admission and the completion's plan signature grown
+	// in a strings.Builder). The ceilings are exact: a reflective decode or
+	// encode, or a simulation per admission, goes through them.
+	submitSrv := newBenchServer(t)
+	for _, c := range []struct {
+		path, body string
+		ceiling    float64
+	}{
+		{"/v1/submit", `{"tenant":"default","query":"Q12","policy":"reoptimize"}`, 37},
+		{"/v1/cloud/submit", `{"tenant":"default","query":"Q12","recovery":"reoptimize"}`, 34},
+	} {
+		for i := 0; i < 20; i++ {
+			serveBody(t, submitSrv, c.path, c.body)
+		}
+		if got := testing.AllocsPerRun(50, func() { serveBody(t, submitSrv, c.path, c.body) }); got > c.ceiling {
+			t.Errorf("warm %s allocates %.0f/op, ceiling %.0f", c.path, got, c.ceiling)
+		}
+	}
+
 	// One eight-observation /v1/feedback batch in the repository benchmark's
 	// shape, with the journal and the history store attached: the codec's
 	// observation slab and one string per signature, the wire lines copied

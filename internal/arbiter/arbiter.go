@@ -161,9 +161,13 @@ type UnknownError = cloud.UnknownError
 // Arbiter is the workload arbiter. It is not safe for concurrent use; the
 // HTTP layer serializes access with a mutex.
 type Arbiter struct {
-	cfg        Config
-	e          *cloud.Arbiter
+	cfg Config
+	e   *cloud.Arbiter
+	// completed holds Run's outcomes, and only Run's: the online path
+	// (SubmitWait) keeps none, so a long-lived server does not accumulate
+	// one per submission.
 	completed  []Outcome
+	running    bool
 	sinceRecal int
 	recals     int64
 }
@@ -200,7 +204,8 @@ func New(cfg Config) (*Arbiter, error) {
 // Now returns the arbiter's virtual clock.
 func (a *Arbiter) Now() float64 { return a.e.Now() }
 
-// Completed returns the outcomes recorded so far, in completion order.
+// Completed returns the outcomes Run recorded, in completion order.
+// Completions of SubmitWait submissions are not recorded.
 func (a *Arbiter) Completed() []Outcome { return a.completed }
 
 // Stats summarizes the arbiter's current state.
@@ -238,7 +243,10 @@ func (a *Arbiter) Run(arrivals []Arrival) ([]Outcome, error) {
 		trace[i] = cloud.Arrival{Tenant: arr.Tenant, Query: arr.Query, Time: arr.Time}
 		policies[i] = arr.Policy
 	}
-	if err := a.e.RunWith(trace, policies); err != nil {
+	a.running = true
+	err := a.e.RunWith(trace, policies)
+	a.running = false
+	if err != nil {
 		return nil, err
 	}
 	return a.completed, nil
@@ -269,8 +277,10 @@ func (a *Arbiter) Drain() error { return a.e.Drain() }
 // and the feedback observer, and periodically offers the recalibrator a
 // drift check. Everything is stamped with the virtual finish time.
 func (a *Arbiter) complete(o *cloud.Outcome, d *core.Decision, res *execsim.Result) error {
-	a.completed = append(a.completed, outcome(o))
-	out := &a.completed[len(a.completed)-1]
+	out := outcome(o)
+	if a.running {
+		a.completed = append(a.completed, out)
+	}
 	if m := a.cfg.Metrics; m != nil {
 		m.Occupancy.Set(int64(a.e.Pool().InUse()))
 	}

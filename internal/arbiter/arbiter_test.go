@@ -265,6 +265,11 @@ func TestSubmitWaitOnline(t *testing.T) {
 	if cfg.Metrics.Occupancy.Value() != 0 {
 		t.Fatalf("drained occupancy gauge = %d", cfg.Metrics.Occupancy.Value())
 	}
+	// The online path keeps no outcome: a server's arbiter would otherwise
+	// grow by one per POST /v1/submit for as long as it runs.
+	if n := len(a.Completed()); n != 0 {
+		t.Fatalf("Completed() holds %d outcomes of SubmitWait submissions, want 0", n)
+	}
 }
 
 // skewedRecalConfig is a single-tenant arbiter planning with deliberately

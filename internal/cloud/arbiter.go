@@ -779,12 +779,14 @@ func (a *Arbiter) offers(p *pending, fairShare bool) []offer {
 	return offers
 }
 
-// start executes d for queue head p on class ci and holds its gang until
-// its virtual finish. A plan that cannot execute at its chosen resources
-// (a mispredicted broadcast build side) fails the query deterministically
-// instead of aborting the workload.
+// start executes d, a decision the memo answered for p's query, for
+// queue head p on class ci and holds its gang until its virtual finish.
+// The memo runs each of its decisions' simulations once
+// (core.Incremental.Execute). A plan that cannot execute at its chosen
+// resources (a mispredicted broadcast build side) fails the query
+// deterministically instead of aborting the workload.
 func (a *Arbiter) start(p *pending, ci int, d *core.Decision, replanned bool) error {
-	res, err := Engine().Execute(d.Plan, cost.DefaultPricing())
+	res, err := a.reopt.Execute(p.q, d, Engine(), cost.DefaultPricing())
 	if err != nil {
 		var oom *execsim.OOMError
 		if !errors.As(err, &oom) {

@@ -2,6 +2,7 @@ package cloud_test
 
 import (
 	"errors"
+	"maps"
 	"math"
 	"reflect"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
+	"raqo/internal/feedback"
 	"raqo/internal/plan"
 	"raqo/internal/telemetry"
 	"raqo/internal/units"
@@ -551,6 +553,67 @@ func TestGenerateTraceDeterministicAndOrdered(t *testing.T) {
 		last = arr.Time
 		if arr.Recovery != cloud.RecoverDegrade {
 			t.Fatalf("arrival %d recovery %v", i, arr.Recovery)
+		}
+	}
+}
+
+// TestMemoizedExecutionsMatchFresh: every simulated execution an admission
+// uses equals a fresh Engine().Execute of its plan, bit for bit, before and
+// after a fleet model Install swaps the optimizer's models. Memoized
+// decisions share one result across their admissions; the swap drops
+// them, so no admission after it reuses a result from before.
+func TestMemoizedExecutionsMatchFresh(t *testing.T) {
+	cfg := testConfig(t, testMarket(false))
+	models, _ := testFixtures(t)
+	rec := feedback.NewRecalibrator(feedback.NewStore(16, nil), feedback.NewDetector(feedback.DriftConfig{}), models)
+	rec.OnSwap(func(_ feedback.Recalibration, info *feedback.ModelInfo) {
+		if err := cfg.Optimizer.SetModels(info.Models); err != nil {
+			t.Error(err)
+		}
+	})
+	uses := make(map[*execsim.Result]int)
+	cfg.Hooks.Completed = func(o *cloud.Outcome, d *core.Decision, res *execsim.Result) error {
+		fresh, err := cloud.Engine().Execute(d.Plan, cost.DefaultPricing())
+		if err != nil || !reflect.DeepEqual(res, fresh) {
+			t.Errorf("%s/%s: executed %+v, fresh %+v (%v)", o.Tenant, o.Query, res, fresh, err)
+		}
+		uses[res]++
+		return nil
+	}
+	a, err := cloud.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() map[*execsim.Result]int {
+		t.Helper()
+		clear(uses)
+		queries := []string{workload.Q12, workload.Q3, workload.Q2, workload.All}
+		for i := 0; i < 48; i++ {
+			if _, err := a.SubmitWait("etl", queries[i%len(queries)], cloud.RecoverReoptimize); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		shared := 0
+		for _, n := range uses {
+			if n > 1 {
+				shared++
+			}
+		}
+		if shared == 0 {
+			t.Fatalf("48 admissions of four queries shared no execution: %d results", len(uses))
+		}
+		return maps.Clone(uses)
+	}
+	before := run()
+	if !rec.Install(2, cost.PaperModels(), 0) {
+		t.Fatal("Install refused a newer version")
+	}
+	for res := range run() {
+		if before[res] > 0 {
+			t.Fatal("an admission after the model swap reused an execution from before it")
 		}
 	}
 }

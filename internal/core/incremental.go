@@ -6,6 +6,7 @@ import (
 
 	"raqo/internal/cluster"
 	"raqo/internal/cost"
+	"raqo/internal/execsim"
 	"raqo/internal/plan"
 )
 
@@ -61,6 +62,15 @@ type incEntry struct {
 	models *cost.Models
 	exact  map[cluster.Conditions]*Decision
 	order  []cluster.Conditions // FIFO eviction order for exact
+	// runs has a key for every decision in exact, evicted with it; its
+	// value is the decision's simulated execution once Execute has run it.
+	runs map[*Decision]*execution
+}
+
+// execution is one simulated execution's answer.
+type execution struct {
+	res *execsim.Result
+	err error
 }
 
 // Incremental answers repeated joint optimizations of the same queries
@@ -117,12 +127,39 @@ func (inc *Incremental) OptimizeCtx(ctx context.Context, q *plan.Query, cond clu
 	}
 	inc.stats.Full++
 	if len(e.order) >= inc.maxExact {
+		delete(e.runs, e.exact[e.order[0]])
 		delete(e.exact, e.order[0])
 		e.order = e.order[1:]
 	}
 	e.order = append(e.order, cond)
 	e.exact[cond] = d
+	e.runs[d] = nil
 	return d, ReoptFull, nil
+}
+
+// Execute returns engine's simulated execution of d, a decision this
+// memo answered for q, at pricing. A decision still in the live memo runs
+// once: its result (or error) is kept beside it, evicted with it and
+// dropped with it on a model swap, and every later call returns the same
+// *execsim.Result, which callers must treat as immutable. Any other
+// decision runs fresh. Execution is a pure function of the plan, the
+// engine and the pricing, so a caller must pass the same engine and
+// pricing on every call to one Incremental.
+func (inc *Incremental) Execute(q *plan.Query, d *Decision, engine execsim.Params, pricing cost.Pricing) (*execsim.Result, error) {
+	e := inc.entries[q]
+	var run *execution
+	memoized := false
+	if e != nil && e.models == inc.opt.Models() {
+		run, memoized = e.runs[d]
+	}
+	if run != nil {
+		return run.res, run.err
+	}
+	res, err := engine.Execute(d.Plan, pricing)
+	if memoized {
+		e.runs[d] = &execution{res: res, err: err}
+	}
+	return res, err
 }
 
 // entry returns the per-query memo valid for the live model set,
@@ -132,7 +169,7 @@ func (inc *Incremental) entry(q *plan.Query) *incEntry {
 	cur := inc.opt.Models()
 	e := inc.entries[q]
 	if e == nil || e.models != cur {
-		e = &incEntry{models: cur, exact: make(map[cluster.Conditions]*Decision)}
+		e = &incEntry{models: cur, exact: make(map[cluster.Conditions]*Decision), runs: make(map[*Decision]*execution)}
 		inc.entries[q] = e
 	}
 	return e

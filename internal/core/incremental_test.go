@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"raqo/internal/catalog"
@@ -200,5 +202,100 @@ func TestIncrementalMemoStable(t *testing.T) {
 	}
 	if d2.Plan.SignatureWithResources() != sig {
 		t.Fatal("memoized plan drifted after a caller cloned and mutated the clone")
+	}
+}
+
+// TestIncrementalExecuteOnce: Execute runs a memoized decision's
+// simulation once and answers every later call with the same result,
+// equal to a fresh run; a decision outside the live memo — never in it,
+// planned before a model swap, or evicted — runs fresh every time; and the
+// kept results never outnumber the memoized decisions.
+func TestIncrementalExecuteOnce(t *testing.T) {
+	s := catalog.TPCH(100)
+	q, err := workload.TPCHQuery(s, workload.Q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := New(cluster.Default(), Options{Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := NewIncremental(o)
+	engine, pricing := execsim.Hive(), cost.DefaultPricing()
+	base := cluster.Default()
+	restrict := func(max int) cluster.Conditions {
+		t.Helper()
+		c, err := base.Restrict(max, base.MaxContainerGB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	optimize := func(cond cluster.Conditions) *Decision {
+		t.Helper()
+		d, _, err := inc.Optimize(q, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	// execute runs d through the memo twice and checks both answers
+	// against a fresh run; once reports whether they were one result.
+	execute := func(d *Decision) (res *execsim.Result, once bool) {
+		t.Helper()
+		r1, err1 := inc.Execute(q, d, engine, pricing)
+		r2, err2 := inc.Execute(q, d, engine, pricing)
+		fresh, errF := engine.Execute(d.Plan, pricing)
+		if (err1 == nil) != (errF == nil) || (err2 == nil) != (errF == nil) || !reflect.DeepEqual(r1, fresh) || !reflect.DeepEqual(r2, fresh) {
+			t.Fatalf("memoized executions %+v (%v), %+v (%v); fresh %+v (%v)", r1, err1, r2, err2, fresh, errF)
+		}
+		checkRunsBounded(t, inc)
+		return r1, r1 == r2
+	}
+
+	d := optimize(base)
+	r, once := execute(d)
+	if !once {
+		t.Error("a memoized decision ran twice")
+	}
+	other, err := o.OptimizeUnder(context.Background(), q, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, once := execute(other); once {
+		t.Error("a decision the memo never held shared one result across calls")
+	}
+
+	if err := o.SetModels(cost.PaperModels()); err != nil {
+		t.Fatal(err)
+	}
+	if again, once := execute(d); once || again == r {
+		t.Error("a decision planned before the model swap answered from the dropped memo")
+	}
+	d2 := optimize(base)
+	if _, once := execute(d2); !once {
+		t.Error("a decision memoized after the swap ran twice")
+	}
+
+	inc.maxExact = 1
+	optimize(restrict(90)) // evicts d2
+	if _, once := execute(d2); once {
+		t.Error("an evicted decision answered from the memo")
+	}
+}
+
+// checkRunsBounded fails unless every memo entry's results belong to its
+// memoized decisions.
+func checkRunsBounded(t *testing.T, inc *Incremental) {
+	t.Helper()
+	for _, e := range inc.entries {
+		if len(e.runs) != len(e.exact) {
+			t.Fatalf("%d kept runs for %d memoized decisions", len(e.runs), len(e.exact))
+		}
+		for _, d := range e.exact {
+			if _, ok := e.runs[d]; !ok {
+				t.Fatal("a memoized decision has no runs slot")
+			}
+		}
 	}
 }

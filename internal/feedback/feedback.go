@@ -89,7 +89,14 @@ type Observation struct {
 	// ObservedAt is when the execution finished, in unix seconds — wall
 	// time in the server, virtual time under the arbiter's clock. It keys
 	// the observation into the history store; 0 means "not timestamped"
-	// (accepted for backward compatibility with old journals).
+	// (accepted for backward compatibility with old journals; the server
+	// stamps it with its clock). On the wire (POST /v1/feedback) its domain
+	// is [0, now+MaxClockSkewSeconds] at the server's clock now
+	// (CheckObservedAt): a later one would move the history store's
+	// high-water mark ahead and age out its whole past, a negative one
+	// aligns to a wrapped bucket. An old timestamp is accepted, a replay
+	// of recorded executions for one: it lands behind the high-water mark
+	// and never moves retention.
 	ObservedAt int64            `json:"observedAt,omitempty"`
 	Operators  []OperatorSample `json:"operators,omitempty"`
 }
@@ -97,6 +104,24 @@ type Observation struct {
 // RelError is the query-level relative prediction error |pred-obs|/obs.
 func (o *Observation) RelError() float64 {
 	return relError(o.PredictedSeconds, o.ObservedSeconds)
+}
+
+// MaxClockSkewSeconds is how far ahead of the receiving server's clock a
+// wire observation's ObservedAt may lie: clock skew between a client and
+// the server, not a schedule.
+const MaxClockSkewSeconds = 300
+
+// CheckObservedAt checks a wire observation's ObservedAt against its
+// domain at server time now: neither negative nor more than
+// MaxClockSkewSeconds ahead of now.
+func CheckObservedAt(at, now int64) error {
+	switch {
+	case at < 0:
+		return fmt.Errorf("feedback: observedAt %d is negative", at)
+	case at > now+MaxClockSkewSeconds:
+		return fmt.Errorf("feedback: observedAt %d is more than %ds ahead of the server clock (%d)", at, MaxClockSkewSeconds, now)
+	}
+	return nil
 }
 
 // Validate checks the observation is usable as evidence.

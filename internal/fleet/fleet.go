@@ -45,6 +45,7 @@ import (
 	"sync"
 	"time"
 
+	"raqo/internal/canonjson"
 	"raqo/internal/cost"
 	"raqo/internal/feedback"
 	"raqo/internal/fleet/ring"
@@ -279,8 +280,17 @@ func (n *Node) Serve(ctx context.Context, addr string, ready func(addr string)) 
 // optimizeKey is the /v1/optimize routing key: the query signature, so
 // repeats of one query always land on the shard whose resource-plan cache
 // is warm for it. Malformed bodies return "" and fall through to the
-// local handler's validation.
+// local handler's validation. A body of plain string members among
+// "query" and "mode" is read by the canonical scanner; any other, by
+// encoding/json, which gives the same key for what the scanner takes.
 func optimizeKey(body []byte) string {
+	var m [2][]byte
+	if canonjson.StringObject(body, optimizeMembers, m[:]) {
+		if len(m[0]) == 0 {
+			return ""
+		}
+		return "q/" + string(m[0])
+	}
 	var req struct {
 		Query     string   `json:"query"`
 		Relations []string `json:"relations"`
@@ -297,6 +307,9 @@ func optimizeKey(body []byte) string {
 	return ""
 }
 
+// optimizeMembers are the keys of a canonical optimize body.
+var optimizeMembers = []string{"query", "mode"}
+
 // batchKey routes a workload batch by its full query list.
 func batchKey(body []byte) string {
 	var req struct {
@@ -309,18 +322,25 @@ func batchKey(body []byte) string {
 }
 
 // submitKey routes arbiter submissions by tenant, so one shard holds one
-// tenant's arbiter accounting (in-flight gangs, fair-share debt).
+// tenant's arbiter accounting (in-flight gangs, fair-share debt). A
+// canonical body is read by the scanner the submit handler decodes it
+// with (server.ScanSubmit); any other, by encoding/json.
 func submitKey(body []byte) string {
-	var req struct {
-		Tenant string `json:"tenant"`
+	m, ok := server.ScanSubmit(body)
+	tenant := m[0]
+	if !ok {
+		var req struct {
+			Tenant string `json:"tenant"`
+		}
+		if json.Unmarshal(body, &req) != nil {
+			return ""
+		}
+		tenant = []byte(req.Tenant)
 	}
-	if json.Unmarshal(body, &req) != nil {
-		return ""
-	}
-	if req.Tenant == "" {
+	if len(tenant) == 0 {
 		return "t/default"
 	}
-	return "t/" + req.Tenant
+	return "t/" + string(tenant)
 }
 
 // routed wraps one endpoint in ring routing: own the key → serve locally;

@@ -404,38 +404,37 @@ func (n *Node) Equal(o *Node) bool {
 // physical shape (join order + operator implementations), ignoring resource
 // annotations. Two plans with equal signatures are the same plan.
 func (n *Node) Signature() string {
-	var b strings.Builder
-	n.writeSig(&b, false)
-	return b.String()
+	var buf [256]byte
+	return string(n.appendSig(buf[:0], false))
 }
 
 // SignatureWithResources is Signature but also distinguishing the resource
 // annotations: the stored identity of a joint plan (feedback observations,
 // golden files). To compare two plans in memory use Equal.
 func (n *Node) SignatureWithResources() string {
-	var b strings.Builder
-	n.writeSig(&b, true)
-	return b.String()
+	var buf [256]byte
+	return string(n.appendSig(buf[:0], true))
 }
 
-func (n *Node) writeSig(b *strings.Builder, withRes bool) {
+// appendSig appends the signature to b: built in a caller's buffer, it
+// costs the one allocation of the returned string.
+func (n *Node) appendSig(b []byte, withRes bool) []byte {
 	if n.IsScan() {
-		b.WriteString(n.Table)
-		return
+		return append(b, n.Table...)
 	}
-	b.WriteString(n.Algo.String())
+	b = append(b, n.Algo.String()...)
 	if withRes && !n.Res.IsZero() {
-		b.WriteByte('@')
-		b.WriteString(strconv.Itoa(n.Res.Containers))
-		b.WriteByte('x')
-		b.WriteString(strconv.FormatFloat(n.Res.ContainerGB, 'f', -1, 64))
-		b.WriteString("GB")
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(n.Res.Containers), 10)
+		b = append(b, 'x')
+		b = strconv.AppendFloat(b, n.Res.ContainerGB, 'f', -1, 64)
+		b = append(b, "GB"...)
 	}
-	b.WriteByte('(')
-	n.Left.writeSig(b, withRes)
-	b.WriteByte(',')
-	n.Right.writeSig(b, withRes)
-	b.WriteByte(')')
+	b = append(b, '(')
+	b = n.Left.appendSig(b, withRes)
+	b = append(b, ',')
+	b = n.Right.appendSig(b, withRes)
+	return append(b, ')')
 }
 
 // String renders the plan as a multi-line, indented operator tree.

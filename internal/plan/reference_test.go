@@ -3,7 +3,10 @@ package plan
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"raqo/internal/catalog"
@@ -181,4 +184,60 @@ func twinJoin(t testing.TB, s *catalog.Schema, a, b twin) (twin, error) {
 		twin{n, ref}.mustAgree(t)
 	}
 	return twin{heap, ref}, nil
+}
+
+// refWriteSig is the former writeSig, a strings.Builder grown operator by
+// operator: the oracle of appendSig.
+func refWriteSig(n *Node, b *strings.Builder, withRes bool) {
+	if n.IsScan() {
+		b.WriteString(n.Table)
+		return
+	}
+	b.WriteString(n.Algo.String())
+	if withRes && !n.Res.IsZero() {
+		b.WriteByte('@')
+		b.WriteString(strconv.Itoa(n.Res.Containers))
+		b.WriteByte('x')
+		b.WriteString(strconv.FormatFloat(n.Res.ContainerGB, 'f', -1, 64))
+		b.WriteString("GB")
+	}
+	b.WriteByte('(')
+	refWriteSig(n.Left, b, withRes)
+	b.WriteByte(',')
+	refWriteSig(n.Right, b, withRes)
+	b.WriteByte(')')
+}
+
+// TestSignatureMatchesReference holds both signatures to refWriteSig on
+// random TPC-H plans with random annotations: unplanned operators,
+// fractional and huge container sizes, and plans whose signature
+// outgrows the stack buffer.
+func TestSignatureMatchesReference(t *testing.T) {
+	s := catalog.TPCH(100)
+	rng := rand.New(rand.NewSource(36))
+	for i := 0; i < 2000; i++ {
+		tw, _ := randomTwin(t, rng, s, 1+rng.Intn(8), nil)
+		n := tw.node.Clone()
+		for _, j := range n.Joins() {
+			j.Algo = Algos[rng.Intn(len(Algos))]
+			switch rng.Intn(4) {
+			case 0: // unplanned
+			case 1:
+				j.Res = Resources{Containers: rng.Intn(1 << 20), ContainerGB: rng.Float64() * 1e6}
+			default:
+				j.Res = Resources{Containers: 1 + rng.Intn(100), ContainerGB: float64(rng.Intn(200)) / 10}
+			}
+		}
+		for _, withRes := range []bool{false, true} {
+			var want strings.Builder
+			refWriteSig(n, &want, withRes)
+			got := n.Signature()
+			if withRes {
+				got = n.SignatureWithResources()
+			}
+			if got != want.String() {
+				t.Fatalf("plan %d (resources %v): signature %q, refWriteSig %q", i, withRes, got, want.String())
+			}
+		}
+	}
 }

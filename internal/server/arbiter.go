@@ -1,14 +1,17 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
 
 	"raqo/internal/arbiter"
+	"raqo/internal/canonjson"
 	"raqo/internal/cloud"
 	"raqo/internal/feedback"
 	"raqo/internal/scheduler"
@@ -68,6 +71,67 @@ func (st *sim[A]) serveStats(w http.ResponseWriter, r *http.Request, stats func(
 	WriteResult(w, stats(st.arb))
 }
 
+// The submit bodies' canonical form is one JSON object of string members
+// among "tenant", "query" and "policy" (/v1/submit) or "recovery"
+// (/v1/cloud/submit), each spelled exactly and at most once, with values
+// of plain ASCII: canonjson.StringObject with these keys. decodeSubmit
+// decodes any other body, and one cut off by a read error, with
+// decodeStrict, so every 400 keeps encoding/json's text.
+var (
+	submitMembers      = []string{"tenant", "query", "policy"}
+	cloudSubmitMembers = []string{"tenant", "query", "recovery"}
+)
+
+// submitRequest is a SubmitRequest or a CloudSubmitRequest.
+type submitRequest interface {
+	// members returns its string fields in the order of its keys.
+	members() [3]*string
+}
+
+func (r *SubmitRequest) members() [3]*string { return [3]*string{&r.Tenant, &r.Query, &r.Policy} }
+
+func (r *CloudSubmitRequest) members() [3]*string {
+	return [3]*string{&r.Tenant, &r.Query, &r.Recovery}
+}
+
+// ScanSubmit scans body as a canonical POST /v1/submit body and returns
+// its tenant, query and policy members as slices of body, each nil when
+// absent. ok is false for any other body, which encoding/json decides.
+// The fleet router takes its routing key from it.
+func ScanSubmit(body []byte) (members [3][]byte, ok bool) {
+	ok = canonjson.StringObject(body, submitMembers, members[:])
+	return members, ok
+}
+
+// submitBodies pools the buffers submit bodies are read into.
+var submitBodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeSubmit reads a submit body whole and decodes it into req: itself
+// when keys' canonical form takes it, through decodeStrict on the same
+// bytes and the same read error otherwise.
+func decodeSubmit(w http.ResponseWriter, r *http.Request, keys []string, req submitRequest) error {
+	buf := submitBodies.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			buf.Reset()
+			submitBodies.Put(buf)
+		}
+	}()
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var vals [3][]byte
+	if readErr == nil && canonjson.StringObject(buf.Bytes(), keys, vals[:]) {
+		for i, f := range req.members() {
+			*f = string(vals[i])
+		}
+		return nil
+	}
+	var body io.Reader = buf
+	if readErr != nil {
+		body = io.MultiReader(body, failingReader{readErr})
+	}
+	return decodeStrict(body, req)
+}
+
 // SubmitRequest is the body of POST /v1/submit: one workload query for
 // the arbiter's shared cluster.
 type SubmitRequest struct {
@@ -119,6 +183,24 @@ func NewSubmitResponse(o *arbiter.Outcome) SubmitResponse {
 		Containers:     o.Containers,
 		ContainerGB:    o.ContainerGB,
 	}
+}
+
+func appendSubmitResponse(dst []byte, r SubmitResponse) ([]byte, bool) {
+	o := openObject(dst, "  ")
+	o.stringMember("tenant", r.Tenant)
+	o.stringMember("query", r.Query)
+	o.stringMember("policy", r.Policy)
+	o.floatMember("arrivalSeconds", r.ArrivalSeconds)
+	o.floatMember("startSeconds", r.StartSeconds)
+	o.floatMember("finishSeconds", r.FinishSeconds)
+	o.floatMember("queueSeconds", r.QueueSeconds)
+	o.floatMember("execSeconds", r.ExecSeconds)
+	o.floatMember("queueRunRatio", r.QueueRunRatio)
+	o.boolMember("replanned", r.Replanned)
+	o.boolMember("degraded", r.Degraded)
+	o.intMember("containers", int64(r.Containers))
+	o.floatMember("containerGB", r.ContainerGB)
+	return o.end()
 }
 
 // ArbiterStatsResponse is the body of GET /v1/arbiter/stats.
@@ -175,7 +257,7 @@ func (s *Server) Arbiter() *arbiter.Arbiter { return s.arb.arb }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeSubmit(w, r, submitMembers, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -202,7 +284,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	WriteResult(w, NewSubmitResponse(out))
+	writeFixed(w, NewSubmitResponse(out), appendSubmitResponse)
 }
 
 func (s *Server) handleArbiterStats(w http.ResponseWriter, r *http.Request) {

@@ -76,6 +76,29 @@ func NewCloudSubmitResponse(o *cloud.Outcome) CloudSubmitResponse {
 	}
 }
 
+func appendCloudSubmitResponse(dst []byte, r CloudSubmitResponse) ([]byte, bool) {
+	o := openObject(dst, "  ")
+	o.stringMember("tenant", r.Tenant)
+	o.stringMember("query", r.Query)
+	o.stringMember("recovery", r.Recovery)
+	o.stringMember("class", r.Class)
+	o.stringMember("tier", r.Tier)
+	o.floatMember("arrivalSeconds", r.ArrivalSeconds)
+	o.floatMember("startSeconds", r.StartSeconds)
+	o.floatMember("finishSeconds", r.FinishSeconds)
+	o.floatMember("queueSeconds", r.QueueSeconds)
+	o.floatMember("execSeconds", r.ExecSeconds)
+	o.intMember("preemptions", int64(r.Preemptions))
+	o.intMember("oomRetries", int64(r.OOMRetries))
+	o.boolMember("straggled", r.Straggled)
+	o.boolMember("degraded", r.Degraded)
+	o.boolMember("replanned", r.Replanned)
+	o.intMember("containers", int64(r.Containers))
+	o.floatMember("containerGB", r.ContainerGB)
+	o.floatMember("billUSD", float64(r.BillUSD))
+	return o.end()
+}
+
 // CloudPreemptRequest is the body of POST /v1/cloud/preempt: an
 // operator-triggered spot interruption storm.
 type CloudPreemptRequest struct {
@@ -98,7 +121,7 @@ func (s *Server) Cloud() *cloud.Arbiter { return s.cld.arb }
 
 func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 	var req CloudSubmitRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	if err := decodeSubmit(w, r, cloudSubmitMembers, &req); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -122,7 +145,7 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeSubmitError(w, err)
 		return
 	}
-	WriteResult(w, NewCloudSubmitResponse(out))
+	writeFixed(w, NewCloudSubmitResponse(out), appendCloudSubmitResponse)
 }
 
 func (s *Server) handleCloudPreempt(w http.ResponseWriter, r *http.Request) {

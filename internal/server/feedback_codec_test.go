@@ -24,7 +24,9 @@ import (
 // parentHandleFeedback is handleFeedback as it stood before the feedback
 // codec: encoding/json on the request stream, one Feed per observation,
 // each journal line re-encoded by AppendJSON. It is the reference the
-// handler's status, body and journal are held to.
+// handler's status, body and journal are held to, with one rule added
+// since: observedAt's wire domain, checked before anything else about the
+// observations.
 func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -35,13 +37,23 @@ func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("missing observations"))
 		return
 	}
+	now := time.Now().Unix()
+	for i := range req.Observations {
+		at := req.Observations[i].ObservedAt
+		if at == 0 {
+			at = now
+		}
+		if err := feedback.CheckObservedAt(at, now); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
+			return
+		}
+	}
 	for i := range req.Observations {
 		if err := req.Observations[i].Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
 			return
 		}
 	}
-	now := time.Now().Unix()
 	for i := range req.Observations {
 		o := req.Observations[i]
 		if o.ObservedAt == 0 {
@@ -472,4 +484,34 @@ func TestFeedbackBatchAllOrNothing(t *testing.T) {
 			t.Fatalf("store total %d after two accepted batches, want 6", got)
 		}
 	})
+}
+
+// TestFeedbackScratchResetHoldsNothing: a reset scratch goes back to the
+// pool with every observation and line slot it used zeroed, not merely
+// truncated, so the pool keeps no request's signatures, engine names or
+// operator slabs alive.
+func TestFeedbackScratchResetHoldsNothing(t *testing.T) {
+	sc := new(feedbackScratch)
+	sc.body.WriteString(`{"observations":[` +
+		`{"signature":"sig-a","engine":"hive","predictedSeconds":4,"observedSeconds":1,"observedAt":60,"operators":[{"algo":"SMJ","ssGB":1,"csGB":2,"nc":10,"predictedSeconds":4,"observedSeconds":1}]},` +
+		`{"signature":"sig-b","engine":"hive","predictedSeconds":8,"observedSeconds":2,"observedAt":120}]}`)
+	obs, lines, ok := feedback.DecodeBatch(sc.body.Bytes(), sc.obs, sc.lines)
+	if !ok || len(obs) != 2 {
+		t.Fatalf("canonical batch: ok %v, %d observations", ok, len(obs))
+	}
+	sc.obs, sc.lines = obs, lines
+	sc.reset()
+	if sc.body.Len() != 0 || len(sc.obs) != 0 || len(sc.lines) != 0 {
+		t.Fatalf("reset left %d body bytes, %d observations, %d lines", sc.body.Len(), len(sc.obs), len(sc.lines))
+	}
+	for i, o := range sc.obs[:cap(sc.obs)] {
+		if !reflect.DeepEqual(o, feedback.Observation{}) {
+			t.Errorf("pooled observation slot %d still holds %+v", i, o)
+		}
+	}
+	for i, l := range sc.lines[:cap(sc.lines)] {
+		if l != nil {
+			t.Errorf("pooled line slot %d still holds %q", i, l)
+		}
+	}
 }

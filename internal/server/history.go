@@ -8,7 +8,6 @@ import (
 	"strings"
 	"time"
 
-	"raqo/internal/feedback"
 	"raqo/internal/history"
 )
 
@@ -143,56 +142,40 @@ func writeHistory(w http.ResponseWriter, series string, from, to, step int64, ro
 	b.release()
 }
 
-// historyFloatKeys lead the float members of a HistoryBucket, in order.
-var historyFloatKeys = [...]string{
-	",\n      \"sum\": ",
-	",\n      \"min\": ",
-	",\n      \"max\": ",
-	",\n      \"mean\": ",
-	",\n      \"p50\": ",
-	",\n      \"p90\": ",
-	",\n      \"p99\": ",
-}
-
 // appendHistoryResponse appends the indented JSON of
-// newHistoryResponse(...) to dst; ok is false, and dst half written, when
-// the series name needs escaping or a value is not finite.
+// newHistoryResponse(...) to dst; ok is false, and what it appended not
+// that JSON, when the series name needs escaping or a value is not finite.
 func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows []history.Bucket) (_ []byte, ok bool) {
-	if !feedback.PlainString(series) {
-		return dst, false
-	}
-	dst = append(dst, "{\n  \"series\": \""...)
-	dst = append(dst, series...)
-	dst = append(dst, "\",\n  \"from\": "...)
-	dst = strconv.AppendInt(dst, from, 10)
-	dst = append(dst, ",\n  \"to\": "...)
-	dst = strconv.AppendInt(dst, to, 10)
-	dst = append(dst, ",\n  \"step\": "...)
-	dst = strconv.AppendInt(dst, step, 10)
-	dst = append(dst, ",\n  \"buckets\": ["...)
+	o := openObject(dst, "  ")
+	o.stringMember("series", series)
+	o.intMember("from", from)
+	o.intMember("to", to)
+	o.intMember("step", step)
+	o.key("buckets")
+	o.dst = append(o.dst, '[')
 	for i := range rows {
 		b := &rows[i]
 		q := b.Quantiles(0.5, 0.9, 0.99)
 		if i > 0 {
-			dst = append(dst, ',')
+			o.dst = append(o.dst, ',')
 		}
-		dst = append(dst, "\n    {\n      \"start\": "...)
-		dst = strconv.AppendInt(dst, b.Start, 10)
-		dst = append(dst, ",\n      \"count\": "...)
-		dst = strconv.AppendInt(dst, b.Count, 10)
-		for j, v := range [...]float64{b.Sum, b.Min, b.Max, b.Mean(), q[0], q[1], q[2]} {
-			if !feedback.Finite(v) {
-				return dst, false
-			}
-			dst = append(dst, historyFloatKeys[j]...)
-			dst = feedback.AppendFloat(dst, v)
-		}
-		dst = append(dst, "\n    }"...)
+		row := openObject(append(o.dst, "\n    "...), "      ")
+		row.intMember("start", b.Start)
+		row.intMember("count", b.Count)
+		row.floatMember("sum", b.Sum)
+		row.floatMember("min", b.Min)
+		row.floatMember("max", b.Max)
+		row.floatMember("mean", b.Mean())
+		row.floatMember("p50", q[0])
+		row.floatMember("p90", q[1])
+		row.floatMember("p99", q[2])
+		o.dst, o.ok = row.close(), o.ok && row.ok
 	}
 	if len(rows) > 0 {
-		dst = append(dst, "\n  "...)
+		o.dst = append(o.dst, "\n  "...)
 	}
-	return append(dst, "]\n}\n"...), true
+	o.dst = append(o.dst, ']')
+	return o.end()
 }
 
 // gatherHistory samples every telemetry series into the history store at

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"raqo/internal/feedback"
 )
@@ -163,5 +166,69 @@ func TestHistoryGatherSamplesTelemetry(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("store self-metrics missing from %v", list.Series)
+	}
+}
+
+// TestFeedbackObservedAtDomain: POST /v1/feedback answers 400 for an
+// observedAt more than feedback.MaxClockSkewSeconds ahead of the server
+// clock and for a negative one, and the refused batches leave the history
+// store answering as before, across a restart. Accepted, the point stamped
+// ten years ahead would move the store's high-water mark there, and the
+// restart's seal and retention pass would age out its whole past: the
+// two-hour range below would lose its 120 buckets. Old timestamps stay
+// accepted.
+func TestFeedbackObservedAtDomain(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{HistoryDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	post := func(ats ...int64) int {
+		t.Helper()
+		obs := make([]feedback.Observation, len(ats))
+		for i, at := range ats {
+			obs[i] = validObservation(i)
+			obs[i].ObservedAt = at
+		}
+		resp := postJSON(t, ts.URL+"/v1/feedback", FeedbackRequest{Observations: obs})
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	now := time.Now().Unix()
+	start := now/60*60 - 7200
+	past := make([]int64, 120)
+	for i := range past {
+		past[i] = start + int64(60*i)
+	}
+	if code := post(past...); code != http.StatusOK {
+		t.Fatalf("two hours of honest points: status %d", code)
+	}
+	q := fmt.Sprintf("?series=feedback.relerr.hive.query&from=%d&to=%d&step=60", start, start+7200)
+	var before HistoryResponse
+	decodeBodyInto(t, getHistory(t, ts.URL, q, http.StatusOK), &before)
+	if len(before.Buckets) != 120 {
+		t.Fatalf("the two-hour range has %d buckets, want 120", len(before.Buckets))
+	}
+	for _, at := range []int64{now + 10*365*86400, now + 2*feedback.MaxClockSkewSeconds, -1, math.MinInt64} {
+		if code := post(now, at); code != http.StatusBadRequest {
+			t.Errorf("observedAt %d (server clock %d): status %d, want 400", at, now, code)
+		}
+	}
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts = newTestServer(t, Config{HistoryDir: dir})
+	var after HistoryResponse
+	decodeBodyInto(t, getHistory(t, ts.URL, q, http.StatusOK), &after)
+	if !reflect.DeepEqual(after, before) {
+		t.Errorf("after a restart the two-hour range has %d buckets, had %d", len(after.Buckets), len(before.Buckets))
+	}
+	// A 2023 timestamp, as the repository benchmark sends, and one just
+	// inside the skew.
+	if code := post(1_672_531_200, now+feedback.MaxClockSkewSeconds/2); code != http.StatusOK {
+		t.Fatalf("old and slightly early timestamps: status %d, want 200", code)
 	}
 }

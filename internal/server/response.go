@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"raqo/internal/canonjson"
 	"raqo/internal/core"
 	"raqo/internal/feedback"
 	"raqo/internal/plan"
@@ -173,25 +174,13 @@ type FeedbackResponse struct {
 	Drifted  bool  `json:"drifted"`  // drift detector state after ingestion
 }
 
-// writeFeedbackResponse sends WriteResult's bytes for r, written field by
-// field: four members of fixed shape, none of which can fail to encode.
-func writeFeedbackResponse(w http.ResponseWriter, r FeedbackResponse) {
-	b := jsonBuffers.Get().(*jsonBuffer)
-	b.out = appendFeedbackResponse(b.out[:0], r)
-	writeEncoded(w, b.out)
-	b.release()
-}
-
-func appendFeedbackResponse(dst []byte, r FeedbackResponse) []byte {
-	dst = append(dst, "{\n  \"accepted\": "...)
-	dst = strconv.AppendInt(dst, int64(r.Accepted), 10)
-	dst = append(dst, ",\n  \"stored\": "...)
-	dst = strconv.AppendInt(dst, int64(r.Stored), 10)
-	dst = append(dst, ",\n  \"total\": "...)
-	dst = strconv.AppendInt(dst, r.Total, 10)
-	dst = append(dst, ",\n  \"drifted\": "...)
-	dst = strconv.AppendBool(dst, r.Drifted)
-	return append(dst, "\n}\n"...)
+func appendFeedbackResponse(dst []byte, r FeedbackResponse) ([]byte, bool) {
+	o := openObject(dst, "  ")
+	o.intMember("accepted", int64(r.Accepted))
+	o.intMember("stored", int64(r.Stored))
+	o.intMember("total", r.Total)
+	o.boolMember("drifted", r.Drifted)
+	return o.end()
 }
 
 // ModelResponse is the body of GET /v1/model: the live cost-model version
@@ -350,4 +339,93 @@ func appendNewline(dst []byte, depth int) []byte {
 		dst = append(dst, ' ', ' ')
 	}
 	return dst
+}
+
+// The fixed-shape encoders write WriteResult's bytes for one response type
+// member by member, with no reflection: the feedback acknowledgement, the
+// two submit outcomes and the history range (history.go). A value they
+// cannot write as it stands — a string json.Marshal would escape, a float
+// it refuses — goes through WriteResult itself, so a NaN is still its 500.
+// TestFixedEncodersMatchWriteResult holds each to WriteResult.
+
+// writeFixed answers v with appendV's bytes, or through WriteResult when
+// appendV cannot write v.
+func writeFixed[T any](w http.ResponseWriter, v T, appendV func([]byte, T) ([]byte, bool)) {
+	b := jsonBuffers.Get().(*jsonBuffer)
+	out, ok := appendV(b.out[:0], v)
+	b.out = out
+	if ok {
+		writeEncoded(w, out)
+	} else {
+		WriteResult(w, v)
+	}
+	b.release()
+}
+
+// object appends one JSON object in WriteJSON's layout: "{", each member
+// on a line of its own at indent as `"key": value`, commas between them,
+// and "}" on a line two spaces shallower than indent ("{}" when empty).
+// ok turns false at a string that needs escaping or a non-finite float;
+// what was appended is then not the encoding.
+type object struct {
+	dst    []byte
+	indent string // the members' indentation
+	n      int    // members appended
+	ok     bool
+}
+
+func openObject(dst []byte, indent string) object {
+	return object{dst: append(dst, '{'), indent: indent, ok: true}
+}
+
+// key appends a member's lead: the separator, the line break, the indent
+// and the key. Keys are the response types' own names: plain, unescaped.
+func (o *object) key(k string) {
+	if o.n > 0 {
+		o.dst = append(o.dst, ',')
+	}
+	o.n++
+	o.dst = append(o.dst, '\n')
+	o.dst = append(o.dst, o.indent...)
+	o.dst = append(o.dst, '"')
+	o.dst = append(o.dst, k...)
+	o.dst = append(o.dst, '"', ':', ' ')
+}
+
+func (o *object) intMember(k string, v int64) {
+	o.key(k)
+	o.dst = strconv.AppendInt(o.dst, v, 10)
+}
+
+func (o *object) boolMember(k string, v bool) {
+	o.key(k)
+	o.dst = strconv.AppendBool(o.dst, v)
+}
+
+func (o *object) floatMember(k string, v float64) {
+	o.ok = o.ok && canonjson.Finite(v)
+	o.key(k)
+	o.dst = canonjson.AppendFloat(o.dst, v)
+}
+
+func (o *object) stringMember(k, v string) {
+	o.ok = o.ok && canonjson.PlainString(v)
+	o.key(k)
+	o.dst = append(o.dst, '"')
+	o.dst = append(o.dst, v...)
+	o.dst = append(o.dst, '"')
+}
+
+// close appends the closing brace.
+func (o *object) close() []byte {
+	if o.n > 0 {
+		o.dst = append(o.dst, '\n')
+		o.dst = append(o.dst, o.indent[2:]...)
+	}
+	return append(o.dst, '}')
+}
+
+// end closes a top-level object and appends the encoder's newline.
+func (o *object) end() ([]byte, bool) {
+	return append(o.close(), '\n'), o.ok
 }

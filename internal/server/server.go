@@ -834,12 +834,18 @@ var feedbackScratchPool = sync.Pool{New: func() any { return new(feedbackScratch
 
 // release returns sc to the pool holding nothing of the request it served.
 func (sc *feedbackScratch) release() {
+	sc.reset()
+	feedbackScratchPool.Put(sc)
+}
+
+// reset empties sc, zeroing the observations and lines it held so that a
+// pooled scratch keeps no request's strings and slices alive.
+func (sc *feedbackScratch) reset() {
 	sc.body.Reset()
 	clear(sc.obs)
 	sc.obs = sc.obs[:0]
 	clear(sc.lines)
 	sc.lines = sc.lines[:0]
-	feedbackScratchPool.Put(sc)
 }
 
 // failingReader yields err: what a decoder met after the body bytes that
@@ -896,6 +902,10 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			// the history store is concerned.
 			obs[i].ObservedAt = now
 		}
+		if err := feedback.CheckObservedAt(obs[i].ObservedAt, now); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
+			return
+		}
 	}
 	if err := s.rec.FeedBatch(obs, lines); err != nil {
 		var invalid *feedback.InvalidError
@@ -917,12 +927,12 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeFeedbackResponse(w, FeedbackResponse{
+	writeFixed(w, FeedbackResponse{
 		Accepted: len(obs),
 		Stored:   s.rec.Store().Len(),
 		Total:    s.rec.Store().Total(),
 		Drifted:  s.rec.Detector().Drifted(),
-	})
+	}, appendFeedbackResponse)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {

@@ -551,11 +551,40 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestRequestCounterLabelledByRoute: the per-endpoint request counter is
+// labelled with the route, never the request path, so a path parameter
+// (an explain's query name) cannot grow the series without bound.
+func TestRequestCounterLabelledByRoute(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, q := range []string{"Q12", "Q3"} {
+		resp, err := http.Get(ts.URL + "/v1/explain/" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/explain/%s: status %d", q, resp.StatusCode)
+		}
+	}
+	if got := s.metrics.Requests.With("/v1/explain").Value(); got != 2 {
+		t.Errorf(`raqo_http_requests_total{endpoint="/v1/explain"} = %d, want 2`, got)
+	}
+	var text strings.Builder
+	if err := s.metrics.Registry.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(text.String(), "/v1/explain/Q") {
+		t.Errorf("a series is labelled with an explain request's path:\n%s", text.String())
+	}
+}
+
 // TestServeGracefulDrain starts the real listener on an ephemeral port,
-// confirms it serves, then cancels the context and checks Serve returns
-// cleanly after draining.
+// with the history gather loop running, confirms it serves, then cancels
+// the context and checks Serve returns cleanly after draining: every
+// background loop, the gather included, stops on cancellation.
 func TestServeGracefulDrain(t *testing.T) {
-	s, err := New(Config{})
+	s, err := New(Config{HistoryDir: t.TempDir(), HistoryInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
@@ -579,6 +608,12 @@ func TestServeGracefulDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status = %d", resp.StatusCode)
+	}
+	for deadline := time.Now().Add(10 * time.Second); s.History().Stats().CommittedTotal == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the gather loop never committed a point")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	cancel()
 	select {

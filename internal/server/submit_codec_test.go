@@ -1,0 +1,303 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+
+	"raqo/internal/canonjson"
+	"raqo/internal/cloud"
+	"raqo/internal/scheduler"
+	"raqo/internal/units"
+)
+
+// parentHandleSubmit and parentHandleCloudSubmit are the submit handlers
+// as they stood before the canonical scanner and the fixed-shape encoders:
+// encoding/json on the request stream, WriteResult on the outcome. They
+// are the reference the handlers' statuses, headers and bodies are held to.
+func parentHandleSubmit(s *Server, w http.ResponseWriter, r *http.Request) {
+	var req SubmitRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Tenant == "" {
+		req.Tenant = "default"
+	}
+	if req.Policy == "" {
+		req.Policy = scheduler.Reoptimize.String()
+	}
+	policy, err := scheduler.ParsePolicy(req.Policy)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Query == "" {
+		writeError(w, http.StatusBadRequest, errors.New("missing query"))
+		return
+	}
+	s.arb.mu.Lock()
+	out, err := s.arb.arb.SubmitWait(req.Tenant, req.Query, policy)
+	s.arb.mu.Unlock()
+	if err != nil {
+		s.writeSubmitError(w, err)
+		return
+	}
+	WriteResult(w, NewSubmitResponse(out))
+}
+
+func parentHandleCloudSubmit(s *Server, w http.ResponseWriter, r *http.Request) {
+	var req CloudSubmitRequest
+	if err := decodeBody(w, r, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Tenant == "" {
+		req.Tenant = "default"
+	}
+	rec, err := cloud.ParseRecovery(req.Recovery)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if req.Query == "" {
+		writeError(w, http.StatusBadRequest, errors.New("missing query"))
+		return
+	}
+	s.cld.mu.Lock()
+	out, err := s.cld.arb.SubmitWait(req.Tenant, req.Query, rec)
+	s.cld.mu.Unlock()
+	if err != nil {
+		s.writeSubmitError(w, err)
+		return
+	}
+	WriteResult(w, NewCloudSubmitResponse(out))
+}
+
+// submitPair is two servers built alike: one answers through the
+// handlers, the other through the parent's. Fed the same bodies in the
+// same order, their arbiters stay in the same state as long as every
+// answer agrees.
+type submitPair struct{ s, ref *Server }
+
+func newSubmitPair(tb testing.TB) submitPair {
+	tb.Helper()
+	var p submitPair
+	for _, s := range []**Server{&p.s, &p.ref} {
+		var err error
+		if *s, err = New(Config{CloudSeed: 7, ArbiterCapacity: 40}); err != nil {
+			tb.Fatal(err)
+		}
+		srv := *s
+		tb.Cleanup(func() { _ = srv.Close() })
+	}
+	return p
+}
+
+// checkSubmitBody holds both submit codecs to encoding/json on one body:
+// what the scanner takes, decodeStrict decodes to the same request, and
+// ScanSubmit's tenant is json.Unmarshal's; taken or declined, each handler
+// answers with the parent's status, headers and bytes.
+func (p submitPair) checkSubmitBody(t *testing.T, body []byte) {
+	t.Helper()
+	var m [3][]byte
+	if canonjson.StringObject(body, submitMembers, m[:]) {
+		var req SubmitRequest
+		if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+			t.Fatalf("scanner takes /v1/submit body %s, decodeStrict says %v", clip(body), err)
+		}
+		if want := (SubmitRequest{Tenant: string(m[0]), Query: string(m[1]), Policy: string(m[2])}); req != want {
+			t.Fatalf("/v1/submit body %s: scanner %+v, encoding/json %+v", clip(body), want, req)
+		}
+	}
+	if canonjson.StringObject(body, cloudSubmitMembers, m[:]) {
+		var req CloudSubmitRequest
+		if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+			t.Fatalf("scanner takes /v1/cloud/submit body %s, decodeStrict says %v", clip(body), err)
+		}
+		if want := (CloudSubmitRequest{Tenant: string(m[0]), Query: string(m[1]), Recovery: string(m[2])}); req != want {
+			t.Fatalf("/v1/cloud/submit body %s: scanner %+v, encoding/json %+v", clip(body), want, req)
+		}
+	}
+	if m, ok := ScanSubmit(body); ok {
+		var req struct {
+			Tenant string `json:"tenant"`
+		}
+		if err := json.Unmarshal(body, &req); err != nil || req.Tenant != string(m[0]) {
+			t.Fatalf("body %s: ScanSubmit's tenant %q, json.Unmarshal's %q (%v)", clip(body), m[0], req.Tenant, err)
+		}
+	}
+
+	for _, h := range []struct {
+		path        string
+		handle, ref func(*Server, http.ResponseWriter, *http.Request)
+	}{
+		{"/v1/submit", (*Server).handleSubmit, parentHandleSubmit},
+		{"/v1/cloud/submit", (*Server).handleCloudSubmit, parentHandleCloudSubmit},
+	} {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		h.handle(p.s, got, httptest.NewRequest(http.MethodPost, h.path, bytes.NewReader(body)))
+		h.ref(p.ref, want, httptest.NewRequest(http.MethodPost, h.path, bytes.NewReader(body)))
+		if got.Code != want.Code || got.Body.String() != want.Body.String() {
+			t.Fatalf("%s body %s\n answered %d %s\n parent   %d %s", h.path, clip(body), got.Code, got.Body, want.Code, want.Body)
+		}
+		if !reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Fatalf("%s body %s: headers %v, parent %v", h.path, clip(body), got.Header(), want.Header())
+		}
+	}
+}
+
+// submitSeeds are submit bodies in and out of the canonical form: the
+// benchmark's shapes, whitespace, every key and policy, and each way to
+// leave the form (case, escapes, repeats, null, numbers, trailing data,
+// non-ASCII, unknown names).
+var submitSeeds = []string{
+	`{"tenant":"default","query":"Q12","policy":"wait"}`,
+	`{"tenant":"default","query":"Q3","recovery":"ondemand"}`,
+	`{"query":"Q2","policy":"degrade"}`,
+	`{"query":"All","recovery":"degrade"}`,
+	`{"query":"Q12"}`,
+	" \t\r\n{ \"query\" : \"Q3\" , \"tenant\" : \"default\" } \n",
+	`{}`,
+	`{"tenant":""}`,
+	`{"query":""}`,
+	`{"Query":"Q12"}`,
+	`{"query":"Q12","query":"Q3"}`,
+	`{"query":"Q1\u0032"}`,
+	`{"query":"Q12","policy":"wa\/it"}`,
+	`{"query":null}`,
+	`{"query":12}`,
+	`{"query":["Q12"]}`,
+	`{"query":"Q12"}x`,
+	`{"query":"Q12"}{}`,
+	`{"query":"Q12",}`,
+	`{"query":"Q12"`,
+	`{"query" "Q12"}`,
+	"{\"query\":\"Q\xff\"}",
+	"{\"query\":\"Q\x01\"}",
+	"{\"query\":\"Q\u00e9\"}",
+	`[]`,
+	`null`,
+	``,
+	`{"tenant":"ghost","query":"Q12"}`,
+	`{"query":"nope"}`,
+	`{"query":"Q12","policy":"bogus"}`,
+	`{"query":"Q12","recovery":"bogus"}`,
+	`{"query":"Q12","policy":"wait","recovery":"ondemand"}`,
+	`{"query":"Q12","extra":"x"}`,
+	`{"query":"All","policy":"wait"}`,
+}
+
+// TestSubmitCodecMatchesParent runs every seed, plus bodies over the
+// request-size bound, through both handlers twice: the second pass meets
+// arbiters the first pass changed.
+func TestSubmitCodecMatchesParent(t *testing.T) {
+	p := newSubmitPair(t)
+	pad := strings.Repeat(" ", maxBodyBytes)
+	bodies := append([]string(nil), submitSeeds...)
+	bodies = append(bodies,
+		`{"query":"Q12"}`+pad,                  // a canonical value, then whitespace past the bound
+		`{"query":"Q12"} x`+pad,                // trailing data inside the bound, then past it
+		`{"query":"Q12`+pad+`"}`,               // a string that crosses the bound
+		pad[:maxBodyBytes-20]+`{"query":"Q3"}`, // inside the bound, barely
+	)
+	for pass := 0; pass < 2; pass++ {
+		for _, b := range bodies {
+			p.checkSubmitBody(t, []byte(b))
+		}
+	}
+}
+
+func FuzzSubmitDecode(f *testing.F) {
+	for _, s := range submitSeeds {
+		f.Add([]byte(s))
+	}
+	p := newSubmitPair(f)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		p.checkSubmitBody(t, body)
+	})
+}
+
+// checkFixed answers v through its fixed-shape encoder and through
+// WriteResult, and fails unless the status, the headers and the bytes
+// agree.
+func checkFixed[T any](t *testing.T, v T, appendV func([]byte, T) ([]byte, bool)) {
+	t.Helper()
+	got, want := httptest.NewRecorder(), httptest.NewRecorder()
+	writeFixed(got, v, appendV)
+	WriteResult(want, v)
+	if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) || !reflect.DeepEqual(got.Header(), want.Header()) {
+		t.Fatalf("%#v:\n fixed       %d %v %q\n WriteResult %d %v %q", v,
+			got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+	}
+}
+
+// TestFixedEncodersMatchWriteResult holds the feedback, submit and cloud
+// submit encoders to WriteResult on live outcomes and on random values:
+// floats across every magnitude and both exponent forms, NaN and the
+// infinities (WriteResult's 500), and names json.Marshal escapes.
+func TestFixedEncodersMatchWriteResult(t *testing.T) {
+	s, err := New(Config{CloudSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	for _, q := range []string{"Q12", "Q3", "Q2", "All"} {
+		sub, err := s.arb.arb.SubmitWait("default", q, scheduler.Degrade)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFixed(t, NewSubmitResponse(sub), appendSubmitResponse)
+		csub, err := s.cld.arb.SubmitWait("default", q, cloud.RecoverOnDemand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkFixed(t, NewCloudSubmitResponse(csub), appendCloudSubmitResponse)
+	}
+
+	rng := rand.New(rand.NewSource(36))
+	special := []float64{0, math.Copysign(0, -1), 1e-6, 9.99e-7, 1e-7, 5e-324, 1e20, 1e21, 1.5e21, math.MaxFloat64, -1e-300,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return math.Float64frombits(rng.Uint64()) // NaN now and then
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+		}
+	}
+	names := []string{"default", "etl", "", "tenant-7", awkward, "<b>&", "ünï", `a"b`, "tab\there", "Q12"}
+	name := func() string { return names[rng.Intn(len(names))] }
+	for i := 0; i < 3000; i++ {
+		checkFixed(t, SubmitResponse{
+			Tenant: name(), Query: name(), Policy: name(),
+			ArrivalSeconds: float(), StartSeconds: float(), FinishSeconds: float(),
+			QueueSeconds: float(), ExecSeconds: float(), QueueRunRatio: float(),
+			Replanned: rng.Intn(2) == 0, Degraded: rng.Intn(2) == 0,
+			Containers: rng.Intn(1 << 20), ContainerGB: float(),
+		}, appendSubmitResponse)
+		checkFixed(t, CloudSubmitResponse{
+			Tenant: name(), Query: name(), Recovery: name(), Class: name(), Tier: name(),
+			ArrivalSeconds: float(), StartSeconds: float(), FinishSeconds: float(),
+			QueueSeconds: float(), ExecSeconds: float(),
+			Preemptions: rng.Intn(9) - 1, OOMRetries: rng.Intn(9),
+			Straggled: rng.Intn(2) == 0, Degraded: rng.Intn(2) == 0, Replanned: rng.Intn(2) == 0,
+			Containers: rng.Intn(1 << 20), ContainerGB: float(), BillUSD: units.USD(float()),
+		}, appendCloudSubmitResponse)
+		checkFixed(t, FeedbackResponse{
+			Accepted: rng.Intn(1 << 16), Stored: rng.Int(), Total: rng.Int63() - rng.Int63(), Drifted: rng.Intn(2) == 0,
+		}, appendFeedbackResponse)
+	}
+	checkFixed(t, SubmitResponse{}, appendSubmitResponse)
+	checkFixed(t, CloudSubmitResponse{}, appendCloudSubmitResponse)
+	checkFixed(t, FeedbackResponse{}, appendFeedbackResponse)
+}
