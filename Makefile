@@ -69,8 +69,11 @@ race:
 # takes, encoding/json decodes to the same request; taken or declined, each
 # handler answers with the status, headers and bytes it gave before the
 # scanner) and the fleet router's submit and optimize keys on arbitrary
-# bytes (the keys json.Unmarshal gave). (The seed corpora already run
-# under plain `go test`.)
+# bytes (the keys json.Unmarshal gave), and /v1/optimize request sequences
+# decoded from bytes, with model installs between them, through a new
+# server's handler (every answer's modelled time, plan and resources equal
+# a fresh optimizer's under the live models, whatever came before). (The
+# seed corpora already run under plain `go test`.)
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -88,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s ./internal/cloud
 	$(GO) test -run '^$$' -fuzz FuzzSubmitDecode -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzServedOrder -fuzztime=10s ./internal/server
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

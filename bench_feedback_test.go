@@ -181,13 +181,11 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 }
 
 // BenchmarkRecalibrate measures one full recalibration over the
-// accumulated grid: filtering, cost.Train, versioned swap and the
-// CAS-guarded cache reset.
+// accumulated grid: filtering, cost.Train and the versioned swap.
 func BenchmarkRecalibrate(b *testing.B) {
 	obs := benchObservations(b)
 	store := feedback.NewStore(len(obs), nil)
 	rec := feedback.NewRecalibrator(store, feedback.NewDetector(feedback.DriftConfig{}), raqo.PaperModels())
-	rec.Cache = raqo.CachedResourcePlanner(1)
 	for _, o := range obs {
 		if err := rec.Feed(o); err != nil {
 			b.Fatal(err)

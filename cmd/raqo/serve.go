@@ -184,7 +184,7 @@ func parseFleetFlags(peers, nodeID string) (fleet.Config, error) {
 
 // serveCmd runs the long-running optimizer service: the RAQO component of
 // the paper's Figure 8 architecture, serving joint (plan, resource)
-// decisions over HTTP with a process-wide warm cache, admission control,
+// decisions over HTTP with process-wide warm memos, admission control,
 // the execution-feedback loop and Prometheus metrics. SIGINT/SIGTERM
 // drain gracefully.
 func serveCmd(args []string) error {

@@ -46,14 +46,15 @@ type goldenDecision struct {
 var goldenRandomized = randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2}
 
 // goldenRegimes are the two optimizer configurations the pinned decisions
-// are planned under.
+// are planned under. A zero thresholdGB plans without a resource-plan
+// cache.
 var goldenRegimes = []struct {
 	name        string
 	thresholdGB float64
 	memo        bool
 }{
 	{"plan_scale", 0.01, false}, // the benchmark's cold-planning regime
-	{"served", 1, true},         // what server.New installs
+	{"served", 0, true},         // what server.New installs
 }
 
 // goldenQuery is one query of the pinned set with the planner it runs on.
@@ -114,23 +115,26 @@ func goldenDecisions(t *testing.T) []goldenDecision {
 	queries := goldenQueries(t)
 	var out []goldenDecision
 	for _, regime := range goldenRegimes {
-		opts := map[core.PlannerKind]*core.Optimizer{}
+		optimizers := map[core.PlannerKind]*core.Optimizer{}
 		for _, planner := range []core.PlannerKind{core.Selinger, core.FastRandomized} {
-			o, err := core.New(cluster.Default(), core.Options{
+			opts := core.Options{
 				Planner:      planner,
 				Models:       models,
-				Resource:     &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: regime.thresholdGB},
 				Seed:         7,
 				Randomized:   goldenRandomized,
 				MemoizeCosts: regime.memo,
-			})
+			}
+			if regime.thresholdGB > 0 {
+				opts.Resource = &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: regime.thresholdGB}
+			}
+			o, err := core.New(cluster.Default(), opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts[planner] = o
+			optimizers[planner] = o
 		}
 		for _, gq := range queries {
-			d, err := opts[gq.planner].Optimize(gq.q)
+			d, err := optimizers[gq.planner].Optimize(gq.q)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", regime.name, gq.name, err)
 			}

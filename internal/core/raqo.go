@@ -64,12 +64,13 @@ type Options struct {
 	// across queries/Reoptimize calls under unchanged conditions — skip
 	// CostOperator entirely. Off by default because it changes the
 	// ResourceIterations/cache-hit accounting the paper's figures measure.
-	// The memo is the cross-call reuse, and it is inexact: it keeps serving
-	// a costing after the resource-plan cache behind it would answer
-	// differently. Without it, a planning call still reuses the cache's
-	// answers within the call (see Coster), but only exactly: never an
-	// answer the cache would not give at that instant, and with the
-	// accounting unchanged.
+	// The memo is the cross-call reuse. Behind a bare HillClimb, a pure
+	// function of (model, size, conditions), it is exact: a hit is what the
+	// miss computed. Behind a resource.Cache it is not: it keeps serving a
+	// costing after the cache would answer differently. Without it, a
+	// planning call still reuses the cache's answers within the call (see
+	// Coster), but only exactly: never an answer the cache would not give
+	// at that instant, and with the accounting unchanged.
 	MemoizeCosts bool
 }
 

@@ -308,11 +308,6 @@ func (v Vector) DominatesApprox(o Vector, eps float64) bool {
 	return v.Time <= o.Time*f && float64(v.Money) <= float64(o.Money)*f
 }
 
-// Weighted scalarizes the vector; weights must be non-negative.
-func (v Vector) Weighted(wTime, wMoney float64) float64 {
-	return wTime*v.Time + wMoney*float64(v.Money)
-}
-
 // PlanVector computes both objectives for a fully resource-annotated plan.
 func (m *Models) PlanVector(p *plan.Node, pr Pricing) (Vector, error) {
 	t, err := m.PlanCost(p)

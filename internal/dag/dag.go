@@ -61,15 +61,6 @@ type Stage struct {
 	Deps []int
 }
 
-// MapTasks returns the number of map tasks, from 256 MB input splits.
-func (s *Stage) MapTasks() int {
-	n := int(math.Ceil(s.ProbeGB / SplitGB))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // AutoReducers returns Hive's automatic reducer count for the stage
 // (roughly one reducer per 256 MB of shuffled data), which the paper
 // reports "gave us close to optimal performance".

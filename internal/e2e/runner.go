@@ -27,15 +27,6 @@ type WorkloadReport struct {
 	RAQO    []QueryOutcome
 }
 
-// Totals sums seconds and dollars for one strategy's outcomes.
-func Totals(outcomes []QueryOutcome) (seconds float64, money units.Dollars) {
-	for _, o := range outcomes {
-		seconds += o.Seconds
-		money += o.Money
-	}
-	return seconds, money
-}
-
 // RunComparison executes every query twice on the engine simulator:
 //
 //   - Default practice: the engine's rule-based plan (the 10 MB broadcast

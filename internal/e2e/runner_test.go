@@ -9,6 +9,7 @@ import (
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
+	"raqo/internal/units"
 	"raqo/internal/workload"
 )
 
@@ -36,13 +37,22 @@ func comparisonReport(t *testing.T) *WorkloadReport {
 	return report
 }
 
+// totals sums seconds and dollars for one strategy's outcomes.
+func totals(outcomes []QueryOutcome) (seconds float64, money units.Dollars) {
+	for _, o := range outcomes {
+		seconds += o.Seconds
+		money += o.Money
+	}
+	return seconds, money
+}
+
 func TestRunComparisonEndToEnd(t *testing.T) {
 	report := comparisonReport(t)
 	if len(report.Default) != len(workload.QueryNames) || len(report.RAQO) != len(workload.QueryNames) {
 		t.Fatalf("outcomes: %d default, %d raqo", len(report.Default), len(report.RAQO))
 	}
-	defSecs, defMoney := Totals(report.Default)
-	raqoSecs, raqoMoney := Totals(report.RAQO)
+	defSecs, defMoney := totals(report.Default)
+	raqoSecs, raqoMoney := totals(report.RAQO)
 	if defSecs <= 0 || raqoSecs <= 0 || defMoney <= 0 || raqoMoney <= 0 {
 		t.Fatalf("totals: %v/%v, %v/%v", defSecs, raqoSecs, defMoney, raqoMoney)
 	}

@@ -76,7 +76,9 @@ func FeedbackConvergence() (*Report, error) {
 		feedback.NewDetector(feedback.DriftConfig{MinSamples: 8}),
 		seed,
 	)
-	rec.Cache = cache
+	// The cache column counts model swaps: each one invalidates the cache,
+	// as a planner caching under the old models would have to.
+	rec.OnSwap(func(feedback.Recalibration, *feedback.ModelInfo) { cache.Reset() })
 
 	rep := &Report{
 		ID:    "feedback",

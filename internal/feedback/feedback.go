@@ -20,8 +20,8 @@
 //     model has drifted.
 //   - Recalibrator: on drift, re-runs cost.Train on the accumulated
 //     operator samples, swaps the model set in atomically (versioned, via
-//     atomic pointer) and bumps the resource-plan cache generation so
-//     stale configurations are re-planned under the new model.
+//     atomic pointer) and runs the swap hooks, through which optimizers
+//     re-plan under the new model.
 //   - Observer: converts execsim results (or scheduler outcomes) into
 //     observations, predicting with the live model set so the recorded
 //     error always measures the model that was actually in charge.

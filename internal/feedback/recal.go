@@ -11,7 +11,6 @@ import (
 
 	"raqo/internal/cost"
 	"raqo/internal/plan"
-	"raqo/internal/resource"
 	"raqo/internal/stats"
 )
 
@@ -46,12 +45,11 @@ func (mi *ModelInfo) ModelNames() []string {
 
 // Recalibration describes one completed recalibration.
 type Recalibration struct {
-	Version    uint64        // the new model version
-	Samples    int           // profile samples trained on
-	Retrained  []string      // algorithms refitted (sorted)
-	Carried    []string      // algorithms carried over from the prior version (sorted)
-	CacheReset bool          // whether the resource-plan cache generation advanced
-	Duration   time.Duration // wall time of the train+swap
+	Version   uint64        // the new model version
+	Samples   int           // profile samples trained on
+	Retrained []string      // algorithms refitted (sorted)
+	Carried   []string      // algorithms carried over from the prior version (sorted)
+	Duration  time.Duration // wall time of the train+swap
 	// Installed marks a swap that adopted an externally trained set (a
 	// fleet peer's publication) rather than retraining locally.
 	Installed bool
@@ -59,15 +57,10 @@ type Recalibration struct {
 
 // Recalibrator owns the live cost-model version and performs online
 // recalibration: retrain from the store's accumulated samples, swap the
-// versioned model set in atomically, invalidate the resource-plan cache,
-// then notify subscribers. Safe for concurrent use; recalibrations are
-// serialized.
+// versioned model set in atomically, then notify subscribers, whose OnSwap
+// hooks repoint their optimizers and drop what was planned under the old
+// set. Safe for concurrent use; recalibrations are serialized.
 type Recalibrator struct {
-	// Cache, when set, has its generation bumped (CAS-guarded) after each
-	// model swap so stale resource plans are re-planned under the new
-	// model.
-	Cache *resource.Cache
-
 	store *Store
 	det   *Detector
 	cur   atomic.Pointer[ModelInfo]
@@ -166,18 +159,11 @@ var errNotEnoughSamples = fmt.Errorf("feedback: no algorithm has enough samples 
 // Recalibrate unconditionally retrains from the store and swaps the model
 // set. Algorithms with fewer than stats.NumFeatures+1 samples keep their
 // current model (carried forward under its existing name); at least one
-// algorithm must be trainable. The resource-plan cache generation is
-// advanced with a CAS against the generation observed before training, so
-// a cache another component reset mid-train is not clobbered again.
+// algorithm must be trainable.
 func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	start := time.Now()
-
-	var gen0 uint64
-	if r.Cache != nil {
-		gen0 = r.Cache.Stats().Generation
-	}
 
 	profiles := r.store.Profiles()
 	trainable := make([]cost.Profile, 0, len(profiles))
@@ -226,11 +212,8 @@ func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 		Samples:   len(trainable),
 		Retrained: retrained,
 		Carried:   carried,
+		Duration:  time.Since(start),
 	}
-	if r.Cache != nil {
-		rec.CacheReset = r.Cache.ResetIfGeneration(gen0)
-	}
-	rec.Duration = time.Since(start)
 	for _, fn := range r.onSwap {
 		fn(rec, info)
 	}
@@ -241,15 +224,13 @@ func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 }
 
 // Install adopts an externally trained model set — a fleet peer's
-// published recalibration — as the live version, under the same
-// CAS-generation discipline as Recalibrate: the resource-plan cache
-// observed before the swap is invalidated exactly once, OnSwap hooks fire
-// so every optimizer sharing this recalibrator repoints at the new set,
-// and the drift detector resets (its windows were measured against the
+// published recalibration — as the live version: OnSwap hooks fire so
+// every optimizer sharing this recalibrator repoints at the new set, and
+// the drift detector resets (its windows were measured against the
 // displaced models). The version guard makes Install idempotent: a set at
 // or below the live version is ignored (returns false), so a node that
 // receives the same publication twice — once pushed, once pulled by its
-// prober — invalidates its cache only once.
+// prober — swaps only once.
 func (r *Recalibrator) Install(version uint64, models *cost.Models, trainedOn int) bool {
 	if models == nil {
 		return false
@@ -261,17 +242,9 @@ func (r *Recalibrator) Install(version uint64, models *cost.Models, trainedOn in
 		return false
 	}
 	start := time.Now()
-	var gen0 uint64
-	if r.Cache != nil {
-		gen0 = r.Cache.Stats().Generation
-	}
 	info := &ModelInfo{Version: version, Models: models, TrainedOn: trainedOn}
 	r.cur.Store(info)
-	rec := Recalibration{Version: version, Samples: trainedOn, Installed: true}
-	if r.Cache != nil {
-		rec.CacheReset = r.Cache.ResetIfGeneration(gen0)
-	}
-	rec.Duration = time.Since(start)
+	rec := Recalibration{Version: version, Samples: trainedOn, Installed: true, Duration: time.Since(start)}
 	for _, fn := range r.onSwap {
 		fn(rec, info)
 	}

@@ -74,8 +74,9 @@ func feedGrid(t *testing.T, rec *Recalibrator) {
 
 func TestRecalibrateSwapsVersionedModelsAndResetsCacheOnce(t *testing.T) {
 	rec, truth := newRecalibrator(t, nil)
+	// A subscriber that caches resource plans drops them on every swap.
 	cache := &resource.Cache{Inner: &resource.HillClimb{}}
-	rec.Cache = cache
+	rec.OnSwap(func(Recalibration, *ModelInfo) { cache.Reset() })
 
 	// Populate the cache so the reset is observable as evictions.
 	m, _ := rec.Models().For(plan.SMJ)
@@ -102,9 +103,6 @@ func TestRecalibrateSwapsVersionedModelsAndResetsCacheOnce(t *testing.T) {
 	}
 	if r.Version != 2 || rec.Current().Version != 2 {
 		t.Fatalf("version = %d/%d, want 2", r.Version, rec.Current().Version)
-	}
-	if !r.CacheReset {
-		t.Fatal("recalibration did not reset the cache")
 	}
 	if g := cache.Stats().Generation; g != gen0+1 {
 		t.Fatalf("cache generation = %d, want %d (exactly one advance)", g, gen0+1)
@@ -219,14 +217,14 @@ func TestEndToEndAdaptivity(t *testing.T) {
 	}
 	skewed := skewModels(t, truth, 4)
 
-	cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 1}
-	opt, err := core.New(cluster.Default(), core.Options{Models: skewed, Resource: cache, Engine: &engine})
+	opt, err := core.New(cluster.Default(), core.Options{Models: skewed, Engine: &engine})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := NewRecalibrator(NewStore(0, nil), NewDetector(DriftConfig{}), skewed)
-	rec.Cache = cache
+	swaps := 0
 	rec.OnSwap(func(_ Recalibration, info *ModelInfo) {
+		swaps++
 		if err := opt.SetModels(info.Models); err != nil {
 			t.Errorf("SetModels: %v", err)
 		}
@@ -259,7 +257,6 @@ func TestEndToEndAdaptivity(t *testing.T) {
 	}
 
 	preErr := queryError()
-	gen0 := cache.Stats().Generation
 
 	// Stream accurate feedback (simulator ground truth predicted by the
 	// live, skewed model).
@@ -270,27 +267,23 @@ func TestEndToEndAdaptivity(t *testing.T) {
 		t.Fatal("drift detector did not fire on accurate feedback")
 	}
 
-	// (b) model version increments and cache generation advances exactly
+	// (b) model version increments and the optimizer is repointed exactly
 	// once per recalibration.
-	r, did, err := rec.MaybeRecalibrate()
-	if err != nil || !did {
+	if _, did, err := rec.MaybeRecalibrate(); err != nil || !did {
 		t.Fatalf("recalibration: did=%v err=%v", did, err)
 	}
 	if rec.Current().Version != 2 {
 		t.Fatalf("model version = %d, want 2", rec.Current().Version)
 	}
-	if g := cache.Stats().Generation; g != gen0+1 {
-		t.Fatalf("cache generation advanced %d times, want exactly 1", g-gen0)
+	if swaps != 1 || opt.Models() != rec.Models() {
+		t.Fatalf("%d swaps, optimizer on the live set %v; want 1 and true", swaps, opt.Models() == rec.Models())
 	}
-	if !r.CacheReset {
-		t.Fatal("recalibration did not report the cache reset")
-	}
-	// No drift → no second recalibration, no second generation bump.
+	// No drift → no second recalibration, no second swap.
 	if _, did, _ := rec.MaybeRecalibrate(); did {
 		t.Fatal("recalibrated again without new drift")
 	}
-	if g := cache.Stats().Generation; g != gen0+1 {
-		t.Fatal("cache generation advanced without a recalibration")
+	if swaps != 1 {
+		t.Fatal("the optimizer was repointed without a recalibration")
 	}
 
 	// (c) held-out prediction error drops.
@@ -491,7 +484,7 @@ func TestLoopRecalibratesAndStopsOnCancel(t *testing.T) {
 func TestConcurrentFeedAndRecalibrate(t *testing.T) {
 	rec, _ := newRecalibrator(t, nil)
 	cache := &resource.Cache{Inner: &resource.HillClimb{}}
-	rec.Cache = cache
+	rec.OnSwap(func(Recalibration, *ModelInfo) { cache.Reset() })
 	grid := workload.DefaultProfileGrid(execsim.Hive())
 	observations := SyntheticObservations("hive", rec.Models(), grid)
 
@@ -538,20 +531,11 @@ func TestConcurrentFeedAndRecalibrate(t *testing.T) {
 }
 
 // TestInstallAdoptsRemoteModels covers the fleet-distribution path:
-// Install swaps a peer-published model set in exactly once — the cache
-// generation advances on the first install, OnSwap hooks fire with
-// Installed set, and re-installing the same or an older version is a
-// no-op (no second cache invalidation, version unchanged).
+// Install swaps a peer-published model set in exactly once — OnSwap hooks
+// fire once with Installed set, and re-installing the same or an older
+// version is a no-op (no second swap, version unchanged).
 func TestInstallAdoptsRemoteModels(t *testing.T) {
 	rec, truth := newRecalibrator(t, nil)
-	cache := &resource.Cache{Inner: &resource.HillClimb{}}
-	// Populate the cache so the install has something to invalidate.
-	m, _ := truth.For(plan.SMJ)
-	if _, err := cache.Plan(m, 10, cluster.Default()); err != nil {
-		t.Fatal(err)
-	}
-	rec.Cache = cache
-
 	var swaps []Recalibration
 	rec.OnSwap(func(r Recalibration, info *ModelInfo) {
 		swaps = append(swaps, r)
@@ -560,7 +544,6 @@ func TestInstallAdoptsRemoteModels(t *testing.T) {
 		}
 	})
 
-	gen0 := cache.Stats().Generation
 	remote := cost.NewModels()
 	for _, a := range plan.Algos {
 		src, _ := truth.For(a)
@@ -575,11 +558,8 @@ func TestInstallAdoptsRemoteModels(t *testing.T) {
 	if cur.Version != 7 || cur.TrainedOn != 42 || cur.Models != remote {
 		t.Fatalf("Current = %+v after install", cur)
 	}
-	if got := cache.Stats().Generation; got != gen0+1 {
-		t.Errorf("cache generation = %d, want %d (exactly one bump)", got, gen0+1)
-	}
-	if len(swaps) != 1 || !swaps[0].Installed || !swaps[0].CacheReset {
-		t.Fatalf("swaps = %+v, want one installed swap with CacheReset", swaps)
+	if len(swaps) != 1 || !swaps[0].Installed {
+		t.Fatalf("swaps = %+v, want one installed swap", swaps)
 	}
 
 	// Idempotence: same version again, then an older one.
@@ -591,9 +571,6 @@ func TestInstallAdoptsRemoteModels(t *testing.T) {
 	}
 	if rec.Install(9, nil, 0) {
 		t.Error("installing a nil model set returned true")
-	}
-	if got := cache.Stats().Generation; got != gen0+1 {
-		t.Errorf("cache generation moved to %d on rejected installs", got)
 	}
 	if len(swaps) != 1 {
 		t.Errorf("OnSwap fired %d times, want 1", len(swaps))

@@ -1,7 +1,7 @@
 // Package fleet turns a single raqo serve process into one node of a
 // sharded optimizer fleet: a stateless planning frontend over a
-// partitioned state tier. Every node runs the full local stack (warm
-// resource-plan cache, cost memo, feedback store, workload arbiter) and
+// partitioned state tier. Every node runs the full local stack (response
+// memo, cost memo, feedback store, workload arbiter) and
 // answers every endpoint; what the fleet layer adds is agreement about
 // which node's *state* a request should hit. A deterministic
 // consistent-hash ring (internal/fleet/ring) over the static membership
@@ -278,8 +278,8 @@ func (n *Node) Serve(ctx context.Context, addr string, ready func(addr string)) 
 // --- routing -----------------------------------------------------------
 
 // optimizeKey is the /v1/optimize routing key: the query signature, so
-// repeats of one query always land on the shard whose resource-plan cache
-// is warm for it. Malformed bodies return "" and fall through to the
+// repeats of one query always land on the shard whose response and cost
+// memos are warm for it. Malformed bodies return "" and fall through to the
 // local handler's validation. A body of plain string members among
 // "query" and "mode" is read by the canonical scanner; any other, by
 // encoding/json, which gives the same key for what the scanner takes.

@@ -509,15 +509,26 @@ func feedTrainingGrid(t *testing.T, rec *feedback.Recalibrator) {
 // TestFleetModelDistribution is the convergence contract: one node
 // recalibrates, and every peer installs the same fb<version> set exactly
 // once — the publish path pushes it, the version guard absorbs the
-// prober's duplicate pull, and each peer's resource-plan cache generation
-// advances exactly once.
+// prober's duplicate pull, and each peer's response memo is dropped
+// exactly once.
 func TestFleetModelDistribution(t *testing.T) {
 	nodes := startTestFleet(t, 3)
 	startLoops(t, nodes)
 
-	gens := make([]uint64, len(nodes))
-	for i, tn := range nodes {
-		gens[i] = tn.srv.Cache().Stats().Generation
+	// probe is a response-memo entry on every peer. A swap of the peer's
+	// model set drops it: the entry filed before the publication must be
+	// gone once the peer plans under version 2, and the one filed after
+	// must survive the prober's re-deliveries.
+	probe := []byte(`{"query":"Q12"}`)
+	file := func(srv *server.Server) {
+		_, models, _ := srv.LookupOptimize(probe)
+		srv.FileOptimize(probe, []byte("{}\n"), models)
+		if _, _, ok := srv.LookupOptimize(probe); !ok {
+			t.Fatal("the probe entry was not filed")
+		}
+	}
+	for _, tn := range nodes[1:] {
+		file(tn.srv)
 	}
 
 	trainer := nodes[0]
@@ -533,7 +544,18 @@ func TestFleetModelDistribution(t *testing.T) {
 
 	deadline := time.Now().Add(10 * time.Second)
 	for _, tn := range nodes[1:] {
-		for tn.srv.Recalibrator().Current().Version < 2 {
+		for {
+			// Install publishes the version before its OnSwap hook repoints
+			// the optimizer; the memo follows the optimizer.
+			cur := tn.srv.Recalibrator().Current()
+			_, models, ok := tn.srv.LookupOptimize(probe)
+			if cur.Version >= 2 && models == cur.Models {
+				if ok {
+					t.Errorf("node %s kept a response planned under the displaced models", tn.addr)
+				}
+				file(tn.srv)
+				break
+			}
 			if time.Now().After(deadline) {
 				t.Fatalf("node %s never converged to version 2", tn.addr)
 			}
@@ -543,7 +565,7 @@ func TestFleetModelDistribution(t *testing.T) {
 	// Give the prober a few more rounds a chance to re-deliver, then check
 	// exactly-once installation.
 	time.Sleep(150 * time.Millisecond)
-	for i, tn := range nodes[1:] {
+	for _, tn := range nodes[1:] {
 		cur := tn.srv.Recalibrator().Current()
 		if cur.Version != 2 {
 			t.Errorf("node %s at version %d, want 2", tn.addr, cur.Version)
@@ -560,9 +582,8 @@ func TestFleetModelDistribution(t *testing.T) {
 		if v := tn.node.Metrics().Installs.Value(); v != 1 {
 			t.Errorf("node %s installed %d times, want exactly 1", tn.addr, v)
 		}
-		if g := tn.srv.Cache().Stats().Generation; g != gens[i+1]+1 {
-			t.Errorf("node %s cache generation %d, want %d (exactly one invalidation)",
-				tn.addr, g, gens[i+1]+1)
+		if _, _, ok := tn.srv.LookupOptimize(probe); !ok {
+			t.Errorf("node %s dropped its response memo again after installing version 2", tn.addr)
 		}
 	}
 	if v := trainer.node.Metrics().Publishes.Value(); v != 2 {

@@ -17,8 +17,8 @@ import (
 // reports a newer version than the local one (which is what re-converges
 // a node that was down during the push). Installation goes through
 // feedback.Recalibrator.Install, so the version guard makes the exchange
-// idempotent and the local resource-plan cache is invalidated exactly
-// once per adopted version.
+// idempotent and the local memos are dropped exactly once per adopted
+// version.
 
 // ModelWire is one published cost-model version on the wire.
 type ModelWire struct {

@@ -470,9 +470,8 @@ func (c *Cache) Evaluations() int64 {
 }
 
 // Version identifies the cache's contents: it advances on every insert and
-// on every drop (Reset, and a ResetIfGeneration that resets), so two equal
-// readings mean every lookup in between was answered from the same
-// entries. It is one atomic load and takes no lock.
+// on every Reset, so two equal readings mean every lookup in between was
+// answered from the same entries. It is one atomic load and takes no lock.
 func (c *Cache) Version() uint64 { return c.version.Load() }
 
 // CountHits adds n lookups to the hit counter: lookups a caller answered
@@ -532,30 +531,7 @@ func (c *Cache) Stats() Stats {
 // Cache).
 func (c *Cache) Reset() {
 	c.mu.Lock()
-	c.dropLocked()
-	c.mu.Unlock()
-}
-
-// ResetIfGeneration resets the cache only if its generation still equals
-// gen, and reports whether it did. This is the CAS form of Reset for
-// components that observed the cache at some generation, did slow work
-// (e.g. retraining a cost model), and want to invalidate the entries that
-// slow work made stale — without clobbering a cache some other component
-// already rebuilt in the meantime. Exactly one of any set of concurrent
-// callers holding the same observed generation wins.
-func (c *Cache) ResetIfGeneration(gen uint64) bool {
-	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.gen != gen {
-		return false
-	}
-	c.dropLocked()
-	return true
-}
-
-// dropLocked advances the generation and the version and clears every
-// index, counting the evicted entries.
-func (c *Cache) dropLocked() {
 	c.gen++
 	c.version.Add(1)
 	c.evictions += int64(c.sizeLocked())

@@ -2,7 +2,6 @@ package resource
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -281,6 +280,9 @@ func TestCacheReset(t *testing.T) {
 	if c.Size() != 0 {
 		t.Errorf("size after reset = %d", c.Size())
 	}
+	if st := c.Stats(); st.Generation != 1 || st.Evictions != 1 {
+		t.Errorf("stats after reset %+v, want generation 1 and 1 eviction", st)
+	}
 	if _, err := c.Plan(m, 1, cond()); err != nil {
 		t.Fatal(err)
 	}
@@ -327,17 +329,7 @@ func TestCacheVersion(t *testing.T) {
 	step("a neighbour hit", 1, plan(1.2))
 	step("a second miss", 2, plan(3))
 	step("counting hits", 2, func() { c.CountHits(3) })
-	gen := c.Stats().Generation
-	step("a stale ResetIfGeneration", 2, func() {
-		if c.ResetIfGeneration(gen + 1) {
-			t.Fatal("stale generation reset the cache")
-		}
-	})
-	step("a ResetIfGeneration", 3, func() {
-		if !c.ResetIfGeneration(gen) {
-			t.Fatal("current generation did not reset the cache")
-		}
-	})
+	step("a Reset", 3, c.Reset)
 	step("a Reset of an empty cache", 4, c.Reset)
 	if st := c.Stats(); st.Hits != 5 || st.Misses != 2 {
 		t.Errorf("stats %+v: want 5 hits (2 probes + 3 counted), 2 misses", st)
@@ -389,89 +381,5 @@ func TestHillClimbReductionFactor(t *testing.T) {
 	}
 	if factor := float64(bf.Evaluations()) / float64(hc.Evaluations()); factor < 2 {
 		t.Errorf("hill climb reduction factor = %.1fx, want >= 2x", factor)
-	}
-}
-
-func TestResetIfGeneration(t *testing.T) {
-	c := &Cache{Inner: &HillClimb{}, Mode: Exact}
-	m := quadModel(42, 7)
-	if _, err := c.Plan(m, 1, cond()); err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Stats().Generation
-
-	// Stale generation: no reset, entries survive.
-	if c.ResetIfGeneration(gen + 5) {
-		t.Fatal("reset succeeded with a stale generation")
-	}
-	if c.Size() != 1 || c.Stats().Generation != gen {
-		t.Fatalf("failed CAS mutated the cache: size=%d gen=%d", c.Size(), c.Stats().Generation)
-	}
-
-	// Current generation: resets exactly like Reset.
-	if !c.ResetIfGeneration(gen) {
-		t.Fatal("reset refused with the current generation")
-	}
-	if c.Size() != 0 {
-		t.Error("entries survived ResetIfGeneration")
-	}
-	if g := c.Stats().Generation; g != gen+1 {
-		t.Errorf("generation = %d, want %d", g, gen+1)
-	}
-	if c.Stats().Evictions == 0 {
-		t.Error("eviction not counted")
-	}
-
-	// The observed generation is now stale: a second caller holding it
-	// cannot clobber the rebuilt cache.
-	if _, err := c.Plan(m, 2, cond()); err != nil {
-		t.Fatal(err)
-	}
-	if c.ResetIfGeneration(gen) {
-		t.Fatal("second reset with the consumed generation succeeded")
-	}
-	if c.Size() != 1 {
-		t.Error("rebuilt cache was clobbered")
-	}
-}
-
-// TestResetIfGenerationRace: of N concurrent callers holding the same
-// observed generation, exactly one wins, and the generation advances
-// exactly once. Run with -race.
-func TestResetIfGenerationRace(t *testing.T) {
-	c := &Cache{Inner: &HillClimb{}, Mode: Exact}
-	m := quadModel(42, 7)
-	for round := 0; round < 20; round++ {
-		if _, err := c.Plan(m, float64(round), cond()); err != nil {
-			t.Fatal(err)
-		}
-		gen := c.Stats().Generation
-		const racers = 8
-		wins := make(chan bool, racers)
-		var start, wg sync.WaitGroup
-		start.Add(1)
-		for g := 0; g < racers; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				start.Wait()
-				wins <- c.ResetIfGeneration(gen)
-			}()
-		}
-		start.Done()
-		wg.Wait()
-		close(wins)
-		won := 0
-		for w := range wins {
-			if w {
-				won++
-			}
-		}
-		if won != 1 {
-			t.Fatalf("round %d: %d concurrent resets won, want exactly 1", round, won)
-		}
-		if g := c.Stats().Generation; g != gen+1 {
-			t.Fatalf("round %d: generation advanced to %d from %d, want exactly one bump", round, g, gen)
-		}
 	}
 }

@@ -185,8 +185,8 @@ func skewedHiveModels(t *testing.T, factor float64) *cost.Models {
 // through the real service: a server seeded with 4x-skewed models and a
 // fast background recalibration loop receives accurate feedback over
 // POST /v1/feedback; the drift detector fires, the loop retrains, and
-// GET /v1/model reports the new version, the advanced cache generation and
-// the versioned model names. The journal on disk replays to exactly the
+// GET /v1/model reports the recalibrator's new live version and the
+// versioned model names. The journal on disk replays to exactly the
 // accepted observations.
 func TestFeedbackDriftRecalibratesOverHTTP(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
@@ -252,8 +252,8 @@ func TestFeedbackDriftRecalibratesOverHTTP(t *testing.T) {
 	if model.Recalibrations != int64(model.Version-1) {
 		t.Errorf("recalibrations = %d, want %d (version-1)", model.Recalibrations, model.Version-1)
 	}
-	if model.CacheGeneration < 1 {
-		t.Errorf("cache generation = %d, want >= 1 after recalibration", model.CacheGeneration)
+	if live := s.Recalibrator().Current().Version; model.Version != live {
+		t.Errorf("/v1/model version = %d, the recalibrator's live version is %d", model.Version, live)
 	}
 	if model.TrainedOn < 8 {
 		t.Errorf("trainedOn = %d, want >= 8 samples", model.TrainedOn)

@@ -105,8 +105,9 @@ type MemoStats struct {
 }
 
 // BatchResponse is the body of a successful POST /v1/batch: per-query
-// decisions in request order plus the planning-cache state after the
-// batch (the cross-query warm-cache effect of Figures 14/15b).
+// decisions in request order plus the cost memo's state after the batch.
+// Cache, the resource-plan cache's state, is set only by `raqo batch
+// -cache`; the service plans without one.
 type BatchResponse struct {
 	Results []OptimizeResponse `json:"results"`
 	Cache   *CacheStats        `json:"cache,omitempty"`
@@ -186,25 +187,24 @@ func appendFeedbackResponse(dst []byte, r FeedbackResponse) ([]byte, bool) {
 // ModelResponse is the body of GET /v1/model: the live cost-model version
 // and the drift detector's per-class error stats.
 type ModelResponse struct {
-	Version         uint64                `json:"version"`
-	Models          []string              `json:"models"`    // sorted model names
-	TrainedOn       int                   `json:"trainedOn"` // samples behind this version (0 = seed)
-	Recalibrations  int64                 `json:"recalibrations"`
-	LastRecalSecs   float64               `json:"lastRecalSeconds"`
-	Drifted         bool                  `json:"drifted"`
-	DriftThreshold  float64               `json:"driftThreshold"`
-	DriftQuantile   float64               `json:"driftQuantile"`
-	ErrorStats      []feedback.ClassStats `json:"errorStats"`
-	StoredFeedback  int                   `json:"storedFeedback"`
-	TotalFeedback   int64                 `json:"totalFeedback"`
-	CacheGeneration uint64                `json:"cacheGeneration"`
+	Version        uint64                `json:"version"`
+	Models         []string              `json:"models"`    // sorted model names
+	TrainedOn      int                   `json:"trainedOn"` // samples behind this version (0 = seed)
+	Recalibrations int64                 `json:"recalibrations"`
+	LastRecalSecs  float64               `json:"lastRecalSeconds"`
+	Drifted        bool                  `json:"drifted"`
+	DriftThreshold float64               `json:"driftThreshold"`
+	DriftQuantile  float64               `json:"driftQuantile"`
+	ErrorStats     []feedback.ClassStats `json:"errorStats"`
+	StoredFeedback int                   `json:"storedFeedback"`
+	TotalFeedback  int64                 `json:"totalFeedback"`
 }
 
 // NewModelResponse snapshots a recalibrator for the wire.
 func NewModelResponse(rec *feedback.Recalibrator) ModelResponse {
 	info := rec.Current()
 	cfg := rec.Detector().Config()
-	resp := ModelResponse{
+	return ModelResponse{
 		Version:        info.Version,
 		Models:         info.ModelNames(),
 		TrainedOn:      info.TrainedOn,
@@ -217,10 +217,6 @@ func NewModelResponse(rec *feedback.Recalibrator) ModelResponse {
 		StoredFeedback: rec.Store().Len(),
 		TotalFeedback:  rec.Store().Total(),
 	}
-	if rec.Cache != nil {
-		resp.CacheGeneration = rec.Cache.Stats().Generation
-	}
-	return resp
 }
 
 // ErrorResponse is every non-2xx JSON body.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"raqo/internal/cloud"
+	"raqo/internal/resource"
 	"raqo/internal/scheduler"
 )
 
@@ -69,7 +70,7 @@ func wireValues(t *testing.T) []any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCacheStats(s.cache.Stats())
+	cache := NewCacheStats(resource.Stats{Hits: 9, Misses: 4, Deduped: 2, Evictions: 3, Entries: 1, Generation: 5})
 	var nilPtr *int
 	return []any{
 		opt,

@@ -1,0 +1,229 @@
+package server
+
+import (
+	"encoding/json"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"raqo/internal/catalog"
+	"raqo/internal/cluster"
+	"raqo/internal/core"
+	"raqo/internal/cost"
+	"raqo/internal/execsim"
+	"raqo/internal/plan"
+	"raqo/internal/resource"
+	"raqo/internal/workload"
+)
+
+// servedRequests are the /v1/optimize bodies the order oracle sends: the
+// four TPC-H evaluation queries, and relation lists whose small build
+// sides (region, nation, supplier) sit far below a gigabyte next to
+// larger neighbours.
+var servedRequests = []OptimizeRequest{
+	{Query: workload.Q12},
+	{Query: workload.Q3},
+	{Query: workload.Q2},
+	{Query: workload.All},
+	{Relations: []string{catalog.Region, catalog.Nation, catalog.Supplier}},
+	{Relations: []string{catalog.Supplier, catalog.Nation, catalog.Customer, catalog.Orders}},
+}
+
+// servedModes are requests in the other resource-planning modes; only
+// FuzzServedOrder sends them.
+var servedModes = []OptimizeRequest{
+	{Query: workload.Q2, Mode: "budget", Containers: 20, ContainerGB: 4},
+	{Relations: []string{catalog.Nation, catalog.Supplier, catalog.PartSupp}, Mode: "budget", Containers: 8, ContainerGB: 10},
+}
+
+// servedOracle holds what a fresh optimizer answers: core.New's defaults
+// (a bare hill climb, no memo) with the given models, a new optimizer for
+// every decision, so nothing an earlier request left behind can reach it.
+type servedOracle struct {
+	sch    *catalog.Schema
+	models []*cost.Models // the model sets a sequence may run under
+	want   map[[2]int]*core.Decision
+}
+
+func newServedOracle(t testing.TB) *servedOracle {
+	t.Helper()
+	trained, err := workload.TrainedModels(execsim.Hive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &servedOracle{
+		sch:    catalog.TPCH(100),
+		models: []*cost.Models{cost.PaperModels(), trained},
+		want:   map[[2]int]*core.Decision{},
+	}
+}
+
+// decision is the fresh optimizer's answer to req under model set m.
+func (o *servedOracle) decision(t testing.TB, m, i int, req OptimizeRequest) *core.Decision {
+	t.Helper()
+	if d, ok := o.want[[2]int{m, i}]; ok {
+		return d
+	}
+	opt, err := core.New(cluster.Default(), core.Options{Models: o.models[m]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var q *plan.Query
+	if req.Query != "" {
+		q, err = workload.TPCHQuery(o.sch, req.Query)
+	} else {
+		q, err = plan.NewQuery(o.sch, req.Relations...)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d *core.Decision
+	switch req.Mode {
+	case "":
+		d, err = opt.Optimize(q)
+	case "budget":
+		d, err = opt.OptimizeForBudget(q, req.Containers, req.ContainerGB)
+	default:
+		t.Fatalf("no oracle for mode %q", req.Mode)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.want[[2]int{m, i}] = d
+	return d
+}
+
+// newServed builds a server planning under model set m, as `raqo serve`
+// does with those models. With supplied, its Config also carries the 1 GB
+// nearest-neighbour resource-plan cache that once served Q2 at 9.08 s
+// after Q3, which the server must ignore. The caller closes it.
+func (o *servedOracle) newServed(t testing.TB, m int, supplied bool) *Server {
+	t.Helper()
+	opts := core.Options{Models: o.models[m]}
+	if supplied {
+		opts.Resource = &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 1}
+	}
+	s, err := New(Config{Options: opts, RecalInterval: -1, HistoryInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// check sends req (number i of its list) through the server's handler and
+// fails unless the 200 it answers carries the fresh decision's modelled
+// time, plan and per-operator resources.
+func (o *servedOracle) check(t testing.TB, s *Server, m, i int, req OptimizeRequest, history []string) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(string(body))))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s after %v: HTTP %d: %s", body, history, rec.Code, rec.Body)
+	}
+	var got wireOptimize
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	p, err := plan.Decode(o.sch, got.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := o.decision(t, m, i, req)
+	if math.Float64bits(got.TimeSeconds) != math.Float64bits(want.Time) || p.SignatureWithResources() != want.Plan.SignatureWithResources() {
+		t.Fatalf("%s after %v under model set %d:\n served %.6gs %s\n fresh  %.6gs %s",
+			body, history, m, got.TimeSeconds, p.SignatureWithResources(), want.Time, want.Plan.SignatureWithResources())
+	}
+}
+
+// TestServedMatchesFresh sends every permutation of servedRequests to a
+// new server, under the paper's and the trained models, with and without a
+// resource planner in its Config, and holds each answer to a fresh
+// optimizer's: a served decision depends neither on which requests came
+// before it nor on the planner a caller supplied.
+func TestServedMatchesFresh(t *testing.T) {
+	o := newServedOracle(t)
+	perm := make([]int, len(servedRequests))
+	for i := range perm {
+		perm[i] = i
+	}
+	for m := range o.models {
+		for _, supplied := range []bool{false, true} {
+			permute(perm, len(perm), func(order []int) {
+				s := o.newServed(t, m, supplied)
+				var history []string
+				for _, i := range order {
+					req := servedRequests[i]
+					o.check(t, s, m, i, req, history)
+					history = append(history, req.Query+strings.Join(req.Relations, ","))
+				}
+				_ = s.Close()
+			})
+		}
+	}
+}
+
+// permute calls visit with every ordering of a[:k] (Heap's algorithm).
+func permute(a []int, k int, visit func([]int)) {
+	if k <= 1 {
+		visit(a)
+		return
+	}
+	for i := 0; i < k-1; i++ {
+		permute(a, k-1, visit)
+		if k%2 == 0 {
+			a[i], a[k-1] = a[k-1], a[i]
+		} else {
+			a[0], a[k-1] = a[k-1], a[0]
+		}
+	}
+	permute(a, k-1, visit)
+}
+
+// maxServedSequence bounds the requests one fuzz input sends.
+const maxServedSequence = 32
+
+// FuzzServedOrder turns bytes into a request sequence on a new server:
+// the first byte picks the model set and whether the Config supplies a
+// resource planner (see newServed), each later byte a request from
+// servedRequests and servedModes, or a fleet-style Recalibrator.Install of
+// the other model set. Every answer must equal a fresh optimizer's under
+// the set live at the time.
+func FuzzServedOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 2})                   // Q2 after Q3, paper models
+	f.Add([]byte{0, 0, 1, 2, 3})             // the evaluation order
+	f.Add([]byte{1, 3, 2, 4, 5, 6})          // All first, trained models
+	f.Add([]byte{0, 2, 8, 1, 2, 7, 8, 2, 4}) // installs between repeats
+	f.Add([]byte{1, 4, 5, 7, 0, 6})
+	f.Add([]byte{2, 1, 2, 8, 1, 2}) // a supplied cache, Q2 after Q3
+	o := newServedOracle(f)
+	pool := append(append([]OptimizeRequest(nil), servedRequests...), servedModes...)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		m := int(data[0]) % len(o.models)
+		s := o.newServed(t, m, data[0]&2 != 0)
+		defer s.Close()
+		var history []string
+		for _, b := range data[1:min(len(data), maxServedSequence+1)] {
+			i := int(b) % (len(pool) + 1)
+			if i == len(pool) {
+				m = (m + 1) % len(o.models)
+				if !s.Recalibrator().Install(s.Recalibrator().Current().Version+1, o.models[m], 0) {
+					t.Fatal("install of a newer version refused")
+				}
+				history = append(history, "install")
+				continue
+			}
+			req := pool[i]
+			o.check(t, s, m, i, req, history)
+			history = append(history, req.Query+strings.Join(req.Relations, ",")+req.Mode)
+		}
+	})
+}

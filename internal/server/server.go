@@ -1,14 +1,15 @@
 // Package server turns the RAQO library into the long-running optimizer
 // service the paper's Figure 8 architecture describes: a component inside
 // a shared big-data system that answers joint (plan, resource) requests
-// continuously. A process-wide warm resource-plan cache and operator-cost
-// memo realize the cross-query reuse of Figures 14/15b in serving, and in
-// front of them a response memo answers an exact repeat of an optimize
-// request with the bytes that answered it before (memo.go); admission
-// control bounds in-flight planning work (bounded slots + FIFO
-// wait queue + 429 on overload, the serving restatement of
-// internal/scheduler's policies); request contexts are threaded into the
-// planner search loops so abandoned requests stop burning CPU.
+// continuously. A process-wide operator-cost memo reuses every costing
+// across requests, and in front of it a response memo answers an exact
+// repeat of an optimize request with the bytes that answered it before
+// (memo.go); both are exact, so a served answer is the one a fresh
+// optimizer gives in any request order. Admission control bounds
+// in-flight planning work (bounded slots + FIFO wait queue + 429 on
+// overload, the serving restatement of internal/scheduler's policies);
+// request contexts are threaded into the planner search loops so
+// abandoned requests stop burning CPU.
 //
 // Endpoints:
 //
@@ -30,8 +31,7 @@
 // (optionally journaled to JSONL), a background goroutine watches the
 // drift detector, and on drift the cost models are retrained and swapped
 // atomically — subsequent optimize calls plan under the recalibrated,
-// versioned model set and the resource-plan cache is invalidated once per
-// swap.
+// versioned model set.
 package server
 
 import (
@@ -57,7 +57,6 @@ import (
 	"raqo/internal/feedback"
 	"raqo/internal/history"
 	"raqo/internal/plan"
-	"raqo/internal/resource"
 	"raqo/internal/telemetry"
 	"raqo/internal/workload"
 )
@@ -68,17 +67,19 @@ import (
 const statusClientClosedRequest = 499
 
 // Config configures a Server. Zero values select serving defaults. The
-// server plans against cluster.Default() through a process-wide
-// nearest-neighbour resource-plan cache (1 GB data-delta threshold) and a
-// shared operator-cost memo; an exact repeat of an optimize request is
-// answered from the response memo.
+// server plans against cluster.Default() with a hill climb behind a shared
+// operator-cost memo; an exact repeat of an optimize request is answered
+// from the response memo.
 type Config struct {
 	// SF is the TPC-H scale factor of the served schema; 0 selects 100
 	// (the paper's evaluation scale).
 	SF float64
-	// Options configures the shared optimizer. When Options.Resource is
-	// nil the process-wide resource-plan cache is installed; MemoizeCosts
-	// is forced on so the cost memo stays warm across requests.
+	// Options configures the shared optimizer. Its resource planner and
+	// cost memo are the server's: Options.Resource is ignored, so the
+	// optimizer plans with core.New's hill climb, and MemoizeCosts is
+	// forced on so the cost memo stays warm across requests. Both tiers
+	// are then exact, and a served answer is the fresh plan under the same
+	// models whatever the configuration.
 	Options core.Options
 
 	// MaxInFlight bounds concurrently planning requests; 0 selects
@@ -151,10 +152,9 @@ type Config struct {
 	CloudTenants []cloud.TenantConfig
 }
 
-// Serving constants: the resource-plan cache's data-delta threshold, the
-// spot discount off the on-demand rate, and the graceful-drain bound.
+// Serving constants: the spot discount off the on-demand rate and the
+// graceful-drain bound.
 const (
-	cacheThresholdGB  = 1
 	cloudSpotDiscount = 0.7
 	drainTimeout      = 10 * time.Second
 )
@@ -205,7 +205,6 @@ type Server struct {
 	sch     *catalog.Schema
 	opt     *core.Optimizer
 	queries map[string]*plan.Query // the named TPC-H queries, built once
-	cache   *resource.Cache        // nil when the caller supplied Options.Resource
 	memo    *responseMemo          // exact-hit tier of /v1/optimize
 	metrics *Metrics
 	admit   *admission
@@ -223,18 +222,7 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	opts := cfg.Options
-	var cache *resource.Cache
-	if opts.Resource == nil {
-		cache = &resource.Cache{
-			Inner:       &resource.HillClimb{},
-			Mode:        resource.NearestNeighbor,
-			ThresholdGB: cacheThresholdGB,
-		}
-		opts.Resource = cache
-	} else if c, ok := opts.Resource.(*resource.Cache); ok {
-		cache = c
-	}
-	opts.MemoizeCosts = true
+	opts.Resource, opts.MemoizeCosts = nil, true
 	cond := cluster.Default()
 	opt, err := core.New(cond, opts)
 	if err != nil {
@@ -243,7 +231,6 @@ func New(cfg Config) (*Server, error) {
 
 	reg := telemetry.NewRegistry()
 	m := NewMetrics(reg)
-	m.AttachCache(cache)
 	m.AttachMemo(opt.Memo())
 
 	var journal *feedback.Journal
@@ -261,7 +248,6 @@ func New(cfg Config) (*Server, error) {
 		feedback.NewDetector(cfg.Drift),
 		opt.Models(),
 	)
-	rec.Cache = cache
 	// On every swap the optimizer starts planning under the new versioned
 	// set (SetModels also resets the cost memo), and the recalibration's
 	// wall time lands in the duration histogram.
@@ -289,12 +275,12 @@ func New(cfg Config) (*Server, error) {
 	sch := catalog.TPCH(cfg.SF)
 	// The shared cluster and the priced market, two pools under one
 	// admission engine, share one simulation optimizer beside the serving
-	// one: it plans memory-aware (Engine) with a bare hill climb, where the
-	// serving optimizer answers from the resource-plan cache. Each arbiter
-	// passes its admission-time conditions per call through its own
-	// core.Incremental, so the optimizer holds no per-arbiter state; its
-	// cost memo is keyed by those conditions and safe for concurrent use.
-	// Both optimizers follow the same live model set via OnSwap.
+	// one: it plans memory-aware (Engine), where the serving optimizer
+	// does not. Each arbiter passes its admission-time conditions per call
+	// through its own core.Incremental, so the optimizer holds no
+	// per-arbiter state; its cost memo is keyed by those conditions and
+	// safe for concurrent use. Both optimizers follow the same live model
+	// set via OnSwap.
 	engine := cloud.Engine()
 	simOpt, err := core.New(cond, core.Options{
 		Models:       opt.Models(),
@@ -344,7 +330,6 @@ func New(cfg Config) (*Server, error) {
 		sch:     sch,
 		opt:     opt,
 		queries: queries,
-		cache:   cache,
 		memo:    newResponseMemo(opt, m.MemoHits),
 		metrics: m,
 		admit:   newAdmission(cfg.MaxInFlight, cfg.MaxQueue, cfg.QueueTimeout, m.Queued),
@@ -380,10 +365,6 @@ func New(cfg Config) (*Server, error) {
 
 // Metrics returns the server's metric set (primarily for tests).
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Cache returns the installed resource-plan cache, or nil when the caller
-// supplied a non-cache planner.
-func (s *Server) Cache() *resource.Cache { return s.cache }
 
 // Recalibrator returns the server's feedback recalibrator.
 func (s *Server) Recalibrator() *feedback.Recalibrator { return s.rec }
@@ -783,10 +764,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for i, d := range decisions {
 			s.metrics.ObserveDecision(d)
 			resp.Results[i] = NewOptimizeResponse(req.Queries[i], "joint", s.opt.Planner(), d)
-		}
-		if s.cache != nil {
-			cs := NewCacheStats(s.cache.Stats())
-			resp.Cache = &cs
 		}
 		if m := s.opt.Memo(); m != nil {
 			resp.Memo = &MemoStats{Hits: m.Hits(), Misses: m.Misses(), Entries: m.Size()}

@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"raqo/internal/catalog"
-	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/plan"
-	"raqo/internal/resource"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -287,8 +285,8 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Errorf("same query planned to different costs: %g vs %g",
 			out.Results[0].TimeSeconds, out.Results[2].TimeSeconds)
 	}
-	if out.Cache == nil {
-		t.Fatalf("missing cache stats")
+	if out.Cache != nil {
+		t.Errorf("the service plans without a resource-plan cache, yet the batch reports %+v", *out.Cache)
 	}
 	if out.Memo == nil {
 		t.Fatalf("missing memo stats")
@@ -298,32 +296,41 @@ func TestBatchEndpoint(t *testing.T) {
 	}
 }
 
-// gatedPlanner blocks every resource-planning call until release is
-// closed, signalling the first arrival on started. It lets overload tests
-// hold the admission slot deterministically.
-type gatedPlanner struct {
-	inner   resource.HillClimb
+// gatedModel blocks every cost evaluation until release is closed,
+// signalling the first arrival on started. It lets overload tests hold the
+// admission slot deterministically.
+type gatedModel struct {
+	cost.Model
 	started chan struct{}
 	release chan struct{}
-	once    sync.Once
+	once    *sync.Once
 }
 
-func (g *gatedPlanner) Plan(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, error) {
+func (g gatedModel) Cost(ss, cs, nc float64) float64 {
 	g.once.Do(func() { close(g.started) })
 	<-g.release
-	return g.inner.Plan(m, ssGB, cond)
+	return g.Model.Cost(ss, cs, nc)
 }
 
-func (g *gatedPlanner) Evaluations() int64 { return g.inner.Evaluations() }
+// gatedModels wraps every paper model in one shared gate.
+func gatedModels(started, release chan struct{}) *cost.Models {
+	once := new(sync.Once)
+	out := cost.NewModels()
+	for _, a := range plan.Algos {
+		m, _ := cost.PaperModels().For(a)
+		out.Set(a, gatedModel{Model: m, started: started, release: release, once: once})
+	}
+	return out
+}
 
 // TestOverloadSheds saturates a 1-slot, 1-queue server and checks the
 // admission behavior end to end: the queued request waits, excess
 // requests get immediate 429 + Retry-After, and once the slot frees both
 // admitted requests complete. The server never deadlocks.
 func TestOverloadSheds(t *testing.T) {
-	gate := &gatedPlanner{started: make(chan struct{}), release: make(chan struct{})}
+	started, release := make(chan struct{}), make(chan struct{})
 	_, ts := newTestServer(t, Config{
-		Options:      core.Options{Resource: gate},
+		Options:      core.Options{Models: gatedModels(started, release)},
 		MaxInFlight:  1,
 		MaxQueue:     1,
 		QueueTimeout: 10 * time.Second,
@@ -348,7 +355,7 @@ func TestOverloadSheds(t *testing.T) {
 	first := make(chan result, 1)
 	go do(first)
 	select {
-	case <-gate.started:
+	case <-started:
 	case <-time.After(10 * time.Second):
 		t.Fatal("first request never reached the planner")
 	}
@@ -374,7 +381,7 @@ func TestOverloadSheds(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	close(gate.release)
+	close(release)
 	for name, ch := range map[string]chan result{"first": first, "second": second} {
 		select {
 		case r := <-ch:
@@ -461,11 +468,12 @@ func TestClientCancellationStopsPlanning(t *testing.T) {
 
 // TestConcurrentOptimizeSharedCache is the race-detector target: 16
 // goroutines hammer /v1/optimize through the served configuration — the
-// response memo in front of the shared cost memo and resource-plan cache —
+// response memo in front of the shared cost memo — every answer to one
+// query carries the same modelled time and plan whatever the interleaving,
 // and afterwards /metrics must report memo hits: the repeats were answered
 // without planning from scratch.
 func TestConcurrentOptimizeSharedCache(t *testing.T) {
-	s, ts := newTestServer(t, Config{
+	_, ts := newTestServer(t, Config{
 		MaxInFlight:  16,
 		MaxQueue:     64,
 		QueueTimeout: time.Minute,
@@ -475,6 +483,8 @@ func TestConcurrentOptimizeSharedCache(t *testing.T) {
 	const perGoroutine = 3
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines*perGoroutine)
+	var mu sync.Mutex
+	answers := map[string]wireOptimize{} // guarded by mu
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -487,11 +497,20 @@ func TestConcurrentOptimizeSharedCache(t *testing.T) {
 					errs <- err
 					continue
 				}
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("%s: status %d", q, resp.StatusCode)
-				}
-				io.Copy(io.Discard, resp.Body)
+				var out wireOptimize
+				err = json.NewDecoder(resp.Body).Decode(&out)
 				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil {
+					errs <- fmt.Errorf("%s: status %d, decode %v", q, resp.StatusCode, err)
+					continue
+				}
+				mu.Lock()
+				if first, ok := answers[q]; !ok {
+					answers[q] = out
+				} else if first.TimeSeconds != out.TimeSeconds || string(first.Plan) != string(out.Plan) {
+					errs <- fmt.Errorf("%s answered %gs and %gs under one model set", q, first.TimeSeconds, out.TimeSeconds)
+				}
+				mu.Unlock()
 			}
 		}(g)
 	}
@@ -499,9 +518,6 @@ func TestConcurrentOptimizeSharedCache(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-	if s.Cache() == nil {
-		t.Fatal("server did not install the shared cache")
 	}
 	for _, name := range []string{"raqo_optimize_memo_hits_total", "raqo_cost_memo_hits_total"} {
 		hits, ok := scrapeMetric(t, ts.URL, name)
@@ -541,13 +557,15 @@ func TestMetricsExposition(t *testing.T) {
 		"\nraqo_optimize_memo_entries 1\n",
 		`# TYPE raqo_http_request_seconds histogram`,
 		`raqo_plans_considered_total`,
-		`raqo_resource_cache_hits_total`,
 		`raqo_cost_memo_entries`,
 		`raqo_uptime_seconds`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	if strings.Contains(text, "raqo_resource_cache_") {
+		t.Errorf("/metrics exports resource-plan cache series, but the service plans without one")
 	}
 }
 

@@ -25,9 +25,6 @@ const (
 // GBf returns the size in (fractional) gigabytes.
 func (b Bytes) GBf() float64 { return float64(b) / float64(GB) }
 
-// MBf returns the size in (fractional) megabytes.
-func (b Bytes) MBf() float64 { return float64(b) / float64(MB) }
-
 // FromGB converts fractional gigabytes to Bytes, rounding to the nearest byte.
 func FromGB(gb float64) Bytes { return Bytes(math.Round(gb * float64(GB))) }
 

@@ -10,23 +10,19 @@ func TestBytesConversions(t *testing.T) {
 	tests := []struct {
 		in   Bytes
 		gb   float64
-		mb   float64
 		want string
 	}{
-		{0, 0, 0, "0B"},
-		{512, 512.0 / (1 << 30), 512.0 / (1 << 20), "512B"},
-		{KB, 1.0 / (1 << 20), 1.0 / (1 << 10), "1.00KB"},
-		{10 * MB, 10.0 / 1024, 10, "10.00MB"},
-		{GB, 1, 1024, "1.00GB"},
-		{5*GB + 512*MB, 5.5, 5632, "5.50GB"},
-		{2 * TB, 2048, 2 * 1024 * 1024, "2.00TB"},
+		{0, 0, "0B"},
+		{512, 512.0 / (1 << 30), "512B"},
+		{KB, 1.0 / (1 << 20), "1.00KB"},
+		{10 * MB, 10.0 / 1024, "10.00MB"},
+		{GB, 1, "1.00GB"},
+		{5*GB + 512*MB, 5.5, "5.50GB"},
+		{2 * TB, 2048, "2.00TB"},
 	}
 	for _, tt := range tests {
 		if got := tt.in.GBf(); math.Abs(got-tt.gb) > 1e-12 {
 			t.Errorf("(%d).GBf() = %v, want %v", tt.in, got, tt.gb)
-		}
-		if got := tt.in.MBf(); math.Abs(got-tt.mb) > 1e-9 {
-			t.Errorf("(%d).MBf() = %v, want %v", tt.in, got, tt.mb)
 		}
 		if got := tt.in.String(); got != tt.want {
 			t.Errorf("(%d).String() = %q, want %q", tt.in, got, tt.want)
@@ -47,7 +43,7 @@ func TestFromGBRoundTrip(t *testing.T) {
 func TestFromMBRoundTrip(t *testing.T) {
 	f := func(mb16 uint16) bool {
 		mb := float64(mb16) / 4
-		return math.Abs(FromMB(mb).MBf()-mb) < 1e-9
+		return math.Abs(float64(FromMB(mb))/float64(MB)-mb) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
