@@ -35,45 +35,26 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short native-fuzz pass: the join-graph index against the string-keyed
-# reference kernel on schemas and subtrees decoded from arbitrary bytes,
-# the resource-plan cache against a linear-scan reference on
-# insert/probe/reset sequences decoded the same way, the history rollup
-# block decoder on arbitrary bytes (no panic, bounded allocation, stable
-# round trip), the dense-window sketch against the map-based reference
-# on decoded Add/AddN/Merge sequences, the fleet's peer transport on
-# arbitrary bytes as a peer's answer (no panic, no body over the bound, no
-# connection pooled with bytes left in it, the next call gets its own
-# answer) and the feedback codec against encoding/json: arbitrary bytes as
-# a /v1/feedback body (what the codec takes, encoding/json decodes to the
-# same observations; taken or declined, the handler answers as it did
-# before the codec) and observations built from arbitrary strings and
-# float bits (AppendJSON writes json.Marshal's bytes or returns its error,
-# and reads back what it wrote), and the enumeration kernels on a join
-# graph and a query decoded the same way, disconnected ones included (the
-# random tree draws what the pair-by-pair scan drew, the Selinger DP asks
-# the coster what the full mask sweep asked, in the same order), the
-# seed-free math/rand source (fault draws, randomized searches) against
-# rand.NewSource on any seed and stream length, the response encoder against json.Encoder's SetIndent on
-# anything encoding/json decodes plus arbitrary bytes as strings (the same
-# bytes, the same error), and the /v1/history fixed-shape encoder against
-# WriteResult on arbitrary series names and rows (the same status, headers
-# and bytes, a non-finite value's 500 included), and a planning call's
-# reuse of resource-plan cache answers against asking the cache every time
-# on costing/reset/call-boundary scripts decoded from bytes (the same
-# answers, bits, counts and cache stats), and the admission engine on
-# decoded markets, faults, tenants and mixed-policy arrival streams (zero
-# lost after a drain, no class below zero free containers at any event,
-# arrival <= start <= finish, the same bytes on a second run), the submit
-# codec on arbitrary bytes as both submit bodies (what the canonical scanner
-# takes, encoding/json decodes to the same request; taken or declined, each
-# handler answers with the status, headers and bytes it gave before the
-# scanner) and the fleet router's submit and optimize keys on arbitrary
-# bytes (the keys json.Unmarshal gave), and /v1/optimize request sequences
-# decoded from bytes, with model installs between them, through a new
-# server's handler (every answer's modelled time, plan and resources equal
-# a fresh optimizer's under the live models, whatever came before). (The
-# seed corpora already run under plain `go test`.)
+# Short native-fuzz pass, 10 s per target; the seed corpora already run
+# under plain `go test`. One line per target, what it holds:
+#   FuzzJoinGraph          join-graph index == the string-keyed reference kernel
+#   FuzzCacheLookup        resource-plan cache == a linear-scan reference
+#   FuzzRollupBlock        rollup block decoder: no panic, bounded allocation, stable round trip
+#   FuzzSketch             dense-window sketch == the map-based reference
+#   FuzzPeerResponse       fleet peer transport on a peer's arbitrary answer: bounded, never pooled dirty
+#   FuzzObservationDecode  /v1/feedback codec == encoding/json, handler answers as before the codec
+#   FuzzObservationAppend  AppendJSON == json.Marshal, and reads back what it wrote
+#   FuzzEnumeration        random tree and Selinger DP == the pair scan and the full mask sweep
+#   FuzzRegressionCost     unrolled cost model == Predict
+#   FuzzDrawSource         seed-free math/rand source == rand.NewSource
+#   FuzzWriteJSON          response encoder == json.Encoder with SetIndent
+#   FuzzHistoryJSON        /v1/history fixed-shape encoder == WriteResult
+#   FuzzCosterReuse        per-call cache-answer reuse == asking the cache every time
+#   FuzzAdmission          admission engine: zero lost, sane pools, byte-identical reruns
+#   FuzzSubmitDecode       submit scanner == encoding/json, both handlers answer as before it
+#   FuzzRoutingKeys        fleet routing keys == json.Unmarshal's
+#   FuzzServedOrder        served /v1/optimize answers == a fresh optimizer's, any request order
+#   FuzzLogRecover         append log: recovery keeps the longest whole-record prefix, appends read back
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -92,6 +73,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSubmitDecode -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzServedOrder -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime=10s ./internal/applog
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

@@ -33,11 +33,9 @@
 package feedback
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -45,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"raqo/internal/applog"
 	"raqo/internal/cost"
 	"raqo/internal/plan"
 	"raqo/internal/units"
@@ -216,8 +215,6 @@ func (s *Store) Append(o Observation) error {
 // a crash never loses acknowledged feedback and a failed batch leaves
 // nothing behind for the client's retry to double. lines, when not nil,
 // holds each observation's journal line, as Journal.AppendBatch takes them.
-//
-//raqo:ack
 func (s *Store) AppendBatch(obs []Observation, lines [][]byte) error {
 	for i := range obs {
 		if err := obs[i].Validate(); err != nil {
@@ -297,11 +294,14 @@ func (s *Store) Profiles() []cost.Profile {
 // fresh store and recalibrator reproduces the exact model state (see the
 // determinism test), which is also what `raqo calibrate` does offline.
 //
-// A batch reaches the file in one write, and a line counts only once its
-// newline is there: whatever follows the last newline is a write a crash
-// cut short, never acknowledged. Opening the journal cuts it off before
-// the first append could glue a good line onto it, and ReadJournal skips
-// it.
+// The files are newline-framed internal/applog logs. A batch reaches the
+// file in one write, and a line counts only once its newline is there:
+// whatever follows the last newline is a write a crash cut short, never
+// acknowledged. Opening the journal cuts it off before the first append
+// could glue a good line onto it, a failed write is cut back, and
+// ReadJournal skips a tail. Acknowledged means written: nothing calls
+// fsync, so an acknowledged batch survives a process crash (kill -9), not
+// an OS crash or power loss.
 //
 // With rotation enabled (JournalConfig.MaxBytes > 0) the active file is
 // renamed to `<path>.<n>` once it grows past the limit — n counting up, so
@@ -313,8 +313,8 @@ func (s *Store) Profiles() []cost.Profile {
 type Journal struct {
 	mu     sync.Mutex
 	path   string        // immutable after open
-	f      *os.File      // guarded by mu; nil once closed
-	size   int64         // guarded by mu
+	fs     applog.FS     // immutable after open
+	log    *applog.Log   // guarded by mu; nil once closed
 	buf    []byte        // guarded by mu; the encoded batch, reused
 	cfg    JournalConfig // immutable after open
 	writes atomic.Int64  // writes that reached the file
@@ -333,44 +333,17 @@ type JournalConfig struct {
 // OpenJournalConfig opens (creating if needed) a journal file for
 // appending, with the given rotation policy, and cuts off a torn tail.
 func OpenJournalConfig(path string, cfg JournalConfig) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("feedback: open journal: %w", err)
-	}
-	size, err := trimTornTail(f)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("feedback: open journal: %w", err)
-	}
-	return &Journal{path: path, f: f, size: size, cfg: cfg}, nil
+	return openJournal(path, cfg, applog.OS)
 }
 
-// trimTornTail truncates f to just after its last newline and returns the
-// size that leaves.
-func trimTornTail(f *os.File) (int64, error) {
-	info, err := f.Stat()
+// openJournal is OpenJournalConfig writing through fsys, which only tests
+// replace.
+func openJournal(path string, cfg JournalConfig, fsys applog.FS) (*Journal, error) {
+	l, err := applog.Open(fsys, path, "", nil)
 	if err != nil {
-		return 0, err
+		return nil, fmt.Errorf("feedback: open journal: %w", err)
 	}
-	var chunk [4096]byte
-	end := info.Size()
-	for end > 0 {
-		n := min(end, int64(len(chunk)))
-		if _, err := f.ReadAt(chunk[:n], end-n); err != nil {
-			return 0, err
-		}
-		if i := bytes.LastIndexByte(chunk[:n], '\n'); i >= 0 {
-			end += int64(i+1) - n
-			break
-		}
-		end -= n
-	}
-	if end < info.Size() {
-		if err := f.Truncate(end); err != nil {
-			return 0, err
-		}
-	}
-	return end, nil
+	return &Journal{path: path, fs: fsys, log: l, cfg: cfg}, nil
 }
 
 // Path returns the journal's file path.
@@ -394,7 +367,8 @@ func (j *Journal) Append(o Observation) error {
 // appended one at a time: a line that would push the active file past the
 // limit rotates it first, so a batch across that boundary is two writes.
 // A batch that fails leaves no line behind, short of one that spans
-// several rotations: what an earlier rotation carried off stays.
+// several rotations (what an earlier rotation carried off stays) or a
+// rotation whose old file fails to close.
 func (j *Journal) AppendBatch(obs []Observation, lines [][]byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -411,13 +385,13 @@ func (j *Journal) AppendBatch(obs []Observation, lines [][]byte) error {
 		buf = append(buf, '\n')
 	}
 	j.buf = buf
-	if j.f == nil {
+	if j.log == nil {
 		return fmt.Errorf("feedback: journal %s is closed", j.path)
 	}
 	if j.cfg.MaxBytes > 0 {
 		for line := 0; line < len(buf); {
 			n := bytes.IndexByte(buf[line:], '\n') + 1
-			if size := j.size + int64(line); size > 0 && size+int64(n) > j.cfg.MaxBytes {
+			if size := j.log.Size() + int64(line); size > 0 && size+int64(n) > j.cfg.MaxBytes {
 				if err := j.rotateLocked(buf[:line]); err != nil {
 					return err
 				}
@@ -429,20 +403,16 @@ func (j *Journal) AppendBatch(obs []Observation, lines [][]byte) error {
 	return j.writeLocked(buf)
 }
 
-// writeLocked appends p to the active file. A write that fails part-way is
-// cut off again, so the next batch does not start in mid-line.
+// writeLocked appends p to the active file; the log cuts a failed write
+// back, so the next batch does not start in mid-line.
 func (j *Journal) writeLocked(p []byte) error {
 	if len(p) == 0 {
 		return nil
 	}
-	if n, err := j.f.Write(p); err != nil {
-		if n > 0 {
-			_ = j.f.Truncate(j.size) // best effort; ReadJournal surfaces what stays
-		}
+	if err := j.log.Append(p); err != nil {
 		return fmt.Errorf("feedback: journal write: %w", err)
 	}
 	j.writes.Add(1)
-	j.size += int64(len(p))
 	return nil
 }
 
@@ -450,76 +420,53 @@ func (j *Journal) writeLocked(p []byte) error {
 // belong to the active file — renames that file to the next numbered slot,
 // prunes rotated files beyond MaxFiles (oldest first) and starts a fresh
 // active file. A failure mid-rotation degrades rather than disables: tail
-// is cut off again, because its batch is about to be refused, and the path
-// is reopened for append so later batches keep journaling (into an
-// oversized or fresh file) instead of permanently returning "journal is
-// closed".
+// is cut back, because its batch is about to be refused, and appends go on
+// into the oversized file if it was not renamed, or into a fresh one at
+// the path if it was.
 func (j *Journal) rotateLocked(tail []byte) error {
+	size := j.log.Size()
 	if err := j.writeLocked(tail); err != nil {
 		return err
 	}
-	at, err := j.rotateFilesLocked()
-	if err != nil {
-		if len(tail) > 0 {
-			_ = os.Truncate(at, j.size-int64(len(tail))) // best effort, as in writeLocked
-		}
-		j.reopenDegradedLocked()
-	}
-	return err
-}
-
-// rotateFilesLocked is the close/rename/prune/reopen step of rotation. It
-// returns where the file that was active is now; on an error j.f is nil.
-func (j *Journal) rotateFilesLocked() (string, error) {
-	err := j.f.Close()
-	j.f = nil
-	if err != nil {
-		return j.path, fmt.Errorf("feedback: journal close: %w", err)
-	}
 	nums, err := rotatedJournalNums(j.path)
-	if err != nil {
-		return j.path, err
-	}
 	next := 1
 	if len(nums) > 0 {
 		next = nums[len(nums)-1] + 1
 	}
-	rotated := fmt.Sprintf("%s.%d", j.path, next)
-	if err := os.Rename(j.path, rotated); err != nil {
-		return j.path, fmt.Errorf("feedback: journal rotate: %w", err)
-	}
-	nums = append(nums, next)
-	if j.cfg.MaxFiles > 0 {
-		for len(nums) > j.cfg.MaxFiles {
-			if err := os.Remove(fmt.Sprintf("%s.%d", j.path, nums[0])); err != nil {
-				return rotated, fmt.Errorf("feedback: journal prune: %w", err)
-			}
-			nums = nums[1:]
+	if err == nil {
+		if err = j.log.Rename(fmt.Sprintf("%s.%d", j.path, next)); err != nil {
+			err = fmt.Errorf("feedback: journal rotate: %w", err)
 		}
 	}
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return rotated, fmt.Errorf("feedback: journal rotate: %w", err)
+		_ = j.log.Truncate(size) // on failure the log refuses appends
+		return err
 	}
-	j.f = f
-	j.size = 0
-	return rotated, nil
+	err = j.pruneLocked(append(nums, next))
+	fresh, oerr := applog.Open(j.fs, j.path, "", nil)
+	if err == nil && oerr != nil {
+		err = fmt.Errorf("feedback: journal rotate: %w", oerr)
+	}
+	old := j.log
+	if err != nil {
+		_ = old.Truncate(size) // its batch is refused
+	}
+	if cerr := old.Close(); err == nil && cerr != nil {
+		err = fmt.Errorf("feedback: journal close: %w", cerr)
+	}
+	j.log = fresh // nil when the open failed: later batches find the journal closed
+	return err
 }
 
-// reopenDegradedLocked best-effort reopens the journal path for append
-// after a failed rotation. If the rename already happened the path comes
-// back as a fresh file; otherwise appends continue into the oversized one.
-// If even the reopen fails, j.f stays nil and AppendBatch keeps erroring.
-func (j *Journal) reopenDegradedLocked() {
-	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
+// pruneLocked deletes the oldest rotated files beyond MaxFiles.
+func (j *Journal) pruneLocked(nums []int) error {
+	for j.cfg.MaxFiles > 0 && len(nums) > j.cfg.MaxFiles {
+		if err := j.fs.Remove(fmt.Sprintf("%s.%d", j.path, nums[0])); err != nil {
+			return fmt.Errorf("feedback: journal prune: %w", err)
+		}
+		nums = nums[1:]
 	}
-	j.f = f
-	j.size = 0
-	if info, err := f.Stat(); err == nil {
-		j.size = info.Size()
-	}
+	return nil
 }
 
 // rotatedJournalNums lists the numeric suffixes of path's rotated files,
@@ -545,11 +492,11 @@ func rotatedJournalNums(path string) ([]int, error) {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }
 
@@ -578,45 +525,35 @@ func ReadJournal(path string) ([]Observation, error) {
 	return readJournalFile(path, &dec, out)
 }
 
-// terminatedLines is bufio.ScanLines without its last rule: bytes after
-// the final newline are dropped, not returned as a line.
-func terminatedLines(data []byte, atEOF bool) (advance int, token []byte, err error) {
-	if atEOF && bytes.IndexByte(data, '\n') < 0 {
-		return len(data), nil, nil
-	}
-	return bufio.ScanLines(data, atEOF)
-}
-
 // readJournalFile appends one journal file's observations to out.
 func readJournalFile(path string, dec *decoder, out []Observation) ([]Observation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("feedback: read journal: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	sc.Split(terminatedLines)
 	line := 0
-	for sc.Scan() {
+	var bad error
+	err := applog.ScanLines(path, func(b []byte) error {
 		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+		if len(b) == 0 {
+			return nil
 		}
 		out = append(out, Observation{})
 		o := &out[len(out)-1]
-		if !dec.line(sc.Bytes(), o) {
+		if !dec.line(b, o) {
 			*o = Observation{}
-			if err := json.Unmarshal(sc.Bytes(), o); err != nil {
-				return nil, fmt.Errorf("feedback: journal %s line %d: %w", path, line, err)
+			if err := json.Unmarshal(b, o); err != nil {
+				bad = fmt.Errorf("feedback: journal %s line %d: %w", path, line, err)
+				return bad
 			}
 		}
 		if err := o.Validate(); err != nil {
-			return nil, fmt.Errorf("feedback: journal %s line %d: %w", path, line, err)
+			bad = fmt.Errorf("feedback: journal %s line %d: %w", path, line, err)
+			return bad
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("feedback: journal %s: %w", path, err)
+		return nil
+	})
+	switch {
+	case bad != nil:
+		return nil, bad
+	case err != nil:
+		return nil, fmt.Errorf("feedback: read journal: %w", err)
 	}
 	return out, nil
 }

@@ -13,14 +13,18 @@
 //   - rollup-1m.log   per-sealed-segment 1-minute aggregates (rollup.go)
 //   - rollup-1h.log   per-sealed-segment 1-hour aggregates
 //
-// The durability contract is journal-before-ack at Commit granularity:
-// Append stages points in memory, Commit writes them as one checksummed
-// block and only then are they acknowledged. A kill -9 can tear at most
-// the final in-flight block; Open truncates the torn tail, so an
-// acknowledged point is never lost and a torn one is never served. Sealed
-// segments have their rollup aggregates appended to the rollup logs
-// *before* raw retention may delete them, so downsampled history outlives
-// the raw points it summarizes.
+// Every file is an internal/applog log, which owns recovery, appends and
+// the cut-back of a failed write. The durability contract is
+// write-before-ack at Commit granularity: Append stages points in memory,
+// Commit writes them as one checksummed block with one write(2), and only
+// then are they acknowledged. A write that fails is cut back, so the
+// retry starts on a block boundary. A kill -9 can tear at most the final
+// in-flight block; Open truncates the torn tail, so an acknowledged point
+// is never lost and a torn one is never served. Nothing calls fsync: an
+// acknowledged point survives a process crash, not an OS crash or power
+// loss. Sealed segments have their rollup aggregates appended to the
+// rollup logs *before* raw retention may delete them, so downsampled
+// history outlives the raw points it summarizes.
 //
 // All timestamps are injected by the caller (unix seconds, wall or
 // virtual) — the package never reads the wall clock (enforced by the
@@ -38,6 +42,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"raqo/internal/applog"
 )
 
 // Config tunes a Store. Zero values select the documented defaults.
@@ -110,26 +116,24 @@ type segMeta struct {
 // queryable) at Commit.
 type Store struct {
 	mu  sync.Mutex
-	dir string // immutable after Open
-	cfg Config // immutable after Open
+	dir string    // immutable after Open
+	cfg Config    // immutable after Open
+	fs  applog.FS // immutable after Open
 
-	series  []*Series          // guarded by mu
-	byName  map[string]*Series // guarded by mu
-	seriesF *os.File           // guarded by mu
+	series    []*Series          // guarded by mu
+	byName    map[string]*Series // guarded by mu
+	seriesLog *applog.Log        // guarded by mu
 
-	active      *os.File // guarded by mu
-	activeID    uint64   // guarded by mu
-	activePath  string   // guarded by mu
-	activeSize  int64    // guarded by mu; committed bytes, including magic
-	activeMin   int64    // guarded by mu
-	activeMax   int64    // guarded by mu
-	activeCount int64    // guarded by mu
+	active      *applog.Log // guarded by mu; nil until the first Commit after Open or a seal
+	activeID    uint64      // guarded by mu
+	activeMin   int64       // guarded by mu
+	activeMax   int64       // guarded by mu
+	activeCount int64       // guarded by mu
 
-	pending      []byte               // guarded by mu; staged point records, not yet durable
-	pendingCount int64                // guarded by mu
-	pendingMin   int64                // guarded by mu
-	pendingMax   int64                // guarded by mu
-	hdr          [blockHeaderLen]byte // guarded by mu
+	pending      []byte // guarded by mu; staged point records, not yet durable
+	pendingCount int64  // guarded by mu
+	pendingMin   int64  // guarded by mu
+	pendingMax   int64  // guarded by mu
 
 	sealed []segMeta // guarded by mu
 	lv1m   *level    // pointer immutable after Open; contents guarded by mu
@@ -144,7 +148,10 @@ type Store struct {
 
 // Open opens (creating as needed) a store rooted at dir, recovering any
 // torn tail from a previous crash and compacting the rollup logs.
-func Open(dir string, cfg Config) (*Store, error) {
+func Open(dir string, cfg Config) (*Store, error) { return open(dir, cfg, applog.OS) }
+
+// open is Open writing through fsys, which only tests replace.
+func open(dir string, cfg Config, fsys applog.FS) (*Store, error) {
 	cfg = cfg.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("history: %w", err)
@@ -152,6 +159,7 @@ func Open(dir string, cfg Config) (*Store, error) {
 	st := &Store{
 		dir:    dir,
 		cfg:    cfg,
+		fs:     fsys,
 		byName: make(map[string]*Series),
 		lv1m:   newLevel(60, cfg.Retention1m, filepath.Join(dir, "rollup-1m.log")),
 		lv1h:   newLevel(3600, cfg.Retention1h, filepath.Join(dir, "rollup-1h.log")),
@@ -163,6 +171,9 @@ func Open(dir string, cfg Config) (*Store, error) {
 	if err == nil {
 		err = st.recoverLocked()
 	}
+	if err != nil {
+		_ = st.closeFilesLocked() // the Open error is the one to report
+	}
 	st.mu.Unlock()
 	if err != nil {
 		return nil, err
@@ -173,22 +184,17 @@ func Open(dir string, cfg Config) (*Store, error) {
 // seriesPath is the name→id registry file.
 func (st *Store) seriesPath() string { return filepath.Join(st.dir, "series.idx") }
 
-// loadSeries reads the registry, truncating a torn final line, and opens
-// it for appending.
+// loadSeries opens the registry for appending, which cuts off a torn final
+// line (a crash mid-registration), and reads it.
 func (st *Store) loadSeriesLocked() error {
 	path := st.seriesPath()
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
+	l, err := applog.Open(st.fs, path, "", nil)
+	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
-	good := 0
-	for len(data) > good {
-		nl := strings.IndexByte(string(data[good:]), '\n')
-		if nl < 0 {
-			break // torn final line: a crash mid-registration
-		}
-		line := string(data[good : good+nl])
-		good += nl + 1
+	st.seriesLog = l
+	return applog.ScanLines(path, func(b []byte) error {
+		line := string(b)
 		id, name, ok := strings.Cut(line, " ")
 		idv, err := strconv.ParseUint(id, 10, 32)
 		if !ok || err != nil || name == "" {
@@ -200,18 +206,8 @@ func (st *Store) loadSeriesLocked() error {
 		s := &Series{id: uint32(idv), name: name}
 		st.series = append(st.series, s)
 		st.byName[name] = s
-	}
-	if good < len(data) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return fmt.Errorf("history: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("history: %w", err)
-	}
-	st.seriesF = f
-	return nil
+		return nil
+	})
 }
 
 // Series returns (registering on first use) the handle for name. The
@@ -233,7 +229,7 @@ func (st *Store) seriesLocked(name string) (*Series, error) {
 		return nil, fmt.Errorf("history: series name %q may not contain spaces or newlines", name)
 	}
 	s := &Series{id: uint32(len(st.series)), name: name}
-	if _, err := fmt.Fprintf(st.seriesF, "%d %s\n", s.id, s.name); err != nil {
+	if err := st.seriesLog.Append(fmt.Appendf(nil, "%d %s\n", s.id, s.name)); err != nil {
 		return nil, fmt.Errorf("history: registering series %s: %w", name, err)
 	}
 	st.series = append(st.series, s)
@@ -296,10 +292,11 @@ func (st *Store) Record(name string, ts int64, v float64) {
 	st.appendLocked(s, ts, v)
 }
 
-// Commit makes every staged point durable as one checksummed block and
-// acknowledges it: after Commit returns nil the points survive kill -9.
-// Commit also advances the high-water mark, seals oversized segments and
-// applies retention.
+// Commit writes every staged point as one checksummed block and
+// acknowledges it: after Commit returns nil the points survive kill -9
+// (not an OS crash; nothing calls fsync). A failed Commit keeps the
+// points staged for the next one. Commit also advances the high-water
+// mark, seals oversized segments and applies retention.
 func (st *Store) Commit() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -320,8 +317,8 @@ func (st *Store) commitLocked() error {
 			return err
 		}
 	}
-	if err := appendBlock(st.active, &st.hdr, st.pending); err != nil {
-		return fmt.Errorf("history: segment %s: %w", st.activePath, err)
+	if err := st.active.Append(st.pending); err != nil {
+		return fmt.Errorf("history: %w", err)
 	}
 	// Durability first, visibility second: fold the now-committed points
 	// into the rollup buckets only after the block write succeeded, so
@@ -343,7 +340,6 @@ func (st *Store) commitLocked() error {
 			st.activeMax = st.pendingMax
 		}
 	}
-	st.activeSize += int64(blockHeaderLen) + int64(len(st.pending))
 	st.activeCount += st.pendingCount
 	st.committed += st.pendingCount
 	if st.pendingMax > st.hwm {
@@ -352,7 +348,7 @@ func (st *Store) commitLocked() error {
 	st.pending = st.pending[:0]
 	st.pendingCount = 0
 
-	if st.activeSize >= st.cfg.SegmentMaxBytes {
+	if st.active.Size() >= st.cfg.SegmentMaxBytes {
 		if err := st.sealLocked(); err != nil {
 			return err
 		}
@@ -365,51 +361,50 @@ func (st *Store) segPath(id uint64) string {
 	return filepath.Join(st.dir, fmt.Sprintf("seg-%08d.log", id))
 }
 
-// openActive starts a fresh active segment.
+// openActive starts a fresh active segment. Its id is past every
+// segment on disk, so a file already there is only a create that failed
+// before: Open cuts it back to the magic.
 func (st *Store) openActiveLocked() error {
-	st.activePath = st.segPath(st.activeID)
-	f, err := os.OpenFile(st.activePath, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	l, err := applog.Open(st.fs, st.segPath(st.activeID), segMagic, nil)
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
-	if err := writeMagic(f, segMagic); err != nil {
-		f.Close()
-		return fmt.Errorf("history: %w", err)
-	}
-	st.active = f
-	st.activeSize = int64(len(segMagic))
+	st.active = l
 	st.activeCount = 0
 	return nil
 }
 
 // sealLocked closes the active segment, writes its rollup aggregates to
 // the logs (before raw retention may ever delete it) and starts a new one.
+// A failed close is reported once the seal is done: the segment's blocks
+// were written, so it seals regardless and the store moves on.
 func (st *Store) sealLocked() error {
 	if st.active == nil || st.activeCount == 0 {
 		return nil
 	}
-	if err := st.active.Close(); err != nil {
-		return fmt.Errorf("history: sealing %s: %w", st.activePath, err)
-	}
+	path := st.active.Path()
+	closeErr := st.active.Close()
 	st.sealed = append(st.sealed, segMeta{
 		id:     st.activeID,
-		path:   st.activePath,
+		path:   path,
 		minTs:  st.activeMin,
 		maxTs:  st.activeMax,
 		points: st.activeCount,
-		bytes:  st.activeSize,
+		bytes:  st.active.Size(),
 	})
 	if err := st.rollSegmentLocked(st.activeID); err != nil {
 		return err
 	}
-	st.active = nil
 	// The sealed segment's points and bytes now live in st.sealed; reset
 	// the active counters so Stats never counts them twice while no new
 	// active segment exists.
+	st.active = nil
 	st.activeCount = 0
-	st.activeSize = 0
 	st.activeID++
 	st.sealSeq++
+	if closeErr != nil {
+		return fmt.Errorf("history: sealing %s: %w", path, closeErr)
+	}
 	return nil
 }
 
@@ -417,11 +412,6 @@ func (st *Store) sealLocked() error {
 // rollup logs and moves them into the persisted views.
 func (st *Store) rollSegmentLocked(segID uint64) error {
 	for _, lv := range [2]*level{st.lv1m, st.lv1h} {
-		if lv.logF == nil {
-			if err := st.openRollupLogLocked(lv); err != nil {
-				return err
-			}
-		}
 		if err := lv.appendSegment(segID); err != nil {
 			return err
 		}
@@ -429,27 +419,6 @@ func (st *Store) rollSegmentLocked(segID uint64) error {
 	for _, s := range st.series {
 		s.cur1m, s.cur1h = nil, nil
 	}
-	return nil
-}
-
-// openRollupLog opens (creating with magic if empty) a level's log.
-func (st *Store) openRollupLogLocked(lv *level) error {
-	f, err := os.OpenFile(lv.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("history: %w", err)
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("history: %w", err)
-	}
-	if info.Size() == 0 {
-		if err := writeMagic(f, rollupMagic); err != nil {
-			f.Close()
-			return fmt.Errorf("history: %w", err)
-		}
-	}
-	lv.logF = f
 	return nil
 }
 
@@ -463,7 +432,7 @@ func (st *Store) retainLocked() error {
 		if !st.lv1m.rolled[m.id] || !st.lv1h.rolled[m.id] {
 			return fmt.Errorf("history: segment %d reached retention without durable rollups", m.id)
 		}
-		if err := os.Remove(m.path); err != nil {
+		if err := st.fs.Remove(m.path); err != nil {
 			return fmt.Errorf("history: retention: %w", err)
 		}
 		st.sealed = st.sealed[1:]
@@ -479,25 +448,22 @@ func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	err := st.commitLocked()
-	if st.active != nil {
-		if cerr := st.active.Close(); err == nil {
-			err = cerr
-		}
-		st.active = nil
+	if cerr := st.closeFilesLocked(); err == nil {
+		err = cerr
 	}
-	for _, lv := range [2]*level{st.lv1m, st.lv1h} {
-		if lv.logF != nil {
-			if cerr := lv.logF.Close(); err == nil {
+	return err
+}
+
+// closeFilesLocked closes every open file and returns the first error.
+func (st *Store) closeFilesLocked() error {
+	var err error
+	for _, l := range []**applog.Log{&st.active, &st.lv1m.log, &st.lv1h.log, &st.seriesLog} {
+		if *l != nil {
+			if cerr := (*l).Close(); err == nil {
 				err = cerr
 			}
-			lv.logF = nil
+			*l = nil
 		}
-	}
-	if st.seriesF != nil {
-		if cerr := st.seriesF.Close(); err == nil {
-			err = cerr
-		}
-		st.seriesF = nil
 	}
 	return err
 }
@@ -525,12 +491,14 @@ func (st *Store) Stats() Stats {
 		CommittedTotal: st.committed,
 		StoredPoints:   st.activeCount,
 		Segments:       len(st.sealed),
-		SegmentBytes:   st.activeSize,
 		Buckets1m:      st.lv1m.persisted.n + st.lv1m.active.n,
 		Buckets1h:      st.lv1h.persisted.n + st.lv1h.active.n,
 		HighWater:      st.hwm,
 		SealedTotal:    st.sealSeq,
 		RetainedTotal:  st.retained,
+	}
+	if st.active != nil {
+		s.SegmentBytes = st.active.Size()
 	}
 	for _, m := range st.sealed {
 		s.StoredPoints += m.points

@@ -277,7 +277,7 @@ func TestTornTailRecovery(t *testing.T) {
 			if err := st.Commit(); err != nil {
 				t.Fatal(err)
 			}
-			path := st.activePath
+			path := st.active.Path()
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}

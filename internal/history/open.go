@@ -1,11 +1,14 @@
 package history
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
-	"os"
 	"path/filepath"
 	"sort"
+
+	"raqo/internal/applog"
 )
 
 // recoverLocked rebuilds the store's in-memory state from disk after Open:
@@ -21,21 +24,19 @@ func (st *Store) recoverLocked() error {
 	levels := [2]*level{st.lv1m, st.lv1h}
 	var logged [2]map[uint64][]rollupEntry
 	for li, lv := range levels {
+		// Read-only: the compacted rewrite below replaces the file, torn
+		// tail and all.
 		bySeg := make(map[uint64][]rollupEntry)
-		if _, err := os.Stat(lv.logPath); err == nil {
-			_, err := recoverFile(lv.logPath, rollupMagic, func(payload []byte) error {
-				segID, entries, err := decodeRollupBlock(payload)
-				if err != nil {
-					return err
-				}
-				bySeg[segID] = append(bySeg[segID], entries...)
-				return nil
-			})
+		err := applog.ScanBlocks(lv.logPath, rollupMagic, func(payload []byte) error {
+			segID, entries, err := decodeRollupBlock(payload)
 			if err != nil {
 				return err
 			}
-		} else if !os.IsNotExist(err) {
-			return fmt.Errorf("history: %w", err)
+			bySeg[segID] = append(bySeg[segID], entries...)
+			return nil
+		})
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
 		}
 		logged[li] = bySeg
 	}
@@ -60,7 +61,7 @@ func (st *Store) recoverLocked() error {
 			return fmt.Errorf("history: unrecognized segment file %s", path)
 		}
 		sr := segRoll{meta: segMeta{id: id, path: path}}
-		res, err := recoverFile(path, segMagic, eachPoint(path, func(sid uint32, ts int64, bits uint64) {
+		l, err := applog.Open(st.fs, path, segMagic, eachPoint(path, func(sid uint32, ts int64, bits uint64) {
 			v := math.Float64frombits(bits)
 			if sr.meta.points == 0 {
 				sr.meta.minTs, sr.meta.maxTs = ts, ts
@@ -80,15 +81,18 @@ func (st *Store) recoverLocked() error {
 		if err != nil {
 			return err
 		}
+		if err := l.Close(); err != nil {
+			return fmt.Errorf("history: %w", err)
+		}
 		if sr.meta.points == 0 {
 			// An interrupted create (or fully torn segment) holds no
 			// acknowledged data; drop the file.
-			if err := os.Remove(path); err != nil {
+			if err := st.fs.Remove(path); err != nil {
 				return fmt.Errorf("history: %w", err)
 			}
 			continue
 		}
-		sr.meta.bytes = res.goodLen
+		sr.meta.bytes = l.Size()
 		segs = append(segs, sr)
 		if id >= st.activeID {
 			st.activeID = id + 1
@@ -135,19 +139,15 @@ func (st *Store) recoverLocked() error {
 		historic := &historics[li]
 		historic.trimBefore(lv.expiry(st.hwm))
 
-		tmp := lv.logPath + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+		// The compacted log is written beside the old one and renamed over
+		// it, then stays open as the level's append log.
+		l, err := applog.Create(st.fs, lv.logPath+".tmp", rollupMagic)
 		if err != nil {
 			return fmt.Errorf("history: %w", err)
 		}
-		if err := writeMagic(f, rollupMagic); err != nil {
-			f.Close()
-			return fmt.Errorf("history: %w", err)
-		}
-		var hdr [blockHeaderLen]byte
+		lv.log = l // closed by Open's error path from here on
 		if historic.n > 0 {
-			if err := appendBlock(f, &hdr, encodeRollupBlock(compactedSegID, historic.entries())); err != nil {
-				f.Close()
+			if err := l.Append(encodeRollupBlock(compactedSegID, historic.entries())); err != nil {
 				return fmt.Errorf("history: %w", err)
 			}
 		}
@@ -157,8 +157,7 @@ func (st *Store) recoverLocked() error {
 		for i := range segs {
 			entries := segs[i].by[li].entries()
 			if len(entries) > 0 {
-				if err := appendBlock(f, &hdr, encodeRollupBlock(segs[i].meta.id, entries)); err != nil {
-					f.Close()
+				if err := l.Append(encodeRollupBlock(segs[i].meta.id, entries)); err != nil {
 					return fmt.Errorf("history: %w", err)
 				}
 			}
@@ -167,14 +166,8 @@ func (st *Store) recoverLocked() error {
 			}
 			lv.rolled[segs[i].meta.id] = true
 		}
-		if err := f.Close(); err != nil {
+		if err := l.Rename(lv.logPath); err != nil {
 			return fmt.Errorf("history: %w", err)
-		}
-		if err := os.Rename(tmp, lv.logPath); err != nil {
-			return fmt.Errorf("history: %w", err)
-		}
-		if err := st.openRollupLogLocked(lv); err != nil {
-			return err
 		}
 	}
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"raqo/internal/applog"
 )
 
 // ErrUnknownSeries reports a query against a series the store has never
@@ -153,13 +155,14 @@ func (st *Store) queryRawLocked(sid uint32, from, to, step int64) ([]Bucket, err
 			continue
 		}
 		// Sealed segments are immutable and were verified at seal/open
-		// time; scanBlocks (no truncation) keeps queries read-only.
-		if _, err := scanBlocks(m.path, segMagic, eachPoint(m.path, fold)); err != nil {
+		// time; the read-only scan keeps queries from writing.
+		if err := applog.ScanBlocks(m.path, segMagic, eachPoint(m.path, fold)); err != nil {
 			return nil, err
 		}
 	}
 	if st.active != nil && st.activeCount > 0 && st.activeMax >= from && st.activeMin < to {
-		if _, err := scanBlocks(st.activePath, segMagic, eachPoint(st.activePath, fold)); err != nil {
+		path := st.active.Path()
+		if err := applog.ScanBlocks(path, segMagic, eachPoint(path, fold)); err != nil {
 			return nil, err
 		}
 	}

@@ -4,8 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"os"
 	"sort"
+
+	"raqo/internal/applog"
 )
 
 // Bucket is one downsampled aggregate: every point of one series whose
@@ -193,7 +194,7 @@ type level struct {
 	width     int64 // bucket width in seconds (60 or 3600)
 	retention int64 // how far behind the high-water mark buckets are kept
 	logPath   string
-	logF      *os.File
+	log       *applog.Log
 
 	persisted bucketSet
 	active    bucketSet
@@ -332,9 +333,8 @@ func decodeRollupBlock(payload []byte) (uint64, []rollupEntry, error) {
 func (lv *level) appendSegment(segID uint64) error {
 	entries := lv.active.entries()
 	if len(entries) > 0 {
-		var hdr [blockHeaderLen]byte
-		if err := appendBlock(lv.logF, &hdr, encodeRollupBlock(segID, entries)); err != nil {
-			return fmt.Errorf("history: rollup log %s: %w", lv.logPath, err)
+		if err := lv.log.Append(encodeRollupBlock(segID, entries)); err != nil {
+			return fmt.Errorf("history: rollup log: %w", err)
 		}
 	}
 	for _, e := range entries {

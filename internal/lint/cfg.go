@@ -10,9 +10,7 @@ import (
 // function bodies. Blocks hold only "simple" nodes — plain statements and
 // the condition/tag expressions of compound statements — so an analyzer's
 // transfer function can walk a node with shallowWalk and never see a
-// nested statement body twice. Branch edges carry the condition they
-// resolve and which way it went, which lets flow analyses refine facts on
-// a branch outcome (the durable analyzer's `if x != nil` refinement).
+// nested statement body twice.
 //
 // The graph is deliberately modest: intra-procedural, no goto resolution
 // (a goto conservatively exits the function), and deferred calls stay in
@@ -21,18 +19,10 @@ import (
 // every path, which is exactly the semantics the annotation needs).
 
 // Block is one basic block: simple nodes in execution order plus the
-// outgoing edges.
+// blocks control can go to next.
 type Block struct {
 	Nodes []ast.Node
-	Succs []Edge
-}
-
-// Edge is one control-flow edge. Cond is non-nil on the two edges leaving
-// a condition: the edge taken when the condition evaluates to Branch.
-type Edge struct {
-	To     *Block
-	Cond   ast.Expr
-	Branch bool
+	Succs []*Block
 }
 
 // CFG is the control-flow graph of one function body.
@@ -66,7 +56,7 @@ func buildCFG(body *ast.BlockStmt) *CFG {
 	b.cur = b.cfg.Entry
 	b.stmts(body.List)
 	if b.cur != nil {
-		b.edge(b.cur, b.cfg.Exit, nil, false)
+		b.edge(b.cur, b.cfg.Exit)
 	}
 	b.cfg.Blocks = append(b.cfg.Blocks, b.cfg.Exit)
 	return b.cfg
@@ -78,8 +68,8 @@ func (b *cfgBuilder) newBlock() *Block {
 	return blk
 }
 
-func (b *cfgBuilder) edge(from, to *Block, cond ast.Expr, branch bool) {
-	from.Succs = append(from.Succs, Edge{To: to, Cond: cond, Branch: branch})
+func (b *cfgBuilder) edge(from, to *Block) {
+	from.Succs = append(from.Succs, to)
 }
 
 // add appends a simple node to the current block, opening an unreachable
@@ -108,7 +98,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		b.stmts(s.List)
 	case *ast.ReturnStmt:
 		b.add(s)
-		b.edge(b.cur, b.cfg.Exit, nil, false)
+		b.edge(b.cur, b.cfg.Exit)
 		b.cur = nil
 	case *ast.BranchStmt:
 		b.branch(s)
@@ -131,7 +121,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		// DeferStmt: simple nodes.
 		b.add(s)
 		if es, ok := s.(*ast.ExprStmt); ok && isNoReturnCall(es.X) {
-			b.edge(b.cur, b.cfg.Exit, nil, false)
+			b.edge(b.cur, b.cfg.Exit)
 			b.cur = nil
 		}
 	}
@@ -150,7 +140,7 @@ func (b *cfgBuilder) branch(s *ast.BranchStmt) {
 		for i := len(b.frames) - 1; i >= 0; i-- {
 			f := b.frames[i]
 			if label == "" || f.label == label {
-				b.edge(b.cur, f.brk, nil, false)
+				b.edge(b.cur, f.brk)
 				b.cur = nil
 				return
 			}
@@ -159,7 +149,7 @@ func (b *cfgBuilder) branch(s *ast.BranchStmt) {
 		for i := len(b.frames) - 1; i >= 0; i-- {
 			f := b.frames[i]
 			if f.cont != nil && (label == "" || f.label == label) {
-				b.edge(b.cur, f.cont, nil, false)
+				b.edge(b.cur, f.cont)
 				b.cur = nil
 				return
 			}
@@ -169,7 +159,7 @@ func (b *cfgBuilder) branch(s *ast.BranchStmt) {
 		return
 	}
 	// goto, or an unmatched label: conservatively leave the function.
-	b.edge(b.cur, b.cfg.Exit, nil, false)
+	b.edge(b.cur, b.cfg.Exit)
 	b.cur = nil
 }
 
@@ -180,22 +170,22 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	b.add(s.Cond)
 	cond := b.cur
 	then := b.newBlock()
-	b.edge(cond, then, s.Cond, true)
+	b.edge(cond, then)
 	b.cur = then
 	b.stmts(s.Body.List)
 	thenEnd := b.cur
 
 	if s.Else == nil {
 		merge := b.newBlock()
-		b.edge(cond, merge, s.Cond, false)
+		b.edge(cond, merge)
 		if thenEnd != nil {
-			b.edge(thenEnd, merge, nil, false)
+			b.edge(thenEnd, merge)
 		}
 		b.cur = merge
 		return
 	}
 	elseEntry := b.newBlock()
-	b.edge(cond, elseEntry, s.Cond, false)
+	b.edge(cond, elseEntry)
 	b.cur = elseEntry
 	b.stmt(s.Else, "")
 	elseEnd := b.cur
@@ -205,10 +195,10 @@ func (b *cfgBuilder) ifStmt(s *ast.IfStmt) {
 	}
 	merge := b.newBlock()
 	if thenEnd != nil {
-		b.edge(thenEnd, merge, nil, false)
+		b.edge(thenEnd, merge)
 	}
 	if elseEnd != nil {
-		b.edge(elseEnd, merge, nil, false)
+		b.edge(elseEnd, merge)
 	}
 	b.cur = merge
 }
@@ -221,7 +211,7 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 		b.cur = b.newBlock()
 	}
 	head := b.newBlock()
-	b.edge(b.cur, head, nil, false)
+	b.edge(b.cur, head)
 	b.cur = head
 	if s.Cond != nil {
 		b.add(s.Cond)
@@ -238,11 +228,9 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 	}
 
 	body := b.newBlock()
+	b.edge(condEnd, body)
 	if s.Cond != nil {
-		b.edge(condEnd, body, s.Cond, true)
-		b.edge(condEnd, after, s.Cond, false)
-	} else {
-		b.edge(condEnd, body, nil, false)
+		b.edge(condEnd, after)
 	}
 
 	b.frames = append(b.frames, frame{label: label, brk: after, cont: cont})
@@ -251,12 +239,12 @@ func (b *cfgBuilder) forStmt(s *ast.ForStmt, label string) {
 	b.frames = b.frames[:len(b.frames)-1]
 
 	if b.cur != nil {
-		b.edge(b.cur, cont, nil, false)
+		b.edge(b.cur, cont)
 	}
 	if post != nil {
 		b.cur = post
 		b.add(s.Post)
-		b.edge(b.cur, head, nil, false)
+		b.edge(b.cur, head)
 	}
 	b.cur = after
 }
@@ -267,13 +255,13 @@ func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt, label string) {
 	// key/value bindings are visible there (shallowWalk stops at Body).
 	b.add(s.X)
 	head := b.newBlock()
-	b.edge(b.cur, head, nil, false)
+	b.edge(b.cur, head)
 	head.Nodes = append(head.Nodes, s)
 
 	after := b.newBlock()
 	body := b.newBlock()
-	b.edge(head, body, nil, false)
-	b.edge(head, after, nil, false)
+	b.edge(head, body)
+	b.edge(head, after)
 
 	b.frames = append(b.frames, frame{label: label, brk: after, cont: head})
 	b.cur = body
@@ -281,7 +269,7 @@ func (b *cfgBuilder) rangeStmt(s *ast.RangeStmt, label string) {
 	b.frames = b.frames[:len(b.frames)-1]
 
 	if b.cur != nil {
-		b.edge(b.cur, head, nil, false)
+		b.edge(b.cur, head)
 	}
 	b.cur = after
 }
@@ -315,10 +303,10 @@ func (b *cfgBuilder) switchStmt(s *ast.SwitchStmt, label string) {
 			hasDefault = true
 		}
 		bodies[i] = b.newBlock()
-		b.edge(dispatch, bodies[i], nil, false)
+		b.edge(dispatch, bodies[i])
 	}
 	if !hasDefault {
-		b.edge(dispatch, after, nil, false)
+		b.edge(dispatch, after)
 	}
 
 	b.frames = append(b.frames, frame{label: label, brk: after})
@@ -334,9 +322,9 @@ func (b *cfgBuilder) switchStmt(s *ast.SwitchStmt, label string) {
 		b.stmts(list)
 		if b.cur != nil {
 			if ft && i+1 < len(bodies) {
-				b.edge(b.cur, bodies[i+1], nil, false)
+				b.edge(b.cur, bodies[i+1])
 			} else {
-				b.edge(b.cur, after, nil, false)
+				b.edge(b.cur, after)
 			}
 		}
 	}
@@ -360,16 +348,16 @@ func (b *cfgBuilder) typeSwitchStmt(s *ast.TypeSwitchStmt, label string) {
 			hasDefault = true
 		}
 		body := b.newBlock()
-		b.edge(dispatch, body, nil, false)
+		b.edge(dispatch, body)
 		b.cur = body
 		b.stmts(c.Body)
 		if b.cur != nil {
-			b.edge(b.cur, after, nil, false)
+			b.edge(b.cur, after)
 		}
 	}
 	b.frames = b.frames[:len(b.frames)-1]
 	if !hasDefault {
-		b.edge(dispatch, after, nil, false)
+		b.edge(dispatch, after)
 	}
 	b.cur = after
 }
@@ -385,14 +373,14 @@ func (b *cfgBuilder) selectStmt(s *ast.SelectStmt, label string) {
 	for _, raw := range s.Body.List {
 		c := raw.(*ast.CommClause)
 		body := b.newBlock()
-		b.edge(dispatch, body, nil, false)
+		b.edge(dispatch, body)
 		b.cur = body
 		if c.Comm != nil {
 			b.add(c.Comm)
 		}
 		b.stmts(c.Body)
 		if b.cur != nil {
-			b.edge(b.cur, after, nil, false)
+			b.edge(b.cur, after)
 		}
 	}
 	b.frames = b.frames[:len(b.frames)-1]

@@ -10,12 +10,10 @@ import (
 // The CFG and solver are tested through a deliberately tiny must-analysis:
 // the fact is "mark() has been called on every path reaching here". That
 // one bit exercises the parts the real analyzers lean on — meet-is-AND at
-// joins, back edges reconverging to a fixpoint, returns and panics edging
-// to Exit, and branch-edge refinement.
+// joins, back edges reconverging to a fixpoint, and returns and panics
+// edging to Exit.
 
-// markFlow is the test analysis. Facts are bool; TransferEdge refines the
-// fact to true on the true branch of a bare `ok` condition, mirroring the
-// durable analyzer's nil-guard refinement.
+// markFlow is the test analysis. Facts are bool.
 type markFlow struct{}
 
 func (markFlow) EntryFact() any { return false }
@@ -30,13 +28,6 @@ func (markFlow) Transfer(f any, n ast.Node) any {
 		return f
 	}
 	if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "mark" {
-		return true
-	}
-	return f
-}
-
-func (markFlow) TransferEdge(f any, e Edge) any {
-	if id, ok := e.Cond.(*ast.Ident); ok && id.Name == "ok" && e.Branch {
 		return true
 	}
 	return f
@@ -106,9 +97,6 @@ func TestCFGMustAnalysis(t *testing.T) {
 		{"panic path joins exit unmarked", "if c { panic(\"boom\") }\nmark()", false, true},
 		{"panic then call on main path", "mark()\nif c { panic(\"boom\") }", true, true},
 		{"goto is a conservative exit", "if c { goto done }\nmark()\ndone:\n\treturn", false, true},
-
-		{"edge refinement on true branch", "for { if ok { break }; work() }", true, true},
-		{"no refinement on false branch", "if ok { } else { return }", false, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -164,8 +152,8 @@ func TestCFGWellFormed(t *testing.T) {
 		t.Fatal("Entry/Exit missing from Blocks")
 	}
 	for _, b := range cfg.Blocks {
-		for _, e := range b.Succs {
-			if !known[e.To] {
+		for _, to := range b.Succs {
+			if !known[to] {
 				t.Errorf("edge to a block not in Blocks")
 			}
 		}

@@ -12,9 +12,6 @@ type flowAnalysis interface {
 	// Transfer applies one simple node to a fact, returning the fact after
 	// the node. Implementations must not mutate f in place.
 	Transfer(f any, n ast.Node) any
-	// TransferEdge refines a fact along an outgoing branch edge
-	// (e.Cond/e.Branch say which way the condition resolved).
-	TransferEdge(f any, e Edge) any
 	// Meet combines two reachable facts at a join point.
 	Meet(a, b any) any
 	// Equal reports whether two reachable facts are the same lattice
@@ -46,23 +43,19 @@ func solve(cfg *CFG, a flowAnalysis) map[*Block]any {
 		for _, n := range b.Nodes {
 			out = a.Transfer(out, n)
 		}
-		for _, e := range b.Succs {
-			f := out
-			if e.Cond != nil {
-				f = a.TransferEdge(f, e)
-			}
-			cur, seen := in[e.To]
+		for _, to := range b.Succs {
+			cur, seen := in[to]
 			var merged any
 			if !seen || cur == nil {
-				merged = f
+				merged = out
 			} else {
-				merged = a.Meet(cur, f)
+				merged = a.Meet(cur, out)
 			}
 			if !seen || !a.Equal(cur, merged) {
-				in[e.To] = merged
-				if !queued[e.To] {
-					queued[e.To] = true
-					work = append(work, e.To)
+				in[to] = merged
+				if !queued[to] {
+					queued[to] = true
+					work = append(work, to)
 				}
 			}
 		}

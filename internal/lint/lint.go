@@ -21,14 +21,11 @@
 //   - leak: every `go` statement must observe a context, done channel,
 //     or WaitGroup, so shutdown can reach the goroutine.
 //
-// Two are flow-sensitive, built on the CFG + dataflow engine in
+// One is flow-sensitive, built on the CFG + dataflow engine in
 // cfg.go/dataflow.go:
 //
 //   - locks: fields annotated `// guarded by <mu>` may only be touched
 //     with that mutex held on every control-flow path.
-//   - durable: in //raqo:ack functions the durable write must dominate
-//     every acknowledgement, and Close/Sync errors on durable files may
-//     not be discarded.
 //
 // Findings print as "file:line:col: [rule] message". A finding can be
 // suppressed with a trailing or immediately preceding comment of the form
@@ -87,7 +84,7 @@ type Analyzer struct {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		NonDet(), Clock(), Units(), Telemetry(), Pool(),
-		Locks(), Leak(), Durable(),
+		Locks(), Leak(),
 	}
 }
 

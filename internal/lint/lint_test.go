@@ -33,7 +33,7 @@ func TestGolden(t *testing.T) {
 	}
 	for _, rule := range []string{
 		"maprange", "randsrc", "clock", "units", "unitmix", "money", "metric", "pool",
-		"locks", "leak", "durable", "ackmark",
+		"locks", "leak",
 	} {
 		if !seen[rule] {
 			t.Errorf("golden tree has no positive case for rule %q", rule)

@@ -308,7 +308,7 @@ type lockChecker struct {
 	fresh map[types.Object]bool
 }
 
-// EntryFact/Transfer/TransferEdge/Meet/Equal implement flowAnalysis; the
+// EntryFact/Transfer/Meet/Equal implement flowAnalysis; the
 // entry fact is threaded through checkBody instead (closures inherit the
 // fact at their occurrence).
 func (lc *lockChecker) checkBody(body *ast.BlockStmt, entry lockFact) []Finding {
@@ -493,8 +493,6 @@ func (a *lockFlow) Transfer(f any, n ast.Node) any {
 	})
 	return out
 }
-
-func (a *lockFlow) TransferEdge(f any, e Edge) any { return f }
 
 func (a *lockFlow) Meet(x, y any) any {
 	fx, fy := x.(lockFact), y.(lockFact)

@@ -18,6 +18,7 @@ import (
 
 	"raqo/internal/cost"
 	"raqo/internal/feedback"
+	"raqo/internal/history"
 	"raqo/internal/telemetry"
 )
 
@@ -73,7 +74,8 @@ func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 }
 
 // bareFeedbackServer is the part of a Server the feedback handlers touch:
-// a recalibrator over a small ring with a journal at path, no history.
+// a recalibrator over a small ring with a journal at path, and a history
+// store beside it as the detector's recorder.
 func bareFeedbackServer(t *testing.T, path string) *Server {
 	t.Helper()
 	j, err := feedback.OpenJournalConfig(path, feedback.JournalConfig{})
@@ -81,9 +83,15 @@ func bareFeedbackServer(t *testing.T, path string) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = j.Close() })
+	hist, err := history.Open(path+".hist", history.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hist.Close() })
 	rec := feedback.NewRecalibrator(feedback.NewStore(64, j),
 		feedback.NewDetector(feedback.DriftConfig{MinSamples: 2}), cost.NewModels())
-	return &Server{rec: rec, journal: j, metrics: NewMetrics(telemetry.NewRegistry())}
+	rec.Detector().SetRecorder(hist)
+	return &Server{rec: rec, journal: j, hist: hist, metrics: NewMetrics(telemetry.NewRegistry())}
 }
 
 // clip shortens a body for a failure message.
@@ -147,6 +155,11 @@ func serveFeedbackPair(t *testing.T, body []byte) (took bool, journal, parentJou
 	}
 	if w.Code != want.Code || w.Body.String() != want.Body.String() {
 		t.Fatalf("body %s\n answered %d %s\n parent   %d %s", clip(body), w.Code, w.Body, want.Code, want.Body)
+	}
+	// Whatever the body, it cannot move the history store's high-water
+	// mark past the server clock plus the allowed skew.
+	if hw, limit := s.History().Stats().HighWater, time.Now().Unix()+feedback.MaxClockSkewSeconds; hw > limit {
+		t.Fatalf("body %s: history high-water mark %d past the server clock plus skew, %d", clip(body), hw, limit)
 	}
 	if !reflect.DeepEqual(w.Header(), want.Header()) {
 		t.Fatalf("body %s: headers %v, parent %v", clip(body), w.Header(), want.Header())

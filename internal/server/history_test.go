@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -166,6 +168,34 @@ func TestHistoryGatherSamplesTelemetry(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("store self-metrics missing from %v", list.Series)
+	}
+}
+
+// TestFeedbackHistoryCommitFailure: a /v1/feedback batch whose history
+// commit fails is answered 500, not acknowledged — the store's sticky
+// Record error stands in for the failing write — and the next batch
+// commits again.
+func TestFeedbackHistoryCommitFailure(t *testing.T) {
+	s, err := New(Config{HistoryDir: t.TempDir(), RecalInterval: -1, HistoryInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	post := func() int {
+		body, err := json.Marshal(FeedbackRequest{Observations: []feedback.Observation{validObservation(0)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
+		return w.Code
+	}
+	s.History().Record("not a series name", 1, 1) // fails at the next Commit
+	if code := post(); code != http.StatusInternalServerError {
+		t.Fatalf("batch whose history commit fails: %d, want 500", code)
+	}
+	if code := post(); code != http.StatusOK {
+		t.Fatalf("batch after the failure: %d, want 200", code)
 	}
 }
 

@@ -839,8 +839,6 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 // An observation decoded by the codec is journaled as the bytes it
 // arrived in (feedback.DecodeBatch's lines); one from the encoding/json
 // fallback or stamped here is re-encoded.
-//
-//raqo:ack
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	sc := feedbackScratchPool.Get().(*feedbackScratch)
 	defer sc.release()
@@ -896,8 +894,8 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	for i := range obs {
 		s.metrics.FeedbackError.Observe(obs[i].RelError())
 	}
-	// Journal-before-ack for the error series too: the batch's history
-	// points are durable before the 200 goes out.
+	// Write-before-ack for the error series too: the batch's history
+	// points are written before the 200 goes out, or the batch is a 500.
 	if s.hist != nil {
 		if err := s.hist.Commit(); err != nil {
 			writeError(w, http.StatusInternalServerError, err)
