@@ -55,6 +55,7 @@ race:
 #   FuzzRoutingKeys        fleet routing keys == json.Unmarshal's
 #   FuzzServedOrder        served /v1/optimize answers == a fresh optimizer's, any request order
 #   FuzzLogRecover         append log: recovery keeps the longest whole-record prefix, appends read back
+#   FuzzModelWire          a peer's model set: decoding never panics, a decoded set re-encodes to its entries
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzServedOrder -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime=10s ./internal/applog
+	$(GO) test -run '^$$' -fuzz FuzzModelWire -fuzztime=10s ./internal/fleet
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

@@ -162,7 +162,7 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		const lines = 50_000
 		for i := 0; i < lines; i++ {
-			if err := j.Append(benchShapeObservation(rng, 1_700_000_000+int64(i/80))); err != nil {
+			if err := j.AppendBatch([]feedback.Observation{benchShapeObservation(rng, 1_700_000_000+int64(i/80))}, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

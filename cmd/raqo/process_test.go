@@ -228,7 +228,7 @@ func TestProcessHistorySurvivesKill(t *testing.T) {
 // TestProcessFleet: three processes agree on membership and on the owner
 // of each query from every entry node, converge on the model the journal
 // owner retrains, answer every query with one member SIGKILLed, take the
-// member back on its port, and drain.
+// member back on its port, where it pulls the fleet's model, and drain.
 func TestProcessFleet(t *testing.T) {
 	dir := t.TempDir()
 	f := startProcesses(t, harness.Options{
@@ -274,6 +274,9 @@ func TestProcessFleet(t *testing.T) {
 	if err := f.Restart(2); err != nil {
 		t.Fatal(err)
 	}
+	// The restarted member starts from its seed models; its prober's pull
+	// is the only way it reaches the fleet's version.
+	waitVersion(t, f, 2, 2)
 	optimize(t, f, 2, "Q12")
 	if err := f.Stop(); err != nil {
 		t.Fatal(err)

@@ -150,14 +150,6 @@ type Stats struct {
 	ReoptPatched int64
 }
 
-// ErrRejected wraps every backpressure rejection (a request larger than
-// the cluster, infeasible at full drain).
-var ErrRejected = cloud.ErrRejected
-
-// UnknownError reports a submission naming an unknown tenant, query or
-// policy — a validation failure, not backpressure.
-type UnknownError = cloud.UnknownError
-
 // Arbiter is the workload arbiter. It is not safe for concurrent use; the
 // HTTP layer serializes access with a mutex.
 type Arbiter struct {
@@ -256,9 +248,9 @@ func (a *Arbiter) Run(arrivals []Arrival) ([]Outcome, error) {
 // the clock just far enough to admit it, returning its outcome (whose
 // Finish lies in the virtual future — the gang stays held, so later
 // submissions contend with it). This is the online path behind
-// POST /v1/submit. Unknown names are UnknownErrors; a Wait request larger
-// than the cluster and a query that can never be admitted wrap
-// ErrRejected.
+// POST /v1/submit. Unknown names are cloud.UnknownErrors; a Wait request
+// larger than the cluster and a query that can never be admitted wrap
+// cloud.ErrRejected.
 func (a *Arbiter) SubmitWait(tenant, query string, policy scheduler.Policy) (*Outcome, error) {
 	o, err := a.e.SubmitWaitWith(cloud.Arrival{Tenant: tenant, Query: query, Time: a.e.Now()}, policy)
 	if err != nil {

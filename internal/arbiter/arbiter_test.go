@@ -191,7 +191,7 @@ func TestSubmitValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var unknown *arbiter.UnknownError
+	var unknown *cloud.UnknownError
 	if _, err := a.SubmitWait("nope", workload.Q12, scheduler.Wait); !errors.As(err, &unknown) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestWaitOversizedRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = a.SubmitWait("etl", workload.All, scheduler.Wait)
-	if !errors.Is(err, arbiter.ErrRejected) {
+	if !errors.Is(err, cloud.ErrRejected) {
 		t.Fatalf("oversized Wait submission: got %v, want ErrRejected", err)
 	}
 	// The same query under Reoptimize is admissible: it replans to fit.

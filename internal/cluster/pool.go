@@ -192,11 +192,3 @@ func (p *Pool) Conditions(base Conditions) (Conditions, bool) {
 	}
 	return out, true
 }
-
-// ConditionsAt advances the pool to virtual time t and derives the
-// conditions offered then — the "free containers / memory at time t"
-// query shared by the arbiter and the trace simulator.
-func (p *Pool) ConditionsAt(t float64, base Conditions) (Conditions, bool) {
-	p.Advance(t)
-	return p.Conditions(base)
-}

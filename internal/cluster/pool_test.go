@@ -134,11 +134,26 @@ func TestPoolConditions(t *testing.T) {
 		t.Fatalf("free=%d below min %d should yield no conditions", p.Free(), base.MinContainers)
 	}
 
-	// ConditionsAt advances first: at t=50 everything has finished.
-	cond, ok = p.ConditionsAt(50, base)
+	// At t=50 everything has finished.
+	p.Advance(50)
+	cond, ok = p.Conditions(base)
 	if !ok || cond != base {
 		t.Fatalf("post-finish conditions %+v ok=%v, want base", cond, ok)
 	}
+}
+
+// conditionsAt replays the trace up to virtual time t on Run's occupancy
+// model and derives the conditions the pool could offer then: base with
+// the container axis capped at the free count, ok false when fewer than
+// base.MinContainers are free.
+func conditionsAt(s *Simulator, jobs []Job, t float64, base Conditions) (Conditions, bool, error) {
+	_, pool, err := s.run(jobs, t)
+	if err != nil {
+		return Conditions{}, false, err
+	}
+	pool.Advance(t)
+	cond, ok := pool.Conditions(base)
+	return cond, ok, nil
 }
 
 func TestSimulatorConditionsAt(t *testing.T) {
@@ -154,22 +169,22 @@ func TestSimulatorConditionsAt(t *testing.T) {
 	}
 
 	// Before any arrival: fully free.
-	cond, ok, err := s.ConditionsAt(jobs, -1, base)
+	cond, ok, err := conditionsAt(s, jobs, -1, base)
 	if err != nil || !ok || cond.MaxContainers != 10 {
 		t.Fatalf("pre-trace: %+v ok=%v err=%v", cond, ok, err)
 	}
 	// Mid-trace: job 0 holds 6, jobs 1 and 2 queued.
-	cond, ok, err = s.ConditionsAt(jobs, 5, base)
+	cond, ok, err = conditionsAt(s, jobs, 5, base)
 	if err != nil || !ok || cond.MaxContainers != 4 {
 		t.Fatalf("mid-trace: %+v ok=%v err=%v", cond, ok, err)
 	}
 	// At t=10 job 0 finishes and job 1 (then 2) admit: 6+3 held.
-	cond, ok, err = s.ConditionsAt(jobs, 10, base)
+	cond, ok, err = conditionsAt(s, jobs, 10, base)
 	if err != nil || !ok || cond.MaxContainers != 1 {
 		t.Fatalf("at first finish: %+v ok=%v err=%v", cond, ok, err)
 	}
 	// Past the whole trace: free again.
-	cond, ok, err = s.ConditionsAt(jobs, 1e6, base)
+	cond, ok, err = conditionsAt(s, jobs, 1e6, base)
 	if err != nil || !ok || cond != base {
 		t.Fatalf("post-trace: %+v ok=%v err=%v", cond, ok, err)
 	}
@@ -177,13 +192,13 @@ func TestSimulatorConditionsAt(t *testing.T) {
 	// ok=false when free drops under the base minimum.
 	tight := base
 	tight.MinContainers = 5
-	if _, ok, err := s.ConditionsAt(jobs, 5, tight); err != nil || ok {
+	if _, ok, err := conditionsAt(s, jobs, 5, tight); err != nil || ok {
 		t.Fatalf("free=4 under min=5 should not be ok (err=%v)", err)
 	}
 
 	// Validation errors propagate.
 	bad := []Job{{ID: 0, Arrival: 0, Containers: 99, Duration: 1}}
-	if _, _, err := s.ConditionsAt(bad, 0, base); err == nil {
+	if _, _, err := conditionsAt(s, bad, 0, base); err == nil {
 		t.Fatal("oversized job accepted")
 	}
 }
@@ -274,14 +289,13 @@ func TestPoolConditionsAtZeroFree(t *testing.T) {
 	if _, err := p.Allocate(100, 1, 50); err != nil {
 		t.Fatal(err)
 	}
-	if cond, ok := p.ConditionsAt(10, base); ok {
+	p.Advance(10)
+	if cond, ok := p.Conditions(base); ok {
 		t.Fatalf("zero free containers yielded conditions %+v", cond)
 	}
-	if p.Now() != 10 {
-		t.Fatalf("ConditionsAt must still advance the clock: now=%g", p.Now())
-	}
 	// At the finish instant the full space is back.
-	if cond, ok := p.ConditionsAt(50, base); !ok || cond != base {
+	p.Advance(50)
+	if cond, ok := p.Conditions(base); !ok || cond != base {
 		t.Fatalf("post-finish conditions %+v ok=%v", cond, ok)
 	}
 }
@@ -363,7 +377,7 @@ func TestPoolSetCapacity(t *testing.T) {
 
 // TestRunMatchesConditionsAtOccupancy cross-checks the two views of the one
 // occupancy model: at every job start/finish boundary, summing the gangs
-// Run reports as held must equal what ConditionsAt says is not free.
+// Run reports as held must equal what conditionsAt says is not free.
 func TestRunMatchesConditionsAtOccupancy(t *testing.T) {
 	s := &Simulator{Capacity: 50}
 	rng := rand.New(rand.NewSource(7))
@@ -387,7 +401,7 @@ func TestRunMatchesConditionsAtOccupancy(t *testing.T) {
 				held += r.Containers
 			}
 		}
-		cond, ok, err := s.ConditionsAt(jobs, probe, base)
+		cond, ok, err := conditionsAt(s, jobs, probe, base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -403,7 +417,7 @@ func TestRunMatchesConditionsAtOccupancy(t *testing.T) {
 			want = base.MaxContainers
 		}
 		if cond.MaxContainers != want {
-			t.Fatalf("t=%g: ConditionsAt says %d free, Run says %d", probe, cond.MaxContainers, want)
+			t.Fatalf("t=%g: conditionsAt says %d free, Run says %d", probe, cond.MaxContainers, want)
 		}
 	}
 }

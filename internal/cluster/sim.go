@@ -48,22 +48,6 @@ func (s *Simulator) Run(jobs []Job) ([]JobResult, error) {
 	return results, err
 }
 
-// ConditionsAt replays the trace up to virtual time t and derives the
-// cluster conditions the pool could offer then: base with the container
-// axis capped at the free count. ok is false when fewer than
-// base.MinContainers containers are free at t — the arbiter's "nothing
-// can be admitted right now" signal. This is the same occupancy model
-// Run uses, so the Fig-1 simulator and the workload arbiter agree on
-// what "free at time t" means.
-func (s *Simulator) ConditionsAt(jobs []Job, t float64, base Conditions) (Conditions, bool, error) {
-	_, pool, err := s.run(jobs, t)
-	if err != nil {
-		return Conditions{}, false, err
-	}
-	cond, ok := pool.ConditionsAt(t, base)
-	return cond, ok, nil
-}
-
 // run replays the trace's discrete events (arrivals and gang finishes) in
 // virtual-time order on a Pool, stopping after the last event at or
 // before stopAt. Admission is strict FIFO: the queue head waits until its

@@ -71,8 +71,7 @@ type Coster struct {
 	pruned   int64
 	resIters int64
 
-	fp    uint64
-	fpSet bool
+	ctx *costerContext // Memo's copy of this coster's context, once interned
 
 	// Set between beginCall and endCall: the cache behind Resources and the
 	// call's answer table; reused counts the answers the table served.
@@ -113,40 +112,19 @@ func (c *Coster) endCall() {
 	c.cache, c.answers = nil, nil
 }
 
-// fingerprint hashes everything outside the operator itself that costing
-// depends on — the cluster conditions, the fixed configuration, whether a
-// resource planner is present, and the engine parameters — so memo entries
-// from different coster contexts can never collide.
-func (c *Coster) fingerprint() uint64 {
-	if !c.fpSet {
-		h := uint64(14695981039346656037)
-		mix := func(v uint64) {
-			for i := 0; i < 8; i++ {
-				h = (h ^ (v >> (8 * i) & 0xff)) * 1099511628211
-			}
-		}
-		mixF := func(f float64) { mix(math.Float64bits(f)) }
-		mix(uint64(c.Cond.MinContainers))
-		mix(uint64(c.Cond.MaxContainers))
-		mix(uint64(c.Cond.ContainerStep))
-		mixF(c.Cond.MinContainerGB)
-		mixF(c.Cond.MaxContainerGB)
-		mixF(c.Cond.GBStep)
-		mix(uint64(c.Fixed.Containers))
-		mixF(c.Fixed.ContainerGB)
-		if c.Resources != nil {
-			mix(1)
-		}
-		if c.Engine != nil {
-			mix(2)
-			for i := 0; i < len(c.Engine.Name); i++ {
-				h = (h ^ uint64(c.Engine.Name[i])) * 1099511628211
-			}
-			mixF(c.Engine.OOMFrac)
-		}
-		c.fp, c.fpSet = h, true
+// context is the coster context its memo keys hold.
+func (c *Coster) context() costerContext {
+	k := costerContext{
+		containers: [3]int{c.Cond.MinContainers, c.Cond.MaxContainers, c.Cond.ContainerStep},
+		gb:         [3]uint64{math.Float64bits(c.Cond.MinContainerGB), math.Float64bits(c.Cond.MaxContainerGB), math.Float64bits(c.Cond.GBStep)},
+		fixed:      c.Fixed.Containers,
+		fixedGB:    math.Float64bits(c.Fixed.ContainerGB),
+		planned:    c.Resources != nil,
 	}
-	return c.fp
+	if c.Engine != nil {
+		k.memAware, k.engine, k.oomFrac = true, c.Engine.Name, math.Float64bits(c.Engine.OOMFrac)
+	}
+	return k
 }
 
 // CostOperator implements optimizer.OperatorCoster, annotating the
@@ -169,7 +147,10 @@ func (c *Coster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
 		oc, _, err := c.costJoin(j, model)
 		return oc, err
 	}
-	k := memoKey{model: model.Name(), bits: math.Float64bits(j.SmallerInputGB()), ctx: c.fingerprint()}
+	if c.ctx == nil {
+		c.ctx = c.Memo.intern(c.context())
+	}
+	k := memoKey{model: model.Name(), bits: math.Float64bits(j.SmallerInputGB()), ctx: c.ctx}
 	e, hit := c.Memo.do(k, func() memoEntry {
 		oc, pruned, err := c.costJoin(j, model)
 		return memoEntry{res: j.Res, oc: oc, err: err, pruned: pruned}

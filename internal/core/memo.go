@@ -10,13 +10,30 @@ import (
 
 // memoKey identifies one operator-costing problem: the cost model, the
 // operator's data characteristic (exact bits of the smaller input size), and
-// the coster context fingerprint (conditions, fixed configuration, engine —
-// see Coster.fingerprint). Two joins with the same key have provably the
-// same cost and resource assignment under a deterministic resource planner.
+// the coster context, interned by the memo (CostMemo.intern) so keys compare
+// it by pointer. Two joins with the same key have provably the same cost and
+// resource assignment under a deterministic resource planner.
 type memoKey struct {
 	model string
 	bits  uint64
-	ctx   uint64
+	ctx   *costerContext
+}
+
+// costerContext is everything outside the operator itself that costing
+// depends on: the cluster conditions, the fixed configuration, whether a
+// resource planner and an engine are present, and the engine's name and
+// OOM fraction. Interning compares it whole, so entries from different
+// contexts can never collide. Floats are held as their bits, as the
+// operator's size is: equal means bit-identical.
+type costerContext struct {
+	containers [3]int    // Cond.MinContainers, MaxContainers, ContainerStep
+	gb         [3]uint64 // Cond.MinContainerGB, MaxContainerGB, GBStep
+	fixed      int       // Fixed.Containers
+	fixedGB    uint64    // Fixed.ContainerGB
+	oomFrac    uint64    // Engine.OOMFrac
+	planned    bool      // Resources != nil
+	memAware   bool      // Engine != nil
+	engine     string    // Engine.Name
 }
 
 // memoEntry is one memoized costing outcome. Errors are memoized too (an
@@ -42,9 +59,10 @@ type memoFlight struct {
 // planning calls race on it; that keeps evaluation counters deterministic
 // under OptimizeBatch. Safe for concurrent use.
 type CostMemo struct {
-	mu      sync.Mutex
-	entries map[memoKey]memoEntry   // guarded by mu
-	flights map[memoKey]*memoFlight // guarded by mu
+	mu       sync.Mutex
+	contexts map[costerContext]*costerContext // guarded by mu
+	entries  map[memoKey]memoEntry            // guarded by mu
+	flights  map[memoKey]*memoFlight          // guarded by mu
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -52,6 +70,24 @@ type CostMemo struct {
 
 // NewCostMemo returns an empty memo.
 func NewCostMemo() *CostMemo { return &CostMemo{} }
+
+// intern returns the memo's one copy of ctx. A pointer handed out before a
+// Reset stays unique to its context, so keys built from it never match
+// another context's.
+func (m *CostMemo) intern(ctx costerContext) *costerContext {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if p, ok := m.contexts[ctx]; ok {
+		return p
+	}
+	if m.contexts == nil {
+		m.contexts = make(map[costerContext]*costerContext)
+	}
+	p := new(costerContext)
+	*p = ctx
+	m.contexts[ctx] = p
+	return p
+}
 
 // do returns the memoized entry for k, computing it via compute on the
 // first call. The second return reports whether this was a hit (including
@@ -105,10 +141,10 @@ func (m *CostMemo) Size() int {
 }
 
 // Reset drops every memoized entry (call when conditions change out from
-// under a shared memo; the context fingerprint already isolates different
+// under a shared memo; the key's coster context already isolates different
 // conditions, so Reset is about memory, not correctness).
 func (m *CostMemo) Reset() {
 	m.mu.Lock()
-	m.entries = nil
+	m.contexts, m.entries = nil, nil
 	m.mu.Unlock()
 }

@@ -204,11 +204,6 @@ type InvalidError struct {
 func (e *InvalidError) Error() string { return e.Err.Error() }
 func (e *InvalidError) Unwrap() error { return e.Err }
 
-// Append validates and records one observation: AppendBatch of one.
-func (s *Store) Append(o Observation) error {
-	return s.AppendBatch([]Observation{o}, nil)
-}
-
 // AppendBatch validates and records a batch, all of it or none: an invalid
 // observation is an *InvalidError before anything is written, and the
 // journal takes the batch in one write before the ring sees any of it, so
@@ -352,11 +347,6 @@ func (j *Journal) Path() string { return j.path }
 // Writes returns how many writes have reached the journal's files: one
 // per batch, plus one for each rotation boundary inside a batch.
 func (j *Journal) Writes() int64 { return j.writes.Load() }
-
-// Append writes one observation: AppendBatch of one.
-func (j *Journal) Append(o Observation) error {
-	return j.AppendBatch([]Observation{o}, nil)
-}
 
 // AppendBatch writes the observations as JSON lines with one write. A line
 // is lines[i] when lines is not nil and lines[i] is not: the bytes obs[i]

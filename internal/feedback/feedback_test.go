@@ -57,7 +57,7 @@ func TestValidate(t *testing.T) {
 func TestStoreRingWrapsOldestFirst(t *testing.T) {
 	s := NewStore(4, nil)
 	for i := 0; i < 7; i++ {
-		if err := s.Append(obs(i)); err != nil {
+		if err := s.AppendBatch([]Observation{obs(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +85,7 @@ func TestStoreRingWrapsOldestFirst(t *testing.T) {
 
 func TestStoreRejectsInvalid(t *testing.T) {
 	s := NewStore(4, nil)
-	if err := s.Append(Observation{}); err == nil {
+	if err := s.AppendBatch([]Observation{{}}, nil); err == nil {
 		t.Fatal("invalid observation accepted")
 	}
 	if s.Len() != 0 || s.Total() != 0 {
@@ -101,7 +101,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	s := NewStore(2, j) // ring smaller than the stream: journal keeps all
 	for i := 0; i < 5; i++ {
-		if err := s.Append(obs(i)); err != nil {
+		if err := s.AppendBatch([]Observation{obs(i)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -111,7 +111,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	if err := j.Append(obs(9)); err == nil {
+	if err := j.AppendBatch([]Observation{obs(9)}, nil); err == nil {
 		t.Fatal("append after close accepted")
 	}
 
@@ -136,7 +136,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(obs(5)); err != nil {
+	if err := j2.AppendBatch([]Observation{obs(5)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {

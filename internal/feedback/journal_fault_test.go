@@ -62,7 +62,7 @@ func TestJournalWriteFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j.Close()
-			if err := j.Append(obs(5)); err != nil {
+			if err := j.AppendBatch([]Observation{obs(5)}, nil); err != nil {
 				t.Fatal(err)
 			}
 			acked = append(acked, marshalLines(t, obs(5))...)
@@ -87,7 +87,7 @@ func TestJournalRotationRenameFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.Append(obs(0)); err != nil {
+	if err := j.AppendBatch([]Observation{obs(0)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	fsys.Set(applogtest.Faults{Rename: true})

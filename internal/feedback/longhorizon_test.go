@@ -28,7 +28,7 @@ func TestJournalRotationRoundTrip(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		if err := j.Append(obsAt("hive", int64(1000+i), 0.1)); err != nil {
+		if err := j.AppendBatch([]Observation{obsAt("hive", int64(1000+i), 0.1)}, nil); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -63,7 +63,7 @@ func TestJournalRotationRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := n; i < 2*n; i++ {
-		if err := j.Append(obsAt("hive", int64(1000+i), 0.1)); err != nil {
+		if err := j.AppendBatch([]Observation{obsAt("hive", int64(1000+i), 0.1)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +91,7 @@ func TestJournalRotationPrunesOldest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 80; i++ {
-		if err := j.Append(obsAt("hive", int64(1000+i), 0.1)); err != nil {
+		if err := j.AppendBatch([]Observation{obsAt("hive", int64(1000+i), 0.1)}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -142,14 +142,14 @@ func TestJournalRotationFailureDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(obsAt("hive", 1000, 0.1)); err != nil {
+	if err := j.AppendBatch([]Observation{obsAt("hive", 1000, 0.1)}, nil); err != nil {
 		t.Fatalf("first append (no rotation yet): %v", err)
 	}
-	if err := j.Append(obsAt("hive", 1001, 0.1)); err == nil {
+	if err := j.AppendBatch([]Observation{obsAt("hive", 1001, 0.1)}, nil); err == nil {
 		t.Fatal("rotation across the squatted slot should have failed")
 	}
 	// Degraded, not dead: the journal reopened and keeps accepting.
-	if err := j.Append(obsAt("hive", 1002, 0.1)); err != nil {
+	if err := j.AppendBatch([]Observation{obsAt("hive", 1002, 0.1)}, nil); err != nil {
 		t.Fatalf("append after failed rotation: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -282,7 +282,7 @@ func TestObservedAtJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(obsAt("hive", 12345, 0.2)); err != nil {
+	if err := j.AppendBatch([]Observation{obsAt("hive", 12345, 0.2)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Old journals have no observedAt field; they must still replay.

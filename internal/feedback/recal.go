@@ -49,10 +49,7 @@ type Recalibration struct {
 	Samples   int           // profile samples trained on
 	Retrained []string      // algorithms refitted (sorted)
 	Carried   []string      // algorithms carried over from the prior version (sorted)
-	Duration  time.Duration // wall time of the train+swap
-	// Installed marks a swap that adopted an externally trained set (a
-	// fleet peer's publication) rather than retraining locally.
-	Installed bool
+	Duration  time.Duration // wall time of the train+swap (0 for an installed set)
 }
 
 // Recalibrator owns the live cost-model version and performs online
@@ -159,11 +156,17 @@ var errNotEnoughSamples = fmt.Errorf("feedback: no algorithm has enough samples 
 // Recalibrate unconditionally retrains from the store and swaps the model
 // set. Algorithms with fewer than stats.NumFeatures+1 samples keep their
 // current model (carried forward under its existing name); at least one
-// algorithm must be trainable.
+// algorithm must be trainable. The live version must be able to grow: at
+// math.MaxUint64 Recalibrate fails and the live set stays, since a wrapped
+// version would sort below every peer's.
 func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	start := time.Now()
+	cur := r.cur.Load()
+	if cur.Version == math.MaxUint64 {
+		return Recalibration{}, fmt.Errorf("feedback: model version %d cannot grow", cur.Version)
+	}
 
 	profiles := r.store.Profiles()
 	trainable := make([]cost.Profile, 0, len(profiles))
@@ -184,7 +187,6 @@ func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 		return Recalibration{}, fmt.Errorf("feedback: recalibration: %w", err)
 	}
 
-	cur := r.cur.Load()
 	version := cur.Version + 1
 	next := cost.NewModels()
 	var retrained, carried []string
@@ -204,9 +206,6 @@ func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 		}
 	}
 
-	info := &ModelInfo{Version: version, Models: next, TrainedOn: len(trainable)}
-	r.cur.Store(info)
-
 	rec := Recalibration{
 		Version:   version,
 		Samples:   len(trainable),
@@ -214,48 +213,49 @@ func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 		Carried:   carried,
 		Duration:  time.Since(start),
 	}
-	for _, fn := range r.onSwap {
-		fn(rec, info)
-	}
-	r.det.Reset()
+	r.publishLocked(rec, &ModelInfo{Version: version, Models: next, TrainedOn: len(trainable)})
 	r.recals.Add(1)
 	r.lastrecalSecs.store(rec.Duration.Seconds())
 	return rec, nil
 }
 
 // Install adopts an externally trained model set — a fleet peer's
-// published recalibration — as the live version: OnSwap hooks fire so
-// every optimizer sharing this recalibrator repoints at the new set, and
-// the drift detector resets (its windows were measured against the
-// displaced models). The version guard makes Install idempotent: a set at
-// or below the live version is ignored (returns false), so a node that
-// receives the same publication twice — once pushed, once pulled by its
-// prober — swaps only once.
+// recalibration, pulled by the prober — as the live version. The version
+// guard makes Install idempotent: a set at or below the live version is
+// ignored (returns false), so a node that pulls the same version twice
+// swaps only once.
 func (r *Recalibrator) Install(version uint64, models *cost.Models, trainedOn int) bool {
 	if models == nil {
 		return false
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur := r.cur.Load()
-	if version <= cur.Version {
+	if version <= r.cur.Load().Version {
 		return false
 	}
-	start := time.Now()
-	info := &ModelInfo{Version: version, Models: models, TrainedOn: trainedOn}
+	r.publishLocked(Recalibration{Version: version, Samples: trainedOn},
+		&ModelInfo{Version: version, Models: models, TrainedOn: trainedOn})
+	return true
+}
+
+// publishLocked makes info the live version, the one swap step Recalibrate
+// and Install share: it stores info, runs the OnSwap hooks so every
+// optimizer sharing this recalibrator repoints at the new set, and resets
+// the drift detector, whose windows were measured against the displaced
+// models. The caller holds r.mu.
+func (r *Recalibrator) publishLocked(rec Recalibration, info *ModelInfo) {
 	r.cur.Store(info)
-	rec := Recalibration{Version: version, Samples: trainedOn, Installed: true, Duration: time.Since(start)}
 	for _, fn := range r.onSwap {
 		fn(rec, info)
 	}
 	r.det.Reset()
-	return true
 }
 
 // Loop runs drift-gated recalibration every interval until ctx is
-// canceled. Each completed recalibration (and each error) is reported to
-// onRecal when non-nil. Returns ctx.Err() on shutdown.
-func (r *Recalibrator) Loop(ctx context.Context, interval time.Duration, onRecal func(Recalibration, error)) error {
+// canceled. A completed recalibration reaches subscribers through their
+// OnSwap hooks; a failed one is retried on the next tick. Returns
+// ctx.Err() on shutdown.
+func (r *Recalibrator) Loop(ctx context.Context, interval time.Duration) error {
 	if interval <= 0 {
 		interval = 30 * time.Second
 	}
@@ -266,10 +266,7 @@ func (r *Recalibrator) Loop(ctx context.Context, interval time.Duration, onRecal
 		case <-ctx.Done():
 			return ctx.Err()
 		case <-t.C:
-			rec, did, err := r.MaybeRecalibrate()
-			if (did || err != nil) && onRecal != nil {
-				onRecal(rec, err)
-			}
+			_, _, _ = r.MaybeRecalibrate()
 		}
 	}
 }

@@ -448,17 +448,14 @@ func TestLoopRecalibratesAndStopsOnCancel(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	got := make(chan Recalibration, 1)
+	rec.OnSwap(func(r Recalibration, _ *ModelInfo) {
+		select {
+		case got <- r:
+		default:
+		}
+	})
 	done := make(chan error, 1)
-	go func() {
-		done <- rec.Loop(ctx, time.Millisecond, func(r Recalibration, err error) {
-			if err == nil {
-				select {
-				case got <- r:
-				default:
-				}
-			}
-		})
-	}()
+	go func() { done <- rec.Loop(ctx, time.Millisecond) }()
 
 	select {
 	case r := <-got:
@@ -531,9 +528,9 @@ func TestConcurrentFeedAndRecalibrate(t *testing.T) {
 }
 
 // TestInstallAdoptsRemoteModels covers the fleet-distribution path:
-// Install swaps a peer-published model set in exactly once — OnSwap hooks
-// fire once with Installed set, and re-installing the same or an older
-// version is a no-op (no second swap, version unchanged).
+// Install swaps a peer's model set in exactly once — OnSwap hooks fire
+// once, and re-installing the same or an older version is a no-op (no
+// second swap, version unchanged).
 func TestInstallAdoptsRemoteModels(t *testing.T) {
 	rec, truth := newRecalibrator(t, nil)
 	var swaps []Recalibration
@@ -558,8 +555,8 @@ func TestInstallAdoptsRemoteModels(t *testing.T) {
 	if cur.Version != 7 || cur.TrainedOn != 42 || cur.Models != remote {
 		t.Fatalf("Current = %+v after install", cur)
 	}
-	if len(swaps) != 1 || !swaps[0].Installed {
-		t.Fatalf("swaps = %+v, want one installed swap", swaps)
+	if len(swaps) != 1 || swaps[0].Version != 7 || swaps[0].Samples != 42 {
+		t.Fatalf("swaps = %+v, want one swap to version 7", swaps)
 	}
 
 	// Idempotence: same version again, then an older one.
@@ -606,5 +603,29 @@ func TestInstallThenRecalibrateContinuesVersions(t *testing.T) {
 		if !strings.HasPrefix(name, "fb6-") {
 			t.Errorf("model %q not renamed to the fb6 version", name)
 		}
+	}
+}
+
+// TestRecalibrateRefusesVersionWrap: at the largest version a
+// recalibration cannot publish a newer one. It fails and leaves the live
+// set in place rather than wrapping to version 0, which every peer would
+// hold as older than its own.
+func TestRecalibrateRefusesVersionWrap(t *testing.T) {
+	rec, truth := newRecalibrator(t, nil)
+	if !rec.Install(math.MaxUint64, truth, 10) {
+		t.Fatal("install failed")
+	}
+	live := rec.Current()
+	swaps := 0
+	rec.OnSwap(func(Recalibration, *ModelInfo) { swaps++ })
+	feedGrid(t, rec)
+	if r, err := rec.Recalibrate(); err == nil {
+		t.Fatalf("recalibration at version %d published version %d", live.Version, r.Version)
+	}
+	if cur := rec.Current(); cur != live {
+		t.Errorf("live set moved to version %d, want %d unchanged", cur.Version, live.Version)
+	}
+	if swaps != 0 || rec.Recalibrations() != 0 {
+		t.Errorf("failed recalibration ran %d swap hooks and counted %d recalibrations", swaps, rec.Recalibrations())
 	}
 }

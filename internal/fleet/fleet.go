@@ -21,14 +21,13 @@
 // every node carries the complete planning stack. A background prober
 // rechecks peers and restores forwarding when they return.
 //
-// Cost-model versions stay coherent fleet-wide by reusing the
-// recalibrator's CAS-generation discipline: the node that owns the
-// feedback journal shard recalibrates, publishes the versioned set
-// ("fb<version>-<algo>") to its peers via POST /v1/fleet/model, and every
-// node installs strictly newer versions exactly once
-// (feedback.Recalibrator.Install). The prober also pulls from any peer
-// reporting a newer version, so a node that was down during a push
-// converges on its next probe round.
+// Cost-model versions stay coherent fleet-wide by one path, the prober's
+// pull: the node that owns the feedback journal shard recalibrates, and
+// every other node, on seeing a peer report a newer version in
+// GET /v1/fleet/status, fetches the versioned set ("fb<version>-<algo>")
+// from GET /v1/fleet/model and installs it through
+// feedback.Recalibrator.Install, whose strictly-newer guard makes each
+// version swap once. No endpoint accepts a model set from a client.
 package fleet
 
 import (
@@ -47,7 +46,6 @@ import (
 
 	"raqo/internal/canonjson"
 	"raqo/internal/cost"
-	"raqo/internal/feedback"
 	"raqo/internal/fleet/ring"
 	"raqo/internal/server"
 )
@@ -61,8 +59,6 @@ const (
 	// forwarded responses carry the owner's ID back through the proxy.
 	servedByHeader = "X-Raqo-Fleet-Node"
 
-	// maxBodyBytes mirrors the server's request-body bound.
-	maxBodyBytes = 1 << 20
 	// maxRespBytes bounds a proxied response body (plan trees for the All
 	// query run to a few hundred KB).
 	maxRespBytes = 8 << 20
@@ -158,18 +154,15 @@ type Node struct {
 	srv     *server.Server
 	ring    *ring.Ring
 	mux     *http.ServeMux
-	peers   *transport // every node-to-node call: forwards, probes, model push/pull
+	peers   *transport // every node-to-node call: forwards, probes, model pulls
 	metrics *Metrics
 
 	mu   sync.Mutex
 	down map[string]bool // guarded by mu — peers currently unreachable
-
-	publishc chan *ModelWire
 }
 
 // NewNode wraps srv in the fleet routing layer. The fleet metric families
-// land on srv's registry, and a hook on srv's recalibrator publishes
-// locally trained model versions to the peers.
+// land on srv's registry.
 func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NodeID == "" {
@@ -188,11 +181,10 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 		return nil, err
 	}
 	n := &Node{
-		cfg:      cfg,
-		srv:      srv,
-		ring:     r,
-		down:     make(map[string]bool, len(peers)),
-		publishc: make(chan *ModelWire, 4),
+		cfg:  cfg,
+		srv:  srv,
+		ring: r,
+		down: make(map[string]bool, len(peers)),
 	}
 	n.metrics = newMetrics(srv.Metrics().Registry, n)
 	n.peers = &transport{self: cfg.NodeID, m: n.metrics, idle: make(map[string][]*peerConn, len(peers))}
@@ -200,32 +192,12 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/fleet/status", n.handleStatus)
 	mux.HandleFunc("GET /v1/fleet/model", n.handleModelGet)
-	mux.HandleFunc("POST /v1/fleet/model", n.handleModelPush)
 	mux.HandleFunc("POST /v1/optimize", n.routed("/v1/optimize", optimizeKey))
 	mux.HandleFunc("POST /v1/batch", n.routed("/v1/batch", batchKey))
 	mux.HandleFunc("POST /v1/submit", n.routed("/v1/submit", submitKey))
 	mux.HandleFunc("POST /v1/feedback", n.routed("/v1/feedback", func([]byte) string { return feedbackKey }))
 	mux.Handle("/", srv.Handler())
 	n.mux = mux
-
-	// Publication rides the recalibrator's swap hook. The hook runs inside
-	// the recalibration critical section, so it only snapshots and
-	// enqueues; the publisher goroutine does the network I/O. Installed
-	// swaps came *from* a peer — republishing them would only echo.
-	srv.Recalibrator().OnSwap(func(rec feedback.Recalibration, info *feedback.ModelInfo) {
-		if rec.Installed {
-			return
-		}
-		w, err := EncodeModelInfo(cfg.NodeID, info, time.Now().UnixNano())
-		if err != nil {
-			return // opaque seed models (ModelFunc) are not distributable
-		}
-		select {
-		case n.publishc <- w:
-		default:
-			// Queue full: drop — peers converge via the prober's pull.
-		}
-	})
 	return n, nil
 }
 
@@ -236,35 +208,26 @@ func (n *Node) Handler() http.Handler { return n.mux }
 // Ring returns the node's (immutable) hash ring.
 func (n *Node) Ring() *ring.Ring { return n.ring }
 
-// Server returns the wrapped local server.
-func (n *Node) Server() *server.Server { return n.srv }
-
 // Metrics returns the fleet metric set (primarily for tests).
 func (n *Node) Metrics() *Metrics { return n.metrics }
 
-// Start launches the node's background loops — the peer health prober and
-// the model publisher — until ctx is cancelled. The returned function
-// blocks until both have stopped, then drops the node's idle peer
-// connections.
+// Start launches the node's peer health prober until ctx is cancelled.
+// The returned function blocks until it has stopped, then drops the
+// node's idle peer connections.
 func (n *Node) Start(ctx context.Context) (wait func()) {
-	var wg sync.WaitGroup
-	wg.Add(2)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		n.probeLoop(ctx)
 	}()
-	go func() {
-		defer wg.Done()
-		n.publishLoop(ctx)
-	}()
 	return func() {
-		wg.Wait()
+		<-done
 		n.peers.closeIdle()
 	}
 }
 
 // Serve runs the wrapped server's listen/drain lifecycle with the fleet
-// handler in front and the background loops alongside.
+// handler in front and the prober alongside.
 func (n *Node) Serve(ctx context.Context, addr string, ready func(addr string)) error {
 	bgCtx, cancel := context.WithCancel(context.Background())
 	wait := n.Start(bgCtx)
@@ -349,9 +312,9 @@ func submitKey(body []byte) string {
 // the forward fails → degraded local service, never an error.
 func (n *Node) routed(endpoint string, keyFn func([]byte) string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 		if err != nil {
-			writeFleetError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
 		}
 		key := keyFn(body)
@@ -474,9 +437,9 @@ func (n *Node) healthyPeers() int {
 }
 
 // probeLoop rechecks every peer each ProbeInterval: reachability via
-// GET /v1/fleet/status, and model anti-entropy — a peer reporting a newer
-// model version than ours is pulled from, which converges nodes that were
-// down during a publication push.
+// GET /v1/fleet/status, and model distribution — a peer reporting a newer
+// model version than ours is pulled from. This is the only way a model
+// version reaches a peer, so ProbeInterval bounds fleet convergence.
 func (n *Node) probeLoop(ctx context.Context) {
 	t := time.NewTicker(n.cfg.ProbeInterval)
 	defer t.Stop()
@@ -509,7 +472,7 @@ func (n *Node) probeOnce(ctx context.Context) {
 // getJSON GETs one of a peer's fleet endpoints into v. A peer that gives
 // no complete answer inside ProbeTimeout is marked down.
 func (n *Node) getJSON(ctx context.Context, peer, path string, v any) error {
-	status, _, body, err := n.peers.do(ctx, n.cfg.ProbeTimeout, peer, http.MethodGet, path, nil, maxBodyBytes)
+	status, _, body, err := n.peers.do(ctx, n.cfg.ProbeTimeout, peer, http.MethodGet, path, nil, server.MaxBodyBytes)
 	if err != nil {
 		n.markPeer(peer, false)
 		return err
@@ -524,63 +487,21 @@ func (n *Node) getJSON(ctx context.Context, peer, path string, v any) error {
 func (n *Node) pullModel(ctx context.Context, peer string) {
 	var w ModelWire
 	if n.getJSON(ctx, peer, "/v1/fleet/model", &w) == nil {
-		_, _ = n.adopt(&w)
+		n.adopt(&w)
 	}
 }
 
-// --- model distribution ------------------------------------------------
-
-// publishLoop pushes locally trained model versions to every peer.
-func (n *Node) publishLoop(ctx context.Context) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case w := <-n.publishc:
-			n.publish(ctx, w)
-		}
-	}
-}
-
-// publish POSTs one model version to each peer. A failed push only counts
-// an error — the peer's own prober pulls the version once it can see us
-// again.
-func (n *Node) publish(ctx context.Context, wire *ModelWire) {
-	payload, err := json.Marshal(wire)
-	if err != nil {
-		n.metrics.PublishErrors.Inc()
-		return
-	}
-	for _, peer := range n.cfg.Peers {
-		status, _, _, err := n.peers.do(ctx, n.cfg.ForwardTimeout, peer, http.MethodPost, "/v1/fleet/model", payload, maxBodyBytes)
-		if err != nil {
-			n.markPeer(peer, false)
-		}
-		if err != nil || status != http.StatusOK {
-			n.metrics.PublishErrors.Inc()
-			continue
-		}
-		n.metrics.Publishes.Inc()
-	}
-}
-
-// adopt installs a received model version if it is strictly newer than
-// the live one. Idempotent: replays and older versions return (false, nil).
-func (n *Node) adopt(w *ModelWire) (bool, error) {
+// adopt installs a pulled model version if it is strictly newer than the
+// live one. Idempotent: replays, older versions and undecodable sets are
+// ignored.
+func (n *Node) adopt(w *ModelWire) {
 	models, err := w.Decode()
 	if err != nil {
-		return false, err
+		return
 	}
-	installed := n.srv.Recalibrator().Install(w.Version, models, w.TrainedOn)
-	if installed {
+	if n.srv.Recalibrator().Install(w.Version, models, w.TrainedOn) {
 		n.metrics.Installs.Inc()
-		if w.PublishedUnixNanos > 0 {
-			if lag := time.Since(time.Unix(0, w.PublishedUnixNanos)).Seconds(); lag >= 0 {
-				n.metrics.PropagationLag.Observe(lag)
-			}
-		}
 	}
-	return installed, nil
 }
 
 // --- fleet endpoints ---------------------------------------------------
@@ -627,43 +548,12 @@ func (n *Node) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // handleModelGet serves the live model set in wire form (the prober's
 // pull side).
 func (n *Node) handleModelGet(w http.ResponseWriter, _ *http.Request) {
-	wire, err := EncodeModelInfo(n.cfg.NodeID, n.srv.Recalibrator().Current(), 0)
+	wire, err := EncodeModelInfo(n.cfg.NodeID, n.srv.Recalibrator().Current())
 	if err != nil {
 		// Seed models that are not regressions cannot be distributed; the
 		// peer keeps its own seed (they agree by construction).
-		writeFleetError(w, http.StatusConflict, err)
+		server.WriteError(w, http.StatusConflict, err)
 		return
 	}
 	server.WriteResult(w, wire)
-}
-
-// handleModelPush ingests a peer's published model version.
-func (n *Node) handleModelPush(w http.ResponseWriter, r *http.Request) {
-	var wire ModelWire
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&wire); err != nil {
-		writeFleetError(w, http.StatusBadRequest, fmt.Errorf("bad model body: %w", err))
-		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeFleetError(w, http.StatusBadRequest, errors.New("bad model body: trailing data after the JSON value"))
-		return
-	}
-	installed, err := n.adopt(&wire)
-	if err != nil {
-		writeFleetError(w, http.StatusBadRequest, err)
-		return
-	}
-	server.WriteResult(w, map[string]any{
-		"installed": installed,
-		"version":   n.srv.Recalibrator().Current().Version,
-	})
-}
-
-// writeFleetError mirrors the server's JSON error body.
-func writeFleetError(w http.ResponseWriter, code int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = server.WriteJSON(w, server.ErrorResponse{Error: err.Error()})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strings"
@@ -54,6 +55,9 @@ func startTestFleet(t *testing.T, n int) []*testNode {
 	return nodes
 }
 
+// probeInterval is every test node's ProbeInterval.
+const probeInterval = 25 * time.Millisecond
+
 // newTestNode builds (but does not serve) fleet member i of the given
 // membership.
 func newTestNode(t *testing.T, addrs []string, i int) *testNode {
@@ -73,7 +77,7 @@ func newTestNode(t *testing.T, addrs []string, i int) *testNode {
 	node, err := fleet.NewNode(fleet.Config{
 		NodeID:        addrs[i],
 		Peers:         peers,
-		ProbeInterval: 25 * time.Millisecond,
+		ProbeInterval: probeInterval,
 		ProbeTimeout:  500 * time.Millisecond,
 	}, srv)
 	if err != nil {
@@ -96,7 +100,7 @@ func (tn *testNode) stop() {
 	}
 }
 
-// startLoops runs every node's prober/publisher until test cleanup.
+// startLoops runs every node's prober until test cleanup.
 func startLoops(t *testing.T, nodes []*testNode) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -449,7 +453,7 @@ func TestFleetHotCache(t *testing.T) {
 	}
 
 	// A new model set must bypass every cached response.
-	wire, err := fleet.EncodeModelInfo("test", sender.srv.Recalibrator().Current(), 0)
+	wire, err := fleet.EncodeModelInfo("test", sender.srv.Recalibrator().Current())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,27 +474,32 @@ func TestFleetHotCache(t *testing.T) {
 	}
 }
 
-// TestFleetModelPushStrict: the model-push endpoint takes one JSON value
-// and nothing after it, like the server's POST endpoints.
-func TestFleetModelPushStrict(t *testing.T) {
-	nodes := startTestFleet(t, 2)
-	wire, err := fleet.EncodeModelInfo("test", nodes[0].srv.Recalibrator().Current(), 0)
+// TestFleetModelPushRefused: no endpoint takes a model set from a client.
+// A POST of a set at the largest version to /v1/fleet/model is refused,
+// and after several probe rounds no node has installed it.
+func TestFleetModelPushRefused(t *testing.T) {
+	nodes := startTestFleet(t, 3)
+	startLoops(t, nodes)
+	wire, err := fleet.EncodeModelInfo("client", nodes[0].srv.Recalibrator().Current())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire.Version = 2
+	wire.Version = math.MaxUint64
+	for i := range wire.Models {
+		wire.Models[i].Intercept = 1e9
+	}
 	payload, err := json.Marshal(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, body := postJSON(t, nodes[0].addr, "/v1/fleet/model", string(payload)+`{"junk":1}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("push with trailing data: HTTP %d: %s", resp.StatusCode, body)
+	if resp, body := postJSON(t, nodes[0].addr, "/v1/fleet/model", string(payload)); resp.StatusCode < 300 {
+		t.Fatalf("client model push answered HTTP %d: %s", resp.StatusCode, body)
 	}
-	if v := nodes[0].srv.Recalibrator().Current().Version; v != 1 {
-		t.Fatalf("rejected push installed version %d", v)
-	}
-	if resp, body := postJSON(t, nodes[0].addr, "/v1/fleet/model", string(payload)+"\n"); resp.StatusCode != http.StatusOK {
-		t.Fatalf("push: HTTP %d: %s", resp.StatusCode, body)
+	time.Sleep(8 * probeInterval)
+	for _, tn := range nodes {
+		if v := tn.srv.Recalibrator().Current().Version; v != 1 {
+			t.Errorf("node %s at model version %d after a refused push, want 1", tn.addr, v)
+		}
 	}
 }
 
@@ -508,17 +517,16 @@ func feedTrainingGrid(t *testing.T, rec *feedback.Recalibrator) {
 
 // TestFleetModelDistribution is the convergence contract: one node
 // recalibrates, and every peer installs the same fb<version> set exactly
-// once — the publish path pushes it, the version guard absorbs the
-// prober's duplicate pull, and each peer's response memo is dropped
-// exactly once.
+// once — its prober pulls it, the version guard absorbs later rounds, and
+// each peer's response memo is dropped exactly once.
 func TestFleetModelDistribution(t *testing.T) {
 	nodes := startTestFleet(t, 3)
 	startLoops(t, nodes)
 
 	// probe is a response-memo entry on every peer. A swap of the peer's
-	// model set drops it: the entry filed before the publication must be
+	// model set drops it: the entry filed before the recalibration must be
 	// gone once the peer plans under version 2, and the one filed after
-	// must survive the prober's re-deliveries.
+	// must survive later probe rounds.
 	probe := []byte(`{"query":"Q12"}`)
 	file := func(srv *server.Server) {
 		_, models, _ := srv.LookupOptimize(probe)
@@ -562,7 +570,7 @@ func TestFleetModelDistribution(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	// Give the prober a few more rounds a chance to re-deliver, then check
+	// Give the prober a few more rounds to pull again, then check
 	// exactly-once installation.
 	time.Sleep(150 * time.Millisecond)
 	for _, tn := range nodes[1:] {
@@ -586,17 +594,14 @@ func TestFleetModelDistribution(t *testing.T) {
 			t.Errorf("node %s dropped its response memo again after installing version 2", tn.addr)
 		}
 	}
-	if v := trainer.node.Metrics().Publishes.Value(); v != 2 {
-		t.Errorf("trainer pushed %d acknowledged publications, want 2 (one per peer)", v)
-	}
 }
 
-// TestFleetModelPullAfterOutage covers the anti-entropy path: a node that
-// was down during the publication converges via its prober's pull once it
-// can see a peer with a newer version.
+// TestFleetModelPullAfterOutage: a node that was down during the
+// recalibration converges via its prober's pull once it can see a peer
+// with a newer version.
 func TestFleetModelPullAfterOutage(t *testing.T) {
 	// Bind both addresses up front so membership is known, but only serve
-	// node A; B is "down" for the push.
+	// node A; B is "down" while A recalibrates.
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -606,8 +611,8 @@ func TestFleetModelPullAfterOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	addrs := []string{lnA.Addr().String(), lnB.Addr().String()}
-	// Close B's listener so pushes to it are refused outright, not parked
-	// in an unserved accept queue; its port is rebound on "recovery".
+	// Close B's listener so A's probes of it are refused outright, not
+	// parked in an unserved accept queue; its port is rebound on "recovery".
 	if err := lnB.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -624,14 +629,6 @@ func TestFleetModelPullAfterOutage(t *testing.T) {
 	if _, err := a.srv.Recalibrator().Recalibrate(); err != nil {
 		t.Fatal(err)
 	}
-	// The push to B fails (nothing listening yet).
-	deadline := time.Now().Add(5 * time.Second)
-	for a.node.Metrics().PublishErrors.Value() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("publish to the down peer never errored")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 	if b.srv.Recalibrator().Current().Version != 1 {
 		t.Fatal("down peer somehow received the model")
 	}
@@ -645,7 +642,7 @@ func TestFleetModelPullAfterOutage(t *testing.T) {
 	t.Cleanup(b.stop)
 	waitB := b.node.Start(ctx)
 	t.Cleanup(func() { cancel(); waitB() }) // cleanups are LIFO; cancel before waiting
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for b.srv.Recalibrator().Current().Version < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("recovered peer never pulled the newer model version")
@@ -694,12 +691,8 @@ func TestFleetMetricsExposition(t *testing.T) {
 		"raqo_fleet_model_installs_total 0",
 		"raqo_fleet_peer_dials_total 1",
 		"raqo_fleet_peer_conns_idle 1",
-		"raqo_fleet_model_propagation_seconds_bucket",
-		`raqo_fleet_model_propagation_seconds_bucket{le="+Inf"} 0`,
-		"raqo_fleet_model_propagation_seconds_count 0",
 		"# TYPE raqo_fleet_forwards_total counter",
 		"# TYPE raqo_fleet_ring_nodes gauge",
-		"# TYPE raqo_fleet_model_propagation_seconds histogram",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -712,7 +705,7 @@ func TestFleetMetricsExposition(t *testing.T) {
 func TestFleetModelWireRoundTrip(t *testing.T) {
 	seed := cost.PaperModels()
 	info := &feedback.ModelInfo{Version: 3, Models: seed, TrainedOn: 17}
-	w, err := fleet.EncodeModelInfo("n1:1", info, 123)
+	w, err := fleet.EncodeModelInfo("n1:1", info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +725,7 @@ func TestFleetModelWireRoundTrip(t *testing.T) {
 	for _, a := range []string{"SMJ", "BHJ"} {
 		_ = a
 	}
-	dec, _ := fleet.EncodeModelInfo("n2:2", &feedback.ModelInfo{Version: 3, Models: models}, 0)
+	dec, _ := fleet.EncodeModelInfo("n2:2", &feedback.ModelInfo{Version: 3, Models: models})
 	if fmt.Sprint(dec.Models) != fmt.Sprint(w.Models) {
 		t.Errorf("round trip drifted:\n%v\nvs\n%v", dec.Models, w.Models)
 	}

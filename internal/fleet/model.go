@@ -12,26 +12,22 @@ import (
 // This file is the fleet's model-distribution wire format. A
 // recalibration runs on whichever node owns the feedback journal's shard;
 // the resulting versioned model set ("fb<version>-<algo>") is flattened
-// to regression coefficients, pushed to every peer via POST
-// /v1/fleet/model, and pulled by the health prober from any peer that
-// reports a newer version than the local one (which is what re-converges
-// a node that was down during the push). Installation goes through
-// feedback.Recalibrator.Install, so the version guard makes the exchange
-// idempotent and the local memos are dropped exactly once per adopted
-// version.
+// to regression coefficients and served on GET /v1/fleet/model, where the
+// health prober of every peer that sees a newer version pulls it. Pulling
+// is the only distribution path: no endpoint accepts a model set.
+// Installation goes through feedback.Recalibrator.Install, so the version
+// guard makes repeated pulls idempotent and the local memos are dropped
+// exactly once per adopted version.
 
-// ModelWire is one published cost-model version on the wire.
+// ModelWire is one cost-model version as GET /v1/fleet/model serves it.
 type ModelWire struct {
-	// Origin is the node ID that trained (or re-published) this version.
+	// Origin is the node ID that served this version.
 	Origin string `json:"origin"`
 	// Version is the fleet-wide model version; nodes install strictly
 	// newer versions only.
 	Version uint64 `json:"version"`
 	// TrainedOn is the profile-sample count behind this version.
 	TrainedOn int `json:"trainedOn"`
-	// PublishedUnixNanos stamps the publication for propagation-lag
-	// telemetry; 0 when unknown (e.g. a pull of the seed version).
-	PublishedUnixNanos int64 `json:"publishedUnixNanos,omitempty"`
 	// Models lists one fitted regression per join algorithm.
 	Models []ModelEntry `json:"models"`
 }
@@ -46,16 +42,11 @@ type ModelEntry struct {
 	Unfloored bool      `json:"unfloored,omitempty"`
 }
 
-// EncodeModelInfo flattens a live model version for publication. Every
+// EncodeModelInfo flattens a live model version for the wire. Every
 // distributed model must be a *cost.Regression — the only model kind
 // whose parameters round-trip; an opaque ModelFunc cannot cross the wire.
-func EncodeModelInfo(origin string, info *feedback.ModelInfo, publishedUnixNanos int64) (*ModelWire, error) {
-	w := &ModelWire{
-		Origin:             origin,
-		Version:            info.Version,
-		TrainedOn:          info.TrainedOn,
-		PublishedUnixNanos: publishedUnixNanos,
-	}
+func EncodeModelInfo(origin string, info *feedback.ModelInfo) (*ModelWire, error) {
+	w := &ModelWire{Origin: origin, Version: info.Version, TrainedOn: info.TrainedOn}
 	for _, a := range plan.Algos {
 		m, ok := info.Models.For(a)
 		if !ok {

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"raqo/internal/server"
 )
 
 // maxIdlePerPeer caps the keep-alive connections pooled per peer.
@@ -72,7 +74,7 @@ func (p *transport) do(ctx context.Context, timeout time.Duration, peer, method,
 
 		// Status line, headers and chunk framing get what a request body
 		// may take on top of limit: nothing is read without end.
-		pc.lr.N = limit + maxBodyBytes
+		pc.lr.N = limit + server.MaxBodyBytes
 		var respBody []byte
 		resp, err := http.ReadResponse(pc.br, nil)
 		if err == nil && resp.StatusCode < 200 {

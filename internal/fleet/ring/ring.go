@@ -142,9 +142,3 @@ func (r *Ring) Size() int { return len(r.nodes) }
 
 // VNodes returns the per-node virtual-node count.
 func (r *Ring) VNodes() int { return r.vnodes }
-
-// Contains reports whether node is on the ring.
-func (r *Ring) Contains(node string) bool {
-	i := sort.SearchStrings(r.nodes, node)
-	return i < len(r.nodes) && r.nodes[i] == node
-}

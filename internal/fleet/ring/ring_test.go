@@ -175,8 +175,8 @@ func TestRingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.Contains("a") || r.Contains("zzz") {
-		t.Error("Contains misreports membership")
+	if got := r.Nodes(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
+		t.Errorf("Nodes = %v, want [a b]", got)
 	}
 	if r.Size() != 2 || r.VNodes() != 8 {
 		t.Errorf("Size/VNodes = %d/%d, want 2/8", r.Size(), r.VNodes())

@@ -98,9 +98,6 @@ type Series struct {
 	cur1h *Bucket
 }
 
-// Name returns the series name.
-func (s *Series) Name() string { return s.name }
-
 // segMeta describes one sealed, immutable segment.
 type segMeta struct {
 	id     uint64

@@ -15,8 +15,8 @@ import (
 // byte-identical key placement from the membership alone; a wall-clock
 // (or any host-state) input would let two nodes disagree on an owner and
 // break single-hop forwarding. The surrounding internal/fleet package is
-// deliberately NOT in scope: probing, forwarding timeouts and propagation
-// lag are real wall-clock concerns there.
+// deliberately NOT in scope: the probe period and the forwarding and
+// probe timeouts are real wall-clock concerns there.
 // internal/cloud is in scope because it holds the one admission engine —
 // the shared cluster of internal/arbiter runs on it too — and the priced
 // layer bills, preempts and autoscales purely on the virtual clock; a

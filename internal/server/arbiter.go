@@ -42,9 +42,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	case errors.Is(err, cloud.ErrRejected):
 		s.shed(w, err)
 	case errors.As(err, &unknown):
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 	default:
-		writeError(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, http.StatusUnprocessableEntity, err)
 	}
 }
 
@@ -55,7 +55,7 @@ func (st *sim[A]) serveStats(w http.ResponseWriter, r *http.Request, stats func(
 	if v := r.URL.Query().Get("drain"); v != "" {
 		b, err := strconv.ParseBool(v)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad drain %q: %w", v, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad drain %q: %w", v, err))
 			return
 		}
 		drain = b
@@ -64,7 +64,7 @@ func (st *sim[A]) serveStats(w http.ResponseWriter, r *http.Request, stats func(
 	defer st.mu.Unlock()
 	if drain {
 		if err := st.arb.Drain(); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
@@ -117,7 +117,7 @@ func decodeSubmit(w http.ResponseWriter, r *http.Request, keys []string, req sub
 			submitBodies.Put(buf)
 		}
 	}()
-	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	var vals [3][]byte
 	if readErr == nil && canonjson.StringObject(buf.Bytes(), keys, vals[:]) {
 		for i, f := range req.members() {
@@ -258,7 +258,7 @@ func (s *Server) Arbiter() *arbiter.Arbiter { return s.arb.arb }
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := decodeSubmit(w, r, submitMembers, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Tenant == "" {
@@ -269,11 +269,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	policy, err := scheduler.ParsePolicy(req.Policy)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing query"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing query"))
 		return
 	}
 

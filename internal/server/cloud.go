@@ -122,7 +122,7 @@ func (s *Server) Cloud() *cloud.Arbiter { return s.cld.arb }
 func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 	var req CloudSubmitRequest
 	if err := decodeSubmit(w, r, cloudSubmitMembers, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Tenant == "" {
@@ -130,11 +130,11 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	rec, err := cloud.ParseRecovery(req.Recovery)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing query"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing query"))
 		return
 	}
 
@@ -151,18 +151,18 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleCloudPreempt(w http.ResponseWriter, r *http.Request) {
 	var req CloudPreemptRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Fraction <= 0 || req.Fraction > 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("fraction %g outside (0, 1]", req.Fraction))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("fraction %g outside (0, 1]", req.Fraction))
 		return
 	}
 	s.cld.mu.Lock()
 	defer s.cld.mu.Unlock()
 	n, err := s.cld.arb.PreemptFraction(req.Fraction)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	WriteResult(w, CloudPreemptResponse{Revoked: n, Stats: s.cld.arb.Stats()})

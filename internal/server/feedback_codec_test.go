@@ -31,11 +31,11 @@ import (
 func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req FeedbackRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Observations) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("missing observations"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing observations"))
 		return
 	}
 	now := time.Now().Unix()
@@ -45,13 +45,13 @@ func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 			at = now
 		}
 		if err := feedback.CheckObservedAt(at, now); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
 			return
 		}
 	}
 	for i := range req.Observations {
 		if err := req.Observations[i].Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
 			return
 		}
 	}
@@ -61,7 +61,7 @@ func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 			o.ObservedAt = now
 		}
 		if err := s.rec.Feed(o); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}
@@ -169,7 +169,7 @@ func serveFeedbackPair(t *testing.T, body []byte) (took bool, journal, parentJou
 		t.Fatalf("body %s: store and detector differ from the parent's", clip(body))
 	}
 	took = s.metrics.FeedbackFallback.Value() == 0
-	if took != (ok && len(body) <= maxBodyBytes) {
+	if took != (ok && len(body) <= MaxBodyBytes) {
 		t.Fatalf("body %s: codec takes it = %v, fallbacks counted = %d", clip(body), ok, s.metrics.FeedbackFallback.Value())
 	}
 	checkJournals(t, body, s.journal.Path(), ref.journal.Path())
@@ -370,10 +370,10 @@ func FuzzObservationDecode(f *testing.F) {
 // TestFeedbackOversizedBody: what the 1 MB cap cuts off is answered as
 // the parent answered it, whatever came before the cut.
 func TestFeedbackOversizedBody(t *testing.T) {
-	pad := strings.Repeat(" ", maxBodyBytes)
+	pad := strings.Repeat(" ", MaxBodyBytes)
 	one := `{"engine":"hive","observedSeconds":1}`
 	for _, body := range []string{
-		`{"observations":[` + one + strings.Repeat(`,`+one, maxBodyBytes/len(one)) + `]}`, // one value over the cap
+		`{"observations":[` + one + strings.Repeat(`,`+one, MaxBodyBytes/len(one)) + `]}`, // one value over the cap
 		`{"observations":[` + one + `]}` + pad + `x`,                                      // a whole value, then the cap
 		`{"observations":[` + one + `],"frobnicate":1}` + pad,                             // an error before the cap
 		pad + `{"observations":[` + one + `]}`,                                            // nothing but padding under the cap

@@ -57,7 +57,7 @@ func historyInt(q string, def int64) (int64, error) {
 // alignment: a partially covered source bucket is included whole.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if s.hist == nil {
-		writeError(w, http.StatusNotFound, errors.New("history store not configured (start with -history-dir)"))
+		WriteError(w, http.StatusNotFound, errors.New("history store not configured (start with -history-dir)"))
 		return
 	}
 	qp := r.URL.Query()
@@ -74,17 +74,17 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	now := time.Now().Unix()
 	from, err := historyInt(qp.Get("from"), now-3600)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad from: %w", err))
 		return
 	}
 	to, err := historyInt(qp.Get("to"), now+1)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad to: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad to: %w", err))
 		return
 	}
 	step, err := historyInt(qp.Get("step"), 60)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad step: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad step: %w", err))
 		return
 	}
 	rows, err := s.hist.Query(series, from, to, step)
@@ -93,7 +93,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, history.ErrUnknownSeries) {
 			code = http.StatusNotFound
 		}
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	writeHistory(w, series, from, to, step, rows)

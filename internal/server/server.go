@@ -431,7 +431,7 @@ func (s *Server) ServeHandler(ctx context.Context, addr string, handler http.Han
 	if s.cfg.RecalInterval > 0 {
 		go func() {
 			defer close(loopDone)
-			_ = s.rec.Loop(loopCtx, s.cfg.RecalInterval, nil)
+			_ = s.rec.Loop(loopCtx, s.cfg.RecalInterval)
 		}()
 	} else {
 		close(loopDone)
@@ -540,8 +540,8 @@ func statusLabel(code int) string {
 	}
 }
 
-// writeError renders the uniform JSON error body.
-func writeError(w http.ResponseWriter, code int, err error) {
+// WriteError renders the uniform JSON error body.
+func WriteError(w http.ResponseWriter, code int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = WriteJSON(w, ErrorResponse{Error: err.Error()})
@@ -554,7 +554,7 @@ func writeError(w http.ResponseWriter, code int, err error) {
 func WriteResult(w http.ResponseWriter, v any) {
 	b, err := encodeJSON(v)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeEncoded(w, b.out)
@@ -567,12 +567,13 @@ func writeEncoded(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// maxBodyBytes bounds request bodies; optimizer requests are tiny.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes bounds request bodies, the fleet's routed ones included;
+// optimizer requests are tiny.
+const MaxBodyBytes = 1 << 20
 
 // decodeBody strictly decodes a JSON request body.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+	return decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
 }
 
 // decodeStrict decodes exactly one JSON value with no unknown fields and
@@ -623,7 +624,7 @@ func (s *Server) admitted(w http.ResponseWriter, r *http.Request, fn func(ctx co
 			s.shed(w, err)
 		default: // client cancelled while queued
 			s.metrics.Cancelled.Inc()
-			writeError(w, statusClientClosedRequest, err)
+			WriteError(w, statusClientClosedRequest, err)
 		}
 		return
 	}
@@ -642,7 +643,7 @@ const retryAfterSeconds = "1"
 func (s *Server) shed(w http.ResponseWriter, err error) {
 	s.metrics.Rejected.Inc()
 	w.Header().Set("Retry-After", retryAfterSeconds)
-	writeError(w, http.StatusTooManyRequests, err)
+	WriteError(w, http.StatusTooManyRequests, err)
 }
 
 // writePlanningError maps a failed optimization to an HTTP code: 499 for
@@ -652,20 +653,20 @@ func (s *Server) writePlanningError(w http.ResponseWriter, r *http.Request, err 
 	switch {
 	case errors.Is(err, context.Canceled) && r.Context().Err() != nil:
 		s.metrics.Cancelled.Inc()
-		writeError(w, statusClientClosedRequest, err)
+		WriteError(w, statusClientClosedRequest, err)
 	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusGatewayTimeout, err)
+		WriteError(w, http.StatusGatewayTimeout, err)
 	default:
-		writeError(w, http.StatusUnprocessableEntity, err)
+		WriteError(w, http.StatusUnprocessableEntity, err)
 	}
 }
 
 // handleOptimize answers an exact repeat of a request body from the
 // response memo and plans anything else, filing the 200 it produces.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	cached, models, ok := s.memo.get(body)
@@ -675,12 +676,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	}
 	var req OptimizeRequest
 	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	q, name, err := s.resolveQuery(req.Query, req.Relations)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	mode := req.Mode
@@ -690,7 +691,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	switch mode {
 	case "joint", "fixed", "budget", "price":
 	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", mode))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", mode))
 		return
 	}
 	s.admitted(w, r, func(ctx context.Context) {
@@ -713,7 +714,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ObserveDecision(d)
 		var buf bytes.Buffer
 		if err := WriteJSON(&buf, NewOptimizeResponse(name, mode, s.opt.Planner(), d)); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		writeEncoded(w, buf.Bytes())
@@ -738,18 +739,18 @@ func (s *Server) FileOptimize(body, resp []byte, models *cost.Models) {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("missing queries"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing queries"))
 		return
 	}
 	queries := make([]*plan.Query, len(req.Queries))
 	for i, name := range req.Queries {
 		q, _, err := s.resolveQuery(name, nil)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		queries[i] = q
@@ -775,7 +776,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	q, name, err := s.resolveQuery(r.PathValue("query"), nil)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.admitted(w, r, func(ctx context.Context) {
@@ -786,7 +787,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		}
 		ops, err := s.opt.ExplainOperators(d)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 		s.metrics.ObserveDecision(d)
@@ -842,7 +843,7 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	sc := feedbackScratchPool.Get().(*feedbackScratch)
 	defer sc.release()
-	_, readErr := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	_, readErr := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	var obs []feedback.Observation
 	var lines [][]byte
 	canonical := false
@@ -861,13 +862,13 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 		}
 		var req FeedbackRequest
 		if err := decodeStrict(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		obs = req.Observations
 	}
 	if len(obs) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("missing observations"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing observations"))
 		return
 	}
 	now := time.Now().Unix()
@@ -878,16 +879,16 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 			obs[i].ObservedAt = now
 		}
 		if err := feedback.CheckObservedAt(obs[i].ObservedAt, now); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", i, err))
 			return
 		}
 	}
 	if err := s.rec.FeedBatch(obs, lines); err != nil {
 		var invalid *feedback.InvalidError
 		if errors.As(err, &invalid) {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", invalid.Index, invalid.Err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("observation %d: %w", invalid.Index, invalid.Err))
 		} else {
-			writeError(w, http.StatusInternalServerError, err) // journal I/O
+			WriteError(w, http.StatusInternalServerError, err) // journal I/O
 		}
 		return
 	}
@@ -898,7 +899,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	// points are written before the 200 goes out, or the batch is a 500.
 	if s.hist != nil {
 		if err := s.hist.Commit(); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
+			WriteError(w, http.StatusInternalServerError, err)
 			return
 		}
 	}

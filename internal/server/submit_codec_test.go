@@ -25,7 +25,7 @@ import (
 func parentHandleSubmit(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Tenant == "" {
@@ -36,11 +36,11 @@ func parentHandleSubmit(s *Server, w http.ResponseWriter, r *http.Request) {
 	}
 	policy, err := scheduler.ParsePolicy(req.Policy)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing query"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing query"))
 		return
 	}
 	s.arb.mu.Lock()
@@ -56,7 +56,7 @@ func parentHandleSubmit(s *Server, w http.ResponseWriter, r *http.Request) {
 func parentHandleCloudSubmit(s *Server, w http.ResponseWriter, r *http.Request) {
 	var req CloudSubmitRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Tenant == "" {
@@ -64,11 +64,11 @@ func parentHandleCloudSubmit(s *Server, w http.ResponseWriter, r *http.Request) 
 	}
 	rec, err := cloud.ParseRecovery(req.Recovery)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.Query == "" {
-		writeError(w, http.StatusBadRequest, errors.New("missing query"))
+		WriteError(w, http.StatusBadRequest, errors.New("missing query"))
 		return
 	}
 	s.cld.mu.Lock()
@@ -200,13 +200,13 @@ var submitSeeds = []string{
 // arbiters the first pass changed.
 func TestSubmitCodecMatchesParent(t *testing.T) {
 	p := newSubmitPair(t)
-	pad := strings.Repeat(" ", maxBodyBytes)
+	pad := strings.Repeat(" ", MaxBodyBytes)
 	bodies := append([]string(nil), submitSeeds...)
 	bodies = append(bodies,
 		`{"query":"Q12"}`+pad,                  // a canonical value, then whitespace past the bound
 		`{"query":"Q12"} x`+pad,                // trailing data inside the bound, then past it
 		`{"query":"Q12`+pad+`"}`,               // a string that crosses the bound
-		pad[:maxBodyBytes-20]+`{"query":"Q3"}`, // inside the bound, barely
+		pad[:MaxBodyBytes-20]+`{"query":"Q3"}`, // inside the bound, barely
 	)
 	for pass := 0; pass < 2; pass++ {
 		for _, b := range bodies {
