@@ -56,6 +56,7 @@ race:
 #   FuzzServedOrder        served /v1/optimize answers == a fresh optimizer's, any request order
 #   FuzzLogRecover         append log: recovery keeps the longest whole-record prefix, appends read back
 #   FuzzModelWire          a peer's model set: decoding never panics, a decoded set re-encodes to its entries
+#   FuzzOptimizeBodies     any /v1/optimize or /v1/batch body: no panic, documented statuses, valid plans
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzServedOrder -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime=10s ./internal/applog
 	$(GO) test -run '^$$' -fuzz FuzzModelWire -fuzztime=10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzOptimizeBodies -fuzztime=10s ./internal/server
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

@@ -1,6 +1,6 @@
 // Benchmarks for the cloud arbiter: a full seeded priced-pool replay
-// (static market and elastic+faulty market), the online admission path,
-// one seeded fault draw and the online preempt-and-recover round trip.
+// (static market and elastic+faulty market), the online admission path
+// and one seeded fault draw.
 // Run with:
 //
 //	go test -bench 'Cloud|InjectorDraw' -benchtime=0.2s .
@@ -146,27 +146,6 @@ func BenchmarkCloudWorkload(b *testing.B) {
 				runBenchCloud(b, a, trace)
 			}
 		})
-	}
-}
-
-// BenchmarkCloudPreemptRecover measures one full preemption-recovery
-// round trip on a warm arbiter: admit a query onto spot, revoke it with
-// a storm, and drain until the recovery policy has re-admitted and
-// finished it.
-func BenchmarkCloudPreemptRecover(b *testing.B) {
-	a := newBenchCloud(b, false, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := a.SubmitWait("etl", workload.Q12, cloud.RecoverReoptimize); err != nil {
-			b.Fatal(err)
-		}
-		if n, err := a.PreemptFraction(1); err != nil || n != 1 {
-			b.Fatalf("revoked %d, err %v", n, err)
-		}
-		if err := a.Drain(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

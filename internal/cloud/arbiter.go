@@ -86,7 +86,8 @@ type Workload struct {
 	// Engine() as its core.Options.Engine. All planning routes through the
 	// arbiter's own core.Incremental wrapper (an exact-conditions memo),
 	// which passes conditions per call, so the optimizer may be shared
-	// with other callers.
+	// with other callers: the server's two arbiters plan on the optimizer
+	// that answers its /v1/optimize.
 	Optimizer *core.Optimizer
 	// Queries resolves arrival query names to logical queries.
 	Queries map[string]*plan.Query
@@ -741,25 +742,6 @@ func (a *Arbiter) fireStorm(at float64) {
 		a.revokeToken(tok, FaultPreempt, at, true)
 	}
 	a.inj.MarkStorm()
-}
-
-// PreemptFraction revokes ceil(fraction * running-spot) spot allocations
-// right now, in allocation order, then re-admits what it can — the
-// online preemption-burst injection behind POST /v1/cloud/preempt.
-func (a *Arbiter) PreemptFraction(fraction float64) (int, error) {
-	if fraction < 0 || fraction > 1 {
-		return 0, a.errorf("preempt fraction %g outside [0, 1]", fraction)
-	}
-	toks := a.pool.RunningSpot()
-	n := int(math.Ceil(fraction * float64(len(toks))))
-	for _, tok := range toks[:n] {
-		a.revokeToken(tok, FaultPreempt, a.pool.Now(), false)
-	}
-	if err := a.tryAdmit(); err != nil {
-		return n, err
-	}
-	a.observe()
-	return n, nil
 }
 
 // offers lists, in preference order, the classes queue head p may run on

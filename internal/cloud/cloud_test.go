@@ -501,40 +501,6 @@ func TestRejectedSubmitWaitIsNotLost(t *testing.T) {
 	}
 }
 
-func TestPreemptFractionOnline(t *testing.T) {
-	cfg := faultyConfig(t, false)
-	cfg.Faults = cloud.FaultConfig{Seed: 7} // no stochastic faults; we inject
-	a, err := cloud.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if _, err := a.SubmitWait("etl", workload.Q12, cloud.RecoverReoptimize); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.Pool().FreeOf(spotIdx) == a.Pool().CapacityOf(spotIdx) {
-		t.Skip("no running spot allocations to preempt")
-	}
-	n, err := a.PreemptFraction(1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n < 1 {
-		t.Fatal("nothing preempted")
-	}
-	if err := a.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	st := a.Stats()
-	if st.Lost != 0 {
-		t.Fatalf("lost %d after online preemption", st.Lost)
-	}
-	if st.Preemptions < int64(n) {
-		t.Fatalf("stats preemptions %d < %d", st.Preemptions, n)
-	}
-}
-
 func TestGenerateTraceDeterministicAndOrdered(t *testing.T) {
 	trace := testTrace(cloud.Diurnal, 60, cloud.RecoverDegrade)
 	a, err := cloud.GenerateTrace(trace)

@@ -47,14 +47,15 @@ var goldenRandomized = randomized.Options{Iterations: 3, Seeds: 4, MutationsPerP
 
 // goldenRegimes are the two optimizer configurations the pinned decisions
 // are planned under. A zero thresholdGB plans without a resource-plan
-// cache.
+// cache; engine plans memory-aware for execsim.Hive().
 var goldenRegimes = []struct {
 	name        string
 	thresholdGB float64
 	memo        bool
+	engine      bool
 }{
-	{"plan_scale", 0.01, false}, // the benchmark's cold-planning regime
-	{"served", 0, true},         // what server.New installs
+	{"plan_scale", 0.01, false, false}, // the benchmark's cold-planning regime
+	{"served", 0, true, true},          // what server.New installs
 }
 
 // goldenQuery is one query of the pinned set with the planner it runs on.
@@ -123,6 +124,10 @@ func goldenDecisions(t *testing.T) []goldenDecision {
 				Seed:         7,
 				Randomized:   goldenRandomized,
 				MemoizeCosts: regime.memo,
+			}
+			if regime.engine {
+				engine := execsim.Hive()
+				opts.Engine = &engine
 			}
 			if regime.thresholdGB > 0 {
 				opts.Resource = &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: regime.thresholdGB}

@@ -243,7 +243,7 @@ func (o *Optimizer) OptimizeFixed(q *plan.Query, r plan.Resources) (*Decision, e
 // OptimizeFixedCtx is OptimizeFixed with cancellation.
 func (o *Optimizer) OptimizeFixedCtx(ctx context.Context, q *plan.Query, r plan.Resources) (*Decision, error) {
 	if !o.cond.Contains(r) {
-		return nil, fmt.Errorf("core: fixed configuration %v outside cluster conditions %v", r, o.cond)
+		return nil, fmt.Errorf("core: fixed configuration %dx%gGB outside cluster conditions %v", r.Containers, r.ContainerGB, o.cond)
 	}
 	return o.run(ctx, q, o.coster(nil, r, o.cond))
 }

@@ -18,8 +18,7 @@ func trainedOptions(t *testing.T) core.Options {
 	if err != nil {
 		t.Fatalf("TrainedModels: %v", err)
 	}
-	engine := execsim.Hive()
-	return core.Options{Models: models, Engine: &engine}
+	return core.Options{Models: models}
 }
 
 func TestSubmitEndpoint(t *testing.T) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"errors"
-	"fmt"
 	"net/http"
 
 	"raqo/internal/cloud"
@@ -10,11 +9,10 @@ import (
 )
 
 // This file is the HTTP face of internal/cloud: POST /v1/cloud/submit
-// runs one query through the elastic priced pool on its virtual clock,
-// POST /v1/cloud/preempt fires a spot-interruption storm against the
-// currently running allocations, and GET /v1/cloud/stats reports (and
-// optionally drains) the market. The state, the error mapping and the
-// stats handler are the shared cluster's (arbiter.go).
+// runs one query through the elastic priced pool on its virtual clock, and
+// GET /v1/cloud/stats reports (and optionally drains) the market. The
+// state, the error mapping and the stats handler are the shared cluster's
+// (arbiter.go).
 
 // CloudSubmitRequest is the body of POST /v1/cloud/submit.
 type CloudSubmitRequest struct {
@@ -99,20 +97,6 @@ func appendCloudSubmitResponse(dst []byte, r CloudSubmitResponse) ([]byte, bool)
 	return o.end()
 }
 
-// CloudPreemptRequest is the body of POST /v1/cloud/preempt: an
-// operator-triggered spot interruption storm.
-type CloudPreemptRequest struct {
-	// Fraction of currently running spot allocations to revoke, in
-	// (0, 1]; revoked queries recover via their submission policies.
-	Fraction float64 `json:"fraction"`
-}
-
-// CloudPreemptResponse reports a storm's effect.
-type CloudPreemptResponse struct {
-	Revoked int         `json:"revoked"`
-	Stats   cloud.Stats `json:"stats"`
-}
-
 // Cloud returns the server's cloud arbiter (primarily for tests).
 // Callers must not use it concurrently with the HTTP handlers.
 //
@@ -146,26 +130,6 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeFixed(w, NewCloudSubmitResponse(out), appendCloudSubmitResponse)
-}
-
-func (s *Server) handleCloudPreempt(w http.ResponseWriter, r *http.Request) {
-	var req CloudPreemptRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Fraction <= 0 || req.Fraction > 1 {
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("fraction %g outside (0, 1]", req.Fraction))
-		return
-	}
-	s.cld.mu.Lock()
-	defer s.cld.mu.Unlock()
-	n, err := s.cld.arb.PreemptFraction(req.Fraction)
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err)
-		return
-	}
-	WriteResult(w, CloudPreemptResponse{Revoked: n, Stats: s.cld.arb.Stats()})
 }
 
 func (s *Server) handleCloudStats(w http.ResponseWriter, r *http.Request) {

@@ -356,7 +356,6 @@ func TestTrailingDataRejected(t *testing.T) {
 		{"/v1/feedback", string(obs)},
 		{"/v1/submit", `{"query":"Q12"}`},
 		{"/v1/cloud/submit", `{"query":"Q12"}`},
-		{"/v1/cloud/preempt", `{"fraction":0.5}`},
 	} {
 		t.Run(tc.path, func(t *testing.T) {
 			post := func(body string) int {

@@ -85,7 +85,6 @@ func wireValues(t *testing.T) []any {
 		NewCloudSubmitResponse(csub),
 		NewArbiterStatsResponse(s.arb.arb.Stats()),
 		s.cld.arb.Stats(),
-		CloudPreemptResponse{Revoked: 2, Stats: s.cld.arb.Stats()},
 		FeedbackResponse{Accepted: 8, Stored: 64, Total: 1 << 40, Drifted: true},
 		HistoryResponse{Series: awkward, Buckets: []HistoryBucket{{Start: 60, Count: 3, Sum: 1e-7, Min: -2.5e-9, Max: 1e21, Mean: 123456789.125, P50: 0.1, P90: 1e20, P99: 5e-324}}},
 		HistorySeriesResponse{Series: []string{}},

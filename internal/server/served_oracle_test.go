@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"raqo/internal/catalog"
+	"raqo/internal/cloud"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
@@ -39,7 +41,8 @@ var servedModes = []OptimizeRequest{
 }
 
 // servedOracle holds what a fresh optimizer answers: core.New's defaults
-// (a bare hill climb, no memo) with the given models, a new optimizer for
+// (a bare hill climb, no memo) with the given models, planning
+// memory-aware for cloud.Engine() as the server does, a new optimizer for
 // every decision, so nothing an earlier request left behind can reach it.
 type servedOracle struct {
 	sch    *catalog.Schema
@@ -66,7 +69,8 @@ func (o *servedOracle) decision(t testing.TB, m, i int, req OptimizeRequest) *co
 	if d, ok := o.want[[2]int{m, i}]; ok {
 		return d
 	}
-	opt, err := core.New(cluster.Default(), core.Options{Models: o.models[m]})
+	engine := cloud.Engine()
+	opt, err := core.New(cluster.Default(), core.Options{Models: o.models[m], Engine: &engine})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,12 +102,15 @@ func (o *servedOracle) decision(t testing.TB, m, i int, req OptimizeRequest) *co
 // newServed builds a server planning under model set m, as `raqo serve`
 // does with those models. With supplied, its Config also carries the 1 GB
 // nearest-neighbour resource-plan cache that once served Q2 at 9.08 s
-// after Q3, which the server must ignore. The caller closes it.
+// after Q3 and the Spark engine, both of which the server must ignore. The
+// caller closes it.
 func (o *servedOracle) newServed(t testing.TB, m int, supplied bool) *Server {
 	t.Helper()
 	opts := core.Options{Models: o.models[m]}
 	if supplied {
 		opts.Resource = &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 1}
+		spark := execsim.Spark()
+		opts.Engine = &spark
 	}
 	s, err := New(Config{Options: opts, RecalInterval: -1, HistoryInterval: -1})
 	if err != nil {
@@ -117,6 +124,19 @@ func (o *servedOracle) newServed(t testing.TB, m int, supplied bool) *Server {
 // time, plan and per-operator resources.
 func (o *servedOracle) check(t testing.TB, s *Server, m, i int, req OptimizeRequest, history []string) {
 	t.Helper()
+	got, p := servePlan(t, s, req, fmt.Sprintf(" after %v", history))
+	want := o.decision(t, m, i, req)
+	if math.Float64bits(got.TimeSeconds) != math.Float64bits(want.Time) || p.SignatureWithResources() != want.Plan.SignatureWithResources() {
+		t.Fatalf("%+v after %v under model set %d:\n served %.6gs %s\n fresh  %.6gs %s",
+			req, history, m, got.TimeSeconds, p.SignatureWithResources(), want.Time, want.Plan.SignatureWithResources())
+	}
+}
+
+// servePlan sends req through s's handler as a /v1/optimize body and
+// returns the answer with its plan decoded; anything but a 200 fails t,
+// with where after the body in the message.
+func servePlan(t testing.TB, s *Server, req OptimizeRequest, where string) (wireOptimize, *plan.Node) {
+	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
@@ -124,28 +144,24 @@ func (o *servedOracle) check(t testing.TB, s *Server, m, i int, req OptimizeRequ
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/optimize", strings.NewReader(string(body))))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("%s after %v: HTTP %d: %s", body, history, rec.Code, rec.Body)
+		t.Fatalf("%s%s: HTTP %d: %s", body, where, rec.Code, rec.Body)
 	}
 	var got wireOptimize
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	p, err := plan.Decode(o.sch, got.Plan)
+	p, err := plan.Decode(s.sch, got.Plan)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s%s: %v", body, where, err)
 	}
-	want := o.decision(t, m, i, req)
-	if math.Float64bits(got.TimeSeconds) != math.Float64bits(want.Time) || p.SignatureWithResources() != want.Plan.SignatureWithResources() {
-		t.Fatalf("%s after %v under model set %d:\n served %.6gs %s\n fresh  %.6gs %s",
-			body, history, m, got.TimeSeconds, p.SignatureWithResources(), want.Time, want.Plan.SignatureWithResources())
-	}
+	return got, p
 }
 
 // TestServedMatchesFresh sends every permutation of servedRequests to a
 // new server, under the paper's and the trained models, with and without a
-// resource planner in its Config, and holds each answer to a fresh
-// optimizer's: a served decision depends neither on which requests came
-// before it nor on the planner a caller supplied.
+// resource planner and engine in its Config, and holds each answer to a
+// fresh optimizer's: a served decision depends neither on which requests
+// came before it nor on the planner or engine a caller supplied.
 func TestServedMatchesFresh(t *testing.T) {
 	o := newServedOracle(t)
 	perm := make([]int, len(servedRequests))
@@ -164,6 +180,56 @@ func TestServedMatchesFresh(t *testing.T) {
 				}
 				_ = s.Close()
 			})
+		}
+	}
+}
+
+// TestServedJointPlansRun sends every connected TPC-H relation list of two
+// or more tables, and the four evaluation queries, as a joint
+// /v1/optimize under both planners and both model sets, and runs each
+// answered plan on cloud.Engine(): the server plans memory-aware for the
+// engine its arbiters execute on, so no served joint plan runs out of
+// memory there.
+func TestServedJointPlansRun(t *testing.T) {
+	o := newServedOracle(t)
+	tables := o.sch.Tables()
+	var reqs []OptimizeRequest
+	for mask := 1; mask < 1<<len(tables); mask++ {
+		var rels []string
+		for i, name := range tables {
+			if mask&(1<<i) != 0 {
+				rels = append(rels, name)
+			}
+		}
+		if len(rels) >= 2 && o.sch.Connected(rels) {
+			reqs = append(reqs, OptimizeRequest{Relations: rels})
+		}
+	}
+	if len(reqs) != 90 {
+		t.Fatalf("%d connected relation lists, want 90", len(reqs))
+	}
+	for _, name := range []string{workload.Q12, workload.Q3, workload.Q2, workload.All} {
+		reqs = append(reqs, OptimizeRequest{Query: name})
+	}
+	engine := cloud.Engine()
+	for m, models := range o.models {
+		for _, planner := range []core.PlannerKind{core.Selinger, core.FastRandomized} {
+			s, err := New(Config{Options: core.Options{Planner: planner, Models: models}, RecalInterval: -1, HistoryInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed := 0
+			for _, req := range reqs {
+				_, p := servePlan(t, s, req, fmt.Sprintf(" (%s, model set %d)", planner, m))
+				if _, err := engine.Execute(p, cost.DefaultPricing()); err != nil {
+					failed++
+					t.Errorf("%+v (%s, model set %d): %s: %v", req, planner, m, p.SignatureWithResources(), err)
+				}
+			}
+			if failed > 0 {
+				t.Errorf("%s under model set %d: %d of %d served plans fail on the engine", planner, m, failed, len(reqs))
+			}
+			_ = s.Close()
 		}
 	}
 }

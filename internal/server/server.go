@@ -21,7 +21,6 @@
 //	POST /v1/submit           one workload query through the shared-cluster arbiter
 //	GET  /v1/arbiter/stats    arbiter state; ?drain=1 drains the virtual cluster
 //	POST /v1/cloud/submit     one query through the elastic priced cloud pool
-//	POST /v1/cloud/preempt    revoke a fraction of running spot allocations
 //	GET  /v1/cloud/stats      cloud market state; ?drain=1 drains the pool
 //	GET  /healthz             liveness
 //	GET  /metrics             Prometheus text exposition (internal/telemetry)
@@ -74,12 +73,14 @@ type Config struct {
 	// SF is the TPC-H scale factor of the served schema; 0 selects 100
 	// (the paper's evaluation scale).
 	SF float64
-	// Options configures the shared optimizer. Its resource planner and
-	// cost memo are the server's: Options.Resource is ignored, so the
-	// optimizer plans with core.New's hill climb, and MemoizeCosts is
-	// forced on so the cost memo stays warm across requests. Both tiers
-	// are then exact, and a served answer is the fresh plan under the same
-	// models whatever the configuration.
+	// Options configures the shared optimizer. Its resource planner, cost
+	// memo and engine are the server's: Options.Resource is ignored, so the
+	// optimizer plans with core.New's hill climb; MemoizeCosts is forced on
+	// so the cost memo stays warm across requests; and Options.Engine is
+	// ignored, so every endpoint plans memory-aware for cloud.Engine(), the
+	// engine the arbiters execute on. Both tiers are then exact, and a
+	// served answer is the fresh plan under the same models whatever the
+	// configuration.
 	Options core.Options
 
 	// MaxInFlight bounds concurrently planning requests; 0 selects
@@ -141,8 +142,7 @@ type Config struct {
 	CloudOnDemand int
 	CloudSpot     int
 	// CloudSeed seeds the cloud pool's spot-interruption process; 0 runs
-	// the pool fault-free (storms are still available via
-	// POST /v1/cloud/preempt).
+	// the pool fault-free.
 	CloudSeed int64
 	// CloudAutoscale puts the spot class under the autoscaler, elastic
 	// between a quarter and double CloudSpot.
@@ -222,7 +222,8 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	opts := cfg.Options
-	opts.Resource, opts.MemoizeCosts = nil, true
+	engine := cloud.Engine()
+	opts.Resource, opts.MemoizeCosts, opts.Engine = nil, true, &engine
 	cond := cluster.Default()
 	opt, err := core.New(cond, opts)
 	if err != nil {
@@ -273,33 +274,16 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	sch := catalog.TPCH(cfg.SF)
-	// The shared cluster and the priced market, two pools under one
-	// admission engine, share one simulation optimizer beside the serving
-	// one: it plans memory-aware (Engine), where the serving optimizer
-	// does not. Each arbiter passes its admission-time conditions per call
-	// through its own core.Incremental, so the optimizer holds no
-	// per-arbiter state; its cost memo is keyed by those conditions and
-	// safe for concurrent use. Both optimizers follow the same live model
-	// set via OnSwap.
-	engine := cloud.Engine()
-	simOpt, err := core.New(cond, core.Options{
-		Models:       opt.Models(),
-		Engine:       &engine,
-		MemoizeCosts: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	rec.OnSwap(func(_ feedback.Recalibration, info *feedback.ModelInfo) {
-		_ = simOpt.SetModels(info.Models)
-	})
 	queries, err := workload.TPCHQueries(sch)
 	if err != nil {
 		return nil, err
 	}
+	// The shared cluster and the priced market plan on the serving
+	// optimizer. Each passes its admission-time conditions per call through
+	// its own core.Incremental, and the cost memo is keyed by them.
 	shared := cloud.Workload{
 		Base:      cond,
-		Optimizer: simOpt,
+		Optimizer: opt,
 		Queries:   queries,
 	}
 	shared.Tenants = cfg.ArbiterTenants
@@ -353,7 +337,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("POST /v1/submit", s.instrument("/v1/submit", s.handleSubmit))
 	mux.HandleFunc("GET /v1/arbiter/stats", s.instrument("/v1/arbiter/stats", s.handleArbiterStats))
 	mux.HandleFunc("POST /v1/cloud/submit", s.instrument("/v1/cloud/submit", s.handleCloudSubmit))
-	mux.HandleFunc("POST /v1/cloud/preempt", s.instrument("/v1/cloud/preempt", s.handleCloudPreempt))
 	mux.HandleFunc("GET /v1/cloud/stats", s.instrument("/v1/cloud/stats", s.handleCloudStats))
 	mux.HandleFunc("GET /v1/history", s.instrument("/v1/history", s.handleHistory))
 	mux.HandleFunc("GET /v1/model", s.instrument("/v1/model", s.handleModel))

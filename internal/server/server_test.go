@@ -225,6 +225,22 @@ func TestMalformedRequests(t *testing.T) {
 	})
 }
 
+// TestFixedErrorShort: a fixed configuration far outside the cluster is a
+// 422 that names the requested size in %g form, not as a 301-digit number.
+func TestFixedErrorShort(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Post(ts.URL+"/v1/optimize", "application/json",
+		strings.NewReader(`{"query":"Q12","mode":"fixed","containers":10,"containerGB":1e300}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), "1e+300") || len(body) >= 256 {
+		t.Fatalf("HTTP %d, %d bytes: %s", resp.StatusCode, len(body), body)
+	}
+}
+
 func TestExplainEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/explain/Q12")
