@@ -57,6 +57,7 @@ race:
 #   FuzzLogRecover         append log: recovery keeps the longest whole-record prefix, appends read back
 #   FuzzModelWire          a peer's model set: decoding never panics, a decoded set re-encodes to its entries
 #   FuzzOptimizeBodies     any /v1/optimize or /v1/batch body: no panic, documented statuses, valid plans
+#   FuzzHistoryQuery       any GET /v1/history series/from/to/step: 200/400/404, increasing buckets, store untouched
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -78,6 +79,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime=10s ./internal/applog
 	$(GO) test -run '^$$' -fuzz FuzzModelWire -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeBodies -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzHistoryQuery -fuzztime=10s ./internal/server
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan
@@ -94,9 +96,8 @@ bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test ./...
 
-# Short benchmark pass over the concurrency-sensitive paths (the batch API
-# and the resource-plan cache), on one and two procs so the cache's shared
-# lock is exercised across threads, plus the
+# Short benchmark pass over the resource-plan cache, on one and two procs
+# so the cache's mutex is contended across threads, plus the
 # history read path (the store query and one GET /v1/history through the
 # handler), the fleet hop, the feedback journal's two ends,
 # cold planning on a 100-table schema (Selinger-12 and randomized-30 over
@@ -110,4 +111,4 @@ bench-check:
 # through the peer transport, a 200 for a feedback batch, a full journal
 # replay, admissions and encodes).
 bench:
-	$(GO) test -run xxx -bench 'OptimizeBatch|CacheContention|HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'CacheContention|HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .

@@ -125,3 +125,22 @@ func TestBatchTrimsQueryNames(t *testing.T) {
 		}
 	}
 }
+
+// TestOptimizePriceJSONNamesPlanner runs `raqo optimize -mode price
+// -json`: price mode always runs the randomized planner, so the wire
+// answer names it even under the default -planner selinger.
+func TestOptimizePriceJSONNamesPlanner(t *testing.T) {
+	out := captureStdout(t, func() error {
+		return optimizeCmd([]string{"-query", "Q12", "-mode", "price", "-budget", "1", "-json", "-trained=false"})
+	})
+	var wire struct {
+		Mode    string `json:"mode"`
+		Planner string `json:"planner"`
+	}
+	if err := json.Unmarshal(out, &wire); err != nil {
+		t.Fatalf("decode CLI output: %v\n%s", err, out)
+	}
+	if wire.Mode != "price" || wire.Planner != "fast-randomized" {
+		t.Fatalf("mode %q planner %q, want price fast-randomized", wire.Mode, wire.Planner)
+	}
+}

@@ -6,12 +6,12 @@
 //
 //	raqo figure <fig1|fig2|...|fig15b|all>
 //	raqo optimize -query Q3 [-planner selinger|randomized] [-mode joint|fixed|budget|price] [-json]
-//	raqo batch [-queries Q12,Q3,Q2,All] [-parallel N] [-memo] [-cache GB] [-json]
+//	raqo batch [-queries Q12,Q3,Q2,All] [-memo] [-cache GB] [-json]
 //	raqo serve [-addr :8080] [-planner selinger|randomized] [-max-inflight N] [-queue-depth N] [-journal FILE]
 //	raqo calibrate -journal FILE [-trained]
 //	raqo trees [-engine hive|spark]
 //	raqo trace [-seed N]
-//	raqo simulate -query Q3 [-containers N] [-gb G]
+//	raqo simulate -query Q3 [-sf SF]
 //	raqo robust -query Q3 [-objective worst-case|average]
 //	raqo workload [-containers N] [-gb G]
 package main
@@ -72,7 +72,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   raqo figure <id|all>     regenerate a paper figure (fig1..fig15b)
   raqo optimize [flags]    jointly optimize a TPC-H query
-  raqo batch [flags]       jointly optimize a multi-query workload concurrently
+  raqo batch [flags]       jointly optimize a multi-query workload, query by query
   raqo serve [flags]       run the long-running optimizer HTTP service
   raqo calibrate [flags]   replay a feedback journal and retrain the cost models offline
   raqo trees [flags]       print default and RAQO decision trees
@@ -199,7 +199,6 @@ func optimizeCmd(args []string) error {
 func batchCmd(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	queryList := fs.String("queries", "Q12,Q3,Q2,All", "comma-separated TPC-H queries")
-	parallel := fs.Int("parallel", 0, "concurrent queries (0 = NumCPU)")
 	memo := fs.Bool("memo", false, "memoize operator costings across the batch")
 	cacheThreshold := fs.Float64("cache", 0, "resource-plan cache data-delta threshold in GB (0 = no cache)")
 	sf := fs.Float64("sf", 100, "TPC-H scale factor")
@@ -228,10 +227,6 @@ func batchCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	decisions, err := opt.OptimizeBatch(queries, *parallel)
-	if err != nil {
-		return err
-	}
 
 	// The batch summary reuses the service's telemetry registry: planner
 	// work accumulated per decision, cache and memo read at render time.
@@ -239,8 +234,12 @@ func batchCmd(args []string) error {
 	metrics := server.NewPlanningMetrics(reg)
 	metrics.AttachCache(cache)
 	metrics.AttachMemo(opt.Memo())
-	for _, d := range decisions {
-		metrics.ObserveDecision(d)
+	decisions := make([]*raqo.Decision, len(queries))
+	for i, q := range queries {
+		if decisions[i], err = opt.Optimize(q); err != nil {
+			return fmt.Errorf("query %s: %w", names[i], err)
+		}
+		metrics.ObserveDecision(decisions[i])
 	}
 
 	if *jsonOut {

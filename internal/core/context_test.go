@@ -33,36 +33,6 @@ func TestOptimizeCtxCancelled(t *testing.T) {
 	}
 }
 
-func TestOptimizeBatchCtxCancelled(t *testing.T) {
-	sch := catalog.TPCH(100)
-	var queries []*plan.Query
-	for _, rels := range [][]string{
-		{catalog.Lineitem, catalog.Orders},
-		{catalog.Customer, catalog.Orders, catalog.Lineitem},
-	} {
-		q, err := plan.NewQuery(sch, rels...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-	opt, err := New(cluster.Default(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	decisions, err := opt.OptimizeBatchCtx(ctx, queries, 2)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("OptimizeBatchCtx err = %v, want context.Canceled", err)
-	}
-	for i, d := range decisions {
-		if d != nil {
-			t.Errorf("decision %d non-nil under a pre-cancelled context", i)
-		}
-	}
-}
-
 func TestModeCtxVariantsCancelled(t *testing.T) {
 	sch := catalog.TPCH(100)
 	q, err := plan.NewQuery(sch, catalog.Customer, catalog.Orders, catalog.Lineitem)

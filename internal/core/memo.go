@@ -57,7 +57,7 @@ type memoFlight struct {
 // of the same key are deduplicated singleflight-style, so the inner
 // resource planner runs exactly once per distinct key no matter how many
 // planning calls race on it; that keeps evaluation counters deterministic
-// under OptimizeBatch. Safe for concurrent use.
+// across concurrent requests. Safe for concurrent use.
 type CostMemo struct {
 	mu       sync.Mutex
 	contexts map[costerContext]*costerContext // guarded by mu

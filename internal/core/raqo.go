@@ -53,7 +53,8 @@ type Options struct {
 	Randomized randomized.Options
 	// Seed drives the randomized planner. Each planning call derives its
 	// own private RNG from Seed and the query's relation fingerprint, so
-	// planning is reproducible per query and race-free under OptimizeBatch.
+	// planning is reproducible per query and race-free across concurrent
+	// calls.
 	Seed int64
 	// Engine, when non-nil, enables memory-aware pruning: broadcast
 	// candidates whose build side cannot fit any container allowed by the

@@ -213,9 +213,10 @@ func (r *Recalibrator) Recalibrate() (Recalibration, error) {
 		Carried:   carried,
 		Duration:  time.Since(start),
 	}
-	r.publishLocked(rec, &ModelInfo{Version: version, Models: next, TrainedOn: len(trainable)})
+	// Counted before publishing, so a reader of the new version sees it.
 	r.recals.Add(1)
 	r.lastrecalSecs.store(rec.Duration.Seconds())
+	r.publishLocked(rec, &ModelInfo{Version: version, Models: next, TrainedOn: len(trainable)})
 	return rec, nil
 }
 

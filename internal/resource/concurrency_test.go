@@ -65,12 +65,14 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// TestCacheResetDuringPlan: Reset racing with in-flight Plans must never
-// deadlock, lose waiters, or let a pre-Reset result sneak into the new
-// generation's index (the generation invariant on Cache).
-func TestCacheResetDuringPlan(t *testing.T) {
+// TestCacheResetRacesPlans: goroutines plan while one goroutine resets k
+// times. The run finishes, Generation counts the k Resets, and in Exact
+// mode every planned entry is either still cached or was evicted by a
+// Reset: Entries + Evictions == Misses.
+func TestCacheResetRacesPlans(t *testing.T) {
+	const resets = 200
 	inner := &slowPlanner{delay: 100 * time.Microsecond}
-	c := &Cache{Inner: inner}
+	c := &Cache{Inner: inner, Mode: Exact}
 	m := quadModel(3, 2)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -78,7 +80,7 @@ func TestCacheResetDuringPlan(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for i := g; ; i++ {
 				select {
 				case <-stop:
 					return
@@ -91,31 +93,28 @@ func TestCacheResetDuringPlan(t *testing.T) {
 			}
 		}(g)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			c.Reset()
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	time.Sleep(20 * time.Millisecond)
+	for i := 0; i < resets; i++ {
+		c.Reset()
+		time.Sleep(50 * time.Microsecond)
+	}
 	close(stop)
 	wg.Wait()
 
-	// After the dust settles the cache still works and repopulates.
-	c.Reset()
-	if _, err := c.Plan(m, 1, cond()); err != nil {
-		t.Fatal(err)
+	st := c.Stats()
+	if st.Generation != resets {
+		t.Errorf("generation = %d, want %d", st.Generation, resets)
 	}
-	if c.Size() != 1 {
-		t.Errorf("size after quiesced insert = %d, want 1", c.Size())
+	if int64(st.Entries)+st.Evictions != st.Misses {
+		t.Errorf("entries %d + evictions %d != misses %d", st.Entries, st.Evictions, st.Misses)
+	}
+	if n := inner.runs.Load(); n != st.Misses {
+		t.Errorf("inner planner ran %d times for %d misses", n, st.Misses)
 	}
 }
 
-// TestCacheResetDropsStaleInsert pins the generation invariant precisely: a
-// Reset issued while a miss is in flight must keep that miss's result out
-// of the index, while its callers still receive it.
+// TestCacheResetDropsStaleInsert: a Reset issued while a miss is in flight
+// waits for that miss, so the miss's result reaches its caller but not the
+// index the Reset leaves behind.
 func TestCacheResetDropsStaleInsert(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -131,9 +130,19 @@ func TestCacheResetDropsStaleInsert(t *testing.T) {
 		r, err = c.Plan(m, 4, cond())
 	}()
 	<-started
-	c.Reset() // lands mid-flight: the leader's insert must be discarded
+	reset := make(chan struct{})
+	go func() {
+		defer close(reset)
+		c.Reset() // lands mid-flight: it must wait for the miss's insert
+	}()
+	select {
+	case <-reset:
+		t.Fatal("Reset returned while a miss held the cache")
+	case <-time.After(10 * time.Millisecond):
+	}
 	close(release)
 	<-done
+	<-reset
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +150,10 @@ func TestCacheResetDropsStaleInsert(t *testing.T) {
 		t.Error("in-flight caller should still receive the computed result")
 	}
 	if c.Size() != 0 {
-		t.Errorf("stale insert landed: size = %d, want 0", c.Size())
+		t.Errorf("stale insert survived the Reset: size = %d, want 0", c.Size())
 	}
-	if c.Misses() != 1 {
-		t.Errorf("misses = %d, want 1", c.Misses())
+	if st := c.Stats(); st.Misses != 1 || st.Evictions != 1 || st.Generation != 1 {
+		t.Errorf("stats = %+v, want 1 miss, 1 eviction, generation 1", st)
 	}
 }
 

@@ -214,27 +214,19 @@ func (m LookupMode) String() string {
 // array of keys ... and we perform a binary search for lookup"). Safe for
 // concurrent use; the zero value with an Inner planner is ready.
 //
-// Concurrency design. One RWMutex guards the per-model arrays and the
-// in-flight table: lookups share the read lock, and only a miss takes the
-// write lock (twice, briefly — never across the inner planner). Misses are
-// deduplicated singleflight-style per (model, key): concurrent misses on
-// the same key run the inner planner once, and the waiters share the
-// leader's result (counted as hits, since they consumed no inner
-// evaluations).
+// Concurrency. One mutex covers the lookup, the inner planner on a miss
+// and the insert, so a call is atomic: concurrent misses on one key run
+// the inner planner once (the later callers find the first one's entry),
+// and a Reset lands between calls, never inside one. Planning runs one
+// goroutine per request (DESIGN §6), so the lock is rarely contended. The
+// lock is held across Inner, so Inner must not call back into the cache.
 //
-// Invariant (insert-after-unlock race): an insert can never land in an
-// index dropped by Reset. Reset advances the generation and drops the
-// arrays under the write lock, and a miss re-checks the generation under
-// that lock at insert time — a stale result computed against a pre-Reset
-// cache is returned to its callers but never inserted. In-flight
-// computations survive a Reset only to serve their waiters.
-//
-// Version. Every insert and every drop advances Version under the write
-// lock, and nothing else changes what a lookup answers. So while Version
-// reads the same, the cache answers every (model, key, conditions)
-// question exactly as it did: a caller may keep an answer it took at one
-// Version and reuse it while Version still reads that value, reporting the
-// reuse through CountHits.
+// Version. Every insert and every drop advances Version under the mutex,
+// and nothing else changes what a lookup answers. So while Version reads
+// the same, the cache answers every (model, key, conditions) question
+// exactly as it did: a caller may keep an answer it took at one Version
+// and reuse it while Version still reads that value, reporting the reuse
+// through CountHits.
 type Cache struct {
 	Inner Planner
 	Mode  LookupMode
@@ -242,29 +234,13 @@ type Cache struct {
 	// WeightedAverage matches (the x-axis of Figure 14).
 	ThresholdGB float64
 
-	mu        sync.RWMutex
-	indexes   []*arrayIndex         // one per cost model; guarded by mu
-	flights   map[flightKey]*flight // guarded by mu
-	gen       uint64                // guarded by mu
-	evictions int64                 // guarded by mu
-	version   atomic.Uint64         // advanced under mu; see Version
+	mu        sync.Mutex
+	indexes   []*arrayIndex // one per cost model; guarded by mu
+	resets    uint64        // guarded by mu
+	evictions int64         // guarded by mu
+	version   atomic.Uint64 // advanced under mu; see Version
 	hits      atomic.Int64
 	misses    atomic.Int64
-	deduped   atomic.Int64
-}
-
-// flightKey identifies an in-flight miss by its exact key bits.
-type flightKey struct {
-	model string
-	bits  uint64
-}
-
-// flight is one in-flight inner-planner run; res/err are published before
-// done is closed.
-type flight struct {
-	done chan struct{}
-	res  plan.Resources
-	err  error
 }
 
 // exactEps treats keys closer than this as identical, absorbing float noise.
@@ -370,92 +346,42 @@ func (c *Cache) indexLocked(model string) *arrayIndex {
 	return nil
 }
 
-// probe answers a lookup from model's array under the read lock.
-func (c *Cache) probe(model string, key float64, cond cluster.Conditions) (plan.Resources, bool) {
-	var r plan.Resources
-	var hit bool
-	c.mu.RLock()
-	if ix := c.indexLocked(model); ix != nil {
-		r, hit = ix.lookup(key, c.Mode, c.ThresholdGB, cond)
-	}
-	c.mu.RUnlock()
-	return r, hit
-}
-
 // Plan implements Planner: look up the cache first; on a miss, run the
-// inner planner (deduplicated against concurrent misses on the same key)
-// and insert the result.
+// inner planner and insert the result.
 func (c *Cache) Plan(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, error) {
 	r, _, err := c.PlanCounted(m, ssGB, cond)
 	return r, err
 }
 
-// PlanCounted implements Counted: cache hits and coalesced misses consume
-// zero inner evaluations; only the miss that runs the inner planner reports
-// that run's evaluations.
+// PlanCounted implements Counted: a cache hit consumes zero inner
+// evaluations; a miss reports the inner planner's.
 func (c *Cache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, int64, error) {
 	if c.Inner == nil {
 		return plan.Resources{}, 0, fmt.Errorf("resource: cache has no inner planner")
 	}
 	model := m.Name()
-	if r, hit := c.probe(model, ssGB, cond); hit {
-		c.hits.Add(1)
-		// Across-query reuse can cross cluster-condition changes; snap the
-		// cached configuration onto the current grid.
-		return cond.Clamp(r), 0, nil
-	}
-	// Miss: dedupe concurrent misses on the same key via the flight table.
-	fk := flightKey{model, math.Float64bits(ssGB)}
 	c.mu.Lock()
-	// Double-check: a racing leader may have inserted this exact key
-	// between our probe and taking the write lock.
-	if ix := c.indexLocked(model); ix != nil {
-		if v, ok := ix.lookup(ssGB, Exact, 0, cond); ok {
-			c.mu.Unlock()
+	defer c.mu.Unlock()
+	ix := c.indexLocked(model)
+	if ix != nil {
+		if r, hit := ix.lookup(ssGB, c.Mode, c.ThresholdGB, cond); hit {
 			c.hits.Add(1)
-			return cond.Clamp(v), 0, nil
+			// Across-query reuse can cross cluster-condition changes; snap
+			// the cached configuration onto the current grid.
+			return cond.Clamp(r), 0, nil
 		}
 	}
-	if fl, ok := c.flights[fk]; ok {
-		c.mu.Unlock()
-		<-fl.done
-		if fl.err != nil {
-			return plan.Resources{}, 0, fl.err
-		}
-		c.hits.Add(1) // coalesced miss: served by the in-flight leader
-		c.deduped.Add(1)
-		return cond.Clamp(fl.res), 0, nil
-	}
-	fl := &flight{done: make(chan struct{})}
-	if c.flights == nil {
-		c.flights = make(map[flightKey]*flight)
-	}
-	c.flights[fk] = fl
-	gen := c.gen
-	c.mu.Unlock()
-
 	c.misses.Add(1)
 	r, n, err := PlanWithCount(c.Inner, m, ssGB, cond)
-	fl.res, fl.err = r, err
-
-	c.mu.Lock()
-	delete(c.flights, fk)
-	// Generation check: see the Cache doc comment — never insert a result
-	// computed against a cache that Reset has since dropped.
-	if err == nil && c.gen == gen {
-		ix := c.indexLocked(model)
-		if ix == nil {
-			ix = &arrayIndex{model: model}
-			c.indexes = append(c.indexes, ix)
-		}
-		ix.insert(ssGB, r)
-		c.version.Add(1)
-	}
-	c.mu.Unlock()
-	close(fl.done)
 	if err != nil {
 		return plan.Resources{}, n, err
 	}
+	if ix == nil {
+		ix = &arrayIndex{model: model}
+		c.indexes = append(c.indexes, ix)
+	}
+	ix.insert(ssGB, r)
+	c.version.Add(1)
 	return r, n, nil
 }
 
@@ -489,21 +415,15 @@ func (c *Cache) Misses() int64 { return c.misses.Load() }
 // export consumed by the service's /metrics endpoint and the CLI batch
 // summary.
 type Stats struct {
-	// Hits counts lookups served without running the inner planner,
-	// including coalesced misses (see Deduped).
+	// Hits counts lookups served without running the inner planner.
 	Hits int64
 	// Misses counts lookups that ran the inner planner.
 	Misses int64
-	// Deduped counts singleflight-coalesced loads: concurrent misses on a
-	// key already being computed that were served by the leader's result.
-	// Deduped lookups are also counted in Hits (they consumed no inner
-	// evaluations).
-	Deduped int64
 	// Evictions counts entries dropped by Reset calls.
 	Evictions int64
 	// Entries is the number of currently cached configurations.
 	Entries int
-	// Generation increments on every Reset (the insert-after-Reset guard).
+	// Generation counts Reset calls.
 	Generation uint64
 }
 
@@ -511,28 +431,20 @@ type Stats struct {
 // read individually, so a snapshot taken under concurrent use is
 // approximate across fields but each field is exact.
 func (c *Cache) Stats() Stats {
-	st := Stats{
-		Hits:    c.hits.Load(),
-		Misses:  c.misses.Load(),
-		Deduped: c.deduped.Load(),
-	}
-	c.mu.RLock()
-	st.Evictions = c.evictions
-	st.Entries = c.sizeLocked()
-	st.Generation = c.gen
-	c.mu.RUnlock()
-	return st
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(),
+		Evictions: c.evictions, Entries: c.sizeLocked(), Generation: c.resets}
 }
 
 // Reset clears every per-model index (the paper clears the cache before
 // each query except in the across-query caching experiment, Fig 15b).
-// In-flight misses are not interrupted: they complete, serve their waiters,
-// and are discarded rather than inserted (see the generation invariant on
-// Cache).
+// It waits for a call in progress, so no result planned before it lands
+// after it.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
+	c.resets++
 	c.version.Add(1)
 	c.evictions += int64(c.sizeLocked())
 	c.indexes = nil
@@ -540,8 +452,8 @@ func (c *Cache) Reset() {
 
 // Size returns the total number of cached entries across models.
 func (c *Cache) Size() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.sizeLocked()
 }
 

@@ -88,12 +88,10 @@ func (m *Metrics) AttachCache(c *resource.Cache) {
 		return
 	}
 	reg := m.Registry
-	reg.CounterFunc("raqo_resource_cache_hits_total", "Resource-plan cache hits (including singleflight-deduped loads).",
+	reg.CounterFunc("raqo_resource_cache_hits_total", "Resource-plan cache hits.",
 		func() float64 { return float64(c.Stats().Hits) })
 	reg.CounterFunc("raqo_resource_cache_misses_total", "Resource-plan cache misses that ran the inner planner.",
 		func() float64 { return float64(c.Stats().Misses) })
-	reg.CounterFunc("raqo_resource_cache_deduped_total", "Concurrent misses coalesced onto an in-flight load.",
-		func() float64 { return float64(c.Stats().Deduped) })
 	reg.CounterFunc("raqo_resource_cache_evictions_total", "Cached configurations dropped by Reset.",
 		func() float64 { return float64(c.Stats().Evictions) })
 	reg.GaugeFunc("raqo_resource_cache_entries", "Configurations currently cached.",

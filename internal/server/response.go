@@ -53,8 +53,12 @@ type OptimizeResponse struct {
 	Plan               *plan.Node `json:"plan"`
 }
 
-// NewOptimizeResponse converts a core Decision into its wire form.
+// NewOptimizeResponse converts a core Decision into its wire form. Price
+// mode always runs the randomized planner, so its answer names that one.
 func NewOptimizeResponse(query, mode string, planner core.PlannerKind, d *core.Decision) OptimizeResponse {
+	if mode == "price" {
+		planner = core.FastRandomized
+	}
 	return OptimizeResponse{
 		Query:              query,
 		Mode:               mode,
@@ -68,18 +72,20 @@ func NewOptimizeResponse(query, mode string, planner core.PlannerKind, d *core.D
 	}
 }
 
-// BatchRequest is the body of POST /v1/batch.
+const maxBatchQueries = 64 // bounds the work one admission slot plans
+
+// BatchRequest is the body of POST /v1/batch. Queries holds 1 to 64 names
+// (maxBatchQueries), each resolved as OptimizeRequest.Query is; the server
+// plans them jointly, one after another in request order, inside one
+// admission slot. An empty list or a longer one is a 400.
 type BatchRequest struct {
 	Queries []string `json:"queries"`
-	// Parallel bounds inter-query concurrency; 0 selects NumCPU.
-	Parallel int `json:"parallel,omitempty"`
 }
 
 // CacheStats is the resource-plan cache snapshot on the wire.
 type CacheStats struct {
 	Hits       int64  `json:"hits"`
 	Misses     int64  `json:"misses"`
-	Deduped    int64  `json:"deduped"`
 	Evictions  int64  `json:"evictions"`
 	Entries    int    `json:"entries"`
 	Generation uint64 `json:"generation"`
@@ -90,7 +96,6 @@ func NewCacheStats(s resource.Stats) CacheStats {
 	return CacheStats{
 		Hits:       s.Hits,
 		Misses:     s.Misses,
-		Deduped:    s.Deduped,
 		Evictions:  s.Evictions,
 		Entries:    s.Entries,
 		Generation: s.Generation,

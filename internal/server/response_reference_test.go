@@ -70,7 +70,7 @@ func wireValues(t *testing.T) []any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCacheStats(resource.Stats{Hits: 9, Misses: 4, Deduped: 2, Evictions: 3, Entries: 1, Generation: 5})
+	cache := NewCacheStats(resource.Stats{Hits: 9, Misses: 4, Evictions: 3, Entries: 1, Generation: 5})
 	var nilPtr *int
 	return []any{
 		opt,

@@ -14,7 +14,7 @@
 // Endpoints:
 //
 //	POST /v1/optimize         one query, modes joint|fixed|budget|price
-//	POST /v1/batch            concurrent workload via core.OptimizeBatch
+//	POST /v1/batch            up to 64 queries, planned in order in one slot
 //	GET  /v1/explain/{query}  plan tree + resources + cost breakdown
 //	POST /v1/feedback         execution observations into the feedback store
 //	GET  /v1/model            live cost-model version + drift/error stats
@@ -729,6 +729,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, errors.New("missing queries"))
 		return
 	}
+	if len(req.Queries) > maxBatchQueries {
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("at most %d queries per batch", maxBatchQueries))
+		return
+	}
 	queries := make([]*plan.Query, len(req.Queries))
 	for i, name := range req.Queries {
 		q, _, err := s.resolveQuery(name, nil)
@@ -739,13 +743,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		queries[i] = q
 	}
 	s.admitted(w, r, func(ctx context.Context) {
-		decisions, err := s.opt.OptimizeBatchCtx(ctx, queries, req.Parallel)
-		if err != nil {
-			s.writePlanningError(w, r, err)
-			return
-		}
-		resp := BatchResponse{Results: make([]OptimizeResponse, len(decisions))}
-		for i, d := range decisions {
+		resp := BatchResponse{Results: make([]OptimizeResponse, len(queries))}
+		for i, q := range queries {
+			d, err := s.opt.OptimizeCtx(ctx, q)
+			if err != nil {
+				s.writePlanningError(w, r, fmt.Errorf("query %d (%s): %w", i, req.Queries[i], err))
+				return
+			}
 			s.metrics.ObserveDecision(d)
 			resp.Results[i] = NewOptimizeResponse(req.Queries[i], "joint", s.opt.Planner(), d)
 		}

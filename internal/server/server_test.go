@@ -277,7 +277,7 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestBatchEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Queries: []string{"Q12", "Q3", "Q12"}, Parallel: 2})
+	resp := postJSON(t, ts.URL+"/v1/batch", BatchRequest{Queries: []string{"Q12", "Q3", "Q12"}})
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
