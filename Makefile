@@ -58,6 +58,7 @@ race:
 #   FuzzModelWire          a peer's model set: decoding never panics, a decoded set re-encodes to its entries
 #   FuzzOptimizeBodies     any /v1/optimize or /v1/batch body: no panic, documented statuses, valid plans
 #   FuzzHistoryQuery       any GET /v1/history series/from/to/step: 200/400/404, increasing buckets, store untouched
+#   FuzzConnRequests       any bytes as one connection: no panic, closed in time, answers parse, no 2xx where net/http says 4xx
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -80,6 +81,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzModelWire -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeBodies -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzHistoryQuery -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzConnRequests -fuzztime=10s ./internal/server
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

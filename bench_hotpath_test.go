@@ -9,7 +9,11 @@
 package raqo_test
 
 import (
+	"bufio"
+	"context"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -309,10 +313,21 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		t.Errorf("memo-hit /v1/optimize query=All allocates %.0f/op, ceiling 28", got)
 	}
 
+	// The same memo hit over loopback TCP through the shipping serve loop,
+	// counted on both ends: the client's raw write and http.ReadResponse,
+	// the server's connection loop and the handler stack above (measured
+	// 14; 38 through net/http.Server). The loop reuses its request,
+	// header map, context and timer per connection, so one more allocation
+	// per request goes through the ceiling.
+	if got := testing.AllocsPerRun(200, loopbackOptimize(t, `{"query":"Q12"}`)); got > 14 {
+		t.Errorf("memo-hit /v1/optimize over loopback allocates %.0f/round trip, ceiling 14", got)
+	}
+
 	// One forwarded /v1/submit between two in-process fleet nodes, counted
 	// across both: the entry node's routing and peer transport, the owner's
-	// net/http server and arbiter, the relay (measured 117, with the test's
-	// own request and recorder; 176 when the hop went through net/http's
+	// connection loop and arbiter, the relay (measured 67, with the test's
+	// own request and recorder; 93 when the owner served through
+	// net/http.Server, 176 when the hop also went through net/http's
 	// client). A request object, goroutine or timer per hop goes through it.
 	forward := newBenchFleet(t)
 	forward(true, "t/default", "/v1/submit", `{"query":"Q12"}`) // dial
@@ -591,4 +606,45 @@ func BenchmarkRegressionCost(b *testing.B) {
 	if sum <= 0 {
 		b.Fatal("non-positive floored costs")
 	}
+}
+
+// loopbackOptimize serves a bench server on a loopback port and returns
+// one round trip of body to /v1/optimize over one kept-alive connection:
+// the raw request write and http.ReadResponse of a 200. The first trip,
+// made here, files the answer in the response memo.
+func loopbackOptimize(t *testing.T, body string) func() {
+	t.Helper()
+	s := newBenchServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	addrc, done := make(chan string, 1), make(chan error, 1)
+	go func() { done <- s.ServeHandler(ctx, "127.0.0.1:0", nil, func(a string) { addrc <- a }) }()
+	c, err := net.Dial("tcp", <-addrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		_ = c.Close()
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	})
+	req := []byte("POST /v1/optimize HTTP/1.1\r\nHost: raqo\r\nContent-Type: application/json\r\nContent-Length: " +
+		strconv.Itoa(len(body)) + "\r\n\r\n" + body)
+	br := bufio.NewReader(c)
+	roundTrip := func() {
+		if _, err := c.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /v1/optimize: HTTP %d, %v", resp.StatusCode, err)
+		}
+	}
+	roundTrip()
+	return roundTrip
 }

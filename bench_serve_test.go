@@ -106,17 +106,21 @@ func newBenchFleet(tb testing.TB) (post func(remote bool, key, path, body string
 	var stops []func()
 	ctx, cancel := context.WithCancel(context.Background())
 	for i, ln := range lns {
+		srv := newBenchServer(tb)
 		node, err := fleet.NewNode(fleet.Config{
 			NodeID: ln.Addr().String(),
 			Peers:  []string{lns[1-i].Addr().String()},
-		}, newBenchServer(tb))
+		}, srv)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		nodes[i] = node
-		hs := &http.Server{Handler: node.Handler()}
-		go func(ln net.Listener) { _ = hs.Serve(ln) }(ln)
-		stops = append(stops, node.Start(ctx), func() { _ = hs.Close() })
+		done := make(chan struct{})
+		go func(ln net.Listener) {
+			defer close(done)
+			_ = srv.ServeListener(ctx, ln, node.Handler())
+		}(ln)
+		stops = append(stops, node.Start(ctx), func() { <-done })
 	}
 	tb.Cleanup(func() {
 		cancel()

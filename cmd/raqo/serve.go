@@ -205,14 +205,14 @@ func serveCmd(args []string) error {
 			return fmt.Errorf("pprof listener: %w", err)
 		}
 		fmt.Printf("raqo serve: pprof on %s\n", pl.Addr())
-		ps := &http.Server{Handler: pprofHandler()}
+		pctx, stopPprof := context.WithCancel(ctx)
 		pprofDone := make(chan struct{})
 		go func() {
 			defer close(pprofDone)
-			_ = ps.Serve(pl)
+			_ = server.ServeConns(pctx, pl, pprofHandler())
 		}()
 		defer func() {
-			_ = ps.Close()
+			stopPprof()
 			<-pprofDone
 		}()
 	}

@@ -28,7 +28,8 @@ type testNode struct {
 	addr string
 	srv  *server.Server
 	node *fleet.Node
-	hs   *http.Server
+	// stopServe cancels the node's serve loop and waits for its drain.
+	stopServe func()
 }
 
 // startTestFleet builds an n-node fleet on ephemeral localhost ports. The
@@ -86,17 +87,22 @@ func newTestNode(t *testing.T, addrs []string, i int) *testNode {
 	return &testNode{addr: addrs[i], srv: srv, node: node}
 }
 
-// serve starts the node's HTTP front on ln.
+// serve starts the node's HTTP front on ln, through the server's own
+// connection loop.
 func (tn *testNode) serve(ln net.Listener) {
-	hs := &http.Server{Handler: tn.node.Handler()}
-	tn.hs = hs
-	go func() { _ = hs.Serve(ln) }()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = tn.srv.ServeListener(ctx, ln, tn.node.Handler())
+	}()
+	tn.stopServe = func() { cancel(); <-done }
 }
 
 func (tn *testNode) stop() {
-	if tn.hs != nil {
-		_ = tn.hs.Close()
-		tn.hs = nil
+	if tn.stopServe != nil {
+		tn.stopServe()
+		tn.stopServe = nil
 	}
 }
 

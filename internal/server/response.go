@@ -20,21 +20,38 @@ import (
 // cmd/raqo's -json output so the CLI and the API emit byte-identical
 // machine-readable results through the one encoder below.
 
-// OptimizeRequest is the body of POST /v1/optimize. Exactly one of Query
-// (a TPC-H evaluation query name: Q12, Q3, Q2, All) or Relations (an
-// explicit relation list validated against the schema's join graph) names
-// the logical query.
+// OptimizeRequest is the body of POST /v1/optimize, decoded strictly: an
+// unknown field, a second JSON value or a malformed one is a 400. Each
+// field's domain is stated as the handler enforces it; a field the mode
+// does not read is ignored whatever its value, and a value outside the
+// domain its mode reads is a 422 from the planner unless stated otherwise.
 type OptimizeRequest struct {
-	Query     string   `json:"query,omitempty"`
+	// Query and Relations name the logical query; exactly one must be set
+	// (both, or neither, is a 400; an empty Relations counts as unset).
+	// Query is a TPC-H evaluation query name, case-sensitive: Q12, Q3, Q2
+	// or All; any other is a 400.
+	Query string `json:"query,omitempty"`
+	// Relations is an explicit relation list in any order: one or more
+	// distinct TPC-H tables, connected in the schema's join graph; an
+	// unknown, repeated or disconnected relation is a 400.
 	Relations []string `json:"relations,omitempty"`
-	// Mode is one of the Section IV use-case modes: "joint" (default),
-	// "fixed", "budget" or "price".
+	// Mode is one of the Section IV use-case modes: "joint" (the default
+	// when empty), "fixed", "budget" or "price"; any other is a 400.
 	Mode string `json:"mode,omitempty"`
-	// Containers/ContainerGB are the fixed configuration (fixed mode) or
-	// the tenant quota (budget mode).
+	// Containers and ContainerGB are read by fixed and budget mode only.
+	// In fixed mode they are the one configuration to plan under and must
+	// be a point of the served cluster's grid: 1 to 100 containers of a
+	// whole 1 to 10 GB (omitted fields are 0, so outside). In budget mode
+	// they are a tenant quota capping that grid: the planner searches the
+	// grid points at or below both caps, a cap above the box (more than 100
+	// containers or 10 GB) leaves that side of the box whole, and a cap
+	// below its smallest point (under 1 container or 1 GB, omitted
+	// included) leaves nothing to search.
 	Containers  int     `json:"containers,omitempty"`
 	ContainerGB float64 `json:"containerGB,omitempty"`
-	// BudgetDollars is the price mode's monetary budget.
+	// BudgetDollars is read by price mode only: the most the answer's
+	// modeled money cost may be. It must be positive, and a budget below
+	// every plan the randomized search finds is a 422 naming the cheapest.
 	BudgetDollars units.USD `json:"budgetDollars,omitempty"`
 }
 

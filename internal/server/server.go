@@ -9,7 +9,11 @@
 // in-flight planning work (bounded slots + FIFO wait queue + 429 on
 // overload, the serving restatement of internal/scheduler's policies);
 // request contexts are threaded into the planner search loops so
-// abandoned requests stop burning CPU.
+// abandoned requests stop burning CPU. Every listener speaks HTTP/1.1
+// through the package's own connection loop (conn.go, ServeConns): one
+// goroutine per connection, request and response state reused across a
+// connection's requests, each answer written whole in one write, and a
+// client that hangs up mid-plan cancelling its request.
 //
 // Endpoints:
 //
@@ -396,9 +400,6 @@ func (s *Server) Serve(ctx context.Context, addr string, ready func(addr string)
 // fleet layer interposes its routing mux in front of a node's local
 // handlers without duplicating the serve loop.
 func (s *Server) ServeHandler(ctx context.Context, addr string, handler http.Handler, ready func(addr string)) error {
-	if handler == nil {
-		handler = s.mux
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -406,7 +407,17 @@ func (s *Server) ServeHandler(ctx context.Context, addr string, handler http.Han
 	if ready != nil {
 		ready(ln.Addr().String())
 	}
+	return s.ServeListener(ctx, ln, handler)
+}
 
+// ServeListener is ServeHandler on a listener the caller has bound, as a
+// test fleet binds every member's port before building any: it serves ln
+// through ServeConns, runs the background loops beside it, and closes the
+// server when the drain is done.
+func (s *Server) ServeListener(ctx context.Context, ln net.Listener, handler http.Handler) error {
+	if handler == nil {
+		handler = s.mux
+	}
 	// Background recalibration: drift-gated, stopped (and waited for)
 	// before Serve returns so shutdown never leaks the goroutine.
 	loopCtx, stopLoop := context.WithCancel(context.Background())
@@ -445,22 +456,7 @@ func (s *Server) ServeHandler(ctx context.Context, addr string, handler http.Han
 		<-gatherDone
 		_ = s.Close()
 	}()
-
-	hs := &http.Server{Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		if err := hs.Shutdown(drainCtx); err != nil {
-			return fmt.Errorf("server: drain: %w", err)
-		}
-		<-errc // always http.ErrServerClosed after Shutdown
-		return nil
-	}
+	return ServeConns(ctx, ln, handler)
 }
 
 // statusRecorder captures the response code for metrics.

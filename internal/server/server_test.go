@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -673,5 +674,82 @@ func TestStatusLabelBounded(t *testing.T) {
 		if got := statusLabel(code); got != want {
 			t.Errorf("statusLabel(%d) = %q, want %q", code, got, want)
 		}
+	}
+}
+
+// TestClientGoneCancels closes a real client socket while its
+// /v1/optimize holds the only admission slot, planning behind gated
+// models. The close must cancel the request's context, the planning must
+// stop as a cancellation, and the slot must come back: the next request
+// plans at once instead of queueing into a 429.
+func TestClientGoneCancels(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	s, err := New(Config{
+		Options:         core.Options{Models: gatedModels(started, release)},
+		MaxInFlight:     1,
+		RecalInterval:   -1,
+		HistoryInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctxs := make(chan context.Context, 4)
+	front := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctxs <- r.Context()
+		s.Handler().ServeHTTP(w, r)
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	addrc, done := make(chan string, 1), make(chan error, 1)
+	go func() { done <- s.ServeHandler(ctx, "127.0.0.1:0", front, func(a string) { addrc <- a }) }()
+	defer func() {
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("Serve: %v", err)
+		}
+	}()
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	defer open() // before the drain: a plan left gated would hold it
+	addr := <-addrc
+
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"query":"All"}`
+	if _, err := fmt.Fprintf(c, "POST /v1/optimize HTTP/1.1\r\nHost: raqo\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s", len(body), body); err != nil {
+		t.Fatal(err)
+	}
+	var reqCtx context.Context
+	select {
+	case reqCtx = <-ctxs:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request never reached the handler")
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request never reached the planner")
+	}
+	_ = c.Close()
+	select {
+	case <-reqCtx.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("closing the socket never cancelled the request's context")
+	}
+	open()
+	for deadline := time.Now().Add(10 * time.Second); s.Metrics().Cancelled.Value() != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("cancelled counter = %d, want 1", s.Metrics().Cancelled.Value())
+		}
+	}
+	resp, err := http.Post("http://"+addr+"/v1/optimize", "application/json", strings.NewReader(`{"query":"Q12"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the next request: HTTP %d, want 200 (the slot did not come back)", resp.StatusCode)
 	}
 }
