@@ -1,13 +1,21 @@
 // Command raqo drives the RAQO reproduction: regenerate the paper's
-// figures, optimize TPC-H queries jointly with their resources, print the
-// rule-based decision trees, and simulate executions.
+// figures, optimize TPC-H queries jointly with their resources, serve the
+// optimizer over HTTP, print the rule-based decision trees, and simulate
+// executions.
+//
+// Every command that plans builds its optimizer with server.NewOptimizer,
+// the one `raqo serve` plans with: memory-aware for the engine plans run
+// on, behind the exact operator-cost memo, so a plan the CLI prints is the
+// plan the service answers. optimize and serve choose the planner and the
+// models with -planner and -trained; batch, simulate, robust and workload
+// plan as serve does by default, Selinger over trained models.
 //
 // Usage:
 //
 //	raqo figure <fig1|fig2|...|fig15b|all>
-//	raqo optimize -query Q3 [-planner selinger|randomized] [-mode joint|fixed|budget|price] [-json]
-//	raqo batch [-queries Q12,Q3,Q2,All] [-memo] [-cache GB] [-json]
-//	raqo serve [-addr :8080] [-planner selinger|randomized] [-max-inflight N] [-queue-depth N] [-journal FILE]
+//	raqo optimize -query Q3 [-planner selinger|randomized] [-trained=false] [-mode joint|fixed|budget|price] [-json]
+//	raqo batch [-queries Q12,Q3,Q2,All] [-json]
+//	raqo serve [-addr :8080] [-planner selinger|randomized] [-trained=false] [-max-inflight N] [-queue-depth N] [-journal FILE]
 //	raqo calibrate -journal FILE [-trained]
 //	raqo trees [-engine hive|spark]
 //	raqo trace [-seed N]
@@ -24,7 +32,6 @@ import (
 
 	"raqo"
 	"raqo/internal/experiments"
-	"raqo/internal/resource"
 	"raqo/internal/server"
 	"raqo/internal/telemetry"
 )
@@ -79,7 +86,43 @@ func usage() {
   raqo trace [flags]       simulate the shared-cluster queueing trace (fig 1)
   raqo simulate [flags]    execute an optimized plan on the engine simulator
   raqo robust [flags]      pick a plan resilient to cluster-condition changes
-  raqo workload [flags]    compare default practice vs RAQO over the TPC-H workload`)
+  raqo workload [flags]    compare default practice vs RAQO over the TPC-H workload
+
+Every command that plans uses the optimizer raqo serve plans with;
+batch, simulate, robust and workload plan as serve does by default
+(-planner selinger, -trained). raqo <command> -h lists its flags.`)
+}
+
+// planOptions maps the -planner and -trained flags of optimize and serve
+// onto the options server.NewOptimizer takes.
+func planOptions(plannerName string, trained bool) (raqo.Options, error) {
+	var opts raqo.Options
+	switch plannerName {
+	case "selinger":
+		opts.Planner = raqo.Selinger
+	case "randomized":
+		opts.Planner = raqo.FastRandomized
+	default:
+		return opts, fmt.Errorf("unknown planner %q (known: selinger, randomized)", plannerName)
+	}
+	if trained {
+		models, err := raqo.TrainModels(raqo.Hive())
+		if err != nil {
+			return opts, err
+		}
+		opts.Models = models
+	}
+	return opts, nil
+}
+
+// servedOptimizer is the optimizer `raqo serve` plans with under its
+// default flags: Selinger over trained models.
+func servedOptimizer() (*raqo.Optimizer, error) {
+	opts, err := planOptions("selinger", true)
+	if err != nil {
+		return nil, err
+	}
+	return server.NewOptimizer(opts)
 }
 
 func figureCmd(args []string) error {
@@ -114,7 +157,6 @@ func optimizeCmd(args []string) error {
 	gb := fs.Float64("gb", 3, "fixed mode: container GB; budget mode: max container GB")
 	budget := fs.Float64("budget", 1, "price mode: dollar budget")
 	sf := fs.Float64("sf", 100, "TPC-H scale factor")
-	cacheThreshold := fs.Float64("cache", 0, "resource-plan cache data-delta threshold in GB (0 = no cache)")
 	explain := fs.Bool("explain", false, "print the per-operator explanation")
 	jsonOut := fs.Bool("json", false, "emit the decision as JSON (the /v1/optimize wire format)")
 	trained := fs.Bool("trained", true, "train cost models on the simulator (false = paper coefficients)")
@@ -126,26 +168,11 @@ func optimizeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := raqo.Options{}
-	switch *plannerName {
-	case "selinger":
-		opts.Planner = raqo.Selinger
-	case "randomized":
-		opts.Planner = raqo.FastRandomized
-	default:
-		return fmt.Errorf("unknown planner %q", *plannerName)
+	opts, err := planOptions(*plannerName, *trained)
+	if err != nil {
+		return err
 	}
-	if *cacheThreshold > 0 {
-		opts.Resource = raqo.CachedResourcePlanner(*cacheThreshold)
-	}
-	if *trained {
-		models, err := raqo.TrainModels(raqo.Hive())
-		if err != nil {
-			return err
-		}
-		opts.Models = models
-	}
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), opts)
+	opt, err := server.NewOptimizer(opts)
 	if err != nil {
 		return err
 	}
@@ -199,8 +226,6 @@ func optimizeCmd(args []string) error {
 func batchCmd(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	queryList := fs.String("queries", "Q12,Q3,Q2,All", "comma-separated TPC-H queries")
-	memo := fs.Bool("memo", false, "memoize operator costings across the batch")
-	cacheThreshold := fs.Float64("cache", 0, "resource-plan cache data-delta threshold in GB (0 = no cache)")
 	sf := fs.Float64("sf", 100, "TPC-H scale factor")
 	jsonOut := fs.Bool("json", false, "emit the batch result as JSON (the /v1/batch wire format)")
 	if err := fs.Parse(args); err != nil {
@@ -217,22 +242,15 @@ func batchCmd(args []string) error {
 		}
 		queries[i] = q
 	}
-	opts := raqo.Options{MemoizeCosts: *memo}
-	var cache *resource.Cache
-	if *cacheThreshold > 0 {
-		cache = raqo.CachedResourcePlanner(*cacheThreshold)
-		opts.Resource = cache
-	}
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), opts)
+	opt, err := servedOptimizer()
 	if err != nil {
 		return err
 	}
 
 	// The batch summary reuses the service's telemetry registry: planner
-	// work accumulated per decision, cache and memo read at render time.
+	// work accumulated per decision, the cost memo read at render time.
 	reg := telemetry.NewRegistry()
 	metrics := server.NewPlanningMetrics(reg)
-	metrics.AttachCache(cache)
 	metrics.AttachMemo(opt.Memo())
 	decisions := make([]*raqo.Decision, len(queries))
 	for i, q := range queries {
@@ -247,13 +265,8 @@ func batchCmd(args []string) error {
 		for i, d := range decisions {
 			resp.Results[i] = server.NewOptimizeResponse(names[i], "joint", opt.Planner(), d)
 		}
-		if cache != nil {
-			cs := server.NewCacheStats(cache.Stats())
-			resp.Cache = &cs
-		}
-		if m := opt.Memo(); m != nil {
-			resp.Memo = &server.MemoStats{Hits: m.Hits(), Misses: m.Misses(), Entries: m.Size()}
-		}
+		m := opt.Memo()
+		resp.Memo = &server.MemoStats{Hits: m.Hits(), Misses: m.Misses(), Entries: m.Size()}
 		return server.WriteJSON(os.Stdout, resp)
 	}
 
@@ -274,26 +287,26 @@ func robustCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	obj := raqo.WorstCase
+	switch *objective {
+	case "worst-case":
+	case "average":
+		obj = raqo.Average
+	default:
+		return fmt.Errorf("unknown objective %q (known: worst-case, average)", *objective)
+	}
 	sch := raqo.TPCH(100)
 	q, err := raqo.TPCHQuery(sch, *query)
 	if err != nil {
 		return err
 	}
-	models, err := raqo.TrainModels(raqo.Hive())
-	if err != nil {
-		return err
-	}
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{Models: models})
+	opt, err := servedOptimizer()
 	if err != nil {
 		return err
 	}
 	scenarios := []raqo.Conditions{
 		raqo.DefaultConditions(),
 		{MinContainers: 1, MaxContainers: 10, ContainerStep: 1, MinContainerGB: 1, MaxContainerGB: 4, GBStep: 1},
-	}
-	obj := raqo.WorstCase
-	if *objective == "average" {
-		obj = raqo.Average
 	}
 	rd, err := opt.OptimizeRobust(q, scenarios, obj)
 	if err != nil {
@@ -311,17 +324,12 @@ func workloadCmd(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	engine := raqo.Hive()
-	models, err := raqo.TrainModels(engine)
-	if err != nil {
-		return err
-	}
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{Models: models, Engine: &engine})
+	opt, err := servedOptimizer()
 	if err != nil {
 		return err
 	}
 	sch := raqo.TPCH(100)
-	report, err := raqo.CompareWorkload(engine, opt, sch, raqo.Resources{Containers: *containers, ContainerGB: *gb})
+	report, err := raqo.CompareWorkload(raqo.Hive(), opt, sch, raqo.Resources{Containers: *containers, ContainerGB: *gb})
 	if err != nil {
 		return err
 	}
@@ -385,7 +393,7 @@ func simulateCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{})
+	opt, err := servedOptimizer()
 	if err != nil {
 		return err
 	}

@@ -13,7 +13,6 @@ import (
 	"syscall"
 	"time"
 
-	"raqo"
 	"raqo/internal/feedback"
 	"raqo/internal/fleet"
 	"raqo/internal/server"
@@ -97,21 +96,9 @@ func serveFlags() (*flag.FlagSet, func() (*serveSettings, error)) {
 			return nil, err
 		}
 
-		opts := raqo.Options{}
-		switch *plannerName {
-		case "selinger":
-			opts.Planner = raqo.Selinger
-		case "randomized":
-			opts.Planner = raqo.FastRandomized
-		default:
-			return nil, fmt.Errorf("unknown planner %q", *plannerName)
-		}
-		if *trained {
-			models, err := raqo.TrainModels(raqo.Hive())
-			if err != nil {
-				return nil, err
-			}
-			opts.Models = models
+		opts, err := planOptions(*plannerName, *trained)
+		if err != nil {
+			return nil, err
 		}
 
 		return &serveSettings{

@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"raqo/internal/fleet/harness"
 )
 
 // referenceDocs describe the tree: the design, the overview and the verify
@@ -50,6 +52,16 @@ var (
 	// dotted matches a chain of dot-joined identifiers not itself part of a
 	// longer name ("core.Options.MemoizeCosts", "Node.Equal").
 	dotted = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`)
+	// raqoCall matches a raqo command line as the docs write it: what
+	// precedes "raqo" (to tell `go run ./cmd/raqo` from a package path),
+	// then the words up to a comment, a code span's end or a shell
+	// operator. cliFlag matches a flag among those words ("-json",
+	// "-trained=false", "[-planner"); usageCommand, a command of the
+	// binary's usage text; helpFlag, a flag of a command's -h text.
+	raqoCall     = regexp.MustCompile("(\\S*)\\braqo[ \t]+([^\n#`|;&]*)")
+	cliFlag      = regexp.MustCompile(`^\[?-([a-zA-Z][A-Za-z0-9-]*)`)
+	usageCommand = regexp.MustCompile(`(?m)^  raqo ([a-z]+) `)
+	helpFlag     = regexp.MustCompile(`(?m)^  -([A-Za-z0-9-]+)`)
 )
 
 // TestDocReferencesExist keeps the docs' references to the tree real.
@@ -70,6 +82,11 @@ var (
 //   - identifiers: every backticked `pkg.Name`, `pkg.Type.Member` and
 //     `Type.Member` in the reference docs, where pkg is a package of the
 //     module and the names are capitalised, is declared (see resolve).
+//   - flags: every `raqo <command> -flag` the reference docs write names
+//     a command the built binary's usage lists and a flag that command's
+//     -h output defines; a flag written with no command ("raqo -json")
+//     must be defined by some command. DESIGN.md §15 names removed flags
+//     on purpose and is not checked.
 func TestDocReferencesExist(t *testing.T) {
 	tree := parseTree(t)
 	design := readDoc(t, "DESIGN.md")
@@ -77,6 +94,7 @@ func TestDocReferencesExist(t *testing.T) {
 	t.Run("modulemap", func(t *testing.T) { checkModuleMap(t, tree, design) })
 	t.Run("sections", func(t *testing.T) { checkSections(t, tree, design) })
 	t.Run("identifiers", func(t *testing.T) { checkIdentifiers(t, tree) })
+	t.Run("flags", checkFlags)
 }
 
 // goTree is what the checks need of the module's Go source.
@@ -396,6 +414,74 @@ func (tree *goTree) resolve(chain []string) (string, bool) {
 		return chain[0] + "." + chain[1], tree.types[chain[0]][chain[1]]
 	}
 	return "", true
+}
+
+// cliFlags builds the raqo binary and reads its command list from the
+// usage text and each command's flags from its -h text. The "" entry
+// holds every command's flags.
+func cliFlags(t *testing.T) map[string]map[string]bool {
+	bin, err := harness.Build(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both exit non-zero: usage with no command, flag.ErrHelp after -h.
+	usage, _ := exec.Command(bin).CombinedOutput()
+	commands := map[string]map[string]bool{"": {}}
+	for _, m := range usageCommand.FindAllStringSubmatch(string(usage), -1) {
+		help, _ := exec.Command(bin, m[1], "-h").CombinedOutput()
+		flags := map[string]bool{}
+		for _, f := range helpFlag.FindAllStringSubmatch(string(help), -1) {
+			flags[f[1]], commands[""][f[1]] = true, true
+		}
+		commands[m[1]] = flags
+	}
+	if len(commands["optimize"]) == 0 {
+		t.Fatalf("no optimize flags read from the binary; usage:\n%s", usage)
+	}
+	return commands
+}
+
+func checkFlags(t *testing.T) {
+	commands := cliFlags(t)
+	for _, doc := range referenceDocs {
+		text := readDoc(t, doc)
+		if doc == "DESIGN.md" {
+			removed := sectionText(text, "15")
+			text = strings.Replace(text, removed, strings.Repeat("\n", strings.Count(removed, "\n")), 1)
+		}
+		for _, loc := range raqoCall.FindAllStringSubmatchIndex(text, -1) {
+			words := strings.Fields(text[loc[4]:loc[5]])
+			if len(words) == 0 {
+				continue
+			}
+			cmd := ""
+			if strings.ContainsAny(words[0], "<{*") {
+				continue // a pattern: "raqo <command> -flag"
+			} else if !cliFlag.MatchString(words[0]) {
+				cmd = words[0]
+				words = words[1:]
+			} else if strings.HasSuffix(text[loc[2]:loc[3]], "cmd/") {
+				continue // the package path in `go test ./cmd/raqo -run ...`
+			}
+			var named []string
+			for _, w := range words {
+				if m := cliFlag.FindStringSubmatch(w); m != nil {
+					named = append(named, m[1])
+				}
+			}
+			line := lineOf(text, loc[0])
+			flags, known := commands[cmd]
+			if len(named) > 0 && !known {
+				t.Errorf("%s:%d: raqo %s is not a command of raqo's usage", doc, line, cmd)
+				continue
+			}
+			for _, f := range named {
+				if !flags[f] {
+					t.Errorf("%s:%d: %s defines no -%s", doc, line, strings.TrimSpace("raqo "+cmd), f)
+				}
+			}
+		}
+	}
 }
 
 func readDoc(t *testing.T, doc string) string {

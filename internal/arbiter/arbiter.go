@@ -123,31 +123,33 @@ func (o *Outcome) Ratio() float64 {
 	return o.QueueSeconds / o.ExecSeconds
 }
 
-// Stats is a point-in-time summary of the arbiter.
+// Stats is a point-in-time summary of the arbiter, and the body of the
+// server's GET /v1/arbiter/stats.
 type Stats struct {
-	Now            float64
-	Completed      int
-	InFlight       int
-	Queued         int
-	Rejected       int64
-	Failed         int64
-	AdmittedWait   int64
-	AdmittedDeg    int64
-	AdmittedReopt  int64
-	Replanned      int64
-	Degraded       int64
-	DegradeStalls  int64
-	Recals         int64
-	FreeContainers int
-	HeldGB         float64
+	Now            float64 `json:"nowSeconds"`
+	Completed      int     `json:"completed"`
+	InFlight       int     `json:"inFlight"`
+	Queued         int     `json:"queued"`
+	Rejected       int64   `json:"rejected"`
+	Failed         int64   `json:"failed"`
+	AdmittedWait   int64   `json:"admittedWait"`
+	AdmittedDeg    int64   `json:"admittedDegrade"`
+	AdmittedReopt  int64   `json:"admittedReoptimize"`
+	Replanned      int64   `json:"replanned"`
+	Degraded       int64   `json:"degraded"`
+	DegradeStalls  int64   `json:"degradeStalls"`
+	Recals         int64   `json:"recalibrations"`
+	FreeContainers int     `json:"freeContainers"`
+	HeldGB         float64 `json:"heldGB"`
 	// Planning answer sources (see core.IncrementalStats), submissions and
 	// re-optimizations alike: planned from scratch, or answered from the
 	// exact-conditions memo.
-	ReoptFull  int64
-	ReoptExact int64
+	ReoptFull  int64 `json:"reoptFull"`
+	ReoptExact int64 `json:"reoptExact"`
 	// ReoptPatched is always zero: the patch path it counted is gone, and
-	// the field stays only because the benchmark (bench/layers.go) reads it.
-	ReoptPatched int64
+	// the field stays, off the wire, only because the benchmark
+	// (bench/layers.go) reads it.
+	ReoptPatched int64 `json:"-"`
 }
 
 // Arbiter is the workload arbiter. It is not safe for concurrent use; the
@@ -291,12 +293,11 @@ func (a *Arbiter) complete(o *cloud.Outcome, d *core.Decision, res *execsim.Resu
 		// live models so the recorded error measures the model in charge.
 		v, err := ob.Recal.Models().PlanVector(d.Plan, cost.DefaultPricing())
 		if err != nil {
-			return nil // unpriceable plan: skip, like scheduler.record
+			return nil // unpriceable plan: skip
 		}
 		predicted, money = v.Time, v.Money
 	}
-	// Best-effort, like the one-shot scheduler: a rejected observation is
-	// dropped, not fatal.
+	// Best-effort: a rejected observation is dropped, not fatal.
 	_, _ = ob.RecordAt(at, cloud.Engine().Name, d.Plan, predicted, money, res)
 	a.sinceRecal++
 	if a.cfg.RecalEvery > 0 && a.sinceRecal >= a.cfg.RecalEvery {

@@ -6,14 +6,14 @@ import (
 	"raqo/internal/catalog"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
-	"raqo/internal/cost"
 	"raqo/internal/execsim"
-	"raqo/internal/feedback"
 	"raqo/internal/plan"
 	"raqo/internal/workload"
 )
 
-func setup(t *testing.T) (*Scheduler, *plan.Query, *plan.Node) {
+// optimum is TPC-H Q3's joint plan on the full default cluster under the
+// trained models.
+func optimum(t *testing.T) *plan.Node {
 	t.Helper()
 	s := catalog.TPCH(100)
 	q, err := workload.TPCHQuery(s, workload.Q3)
@@ -32,134 +32,7 @@ func setup(t *testing.T) (*Scheduler, *plan.Query, *plan.Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := &Scheduler{
-		Engine:    execsim.Hive(),
-		Pricing:   cost.DefaultPricing(),
-		Optimizer: opt,
-	}
-	return sched, q, d.Plan
-}
-
-// lowAvail is a shrunken cluster that cannot satisfy a 100x10GB-scale
-// optimum.
-func lowAvail() cluster.Conditions {
-	return cluster.Conditions{
-		MinContainers: 1, MaxContainers: 8, ContainerStep: 1,
-		MinContainerGB: 1, MaxContainerGB: 4, GBStep: 1,
-	}
-}
-
-func TestSubmitFitsRunsImmediately(t *testing.T) {
-	sched, q, p := setup(t)
-	out, err := sched.Submit(q, p, cluster.Default(), Wait)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.QueueSeconds != 0 {
-		t.Errorf("queue = %v, want 0 when the request fits", out.QueueSeconds)
-	}
-	if out.ExecSeconds <= 0 || out.Result == nil {
-		t.Errorf("outcome = %+v", out)
-	}
-}
-
-func TestSubmitWaitQueues(t *testing.T) {
-	sched, q, p := setup(t)
-	out, err := sched.Submit(q, p, lowAvail(), Wait)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.QueueSeconds <= 0 {
-		t.Error("Wait policy should queue when resources are short")
-	}
-	if out.TotalSeconds() != out.QueueSeconds+out.ExecSeconds {
-		t.Error("TotalSeconds arithmetic")
-	}
-}
-
-func TestSubmitDegradeClampsAndRuns(t *testing.T) {
-	sched, q, p := setup(t)
-	before := p.SignatureWithResources()
-	out, err := sched.Submit(q, p, lowAvail(), Degrade)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.QueueSeconds != 0 {
-		t.Error("Degrade should admit immediately")
-	}
-	if p.SignatureWithResources() != before {
-		t.Error("Degrade mutated the submitted plan")
-	}
-	// Degraded execution is slower than the full-cluster run.
-	full, err := sched.Submit(q, p, cluster.Default(), Degrade)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.ExecSeconds <= full.ExecSeconds {
-		t.Errorf("degraded run (%v) should be slower than full (%v)", out.ExecSeconds, full.ExecSeconds)
-	}
-}
-
-func TestSubmitReoptimizeReplans(t *testing.T) {
-	sched, q, p := setup(t)
-	out, err := sched.Submit(q, p, lowAvail(), Reoptimize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Replanned {
-		t.Error("shrunken cluster should force a different joint plan")
-	}
-	if out.ExecSeconds <= 0 {
-		t.Errorf("outcome = %+v", out)
-	}
-}
-
-// The whole point of the Section VIII discussion: on a badly congested
-// cluster (slow drain), re-optimizing should beat waiting for the original
-// request, and be at least as good as blind degradation.
-func TestReoptimizeBeatsWaitAndDegrade(t *testing.T) {
-	sched, q, p := setup(t)
-	sched.DrainRate = 0.01 // severely congested: ~100s per freed container
-	avail := lowAvail()
-	wait, err := sched.Submit(q, p, avail, Wait)
-	if err != nil {
-		t.Fatal(err)
-	}
-	degrade, err := sched.Submit(q, p, avail, Degrade)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopt, err := sched.Submit(q, p, avail, Reoptimize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopt.TotalSeconds() > wait.TotalSeconds() {
-		t.Errorf("reoptimize (%v) should beat waiting (%v)", reopt.TotalSeconds(), wait.TotalSeconds())
-	}
-	if reopt.TotalSeconds() > degrade.TotalSeconds()*1.05 {
-		t.Errorf("reoptimize (%v) should be at least as good as degrading (%v)",
-			reopt.TotalSeconds(), degrade.TotalSeconds())
-	}
-}
-
-func TestSubmitValidation(t *testing.T) {
-	sched, q, p := setup(t)
-	if _, err := sched.Submit(q, nil, cluster.Default(), Wait); err == nil {
-		t.Error("nil plan accepted")
-	}
-	if _, err := sched.Submit(q, p, cluster.Conditions{}, Wait); err == nil {
-		t.Error("invalid conditions accepted")
-	}
-	if _, err := sched.Submit(nil, p, lowAvail(), Reoptimize); err == nil {
-		t.Error("Reoptimize without a query accepted")
-	}
-	noOpt := &Scheduler{Engine: execsim.Hive(), Pricing: cost.DefaultPricing()}
-	if _, err := noOpt.Submit(q, p, lowAvail(), Reoptimize); err == nil {
-		t.Error("Reoptimize without an optimizer accepted")
-	}
-	if _, err := sched.Submit(q, p, lowAvail(), Policy(99)); err == nil {
-		t.Error("unknown policy accepted")
-	}
+	return d.Plan
 }
 
 func TestPolicyString(t *testing.T) {
@@ -168,75 +41,11 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-// Feedback wiring: every executed submission lands in the feedback store,
-// and the Reoptimize policy replans under the recalibrated model set.
-func TestSubmitRecordsFeedback(t *testing.T) {
-	sched, q, p := setup(t)
-	models := sched.Optimizer.Models()
-	rec := feedback.NewRecalibrator(feedback.NewStore(0, nil), feedback.NewDetector(feedback.DriftConfig{}), models)
-	sched.Feedback = &feedback.Observer{Recal: rec}
-
-	for _, policy := range []Policy{Wait, Degrade} {
-		if _, err := sched.Submit(q, p, cluster.Default(), policy); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sched.Submit(q, p, lowAvail(), policy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := sched.Submit(q, p, lowAvail(), Reoptimize); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.Store().Len(); got != 5 {
-		t.Fatalf("store holds %d observations, want 5", got)
-	}
-	for _, o := range rec.Store().Snapshot() {
-		if o.Engine != sched.Engine.Name {
-			t.Errorf("observation engine = %q, want %q", o.Engine, sched.Engine.Name)
-		}
-		if o.PredictedSeconds <= 0 || o.ObservedSeconds <= 0 {
-			t.Errorf("observation missing predictions: %+v", o)
-		}
-		if len(o.Operators) == 0 {
-			t.Errorf("observation has no operator samples: %+v", o)
-		}
-	}
-}
-
-// Reoptimize consults the optimizer's live models: after a recalibration
-// swaps them, the replanned decision is priced by the new set.
-func TestReoptimizeUsesRecalibratedModels(t *testing.T) {
-	sched, q, p := setup(t)
-	flat := cost.NewModels()
-	for _, a := range plan.Algos {
-		flat.Set(a, cost.ModelFunc{ModelName: "flat-" + a.String(), Fn: func(ss, cs, nc float64) float64 { return 7 }})
-	}
-	if err := sched.Optimizer.SetModels(flat); err != nil {
-		t.Fatal(err)
-	}
-	out, err := sched.Submit(q, p, lowAvail(), Reoptimize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Result == nil {
-		t.Fatal("no execution result")
-	}
-	// Under the flat model every joint plan of Q3 (two joins) is modeled at
-	// 14s; the replan must have been priced by it.
-	d, err := sched.Optimizer.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Time != 14 {
-		t.Errorf("replanned modeled time = %v, want 14 under the flat model", d.Time)
-	}
-}
-
 // TestFitsBoundaries pins the admission predicate at its edges: a request
 // exactly equal to the offer fits (including the 1e-9 float tolerance on
 // the GB axis), and zero-container conditions admit nothing.
 func TestFitsBoundaries(t *testing.T) {
-	_, _, p := setup(t)
+	p := optimum(t)
 	req := MaxRequested(p)
 	if req.Containers < 1 || req.ContainerGB <= 0 {
 		t.Fatalf("implausible optimum request: %+v", req)
@@ -265,41 +74,6 @@ func TestFitsBoundaries(t *testing.T) {
 	}
 	if Fits(p, cluster.Conditions{}) {
 		t.Error("zero-container conditions should admit nothing")
-	}
-}
-
-// TestSubmitErrorPaths covers the failure branches of Submit: nil plan,
-// invalid available conditions (a zero-container offer fails validation
-// before Fits is consulted), Reoptimize without its collaborators, and
-// Reoptimize whose planner has no feasible plan because the model set is
-// empty.
-func TestSubmitErrorPaths(t *testing.T) {
-	sched, q, p := setup(t)
-	if _, err := sched.Submit(q, nil, cluster.Default(), Wait); err == nil {
-		t.Error("nil plan accepted")
-	}
-	if _, err := sched.Submit(q, p, cluster.Conditions{}, Wait); err == nil {
-		t.Error("zero-container conditions accepted")
-	}
-	if _, err := sched.Submit(q, p, lowAvail(), Policy(42)); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if _, err := sched.Submit(nil, p, lowAvail(), Reoptimize); err == nil {
-		t.Error("Reoptimize without the logical query accepted")
-	}
-	noOpt := &Scheduler{Engine: sched.Engine, Pricing: sched.Pricing}
-	if _, err := noOpt.Submit(q, p, lowAvail(), Reoptimize); err == nil {
-		t.Error("Reoptimize without an optimizer accepted")
-	}
-	// An optimizer over an empty model set can cost no join at all: the
-	// replanning itself must surface the error, not panic or admit.
-	empty, err := core.New(cluster.Default(), core.Options{Models: cost.NewModels()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.Optimizer = empty
-	if _, err := sched.Submit(q, p, lowAvail(), Reoptimize); err == nil {
-		t.Error("Reoptimize with no feasible plan accepted")
 	}
 }
 

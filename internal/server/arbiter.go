@@ -203,52 +203,6 @@ func appendSubmitResponse(dst []byte, r SubmitResponse) ([]byte, bool) {
 	return o.end()
 }
 
-// ArbiterStatsResponse is the body of GET /v1/arbiter/stats.
-type ArbiterStatsResponse struct {
-	NowSeconds     float64 `json:"nowSeconds"`
-	Completed      int     `json:"completed"`
-	InFlight       int     `json:"inFlight"`
-	Queued         int     `json:"queued"`
-	Rejected       int64   `json:"rejected"`
-	Failed         int64   `json:"failed"`
-	AdmittedWait   int64   `json:"admittedWait"`
-	AdmittedDeg    int64   `json:"admittedDegrade"`
-	AdmittedReopt  int64   `json:"admittedReoptimize"`
-	Replanned      int64   `json:"replanned"`
-	Degraded       int64   `json:"degraded"`
-	DegradeStalls  int64   `json:"degradeStalls"`
-	Recals         int64   `json:"recalibrations"`
-	FreeContainers int     `json:"freeContainers"`
-	HeldGB         float64 `json:"heldGB"`
-	// Planning answer sources: from-scratch plans and exact-conditions
-	// memo hits.
-	ReoptFull  int64 `json:"reoptFull"`
-	ReoptExact int64 `json:"reoptExact"`
-}
-
-// NewArbiterStatsResponse converts an arbiter stats snapshot.
-func NewArbiterStatsResponse(st arbiter.Stats) ArbiterStatsResponse {
-	return ArbiterStatsResponse{
-		NowSeconds:     st.Now,
-		Completed:      st.Completed,
-		InFlight:       st.InFlight,
-		Queued:         st.Queued,
-		Rejected:       st.Rejected,
-		Failed:         st.Failed,
-		AdmittedWait:   st.AdmittedWait,
-		AdmittedDeg:    st.AdmittedDeg,
-		AdmittedReopt:  st.AdmittedReopt,
-		Replanned:      st.Replanned,
-		Degraded:       st.Degraded,
-		DegradeStalls:  st.DegradeStalls,
-		Recals:         st.Recals,
-		FreeContainers: st.FreeContainers,
-		HeldGB:         st.HeldGB,
-		ReoptFull:      st.ReoptFull,
-		ReoptExact:     st.ReoptExact,
-	}
-}
-
 // Arbiter returns the server's workload arbiter (primarily for tests).
 // Callers must not use it concurrently with the HTTP handlers.
 //
@@ -288,7 +242,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleArbiterStats(w http.ResponseWriter, r *http.Request) {
-	s.arb.serveStats(w, r, func(a *arbiter.Arbiter) any { return NewArbiterStatsResponse(a.Stats()) })
+	s.arb.serveStats(w, r, func(a *arbiter.Arbiter) any { return a.Stats() })
 }
 
 // defaultTenants is the single "default" tenant installed when

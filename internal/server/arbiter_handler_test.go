@@ -65,7 +65,7 @@ func TestSubmitEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET stats: %v", err)
 	}
-	var st ArbiterStatsResponse
+	var st arbiter.Stats
 	decodeBodyInto(t, resp, &st)
 	if st.InFlight != 1 || st.AdmittedReopt != 1 {
 		t.Errorf("stats after submit: %+v", st)
@@ -100,8 +100,8 @@ func TestSubmitEndpoint(t *testing.T) {
 	if st.InFlight != 0 || st.Completed != 1 || st.FreeContainers != 100 {
 		t.Errorf("stats after drain: %+v", st)
 	}
-	if st.NowSeconds < out.FinishSeconds {
-		t.Errorf("virtual now %v did not reach the finish %v", st.NowSeconds, out.FinishSeconds)
+	if st.Now < out.FinishSeconds {
+		t.Errorf("virtual now %v did not reach the finish %v", st.Now, out.FinishSeconds)
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/arbiter/stats?drain=banana")

@@ -4,13 +4,12 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/feedback"
 	"raqo/internal/history"
-	"raqo/internal/resource"
 	"raqo/internal/telemetry"
 )
 
 // Metrics is the service's metric set over a telemetry.Registry. The HTTP
 // fields are only populated by NewMetrics (the serving path);
-// NewPlanningMetrics registers just the planner/cache families, which is
+// NewPlanningMetrics registers just the planner-work families, which is
 // what `raqo batch` prints as its one-line summary.
 type Metrics struct {
 	Registry *telemetry.Registry
@@ -79,23 +78,6 @@ func (m *Metrics) ObserveDecision(d *core.Decision) {
 	}
 	m.Plans.Add(int64(d.PlansConsidered))
 	m.ResIters.Add(d.ResourceIterations)
-}
-
-// AttachCache exports the resource-plan cache's stats snapshot as
-// func-backed metrics, read live at scrape time.
-func (m *Metrics) AttachCache(c *resource.Cache) {
-	if c == nil {
-		return
-	}
-	reg := m.Registry
-	reg.CounterFunc("raqo_resource_cache_hits_total", "Resource-plan cache hits.",
-		func() float64 { return float64(c.Stats().Hits) })
-	reg.CounterFunc("raqo_resource_cache_misses_total", "Resource-plan cache misses that ran the inner planner.",
-		func() float64 { return float64(c.Stats().Misses) })
-	reg.CounterFunc("raqo_resource_cache_evictions_total", "Cached configurations dropped by Reset.",
-		func() float64 { return float64(c.Stats().Evictions) })
-	reg.GaugeFunc("raqo_resource_cache_entries", "Configurations currently cached.",
-		func() float64 { return float64(c.Stats().Entries) })
 }
 
 // AttachFeedback exports the feedback subsystem's state as func-backed

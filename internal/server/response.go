@@ -12,7 +12,6 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/feedback"
 	"raqo/internal/plan"
-	"raqo/internal/resource"
 	"raqo/internal/units"
 )
 
@@ -99,26 +98,6 @@ type BatchRequest struct {
 	Queries []string `json:"queries"`
 }
 
-// CacheStats is the resource-plan cache snapshot on the wire.
-type CacheStats struct {
-	Hits       int64  `json:"hits"`
-	Misses     int64  `json:"misses"`
-	Evictions  int64  `json:"evictions"`
-	Entries    int    `json:"entries"`
-	Generation uint64 `json:"generation"`
-}
-
-// NewCacheStats converts a resource.Stats snapshot.
-func NewCacheStats(s resource.Stats) CacheStats {
-	return CacheStats{
-		Hits:       s.Hits,
-		Misses:     s.Misses,
-		Evictions:  s.Evictions,
-		Entries:    s.Entries,
-		Generation: s.Generation,
-	}
-}
-
 // MemoStats is the operator-cost memo snapshot on the wire.
 type MemoStats struct {
 	Hits    int64 `json:"hits"`
@@ -128,11 +107,8 @@ type MemoStats struct {
 
 // BatchResponse is the body of a successful POST /v1/batch: per-query
 // decisions in request order plus the cost memo's state after the batch.
-// Cache, the resource-plan cache's state, is set only by `raqo batch
-// -cache`; the service plans without one.
 type BatchResponse struct {
 	Results []OptimizeResponse `json:"results"`
-	Cache   *CacheStats        `json:"cache,omitempty"`
 	Memo    *MemoStats         `json:"memo,omitempty"`
 }
 

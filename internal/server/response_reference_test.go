@@ -5,13 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"raqo/internal/arbiter"
 	"raqo/internal/cloud"
-	"raqo/internal/resource"
 	"raqo/internal/scheduler"
 )
 
@@ -70,20 +71,19 @@ func wireValues(t *testing.T) []any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := NewCacheStats(resource.Stats{Hits: 9, Misses: 4, Evictions: 3, Entries: 1, Generation: 5})
 	var nilPtr *int
 	return []any{
 		opt,
 		&opt,
 		ExplainResponse{OptimizeResponse: opt, Operators: NewExplainOperators(ops), PlanTree: d.Plan.String()},
-		BatchResponse{Results: []OptimizeResponse{opt, opt}, Cache: &cache, Memo: &MemoStats{Hits: 1, Misses: 2, Entries: 3}},
+		BatchResponse{Results: []OptimizeResponse{opt, opt}, Memo: &MemoStats{Hits: 1, Misses: 2, Entries: 3}},
 		BatchResponse{},
 		BatchResponse{Results: []OptimizeResponse{}},
 		OptimizeResponse{},
 		NewModelResponse(s.rec),
 		NewSubmitResponse(sub),
 		NewCloudSubmitResponse(csub),
-		NewArbiterStatsResponse(s.arb.arb.Stats()),
+		s.arb.arb.Stats(),
 		s.cld.arb.Stats(),
 		FeedbackResponse{Accepted: 8, Stored: 64, Total: 1 << 40, Drifted: true},
 		HistoryResponse{Series: awkward, Buckets: []HistoryBucket{{Start: 60, Count: 3, Sum: 1e-7, Min: -2.5e-9, Max: 1e21, Mean: 123456789.125, P50: 0.1, P90: 1e20, P99: 5e-324}}},
@@ -119,6 +119,106 @@ func wireValues(t *testing.T) []any {
 func TestWriteJSONMatchesEncoder(t *testing.T) {
 	for _, v := range wireValues(t) {
 		checkWriteJSON(t, v)
+	}
+}
+
+// parentArbiterStats is the body GET /v1/arbiter/stats encoded before the
+// handler encoded arbiter.Stats directly: a wire struct of its own, filled
+// field by field. TestArbiterStatsBodyMatchesParent holds the body to it.
+type parentArbiterStats struct {
+	NowSeconds     float64 `json:"nowSeconds"`
+	Completed      int     `json:"completed"`
+	InFlight       int     `json:"inFlight"`
+	Queued         int     `json:"queued"`
+	Rejected       int64   `json:"rejected"`
+	Failed         int64   `json:"failed"`
+	AdmittedWait   int64   `json:"admittedWait"`
+	AdmittedDeg    int64   `json:"admittedDegrade"`
+	AdmittedReopt  int64   `json:"admittedReoptimize"`
+	Replanned      int64   `json:"replanned"`
+	Degraded       int64   `json:"degraded"`
+	DegradeStalls  int64   `json:"degradeStalls"`
+	Recals         int64   `json:"recalibrations"`
+	FreeContainers int     `json:"freeContainers"`
+	HeldGB         float64 `json:"heldGB"`
+	ReoptFull      int64   `json:"reoptFull"`
+	ReoptExact     int64   `json:"reoptExact"`
+}
+
+func newParentArbiterStats(st arbiter.Stats) parentArbiterStats {
+	return parentArbiterStats{
+		NowSeconds:     st.Now,
+		Completed:      st.Completed,
+		InFlight:       st.InFlight,
+		Queued:         st.Queued,
+		Rejected:       st.Rejected,
+		Failed:         st.Failed,
+		AdmittedWait:   st.AdmittedWait,
+		AdmittedDeg:    st.AdmittedDeg,
+		AdmittedReopt:  st.AdmittedReopt,
+		Replanned:      st.Replanned,
+		Degraded:       st.Degraded,
+		DegradeStalls:  st.DegradeStalls,
+		Recals:         st.Recals,
+		FreeContainers: st.FreeContainers,
+		HeldGB:         st.HeldGB,
+		ReoptFull:      st.ReoptFull,
+		ReoptExact:     st.ReoptExact,
+	}
+}
+
+// TestArbiterStatsBodyMatchesParent: GET /v1/arbiter/stats, with and
+// without drain=1, answers the bytes the parent's wire struct encoded from
+// the same snapshot, and so does WriteJSON for random snapshots, a
+// non-zero ReoptPatched (never on the wire) included.
+func TestArbiterStatsBodyMatchesParent(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, q := range []string{"Q12", "Q3", "All"} {
+		resp := postJSON(t, ts.URL+"/v1/submit", SubmitRequest{Query: q})
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("submit %s: HTTP %d", q, resp.StatusCode)
+		}
+	}
+	for _, path := range []string{"/v1/arbiter/stats", "/v1/arbiter/stats?drain=1", "/v1/arbiter/stats"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d (%v)", path, resp.StatusCode, err)
+		}
+		// The handler drains before it reads, so the snapshot after it is
+		// the one it encoded.
+		var want bytes.Buffer
+		if err := parentWriteJSON(&want, newParentArbiterStats(s.Arbiter().Stats())); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("GET %s:\n%s\nparent body:\n%s", path, got, want.Bytes())
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		st := arbiter.Stats{
+			Now: rng.ExpFloat64() * 1e4, Completed: rng.Intn(1000), InFlight: rng.Intn(50), Queued: rng.Intn(50),
+			Rejected: rng.Int63(), Failed: rng.Int63n(9), AdmittedWait: rng.Int63(), AdmittedDeg: rng.Int63(),
+			AdmittedReopt: rng.Int63(), Replanned: rng.Int63(), Degraded: rng.Int63(), DegradeStalls: rng.Int63(),
+			Recals: rng.Int63n(100), FreeContainers: rng.Intn(101), HeldGB: rng.NormFloat64() * 1e3,
+			ReoptFull: rng.Int63(), ReoptExact: rng.Int63(), ReoptPatched: rng.Int63(),
+		}
+		var got, want bytes.Buffer
+		if err := WriteJSON(&got, st); err != nil {
+			t.Fatal(err)
+		}
+		if err := parentWriteJSON(&want, newParentArbiterStats(st)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%+v:\n%s\nparent body:\n%s", st, got.Bytes(), want.Bytes())
+		}
 	}
 }
 

@@ -77,14 +77,10 @@ type Config struct {
 	// SF is the TPC-H scale factor of the served schema; 0 selects 100
 	// (the paper's evaluation scale).
 	SF float64
-	// Options configures the shared optimizer. Its resource planner, cost
-	// memo and engine are the server's: Options.Resource is ignored, so the
-	// optimizer plans with core.New's hill climb; MemoizeCosts is forced on
-	// so the cost memo stays warm across requests; and Options.Engine is
-	// ignored, so every endpoint plans memory-aware for cloud.Engine(), the
-	// engine the arbiters execute on. Both tiers are then exact, and a
-	// served answer is the fresh plan under the same models whatever the
-	// configuration.
+	// Options configures the shared optimizer, which New builds through
+	// NewOptimizer: only the planner, the models, the randomized planner's
+	// tuning and the seed are the caller's; the resource planner, the cost
+	// memo and the engine are fixed there.
 	Options core.Options
 
 	// MaxInFlight bounds concurrently planning requests; 0 selects
@@ -221,15 +217,25 @@ type Server struct {
 	cld     *sim[*cloud.Arbiter]
 }
 
+// NewOptimizer builds the serving optimizer from opts: the paper's
+// evaluation cluster (cluster.Default), planned with core.New's bare hill
+// climb behind the operator-cost memo, and memory-aware for cloud.Engine(),
+// the engine the arbiters execute on. opts.Resource, opts.MemoizeCosts and
+// opts.Engine are overridden, so no configuration reintroduces the
+// resource-plan cache: both reuse tiers are exact, and a served answer is
+// the fresh plan under the same models in any request order. New and every
+// planning command of cmd/raqo build their optimizer here.
+func NewOptimizer(opts core.Options) (*core.Optimizer, error) {
+	engine := cloud.Engine()
+	opts.Resource, opts.MemoizeCosts, opts.Engine = nil, true, &engine
+	return core.New(cluster.Default(), opts)
+}
+
 // New builds a Server: schema, shared warm optimizer, metric registry and
 // routes. The returned server is ready to serve via Handler or Serve.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	opts := cfg.Options
-	engine := cloud.Engine()
-	opts.Resource, opts.MemoizeCosts, opts.Engine = nil, true, &engine
-	cond := cluster.Default()
-	opt, err := core.New(cond, opts)
+	opt, err := NewOptimizer(cfg.Options)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +292,7 @@ func New(cfg Config) (*Server, error) {
 	// optimizer. Each passes its admission-time conditions per call through
 	// its own core.Incremental, and the cost memo is keyed by them.
 	shared := cloud.Workload{
-		Base:      cond,
+		Base:      opt.Conditions(),
 		Optimizer: opt,
 		Queries:   queries,
 	}

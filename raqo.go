@@ -38,8 +38,6 @@ import (
 	"raqo/internal/e2e"
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
-	"raqo/internal/resource"
-	"raqo/internal/scheduler"
 	"raqo/internal/units"
 	"raqo/internal/workload"
 )
@@ -84,11 +82,6 @@ type (
 	// RobustDecision is the outcome of robust joint optimization across
 	// several cluster-condition scenarios.
 	RobustDecision = core.RobustDecision
-	// Scheduler admits joint plans onto a cluster whose free capacity may
-	// be below what the plan was optimized for.
-	Scheduler = scheduler.Scheduler
-	// SchedulerOutcome reports how a submitted job fared.
-	SchedulerOutcome = scheduler.Outcome
 	// WorkloadReport compares default practice with RAQO over a workload.
 	WorkloadReport = e2e.WorkloadReport
 )
@@ -109,13 +102,6 @@ const (
 const (
 	WorstCase = core.WorstCase
 	Average   = core.Average
-)
-
-// Scheduler policies for jobs whose requested resources are unavailable.
-const (
-	WaitPolicy       = scheduler.Wait
-	DegradePolicy    = scheduler.Degrade
-	ReoptimizePolicy = scheduler.Reoptimize
 )
 
 // TPCH builds the TPC-H schema at the given scale factor.
@@ -144,13 +130,6 @@ func DefaultConditions() Conditions { return cluster.Default() }
 // planning over the paper's published cost models.
 func NewOptimizer(cond Conditions, opts Options) (*Optimizer, error) {
 	return core.New(cond, opts)
-}
-
-// CachedResourcePlanner returns a hill-climbing resource planner wrapped in
-// the nearest-neighbor resource-plan cache with the given data-delta
-// threshold (GB); pass it in Options.Resource.
-func CachedResourcePlanner(thresholdGB float64) *resource.Cache {
-	return &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: thresholdGB}
 }
 
 // PaperModels returns cost models with the coefficient vectors published in

@@ -137,7 +137,7 @@ func TestFacadeRandomSchema(t *testing.T) {
 	}
 }
 
-func TestFacadeSchedulerAndRobust(t *testing.T) {
+func TestFacadeExplainAndRobust(t *testing.T) {
 	schema := raqo.TPCH(100)
 	q, err := raqo.TPCHQuery(schema, "Q3")
 	if err != nil {
@@ -160,18 +160,9 @@ func TestFacadeSchedulerAndRobust(t *testing.T) {
 	if err != nil || !strings.Contains(out, "operators") {
 		t.Fatalf("explain: %v\n%s", err, out)
 	}
-	// Scheduler: degrade onto a shrunken cluster.
-	sched := &raqo.Scheduler{Engine: raqo.Hive(), Pricing: raqo.DefaultPricing(), Optimizer: opt}
+	// Robust, across the full cluster and a shrunken one.
 	avail := raqo.Conditions{MinContainers: 1, MaxContainers: 8, ContainerStep: 1,
 		MinContainerGB: 1, MaxContainerGB: 4, GBStep: 1}
-	outcome, err := sched.Submit(q, d.Plan, avail, raqo.DegradePolicy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outcome.ExecSeconds <= 0 {
-		t.Fatalf("outcome = %+v", outcome)
-	}
-	// Robust.
 	rd, err := opt.OptimizeRobust(q, []raqo.Conditions{raqo.DefaultConditions(), avail}, raqo.WorstCase)
 	if err != nil {
 		t.Fatal(err)
@@ -210,24 +201,5 @@ func TestFacadeWorkloadComparisonAndJSON(t *testing.T) {
 	}
 	if back.Signature() != report.RAQO[0].Plan.Signature() {
 		t.Error("facade JSON round trip changed the plan")
-	}
-}
-
-func TestFacadeCachedPlanner(t *testing.T) {
-	cache := raqo.CachedResourcePlanner(0.05)
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{Resource: cache})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schema := raqo.TPCH(100)
-	q, err := raqo.TPCHQuery(schema, "All")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := opt.Optimize(q); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Hits() == 0 {
-		t.Error("cache never hit")
 	}
 }
