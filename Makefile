@@ -59,6 +59,7 @@ race:
 #   FuzzOptimizeBodies     any /v1/optimize or /v1/batch body: no panic, documented statuses, valid plans
 #   FuzzHistoryQuery       any GET /v1/history series/from/to/step: 200/400/404, increasing buckets, store untouched
 #   FuzzConnRequests       any bytes as one connection: no panic, closed in time, answers parse, no 2xx where net/http says 4xx
+#   FuzzFloat              canonjson.Float == Number + strconv.ParseFloat: value bits, end index, rejections
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
@@ -82,6 +83,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOptimizeBodies -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzHistoryQuery -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzConnRequests -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzFloat -fuzztime=10s ./internal/canonjson
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

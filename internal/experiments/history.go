@@ -121,7 +121,7 @@ func HistoryObservability() (*Report, error) {
 	for i := range rows {
 		b := &rows[i]
 		rollTbl.AddRow(f1(float64(b.Start)/3600),
-			fmt.Sprintf("%d", b.Count), f1(b.Mean()), f1(b.Quantile(0.9)), f1(b.Max))
+			fmt.Sprintf("%d", b.Count), f1(b.Mean), f1(b.P90), f1(b.Max))
 	}
 
 	driftTable := func(title string, stats []feedback.LongHorizonStat) Table {

@@ -123,13 +123,23 @@ func CheckObservedAt(at, now int64) error {
 	return nil
 }
 
-// Validate checks the observation is usable as evidence.
+// Validate checks the observation is usable as evidence: an engine, a
+// positive observed time, no negative prediction or dollar amount, and
+// operators with a known algorithm, positive features and observed time
+// and no negative prediction. A negative prediction would enter the drift
+// detector and the error series as a relative error above 1.
 func (o *Observation) Validate() error {
-	if o.Engine == "" {
+	switch {
+	case o.Engine == "":
 		return fmt.Errorf("feedback: observation missing engine")
-	}
-	if o.ObservedSeconds <= 0 {
+	case o.ObservedSeconds <= 0:
 		return fmt.Errorf("feedback: observed time must be positive, got %g", o.ObservedSeconds)
+	case o.PredictedSeconds < 0:
+		return fmt.Errorf("feedback: predictedSeconds must not be negative, got %g", o.PredictedSeconds)
+	case o.PredictedDollars < 0:
+		return fmt.Errorf("feedback: predictedDollars must not be negative, got %g", float64(o.PredictedDollars))
+	case o.ObservedDollars < 0:
+		return fmt.Errorf("feedback: observedDollars must not be negative, got %g", float64(o.ObservedDollars))
 	}
 	for i, s := range o.Operators {
 		if _, err := parseAlgo(s.Algo); err != nil {
@@ -142,6 +152,10 @@ func (o *Observation) Validate() error {
 		if s.ObservedSeconds <= 0 {
 			return fmt.Errorf("feedback: operator %d observed time must be positive, got %g",
 				i, s.ObservedSeconds)
+		}
+		if s.PredictedSeconds < 0 {
+			return fmt.Errorf("feedback: operator %d predictedSeconds must not be negative, got %g",
+				i, s.PredictedSeconds)
 		}
 	}
 	return nil

@@ -209,8 +209,8 @@ func parentStoreAnswers(t *testing.T, dir string) goldenStore {
 				for i := range rows {
 					b := &rows[i]
 					q.Buckets = append(q.Buckets, fmt.Sprintf("%d %d %s %s %s %s %s %s %s", b.Start, b.Count,
-						bits(b.Sum), bits(b.Min), bits(b.Max), bits(b.Mean()),
-						bits(b.Quantile(0.5)), bits(b.Quantile(0.9)), bits(b.Quantile(0.99))))
+						bits(b.Sum), bits(b.Min), bits(b.Max), bits(b.Mean),
+						bits(b.P50), bits(b.P90), bits(b.P99)))
 				}
 				g.Queries = append(g.Queries, q)
 			}

@@ -135,6 +135,7 @@ type Store struct {
 	sealed []segMeta // guarded by mu
 	lv1m   *level    // pointer immutable after Open; contents guarded by mu
 	lv1h   *level    // pointer immutable after Open; contents guarded by mu
+	merged Bucket    // guarded by mu; Query's scratch for a multi-source row
 
 	hwm       int64 // guarded by mu; newest committed timestamp
 	committed int64 // guarded by mu; points ever committed

@@ -63,7 +63,7 @@ func brute(names []string, base, n, from, to, step int64, wantSeries string) map
 	return out
 }
 
-func checkQuery(t *testing.T, got []Bucket, want map[int64]*Bucket) {
+func checkQuery(t *testing.T, got []Row, want map[int64]*Bucket) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("got %d buckets, want %d", len(got), len(want))
@@ -656,7 +656,7 @@ func TestZeroValueRollupReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Count != 1 || got[0].Sum != 0 || got[0].Quantile(0.99) != 0 {
+	if len(got) != 1 || got[0].Count != 1 || got[0].Sum != 0 || got[0].P99 != 0 {
 		t.Fatalf("buckets = %+v", got)
 	}
 }

@@ -12,18 +12,44 @@ import (
 // recorded; match with errors.Is.
 var ErrUnknownSeries = errors.New("unknown series")
 
+// Row is one output bucket of a range query: a step-aligned window of one
+// series with its count, sum, extrema and mean, and the p50, p90 and p99
+// of its sketch (~2% relative error; 0 when the window is empty).
+type Row struct {
+	Start         int64
+	Count         int64
+	Sum, Min, Max float64
+	Mean          float64 // Sum/Count, 0 when empty
+	P50, P90, P99 float64
+}
+
+// row reads b as the output bucket that starts at start, its quantiles in
+// one pass over its sketch. An empty b reads as the empty row, what
+// merging it into an empty bucket leaves (and not a NaN mean).
+func row(start int64, b *Bucket) Row {
+	if b.Count == 0 {
+		return Row{Start: start}
+	}
+	r := Row{Start: start, Count: b.Count, Sum: b.Sum, Min: b.Min, Max: b.Max}
+	r.Mean = r.Sum / float64(r.Count)
+	q := [3]float64{0.5, 0.9, 0.99}
+	b.sk.quantiles(q[:])
+	r.P50, r.P90, r.P99 = q[0], q[1], q[2]
+	return r
+}
+
 // Query returns series' aggregates over [from, to) at step-second
-// resolution, oldest first. The source resolution is chosen automatically:
-// steps under a minute scan raw segments, steps under an hour aggregate
-// the 1m rollups, anything coarser the 1h rollups (step is rounded up to
-// a multiple of the source width). Rollup-backed queries cannot split a
-// source bucket, so [from, to) widens outward to the source grid — a
-// partially covered minute or hour is included whole. Only committed
-// points are visible. Empty windows produce no bucket (rows are sparse,
-// not zero-filled). A range that leaves int64 on the output grid — a step
-// that rounds up past MaxInt64, or a from whose step-aligned bucket would
-// start below MinInt64 — is an error.
-func (st *Store) Query(series string, from, to, step int64) ([]Bucket, error) {
+// resolution, oldest first, computed under the store's lock. The source
+// resolution is chosen automatically: steps under a minute scan raw
+// segments, steps under an hour aggregate the 1m rollups, anything coarser
+// the 1h rollups (step is rounded up to a multiple of the source width).
+// Rollup-backed queries cannot split a source bucket, so [from, to) widens
+// outward to the source grid — a partially covered minute or hour is
+// included whole. Only committed points are visible. Empty windows produce
+// no row (rows are sparse, not zero-filled). A range that leaves int64 on
+// the output grid — a step that rounds up past MaxInt64, or a from whose
+// step-aligned bucket would start below MinInt64 — is an error.
+func (st *Store) Query(series string, from, to, step int64) ([]Row, error) {
 	if step <= 0 {
 		return nil, fmt.Errorf("history: step must be positive, got %d", step)
 	}
@@ -59,40 +85,38 @@ func (st *Store) Query(series string, from, to, step int64) ([]Bucket, error) {
 }
 
 // queryLevel aggregates a rollup level's buckets (persisted + active
-// segment) into step-aligned output buckets. Both runs are ascending, so
-// output buckets are emitted in order as the two are merged. The merge
-// order is fixed — ascending start, persisted before active when both hold
-// the same window (points straddling a seal): counts and extrema are
-// order-free, but float sums are not associative, and query output must be
-// bit-stable across runs.
-//
-// A first pass sizes the answer: the output buckets, and for each the
-// union of its sources' sketch windows, which is the window merging them
-// leaves it with. One slab holds all those windows, each output sketch
-// starting on an empty slice of its share, so the merges fill it without
-// growing it: the rows and the slab are the query's two allocations.
-func (st *Store) queryLevelLocked(lv *level, sid uint32, from, to, step int64) []Bucket {
+// segment) into step-aligned rows. Both runs are ascending, so rows are
+// emitted in order as the two are merged. An output bucket with one
+// source is read off that source; one with several is merged into the
+// store's scratch bucket first. The merge order is fixed — ascending
+// start, persisted before active when both hold the same window (points
+// straddling a seal): counts and extrema are order-free, but float sums
+// are not associative, and query output must be bit-stable across runs.
+func (st *Store) queryLevelLocked(lv *level, sid uint32, from, to, step int64) []Row {
 	lo := alignDown(from, lv.width)
-	all := mergeRun{lv.persisted.span(sid, lo, to), lv.active.span(sid, lo, to)}
-	n, words := 0, 0
-	for r := all; r.more(); n++ {
-		_, k, w := r.window(step)
-		r.skip(k)
-		words += w
+	r := mergeRun{lv.persisted.span(sid, lo, to), lv.active.span(sid, lo, to)}
+	// At most one row per source and per step of [from, to); the
+	// difference is taken unsigned, since it may exceed MaxInt64.
+	n := len(r.p) + len(r.a)
+	if grid := uint64(to-1-alignDown(from, step))/uint64(step) + 1; grid < uint64(n) {
+		n = int(grid)
 	}
-	out, slab := make([]Bucket, n), make([]int64, words)
-	r := all
-	for i := range out {
-		start, k, w := r.window(step)
-		out[i].Start = start
-		if w > 0 {
-			out[i].sk.counts, slab = slab[:0:w], slab[w:]
+	rows := make([]Row, 0, n)
+	for r.more() {
+		b := r.next()
+		start := alignDown(b.Start, step)
+		if r.more() && alignDown(r.peek().Start, step) == start {
+			m := &st.merged
+			*m = Bucket{Start: start, sk: Sketch{counts: m.sk.counts[:0]}}
+			m.merge(b)
+			for r.more() && alignDown(r.peek().Start, step) == start {
+				m.merge(r.next())
+			}
+			b = m
 		}
-		for ; k > 0; k-- {
-			out[i].merge(r.next())
-		}
+		rows = append(rows, row(start, b))
 	}
-	return out
+	return rows
 }
 
 // mergeRun walks a level's persisted and active buckets of one series in
@@ -101,49 +125,31 @@ type mergeRun struct{ p, a []*Bucket }
 
 func (r *mergeRun) more() bool { return len(r.p) > 0 || len(r.a) > 0 }
 
-func (r *mergeRun) next() *Bucket {
-	var b *Bucket
-	if len(r.a) == 0 || (len(r.p) > 0 && r.p[0].Start <= r.a[0].Start) {
-		b, r.p = r.p[0], r.p[1:]
-	} else {
+// active reports whether the next bucket comes from the active run.
+func (r *mergeRun) active() bool {
+	return len(r.p) == 0 || (len(r.a) > 0 && r.a[0].Start < r.p[0].Start)
+}
+
+// peek returns the next bucket without taking it.
+func (r *mergeRun) peek() *Bucket {
+	if r.active() {
+		return r.a[0]
+	}
+	return r.p[0]
+}
+
+func (r *mergeRun) next() (b *Bucket) {
+	if r.active() {
 		b, r.a = r.a[0], r.a[1:]
+	} else {
+		b, r.p = r.p[0], r.p[1:]
 	}
 	return b
 }
 
-func (r *mergeRun) skip(k int) {
-	for ; k > 0; k-- {
-		r.next()
-	}
-}
-
-// window looks at the sources of the next output bucket without taking
-// them: its step-aligned start, how many sources it merges and the width
-// of the union of their sketch windows.
-func (r mergeRun) window(step int64) (start int64, k, width int) {
-	lo, hi := 0, -1
-	for r.more() {
-		b := r.next()
-		s := alignDown(b.Start, step)
-		if k > 0 && s != start {
-			break
-		}
-		start, k = s, k+1
-		if n := len(b.sk.counts); n > 0 {
-			l, h := int(b.sk.lo), int(b.sk.lo)+n-1
-			if hi < lo {
-				lo, hi = l, h
-			} else {
-				lo, hi = min(lo, l), max(hi, h)
-			}
-		}
-	}
-	return start, k, hi - lo + 1
-}
-
 // queryRaw scans the raw segments overlapping [from, to) and buckets the
 // points at step resolution.
-func (st *Store) queryRawLocked(sid uint32, from, to, step int64) ([]Bucket, error) {
+func (st *Store) queryRawLocked(sid uint32, from, to, step int64) ([]Row, error) {
 	var out bucketSet // points within a segment are not time-ordered
 	fold := func(sidP uint32, ts int64, bits uint64) {
 		if sidP == sid && ts >= from && ts < to {
@@ -166,9 +172,9 @@ func (st *Store) queryRawLocked(sid uint32, from, to, step int64) ([]Bucket, err
 			return nil, err
 		}
 	}
-	rows := make([]Bucket, 0, out.n)
+	rows := make([]Row, 0, out.n)
 	for _, e := range out.entries() {
-		rows = append(rows, *e.b)
+		rows = append(rows, row(e.b.Start, e.b))
 	}
 	return rows, nil
 }

@@ -225,8 +225,7 @@ func TestSketchMatchesReference(t *testing.T) {
 }
 
 // parentQueryLevel is queryLevelLocked as it was before the slab: each
-// output bucket's sketch window grown by its merges. The slab query is
-// held to its rows, sketches included.
+// output bucket's sketch window grown by its merges.
 func parentQueryLevel(lv *level, sid uint32, from, to, step int64) []Bucket {
 	lo := alignDown(from, lv.width)
 	p, a := lv.persisted.span(sid, lo, to), lv.active.span(sid, lo, to)
@@ -247,10 +246,26 @@ func parentQueryLevel(lv *level, sid uint32, from, to, step int64) []Bucket {
 	return out
 }
 
+// parentRows reads the parent's buckets as its history handler did: the
+// mean, then the three quantiles off each bucket's own sketch.
+func parentRows(buckets []Bucket) []Row {
+	rows := make([]Row, len(buckets))
+	for i := range buckets {
+		b := &buckets[i]
+		rows[i] = Row{Start: b.Start, Count: b.Count, Sum: b.Sum, Min: b.Min, Max: b.Max,
+			P50: b.sk.Quantile(0.5), P90: b.sk.Quantile(0.9), P99: b.sk.Quantile(0.99)}
+		if b.Count != 0 {
+			rows[i].Mean = b.Sum / float64(b.Count)
+		}
+	}
+	return rows
+}
+
 // TestQueryLevelMatchesReference: on a store that seals often, so output
 // buckets merge persisted and active sources, some of the same minute,
-// the slab query returns the parent's rows at every step, and every
-// sketch window fills its share of the slab exactly.
+// the row query returns the parent's rows at every step, through both
+// the one-source and the merged path, with the scratch bucket's window
+// left by one query never leaking into the next.
 func TestQueryLevelMatchesReference(t *testing.T) {
 	st, err := Open(t.TempDir(), Config{SegmentMaxBytes: 4 << 10})
 	if err != nil {
@@ -280,6 +295,7 @@ func TestQueryLevelMatchesReference(t *testing.T) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	sid := st.byName["q"].id
+	single, merged := 0, 0
 	for _, lv := range []*level{st.lv1m, st.lv1h} {
 		if len(lv.persisted.span(sid, math.MinInt64, math.MaxInt64)) == 0 || len(lv.active.span(sid, math.MinInt64, math.MaxInt64)) == 0 {
 			t.Fatalf("width %d: the store left no persisted or no active buckets to merge", lv.width)
@@ -288,17 +304,23 @@ func TestQueryLevelMatchesReference(t *testing.T) {
 			if step%lv.width != 0 {
 				continue
 			}
-			for _, r := range [][2]int64{{0, 30 * 3600}, {-1000, 1}, {3601, 3 * 3600}, {17, 18}} {
+			for _, r := range [][2]int64{{0, 30 * 3600}, {-1000, 1}, {3601, 3 * 3600}, {17, 18}, {math.MinInt64 / step * step, math.MaxInt64}} {
 				got := st.queryLevelLocked(lv, sid, r[0], r[1], step)
-				if want := parentQueryLevel(lv, sid, r[0], r[1], step); !reflect.DeepEqual(got, want) {
+				parent := parentQueryLevel(lv, sid, r[0], r[1], step)
+				if want := parentRows(parent); !reflect.DeepEqual(got, want) {
 					t.Fatalf("width %d step %d range %v: %d rows, parent %d, or they differ", lv.width, step, r, len(got), len(want))
 				}
-				for i := range got {
-					if c := got[i].sk.counts; cap(c) != len(c) {
-						t.Fatalf("width %d step %d: row %d window %d of capacity %d", lv.width, step, i, len(c), cap(c))
+				for i := range parent {
+					if len(lv.persisted.span(sid, parent[i].Start, parent[i].Start+step))+len(lv.active.span(sid, parent[i].Start, parent[i].Start+step)) == 1 {
+						single++
+					} else {
+						merged++
 					}
 				}
 			}
 		}
+	}
+	if single == 0 || merged == 0 {
+		t.Fatalf("%d one-source and %d merged rows: both paths must run", single, merged)
 	}
 }

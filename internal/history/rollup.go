@@ -51,26 +51,6 @@ func (b *Bucket) merge(o *Bucket) {
 	b.sk.Merge(&o.sk)
 }
 
-// Mean returns Sum/Count (0 when empty).
-func (b *Bucket) Mean() float64 {
-	if b.Count == 0 {
-		return 0
-	}
-	return b.Sum / float64(b.Count)
-}
-
-// Quantile returns the bucket's q-quantile from its sketch (~2% relative
-// error; 0 when empty).
-func (b *Bucket) Quantile(q float64) float64 { return b.sk.Quantile(q) }
-
-// Quantiles overwrites each qs[i] with the bucket's qs[i]-quantile and
-// returns qs. Ascending qs — p50, p90, p99 — cost one pass over the sketch
-// and, called with literal arguments, no allocation.
-func (b *Bucket) Quantiles(qs ...float64) []float64 {
-	b.sk.quantiles(qs)
-	return qs
-}
-
 // bucketKey addresses one bucket within a level.
 type bucketKey struct {
 	sid   uint32

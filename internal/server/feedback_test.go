@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -116,6 +117,54 @@ func TestFeedbackEndpointRejects(t *testing.T) {
 	}
 	if n := s.Recalibrator().Store().Len(); n != 0 {
 		t.Fatalf("store holds %d observations after rejected batches, want 0", n)
+	}
+}
+
+// TestFeedbackNegativeAmountsRejected: a negative predicted time, at the
+// query or an operator, or a negative dollar amount is a 400 naming the
+// field, and the batch leaves no trace in the store, the detector or the
+// error histogram; a zero (either sign) is accepted.
+func TestFeedbackNegativeAmountsRejected(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	post := func(obs string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/feedback", "application/json", strings.NewReader(`{"observations":[`+obs+`]}`))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		var e ErrorResponse
+		decodeBodyInto(t, resp, &e)
+		return resp.StatusCode, e.Error
+	}
+	const op = `{"algo":"SMJ","ssGB":1,"csGB":2,"nc":4,"predictedSeconds":%s,"observedSeconds":3}`
+	for _, tc := range []struct{ obs, field string }{
+		{`{"engine":"hive","predictedSeconds":-1e300,"observedSeconds":40}`, "predictedSeconds"},
+		{`{"engine":"hive","predictedSeconds":-0.5,"observedSeconds":40}`, "predictedSeconds"},
+		{`{"engine":"hive","predictedSeconds":10,"observedSeconds":40,"operators":[` + fmt.Sprintf(op, "-5") + `]}`, "operator 0 predictedSeconds"},
+		{`{"engine":"hive","predictedSeconds":10,"observedSeconds":40,"predictedDollars":-1}`, "predictedDollars"},
+		{`{"engine":"hive","predictedSeconds":10,"observedSeconds":40,"observedDollars":-1e-9}`, "observedDollars"},
+	} {
+		// Alone, and behind a valid observation: the batch goes whole.
+		for _, body := range []string{tc.obs, `{"engine":"hive","predictedSeconds":1,"observedSeconds":1},` + tc.obs} {
+			if code, msg := post(body); code != http.StatusBadRequest || !strings.Contains(msg, tc.field+" must not be negative") {
+				t.Errorf("%s: status %d %q, want 400 naming %s", body, code, msg, tc.field)
+			}
+		}
+	}
+	if n := s.Recalibrator().Store().Len(); n != 0 {
+		t.Fatalf("store holds %d observations after rejected batches, want 0", n)
+	}
+	if st := s.Recalibrator().Detector().Stats(); len(st) != 0 {
+		t.Fatalf("rejected batches reached the detector: %+v", st)
+	}
+	if v, ok := scrapeMetric(t, ts.URL, "raqo_feedback_rel_error_count"); ok && v != 0 {
+		t.Fatalf("rejected batches reached the error histogram: count %v", v)
+	}
+	for _, zero := range []string{"0", "-0"} {
+		obs := fmt.Sprintf(`{"engine":"hive","predictedSeconds":%s,"observedSeconds":40,"predictedDollars":%s,"observedDollars":%s,"operators":[`+op+`]}`, zero, zero, zero, zero)
+		if code, msg := post(obs); code != http.StatusOK {
+			t.Errorf("zero amounts (%s): status %d %q, want 200", zero, code, msg)
+		}
 	}
 }
 

@@ -25,7 +25,28 @@ type HistoryBucket struct {
 	P99   float64 `json:"p99"`
 }
 
-// HistoryResponse is the body of GET /v1/history?series=....
+// HistoryResponse is the body of GET /v1/history?series=...: the rows of
+// series over [from, to) at step resolution. The query parameters'
+// domains, as handleHistory enforces them:
+//   - series: a name the store has recorded, else a 404. Absent or empty
+//     lists the series instead (HistorySeriesResponse).
+//   - from, to: optional decimal int64 unix seconds, defaulting to the
+//     last hour (from = now-3600, to = now+1 at the server's clock). One
+//     that does not parse as an int64 (a fraction, an overflow) is a 400,
+//     as is to <= from.
+//   - step: optional decimal int64 seconds, default 60; not positive is a
+//     400. Under 60 the raw points answer, bucketed exactly at step over
+//     [from, to). From 60 the 1m rollups answer and from 3600 the 1h ones,
+//     step rounded up to a multiple of 60 or 3600; those reads cannot
+//     split a source bucket, so [from, to) widens outward to the source
+//     grid and a partly covered minute or hour counts whole. A step that
+//     rounds up past MaxInt64, or a from whose step-aligned bucket starts
+//     below MinInt64, is a 400.
+//
+// Any other error of the store's is a 400 as well, a raw segment that
+// fails to read included. From, To and Step echo the request (the
+// defaults filled in, step as sent, not rounded); bucket starts lie on
+// the rounded step's grid, and an empty window has no bucket.
 type HistoryResponse struct {
 	Series  string          `json:"series"`
 	From    int64           `json:"from"`
@@ -50,10 +71,11 @@ func historyInt(q string, def int64) (int64, error) {
 	return strconv.ParseInt(q, 10, 64)
 }
 
-// handleHistory serves range queries over the embedded history store.
-// Without ?series= it lists the recorded series; with one it returns the
-// downsampled buckets of [from, to) at step resolution (defaults: the
-// last hour at 60s). Rollup-backed reads follow the store's outward
+// handleHistory serves range queries over the embedded history store: a
+// 404 when the server has none (no -history-dir). Without ?series= it
+// lists the recorded series; with one it returns the rows of [from, to)
+// at step resolution, the parameters' domains, defaults and statuses
+// being HistoryResponse's. Rollup-backed reads follow the store's outward
 // alignment: a partially covered source bucket is included whole.
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	if s.hist == nil {
@@ -100,7 +122,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 }
 
 // newHistoryResponse is the wire form of a range query's rows.
-func newHistoryResponse(series string, from, to, step int64, rows []history.Bucket) HistoryResponse {
+func newHistoryResponse(series string, from, to, step int64, rows []history.Row) HistoryResponse {
 	resp := HistoryResponse{
 		Series:  series,
 		From:    from,
@@ -108,20 +130,8 @@ func newHistoryResponse(series string, from, to, step int64, rows []history.Buck
 		Step:    step,
 		Buckets: make([]HistoryBucket, len(rows)),
 	}
-	for i := range rows {
-		b := &rows[i]
-		q := b.Quantiles(0.5, 0.9, 0.99)
-		resp.Buckets[i] = HistoryBucket{
-			Start: b.Start,
-			Count: b.Count,
-			Sum:   b.Sum,
-			Min:   b.Min,
-			Max:   b.Max,
-			Mean:  b.Mean(),
-			P50:   q[0],
-			P90:   q[1],
-			P99:   q[2],
-		}
+	for i, r := range rows {
+		resp.Buckets[i] = HistoryBucket(r)
 	}
 	return resp
 }
@@ -130,7 +140,7 @@ func newHistoryResponse(series string, from, to, step int64, rows []history.Buck
 // newHistoryResponse(...), written straight from the rows. A series name
 // that would need escaping, or a value that does not encode, goes through
 // WriteResult itself, which answers the latter with its 500.
-func writeHistory(w http.ResponseWriter, series string, from, to, step int64, rows []history.Bucket) {
+func writeHistory(w http.ResponseWriter, series string, from, to, step int64, rows []history.Row) {
 	b := jsonBuffers.Get().(*jsonBuffer)
 	out, ok := appendHistoryResponse(b.out[:0], series, from, to, step, rows)
 	b.out = out
@@ -145,7 +155,7 @@ func writeHistory(w http.ResponseWriter, series string, from, to, step int64, ro
 // appendHistoryResponse appends the indented JSON of
 // newHistoryResponse(...) to dst; ok is false, and what it appended not
 // that JSON, when the series name needs escaping or a value is not finite.
-func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows []history.Bucket) (_ []byte, ok bool) {
+func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows []history.Row) (_ []byte, ok bool) {
 	o := openObject(dst, "  ")
 	o.stringMember("series", series)
 	o.intMember("from", from)
@@ -155,7 +165,6 @@ func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows
 	o.dst = append(o.dst, '[')
 	for i := range rows {
 		b := &rows[i]
-		q := b.Quantiles(0.5, 0.9, 0.99)
 		if i > 0 {
 			o.dst = append(o.dst, ',')
 		}
@@ -165,16 +174,13 @@ func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows
 		row.floatMember("sum", b.Sum)
 		row.floatMember("min", b.Min)
 		row.floatMember("max", b.Max)
-		row.floatMember("mean", b.Mean())
-		row.floatMember("p50", q[0])
-		row.floatMember("p90", q[1])
-		row.floatMember("p99", q[2])
+		row.floatMember("mean", b.Mean)
+		row.floatMember("p50", b.P50)
+		row.floatMember("p90", b.P90)
+		row.floatMember("p99", b.P99)
 		o.dst, o.ok = row.close(), o.ok && row.ok
 	}
-	if len(rows) > 0 {
-		o.dst = append(o.dst, "\n  "...)
-	}
-	o.dst = append(o.dst, ']')
+	o.closeArray(len(rows))
 	return o.end()
 }
 

@@ -16,7 +16,7 @@ import (
 // fixed-shape encoder: the HistoryResponse built from the rows and sent
 // through WriteResult. writeHistory is held to its status, headers and
 // bytes.
-func parentWriteHistory(w http.ResponseWriter, series string, from, to, step int64, rows []history.Bucket) {
+func parentWriteHistory(w http.ResponseWriter, series string, from, to, step int64, rows []history.Row) {
 	resp := HistoryResponse{
 		Series:  series,
 		From:    from,
@@ -26,17 +26,16 @@ func parentWriteHistory(w http.ResponseWriter, series string, from, to, step int
 	}
 	for i := range rows {
 		b := &rows[i]
-		q := b.Quantiles(0.5, 0.9, 0.99)
 		resp.Buckets[i] = HistoryBucket{
 			Start: b.Start,
 			Count: b.Count,
 			Sum:   b.Sum,
 			Min:   b.Min,
 			Max:   b.Max,
-			Mean:  b.Mean(),
-			P50:   q[0],
-			P90:   q[1],
-			P99:   q[2],
+			Mean:  b.Mean,
+			P50:   b.P50,
+			P90:   b.P90,
+			P99:   b.P99,
 		}
 	}
 	WriteResult(w, resp)
@@ -45,7 +44,7 @@ func parentWriteHistory(w http.ResponseWriter, series string, from, to, step int
 // checkHistoryJSON answers rows with writeHistory and parentWriteHistory
 // and fails unless both sent the same status, headers and bytes. It
 // returns whether the fixed-shape encoder wrote the answer.
-func checkHistoryJSON(t *testing.T, series string, from, to, step int64, rows []history.Bucket) bool {
+func checkHistoryJSON(t *testing.T, series string, from, to, step int64, rows []history.Row) bool {
 	t.Helper()
 	got, want := httptest.NewRecorder(), httptest.NewRecorder()
 	writeHistory(got, series, from, to, step, rows)
@@ -63,7 +62,7 @@ func checkHistoryJSON(t *testing.T, series string, from, to, step int64, rows []
 
 // storeRows answers a step-60 query over n minutes of a store fed values
 // spread over six decades, so the rows carry real sketch quantiles.
-func storeRows(t *testing.T, n int) []history.Bucket {
+func storeRows(t *testing.T, n int) []history.Row {
 	t.Helper()
 	st, err := history.Open(t.TempDir(), history.Config{})
 	if err != nil {
@@ -88,6 +87,16 @@ func storeRows(t *testing.T, n int) []history.Bucket {
 	return rows
 }
 
+// plainRow is a row with an empty sketch: the mean of its sum and count,
+// no quantiles.
+func plainRow(start, count int64, sum, min, max float64) history.Row {
+	r := history.Row{Start: start, Count: count, Sum: sum, Min: min, Max: max}
+	if count != 0 {
+		r.Mean = sum / float64(count)
+	}
+	return r
+}
+
 // historyValues are floats across the range and every format switch of
 // encoding/json: exponent form below 1e-6 and from 1e21, integral values,
 // both zeros, subnormals and the extremes.
@@ -104,29 +113,29 @@ func TestHistoryJSONMatchesWriteResult(t *testing.T) {
 		}
 	}
 
-	var rows []history.Bucket
+	var rows []history.Row
 	for i, v := range historyValues {
 		for j, w := range historyValues {
 			if (i+j)%3 == 0 {
-				rows = append(rows, history.Bucket{Start: int64(i*100 + j), Count: int64(1 + j%4), Sum: v, Min: w, Max: v})
+				rows = append(rows, plainRow(int64(i*100+j), int64(1+j%4), v, w, v))
 			}
 		}
 	}
-	rows = append(rows, history.Bucket{Start: -60}) // empty: mean 0
+	rows = append(rows, history.Row{Start: -60}) // empty: mean 0
 	if !checkHistoryJSON(t, "s", -math.MaxInt64, math.MaxInt64, 1, rows) {
 		t.Error("finite rows fell back to WriteResult")
 	}
 
 	// A value encoding/json refuses is the parent's 500, whichever member.
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, b := range []history.Bucket{{Count: 1, Sum: bad}, {Count: 1, Min: bad}, {Count: 1, Max: bad}} {
+		for _, b := range []history.Row{{Count: 1, Sum: bad}, {Count: 1, Min: bad}, {Count: 1, Max: bad}, {Count: 1, Mean: bad}, {Count: 1, P90: bad}} {
 			if checkHistoryJSON(t, "s", 0, 120, 60, append(storeRows(t, 2), b)) {
 				t.Errorf("%+v: fixed-shape encoder wrote a non-finite value", b)
 			}
 		}
 	}
 	w := httptest.NewRecorder()
-	writeHistory(w, "s", 0, 1, 1, []history.Bucket{{Count: 1, Sum: math.NaN()}})
+	writeHistory(w, "s", 0, 1, 1, []history.Row{{Count: 1, Sum: math.NaN()}})
 	if w.Code != http.StatusInternalServerError {
 		t.Errorf("NaN row answered %d, want 500", w.Code)
 	}
@@ -148,19 +157,14 @@ func FuzzHistoryJSON(f *testing.F) {
 	f.Add(`a"b`, int64(0), int64(1), int64(1), []byte{})
 	f.Add("s", int64(-1), int64(math.MaxInt64), int64(math.MinInt64), bytes.Repeat([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 1}, 5))
 	f.Fuzz(func(t *testing.T, series string, from, to, step int64, data []byte) {
-		var rows []history.Bucket
+		var rows []history.Row
 		if len(data) > 0 && data[0]%2 == 1 {
 			rows = storeRows(t, int(data[0]%16))
 		}
 		word := func(k int) uint64 { return binary.LittleEndian.Uint64(data[k : k+8]) }
 		for ; len(data) >= 40; data = data[40:] {
-			rows = append(rows, history.Bucket{
-				Start: int64(word(0)),
-				Count: int64(word(8)),
-				Sum:   math.Float64frombits(word(16)),
-				Min:   math.Float64frombits(word(24)),
-				Max:   math.Float64frombits(word(32)),
-			})
+			rows = append(rows, plainRow(int64(word(0)), int64(word(8)),
+				math.Float64frombits(word(16)), math.Float64frombits(word(24)), math.Float64frombits(word(32))))
 		}
 		checkHistoryJSON(t, series, from, to, step, rows)
 	})

@@ -158,8 +158,35 @@ func NewExplainOperators(ops []core.OperatorExplain) []ExplainOperator {
 }
 
 // FeedbackRequest is the body of POST /v1/feedback: a batch of execution
-// observations. The batch is validated as a whole before any observation
-// is stored.
+// observations, decoded strictly and refused or acknowledged whole. Each
+// field's domain is stated as the handler enforces it.
+//
+// A 400 answers a body over MaxBodyBytes, malformed JSON, an unknown
+// field, a second JSON value, a number out of float64's range, an
+// observedAt that is not an integer, a missing or empty observations
+// array, and any observation outside the domain below; its message names
+// the observation's index and the field. A 500 answers a batch the
+// journal write refused, and then nothing of it is kept, or one whose
+// history commit failed after it was journaled and fed, its history
+// points staying staged for the next commit. The 200 comes after both
+// writes.
+//
+// Each observation (feedback.Observation):
+//   - engine: required, a non-empty string; any engine name is taken.
+//   - observedSeconds: required, above 0.
+//   - predictedSeconds: optional (absent is 0), at least 0.
+//   - predictedDollars, observedDollars: optional, at least 0.
+//   - observedAt: optional unix seconds. 0 or absent is stamped with the
+//     server's clock; otherwise it lies in [0, now+300] at the server's
+//     clock (feedback.MaxClockSkewSeconds). Old times are taken.
+//   - operators: optional; each has algo "SMJ" or "BHJ", ssGB and csGB
+//     above 0, nc at least 1, observedSeconds above 0 and predictedSeconds
+//     at least 0.
+//
+// Read but not checked: signature (any string, journaled as sent), the
+// engine name beyond being non-empty, the dollar amounts beyond their
+// sign (nothing downstream reads them), and the size of every value
+// within its bound (an nc of 1.5 or an ssGB of 1e300 is taken).
 type FeedbackRequest struct {
 	Observations []feedback.Observation `json:"observations"`
 }
@@ -215,6 +242,58 @@ func NewModelResponse(rec *feedback.Recalibrator) ModelResponse {
 		StoredFeedback: rec.Store().Len(),
 		TotalFeedback:  rec.Store().Total(),
 	}
+}
+
+// appendModelResponse appends WriteResult's bytes for r: nil slices are
+// null, as encoding/json writes them.
+func appendModelResponse(dst []byte, r ModelResponse) ([]byte, bool) {
+	o := openObject(dst, "  ")
+	o.key("version")
+	o.dst = strconv.AppendUint(o.dst, r.Version, 10)
+	o.key("models")
+	if r.Models == nil {
+		o.dst = append(o.dst, "null"...)
+	} else {
+		o.dst = append(o.dst, '[')
+		for i, m := range r.Models {
+			if i > 0 {
+				o.dst = append(o.dst, ',')
+			}
+			o.ok = o.ok && canonjson.PlainString(m)
+			o.dst = append(o.dst, "\n    \""...)
+			o.dst = append(o.dst, m...)
+			o.dst = append(o.dst, '"')
+		}
+		o.closeArray(len(r.Models))
+	}
+	o.intMember("trainedOn", int64(r.TrainedOn))
+	o.intMember("recalibrations", r.Recalibrations)
+	o.floatMember("lastRecalSeconds", r.LastRecalSecs)
+	o.boolMember("drifted", r.Drifted)
+	o.floatMember("driftThreshold", r.DriftThreshold)
+	o.floatMember("driftQuantile", r.DriftQuantile)
+	o.key("errorStats")
+	if r.ErrorStats == nil {
+		o.dst = append(o.dst, "null"...)
+	} else {
+		o.dst = append(o.dst, '[')
+		for i, c := range r.ErrorStats {
+			if i > 0 {
+				o.dst = append(o.dst, ',')
+			}
+			e := openObject(append(o.dst, "\n    "...), "      ")
+			e.stringMember("engine", c.Engine)
+			e.stringMember("class", c.Class)
+			e.intMember("samples", int64(c.Samples))
+			e.floatMember("quantileError", c.QuantileError)
+			e.boolMember("drifted", c.Drifted)
+			o.dst, o.ok = e.close(), o.ok && e.ok
+		}
+		o.closeArray(len(r.ErrorStats))
+	}
+	o.intMember("storedFeedback", int64(r.StoredFeedback))
+	o.intMember("totalFeedback", r.TotalFeedback)
+	return o.end()
 }
 
 // ErrorResponse is every non-2xx JSON body.
@@ -337,10 +416,11 @@ func appendNewline(dst []byte, depth int) []byte {
 
 // The fixed-shape encoders write WriteResult's bytes for one response type
 // member by member, with no reflection: the feedback acknowledgement, the
-// two submit outcomes and the history range (history.go). A value they
-// cannot write as it stands — a string json.Marshal would escape, a float
-// it refuses — goes through WriteResult itself, so a NaN is still its 500.
-// TestFixedEncodersMatchWriteResult holds each to WriteResult.
+// two submit outcomes, the model snapshot and the history range
+// (history.go). A value they cannot write as it stands — a string
+// json.Marshal would escape, a float it refuses — goes through WriteResult
+// itself, so a NaN is still its 500. TestFixedEncodersMatchWriteResult and
+// TestModelJSONMatchesWriteResult hold them to WriteResult.
 
 // writeFixed answers v with appendV's bytes, or through WriteResult when
 // appendV cannot write v.
@@ -408,6 +488,16 @@ func (o *object) stringMember(k, v string) {
 	o.dst = append(o.dst, '"')
 	o.dst = append(o.dst, v...)
 	o.dst = append(o.dst, '"')
+}
+
+// closeArray closes an array member of n elements, each appended on a
+// line of its own two spaces deeper than the member.
+func (o *object) closeArray(n int) {
+	if n > 0 {
+		o.dst = append(o.dst, '\n')
+		o.dst = append(o.dst, o.indent...)
+	}
+	o.dst = append(o.dst, ']')
 }
 
 // close appends the closing brace.

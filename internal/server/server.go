@@ -901,7 +901,7 @@ func (s *Server) handleFeedback(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
-	WriteResult(w, NewModelResponse(s.rec))
+	writeFixed(w, NewModelResponse(s.rec), appendModelResponse)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -14,8 +14,11 @@ import (
 
 	"raqo/internal/canonjson"
 	"raqo/internal/cloud"
+	"raqo/internal/execsim"
+	"raqo/internal/feedback"
 	"raqo/internal/scheduler"
 	"raqo/internal/units"
+	"raqo/internal/workload"
 )
 
 // parentHandleSubmit and parentHandleCloudSubmit are the submit handlers
@@ -300,4 +303,82 @@ func TestFixedEncodersMatchWriteResult(t *testing.T) {
 	checkFixed(t, SubmitResponse{}, appendSubmitResponse)
 	checkFixed(t, CloudSubmitResponse{}, appendCloudSubmitResponse)
 	checkFixed(t, FeedbackResponse{}, appendFeedbackResponse)
+}
+
+// TestModelJSONMatchesWriteResult holds GET /v1/model to WriteResult's
+// bytes for the same snapshot: from the live handler on a fresh server,
+// after drifting feedback and after a recalibration, and from random
+// snapshots with nil, empty and awkward slices and every float class.
+func TestModelJSONMatchesWriteResult(t *testing.T) {
+	s, err := New(Config{Options: optionsWithModels(skewedHiveModels(t, 4)), Drift: feedback.DriftConfig{MinSamples: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	h := s.Handler()
+	live := func(state string) {
+		t.Helper()
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		h.ServeHTTP(got, httptest.NewRequest(http.MethodGet, "/v1/model", nil))
+		WriteResult(want, NewModelResponse(s.rec))
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) || !reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Fatalf("%s: /v1/model answered\n%d %v %q\nWriteResult\n%d %v %q", state,
+				got.Code, got.Header(), got.Body, want.Code, want.Header(), want.Body)
+		}
+		if _, ok := appendModelResponse(nil, NewModelResponse(s.rec)); !ok {
+			t.Fatalf("%s: the snapshot fell back to WriteResult", state)
+		}
+	}
+	live("fresh")
+	grid := workload.DefaultProfileGrid(execsim.Hive())[:40]
+	obs := feedback.SyntheticObservations("hive", s.Recalibrator().Models(), grid)
+	if err := s.rec.FeedBatch(obs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !s.rec.Detector().Drifted() {
+		t.Fatal("skewed feedback did not drift the detector")
+	}
+	if len(NewModelResponse(s.rec).ErrorStats) == 0 {
+		t.Fatal("no error stats after feedback")
+	}
+	live("drifted")
+	if _, err := s.rec.Recalibrate(); err != nil {
+		t.Fatal(err)
+	}
+	live("recalibrated")
+
+	rng := rand.New(rand.NewSource(45))
+	special := []float64{0, math.Copysign(0, -1), 1e-6, 9.99e-7, 1e21, 5e-324, math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1)}
+	float := func() float64 {
+		switch rng.Intn(3) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return math.Float64frombits(rng.Uint64())
+		}
+		return rng.ExpFloat64() * math.Pow(10, float64(rng.Intn(20)-10))
+	}
+	names := []string{"hive-smj", "hive-bhj", "", awkward, "<b>&", `a"b`, "ünï"}
+	name := func() string { return names[rng.Intn(len(names))] }
+	for i := 0; i < 3000; i++ {
+		r := ModelResponse{
+			Version: rng.Uint64(), TrainedOn: rng.Int() - rng.Int(), Recalibrations: rng.Int63() - rng.Int63(),
+			LastRecalSecs: float(), Drifted: rng.Intn(2) == 0, DriftThreshold: float(), DriftQuantile: float(),
+			StoredFeedback: rng.Intn(1 << 20), TotalFeedback: rng.Int63(),
+		}
+		if n := rng.Intn(4) - 1; n >= 0 { // -1: nil
+			r.Models = make([]string, n)
+			for j := range r.Models {
+				r.Models[j] = name()
+			}
+		}
+		if n := rng.Intn(4) - 1; n >= 0 {
+			r.ErrorStats = make([]feedback.ClassStats, n)
+			for j := range r.ErrorStats {
+				r.ErrorStats[j] = feedback.ClassStats{Engine: name(), Class: name(), Samples: rng.Int() - rng.Int(), QuantileError: float(), Drifted: rng.Intn(2) == 0}
+			}
+		}
+		checkFixed(t, r, appendModelResponse)
+	}
+	checkFixed(t, ModelResponse{}, appendModelResponse)
 }
