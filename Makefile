@@ -42,6 +42,7 @@ race:
 #   FuzzRollupBlock        rollup block decoder: no panic, bounded allocation, stable round trip
 #   FuzzSketch             dense-window sketch == the map-based reference
 #   FuzzPeerResponse       fleet peer transport on a peer's arbitrary answer: bounded, never pooled dirty
+#   FuzzPeerAnswer         peer answer reader == net/http's response reader: bounded, nothing taken that net/http refuses
 #   FuzzObservationDecode  /v1/feedback codec == encoding/json, handler answers as before the codec
 #   FuzzObservationAppend  AppendJSON == json.Marshal, and reads back what it wrote
 #   FuzzEnumeration        random tree and Selinger DP == the pair scan and the full mask sweep
@@ -66,6 +67,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRollupBlock -fuzztime=10s ./internal/history
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s ./internal/history
 	$(GO) test -run '^$$' -fuzz FuzzPeerResponse -fuzztime=10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzPeerAnswer -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzObservationDecode -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzObservationAppend -fuzztime=10s ./internal/feedback
 	$(GO) test -run '^$$' -fuzz FuzzEnumeration -fuzztime=10s ./internal/optimizer

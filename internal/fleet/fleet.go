@@ -58,6 +58,8 @@ const (
 	// servedByHeader names the node whose local stack answered a request;
 	// forwarded responses carry the owner's ID back through the proxy.
 	servedByHeader = "X-Raqo-Fleet-Node"
+	// cacheHeader marks an answer from the entry node's response memo.
+	cacheHeader = "X-Raqo-Fleet-Cache"
 
 	// maxRespBytes bounds a proxied response body (plan trees for the All
 	// query run to a few hundred KB).
@@ -157,9 +159,21 @@ type Node struct {
 	peers   *transport // every node-to-node call: forwards, probes, model pulls
 	metrics *Metrics
 
+	// nodeValue is the servedByHeader value naming each member. Answers
+	// share them: the connection loop and net/http only read a handler's
+	// header values.
+	nodeValue map[string][]string
+
 	mu   sync.Mutex
 	down map[string]bool // guarded by mu — peers currently unreachable
 }
+
+// Header values shared as nodeValue's are: a JSON answer's Content-Type,
+// and cacheHeader's.
+var (
+	jsonType = []string{"application/json"}
+	cacheHit = []string{"hit"}
+)
 
 // NewNode wraps srv in the fleet routing layer. The fleet metric families
 // land on srv's registry.
@@ -189,13 +203,26 @@ func NewNode(cfg Config, srv *server.Server) (*Node, error) {
 	n.metrics = newMetrics(srv.Metrics().Registry, n)
 	n.peers = &transport{self: cfg.NodeID, m: n.metrics, idle: make(map[string][]*peerConn, len(peers))}
 
+	n.nodeValue = make(map[string][]string, r.Size())
+	for _, id := range r.Nodes() {
+		n.nodeValue[id] = []string{id}
+	}
+
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/fleet/status", n.handleStatus)
 	mux.HandleFunc("GET /v1/fleet/model", n.handleModelGet)
-	mux.HandleFunc("POST /v1/optimize", n.routed("/v1/optimize", optimizeKey))
-	mux.HandleFunc("POST /v1/batch", n.routed("/v1/batch", batchKey))
-	mux.HandleFunc("POST /v1/submit", n.routed("/v1/submit", submitKey))
-	mux.HandleFunc("POST /v1/feedback", n.routed("/v1/feedback", func([]byte) string { return feedbackKey }))
+	for _, rt := range []struct {
+		endpoint string
+		key      func([]byte) string
+	}{
+		{"/v1/optimize", optimizeKey},
+		{"/v1/batch", batchKey},
+		{"/v1/submit", submitKey},
+		{"/v1/feedback", func([]byte) string { return feedbackKey }},
+	} {
+		pattern := "POST " + rt.endpoint
+		mux.HandleFunc(pattern, n.routed(rt.endpoint, rt.key, srv.Route(pattern)))
+	}
 	mux.Handle("/", srv.Handler())
 	n.mux = mux
 	return n, nil
@@ -309,10 +336,18 @@ func submitKey(body []byte) string {
 // routed wraps one endpoint in ring routing: own the key → serve locally;
 // a peer owns it → forward one hop (or, for an optimize the local
 // server's response memo has seen, answer from it); the owner is down or
-// the forward fails → degraded local service, never an error.
-func (n *Node) routed(endpoint string, keyFn func([]byte) string) http.HandlerFunc {
+// the forward fails → degraded local service, never an error. local is
+// the wrapped server's handler of the endpoint.
+func (n *Node) routed(endpoint string, keyFn func([]byte) string, local http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
+		var body []byte
+		var err error
+		if size := r.ContentLength; size >= 0 && size <= server.MaxBodyBytes {
+			body = make([]byte, size)
+			_, err = io.ReadFull(r.Body, body)
+		} else {
+			body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
+		}
 		if err != nil {
 			server.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 			return
@@ -321,27 +356,27 @@ func (n *Node) routed(endpoint string, keyFn func([]byte) string) http.HandlerFu
 		if key == "" {
 			// Unroutable (malformed or empty) — the local handler owns the
 			// error response.
-			n.serveLocal(w, r, body)
+			n.serveLocal(w, r, body, local)
 			return
 		}
 		owner := n.ring.Owner(key)
-		if r.Header.Get(hopHeader) != "" {
+		if hop := r.Header[hopHeader]; len(hop) > 0 && hop[0] != "" {
 			// Single-hop guarantee: a forwarded request is served where it
 			// lands. If we are not the owner the rings disagree — count it,
 			// serve it anyway.
 			if owner != n.cfg.NodeID {
 				n.metrics.Misroutes.Inc()
 			}
-			n.serveLocal(w, r, body)
+			n.serveLocal(w, r, body, local)
 			return
 		}
 		if owner == n.cfg.NodeID {
-			n.serveLocal(w, r, body)
+			n.serveLocal(w, r, body, local)
 			return
 		}
 		if n.isDown(owner) {
 			n.metrics.Degraded.Inc()
-			n.serveLocal(w, r, body)
+			n.serveLocal(w, r, body, local)
 			return
 		}
 		// The local server's response memo is the one exact-hit tier: it
@@ -352,24 +387,33 @@ func (n *Node) routed(endpoint string, keyFn func([]byte) string) http.HandlerFu
 			resp, models, ok := n.srv.LookupOptimize(body)
 			if ok {
 				n.metrics.HotHits.Inc()
-				w.Header().Set("Content-Type", "application/json")
-				w.Header().Set(servedByHeader, owner)
-				w.Header().Set("X-Raqo-Fleet-Cache", "hit")
+				h := w.Header()
+				h["Content-Type"] = jsonType
+				h[servedByHeader] = n.nodeValue[owner]
+				h[cacheHeader] = cacheHit
 				_, _ = w.Write(resp)
 				return
 			}
 			planned = models
 		}
-		n.forward(w, r, owner, endpoint, body, planned)
+		n.forward(w, r, owner, endpoint, body, planned, local)
 	}
 }
 
-// serveLocal rewinds the handler's own request and hands it to the wrapped server.
-func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
-	w.Header().Set(servedByHeader, n.cfg.NodeID)
-	r.Body = io.NopCloser(bytes.NewReader(body))
+// replay is a routed request's body, read once, handed to the local handler.
+type replay struct{ bytes.Reader }
+
+func (*replay) Close() error { return nil }
+
+// serveLocal rewinds the request's body and hands it to the wrapped
+// server's handler of its endpoint.
+func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte, local http.HandlerFunc) {
+	w.Header()[servedByHeader] = n.nodeValue[n.cfg.NodeID]
+	rb := new(replay)
+	rb.Reset(body)
+	r.Body = rb
 	r.ContentLength = int64(len(body))
-	n.srv.Handler().ServeHTTP(w, r)
+	local(w, r)
 }
 
 // forward proxies the request to the owning peer. Any transport failure —
@@ -377,8 +421,8 @@ func (n *Node) serveLocal(w http.ResponseWriter, r *http.Request, body []byte) {
 // the peer down and falls back to degraded local service. A 200 to an
 // optimize is filed in the local response memo under planned, the model set
 // the memo lookup that missed ran under (nil for every other endpoint).
-func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint string, body []byte, planned *cost.Models) {
-	status, header, respBody, err := n.peers.do(r.Context(), n.cfg.ForwardTimeout, owner, http.MethodPost, r.URL.RequestURI(), body, maxRespBytes)
+func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint string, body []byte, planned *cost.Models, local http.HandlerFunc) {
+	status, relay, respBody, err := n.peers.do(r.Context(), n.cfg.ForwardTimeout, owner, http.MethodPost, r.URL.RequestURI(), body, maxRespBytes)
 	if err != nil {
 		// The peer is unreachable (or timed out). Answer locally — a cold
 		// cache for this shard's keys, never a client-visible failure —
@@ -386,26 +430,35 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner, endpoint s
 		n.markPeer(owner, false)
 		n.metrics.ForwardErrors.Inc()
 		n.metrics.Degraded.Inc()
-		n.serveLocal(w, r, body)
+		n.serveLocal(w, r, body, local)
 		return
 	}
 	n.metrics.Forwards.With(endpoint).Inc()
-	servedBy := header.Get(servedByHeader)
-	if servedBy == "" {
-		servedBy = owner
-	}
 	if planned != nil && status == http.StatusOK {
 		n.srv.FileOptimize(body, respBody, planned)
 	}
-	if ct := header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	h := w.Header()
+	if ct := relay[relayContentType]; ct != "" {
+		h["Content-Type"] = headerValue(ct, jsonType)
 	}
-	if ra := header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
+	if ra := relay[relayRetryAfter]; ra != "" {
+		h["Retry-After"] = []string{ra}
 	}
-	w.Header().Set(servedByHeader, servedBy)
+	servedBy := relay[relayNode]
+	if servedBy == "" {
+		servedBy = owner
+	}
+	h[servedByHeader] = headerValue(servedBy, n.nodeValue[servedBy])
 	w.WriteHeader(status)
 	_, _ = w.Write(respBody)
+}
+
+// headerValue is the header value v: shared, if it is shared's.
+func headerValue(v string, shared []string) []string {
+	if len(shared) == 1 && shared[0] == v {
+		return shared
+	}
+	return []string{v}
 }
 
 // --- peer health -------------------------------------------------------

@@ -1,12 +1,10 @@
 package fleet
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"strconv"
 	"sync"
 	"syscall"
@@ -18,13 +16,31 @@ import (
 // maxIdlePerPeer caps the keep-alive connections pooled per peer.
 const maxIdlePerPeer = 8
 
+// relayed holds the answer fields forward relays, by the relay* indexes
+// into relayNames.
+type relayed [3]string
+
+const (
+	relayContentType = iota
+	relayRetryAfter
+	relayNode
+)
+
+var relayNames = []string{"Content-Type", "Retry-After", servedByHeader}
+
 // peerConn is one keep-alive connection, owned by one call at a time.
 type peerConn struct {
 	net.Conn
-	raw syscall.RawConn  // nil without a descriptor: reuse goes unchecked
-	lr  io.LimitedReader // the connection, cut off at the call's byte bound
-	br  *bufio.Reader    // over lr
-	buf []byte           // request bytes, reused across calls
+	raw syscall.RawConn      // nil without a descriptor: reuse goes unchecked
+	lr  io.LimitedReader     // the connection, cut off at the call's byte bound
+	br  *server.AnswerReader // over lr
+	buf []byte               // request bytes, reused across calls
+	// cancel fails the I/O in flight: the call's context is done.
+	cancel func()
+	// quiet's read(2), its byte and its error, made once per connection.
+	readOne func(fd uintptr) bool
+	one     [1]byte
+	oneErr  error
 }
 
 // transport carries every node-to-node call: HTTP/1.1 over pooled
@@ -37,22 +53,27 @@ type transport struct {
 	idle map[string][]*peerConn // guarded by mu — per-peer stacks, newest last
 }
 
-// do sends one request to peer and returns the complete answer. The whole
-// call — dial, write, read — ends by timeout, or as soon as ctx is
-// cancelled. A body over limit bytes is an error, never a truncation. The
-// request is re-sent only when a pooled connection took none of its bytes,
-// so the transport never applies a POST twice.
-func (p *transport) do(ctx context.Context, timeout time.Duration, peer, method, uri string, body []byte, limit int64) (int, http.Header, []byte, error) {
+// do sends one request to peer and returns the complete answer: its
+// status, the fields forward relays and its body. The whole call — dial,
+// write, read — ends by timeout, or as soon as ctx is cancelled. A body
+// over limit bytes is an error, never a truncation. The request is re-sent
+// only when a pooled connection took none of its bytes, so the transport
+// never applies a POST twice.
+func (p *transport) do(ctx context.Context, timeout time.Duration, peer, method, uri string, body []byte, limit int64) (int, relayed, []byte, error) {
 	deadline := time.Now().Add(timeout)
+	var relay relayed
 	for {
 		pc, reused, err := p.take(ctx, peer, deadline)
 		if err != nil {
-			return 0, nil, nil, err
+			return 0, relay, nil, err
 		}
 		// Cancellation moves the deadline into the past, failing the I/O
 		// in flight. stop reports false once that has begun: it may then
 		// hit the connection at any later time, so that one is not pooled.
-		stop := context.AfterFunc(ctx, func() { _ = pc.SetDeadline(time.Unix(1, 0)) })
+		if pc.cancel == nil {
+			pc.cancel = func() { _ = pc.SetDeadline(time.Unix(1, 0)) }
+		}
+		stop := context.AfterFunc(ctx, pc.cancel)
 
 		b := append(pc.buf[:0], method...)
 		b = append(append(b, ' '), uri...)
@@ -69,31 +90,21 @@ func (p *transport) do(ctx context.Context, timeout time.Duration, peer, method,
 			if n == 0 && reused && ctx.Err() == nil {
 				continue
 			}
-			return 0, nil, nil, fmt.Errorf("fleet: write to %s: %w", peer, err)
+			return 0, relay, nil, fmt.Errorf("fleet: write to %s: %w", peer, err)
 		}
 
 		// Status line, headers and chunk framing get what a request body
 		// may take on top of limit: nothing is read without end.
 		pc.lr.N = limit + server.MaxBodyBytes
-		var respBody []byte
-		resp, err := http.ReadResponse(pc.br, nil)
-		if err == nil && resp.StatusCode < 200 {
-			err = fmt.Errorf("unsolicited HTTP %d", resp.StatusCode)
-		}
-		if err == nil {
-			respBody, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
-		}
-		if err == nil && int64(len(respBody)) > limit {
-			err = fmt.Errorf("body over %d bytes", limit)
-		}
+		ans, err := pc.br.ReadAnswer(relayNames, relay[:], limit)
 		// Reuse needs the exact end of a complete keep-alive answer.
-		if !stop() || err != nil || resp.Close || pc.br.Buffered() != 0 || !p.put(peer, pc) {
+		if !stop() || err != nil || !ans.KeepAlive || pc.br.Buffered() != 0 || !p.put(peer, pc) {
 			_ = pc.Close()
 		}
 		if err != nil {
-			return 0, nil, nil, fmt.Errorf("fleet: answer from %s: %w", peer, err)
+			return 0, relay, nil, fmt.Errorf("fleet: answer from %s: %w", peer, err)
 		}
-		return resp.StatusCode, resp.Header, respBody, nil
+		return ans.Status, relay, ans.Body, nil
 	}
 }
 
@@ -124,7 +135,7 @@ func (p *transport) take(ctx context.Context, peer string, deadline time.Time) (
 	}
 	_ = c.SetDeadline(deadline) // fails only on a closed connection, as the write then does
 	pc = &peerConn{Conn: c, lr: io.LimitedReader{R: c}}
-	pc.br = bufio.NewReader(&pc.lr)
+	pc.br = server.NewAnswerReader(&pc.lr)
 	if sc, ok := c.(syscall.Conn); ok {
 		pc.raw, _ = sc.SyscallConn() // nil on error: see raw
 	}

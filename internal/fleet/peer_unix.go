@@ -11,10 +11,12 @@ func (pc *peerConn) quiet() bool {
 	if pc.raw == nil {
 		return true
 	}
-	var rerr error
-	err := pc.raw.Read(func(fd uintptr) bool {
-		_, rerr = syscall.Read(int(fd), make([]byte, 1))
-		return true
-	})
-	return err == nil && (rerr == syscall.EAGAIN || rerr == syscall.EWOULDBLOCK)
+	if pc.readOne == nil {
+		pc.readOne = func(fd uintptr) bool {
+			_, pc.oneErr = syscall.Read(int(fd), pc.one[:])
+			return true
+		}
+	}
+	err := pc.raw.Read(pc.readOne)
+	return err == nil && (pc.oneErr == syscall.EAGAIN || pc.oneErr == syscall.EWOULDBLOCK)
 }

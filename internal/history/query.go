@@ -12,6 +12,12 @@ import (
 // recorded; match with errors.Is.
 var ErrUnknownSeries = errors.New("unknown series")
 
+// ErrBadQuery reports a query whose own arguments are out of domain: a
+// step that is not positive or rounds up past MaxInt64, an empty range,
+// a from that cannot be aligned. Match with errors.Is; any other error
+// of a query is the store's.
+var ErrBadQuery = errors.New("bad query")
+
 // Row is one output bucket of a range query: a step-aligned window of one
 // series with its count, sum, extrema and mean, and the p50, p90 and p99
 // of its sketch (~2% relative error; 0 when the window is empty).
@@ -51,10 +57,10 @@ func row(start int64, b *Bucket) Row {
 // step-aligned bucket would start below MinInt64 — is an error.
 func (st *Store) Query(series string, from, to, step int64) ([]Row, error) {
 	if step <= 0 {
-		return nil, fmt.Errorf("history: step must be positive, got %d", step)
+		return nil, fmt.Errorf("history: %w: step must be positive, got %d", ErrBadQuery, step)
 	}
 	if to <= from {
-		return nil, fmt.Errorf("history: empty range [%d, %d)", from, to)
+		return nil, fmt.Errorf("history: %w: empty range [%d, %d)", ErrBadQuery, from, to)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -71,12 +77,12 @@ func (st *Store) Query(series string, from, to, step int64) ([]Row, error) {
 	}
 	if lv != nil && step%lv.width != 0 {
 		if step > math.MaxInt64/lv.width*lv.width {
-			return nil, fmt.Errorf("history: step %d rounds up past the largest step", step)
+			return nil, fmt.Errorf("history: %w: step %d rounds up past the largest step", ErrBadQuery, step)
 		}
 		step = (step/lv.width + 1) * lv.width
 	}
 	if !alignable(from, step) {
-		return nil, fmt.Errorf("history: from %d aligns below the earliest time at step %d", from, step)
+		return nil, fmt.Errorf("history: %w: from %d aligns below the earliest time at step %d", ErrBadQuery, from, step)
 	}
 	if lv == nil {
 		return st.queryRawLocked(s.id, from, to, step)
@@ -199,7 +205,7 @@ func alignDown(ts, w int64) int64 {
 // long-horizon drift detection (feedback.SeriesQuantiler).
 func (st *Store) QuantileRange(series string, from, to int64, q float64) (float64, int64, error) {
 	if to <= from {
-		return 0, 0, fmt.Errorf("history: empty range [%d, %d)", from, to)
+		return 0, 0, fmt.Errorf("history: %w: empty range [%d, %d)", ErrBadQuery, from, to)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -212,7 +218,7 @@ func (st *Store) QuantileRange(series string, from, to int64, q float64) (float6
 		lv = st.lv1h
 	}
 	if !alignable(from, lv.width) {
-		return 0, 0, fmt.Errorf("history: from %d aligns below the earliest time", from)
+		return 0, 0, fmt.Errorf("history: %w: from %d aligns below the earliest time", ErrBadQuery, from)
 	}
 	var merged Sketch
 	lo := alignDown(from, lv.width)

@@ -133,16 +133,28 @@ func decodeSubmit(w http.ResponseWriter, r *http.Request, keys []string, req sub
 }
 
 // SubmitRequest is the body of POST /v1/submit: one workload query for
-// the arbiter's shared cluster.
+// the arbiter's shared cluster, decoded strictly: an unknown field (a
+// "recovery" included), a value that is not a string or null, a second
+// JSON value or a malformed one is a 400. Member names match ASCII
+// case-insensitively, as encoding/json's do; every value is
+// case-sensitive, and null reads as "". Each field's domain is stated as
+// the handler enforces it; every field is checked. A valid submission is
+// a 429 with Retry-After when the arbiter sheds it (a "wait" gang larger
+// than the cluster ever holds, or one no idle cluster admits) and a 422
+// when its plan cannot be made or fails to run at the resources chosen.
 type SubmitRequest struct {
-	// Tenant selects the submitting tenant; "" selects "default" (the
-	// single tenant configured when Config.ArbiterTenants is nil).
+	// Tenant is optional: "" selects "default". Any other value must name
+	// a tenant of Config.ArbiterTenants (only "default" when that is nil);
+	// an unknown one is a 400.
 	Tenant string `json:"tenant,omitempty"`
-	// Query is a TPC-H evaluation query name (Q12, Q3, Q2, All).
+	// Query is required: a TPC-H evaluation query name, Q12, Q3, Q2 or All.
+	// An absent or empty one is a 400 ("missing query"), and so is any
+	// other name.
 	Query string `json:"query"`
-	// Policy is what the arbiter does when the cluster cannot satisfy the
-	// submission-time plan: "wait", "degrade" or "reoptimize" (default —
-	// adaptive RAQO).
+	// Policy is optional: what the arbiter does when the cluster cannot
+	// satisfy the submission-time plan, "wait", "degrade" or "reoptimize"
+	// ("" selects reoptimize, adaptive RAQO). Any other is a 400, reported
+	// before a missing query.
 	Policy string `json:"policy,omitempty"`
 }
 

@@ -14,15 +14,21 @@ import (
 // state, the error mapping and the stats handler are the shared cluster's
 // (arbiter.go).
 
-// CloudSubmitRequest is the body of POST /v1/cloud/submit.
+// CloudSubmitRequest is the body of POST /v1/cloud/submit: one workload
+// query for the priced elastic pool, decoded as SubmitRequest is (a
+// "policy" field is unknown here, a 400), with the same member-name,
+// value and null rules, the same 429 and 422 and, for Tenant and Query,
+// the same domains, Tenant's taken from Config.CloudTenants. Every field
+// is checked.
 type CloudSubmitRequest struct {
-	// Tenant selects the submitting tenant; "" selects "default" (the
-	// single tenant configured when Config.CloudTenants is nil).
+	// Tenant is optional: "" selects "default"; an unknown one is a 400.
 	Tenant string `json:"tenant,omitempty"`
-	// Query is a TPC-H evaluation query name (Q12, Q3, Q2, All).
+	// Query is required: Q12, Q3, Q2 or All; absent, empty or any other
+	// name is a 400.
 	Query string `json:"query"`
-	// Recovery is what happens if the allocation is preempted mid-run:
-	// "reoptimize" (default), "ondemand" or "degrade".
+	// Recovery is optional: what happens if the allocation is preempted
+	// mid-run, "reoptimize", "ondemand" or "degrade" ("" selects
+	// reoptimize). Any other is a 400, reported before a missing query.
 	Recovery string `json:"recovery,omitempty"`
 }
 

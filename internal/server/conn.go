@@ -160,12 +160,12 @@ func (s *connSet) remove(c *conn) {
 
 // conn is one client connection and everything its requests reuse.
 type conn struct {
-	set    *connSet
-	rwc    net.Conn
-	remote string
-	br     *bufio.Reader // over c itself, see Read
-	ctx    context.Context
-	cancel context.CancelFunc
+	set        *connSet
+	rwc        net.Conn
+	remote     string
+	headReader // br reads c itself, see Read
+	ctx        context.Context
+	cancel     context.CancelFunc
 	// idle is set while c waits for a request's first byte. Drain closes
 	// an idle connection; one going idle during the drain closes itself.
 	idle atomic.Bool
@@ -184,9 +184,7 @@ type conn struct {
 	keys   []string
 	vals   []string
 
-	line       []byte // a request or header line longer than br's buffer
-	read       int    // header bytes read for the current request
-	lastPost   bool   // the previous request was a POST
+	lastPost   bool // the previous request was a POST
 	dateSec    int64
 	date       []byte
 	out        []byte // the answer on the wire
@@ -311,10 +309,7 @@ type badRequest struct {
 // returns nil and the answer to refuse it with, which is nil too when the
 // connection ended between requests.
 func (c *conn) readRequest() (*http.Request, *badRequest) {
-	c.read = 0
-	if cap(c.line) > maxKeptBuffer {
-		c.line = nil
-	}
+	c.start()
 	if len(c.keys) > maxKeptFields {
 		// A map keeps its buckets when cleared: let this one go.
 		c.hdr, c.keys, c.vals = make(http.Header), nil, nil
@@ -365,26 +360,20 @@ func (c *conn) readRequest() (*http.Request, *badRequest) {
 			c.keys, c.vals = c.keys[:i], c.vals[:i]
 			break
 		}
-		if line[0] == ' ' || line[0] == '\t' {
-			// A folded line, which RFC 9112 lets a server refuse.
+		k, v, space, ok := splitField(line)
+		if !ok {
 			return nil, &badRequest{code: http.StatusBadRequest}
 		}
-		k, v, ok := bytes.Cut(line, []byte(":"))
-		if !ok || len(k) == 0 {
-			return nil, &badRequest{code: http.StatusBadRequest}
-		}
-		for _, b := range k {
-			if b == ' ' {
-				spaceInName = true
-			} else if !isTokenByte(b) {
-				return nil, &badRequest{code: http.StatusBadRequest}
-			}
-		}
-		v = bytes.Trim(v, " \t")
-		if !validValue(v) {
-			return nil, &badRequest{code: http.StatusBadRequest}
-		}
+		spaceInName = spaceInName || space
 		key, val := c.field(i, k, v)
+		switch key {
+		case "Content-Length":
+			c.frame.addCL(v)
+		case "Transfer-Encoding":
+			c.frame.addTE(v)
+		case "Trailer":
+			c.frame.addTrailer(v)
+		}
 		if vv := h[key]; vv != nil {
 			h[key] = append(vv, val)
 		} else {
@@ -434,40 +423,199 @@ func lineError(err error) *badRequest {
 	return &badRequest{code: http.StatusBadRequest}
 }
 
-var errHeaderTooLarge = errors.New("request header over the bound")
+// headReader reads message heads off a buffered connection: lines
+// counted against maxHeaderBytes, the fields that frame the body, and a
+// chunked body's trailer. The connection loop reads requests with it and
+// AnswerReader a peer's answers.
+type headReader struct {
+	br    *bufio.Reader
+	line  []byte        // a line longer than br's buffer
+	read  int           // head bytes read for the current message
+	frame framingFields // the current message's
+}
+
+// start readies h for the next message's head.
+func (h *headReader) start() {
+	h.read = 0
+	if cap(h.line) > maxKeptBuffer {
+		h.line = nil
+	}
+	h.frame.reset()
+}
+
+var errHeaderTooLarge = errors.New("message header over the bound")
 
 // readLine returns the next line without its CRLF or LF, valid until the
 // next read, counting it against the header bound.
-func (c *conn) readLine() ([]byte, error) {
-	c.line = c.line[:0]
+func (l *headReader) readLine() ([]byte, error) {
+	l.line = l.line[:0]
 	for {
-		l, err := c.br.ReadSlice('\n')
-		c.read += len(l)
-		if c.read > maxHeaderBytes {
+		b, err := l.br.ReadSlice('\n')
+		l.read += len(b)
+		if l.read > maxHeaderBytes {
 			return nil, errHeaderTooLarge
 		}
 		switch {
 		case err == bufio.ErrBufferFull:
-			c.line = append(c.line, l...)
+			l.line = append(l.line, b...)
 			continue
-		case err == io.EOF && len(l)+len(c.line) > 0:
+		case err == io.EOF && len(b)+len(l.line) > 0:
 			// A last line without its end; net/http takes it as a line.
 			err = nil
 		case err != nil:
 			return nil, err
 		}
-		if len(c.line) > 0 {
-			l = append(c.line, l...)
-			c.line = l
+		if len(l.line) > 0 {
+			b = append(l.line, b...)
+			l.line = b
 		}
-		if n := len(l); n > 0 && l[n-1] == '\n' {
-			l = l[:n-1]
-			if n > 1 && l[n-2] == '\r' {
-				l = l[:n-2]
+		if n := len(b); n > 0 && b[n-1] == '\n' {
+			b = b[:n-1]
+			if n > 1 && b[n-2] == '\r' {
+				b = b[:n-2]
 			}
 		}
-		return l, nil
+		return b, nil
 	}
+}
+
+// readTrailer consumes what follows a chunked body's last chunk: CRLF, or
+// trailer fields ended by an empty line within readBufferBytes. Like
+// net/http, it discards the fields.
+func (l *headReader) readTrailer() error {
+	if peek, _ := l.br.Peek(2); string(peek) == "\r\n" {
+		_, _ = l.br.Discard(2)
+		return nil
+	}
+	// Peek one byte further at a time, so a sender waiting for its answer
+	// is not waited on for bytes it will not send.
+	for n := 4; ; n++ {
+		if n > readBufferBytes {
+			return errors.New("server: malformed or oversized trailer after chunked body")
+		}
+		peek, err := l.br.Peek(n)
+		if bytes.HasSuffix(peek, []byte("\r\n\r\n")) {
+			break
+		}
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF // the body is cut off, not ended
+		} else if err != nil {
+			return err
+		}
+	}
+	// The fields are checked as net/http checks them, though only to be
+	// dropped: a name of token bytes and spaces, a value without control
+	// bytes, and a folded line continuing the field before it.
+	for first := true; ; first = false {
+		line, err := l.readLine()
+		if err != nil {
+			return err // the terminator is buffered: never a clean end
+		}
+		if len(line) == 0 {
+			return nil
+		}
+		if line[0] == ' ' || line[0] == '\t' {
+			if first || !validValue(line) {
+				return errMalformedTrailer
+			}
+			continue
+		}
+		if _, _, _, ok := splitField(line); !ok {
+			return errMalformedTrailer
+		}
+	}
+}
+
+var errMalformedTrailer = errors.New("server: malformed trailer field")
+
+// splitField splits a header line into its name and its value, trimmed of
+// blanks. ok is false for what neither a request nor an answer may hold: a
+// folded line (which RFC 9112 lets a recipient refuse), no colon, an empty
+// name, a name byte outside a token other than a space, or a control byte
+// but tab in the value. space reports a space in the name: a request with
+// one is refused, an answer's field with one is not a field net/http knows.
+func splitField(line []byte) (k, v []byte, space, ok bool) {
+	if line[0] == ' ' || line[0] == '\t' {
+		return nil, nil, false, false
+	}
+	k, v, ok = bytes.Cut(line, []byte(":"))
+	if !ok || len(k) == 0 {
+		return nil, nil, false, false
+	}
+	for _, b := range k {
+		if b == ' ' {
+			space = true
+		} else if !isTokenByte(b) {
+			return nil, nil, false, false
+		}
+	}
+	v = bytes.Trim(v, " \t")
+	return k, v, space, validValue(v)
+}
+
+// framingFields gathers, as a head is read, the fields that frame its
+// body. Requests and answers are framed by the same rules (length).
+type framingFields struct {
+	te, cl     int    // Transfer-Encoding and Content-Length fields seen
+	chunked    bool   // the first Transfer-Encoding field is chunked
+	clFirst    []byte // the first Content-Length value
+	clDiffer   bool   // a later Content-Length differs from it
+	badTrailer bool   // a Trailer field names a framing field
+}
+
+func (f *framingFields) reset() { *f = framingFields{clFirst: f.clFirst[:0]} }
+
+func (f *framingFields) addTE(v []byte) {
+	if f.te == 0 {
+		f.chunked = asciiEqualFold("chunked", v)
+	}
+	f.te++
+}
+
+func (f *framingFields) addCL(v []byte) {
+	if f.cl == 0 {
+		f.clFirst = append(f.clFirst[:0], v...)
+	} else if !bytes.Equal(v, f.clFirst) {
+		f.clDiffer = true
+	}
+	f.cl++
+}
+
+func (f *framingFields) addTrailer(v []byte) {
+	for len(v) > 0 {
+		var k []byte
+		k, v, _ = bytes.Cut(v, []byte(","))
+		k = bytes.Trim(k, " \t")
+		for _, framing := range [...]string{"Transfer-Encoding", "Trailer", "Content-Length"} {
+			f.badTrailer = f.badTrailer || asciiEqualFold(framing, k)
+		}
+	}
+}
+
+// length applies the framing rules to the fields gathered: n is the
+// Content-Length, -1 without one. A Transfer-Encoding other than one
+// chunked is refused with 501; chunked beside a Content-Length, differing
+// or malformed Content-Lengths, or a chunked body whose Trailer names a
+// framing field, with 400: what could let one message smuggle another.
+// HTTP/1.0 has no Transfer-Encoding; its field is ignored.
+func (f *framingFields) length(http11 bool) (n int64, isChunked bool, bad int) {
+	if f.te > 0 && http11 {
+		if f.te != 1 || !f.chunked {
+			return 0, false, http.StatusNotImplemented
+		}
+		if f.cl > 0 || f.badTrailer {
+			return 0, false, http.StatusBadRequest
+		}
+		isChunked = true
+	}
+	if f.cl == 0 {
+		return -1, isChunked, 0
+	}
+	cl, err := strconv.ParseUint(string(f.clFirst), 10, 63)
+	if err != nil || f.clDiffer {
+		return 0, false, http.StatusBadRequest
+	}
+	return int64(cl), isChunked, 0
 }
 
 // parseTarget sets r.URL and r.RequestURI from the request target,
@@ -522,54 +670,23 @@ func (c *conn) field(i int, k, v []byte) (key, val string) {
 // chunked is r.TransferEncoding for a chunked body.
 var chunked = []string{"chunked"}
 
-// framing reads the body's length from Transfer-Encoding and
-// Content-Length and sets r.Body. It refuses what could let one request
-// smuggle another: any coding but chunked (501), chunked beside a
-// Content-Length, differing Content-Lengths, or a malformed one (400).
+// framing sets r's body from the framing fields read with its head,
+// refusing what framingFields.length refuses.
 func (c *conn) framing(r *http.Request) *badRequest {
 	h := r.Header
-	te, isChunked := h["Transfer-Encoding"], false
+	n, isChunked, bad := c.frame.length(r.ProtoAtLeast(1, 1))
+	if bad != 0 {
+		return &badRequest{code: bad}
+	}
 	delete(h, "Transfer-Encoding")
-	if te != nil && r.ProtoAtLeast(1, 1) {
-		if len(te) != 1 || !asciiEqualFold("chunked", te[0]) {
-			return &badRequest{code: http.StatusNotImplemented}
-		}
-		if h["Content-Length"] != nil {
-			return &badRequest{code: http.StatusBadRequest}
-		}
-		isChunked = true
+	if cl := h["Content-Length"]; len(cl) > 1 {
+		h["Content-Length"] = cl[:1:1] // all equal, or length refused them
 	}
 	b := &c.body
 	*b = body{c: c}
-	r.ContentLength = 0
-	if cl := h["Content-Length"]; cl != nil {
-		first := cl[0] // values are trimmed as they are read
-		for _, v := range cl[1:] {
-			if v != first {
-				return &badRequest{code: http.StatusBadRequest}
-			}
-		}
-		if len(cl) > 1 {
-			h["Content-Length"] = cl[:1:1]
-		}
-		n, err := strconv.ParseUint(first, 10, 63)
-		if err != nil {
-			return &badRequest{code: http.StatusBadRequest}
-		}
-		r.ContentLength = int64(n)
-	}
+	r.ContentLength = max(n, 0)
 	if isChunked {
-		if tr := h["Trailer"]; tr != nil {
-			for _, v := range tr {
-				for _, k := range bytes.Split([]byte(v), []byte(",")) {
-					switch http.CanonicalHeaderKey(string(bytes.Trim(k, " \t"))) {
-					case "Transfer-Encoding", "Trailer", "Content-Length":
-						return &badRequest{code: http.StatusBadRequest}
-					}
-				}
-			}
-			delete(h, "Trailer")
-		}
+		delete(h, "Trailer")
 		r.ContentLength = -1
 		r.TransferEncoding = chunked
 		b.chunked = httputil.NewChunkedReader(c.br)
@@ -931,45 +1048,6 @@ func (b *body) Read(p []byte) (int, error) {
 func (b *body) Close() error {
 	b.closed = true
 	return nil
-}
-
-// readTrailer consumes what follows a chunked body's last chunk: CRLF, or
-// trailer fields ended by an empty line within readBufferBytes. Like
-// net/http, it discards the fields.
-func (c *conn) readTrailer() error {
-	if peek, _ := c.br.Peek(2); string(peek) == "\r\n" {
-		_, _ = c.br.Discard(2)
-		return nil
-	}
-	// Peek one byte further at a time, so a client waiting for its answer
-	// is not waited on for bytes it will not send.
-	for n := 4; ; n++ {
-		if n > readBufferBytes {
-			return errors.New("server: malformed or oversized trailer after chunked body")
-		}
-		peek, err := c.br.Peek(n)
-		if bytes.HasSuffix(peek, []byte("\r\n\r\n")) {
-			break
-		}
-		if err == io.EOF {
-			return io.ErrUnexpectedEOF // the body is cut off, not ended
-		} else if err != nil {
-			return err
-		}
-	}
-	for {
-		line, err := c.readLine()
-		if err != nil {
-			return err // the terminator is buffered: never a clean end
-		}
-		if len(line) == 0 {
-			return nil
-		}
-		k, v, ok := bytes.Cut(line, []byte(":"))
-		if !ok || !validToken(k) || !validValue(v) {
-			return errors.New("server: malformed trailer field")
-		}
-	}
 }
 
 // shouldClose reports whether the request asks for its connection to

@@ -180,6 +180,7 @@ func TestConnMatchesNetHTTP(t *testing.T) {
 		{name: "unknown expectation", raw: post("/echo", "x", "Expect: teapot\r\n"), want: []int{417}},
 		{name: "chunked body", raw: "POST /echo HTTP/1.1\r\nHost: raqo\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n6;ext=1\r\n world\r\n0\r\n\r\n" + post("/echo", "next"), want: []int{200, 200}},
 		{name: "chunked body with trailer", raw: "POST /echo HTTP/1.1\r\nHost: raqo\r\nTransfer-Encoding: chunked\r\nTrailer: X-Sum\r\n\r\n2\r\nhi\r\n0\r\nX-Sum: 1\r\n\r\n", want: []int{200}},
+		{name: "trailer field name with a space", raw: "POST /echo HTTP/1.1\r\nHost: raqo\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nhi\r\n0\r\nX Sum: 1\r\n\r\n", want: []int{200}},
 		{name: "malformed chunk", raw: "POST /echo HTTP/1.1\r\nHost: raqo\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\nhello\r\n0\r\n\r\n", want: []int{400}},
 		{name: "body over MaxBodyBytes", raw: post("/v1/optimize", overBody) + post("/v1/optimize", optimize), want: []int{400, 200}},
 		{name: "unread body skipped", raw: post("/v1/model", strings.Repeat("x", 100)) + "GET /v1/optimize HTTP/1.1\r\nHost: raqo\r\n\r\n", want: []int{405, 405}},

@@ -43,8 +43,8 @@ type HistoryBucket struct {
 //     rounds up past MaxInt64, or a from whose step-aligned bucket starts
 //     below MinInt64, is a 400.
 //
-// Any other error of the store's is a 400 as well, a raw segment that
-// fails to read included. From, To and Step echo the request (the
+// Any other error of the store's, such as a raw segment that fails to
+// read, is a 500. From, To and Step echo the request (the
 // defaults filled in, step as sent, not rounded); bucket starts lie on
 // the rounded step's grid, and an empty window has no bucket.
 type HistoryResponse struct {
@@ -111,8 +111,11 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 	}
 	rows, err := s.hist.Query(series, from, to, step)
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, history.ErrUnknownSeries) {
+		code := http.StatusInternalServerError // the store failed to read
+		switch {
+		case errors.Is(err, history.ErrBadQuery):
+			code = http.StatusBadRequest
+		case errors.Is(err, history.ErrUnknownSeries):
 			code = http.StatusNotFound
 		}
 		WriteError(w, code, err)

@@ -7,12 +7,15 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"raqo/internal/feedback"
+	"raqo/internal/history"
 )
 
 // histBase is a fixed, minute-aligned wall-clock-scale timestamp so
@@ -260,5 +263,52 @@ func TestFeedbackObservedAtDomain(t *testing.T) {
 	// inside the skew.
 	if code := post(1_672_531_200, now+feedback.MaxClockSkewSeconds/2); code != http.StatusOK {
 		t.Fatalf("old and slightly early timestamps: status %d, want 200", code)
+	}
+}
+
+// TestHistoryReadFailureIs500: a raw read the store cannot do — a sealed
+// segment removed after the server opened the store — is the server's
+// failure, a 500, where a query's own bad arguments are a 400.
+func TestHistoryReadFailureIs500(t *testing.T) {
+	dir := t.TempDir()
+	st, err := history.Open(dir, history.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Record("probe", histBase, 1)
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(sealed) == 0 {
+		t.Fatalf("no segment written: %v %v", sealed, err)
+	}
+	s, err := New(Config{HistoryDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	get := func(query string) int {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/history"+query, nil))
+		return rec.Code
+	}
+	q := fmt.Sprintf("?series=probe&from=%d&to=%d&step=1", histBase, histBase+60)
+	if code := get(q); code != http.StatusOK {
+		t.Fatalf("query before the removal: HTTP %d", code)
+	}
+	for _, path := range sealed {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if code := get(q); code != http.StatusInternalServerError {
+		t.Errorf("raw read of a removed segment: HTTP %d, want 500", code)
+	}
+	if code := get(fmt.Sprintf("?series=probe&from=%d&to=%d&step=0", histBase, histBase+60)); code != http.StatusBadRequest {
+		t.Errorf("step=0: HTTP %d, want 400", code)
 	}
 }

@@ -209,6 +209,7 @@ type Server struct {
 	metrics *Metrics
 	admit   *admission
 	mux     *http.ServeMux
+	routes  map[string]http.HandlerFunc // mux pattern → the handler it dispatches to
 	start   time.Time
 	rec     *feedback.Recalibrator
 	journal *feedback.Journal // nil unless Config.JournalPath was set
@@ -340,18 +341,23 @@ func New(cfg Config) (*Server, error) {
 		func() float64 { return float64(s.memo.len()) })
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/optimize", s.instrument("/v1/optimize", s.handleOptimize))
-	mux.HandleFunc("POST /v1/batch", s.instrument("/v1/batch", s.handleBatch))
-	mux.HandleFunc("GET /v1/explain/{query}", s.instrument("/v1/explain", s.handleExplain))
-	mux.HandleFunc("POST /v1/feedback", s.instrument("/v1/feedback", s.handleFeedback))
-	mux.HandleFunc("POST /v1/submit", s.instrument("/v1/submit", s.handleSubmit))
-	mux.HandleFunc("GET /v1/arbiter/stats", s.instrument("/v1/arbiter/stats", s.handleArbiterStats))
-	mux.HandleFunc("POST /v1/cloud/submit", s.instrument("/v1/cloud/submit", s.handleCloudSubmit))
-	mux.HandleFunc("GET /v1/cloud/stats", s.instrument("/v1/cloud/stats", s.handleCloudStats))
-	mux.HandleFunc("GET /v1/history", s.instrument("/v1/history", s.handleHistory))
-	mux.HandleFunc("GET /v1/model", s.instrument("/v1/model", s.handleModel))
-	mux.HandleFunc("GET /healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("GET /metrics", s.instrument("/metrics", s.handleMetrics))
+	s.routes = make(map[string]http.HandlerFunc)
+	route := func(pattern, endpoint string, h http.HandlerFunc) {
+		s.routes[pattern] = s.instrument(endpoint, h)
+		mux.HandleFunc(pattern, s.routes[pattern])
+	}
+	route("POST /v1/optimize", "/v1/optimize", s.handleOptimize)
+	route("POST /v1/batch", "/v1/batch", s.handleBatch)
+	route("GET /v1/explain/{query}", "/v1/explain", s.handleExplain)
+	route("POST /v1/feedback", "/v1/feedback", s.handleFeedback)
+	route("POST /v1/submit", "/v1/submit", s.handleSubmit)
+	route("GET /v1/arbiter/stats", "/v1/arbiter/stats", s.handleArbiterStats)
+	route("POST /v1/cloud/submit", "/v1/cloud/submit", s.handleCloudSubmit)
+	route("GET /v1/cloud/stats", "/v1/cloud/stats", s.handleCloudStats)
+	route("GET /v1/history", "/v1/history", s.handleHistory)
+	route("GET /v1/model", "/v1/model", s.handleModel)
+	route("GET /healthz", "/healthz", s.handleHealthz)
+	route("GET /metrics", "/metrics", s.handleMetrics)
 	s.mux = mux
 	return s, nil
 }
@@ -385,6 +391,12 @@ func (s *Server) History() *history.Store { return s.hist }
 
 // Handler returns the service's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
+
+// Route returns the instrumented handler the server's mux dispatches
+// pattern to (as registered, e.g. "POST /v1/submit"), or nil. A front
+// handler that has matched the same pattern itself, as a fleet node's
+// routing does, hands the request over without a second match.
+func (s *Server) Route(pattern string) http.HandlerFunc { return s.routes[pattern] }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
