@@ -43,18 +43,18 @@ race:
 #   FuzzSketch             dense-window sketch == the map-based reference
 #   FuzzPeerResponse       fleet peer transport on a peer's arbitrary answer: bounded, never pooled dirty
 #   FuzzPeerAnswer         peer answer reader == net/http's response reader: bounded, nothing taken that net/http refuses
-#   FuzzObservationDecode  /v1/feedback codec == encoding/json, handler answers as before the codec
+#   FuzzObservationDecode  /v1/feedback codec == encoding/json, handler answers as before the codec; history clock and model version bounded
 #   FuzzObservationAppend  AppendJSON == json.Marshal, and reads back what it wrote
-#   FuzzEnumeration        random tree and Selinger DP == the pair scan and the full mask sweep
+#   FuzzEnumeration        random tree and Selinger DP == the pair scan and the full mask sweep, call for call: candidate stats and relations
 #   FuzzRegressionCost     unrolled cost model == Predict
 #   FuzzDrawSource         seed-free math/rand source == rand.NewSource
 #   FuzzWriteJSON          response encoder == json.Encoder with SetIndent
 #   FuzzHistoryJSON        /v1/history fixed-shape encoder == WriteResult
 #   FuzzCosterReuse        per-call cache-answer reuse == asking the cache every time
 #   FuzzAdmission          admission engine: zero lost, sane pools, byte-identical reruns
-#   FuzzSubmitDecode       submit scanner == encoding/json, both handlers answer as before it
+#   FuzzSubmitDecode       submit scanner == encoding/json, both handlers answer as before it; nothing lost after a drain
 #   FuzzRoutingKeys        fleet routing keys == json.Unmarshal's
-#   FuzzServedOrder        served /v1/optimize answers == a fresh optimizer's, any request order
+#   FuzzServedOrder        served /v1/optimize answers == a fresh optimizer's, any request order; model version never goes back
 #   FuzzLogRecover         append log: recovery keeps the longest whole-record prefix, appends read back
 #   FuzzModelWire          a peer's model set: decoding never panics, a decoded set re-encodes to its entries
 #   FuzzOptimizeBodies     any /v1/optimize or /v1/batch body: no panic, documented statuses, valid plans

@@ -154,17 +154,18 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	// Cold planning on a 100-table schema, the regime the join-graph index
 	// serves: what is left is the new optimizer and its coster, the
 	// resource-plan cache fills and the winning plan's two-allocation
-	// copy (measured 135 and 108; 180 and 536 when the randomized search
-	// built every tree on the heap and Clone allocated per node, 203 and 736
-	// before the index). The ceilings are those plus 15 %. A per-candidate
-	// allocation in the enumeration kernel — thousands of Selinger
-	// candidates, a node per random-tree merge or mutation — would be off
-	// these by an order of magnitude.
-	if got := testing.AllocsPerRun(20, coldPlanner(t, core.Selinger, 12, false)); got > 155 {
-		t.Errorf("cold Selinger-12 allocates %.0f/op, ceiling 155", got)
+	// copy (measured 45 and 43; 135 and 108 when these ceilings were
+	// first set, 180 and 536 when the randomized search
+	// built every tree on the heap and Clone allocated per node, 203 and
+	// 736 before the index). The ceilings are those plus 15 %. A
+	// per-candidate allocation in the enumeration kernel — thousands of
+	// Selinger candidates, a node per random-tree merge or mutation —
+	// would be off these by one or two orders of magnitude.
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.Selinger, 12, false)); got > 52 {
+		t.Errorf("cold Selinger-12 allocates %.0f/op, ceiling 52", got)
 	}
-	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30, false)); got > 124 {
-		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 124", got)
+	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30, false)); got > 50 {
+		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 50", got)
 	}
 
 	// The cold Selinger-12 query re-planned by new optimizers on the cache a

@@ -100,6 +100,18 @@ func (g *Index) Stats(rank int) (rows float64, size units.Bytes) { return g.rows
 // of its join-graph neighbours. The caller must not modify it.
 func (g *Index) Adj(rank int) []uint64 { return g.adj[rank*g.words : (rank+1)*g.words] }
 
+// Selectivity returns the selectivity of the join-graph edge between the
+// tables at ranks a and b, as CrossSelectivity multiplies it, and whether
+// there is one.
+func (g *Index) Selectivity(a, b int) (float64, bool) {
+	row := a*g.words + b/64
+	adj, bit := g.adj[row], uint64(1)<<(b%64)
+	if adj&bit == 0 {
+		return 0, false
+	}
+	return g.sel[int(g.selAt[row])+bits.OnesCount64(adj&(bit-1))], true
+}
+
 // CrossSelectivity multiplies the selectivities of the join-graph edges
 // between a relation of left and a relation of right, and counts them.
 // rightAdj must be the union of the adjacency rows of right's members; it

@@ -71,6 +71,32 @@ func TestConnectedMatchesReference(t *testing.T) {
 	}
 }
 
+// TestIndexSelectivityMatchesSchema: over a 100-table random schema, two
+// words per row, Index.Selectivity of every pair of ranks reads the edge
+// the string-keyed maps hold, or reports there is none.
+func TestIndexSelectivityMatchesSchema(t *testing.T) {
+	s, err := Random(rand.New(rand.NewSource(1979)), 100, DefaultRandomConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, edges := s.Index(), 0
+	for a, x := range s.Tables() {
+		for b, y := range s.Tables() {
+			got, ok := g.Selectivity(a, b)
+			want, wantOK := s.Selectivity(x, y)
+			if ok != wantOK || got != want {
+				t.Fatalf("Selectivity(%d, %d) = %v, %v; schema %v, %v", a, b, got, ok, want, wantOK)
+			}
+			if ok {
+				edges++
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("schema has no edges")
+	}
+}
+
 // TestIndexFollowsMutations: after each kind of mutation — AddTable at a
 // rank below existing ones, AddJoin, SetTableSize — and on a Clone, the
 // index is the one a schema built fresh in that final form has, although

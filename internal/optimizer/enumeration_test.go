@@ -11,6 +11,7 @@ import (
 
 	"raqo/internal/catalog"
 	"raqo/internal/optimizer"
+	"raqo/internal/optimizer/optimizertest"
 	"raqo/internal/optimizer/selinger"
 	"raqo/internal/plan"
 	"raqo/internal/workload"
@@ -273,22 +274,34 @@ func TestRandomTreeAfterSchemaMutation(t *testing.T) {
 	checkRandomTrees(t, &ts, q, 3, 2)
 }
 
-// checkSelinger plans q with the Selinger DP and with the full sweep, each behind a fresh recording joint coster over an empty
-// nearest-neighbour cache, and fails unless the two asked the coster the
-// same questions in the same order and returned the same result or error.
+// checkSelinger plans q with the Selinger DP and with the full sweep, each
+// behind a fresh recording coster — the joint coster over an empty
+// nearest-neighbour cache, then the size coster, which prices by the
+// candidate's output and larger input — and fails unless the two asked the
+// coster the same questions about the same candidates in the same order and
+// returned the same result or error.
 func checkSelinger(t testing.TB, q *plan.Query) {
 	t.Helper()
-	gotC, wantC := nnCoster(), nnCoster()
-	got, errG := (&selinger.Planner{Coster: gotC}).Plan(q)
-	want, errW := sweepSelinger(wantC, q)
-	if !sameError(errG, errW) {
-		t.Fatalf("%v: error %v, full sweep %v", q.Rels, errG, errW)
+	sizeCoster := func(q *plan.Query) *recordingCoster {
+		return &recordingCoster{q: q, inner: &optimizertest.SizeCoster{Res: plan.Resources{Containers: 10, ContainerGB: 3}}}
 	}
-	if !slices.Equal(gotC.calls, wantC.calls) {
-		t.Fatalf("%v: %d costing calls differ from the full sweep's %d", q.Rels, len(gotC.calls), len(wantC.calls))
-	}
-	if errG == nil {
-		sameResult(t, q, got, want)
+	for _, coster := range []func(*plan.Query) *recordingCoster{nnCoster, sizeCoster} {
+		gotC, wantC := coster(q), coster(q)
+		got, errG := (&selinger.Planner{Coster: gotC}).Plan(q)
+		want, errW := sweepSelinger(wantC, q)
+		if !sameError(errG, errW) {
+			t.Fatalf("%v: error %v, full sweep %v", q.Rels, errG, errW)
+		}
+		if !slices.Equal(gotC.calls, wantC.calls) {
+			i := 0
+			for i < min(len(gotC.calls), len(wantC.calls)) && gotC.calls[i] == wantC.calls[i] {
+				i++
+			}
+			t.Fatalf("%v: %d costing calls differ from the full sweep's %d, first at call %d", q.Rels, len(gotC.calls), len(wantC.calls), i)
+		}
+		if errG == nil {
+			sameResult(t, q, got, want)
+		}
 	}
 }
 

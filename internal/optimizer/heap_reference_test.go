@@ -3,6 +3,8 @@ package optimizer
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"testing"
 
 	"raqo/internal/catalog"
 	"raqo/internal/plan"
@@ -13,7 +15,10 @@ import (
 // ancestor a node of its own on the heap, through plan.NewScan and
 // plan.NewJoin. They are the oracles of the arena kernels — the external
 // tests reach them as HeapScratch — and otherwise the former code
-// unchanged: the component matrix and its helpers are shared.
+// unchanged: the component matrix's pair walk is shared, while its merge
+// and pair count are the former ones, a pass over every component
+// (scanMergeRows, pairCount), which TestMergeRowsMatchesScan holds
+// mergeRows to.
 
 // HeapScratch is the former TreeScratch.
 type HeapScratch struct {
@@ -47,10 +52,7 @@ func (ts *HeapScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 	w := (len(comps) + 63) / 64
 	for len(comps) > 1 {
 		m := len(comps)
-		total := 0
-		for i := range m {
-			total += pairsAbove(adj[i*w:(i+1)*w], i)
-		}
+		total := pairCount(adj, w, m)
 		if total == 0 {
 			ts.comps = comps[:0]
 			return nil, fmt.Errorf("optimizer: query relations not connected")
@@ -66,13 +68,92 @@ func (ts *HeapScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 		comps[p0] = joined
 		comps[p1] = comps[m-1]
 		comps = comps[:m-1]
-		mergeRows(adj, w, m, p0, p1)
+		scanMergeRows(adj, w, m, p0, p1)
 	}
 	root := comps[0]
 	// Keep the grown buffer but drop the node reference.
 	comps[0] = nil
 	ts.comps = comps[:0]
 	return root, nil
+}
+
+// pairCount is the former per-step recount: the pairs above the diagonal
+// of the m-component matrix.
+func pairCount(adj []uint64, w, m int) int {
+	total := 0
+	for i := range m {
+		total += pairsAbove(adj[i*w:(i+1)*w], i)
+	}
+	return total
+}
+
+// scanMergeRows is the former mergeRows: p1's row and column are ORed into
+// p0's, then m-1's replace p1's and are cleared, the columns by a pass
+// over all m rows.
+func scanMergeRows(adj []uint64, w, m, p0, p1 int) {
+	last := m - 1
+	r0, r1 := adj[p0*w:(p0+1)*w], adj[p1*w:(p1+1)*w]
+	for x := range r0 {
+		r0[x] |= r1[x]
+	}
+	for i := range m {
+		row := adj[i*w : (i+1)*w]
+		if row[p1/64]&(1<<(p1%64)) != 0 {
+			row[p0/64] |= 1 << (p0 % 64)
+		}
+		row[p1/64] &^= 1 << (p1 % 64)
+		if row[last/64]&(1<<(last%64)) != 0 {
+			row[last/64] &^= 1 << (last % 64)
+			row[p1/64] |= 1 << (p1 % 64)
+		}
+	}
+	copy(r1, adj[last*w:(last+1)*w])
+	clear(adj[last*w : (last+1)*w])
+	r0[p0/64] &^= 1 << (p0 % 64)
+}
+
+// TestMergeRowsMatchesScan holds the neighbour-only merge to the pass over
+// every row it replaced: over random symmetric matrices of 2 to 130
+// components — one to three row words — at several densities, the merge
+// of every joinable pair p0 < p1, p1 = m-1 included, leaves the matrix the
+// scan leaves, and the running pair count, less what mergeRows reports,
+// equals the recount.
+func TestMergeRowsMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(244))
+	sizes := []int{2, 3, 4, 5, 8, 17, 63, 64, 65, 66, 100, 127, 128, 129, 130}
+	for _, m := range sizes {
+		w := (m + 63) / 64
+		for _, density := range []float64{0.05, 0.3, 0.9} {
+			base := make([]uint64, m*w)
+			for i := range m {
+				for j := i + 1; j < m; j++ {
+					if rng.Float64() < density {
+						base[i*w+j/64] |= 1 << (j % 64)
+						base[j*w+i/64] |= 1 << (i % 64)
+					}
+				}
+			}
+			got, want := make([]uint64, m*w), make([]uint64, m*w)
+			for p0 := 0; p0 < m; p0++ {
+				for p1 := p0 + 1; p1 < m; p1++ {
+					copy(got, base)
+					// Only a joinable pair is ever merged.
+					got[p0*w+p1/64] |= 1 << (p1 % 64)
+					got[p1*w+p0/64] |= 1 << (p0 % 64)
+					copy(want, got)
+					total := pairCount(got, w, m)
+					total -= mergeRows(got, w, m, p0, p1)
+					scanMergeRows(want, w, m, p0, p1)
+					if !slices.Equal(got, want) {
+						t.Fatalf("m=%d density %v: merging %d and %d: matrix differs from the scan's", m, density, p0, p1)
+					}
+					if recount := pairCount(want, w, m-1); total != recount {
+						t.Fatalf("m=%d density %v: merging %d and %d: running count %d, recount %d", m, density, p0, p1, total, recount)
+					}
+				}
+			}
+		}
+	}
 }
 
 // Mutate is the former TreeScratch.Mutate.

@@ -148,12 +148,12 @@ func RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
 // RandomTree is the storage-reusing form of the package-level RandomTree.
 //
 // The joinable component pairs are never listed: the scratch keeps the
-// components' join graph as a symmetric bit matrix, counts the pairs
-// (i < j) above its diagonal, draws one index and walks to that pair in
-// the lexicographic order a pair-by-pair scan would have listed them — the
-// same draws from rng, so the same tree. A merge ORs the absorbed
-// component's row and column into the survivor's, as the joined node's
-// relation sets are unions of its inputs'.
+// components' join graph as a symmetric bit matrix and a running count of
+// its pairs (i < j), draws one index and walks to that pair in the
+// lexicographic order a pair-by-pair scan would have listed them — the
+// same draws from rng, so the same tree. A merge updates only the rows of
+// the merged components' neighbours (mergeRows), and takes from the count
+// the pairs it folds away.
 func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
 	if g := q.Schema.Index(); ts.leavesOf != q || ts.leavesAt != g {
 		ts.leavesOf, ts.leavesAt, ts.leaves = nil, nil, ts.leaves[:0]
@@ -171,12 +171,12 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 	adj := append(ts.adj[:0], ts.leafAdj...)
 	ts.adj = adj
 	w := (len(comps) + 63) / 64
+	total := 0
+	for i := range comps {
+		total += pairsAbove(adj[i*w:(i+1)*w], i)
+	}
 	for len(comps) > 1 {
 		m := len(comps)
-		total := 0
-		for i := range m {
-			total += pairsAbove(adj[i*w:(i+1)*w], i)
-		}
 		if total == 0 {
 			ts.comps = comps[:0]
 			return nil, fmt.Errorf("optimizer: query relations not connected")
@@ -193,7 +193,7 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 		comps[p0] = joined
 		comps[p1] = comps[m-1]
 		comps = comps[:m-1]
-		mergeRows(adj, w, m, p0, p1)
+		total -= mergeRows(adj, w, m, p0, p1)
 	}
 	root := comps[0]
 	// Keep the grown buffer but drop the node reference.
@@ -238,29 +238,46 @@ func nthPair(adj []uint64, w, k int) (int, int) {
 	}
 }
 
-// mergeRows updates the m-component adjacency matrix for the join of p0
-// and p1 (p0 < p1) into p0 and the move of component m-1 into p1: p1's row
-// and column are ORed into p0's, then m-1's replace p1's and are cleared.
-func mergeRows(adj []uint64, w, m, p0, p1 int) {
+// mergeRows updates the m-component adjacency matrix for the join of the
+// joinable components p0 and p1 (p0 < p1) into p0 and the move of
+// component m-1 into p1, and returns how many joinable pairs the merge
+// removed: the pair itself and one of the two pairs with each common
+// neighbour. The matrix is symmetric, so column p1 is row p1 and column
+// m-1 is row m-1: only those rows' members have a column bit to move,
+// while row p0 takes row p1's bits and row m-1 replaces row p1. When p1
+// is m-1 itself there is nothing to move: its column bits are already
+// gone and its row is cleared.
+func mergeRows(adj []uint64, w, m, p0, p1 int) int {
 	last := m - 1
-	r0, r1 := adj[p0*w:(p0+1)*w], adj[p1*w:(p1+1)*w]
+	w0, b0 := p0/64, uint64(1)<<(p0%64)
+	w1, b1 := p1/64, uint64(1)<<(p1%64)
+	wl, bl := last/64, uint64(1)<<(last%64)
+	r0, r1, rl := adj[p0*w:(p0+1)*w], adj[p1*w:(p1+1)*w], adj[last*w:(last+1)*w]
+	lost := 1
 	for x := range r0 {
+		lost += bits.OnesCount64(r0[x] & r1[x])
 		r0[x] |= r1[x]
 	}
-	for i := range m {
-		row := adj[i*w : (i+1)*w]
-		if row[p1/64]&(1<<(p1%64)) != 0 {
-			row[p0/64] |= 1 << (p0 % 64)
-		}
-		row[p1/64] &^= 1 << (p1 % 64)
-		if row[last/64]&(1<<(last%64)) != 0 {
-			row[last/64] &^= 1 << (last % 64)
-			row[p1/64] |= 1 << (p1 % 64)
+	for x, word := range r1 {
+		for ; word != 0; word &= word - 1 {
+			row := (x*64 + bits.TrailingZeros64(word)) * w
+			adj[row+w0] |= b0
+			adj[row+w1] &^= b1
 		}
 	}
-	copy(r1, adj[last*w:(last+1)*w])
-	clear(adj[last*w : (last+1)*w])
-	r0[p0/64] &^= 1 << (p0 % 64)
+	if p1 != last {
+		for x, word := range rl {
+			for ; word != 0; word &= word - 1 {
+				row := (x*64 + bits.TrailingZeros64(word)) * w
+				adj[row+wl] &^= bl
+				adj[row+w1] |= b1
+			}
+		}
+		copy(r1, rl)
+	}
+	clear(rl)
+	r0[w0] &^= b0
+	return lost
 }
 
 // Mutation is a local plan transformation used by randomized search.

@@ -129,31 +129,71 @@ func sweepSelinger(c optimizer.OperatorCoster, q *plan.Query) (*optimizer.Result
 }
 
 // costCall is what a recording coster notes of one CostOperator call: the
-// operator and its cost model input.
+// operator, the cost model input and, bit for bit, the statistics a coster
+// may read — the inputs' sizes, the output's size and rows — and the
+// relations of the candidate and of both its inputs, as a coster's errors
+// name them.
 type costCall struct {
-	algo plan.JoinAlgo
-	ss   uint64 // SmallerInputGB bits
+	algo               plan.JoinAlgo
+	ss, ls, out, rows  uint64 // SmallerInputGB, LargerInputGB, OutputGB and Rows bits
+	lrows, rrows       uint64 // the inputs' Rows bits
+	rels, lrels, rrels uint64 // Relations() of the candidate, its left and its right input, as relationsCode
 }
 
-// recordingCoster notes every call it passes on to inner, in call order.
+// relationsCode encodes a Relations() list over q's relations as the set
+// of its members' query indices, with bit 63 set unless the list is
+// members of q in ascending order, as Relations() must list them: two
+// well-formed lists are equal exactly when their codes are (q has fewer
+// than 63 relations).
+func relationsCode(q *plan.Query, rels []string) uint64 {
+	var code uint64
+	i := 0
+	for _, r := range rels {
+		for i < len(q.Rels) && q.Rels[i] < r {
+			i++
+		}
+		if i == len(q.Rels) || q.Rels[i] != r {
+			return code | 1<<63
+		}
+		code |= 1 << uint(i)
+		i++
+	}
+	return code
+}
+
+// recordingCoster notes every call it passes on to inner, in call order,
+// coding relation lists over q.
 type recordingCoster struct {
 	inner optimizer.OperatorCoster
+	q     *plan.Query
 	mu    sync.Mutex
 	calls []costCall
 }
 
 func (r *recordingCoster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
+	c := costCall{
+		algo:  j.Algo,
+		ss:    math.Float64bits(j.SmallerInputGB()),
+		ls:    math.Float64bits(j.LargerInputGB()),
+		out:   math.Float64bits(j.OutputGB()),
+		rows:  math.Float64bits(j.Rows()),
+		lrows: math.Float64bits(j.Left.Rows()),
+		rrows: math.Float64bits(j.Right.Rows()),
+		rels:  relationsCode(r.q, j.Relations()),
+		lrels: relationsCode(r.q, j.Left.Relations()),
+		rrels: relationsCode(r.q, j.Right.Relations()),
+	}
 	r.mu.Lock()
-	r.calls = append(r.calls, costCall{algo: j.Algo, ss: math.Float64bits(j.SmallerInputGB())})
+	r.calls = append(r.calls, c)
 	r.mu.Unlock()
 	return r.inner.CostOperator(j)
 }
 
-// nnCoster records calls to the joint coster of the benchmark's cold
-// planning: hill climbing behind an empty nearest-neighbour resource-plan
-// cache, whose answers depend on the order it was asked in.
-func nnCoster() *recordingCoster {
-	return &recordingCoster{inner: &core.Coster{
+// nnCoster records calls, over q, to the joint coster of the benchmark's
+// cold planning: hill climbing behind an empty nearest-neighbour
+// resource-plan cache, whose answers depend on the order it was asked in.
+func nnCoster(q *plan.Query) *recordingCoster {
+	return &recordingCoster{q: q, inner: &core.Coster{
 		Models:    cost.PaperModels(),
 		Pricing:   cost.DefaultPricing(),
 		Resources: &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},

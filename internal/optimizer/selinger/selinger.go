@@ -7,16 +7,27 @@
 // one-leaf extensions of the masks level s planned by a leaf joinable with
 // them, visited in ascending mask order; a subset the join graph does not
 // connect is never generated, and a leaf not joinable with the rest of a
-// mask is skipped before any join is built. The candidates, their order
-// and so every costing call must stay those of a sweep over all 2^n masks:
-// the resource-plan cache answers by what it was asked before.
+// mask is skipped before any candidate is priced. The candidates, their
+// order and so every costing call must stay those of a sweep over all 2^n
+// masks: the resource-plan cache answers by what it was asked before.
 //
-// The DP's working state — the best-plan table, the per-level mask buffer,
-// the join scratch node and the node arena the winning sub-plans are
-// materialized in — lives in a sync.Pool of dpState values, so repeated
-// planning calls allocate near-zero: candidates are costed in a reusable
-// scratch node, only per-mask winners are materialized (in the arena), and
-// the final plan is deep-copied out before the state is recycled.
+// The DP works on values, not plan nodes. Its table holds, per planned
+// subset, the winner's recipe — the left input's mask, the right leaf, the
+// operator and its resources — with its cumulative cost and its estimated
+// output. A split's statistics come from the table: the left input's and
+// the leaf's estimates, and the product of the selectivities of the edges
+// between the leaf and the left input's members, taken from a per-query
+// leaf-pair vector in catalog.Index.CrossSelectivity's fold order (members
+// in ascending query index are in ascending rank: the query's relations
+// and the ranks are both name-sorted). The coster prices a
+// plan.JoinScratch candidate that reads as the join of the materialized
+// sub-plan with the leaf, and the one plan returned is built from the
+// recipes at the end and deep-copied out.
+//
+// That working state — the table, its entries' relation sets, the
+// per-level mask buffer, the candidate scratch and the arena the scans and
+// the returned plan are built in — lives in a sync.Pool of dpState
+// values, so repeated planning calls allocate near-zero.
 package selinger
 
 import (
@@ -24,8 +35,10 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
+	"raqo/internal/catalog"
 	"raqo/internal/optimizer"
 	"raqo/internal/plan"
 )
@@ -35,9 +48,10 @@ import (
 // randomized planner for the 100-table scaling experiments).
 const MaxRelations = 22
 
-// sliceTableMax is the largest relation count for which the DP table is a
-// dense mask-indexed slice (2^n entries); beyond it the table falls back
-// to a map to avoid multi-megabyte slabs for the rare huge query.
+// sliceTableMax is the largest relation count for which the DP table's
+// index is a dense mask-indexed slice (2^n slots); beyond it the index
+// falls back to a map to avoid multi-megabyte slabs for the rare huge
+// query.
 const sliceTableMax = 16
 
 // Planner is a Selinger-style left-deep query planner.
@@ -53,43 +67,50 @@ type Planner struct {
 	Ctx context.Context
 }
 
+// entry is one planned subset of the DP table: the recipe of its winning
+// plan, recorded by value, with the plan's cumulative cost and estimated
+// output. A leaf's entry has rest 0 and names the leaf itself.
 type entry struct {
-	node *plan.Node
-	cost optimizer.OpCost
-}
-
-// candidate is the outcome of costing every (subset, algo) pair for one
-// mask: a recipe for the winning join, recorded by value so losing
-// candidates never materialize plan nodes. Only the winner is rebuilt in
-// the arena.
-type candidate struct {
 	rest uint32 // mask of the left (smaller-subset) input
-	leaf int    // index of the right input relation
+	leaf int32  // query index of the right input relation
 	algo plan.JoinAlgo
 	res  plan.Resources
 	cost optimizer.OpCost // cumulative cost of the subtree
-	ok   bool
+	out  plan.Estimate
 }
 
 // dpState is the reusable working memory of one Plan call.
 type dpState struct {
-	arena    plan.Arena
-	leaves   []*plan.Node
-	adj      []uint64 // per leaf, the leaves it is joinable with (one word: n <= MaxRelations)
-	slice    []entry  // dense table, mask-indexed (n <= sliceTableMax)
-	m        map[uint32]entry
+	arena  plan.Arena
+	leaves []*plan.Node
+	ranks  []int     // per leaf, its table's rank in the schema's index
+	adj    []uint64  // per leaf, the leaves it is joinable with (one word: n <= MaxRelations)
+	sel    []float64 // sel[i*n+l]: the selectivity of the edge between leaves l and i, as CrossSelectivity multiplies it
+	n      int
+
+	// entries are the planned subsets, the leaves first, in the order they
+	// were planned; entry k's relation sets are sets[k*setWords:][:setWords].
+	entries  []entry
+	sets     []uint64
+	setWords int
+
+	// The table's index from mask to entry: a dense mask-indexed slice
+	// holding the entry's index + 1 (0: unplanned) up to sliceTableMax
+	// relations, a map holding the index beyond.
+	slot     []int32
+	m        map[uint32]int32
 	useSlice bool
-	level    []uint32 // masks of the current DP level, ascending
-	next     []uint64 // 2^n-bit set of the next level's masks; all zero between levels
-	scratch  plan.JoinScratch
+
+	level   []uint32 // masks of the current DP level, ascending
+	next    []uint64 // 2^n-bit set of the next level's masks; all zero between levels
+	scratch plan.JoinScratch
 }
 
 var statePool = sync.Pool{New: func() any { return new(dpState) }}
 
-// prepare sizes the table and the next-level bitmap for an n-relation
-// query and clears any previous run's entries (dpState.release drops the
-// node pointers; the table cells themselves are cleared here, bounded to
-// the 2^n cells this query uses).
+// prepare sizes the table index and the next-level bitmap for an
+// n-relation query and clears any previous run's slots (bounded to the 2^n
+// this query uses).
 func (st *dpState) prepare(n int) {
 	if words := (1<<uint(n) + 63) / 64; cap(st.next) < words {
 		st.next = make([]uint64, words)
@@ -98,83 +119,135 @@ func (st *dpState) prepare(n int) {
 	}
 	if n <= sliceTableMax {
 		size := 1 << uint(n)
-		if cap(st.slice) < size {
-			st.slice = make([]entry, size)
+		if cap(st.slot) < size {
+			st.slot = make([]int32, size)
 		} else {
-			st.slice = st.slice[:size]
-			for i := range st.slice {
-				st.slice[i] = entry{}
-			}
+			st.slot = st.slot[:size]
+			clear(st.slot)
 		}
 		st.useSlice = true
 		return
 	}
 	if st.m == nil {
-		st.m = make(map[uint32]entry, 1<<12)
+		st.m = make(map[uint32]int32, 1<<12)
 	} else {
 		clear(st.m)
 	}
 	st.useSlice = false
 }
 
-// release recycles the arena and drops all plan-node pointers so a pooled
-// state never retains a previous query's plans.
+// release recycles the arena and drops every plan-node pointer so a
+// pooled state never retains a previous query's plans.
 func (st *dpState) release() {
 	st.arena.Reset()
-	for i := range st.leaves {
-		st.leaves[i] = nil
-	}
+	clear(st.leaves)
 	st.leaves = st.leaves[:0]
-	if st.useSlice {
-		for i := range st.slice {
-			st.slice[i] = entry{}
-		}
-	} else if st.m != nil {
-		clear(st.m)
-	}
+	st.scratch = plan.JoinScratch{}
+	st.entries = st.entries[:0]
+	st.sets = st.sets[:0]
 	st.level = st.level[:0]
 }
 
-func (st *dpState) get(mask uint32) (entry, bool) {
+// lookup returns the index of mask's entry, if mask is planned.
+func (st *dpState) lookup(mask uint32) (int, bool) {
 	if st.useSlice {
-		e := st.slice[mask]
-		return e, e.node != nil
+		k := st.slot[mask]
+		return int(k) - 1, k != 0
 	}
-	e, ok := st.m[mask]
-	return e, ok
+	k, ok := st.m[mask]
+	return int(k), ok
 }
 
-func (st *dpState) put(mask uint32, e entry) {
+// add records e as mask's entry. Its relation sets must already be
+// st.sets' next setWords words.
+func (st *dpState) add(mask uint32, e entry) {
+	k := int32(len(st.entries))
+	st.entries = append(st.entries, e)
 	if st.useSlice {
-		st.slice[mask] = e
+		st.slot[mask] = k + 1
 		return
 	}
-	st.m[mask] = e
+	st.m[mask] = k
+}
+
+// setsOf returns the relation sets of entry k.
+func (st *dpState) setsOf(k int) []uint64 {
+	return st.sets[k*st.setWords : (k+1)*st.setWords]
+}
+
+// load builds the query's scans and derives its leaf-pair tables: the
+// join graph among the leaves and the selectivity of each of its edges.
+// The leaves become the table's first n entries.
+func (st *dpState) load(q *plan.Query) error {
+	g := q.Schema.Index()
+	n := len(q.Rels)
+	st.n, st.setWords = n, 2*g.Words()
+	st.adj = slices.Grow(st.adj[:0], n)[:n]
+	st.sel = slices.Grow(st.sel[:0], n*n)[:n*n]
+	st.ranks = st.ranks[:0]
+	for i, r := range q.Rels {
+		leaf, err := st.arena.Scan(q.Schema, r)
+		if err != nil {
+			return err
+		}
+		// The selectivity fold walks a mask's members in query order, which
+		// is CrossSelectivity's rank order only over name-sorted relations.
+		rank := g.Rank(r)
+		if i > 0 && rank <= st.ranks[i-1] {
+			return fmt.Errorf("selinger: query relations %v are not sorted and unique", q.Rels)
+		}
+		st.ranks = append(st.ranks, rank)
+		st.leaves = append(st.leaves, leaf)
+		st.sets = leaf.AppendSets(st.sets)
+		st.add(1<<uint(i), entry{leaf: int32(i), out: leaf.Estimate()})
+	}
+	for i := range n {
+		st.adj[i] = 0
+		for l := range n {
+			sel, ok := g.Selectivity(st.ranks[l], st.ranks[i])
+			if ok {
+				st.adj[i] |= 1 << uint(l)
+			}
+			st.sel[i*n+l] = sel
+		}
+	}
+	return nil
 }
 
 // bestFor prices every (subset, join-algo) candidate for one mask, reading
-// only entries of strictly smaller subsets from the table. Candidates are
-// built in the state's scratch node and only the winning recipe is
-// recorded, so no plan nodes are allocated. Ties keep the earlier
-// candidate (strict improvement only).
-func (p *Planner) bestFor(st *dpState, mask uint32, q *plan.Query, considered *int) candidate {
+// only entries of strictly smaller subsets from the table, and returns the
+// winner's entry. A split's statistics are derived once from the table and
+// shared by every join algorithm; the mask's relation sets, the same for
+// every split, are derived at the first and left as st.sets' next words.
+// Ties keep the earlier candidate (strict improvement only).
+func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, bool) {
 	sc := &st.scratch
-	var best candidate
+	var best entry
+	found := false
+	var sets []uint64
 	for sub := mask; sub != 0; sub &= sub - 1 {
 		i := bits.TrailingZeros32(sub)
 		rest := mask &^ (1 << uint(i))
-		if st.adj[i]&uint64(rest) == 0 {
+		nbr := rest & uint32(st.adj[i])
+		if nbr == 0 {
 			continue // cross product: relation i not joinable with rest
 		}
-		prev, ok := st.get(rest)
+		k, ok := st.lookup(rest)
 		if !ok {
 			continue // rest has no plan: disconnected, or no feasible one
 		}
-		// The candidate's statistics depend on its inputs only: derived
-		// once here, shared by every join algorithm below.
-		if _, err := sc.Join(q.Schema, plan.Algos[0], prev.node, st.leaves[i]); err != nil {
-			continue
+		prev, leaf := &st.entries[k], st.leaves[i]
+		if sets == nil {
+			at := len(st.entries) * st.setWords
+			st.sets = plan.AppendJoinSets(st.sets[:at], st.setsOf(k), leaf)
+			sets = st.sets[at:]
 		}
+		sel := 1.0
+		for row := st.sel[i*st.n:]; nbr != 0; nbr &= nbr - 1 {
+			sel *= row[bits.TrailingZeros32(nbr)]
+		}
+		out := plan.JoinEstimate(prev.out, st.entries[i].out, sel)
+		sc.Join(plan.Algos[0], prev.out, st.setsOf(k), leaf, out, sets)
 		for _, algo := range plan.Algos {
 			j := sc.Rejoin(algo)
 			oc, err := p.Coster.CostOperator(j)
@@ -183,38 +256,45 @@ func (p *Planner) bestFor(st *dpState, mask uint32, q *plan.Query, considered *i
 			}
 			*considered++
 			total := prev.cost.Add(oc)
-			if !best.ok || total.Seconds < best.cost.Seconds {
-				best = candidate{rest: rest, leaf: i, algo: algo, res: j.Res, cost: total, ok: true}
+			if !found || total.Seconds < best.cost.Seconds {
+				best = entry{rest: rest, leaf: int32(i), algo: algo, res: j.Res, cost: total, out: out}
+				found = true
 			}
 		}
 	}
-	return best
+	return best, found
 }
 
-// materialize rebuilds one winning candidate in the arena and records it
-// in the table.
-func (p *Planner) materialize(st *dpState, mask uint32, c candidate, q *plan.Query) error {
-	prev, ok := st.get(c.rest)
+// build materializes mask's winning plan in the arena from the recipes.
+func (st *dpState) build(s *catalog.Schema, mask uint32) (*plan.Node, error) {
+	k, ok := st.lookup(mask)
 	if !ok {
-		return fmt.Errorf("selinger: internal: winner for %b references missing subset %b", mask, c.rest)
+		return nil, fmt.Errorf("selinger: internal: no entry for subset %b", mask)
 	}
-	j, err := st.arena.Join(q.Schema, c.algo, prev.node, st.leaves[c.leaf])
+	e := &st.entries[k]
+	if e.rest == 0 {
+		return st.leaves[e.leaf], nil
+	}
+	left, err := st.build(s, e.rest)
 	if err != nil {
-		return fmt.Errorf("selinger: internal: rebuilding winner for %b: %w", mask, err)
+		return nil, err
 	}
-	j.Res = c.res
-	st.put(mask, entry{node: j, cost: c.cost})
-	return nil
+	j, err := st.arena.Join(s, e.algo, left, st.leaves[e.leaf])
+	if err != nil {
+		return nil, fmt.Errorf("selinger: internal: rebuilding the winner for %b: %w", mask, err)
+	}
+	j.Res = e.res
+	return j, nil
 }
 
-// nextLevel replaces st.level, the masks one DP level materialized, with
-// the candidate masks of the level above in ascending order: each
-// materialized mask extended by one leaf it is joinable with. Those are
-// exactly the masks bestFor can find a candidate for — every other mask of
-// that size has no split into a planned subset and a leaf joinable with it
-// — so the DP visits the connected subsets only, in the order a sweep of
-// all same-size masks would reach them. The extensions are deduplicated
-// and ordered through the st.next bitmap, which the drain leaves zero.
+// nextLevel replaces st.level, the masks one DP level planned, with the
+// candidate masks of the level above in ascending order: each planned
+// mask extended by one leaf it is joinable with. Those are exactly the
+// masks bestFor can find a candidate for — every other mask of that size
+// has no split into a planned subset and a leaf joinable with it — so the
+// DP visits the connected subsets only, in the order a sweep of all
+// same-size masks would reach them. The extensions are deduplicated and
+// ordered through the st.next bitmap, which the drain leaves zero.
 func (st *dpState) nextLevel() []uint32 {
 	lo, hi := len(st.next), -1
 	for _, m := range st.level {
@@ -256,16 +336,10 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 		statePool.Put(st)
 	}()
 	st.prepare(n)
-	for _, r := range q.Rels {
-		leaf, err := st.arena.Scan(q.Schema, r)
-		if err != nil {
-			return nil, err
-		}
-		st.leaves = append(st.leaves, leaf)
+	if err := st.load(q); err != nil {
+		return nil, err
 	}
-	st.adj = optimizer.AppendJoinGraph(st.adj[:0], st.leaves)
 	for i := 0; i < n; i++ {
-		st.put(1<<uint(i), entry{node: st.leaves[i]})
 		st.level = append(st.level, 1<<uint(i))
 	}
 	considered := 0
@@ -281,22 +355,25 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, fmt.Errorf("selinger: planning cancelled: %w", err)
 			}
-			if c := p.bestFor(st, mask, q, &considered); c.ok {
-				if err := p.materialize(st, mask, c, q); err != nil {
-					return nil, err
-				}
+			if e, ok := p.bestFor(st, mask, &considered); ok {
+				st.add(mask, e)
 				planned = append(planned, mask)
 			}
 		}
 		st.level = planned
 	}
-	e, ok := st.get(uint32(1)<<uint(n) - 1)
+	full := uint32(1)<<uint(n) - 1
+	k, ok := st.lookup(full)
 	if !ok {
 		return nil, fmt.Errorf("selinger: no feasible plan for %v", q.Rels)
 	}
+	root, err := st.build(q.Schema, full)
+	if err != nil {
+		return nil, err
+	}
 	// The winning tree lives in the pooled arena; deep-copy it out before
 	// the deferred release recycles the storage.
-	return &optimizer.Result{Plan: e.node.Clone(), Cost: e.cost, PlansConsidered: considered}, nil
+	return &optimizer.Result{Plan: root.Clone(), Cost: st.entries[k].cost, PlansConsidered: considered}, nil
 }
 
 // Exhaustive enumerates every left-deep join order and operator combination

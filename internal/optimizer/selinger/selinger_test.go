@@ -146,3 +146,20 @@ func TestExhaustiveLimit(t *testing.T) {
 		t.Error("8-relation exhaustive should be rejected")
 	}
 }
+
+// TestPlanRefusesUnsortedQuery: the DP folds selectivities over a mask's
+// members in query order, which is the index's rank order only when the
+// relations are name-sorted and unique, as NewQuery leaves them; a query
+// built by hand otherwise is refused, not planned with other statistics.
+func TestPlanRefusesUnsortedQuery(t *testing.T) {
+	s := catalog.TPCH(1)
+	for _, rels := range [][]string{
+		{catalog.Orders, catalog.Lineitem},
+		{catalog.Lineitem, catalog.Orders, catalog.Orders},
+	} {
+		_, err := (&Planner{Coster: coster()}).Plan(&plan.Query{Schema: s, Rels: rels})
+		if err == nil || !strings.Contains(err.Error(), "not sorted and unique") {
+			t.Errorf("%v: error %v, want a refusal", rels, err)
+		}
+	}
+}

@@ -9,11 +9,12 @@ import (
 // This file provides the zero-allocation construction paths the planners'
 // hot loops use: an Arena that hands out reusable Node storage in chunks,
 // and a JoinScratch that re-initializes one Node in place for
-// cost-and-discard candidate evaluation. Both recompute the same
-// statistics as NewScan/NewJoin — plans built through them are
+// cost-and-discard candidate evaluation. The arena recomputes the same
+// statistics as NewScan/NewJoin — plans built in it are
 // indistinguishable from heap-constructed ones except for lifetime:
 // arena nodes are valid only until the next Reset, and anything that
-// outlives the arena must be deep-copied out with Clone.
+// outlives the arena must be deep-copied out with Clone. The scratch
+// takes the statistics its caller derived.
 
 // arenaChunk is the node count of one arena slab. Chunks are fixed-size
 // so handed-out *Node pointers never move when the arena grows.
@@ -25,9 +26,9 @@ const arenaSetChunk = 1024
 
 // Arena allocates plan nodes (and their relation sets) from reusable
 // slabs. Reset recycles every outstanding node at once while keeping the
-// slabs, so a planner that builds thousands of DP entries per call
-// allocates only on its first use. An Arena is not safe for concurrent
-// use.
+// slabs, so a planner that builds thousands of nodes per call — random
+// trees and their mutations — allocates only on its first use. An Arena
+// is not safe for concurrent use.
 type Arena struct {
 	chunks [][]Node // fixed-size slabs; pointers into them are stable
 	ci     int      // chunk currently being carved
@@ -89,49 +90,50 @@ func (a *Arena) Scan(s *catalog.Schema, table string) (*Node, error) {
 // ErrStaleSchema) on rejected candidates so the planner's skip path stays
 // allocation-free.
 func (a *Arena) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node, error) {
-	rows, bytes, err := joinStats(s.Index(), left, right)
+	out, err := joinStats(s.Index(), left, right)
 	if err != nil {
 		return nil, err
 	}
 	n := a.alloc()
-	n.initJoin(algo, left, right, rows, bytes, a.carve(len(left.sets)))
+	n.initJoin(algo, left, right, out, a.carve(len(left.sets)))
 	return n, nil
 }
 
-// JoinScratch re-initializes a single join node in place, for hot loops
-// that build a candidate, cost it, and either discard it or copy the
-// few values worth keeping. The returned node aliases the scratch: it is
-// valid only until the next Join call, and must never be linked into a
-// tree that outlives it. Not safe for concurrent use.
+// JoinScratch re-initializes one join node in place for a dynamic
+// program that keeps its sub-plans as values, not nodes: the candidate it
+// hands the coster joins a stand-in for the left sub-plan — a node holding
+// the sub-plan's estimate and relation sets, with no inputs, operator or
+// resources of its own — to a right input node. Through Algo, Res, Rows,
+// Bytes, OutputGB, SmallerInputGB, LargerInputGB and Relations, and its
+// inputs' Rows, Bytes and Relations, the candidate reads as NewJoin's
+// join of the materialized sub-plan with right; nothing lies below the
+// stand-in, so the candidate is for pricing, not for walking (Signature,
+// String, Clone). It is valid only until the next Join, and must never be
+// linked into a tree that outlives it. Not safe for concurrent use.
 type JoinScratch struct {
-	n    Node
-	sets []uint64
+	n, left Node
 }
 
-// Join points the scratch node at a join of left and right, equivalent
-// to NewJoin but reusing the scratch's storage. Rejected candidates
-// return the bare sentinel errors (ErrOverlap, ErrCrossProduct,
-// ErrStaleSchema).
-func (sc *JoinScratch) Join(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node, error) {
-	rows, bytes, err := joinStats(s.Index(), left, right)
-	if err != nil {
-		return nil, err
-	}
-	if need := len(left.sets); cap(sc.sets) < need {
-		sc.sets = make([]uint64, need)
-	} else {
-		sc.sets = sc.sets[:need]
-	}
-	n := &sc.n
-	*n = Node{}
-	n.initJoin(algo, left, right, rows, bytes, sc.sets)
-	return n, nil
+// Join points the scratch node at the join under algo of a sub-plan, given
+// by its estimate and relation sets, with right. The caller derives the
+// join's estimate out (JoinEstimate) and relation sets (AppendJoinSets);
+// the scratch keeps the set slices, not copies. Both sides must have been
+// built against the schema's current index, and the join must be one
+// NewJoin accepts: Join checks nothing.
+func (sc *JoinScratch) Join(algo JoinAlgo, left Estimate, leftSets []uint64, right *Node, out Estimate, sets []uint64) *Node {
+	// Field by field: the fields not named stay zero from the start, while
+	// two whole-node copies per candidate took a tenth of the DP's time.
+	l, n := &sc.left, &sc.n
+	l.rows, l.bytes, l.g, l.sets = left.rows, left.bytes, right.g, leftSets
+	n.Algo, n.Left, n.Right, n.Res = algo, l, right, Resources{}
+	n.rows, n.bytes, n.g, n.sets = out.rows, out.bytes, right.g, sets
+	return n
 }
 
 // Rejoin re-initializes the scratch node as the same join under another
 // algorithm: the inputs, and so the statistics and relation sets, are
-// those of the last successful Join, while the resource annotation
-// starts afresh as it would from Join.
+// those of the last Join, while the resource annotation starts afresh as
+// it would from Join.
 func (sc *JoinScratch) Rejoin(algo JoinAlgo) *Node {
 	n := &sc.n
 	n.Algo = algo

@@ -20,8 +20,8 @@ import (
 // Sentinel errors for the candidate-rejection paths of join construction.
 // The planners treat a failed join candidate as control flow (skip the
 // candidate), so these are returned un-wrapped by the zero-allocation
-// constructors (Arena.Join, JoinScratch.Join); NewJoin wraps them with
-// the relation context for human-facing callers.
+// constructor Arena.Join; NewJoin wraps them with the relation context for
+// human-facing callers.
 var (
 	// ErrCrossProduct reports a join whose sides share no join-graph edge.
 	ErrCrossProduct = errors.New("plan: cross product join")
@@ -194,12 +194,12 @@ func (n *Node) initScan(g *catalog.Index, rank int, sets []uint64) {
 }
 
 // initJoin makes n the join of left and right, which joinStats accepted,
-// with the statistics it computed for them and its relation sets — the
+// with the estimate it computed for them and its relation sets — the
 // unions of the sides' — in sets (as long as theirs, contents arbitrary).
-func (n *Node) initJoin(algo JoinAlgo, left, right *Node, rows, bytes float64, sets []uint64) {
+func (n *Node) initJoin(algo JoinAlgo, left, right *Node, out Estimate, sets []uint64) {
 	n.Algo = algo
 	n.Left, n.Right = left, right
-	n.rows, n.bytes = rows, bytes
+	n.rows, n.bytes = out.rows, out.bytes
 	for i := range sets {
 		sets[i] = left.sets[i] | right.sets[i]
 	}
@@ -227,32 +227,50 @@ func NewJoin(s *catalog.Schema, algo JoinAlgo, left, right *Node) (*Node, error)
 	if left == nil || right == nil {
 		return nil, fmt.Errorf("plan: nil join input")
 	}
-	rows, bytes, err := joinStats(s.Index(), left, right)
+	out, err := joinStats(s.Index(), left, right)
 	if err != nil {
 		return nil, fmt.Errorf("plan: joining %v and %v: %w", left.Relations(), right.Relations(), err)
 	}
 	n := &Node{}
-	n.initJoin(algo, left, right, rows, bytes, make([]uint64, len(left.sets)))
+	n.initJoin(algo, left, right, out, make([]uint64, len(left.sets)))
 	return n, nil
 }
 
 // joinStats checks a candidate join of two subtrees and estimates its
-// output cardinality and size: |L|·|R|·∏(selectivities of join-graph
-// edges crossing the two sides). It returns ErrStaleSchema when a side was
-// not built against g, ErrOverlap when the sides share a relation and
+// output: JoinEstimate over the selectivities of the join-graph edges
+// crossing the two sides. It returns ErrStaleSchema when a side was not
+// built against g, ErrOverlap when the sides share a relation and
 // ErrCrossProduct when no edge crosses them.
-func joinStats(g *catalog.Index, left, right *Node) (rows, bytes float64, err error) {
+func joinStats(g *catalog.Index, left, right *Node) (Estimate, error) {
 	if left.g != g || right.g != g {
-		return 0, 0, ErrStaleSchema
+		return Estimate{}, ErrStaleSchema
 	}
 	if intersects(left.set(), right.set()) {
-		return 0, 0, ErrOverlap
+		return Estimate{}, ErrOverlap
 	}
 	sel, crossing := g.CrossSelectivity(left.set(), right.set(), right.nbr())
 	if crossing == 0 {
-		return 0, 0, ErrCrossProduct
+		return Estimate{}, ErrCrossProduct
 	}
-	rows = left.rows * right.rows * sel
+	return JoinEstimate(left.Estimate(), right.Estimate(), sel), nil
+}
+
+// Estimate is a plan's estimated output — its cardinality and its size in
+// bytes — as the plan's root node holds it. A planner that keeps its
+// sub-plans as values rather than nodes keeps their Estimates, and
+// JoinEstimate derives a join's from its inputs' as NewJoin would.
+type Estimate struct{ rows, bytes float64 }
+
+// Estimate returns the node's estimated output.
+func (n *Node) Estimate() Estimate { return Estimate{n.rows, n.bytes} }
+
+// JoinEstimate returns the estimated output of a join of left and right
+// whose crossing join-graph edges' selectivities multiply to sel:
+// |L|·|R|·sel rows (at least one), each as wide as a left row and a right
+// row together. sel must be folded in CrossSelectivity's order for the
+// estimate to be NewJoin's bit for bit.
+func JoinEstimate(left, right Estimate, sel float64) Estimate {
+	rows := left.rows * right.rows * sel
 	if rows < 1 {
 		rows = 1
 	}
@@ -260,7 +278,20 @@ func joinStats(g *catalog.Index, left, right *Node) (rows, bytes float64, err er
 	if left.rows > 0 && right.rows > 0 {
 		width = left.bytes/left.rows + right.bytes/right.rows
 	}
-	return rows, rows * width, nil
+	return Estimate{rows, rows * width}
+}
+
+// AppendSets appends the node's relation sets to dst, in the layout
+// JoinScratch.Join and AppendJoinSets take them.
+func (n *Node) AppendSets(dst []uint64) []uint64 { return append(dst, n.sets...) }
+
+// AppendJoinSets appends to dst the relation sets of the join of a
+// sub-plan whose sets are left with right: their unions.
+func AppendJoinSets(dst, left []uint64, right *Node) []uint64 {
+	for i, x := range left {
+		dst = append(dst, x|right.sets[i])
+	}
+	return dst
 }
 
 // Joinable reports whether any relation covered by a is joinable (shares a
@@ -522,8 +553,8 @@ func (n *Node) validate(g *catalog.Index) error {
 }
 
 // LeftDeep builds a left-deep plan joining the given relations in order with
-// the given algorithm at every join. It is a convenience for tests,
-// examples, and the Selinger planner's plan materialization.
+// the given algorithm at every join. It is a convenience for tests and
+// examples.
 func LeftDeep(s *catalog.Schema, algo JoinAlgo, rels ...string) (*Node, error) {
 	if len(rels) == 0 {
 		return nil, fmt.Errorf("plan: no relations")

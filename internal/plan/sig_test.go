@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -248,8 +249,10 @@ func TestArenaRejectsBadJoins(t *testing.T) {
 	}
 }
 
-// TestJoinScratchReuse: successive scratch joins reuse one node and stay
-// equivalent to NewJoin, with nothing of the previous join left behind.
+// TestJoinScratchReuse: successive scratch joins, each of a sub-plan held
+// as values with a node, reuse one node and its one left stand-in, and
+// read as NewJoin's join of the same inputs with nothing of the previous
+// join left behind.
 func TestJoinScratchReuse(t *testing.T) {
 	s := sigSchema(t)
 	la, _ := NewScan(s, "a")
@@ -257,27 +260,34 @@ func TestJoinScratchReuse(t *testing.T) {
 	lc, _ := NewScan(s, "c")
 
 	var sc JoinScratch
-	j1, err := sc.Join(s, SMJ, la, lb)
-	if err != nil {
-		t.Fatal(err)
+	join := func(algo JoinAlgo, left, right *Node) *Node {
+		t.Helper()
+		sel, _ := s.Index().CrossSelectivity(left.set(), right.set(), right.nbr())
+		out := JoinEstimate(left.Estimate(), right.Estimate(), sel)
+		return sc.Join(algo, left.Estimate(), left.AppendSets(nil), right, out, AppendJoinSets(nil, left.sets, right))
 	}
-	sig1 := j1.Signature()
-	j2, err := sc.Join(s, BHJ, lb, lc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j1 != j2 {
-		t.Fatal("scratch should reuse one node")
+	j1 := join(SMJ, la, lb)
+	j1.Res = Resources{Containers: 2, ContainerGB: 4}
+	rels1 := j1.Relations()
+	j2 := join(BHJ, lb, lc)
+	if j1 != j2 || j1.Left != j2.Left {
+		t.Fatal("scratch should reuse one node and one left stand-in")
 	}
 	ref, err := NewJoin(s, BHJ, lb, lc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Signature() != ref.Signature() || j2.Rows() != ref.Rows() {
-		t.Fatalf("scratch join diverges from NewJoin: %q vs %q", j2.Signature(), ref.Signature())
+	if j2.Algo != ref.Algo || !j2.Res.IsZero() || j2.Rows() != ref.Rows() || j2.Bytes() != ref.Bytes() ||
+		j2.SmallerInputGB() != ref.SmallerInputGB() || j2.LargerInputGB() != ref.LargerInputGB() ||
+		!slices.Equal(j2.Relations(), ref.Relations()) || !slices.Equal(j2.Left.Relations(), ref.Left.Relations()) {
+		t.Fatalf("scratch join diverges from NewJoin: %v %v over %v, NewJoin %v %v over %v",
+			j2.Algo, j2.Rows(), j2.Relations(), ref.Algo, ref.Rows(), ref.Relations())
 	}
-	if j2.Signature() == sig1 {
-		t.Fatal("stale signature survived scratch reuse")
+	if slices.Equal(j2.Relations(), rels1) {
+		t.Fatal("stale relation sets survived scratch reuse")
+	}
+	if r := sc.Rejoin(SMJ); r != j2 || r.Algo != SMJ || r.Rows() != ref.Rows() {
+		t.Fatalf("Rejoin: %v over %v rows %v", r.Algo, r.Relations(), r.Rows())
 	}
 }
 

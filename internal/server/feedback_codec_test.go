@@ -94,6 +94,18 @@ func bareFeedbackServer(t *testing.T, path string) *Server {
 	return &Server{rec: rec, journal: j, hist: hist, metrics: NewMetrics(telemetry.NewRegistry())}
 }
 
+// liveModelVersion is the version GET /v1/model reports.
+func liveModelVersion(t *testing.T, s *Server) uint64 {
+	t.Helper()
+	w := httptest.NewRecorder()
+	s.handleModel(w, httptest.NewRequest(http.MethodGet, "/v1/model", nil))
+	var m ModelResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &m); w.Code != http.StatusOK || err != nil {
+		t.Fatalf("GET /v1/model: %d %s (%v)", w.Code, w.Body, err)
+	}
+	return m.Version
+}
+
 // clip shortens a body for a failure message.
 func clip(body []byte) string {
 	if len(body) > 600 {
@@ -137,7 +149,12 @@ func serveFeedbackPair(t *testing.T, body []byte) (took bool, journal, parentJou
 	dir := t.TempDir()
 	serve := func(path string, handle func(*Server, http.ResponseWriter, *http.Request)) (*Server, *httptest.ResponseRecorder) {
 		s, w := bareFeedbackServer(t, filepath.Join(dir, path)), httptest.NewRecorder()
+		before := liveModelVersion(t, s)
 		handle(s, w, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
+		// Whatever the body, the live model version does not go back.
+		if after := liveModelVersion(t, s); after < before {
+			t.Fatalf("body %s: /v1/model version went from %d back to %d", clip(body), before, after)
+		}
 		return s, w
 	}
 	// Both handlers stamp untimestamped observations with the wall clock: a
@@ -354,7 +371,10 @@ func TestFeedbackJournalMatchesParentBytes(t *testing.T) {
 }
 
 // FuzzObservationDecode runs checkFeedbackBody on arbitrary bytes as the
-// request body and again as the one element of a batch.
+// request body and again as the one element of a batch. After each, the
+// history high-water mark is at most the server clock plus
+// feedback.MaxClockSkewSeconds, and the live /v1/model version has not
+// gone back.
 func FuzzObservationDecode(f *testing.F) {
 	for _, c := range feedbackBodies {
 		f.Add([]byte(c.body))

@@ -259,7 +259,8 @@ const maxServedSequence = 32
 // resource planner (see newServed), each later byte a request from
 // servedRequests and servedModes, or a fleet-style Recalibrator.Install of
 // the other model set. Every answer must equal a fresh optimizer's under
-// the set live at the time.
+// the set live at the time, and the live /v1/model version never goes
+// back.
 func FuzzServedOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 2})                   // Q2 after Q3, paper models
 	f.Add([]byte{0, 0, 1, 2, 3})             // the evaluation order
@@ -277,6 +278,7 @@ func FuzzServedOrder(f *testing.F) {
 		s := o.newServed(t, m, data[0]&2 != 0)
 		defer s.Close()
 		var history []string
+		version := liveModelVersion(t, s)
 		for _, b := range data[1:min(len(data), maxServedSequence+1)] {
 			i := int(b) % (len(pool) + 1)
 			if i == len(pool) {
@@ -285,11 +287,16 @@ func FuzzServedOrder(f *testing.F) {
 					t.Fatal("install of a newer version refused")
 				}
 				history = append(history, "install")
-				continue
+			} else {
+				req := pool[i]
+				o.check(t, s, m, i, req, history)
+				history = append(history, req.Query+strings.Join(req.Relations, ",")+req.Mode)
 			}
-			req := pool[i]
-			o.check(t, s, m, i, req, history)
-			history = append(history, req.Query+strings.Join(req.Relations, ",")+req.Mode)
+			v := liveModelVersion(t, s)
+			if v < version {
+				t.Fatalf("after %v: /v1/model version went from %d back to %d", history, version, v)
+			}
+			version = v
 		}
 	})
 }

@@ -218,6 +218,9 @@ func TestSubmitCodecMatchesParent(t *testing.T) {
 	}
 }
 
+// FuzzSubmitDecode runs checkSubmitBody on arbitrary bytes, then drains
+// both servers' cloud pools, which keeps the pair alike, and requires the
+// cloud arbiter's accounting to have lost no submission.
 func FuzzSubmitDecode(f *testing.F) {
 	for _, s := range submitSeeds {
 		f.Add([]byte(s))
@@ -225,6 +228,17 @@ func FuzzSubmitDecode(f *testing.F) {
 	p := newSubmitPair(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		p.checkSubmitBody(t, body)
+		for _, s := range []*Server{p.s, p.ref} {
+			w := httptest.NewRecorder()
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/cloud/stats?drain=1", nil))
+			var st cloud.Stats
+			if err := json.Unmarshal(w.Body.Bytes(), &st); w.Code != http.StatusOK || err != nil {
+				t.Fatalf("body %s: GET /v1/cloud/stats?drain=1: %d %s (%v)", clip(body), w.Code, w.Body, err)
+			}
+			if st.Lost != 0 {
+				t.Fatalf("body %s: %d submissions lost after the drain: %+v", clip(body), st.Lost, st)
+			}
+		}
 	})
 }
 
