@@ -21,11 +21,11 @@
 package arbiter
 
 import (
+	"errors"
 	"fmt"
 
 	"raqo/internal/cloud"
 	"raqo/internal/core"
-	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/feedback"
 	"raqo/internal/scheduler"
@@ -287,18 +287,12 @@ func (a *Arbiter) complete(o *cloud.Outcome, d *core.Decision, res *execsim.Resu
 	if ob == nil {
 		return nil
 	}
-	predicted, money := d.Time, d.Money
-	if predicted <= 0 {
-		// Degraded plans carry no planner prediction; price them with the
-		// live models so the recorded error measures the model in charge.
-		v, err := ob.Recal.Models().PlanVector(d.Plan, cost.DefaultPricing())
-		if err != nil {
-			return nil // unpriceable plan: skip
-		}
-		predicted, money = v.Time, v.Money
+	// Degraded plans carry no planner prediction; the observer prices them
+	// with the live models and skips one they cannot price. Best-effort: a
+	// rejected observation is dropped, not fatal.
+	if _, err := ob.RecordAt(at, cloud.Engine().Name, d.Plan, d.Time, d.Money, res); errors.Is(err, feedback.ErrUnpriced) {
+		return nil
 	}
-	// Best-effort: a rejected observation is dropped, not fatal.
-	_, _ = ob.RecordAt(at, cloud.Engine().Name, d.Plan, predicted, money, res)
 	a.sinceRecal++
 	if a.cfg.RecalEvery > 0 && a.sinceRecal >= a.cfg.RecalEvery {
 		a.sinceRecal = 0

@@ -372,8 +372,14 @@ func Finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }
 // AppendFloat formats a finite float64 the way encoding/json does: the
 // shortest representation that round-trips, exponent form below 1e-6 and
 // from 1e21, with a two-digit exponent's leading zero dropped. It is the
-// one float formatter of the hand-written encoders.
+// one float formatter of the hand-written encoders. An integral value
+// below 1e15 in magnitude — a container size, a zero wait — is its integer
+// digits, which strconv.AppendInt writes without the shortest-digits
+// search; −0 keeps its sign through the general path.
 func AppendFloat(b []byte, f float64) []byte {
+	if i := int64(f); float64(i) == f && i > -1e15 && i < 1e15 && (i != 0 || !math.Signbit(f)) {
+		return strconv.AppendInt(b, i, 10)
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'

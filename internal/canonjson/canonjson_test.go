@@ -227,6 +227,28 @@ func TestAppendFloat(t *testing.T) {
 			t.Errorf("Float(%s) = %v, %d; want %v, %d", want, got, end, f, len(want))
 		}
 	}
+	// Integral doubles take the integer path below 1e15: each, its
+	// negation and its neighbours one ulp either side, up to 2^53 and past
+	// it, where the path ends.
+	var integral []float64
+	for _, f := range []float64{1, 2, 3, 7, 10, 64, 100, 1000, 12345, 1 << 31, 1 << 32, 1<<40 + 1, 123456789012,
+		1e14, 1e15 - 1, 1e15, 1e15 + 1, 1e16, 1<<53 - 1, 1 << 53, 1<<53 + 2, 1 << 62, 1 << 63, 1e19, 1e20} {
+		integral = append(integral, f, math.Nextafter(f, 0), math.Nextafter(f, math.Inf(1)))
+	}
+	for _, f := range integral {
+		for _, v := range []float64{f, -f} {
+			want, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := AppendFloat(nil, v); string(got) != string(want) {
+				t.Errorf("AppendFloat(%v) = %s, json.Marshal %s", v, got, want)
+			}
+		}
+	}
+	if got := AppendFloat(nil, math.Copysign(0, -1)); string(got) != "-0" {
+		t.Errorf("AppendFloat(-0) = %s, want -0", got)
+	}
 }
 
 // floatHardCases are literals at the edges of Float's one pass and of
@@ -284,13 +306,21 @@ func TestFloatSweep(t *testing.T) {
 			f = math.Pow(10, rng.Float64()*32-9)
 		case 2: // what clients write: short decimals
 			f = float64(rng.Int63n(1e7)) / math.Pow(10, float64(rng.Intn(8)))
-		default: // the whole table
+		default: // the whole table, and every eighth an integer
 			f = rng.Float64() * math.Pow(10, float64(rng.Intn(70)-35))
+			if k%8 == 3 {
+				f = math.Trunc(f)
+			}
 		}
 		if rng.Intn(2) == 0 {
 			f = -f
 		}
 		buf = AppendFloat(buf[:0], f)
+		if k%4 == 3 {
+			if want, _ := json.Marshal(f); string(buf) != string(want) {
+				t.Fatalf("AppendFloat(%v) = %s, json.Marshal %s", f, buf, want)
+			}
+		}
 		checkFloat(t, buf, 0)
 		if got, _ := Float(buf, 0); math.Float64bits(got) != math.Float64bits(f) {
 			t.Fatalf("Float(%s) = %v, want %v", buf, got, f)

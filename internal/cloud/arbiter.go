@@ -12,6 +12,7 @@ import (
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
 	"raqo/internal/scheduler"
+	"raqo/internal/telemetry"
 	"raqo/internal/units"
 )
 
@@ -281,6 +282,14 @@ type tenantState struct {
 	billed units.USD
 }
 
+// popHead removes the queue head in place, so the queue keeps its
+// capacity for the next submission.
+func (ts *tenantState) popHead() {
+	n := copy(ts.queue, ts.queue[1:])
+	ts.queue[n] = nil
+	ts.queue = ts.queue[:n]
+}
+
 // offer is one class a queue head may run on, with the conditions the
 // class offers the head's tenant at scan time.
 type offer struct {
@@ -315,16 +324,21 @@ type Arbiter struct {
 	reopt       *core.Incremental
 	tenants     []*tenantState // config order — the deterministic scan order
 	byName      map[string]*tenantState
-	inflight    map[int64]*running // by pool token; never ranged
+	inflight    map[int64]running // by pool token; never ranged
 	completed   []Outcome
 	done        Outcome // the completion being handed to Hooks.Completed
 	pref        []int   // class indices in admission-preference order
 	totalWeight float64
-	joinBuf     []*plan.Node // reused by degrade's clamp walk
-	offerBuf    []offer      // the scanned head's offers
-	stashBuf    []offer      // the stashed heads' offers, per round
+	offerBuf    []offer   // the scanned head's offers
+	stashBuf    []offer   // the stashed heads' offers, per round
+	stash       []stashed // the round's stashed heads
 	drawSeq     int64
 	n           Counts
+	// With Metrics set: the spend meters, one per class then one per
+	// tenant, and each class's tier admission counter, resolved at its
+	// first use.
+	spend    []spendMeter
+	admitted []*telemetry.Counter
 }
 
 // New validates the configuration and builds an idle arbiter.
@@ -363,7 +377,7 @@ func New(cfg Config) (*Arbiter, error) {
 	a.pool, a.inj, a.scaler = pool, inj, scaler
 	a.reopt = core.NewIncremental(cfg.Optimizer)
 	a.byName = make(map[string]*tenantState, len(cfg.Tenants))
-	a.inflight = make(map[int64]*running)
+	a.inflight = make(map[int64]running)
 	for _, tc := range cfg.Tenants {
 		if tc.Name == "" {
 			return nil, a.errorf("tenant with empty name")
@@ -398,6 +412,15 @@ func New(cfg Config) (*Arbiter, error) {
 		}
 		return cx.Name < cy.Name
 	})
+	if m := cfg.Metrics; m != nil {
+		a.admitted = make([]*telemetry.Counter, pool.Classes())
+		for i := 0; i < pool.Classes(); i++ {
+			a.spend = append(a.spend, spendMeter{vec: m.Spend, key: pool.Class(i).Name})
+		}
+		for _, ts := range a.tenants {
+			a.spend = append(a.spend, spendMeter{vec: m.TenantSpend, key: ts.cfg.Name})
+		}
+	}
 	a.observe()
 	return a, nil
 }
@@ -628,12 +651,12 @@ func (a *Arbiter) observe() {
 	}
 	m.Capacity.Set(int64(a.pool.Capacity()))
 	m.InUse.Set(int64(a.pool.InUse()))
-	for i := 0; i < a.pool.Classes(); i++ {
-		name := a.pool.Class(i).Name
-		m.observeSpend(m.Spend, name, a.pool.SpendOf(i))
+	classes := a.pool.Classes()
+	for i := 0; i < classes; i++ {
+		a.spend[i].observe(a.pool.SpendOf(i))
 	}
-	for _, ts := range a.tenants {
-		m.observeSpend(m.TenantSpend, ts.cfg.Name, ts.billed)
+	for i, ts := range a.tenants {
+		a.spend[classes+i].observe(ts.billed)
 	}
 }
 
@@ -774,7 +797,7 @@ func (a *Arbiter) start(p *pending, ci int, d *core.Decision, replanned bool) er
 		if !errors.As(err, &oom) {
 			return a.errorf("executing %s/%s: %w", p.arr.Tenant, p.arr.Query, err)
 		}
-		p.ts.queue = p.ts.queue[1:]
+		p.ts.popHead()
 		p.failed = true
 		a.n.Failed++
 		return nil
@@ -785,12 +808,11 @@ func (a *Arbiter) start(p *pending, ci int, d *core.Decision, replanned bool) er
 // degrade clamps a copy of head p's submitted plan onto the first offer
 // whose clamp can execute and holds it there. When no clamp can (the
 // broadcast build side no longer fits the shrunken containers), the head
-// stays queued for the next event.
+// stays queued for the next event. The memo clamps and runs each of its
+// decisions once per offered conditions (core.Incremental.Clamp).
 func (a *Arbiter) degrade(p *pending, offers []offer) (bool, error) {
 	for _, o := range offers {
-		clamped, buf := scheduler.ClampClone(p.dec.Plan, o.cond, a.joinBuf)
-		a.joinBuf = buf
-		res, err := Engine().Execute(clamped, cost.DefaultPricing())
+		clamped, res, err := a.reopt.Clamp(p.q, p.dec, o.cond, Engine(), cost.DefaultPricing())
 		if err != nil {
 			var oom *execsim.OOMError
 			if errors.As(err, &oom) {
@@ -798,8 +820,7 @@ func (a *Arbiter) degrade(p *pending, offers []offer) (bool, error) {
 			}
 			return false, a.errorf("executing %s/%s: %w", p.arr.Tenant, p.arr.Query, err)
 		}
-		// A clamped plan carries no planner prediction (Time 0).
-		return true, a.place(p, o.class, &core.Decision{Plan: clamped}, res, false, true)
+		return true, a.place(p, o.class, clamped, res, false, true)
 	}
 	a.n.DegradeStalls++
 	return false, nil
@@ -821,7 +842,7 @@ func (a *Arbiter) place(p *pending, ci int, d *core.Decision, res *execsim.Resul
 	if err != nil {
 		return a.errorf("%s/%s: %w", p.arr.Tenant, p.arr.Query, err)
 	}
-	ts.queue = ts.queue[1:]
+	ts.popHead()
 	ts.held += gang.Containers
 	m := a.cfg.Metrics
 	if draw.Straggler {
@@ -859,7 +880,7 @@ func (a *Arbiter) place(p *pending, ci int, d *core.Decision, res *execsim.Resul
 		BillUSD:      p.billUSD,
 	}
 	p.admitted = out
-	a.inflight[tok] = &running{
+	a.inflight[tok] = running{
 		p: p, class: ci, start: now, execSeconds: draw.ExecSeconds,
 		dec: d, res: res, degraded: degraded, replanned: replanned,
 	}
@@ -871,7 +892,11 @@ func (a *Arbiter) place(p *pending, ci int, d *core.Decision, res *execsim.Resul
 		a.n.Degraded++
 	}
 	if m != nil {
-		m.Admissions.With(tierLabel(def.Tier)).Inc()
+		c := &a.admitted[ci]
+		if *c == nil {
+			*c = m.Admissions.With(tierLabel(def.Tier))
+		}
+		(*c).Inc()
 		m.QueueWait.Observe(out.QueueSeconds)
 	}
 	if p.lastRevokeAt >= 0 {
@@ -904,7 +929,7 @@ func (a *Arbiter) place(p *pending, ci int, d *core.Decision, res *execsim.Resul
 // fits.
 func (a *Arbiter) admitRound(fairShare bool) (bool, error) {
 	progress := false
-	var stash []stashed
+	stash := a.stash[:0]
 	a.stashBuf = a.stashBuf[:0]
 	for _, ts := range a.tenants {
 	scan:
@@ -962,6 +987,8 @@ func (a *Arbiter) admitRound(fairShare bool) (bool, error) {
 			break
 		}
 	}
+	clear(stash)
+	a.stash = stash[:0]
 	return progress, nil
 }
 

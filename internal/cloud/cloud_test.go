@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,6 +17,7 @@ import (
 	"raqo/internal/execsim"
 	"raqo/internal/feedback"
 	"raqo/internal/plan"
+	"raqo/internal/scheduler"
 	"raqo/internal/telemetry"
 	"raqo/internal/units"
 	"raqo/internal/workload"
@@ -524,12 +526,22 @@ func TestGenerateTraceDeterministicAndOrdered(t *testing.T) {
 }
 
 // TestMemoizedExecutionsMatchFresh: every simulated execution an admission
-// uses equals a fresh Engine().Execute of its plan, bit for bit, before and
-// after a fleet model Install swaps the optimizer's models. Memoized
-// decisions share one result across their admissions; the swap drops
-// them, so no admission after it reuses a result from before.
+// uses equals a fresh Engine().Execute of its plan, bit for bit, and every
+// degraded admission's plan equals a fresh scheduler.ClampClone of the
+// submitted plan onto the conditions its class offered — under Wait,
+// Degrade and Reoptimize admission and every recovery, on a faulty market
+// whose classes differ in container size. Memoized decisions and their
+// clamps share one result across admissions. Neither outlives its
+// decision: after the FIFO eviction of a query's submitted decision, and
+// after a fleet model Install swaps the optimizer's models, no admission
+// reuses a result from before.
 func TestMemoizedExecutionsMatchFresh(t *testing.T) {
-	cfg := testConfig(t, testMarket(false))
+	cfg := testConfig(t, cloud.Market{Classes: []cloud.InstanceClass{
+		{Name: "od-10g", Tier: cloud.OnDemand, ContainerGB: 10, Count: 100, Price: cloud.OnDemandRate(10)},
+		{Name: "spot-10g", Tier: cloud.Spot, ContainerGB: 10, Count: 40, Price: cloud.SpotRate(10, 0.7)},
+		{Name: "spot-6g", Tier: cloud.Spot, ContainerGB: 6, Count: 40, Price: cloud.SpotRate(6, 0.5)},
+	}})
+	cfg.Faults = cloud.FaultConfig{Seed: 7, SpotMeanLifeSeconds: 7200, StragglerProb: 0.1, OOMProb: 0.02}
 	models, _ := testFixtures(t)
 	rec := feedback.NewRecalibrator(feedback.NewStore(16, nil), feedback.NewDetector(feedback.DriftConfig{}), models)
 	rec.OnSwap(func(_ feedback.Recalibration, info *feedback.ModelInfo) {
@@ -537,49 +549,108 @@ func TestMemoizedExecutionsMatchFresh(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	uses := make(map[*execsim.Result]int)
+	var a *cloud.Arbiter
+	uses := make(map[*execsim.Result]int)    // results admissions ran, by use
+	clamped := make(map[*execsim.Result]int) // results degraded admissions ran
+	cfg.Hooks.Admitted = func(o *cloud.Outcome) {
+		adm := a.LastAdmission()
+		fresh, err := cloud.Engine().Execute(adm.Ran.Plan, cost.DefaultPricing())
+		if err != nil || !reflect.DeepEqual(adm.Res, fresh) {
+			t.Errorf("%s/%s: admitted %+v, fresh %+v (%v)", o.Tenant, o.Query, adm.Res, fresh, err)
+		}
+		uses[adm.Res]++
+		if !o.Degraded {
+			return
+		}
+		want, _ := scheduler.ClampClone(adm.Submitted.Plan, adm.Offered, nil)
+		if !adm.Ran.Plan.Equal(want) || adm.Ran.Time != 0 {
+			t.Errorf("%s/%s degraded onto %+v: ran %s (time %g), want %s", o.Tenant, o.Query, adm.Offered,
+				adm.Ran.Plan.SignatureWithResources(), adm.Ran.Time, want.SignatureWithResources())
+		}
+		clamped[adm.Res]++
+	}
 	cfg.Hooks.Completed = func(o *cloud.Outcome, d *core.Decision, res *execsim.Result) error {
 		fresh, err := cloud.Engine().Execute(d.Plan, cost.DefaultPricing())
 		if err != nil || !reflect.DeepEqual(res, fresh) {
 			t.Errorf("%s/%s: executed %+v, fresh %+v (%v)", o.Tenant, o.Query, res, fresh, err)
 		}
-		uses[res]++
 		return nil
 	}
-	a, err := cloud.New(cfg)
-	if err != nil {
+	var err error
+	if a, err = cloud.New(cfg); err != nil {
 		t.Fatal(err)
 	}
-	run := func() map[*execsim.Result]int {
+	tenants := []string{"etl", "bi", "adhoc"}
+	submit := func(i int, query string, policy scheduler.Policy, rec cloud.Recovery) {
+		t.Helper()
+		arr := cloud.Arrival{Tenant: tenants[i%len(tenants)], Query: query, Time: a.Now(), Recovery: rec}
+		if _, err := a.SubmitWaitWith(arr, policy); err != nil && !errors.Is(err, cloud.ErrRejected) &&
+			!strings.Contains(err.Error(), "failed to execute") {
+			t.Fatal(err)
+		}
+	}
+	// run submits n arrivals of queries under every policy and recovery,
+	// drains, and returns the results the admissions and the degraded
+	// ones ran.
+	run := func(n int, queries ...string) (all, degraded map[*execsim.Result]int) {
 		t.Helper()
 		clear(uses)
-		queries := []string{workload.Q12, workload.Q3, workload.Q2, workload.All}
-		for i := 0; i < 48; i++ {
-			if _, err := a.SubmitWait("etl", queries[i%len(queries)], cloud.RecoverReoptimize); err != nil {
-				t.Fatal(err)
-			}
+		clear(clamped)
+		for i := 0; i < n; i++ {
+			submit(i, queries[i%len(queries)], scheduler.Policy(i%3), cloud.Recovery(i/3%3))
 		}
 		if err := a.Drain(); err != nil {
 			t.Fatal(err)
 		}
 		shared := 0
-		for _, n := range uses {
+		for _, n := range clamped {
 			if n > 1 {
 				shared++
 			}
 		}
 		if shared == 0 {
-			t.Fatalf("48 admissions of four queries shared no execution: %d results", len(uses))
+			t.Fatalf("%d degraded admissions shared no clamp: %d results", len(clamped), len(clamped))
 		}
-		return maps.Clone(uses)
+		return maps.Clone(uses), maps.Clone(clamped)
 	}
-	before := run()
+	reused := func(before, after map[*execsim.Result]int) bool {
+		for res := range after {
+			if before[res] > 0 {
+				return true
+			}
+		}
+		return false
+	}
+
+	_, beforeClamps := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All)
+	n := a.Counts()
+	if n.Degraded == 0 || n.Recovered[cloud.RecoverReoptimize] == 0 || n.Recovered[cloud.RecoverOnDemand] == 0 ||
+		n.Recovered[cloud.RecoverDegrade] == 0 || n.Admitted[scheduler.Wait] == 0 {
+		t.Fatalf("the stream misses an admission path: %+v", n)
+	}
+
+	// Evict Q12's submitted decision from the arbiter's memo: plan Q12
+	// through it under more distinct conditions than the memo holds.
+	_, queries := testFixtures(t)
+	base := cluster.Default()
+	for i := 0; i < 130; i++ {
+		cond, err := base.Restrict(1+i%base.MaxContainers, base.MaxContainerGB-float64(i/base.MaxContainers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := a.Reoptimizer().Optimize(queries[workload.Q12], cond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, clamps := run(120, workload.Q12); reused(beforeClamps, clamps) {
+		t.Error("a degraded admission after its decision's eviction reused a clamp from before it")
+	}
+
+	before, _ := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All)
 	if !rec.Install(2, cost.PaperModels(), 0) {
 		t.Fatal("Install refused a newer version")
 	}
-	for res := range run() {
-		if before[res] > 0 {
-			t.Fatal("an admission after the model swap reused an execution from before it")
-		}
+	if after, _ := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All); reused(before, after) {
+		t.Fatal("an admission after the model swap reused an execution from before it")
 	}
 }

@@ -39,10 +39,6 @@ type Metrics struct {
 	QueueWait *telemetry.Histogram
 	// RecoveryWait observes virtual seconds from revocation to re-admission.
 	RecoveryWait *telemetry.Histogram
-
-	// seen tracks the microdollar totals already exported per spend
-	// family, so continuous accrual maps onto monotone counter deltas.
-	seen map[*telemetry.CounterVec]map[string]int64
 }
 
 // cloudWaitBuckets spans queue and recovery waits from instant re-admission
@@ -80,22 +76,28 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 			"Virtual seconds from arrival to admission (per admission attempt).", cloudWaitBuckets),
 		RecoveryWait: r.Histogram("raqo_cloud_recovery_wait_virtual_seconds",
 			"Virtual seconds from revocation to re-admission.", cloudWaitBuckets),
-		seen: make(map[*telemetry.CounterVec]map[string]int64),
 	}
 }
 
-// observeSpend exports an accruing dollar total as a monotone counter:
-// only the microdollars not yet exported are added.
-func (m *Metrics) observeSpend(vec *telemetry.CounterVec, key string, total units.USD) {
+// spendMeter exports one accruing dollar total — a class's or a tenant's
+// spend — as a monotone counter: only the microdollars not yet exported
+// are added. The counter is resolved at the first positive delta, so a
+// series appears once it has spent something.
+type spendMeter struct {
+	vec  *telemetry.CounterVec
+	key  string
+	c    *telemetry.Counter
+	seen int64 // microdollars exported so far
+}
+
+func (s *spendMeter) observe(total units.USD) {
 	micro := total.Microdollars()
-	byKey := m.seen[vec]
-	if byKey == nil {
-		byKey = make(map[string]int64)
-		m.seen[vec] = byKey
-	}
-	if delta := micro - byKey[key]; delta > 0 {
-		vec.With(key).Add(delta)
-		byKey[key] = micro
+	if delta := micro - s.seen; delta > 0 {
+		if s.c == nil {
+			s.c = s.vec.With(s.key)
+		}
+		s.c.Add(delta)
+		s.seen = micro
 	}
 }
 

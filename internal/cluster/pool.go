@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Pool tracks the container occupancy of a shared cluster over virtual
 // time: a fixed capacity of containers, gang allocations held until their
@@ -22,6 +19,7 @@ type Pool struct {
 	now      float64
 	seq      int64
 	running  allocHeap
+	released []Release // Advance's answer, reused by the next call
 }
 
 // allocation is one gang of containers held until a virtual finish time.
@@ -32,23 +30,68 @@ type allocation struct {
 	token      int64 // allocation order; ties on finish release in this order
 }
 
+// allocHeap is a min-heap of allocations by (finish, token). Its push,
+// pop and remove sift exactly as container/heap's do, without boxing each
+// allocation in an interface.
 type allocHeap []allocation
 
-func (h allocHeap) Len() int { return len(h) }
-func (h allocHeap) Less(i, j int) bool {
+func (h allocHeap) less(i, j int) bool {
 	if h[i].finish != h[j].finish {
 		return h[i].finish < h[j].finish
 	}
 	return h[i].token < h[j].token
 }
-func (h allocHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *allocHeap) Push(x interface{}) { *h = append(*h, x.(allocation)) }
-func (h *allocHeap) Pop() interface{} {
+
+func (h allocHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h allocHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	return i > i0
+}
+
+func (h *allocHeap) push(a allocation) {
+	*h = append(*h, a)
+	h.up(len(*h) - 1)
+}
+
+// remove removes and returns the allocation at index i; remove(0) pops
+// the minimum.
+func (h *allocHeap) remove(i int) allocation {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	if n != i {
+		old[i], old[n] = old[n], old[i]
+		if !old.down(i, n) {
+			old.up(i)
+		}
+	}
+	a := old[n]
+	*h = old[:n]
+	return a
 }
 
 // Release reports one allocation returned to the pool by Advance.
@@ -84,11 +127,11 @@ func (p *Pool) InUse() int { return p.capacity - p.free }
 func (p *Pool) HeldGB() float64 { return p.heldGB }
 
 // Running returns the number of outstanding allocations.
-func (p *Pool) Running() int { return p.running.Len() }
+func (p *Pool) Running() int { return len(p.running) }
 
 // NextFinish returns the earliest outstanding finish time, if any.
 func (p *Pool) NextFinish() (float64, bool) {
-	if p.running.Len() == 0 {
+	if len(p.running) == 0 {
 		return 0, false
 	}
 	return p.running[0].finish, true
@@ -112,28 +155,29 @@ func (p *Pool) Allocate(containers int, gbEach, finish float64) (int64, error) {
 	tok := p.seq
 	p.free -= containers
 	p.heldGB += float64(containers) * gbEach
-	heap.Push(&p.running, allocation{finish: finish, containers: containers, gbEach: gbEach, token: tok})
+	p.running.push(allocation{finish: finish, containers: containers, gbEach: gbEach, token: tok})
 	return tok, nil
 }
 
 // Advance moves the virtual clock to t (never backwards) and releases
 // every allocation finishing at or before t, in (finish, allocation order)
 // — a deterministic release order regardless of how the heap happened to
-// settle.
+// settle. The returned slice is valid until the next Advance.
 func (p *Pool) Advance(t float64) []Release {
 	if t > p.now {
 		p.now = t
 	}
-	var out []Release
-	for p.running.Len() > 0 && p.running[0].finish <= p.now {
-		a := heap.Pop(&p.running).(allocation)
+	out := p.released[:0]
+	for len(p.running) > 0 && p.running[0].finish <= p.now {
+		a := p.running.remove(0)
 		p.free += a.containers
 		p.heldGB -= float64(a.containers) * a.gbEach
 		out = append(out, Release{Token: a.token, Finish: a.finish, Containers: a.containers, GBEach: a.gbEach})
 	}
-	if p.running.Len() == 0 || p.heldGB < 0 {
+	if len(p.running) == 0 || p.heldGB < 0 {
 		p.heldGB = 0 // forgive float summation drift once idle
 	}
+	p.released = out
 	return out
 }
 
@@ -151,11 +195,10 @@ func (p *Pool) Revoke(token int64) (Release, bool) {
 		if p.running[i].token != token {
 			continue
 		}
-		a := p.running[i]
-		heap.Remove(&p.running, i)
+		a := p.running.remove(i)
 		p.free += a.containers
 		p.heldGB -= float64(a.containers) * a.gbEach
-		if p.running.Len() == 0 || p.heldGB < 0 {
+		if len(p.running) == 0 || p.heldGB < 0 {
 			p.heldGB = 0
 		}
 		return Release{Token: a.token, Finish: a.finish, Containers: a.containers, GBEach: a.gbEach}, true

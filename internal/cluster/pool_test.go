@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -418,6 +419,55 @@ func TestRunMatchesConditionsAtOccupancy(t *testing.T) {
 		}
 		if cond.MaxContainers != want {
 			t.Fatalf("t=%g: conditionsAt says %d free, Run says %d", probe, cond.MaxContainers, want)
+		}
+	}
+}
+
+// refHeap is allocHeap through container/heap, the order it must keep.
+type refHeap []allocation
+
+func (h refHeap) Len() int           { return len(h) }
+func (h refHeap) Less(i, j int) bool { return allocHeap(h).less(i, j) }
+func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)        { *h = append(*h, x.(allocation)) }
+func (h *refHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestAllocHeapMatchesContainerHeap: random pushes, pops and removes,
+// with finish times drawn from a few values so ties are common, leave the
+// typed heap's array equal to container/heap's after every step and
+// return the same allocations.
+func TestAllocHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var got allocHeap
+	var want refHeap
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(5); {
+		case op < 2 || len(got) == 0:
+			a := allocation{finish: float64(rng.Intn(8)), containers: rng.Intn(4) + 1, token: int64(step)}
+			got.push(a)
+			heap.Push(&want, a)
+		case op < 4:
+			if g, w := got.remove(0), heap.Pop(&want).(allocation); g != w {
+				t.Fatalf("step %d: pop %+v, container/heap %+v", step, g, w)
+			}
+		default:
+			i := rng.Intn(len(got))
+			if g, w := got.remove(i), heap.Remove(&want, i).(allocation); g != w {
+				t.Fatalf("step %d: remove(%d) %+v, container/heap %+v", step, i, g, w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: %d allocations, container/heap %d", step, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: heap slot %d holds %+v, container/heap %+v", step, i, got[i], want[i])
+			}
 		}
 	}
 }

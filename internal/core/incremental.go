@@ -8,6 +8,7 @@ import (
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
+	"raqo/internal/scheduler"
 )
 
 // This file implements re-optimization under drifting cluster conditions:
@@ -60,17 +61,35 @@ type IncrementalStats struct {
 // wholesale.
 type incEntry struct {
 	models *cost.Models
-	exact  map[cluster.Conditions]*Decision
+	exact  map[cluster.Conditions]*memoized
 	order  []cluster.Conditions // FIFO eviction order for exact
-	// runs has a key for every decision in exact, evicted with it; its
-	// value is the decision's simulated execution once Execute has run it.
-	runs map[*Decision]*execution
+	// byDecision finds the record of every decision in exact, evicted
+	// with it: Execute and Clamp are handed the decision, not its
+	// conditions.
+	byDecision map[*Decision]*memoized
+}
+
+// memoized is one decision the memo holds and what was derived from it:
+// its simulated execution once Execute has run it, and its Degrade clamps
+// by the exact conditions each was clamped onto. Evicting the record
+// drops both.
+type memoized struct {
+	d      *Decision
+	run    *execution
+	clamps map[cluster.Conditions]*clamp
 }
 
 // execution is one simulated execution's answer.
 type execution struct {
 	res *execsim.Result
 	err error
+}
+
+// clamp is one Degrade clamp of a memoized decision's plan: the clamped
+// plan as a decision without a prediction, and its execution.
+type clamp struct {
+	d *Decision
+	execution
 }
 
 // Incremental answers repeated joint optimizations of the same queries
@@ -90,6 +109,7 @@ type Incremental struct {
 	// queries are long-lived registered objects.
 	entries map[*plan.Query]*incEntry
 	stats   IncrementalStats
+	joinBuf []*plan.Node // reused by Clamp's join walk
 }
 
 // NewIncremental wraps an optimizer with the exact-conditions memo.
@@ -117,9 +137,9 @@ func (inc *Incremental) OptimizeCtx(ctx context.Context, q *plan.Query, cond clu
 		return nil, ReoptFull, fmt.Errorf("core: incremental optimize of nil query")
 	}
 	e := inc.entry(q)
-	if d, ok := e.exact[cond]; ok {
+	if m, ok := e.exact[cond]; ok {
 		inc.stats.Exact++
-		return d, ReoptExact, nil
+		return m.d, ReoptExact, nil
 	}
 	d, err := inc.opt.OptimizeUnder(ctx, q, cond)
 	if err != nil {
@@ -127,14 +147,23 @@ func (inc *Incremental) OptimizeCtx(ctx context.Context, q *plan.Query, cond clu
 	}
 	inc.stats.Full++
 	if len(e.order) >= inc.maxExact {
-		delete(e.runs, e.exact[e.order[0]])
+		delete(e.byDecision, e.exact[e.order[0]].d)
 		delete(e.exact, e.order[0])
 		e.order = e.order[1:]
 	}
+	m := &memoized{d: d}
 	e.order = append(e.order, cond)
-	e.exact[cond] = d
-	e.runs[d] = nil
+	e.exact[cond] = m
+	e.byDecision[d] = m
 	return d, ReoptFull, nil
+}
+
+// record returns d's record when d is a decision of q's live memo.
+func (inc *Incremental) record(q *plan.Query, d *Decision) *memoized {
+	if e := inc.entries[q]; e != nil && e.models == inc.opt.Models() {
+		return e.byDecision[d]
+	}
+	return nil
 }
 
 // Execute returns engine's simulated execution of d, a decision this
@@ -146,20 +175,47 @@ func (inc *Incremental) OptimizeCtx(ctx context.Context, q *plan.Query, cond clu
 // engine and the pricing, so a caller must pass the same engine and
 // pricing on every call to one Incremental.
 func (inc *Incremental) Execute(q *plan.Query, d *Decision, engine execsim.Params, pricing cost.Pricing) (*execsim.Result, error) {
-	e := inc.entries[q]
-	var run *execution
-	memoized := false
-	if e != nil && e.models == inc.opt.Models() {
-		run, memoized = e.runs[d]
-	}
-	if run != nil {
-		return run.res, run.err
+	m := inc.record(q, d)
+	if m != nil && m.run != nil {
+		return m.run.res, m.run.err
 	}
 	res, err := engine.Execute(d.Plan, pricing)
-	if memoized {
-		e.runs[d] = &execution{res: res, err: err}
+	if m != nil {
+		m.run = &execution{res: res, err: err}
 	}
 	return res, err
+}
+
+// Clamp returns d's plan with every join's request clamped onto cond
+// (scheduler.ClampClone) — the Degrade transformation — as a decision
+// without a planner prediction (Time 0), and engine's simulated execution
+// of it at pricing. For a decision still in the live memo each cond is
+// clamped and run once: the clamp is kept in the decision's record,
+// evicted with it and dropped with it on a model swap, and later calls
+// return the same *Decision and *execsim.Result, which callers must treat
+// as immutable. Any other decision clamps fresh. A record keeps at most
+// maxExact clamps and starts over when full. As for Execute, a caller
+// passes the same engine and pricing on every call.
+func (inc *Incremental) Clamp(q *plan.Query, d *Decision, cond cluster.Conditions, engine execsim.Params, pricing cost.Pricing) (*Decision, *execsim.Result, error) {
+	m := inc.record(q, d)
+	if m != nil {
+		if c, ok := m.clamps[cond]; ok {
+			return c.d, c.res, c.err
+		}
+	}
+	clamped, buf := scheduler.ClampClone(d.Plan, cond, inc.joinBuf)
+	inc.joinBuf = buf
+	c := &clamp{d: &Decision{Plan: clamped}}
+	c.res, c.err = engine.Execute(clamped, pricing)
+	if m != nil {
+		if m.clamps == nil {
+			m.clamps = make(map[cluster.Conditions]*clamp)
+		} else if len(m.clamps) >= inc.maxExact {
+			clear(m.clamps)
+		}
+		m.clamps[cond] = c
+	}
+	return c.d, c.res, c.err
 }
 
 // entry returns the per-query memo valid for the live model set,
@@ -169,7 +225,7 @@ func (inc *Incremental) entry(q *plan.Query) *incEntry {
 	cur := inc.opt.Models()
 	e := inc.entries[q]
 	if e == nil || e.models != cur {
-		e = &incEntry{models: cur, exact: make(map[cluster.Conditions]*Decision), runs: make(map[*Decision]*execution)}
+		e = &incEntry{models: cur, exact: make(map[cluster.Conditions]*memoized), byDecision: make(map[*Decision]*memoized)}
 		inc.entries[q] = e
 	}
 	return e

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
 	"raqo/internal/resource"
+	"raqo/internal/scheduler"
 	"raqo/internal/workload"
 )
 
@@ -284,17 +286,138 @@ func TestIncrementalExecuteOnce(t *testing.T) {
 	}
 }
 
-// checkRunsBounded fails unless every memo entry's results belong to its
-// memoized decisions.
+// TestIncrementalClampOnce: Clamp answers each (memoized decision,
+// conditions) pair once — the clamped plan equal to a fresh
+// scheduler.ClampClone onto those exact conditions, GB axis included, with
+// no prediction, and its execution equal to a fresh run or the same OOM
+// error — and every later call with the same decision and result. A
+// decision outside the live memo — never in it, planned before a model
+// swap, or evicted — clamps fresh every time, and a record keeps at most
+// maxExact clamps.
+func TestIncrementalClampOnce(t *testing.T) {
+	s := catalog.TPCH(100)
+	q, err := workload.TPCHQuery(s, workload.Q3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, pricing := execsim.Hive(), cost.DefaultPricing()
+	models, err := workload.TrainedModels(engine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Trained models plan Q3 with a broadcast join, whose build side runs
+	// out of memory once clamped onto 1GB containers.
+	o, err := New(cluster.Default(), Options{Seed: 42, Models: models, Engine: &engine})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := NewIncremental(o)
+	base := cluster.Default()
+	var conds []cluster.Conditions
+	for _, max := range []int{100, 40, 7, 2} {
+		for _, gb := range []float64{10, 6, 2, 1} {
+			c, err := base.Restrict(max, gb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conds = append(conds, c)
+		}
+	}
+	optimize := func(cond cluster.Conditions) *Decision {
+		t.Helper()
+		d, _, err := inc.Optimize(q, cond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	ooms := 0
+	// clamp clamps d onto cond through the memo twice and checks both
+	// answers against a fresh clamp and run; once reports whether they
+	// were one answer.
+	clamp := func(d *Decision, cond cluster.Conditions) (res *execsim.Result, once bool) {
+		t.Helper()
+		c1, r1, err1 := inc.Clamp(q, d, cond, engine, pricing)
+		c2, r2, err2 := inc.Clamp(q, d, cond, engine, pricing)
+		want, _ := scheduler.ClampClone(d.Plan, cond, nil)
+		fresh, errF := engine.Execute(want, pricing)
+		for _, c := range []*Decision{c1, c2} {
+			if !c.Plan.Equal(want) || c.Time != 0 || c.Money != 0 {
+				t.Fatalf("clamp onto %+v: %s (time %g), want %s", cond, c.Plan.SignatureWithResources(), c.Time, want.SignatureWithResources())
+			}
+		}
+		var oom *execsim.OOMError
+		switch {
+		case errF != nil:
+			if !errors.As(errF, &oom) || err1 == nil || err2 == nil || err1.Error() != errF.Error() || err2.Error() != errF.Error() {
+				t.Fatalf("clamp onto %+v: errors %v, %v; fresh %v", cond, err1, err2, errF)
+			}
+			ooms++
+		case err1 != nil || err2 != nil || !reflect.DeepEqual(r1, fresh) || !reflect.DeepEqual(r2, fresh):
+			t.Fatalf("clamp onto %+v: executions %+v (%v), %+v (%v); fresh %+v", cond, r1, err1, r2, err2, fresh)
+		}
+		checkRunsBounded(t, inc)
+		return r1, c1 == c2 && r1 == r2
+	}
+
+	d := optimize(base)
+	kept := make(map[cluster.Conditions]*execsim.Result)
+	for _, cond := range conds {
+		res, once := clamp(d, cond)
+		if !once {
+			t.Errorf("a memoized decision clamped onto %+v twice", cond)
+		}
+		kept[cond] = res
+	}
+	if ooms == 0 {
+		t.Fatal("no clamp ran out of memory: the OOM answer is untested")
+	}
+	other, err := o.OptimizeUnder(context.Background(), q, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, once := clamp(other, conds[5]); once {
+		t.Error("a decision the memo never held shared one clamp across calls")
+	}
+
+	if err := o.SetModels(cost.PaperModels()); err != nil {
+		t.Fatal(err)
+	}
+	for _, cond := range conds {
+		if res, once := clamp(d, cond); once || (res != nil && res == kept[cond]) {
+			t.Errorf("a decision planned before the model swap clamped onto %+v from the dropped memo", cond)
+		}
+	}
+	d2 := optimize(base)
+	if _, once := clamp(d2, conds[5]); !once {
+		t.Error("a decision memoized after the swap clamped twice")
+	}
+
+	inc.maxExact = 4
+	for _, cond := range conds {
+		clamp(d2, cond) // more clamps than the record keeps
+	}
+	inc.maxExact = 1
+	optimize(conds[1]) // evicts d2
+	if _, once := clamp(d2, conds[5]); once {
+		t.Error("an evicted decision clamped from the memo")
+	}
+}
+
+// checkRunsBounded fails unless every memo entry's records — the kept
+// runs and clamps — belong to its memoized decisions.
 func checkRunsBounded(t *testing.T, inc *Incremental) {
 	t.Helper()
 	for _, e := range inc.entries {
-		if len(e.runs) != len(e.exact) {
-			t.Fatalf("%d kept runs for %d memoized decisions", len(e.runs), len(e.exact))
+		if len(e.byDecision) != len(e.exact) {
+			t.Fatalf("%d decision records for %d memoized decisions", len(e.byDecision), len(e.exact))
 		}
-		for _, d := range e.exact {
-			if _, ok := e.runs[d]; !ok {
-				t.Fatal("a memoized decision has no runs slot")
+		for _, m := range e.exact {
+			if e.byDecision[m.d] != m {
+				t.Fatal("a memoized decision does not find its own record")
+			}
+			if len(m.clamps) > inc.maxExact {
+				t.Fatalf("a decision keeps %d clamps, bound %d", len(m.clamps), inc.maxExact)
 			}
 		}
 	}

@@ -1,4 +1,4 @@
-package scheduler
+package scheduler_test
 
 import (
 	"testing"
@@ -8,6 +8,7 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
+	"raqo/internal/scheduler"
 	"raqo/internal/workload"
 )
 
@@ -36,7 +37,7 @@ func optimum(t *testing.T) *plan.Node {
 }
 
 func TestPolicyString(t *testing.T) {
-	if Wait.String() != "wait" || Degrade.String() != "degrade" || Reoptimize.String() != "reoptimize" {
+	if scheduler.Wait.String() != "wait" || scheduler.Degrade.String() != "degrade" || scheduler.Reoptimize.String() != "reoptimize" {
 		t.Error("policy names")
 	}
 }
@@ -46,7 +47,7 @@ func TestPolicyString(t *testing.T) {
 // the GB axis), and zero-container conditions admit nothing.
 func TestFitsBoundaries(t *testing.T) {
 	p := optimum(t)
-	req := MaxRequested(p)
+	req := scheduler.MaxRequested(p)
 	if req.Containers < 1 || req.ContainerGB <= 0 {
 		t.Fatalf("implausible optimum request: %+v", req)
 	}
@@ -54,39 +55,39 @@ func TestFitsBoundaries(t *testing.T) {
 		MinContainers: 1, MaxContainers: req.Containers, ContainerStep: 1,
 		MinContainerGB: 1, MaxContainerGB: req.ContainerGB, GBStep: 1,
 	}
-	if !Fits(p, exact) {
+	if !scheduler.Fits(p, exact) {
 		t.Error("exact-equal offer should fit")
 	}
 	within := exact
 	within.MaxContainerGB = req.ContainerGB - 1e-10 // inside the float tolerance
-	if !Fits(p, within) {
+	if !scheduler.Fits(p, within) {
 		t.Error("offer within the 1e-9 GB tolerance should fit")
 	}
 	short := exact
 	short.MaxContainers = req.Containers - 1
-	if Fits(p, short) {
+	if scheduler.Fits(p, short) {
 		t.Error("one container short should not fit")
 	}
 	small := exact
 	small.MaxContainerGB = req.ContainerGB - 1e-6
-	if Fits(p, small) {
+	if scheduler.Fits(p, small) {
 		t.Error("meaningfully smaller containers should not fit")
 	}
-	if Fits(p, cluster.Conditions{}) {
+	if scheduler.Fits(p, cluster.Conditions{}) {
 		t.Error("zero-container conditions should admit nothing")
 	}
 }
 
 // TestParsePolicy round-trips every policy name and rejects the rest.
 func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{Wait, Degrade, Reoptimize} {
-		got, err := ParsePolicy(p.String())
+	for _, p := range []scheduler.Policy{scheduler.Wait, scheduler.Degrade, scheduler.Reoptimize} {
+		got, err := scheduler.ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
 		}
 	}
 	for _, bad := range []string{"", "WAIT", "requeue"} {
-		if _, err := ParsePolicy(bad); err == nil {
+		if _, err := scheduler.ParsePolicy(bad); err == nil {
 			t.Errorf("ParsePolicy(%q) accepted", bad)
 		}
 	}

@@ -48,9 +48,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// serveStats answers a stats GET with stats(arb), draining first under
-// ?drain=1.
-func (st *sim[A]) serveStats(w http.ResponseWriter, r *http.Request, stats func(A) any) {
+// serveStats answers a stats GET with stats(st's arbiter) in appendT's
+// fixed shape, draining first under ?drain=1.
+func serveStats[A interface{ Drain() error }, T any](st *sim[A], w http.ResponseWriter, r *http.Request, stats func(A) T, appendT func([]byte, T) ([]byte, bool)) {
 	drain := false
 	if v := r.URL.Query().Get("drain"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -68,7 +68,7 @@ func (st *sim[A]) serveStats(w http.ResponseWriter, r *http.Request, stats func(
 			return
 		}
 	}
-	WriteResult(w, stats(st.arb))
+	writeFixed(w, stats(st.arb), appendT)
 }
 
 // The submit bodies' canonical form is one JSON object of string members
@@ -254,7 +254,30 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleArbiterStats(w http.ResponseWriter, r *http.Request) {
-	s.arb.serveStats(w, r, func(a *arbiter.Arbiter) any { return a.Stats() })
+	serveStats(s.arb, w, r, (*arbiter.Arbiter).Stats, appendArbiterStats)
+}
+
+// appendArbiterStats appends WriteResult's bytes for st.
+func appendArbiterStats(dst []byte, st arbiter.Stats) ([]byte, bool) {
+	o := openObject(dst, "  ")
+	o.floatMember("nowSeconds", st.Now)
+	o.intMember("completed", int64(st.Completed))
+	o.intMember("inFlight", int64(st.InFlight))
+	o.intMember("queued", int64(st.Queued))
+	o.intMember("rejected", st.Rejected)
+	o.intMember("failed", st.Failed)
+	o.intMember("admittedWait", st.AdmittedWait)
+	o.intMember("admittedDegrade", st.AdmittedDeg)
+	o.intMember("admittedReoptimize", st.AdmittedReopt)
+	o.intMember("replanned", st.Replanned)
+	o.intMember("degraded", st.Degraded)
+	o.intMember("degradeStalls", st.DegradeStalls)
+	o.intMember("recalibrations", st.Recals)
+	o.intMember("freeContainers", int64(st.FreeContainers))
+	o.floatMember("heldGB", st.HeldGB)
+	o.intMember("reoptFull", st.ReoptFull)
+	o.intMember("reoptExact", st.ReoptExact)
+	return o.end()
 }
 
 // defaultTenants is the single "default" tenant installed when

@@ -139,7 +139,57 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloudStats(w http.ResponseWriter, r *http.Request) {
-	s.cld.serveStats(w, r, func(a *cloud.Arbiter) any { return a.Stats() })
+	serveStats(s.cld, w, r, (*cloud.Arbiter).Stats, appendCloudStats)
+}
+
+// appendCloudStats appends WriteResult's bytes for st: nil slices are
+// null, as encoding/json writes them.
+func appendCloudStats(dst []byte, st cloud.Stats) ([]byte, bool) {
+	o := openObject(dst, "  ")
+	o.floatMember("now", st.Now)
+	o.intMember("completed", int64(st.Completed))
+	o.intMember("in_flight", int64(st.InFlight))
+	o.intMember("queued", int64(st.Queued))
+	o.intMember("submitted", st.Submitted)
+	o.intMember("rejected", st.Rejected)
+	o.intMember("lost", st.Lost)
+	o.intMember("preemptions", st.Preemptions)
+	o.intMember("storm_preemptions", st.StormPreemptions)
+	o.intMember("oom_aborts", st.OOMAborts)
+	o.intMember("stragglers", st.Stragglers)
+	o.intMember("recovered_reoptimize", st.RecoveredReopt)
+	o.intMember("recovered_ondemand", st.RecoveredOnDem)
+	o.intMember("recovered_degrade", st.RecoveredDegrade)
+	o.intMember("degrade_stalls", st.DegradeStalls)
+	o.intMember("scale_ups", st.ScaleUps)
+	o.intMember("scale_downs", st.ScaleDowns)
+	o.intMember("capacity_containers", int64(st.Capacity))
+	o.intMember("free_containers", int64(st.Free))
+	o.floatMember("spend_usd", float64(st.SpendUSD))
+	if o.arrayMember("classes", st.Classes == nil) {
+		for i, c := range st.Classes {
+			e := o.element(i)
+			e.stringMember("name", c.Name)
+			e.stringMember("tier", c.Tier)
+			e.intMember("capacity", int64(c.Capacity))
+			e.intMember("free", int64(c.Free))
+			e.intMember("in_use", int64(c.InUse))
+			e.intMember("pending", int64(c.Pending))
+			e.floatMember("spend_usd", float64(c.SpendUSD))
+			o.endElement(&e)
+		}
+		o.closeArray(len(st.Classes))
+	}
+	if o.arrayMember("tenants", st.Tenants == nil) {
+		for i, t := range st.Tenants {
+			e := o.element(i)
+			e.stringMember("name", t.Name)
+			e.floatMember("spent_usd", float64(t.SpentUSD))
+			o.endElement(&e)
+		}
+		o.closeArray(len(st.Tenants))
+	}
+	return o.end()
 }
 
 // cloudMarket builds the serving market from the config knobs: a

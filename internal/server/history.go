@@ -164,14 +164,10 @@ func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows
 	o.intMember("from", from)
 	o.intMember("to", to)
 	o.intMember("step", step)
-	o.key("buckets")
-	o.dst = append(o.dst, '[')
+	o.arrayMember("buckets", false)
 	for i := range rows {
 		b := &rows[i]
-		if i > 0 {
-			o.dst = append(o.dst, ',')
-		}
-		row := openObject(append(o.dst, "\n    "...), "      ")
+		row := o.element(i)
 		row.intMember("start", b.Start)
 		row.intMember("count", b.Count)
 		row.floatMember("sum", b.Sum)
@@ -181,7 +177,7 @@ func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows
 		row.floatMember("p50", b.P50)
 		row.floatMember("p90", b.P90)
 		row.floatMember("p99", b.P99)
-		o.dst, o.ok = row.close(), o.ok && row.ok
+		o.endElement(&row)
 	}
 	o.closeArray(len(rows))
 	return o.end()

@@ -272,22 +272,15 @@ func appendModelResponse(dst []byte, r ModelResponse) ([]byte, bool) {
 	o.boolMember("drifted", r.Drifted)
 	o.floatMember("driftThreshold", r.DriftThreshold)
 	o.floatMember("driftQuantile", r.DriftQuantile)
-	o.key("errorStats")
-	if r.ErrorStats == nil {
-		o.dst = append(o.dst, "null"...)
-	} else {
-		o.dst = append(o.dst, '[')
+	if o.arrayMember("errorStats", r.ErrorStats == nil) {
 		for i, c := range r.ErrorStats {
-			if i > 0 {
-				o.dst = append(o.dst, ',')
-			}
-			e := openObject(append(o.dst, "\n    "...), "      ")
+			e := o.element(i)
 			e.stringMember("engine", c.Engine)
 			e.stringMember("class", c.Class)
 			e.intMember("samples", int64(c.Samples))
 			e.floatMember("quantileError", c.QuantileError)
 			e.boolMember("drifted", c.Drifted)
-			o.dst, o.ok = e.close(), o.ok && e.ok
+			o.endElement(&e)
 		}
 		o.closeArray(len(r.ErrorStats))
 	}
@@ -488,6 +481,31 @@ func (o *object) stringMember(k, v string) {
 	o.dst = append(o.dst, '"')
 	o.dst = append(o.dst, v...)
 	o.dst = append(o.dst, '"')
+}
+
+// arrayMember opens array member k and reports true, or writes null —
+// encoding/json's nil slice — and reports false when isNil.
+func (o *object) arrayMember(k string, isNil bool) bool {
+	o.key(k)
+	if isNil {
+		o.dst = append(o.dst, "null"...)
+		return false
+	}
+	o.dst = append(o.dst, '[')
+	return true
+}
+
+// element opens element i of an array member of objects; endElement
+// closes it into o.
+func (o *object) element(i int) object {
+	if i > 0 {
+		o.dst = append(o.dst, ',')
+	}
+	return openObject(append(o.dst, "\n    "...), "      ")
+}
+
+func (o *object) endElement(e *object) {
+	o.dst, o.ok = e.close(), o.ok && e.ok
 }
 
 // closeArray closes an array member of n elements, each appended on a

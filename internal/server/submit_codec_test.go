@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"raqo/internal/arbiter"
 	"raqo/internal/canonjson"
 	"raqo/internal/cloud"
 	"raqo/internal/execsim"
@@ -395,4 +396,90 @@ func TestModelJSONMatchesWriteResult(t *testing.T) {
 		checkFixed(t, r, appendModelResponse)
 	}
 	checkFixed(t, ModelResponse{}, appendModelResponse)
+}
+
+// TestStatsEncodersMatchWriteResult holds GET /v1/arbiter/stats and
+// GET /v1/cloud/stats to WriteResult's bytes: the live stats after each of
+// 50 submits on both pools, faults on, the zero values (nil classes and
+// tenants are null), and random values across every float class — a NaN
+// or infinite spend is WriteResult's 500 — and names json.Marshal
+// escapes.
+func TestStatsEncodersMatchWriteResult(t *testing.T) {
+	s, err := New(Config{CloudSeed: 7, CloudTenants: []cloud.TenantConfig{{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	queries := []string{workload.Q12, workload.Q3, workload.Q2, workload.All}
+	policies := []scheduler.Policy{scheduler.Reoptimize, scheduler.Wait, scheduler.Degrade}
+	recoveries := []cloud.Recovery{cloud.RecoverReoptimize, cloud.RecoverOnDemand, cloud.RecoverDegrade}
+	for i := 0; i < 50; i++ {
+		if _, err := s.arb.arb.SubmitWait("default", queries[i%4], policies[i%3]); err != nil && !errors.Is(err, cloud.ErrRejected) {
+			t.Fatal(err)
+		}
+		checkFixed(t, s.arb.arb.Stats(), appendArbiterStats)
+		if _, err := s.cld.arb.SubmitWait([]string{"etl", "bi"}[i%2], queries[i%4], recoveries[i%3]); err != nil && !errors.Is(err, cloud.ErrRejected) {
+			t.Fatal(err)
+		}
+		checkFixed(t, s.cld.arb.Stats(), appendCloudStats)
+	}
+	if st := s.cld.arb.Stats(); st.SpendUSD <= 0 || st.Completed == 0 {
+		t.Fatalf("50 cloud submits left no spend or completion: %+v", st)
+	}
+	checkFixed(t, arbiter.Stats{}, appendArbiterStats)
+	checkFixed(t, cloud.Stats{}, appendCloudStats)
+	checkFixed(t, cloud.Stats{Classes: []cloud.ClassStats{}, Tenants: []cloud.TenantStats{}}, appendCloudStats)
+
+	rng := rand.New(rand.NewSource(48))
+	special := []float64{0, math.Copysign(0, -1), 1, 100, 1e15, 1e-6, 9.99e-7, 1e21, 5e-324, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	float := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return math.Float64frombits(rng.Uint64())
+		case 2:
+			return float64(rng.Int63n(1<<54) - 1<<53) // integral, both sides of 1e15
+		}
+		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
+	}
+	names := []string{"od-10g", "spot-10g", "", "etl", awkward, "<b>&", `a"b`, "ünï", "tab\there"}
+	name := func() string { return names[rng.Intn(len(names))] }
+	i64 := func() int64 { return rng.Int63() - rng.Int63() }
+	for i := 0; i < 3000; i++ {
+		checkFixed(t, arbiter.Stats{
+			Now: float(), Completed: rng.Int() - rng.Int(), InFlight: rng.Intn(1 << 20), Queued: rng.Intn(100),
+			Rejected: i64(), Failed: i64(), AdmittedWait: i64(), AdmittedDeg: i64(), AdmittedReopt: i64(),
+			Replanned: i64(), Degraded: i64(), DegradeStalls: i64(), Recals: i64(), FreeContainers: rng.Intn(200),
+			HeldGB: float(), ReoptFull: i64(), ReoptExact: i64(), ReoptPatched: i64(),
+		}, appendArbiterStats)
+		st := cloud.Stats{
+			Now: float(), Completed: rng.Int(), InFlight: rng.Intn(64), Queued: rng.Intn(64), Submitted: i64(),
+			Rejected: i64(), Lost: i64(), Preemptions: i64(), StormPreemptions: i64(), OOMAborts: i64(),
+			Stragglers: i64(), RecoveredReopt: i64(), RecoveredOnDem: i64(), RecoveredDegrade: i64(),
+			DegradeStalls: i64(), ScaleUps: i64(), ScaleDowns: i64(), Capacity: rng.Intn(1000), Free: rng.Intn(1000),
+			SpendUSD: units.USD(float()),
+		}
+		if n := rng.Intn(4) - 1; n >= 0 { // -1: nil
+			st.Classes = make([]cloud.ClassStats, n)
+			for j := range st.Classes {
+				st.Classes[j] = cloud.ClassStats{Name: name(), Tier: name(), Capacity: rng.Intn(100), Free: rng.Intn(100),
+					InUse: rng.Intn(100), Pending: rng.Intn(10) - 1, SpendUSD: units.USD(float())}
+			}
+		}
+		if n := rng.Intn(5) - 1; n >= 0 {
+			st.Tenants = make([]cloud.TenantStats, n)
+			for j := range st.Tenants {
+				st.Tenants[j] = cloud.TenantStats{Name: name(), SpentUSD: units.USD(float())}
+			}
+		}
+		checkFixed(t, st, appendCloudStats)
+	}
+	nan := cloud.Stats{SpendUSD: units.USD(math.NaN())}
+	w := httptest.NewRecorder()
+	writeFixed(w, nan, appendCloudStats)
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("NaN spend answered %d %q, want WriteResult's 500", w.Code, w.Body)
+	}
 }
