@@ -282,12 +282,16 @@ type tenantState struct {
 	billed units.USD
 }
 
-// popHead removes the queue head in place, so the queue keeps its
-// capacity for the next submission.
+// popHead removes the queue head. A queue it empties restarts at the
+// front of its array, so the next submission appends without
+// reallocating; a longer queue is resliced.
 func (ts *tenantState) popHead() {
-	n := copy(ts.queue, ts.queue[1:])
-	ts.queue[n] = nil
-	ts.queue = ts.queue[:n]
+	ts.queue[0] = nil
+	if len(ts.queue) == 1 {
+		ts.queue = ts.queue[:0]
+		return
+	}
+	ts.queue = ts.queue[1:]
 }
 
 // offer is one class a queue head may run on, with the conditions the

@@ -550,16 +550,16 @@ func TestMemoizedExecutionsMatchFresh(t *testing.T) {
 		}
 	})
 	var a *cloud.Arbiter
-	uses := make(map[*execsim.Result]int)    // results admissions ran, by use
-	clamped := make(map[*execsim.Result]int) // results degraded admissions ran
+	executed := make(map[*execsim.Result]int) // results undegraded admissions ran, by use
+	clamped := make(map[*execsim.Result]int)  // results degraded admissions ran, by use
 	cfg.Hooks.Admitted = func(o *cloud.Outcome) {
 		adm := a.LastAdmission()
 		fresh, err := cloud.Engine().Execute(adm.Ran.Plan, cost.DefaultPricing())
 		if err != nil || !reflect.DeepEqual(adm.Res, fresh) {
 			t.Errorf("%s/%s: admitted %+v, fresh %+v (%v)", o.Tenant, o.Query, adm.Res, fresh, err)
 		}
-		uses[adm.Res]++
 		if !o.Degraded {
+			executed[adm.Res]++
 			return
 		}
 		want, _ := scheduler.ClampClone(adm.Submitted.Plan, adm.Offered, nil)
@@ -589,12 +589,24 @@ func TestMemoizedExecutionsMatchFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// sharing counts the admissions that ran the results of used and the
+	// results more than one of them ran.
+	sharing := func(used map[*execsim.Result]int) (admissions, shared int) {
+		for _, n := range used {
+			admissions += n
+			if n > 1 {
+				shared++
+			}
+		}
+		return admissions, shared
+	}
 	// run submits n arrivals of queries under every policy and recovery,
-	// drains, and returns the results the admissions and the degraded
-	// ones ran.
-	run := func(n int, queries ...string) (all, degraded map[*execsim.Result]int) {
+	// drains, and returns the results the undegraded and the degraded
+	// admissions ran. Each kind must share a result: the memo, not a
+	// fresh run, answered them.
+	run := func(n int, queries ...string) (undegraded, degraded map[*execsim.Result]int) {
 		t.Helper()
-		clear(uses)
+		clear(executed)
 		clear(clamped)
 		for i := 0; i < n; i++ {
 			submit(i, queries[i%len(queries)], scheduler.Policy(i%3), cloud.Recovery(i/3%3))
@@ -602,16 +614,13 @@ func TestMemoizedExecutionsMatchFresh(t *testing.T) {
 		if err := a.Drain(); err != nil {
 			t.Fatal(err)
 		}
-		shared := 0
-		for _, n := range clamped {
-			if n > 1 {
-				shared++
-			}
+		if admitted, shared := sharing(executed); shared == 0 {
+			t.Fatalf("%d undegraded admissions shared no execution: %d results", admitted, len(executed))
 		}
-		if shared == 0 {
-			t.Fatalf("%d degraded admissions shared no clamp: %d results", len(clamped), len(clamped))
+		if degraded, shared := sharing(clamped); shared == 0 {
+			t.Fatalf("%d degraded admissions shared no clamp: %d results", degraded, len(clamped))
 		}
-		return maps.Clone(uses), maps.Clone(clamped)
+		return maps.Clone(executed), maps.Clone(clamped)
 	}
 	reused := func(before, after map[*execsim.Result]int) bool {
 		for res := range after {
@@ -622,7 +631,7 @@ func TestMemoizedExecutionsMatchFresh(t *testing.T) {
 		return false
 	}
 
-	_, beforeClamps := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All)
+	_, firstClamps := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All)
 	n := a.Counts()
 	if n.Degraded == 0 || n.Recovered[cloud.RecoverReoptimize] == 0 || n.Recovered[cloud.RecoverOnDemand] == 0 ||
 		n.Recovered[cloud.RecoverDegrade] == 0 || n.Admitted[scheduler.Wait] == 0 {
@@ -642,15 +651,16 @@ func TestMemoizedExecutionsMatchFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, clamps := run(120, workload.Q12); reused(beforeClamps, clamps) {
+	if _, clamps := run(120, workload.Q12); reused(firstClamps, clamps) {
 		t.Error("a degraded admission after its decision's eviction reused a clamp from before it")
 	}
 
-	before, _ := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All)
+	before, beforeClamps := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All)
 	if !rec.Install(2, cost.PaperModels(), 0) {
 		t.Fatal("Install refused a newer version")
 	}
-	if after, _ := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All); reused(before, after) {
+	after, afterClamps := run(240, workload.Q12, workload.Q3, workload.Q2, workload.All)
+	if reused(before, after) || reused(beforeClamps, afterClamps) {
 		t.Fatal("an admission after the model swap reused an execution from before it")
 	}
 }
