@@ -10,7 +10,6 @@ import (
 	"raqo/internal/catalog"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
-	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/optimizer"
 	"raqo/internal/optimizer/randomized"
@@ -24,7 +23,7 @@ import (
 // custom metric evals/op is the number of cost-model evaluations.
 func BenchmarkAblationHillClimbStart(b *testing.B) {
 	cond := cluster.Default()
-	models := mustModels(b)
+	models, _ := benchFixtures(b)
 	smj, _ := models.For(plan.SMJ)
 	starts := map[string]plan.Resources{
 		"min": {},
@@ -55,12 +54,13 @@ func BenchmarkAblationCachePolicy(b *testing.B) {
 		b.Fatal(err)
 	}
 	cond := cluster.Default()
+	models, _ := benchFixtures(b)
 	for _, mode := range []resource.LookupMode{resource.Exact, resource.NearestNeighbor, resource.WeightedAverage} {
 		b.Run(mode.String(), func(b *testing.B) {
 			var iters int64
 			for i := 0; i < b.N; i++ {
 				cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: mode, ThresholdGB: 0.1}
-				o, err := core.New(cond, core.Options{Resource: cache})
+				o, err := core.New(cond, core.Options{Models: models, Resource: cache})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func BenchmarkAblationSharedResources(b *testing.B) {
 		b.Fatal(err)
 	}
 	cond := cluster.Default()
-	models := mustModels(b)
+	models, _ := benchFixtures(b)
 
 	b.Run("per-operator", func(b *testing.B) {
 		var modeled float64
@@ -153,7 +153,7 @@ func BenchmarkAblationRandomizedIterations(b *testing.B) {
 		b.Fatal(err)
 	}
 	cond := cluster.Default()
-	models := mustModels(b)
+	models, _ := benchFixtures(b)
 	for _, iters := range []int{2, 10, 30} {
 		b.Run(byIters(iters), func(b *testing.B) {
 			var modeled float64
@@ -192,15 +192,6 @@ func byIters(n int) string {
 	}
 }
 
-func mustModels(b *testing.B) *cost.Models {
-	b.Helper()
-	models, err := workload.TrainedModels(execsim.Hive())
-	if err != nil {
-		b.Fatal(err)
-	}
-	return models
-}
-
 // BenchmarkAblationMemoryPruning compares planning with and without the
 // Section VIII memory-awareness pruning (broadcast candidates that cannot
 // fit any container are dropped before resource planning).
@@ -211,7 +202,7 @@ func BenchmarkAblationMemoryPruning(b *testing.B) {
 		b.Fatal(err)
 	}
 	cond := cluster.Default()
-	models := mustModels(b)
+	models, _ := benchFixtures(b)
 	engine := execsim.Hive()
 	for _, pruned := range []bool{false, true} {
 		name := "off"
@@ -243,7 +234,7 @@ func BenchmarkAblationMemoryPruning(b *testing.B) {
 // BenchmarkMicroHillClimb measures a single resource-planning call.
 func BenchmarkMicroHillClimb(b *testing.B) {
 	cond := cluster.Default()
-	models := mustModels(b)
+	models, _ := benchFixtures(b)
 	smj, _ := models.For(plan.SMJ)
 	hc := &resource.HillClimb{}
 	rng := rand.New(rand.NewSource(1))
@@ -259,7 +250,7 @@ func BenchmarkMicroHillClimb(b *testing.B) {
 // BenchmarkMicroCacheHit measures a warm cache lookup.
 func BenchmarkMicroCacheHit(b *testing.B) {
 	cond := cluster.Default()
-	models := mustModels(b)
+	models, _ := benchFixtures(b)
 	smj, _ := models.For(plan.SMJ)
 	cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.1}
 	if _, err := cache.Plan(smj, 3.4, cond); err != nil {

@@ -1,6 +1,6 @@
-// Benchmarks for the workload arbiter: a full seeded multi-tenant replay
-// per policy (the discrete-event loop end to end) and the online
-// SubmitWait admission path. Run with:
+// Benchmark for the workload arbiter's online SubmitWait admission path,
+// and the trained models and TPC-H queries the root tests and benchmarks
+// share. Run with:
 //
 //	go test -bench Arbiter -benchtime=0.2s .
 package raqo_test
@@ -15,37 +15,40 @@ import (
 	"raqo/internal/cluster"
 	"raqo/internal/core"
 	"raqo/internal/cost"
-	"raqo/internal/execsim"
 	"raqo/internal/plan"
 	"raqo/internal/scheduler"
 	"raqo/internal/workload"
 )
 
 var (
-	benchArbOnce    sync.Once
-	benchArbModels  *cost.Models
-	benchArbQueries map[string]*plan.Query
-	benchArbErr     error
+	fixtureOnce    sync.Once
+	fixtureModels  *cost.Models
+	fixtureQueries map[string]*plan.Query
+	fixtureErr     error
 )
 
-func benchArbiterFixtures(tb testing.TB) (*cost.Models, map[string]*plan.Query) {
+// benchFixtures returns the cost models `raqo serve` plans on, trained on
+// cloud.Engine(), and the four TPC-H evaluation queries at SF 100, built
+// once per test binary: training costs thousands of allocations, which no
+// allocation ceiling should count.
+func benchFixtures(tb testing.TB) (*cost.Models, map[string]*plan.Query) {
 	tb.Helper()
-	benchArbOnce.Do(func() {
-		benchArbModels, benchArbErr = workload.TrainedModels(execsim.Hive())
-		if benchArbErr != nil {
+	fixtureOnce.Do(func() {
+		fixtureModels, fixtureErr = workload.TrainedModels(cloud.Engine())
+		if fixtureErr != nil {
 			return
 		}
-		benchArbQueries, benchArbErr = workload.TPCHQueries(catalog.TPCH(100))
+		fixtureQueries, fixtureErr = workload.TPCHQueries(catalog.TPCH(100))
 	})
-	if benchArbErr != nil {
-		tb.Fatal(benchArbErr)
+	if fixtureErr != nil {
+		tb.Fatal(fixtureErr)
 	}
-	return benchArbModels, benchArbQueries
+	return fixtureModels, fixtureQueries
 }
 
 func newBenchArbiter(tb testing.TB) *arbiter.Arbiter {
 	tb.Helper()
-	models, queries := benchArbiterFixtures(tb)
+	models, queries := benchFixtures(tb)
 	engine := cloud.Engine()
 	opt, err := core.New(cluster.Default(), core.Options{
 		Models:       models,
@@ -72,51 +75,6 @@ func newBenchArbiter(tb testing.TB) *arbiter.Arbiter {
 		tb.Fatal(err)
 	}
 	return a
-}
-
-// benchArrivals is the seeded 36-query bursty stream the arbiter tests
-// replay; every iteration re-runs the identical workload.
-func benchArrivals(tb testing.TB, policy scheduler.Policy) []arbiter.Arrival {
-	tb.Helper()
-	trace, err := cloud.GenerateTrace(cloud.TraceConfig{
-		Seed:                42,
-		Arrivals:            36,
-		MeanIntervalSeconds: 30,
-		Shape:               cloud.Bursty,
-		BurstSize:           6,
-		Tenants:             []cloud.Share{{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1}},
-		Mix: []cloud.Share{
-			{Name: workload.Q12, Weight: 4},
-			{Name: workload.Q3, Weight: 3},
-			{Name: workload.Q2, Weight: 2},
-			{Name: workload.All, Weight: 1},
-		},
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return arbiter.Arrivals(trace, policy)
-}
-
-// BenchmarkArbiterWorkload replays the whole seeded stream through a
-// fresh arbiter per iteration — arrival sorting, fair-share admission,
-// re-optimization, pool bookkeeping and outcome recording end to end.
-func BenchmarkArbiterWorkload(b *testing.B) {
-	for _, policy := range []scheduler.Policy{scheduler.Wait, scheduler.Reoptimize} {
-		b.Run(policy.String(), func(b *testing.B) {
-			arrivals := benchArrivals(b, policy)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				a := newBenchArbiter(b)
-				b.StartTimer()
-				if _, err := a.Run(arrivals); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkArbiterSubmitWait measures the online admission path: one

@@ -1,5 +1,5 @@
-// Benchmarks for the execution-feedback subsystem: observation ingestion
-// (with and without the JSONL journal) and a full online recalibration
+// Benchmarks for the execution-feedback subsystem: the two ends of the
+// journal in the feedback_rw shape and a full online recalibration
 // (train + atomic swap + cache invalidation). Run with:
 //
 //	go test -bench Feedback -benchtime=0.2s .
@@ -16,50 +16,18 @@ import (
 	"testing"
 
 	"raqo"
+	"raqo/internal/cost"
 	"raqo/internal/feedback"
 	"raqo/internal/server"
 	"raqo/internal/workload"
 )
 
 // benchObservations builds the full profile grid as observations predicted
-// by the paper models — the realistic ingest payload.
+// by the paper models, a miscalibrated seed on this engine.
 func benchObservations(tb testing.TB) []feedback.Observation {
 	tb.Helper()
 	grid := workload.DefaultProfileGrid(raqo.Hive())
-	return feedback.SyntheticObservations("hive", raqo.PaperModels(), grid)
-}
-
-// BenchmarkFeedbackAppend measures one observation ingest: store ring +
-// drift detector, without and with the durable journal on the hot path.
-func BenchmarkFeedbackAppend(b *testing.B) {
-	obs := benchObservations(b)
-	b.Run("memory", func(b *testing.B) {
-		rec := feedback.NewRecalibrator(
-			feedback.NewStore(0, nil), feedback.NewDetector(feedback.DriftConfig{}), raqo.PaperModels())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := rec.Feed(obs[i%len(obs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("journaled", func(b *testing.B) {
-		j, err := feedback.OpenJournalConfig(filepath.Join(b.TempDir(), "journal.jsonl"), feedback.JournalConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer j.Close()
-		rec := feedback.NewRecalibrator(
-			feedback.NewStore(0, j), feedback.NewDetector(feedback.DriftConfig{}), raqo.PaperModels())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := rec.Feed(obs[i%len(obs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	return feedback.SyntheticObservations("hive", cost.PaperModels(), grid)
 }
 
 // benchShapeObservation draws one observation the way the repository
@@ -185,7 +153,7 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 func BenchmarkRecalibrate(b *testing.B) {
 	obs := benchObservations(b)
 	store := feedback.NewStore(len(obs), nil)
-	rec := feedback.NewRecalibrator(store, feedback.NewDetector(feedback.DriftConfig{}), raqo.PaperModels())
+	rec := feedback.NewRecalibrator(store, feedback.NewDetector(feedback.DriftConfig{}), cost.PaperModels())
 	for _, o := range obs {
 		if err := rec.Feed(o); err != nil {
 			b.Fatal(err)

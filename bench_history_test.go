@@ -1,8 +1,7 @@
 // Benchmarks and allocation gate for the embedded history store: warm
 // append throughput (the telemetry gather loop and feedback recorder
-// both stream through Append/Record), commit-inclusive sustained ingest,
-// and rollup-backed range queries over day-scale data. Run the timings
-// with:
+// both stream through Append/Record) and rollup-backed range queries over
+// day-scale data. Run the timings with:
 //
 //	go test -bench History -benchtime=0.2s .
 package raqo_test
@@ -102,43 +101,6 @@ func BenchmarkHistoryAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-}
-
-// BenchmarkHistoryIngest times sustained ingest end to end: 64 series
-// sampled once per virtual second, one durable Commit (checksummed block
-// write plus rollup fold) every 256 ticks — the serving gather cadence
-// scaled down. One op is one point, so ops/sec is points/sec.
-func BenchmarkHistoryIngest(b *testing.B) {
-	st := benchHistoryStore(b)
-	series := benchHistorySeries(b, st, 64)
-	// Warm: one full commit cycle grows the staging buffer and the
-	// first-minute rollup buckets.
-	ts := int64(0)
-	for i := 0; i < 256*len(series); i++ {
-		st.Append(series[i%len(series)], ts, float64(i&15))
-	}
-	if err := st.Commit(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	commitEvery := 256 * len(series)
-	for i := 0; i < b.N; i++ {
-		k := i % len(series)
-		if k == 0 {
-			ts++
-		}
-		st.Append(series[k], ts, float64(i&15))
-		if (i+1)%commitEvery == 0 {
-			if err := st.Commit(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.StopTimer()
-	if err := st.Commit(); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -1,9 +1,6 @@
-// Benchmarks for the optimizer service's request path: the full handler
-// stack (routing, the response memo, and behind it admission, planning
-// against the warm cache/memo and JSON encoding) without TCP in the way.
-// Run with:
+// Benchmarks for the optimizer service's request path: the fleet hop
+// between two in-process nodes and the response encoder. Run with:
 //
-//	go test -bench ServeOptimize -benchtime=0.2s .
 //	go test -bench FleetForward -benchtime=0.5s -cpu 1 .
 //	go test -bench WriteJSON -benchtime=0.2s .
 package raqo_test
@@ -14,7 +11,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -52,39 +48,6 @@ func serveBody(b testing.TB, s *server.Server, path, body string) {
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		b.Fatalf("POST %s: status = %d, body %s", path, rec.Code, rec.Body)
-	}
-}
-
-// BenchmarkServeOptimize measures steady-state /v1/optimize service time
-// with the resource-plan cache and cost memo warm. hit repeats one body,
-// which the response memo answers with stored bytes; miss sends Q12 in a
-// body never seen before (joint mode ignores containers), so every request
-// takes the whole decode → admit → plan → encode → file path, FIFO
-// eviction included; parallel is hit with concurrent senders.
-func BenchmarkServeOptimize(b *testing.B) {
-	for _, mode := range []string{"hit", "miss", "parallel"} {
-		b.Run(mode, func(b *testing.B) {
-			s := newBenchServer(b)
-			serveOptimizeOnce(b, s, "Q12") // warm the caches and file the hit
-			b.ReportAllocs()
-			b.ResetTimer()
-			switch mode {
-			case "hit":
-				for i := 0; i < b.N; i++ {
-					serveOptimizeOnce(b, s, "Q12")
-				}
-			case "miss":
-				for i := 0; i < b.N; i++ {
-					serveOptimizeBody(b, s, `{"query":"Q12","containers":`+strconv.Itoa(i+1)+`}`)
-				}
-			case "parallel":
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						serveOptimizeOnce(b, s, "Q12")
-					}
-				})
-			}
-		})
 	}
 }
 

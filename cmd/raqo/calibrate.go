@@ -4,21 +4,20 @@ import (
 	"flag"
 	"fmt"
 
-	"raqo"
 	"raqo/internal/feedback"
 )
 
-// calibrateCmd replays a feedback journal offline: feed every journaled
-// observation through a fresh store, retrain the cost models from the
-// accumulated samples, and report the mean absolute relative prediction
-// error before and after — the same recalibration `raqo serve` performs
-// online, minus the serving. Replaying the same journal always produces
-// the same model (the feedback package's determinism guarantee), so this
-// doubles as a way to inspect what a server learned.
+// calibrateCmd replays a feedback journal offline: seed with the models
+// `raqo serve` starts with, feed every journaled observation through a
+// fresh store, retrain the cost models from the accumulated samples, and
+// report the mean absolute relative prediction error before and after —
+// the same recalibration `raqo serve` performs online, minus the serving.
+// Replaying the same journal always produces the same model (the feedback
+// package's determinism guarantee), so this doubles as a way to inspect
+// what a server learned.
 func calibrateCmd(args []string) error {
 	fs := flag.NewFlagSet("calibrate", flag.ContinueOnError)
 	journalPath := fs.String("journal", "", "feedback journal (JSONL) to replay (required)")
-	trained := fs.Bool("trained", true, "seed with simulator-trained models (false = paper coefficients)")
 	capacity := fs.Int("capacity", 0, "feedback ring capacity; journaled observations beyond it age out (0 = hold all)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -35,13 +34,11 @@ func calibrateCmd(args []string) error {
 		return fmt.Errorf("calibrate: journal %s holds no observations", *journalPath)
 	}
 
-	seed := raqo.PaperModels()
-	if *trained {
-		seed, err = raqo.TrainModels(raqo.Hive())
-		if err != nil {
-			return err
-		}
+	opt, err := servedOptimizer()
+	if err != nil {
+		return err
 	}
+	seed := opt.Models()
 
 	ringCap := *capacity
 	if ringCap <= 0 {

@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -58,7 +57,7 @@ func runStdout(t *testing.T, fn func() error) ([]byte, error) {
 // reconstructs against the schema and re-encodes byte-identically.
 func TestOptimizeJSONRoundTrips(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return optimizeCmd([]string{"-query", "Q3", "-json", "-trained=false"})
+		return optimizeCmd([]string{"-query", "Q3", "-json"})
 	})
 	var wire struct {
 		Query   string          `json:"query"`
@@ -111,7 +110,7 @@ func TestBatchTrimsQueryNames(t *testing.T) {
 // answer names it even under the default -planner selinger.
 func TestOptimizePriceJSONNamesPlanner(t *testing.T) {
 	out := captureStdout(t, func() error {
-		return optimizeCmd([]string{"-query", "Q12", "-mode", "price", "-budget", "1", "-json", "-trained=false"})
+		return optimizeCmd([]string{"-query", "Q12", "-mode", "price", "-budget", "1", "-json"})
 	})
 	var wire struct {
 		Mode    string `json:"mode"`
@@ -130,7 +129,7 @@ func TestOptimizePriceJSONNamesPlanner(t *testing.T) {
 var elapsed = regexp.MustCompile(`"elapsedMicros": \d+`)
 
 // serve answers one request on a fresh server.New built with opts, as the
-// first request a `raqo serve` with the same -planner and -trained gets.
+// first request a `raqo serve` with the same -planner gets.
 func serve(t *testing.T, opts raqo.Options, method, path, body string) (int, []byte) {
 	t.Helper()
 	s, err := server.New(server.Config{Options: opts})
@@ -172,12 +171,8 @@ type batchWire struct {
 // decodes it.
 func batchServed(t *testing.T, queries string) batchWire {
 	t.Helper()
-	served, err := planOptions("selinger", true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cli := captureStdout(t, func() error { return batchCmd([]string{"-queries", queries, "-json"}) })
-	code, body := serve(t, served, "POST", "/v1/batch", `{"queries":["`+strings.ReplaceAll(queries, ",", `","`)+`"]}`)
+	code, body := serve(t, raqo.Options{}, "POST", "/v1/batch", `{"queries":["`+strings.ReplaceAll(queries, ",", `","`)+`"]}`)
 	if got, want := elapsed.ReplaceAll(cli, nil), elapsed.ReplaceAll(body, nil); code != http.StatusOK || !bytes.Equal(got, want) {
 		t.Fatalf("raqo batch -queries %s -json printed\n%s\nthe server answers HTTP %d\n%s", queries, got, code, want)
 	}
@@ -209,9 +204,8 @@ func TestBatchJSONMatchesServerShape(t *testing.T) {
 
 // TestCLIPlansWhatServerServes holds every planning command to the
 // server's optimizer: `raqo optimize -json` prints the body POST
-// /v1/optimize answers on a server built with the same -planner and
-// -trained, for every query, mode and both model sets (a 422 there is an
-// error here); `raqo batch -json` prints POST /v1/batch's body, memo stats
+// /v1/optimize answers on a server built with the same -planner, for every
+// query and mode (a 422 there is an error here); `raqo batch -json` prints POST /v1/batch's body, memo stats
 // included; `raqo simulate` runs the plan GET /v1/explain serves; and every
 // plan the three print runs on cloud.Engine(). The one exception is
 // logged, not forgiven silently: in fixed and budget mode a plan may chain
@@ -230,43 +224,41 @@ func TestCLIPlansWhatServerServes(t *testing.T) {
 	}
 	errs := 0
 	for _, planner := range []string{"selinger", "randomized"} {
-		for _, trained := range []bool{true, false} {
-			opts, err := planOptions(planner, trained)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range []string{"Q12", "Q3", "Q2", "All"} {
-				for _, m := range modes {
-					args := append([]string{"-query", q, "-planner", planner, "-trained=" + strconv.FormatBool(trained), "-json"}, m.flags...)
-					what := "raqo optimize " + strings.Join(args, " ")
-					cli, cliErr := runStdout(t, func() error { return optimizeCmd(args) })
-					code, body := serve(t, opts, "POST", "/v1/optimize", `{"query":"`+q+`",`+m.body+`}`)
-					switch {
-					case code == http.StatusUnprocessableEntity && cliErr != nil:
-						errs++
-						continue
-					case code != http.StatusOK || cliErr != nil:
-						t.Errorf("%s: exit error %v, server HTTP %d %s", what, cliErr, code, body)
-						continue
-					}
-					if got, want := elapsed.ReplaceAll(cli, nil), elapsed.ReplaceAll(body, nil); !bytes.Equal(got, want) {
-						t.Errorf("%s printed\n%s\nthe server answers\n%s", what, got, want)
-						continue
-					}
-					var wire struct {
-						Plan json.RawMessage `json:"plan"`
-					}
-					if err := json.Unmarshal(cli, &wire); err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					err := runsOnEngine(t, what, wire.Plan)
-					switch {
-					case err == nil:
-					case (m.flags[1] == "fixed" || m.flags[1] == "budget") && strings.Contains(err.Error(), "chained)"):
-						t.Logf("%s: the chained-broadcast defect: %v", what, err)
-					default:
-						t.Errorf("%s: %v", what, err)
-					}
+		opts, err := planOptions(planner)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"Q12", "Q3", "Q2", "All"} {
+			for _, m := range modes {
+				args := append([]string{"-query", q, "-planner", planner, "-json"}, m.flags...)
+				what := "raqo optimize " + strings.Join(args, " ")
+				cli, cliErr := runStdout(t, func() error { return optimizeCmd(args) })
+				code, body := serve(t, opts, "POST", "/v1/optimize", `{"query":"`+q+`",`+m.body+`}`)
+				switch {
+				case code == http.StatusUnprocessableEntity && cliErr != nil:
+					errs++
+					continue
+				case code != http.StatusOK || cliErr != nil:
+					t.Errorf("%s: exit error %v, server HTTP %d %s", what, cliErr, code, body)
+					continue
+				}
+				if got, want := elapsed.ReplaceAll(cli, nil), elapsed.ReplaceAll(body, nil); !bytes.Equal(got, want) {
+					t.Errorf("%s printed\n%s\nthe server answers\n%s", what, got, want)
+					continue
+				}
+				var wire struct {
+					Plan json.RawMessage `json:"plan"`
+				}
+				if err := json.Unmarshal(cli, &wire); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				err := runsOnEngine(t, what, wire.Plan)
+				switch {
+				case err == nil:
+				case (m.flags[1] == "fixed" || m.flags[1] == "budget") && strings.Contains(err.Error(), "chained)"):
+					t.Logf("%s: the chained-broadcast defect: %v", what, err)
+				default:
+					t.Errorf("%s: %v", what, err)
 				}
 			}
 		}
@@ -279,13 +271,9 @@ func TestCLIPlansWhatServerServes(t *testing.T) {
 		}
 	}
 
-	served, err := planOptions("selinger", true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, q := range []string{"Q12", "Q3", "Q2", "All"} {
 		out := string(captureStdout(t, func() error { return simulateCmd([]string{"-query", q}) }))
-		code, body := serve(t, served, "GET", "/v1/explain/"+q, "")
+		code, body := serve(t, raqo.Options{}, "GET", "/v1/explain/"+q, "")
 		var explain struct {
 			PlanTree string          `json:"planTree"`
 			Plan     json.RawMessage `json:"plan"`

@@ -5,18 +5,18 @@
 //
 // Every command that plans builds its optimizer with server.NewOptimizer,
 // the one `raqo serve` plans with: memory-aware for the engine plans run
-// on, behind the exact operator-cost memo, so a plan the CLI prints is the
-// plan the service answers. optimize and serve choose the planner and the
-// models with -planner and -trained; batch, simulate, robust and workload
-// plan as serve does by default, Selinger over trained models.
+// on, behind the exact operator-cost memo, over the cost models trained on
+// that engine, so a plan the CLI prints is the plan the service answers.
+// optimize and serve choose the planner with -planner; batch, simulate,
+// robust and workload plan as serve does by default, with Selinger.
 //
 // Usage:
 //
 //	raqo figure <fig1|fig2|...|fig15b|all>
-//	raqo optimize -query Q3 [-planner selinger|randomized] [-trained=false] [-mode joint|fixed|budget|price] [-json]
+//	raqo optimize -query Q3 [-planner selinger|randomized] [-mode joint|fixed|budget|price] [-json]
 //	raqo batch [-queries Q12,Q3,Q2,All] [-json]
-//	raqo serve [-addr :8080] [-planner selinger|randomized] [-trained=false] [-max-inflight N] [-queue-depth N] [-journal FILE]
-//	raqo calibrate -journal FILE [-trained]
+//	raqo serve [-addr :8080] [-planner selinger|randomized] [-max-inflight N] [-queue-depth N] [-journal FILE]
+//	raqo calibrate -journal FILE
 //	raqo trees [-engine hive|spark]
 //	raqo trace [-seed N]
 //	raqo simulate -query Q3 [-sf SF]
@@ -88,14 +88,15 @@ func usage() {
   raqo robust [flags]      pick a plan resilient to cluster-condition changes
   raqo workload [flags]    compare default practice vs RAQO over the TPC-H workload
 
-Every command that plans uses the optimizer raqo serve plans with;
-batch, simulate, robust and workload plan as serve does by default
-(-planner selinger, -trained). raqo <command> -h lists its flags.`)
+Every command that plans uses the optimizer raqo serve plans with, over
+cost models trained on the engine simulator; batch, simulate, robust and
+workload plan as serve does by default (-planner selinger).
+raqo <command> -h lists its flags.`)
 }
 
-// planOptions maps the -planner and -trained flags of optimize and serve
-// onto the options server.NewOptimizer takes.
-func planOptions(plannerName string, trained bool) (raqo.Options, error) {
+// planOptions maps the -planner flag of optimize and serve onto the
+// options server.NewOptimizer takes.
+func planOptions(plannerName string) (raqo.Options, error) {
 	var opts raqo.Options
 	switch plannerName {
 	case "selinger":
@@ -105,24 +106,13 @@ func planOptions(plannerName string, trained bool) (raqo.Options, error) {
 	default:
 		return opts, fmt.Errorf("unknown planner %q (known: selinger, randomized)", plannerName)
 	}
-	if trained {
-		models, err := raqo.TrainModels(raqo.Hive())
-		if err != nil {
-			return opts, err
-		}
-		opts.Models = models
-	}
 	return opts, nil
 }
 
 // servedOptimizer is the optimizer `raqo serve` plans with under its
-// default flags: Selinger over trained models.
+// default flags: Selinger over the trained models.
 func servedOptimizer() (*raqo.Optimizer, error) {
-	opts, err := planOptions("selinger", true)
-	if err != nil {
-		return nil, err
-	}
-	return server.NewOptimizer(opts)
+	return server.NewOptimizer(raqo.Options{})
 }
 
 func figureCmd(args []string) error {
@@ -159,7 +149,6 @@ func optimizeCmd(args []string) error {
 	sf := fs.Float64("sf", 100, "TPC-H scale factor")
 	explain := fs.Bool("explain", false, "print the per-operator explanation")
 	jsonOut := fs.Bool("json", false, "emit the decision as JSON (the /v1/optimize wire format)")
-	trained := fs.Bool("trained", true, "train cost models on the simulator (false = paper coefficients)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -168,7 +157,7 @@ func optimizeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts, err := planOptions(*plannerName, *trained)
+	opts, err := planOptions(*plannerName)
 	if err != nil {
 		return err
 	}

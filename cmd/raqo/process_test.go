@@ -129,7 +129,7 @@ func drifting() []feedback.Observation {
 // TestProcessServeDrains: `raqo serve` binds, prints its ready line, plans,
 // and exits 0 within 10 s of SIGTERM.
 func TestProcessServeDrains(t *testing.T) {
-	f := startProcesses(t, harness.Options{Nodes: 1, Args: []string{"-trained=false"}})
+	f := startProcesses(t, harness.Options{Nodes: 1})
 	optimize(t, f, 0, "Q12")
 	if err := f.Stop(); err != nil {
 		t.Fatal(err)
@@ -141,7 +141,7 @@ func TestProcessServeDrains(t *testing.T) {
 // version that process reached.
 func TestProcessJournalReplays(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "journal.jsonl")
-	f := startProcesses(t, harness.Options{Nodes: 1, Args: []string{"-trained=false",
+	f := startProcesses(t, harness.Options{Nodes: 1, Args: []string{
 		"-journal", journal, "-drift-min-samples", "4", "-recal-interval", "200ms"}})
 	obs := drifting()
 	var fb server.FeedbackResponse
@@ -152,7 +152,7 @@ func TestProcessJournalReplays(t *testing.T) {
 	if err := f.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(f.Bin, "calibrate", "-journal", journal, "-trained=false").CombinedOutput()
+	out, err := exec.Command(f.Bin, "calibrate", "-journal", journal).CombinedOutput()
 	if err != nil {
 		t.Fatalf("raqo calibrate: %v\n%s", err, out)
 	}
@@ -169,7 +169,7 @@ func TestProcessJournalReplays(t *testing.T) {
 func TestProcessHistorySurvivesKill(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "journal.jsonl")
-	f := startProcesses(t, harness.Options{Nodes: 1, Args: []string{"-trained=false",
+	f := startProcesses(t, harness.Options{Nodes: 1, Args: []string{
 		"-journal", journal, "-history-dir", filepath.Join(dir, "history"), "-history-interval", "100ms"}})
 	t0 := time.Now().Unix()/60*60 - 180
 	at := func(i int) feedback.Observation { // relative error |10-40|/40 = 0.75
@@ -233,7 +233,7 @@ func TestProcessFleet(t *testing.T) {
 	dir := t.TempDir()
 	f := startProcesses(t, harness.Options{
 		Nodes: 3,
-		Args:  []string{"-trained=false", "-drift-min-samples", "4", "-recal-interval", "200ms"},
+		Args:  []string{"-drift-min-samples", "4", "-recal-interval", "200ms"},
 		NodeArgs: func(i int) []string {
 			return []string{"-journal", filepath.Join(dir, fmt.Sprintf("journal%d.jsonl", i))}
 		},

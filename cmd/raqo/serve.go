@@ -69,7 +69,6 @@ func serveFlags() (*flag.FlagSet, func() (*serveSettings, error)) {
 	queueDepth := fs.Int("queue-depth", 64, "admission wait-queue depth")
 	queueWait := fs.Duration("queue-wait", 2*time.Second, "max time a request waits for an admission slot")
 	requestTimeout := fs.Duration("request-timeout", 30*time.Second, "max planning time per request")
-	trained := fs.Bool("trained", true, "train cost models on the simulator (false = paper coefficients)")
 	journal := fs.String("journal", "", "append execution feedback to this JSONL journal")
 	journalMaxBytes := fs.Int64("journal-max-bytes", 0, "rotate the feedback journal at this size (0 = never)")
 	journalMaxFiles := fs.Int("journal-max-files", 0, "rotated journal files to keep, oldest pruned (0 = all)")
@@ -96,7 +95,7 @@ func serveFlags() (*flag.FlagSet, func() (*serveSettings, error)) {
 			return nil, err
 		}
 
-		opts, err := planOptions(*plannerName, *trained)
+		opts, err := planOptions(*plannerName)
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"raqo/internal/cost"
 	"raqo/internal/feedback"
 	"raqo/internal/workload"
 
@@ -25,7 +26,6 @@ import (
 func TestParseServeFlagsAdmission(t *testing.T) {
 	st, err := parseServeFlags([]string{
 		"-max-inflight", "3", "-queue-depth", "7", "-queue-wait", "250ms",
-		"-trained=false",
 	})
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
@@ -47,7 +47,6 @@ func TestParseServeFlagsCloud(t *testing.T) {
 	st, err := parseServeFlags([]string{
 		"-cloud-seed", "7", "-cloud-ondemand", "6", "-cloud-spot", "18",
 		"-cloud-autoscale",
-		"-trained=false",
 	})
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
@@ -70,7 +69,7 @@ func TestParseServeFlagsFeedback(t *testing.T) {
 		"-journal", "/tmp/j.jsonl", "-feedback-capacity", "128",
 		"-drift-threshold", "0.3", "-drift-quantile", "0.9",
 		"-drift-window", "32", "-drift-min-samples", "4",
-		"-recal-interval", "5s", "-trained=false",
+		"-recal-interval", "5s",
 	})
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
@@ -97,14 +96,14 @@ func TestParseServeFlagsRejectsUnknownPlanner(t *testing.T) {
 }
 
 // TestCalibrateCmdReducesError writes a journal of accurate observations
-// (simulator ground truth) and replays it with the paper-coefficient seed:
-// the reported error must drop across recalibration, and replaying the
+// (simulator ground truth) and replays it with the seed `raqo serve` starts
+// with: the reported error must drop across recalibration, and replaying the
 // same journal twice must print identical numbers (determinism). The
 // journal ends in a line a crash cut short, which the replay must skip.
 func TestCalibrateCmdReducesError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.jsonl")
 	grid := workload.DefaultProfileGrid(raqo.Hive())[:60]
-	obs := feedback.SyntheticObservations("hive", raqo.PaperModels(), grid)
+	obs := feedback.SyntheticObservations("hive", cost.PaperModels(), grid)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatalf("create journal: %v", err)
@@ -124,7 +123,7 @@ func TestCalibrateCmdReducesError(t *testing.T) {
 
 	run := func() string {
 		return string(captureStdout(t, func() error {
-			return calibrateCmd([]string{"-journal", path, "-trained=false"})
+			return calibrateCmd([]string{"-journal", path})
 		}))
 	}
 	out := run()
@@ -166,7 +165,7 @@ func TestCalibrateCmdRequiresJournal(t *testing.T) {
 // profiling flags; both default off/zero so plain `raqo serve` is
 // unchanged.
 func TestParseServeFlagsArbiterAndPprof(t *testing.T) {
-	st, err := parseServeFlags([]string{"-trained=false"})
+	st, err := parseServeFlags(nil)
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
 	}
@@ -177,7 +176,7 @@ func TestParseServeFlagsArbiterAndPprof(t *testing.T) {
 		t.Errorf("ArbiterCapacity default = %d, want 0 (server selects 100)", st.cfg.ArbiterCapacity)
 	}
 	st, err = parseServeFlags([]string{
-		"-pprof", "127.0.0.1:6060", "-arbiter-capacity", "40", "-trained=false",
+		"-pprof", "127.0.0.1:6060", "-arbiter-capacity", "40",
 	})
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
@@ -201,7 +200,7 @@ func TestParseServeFlagsArbiterAndPprof(t *testing.T) {
 // -node-id build a normalized fleet.Config, and the flags default to
 // fleet-off so plain `raqo serve` is unchanged.
 func TestParseServeFlagsFleet(t *testing.T) {
-	st, err := parseServeFlags([]string{"-trained=false"})
+	st, err := parseServeFlags(nil)
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
 	}
@@ -212,7 +211,6 @@ func TestParseServeFlagsFleet(t *testing.T) {
 	st, err = parseServeFlags([]string{
 		"-node-id", "127.0.0.1:7001",
 		"-peers", "127.0.0.1:7002, 127.0.0.1:7001 ,127.0.0.1:7003",
-		"-trained=false",
 	})
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
@@ -226,7 +224,7 @@ func TestParseServeFlagsFleet(t *testing.T) {
 	}
 
 	// A node may advertise itself with no peers: a fleet of one.
-	st, err = parseServeFlags([]string{"-node-id", "127.0.0.1:7001", "-trained=false"})
+	st, err = parseServeFlags([]string{"-node-id", "127.0.0.1:7001"})
 	if err != nil {
 		t.Fatalf("parseServeFlags: %v", err)
 	}
@@ -250,8 +248,7 @@ func TestParseServeFlagsFleetValidation(t *testing.T) {
 		{"duplicate peers", []string{"-node-id", "127.0.0.1:7001", "-peers", "127.0.0.1:7002,127.0.0.1:7002"}},
 	}
 	for _, tc := range cases {
-		args := append(tc.args, "-trained=false")
-		if _, err := parseServeFlags(args); err == nil {
+		if _, err := parseServeFlags(tc.args); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
@@ -260,13 +257,12 @@ func TestParseServeFlagsFleetValidation(t *testing.T) {
 // TestEveryServeFlagReachesSettings walks the serve flag set itself, so a
 // new flag is covered without editing the test: each flag is parsed alone
 // with a value other than its default (derived from its type), and the
-// settings must differ from the defaults'. The baselines run with
-// -trained=false, -planner takes a planner name, and -peers needs
-// -node-id, which its baseline carries.
+// settings must differ from the defaults'. -planner takes a planner name,
+// and -peers needs -node-id, which its baseline carries.
 func TestEveryServeFlagReachesSettings(t *testing.T) {
 	fs, _ := serveFlags()
 	fs.VisitAll(func(f *flag.Flag) {
-		base := []string{"-trained=false"}
+		var base []string
 		var value string
 		switch v := f.Value.(flag.Getter).Get().(type) {
 		case bool:
@@ -285,8 +281,6 @@ func TestEveryServeFlagReachesSettings(t *testing.T) {
 			t.Fatalf("-%s: no non-default value for a %T flag", f.Name, v)
 		}
 		switch f.Name {
-		case "trained":
-			value = "true" // every baseline runs untrained
 		case "planner":
 			value = "randomized"
 		case "peers":

@@ -56,7 +56,7 @@ var (
 	// precedes "raqo" (to tell `go run ./cmd/raqo` from a package path),
 	// then the words up to a comment, a code span's end or a shell
 	// operator. cliFlag matches a flag among those words ("-json",
-	// "-trained=false", "[-planner"); usageCommand, a command of the
+	// "-mode=price", "[-planner"); usageCommand, a command of the
 	// binary's usage text; helpFlag, a flag of a command's -h text.
 	raqoCall     = regexp.MustCompile("(\\S*)\\braqo[ \t]+([^\n#`|;&]*)")
 	cliFlag      = regexp.MustCompile(`^\[?-([a-zA-Z][A-Za-z0-9-]*)`)

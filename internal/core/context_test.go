@@ -17,7 +17,7 @@ func TestOptimizeCtxCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, planner := range []PlannerKind{Selinger, FastRandomized} {
-		opt, err := New(cluster.Default(), Options{Planner: planner})
+		opt, err := New(cluster.Default(), Options{Models: trainedModels(t), Planner: planner})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,7 @@ func TestModeCtxVariantsCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := New(cluster.Default(), Options{})
+	opt, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,16 +2,35 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"raqo/internal/catalog"
 	"raqo/internal/cluster"
 	"raqo/internal/cost"
+	"raqo/internal/execsim"
 	"raqo/internal/optimizer"
 	"raqo/internal/plan"
 	"raqo/internal/resource"
 	"raqo/internal/workload"
 )
+
+var (
+	trainedOnce sync.Once
+	trained     *cost.Models
+	trainedErr  error
+)
+
+// trainedModels is the model set the server plans on, trained on the Hive
+// simulator once per test binary.
+func trainedModels(t testing.TB) *cost.Models {
+	t.Helper()
+	trainedOnce.Do(func() { trained, trainedErr = workload.TrainedModels(execsim.Hive()) })
+	if trainedErr != nil {
+		t.Fatal(trainedErr)
+	}
+	return trained
+}
 
 func testSchema(t *testing.T) *catalog.Schema {
 	t.Helper()
@@ -106,7 +125,7 @@ func TestCosterErrors(t *testing.T) {
 }
 
 func TestOptimizeJoint(t *testing.T) {
-	o, err := New(cluster.Default(), Options{})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +157,7 @@ func TestJointNoWorseThanAnyFixed(t *testing.T) {
 	// configuration, because the fixed configuration is inside the joint
 	// search space.
 	cond := cluster.Default()
-	o, err := New(cond, Options{Resource: &resource.BruteForce{}})
+	o, err := New(cond, Options{Models: trainedModels(t), Resource: &resource.BruteForce{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +182,7 @@ func TestJointNoWorseThanAnyFixed(t *testing.T) {
 }
 
 func TestOptimizeFixedValidation(t *testing.T) {
-	o, err := New(cluster.Default(), Options{})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +192,7 @@ func TestOptimizeFixedValidation(t *testing.T) {
 }
 
 func TestOptimizeForBudget(t *testing.T) {
-	o, err := New(cluster.Default(), Options{})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +211,7 @@ func TestOptimizeForBudget(t *testing.T) {
 }
 
 func TestPlanResources(t *testing.T) {
-	o, err := New(cluster.Default(), Options{})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +237,7 @@ func TestPlanResources(t *testing.T) {
 }
 
 func TestOptimizeForPrice(t *testing.T) {
-	o, err := New(cluster.Default(), Options{Seed: 3})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t), Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +265,7 @@ func TestOptimizeForPrice(t *testing.T) {
 }
 
 func TestReoptimizeOnClusterChange(t *testing.T) {
-	o, err := New(cluster.Default(), Options{})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,16 +305,19 @@ func TestReoptimizeOnClusterChange(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(cluster.Conditions{}, Options{}); err == nil {
+	if _, err := New(cluster.Conditions{}, Options{Models: trainedModels(t)}); err == nil {
 		t.Error("invalid conditions accepted")
 	}
-	if _, err := New(cluster.Default(), Options{}); err != nil {
+	if _, err := New(cluster.Default(), Options{}); err == nil {
+		t.Error("nil models accepted")
+	}
+	if _, err := New(cluster.Default(), Options{Models: trainedModels(t)}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFastRandomizedMode(t *testing.T) {
-	o, err := New(cluster.Default(), Options{Planner: FastRandomized, Seed: 11})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t), Planner: FastRandomized, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +335,7 @@ func TestFastRandomizedMode(t *testing.T) {
 
 func TestCachedResourcePlanner(t *testing.T) {
 	cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.1}
-	o, err := New(cluster.Default(), Options{Resource: cache})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t), Resource: cache})
 	if err != nil {
 		t.Fatal(err)
 	}

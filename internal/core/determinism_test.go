@@ -51,7 +51,7 @@ func TestOptimizeDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				o, err := New(cluster.Default(), Options{Planner: kind, Seed: 42})
+				o, err := New(cluster.Default(), Options{Models: trainedModels(t), Planner: kind, Seed: 42})
 				if err != nil {
 					t.Fatal(err)
 				}

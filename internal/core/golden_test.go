@@ -8,11 +8,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"raqo/internal/catalog"
 	"raqo/internal/cluster"
 	"raqo/internal/core"
+	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/optimizer/randomized"
 	"raqo/internal/plan"
@@ -104,15 +106,29 @@ func goldenQueries(t *testing.T) []goldenQuery {
 	return out
 }
 
+var (
+	trainedOnce sync.Once
+	trained     *cost.Models
+	trainedErr  error
+)
+
+// trainedModels is the model set the server plans on, trained on the Hive
+// simulator once per test binary.
+func trainedModels(t *testing.T) *cost.Models {
+	t.Helper()
+	trainedOnce.Do(func() { trained, trainedErr = workload.TrainedModels(execsim.Hive()) })
+	if trainedErr != nil {
+		t.Fatal(trainedErr)
+	}
+	return trained
+}
+
 // goldenDecisions plans the pinned set under each regime, one optimizer
 // per (regime, planner) so the resource-plan cache and the cost memo warm
 // across queries in a fixed order.
 func goldenDecisions(t *testing.T) []goldenDecision {
 	t.Helper()
-	models, err := workload.TrainedModels(execsim.Hive())
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := trainedModels(t)
 	queries := goldenQueries(t)
 	var out []goldenDecision
 	for _, regime := range goldenRegimes {

@@ -11,7 +11,6 @@ import (
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
 	"raqo/internal/plan"
-	"raqo/internal/resource"
 	"raqo/internal/scheduler"
 	"raqo/internal/workload"
 )
@@ -45,11 +44,17 @@ func condLadder(t *testing.T) []cluster.Conditions {
 
 // TestIncrementalMatchesScratch is the acceptance bar of incremental
 // re-optimization: across the TPC-H workload, a drifting-conditions
-// ladder and base vs reversed catalog insertion order, every incremental
-// decision must be bit-identical (plan signature with resources, modeled
-// time and money) to planning from scratch with a fresh optimizer under
-// the same conditions. PlansConsidered and ResourceIterations are
-// planner-effort metrics and intentionally differ on memoized answers.
+// ladder, base vs reversed catalog insertion order and both the trained
+// and the paper model sets, every incremental decision must be
+// bit-identical (plan signature with resources, modeled time and money)
+// to planning from scratch with a fresh optimizer under the same
+// conditions. The optimizer is the served one: cost memo on, memory-aware,
+// a bare hill climb. A resource.Cache is keyed by data size alone and
+// answers across conditions, its designed approximation, so behind one an
+// incremental answer may differ from scratch (trained Q12 at step 5 plans
+// SMJ@60x6GB against scratch's SMJ@60x7GB). PlansConsidered and
+// ResourceIterations are planner-effort metrics and intentionally differ
+// on memoized answers.
 func TestIncrementalMatchesScratch(t *testing.T) {
 	base := catalog.TPCH(100)
 	schemas := []struct {
@@ -59,43 +64,50 @@ func TestIncrementalMatchesScratch(t *testing.T) {
 		{"base", base},
 		{"reversed", reversedSchema(t, base)},
 	}
+	sets := []struct {
+		name   string
+		models *cost.Models
+	}{
+		{"trained", trainedModels(t)},
+		{"paper", cost.PaperModels()},
+	}
 	engine := execsim.Hive()
 	ladder := condLadder(t)
-	for _, sc := range schemas {
-		for _, qname := range workload.QueryNames {
-			q, err := workload.TPCHQuery(sc.s, qname)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts := Options{Seed: 42, Engine: &engine,
-				MemoizeCosts: true, Resource: &resource.Cache{Inner: &resource.HillClimb{}}}
-			o, err := New(cluster.Default(), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc := NewIncremental(o)
-			for step, cond := range ladder {
-				got, src, err := inc.Optimize(q, cond)
-				if err != nil {
-					t.Fatalf("schema=%s %s step %d: incremental: %v", sc.name, qname, step, err)
-				}
-				// From scratch: a fresh optimizer, fresh caches, same conditions.
-				fo, err := New(cond, Options{Seed: 42, Engine: &engine})
+	for _, set := range sets {
+		for _, sc := range schemas {
+			for _, qname := range workload.QueryNames {
+				q, err := workload.TPCHQuery(sc.s, qname)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fo.Optimize(q)
+				o, err := New(cluster.Default(), Options{Models: set.models, Seed: 42, Engine: &engine, MemoizeCosts: true})
 				if err != nil {
-					t.Fatalf("schema=%s %s step %d: scratch: %v", sc.name, qname, step, err)
+					t.Fatal(err)
 				}
-				label := "schema=" + sc.name + " " + qname +
-					" step " + itoa(step) + " (" + src.String() + ")"
-				if gs, ws := got.Plan.SignatureWithResources(), want.Plan.SignatureWithResources(); gs != ws {
-					t.Errorf("%s: plan differs:\n%s\nvs scratch\n%s", label, gs, ws)
-				}
-				if got.Time != want.Time || got.Money != want.Money {
-					t.Errorf("%s: cost differs: time %v vs %v, money %v vs %v",
-						label, got.Time, want.Time, got.Money, want.Money)
+				inc := NewIncremental(o)
+				for step, cond := range ladder {
+					label := set.name + " schema=" + sc.name + " " + qname + " step " + itoa(step)
+					got, src, err := inc.Optimize(q, cond)
+					if err != nil {
+						t.Fatalf("%s: incremental: %v", label, err)
+					}
+					// From scratch: a fresh optimizer, fresh caches, same conditions.
+					fo, err := New(cond, Options{Models: set.models, Seed: 42, Engine: &engine})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := fo.Optimize(q)
+					if err != nil {
+						t.Fatalf("%s: scratch: %v", label, err)
+					}
+					label += " (" + src.String() + ")"
+					if gs, ws := got.Plan.SignatureWithResources(), want.Plan.SignatureWithResources(); gs != ws {
+						t.Errorf("%s: plan differs:\n%s\nvs scratch\n%s", label, gs, ws)
+					}
+					if got.Time != want.Time || got.Money != want.Money {
+						t.Errorf("%s: cost differs: time %v vs %v, money %v vs %v",
+							label, got.Time, want.Time, got.Money, want.Money)
+					}
 				}
 			}
 		}
@@ -125,7 +137,7 @@ func TestIncrementalSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(cluster.Default(), Options{Seed: 42})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t), Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +195,7 @@ func TestIncrementalMemoStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(cluster.Default(), Options{Seed: 42})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t), Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +230,7 @@ func TestIncrementalExecuteOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(cluster.Default(), Options{Seed: 42})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t), Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,10 +313,7 @@ func TestIncrementalClampOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine, pricing := execsim.Hive(), cost.DefaultPricing()
-	models, err := workload.TrainedModels(engine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := trainedModels(t)
 	// Trained models plan Q3 with a broadcast join, whose build side runs
 	// out of memory once clamped onto 1GB containers.
 	o, err := New(cluster.Default(), Options{Seed: 42, Models: models, Engine: &engine})

@@ -19,7 +19,7 @@ func decide(t *testing.T, planner core.PlannerKind, s *catalog.Schema) goldenDec
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := core.New(cluster.Default(), core.Options{Planner: planner, Seed: 7, Randomized: goldenRandomized})
+	o, err := core.New(cluster.Default(), core.Options{Models: trainedModels(t), Planner: planner, Seed: 7, Randomized: goldenRandomized})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // planning entirely.
 func TestMemoizeCosts(t *testing.T) {
 	query := q(t, workload.All)
-	plain, err := New(cluster.Default(), Options{})
+	plain, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func TestMemoizeCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o, err := New(cluster.Default(), Options{MemoizeCosts: true})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t), MemoizeCosts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestMemoizeCosts(t *testing.T) {
 // must reproduce per query — across calls and across Optimizer instances —
 // and distinct queries must draw distinct seeds.
 func TestDerivedSeedsReproducible(t *testing.T) {
-	opts := Options{Planner: FastRandomized, Seed: 11}
+	opts := Options{Models: trainedModels(t), Planner: FastRandomized, Seed: 11}
 	a, err := New(cluster.Default(), opts)
 	if err != nil {
 		t.Fatal(err)

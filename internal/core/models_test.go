@@ -11,7 +11,7 @@ import (
 )
 
 func TestSetModelsSwapsLiveSet(t *testing.T) {
-	opt, err := New(cluster.Default(), Options{MemoizeCosts: true})
+	opt, err := New(cluster.Default(), Options{Models: trainedModels(t), MemoizeCosts: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSetModelsSwapsLiveSet(t *testing.T) {
 // TestSetModelsConcurrentWithOptimize races model swaps against planning
 // calls; run with -race. Every plan must be priced by a complete set.
 func TestSetModelsConcurrentWithOptimize(t *testing.T) {
-	opt, err := New(cluster.Default(), Options{})
+	opt, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,7 @@ func TestPlansOutliveArena(t *testing.T) {
 	}
 	newOptimizer := func() *core.Optimizer {
 		o, err := core.New(cluster.Default(), core.Options{
+			Models:     trainedModels(t),
 			Planner:    core.FastRandomized,
 			Resource:   &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},
 			Seed:       7,

@@ -30,10 +30,7 @@ func TestMemoryAwareCosterRejectsOversizedBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := execsim.Hive()
-	models, err := workload.TrainedModels(engine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := trainedModels(t)
 	c := &Coster{
 		Models:    models,
 		Resources: &resource.HillClimb{},
@@ -76,10 +73,7 @@ func TestMemoryAwareFixedMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	engine := execsim.Hive()
-	models, err := workload.TrainedModels(engine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := trainedModels(t)
 	c := &Coster{
 		Models: models,
 		Fixed:  plan.Resources{Containers: 10, ContainerGB: 3},
@@ -101,10 +95,7 @@ func TestMemoryAwareFixedMode(t *testing.T) {
 // simulator without OOM.
 func TestPrunedPlansAlwaysExecute(t *testing.T) {
 	engine := execsim.Hive()
-	models, err := workload.TrainedModels(engine)
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := trainedModels(t)
 	o, err := New(cluster.Default(), Options{Models: models, Engine: &engine})
 	if err != nil {
 		t.Fatal(err)

@@ -39,13 +39,17 @@ func (k PlannerKind) String() string {
 	return fmt.Sprintf("PlannerKind(%d)", int(k))
 }
 
-// Options configures an Optimizer. Zero values select sensible defaults:
-// Selinger planning, hill-climbing resource planning, the paper's
-// published cost models. Plans are always priced at the default
-// serverless rate (cost.DefaultPricing).
+// Options configures an Optimizer. Models is required; the other zero
+// values select Selinger planning and hill-climbing resource planning.
+// Plans are always priced at the default serverless rate
+// (cost.DefaultPricing).
 type Options struct {
 	Planner PlannerKind
-	Models  *cost.Models
+	// Models is the cost-model set planning starts with; there is no
+	// default. The paper's published coefficients (cost.PaperModels) price
+	// this repository's joins at the prediction floor, so a caller names
+	// its set, usually one trained on its engine (workload.TrainedModels).
+	Models *cost.Models
 	// Resource is the resource planner; nil selects a fresh HillClimb. To
 	// enable resource-plan caching pass a *resource.Cache.
 	Resource resource.Planner
@@ -93,7 +97,7 @@ func New(cond cluster.Conditions, opts Options) (*Optimizer, error) {
 		return nil, err
 	}
 	if opts.Models == nil {
-		opts.Models = cost.PaperModels()
+		return nil, fmt.Errorf("core: Options.Models is nil")
 	}
 	if opts.Resource == nil {
 		opts.Resource = &resource.HillClimb{}

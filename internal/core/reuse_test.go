@@ -165,10 +165,7 @@ func reuseQueries(t *testing.T, schema string) map[PlannerKind][]*plan.Query {
 // full Stats. Resource-only planning and price-bounded planning go through
 // the same per-call table and are compared the same way.
 func TestCosterReuseMatchesCache(t *testing.T) {
-	models, err := workload.TrainedModels(execsim.Hive())
-	if err != nil {
-		t.Fatal(err)
-	}
+	models := trainedModels(t)
 	hive := execsim.Hive()
 	lookups := []struct {
 		mode        resource.LookupMode

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"raqo/internal/cluster"
-	"raqo/internal/execsim"
 	"raqo/internal/workload"
 )
 
@@ -20,11 +19,7 @@ func robustScenarios() []cluster.Conditions {
 
 func trainedOptimizer(t *testing.T) *Optimizer {
 	t.Helper()
-	models, err := workload.TrainedModels(execsim.Hive())
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := New(cluster.Default(), Options{Models: models})
+	o, err := New(cluster.Default(), Options{Models: trainedModels(t)})
 	if err != nil {
 		t.Fatal(err)
 	}

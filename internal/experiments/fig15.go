@@ -25,13 +25,15 @@ var fig15Randomized = randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPl
 
 // Figure15a scales the schema: random queries of 2 to 100 relations over a
 // 100-table schema, comparing plain QO, RAQO with hill climbing, and RAQO
-// with hill climbing plus the nearest-neighbor resource-plan cache.
+// with hill climbing plus the nearest-neighbor resource-plan cache, all
+// over the paper's floored models.
 func Figure15a() (*Report, error) {
 	s, err := fig15Schema()
 	if err != nil {
 		return nil, err
 	}
 	cond := cluster.Default()
+	models := cost.PaperModels()
 	rng := rand.New(rand.NewSource(1))
 
 	tbl := Table{
@@ -44,7 +46,7 @@ func Figure15a() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		qo, err := core.New(cond, core.Options{Planner: core.FastRandomized, Seed: 7, Randomized: fig15Randomized})
+		qo, err := core.New(cond, core.Options{Planner: core.FastRandomized, Seed: 7, Randomized: fig15Randomized, Models: models})
 		if err != nil {
 			return nil, err
 		}
@@ -53,7 +55,7 @@ func Figure15a() (*Report, error) {
 			return nil, err
 		}
 		raqo, err := core.New(cond, core.Options{
-			Planner: core.FastRandomized, Seed: 7, Randomized: fig15Randomized,
+			Planner: core.FastRandomized, Seed: 7, Randomized: fig15Randomized, Models: models,
 			Resource: &resource.HillClimb{},
 		})
 		if err != nil {
@@ -64,7 +66,7 @@ func Figure15a() (*Report, error) {
 			return nil, err
 		}
 		cached, err := core.New(cond, core.Options{
-			Planner: core.FastRandomized, Seed: 7, Randomized: fig15Randomized,
+			Planner: core.FastRandomized, Seed: 7, Randomized: fig15Randomized, Models: models,
 			Resource: &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},
 		})
 		if err != nil {

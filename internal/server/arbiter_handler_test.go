@@ -7,23 +7,10 @@ import (
 	"testing"
 
 	"raqo/internal/arbiter"
-	"raqo/internal/core"
-	"raqo/internal/execsim"
-	"raqo/internal/workload"
 )
-
-func trainedOptions(t *testing.T) core.Options {
-	t.Helper()
-	models, err := workload.TrainedModels(execsim.Hive())
-	if err != nil {
-		t.Fatalf("TrainedModels: %v", err)
-	}
-	return core.Options{Models: models}
-}
 
 func TestSubmitEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Options: trainedOptions(t),
 		ArbiterTenants: []arbiter.TenantConfig{
 			{Name: "etl", Weight: 2},
 			{Name: "bi", Weight: 1},
@@ -128,7 +115,6 @@ func TestSubmitOversizedWaitGets429(t *testing.T) {
 	// A 1-container pool can never satisfy a wait-policy plan optimized
 	// for the full default cluster: backpressure, not a client error.
 	_, ts := newTestServer(t, Config{
-		Options:         trainedOptions(t),
 		ArbiterCapacity: 1,
 	})
 	resp := postJSON(t, ts.URL+"/v1/submit", SubmitRequest{Query: "Q12", Policy: "wait"})

@@ -98,7 +98,10 @@ func (p peakModel) Cost(ss, cs, nc float64) float64 {
 
 // TestBatchPlansOneQueryAtATime: a batch holds one admission slot and
 // plans its queries one after another on one goroutine, so on a 1-slot
-// server no two cost evaluations ever run at once.
+// server no two cost evaluations ever run at once. The wrapped set is the
+// paper's: its floored costs end every hill climb at once, which keeps the
+// sleep in each evaluation cheap (the served set makes this test 50x
+// slower), and the test reads no plan.
 func TestBatchPlansOneQueryAtATime(t *testing.T) {
 	var active, peak atomic.Int64
 	models := cost.NewModels()
@@ -181,7 +184,7 @@ func TestBatchMatchesFresh(t *testing.T) {
 func TestBatchClientCancellation(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	s, err := New(Config{
-		Options:         core.Options{Models: gatedModels(started, release)},
+		Options:         core.Options{Models: gatedModels(t, started, release)},
 		RecalInterval:   -1,
 		HistoryInterval: -1,
 	})

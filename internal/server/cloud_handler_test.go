@@ -12,7 +12,6 @@ import (
 
 func TestCloudSubmitEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Options: trainedOptions(t),
 		CloudTenants: []cloud.TenantConfig{
 			{Name: "etl", Weight: 2},
 			{Name: "bi", Weight: 1},
@@ -116,7 +115,7 @@ func TestCloudSubmitEndpoint(t *testing.T) {
 // spot allocations. A storm body POSTed while a spot gang runs is refused,
 // and the market's preemption and in-flight counts do not move.
 func TestNoClientPreemption(t *testing.T) {
-	_, ts := newTestServer(t, Config{Options: trainedOptions(t)})
+	_, ts := newTestServer(t, Config{})
 	resp := postJSON(t, ts.URL+"/v1/cloud/submit", CloudSubmitRequest{Query: "Q12"})
 	var out CloudSubmitResponse
 	decodeBodyInto(t, resp, &out)
@@ -175,7 +174,7 @@ func TestSubmitPathsShareOneOptimizer(t *testing.T) {
 	}
 	paths := []string{"/v1/submit", "/v1/cloud/submit"}
 
-	_, seq := newTestServer(t, Config{Options: trainedOptions(t)})
+	_, seq := newTestServer(t, Config{})
 	var want [2][]string
 	for i, p := range paths {
 		var err error
@@ -184,7 +183,7 @@ func TestSubmitPathsShareOneOptimizer(t *testing.T) {
 		}
 	}
 
-	_, par := newTestServer(t, Config{Options: trainedOptions(t)})
+	_, par := newTestServer(t, Config{})
 	var got [2][]string
 	var errs [2]error
 	var wg sync.WaitGroup

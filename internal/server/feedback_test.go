@@ -7,9 +7,11 @@ import (
 	"net/http"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"raqo/internal/cloud"
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
@@ -200,14 +202,28 @@ func defWithDefaultsThreshold(cfg feedback.DriftConfig) float64 {
 	return feedback.NewDetector(cfg).Config().Threshold
 }
 
+var (
+	servedOnce sync.Once
+	served     *cost.Models
+	servedErr  error
+)
+
+// servedModels is the set a server built without Options.Models plans on,
+// trained on cloud.Engine(), built once per test binary.
+func servedModels(t testing.TB) *cost.Models {
+	t.Helper()
+	servedOnce.Do(func() { served, servedErr = workload.TrainedModels(cloud.Engine()) })
+	if servedErr != nil {
+		t.Fatal(servedErr)
+	}
+	return served
+}
+
 // skewedHiveModels returns the simulator-trained Hive model set with every
 // coefficient scaled by factor — a deliberately miscalibrated seed.
 func skewedHiveModels(t *testing.T, factor float64) *cost.Models {
 	t.Helper()
-	truth, err := workload.TrainedModels(execsim.Hive())
-	if err != nil {
-		t.Fatalf("TrainedModels: %v", err)
-	}
+	truth := servedModels(t)
 	skewed := cost.NewModels()
 	for _, a := range plan.Algos {
 		m, ok := truth.For(a)

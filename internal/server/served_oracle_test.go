@@ -45,20 +45,22 @@ var servedModes = []OptimizeRequest{
 // memory-aware for cloud.Engine() as the server does, a new optimizer for
 // every decision, so nothing an earlier request left behind can reach it.
 type servedOracle struct {
-	sch    *catalog.Schema
-	models []*cost.Models // the model sets a sequence may run under
+	sch *catalog.Schema
+	// models are the sets a sequence may run under: the served set, and a
+	// set trained on the Spark profile, whose plans and times differ.
+	models []*cost.Models
 	want   map[[2]int]*core.Decision
 }
 
 func newServedOracle(t testing.TB) *servedOracle {
 	t.Helper()
-	trained, err := workload.TrainedModels(execsim.Hive())
+	spark, err := workload.TrainedModels(execsim.Spark())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &servedOracle{
 		sch:    catalog.TPCH(100),
-		models: []*cost.Models{cost.PaperModels(), trained},
+		models: []*cost.Models{servedModels(t), spark},
 		want:   map[[2]int]*core.Decision{},
 	}
 }
@@ -99,14 +101,17 @@ func (o *servedOracle) decision(t testing.TB, m, i int, req OptimizeRequest) *co
 	return d
 }
 
-// newServed builds a server planning under model set m, as `raqo serve`
-// does with those models. With supplied, its Config also carries the 1 GB
-// nearest-neighbour resource-plan cache that once served Q2 at 9.08 s
-// after Q3 and the Spark engine, both of which the server must ignore. The
-// caller closes it.
+// newServed builds a server planning under model set m. Set 0 is left to
+// the server, which trains the set `raqo serve` plans on. With supplied,
+// its Config also carries the 1 GB nearest-neighbour resource-plan cache
+// that once served Q2 at 9.08 s after Q3 and the Spark engine, both of
+// which the server must ignore. The caller closes it.
 func (o *servedOracle) newServed(t testing.TB, m int, supplied bool) *Server {
 	t.Helper()
-	opts := core.Options{Models: o.models[m]}
+	var opts core.Options
+	if m != 0 {
+		opts.Models = o.models[m]
+	}
 	if supplied {
 		opts.Resource = &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 1}
 		spark := execsim.Spark()
@@ -158,35 +163,34 @@ func servePlan(t testing.TB, s *Server, req OptimizeRequest, where string) (wire
 }
 
 // TestServedMatchesFresh sends every permutation of servedRequests to a
-// new server, under the paper's and the trained models, with and without a
-// resource planner and engine in its Config, and holds each answer to a
-// fresh optimizer's: a served decision depends neither on which requests
-// came before it nor on the planner or engine a caller supplied.
+// new server, once under the served models as `raqo serve` builds it, and
+// once under the Spark-trained set with a resource planner and engine in
+// its Config, and holds each answer to a fresh optimizer's: a served
+// decision depends neither on which requests came before it nor on the
+// planner or engine a caller supplied.
 func TestServedMatchesFresh(t *testing.T) {
 	o := newServedOracle(t)
 	perm := make([]int, len(servedRequests))
 	for i := range perm {
 		perm[i] = i
 	}
-	for m := range o.models {
-		for _, supplied := range []bool{false, true} {
-			permute(perm, len(perm), func(order []int) {
-				s := o.newServed(t, m, supplied)
-				var history []string
-				for _, i := range order {
-					req := servedRequests[i]
-					o.check(t, s, m, i, req, history)
-					history = append(history, req.Query+strings.Join(req.Relations, ","))
-				}
-				_ = s.Close()
-			})
-		}
+	for m, supplied := range []bool{false, true} {
+		permute(perm, len(perm), func(order []int) {
+			s := o.newServed(t, m, supplied)
+			var history []string
+			for _, i := range order {
+				req := servedRequests[i]
+				o.check(t, s, m, i, req, history)
+				history = append(history, req.Query+strings.Join(req.Relations, ","))
+			}
+			_ = s.Close()
+		})
 	}
 }
 
 // TestServedJointPlansRun sends every connected TPC-H relation list of two
 // or more tables, and the four evaluation queries, as a joint
-// /v1/optimize under both planners and both model sets, and runs each
+// /v1/optimize under both planners and the served models, and runs each
 // answered plan on cloud.Engine(): the server plans memory-aware for the
 // engine its arbiters execute on, so no served joint plan runs out of
 // memory there.
@@ -212,25 +216,23 @@ func TestServedJointPlansRun(t *testing.T) {
 		reqs = append(reqs, OptimizeRequest{Query: name})
 	}
 	engine := cloud.Engine()
-	for m, models := range o.models {
-		for _, planner := range []core.PlannerKind{core.Selinger, core.FastRandomized} {
-			s, err := New(Config{Options: core.Options{Planner: planner, Models: models}, RecalInterval: -1, HistoryInterval: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			failed := 0
-			for _, req := range reqs {
-				_, p := servePlan(t, s, req, fmt.Sprintf(" (%s, model set %d)", planner, m))
-				if _, err := engine.Execute(p, cost.DefaultPricing()); err != nil {
-					failed++
-					t.Errorf("%+v (%s, model set %d): %s: %v", req, planner, m, p.SignatureWithResources(), err)
-				}
-			}
-			if failed > 0 {
-				t.Errorf("%s under model set %d: %d of %d served plans fail on the engine", planner, m, failed, len(reqs))
-			}
-			_ = s.Close()
+	for _, planner := range []core.PlannerKind{core.Selinger, core.FastRandomized} {
+		s, err := New(Config{Options: core.Options{Planner: planner}, RecalInterval: -1, HistoryInterval: -1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		failed := 0
+		for _, req := range reqs {
+			_, p := servePlan(t, s, req, fmt.Sprintf(" (%s)", planner))
+			if _, err := engine.Execute(p, cost.DefaultPricing()); err != nil {
+				failed++
+				t.Errorf("%+v (%s): %s: %v", req, planner, p.SignatureWithResources(), err)
+			}
+		}
+		if failed > 0 {
+			t.Errorf("%s: %d of %d served plans fail on the engine", planner, failed, len(reqs))
+		}
+		_ = s.Close()
 	}
 }
 
@@ -255,16 +257,16 @@ func permute(a []int, k int, visit func([]int)) {
 const maxServedSequence = 32
 
 // FuzzServedOrder turns bytes into a request sequence on a new server:
-// the first byte picks the model set and whether the Config supplies a
-// resource planner (see newServed), each later byte a request from
-// servedRequests and servedModes, or a fleet-style Recalibrator.Install of
-// the other model set. Every answer must equal a fresh optimizer's under
+// the first byte picks the model set (the served or the Spark-trained one)
+// and whether the Config supplies a resource planner (see newServed), each
+// later byte a request from servedRequests and servedModes, or a
+// fleet-style Recalibrator.Install of the other model set. Every answer must equal a fresh optimizer's under
 // the set live at the time, and the live /v1/model version never goes
 // back.
 func FuzzServedOrder(f *testing.F) {
-	f.Add([]byte{0, 1, 2})                   // Q2 after Q3, paper models
+	f.Add([]byte{0, 1, 2})                   // Q2 after Q3, served models
 	f.Add([]byte{0, 0, 1, 2, 3})             // the evaluation order
-	f.Add([]byte{1, 3, 2, 4, 5, 6})          // All first, trained models
+	f.Add([]byte{1, 3, 2, 4, 5, 6})          // All first, Spark-trained models
 	f.Add([]byte{0, 2, 8, 1, 2, 7, 8, 2, 4}) // installs between repeats
 	f.Add([]byte{1, 4, 5, 7, 0, 6})
 	f.Add([]byte{2, 1, 2, 8, 1, 2}) // a supplied cache, Q2 after Q3

@@ -78,9 +78,9 @@ type Config struct {
 	// (the paper's evaluation scale).
 	SF float64
 	// Options configures the shared optimizer, which New builds through
-	// NewOptimizer: only the planner, the models, the randomized planner's
-	// tuning and the seed are the caller's; the resource planner, the cost
-	// memo and the engine are fixed there.
+	// NewOptimizer: only the planner, the models (nil trains the served
+	// set), the randomized planner's tuning and the seed are the caller's;
+	// the resource planner, the cost memo and the engine are fixed there.
 	Options core.Options
 
 	// MaxInFlight bounds concurrently planning requests; 0 selects
@@ -224,11 +224,20 @@ type Server struct {
 // the engine the arbiters execute on. opts.Resource, opts.MemoizeCosts and
 // opts.Engine are overridden, so no configuration reintroduces the
 // resource-plan cache: both reuse tiers are exact, and a served answer is
-// the fresh plan under the same models in any request order. New and every
+// the fresh plan under the same models in any request order. Nil
+// opts.Models selects the set trained on cloud.Engine()
+// (workload.TrainedModels), the one `raqo serve` plans on. New and every
 // planning command of cmd/raqo build their optimizer here.
 func NewOptimizer(opts core.Options) (*core.Optimizer, error) {
 	engine := cloud.Engine()
 	opts.Resource, opts.MemoizeCosts, opts.Engine = nil, true, &engine
+	if opts.Models == nil {
+		models, err := workload.TrainedModels(engine)
+		if err != nil {
+			return nil, err
+		}
+		opts.Models = models
+	}
 	return core.New(cluster.Default(), opts)
 }
 

@@ -329,12 +329,12 @@ func (g gatedModel) Cost(ss, cs, nc float64) float64 {
 	return g.Model.Cost(ss, cs, nc)
 }
 
-// gatedModels wraps every paper model in one shared gate.
-func gatedModels(started, release chan struct{}) *cost.Models {
+// gatedModels wraps every served model in one shared gate.
+func gatedModels(t *testing.T, started, release chan struct{}) *cost.Models {
 	once := new(sync.Once)
 	out := cost.NewModels()
 	for _, a := range plan.Algos {
-		m, _ := cost.PaperModels().For(a)
+		m, _ := servedModels(t).For(a)
 		out.Set(a, gatedModel{Model: m, started: started, release: release, once: once})
 	}
 	return out
@@ -347,7 +347,7 @@ func gatedModels(started, release chan struct{}) *cost.Models {
 func TestOverloadSheds(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	_, ts := newTestServer(t, Config{
-		Options:      core.Options{Models: gatedModels(started, release)},
+		Options:      core.Options{Models: gatedModels(t, started, release)},
 		MaxInFlight:  1,
 		MaxQueue:     1,
 		QueueTimeout: 10 * time.Second,
@@ -685,7 +685,7 @@ func TestStatusLabelBounded(t *testing.T) {
 func TestClientGoneCancels(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	s, err := New(Config{
-		Options:         core.Options{Models: gatedModels(started, release)},
+		Options:         core.Options{Models: gatedModels(t, started, release)},
 		MaxInFlight:     1,
 		RecalInterval:   -1,
 		HistoryInterval: -1,

@@ -23,7 +23,8 @@
 //
 //	sch := raqo.TPCH(100)
 //	q, _ := raqo.NewQuery(sch, "lineitem", "orders", "customer")
-//	opt, _ := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{})
+//	models, _ := raqo.TrainModels(raqo.Hive())
+//	opt, _ := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{Models: models})
 //	d, _ := opt.Optimize(q)
 //	fmt.Println(d.Plan) // joint query + resource plan
 package raqo
@@ -126,15 +127,11 @@ func TPCHQuery(s *Schema, name string) (*Query, error) { return workload.TPCHQue
 func DefaultConditions() Conditions { return cluster.Default() }
 
 // NewOptimizer builds a RAQO optimizer for the given cluster conditions.
-// Zero Options select Selinger planning with hill-climbing resource
-// planning over the paper's published cost models.
+// opts.Models is required (see TrainModels); the other zero Options select
+// Selinger planning with hill-climbing resource planning.
 func NewOptimizer(cond Conditions, opts Options) (*Optimizer, error) {
 	return core.New(cond, opts)
 }
-
-// PaperModels returns cost models with the coefficient vectors published in
-// the paper (Section VI-A).
-func PaperModels() *Models { return cost.PaperModels() }
 
 // TrainModels profiles the given engine on the execution simulator and
 // fits fresh SMJ/BHJ regression models — the paper's full pipeline.

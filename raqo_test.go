@@ -8,13 +8,22 @@ import (
 	"raqo"
 )
 
+// TestFacadeQuickstartFlow follows the package doc's quick start. An
+// optimizer without models is an error: there is no default set.
 func TestFacadeQuickstartFlow(t *testing.T) {
 	schema := raqo.TPCH(100)
 	q, err := raqo.NewQuery(schema, "customer", "orders", "lineitem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{})
+	if _, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{}); err == nil {
+		t.Fatal("NewOptimizer without models succeeded")
+	}
+	models, err := raqo.TrainModels(raqo.Hive())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := raqo.NewOptimizer(raqo.DefaultConditions(), raqo.Options{Models: models})
 	if err != nil {
 		t.Fatal(err)
 	}
