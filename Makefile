@@ -50,7 +50,8 @@ race:
 #   FuzzDrawSource         seed-free math/rand source == rand.NewSource
 #   FuzzWriteJSON          response encoder == json.Encoder with SetIndent
 #   FuzzHistoryJSON        /v1/history fixed-shape encoder == WriteResult
-#   FuzzCosterReuse        per-call cache-answer reuse == asking the cache every time
+#   FuzzCosterReuse        the tree-pricing calls' answer table == asking the cache every time
+#   FuzzSelingerReuse      the Selinger DP's kept answers == asking the cache every time, scripted drift included
 #   FuzzAdmission          admission engine: zero lost, sane pools, byte-identical reruns
 #   FuzzSubmitDecode       submit scanner == encoding/json, both handlers answer as before it; nothing lost after a drain
 #   FuzzRoutingKeys        fleet routing keys == json.Unmarshal's
@@ -76,6 +77,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzHistoryJSON -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSelingerReuse -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s ./internal/cloud
 	$(GO) test -run '^$$' -fuzz FuzzSubmitDecode -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s ./internal/fleet

@@ -175,8 +175,8 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 
 	// The cold Selinger-12 query re-planned by new optimizers on the cache a
-	// first plan filled, as in a plan_scale pass: the coster answers the
-	// repeats from a pooled per-call table, which must cost no allocation.
+	// first plan filled, as in a plan_scale pass: the DP answers the repeats
+	// from its pooled state, which must cost no allocation.
 	// The same runs with the cache hidden behind a plain Planner, so that no
 	// answer is reused, allocate exactly as much.
 	passWarm := coldPlanner(t, core.Selinger, 12, true)

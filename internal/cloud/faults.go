@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -84,23 +83,60 @@ type FaultEvent struct {
 	Kind  FaultKind
 }
 
+// faultHeap is a min-heap of fault events by (At, Token). Its push and
+// pop sift exactly as container/heap's Push and Pop, without boxing an
+// event per call (TestFaultHeapMatchesContainerHeap).
 type faultHeap []FaultEvent
 
-func (h faultHeap) Len() int { return len(h) }
-func (h faultHeap) Less(i, j int) bool {
+func (h faultHeap) less(i, j int) bool {
 	if h[i].At != h[j].At {
 		return h[i].At < h[j].At
 	}
 	return h[i].Token < h[j].Token
 }
-func (h faultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *faultHeap) Push(x interface{}) { *h = append(*h, x.(FaultEvent)) }
-func (h *faultHeap) Pop() interface{} {
+
+func (h faultHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h faultHeap) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+}
+
+func (h *faultHeap) push(ev FaultEvent) {
+	*h = append(*h, ev)
+	h.up(len(*h) - 1)
+}
+
+// pop removes and returns the earliest event.
+func (h *faultHeap) pop() FaultEvent {
 	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*h = old[:n]
+	return old[n]
 }
 
 // Draw is the fate rolled for one admission.
@@ -120,6 +156,7 @@ type Draw struct {
 type Injector struct {
 	cfg       FaultConfig
 	events    faultHeap
+	due       []FaultEvent // PopDue's answer, reused by the next PopDue
 	stormDone bool
 	rng       *rand.Rand // over a randsrc.Source, re-seeded by every Draw
 }
@@ -176,13 +213,13 @@ func (in *Injector) Draw(seq int64, tier Tier, start, execSeconds float64) Draw 
 }
 
 // Schedule queues a fault event.
-func (in *Injector) Schedule(ev FaultEvent) { heap.Push(&in.events, ev) }
+func (in *Injector) Schedule(ev FaultEvent) { in.events.push(ev) }
 
 // Next returns the earliest pending fault time — scheduled events or the
 // storm, whichever comes first.
 func (in *Injector) Next() (float64, bool) {
 	best, ok := 0.0, false
-	if in.events.Len() > 0 {
+	if len(in.events) > 0 {
 		best, ok = in.events[0].At, true
 	}
 	if t, has := in.stormAt(); has && (!ok || t < best) {
@@ -201,14 +238,16 @@ func (in *Injector) stormAt() (float64, bool) {
 }
 
 // PopDue removes and returns every scheduled event with At <= t, in
-// (time, token) order. Events whose allocation already finished are the
+// (time, token) order. The returned slice is valid until the next PopDue,
+// which reuses it. Events whose allocation already finished are the
 // caller's to recognize and drop (finish wins at the same instant).
 func (in *Injector) PopDue(t float64) []FaultEvent {
-	var out []FaultEvent
-	for in.events.Len() > 0 && in.events[0].At <= t {
-		out = append(out, heap.Pop(&in.events).(FaultEvent))
+	due := in.due[:0]
+	for len(in.events) > 0 && in.events[0].At <= t {
+		due = append(due, in.events.pop())
 	}
-	return out
+	in.due = due
+	return due
 }
 
 // StormDue reports whether the one-shot storm should fire at or before

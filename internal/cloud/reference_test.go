@@ -1,8 +1,10 @@
 package cloud
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -77,6 +79,54 @@ func TestDrawMatchesReference(t *testing.T) {
 			if n == 0 {
 				t.Fatalf("seed %d: fault process %d never fired; the comparison covers nothing", seed, i)
 			}
+		}
+	}
+}
+
+// refFaultHeap is faultHeap through container/heap, the order it must keep.
+type refFaultHeap []FaultEvent
+
+func (h refFaultHeap) Len() int           { return len(h) }
+func (h refFaultHeap) Less(i, j int) bool { return faultHeap(h).less(i, j) }
+func (h refFaultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *refFaultHeap) Push(x any)        { *h = append(*h, x.(FaultEvent)) }
+func (h *refFaultHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
+}
+
+// TestFaultHeapMatchesContainerHeap: random schedules and PopDue calls,
+// with times drawn from a few values and tokens from a few more so that
+// ties on both are common, leave the injector's heap array equal to
+// container/heap's after every step, and PopDue returns what popping
+// container/heap returns, in its order.
+func TestFaultHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	in, err := NewInjector(FaultConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want refFaultHeap
+	for step := 0; step < 20000; step++ {
+		if rng.Intn(3) < 2 || len(want) == 0 {
+			ev := FaultEvent{At: float64(rng.Intn(8)), Token: int64(rng.Intn(16)), Kind: FaultKind(rng.Intn(2))}
+			in.Schedule(ev)
+			heap.Push(&want, ev)
+		} else {
+			now := float64(rng.Intn(8))
+			got := in.PopDue(now)
+			var popped []FaultEvent
+			for len(want) > 0 && want[0].At <= now {
+				popped = append(popped, heap.Pop(&want).(FaultEvent))
+			}
+			if !slices.Equal(got, popped) {
+				t.Fatalf("step %d: PopDue(%g) %+v, container/heap %+v", step, now, got, popped)
+			}
+		}
+		if !slices.Equal(in.events, faultHeap(want)) {
+			t.Fatalf("step %d: heap %+v, container/heap %+v", step, in.events, want)
 		}
 	}
 }

@@ -8,7 +8,10 @@ import (
 )
 
 // answerTable is one planning call's record of what the resource-plan cache
-// answered its Coster. The key is the operator's join algorithm and the
+// answered its Coster, for the calls that price trees: the randomized
+// planner's, resource-only and price-bounded planning. The Selinger DP
+// keeps its answers in its own table (optimizer.AnswerKeeper), under the
+// same rule. The key is the operator's join algorithm and the
 // exact bits of its smaller input size. A Coster's conditions, engine,
 // models and pricing are fixed, so that key fixes the cost model and the
 // broadcast-restricted conditions the cache is asked under. An entry holds
@@ -43,8 +46,9 @@ type answerSlot struct {
 // answerMinBits sizes a new table at 2^answerMinBits slots (14 KB). A table
 // grows with the distinct questions its calls ask, so a cold call that asks
 // few pays for few: BenchmarkHotPathCold's randomized-30 call records ~80
-// questions and its Selinger-12 call ~500, which take the table to 2048
-// slots. A fixed 2048-slot table (114 KB) cost a 16-way query of Figure
+// questions cold and ~90 pass-warm, which the first 256 slots hold, and
+// the largest calls of `raqo figure all` record ~340, which take the table
+// to 1024. A fixed 2048-slot table (114 KB) cost a 16-way query of Figure
 // 15(a) ~0.1 ms more whenever a collection had emptied the pool.
 const answerMinBits = 8
 

@@ -39,11 +39,12 @@ import (
 // Within one Optimizer planning call, a Coster whose Resources is a
 // *resource.Cache and whose Memo is nil asks the cache each question once
 // while the cache is unchanged: an answer the cache gave without an
-// evaluation is kept in a per-call table and reused, without locking the
-// cache, for as long as the cache's Version reads the same (see
-// answerTable). Reused answers are counted as the cache hits they replace
-// when the call ends, so the cache's Stats read as if every question had
-// been asked.
+// evaluation is kept and reused, without locking the cache, for as long as
+// the cache's Version reads the same. The Selinger DP keeps its answers
+// per table entry, through the Coster's optimizer.AnswerKeeper methods; a
+// call that prices trees keeps them in a per-call answerTable. Reused
+// answers are counted as the cache hits they replace when the call ends,
+// so the cache's Stats read as if every question had been asked.
 type Coster struct {
 	Models  *cost.Models
 	Pricing cost.Pricing
@@ -73,14 +74,18 @@ type Coster struct {
 
 	ctx *costerContext // Memo's copy of this coster's context, once interned
 
-	// Set between beginCall and endCall: the cache behind Resources and the
-	// call's answer table; reused counts the answers the table served.
+	// Set between beginCall and endCall: the cache behind Resources and,
+	// for a call that prices trees, its answer table; reused counts the
+	// answers the table and the planner served.
 	cache   *resource.Cache
 	answers *answerTable
 	reused  int64
 }
 
-var _ optimizer.OperatorCoster = (*Coster)(nil)
+var (
+	_ optimizer.OperatorCoster = (*Coster)(nil)
+	_ optimizer.AnswerKeeper   = (*Coster)(nil)
+)
 
 // Pruned returns how many operators the memory-awareness check rejected
 // (memoized rejections count every time they are served).
@@ -94,23 +99,43 @@ func (c *Coster) ResourceIters() int64 { return c.resIters }
 
 // beginCall starts a planning call: it arms per-call answer reuse when
 // Resources is a resource-plan cache and no cost memo sits in front of it.
-// Every beginCall is paired with an endCall.
-func (c *Coster) beginCall() {
+// A call that prices trees (trees) gets an answer table; the Selinger DP
+// keeps its own answers through Epoch and Reused. Every beginCall is
+// paired with an endCall.
+func (c *Coster) beginCall(trees bool) {
 	if cache, ok := c.Resources.(*resource.Cache); ok && c.Memo == nil {
-		c.cache, c.answers, c.reused = cache, getAnswers(), 0
+		c.cache, c.reused = cache, 0
+		if trees {
+			c.answers = getAnswers()
+		}
 	}
 }
 
 // endCall ends a planning call: it counts the reused answers as the cache
 // hits they stand for and returns the answer table to its pool.
 func (c *Coster) endCall() {
-	if c.answers == nil {
+	if c.cache == nil {
 		return
 	}
 	c.cache.CountHits(c.reused)
-	putAnswers(c.answers)
+	if c.answers != nil {
+		putAnswers(c.answers)
+	}
 	c.cache, c.answers = nil, nil
 }
+
+// Epoch implements optimizer.AnswerKeeper: between beginCall and endCall,
+// the cache's Version when answer reuse is armed.
+func (c *Coster) Epoch() (uint64, bool) {
+	if c.cache == nil {
+		return 0, false
+	}
+	return c.cache.Version(), true
+}
+
+// Reused implements optimizer.AnswerKeeper: endCall counts the planner's
+// reuses with the table's.
+func (c *Coster) Reused(n int64) { c.reused += n }
 
 // context is the coster context its memo keys hold.
 func (c *Coster) context() costerContext {

@@ -192,7 +192,7 @@ func (o *Optimizer) planner(ctx context.Context, c optimizer.OperatorCoster, q *
 }
 
 func (o *Optimizer) run(ctx context.Context, q *plan.Query, c *Coster) (*Decision, error) {
-	c.beginCall()
+	c.beginCall(o.opts.Planner == FastRandomized)
 	defer c.endCall()
 	start := time.Now()
 	res, err := o.planner(ctx, c, q).Plan(q)
@@ -275,7 +275,7 @@ func (o *Optimizer) OptimizeForBudgetCtx(ctx context.Context, q *plan.Query, max
 // plan's operators are annotated in place.
 func (o *Optimizer) PlanResources(p *plan.Node) (*Decision, error) {
 	c := o.coster(o.opts.Resource, plan.Resources{}, o.cond)
-	c.beginCall()
+	c.beginCall(true)
 	defer c.endCall()
 	start := time.Now()
 	oc, err := optimizer.PlanCost(c, p)
@@ -305,7 +305,7 @@ func (o *Optimizer) OptimizeForPriceCtx(ctx context.Context, q *plan.Query, budg
 		return nil, fmt.Errorf("core: price budget must be positive, got %v", budget)
 	}
 	c := o.coster(o.opts.Resource, plan.Resources{}, o.cond)
-	c.beginCall()
+	c.beginCall(true)
 	defer c.endCall()
 	rp := &randomized.Planner{Coster: c, Opts: o.opts.Randomized, Seed: o.seedFor(q), Ctx: ctx}
 	start := time.Now()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"raqo/internal/catalog"
@@ -22,18 +23,111 @@ import (
 // refCache forwards a resource-plan cache's Plan, PlanCounted and
 // Evaluations and nothing else. A Coster planning through it cannot see the
 // cache's Version, so it asks the cache every question: the path without
-// per-call answer reuse, and the reference the reuse is held to.
-type refCache struct{ c *resource.Cache }
+// per-call answer reuse, and the reference the reuse is held to. With a
+// log, it also shows the log every question and answer.
+type refCache struct {
+	c   *resource.Cache
+	log *askLog
+}
 
 func (r refCache) Plan(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, error) {
-	return r.c.Plan(m, ssGB, cond)
+	res, _, err := r.PlanCounted(m, ssGB, cond)
+	return res, err
 }
 
 func (r refCache) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, int64, error) {
-	return r.c.PlanCounted(m, ssGB, cond)
+	before := r.c.Version()
+	res, n, err := r.c.PlanCounted(m, ssGB, cond)
+	if r.log != nil && err == nil {
+		r.log.ask(askKey{m.Name(), math.Float64bits(ssGB)}, res, before, r.c.Version())
+	}
+	return res, n, err
 }
 
 func (r refCache) Evaluations() int64 { return r.c.Evaluations() }
+
+// askKey is one question to a cache: a cost model and the bits of a size.
+type askKey struct {
+	model string
+	bits  uint64
+}
+
+// askRecord is the last answer a question got within a call.
+type askRecord struct {
+	res   plan.Resources
+	after uint64 // the cache's Version after the ask
+	hit   bool   // Version read the same before and after the ask
+}
+
+// askLog watches the questions of planning calls, while on, and counts
+// the two events that make an answer the call was given the wrong one to
+// reuse later in the call: a hit whose answer has drifted by the next ask
+// of its question, after an insert in between (drifted), and a miss whose
+// answer differs from the next ask's at the same Version (snapped).
+type askLog struct {
+	on               bool
+	last             map[askKey]askRecord
+	drifted, snapped int
+}
+
+// begin starts a call: answers given in earlier calls are forgotten.
+func (l *askLog) begin() {
+	l.on = true
+	clear(l.last)
+}
+
+func (l *askLog) ask(k askKey, res plan.Resources, before, after uint64) {
+	if !l.on {
+		return
+	}
+	if prev, ok := l.last[k]; ok && res != prev.res {
+		switch {
+		case prev.hit && before != prev.after:
+			l.drifted++
+		case !prev.hit && before == prev.after:
+			l.snapped++
+		}
+	}
+	l.last[k] = askRecord{res: res, after: after, hit: before == after}
+}
+
+// scriptedPlanner answers each question with a configuration drawn from
+// the bits of its model's name and its size, over twice the width of the
+// conditions and off their grid. Nearby sizes get unrelated
+// configurations, so a nearest-neighbour or weighted answer moves whenever
+// a closer key arrives; and the draw a miss returns is not the clamped
+// one later hits return. Each answer counts one evaluation.
+type scriptedPlanner struct{ evals atomic.Int64 }
+
+func (s *scriptedPlanner) Plan(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, error) {
+	r, _, err := s.PlanCounted(m, ssGB, cond)
+	return r, err
+}
+
+func (s *scriptedPlanner) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, int64, error) {
+	h := math.Float64bits(ssGB)
+	for _, b := range []byte(m.Name()) {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	h *= 0x9e3779b97f4a7c15
+	s.evals.Add(1)
+	span := cond.MaxContainers - cond.MinContainers
+	return plan.Resources{
+		Containers:  cond.MinContainers + int(h>>32%uint64(2*span+1)),
+		ContainerGB: cond.MinContainerGB + float64(h&0xffff)/0xffff*2*(cond.MaxContainerGB-cond.MinContainerGB),
+	}, 1, nil
+}
+
+func (s *scriptedPlanner) Evaluations() int64 { return s.evals.Load() }
+
+// newInner is the planner behind an oracle cache: a scriptedPlanner or a
+// hill climb.
+func newInner(scripted bool) resource.Planner {
+	if scripted {
+		return &scriptedPlanner{}
+	}
+	return &resource.HillClimb{}
+}
 
 // fractionalGrid is a resource space whose container sizes are not whole
 // numbers. A hill climb's accumulated sizes there need not be the bits the
@@ -95,28 +189,36 @@ func sameOutcome(t *testing.T, what string, got, want reuseOutcome) {
 
 // reuseSide is one side of the oracle: an optimizer over its own cache,
 // which it plans through directly (reuse) or behind refCache (reference).
+// The reference side logs its Optimize calls' questions.
 type reuseSide struct {
 	o     *Optimizer
 	cache *resource.Cache
+	log   *askLog
 }
 
-func newReuseSide(t *testing.T, ref bool, cond cluster.Conditions, opts Options, mode resource.LookupMode, thresholdGB float64) reuseSide {
+func newReuseSide(t *testing.T, ref bool, cond cluster.Conditions, opts Options, inner resource.Planner, mode resource.LookupMode, thresholdGB float64) reuseSide {
 	t.Helper()
-	cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: mode, ThresholdGB: thresholdGB}
+	cache := &resource.Cache{Inner: inner, Mode: mode, ThresholdGB: thresholdGB}
 	opts.Resource = cache
+	var log *askLog
 	if ref {
-		opts.Resource = refCache{cache}
+		log = &askLog{last: map[askKey]askRecord{}}
+		opts.Resource = refCache{cache, log}
 	}
 	o, err := New(cond, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return reuseSide{o, cache}
+	return reuseSide{o, cache, log}
 }
 
 // optimize is Optimize, keeping the call's Coster to read its prune count
-// and how many answers its table served.
+// and how many answers it reused.
 func (s reuseSide) optimize(q *plan.Query) (reuseOutcome, int64) {
+	if s.log != nil {
+		s.log.begin()
+		defer func() { s.log.on = false }()
+	}
 	c := s.o.coster(s.o.opts.Resource, plan.Resources{}, s.o.cond)
 	d, err := s.o.run(context.Background(), q, c)
 	out := decisionOutcome(d, err, s.cache.Stats())
@@ -164,6 +266,12 @@ func reuseQueries(t *testing.T, schema string) map[PlannerKind][]*plan.Query {
 // time and money bits, the search counters, the prune count and the cache's
 // full Stats. Resource-only planning and price-bounded planning go through
 // the same per-call table and are compared the same way.
+//
+// Behind a hill climb, a reused answer rarely differs from what the cache
+// would say by enough to change a plan. Behind scriptedPlanner it does:
+// there the Selinger calls must meet both events askLog counts, so a DP
+// that keeps a miss's answer, or serves an answer without comparing the
+// epoch, plans differently from the reference.
 func TestCosterReuseMatchesCache(t *testing.T) {
 	models := trainedModels(t)
 	hive := execsim.Hive()
@@ -179,38 +287,45 @@ func TestCosterReuseMatchesCache(t *testing.T) {
 		name string
 		cond cluster.Conditions
 	}{{"default", cluster.Default()}, {"fractional", fractionalGrid}}
-	reused := int64(0)
+	reused := map[PlannerKind]int64{}
+	var drifted, snapped int
 	for _, schema := range []string{"tpch", "random30", "random100"} {
 		queries := reuseQueries(t, schema)
 		for _, kind := range []PlannerKind{Selinger, FastRandomized} {
 			for _, lk := range lookups {
 				for _, engine := range []*execsim.Params{nil, &hive} {
 					for _, cd := range conds {
-						name := fmt.Sprintf("%s/%s/%s@%g/engine=%v/%s", schema, kind, lk.mode, lk.thresholdGB, engine != nil, cd.name)
-						opts := Options{
-							Planner: kind, Models: models, Engine: engine, Seed: 7,
-							Randomized: randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2},
-						}
-						reuse := newReuseSide(t, false, cd.cond, opts, lk.mode, lk.thresholdGB)
-						ref := newReuseSide(t, true, cd.cond, opts, lk.mode, lk.thresholdGB)
-						for pass := range 2 {
-							for i, query := range queries[kind] {
-								what := fmt.Sprintf("%s pass %d query %d", name, pass, i)
-								got, n := reuse.optimize(query)
-								want, _ := ref.optimize(query)
-								sameOutcome(t, what, got, want)
-								reused += n
-								if pass == 0 || want.err != "" {
-									continue
+						for _, scripted := range []bool{false, true} {
+							name := fmt.Sprintf("%s/%s/%s@%g/engine=%v/%s/scripted=%v", schema, kind, lk.mode, lk.thresholdGB, engine != nil, cd.name, scripted)
+							opts := Options{
+								Planner: kind, Models: models, Engine: engine, Seed: 7,
+								Randomized: randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2},
+							}
+							reuse := newReuseSide(t, false, cd.cond, opts, newInner(scripted), lk.mode, lk.thresholdGB)
+							ref := newReuseSide(t, true, cd.cond, opts, newInner(scripted), lk.mode, lk.thresholdGB)
+							for pass := range 2 {
+								for i, query := range queries[kind] {
+									what := fmt.Sprintf("%s pass %d query %d", name, pass, i)
+									got, n := reuse.optimize(query)
+									want, _ := ref.optimize(query)
+									sameOutcome(t, what, got, want)
+									reused[kind] += n
+									if pass == 0 || want.err != "" {
+										continue
+									}
+									gd, gerr := reuse.o.PlanResources(got.plan.Clone())
+									wd, werr := ref.o.PlanResources(want.plan.Clone())
+									sameOutcome(t, what+" PlanResources", decisionOutcome(gd, gerr, reuse.cache.Stats()), decisionOutcome(wd, werr, ref.cache.Stats()))
+									if kind == FastRandomized {
+										gd, gerr := reuse.o.OptimizeForPrice(query, units.Dollars(1e9))
+										wd, werr := ref.o.OptimizeForPrice(query, units.Dollars(1e9))
+										sameOutcome(t, what+" OptimizeForPrice", decisionOutcome(gd, gerr, reuse.cache.Stats()), decisionOutcome(wd, werr, ref.cache.Stats()))
+									}
 								}
-								gd, gerr := reuse.o.PlanResources(got.plan.Clone())
-								wd, werr := ref.o.PlanResources(want.plan.Clone())
-								sameOutcome(t, what+" PlanResources", decisionOutcome(gd, gerr, reuse.cache.Stats()), decisionOutcome(wd, werr, ref.cache.Stats()))
-								if kind == FastRandomized {
-									gd, gerr := reuse.o.OptimizeForPrice(query, units.Dollars(1e9))
-									wd, werr := ref.o.OptimizeForPrice(query, units.Dollars(1e9))
-									sameOutcome(t, what+" OptimizeForPrice", decisionOutcome(gd, gerr, reuse.cache.Stats()), decisionOutcome(wd, werr, ref.cache.Stats()))
-								}
+							}
+							if scripted && kind == Selinger {
+								drifted += ref.log.drifted
+								snapped += ref.log.snapped
 							}
 						}
 					}
@@ -218,8 +333,11 @@ func TestCosterReuseMatchesCache(t *testing.T) {
 			}
 		}
 	}
-	if reused == 0 {
-		t.Fatal("no answer was reused: the comparison covers nothing")
+	if reused[Selinger] == 0 || reused[FastRandomized] == 0 {
+		t.Fatalf("reused %v: a planner reused no answer, the comparison covers nothing", reused)
+	}
+	if drifted == 0 || snapped == 0 {
+		t.Fatalf("the scripted Selinger calls met %d drifted and %d snapped answers: a wrong epoch rule goes unseen", drifted, snapped)
 	}
 }
 
@@ -319,9 +437,9 @@ func runReuseScript(t testing.TB, models *cost.Models, mode resource.LookupMode,
 		mk := func(rp resource.Planner) *Coster {
 			return &Coster{Models: models, Pricing: cost.DefaultPricing(), Resources: rp, Cond: cx.cond, Engine: cx.engine}
 		}
-		oc, rc := mk(oursCaches[call.ctx]), mk(refCache{refCaches[call.ctx]})
-		oc.beginCall()
-		rc.beginCall()
+		oc, rc := mk(oursCaches[call.ctx]), mk(refCache{c: refCaches[call.ctx]})
+		oc.beginCall(true)
+		rc.beginCall(true)
 		if oc.answers == nil || rc.answers != nil {
 			t.Fatal("the Coster over the cache reuses no answers, or the one over refCache does")
 		}
@@ -499,5 +617,51 @@ func FuzzCosterReuse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mode, threshold, contexts, calls := decodeReuseScript(data)
 		runReuseScript(t, models, mode, threshold, contexts, calls)
+	})
+}
+
+// FuzzSelingerReuse plans random queries with the Selinger DP on both sides
+// of TestCosterReuseMatchesCache's oracle, one pass: the first byte picks
+// the lookup mode and threshold, the second the engine, the grid and the
+// inner planner, the third the 30-table schema's seed; each further byte is
+// one query, its relation count (2 to 12) and its seed.
+func FuzzSelingerReuse(f *testing.F) {
+	f.Add([]byte{7, 2, 1, 10, 10, 21, 32})
+	f.Add([]byte{10, 6, 2, 40, 41, 52, 9, 10})
+	f.Add([]byte{13, 3, 3, 10, 98, 54, 10})
+	// Found by fuzzing DPs that keep a miss's answer, and that serve an
+	// answer without comparing the epoch.
+	f.Add([]byte("07y\x800"))
+	f.Add([]byte("27B01A"))
+	models := cost.PaperModels()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		mode := resource.LookupMode(data[0] % 3)
+		threshold := []float64{0, 0.01, 0.5, 1, 10}[data[0]/3%5]
+		var engine *execsim.Params
+		if data[1]%2 == 1 {
+			hive := execsim.Hive()
+			engine = &hive
+		}
+		cond := []cluster.Conditions{cluster.Default(), fractionalGrid}[data[1]/2%2]
+		scripted := data[1]/4%2 == 1
+		s, err := catalog.Random(rand.New(rand.NewSource(int64(data[2]))), 30, catalog.DefaultRandomConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Planner: Selinger, Models: models, Engine: engine}
+		reuse := newReuseSide(t, false, cond, opts, newInner(scripted), mode, threshold)
+		ref := newReuseSide(t, true, cond, opts, newInner(scripted), mode, threshold)
+		for i, b := range data[3:min(len(data), 3+16)] {
+			query, err := workload.RandomQuery(rand.New(rand.NewSource(int64(b))), s, 2+int(b)%11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := reuse.optimize(query)
+			want, _ := ref.optimize(query)
+			sameOutcome(t, fmt.Sprintf("query %d (%v)", i, query.Rels), got, want)
+		}
 	})
 }

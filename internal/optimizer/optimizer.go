@@ -41,6 +41,21 @@ type OperatorCoster interface {
 	CostOperator(j *plan.Node) (OpCost, error)
 }
 
+// AnswerKeeper is an optional extension of an OperatorCoster whose answers
+// a planner may keep and serve itself. A question is a join algorithm and
+// the bits of the smaller input's size. An answer may be kept only if
+// CostOperator returned no error and Epoch read the same value before and
+// after the call. A kept answer — the cost and the operator's resources —
+// may be served while Epoch still reads that value. The planner reports
+// the answers it served through Reused before the planning call ends.
+type AnswerKeeper interface {
+	// Epoch returns the current epoch; ok is false when no answer may be
+	// kept during this call.
+	Epoch() (epoch uint64, ok bool)
+	// Reused counts n answers the planner served itself.
+	Reused(n int64)
+}
+
 // PlanCost prices a whole plan by summing its join operators, invoking the
 // coster bottom-up (so resource annotations are in place before parents are
 // priced). The walk is a direct recursion threading one accumulator in the

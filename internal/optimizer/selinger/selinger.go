@@ -24,10 +24,20 @@
 // sub-plan with the leaf, and the one plan returned is built from the
 // recipes at the end and deep-copied out.
 //
-// That working state — the table, its entries' relation sets, the
-// per-level mask buffer, the candidate scratch and the arena the scans and
-// the returned plan are built in — lives in a sync.Pool of dpState
-// values, so repeated planning calls allocate near-zero.
+// A coster that is an optimizer.AnswerKeeper and offers an epoch lets the
+// DP keep its answers. A candidate's question — its join algorithm and
+// the size of its smaller input — is fixed by the algorithm and by which
+// table entry is the smaller input: the left input's or the leaf's. So
+// the DP keeps the answer per (entry, algorithm), and serves a repeated
+// question from there, with no candidate built and no call made, while
+// the epoch still reads what it read when the answer was given. The coster
+// would have given the same answer to the call it saves, so the calls the
+// DP does make still see what the full sweep's would.
+//
+// That working state — the table, its entries' relation sets and kept
+// answers, the per-level mask buffer, the candidate scratch and the arena
+// the scans and the returned plan are built in — lives in a sync.Pool of
+// dpState values, so repeated planning calls allocate near-zero.
 package selinger
 
 import (
@@ -79,6 +89,14 @@ type entry struct {
 	out  plan.Estimate
 }
 
+// answer is a costing kept for one table entry and join algorithm: what
+// the coster answered a candidate whose smaller input is that entry.
+type answer struct {
+	at  uint64 // the epoch the answer was given at, plus one; 0: none
+	res plan.Resources
+	oc  optimizer.OpCost
+}
+
 // dpState is the reusable working memory of one Plan call.
 type dpState struct {
 	arena  plan.Arena
@@ -93,6 +111,14 @@ type dpState struct {
 	entries  []entry
 	sets     []uint64
 	setWords int
+
+	// keeper, when non-nil, is the coster whose answers the DP keeps:
+	// entry k's answer under plan.Algos[a] is answers[k*len(plan.Algos)+a].
+	// reused counts the answers served from there. A field of its own,
+	// not of entry: a larger entry costs a larger copy per candidate.
+	keeper  optimizer.AnswerKeeper
+	answers []answer
+	reused  int64
 
 	// The table's index from mask to entry: a dense mask-indexed slice
 	// holding the entry's index + 1 (0: unplanned) up to sliceTableMax
@@ -146,6 +172,7 @@ func (st *dpState) release() {
 	st.entries = st.entries[:0]
 	st.sets = st.sets[:0]
 	st.level = st.level[:0]
+	st.keeper, st.answers, st.reused = nil, st.answers[:0], 0
 }
 
 // lookup returns the index of mask's entry, if mask is planned.
@@ -163,6 +190,9 @@ func (st *dpState) lookup(mask uint32) (int, bool) {
 func (st *dpState) add(mask uint32, e entry) {
 	k := int32(len(st.entries))
 	st.entries = append(st.entries, e)
+	if st.keeper != nil {
+		st.answers = append(st.answers, make([]answer, len(plan.Algos))...)
+	}
 	if st.useSlice {
 		st.slot[mask] = k + 1
 		return
@@ -219,12 +249,15 @@ func (st *dpState) load(q *plan.Query) error {
 // winner's entry. A split's statistics are derived once from the table and
 // shared by every join algorithm; the mask's relation sets, the same for
 // every split, are derived at the first and left as st.sets' next words.
-// Ties keep the earlier candidate (strict improvement only).
+// A candidate whose answer the smaller input's entry keeps at the current
+// epoch is priced from there; the candidate node is built only for the
+// others. Ties keep the earlier candidate (strict improvement only).
 func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, bool) {
 	sc := &st.scratch
 	var best entry
 	found := false
 	var sets []uint64
+	nAlgos := len(plan.Algos)
 	for sub := mask; sub != 0; sub &= sub - 1 {
 		i := bits.TrailingZeros32(sub)
 		rest := mask &^ (1 << uint(i))
@@ -247,17 +280,49 @@ func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, boo
 			sel *= row[bits.TrailingZeros32(nbr)]
 		}
 		out := plan.JoinEstimate(prev.out, st.entries[i].out, sel)
-		sc.Join(plan.Algos[0], prev.out, st.setsOf(k), leaf, out, sets)
-		for _, algo := range plan.Algos {
-			j := sc.Rejoin(algo)
-			oc, err := p.Coster.CostOperator(j)
-			if err != nil {
-				continue // e.g. no feasible resources for this operator
+		var kept []answer
+		if st.keeper != nil {
+			small := i
+			if plan.LeftIsSmaller(prev.out, st.entries[i].out) {
+				small = k
+			}
+			kept = st.answers[small*nAlgos : (small+1)*nAlgos]
+		}
+		built := false
+		for a, algo := range plan.Algos {
+			var oc optimizer.OpCost
+			var res plan.Resources
+			var epoch uint64
+			reuse := false
+			if kept != nil {
+				epoch, _ = st.keeper.Epoch()
+				reuse = kept[a].at == epoch+1
+			}
+			if reuse {
+				oc, res = kept[a].oc, kept[a].res
+				st.reused++
+			} else {
+				if !built {
+					sc.Join(algo, prev.out, st.setsOf(k), leaf, out, sets)
+					built = true
+				}
+				j := sc.Rejoin(algo)
+				var err error
+				oc, err = p.Coster.CostOperator(j)
+				if err != nil {
+					continue // e.g. no feasible resources for this operator
+				}
+				res = j.Res
+				if kept != nil {
+					if now, _ := st.keeper.Epoch(); now == epoch {
+						kept[a] = answer{at: epoch + 1, res: res, oc: oc}
+					}
+				}
 			}
 			*considered++
 			total := prev.cost.Add(oc)
 			if !found || total.Seconds < best.cost.Seconds {
-				best = entry{rest: rest, leaf: int32(i), algo: algo, res: j.Res, cost: total, out: out}
+				best = entry{rest: rest, leaf: int32(i), algo: algo, res: res, cost: total, out: out}
 				found = true
 			}
 		}
@@ -332,10 +397,18 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 
 	st := statePool.Get().(*dpState)
 	defer func() {
+		if st.reused > 0 {
+			st.keeper.Reused(st.reused)
+		}
 		st.release()
 		statePool.Put(st)
 	}()
 	st.prepare(n)
+	if keeper, ok := p.Coster.(optimizer.AnswerKeeper); ok {
+		if _, ok := keeper.Epoch(); ok {
+			st.keeper = keeper
+		}
+	}
 	if err := st.load(q); err != nil {
 		return nil, err
 	}

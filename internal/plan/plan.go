@@ -281,6 +281,11 @@ func JoinEstimate(left, right Estimate, sel float64) Estimate {
 	return Estimate{rows, rows * width}
 }
 
+// LeftIsSmaller reports whether the join of inputs with estimates left and
+// right has its smaller input, the one SmallerInputGB measures, on the
+// left; a tie goes to the right, as in SmallerInputGB.
+func LeftIsSmaller(left, right Estimate) bool { return left.bytes < right.bytes }
+
 // AppendSets appends the node's relation sets to dst, in the layout
 // JoinScratch.Join and AppendJoinSets take them.
 func (n *Node) AppendSets(dst []uint64) []uint64 { return append(dst, n.sets...) }
