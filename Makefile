@@ -104,19 +104,17 @@ bench-check:
 	$(GO) -C bench vet .
 	$(GO) -C bench test ./...
 
-# Short benchmark pass over the resource-plan cache, on one and two procs
-# so the cache's mutex is contended across threads, plus the
-# history read path (the store query and one GET /v1/history through the
-# handler), the fleet hop, the feedback journal's two ends,
-# cold planning on a 100-table schema (Selinger-12 and randomized-30 over
-# an empty resource-plan cache and, -passwarm, over one cache kept across
-# runs as in a plan_scale pass; one random tree, the enumeration kernels),
-# one cost-model evaluation, and the
-# submit path's kernels (a
-# cloud SubmitWait, one fault draw, the response encoder); failures here
-# are correctness failures (the benchmarks assert planner errors, the shape
-# of history answers, a ten-bucket 200 from the history handler, a 200
-# through the peer transport, a 200 for a feedback batch, a full journal
-# replay, admissions and encodes).
+# Short benchmark pass on one proc, since no family here measures
+# contention between goroutines: the history read path (the store
+# query and one GET /v1/history through the handler), the fleet hop, the
+# feedback journal's two ends, cold planning on a 100-table schema
+# (Selinger-12 and randomized-30 over an empty resource-plan cache and,
+# -passwarm, over one cache kept across runs as in a plan_scale pass; one
+# random tree, the enumeration kernels), one cost-model evaluation, and the
+# submit path's kernels (a cloud SubmitWait, one fault draw, the response
+# encoder); failures here are correctness failures (the benchmarks assert
+# planner errors, the shape of history answers, a ten-bucket 200 from the
+# history handler, a 200 through the peer transport, a 200 for a feedback
+# batch, a full journal replay, admissions and encodes).
 bench:
-	$(GO) test -run xxx -bench 'CacheContention|HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1,2 .
+	$(GO) test -run xxx -bench 'HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1 .

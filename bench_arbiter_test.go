@@ -1,8 +1,5 @@
-// Benchmark for the workload arbiter's online SubmitWait admission path,
-// and the trained models and TPC-H queries the root tests and benchmarks
-// share. Run with:
-//
-//	go test -bench Arbiter -benchtime=0.2s .
+// The trained models and TPC-H queries the root tests and benchmarks
+// share, and a warm shared-cluster arbiter built on them.
 package raqo_test
 
 import (
@@ -16,7 +13,6 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/plan"
-	"raqo/internal/scheduler"
 	"raqo/internal/workload"
 )
 
@@ -75,21 +71,4 @@ func newBenchArbiter(tb testing.TB) *arbiter.Arbiter {
 		tb.Fatal(err)
 	}
 	return a
-}
-
-// BenchmarkArbiterSubmitWait measures the online admission path: one
-// SubmitWait round-trip on a warm arbiter (submission plans cached), the
-// cost POST /v1/submit pays per request on top of HTTP.
-func BenchmarkArbiterSubmitWait(b *testing.B) {
-	a := newBenchArbiter(b)
-	names := []string{workload.Q12, workload.Q3, workload.Q2}
-	tenants := []string{"etl", "bi", "adhoc"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, err := a.SubmitWait(tenants[i%len(tenants)], names[i%len(names)], scheduler.Reoptimize)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
 }

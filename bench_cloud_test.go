@@ -47,10 +47,10 @@ func newBenchCloud(tb testing.TB) *cloud.Arbiter {
 	return a
 }
 
-// BenchmarkCloudSubmitWait is BenchmarkArbiterSubmitWait's counterpart on
-// the priced pool with seeded spot interruption: one SubmitWait round trip
-// on a warm arbiter, the cost POST /v1/cloud/submit pays per request on
-// top of HTTP, its fault draw included.
+// BenchmarkCloudSubmitWait times one SubmitWait round trip on a warm
+// priced pool with seeded spot interruption: the cost POST
+// /v1/cloud/submit pays per request on top of HTTP, its fault draw
+// included.
 func BenchmarkCloudSubmitWait(b *testing.B) {
 	a := newBenchCloud(b)
 	names := []string{workload.Q12, workload.Q3, workload.Q2}

@@ -1,6 +1,5 @@
 // Benchmarks for the execution-feedback subsystem: the two ends of the
-// journal in the feedback_rw shape and a full online recalibration
-// (train + atomic swap + cache invalidation). Run with:
+// journal in the feedback_rw shape. Run with:
 //
 //	go test -bench Feedback -benchtime=0.2s .
 package raqo_test
@@ -146,24 +145,4 @@ func BenchmarkFeedbackIngest(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkRecalibrate measures one full recalibration over the
-// accumulated grid: filtering, cost.Train and the versioned swap.
-func BenchmarkRecalibrate(b *testing.B) {
-	obs := benchObservations(b)
-	store := feedback.NewStore(len(obs), nil)
-	rec := feedback.NewRecalibrator(store, feedback.NewDetector(feedback.DriftConfig{}), cost.PaperModels())
-	for _, o := range obs {
-		if err := rec.Feed(o); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rec.Recalibrate(); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

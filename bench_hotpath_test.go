@@ -675,6 +675,23 @@ func BenchmarkRegressionCost(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroHillClimb times one resource-planning call: Algorithm 1
+// from the cluster minimum on the served SMJ model.
+func BenchmarkMicroHillClimb(b *testing.B) {
+	cond := cluster.Default()
+	models, _ := benchFixtures(b)
+	smj, _ := models.For(plan.SMJ)
+	hc := &resource.HillClimb{}
+	rng := rand.New(rand.NewSource(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := hc.Plan(smj, rng.Float64()*8, cond); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // loopbackOptimize serves a bench server on a loopback port and returns
 // one round trip of body to /v1/optimize over one kept-alive connection:
 // the raw request write and http.ReadResponse of a 200. The first trip,

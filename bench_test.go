@@ -1,7 +1,7 @@
 // Benchmarks regenerating every figure of the paper's evaluation (one per
 // table/figure, as indexed in DESIGN.md). Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run xxx -bench Figure -benchmem .
 package raqo_test
 
 import (

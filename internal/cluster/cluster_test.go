@@ -185,26 +185,10 @@ func TestSimulatorValidation(t *testing.T) {
 	}
 }
 
-func TestGenerateTraceValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := GenerateTrace(rng, TraceConfig{}); err == nil {
-		t.Error("zero config accepted")
-	}
-	cfg := DefaultTrace()
-	cfg.MaxGang = cfg.Capacity + 1
-	if _, err := GenerateTrace(rng, cfg); err == nil {
-		t.Error("MaxGang > capacity accepted")
-	}
-}
-
 func TestTraceMatchesFigure1Shape(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cfg := DefaultTrace()
-	jobs, err := GenerateTrace(rng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim := &Simulator{Capacity: cfg.Capacity}
+	jobs := GenerateTrace(rng)
+	sim := &Simulator{Capacity: TraceCapacity}
 	res, err := sim.Run(jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -380,13 +380,8 @@ func TestPoolSetCapacity(t *testing.T) {
 // occupancy model: at every job start/finish boundary, summing the gangs
 // Run reports as held must equal what conditionsAt says is not free.
 func TestRunMatchesConditionsAtOccupancy(t *testing.T) {
-	s := &Simulator{Capacity: 50}
-	rng := rand.New(rand.NewSource(7))
-	cfg := TraceConfig{Jobs: 200, Capacity: 50, MeanInterval: 2, MeanDuration: 20, SigmaDuration: 0.8, MaxGang: 20}
-	jobs, err := GenerateTrace(rng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &Simulator{Capacity: TraceCapacity}
+	jobs := GenerateTrace(rand.New(rand.NewSource(7)))
 	results, err := s.Run(jobs)
 	if err != nil {
 		t.Fatal(err)

@@ -131,87 +131,55 @@ func (s *Simulator) run(jobs []Job, stopAt float64) ([]JobResult, *Pool, error) 
 	return results, pool, nil
 }
 
-// TraceConfig parameterizes the synthetic shared-cluster trace standing in
-// for the paper's production Microsoft traces: Poisson arrivals of jobs with
-// log-normal service times and variable gang sizes, at a utilisation high
-// enough that most jobs queue (Fig 1: >80% of jobs wait at least as long as
-// they run).
-type TraceConfig struct {
-	Jobs          int
-	Capacity      int     // cluster containers
-	MeanInterval  float64 // mean inter-arrival time, seconds
-	MeanDuration  float64 // mean job duration, seconds (log-normal)
-	SigmaDuration float64 // log-normal sigma
-	MaxGang       int     // job container demand uniform in [1, MaxGang]
-	// BurstSize > 0 makes arrivals bursty: jobs arrive in waves of
-	// ~BurstSize (tightly spaced), with the waves themselves Poisson at
-	// BurstSize*MeanInterval. Production clusters see exactly this —
-	// scheduled pipelines firing together — and it is what bounds most
-	// waits to a few multiples of the run time rather than letting the
-	// queue drift.
-	BurstSize int
-}
+// The synthetic shared-cluster trace stands in for the paper's production
+// Microsoft traces: log-normal service times and variable gang sizes, at a
+// utilisation high enough that most jobs queue (Fig 1: >80% of jobs wait
+// at least as long as they run). Arrivals are bursty: scheduled pipelines
+// fire in waves of traceBurstSize near-identical, tightly spaced jobs, the
+// waves themselves Poisson at traceBurstSize*traceMeanInterval, each wave
+// demanding several times the cluster's capacity. That is what bounds most
+// waits to a few multiples of the run time rather than letting the queue
+// drift, and it puts more than 20% of jobs at a wait of at least 4x.
+const (
+	TraceCapacity      = 100 // cluster containers
+	traceJobs          = 2000
+	traceMeanInterval  = 45.0 // mean inter-arrival time, seconds
+	traceMeanDuration  = 60.0 // mean job duration, seconds (log-normal)
+	traceSigmaDuration = 1.0  // log-normal sigma
+	traceMaxGang       = 50   // job container demand uniform in [1, traceMaxGang]
+	traceBurstSize     = 22
+)
 
-// DefaultTrace returns a trace configuration calibrated so the resulting
-// CDF matches the paper's Figure 1 regime: scheduled pipelines fire in
-// waves of ~22 near-identical jobs, each wave demanding several times the
-// cluster's capacity, so "more than 80% of the jobs spend as much time
-// waiting for resources in the queue as in the actual job execution" and
-// more than 20% wait at least 4x.
-func DefaultTrace() TraceConfig {
-	return TraceConfig{
-		Jobs:          2000,
-		Capacity:      100,
-		MeanInterval:  45,
-		MeanDuration:  60,
-		SigmaDuration: 1.0,
-		MaxGang:       50,
-		BurstSize:     22,
-	}
-}
-
-// GenerateTrace draws a synthetic job trace from the configuration.
-func GenerateTrace(rng *rand.Rand, cfg TraceConfig) ([]Job, error) {
-	if cfg.Jobs < 1 || cfg.Capacity < 1 || cfg.MeanInterval <= 0 || cfg.MeanDuration <= 0 || cfg.MaxGang < 1 {
-		return nil, fmt.Errorf("cluster: invalid trace config %+v", cfg)
-	}
-	if cfg.MaxGang > cfg.Capacity {
-		return nil, fmt.Errorf("cluster: MaxGang %d exceeds capacity %d", cfg.MaxGang, cfg.Capacity)
-	}
-	jobs := make([]Job, cfg.Jobs)
+// GenerateTrace draws the Figure 1 job trace, for a Simulator of
+// TraceCapacity containers.
+func GenerateTrace(rng *rand.Rand) []Job {
+	jobs := make([]Job, traceJobs)
 	now := 0.0
 	inBurst := 0
 	// Log-normal duration with the requested mean: mean of LN(mu,s) is
 	// exp(mu + s^2/2), so mu = ln(mean) - s^2/2.
-	mu := math.Log(cfg.MeanDuration) - cfg.SigmaDuration*cfg.SigmaDuration/2
-	drawDur := func() float64 { return math.Exp(mu + cfg.SigmaDuration*rng.NormFloat64()) }
+	mu := math.Log(traceMeanDuration) - traceSigmaDuration*traceSigmaDuration/2
+	drawDur := func() float64 { return math.Exp(mu + traceSigmaDuration*rng.NormFloat64()) }
 	waveDur := drawDur()
 	for i := range jobs {
-		dur := 0.0
-		if cfg.BurstSize > 0 {
-			if inBurst == 0 {
-				// Next wave: the gap carries the whole wave's worth of
-				// inter-arrival time, and the wave shares one duration —
-				// a scheduled pipeline's jobs are near-identical.
-				now += rng.ExpFloat64() * cfg.MeanInterval * float64(cfg.BurstSize)
-				inBurst = cfg.BurstSize
-				waveDur = drawDur()
-			}
-			now += rng.ExpFloat64() // tight spacing within the wave
-			inBurst--
-			dur = waveDur
-		} else {
-			now += rng.ExpFloat64() * cfg.MeanInterval
-			dur = drawDur()
+		if inBurst == 0 {
+			// Next wave: the gap carries the whole wave's worth of
+			// inter-arrival time, and the wave shares one duration — a
+			// scheduled pipeline's jobs are near-identical.
+			now += rng.ExpFloat64() * traceMeanInterval * traceBurstSize
+			inBurst = traceBurstSize
+			waveDur = drawDur()
 		}
+		now += rng.ExpFloat64() // tight spacing within the wave
+		inBurst--
 		jobs[i] = Job{
 			ID:         i,
 			Arrival:    now,
-			Containers: 1 + rng.Intn(cfg.MaxGang),
-			Duration:   dur,
+			Containers: 1 + rng.Intn(traceMaxGang),
+			Duration:   waveDur,
 		}
 	}
-	return jobs, nil
+	return jobs
 }
 
 // RatioCDF returns the empirical CDF of queue-time/run-time ratios as

@@ -126,44 +126,33 @@ func (t *TreeRule) Render() string {
 	return t.Tree.Render(RuleFeatureNames, RuleClassNames)
 }
 
-// TrainGrid is the sweep used to label training data for rule-based RAQO.
-type TrainGrid struct {
-	LargerGB     float64   // fixed probe-side size
-	DataGB       []float64 // smaller-relation sizes
-	ContainerGB  []float64
-	Containers   []int
-	MaxDepth     int     // tree depth bound (0 = unlimited)
-	PruneAlpha   float64 // pessimistic pruning strength (0 = off)
-	MinLeafCount int
-}
-
-// DefaultTrainGrid mirrors the Figure 9 sweep: smaller relations from
+// The training sweep mirrors the Figure 9 sweep: smaller relations from
 // 50 MB to 8 GB against the 77 GB fact side, container sizes 1-10 GB,
-// 5-100 concurrent containers.
-func DefaultTrainGrid() TrainGrid {
-	return TrainGrid{
-		LargerGB:    77,
-		DataGB:      []float64{0.05, 0.1, 0.2, 0.4, 0.77, 1.2, 1.7, 2.3, 3.0, 3.8, 4.7, 5.7, 6.8, 8.0},
-		ContainerGB: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
-		Containers:  []int{5, 10, 20, 30, 40, 60, 80, 100},
-		MaxDepth:    7,
-	}
-}
+// 5-100 concurrent containers. Trees are bounded at depth 7, the paper's
+// longest RAQO-tree path (Spark's).
+const (
+	trainLargerGB = 77
+	trainMaxDepth = 7
+)
 
-// TrainTreeRule labels a grid of (data, resources) points with the faster
-// join implementation on the execution simulator — the switch-point data
-// of Figure 9 — and fits a CART tree on it, producing the engine's RAQO
-// decision tree (Figure 11).
-func TrainTreeRule(engine execsim.Params, grid TrainGrid) (*TreeRule, error) {
-	if grid.LargerGB <= 0 {
-		return nil, fmt.Errorf("core: train grid needs a positive probe-side size")
-	}
+var (
+	trainDataGB      = []float64{0.05, 0.1, 0.2, 0.4, 0.77, 1.2, 1.7, 2.3, 3.0, 3.8, 4.7, 5.7, 6.8, 8.0}
+	trainContainerGB = []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	trainContainers  = []int{5, 10, 20, 30, 40, 60, 80, 100}
+)
+
+// TrainTreeRule labels the training sweep's (data, resources) points with
+// the faster join implementation on the execution simulator — the
+// switch-point data of Figure 9 — and fits a CART tree on it, producing the
+// engine's RAQO decision tree (Figure 11). It fails when the engine can run
+// no point of the sweep.
+func TrainTreeRule(engine execsim.Params) (*TreeRule, error) {
 	var samples []dtree.Sample
-	for _, ss := range grid.DataGB {
-		for _, cs := range grid.ContainerGB {
-			for _, nc := range grid.Containers {
+	for _, ss := range trainDataGB {
+		for _, cs := range trainContainerGB {
+			for _, nc := range trainContainers {
 				r := plan.Resources{Containers: nc, ContainerGB: cs}
-				algo, _, err := engine.BestJoin(ss, grid.LargerGB, r)
+				algo, _, err := engine.BestJoin(ss, trainLargerGB, r)
 				if err != nil {
 					continue // neither implementation can run here
 				}
@@ -175,17 +164,11 @@ func TrainTreeRule(engine execsim.Params, grid TrainGrid) (*TreeRule, error) {
 		}
 	}
 	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: training grid produced no feasible samples")
+		return nil, fmt.Errorf("core: %s runs no point of the training sweep", engine.Name)
 	}
-	tree, err := dtree.Train(samples, 2, dtree.Options{
-		MaxDepth:       grid.MaxDepth,
-		MinSamplesLeaf: grid.MinLeafCount,
-	})
+	tree, err := dtree.Train(samples, 2, trainMaxDepth)
 	if err != nil {
 		return nil, err
-	}
-	if grid.PruneAlpha > 0 {
-		tree.Prune(grid.PruneAlpha)
 	}
 	return &TreeRule{
 		Tree:      tree,

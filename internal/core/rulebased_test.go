@@ -34,7 +34,7 @@ func TestDefaultRuleThreshold(t *testing.T) {
 }
 
 func TestTrainTreeRuleAccuracyAndAwareness(t *testing.T) {
-	rule, err := TrainTreeRule(execsim.Hive(), DefaultTrainGrid())
+	rule, err := TrainTreeRule(execsim.Hive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestTreeRuleBeatsDefaultRule(t *testing.T) {
 	// implementation far more often than the 10 MB default rule (the
 	// paper: "the default optimizer rules are way off").
 	engine := execsim.Hive()
-	tree, err := TrainTreeRule(engine, DefaultTrainGrid())
+	tree, err := TrainTreeRule(engine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestTreeRuleBeatsDefaultRule(t *testing.T) {
 }
 
 func TestTrainTreeRuleSpark(t *testing.T) {
-	rule, err := TrainTreeRule(execsim.Spark(), DefaultTrainGrid())
+	rule, err := TrainTreeRule(execsim.Spark())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,32 +127,13 @@ func TestTrainTreeRuleSpark(t *testing.T) {
 	}
 }
 
-func TestTrainTreeRuleValidation(t *testing.T) {
-	if _, err := TrainTreeRule(execsim.Hive(), TrainGrid{}); err == nil {
-		t.Error("empty grid accepted")
-	}
-	grid := TrainGrid{LargerGB: 77, DataGB: []float64{50}, ContainerGB: []float64{1}, Containers: []int{1}}
-	// 50 GB smaller side with 1 GB containers: BHJ OOMs but SMJ runs, so
-	// every label is SMJ and the tree degenerates to a single leaf.
-	rule, err := TrainTreeRule(execsim.Hive(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rule.Tree.IsLeaf() {
-		t.Error("single-class grid should produce a leaf tree")
-	}
-	if rule.Choose(RuleInput{DataGB: 50, ContainerGB: 1, Containers: 1}) != plan.SMJ {
-		t.Error("leaf tree should predict SMJ")
-	}
-}
-
 func TestApplyRuleRewritesPlan(t *testing.T) {
 	s := catalog.TPCH(100)
 	p, err := plan.LeftDeep(s, plan.SMJ, catalog.Lineitem, catalog.Orders, catalog.Customer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rule, err := TrainTreeRule(execsim.Hive(), DefaultTrainGrid())
+	rule, err := TrainTreeRule(execsim.Hive())
 	if err != nil {
 		t.Fatal(err)
 	}

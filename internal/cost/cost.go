@@ -202,7 +202,7 @@ func Train(samples []Profile) (*Models, error) {
 			xs[i] = stats.Features(r.SS, r.CS, r.NC)
 			ys[i] = r.Seconds
 		}
-		lm, err := stats.Fit(xs, ys, stats.FitOptions{Ridge: 1e-9})
+		lm, err := stats.Fit(xs, ys)
 		if err != nil {
 			return nil, fmt.Errorf("cost: fitting %s: %w", algo, err)
 		}

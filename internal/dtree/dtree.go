@@ -20,15 +20,6 @@ type Sample struct {
 	Label    int
 }
 
-// Options configures training.
-type Options struct {
-	// MaxDepth bounds the tree depth (0 = unlimited).
-	MaxDepth int
-	// MinSamplesLeaf is the minimum samples in each child of a split
-	// (default 1).
-	MinSamplesLeaf int
-}
-
 // Tree is a node of the fitted classifier. Leaf nodes have Left == nil.
 type Tree struct {
 	// Split (internal nodes): go Left when Features[Feature] <= Threshold.
@@ -47,8 +38,9 @@ type Tree struct {
 // IsLeaf reports whether the node is a leaf.
 func (t *Tree) IsLeaf() bool { return t.Left == nil }
 
-// Train fits a CART classifier. Labels must be in [0, numClasses).
-func Train(samples []Sample, numClasses int, opts Options) (*Tree, error) {
+// Train fits a CART classifier. Labels must be in [0, numClasses), and
+// maxDepth bounds the tree depth (0 = unlimited).
+func Train(samples []Sample, numClasses, maxDepth int) (*Tree, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("dtree: no samples")
 	}
@@ -67,14 +59,11 @@ func Train(samples []Sample, numClasses int, opts Options) (*Tree, error) {
 			return nil, fmt.Errorf("dtree: sample %d label %d out of [0,%d)", i, s.Label, numClasses)
 		}
 	}
-	if opts.MinSamplesLeaf < 1 {
-		opts.MinSamplesLeaf = 1
-	}
 	rows := make([]*Sample, len(samples))
 	for i := range samples {
 		rows[i] = &samples[i]
 	}
-	return grow(rows, numClasses, opts, 0), nil
+	return grow(rows, numClasses, maxDepth, 0), nil
 }
 
 func counts(rows []*Sample, numClasses int) []int {
@@ -107,7 +96,7 @@ func majority(c []int) int {
 	return best
 }
 
-func grow(rows []*Sample, numClasses int, opts Options, depth int) *Tree {
+func grow(rows []*Sample, numClasses, maxDepth, depth int) *Tree {
 	c := counts(rows, numClasses)
 	node := &Tree{
 		Gini:    gini(c, len(rows)),
@@ -115,10 +104,10 @@ func grow(rows []*Sample, numClasses int, opts Options, depth int) *Tree {
 		Value:   c,
 		Class:   majority(c),
 	}
-	if node.Gini == 0 || (opts.MaxDepth > 0 && depth >= opts.MaxDepth) {
+	if node.Gini == 0 || (maxDepth > 0 && depth >= maxDepth) {
 		return node
 	}
-	feat, thr, ok := bestSplit(rows, numClasses, opts.MinSamplesLeaf)
+	feat, thr, ok := bestSplit(rows, numClasses)
 	if !ok {
 		return node
 	}
@@ -132,8 +121,8 @@ func grow(rows []*Sample, numClasses int, opts Options, depth int) *Tree {
 	}
 	node.Feature = feat
 	node.Threshold = thr
-	node.Left = grow(left, numClasses, opts, depth+1)
-	node.Right = grow(right, numClasses, opts, depth+1)
+	node.Left = grow(left, numClasses, maxDepth, depth+1)
+	node.Right = grow(right, numClasses, maxDepth, depth+1)
 	return node
 }
 
@@ -142,7 +131,7 @@ func grow(rows []*Sample, numClasses int, opts Options, depth int) *Tree {
 // zero-gain split is still taken at an impure node (XOR-style data needs
 // two levels before any gain materializes); recursion terminates because
 // every split strictly shrinks both children.
-func bestSplit(rows []*Sample, numClasses, minLeaf int) (feat int, thr float64, ok bool) {
+func bestSplit(rows []*Sample, numClasses int) (feat int, thr float64, ok bool) {
 	n := len(rows)
 	bestImp := math.Inf(1)
 	nf := len(rows[0].Features)
@@ -160,9 +149,6 @@ func bestSplit(rows []*Sample, numClasses, minLeaf int) (feat int, thr float64, 
 				continue
 			}
 			nl, nr := i+1, n-i-1
-			if nl < minLeaf || nr < minLeaf {
-				continue
-			}
 			imp := (float64(nl)*gini(leftC, nl) + float64(nr)*gini(rightC, nr)) / float64(n)
 			if imp < bestImp {
 				bestImp = imp
@@ -212,33 +198,6 @@ func (t *Tree) Leaves() int {
 		return 1
 	}
 	return t.Left.Leaves() + t.Right.Leaves()
-}
-
-// errors returns the number of training samples a subtree misclassifies.
-func (t *Tree) errors() int {
-	if t.IsLeaf() {
-		return t.Samples - t.Value[t.Class]
-	}
-	return t.Left.errors() + t.Right.errors()
-}
-
-// Prune collapses subtrees pessimistically, bottom-up: a subtree is
-// replaced by a leaf when doing so increases training errors by at most
-// alpha per removed leaf (size-based pessimistic pruning). It returns the
-// pruned tree (the receiver is modified in place).
-func (t *Tree) Prune(alpha float64) *Tree {
-	if t.IsLeaf() {
-		return t
-	}
-	t.Left.Prune(alpha)
-	t.Right.Prune(alpha)
-	leafErrors := t.Samples - t.Value[t.Class]
-	subErrors := t.errors()
-	removed := t.Leaves() - 1
-	if float64(leafErrors-subErrors) <= alpha*float64(removed) {
-		t.Left, t.Right = nil, nil
-	}
-	return t
 }
 
 // Render produces a scikit-learn-style textual rendering, e.g.

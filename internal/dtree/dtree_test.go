@@ -8,21 +8,21 @@ import (
 )
 
 func TestTrainValidation(t *testing.T) {
-	if _, err := Train(nil, 2, Options{}); err == nil {
+	if _, err := Train(nil, 2, 0); err == nil {
 		t.Error("empty samples accepted")
 	}
-	if _, err := Train([]Sample{{Features: []float64{1}, Label: 0}}, 1, Options{}); err == nil {
+	if _, err := Train([]Sample{{Features: []float64{1}, Label: 0}}, 1, 0); err == nil {
 		t.Error("single class accepted")
 	}
-	if _, err := Train([]Sample{{Features: nil, Label: 0}}, 2, Options{}); err == nil {
+	if _, err := Train([]Sample{{Features: nil, Label: 0}}, 2, 0); err == nil {
 		t.Error("empty features accepted")
 	}
 	ragged := []Sample{{Features: []float64{1}, Label: 0}, {Features: []float64{1, 2}, Label: 1}}
-	if _, err := Train(ragged, 2, Options{}); err == nil {
+	if _, err := Train(ragged, 2, 0); err == nil {
 		t.Error("ragged features accepted")
 	}
 	bad := []Sample{{Features: []float64{1}, Label: 5}}
-	if _, err := Train(bad, 2, Options{}); err == nil {
+	if _, err := Train(bad, 2, 0); err == nil {
 		t.Error("out-of-range label accepted")
 	}
 }
@@ -38,7 +38,7 @@ func TestTrainSeparableData(t *testing.T) {
 		}
 		samples = append(samples, Sample{Features: []float64{x}, Label: label})
 	}
-	tree, err := Train(samples, 2, Options{})
+	tree, err := Train(samples, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,6 +54,14 @@ func TestTrainSeparableData(t *testing.T) {
 	if tree.Depth() != 1 || tree.Leaves() != 2 {
 		t.Errorf("depth=%d leaves=%d, want 1/2", tree.Depth(), tree.Leaves())
 	}
+	// One class only: a single leaf predicting it.
+	leaf, err := Train(samples[10:], 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !leaf.IsLeaf() || leaf.Predict([]float64{0}) != 1 {
+		t.Errorf("single-class samples: leaf=%v class=%d, want a leaf of class 1", leaf.IsLeaf(), leaf.Class)
+	}
 }
 
 func TestTrainXORNeedsDepth2(t *testing.T) {
@@ -63,7 +71,7 @@ func TestTrainXORNeedsDepth2(t *testing.T) {
 		{Features: []float64{1, 0}, Label: 1},
 		{Features: []float64{1, 1}, Label: 0},
 	}
-	tree, err := Train(samples, 2, Options{})
+	tree, err := Train(samples, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,40 +94,13 @@ func TestMaxDepthRespected(t *testing.T) {
 		}
 		samples = append(samples, Sample{Features: []float64{x, y}, Label: label})
 	}
-	tree, err := Train(samples, 2, Options{MaxDepth: 3})
+	tree, err := Train(samples, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d := tree.Depth(); d > 3 {
 		t.Errorf("depth = %d, want <= 3", d)
 	}
-}
-
-func TestMinSamplesLeaf(t *testing.T) {
-	var samples []Sample
-	for i := 0; i < 20; i++ {
-		label := 0
-		if i == 19 { // single outlier
-			label = 1
-		}
-		samples = append(samples, Sample{Features: []float64{float64(i)}, Label: label})
-	}
-	tree, err := Train(samples, 2, Options{MinSamplesLeaf: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var check func(*Tree)
-	check = func(n *Tree) {
-		if n.IsLeaf() {
-			if n.Samples < 3 {
-				t.Errorf("leaf with %d samples under MinSamplesLeaf=3", n.Samples)
-			}
-			return
-		}
-		check(n.Left)
-		check(n.Right)
-	}
-	check(tree)
 }
 
 // Property: unlimited-depth CART achieves perfect training accuracy
@@ -142,7 +123,7 @@ func TestPerfectFitProperty(t *testing.T) {
 				Label:    label,
 			})
 		}
-		tree, err := Train(samples, 3, Options{})
+		tree, err := Train(samples, 3, 0)
 		if err != nil {
 			return false
 		}
@@ -153,42 +134,6 @@ func TestPerfectFitProperty(t *testing.T) {
 	}
 }
 
-func TestPruneCollapsesNoise(t *testing.T) {
-	// Mostly class 0 with a few scattered class-1 outliers: the unpruned
-	// tree memorizes them; pruning with a generous alpha collapses it.
-	rng := rand.New(rand.NewSource(3))
-	var samples []Sample
-	for i := 0; i < 200; i++ {
-		label := 0
-		if rng.Float64() < 0.05 {
-			label = 1
-		}
-		samples = append(samples, Sample{Features: []float64{rng.Float64()}, Label: label})
-	}
-	tree, err := Train(samples, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := tree.Leaves()
-	tree.Prune(100)
-	if tree.Leaves() != 1 {
-		t.Errorf("leaves after aggressive prune = %d, want 1 (before: %d)", tree.Leaves(), before)
-	}
-	// Prune with alpha 0 keeps a perfect tree intact.
-	sep := []Sample{
-		{Features: []float64{0}, Label: 0},
-		{Features: []float64{1}, Label: 1},
-	}
-	tr2, err := Train(sep, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2.Prune(0)
-	if tr2.Leaves() != 2 {
-		t.Errorf("alpha=0 prune collapsed a perfect split")
-	}
-}
-
 func TestRenderContainsStats(t *testing.T) {
 	samples := []Sample{
 		{Features: []float64{0.005, 3}, Label: 0},
@@ -196,7 +141,7 @@ func TestRenderContainsStats(t *testing.T) {
 		{Features: []float64{0.008, 9}, Label: 0},
 		{Features: []float64{9, 9}, Label: 1},
 	}
-	tree, err := Train(samples, 2, Options{})
+	tree, err := Train(samples, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +163,7 @@ func TestPredictPanicsOnShortFeatures(t *testing.T) {
 		{Features: []float64{0, 0}, Label: 0},
 		{Features: []float64{0, 1}, Label: 1},
 	}
-	tree, err := Train(samples, 2, Options{})
+	tree, err := Train(samples, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,8 @@ import (
 // simulator. The paper's headline: more than 80% of jobs wait at least as
 // long as they execute; more than 20% wait at least 4x.
 func Figure1(seed int64) (*Report, error) {
-	cfg := cluster.DefaultTrace()
-	jobs, err := cluster.GenerateTrace(rand.New(rand.NewSource(seed)), cfg)
-	if err != nil {
-		return nil, err
-	}
-	sim := &cluster.Simulator{Capacity: cfg.Capacity}
+	jobs := cluster.GenerateTrace(rand.New(rand.NewSource(seed)))
+	sim := &cluster.Simulator{Capacity: cluster.TraceCapacity}
 	results, err := sim.Run(jobs)
 	if err != nil {
 		return nil, err

@@ -100,7 +100,7 @@ func Figure11() (*Report, error) {
 		Columns: []string{"engine", "training samples", "accuracy", "depth", "leaves"},
 	}
 	for _, engine := range []execsim.Params{execsim.Hive(), execsim.Spark()} {
-		rule, err := core.TrainTreeRule(engine, core.DefaultTrainGrid())
+		rule, err := core.TrainTreeRule(engine)
 		if err != nil {
 			return nil, err
 		}

@@ -451,7 +451,7 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 
 // Exhaustive enumerates every left-deep join order and operator combination
 // and returns the global optimum. It is exponential-factorial and intended
-// only for validating the DP in tests and ablations (n <= ~7).
+// only for validating the DP in tests (n <= ~7).
 func Exhaustive(coster optimizer.OperatorCoster, q *plan.Query) (*optimizer.Result, error) {
 	n := len(q.Rels)
 	if n > 7 {

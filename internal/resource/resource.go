@@ -94,15 +94,11 @@ func (b *BruteForce) PlanCounted(m cost.Model, ssGB float64, cond cluster.Condit
 // Evaluations implements Planner.
 func (b *BruteForce) Evaluations() int64 { return b.evals.Load() }
 
-// HillClimb is the paper's Algorithm 1. Start defaults to the minimum
+// HillClimb is the paper's Algorithm 1. It starts from the minimum
 // configuration ("given that the users want to minimize the resources used
 // in modern cloud infrastructures ... start from the smallest resource
 // configuration and then climb").
 type HillClimb struct {
-	// Start optionally overrides the climb's starting configuration (used
-	// by the ablation benchmarks); when zero the cluster minimum is used.
-	Start plan.Resources
-
 	evals atomic.Int64
 }
 
@@ -120,11 +116,7 @@ func (h *HillClimb) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditi
 	if err := cond.Validate(); err != nil {
 		return plan.Resources{}, 0, err
 	}
-	cur := h.Start
-	if cur.IsZero() {
-		cur = cond.MinResources()
-	}
-	cur = cond.Clamp(cur)
+	cur := cond.MinResources()
 	evals := int64(0)
 	eval := func(r plan.Resources) float64 {
 		evals++

@@ -75,17 +75,6 @@ func TestHillClimbRespectsBounds(t *testing.T) {
 	}
 }
 
-func TestHillClimbCustomStart(t *testing.T) {
-	h := &HillClimb{Start: plan.Resources{Containers: 90, ContainerGB: 9}}
-	r, err := h.Plan(quadModel(42, 7), 1, cond())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Containers != 42 || r.ContainerGB != 7 {
-		t.Errorf("from custom start: got %v", r)
-	}
-}
-
 func TestHillClimbLocalOptimumProperty(t *testing.T) {
 	// For arbitrary (possibly multimodal) smooth models, the result must be
 	// a local optimum: no single step improves it. And it must stay on the

@@ -1,7 +1,7 @@
 // Package stats implements the small amount of numerical machinery the
-// paper's cost model needs: ordinary least squares (optionally ridge
-// regularized) solved via the normal equations, the paper's feature map for
-// join cost models, and fit-quality metrics.
+// paper's cost model needs: least squares with a fixed tiny ridge penalty,
+// solved via the normal equations, the paper's feature map for join cost
+// models, and percentiles.
 package stats
 
 import (
@@ -10,9 +10,10 @@ import (
 	"math"
 )
 
-// ErrSingular is returned when the normal-equation system is singular (e.g.
-// perfectly collinear features and no ridge penalty).
-var ErrSingular = errors.New("stats: singular system; add samples or a ridge penalty")
+// ErrSingular is returned when the normal-equation system is singular even
+// with the ridge penalty, which rounding loses against features of very
+// large magnitude.
+var ErrSingular = errors.New("stats: singular system; rescale the features")
 
 // Features maps the paper's raw resource-planning inputs to the Section VI-A
 // feature vector [ss, ss², cs, cs², nc, nc², cs·nc] where ss is the smaller
@@ -46,18 +47,16 @@ func (m *LinearModel) Predict(x []float64) float64 {
 	return y
 }
 
-// FitOptions controls the regression.
-type FitOptions struct {
-	// Ridge is the L2 penalty λ added to the diagonal of XᵀX (the intercept
-	// is never penalized). Zero means plain OLS.
-	Ridge float64
-	// NoIntercept fits y ≈ Coef·x with no constant term.
-	NoIntercept bool
-}
+// Ridge is the L2 penalty λ that Fit adds to the diagonal of XᵀX (the
+// intercept is never penalized). It is far below any coefficient's scale,
+// so it leaves well-posed fits unchanged in all but the last digits, and it
+// keeps collinear or constant feature columns (observations that all share
+// one container size, say) from making the system singular.
+const Ridge = 1e-9
 
-// Fit solves least squares for y ≈ b0 + b·x over the given samples.
-// xs[i] must all have the same length.
-func Fit(xs [][]float64, ys []float64, opt FitOptions) (*LinearModel, error) {
+// Fit solves ridge-stabilized least squares for y ≈ b0 + b·x over the
+// given samples. xs[i] must all have the same length.
+func Fit(xs [][]float64, ys []float64) (*LinearModel, error) {
 	if len(xs) == 0 {
 		return nil, errors.New("stats: no samples")
 	}
@@ -73,28 +72,18 @@ func Fit(xs [][]float64, ys []float64, opt FitOptions) (*LinearModel, error) {
 			return nil, fmt.Errorf("stats: row %d has %d features, want %d", i, len(x), p)
 		}
 	}
-	if opt.Ridge < 0 {
-		return nil, fmt.Errorf("stats: negative ridge penalty %v", opt.Ridge)
-	}
-	cols := p
-	if !opt.NoIntercept {
-		cols++
-	}
-	// Build the normal equations A = XᵀX (+ λI), b = Xᵀy. Column 0 is the
-	// intercept when present.
+	// Build the normal equations A = XᵀX + λI, b = Xᵀy. Column 0 is the
+	// intercept.
+	cols := p + 1
 	a := make([][]float64, cols)
 	for i := range a {
 		a[i] = make([]float64, cols)
 	}
 	b := make([]float64, cols)
 	row := make([]float64, cols)
+	row[0] = 1
 	for s, x := range xs {
-		if opt.NoIntercept {
-			copy(row, x)
-		} else {
-			row[0] = 1
-			copy(row[1:], x)
-		}
+		copy(row[1:], x)
 		for i := 0; i < cols; i++ {
 			for j := 0; j < cols; j++ {
 				a[i][j] += row[i] * row[j]
@@ -102,27 +91,14 @@ func Fit(xs [][]float64, ys []float64, opt FitOptions) (*LinearModel, error) {
 			b[i] += row[i] * ys[s]
 		}
 	}
-	if opt.Ridge > 0 {
-		start := 0
-		if !opt.NoIntercept {
-			start = 1 // do not penalize the intercept
-		}
-		for i := start; i < cols; i++ {
-			a[i][i] += opt.Ridge
-		}
+	for i := 1; i < cols; i++ {
+		a[i][i] += Ridge
 	}
 	sol, err := solve(a, b)
 	if err != nil {
 		return nil, err
 	}
-	m := &LinearModel{}
-	if opt.NoIntercept {
-		m.Coef = sol
-	} else {
-		m.Intercept = sol[0]
-		m.Coef = sol[1:]
-	}
-	return m, nil
+	return &LinearModel{Intercept: sol[0], Coef: sol[1:]}, nil
 }
 
 // solve performs Gaussian elimination with partial pivoting on a·x = b,

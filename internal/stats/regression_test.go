@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -16,27 +17,12 @@ func TestFitRecoversPlantedLine(t *testing.T) {
 	for i, x := range xs {
 		ys[i] = 3 + 2*x[0] - 5*x[1]
 	}
-	m, err := Fit(xs, ys, FitOptions{})
+	m, err := Fit(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almost(m.Intercept, 3, 1e-9) || !almost(m.Coef[0], 2, 1e-9) || !almost(m.Coef[1], -5, 1e-9) {
 		t.Errorf("got intercept=%v coef=%v", m.Intercept, m.Coef)
-	}
-}
-
-func TestFitNoIntercept(t *testing.T) {
-	xs := [][]float64{{1}, {2}, {3}, {4}}
-	ys := []float64{2, 4, 6, 8}
-	m, err := Fit(xs, ys, FitOptions{NoIntercept: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Intercept != 0 {
-		t.Errorf("intercept = %v, want 0", m.Intercept)
-	}
-	if !almost(m.Coef[0], 2, 1e-9) {
-		t.Errorf("coef = %v, want 2", m.Coef[0])
 	}
 }
 
@@ -55,7 +41,7 @@ func TestFitRecoversNoisyCoefficients(t *testing.T) {
 		xs = append(xs, x)
 		ys = append(ys, y)
 	}
-	m, err := Fit(xs, ys, FitOptions{})
+	m, err := Fit(xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,33 +56,38 @@ func TestFitRecoversNoisyCoefficients(t *testing.T) {
 }
 
 func TestFitSingular(t *testing.T) {
-	// Perfectly collinear columns.
+	// Perfectly collinear columns: the ridge makes the system solvable.
 	xs := [][]float64{{1, 2}, {2, 4}, {3, 6}}
 	ys := []float64{1, 2, 3}
-	if _, err := Fit(xs, ys, FitOptions{}); err == nil {
-		t.Error("singular system accepted without ridge")
+	m, err := Fit(xs, ys)
+	if err != nil {
+		t.Fatalf("collinear fit failed: %v", err)
 	}
-	// Ridge fixes it.
-	if _, err := Fit(xs, ys, FitOptions{Ridge: 1e-6}); err != nil {
-		t.Errorf("ridge fit failed: %v", err)
+	for i, x := range xs {
+		if got := m.Predict(x); !almost(got, ys[i], 1e-6) {
+			t.Errorf("collinear fit predicts %v at %v, want %v", got, x, ys[i])
+		}
+	}
+	// A constant column of 2^20 loses the ridge to rounding: XᵀX's
+	// 3·2^40 has no bit for 1e-9, and elimination cancels exactly.
+	big := [][]float64{{1 << 20}, {1 << 20}, {1 << 20}}
+	if _, err := Fit(big, ys); !errors.Is(err, ErrSingular) {
+		t.Errorf("constant 2^20 column: err = %v, want ErrSingular", err)
 	}
 }
 
 func TestFitValidation(t *testing.T) {
-	if _, err := Fit(nil, nil, FitOptions{}); err == nil {
+	if _, err := Fit(nil, nil); err == nil {
 		t.Error("empty input accepted")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, FitOptions{}); err == nil {
+	if _, err := Fit([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if _, err := Fit([][]float64{{1}, {2, 3}}, []float64{1, 2}, FitOptions{}); err == nil {
+	if _, err := Fit([][]float64{{1}, {2, 3}}, []float64{1, 2}); err == nil {
 		t.Error("ragged rows accepted")
 	}
-	if _, err := Fit([][]float64{{}}, []float64{1}, FitOptions{}); err == nil {
+	if _, err := Fit([][]float64{{}}, []float64{1}); err == nil {
 		t.Error("empty feature vector accepted")
-	}
-	if _, err := Fit([][]float64{{1}}, []float64{1}, FitOptions{Ridge: -1}); err == nil {
-		t.Error("negative ridge accepted")
 	}
 }
 
@@ -138,7 +129,7 @@ func TestFitFeatureSpaceProperty(t *testing.T) {
 			xs = append(xs, x)
 			ys = append(ys, y)
 		}
-		m, err := Fit(xs, ys, FitOptions{})
+		m, err := Fit(xs, ys)
 		if err != nil {
 			return false
 		}

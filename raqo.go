@@ -165,7 +165,7 @@ func DefaultRule(engine string) Rule { return core.NewDefaultRule(engine) }
 // TrainTreeRule learns the engine's resource-aware RAQO decision tree from
 // simulated switch-point data (Figure 11).
 func TrainTreeRule(engine EngineParams) (*TreeRule, error) {
-	return core.TrainTreeRule(engine, core.DefaultTrainGrid())
+	return core.TrainTreeRule(engine)
 }
 
 // ApplyRule rewrites a plan's join implementations per the rule at the
