@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -165,24 +166,18 @@ func optimizeCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	var d *raqo.Decision
-	switch *mode {
-	case "joint":
-		d, err = opt.Optimize(q)
-	case "fixed":
-		d, err = opt.OptimizeFixed(q, raqo.Resources{Containers: *containers, ContainerGB: *gb})
-	case "budget":
-		d, err = opt.OptimizeForBudget(q, *containers, *gb)
-	case "price":
-		d, err = opt.OptimizeForPrice(q, raqo.Dollars(*budget))
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+	modeName, optimize, err := server.OptimizeMode(server.OptimizeRequest{
+		Mode: *mode, Containers: *containers, ContainerGB: *gb, BudgetDollars: raqo.Dollars(*budget),
+	})
+	if err != nil {
+		return err
 	}
+	d, err := optimize(context.Background(), opt, q)
 	if err != nil {
 		return err
 	}
 	if *jsonOut {
-		resp := server.NewOptimizeResponse(*query, *mode, opt.Planner(), d)
+		resp := server.NewOptimizeResponse(*query, modeName, opt.Planner(), d)
 		if !*explain {
 			return server.WriteJSON(os.Stdout, resp)
 		}
@@ -204,7 +199,7 @@ func optimizeCmd(args []string) error {
 		fmt.Print(out)
 		return nil
 	}
-	fmt.Printf("query: %s (%s planner, %s mode)\n", *query, *plannerName, *mode)
+	fmt.Printf("query: %s (%s planner, %s mode)\n", *query, *plannerName, modeName)
 	fmt.Printf("modeled time: %.1fs   modeled cost: %v\n", d.Time, d.Money)
 	fmt.Printf("planner: %v elapsed, %d plans considered, %d resource configurations explored\n\n",
 		d.Elapsed, d.PlansConsidered, d.ResourceIterations)

@@ -57,14 +57,9 @@ type Config struct {
 	Metrics *Metrics
 }
 
-// Arrival is one query submission in a workload stream.
-type Arrival struct {
-	Tenant string
-	Query  string
-	// Time is the virtual arrival time in seconds.
-	Time   float64
-	Policy scheduler.Policy
-}
+// Arrival is one query submission in a workload stream; its Recovery
+// never applies, as the shared cluster revokes nothing.
+type Arrival = cloud.Arrival
 
 // Arrivals gives every arrival of a generated trace one policy, so policy
 // runs compare on an identical stream.
@@ -231,14 +226,8 @@ func (a *Arbiter) Stats() Stats {
 // fatal. The stream is sorted by arrival time (stable, so tied arrivals
 // keep their input order).
 func (a *Arbiter) Run(arrivals []Arrival) ([]Outcome, error) {
-	trace := make([]cloud.Arrival, len(arrivals))
-	policies := make([]scheduler.Policy, len(arrivals))
-	for i, arr := range arrivals {
-		trace[i] = cloud.Arrival{Tenant: arr.Tenant, Query: arr.Query, Time: arr.Time}
-		policies[i] = arr.Policy
-	}
 	a.running = true
-	err := a.e.RunWith(trace, policies)
+	_, err := a.e.Run(arrivals)
 	a.running = false
 	if err != nil {
 		return nil, err
@@ -254,7 +243,7 @@ func (a *Arbiter) Run(arrivals []Arrival) ([]Outcome, error) {
 // larger than the cluster and a query that can never be admitted wrap
 // cloud.ErrRejected.
 func (a *Arbiter) SubmitWait(tenant, query string, policy scheduler.Policy) (*Outcome, error) {
-	o, err := a.e.SubmitWaitWith(cloud.Arrival{Tenant: tenant, Query: query, Time: a.e.Now()}, policy)
+	o, err := a.e.SubmitWaitWith(Arrival{Tenant: tenant, Query: query, Time: a.e.Now(), Policy: policy})
 	if err != nil {
 		return nil, err
 	}

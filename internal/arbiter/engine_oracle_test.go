@@ -104,13 +104,7 @@ func TestEngineReplaysArbiterGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace := make([]cloud.Arrival, len(arrivals))
-		policies := make([]scheduler.Policy, len(arrivals))
-		for i, arr := range arrivals {
-			trace[i] = cloud.Arrival{Tenant: arr.Tenant, Query: arr.Query, Time: arr.Time}
-			policies[i] = arr.Policy
-		}
-		if err := e.RunWith(trace, policies); err != nil {
+		if _, err := e.Run(arrivals); err != nil {
 			t.Fatal(err)
 		}
 		var got []string

@@ -38,7 +38,6 @@ func runHistoryWorkload(t *testing.T, dir string) ([]feedback.LongHorizonStat, h
 
 	det := feedback.NewDetector(feedback.DriftConfig{})
 	det.SetRecorder(st)
-	det.SetHistory(st, feedback.LongHorizonConfig{MinRecent: 4, MinBaseline: 16})
 	rec := feedback.NewRecalibrator(feedback.NewStore(1024, nil), det, models)
 
 	cfg := testConfig(t)
@@ -54,7 +53,7 @@ func runHistoryWorkload(t *testing.T, dir string) ([]feedback.LongHorizonStat, h
 	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := det.LongHorizonStats(int64(a.Now()))
+	stats, err := feedback.LongHorizon(st, int64(a.Now()), feedback.LongHorizonConfig{MinRecent: 4, MinBaseline: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

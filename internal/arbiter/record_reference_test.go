@@ -138,7 +138,7 @@ func newServedSide(t *testing.T, reference bool) *servedSide {
 		t.Fatal(err)
 	}
 	s.submit = func(tenant, query string, policy scheduler.Policy) error {
-		_, err := e.SubmitWaitWith(cloud.Arrival{Tenant: tenant, Query: query, Time: e.Now()}, policy)
+		_, err := e.SubmitWaitWith(cloud.Arrival{Tenant: tenant, Query: query, Time: e.Now(), Policy: policy})
 		return err
 	}
 	s.degrade = func() int64 { return e.Counts().Degraded }

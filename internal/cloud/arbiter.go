@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"raqo/internal/cluster"
@@ -128,7 +129,10 @@ type Arrival struct {
 	Tenant string
 	Query  string
 	// Time is the virtual arrival time in seconds.
-	Time     float64
+	Time float64
+	// Policy is what admission does with the query when its submitted plan
+	// fits no class; market arrivals re-plan (scheduler.Reoptimize).
+	Policy   scheduler.Policy
 	Recovery Recovery
 }
 
@@ -241,11 +245,10 @@ func (e *UnknownError) Error() string {
 }
 
 type pending struct {
-	arr    Arrival
-	policy scheduler.Policy
-	ts     *tenantState
-	q      *plan.Query
-	dec    *core.Decision // joint plan fixed at submission (Base conditions)
+	arr Arrival
+	ts  *tenantState
+	q   *plan.Query
+	dec *core.Decision // joint plan fixed at submission (Base conditions)
 	// gangHint is the submission plan's largest stage request — the
 	// queue-depth demand signal the autoscaler sees.
 	gangHint int
@@ -258,21 +261,19 @@ type pending struct {
 	degradeNext  bool
 	lastRevokeAt float64 // < 0 when never revoked
 	billUSD      units.USD
-	// admitted is the latest admission's outcome, for online callers;
-	// failed is set when its plan could not execute at its resources.
+	// admitted is the running attempt's admission outcome, for online
+	// callers and for its completion record; failed is set when its plan
+	// could not execute at its resources.
 	admitted *Outcome
 	failed   bool
 }
 
+// running is one admitted attempt holding its gang; its class, times,
+// gang and flags are its pending's admitted outcome.
 type running struct {
-	p           *pending
-	class       int
-	start       float64
-	execSeconds float64
-	dec         *core.Decision
-	res         *execsim.Result
-	degraded    bool
-	replanned   bool
+	p   *pending
+	dec *core.Decision
+	res *execsim.Result
 }
 
 type tenantState struct {
@@ -305,12 +306,6 @@ type offer struct {
 type stashed struct {
 	p      *pending
 	offers []offer
-}
-
-// request is an arrival with its admission policy.
-type request struct {
-	Arrival
-	policy scheduler.Policy
 }
 
 // Arbiter is the admission engine: a discrete-event loop admitting a
@@ -569,7 +564,7 @@ func (a *Arbiter) rejectQueued() {
 // submit enqueues one arrival. Arrival times before the virtual now are
 // clamped (online callers submit "at now"). Unknown names are
 // UnknownErrors; a Wait request no class can ever hold wraps ErrRejected.
-func (a *Arbiter) submit(arr Arrival, policy scheduler.Policy) (*pending, error) {
+func (a *Arbiter) submit(arr Arrival) (*pending, error) {
 	ts, ok := a.byName[arr.Tenant]
 	if !ok {
 		return nil, a.unknown("tenant", arr.Tenant)
@@ -578,8 +573,8 @@ func (a *Arbiter) submit(arr Arrival, policy scheduler.Policy) (*pending, error)
 	if !ok {
 		return nil, a.unknown("query", arr.Query)
 	}
-	if policy != scheduler.Wait && policy != scheduler.Degrade && policy != scheduler.Reoptimize {
-		return nil, a.unknown("policy", policy.String())
+	if arr.Policy != scheduler.Wait && arr.Policy != scheduler.Degrade && arr.Policy != scheduler.Reoptimize {
+		return nil, a.unknown("policy", arr.Policy.String())
 	}
 	if arr.Recovery != RecoverReoptimize && arr.Recovery != RecoverOnDemand && arr.Recovery != RecoverDegrade {
 		return nil, a.unknown("recovery", arr.Recovery.String())
@@ -595,7 +590,7 @@ func (a *Arbiter) submit(arr Arrival, policy scheduler.Policy) (*pending, error)
 		return nil, err
 	}
 	gang := scheduler.MaxRequested(dec.Plan)
-	if policy == scheduler.Wait {
+	if arr.Policy == scheduler.Wait {
 		// A Wait request larger than any class can ever offer would queue
 		// forever.
 		if most := a.largestGang(gang.ContainerGB); gang.Containers > most {
@@ -603,7 +598,7 @@ func (a *Arbiter) submit(arr Arrival, policy scheduler.Policy) (*pending, error)
 				arr.Query, gang.Containers, most)
 		}
 	}
-	p := &pending{arr: arr, policy: policy, ts: ts, q: q, dec: dec, gangHint: max(gang.Containers, 1), lastRevokeAt: -1}
+	p := &pending{arr: arr, ts: ts, q: q, dec: dec, gangHint: max(gang.Containers, 1), lastRevokeAt: -1}
 	ts.queue = append(ts.queue, p)
 	a.n.Submitted++
 	return p, nil
@@ -676,31 +671,16 @@ func (a *Arbiter) advanceTo(t float64) error {
 		p := run.p
 		ts := p.ts
 		ts.held -= rel.Containers
-		bill := gangBill(a.pool.Class(run.class).Price, rel.Containers, rel.Finish-run.start)
+		bill := gangBill(a.pool.Class(rel.Class).Price, rel.Containers, rel.Finish-p.admitted.Start)
 		p.billUSD += bill
 		ts.billed += bill
 		a.n.Completed++
-		a.done = Outcome{
-			Tenant:       p.arr.Tenant,
-			Query:        p.arr.Query,
-			Policy:       p.policy,
-			Recovery:     p.arr.Recovery,
-			Class:        rel.ClassName,
-			Tier:         rel.Tier,
-			Arrival:      p.arr.Time,
-			Start:        run.start,
-			Finish:       rel.Finish,
-			QueueSeconds: rel.Finish - p.arr.Time - run.execSeconds,
-			ExecSeconds:  run.execSeconds,
-			Preemptions:  p.preemptions,
-			OOMRetries:   p.oomRetries,
-			Straggled:    p.straggled,
-			Degraded:     run.degraded,
-			Replanned:    run.replanned,
-			Containers:   rel.Containers,
-			ContainerGB:  rel.ContainerGB,
-			BillUSD:      p.billUSD,
-		}
+		// The completion is the attempt's admission record with the queue
+		// time and bill of the whole query. A copy: online callers may
+		// still read the admission record after the arbiter's lock.
+		a.done = *p.admitted
+		a.done.QueueSeconds = rel.Finish - p.arr.Time - a.done.ExecSeconds
+		a.done.BillUSD = p.billUSD
 		if err := a.cfg.Hooks.Completed(&a.done, run.dec, run.res); err != nil {
 			return err
 		}
@@ -726,7 +706,7 @@ func (a *Arbiter) revokeToken(tok int64, kind FaultKind, at float64, storm bool)
 	p := run.p
 	ts := p.ts
 	ts.held -= rel.Containers
-	bill := gangBill(a.pool.Class(run.class).Price, rel.Containers, at-run.start)
+	bill := gangBill(a.pool.Class(rel.Class).Price, rel.Containers, at-p.admitted.Start)
 	p.billUSD += bill
 	ts.billed += bill
 	m := a.cfg.Metrics
@@ -865,7 +845,7 @@ func (a *Arbiter) place(p *pending, ci int, d *core.Decision, res *execsim.Resul
 	out := &Outcome{
 		Tenant:       p.arr.Tenant,
 		Query:        p.arr.Query,
-		Policy:       p.policy,
+		Policy:       p.arr.Policy,
 		Recovery:     p.arr.Recovery,
 		Class:        def.Name,
 		Tier:         def.Tier,
@@ -884,11 +864,8 @@ func (a *Arbiter) place(p *pending, ci int, d *core.Decision, res *execsim.Resul
 		BillUSD:      p.billUSD,
 	}
 	p.admitted = out
-	a.inflight[tok] = running{
-		p: p, class: ci, start: now, execSeconds: draw.ExecSeconds,
-		dec: d, res: res, degraded: degraded, replanned: replanned,
-	}
-	a.n.Admitted[p.policy]++
+	a.inflight[tok] = running{p: p, dec: d, res: res}
+	a.n.Admitted[p.arr.Policy]++
 	if replanned {
 		a.n.Replanned++
 	}
@@ -951,7 +928,7 @@ func (a *Arbiter) admitRound(fairShare bool) (bool, error) {
 				continue
 			}
 			switch {
-			case p.degradeNext || p.policy == scheduler.Degrade:
+			case p.degradeNext || p.arr.Policy == scheduler.Degrade:
 				admitted, err := a.degrade(p, offers)
 				if err != nil {
 					return false, err
@@ -960,7 +937,7 @@ func (a *Arbiter) admitRound(fairShare bool) (bool, error) {
 					break scan
 				}
 				progress = true
-			case p.policy == scheduler.Reoptimize:
+			case p.arr.Policy == scheduler.Reoptimize:
 				lo := len(a.stashBuf)
 				a.stashBuf = append(a.stashBuf, offers...)
 				stash = append(stash, stashed{p: p, offers: a.stashBuf[lo:len(a.stashBuf):len(a.stashBuf)]})
@@ -1125,7 +1102,7 @@ const maxStall = 3
 // outstanding an autoscaler tick — and submits the arrivals due by then.
 // It returns when no event is left, or when only autoscaler ticks remain
 // and maxStall of them in a row changed nothing.
-func (a *Arbiter) loop(arrivals []request, until *pending) error {
+func (a *Arbiter) loop(arrivals []Arrival, until *pending) error {
 	next, stall := 0, 0
 	for {
 		before := a.sig()
@@ -1147,7 +1124,7 @@ func (a *Arbiter) loop(arrivals []request, until *pending) error {
 		}
 		changed := false
 		for ; next < len(arrivals) && arrivals[next].Time <= te; next++ {
-			if _, err := a.submit(arrivals[next].Arrival, arrivals[next].policy); err != nil && !errors.Is(err, ErrRejected) {
+			if _, err := a.submit(arrivals[next]); err != nil && !errors.Is(err, ErrRejected) {
 				return err
 			}
 			changed = true // a submission is progress even if admission waits
@@ -1162,36 +1139,20 @@ func (a *Arbiter) loop(arrivals []request, until *pending) error {
 	}
 }
 
-// Run replays a whole arrival stream to completion, re-planning each
-// arrival on a miss, and returns the outcomes in completion order.
-// Backpressure rejections are counted, not fatal; queries still queued
-// once nothing can move are rejected as infeasible. The stream is sorted
-// by arrival time (stable, so tied arrivals keep their input order).
+// Run replays a whole arrival stream to completion, each arrival under
+// its own policy, and returns the outcomes in completion order (none when
+// Hooks.Completed takes them). Backpressure rejections are counted, not
+// fatal; queries still queued once nothing can move are rejected as
+// infeasible. A sorted copy of the stream is replayed, by arrival time
+// (stable, so tied arrivals keep their input order).
 func (a *Arbiter) Run(arrivals []Arrival) ([]Outcome, error) {
-	err := a.RunWith(arrivals, nil)
-	return a.completed, err
-}
-
-// RunWith is Run with an admission policy per arrival — the shared
-// cluster's entry point (internal/arbiter). Nil policies re-plan every
-// arrival on a miss.
-func (a *Arbiter) RunWith(arrivals []Arrival, policies []scheduler.Policy) error {
-	if policies != nil && len(policies) != len(arrivals) {
-		return a.errorf("%d policies for %d arrivals", len(policies), len(arrivals))
-	}
-	reqs := make([]request, len(arrivals))
-	for i, arr := range arrivals {
-		reqs[i] = request{Arrival: arr, policy: scheduler.Reoptimize}
-		if policies != nil {
-			reqs[i].policy = policies[i]
-		}
-	}
-	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].Time < reqs[j].Time })
-	if err := a.loop(reqs, nil); err != nil {
-		return err
+	arrivals = slices.Clone(arrivals)
+	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Time < arrivals[j].Time })
+	if err := a.loop(arrivals, nil); err != nil {
+		return a.completed, err
 	}
 	a.rejectQueued()
-	return nil
+	return a.completed, nil
 }
 
 // SubmitWait submits one query at the current virtual time, re-planning
@@ -1201,15 +1162,15 @@ func (a *Arbiter) RunWith(arrivals []Arrival, policies []scheduler.Policy) error
 // final word is in Completed). This is the online path behind
 // POST /v1/cloud/submit.
 func (a *Arbiter) SubmitWait(tenant, query string, rec Recovery) (*Outcome, error) {
-	return a.SubmitWaitWith(Arrival{Tenant: tenant, Query: query, Time: a.pool.Now(), Recovery: rec}, scheduler.Reoptimize)
+	return a.SubmitWaitWith(Arrival{Tenant: tenant, Query: query, Time: a.pool.Now(), Policy: scheduler.Reoptimize, Recovery: rec})
 }
 
-// SubmitWaitWith is SubmitWait for one arrival under an explicit
-// admission policy — the shared cluster's entry point (internal/arbiter).
-// A query that can never be admitted is rejected and leaves no trace in
-// the queues.
-func (a *Arbiter) SubmitWaitWith(arr Arrival, policy scheduler.Policy) (*Outcome, error) {
-	p, err := a.submit(arr, policy)
+// SubmitWaitWith is SubmitWait for one arrival under its own admission
+// policy — the shared cluster's entry point (internal/arbiter). A query
+// that can never be admitted is rejected and leaves no trace in the
+// queues.
+func (a *Arbiter) SubmitWaitWith(arr Arrival) (*Outcome, error) {
+	p, err := a.submit(arr)
 	if err != nil {
 		return nil, err
 	}

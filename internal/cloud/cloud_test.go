@@ -583,8 +583,8 @@ func TestMemoizedExecutionsMatchFresh(t *testing.T) {
 	tenants := []string{"etl", "bi", "adhoc"}
 	submit := func(i int, query string, policy scheduler.Policy, rec cloud.Recovery) {
 		t.Helper()
-		arr := cloud.Arrival{Tenant: tenants[i%len(tenants)], Query: query, Time: a.Now(), Recovery: rec}
-		if _, err := a.SubmitWaitWith(arr, policy); err != nil && !errors.Is(err, cloud.ErrRejected) &&
+		arr := cloud.Arrival{Tenant: tenants[i%len(tenants)], Query: query, Time: a.Now(), Policy: policy, Recovery: rec}
+		if _, err := a.SubmitWaitWith(arr); err != nil && !errors.Is(err, cloud.ErrRejected) &&
 			!strings.Contains(err.Error(), "failed to execute") {
 			t.Fatal(err)
 		}

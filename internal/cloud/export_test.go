@@ -21,7 +21,7 @@ func (a *Arbiter) LastAdmission() Admission {
 	run := a.inflight[a.pool.seq]
 	adm := Admission{Submitted: run.p.dec, Ran: run.dec, Res: run.res}
 	for _, o := range a.offerBuf {
-		if o.class == run.class {
+		if o.class == a.pool.refs[a.pool.seq].class {
 			adm.Offered = o.cond
 			break
 		}

@@ -3,6 +3,8 @@ package cloud
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 
 	"raqo/internal/randsrc"
 )
@@ -83,62 +85,6 @@ type FaultEvent struct {
 	Kind  FaultKind
 }
 
-// faultHeap is a min-heap of fault events by (At, Token). Its push and
-// pop sift exactly as container/heap's Push and Pop, without boxing an
-// event per call (TestFaultHeapMatchesContainerHeap).
-type faultHeap []FaultEvent
-
-func (h faultHeap) less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].Token < h[j].Token
-}
-
-func (h faultHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h faultHeap) down(i, n int) {
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-}
-
-func (h *faultHeap) push(ev FaultEvent) {
-	*h = append(*h, ev)
-	h.up(len(*h) - 1)
-}
-
-// pop removes and returns the earliest event.
-func (h *faultHeap) pop() FaultEvent {
-	old := *h
-	n := len(old) - 1
-	old[0], old[n] = old[n], old[0]
-	old.down(0, n)
-	*h = old[:n]
-	return old[n]
-}
-
 // Draw is the fate rolled for one admission.
 type Draw struct {
 	// ExecSeconds is the effective execution time (straggler-adjusted).
@@ -155,7 +101,7 @@ type Draw struct {
 // cloud layer. It is not safe for concurrent use.
 type Injector struct {
 	cfg       FaultConfig
-	events    faultHeap
+	events    []FaultEvent // in (At, Token) order, ties in scheduling order
 	due       []FaultEvent // PopDue's answer, reused by the next PopDue
 	stormDone bool
 	rng       *rand.Rand // over a randsrc.Source, re-seeded by every Draw
@@ -212,8 +158,15 @@ func (in *Injector) Draw(seq int64, tier Tier, start, execSeconds float64) Draw 
 	return d
 }
 
-// Schedule queues a fault event.
-func (in *Injector) Schedule(ev FaultEvent) { in.events.push(ev) }
+// Schedule queues a fault event after every pending event that is not
+// later in (At, Token) order.
+func (in *Injector) Schedule(ev FaultEvent) {
+	i := sort.Search(len(in.events), func(i int) bool {
+		e := in.events[i]
+		return e.At > ev.At || e.At == ev.At && e.Token > ev.Token
+	})
+	in.events = slices.Insert(in.events, i, ev)
+}
 
 // Next returns the earliest pending fault time — scheduled events or the
 // storm, whichever comes first.
@@ -242,12 +195,13 @@ func (in *Injector) stormAt() (float64, bool) {
 // which reuses it. Events whose allocation already finished are the
 // caller's to recognize and drop (finish wins at the same instant).
 func (in *Injector) PopDue(t float64) []FaultEvent {
-	due := in.due[:0]
-	for len(in.events) > 0 && in.events[0].At <= t {
-		due = append(due, in.events.pop())
+	n := 0
+	for n < len(in.events) && in.events[n].At <= t {
+		n++
 	}
-	in.due = due
-	return due
+	in.due = append(in.due[:0], in.events[:n]...)
+	in.events = slices.Delete(in.events, 0, n)
+	return in.due
 }
 
 // StormDue reports whether the one-shot storm should fire at or before

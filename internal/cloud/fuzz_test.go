@@ -39,7 +39,6 @@ type admissionScenario struct {
 	scaler   cloud.AutoscalerConfig
 	tenants  []cloud.TenantConfig
 	arrivals []cloud.Arrival
-	policies []scheduler.Policy
 	online   bool
 }
 
@@ -86,7 +85,7 @@ func decodeAdmission(data []byte) admissionScenario {
 			Time:     now,
 			Recovery: cloud.Recovery(r.next() % 3),
 		})
-		sc.policies = append(sc.policies, scheduler.Policy(r.next()%3))
+		sc.arrivals[i].Policy = scheduler.Policy(r.next() % 3)
 	}
 	return sc
 }
@@ -124,14 +123,14 @@ func runAdmission(t *testing.T, sc admissionScenario) string {
 		t.Fatal(err)
 	}
 	if sc.online {
-		for i, arr := range sc.arrivals {
+		for _, arr := range sc.arrivals {
 			arr.Time = a.Now()
-			if _, err := a.SubmitWaitWith(arr, sc.policies[i]); err != nil &&
+			if _, err := a.SubmitWaitWith(arr); err != nil &&
 				!errors.Is(err, cloud.ErrRejected) && !strings.Contains(err.Error(), "failed to execute") {
 				t.Fatalf("SubmitWaitWith: %v", err)
 			}
 		}
-	} else if err := a.RunWith(sc.arrivals, sc.policies); err != nil {
+	} else if _, err := a.Run(sc.arrivals); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Drain(); err != nil {

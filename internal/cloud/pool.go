@@ -3,6 +3,7 @@ package cloud
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"raqo/internal/cluster"
@@ -227,9 +228,9 @@ func (p *Pool) Advance(t float64) []Release {
 	}
 	out := p.settled[:0]
 	for i, cs := range p.classes {
-		for len(cs.pendingUp) > 0 && cs.pendingUp[0].at <= p.now {
-			pc := cs.pendingUp[0]
-			cs.pendingUp = cs.pendingUp[1:]
+		landed := 0
+		for ; landed < len(cs.pendingUp) && cs.pendingUp[landed].at <= p.now; landed++ {
+			pc := cs.pendingUp[landed]
 			if err := cs.pool.SetCapacity(cs.pool.Capacity() + pc.n); err != nil {
 				// Growing never fails; keep the ledger consistent anyway.
 				continue
@@ -238,6 +239,7 @@ func (p *Pool) Advance(t float64) []Release {
 				cs.provisionedAt = append(cs.provisionedAt, pc.at)
 			}
 		}
+		cs.pendingUp = slices.Delete(cs.pendingUp, 0, landed)
 		for _, rel := range cs.pool.Advance(t) {
 			tok := cs.toCloud[rel.Token]
 			delete(cs.toCloud, rel.Token)
@@ -339,11 +341,10 @@ func (p *Pool) ScaleUp(i, n int, lagSeconds float64) {
 		}
 		return
 	}
+	// After every order arriving no later: tied arrivals land in order.
 	at := p.now + lagSeconds
-	cs.pendingUp = append(cs.pendingUp, pendingCap{at: at, n: n})
-	// Constant lag keeps this sorted by construction; re-sort defensively
-	// for callers mixing lags.
-	sort.SliceStable(cs.pendingUp, func(a, b int) bool { return cs.pendingUp[a].at < cs.pendingUp[b].at })
+	j := sort.Search(len(cs.pendingUp), func(j int) bool { return cs.pendingUp[j].at > at })
+	cs.pendingUp = slices.Insert(cs.pendingUp, j, pendingCap{at: at, n: n})
 }
 
 // ScaleDown removes up to n idle containers of class i, youngest first,

@@ -1,7 +1,7 @@
 package cloud
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -83,50 +83,94 @@ func TestDrawMatchesReference(t *testing.T) {
 	}
 }
 
-// refFaultHeap is faultHeap through container/heap, the order it must keep.
-type refFaultHeap []FaultEvent
-
-func (h refFaultHeap) Len() int           { return len(h) }
-func (h refFaultHeap) Less(i, j int) bool { return faultHeap(h).less(i, j) }
-func (h refFaultHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refFaultHeap) Push(x any)        { *h = append(*h, x.(FaultEvent)) }
-func (h *refFaultHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// TestFaultHeapMatchesContainerHeap: random schedules and PopDue calls,
-// with times drawn from a few values and tokens from a few more so that
-// ties on both are common, leave the injector's heap array equal to
-// container/heap's after every step, and PopDue returns what popping
-// container/heap returns, in its order.
-func TestFaultHeapMatchesContainerHeap(t *testing.T) {
+// TestInjectorEventOrderOracle: random schedules and PopDue calls, with
+// times drawn from a few values and tokens from a few more so that ties
+// on both, and whole equal keys, are common, keep the pending events equal
+// to a stable sort of the schedule by (At, Token) after every step, and
+// PopDue returns exactly the due prefix of that order.
+func TestInjectorEventOrderOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in, err := NewInjector(FaultConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want refFaultHeap
+	byKey := func(a, b FaultEvent) int {
+		if a.At != b.At {
+			return cmp.Compare(a.At, b.At)
+		}
+		return cmp.Compare(a.Token, b.Token)
+	}
+	var want []FaultEvent // the pending events, in scheduling order
 	for step := 0; step < 20000; step++ {
+		sorted := slices.Clone(want)
+		slices.SortStableFunc(sorted, byKey)
 		if rng.Intn(3) < 2 || len(want) == 0 {
-			ev := FaultEvent{At: float64(rng.Intn(8)), Token: int64(rng.Intn(16)), Kind: FaultKind(rng.Intn(2))}
+			ev := FaultEvent{At: float64(rng.Intn(8)), Token: int64(rng.Intn(4)), Kind: FaultKind(rng.Intn(2))}
 			in.Schedule(ev)
-			heap.Push(&want, ev)
+			want = append(want, ev)
 		} else {
 			now := float64(rng.Intn(8))
-			got := in.PopDue(now)
-			var popped []FaultEvent
-			for len(want) > 0 && want[0].At <= now {
-				popped = append(popped, heap.Pop(&want).(FaultEvent))
+			due := 0
+			for due < len(sorted) && sorted[due].At <= now {
+				due++
 			}
-			if !slices.Equal(got, popped) {
-				t.Fatalf("step %d: PopDue(%g) %+v, container/heap %+v", step, now, got, popped)
+			if got := in.PopDue(now); !slices.Equal(got, sorted[:due]) {
+				t.Fatalf("step %d: PopDue(%g) %+v, want %+v", step, now, got, sorted[:due])
 			}
+			want = slices.DeleteFunc(want, func(ev FaultEvent) bool { return ev.At <= now })
 		}
-		if !slices.Equal(in.events, faultHeap(want)) {
-			t.Fatalf("step %d: heap %+v, container/heap %+v", step, in.events, want)
+		sorted = slices.Clone(want)
+		slices.SortStableFunc(sorted, byKey)
+		if !slices.Equal(in.events, sorted) {
+			t.Fatalf("step %d: events %+v, want %+v", step, in.events, sorted)
+		}
+	}
+}
+
+// TestPoolPendingUpOrderOracle: random scale-up orders with lags drawn
+// from a few values, so equal arrival times are common, and random
+// advances keep each class's pending orders equal to a stable sort of
+// its orders by arrival time after every step; Advance lands exactly the
+// due prefix of that order, in order.
+func TestPoolPendingUpOrderOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	p, err := NewPool(Market{Classes: []InstanceClass{{Name: "c", ContainerGB: 4, Count: 1, Price: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := p.classes[0]
+	byAt := func(a, b pendingCap) int { return cmp.Compare(a.at, b.at) }
+	var want []pendingCap // the pending orders, in order of ScaleUp
+	for step := 0; step < 20000; step++ {
+		sorted := slices.Clone(want)
+		slices.SortStableFunc(sorted, byAt)
+		if rng.Intn(3) < 2 || len(want) == 0 {
+			lag := float64(1 + rng.Intn(4))
+			n := 1 + rng.Intn(3)
+			p.ScaleUp(0, n, lag)
+			want = append(want, pendingCap{at: p.Now() + lag, n: n})
+		} else {
+			now := p.Now() + float64(rng.Intn(3))
+			before := len(cs.provisionedAt)
+			p.Advance(now)
+			var landed []float64
+			for _, pc := range sorted {
+				if pc.at > now {
+					break
+				}
+				for k := 0; k < pc.n; k++ {
+					landed = append(landed, pc.at)
+				}
+			}
+			if got := cs.provisionedAt[before:]; !slices.Equal(got, landed) {
+				t.Fatalf("step %d: Advance(%g) provisioned %v, want %v", step, now, got, landed)
+			}
+			want = slices.DeleteFunc(want, func(pc pendingCap) bool { return pc.at <= now })
+		}
+		sorted = slices.Clone(want)
+		slices.SortStableFunc(sorted, byAt)
+		if !slices.Equal(cs.pendingUp, sorted) {
+			t.Fatalf("step %d: pending %+v, want %+v", step, cs.pendingUp, sorted)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"raqo/internal/scheduler"
 )
 
 // Shape selects the arrival-rate profile of a synthetic trace.
@@ -149,6 +151,7 @@ func GenerateTrace(cfg TraceConfig) ([]Arrival, error) {
 			Tenant:   pick(cfg.Tenants, tenantTotal),
 			Query:    pick(cfg.Mix, mixTotal),
 			Time:     now,
+			Policy:   scheduler.Reoptimize,
 			Recovery: cfg.Recovery,
 		}
 	}

@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"sort"
+)
 
 // Pool tracks the container occupancy of a shared cluster over virtual
 // time: a fixed capacity of containers, gang allocations held until their
@@ -18,8 +22,8 @@ type Pool struct {
 	heldGB   float64
 	now      float64
 	seq      int64
-	running  allocHeap
-	released []Release // Advance's answer, reused by the next call
+	running  []allocation // in (finish, token) order: the release order
+	released []Release    // Advance's answer, reused by the next call
 }
 
 // allocation is one gang of containers held until a virtual finish time.
@@ -28,70 +32,6 @@ type allocation struct {
 	containers int
 	gbEach     float64
 	token      int64 // allocation order; ties on finish release in this order
-}
-
-// allocHeap is a min-heap of allocations by (finish, token). Its push,
-// pop and remove sift exactly as container/heap's do, without boxing each
-// allocation in an interface.
-type allocHeap []allocation
-
-func (h allocHeap) less(i, j int) bool {
-	if h[i].finish != h[j].finish {
-		return h[i].finish < h[j].finish
-	}
-	return h[i].token < h[j].token
-}
-
-func (h allocHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		j = i
-	}
-}
-
-func (h allocHeap) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !h.less(j, i) {
-			break
-		}
-		h[i], h[j] = h[j], h[i]
-		i = j
-	}
-	return i > i0
-}
-
-func (h *allocHeap) push(a allocation) {
-	*h = append(*h, a)
-	h.up(len(*h) - 1)
-}
-
-// remove removes and returns the allocation at index i; remove(0) pops
-// the minimum.
-func (h *allocHeap) remove(i int) allocation {
-	old := *h
-	n := len(old) - 1
-	if n != i {
-		old[i], old[n] = old[n], old[i]
-		if !old.down(i, n) {
-			old.up(i)
-		}
-	}
-	a := old[n]
-	*h = old[:n]
-	return a
 }
 
 // Release reports one allocation returned to the pool by Advance.
@@ -155,25 +95,30 @@ func (p *Pool) Allocate(containers int, gbEach, finish float64) (int64, error) {
 	tok := p.seq
 	p.free -= containers
 	p.heldGB += float64(containers) * gbEach
-	p.running.push(allocation{finish: finish, containers: containers, gbEach: gbEach, token: tok})
+	// Every running token is older than tok, so the (finish, token) slot
+	// is after every allocation finishing no later.
+	i := sort.Search(len(p.running), func(i int) bool { return p.running[i].finish > finish })
+	p.running = slices.Insert(p.running, i, allocation{finish: finish, containers: containers, gbEach: gbEach, token: tok})
 	return tok, nil
 }
 
 // Advance moves the virtual clock to t (never backwards) and releases
 // every allocation finishing at or before t, in (finish, allocation order)
-// — a deterministic release order regardless of how the heap happened to
-// settle. The returned slice is valid until the next Advance.
+// — a deterministic release order. The returned slice is valid until the
+// next Advance.
 func (p *Pool) Advance(t float64) []Release {
 	if t > p.now {
 		p.now = t
 	}
 	out := p.released[:0]
-	for len(p.running) > 0 && p.running[0].finish <= p.now {
-		a := p.running.remove(0)
+	due := 0
+	for ; due < len(p.running) && p.running[due].finish <= p.now; due++ {
+		a := p.running[due]
 		p.free += a.containers
 		p.heldGB -= float64(a.containers) * a.gbEach
 		out = append(out, Release{Token: a.token, Finish: a.finish, Containers: a.containers, GBEach: a.gbEach})
 	}
+	p.running = slices.Delete(p.running, 0, due)
 	if len(p.running) == 0 || p.heldGB < 0 {
 		p.heldGB = 0 // forgive float summation drift once idle
 	}
@@ -195,7 +140,8 @@ func (p *Pool) Revoke(token int64) (Release, bool) {
 		if p.running[i].token != token {
 			continue
 		}
-		a := p.running.remove(i)
+		a := p.running[i]
+		p.running = slices.Delete(p.running, i, i+1)
 		p.free += a.containers
 		p.heldGB -= float64(a.containers) * a.gbEach
 		if len(p.running) == 0 || p.heldGB < 0 {

@@ -1,9 +1,10 @@
 package cluster
 
 import (
-	"container/heap"
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -418,51 +419,66 @@ func TestRunMatchesConditionsAtOccupancy(t *testing.T) {
 	}
 }
 
-// refHeap is allocHeap through container/heap, the order it must keep.
-type refHeap []allocation
-
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return allocHeap(h).less(i, j) }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(allocation)) }
-func (h *refHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
-}
-
-// TestAllocHeapMatchesContainerHeap: random pushes, pops and removes,
-// with finish times drawn from a few values so ties are common, leave the
-// typed heap's array equal to container/heap's after every step and
-// return the same allocations.
-func TestAllocHeapMatchesContainerHeap(t *testing.T) {
+// TestPoolRunningOrderOracle: random allocations, advances and revokes,
+// with finish times drawn from a few values so ties are common, keep the
+// running slice equal to a stable sort of its contents by (finish, token)
+// after every step; Advance releases exactly the due prefix of that order
+// and Revoke exactly the allocation named.
+func TestPoolRunningOrderOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var got allocHeap
-	var want refHeap
+	p, err := NewPool(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byKey := func(a, b allocation) int {
+		if a.finish != b.finish {
+			return cmp.Compare(a.finish, b.finish)
+		}
+		return cmp.Compare(a.token, b.token)
+	}
+	sortedStable := func(as []allocation) []allocation {
+		out := slices.Clone(as)
+		slices.SortStableFunc(out, byKey)
+		return out
+	}
+	var want []allocation // the running allocations, in allocation order
 	for step := 0; step < 20000; step++ {
+		sorted := sortedStable(want)
 		switch op := rng.Intn(5); {
-		case op < 2 || len(got) == 0:
-			a := allocation{finish: float64(rng.Intn(8)), containers: rng.Intn(4) + 1, token: int64(step)}
-			got.push(a)
-			heap.Push(&want, a)
+		case op < 2 || len(want) == 0:
+			finish := p.Now() + float64(rng.Intn(4))
+			n := rng.Intn(4) + 1
+			tok, err := p.Allocate(n, 1, finish)
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+			want = append(want, allocation{finish: finish, containers: n, gbEach: 1, token: tok})
 		case op < 4:
-			if g, w := got.remove(0), heap.Pop(&want).(allocation); g != w {
-				t.Fatalf("step %d: pop %+v, container/heap %+v", step, g, w)
+			now := p.Now() + float64(rng.Intn(3))
+			rel := p.Advance(now)
+			due := 0
+			for due < len(sorted) && sorted[due].finish <= now {
+				due++
 			}
+			if len(rel) != due {
+				t.Fatalf("step %d: Advance(%g) released %d, want the %d-long due prefix", step, now, len(rel), due)
+			}
+			for i, r := range rel {
+				if a := sorted[i]; r != (Release{Token: a.token, Finish: a.finish, Containers: a.containers, GBEach: a.gbEach}) {
+					t.Fatalf("step %d: release %d is %+v, want %+v", step, i, r, a)
+				}
+			}
+			want = slices.DeleteFunc(want, func(a allocation) bool { return a.finish <= now })
 		default:
-			i := rng.Intn(len(got))
-			if g, w := got.remove(i), heap.Remove(&want, i).(allocation); g != w {
-				t.Fatalf("step %d: remove(%d) %+v, container/heap %+v", step, i, g, w)
+			i := rng.Intn(len(want))
+			a := want[i]
+			if r, ok := p.Revoke(a.token); !ok || r.Token != a.token || r.Finish != a.finish {
+				t.Fatalf("step %d: Revoke(%d) = %+v, %v", step, a.token, r, ok)
 			}
+			want = slices.Delete(want, i, i+1)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("step %d: %d allocations, container/heap %d", step, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: heap slot %d holds %+v, container/heap %+v", step, i, got[i], want[i])
-			}
+		if got := sortedStable(want); !slices.Equal(p.running, got) {
+			t.Fatalf("step %d: running %+v, want %+v", step, p.running, got)
 		}
 	}
 }

@@ -144,9 +144,11 @@ var (
 // TrainTreeRule labels the training sweep's (data, resources) points with
 // the faster join implementation on the execution simulator — the
 // switch-point data of Figure 9 — and fits a CART tree on it, producing the
-// engine's RAQO decision tree (Figure 11). It fails when the engine can run
-// no point of the sweep.
+// engine's RAQO decision tree (Figure 11). It fails on an invalid engine.
 func TrainTreeRule(engine execsim.Params) (*TreeRule, error) {
+	if err := engine.Validate(); err != nil {
+		return nil, err
+	}
 	var samples []dtree.Sample
 	for _, ss := range trainDataGB {
 		for _, cs := range trainContainerGB {
@@ -154,7 +156,7 @@ func TrainTreeRule(engine execsim.Params) (*TreeRule, error) {
 				r := plan.Resources{Containers: nc, ContainerGB: cs}
 				algo, _, err := engine.BestJoin(ss, trainLargerGB, r)
 				if err != nil {
-					continue // neither implementation can run here
+					return nil, err
 				}
 				samples = append(samples, dtree.Sample{
 					Features: featuresOf(RuleInput{DataGB: ss, ContainerGB: cs, Containers: nc}),
@@ -162,9 +164,6 @@ func TrainTreeRule(engine execsim.Params) (*TreeRule, error) {
 				})
 			}
 		}
-	}
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: %s runs no point of the training sweep", engine.Name)
 	}
 	tree, err := dtree.Train(samples, 2, trainMaxDepth)
 	if err != nil {

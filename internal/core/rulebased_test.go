@@ -127,6 +127,16 @@ func TestTrainTreeRuleSpark(t *testing.T) {
 	}
 }
 
+// TestTrainTreeRuleRejectsInvalidEngine: an engine whose constants the
+// simulator rejects trains no tree.
+func TestTrainTreeRuleRejectsInvalidEngine(t *testing.T) {
+	engine := execsim.Hive()
+	engine.MapRate = 0
+	if rule, err := TrainTreeRule(engine); err == nil {
+		t.Fatalf("trained %q on a zero MapRate", rule.Name())
+	}
+}
+
 func TestApplyRuleRewritesPlan(t *testing.T) {
 	s := catalog.TPCH(100)
 	p, err := plan.LeftDeep(s, plan.SMJ, catalog.Lineitem, catalog.Orders, catalog.Customer)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"slices"
 
 	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
@@ -53,7 +54,6 @@ func HistoryObservability() (*Report, error) {
 	lhCfg := feedback.LongHorizonConfig{MinRecent: 32, MinBaseline: 64}
 	det := feedback.NewDetector(feedback.DriftConfig{})
 	det.SetRecorder(st)
-	det.SetHistory(st, lhCfg)
 	rec := feedback.NewRecalibrator(feedback.NewStore(1024, nil), det, models)
 
 	sim, err := simWorkload(models, queries)
@@ -136,7 +136,7 @@ func HistoryObservability() (*Report, error) {
 		}
 		return t
 	}
-	stable, err := det.LongHorizonStats(now)
+	stable, err := feedback.LongHorizon(st, now, lhCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +166,7 @@ func HistoryObservability() (*Report, error) {
 	if err := st.Commit(); err != nil {
 		return nil, err
 	}
-	after, err := det.LongHorizonStats(now + 3600)
+	after, err := feedback.LongHorizon(st, now+3600, lhCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -181,8 +181,8 @@ func HistoryObservability() (*Report, error) {
 	}
 	afterTbl := driftTable("Long-horizon drift, after one degraded hour", after)
 
-	// Restart survival: a fresh detector over a reopened store enumerates
-	// the persisted error series and reaches the same verdict.
+	// Restart survival: the reopened store lists the persisted error series
+	// and reaches the same verdict.
 	if err := st.Close(); err != nil {
 		return nil, err
 	}
@@ -192,13 +192,11 @@ func HistoryObservability() (*Report, error) {
 		return nil, err
 	}
 	defer st2.Close()
-	det2 := feedback.NewDetector(feedback.DriftConfig{})
-	det2.SetHistory(st2, lhCfg)
-	drifted2, err := det2.LongHorizonDrifted(now + 3600)
+	after2, err := feedback.LongHorizon(st2, now+3600, lhCfg)
 	if err != nil {
 		return nil, err
 	}
-	if !drifted2 {
+	if !slices.ContainsFunc(after2, func(s feedback.LongHorizonStat) bool { return s.Drifted }) {
 		return nil, fmt.Errorf("history: drift verdict lost across store reopen")
 	}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -200,8 +199,6 @@ type Detector struct {
 	windows map[classKey]*window // guarded by mu
 	scratch []float64            // guarded by mu; Stats' selection buffer
 	rec     Recorder             // guarded by mu
-	hist    SeriesQuantiler      // guarded by mu
-	lhCfg   LongHorizonConfig    // guarded by mu
 }
 
 // NewDetector builds a drift detector (zero-value fields in cfg select the
@@ -215,70 +212,11 @@ func (d *Detector) Config() DriftConfig { return d.cfg }
 
 // SetRecorder streams every error sample the detector sees into rec
 // (series named by RelErrSeries, timestamped by Observation.ObservedAt).
-// A history store here is what feeds the long-horizon mode.
+// A history store here is what LongHorizon reads.
 func (d *Detector) SetRecorder(rec Recorder) {
 	d.mu.Lock()
 	d.rec = rec
 	d.mu.Unlock()
-}
-
-// SetHistory enables history-backed long-horizon drift detection against
-// the given quantile source (zero-value cfg selects the documented
-// defaults).
-func (d *Detector) SetHistory(q SeriesQuantiler, cfg LongHorizonConfig) {
-	d.mu.Lock()
-	d.hist = q
-	d.lhCfg = cfg.withDefaults()
-	d.mu.Unlock()
-}
-
-// SeriesLister enumerates stored series (satisfied by history.Store);
-// when the long-horizon quantile source also implements it, the detector
-// checks every persisted error series, including classes observed only
-// before the last restart.
-type SeriesLister interface {
-	SeriesNames() []string
-}
-
-// LongHorizonStats compares recent against day-scale baseline error
-// quantiles per class as of `now` (unix seconds, caller's clock — wall or
-// virtual). Returns nil when SetHistory has not been called.
-func (d *Detector) LongHorizonStats(now int64) ([]LongHorizonStat, error) {
-	d.mu.Lock()
-	hist, cfg := d.hist, d.lhCfg
-	names := make([]string, 0, len(d.windows))
-	for k := range d.windows {
-		names = append(names, RelErrSeries(k.engine, k.class))
-	}
-	d.mu.Unlock()
-	if hist == nil {
-		return nil, nil
-	}
-	if lister, ok := hist.(SeriesLister); ok {
-		names = names[:0]
-		for _, name := range lister.SeriesNames() {
-			if strings.HasPrefix(name, RelErrSeriesPrefix) {
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return LongHorizon(hist, names, now, cfg)
-}
-
-// LongHorizonDrifted reports whether any class drifted against its
-// long-horizon baseline as of `now`.
-func (d *Detector) LongHorizonDrifted(now int64) (bool, error) {
-	stats, err := d.LongHorizonStats(now)
-	if err != nil {
-		return false, err
-	}
-	for _, s := range stats {
-		if s.Drifted {
-			return true, nil
-		}
-	}
-	return false, nil
 }
 
 // Observe feeds one observation: ObserveBatch of one.

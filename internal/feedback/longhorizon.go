@@ -14,10 +14,12 @@ type Recorder interface {
 	Record(series string, ts int64, value float64)
 }
 
-// SeriesQuantiler is the read side the long-horizon mode needs from a
-// history store: a quantile over a series' rollup sketches, plus how many
-// points backed it. internal/history's Store satisfies it structurally.
-type SeriesQuantiler interface {
+// SeriesStore is the read side the long-horizon comparison needs from a
+// history store: its series names, and a quantile over a series' rollup
+// sketches plus how many points backed it. internal/history's Store
+// satisfies it structurally.
+type SeriesStore interface {
+	SeriesNames() []string
 	QuantileRange(series string, from, to int64, q float64) (value float64, n int64, err error)
 }
 
@@ -41,8 +43,8 @@ func splitRelErrSeries(series string) (engine, class string, ok bool) {
 	return engine, class, found && engine != "" && class != ""
 }
 
-// LongHorizonConfig tunes history-backed drift detection: instead of one
-// in-memory window of recent samples, it compares the recent error
+// LongHorizonConfig tunes history-backed drift detection: instead of the
+// Detector's in-memory window of recent samples, LongHorizon compares the recent error
 // quantile of each (engine, class) series against a day-scale baseline
 // read from the history rollups — catching slow drift that never spikes
 // hard enough to trip the windowed detector, which is exactly the regime
@@ -89,24 +91,32 @@ type LongHorizonStat struct {
 	Drifted       bool    `json:"drifted"`
 }
 
-// LongHorizon compares each series' recent error quantile against its
+// LongHorizon compares the recent error quantile of every RelErrSeries
+// in st — every class ever recorded, before any restart too — against its
 // day-scale baseline as of `now` (unix seconds, wall or virtual — the
-// caller owns the clock). Series that don't parse as RelErrSeries names
-// are skipped; results are sorted by (engine, class).
-func LongHorizon(q SeriesQuantiler, series []string, now int64, cfg LongHorizonConfig) ([]LongHorizonStat, error) {
+// caller owns the clock). The series are read in name order; results are
+// sorted by (engine, class).
+func LongHorizon(st SeriesStore, now int64, cfg LongHorizonConfig) ([]LongHorizonStat, error) {
 	cfg = cfg.withDefaults()
+	var series []string
+	for _, name := range st.SeriesNames() {
+		if strings.HasPrefix(name, RelErrSeriesPrefix) {
+			series = append(series, name)
+		}
+	}
+	sort.Strings(series)
 	out := make([]LongHorizonStat, 0, len(series))
 	for _, name := range series {
 		engine, class, ok := splitRelErrSeries(name)
 		if !ok {
 			continue
 		}
-		recent, recentN, err := q.QuantileRange(name, now-recentWindow, now, longHorizonQuantile)
+		recent, recentN, err := st.QuantileRange(name, now-recentWindow, now, longHorizonQuantile)
 		if err != nil {
 			return nil, fmt.Errorf("feedback: long-horizon %s: %w", name, err)
 		}
 		baseFrom := now - recentWindow - baselineWindow
-		base, baseN, err := q.QuantileRange(name, baseFrom, now-recentWindow, longHorizonQuantile)
+		base, baseN, err := st.QuantileRange(name, baseFrom, now-recentWindow, longHorizonQuantile)
 		if err != nil {
 			return nil, fmt.Errorf("feedback: long-horizon %s: %w", name, err)
 		}

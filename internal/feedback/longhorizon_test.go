@@ -178,7 +178,6 @@ func TestLongHorizonDriftAgainstHistory(t *testing.T) {
 
 	d := NewDetector(DriftConfig{})
 	d.SetRecorder(st)
-	d.SetHistory(st, LongHorizonConfig{})
 
 	// A day of healthy baseline (5% error) followed by an hour at 60%:
 	// exactly the slow-burn regime the windowed detector is blind to once
@@ -195,7 +194,7 @@ func TestLongHorizonDriftAgainstHistory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := d.LongHorizonStats(now)
+	stats, err := LongHorizon(st, now, LongHorizonConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,29 +211,6 @@ func TestLongHorizonDriftAgainstHistory(t *testing.T) {
 	if s.BaselineError > 0.1 || s.RecentError < 0.5 {
 		t.Fatalf("quantiles implausible: %+v", s)
 	}
-	drifted, err := d.LongHorizonDrifted(now)
-	if err != nil || !drifted {
-		t.Fatalf("LongHorizonDrifted = %v, %v", drifted, err)
-	}
-
-	// Long-horizon state survives a detector restart: a fresh detector
-	// pointed at the same store sees the same drift (series enumerated
-	// from history, not from the in-memory windows).
-	d2 := NewDetector(DriftConfig{})
-	d2.SetHistory(st, LongHorizonConfig{})
-	stats2, err := d2.LongHorizonStats(now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats2) != 1 || !stats2[0].Drifted {
-		t.Fatalf("restarted detector lost long-horizon drift: %+v", stats2)
-	}
-
-	// With no history attached the mode is simply off.
-	d3 := NewDetector(DriftConfig{})
-	if stats, err := d3.LongHorizonStats(now); err != nil || stats != nil {
-		t.Fatalf("detached detector: %v, %v", stats, err)
-	}
 }
 
 func TestLongHorizonNoDriftWhenStable(t *testing.T) {
@@ -245,7 +221,6 @@ func TestLongHorizonNoDriftWhenStable(t *testing.T) {
 	defer st.Close()
 	d := NewDetector(DriftConfig{})
 	d.SetRecorder(st)
-	d.SetHistory(st, LongHorizonConfig{})
 	const now = int64(2_000_000_000)
 	for ts := now - 25*3600; ts < now; ts += 60 {
 		d.Observe(obsAt("spark", ts, 0.05))
@@ -253,13 +228,12 @@ func TestLongHorizonNoDriftWhenStable(t *testing.T) {
 	if err := st.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	drifted, err := d.LongHorizonDrifted(now)
+	stats, err := LongHorizon(st, now, LongHorizonConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if drifted {
-		stats, _ := d.LongHorizonStats(now)
-		t.Fatalf("stable workload flagged as drifted: %+v", stats)
+	if len(stats) != 1 || stats[0].Drifted {
+		t.Fatalf("stable workload: %+v, want one class, not drifted", stats)
 	}
 }
 

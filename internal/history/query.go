@@ -202,7 +202,7 @@ func alignDown(ts, w int64) int64 {
 // widens outward to the source bucket grid, as in Query). The 1m level
 // answers when its retention still covers `from`; older ranges fall back
 // to the 1h level. This is the baseline read behind history-backed
-// long-horizon drift detection (feedback.SeriesQuantiler).
+// long-horizon drift detection (feedback.LongHorizon).
 func (st *Store) QuantileRange(series string, from, to int64, q float64) (float64, int64, error) {
 	if to <= from {
 		return 0, 0, fmt.Errorf("history: %w: empty range [%d, %d)", ErrBadQuery, from, to)

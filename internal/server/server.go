@@ -117,8 +117,8 @@ type Config struct {
 	// on the HistoryInterval ticker, the drift detector streams its
 	// per-class error series in, and GET /v1/history serves time-range
 	// queries. The server itself never reads the series back: long-horizon
-	// drift detection over them (feedback.Detector.SetHistory) is driven
-	// only by `raqo figure history`. Empty disables history entirely.
+	// drift detection over them (feedback.LongHorizon) runs only in `raqo
+	// figure history`. Empty disables history entirely.
 	HistoryDir string
 	// HistoryRetention is the store's raw-segment retention in seconds;
 	// 0 selects the store default (rollups retain far longer).
@@ -242,8 +242,9 @@ func NewOptimizer(opts core.Options) (*core.Optimizer, error) {
 }
 
 // New builds a Server: schema, shared warm optimizer, metric registry and
-// routes. The returned server is ready to serve via Handler or Serve.
-func New(cfg Config) (*Server, error) {
+// routes. The returned server is ready to serve via Handler or Serve. A
+// failing New closes the journal and history store it opened.
+func New(cfg Config) (_ *Server, err error) {
 	cfg = cfg.withDefaults()
 	opt, err := NewOptimizer(cfg.Options)
 	if err != nil {
@@ -255,6 +256,18 @@ func New(cfg Config) (*Server, error) {
 	m.AttachMemo(opt.Memo())
 
 	var journal *feedback.Journal
+	var hist *history.Store
+	defer func() {
+		if err == nil {
+			return
+		}
+		if journal != nil {
+			_ = journal.Close()
+		}
+		if hist != nil {
+			_ = hist.Close()
+		}
+	}()
 	if cfg.JournalPath != "" {
 		journal, err = feedback.OpenJournalConfig(cfg.JournalPath, feedback.JournalConfig{
 			MaxBytes: cfg.JournalMaxBytes,
@@ -280,13 +293,9 @@ func New(cfg Config) (*Server, error) {
 
 	// The history store (when configured) receives every error sample the
 	// detector sees and every gathered telemetry series.
-	var hist *history.Store
 	if cfg.HistoryDir != "" {
 		hist, err = history.Open(cfg.HistoryDir, history.Config{RawRetention: cfg.HistoryRetention})
 		if err != nil {
-			if journal != nil {
-				_ = journal.Close()
-			}
 			return nil, err
 		}
 		rec.Detector().SetRecorder(hist)
@@ -690,29 +699,13 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
-	mode := req.Mode
-	if mode == "" {
-		mode = "joint"
-	}
-	switch mode {
-	case "joint", "fixed", "budget", "price":
-	default:
-		WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown mode %q", mode))
+	mode, optimize, err := OptimizeMode(req)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.admitted(w, r, func(ctx context.Context) {
-		var d *core.Decision
-		var err error
-		switch mode {
-		case "joint":
-			d, err = s.opt.OptimizeCtx(ctx, q)
-		case "fixed":
-			d, err = s.opt.OptimizeFixedCtx(ctx, q, plan.Resources{Containers: req.Containers, ContainerGB: req.ContainerGB})
-		case "budget":
-			d, err = s.opt.OptimizeForBudgetCtx(ctx, q, req.Containers, req.ContainerGB)
-		case "price":
-			d, err = s.opt.OptimizeForPriceCtx(ctx, q, req.BudgetDollars)
-		}
+		d, err := optimize(ctx, s.opt, q)
 		if err != nil {
 			s.writePlanningError(w, r, err)
 			return
@@ -726,6 +719,32 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeEncoded(w, buf.Bytes())
 		s.memo.put(body, buf.Bytes(), models)
 	})
+}
+
+// OptimizeMode resolves req's Section IV use-case mode — "joint" (the
+// default when empty), "fixed", "budget" or "price" — to its name and its
+// optimizer call, bound to req's resources or budget; any other mode is
+// an error. POST /v1/optimize and `raqo optimize` plan through it.
+func OptimizeMode(req OptimizeRequest) (string, func(context.Context, *core.Optimizer, *plan.Query) (*core.Decision, error), error) {
+	switch req.Mode {
+	case "", "joint":
+		return "joint", func(ctx context.Context, opt *core.Optimizer, q *plan.Query) (*core.Decision, error) {
+			return opt.OptimizeCtx(ctx, q)
+		}, nil
+	case "fixed":
+		return req.Mode, func(ctx context.Context, opt *core.Optimizer, q *plan.Query) (*core.Decision, error) {
+			return opt.OptimizeFixedCtx(ctx, q, plan.Resources{Containers: req.Containers, ContainerGB: req.ContainerGB})
+		}, nil
+	case "budget":
+		return req.Mode, func(ctx context.Context, opt *core.Optimizer, q *plan.Query) (*core.Decision, error) {
+			return opt.OptimizeForBudgetCtx(ctx, q, req.Containers, req.ContainerGB)
+		}, nil
+	case "price":
+		return req.Mode, func(ctx context.Context, opt *core.Optimizer, q *plan.Query) (*core.Decision, error) {
+			return opt.OptimizeForPriceCtx(ctx, q, req.BudgetDollars)
+		}, nil
+	}
+	return "", nil, fmt.Errorf("unknown mode %q", req.Mode)
 }
 
 // LookupOptimize looks a /v1/optimize request body up in the response

@@ -9,12 +9,15 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"raqo/internal/catalog"
+	"raqo/internal/cloud"
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/plan"
@@ -751,5 +754,47 @@ func TestClientGoneCancels(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("the next request: HTTP %d, want 200 (the slot did not come back)", resp.StatusCode)
+	}
+}
+
+// TestFailedNewClosesWhatItOpened: a New that fails after it opened the
+// feedback journal and the history store — a negative shared-cluster
+// capacity, a tenant named twice — leaves no descriptor open on either.
+// Only descriptors under the test's own directory count: other tests'
+// connections may close at any time.
+func TestFailedNewClosesWhatItOpened(t *testing.T) {
+	openUnder := func(dir string) []string {
+		t.Helper()
+		fds, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no per-process descriptor listing: %v", err)
+		}
+		var open []string
+		for _, fd := range fds {
+			if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir) {
+				open = append(open, target)
+			}
+		}
+		return open
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"negative capacity", Config{ArbiterCapacity: -1}},
+		{"duplicate tenant", Config{CloudTenants: []cloud.TenantConfig{{Name: "a"}, {Name: "a"}}}},
+	} {
+		dir := t.TempDir()
+		tc.cfg.JournalPath = filepath.Join(dir, "journal.jsonl")
+		tc.cfg.HistoryDir = filepath.Join(dir, "history")
+		openUnder(dir) // skips where descriptors cannot be listed
+		s, err := New(tc.cfg)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: New succeeded", tc.name)
+		}
+		if open := openUnder(dir); len(open) > 0 {
+			t.Errorf("%s: New failed (%v) with %v still open", tc.name, err, open)
+		}
 	}
 }
