@@ -53,6 +53,7 @@ race:
 #   FuzzCosterReuse        the tree-pricing calls' answer table == asking the cache every time
 #   FuzzSelingerReuse      the Selinger DP's kept answers == asking the cache every time, scripted drift included
 #   FuzzAdmission          admission engine: zero lost, sane pools, byte-identical reruns
+#   FuzzPoolMatchesReference  market pool == the per-class pools, token maps and merge sort it replaced
 #   FuzzSubmitDecode       submit scanner == encoding/json, both handlers answer as before it; nothing lost after a drain
 #   FuzzRoutingKeys        fleet routing keys == json.Unmarshal's
 #   FuzzServedOrder        served /v1/optimize answers == a fresh optimizer's, any request order; model version never goes back
@@ -79,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSelingerReuse -fuzztime=10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s ./internal/cloud
+	$(GO) test -run '^$$' -fuzz FuzzPoolMatchesReference -fuzztime=10s ./internal/cloud
 	$(GO) test -run '^$$' -fuzz FuzzSubmitDecode -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzServedOrder -fuzztime=10s ./internal/server

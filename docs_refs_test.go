@@ -62,6 +62,11 @@ var (
 	cliFlag      = regexp.MustCompile(`^\[?-([a-zA-Z][A-Za-z0-9-]*)`)
 	usageCommand = regexp.MustCompile(`(?m)^  raqo ([a-z]+) `)
 	helpFlag     = regexp.MustCompile(`(?m)^  -([A-Za-z0-9-]+)`)
+	// fuzzLine matches a recipe line of the Makefile's fuzz rule: the
+	// target and its package directory; fuzzNote, a line of the rule's
+	// comment list.
+	fuzzLine = regexp.MustCompile(`(?m)^\t\$\(GO\) test .*-fuzz (Fuzz[A-Za-z0-9_]*) .*\./(\S+)$`)
+	fuzzNote = regexp.MustCompile(`(?m)^#   (Fuzz[A-Za-z0-9_]*) `)
 )
 
 // TestDocReferencesExist keeps the docs' references to the tree real.
@@ -87,6 +92,10 @@ var (
 //     -h output defines; a flag written with no command ("raqo -json")
 //     must be defined by some command. DESIGN.md §15 names removed flags
 //     on purpose and is not checked.
+//   - fuzz: every Fuzz function of the tree has exactly one recipe line in
+//     the Makefile's fuzz rule, naming its package directory, and a line
+//     in the rule's comment list; every recipe line names a Fuzz function
+//     its package declares.
 func TestDocReferencesExist(t *testing.T) {
 	tree := parseTree(t)
 	design := readDoc(t, "DESIGN.md")
@@ -95,6 +104,7 @@ func TestDocReferencesExist(t *testing.T) {
 	t.Run("sections", func(t *testing.T) { checkSections(t, tree, design) })
 	t.Run("identifiers", func(t *testing.T) { checkIdentifiers(t, tree) })
 	t.Run("flags", checkFlags)
+	t.Run("fuzz", func(t *testing.T) { checkFuzz(t, tree) })
 }
 
 // goTree is what the checks need of the module's Go source.
@@ -102,6 +112,8 @@ type goTree struct {
 	// tests holds every Test, Fuzz and Benchmark function of a _test.go
 	// file.
 	tests map[string]bool
+	// fuzz lists every Fuzz function with its package directory.
+	fuzz []fuzzTarget
 	// pkgs maps a package name to its declarations; several directories
 	// with one name share an entry. Package main is left out.
 	pkgs map[string]*pkgDecls
@@ -113,6 +125,9 @@ type goTree struct {
 	comments []*ast.Comment
 	fset     *token.FileSet
 }
+
+// fuzzTarget is a Fuzz function and the directory of its package.
+type fuzzTarget struct{ dir, name string }
 
 // pkgDecls holds one package's top-level names, its test files' top-level
 // names, and per type its methods, struct fields and interface methods.
@@ -154,6 +169,11 @@ func parseTree(t *testing.T) *goTree {
 			}
 		}
 		tree.add(f, isTest)
+		for _, decl := range f.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && isTest && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Fuzz") {
+				tree.fuzz = append(tree.fuzz, fuzzTarget{filepath.ToSlash(filepath.Dir(path)), fn.Name.Name})
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -297,6 +317,34 @@ func checkPaths(t *testing.T, tree *goTree) {
 					t.Errorf("%s:%d: `%s` is not the suffix of a tracked path", doc, lineOf(text, loc[0]), word)
 				}
 			}
+		}
+	}
+}
+
+// checkFuzz holds the Makefile's fuzz rule to the tree's Fuzz functions.
+func checkFuzz(t *testing.T, tree *goTree) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[fuzzTarget]int{}
+	for _, m := range fuzzLine.FindAllSubmatch(makefile, -1) {
+		ft := fuzzTarget{dir: string(m[2]), name: string(m[1])}
+		runs[ft]++
+		if !slices.Contains(tree.fuzz, ft) {
+			t.Errorf("Makefile: `make fuzz` runs %s in ./%s, which declares no such function", ft.name, ft.dir)
+		}
+	}
+	noted := map[string]bool{}
+	for _, m := range fuzzNote.FindAllSubmatch(makefile, -1) {
+		noted[string(m[1])] = true
+	}
+	for _, ft := range tree.fuzz {
+		if n := runs[ft]; n != 1 {
+			t.Errorf("Makefile: `make fuzz` runs %s in ./%s %d times, want once", ft.name, ft.dir, n)
+		}
+		if !noted[ft.name] {
+			t.Errorf("Makefile: the fuzz rule's comment list has no line for %s", ft.name)
 		}
 	}
 }

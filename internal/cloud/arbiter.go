@@ -718,7 +718,7 @@ func (a *Arbiter) revokeToken(tok int64, kind FaultKind, at float64, storm bool)
 			a.n.StormPreemptions++
 		}
 		if m != nil {
-			m.Preemptions.With(rel.ClassName).Inc()
+			m.Preemptions.With(a.pool.Class(rel.Class).Name).Inc()
 		}
 	case FaultOOM:
 		p.oomRetries++

@@ -18,10 +18,14 @@ type Admission struct {
 
 // LastAdmission reports the admission an Admitted hook is running for.
 func (a *Arbiter) LastAdmission() Admission {
-	run := a.inflight[a.pool.seq]
+	var last int64 // the newest allocation is the one being admitted
+	for tok := range a.inflight {
+		last = max(last, tok)
+	}
+	run := a.inflight[last]
 	adm := Admission{Submitted: run.p.dec, Ran: run.dec, Res: run.res}
 	for _, o := range a.offerBuf {
-		if o.class == a.pool.refs[a.pool.seq].class {
+		if a.pool.Class(o.class).Name == run.p.admitted.Class {
 			adm.Offered = o.cond
 			break
 		}

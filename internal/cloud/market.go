@@ -1,11 +1,12 @@
 // Package cloud holds the one admission engine (Arbiter) and the
 // priced-capacity layer it runs on: heterogeneous instance classes with
 // distinct container sizes and $/hr prices, preemptible spot capacity with
-// seeded interruption processes, and an autoscaler. Pool
-// generalizes the flat cluster.Pool into per-class pools whose occupancy
-// accrues dollar cost on the virtual clock; the engine adds recovery
-// policies for revoked work. The shared cluster of internal/arbiter is the
-// engine on a one-class, unpriced, fault-free pool.
+// seeded interruption processes, and an autoscaler. Pool prices a
+// cluster.Pool that holds every class's occupancy under one token order:
+// it adds the class definitions, a provisioning bill on the virtual clock
+// and scale-up orders; the engine adds recovery policies for revoked
+// work. The shared cluster of internal/arbiter is the engine on a
+// one-class, unpriced, fault-free pool.
 //
 // Everything runs on virtual time with no wall-clock reads (enforced by
 // the raqolint `clock` rule), and every random draw flows from an

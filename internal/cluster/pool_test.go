@@ -13,28 +13,28 @@ func TestPoolAllocateRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Capacity() != 10 || p.Free() != 10 || p.InUse() != 0 || p.Running() != 0 {
-		t.Fatalf("fresh pool state: free=%d inuse=%d running=%d", p.Free(), p.InUse(), p.Running())
+	if p.Capacity(0) != 10 || p.Free(0) != 10 || p.InUse(0) != 0 || p.Running() != 0 {
+		t.Fatalf("fresh pool state: free=%d inuse=%d running=%d", p.Free(0), p.InUse(0), p.Running())
 	}
 	if _, ok := p.NextFinish(); ok {
 		t.Fatal("idle pool reports a next finish")
 	}
 
-	tok1, err := p.Allocate(4, 8, 10)
+	tok1, err := p.Allocate(0, 4, 8, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok2, err := p.Allocate(6, 2, 5)
+	tok2, err := p.Allocate(0, 6, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tok1 == tok2 {
 		t.Fatal("allocation tokens must be distinct")
 	}
-	if p.Free() != 0 || p.InUse() != 10 || p.Running() != 2 {
-		t.Fatalf("after allocations: free=%d inuse=%d running=%d", p.Free(), p.InUse(), p.Running())
+	if p.Free(0) != 0 || p.InUse(0) != 10 || p.Running() != 2 {
+		t.Fatalf("after allocations: free=%d inuse=%d running=%d", p.Free(0), p.InUse(0), p.Running())
 	}
-	if got, want := p.HeldGB(), 4*8.0+6*2.0; math.Abs(got-want) > 1e-9 {
+	if got, want := p.HeldGB(0), 4*8.0+6*2.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("held GB %g, want %g", got, want)
 	}
 	if f, ok := p.NextFinish(); !ok || f != 5 {
@@ -45,8 +45,8 @@ func TestPoolAllocateRelease(t *testing.T) {
 	if len(rel) != 1 || rel[0].Token != tok2 || rel[0].Containers != 6 || rel[0].Finish != 5 {
 		t.Fatalf("advance(7) releases %+v", rel)
 	}
-	if p.Now() != 7 || p.Free() != 6 {
-		t.Fatalf("after advance: now=%g free=%d", p.Now(), p.Free())
+	if p.Now() != 7 || p.Free(0) != 6 {
+		t.Fatalf("after advance: now=%g free=%d", p.Now(), p.Free(0))
 	}
 
 	// Advancing backwards is a no-op on the clock.
@@ -58,8 +58,8 @@ func TestPoolAllocateRelease(t *testing.T) {
 	if len(rel) != 1 || rel[0].Token != tok1 {
 		t.Fatalf("advance(10) releases %+v", rel)
 	}
-	if p.Free() != 10 || p.Running() != 0 || p.HeldGB() != 0 {
-		t.Fatalf("drained pool: free=%d running=%d heldGB=%g", p.Free(), p.Running(), p.HeldGB())
+	if p.Free(0) != 10 || p.Running() != 0 || p.HeldGB(0) != 0 {
+		t.Fatalf("drained pool: free=%d running=%d heldGB=%g", p.Free(0), p.Running(), p.HeldGB(0))
 	}
 }
 
@@ -68,21 +68,21 @@ func TestPoolAllocateErrors(t *testing.T) {
 		t.Fatal("capacity 0 accepted")
 	}
 	p, _ := NewPool(4)
-	if _, err := p.Allocate(0, 1, 1); err == nil {
+	if _, err := p.Allocate(0, 0, 1, 1); err == nil {
 		t.Fatal("zero-container gang accepted")
 	}
-	if _, err := p.Allocate(5, 1, 1); err == nil {
+	if _, err := p.Allocate(0, 5, 1, 1); err == nil {
 		t.Fatal("gang larger than free accepted")
 	}
-	if _, err := p.Allocate(1, -1, 1); err == nil {
+	if _, err := p.Allocate(0, 1, -1, 1); err == nil {
 		t.Fatal("negative GB accepted")
 	}
 	p.Advance(10)
-	if _, err := p.Allocate(1, 1, 9); err == nil {
+	if _, err := p.Allocate(0, 1, 1, 9); err == nil {
 		t.Fatal("finish before now accepted")
 	}
 	// Exactly-now finish and exactly-free gang are both legal boundaries.
-	if _, err := p.Allocate(4, 1, 10); err != nil {
+	if _, err := p.Allocate(0, 4, 1, 10); err != nil {
 		t.Fatalf("boundary allocation rejected: %v", err)
 	}
 }
@@ -91,7 +91,7 @@ func TestPoolTiedFinishReleaseOrder(t *testing.T) {
 	p, _ := NewPool(10)
 	var toks []int64
 	for i := 0; i < 5; i++ {
-		tok, err := p.Allocate(1, 1, 3) // all finish at the same instant
+		tok, err := p.Allocate(0, 1, 1, 3) // all finish at the same instant
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,15 +112,15 @@ func TestPoolConditions(t *testing.T) {
 	base := Default() // containers [1..100], sizes [1..10]GB
 	p, _ := NewPool(100)
 
-	cond, ok := p.Conditions(base)
+	cond, ok := p.Conditions(0, base)
 	if !ok || cond != base {
 		t.Fatalf("idle pool conditions %+v ok=%v, want base", cond, ok)
 	}
 
-	if _, err := p.Allocate(60, 10, 50); err != nil {
+	if _, err := p.Allocate(0, 60, 10, 50); err != nil {
 		t.Fatal(err)
 	}
-	cond, ok = p.Conditions(base)
+	cond, ok = p.Conditions(0, base)
 	if !ok || cond.MaxContainers != 40 || cond.MinContainers != base.MinContainers {
 		t.Fatalf("occupied pool conditions %+v ok=%v", cond, ok)
 	}
@@ -129,16 +129,16 @@ func TestPoolConditions(t *testing.T) {
 	}
 
 	// Drop below the base minimum: no admissible resource point remains.
-	if _, err := p.Allocate(40, 10, 50); err != nil {
+	if _, err := p.Allocate(0, 40, 10, 50); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := p.Conditions(base); ok {
-		t.Fatalf("free=%d below min %d should yield no conditions", p.Free(), base.MinContainers)
+	if _, ok := p.Conditions(0, base); ok {
+		t.Fatalf("free=%d below min %d should yield no conditions", p.Free(0), base.MinContainers)
 	}
 
 	// At t=50 everything has finished.
 	p.Advance(50)
-	cond, ok = p.Conditions(base)
+	cond, ok = p.Conditions(0, base)
 	if !ok || cond != base {
 		t.Fatalf("post-finish conditions %+v ok=%v, want base", cond, ok)
 	}
@@ -154,7 +154,7 @@ func conditionsAt(s *Simulator, jobs []Job, t float64, base Conditions) (Conditi
 		return Conditions{}, false, err
 	}
 	pool.Advance(t)
-	cond, ok := pool.Conditions(base)
+	cond, ok := pool.Conditions(0, base)
 	return cond, ok, nil
 }
 
@@ -207,17 +207,17 @@ func TestSimulatorConditionsAt(t *testing.T) {
 
 func TestPoolRevoke(t *testing.T) {
 	p, _ := NewPool(10)
-	tok1, _ := p.Allocate(4, 8, 10)
-	tok2, _ := p.Allocate(6, 2, 20)
+	tok1, _ := p.Allocate(0, 4, 8, 10)
+	tok2, _ := p.Allocate(0, 6, 2, 20)
 
 	rel, ok := p.Revoke(tok1)
 	if !ok || rel.Token != tok1 || rel.Containers != 4 || rel.Finish != 10 {
 		t.Fatalf("revoke(tok1) = %+v ok=%v", rel, ok)
 	}
-	if p.Free() != 4 || p.Running() != 1 {
-		t.Fatalf("after revoke: free=%d running=%d", p.Free(), p.Running())
+	if p.Free(0) != 4 || p.Running() != 1 {
+		t.Fatalf("after revoke: free=%d running=%d", p.Free(0), p.Running())
 	}
-	if got, want := p.HeldGB(), 6*2.0; math.Abs(got-want) > 1e-9 {
+	if got, want := p.HeldGB(0), 6*2.0; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("held GB %g, want %g", got, want)
 	}
 	// Double-revoke and unknown tokens report ok=false.
@@ -232,8 +232,8 @@ func TestPoolRevoke(t *testing.T) {
 	if len(out) != 1 || out[0].Token != tok2 {
 		t.Fatalf("advance after revoke releases %+v", out)
 	}
-	if p.Free() != 10 || p.HeldGB() != 0 {
-		t.Fatalf("drained pool: free=%d heldGB=%g", p.Free(), p.HeldGB())
+	if p.Free(0) != 10 || p.HeldGB(0) != 0 {
+		t.Fatalf("drained pool: free=%d heldGB=%g", p.Free(0), p.HeldGB(0))
 	}
 }
 
@@ -242,7 +242,7 @@ func TestPoolRevoke(t *testing.T) {
 // releases the allocation first, so the revoke finds nothing — finish wins.
 func TestPoolFinishRevokeSameInstant(t *testing.T) {
 	p, _ := NewPool(4)
-	tok, _ := p.Allocate(4, 1, 5)
+	tok, _ := p.Allocate(0, 4, 1, 5)
 	rel := p.Advance(5)
 	if len(rel) != 1 || rel[0].Token != tok {
 		t.Fatalf("advance(5) releases %+v", rel)
@@ -252,7 +252,7 @@ func TestPoolFinishRevokeSameInstant(t *testing.T) {
 	}
 	// Without the advance, a revoke at the same virtual instant wins:
 	// the caller chose not to process the finish first.
-	tok2, _ := p.Allocate(2, 1, 5)
+	tok2, _ := p.Allocate(0, 2, 1, 5)
 	if rel, ok := p.Revoke(tok2); !ok || rel.Token != tok2 {
 		t.Fatalf("revoke before advancing = %+v ok=%v", rel, ok)
 	}
@@ -263,8 +263,8 @@ func TestPoolFinishRevokeSameInstant(t *testing.T) {
 // NextFinish then reports the next outstanding one.
 func TestPoolAdvanceToExactNextFinish(t *testing.T) {
 	p, _ := NewPool(10)
-	tokA, _ := p.Allocate(3, 1, 7)
-	if _, err := p.Allocate(3, 1, 11); err != nil {
+	tokA, _ := p.Allocate(0, 3, 1, 7)
+	if _, err := p.Allocate(0, 3, 1, 11); err != nil {
 		t.Fatal(err)
 	}
 	f, ok := p.NextFinish()
@@ -288,16 +288,16 @@ func TestPoolAdvanceToExactNextFinish(t *testing.T) {
 func TestPoolConditionsAtZeroFree(t *testing.T) {
 	base := Default()
 	p, _ := NewPool(100)
-	if _, err := p.Allocate(100, 1, 50); err != nil {
+	if _, err := p.Allocate(0, 100, 1, 50); err != nil {
 		t.Fatal(err)
 	}
 	p.Advance(10)
-	if cond, ok := p.Conditions(base); ok {
+	if cond, ok := p.Conditions(0, base); ok {
 		t.Fatalf("zero free containers yielded conditions %+v", cond)
 	}
 	// At the finish instant the full space is back.
 	p.Advance(50)
-	if cond, ok := p.Conditions(base); !ok || cond != base {
+	if cond, ok := p.Conditions(0, base); !ok || cond != base {
 		t.Fatalf("post-finish conditions %+v ok=%v", cond, ok)
 	}
 }
@@ -313,7 +313,7 @@ func TestPoolReleaseOrderDeterministicUnderPreemption(t *testing.T) {
 		var toks []int64
 		for i := 0; i < 40; i++ {
 			finish := float64(1 + rng.Intn(5)) // heavy finish-time ties
-			tok, err := p.Allocate(1, 1, finish)
+			tok, err := p.Allocate(0, 1, 1, finish)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,24 +356,24 @@ func TestPoolReleaseOrderDeterministicUnderPreemption(t *testing.T) {
 
 func TestPoolSetCapacity(t *testing.T) {
 	p, _ := NewPool(10)
-	if _, err := p.Allocate(6, 1, 10); err != nil {
+	if _, err := p.Allocate(0, 6, 1, 10); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetCapacity(16); err != nil || p.Capacity() != 16 || p.Free() != 10 {
-		t.Fatalf("grow: err=%v cap=%d free=%d", err, p.Capacity(), p.Free())
+	if err := p.SetCapacity(0, 16); err != nil || p.Capacity(0) != 16 || p.Free(0) != 10 {
+		t.Fatalf("grow: err=%v cap=%d free=%d", err, p.Capacity(0), p.Free(0))
 	}
-	if err := p.SetCapacity(6); err != nil || p.Capacity() != 6 || p.Free() != 0 {
-		t.Fatalf("shrink to in-use: err=%v cap=%d free=%d", err, p.Capacity(), p.Free())
+	if err := p.SetCapacity(0, 6); err != nil || p.Capacity(0) != 6 || p.Free(0) != 0 {
+		t.Fatalf("shrink to in-use: err=%v cap=%d free=%d", err, p.Capacity(0), p.Free(0))
 	}
-	if err := p.SetCapacity(5); err == nil {
+	if err := p.SetCapacity(0, 5); err == nil {
 		t.Fatal("shrink below in-use accepted")
 	}
-	if err := p.SetCapacity(0); err == nil {
+	if err := p.SetCapacity(0, 0); err == nil {
 		t.Fatal("capacity 0 accepted")
 	}
 	p.Advance(10)
-	if p.Free() != 6 {
-		t.Fatalf("free after finish = %d, want 6", p.Free())
+	if p.Free(0) != 6 {
+		t.Fatalf("free after finish = %d, want 6", p.Free(0))
 	}
 }
 
@@ -419,61 +419,55 @@ func TestRunMatchesConditionsAtOccupancy(t *testing.T) {
 	}
 }
 
-// TestPoolRunningOrderOracle: random allocations, advances and revokes,
-// with finish times drawn from a few values so ties are common, keep the
-// running slice equal to a stable sort of its contents by (finish, token)
-// after every step; Advance releases exactly the due prefix of that order
-// and Revoke exactly the allocation named.
+// TestPoolRunningOrderOracle: random allocations over three classes,
+// advances and revokes, with finish times drawn from a few values so ties
+// are common, keep the running slice equal to a stable sort of its
+// contents by (finish, token) after every step; Advance releases exactly
+// the due prefix of that order and Revoke exactly the allocation named.
 func TestPoolRunningOrderOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	p, err := NewPool(1 << 20)
+	p, err := NewPool(1<<20, 1<<20, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := func(a, b allocation) int {
-		if a.finish != b.finish {
-			return cmp.Compare(a.finish, b.finish)
+	byKey := func(a, b Release) int {
+		if a.Finish != b.Finish {
+			return cmp.Compare(a.Finish, b.Finish)
 		}
-		return cmp.Compare(a.token, b.token)
+		return cmp.Compare(a.Token, b.Token)
 	}
-	sortedStable := func(as []allocation) []allocation {
+	sortedStable := func(as []Release) []Release {
 		out := slices.Clone(as)
 		slices.SortStableFunc(out, byKey)
 		return out
 	}
-	var want []allocation // the running allocations, in allocation order
+	var want []Release // the running allocations, in allocation order
 	for step := 0; step < 20000; step++ {
 		sorted := sortedStable(want)
 		switch op := rng.Intn(5); {
 		case op < 2 || len(want) == 0:
 			finish := p.Now() + float64(rng.Intn(4))
-			n := rng.Intn(4) + 1
-			tok, err := p.Allocate(n, 1, finish)
+			c, n := rng.Intn(3), rng.Intn(4)+1
+			tok, err := p.Allocate(c, n, 1, finish)
 			if err != nil {
 				t.Fatalf("step %d: %v", step, err)
 			}
-			want = append(want, allocation{finish: finish, containers: n, gbEach: 1, token: tok})
+			want = append(want, Release{Token: tok, Class: c, Finish: finish, Containers: n, GBEach: 1})
 		case op < 4:
 			now := p.Now() + float64(rng.Intn(3))
 			rel := p.Advance(now)
 			due := 0
-			for due < len(sorted) && sorted[due].finish <= now {
+			for due < len(sorted) && sorted[due].Finish <= now {
 				due++
 			}
-			if len(rel) != due {
-				t.Fatalf("step %d: Advance(%g) released %d, want the %d-long due prefix", step, now, len(rel), due)
+			if !slices.Equal(rel, sorted[:due]) {
+				t.Fatalf("step %d: Advance(%g) released %+v, want the due prefix %+v", step, now, rel, sorted[:due])
 			}
-			for i, r := range rel {
-				if a := sorted[i]; r != (Release{Token: a.token, Finish: a.finish, Containers: a.containers, GBEach: a.gbEach}) {
-					t.Fatalf("step %d: release %d is %+v, want %+v", step, i, r, a)
-				}
-			}
-			want = slices.DeleteFunc(want, func(a allocation) bool { return a.finish <= now })
+			want = slices.DeleteFunc(want, func(a Release) bool { return a.Finish <= now })
 		default:
 			i := rng.Intn(len(want))
-			a := want[i]
-			if r, ok := p.Revoke(a.token); !ok || r.Token != a.token || r.Finish != a.finish {
-				t.Fatalf("step %d: Revoke(%d) = %+v, %v", step, a.token, r, ok)
+			if r, ok := p.Revoke(want[i].Token); !ok || r != want[i] {
+				t.Fatalf("step %d: Revoke(%d) = %+v, %v, want %+v", step, want[i].Token, r, ok, want[i])
 			}
 			want = slices.Delete(want, i, i+1)
 		}

@@ -49,8 +49,8 @@ func (s *Simulator) Run(jobs []Job) ([]JobResult, error) {
 }
 
 // run replays the trace's discrete events (arrivals and gang finishes) in
-// virtual-time order on a Pool, stopping after the last event at or
-// before stopAt. Admission is strict FIFO: the queue head waits until its
+// virtual-time order on a one-class Pool, stopping after the last event at
+// or before stopAt. Admission is strict FIFO: the queue head waits until its
 // full gang is free, and nothing behind it may overtake (YARN capacity-
 // scheduler behaviour at the granularity Figure 1 needs). At a tied
 // timestamp, finishing gangs release before arrivals are considered;
@@ -80,11 +80,11 @@ func (s *Simulator) run(jobs []Job, stopAt float64) ([]JobResult, *Pool, error) 
 	next := 0
 
 	admit := func() error {
-		for len(queue) > 0 && queue[0].Containers <= pool.Free() {
+		for len(queue) > 0 && queue[0].Containers <= pool.Free(0) {
 			j := queue[0]
 			queue = queue[1:]
 			now := pool.Now()
-			if _, err := pool.Allocate(j.Containers, 0, now+j.Duration); err != nil {
+			if _, err := pool.Allocate(0, j.Containers, 0, now+j.Duration); err != nil {
 				return err
 			}
 			results = append(results, JobResult{

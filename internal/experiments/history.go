@@ -208,7 +208,7 @@ func HistoryObservability() (*Report, error) {
 			"not a paper figure: the persistence layer under the Section VIII continuous-operation agenda",
 			"all timestamps are virtual arbiter time; the store never reads the wall clock, so files and verdicts are byte-reproducible",
 			fmt.Sprintf("stable stream stays quiet; one degraded hour drifts %s against the preceding-day baseline", driftedClass),
-			"the verdict survives a restart: a fresh detector over the reopened store reads the same rollups",
+			"the verdict survives a restart: feedback.LongHorizon over the reopened store reaches the same verdict",
 		},
 	}, nil
 }
