@@ -90,12 +90,13 @@ func decodeAdmission(data []byte) admissionScenario {
 	return sc
 }
 
-// runAdmission replays a scenario on a fresh arbiter and optimizer,
+// runAdmission replays a scenario on a fresh arbiter planning with opt,
 // drains it, checks the per-event and final invariants, and renders the
 // outcome stream, stats and scale events.
-func runAdmission(t *testing.T, sc admissionScenario) string {
+func runAdmission(t *testing.T, opt *core.Optimizer, sc admissionScenario) string {
 	t.Helper()
-	cfg := testConfig(t, sc.market) // a fresh optimizer: runs share no memo
+	cfg := testConfig(t, sc.market)
+	cfg.Optimizer = opt
 	cfg.Tenants = sc.tenants
 	cfg.Faults, cfg.Autoscaler = sc.faults, sc.scaler
 	cfg.Metrics = cloud.NewMetrics(telemetry.NewRegistry())
@@ -158,42 +159,71 @@ func runAdmission(t *testing.T, sc admissionScenario) string {
 	return b.String()
 }
 
+// admissionSeeds are FuzzAdmission's seed inputs, each with the shape it
+// decodes to (tenants, arrivals, online), so a decoder change cannot
+// silently turn a seed into another scenario.
+var admissionSeeds = []struct {
+	data              []byte
+	tenants, arrivals int
+	online            bool
+}{
+	// A two-tier elastic market under every fault, three tenants, mixed
+	// policies, replayed.
+	{[]byte{1, 4, 11, 0, 0, 4, 19, 1, 12, 7, 1, 1, 1, 1, 2, 2, 1, 1, 1, 23, 1, 2, 1, 1, 1, 5, 2, 0, 2, 2, 3, 1, 1, 0, 1, 4, 2, 3, 1, 2, 1, 2, 1, 2, 1, 5, 0, 0, 0, 2, 2, 0, 2, 1, 1, 5, 1, 3, 2, 1, 1, 1, 0, 0, 2, 3, 0, 2, 2, 1, 5, 1, 3, 2, 1, 4, 1, 3, 2, 2, 2, 2, 0, 1, 2, 5, 1, 0, 2, 2, 5, 2, 2, 1, 2, 0, 1, 3, 0, 0, 0, 1, 1, 0, 0, 3, 1, 0, 0, 2, 3, 2, 2, 2, 0, 4, 0, 0, 1, 2, 0, 0, 0, 0, 1, 2, 2, 2, 0, 2, 2, 1, 2, 0, 1, 3, 1, 3, 2, 2}, 3, 24, false},
+	// Three class sizes (one too small for any plan), stragglers and OOM,
+	// submitted online.
+	{[]byte{2, 0, 3, 0, 0, 2, 8, 1, 0, 3, 15, 0, 0, 11, 0, 1, 1, 0, 1, 1, 3, 0, 15, 2, 1, 3, 2, 2, 2, 0, 2, 1, 1, 2, 1, 2, 0, 1, 2, 1, 0, 1, 2, 2, 0, 0, 2, 2, 1, 1, 2, 2, 1, 2, 1, 3, 0, 2, 0, 0, 2, 1, 2, 1, 1, 2, 0, 1, 0, 1, 2, 2, 1, 1, 1, 0, 0, 2, 2, 0, 2, 2, 0, 2, 1, 1, 1, 0, 2, 1, 0, 0, 2, 1, 1, 1, 1, 0, 0, 1, 1, 2, 1}, 2, 16, true},
+	// One fault-free on-demand class — the shared cluster — with a
+	// Wait/Degrade/Reoptimize rotation.
+	{[]byte{0, 4, 22, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 1, 23, 2, 0, 0, 0, 0, 0, 2, 1, 0, 1, 2, 2, 1, 0, 2, 2, 1, 0, 0, 0, 2, 2, 1, 0, 1, 3, 1, 2, 0, 2, 3, 1, 3, 0, 0, 2, 1, 3, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 0, 0, 3, 2, 1, 0, 1, 0, 2, 3, 0, 2, 2, 2, 2, 0, 0, 1, 0, 2, 0, 1, 0, 0, 0, 0, 2, 0, 2, 1, 0, 0, 3, 2, 0, 0, 1, 0, 1, 0, 0, 2, 1, 2, 2, 0, 0, 1, 2, 0, 0, 1, 3, 0, 0, 0, 2, 2, 0, 2, 0, 0, 3, 0, 2, 0, 1, 1, 0, 0, 0, 2}, 3, 24, false},
+	// Spot only, elastic, under a storm, recovering on demand that does not
+	// exist: the revoked queries are rejected at drain.
+	{[]byte{1, 4, 7, 1, 15, 1, 11, 1, 0, 5, 1, 0, 0, 1, 0, 0, 1, 11, 1, 0, 1, 1, 2, 3, 0, 2, 1, 2, 2, 0, 0, 1, 2, 7, 0, 3, 1, 2, 0, 0, 2, 1, 2, 3, 0, 2, 1, 2, 6, 0, 0, 1, 2, 7, 0, 2, 1, 2, 0, 0, 0, 1, 2, 2, 0, 0, 1, 2, 1, 0, 0, 1, 2, 1, 0, 3, 1, 2}, 1, 12, false},
+}
+
 // FuzzAdmission drives the admission engine over decoded markets (one to
 // three classes, on-demand or spot, fixed or elastic), faults, weighted
 // tenants, and arrival streams
 // mixing policies and recoveries, replayed or submitted online. Every run
 // drains to zero lost, keeps every class's free count within [0,
 // capacity] at every admission and completion, orders arrival ≤ start ≤
-// finish, and renders byte-identically on a second run.
+// finish, and renders byte-identically on a second run. Every run plans
+// with one optimizer built once per process, whose cost memo the runs
+// share; TestAdmissionIgnoresWarmMemo holds a warm memo to a fresh one.
 func FuzzAdmission(f *testing.F) {
-	// seed adds data once it decodes to the shape its comment describes,
-	// so a decoder change cannot silently turn a seed into another scenario.
-	seed := func(data []byte, tenants, arrivals int, online bool) {
-		f.Helper()
-		sc := decodeAdmission(data)
-		if len(sc.tenants) != tenants || len(sc.arrivals) != arrivals || sc.online != online {
-			f.Fatalf("seed decodes to %d tenants, %d arrivals, online %t; want %d, %d, %t",
-				len(sc.tenants), len(sc.arrivals), sc.online, tenants, arrivals, online)
-		}
-		f.Add(data)
-	}
 	f.Add([]byte{})
-	// A two-tier elastic market under every fault, three tenants, mixed
-	// policies, replayed.
-	seed([]byte{1, 4, 11, 0, 0, 4, 19, 1, 12, 7, 1, 1, 1, 1, 2, 2, 1, 1, 1, 23, 1, 2, 1, 1, 1, 5, 2, 0, 2, 2, 3, 1, 1, 0, 1, 4, 2, 3, 1, 2, 1, 2, 1, 2, 1, 5, 0, 0, 0, 2, 2, 0, 2, 1, 1, 5, 1, 3, 2, 1, 1, 1, 0, 0, 2, 3, 0, 2, 2, 1, 5, 1, 3, 2, 1, 4, 1, 3, 2, 2, 2, 2, 0, 1, 2, 5, 1, 0, 2, 2, 5, 2, 2, 1, 2, 0, 1, 3, 0, 0, 0, 1, 1, 0, 0, 3, 1, 0, 0, 2, 3, 2, 2, 2, 0, 4, 0, 0, 1, 2, 0, 0, 0, 0, 1, 2, 2, 2, 0, 2, 2, 1, 2, 0, 1, 3, 1, 3, 2, 2}, 3, 24, false)
-	// Three class sizes (one too small for any plan), stragglers and OOM,
-	// submitted online.
-	seed([]byte{2, 0, 3, 0, 0, 2, 8, 1, 0, 3, 15, 0, 0, 11, 0, 1, 1, 0, 1, 1, 3, 0, 15, 2, 1, 3, 2, 2, 2, 0, 2, 1, 1, 2, 1, 2, 0, 1, 2, 1, 0, 1, 2, 2, 0, 0, 2, 2, 1, 1, 2, 2, 1, 2, 1, 3, 0, 2, 0, 0, 2, 1, 2, 1, 1, 2, 0, 1, 0, 1, 2, 2, 1, 1, 1, 0, 0, 2, 2, 0, 2, 2, 0, 2, 1, 1, 1, 0, 2, 1, 0, 0, 2, 1, 1, 1, 1, 0, 0, 1, 1, 2, 1}, 2, 16, true)
-	// One fault-free on-demand class — the shared cluster — with a
-	// Wait/Degrade/Reoptimize rotation.
-	seed([]byte{0, 4, 22, 0, 0, 0, 0, 0, 0, 0, 2, 2, 1, 1, 1, 23, 2, 0, 0, 0, 0, 0, 2, 1, 0, 1, 2, 2, 1, 0, 2, 2, 1, 0, 0, 0, 2, 2, 1, 0, 1, 3, 1, 2, 0, 2, 3, 1, 3, 0, 0, 2, 1, 3, 0, 1, 0, 1, 1, 0, 2, 1, 0, 3, 0, 0, 3, 2, 1, 0, 1, 0, 2, 3, 0, 2, 2, 2, 2, 0, 0, 1, 0, 2, 0, 1, 0, 0, 0, 0, 2, 0, 2, 1, 0, 0, 3, 2, 0, 0, 1, 0, 1, 0, 0, 2, 1, 2, 2, 0, 0, 1, 2, 0, 0, 1, 3, 0, 0, 0, 2, 2, 0, 2, 0, 0, 3, 0, 2, 0, 1, 1, 0, 0, 0, 2}, 3, 24, false)
-	// Spot only, elastic, under a storm, recovering on demand that does not
-	// exist: the revoked queries are rejected at drain.
-	seed([]byte{1, 4, 7, 1, 15, 1, 11, 1, 0, 5, 1, 0, 0, 1, 0, 0, 1, 11, 1, 0, 1, 1, 2, 3, 0, 2, 1, 2, 2, 0, 0, 1, 2, 7, 0, 3, 1, 2, 0, 0, 2, 1, 2, 3, 0, 2, 1, 2, 6, 0, 0, 1, 2, 7, 0, 2, 1, 2, 0, 0, 0, 1, 2, 2, 0, 0, 1, 2, 1, 0, 0, 1, 2, 1, 0, 3, 1, 2}, 1, 12, false)
+	for _, seed := range admissionSeeds {
+		sc := decodeAdmission(seed.data)
+		if len(sc.tenants) != seed.tenants || len(sc.arrivals) != seed.arrivals || sc.online != seed.online {
+			f.Fatalf("seed decodes to %d tenants, %d arrivals, online %t; want %d, %d, %t",
+				len(sc.tenants), len(sc.arrivals), sc.online, seed.tenants, seed.arrivals, seed.online)
+		}
+		f.Add(seed.data)
+	}
+	models, _ := testFixtures(f)
+	opt := newOptimizer(f, models)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeAdmission(data)
-		if first, again := runAdmission(t, sc), runAdmission(t, sc); first != again {
+		if first, again := runAdmission(t, opt, sc), runAdmission(t, opt, sc); first != again {
 			t.Fatalf("two runs of one scenario rendered differently:\n%s\n---\n%s", first, again)
 		}
 	})
+}
+
+// TestAdmissionIgnoresWarmMemo: a run renders the same whether its
+// optimizer is fresh or has planned every seed scenario before, so
+// FuzzAdmission's shared optimizer carries nothing from one input to the
+// next.
+func TestAdmissionIgnoresWarmMemo(t *testing.T) {
+	models, _ := testFixtures(t)
+	warm := newOptimizer(t, models)
+	for _, seed := range admissionSeeds {
+		runAdmission(t, warm, decodeAdmission(seed.data))
+	}
+	for i, seed := range admissionSeeds {
+		sc := decodeAdmission(seed.data)
+		if fresh, warmed := runAdmission(t, newOptimizer(t, models), sc), runAdmission(t, warm, sc); fresh != warmed {
+			t.Fatalf("seed %d: a fresh optimizer and a warm one rendered differently:\n%s\n---\n%s", i, fresh, warmed)
+		}
+	}
 }

@@ -279,7 +279,9 @@ func TestRandomTreeAfterSchemaMutation(t *testing.T) {
 // nearest-neighbour cache, then the size coster, which prices by the
 // candidate's output and larger input — and fails unless the two asked the
 // coster the same questions about the same candidates in the same order and
-// returned the same result or error.
+// returned the same result or error. Up to optimizertest.MaxOptimumRelations
+// relations, the size coster's DP cost is also optimizertest.Optimum's
+// left-deep cost, bit for bit, and a query one fails the other fails.
 func checkSelinger(t testing.TB, q *plan.Query) {
 	t.Helper()
 	sizeCoster := func(q *plan.Query) *recordingCoster {
@@ -301,6 +303,13 @@ func checkSelinger(t testing.TB, q *plan.Query) {
 		}
 		if errG == nil {
 			sameResult(t, q, got, want)
+		}
+	}
+	if len(q.Rels) <= optimizertest.MaxOptimumRelations {
+		got, errG := (&selinger.Planner{Coster: sizeCoster(q)}).Plan(q)
+		_, want, errO := optimizertest.Optimum(sizeCoster(q), q)
+		if (errG == nil) != (errO == nil) || errG == nil && math.Float64bits(got.Cost.Seconds) != math.Float64bits(want.Cost.Seconds) {
+			t.Fatalf("%v: DP %+v (error %v), left-deep optimum %+v (error %v)", q.Rels, got, errG, want, errO)
 		}
 	}
 }

@@ -43,7 +43,6 @@ package selinger
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -447,93 +446,4 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 	// The winning tree lives in the pooled arena; deep-copy it out before
 	// the deferred release recycles the storage.
 	return &optimizer.Result{Plan: root.Clone(), Cost: st.entries[k].cost, PlansConsidered: considered}, nil
-}
-
-// Exhaustive enumerates every left-deep join order and operator combination
-// and returns the global optimum. It is exponential-factorial and intended
-// only for validating the DP in tests (n <= ~7).
-func Exhaustive(coster optimizer.OperatorCoster, q *plan.Query) (*optimizer.Result, error) {
-	n := len(q.Rels)
-	if n > 7 {
-		return nil, fmt.Errorf("selinger: exhaustive search limited to 7 relations, got %d", n)
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	bestCost := math.Inf(1)
-	var best *plan.Node
-	var bestOC optimizer.OpCost
-	considered := 0
-
-	algosFor := func(k int) [][]plan.JoinAlgo {
-		// all algo assignments for k joins
-		out := [][]plan.JoinAlgo{{}}
-		for i := 0; i < k; i++ {
-			var next [][]plan.JoinAlgo
-			for _, pfx := range out {
-				for _, a := range plan.Algos {
-					row := append(append([]plan.JoinAlgo(nil), pfx...), a)
-					next = append(next, row)
-				}
-			}
-			out = next
-		}
-		return out
-	}
-	assignments := algosFor(n - 1)
-
-	var permute func(k int) error
-	permute = func(k int) error {
-		if k == n {
-			for _, algos := range assignments {
-				cur, err := plan.NewScan(q.Schema, q.Rels[perm[0]])
-				if err != nil {
-					return err
-				}
-				valid := true
-				for i := 1; i < n && valid; i++ {
-					leaf, err := plan.NewScan(q.Schema, q.Rels[perm[i]])
-					if err != nil {
-						return err
-					}
-					j, err := plan.NewJoin(q.Schema, algos[i-1], cur, leaf)
-					if err != nil {
-						valid = false
-						break
-					}
-					cur = j
-				}
-				if !valid {
-					continue
-				}
-				oc, err := optimizer.PlanCost(coster, cur)
-				if err != nil {
-					continue
-				}
-				considered++
-				if oc.Seconds < bestCost {
-					bestCost = oc.Seconds
-					best = cur
-					bestOC = oc
-				}
-			}
-			return nil
-		}
-		for i := k; i < n; i++ {
-			perm[k], perm[i] = perm[i], perm[k]
-			if err := permute(k + 1); err != nil {
-				return err
-			}
-			perm[k], perm[i] = perm[i], perm[k]
-		}
-		return nil
-	}
-	if err := permute(0); err != nil {
-		return nil, err
-	}
-	if best == nil {
-		return nil, fmt.Errorf("selinger: exhaustive found no feasible plan")
-	}
-	return &optimizer.Result{Plan: best, Cost: bestOC, PlansConsidered: considered}, nil
 }

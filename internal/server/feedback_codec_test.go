@@ -18,7 +18,6 @@ import (
 
 	"raqo/internal/cost"
 	"raqo/internal/feedback"
-	"raqo/internal/history"
 	"raqo/internal/telemetry"
 )
 
@@ -73,25 +72,49 @@ func parentHandleFeedback(s *Server, w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// bareFeedbackServer is the part of a Server the feedback handlers touch:
-// a recalibrator over a small ring with a journal at path, and a history
-// store beside it as the detector's recorder.
-func bareFeedbackServer(t *testing.T, path string) *Server {
+// feedbackJournals are the journals the feedback handler checks keep from
+// one body to the next, opened once: the handler's and the parent's. A
+// body's servers get their role's journal emptied, and a new ring,
+// detector, recorder and metrics, so no body sees what another left.
+type feedbackJournals [2]*feedback.Journal
+
+func newFeedbackJournals(t testing.TB) *feedbackJournals {
 	t.Helper()
-	j, err := feedback.OpenJournalConfig(path, feedback.JournalConfig{})
-	if err != nil {
+	dir, js := t.TempDir(), &feedbackJournals{}
+	for i := range js {
+		j, err := feedback.OpenJournalConfig(filepath.Join(dir, fmt.Sprintf("journal-%d.jsonl", i)), feedback.JournalConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = j.Close() })
+		js[i] = j
+	}
+	return js
+}
+
+// latestRecorder is the detector's recorder in the feedback handler
+// checks: it keeps the latest timestamp among the points recorded (0 for
+// none), which is where a history store's high-water mark would stand.
+type latestRecorder struct{ latest int64 }
+
+func (r *latestRecorder) Record(_ string, ts int64, _ float64) { r.latest = max(r.latest, ts) }
+
+// server is the part of a Server the feedback handlers touch: a
+// recalibrator over a small ring with role's journal (0 the handler's, 1
+// the parent's) and a new recorder behind its detector. The journal never
+// rotates and its log appends in O_APPEND mode, so the file cut to nothing
+// is an empty journal.
+func (js *feedbackJournals) server(t *testing.T, role int) (*Server, *latestRecorder) {
+	t.Helper()
+	j := js[role]
+	if err := os.Truncate(j.Path(), 0); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = j.Close() })
-	hist, err := history.Open(path+".hist", history.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = hist.Close() })
 	rec := feedback.NewRecalibrator(feedback.NewStore(64, j),
 		feedback.NewDetector(feedback.DriftConfig{MinSamples: 2}), cost.NewModels())
-	rec.Detector().SetRecorder(hist)
-	return &Server{rec: rec, journal: j, hist: hist, metrics: NewMetrics(telemetry.NewRegistry())}
+	points := &latestRecorder{}
+	rec.Detector().SetRecorder(points)
+	return &Server{rec: rec, journal: j, metrics: NewMetrics(telemetry.NewRegistry())}, points
 }
 
 // liveModelVersion is the version GET /v1/model reports.
@@ -123,15 +146,15 @@ func clip(body []byte) string {
 // or, where DecodeBatch gave none, AppendJSON's; and for a body json.Marshal
 // wrote, the two files are byte-identical. It returns whether the handler
 // let the codec take the body.
-func checkFeedbackBody(t *testing.T, body []byte) bool {
+func checkFeedbackBody(t *testing.T, js *feedbackJournals, body []byte) bool {
 	t.Helper()
-	took, _, _ := serveFeedbackPair(t, body)
+	took, _, _ := serveFeedbackPair(t, js, body)
 	return took
 }
 
 // serveFeedbackPair is checkFeedbackBody, returning the two journal files
 // as well: the handler's and the parent's.
-func serveFeedbackPair(t *testing.T, body []byte) (took bool, journal, parentJournal []byte) {
+func serveFeedbackPair(t *testing.T, js *feedbackJournals, body []byte) (took bool, journal, parentJournal []byte) {
 	t.Helper()
 	got, lines, ok := feedback.DecodeBatch(body, nil, nil)
 	var req FeedbackRequest
@@ -146,26 +169,28 @@ func serveFeedbackPair(t *testing.T, body []byte) (took bool, journal, parentJou
 		t.Fatalf("body %s: %d lines for %d observations", clip(body), len(lines), len(got))
 	}
 
-	dir := t.TempDir()
-	serve := func(path string, handle func(*Server, http.ResponseWriter, *http.Request)) (*Server, *httptest.ResponseRecorder) {
-		s, w := bareFeedbackServer(t, filepath.Join(dir, path)), httptest.NewRecorder()
-		before := liveModelVersion(t, s)
+	serve := func(role int, handle func(*Server, http.ResponseWriter, *http.Request)) (*Server, *latestRecorder, *httptest.ResponseRecorder) {
+		s, points := js.server(t, role)
+		w := httptest.NewRecorder()
+		before := s.rec.Current().Version
 		handle(s, w, httptest.NewRequest(http.MethodPost, "/v1/feedback", bytes.NewReader(body)))
-		// Whatever the body, the live model version does not go back.
+		// Whatever the body, the live model version GET /v1/model reports
+		// does not go back.
 		if after := liveModelVersion(t, s); after < before {
 			t.Fatalf("body %s: /v1/model version went from %d back to %d", clip(body), before, after)
 		}
-		return s, w
+		return s, points, w
 	}
 	// Both handlers stamp untimestamped observations with the wall clock: a
 	// pair of runs that straddles a second is run again.
 	var s, ref *Server
+	var points *latestRecorder
 	var w, want *httptest.ResponseRecorder
 	var now int64
-	for try := 0; ; try++ {
+	for {
 		now = time.Now().Unix()
-		s, w = serve(fmt.Sprintf("codec-%d.jsonl", try), (*Server).handleFeedback)
-		ref, want = serve(fmt.Sprintf("parent-%d.jsonl", try), parentHandleFeedback)
+		s, points, w = serve(0, (*Server).handleFeedback)
+		ref, _, want = serve(1, parentHandleFeedback)
 		if time.Now().Unix() == now {
 			break
 		}
@@ -173,10 +198,11 @@ func serveFeedbackPair(t *testing.T, body []byte) (took bool, journal, parentJou
 	if w.Code != want.Code || w.Body.String() != want.Body.String() {
 		t.Fatalf("body %s\n answered %d %s\n parent   %d %s", clip(body), w.Code, w.Body, want.Code, want.Body)
 	}
-	// Whatever the body, it cannot move the history store's high-water
-	// mark past the server clock plus the allowed skew.
-	if hw, limit := s.History().Stats().HighWater, time.Now().Unix()+feedback.MaxClockSkewSeconds; hw > limit {
-		t.Fatalf("body %s: history high-water mark %d past the server clock plus skew, %d", clip(body), hw, limit)
+	// Whatever the body, the detector records no point past the server
+	// clock plus the allowed skew, so none can move a history store's
+	// high-water mark there.
+	if limit := time.Now().Unix() + feedback.MaxClockSkewSeconds; points.latest > limit {
+		t.Fatalf("body %s: a point recorded at %d, past the server clock plus skew, %d", clip(body), points.latest, limit)
 	}
 	if !reflect.DeepEqual(w.Header(), want.Header()) {
 		t.Fatalf("body %s: headers %v, parent %v", clip(body), w.Header(), want.Header())
@@ -323,8 +349,9 @@ var feedbackBodies = []struct {
 }
 
 func TestFeedbackCodecMatchesParent(t *testing.T) {
+	js := newFeedbackJournals(t)
 	for _, c := range feedbackBodies {
-		if ok := checkFeedbackBody(t, []byte(c.body)); ok != c.canonical {
+		if ok := checkFeedbackBody(t, js, []byte(c.body)); ok != c.canonical {
 			t.Errorf("%s: codec took it = %v, want %v", c.name, ok, c.canonical)
 		}
 	}
@@ -336,6 +363,7 @@ func TestFeedbackCodecMatchesParent(t *testing.T) {
 // byte for byte. (Hand-written observations with observedAt but no
 // dollars keep the client's bytes and replay the same.)
 func TestFeedbackJournalMatchesParentBytes(t *testing.T) {
+	js := newFeedbackJournals(t)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 8; i++ {
 		var req FeedbackRequest
@@ -355,13 +383,13 @@ func TestFeedbackJournalMatchesParentBytes(t *testing.T) {
 		if !marshalShaped(body) {
 			t.Fatalf("%s is not json.Marshal's bytes", clip(body))
 		}
-		if !checkFeedbackBody(t, body) {
+		if !checkFeedbackBody(t, js, body) {
 			t.Fatalf("codec declined %s", clip(body))
 		}
 	}
 	for _, c := range feedbackBodies {
 		if c.name == "hand-written, no observedAt" {
-			took, journal, parentJournal := serveFeedbackPair(t, []byte(c.body))
+			took, journal, parentJournal := serveFeedbackPair(t, js, []byte(c.body))
 			if !took || len(journal) == 0 {
 				t.Fatalf("%s: codec took it = %v, journal %q", c.name, took, journal)
 			}
@@ -371,25 +399,27 @@ func TestFeedbackJournalMatchesParentBytes(t *testing.T) {
 }
 
 // FuzzObservationDecode runs checkFeedbackBody on arbitrary bytes as the
-// request body and again as the one element of a batch. After each, the
-// history high-water mark is at most the server clock plus
+// request body and again as the one element of a batch. After each, no
+// point the detector recorded is stamped past the server clock plus
 // feedback.MaxClockSkewSeconds, and the live /v1/model version has not
-// gone back.
+// gone back. The journals are opened once per process (feedbackJournals).
 func FuzzObservationDecode(f *testing.F) {
 	for _, c := range feedbackBodies {
 		f.Add([]byte(c.body))
 	}
 	f.Add([]byte(`{"engine":"hive","observedSeconds":1.5e3,"observedAt":-0}`))
 	f.Add([]byte(`{"signature":"a","engine":"hive","observedSeconds":1},{"Engine":"x"}`))
+	js := newFeedbackJournals(f)
 	f.Fuzz(func(t *testing.T, body []byte) {
-		checkFeedbackBody(t, body)
-		checkFeedbackBody(t, []byte(`{"observations":[`+string(body)+`]}`))
+		checkFeedbackBody(t, js, body)
+		checkFeedbackBody(t, js, []byte(`{"observations":[`+string(body)+`]}`))
 	})
 }
 
 // TestFeedbackOversizedBody: what the 1 MB cap cuts off is answered as
 // the parent answered it, whatever came before the cut.
 func TestFeedbackOversizedBody(t *testing.T) {
+	js := newFeedbackJournals(t)
 	pad := strings.Repeat(" ", MaxBodyBytes)
 	one := `{"engine":"hive","observedSeconds":1}`
 	for _, body := range []string{
@@ -398,7 +428,7 @@ func TestFeedbackOversizedBody(t *testing.T) {
 		`{"observations":[` + one + `],"frobnicate":1}` + pad,                             // an error before the cap
 		pad + `{"observations":[` + one + `]}`,                                            // nothing but padding under the cap
 	} {
-		if checkFeedbackBody(t, []byte(body)) {
+		if checkFeedbackBody(t, js, []byte(body)) {
 			t.Fatalf("codec took a body of %d bytes", len(body))
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/execsim"
+	"raqo/internal/optimizer/optimizertest"
 	"raqo/internal/plan"
 	"raqo/internal/resource"
 	"raqo/internal/workload"
@@ -196,18 +197,9 @@ func TestServedMatchesFresh(t *testing.T) {
 // memory there.
 func TestServedJointPlansRun(t *testing.T) {
 	o := newServedOracle(t)
-	tables := o.sch.Tables()
 	var reqs []OptimizeRequest
-	for mask := 1; mask < 1<<len(tables); mask++ {
-		var rels []string
-		for i, name := range tables {
-			if mask&(1<<i) != 0 {
-				rels = append(rels, name)
-			}
-		}
-		if len(rels) >= 2 && o.sch.Connected(rels) {
-			reqs = append(reqs, OptimizeRequest{Relations: rels})
-		}
+	for _, rels := range connectedLists(o.sch, len(o.sch.Tables())) {
+		reqs = append(reqs, OptimizeRequest{Relations: rels})
 	}
 	if len(reqs) != 90 {
 		t.Fatalf("%d connected relation lists, want 90", len(reqs))
@@ -233,6 +225,96 @@ func TestServedJointPlansRun(t *testing.T) {
 			t.Errorf("%s: %d of %d served plans fail on the engine", planner, failed, len(reqs))
 		}
 		_ = s.Close()
+	}
+}
+
+// connectedLists returns every list of 2 to maxRels of s's tables that the
+// join graph connects, in table-mask order.
+func connectedLists(s *catalog.Schema, maxRels int) [][]string {
+	tables := s.Tables()
+	var lists [][]string
+	for mask := 1; mask < 1<<len(tables); mask++ {
+		var rels []string
+		for i, name := range tables {
+			if mask&(1<<i) != 0 {
+				rels = append(rels, name)
+			}
+		}
+		if len(rels) >= 2 && len(rels) <= maxRels && s.Connected(rels) {
+			lists = append(lists, rels)
+		}
+	}
+	return lists
+}
+
+// TestServedPlannersAgainstOptimum holds the served planners to the
+// exhaustive joint (plan, resources) optimum: optimizertest.Optimum over
+// the served coster with resource.BruteForce in place of the hill climb,
+// on every connected TPC-H list of 2 to 5 relations. The Selinger DP,
+// whose resources come from hill climbing, is held to the left-deep
+// optimum, and the randomized planner, which searches bushy trees, to the
+// bushy one. No served answer may beat its optimum. How many lists come
+// out above 1.1× and the worst ratio are pinned as ceilings: they report
+// the planners' quality (ROADMAP item 4, the paper's Fig 13) and must not
+// get worse.
+func TestServedPlannersAgainstOptimum(t *testing.T) {
+	sch := catalog.TPCH(100)
+	lists := connectedLists(sch, optimizertest.MaxOptimumRelations)
+	if len(lists) != 65 {
+		t.Fatalf("%d connected lists of 2 to %d relations, want 65", len(lists), optimizertest.MaxOptimumRelations)
+	}
+	engine := cloud.Engine()
+	oracle := &core.Coster{Models: servedModels(t), Pricing: cost.DefaultPricing(), Resources: &resource.BruteForce{},
+		Cond: cluster.Default(), Engine: &engine, Memo: core.NewCostMemo()}
+	for _, c := range []struct {
+		planner core.PlannerKind
+		bushy   bool
+		above   int     // lists above 1.1× the optimum, at most
+		worst   float64 // the worst ratio, at most
+	}{
+		// Measured: on every list the served DP's answer is the left-deep
+		// optimum; its hill climb loses nothing against brute force.
+		{core.Selinger, false, 0, 1},
+		// Measured at the served seed: 10 of 65, worst 2.1438× (lineitem,
+		// nation, orders, partsupp, supplier).
+		{core.FastRandomized, true, 10, 2.144},
+	} {
+		opt, err := NewOptimizer(core.Options{Planner: c.planner, Models: servedModels(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		above, worst := 0, 1.0
+		for _, rels := range lists {
+			q, err := plan.NewQuery(sch, rels...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := opt.Optimize(q)
+			if err != nil {
+				t.Fatalf("%s %v: %v", c.planner, rels, err)
+			}
+			bushy, leftDeep, err := optimizertest.Optimum(oracle, q)
+			if err != nil {
+				t.Fatalf("%v: optimum: %v", rels, err)
+			}
+			want := leftDeep
+			if c.bushy {
+				want = bushy
+			}
+			ratio := d.Time / want.Cost.Seconds
+			if ratio < 1-1e-9 {
+				t.Errorf("%s %v: served %v s beats the optimum %v s\nserved:\n%s\noptimum:\n%s",
+					c.planner, rels, d.Time, want.Cost.Seconds, d.Plan, want.Plan)
+			}
+			if ratio > 1.1 {
+				above++
+			}
+			worst = max(worst, ratio)
+		}
+		t.Logf("%s: %d of %d lists above 1.1x the optimum, worst %.4fx", c.planner, above, len(lists), worst)
+		if above > c.above || worst > c.worst {
+			t.Errorf("%s: %d lists above 1.1x (ceiling %d), worst %.4fx (ceiling %.4fx)", c.planner, above, c.above, worst, c.worst)
+		}
 	}
 }
 
