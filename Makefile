@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race fuzz bench-check bench alloc-check lint
+.PHONY: check fmt vet build test race fuzz fuzz-targets bench-check bench alloc-check lint
 
 check: fmt vet build lint race fuzz alloc-check bench-check bench
 
@@ -36,7 +36,12 @@ race:
 	$(GO) test -race ./...
 
 # Short native-fuzz pass, 10 s per target; the seed corpora already run
-# under plain `go test`. One line per target, what it holds:
+# under plain `go test`. Minimizing a new input is capped at 100 calls
+# (-fuzzminimizetime=100x): Go's default, 60 s, applies to inputs that only
+# widen coverage too, and a 10 s slot that queues one never gets back to
+# fuzzing. A crasher is still reported; only its shrinking is capped.
+# `make fuzz` prints each target's last progress line, its executions,
+# and every line of a failing run. One line per target, what it holds:
 #   FuzzJoinGraph          join-graph index == the string-keyed reference kernel
 #   FuzzCacheLookup        resource-plan cache == a linear-scan reference
 #   FuzzRollupBlock        rollup block decoder: no panic, bounded allocation, stable round trip
@@ -64,32 +69,42 @@ race:
 #   FuzzConnRequests       any bytes as one connection: no panic, closed in time, answers parse, no 2xx where net/http says 4xx
 #   FuzzFloat              canonjson.Float == Number + strconv.ParseFloat: value bits, end index, rejections
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s ./internal/plan
-	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s ./internal/resource
-	$(GO) test -run '^$$' -fuzz FuzzRollupBlock -fuzztime=10s ./internal/history
-	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s ./internal/history
-	$(GO) test -run '^$$' -fuzz FuzzPeerResponse -fuzztime=10s ./internal/fleet
-	$(GO) test -run '^$$' -fuzz FuzzPeerAnswer -fuzztime=10s ./internal/fleet
-	$(GO) test -run '^$$' -fuzz FuzzObservationDecode -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzObservationAppend -fuzztime=10s ./internal/feedback
-	$(GO) test -run '^$$' -fuzz FuzzEnumeration -fuzztime=10s ./internal/optimizer
-	$(GO) test -run '^$$' -fuzz FuzzRegressionCost -fuzztime=10s ./internal/cost
-	$(GO) test -run '^$$' -fuzz FuzzDrawSource -fuzztime=10s ./internal/randsrc
-	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzHistoryJSON -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzSelingerReuse -fuzztime=10s ./internal/core
-	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s ./internal/cloud
-	$(GO) test -run '^$$' -fuzz FuzzPoolMatchesReference -fuzztime=10s ./internal/cloud
-	$(GO) test -run '^$$' -fuzz FuzzSubmitDecode -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s ./internal/fleet
-	$(GO) test -run '^$$' -fuzz FuzzServedOrder -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime=10s ./internal/applog
-	$(GO) test -run '^$$' -fuzz FuzzModelWire -fuzztime=10s ./internal/fleet
-	$(GO) test -run '^$$' -fuzz FuzzOptimizeBodies -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzHistoryQuery -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzConnRequests -fuzztime=10s ./internal/server
-	$(GO) test -run '^$$' -fuzz FuzzFloat -fuzztime=10s ./internal/canonjson
+	@{ $(MAKE) --no-print-directory fuzz-targets 2>&1; echo "fuzz-status $$?"; } | awk '\
+		/^fuzz-status / { exit $$2 } \
+		/ -fuzz Fuzz/ { match($$0, /-fuzz Fuzz[A-Za-z0-9_]*/); name = substr($$0, RSTART + 6, RLENGTH - 6); next } \
+		/^fuzz: elapsed: .*execs: / { last = $$0; next } \
+		/^fuzz: elapsed: / || /^PASS$$/ { next } \
+		/^ok / { printf "%-26s %s\n", name, last; next } \
+		/^--- FAIL/ { print name, last } \
+		{ print }'
+
+fuzz-targets:
+	$(GO) test -run '^$$' -fuzz FuzzJoinGraph -fuzztime=10s -fuzzminimizetime=100x ./internal/plan
+	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s -fuzzminimizetime=100x ./internal/resource
+	$(GO) test -run '^$$' -fuzz FuzzRollupBlock -fuzztime=10s -fuzzminimizetime=100x ./internal/history
+	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s -fuzzminimizetime=100x ./internal/history
+	$(GO) test -run '^$$' -fuzz FuzzPeerResponse -fuzztime=10s -fuzzminimizetime=100x ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzPeerAnswer -fuzztime=10s -fuzzminimizetime=100x ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzObservationDecode -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzObservationAppend -fuzztime=10s -fuzzminimizetime=100x ./internal/feedback
+	$(GO) test -run '^$$' -fuzz FuzzEnumeration -fuzztime=10s -fuzzminimizetime=100x ./internal/optimizer
+	$(GO) test -run '^$$' -fuzz FuzzRegressionCost -fuzztime=10s -fuzzminimizetime=100x ./internal/cost
+	$(GO) test -run '^$$' -fuzz FuzzDrawSource -fuzztime=10s -fuzzminimizetime=100x ./internal/randsrc
+	$(GO) test -run '^$$' -fuzz FuzzWriteJSON -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzHistoryJSON -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzCosterReuse -fuzztime=10s -fuzzminimizetime=100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzSelingerReuse -fuzztime=10s -fuzzminimizetime=100x ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzAdmission -fuzztime=10s -fuzzminimizetime=100x ./internal/cloud
+	$(GO) test -run '^$$' -fuzz FuzzPoolMatchesReference -fuzztime=10s -fuzzminimizetime=100x ./internal/cloud
+	$(GO) test -run '^$$' -fuzz FuzzSubmitDecode -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzRoutingKeys -fuzztime=10s -fuzzminimizetime=100x ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzServedOrder -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzLogRecover -fuzztime=10s -fuzzminimizetime=100x ./internal/applog
+	$(GO) test -run '^$$' -fuzz FuzzModelWire -fuzztime=10s -fuzzminimizetime=100x ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzOptimizeBodies -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzHistoryQuery -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzConnRequests -fuzztime=10s -fuzzminimizetime=100x ./internal/server
+	$(GO) test -run '^$$' -fuzz FuzzFloat -fuzztime=10s -fuzzminimizetime=100x ./internal/canonjson
 
 # Allocation gates: hard AllocsPerRun ceilings on the planning, serving and
 # history hot paths (pooled DP and search state, arena plans, structural plan

@@ -1,12 +1,11 @@
 // The trained models and TPC-H queries the root tests and benchmarks
-// share, and a warm shared-cluster arbiter built on them.
+// share, and a shared cluster built on them.
 package raqo_test
 
 import (
 	"sync"
 	"testing"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
 	"raqo/internal/cloud"
 	"raqo/internal/cluster"
@@ -42,7 +41,9 @@ func benchFixtures(tb testing.TB) (*cost.Models, map[string]*plan.Query) {
 	return fixtureModels, fixtureQueries
 }
 
-func newBenchArbiter(tb testing.TB) *arbiter.Arbiter {
+// newBenchArbiter is the shared cluster of `raqo figure arbiter`: 100
+// containers, three weighted tenants.
+func newBenchArbiter(tb testing.TB) *cloud.Arbiter {
 	tb.Helper()
 	models, queries := benchFixtures(tb)
 	engine := cloud.Engine()
@@ -54,19 +55,20 @@ func newBenchArbiter(tb testing.TB) *arbiter.Arbiter {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	a, err := arbiter.New(arbiter.Config{
-		Workload: cloud.Workload{
-			Base:      cluster.Default(),
-			Optimizer: opt,
-			Queries:   queries,
-			Tenants: []arbiter.TenantConfig{
-				{Name: "etl", Weight: 2},
-				{Name: "bi", Weight: 1},
-				{Name: "adhoc", Weight: 1},
-			},
+	cfg, err := cloud.SharedCluster(cloud.Workload{
+		Base:      cluster.Default(),
+		Optimizer: opt,
+		Queries:   queries,
+		Tenants: []cloud.TenantConfig{
+			{Name: "etl", Weight: 2},
+			{Name: "bi", Weight: 1},
+			{Name: "adhoc", Weight: 1},
 		},
-		Capacity: 100,
-	})
+	}, 100)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	a, err := cloud.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}

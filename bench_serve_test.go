@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"raqo/internal/cloud"
 	"raqo/internal/core"
 	"raqo/internal/fleet"
 	"raqo/internal/scheduler"
@@ -138,7 +139,7 @@ func BenchmarkFleetForward(b *testing.B) {
 // dominate the submit and optimize paths: a /v1/submit outcome and the
 // plan of TPC-H All.
 func BenchmarkWriteJSON(b *testing.B) {
-	out, err := newBenchArbiter(b).SubmitWait("etl", workload.Q3, scheduler.Reoptimize)
+	out, err := newBenchArbiter(b).SubmitWaitWith(cloud.Arrival{Tenant: "etl", Query: workload.Q3, Policy: scheduler.Reoptimize})
 	if err != nil {
 		b.Fatal(err)
 	}

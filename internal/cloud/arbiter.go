@@ -76,8 +76,7 @@ type TenantConfig struct {
 func Engine() execsim.Params { return execsim.Hive() }
 
 // Workload is what the arbiter plans and admits — the configuration a
-// priced market (Config) shares with the fixed shared cluster of
-// internal/arbiter.
+// priced market shares with the shared cluster (SharedCluster).
 type Workload struct {
 	// Base is the full cluster conditions submission-time plans are
 	// optimized under; per-class admission conditions are Base with the
@@ -106,9 +105,10 @@ type Config struct {
 	Hooks      Hooks
 }
 
-// Hooks let an owner feed its own inputs from the event loop: the shared
-// cluster of internal/arbiter records its metric families, execution
-// feedback and history through them. Every field is optional.
+// Hooks let an owner feed its own inputs from the event loop: the server's
+// shared cluster records its metric families through them, and
+// FeedbackHook's completion feeds execution feedback, history and
+// recalibration. Every field is optional.
 type Hooks struct {
 	// Name prefixes the arbiter's errors; "" means "cloud".
 	Name string
@@ -119,8 +119,9 @@ type Hooks struct {
 	// Completed takes every finished query, in completion order, with the
 	// plan that ran (a clamped plan carries no prediction: Time 0) and its
 	// simulated execution, and copies what it keeps of o (reused by the
-	// next completion). Unset, the arbiter keeps the outcomes itself (see
-	// Arbiter.Completed). An error aborts the event loop.
+	// next completion). Set, the arbiter keeps only Run's outcomes itself;
+	// unset, every outcome (see Arbiter.Completed). An error aborts the
+	// event loop.
 	Completed func(o *Outcome, d *core.Decision, res *execsim.Result) error
 }
 
@@ -170,6 +171,18 @@ type Outcome struct {
 	BillUSD units.USD
 }
 
+// QueueRunRatio is Figure 1's queue-time/run-time ratio of a query with
+// no revoked attempt, as on the shared cluster: (Start - Arrival) /
+// ExecSeconds, and 0 without a run time. Start - Arrival is the queue time
+// such an outcome reports; QueueSeconds can differ from it in the last
+// bit.
+func (o *Outcome) QueueRunRatio() float64 {
+	if o.ExecSeconds <= 0 {
+		return 0
+	}
+	return (o.Start - o.Arrival) / o.ExecSeconds
+}
+
 // Stats is a point-in-time summary of the cloud arbiter.
 type Stats struct {
 	Now       float64 `json:"now"`
@@ -208,7 +221,7 @@ type TenantStats struct {
 }
 
 // Counts is the arbiter's accounting since it started; Stats and the
-// shared cluster's stats (internal/arbiter) are views of it.
+// server's shared-cluster stats are views of it.
 type Counts struct {
 	// Submitted counts enqueued submissions. Shed ones were rejected at
 	// the gate and never enqueued; Dropped ones were rejected from a queue
@@ -312,9 +325,9 @@ type stashed struct {
 // multi-tenant query stream onto a Pool with two-round fair-share
 // admission, on a single virtual clock. The market layers priced classes,
 // fault injection with recovery policies and the autoscaler on it; the
-// shared cluster of internal/arbiter is its one-class, unpriced,
-// fault-free case. It is not safe for concurrent use; the HTTP layer
-// serializes with a mutex.
+// shared cluster (SharedCluster) is its one-class, unpriced, fault-free
+// case. It is not safe for concurrent use; the HTTP layer serializes with
+// a mutex.
 type Arbiter struct {
 	cfg         Config
 	pool        *Pool
@@ -325,6 +338,7 @@ type Arbiter struct {
 	byName      map[string]*tenantState
 	inflight    map[int64]running // by pool token; never ranged
 	completed   []Outcome
+	running     bool    // inside Run: completions are kept whatever the hook
 	done        Outcome // the completion being handed to Hooks.Completed
 	pref        []int   // class indices in admission-preference order
 	totalWeight float64
@@ -346,9 +360,6 @@ func New(cfg Config) (*Arbiter, error) {
 		cfg.Hooks.Name = "cloud"
 	}
 	a := &Arbiter{cfg: cfg}
-	if cfg.Hooks.Completed == nil {
-		a.cfg.Hooks.Completed = a.record
-	}
 	if err := cfg.Base.Validate(); err != nil {
 		return nil, a.errorf("base conditions: %w", err)
 	}
@@ -433,15 +444,10 @@ func (a *Arbiter) Pool() *Pool { return a.pool }
 // ScaleEvents returns the autoscaler's action log.
 func (a *Arbiter) ScaleEvents() []ScaleEvent { return a.scaler.Events() }
 
-// Completed returns the outcomes recorded so far, in completion order;
-// none when Hooks.Completed takes them.
+// Completed returns the outcomes kept so far, in completion order: every
+// one without a Hooks.Completed, only Run's with one, so an online arbiter
+// whose hook takes its completions does not grow per submission.
 func (a *Arbiter) Completed() []Outcome { return a.completed }
-
-// record is the default Hooks.Completed: keep the outcome.
-func (a *Arbiter) record(o *Outcome, _ *core.Decision, _ *execsim.Result) error {
-	a.completed = append(a.completed, *o)
-	return nil
-}
 
 // queuedCount sums the tenant queues.
 func (a *Arbiter) queuedCount() int {
@@ -681,7 +687,14 @@ func (a *Arbiter) advanceTo(t float64) error {
 		a.done = *p.admitted
 		a.done.QueueSeconds = rel.Finish - p.arr.Time - a.done.ExecSeconds
 		a.done.BillUSD = p.billUSD
-		if err := a.cfg.Hooks.Completed(&a.done, run.dec, run.res); err != nil {
+		h := a.cfg.Hooks.Completed
+		if h == nil || a.running {
+			a.completed = append(a.completed, a.done)
+		}
+		if h == nil {
+			continue
+		}
+		if err := h(&a.done, run.dec, run.res); err != nil {
 			return err
 		}
 	}
@@ -1140,19 +1153,24 @@ func (a *Arbiter) loop(arrivals []Arrival, until *pending) error {
 }
 
 // Run replays a whole arrival stream to completion, each arrival under
-// its own policy, and returns the outcomes in completion order (none when
-// Hooks.Completed takes them). Backpressure rejections are counted, not
-// fatal; queries still queued once nothing can move are rejected as
-// infeasible. A sorted copy of the stream is replayed, by arrival time
-// (stable, so tied arrivals keep their input order).
+// its own policy, and returns the outcomes completed during the run in
+// completion order, with or without a Hooks.Completed. Backpressure
+// rejections are counted, not fatal; queries still queued once nothing can
+// move are rejected as infeasible. A sorted copy of the stream is
+// replayed, by arrival time (stable, so tied arrivals keep their input
+// order).
 func (a *Arbiter) Run(arrivals []Arrival) ([]Outcome, error) {
 	arrivals = slices.Clone(arrivals)
 	sort.SliceStable(arrivals, func(i, j int) bool { return arrivals[i].Time < arrivals[j].Time })
-	if err := a.loop(arrivals, nil); err != nil {
-		return a.completed, err
+	from := len(a.completed)
+	a.running = true
+	err := a.loop(arrivals, nil)
+	a.running = false
+	if err != nil {
+		return a.completed[from:], err
 	}
 	a.rejectQueued()
-	return a.completed, nil
+	return a.completed[from:], nil
 }
 
 // SubmitWait submits one query at the current virtual time, re-planning
@@ -1166,9 +1184,12 @@ func (a *Arbiter) SubmitWait(tenant, query string, rec Recovery) (*Outcome, erro
 }
 
 // SubmitWaitWith is SubmitWait for one arrival under its own admission
-// policy — the shared cluster's entry point (internal/arbiter). A query
-// that can never be admitted is rejected and leaves no trace in the
-// queues.
+// policy (and, for the market, its own Recovery) — the shared cluster's
+// entry point, which POST /v1/submit calls with the arrival at Now. The
+// returned admission outcome is the running attempt's own record, which
+// the arbiter never writes again, so no copy is made; its QueueSeconds is
+// Start - Arrival. A query that can never be admitted is rejected and
+// leaves no trace in the queues.
 func (a *Arbiter) SubmitWaitWith(arr Arrival) (*Outcome, error) {
 	p, err := a.submit(arr)
 	if err != nil {

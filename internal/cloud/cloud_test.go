@@ -523,6 +523,9 @@ func TestGenerateTraceDeterministicAndOrdered(t *testing.T) {
 			t.Fatalf("arrival %d recovery %v", i, arr.Recovery)
 		}
 	}
+	if _, err := cloud.GenerateTrace(cloud.TraceConfig{}); err == nil {
+		t.Fatal("empty trace config accepted")
+	}
 }
 
 // TestMemoizedExecutionsMatchFresh: every simulated execution an admission

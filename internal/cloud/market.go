@@ -5,8 +5,9 @@
 // cluster.Pool that holds every class's occupancy under one token order:
 // it adds the class definitions, a provisioning bill on the virtual clock
 // and scale-up orders; the engine adds recovery policies for revoked
-// work. The shared cluster of internal/arbiter is the engine on a
-// one-class, unpriced, fault-free pool.
+// work. The shared cluster (SharedCluster) is the engine on a one-class,
+// unpriced, fault-free pool, and FeedbackHook closes its loop from
+// completions to execution feedback, history and recalibration.
 //
 // Everything runs on virtual time with no wall-clock reads (enforced by
 // the raqolint `clock` rule), and every random draw flows from an

@@ -1,11 +1,10 @@
-package arbiter_test
+package cloud_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
 	"raqo/internal/cloud"
 	"raqo/internal/core"
@@ -17,8 +16,8 @@ import (
 	"raqo/internal/workload"
 )
 
-// referenceRecord is a completion's feedback record as the arbiter made it
-// before the observer's record memo: a plan without a planner prediction
+// referenceRecord is a completion's feedback record as the shared cluster
+// made it before the observer's record memo: a plan without a planner prediction
 // (a Degrade clamp) priced with the live models, skipped when they cannot
 // price it, and the observation — signature, query-level prediction, one
 // operator sample per modelled stage — built afresh and fed. It reports
@@ -73,9 +72,8 @@ func referenceRecord(ob *feedback.Observer, at int64, d *core.Decision, res *exe
 
 // servedSide is one shared cluster configured as the server configures
 // it — the serving optimizer, the recalibrator's swaps repointing it, and
-// an observer stamping records with its own clock — run either by
-// arbiter.Arbiter or by the engine with referenceRecord as its completion
-// hook.
+// an observer stamping records with its own clock — with either
+// cloud.FeedbackHook or referenceRecord as its completion hook.
 type servedSide struct {
 	opt     *core.Optimizer
 	rec     *feedback.Recalibrator
@@ -104,25 +102,13 @@ func newServedSide(t *testing.T, reference bool) *servedSide {
 	wl := cloud.Workload{Base: opt.Conditions(), Optimizer: opt, Queries: queries, Tenants: []cloud.TenantConfig{
 		{Name: "etl", Weight: 3}, {Name: "adhoc", Weight: 2}, {Name: "batch", Weight: 1},
 	}}
-	if !reference {
-		a, err := arbiter.New(arbiter.Config{Workload: wl, Capacity: 100, Feedback: s.ob, RecalEvery: recordEvery})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.submit = func(tenant, query string, policy scheduler.Policy) error {
-			_, err := a.SubmitWait(tenant, query, policy)
-			return err
-		}
-		s.degrade = func() int64 { return a.Stats().Degraded }
-		return s
+	cfg, err := cloud.SharedCluster(wl, 100)
+	if err != nil {
+		t.Fatal(err)
 	}
-	since := 0
-	e, err := cloud.New(cloud.Config{
-		Workload: wl,
-		Market: cloud.Market{Classes: []cloud.InstanceClass{{
-			Name: "cluster", ContainerGB: wl.Base.MaxContainerGB, Count: 100,
-		}}},
-		Hooks: cloud.Hooks{Name: "arbiter", Completed: func(o *cloud.Outcome, d *core.Decision, res *execsim.Result) error {
+	if reference {
+		since := 0
+		cfg.Hooks.Completed = func(o *cloud.Outcome, d *core.Decision, res *execsim.Result) error {
 			if !referenceRecord(s.ob, int64(o.Finish), d, res) {
 				return nil
 			}
@@ -132,13 +118,16 @@ func newServedSide(t *testing.T, reference bool) *servedSide {
 				return err
 			}
 			return nil
-		}},
-	})
+		}
+	} else {
+		cfg.Hooks.Completed, _ = cloud.FeedbackHook(s.ob, nil, recordEvery)
+	}
+	e, err := cloud.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.submit = func(tenant, query string, policy scheduler.Policy) error {
-		_, err := e.SubmitWaitWith(cloud.Arrival{Tenant: tenant, Query: query, Time: e.Now(), Policy: policy})
+		_, err := submitWait(e, tenant, query, policy)
 		return err
 	}
 	s.degrade = func() int64 { return e.Counts().Degraded }
@@ -147,7 +136,7 @@ func newServedSide(t *testing.T, reference bool) *servedSide {
 
 // TestCompletionRecordsMatchReference drives two server-configured shared
 // clusters through one seeded stream of 6 000 submits under a policy mix
-// — one through arbiter.Arbiter and the observer's record memo, one
+// — one through cloud.FeedbackHook and the observer's record memo, one
 // through referenceRecord — with a recalibration, an optimizer-only model
 // change and a fleet Install mid-stream, and requires the stores to hold
 // the same observations, floats compared by bits.

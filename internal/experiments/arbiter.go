@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
 	"raqo/internal/cloud"
 	"raqo/internal/cluster"
@@ -20,8 +19,8 @@ import (
 var arbiterPolicies = []scheduler.Policy{scheduler.Wait, scheduler.Degrade, scheduler.Reoptimize}
 
 // ArbiterWorkload replays one seeded multi-tenant workload through the
-// shared-cluster arbiter under each scheduling policy and reports the
-// Figure 1 queue-time/run-time CDF per policy: static allocation (Wait)
+// shared cluster (cloud.SharedCluster) under each scheduling policy and
+// reports the Figure 1 queue-time/run-time CDF per policy: static allocation (Wait)
 // reproduces the paper's pathology — jobs wait as long as they run —
 // while adaptive RAQO (Reoptimize) re-plans each query under the
 // currently free conditions and collapses the ratio. The report is
@@ -51,8 +50,8 @@ func ArbiterWorkload() (*Report, error) {
 
 	type policyRun struct {
 		policy   scheduler.Policy
-		outcomes []arbiter.Outcome
-		stats    arbiter.Stats
+		outcomes []cloud.Outcome
+		counts   cloud.Counts
 		ratios   []float64
 	}
 	runs := make([]policyRun, 0, len(arbiterPolicies))
@@ -61,18 +60,24 @@ func ArbiterWorkload() (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		a, err := arbiter.New(arbiter.Config{Workload: sim, Capacity: 100})
+		cfg, err := cloud.SharedCluster(sim, 100)
 		if err != nil {
 			return nil, err
 		}
-		arrivals := arbiter.Arrivals(trace, policy)
-		outcomes, err := a.Run(arrivals)
+		a, err := cloud.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		for i := range trace {
+			trace[i].Policy = policy
+		}
+		outcomes, err := a.Run(trace)
 		if err != nil {
 			return nil, fmt.Errorf("policy %v: %w", policy, err)
 		}
-		run := policyRun{policy: policy, outcomes: outcomes, stats: a.Stats()}
-		for _, o := range outcomes {
-			run.ratios = append(run.ratios, o.Ratio())
+		run := policyRun{policy: policy, outcomes: outcomes, counts: a.Counts()}
+		for i := range outcomes {
+			run.ratios = append(run.ratios, outcomes[i].QueueRunRatio())
 		}
 		runs = append(runs, run)
 	}
@@ -84,10 +89,10 @@ func ArbiterWorkload() (*Report, error) {
 	}
 	for _, run := range runs {
 		meanQ, meanE, atLeast1, makespan := 0.0, 0.0, 0.0, 0.0
-		for _, o := range run.outcomes {
-			meanQ += o.QueueSeconds
+		for i, o := range run.outcomes {
+			meanQ += o.Start - o.Arrival
 			meanE += o.ExecSeconds
-			if o.Ratio() >= 1 {
+			if run.ratios[i] >= 1 {
 				atLeast1++
 			}
 			if o.Finish > makespan {
@@ -102,8 +107,8 @@ func ArbiterWorkload() (*Report, error) {
 		}
 		summary.AddRow(run.policy.String(),
 			fmt.Sprintf("%d", len(run.outcomes)),
-			fmt.Sprintf("%d", run.stats.Replanned),
-			fmt.Sprintf("%d", run.stats.Degraded),
+			fmt.Sprintf("%d", run.counts.Replanned),
+			fmt.Sprintf("%d", run.counts.Degraded),
 			f1(meanQ), f1(meanE),
 			f2(stats.Percentile(run.ratios, 95)),
 			f3(atLeast1), f1(makespan))
@@ -126,7 +131,7 @@ func ArbiterWorkload() (*Report, error) {
 	if reoptP95 >= waitP95 {
 		return nil, fmt.Errorf("arbiter: adaptive P95 queue/run ratio %.2f did not improve on static %.2f", reoptP95, waitP95)
 	}
-	if runs[2].stats.Replanned == 0 {
+	if runs[2].counts.Replanned == 0 {
 		return nil, fmt.Errorf("arbiter: reoptimize run never replanned")
 	}
 

@@ -5,13 +5,11 @@ import (
 	"os"
 	"slices"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
 	"raqo/internal/cloud"
 	"raqo/internal/execsim"
 	"raqo/internal/feedback"
 	"raqo/internal/history"
-	"raqo/internal/scheduler"
 	"raqo/internal/workload"
 )
 
@@ -60,12 +58,12 @@ func HistoryObservability() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, err := arbiter.New(arbiter.Config{
-		Workload: sim,
-		Capacity: 100,
-		Feedback: &feedback.Observer{Recal: rec},
-		History:  st,
-	})
+	cfg, err := cloud.SharedCluster(sim, 100)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Hooks.Completed, _ = cloud.FeedbackHook(&feedback.Observer{Recal: rec}, st, 0)
+	a, err := cloud.New(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -81,8 +79,8 @@ func HistoryObservability() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	arrivals := arbiter.Arrivals(trace, scheduler.Reoptimize)
-	if _, err := a.Run(arrivals); err != nil {
+	// GenerateTrace stamps every arrival Reoptimize.
+	if _, err := a.Run(trace); err != nil {
 		return nil, err
 	}
 	if err := st.Commit(); err != nil {

@@ -18,7 +18,7 @@ import (
 // deliberately NOT in scope: the probe period and the forwarding and
 // probe timeouts are real wall-clock concerns there.
 // internal/cloud is in scope because it holds the one admission engine —
-// the shared cluster of internal/arbiter runs on it too — and the priced
+// the shared cluster is one of its configurations — and the priced
 // layer bills, preempts and autoscales purely on the virtual clock; a
 // wall-clock read there would make outcomes and dollar figures depend on
 // host speed.

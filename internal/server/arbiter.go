@@ -10,26 +10,159 @@ import (
 	"sync"
 	"time"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/canonjson"
 	"raqo/internal/cloud"
+	"raqo/internal/core"
+	"raqo/internal/execsim"
 	"raqo/internal/feedback"
 	"raqo/internal/scheduler"
+	"raqo/internal/telemetry"
 )
 
-// This file is the HTTP face of internal/arbiter: POST /v1/submit runs
-// one query through the shared-cluster workload arbiter on its virtual
-// clock, GET /v1/arbiter/stats reports (and optionally drains) the
-// simulated cluster. It also holds what the arbiter and the cloud market
-// (cloud.go) share: the state that serializes a single-threaded admission
-// loop behind a mutex rather than the planning admission slots, the one
-// mapping from admission errors to statuses, and the stats handler.
+// This file is the HTTP face of the shared cluster: POST /v1/submit runs
+// one query through the admission engine configured by cloud.SharedCluster
+// on its virtual clock, GET /v1/arbiter/stats reports (and optionally
+// drains) the simulated cluster. It also holds what the shared cluster and
+// the cloud market (cloud.go) share: the state that serializes a
+// single-threaded admission engine behind a mutex rather than the planning
+// admission slots, the one mapping from admission errors to statuses, and
+// the stats handler.
 
-// sim serializes HTTP access to one single-threaded admission loop: the
-// shared cluster (internal/arbiter) or the priced market (internal/cloud).
-type sim[A interface{ Drain() error }] struct {
+// sim serializes HTTP access to one single-threaded admission engine: the
+// shared cluster's or the priced market's.
+type sim struct {
 	mu  sync.Mutex
-	arb A // guarded by mu
+	arb *cloud.Arbiter // guarded by mu
+}
+
+// SharedCluster is the shared cluster behind POST /v1/submit and GET
+// /v1/arbiter/stats. Its methods need the engine to themselves: the
+// handlers call them holding mu, and a caller of Server.Arbiter must not
+// use them concurrently with the handlers.
+type SharedCluster struct {
+	sim
+	// recals counts the recalibrations the completion hook made; the
+	// server gives it no RecalEvery, so it stays 0 (see ArbiterStats).
+	recals func() int64
+}
+
+// newSharedCluster builds the shared cluster on wl: capacity containers,
+// every completion recorded as feedback into rec, and the raqo_arbiter_*
+// metric families registered in reg.
+func newSharedCluster(wl cloud.Workload, capacity int, rec *feedback.Recalibrator, reg *telemetry.Registry) (*SharedCluster, error) {
+	cfg, err := cloud.SharedCluster(wl, capacity)
+	if err != nil {
+		return nil, err
+	}
+	admissions := reg.CounterVec("raqo_arbiter_admissions_total",
+		"Queries admitted onto the shared pool, by scheduling policy.", "policy")
+	rejections := reg.Counter("raqo_arbiter_rejections_total",
+		"Submissions rejected by backpressure (full queue or infeasible request).")
+	queueWait := reg.Histogram("raqo_arbiter_queue_wait_virtual_seconds",
+		"Virtual seconds queries spent queued before admission.", queueWaitBuckets)
+	occupancy := reg.Gauge("raqo_arbiter_pool_containers_in_use",
+		"Containers of the shared pool currently held by running queries.")
+
+	var e *cloud.Arbiter
+	feed, recals := cloud.FeedbackHook(arbiterObserver(rec), nil, 0)
+	cfg.Hooks.Admitted = func(o *cloud.Outcome) {
+		admissions.With(policyLabel(o.Policy)).Inc()
+		queueWait.Observe(o.QueueSeconds)
+		occupancy.Set(int64(e.Pool().InUse()))
+	}
+	cfg.Hooks.Rejected = rejections.Inc
+	cfg.Hooks.Completed = func(o *cloud.Outcome, d *core.Decision, res *execsim.Result) error {
+		occupancy.Set(int64(e.Pool().InUse()))
+		return feed(o, d, res)
+	}
+	if e, err = cloud.New(cfg); err != nil {
+		return nil, err
+	}
+	return &SharedCluster{sim: sim{arb: e}, recals: recals}, nil
+}
+
+// queueWaitBuckets spans virtual queue times from instant admission to a
+// pathological hour-long wait.
+var queueWaitBuckets = []float64{1, 5, 15, 60, 300, 900, 3600}
+
+// policyLabel maps a policy to a bounded metric label (the raqolint
+// telemetry rule requires constant label cardinality).
+func policyLabel(p scheduler.Policy) string {
+	switch p {
+	case scheduler.Wait:
+		return "wait"
+	case scheduler.Degrade:
+		return "degrade"
+	case scheduler.Reoptimize:
+		return "reoptimize"
+	}
+	return "unknown"
+}
+
+// SubmitWait submits one query to the shared cluster at its current
+// virtual time under policy and advances the clock just far enough to
+// admit it (cloud.Arbiter.SubmitWaitWith).
+func (c *SharedCluster) SubmitWait(tenant, query string, policy scheduler.Policy) (*cloud.Outcome, error) {
+	e := c.arb //raqolint:ignore locks the handler holds mu; other callers hold the server alone (SharedCluster)
+	return e.SubmitWaitWith(cloud.Arrival{Tenant: tenant, Query: query, Time: e.Now(), Policy: policy})
+}
+
+// ArbiterStats is the body of GET /v1/arbiter/stats: the shared cluster's
+// view of the engine's Counts and Stats.
+type ArbiterStats struct {
+	Now           float64 `json:"nowSeconds"`
+	Completed     int     `json:"completed"`
+	InFlight      int     `json:"inFlight"`
+	Queued        int     `json:"queued"`
+	Rejected      int64   `json:"rejected"`
+	Failed        int64   `json:"failed"`
+	AdmittedWait  int64   `json:"admittedWait"`
+	AdmittedDeg   int64   `json:"admittedDegrade"`
+	AdmittedReopt int64   `json:"admittedReoptimize"`
+	Replanned     int64   `json:"replanned"`
+	Degraded      int64   `json:"degraded"`
+	DegradeStalls int64   `json:"degradeStalls"`
+	// Recals counts only the recalibrations the completion hook makes
+	// every RecalEvery completions (cloud.FeedbackHook). The server sets
+	// no RecalEvery: `raqo serve` recalibrates on its background loop,
+	// which GET /v1/model shows, so on a served node this reads 0.
+	Recals         int64   `json:"recalibrations"`
+	FreeContainers int     `json:"freeContainers"`
+	HeldGB         float64 `json:"heldGB"`
+	// Planning answer sources (see core.IncrementalStats), submissions and
+	// re-optimizations alike: planned from scratch, or answered from the
+	// exact-conditions memo.
+	ReoptFull  int64 `json:"reoptFull"`
+	ReoptExact int64 `json:"reoptExact"`
+	// ReoptPatched is always zero: the patch path it counted is gone, and
+	// the field stays, off the wire, only because the benchmark
+	// (bench/layers.go) reads it.
+	ReoptPatched int64 `json:"-"`
+}
+
+// Stats summarizes the shared cluster's current state.
+func (c *SharedCluster) Stats() ArbiterStats {
+	e := c.arb //raqolint:ignore locks the handler holds mu; other callers hold the server alone (SharedCluster)
+	st, n := e.Stats(), e.Counts()
+	return ArbiterStats{
+		Now:            st.Now,
+		Completed:      st.Completed,
+		InFlight:       st.InFlight,
+		Queued:         st.Queued,
+		Rejected:       n.Shed + n.Dropped,
+		Failed:         n.Failed,
+		AdmittedWait:   n.Admitted[scheduler.Wait],
+		AdmittedDeg:    n.Admitted[scheduler.Degrade],
+		AdmittedReopt:  n.Admitted[scheduler.Reoptimize],
+		Replanned:      n.Replanned,
+		Degraded:       n.Degraded,
+		DegradeStalls:  n.DegradeStalls,
+		Recals:         c.recals(),
+		FreeContainers: st.Free,
+		HeldGB:         e.Pool().HeldGB(),
+		ReoptFull:      n.ReoptFull,
+		ReoptExact:     n.ReoptExact,
+	}
 }
 
 // writeSubmitError answers a failed submission: backpressure
@@ -48,9 +181,9 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	}
 }
 
-// serveStats answers a stats GET with stats(st's arbiter) in appendT's
-// fixed shape, draining first under ?drain=1.
-func serveStats[A interface{ Drain() error }, T any](st *sim[A], w http.ResponseWriter, r *http.Request, stats func(A) T, appendT func([]byte, T) ([]byte, bool)) {
+// serveStats answers a stats GET with write, called on st's engine holding
+// its lock, draining first under ?drain=1.
+func serveStats(st *sim, w http.ResponseWriter, r *http.Request, write func(*cloud.Arbiter)) {
 	drain := false
 	if v := r.URL.Query().Get("drain"); v != "" {
 		b, err := strconv.ParseBool(v)
@@ -68,7 +201,7 @@ func serveStats[A interface{ Drain() error }, T any](st *sim[A], w http.Response
 			return
 		}
 	}
-	writeFixed(w, stats(st.arb), appendT)
+	write(st.arb)
 }
 
 // The submit bodies' canonical form is one JSON object of string members
@@ -133,7 +266,7 @@ func decodeSubmit(w http.ResponseWriter, r *http.Request, keys []string, req sub
 }
 
 // SubmitRequest is the body of POST /v1/submit: one workload query for
-// the arbiter's shared cluster, decoded strictly: an unknown field (a
+// the shared cluster, decoded strictly: an unknown field (a
 // "recovery" included), a value that is not a string or null, a second
 // JSON value or a malformed one is a 400. Member names match ASCII
 // case-insensitively, as encoding/json's do; every value is
@@ -159,9 +292,10 @@ type SubmitRequest struct {
 }
 
 // SubmitResponse is the outcome of one arbitrated query. All times are
-// virtual seconds on the arbiter's discrete-event clock; Finish lies in
-// the virtual future (the gang stays held, so later submissions contend
-// with it).
+// virtual seconds on the shared cluster's discrete-event clock; Finish
+// lies in the virtual future (the gang stays held, so later submissions
+// contend with it). QueueSeconds is Start - Arrival, and QueueRunRatio is
+// cloud.Outcome.QueueRunRatio, Figure 1's ratio.
 type SubmitResponse struct {
 	Tenant         string  `json:"tenant"`
 	Query          string  `json:"query"`
@@ -178,8 +312,9 @@ type SubmitResponse struct {
 	ContainerGB    float64 `json:"containerGB"`
 }
 
-// NewSubmitResponse converts an arbiter outcome to its wire form.
-func NewSubmitResponse(o *arbiter.Outcome) SubmitResponse {
+// NewSubmitResponse converts a shared-cluster admission outcome to its
+// wire form.
+func NewSubmitResponse(o *cloud.Outcome) SubmitResponse {
 	return SubmitResponse{
 		Tenant:         o.Tenant,
 		Query:          o.Query,
@@ -187,9 +322,9 @@ func NewSubmitResponse(o *arbiter.Outcome) SubmitResponse {
 		ArrivalSeconds: o.Arrival,
 		StartSeconds:   o.Start,
 		FinishSeconds:  o.Finish,
-		QueueSeconds:   o.QueueSeconds,
+		QueueSeconds:   o.Start - o.Arrival,
 		ExecSeconds:    o.ExecSeconds,
-		QueueRunRatio:  o.Ratio(),
+		QueueRunRatio:  o.QueueRunRatio(),
 		Replanned:      o.Replanned,
 		Degraded:       o.Degraded,
 		Containers:     o.Containers,
@@ -215,11 +350,10 @@ func appendSubmitResponse(dst []byte, r SubmitResponse) ([]byte, bool) {
 	return o.end()
 }
 
-// Arbiter returns the server's workload arbiter (primarily for tests).
-// Callers must not use it concurrently with the HTTP handlers.
-//
-//raqolint:ignore locks test-only accessor; the doc contract forbids concurrent use
-func (s *Server) Arbiter() *arbiter.Arbiter { return s.arb.arb }
+// Arbiter returns the server's shared cluster (primarily for tests and
+// the benchmark). Callers must not use it concurrently with the HTTP
+// handlers.
+func (s *Server) Arbiter() *SharedCluster { return s.arb }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
@@ -244,7 +378,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.arb.mu.Lock()
-	out, err := s.arb.arb.SubmitWait(req.Tenant, req.Query, policy)
+	out, err := s.arb.SubmitWait(req.Tenant, req.Query, policy)
 	s.arb.mu.Unlock()
 	if err != nil {
 		s.writeSubmitError(w, err)
@@ -254,11 +388,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleArbiterStats(w http.ResponseWriter, r *http.Request) {
-	serveStats(s.arb, w, r, (*arbiter.Arbiter).Stats, appendArbiterStats)
+	serveStats(&s.arb.sim, w, r, func(*cloud.Arbiter) { writeFixed(w, s.arb.Stats(), appendArbiterStats) })
 }
 
 // appendArbiterStats appends WriteResult's bytes for st.
-func appendArbiterStats(dst []byte, st arbiter.Stats) ([]byte, bool) {
+func appendArbiterStats(dst []byte, st ArbiterStats) ([]byte, bool) {
 	o := openObject(dst, "  ")
 	o.floatMember("nowSeconds", st.Now)
 	o.intMember("completed", int64(st.Completed))
@@ -286,9 +420,9 @@ func defaultTenants() []cloud.TenantConfig {
 	return []cloud.TenantConfig{{Name: "default", Weight: 1}}
 }
 
-// arbiterObserver wires arbiter completions into the server's feedback
-// recalibrator. Observations are stamped with the wall clock, not the
-// arbiter's virtual finish time: the serving history store runs on wall
+// arbiterObserver wires shared-cluster completions into the server's
+// feedback recalibrator. Observations are stamped with the wall clock, not
+// the engine's virtual finish time: the serving history store runs on wall
 // time, and virtual timestamps near zero would land decades in its past.
 func arbiterObserver(rec *feedback.Recalibrator) *feedback.Observer {
 	return &feedback.Observer{Recal: rec, Now: func() int64 { return time.Now().Unix() }}

@@ -6,12 +6,13 @@ import (
 	"strings"
 	"testing"
 
-	"raqo/internal/arbiter"
+	"raqo/internal/cloud"
+	"raqo/internal/scheduler"
 )
 
 func TestSubmitEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		ArbiterTenants: []arbiter.TenantConfig{
+		ArbiterTenants: []cloud.TenantConfig{
 			{Name: "etl", Weight: 2},
 			{Name: "bi", Weight: 1},
 		},
@@ -52,7 +53,7 @@ func TestSubmitEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET stats: %v", err)
 	}
-	var st arbiter.Stats
+	var st ArbiterStats
 	decodeBodyInto(t, resp, &st)
 	if st.InFlight != 1 || st.AdmittedReopt != 1 {
 		t.Errorf("stats after submit: %+v", st)
@@ -137,5 +138,58 @@ func TestSubmitOversizedWaitGets429(t *testing.T) {
 	decodeBodyInto(t, resp, &out)
 	if out.Containers != 1 {
 		t.Errorf("gang = %d containers, want 1", out.Containers)
+	}
+}
+
+// TestSharedSubmitWaitOnline drives the shared cluster below HTTP: six
+// large submissions contend for the pool, drain to completion, and reach
+// the stats, the raqo_arbiter_* families and no kept outcome.
+func TestSharedSubmitWaitOnline(t *testing.T) {
+	s, err := New(Config{ArbiterTenants: []cloud.TenantConfig{
+		{Name: "etl", Weight: 2}, {Name: "bi", Weight: 1}, {Name: "adhoc", Weight: 1},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	c := s.Arbiter()
+	var outs []*cloud.Outcome
+	for i := 0; i < 6; i++ {
+		out, err := c.SubmitWait("etl", "Q3", scheduler.Reoptimize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs = append(outs, out)
+	}
+	// The gangs stay held until their virtual finishes, so later submits
+	// contend: the clock must have advanced past the first submission.
+	if last := outs[len(outs)-1]; c.arb.Now() == 0 && last.Start-last.Arrival == 0 && last.Start == 0 {
+		t.Fatal("six large submissions never contended")
+	}
+	if err := c.arb.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.Completed != 6 || st.InFlight != 0 || st.Queued != 0 {
+		t.Fatalf("drained stats: %+v", st)
+	}
+	if st.AdmittedReopt != 6 {
+		t.Fatalf("admitted[reoptimize] = %d, want 6", st.AdmittedReopt)
+	}
+	metrics := map[string]float64{}
+	s.metrics.Registry.Visit(func(name string, v float64) { metrics[name] = v })
+	for name, want := range map[string]float64{
+		"raqo_arbiter_admissions_total.reoptimize":      6,
+		"raqo_arbiter_queue_wait_virtual_seconds_count": 6,
+		"raqo_arbiter_pool_containers_in_use":           0,
+	} {
+		if got, ok := metrics[name]; !ok || got != want {
+			t.Fatalf("%s = %v (present %v), want %v", name, got, ok, want)
+		}
+	}
+	// The online path keeps no outcome: a server's shared cluster would
+	// otherwise grow by one per POST /v1/submit for as long as it runs.
+	if n := len(c.arb.Completed()); n != 0 {
+		t.Fatalf("Completed() holds %d outcomes of SubmitWait submissions, want 0", n)
 	}
 }

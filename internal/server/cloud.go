@@ -139,7 +139,7 @@ func (s *Server) handleCloudSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCloudStats(w http.ResponseWriter, r *http.Request) {
-	serveStats(s.cld, w, r, (*cloud.Arbiter).Stats, appendCloudStats)
+	serveStats(s.cld, w, r, func(e *cloud.Arbiter) { writeFixed(w, e.Stats(), appendCloudStats) })
 }
 
 // appendCloudStats appends WriteResult's bytes for st: nil slices are

@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/cloud"
 	"raqo/internal/scheduler"
 )
@@ -63,7 +62,7 @@ func wireValues(t *testing.T) []any {
 		t.Fatal(err)
 	}
 	opt := NewOptimizeResponse("All", "joint", s.opt.Planner(), d)
-	sub, err := s.arb.arb.SubmitWait("default", "Q3", scheduler.Reoptimize)
+	sub, err := s.arb.SubmitWait("default", "Q3", scheduler.Reoptimize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +82,7 @@ func wireValues(t *testing.T) []any {
 		NewModelResponse(s.rec),
 		NewSubmitResponse(sub),
 		NewCloudSubmitResponse(csub),
-		s.arb.arb.Stats(),
+		s.arb.Stats(),
 		s.cld.arb.Stats(),
 		FeedbackResponse{Accepted: 8, Stored: 64, Total: 1 << 40, Drifted: true},
 		HistoryResponse{Series: awkward, Buckets: []HistoryBucket{{Start: 60, Count: 3, Sum: 1e-7, Min: -2.5e-9, Max: 1e21, Mean: 123456789.125, P50: 0.1, P90: 1e20, P99: 5e-324}}},
@@ -123,7 +122,7 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 }
 
 // parentArbiterStats is the body GET /v1/arbiter/stats encoded before the
-// handler encoded arbiter.Stats directly: a wire struct of its own, filled
+// handler encoded its stats type directly: a wire struct of its own, filled
 // field by field. TestArbiterStatsBodyMatchesParent holds the body to it.
 type parentArbiterStats struct {
 	NowSeconds     float64 `json:"nowSeconds"`
@@ -145,7 +144,7 @@ type parentArbiterStats struct {
 	ReoptExact     int64   `json:"reoptExact"`
 }
 
-func newParentArbiterStats(st arbiter.Stats) parentArbiterStats {
+func newParentArbiterStats(st ArbiterStats) parentArbiterStats {
 	return parentArbiterStats{
 		NowSeconds:     st.Now,
 		Completed:      st.Completed,
@@ -202,7 +201,7 @@ func TestArbiterStatsBodyMatchesParent(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 200; i++ {
-		st := arbiter.Stats{
+		st := ArbiterStats{
 			Now: rng.ExpFloat64() * 1e4, Completed: rng.Intn(1000), InFlight: rng.Intn(50), Queued: rng.Intn(50),
 			Rejected: rng.Int63(), Failed: rng.Int63n(9), AdmittedWait: rng.Int63(), AdmittedDeg: rng.Int63(),
 			AdmittedReopt: rng.Int63(), Replanned: rng.Int63(), Degraded: rng.Int63(), DegradeStalls: rng.Int63(),

@@ -51,7 +51,6 @@ import (
 	"sync"
 	"time"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/catalog"
 	"raqo/internal/cloud"
 	"raqo/internal/cluster"
@@ -131,9 +130,9 @@ type Config struct {
 	// ArbiterCapacity is the container count of the simulated shared pool
 	// behind POST /v1/submit; 0 selects 100 (the paper's cluster scale).
 	ArbiterCapacity int
-	// ArbiterTenants configures the workload arbiter's tenants; nil
+	// ArbiterTenants configures the shared cluster's tenants; nil
 	// selects a single "default" tenant.
-	ArbiterTenants []arbiter.TenantConfig
+	ArbiterTenants []cloud.TenantConfig
 
 	// CloudOnDemand and CloudSpot size the two-tier priced market behind
 	// POST /v1/cloud/submit; 0 selects 12 on-demand and 24 spot 10GB
@@ -214,8 +213,8 @@ type Server struct {
 	rec     *feedback.Recalibrator
 	journal *feedback.Journal // nil unless Config.JournalPath was set
 	hist    *history.Store    // nil unless Config.HistoryDir was set
-	arb     *sim[*arbiter.Arbiter]
-	cld     *sim[*cloud.Arbiter]
+	arb     *SharedCluster
+	cld     *sim
 }
 
 // NewOptimizer builds the serving optimizer from opts: the paper's
@@ -316,12 +315,7 @@ func New(cfg Config) (_ *Server, err error) {
 		Queries:   queries,
 	}
 	shared.Tenants = cfg.ArbiterTenants
-	arb, err := arbiter.New(arbiter.Config{
-		Workload: shared,
-		Capacity: cfg.ArbiterCapacity,
-		Feedback: arbiterObserver(rec),
-		Metrics:  arbiter.NewMetrics(reg),
-	})
+	arb, err := newSharedCluster(shared, cfg.ArbiterCapacity, rec, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -350,8 +344,8 @@ func New(cfg Config) (_ *Server, err error) {
 		rec:     rec,
 		journal: journal,
 		hist:    hist,
-		arb:     &sim[*arbiter.Arbiter]{arb: arb},
-		cld:     &sim[*cloud.Arbiter]{arb: cld},
+		arb:     arb,
+		cld:     &sim{arb: cld},
 	}
 	reg.GaugeFunc("raqo_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"raqo/internal/arbiter"
 	"raqo/internal/canonjson"
 	"raqo/internal/cloud"
 	"raqo/internal/execsim"
@@ -48,7 +47,7 @@ func parentHandleSubmit(s *Server, w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.arb.mu.Lock()
-	out, err := s.arb.arb.SubmitWait(req.Tenant, req.Query, policy)
+	out, err := s.arb.SubmitWait(req.Tenant, req.Query, policy)
 	s.arb.mu.Unlock()
 	if err != nil {
 		s.writeSubmitError(w, err)
@@ -268,7 +267,7 @@ func TestFixedEncodersMatchWriteResult(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	for _, q := range []string{"Q12", "Q3", "Q2", "All"} {
-		sub, err := s.arb.arb.SubmitWait("default", q, scheduler.Degrade)
+		sub, err := s.arb.SubmitWait("default", q, scheduler.Degrade)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,10 +413,10 @@ func TestStatsEncodersMatchWriteResult(t *testing.T) {
 	policies := []scheduler.Policy{scheduler.Reoptimize, scheduler.Wait, scheduler.Degrade}
 	recoveries := []cloud.Recovery{cloud.RecoverReoptimize, cloud.RecoverOnDemand, cloud.RecoverDegrade}
 	for i := 0; i < 50; i++ {
-		if _, err := s.arb.arb.SubmitWait("default", queries[i%4], policies[i%3]); err != nil && !errors.Is(err, cloud.ErrRejected) {
+		if _, err := s.arb.SubmitWait("default", queries[i%4], policies[i%3]); err != nil && !errors.Is(err, cloud.ErrRejected) {
 			t.Fatal(err)
 		}
-		checkFixed(t, s.arb.arb.Stats(), appendArbiterStats)
+		checkFixed(t, s.arb.Stats(), appendArbiterStats)
 		if _, err := s.cld.arb.SubmitWait([]string{"etl", "bi"}[i%2], queries[i%4], recoveries[i%3]); err != nil && !errors.Is(err, cloud.ErrRejected) {
 			t.Fatal(err)
 		}
@@ -426,7 +425,7 @@ func TestStatsEncodersMatchWriteResult(t *testing.T) {
 	if st := s.cld.arb.Stats(); st.SpendUSD <= 0 || st.Completed == 0 {
 		t.Fatalf("50 cloud submits left no spend or completion: %+v", st)
 	}
-	checkFixed(t, arbiter.Stats{}, appendArbiterStats)
+	checkFixed(t, ArbiterStats{}, appendArbiterStats)
 	checkFixed(t, cloud.Stats{}, appendCloudStats)
 	checkFixed(t, cloud.Stats{Classes: []cloud.ClassStats{}, Tenants: []cloud.TenantStats{}}, appendCloudStats)
 
@@ -448,7 +447,7 @@ func TestStatsEncodersMatchWriteResult(t *testing.T) {
 	name := func() string { return names[rng.Intn(len(names))] }
 	i64 := func() int64 { return rng.Int63() - rng.Int63() }
 	for i := 0; i < 3000; i++ {
-		checkFixed(t, arbiter.Stats{
+		checkFixed(t, ArbiterStats{
 			Now: float(), Completed: rng.Int() - rng.Int(), InFlight: rng.Intn(1 << 20), Queued: rng.Intn(100),
 			Rejected: i64(), Failed: i64(), AdmittedWait: i64(), AdmittedDeg: i64(), AdmittedReopt: i64(),
 			Replanned: i64(), Degraded: i64(), DegradeStalls: i64(), Recals: i64(), FreeContainers: rng.Intn(200),
