@@ -46,6 +46,7 @@ race:
 #   FuzzCacheLookup        resource-plan cache == a linear-scan reference
 #   FuzzRollupBlock        rollup block decoder: no panic, bounded allocation, stable round trip
 #   FuzzSketch             dense-window sketch == the map-based reference
+#   FuzzRecovery           history Open after any appends, reopens and crashes == re-rolling every segment
 #   FuzzPeerResponse       fleet peer transport on a peer's arbitrary answer: bounded, never pooled dirty
 #   FuzzPeerAnswer         peer answer reader == net/http's response reader: bounded, nothing taken that net/http refuses
 #   FuzzObservationDecode  /v1/feedback codec == encoding/json, handler answers as before the codec; history clock and model version bounded
@@ -83,6 +84,7 @@ fuzz-targets:
 	$(GO) test -run '^$$' -fuzz FuzzCacheLookup -fuzztime=10s -fuzzminimizetime=100x ./internal/resource
 	$(GO) test -run '^$$' -fuzz FuzzRollupBlock -fuzztime=10s -fuzzminimizetime=100x ./internal/history
 	$(GO) test -run '^$$' -fuzz FuzzSketch -fuzztime=10s -fuzzminimizetime=100x ./internal/history
+	$(GO) test -run '^$$' -fuzz FuzzRecovery -fuzztime=10s -fuzzminimizetime=100x ./internal/history
 	$(GO) test -run '^$$' -fuzz FuzzPeerResponse -fuzztime=10s -fuzzminimizetime=100x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzPeerAnswer -fuzztime=10s -fuzzminimizetime=100x ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzObservationDecode -fuzztime=10s -fuzzminimizetime=100x ./internal/server
@@ -123,7 +125,9 @@ bench-check:
 
 # Short benchmark pass on one proc, since no family here measures
 # contention between goroutines: the history read path (the store
-# query and one GET /v1/history through the handler), the fleet hop, the
+# query and one GET /v1/history through the handler), the history store's
+# restart (Open on the feedback_rw state, after a Close and after a crash
+# that left the active segment unsealed), the fleet hop, the
 # feedback journal's two ends, cold planning on a 100-table schema
 # (Selinger-12 and randomized-30 over an empty resource-plan cache and,
 # -passwarm, over one cache kept across runs as in a plan_scale pass; one
@@ -131,7 +135,8 @@ bench-check:
 # submit path's kernels (a cloud SubmitWait, one fault draw, the response
 # encoder); failures here are correctness failures (the benchmarks assert
 # planner errors, the shape of history answers, a ten-bucket 200 from the
-# history handler, a 200 through the peer transport, a 200 for a feedback
-# batch, a full journal replay, admissions and encodes).
+# history handler, a reopened store holding its points, a 200 through the
+# peer transport, a 200 for a feedback batch, a full journal replay,
+# admissions and encodes).
 bench:
-	$(GO) test -run xxx -bench 'HistoryQueryRollup|HistoryQuantileRange|HistoryGET|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1 .
+	$(GO) test -run xxx -bench 'HistoryQueryRollup|HistoryQuantileRange|HistoryGET|HistoryOpen|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1 .

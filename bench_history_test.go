@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -209,5 +210,90 @@ func BenchmarkHistoryGET(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serveHistoryGET(b, s)
+	}
+}
+
+// historyOpenObservations is the feedback_rw restart's state size: 50 000
+// observations, 80 a virtual second, committed per batch of eight.
+const historyOpenObservations = 50_000
+
+// historyOpenStates writes the history a feedback_rw server restarts on,
+// through a real server, twice: crashed is the directory as a kill -9
+// before Close leaves it (the active segment never sealed), clean the one
+// Close leaves.
+func historyOpenStates(tb testing.TB) (clean, crashed string) {
+	tb.Helper()
+	root := tb.TempDir()
+	clean, crashed = filepath.Join(root, "clean"), filepath.Join(root, "crashed")
+	s, err := server.New(server.Config{HistoryDir: clean, RecalInterval: -1, HistoryInterval: -1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < historyOpenObservations; i++ {
+		if err := s.Recalibrator().Feed(benchShapeObservation(rng, 1_700_000_000+int64(i/80))); err != nil {
+			tb.Fatal(err)
+		}
+		if i%8 == 7 {
+			if err := s.History().Commit(); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	copyDir(tb, clean, crashed)
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return clean, crashed
+}
+
+// copyDir copies the regular files of src into a new directory dst.
+func copyDir(tb testing.TB, src, dst string) {
+	tb.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkHistoryOpen times history.Open on the feedback_rw restart's
+// store, a fresh copy per run: clean after a Close, crashed after a kill
+// -9 with the active segment unsealed.
+func BenchmarkHistoryOpen(b *testing.B) {
+	clean, crashed := historyOpenStates(b)
+	for _, c := range []struct{ name, dir string }{{"clean", clean}, {"crashed", crashed}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := filepath.Join(b.TempDir(), "history")
+				copyDir(b, c.dir, dir)
+				b.StartTimer()
+				st, err := history.Open(dir, history.Config{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if got := st.Stats().StoredPoints; got == 0 {
+					b.Fatal("the reopened store holds no points")
+				}
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -487,6 +487,28 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		}
 	}
 
+	// GET /v1/arbiter/stats, a tenth of the submit_mix stream, with the
+	// test's own request and recorder, the mux and the metrics: the engine's
+	// counts and gauges read as scalars and the fixed-shape encoder
+	// (measured 20; 24 while the shared cluster built the engine's
+	// per-class and per-tenant stats slices to read four scalars from
+	// them). The ceiling is exact: a slice built per request goes through it.
+	statsSrv := newSubmitServer(t)
+	for i := 0; i < 20; i++ {
+		serveBody(t, statsSrv, "/v1/submit", `{"tenant":"etl","query":"Q12"}`)
+	}
+	serveGET := func() {
+		rec := httptest.NewRecorder()
+		statsSrv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/arbiter/stats", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/arbiter/stats: status = %d, body %s", rec.Code, rec.Body)
+		}
+	}
+	serveGET()
+	if got := testing.AllocsPerRun(50, serveGET); got > 20 {
+		t.Errorf("GET /v1/arbiter/stats allocates %.0f/op, ceiling 20", got)
+	}
+
 	// Warm SubmitWait on the server's own arbiters, below HTTP: the shared
 	// cluster with its feedback observer and the faulty market, over the
 	// repository benchmark's tenants, the four queries and every policy

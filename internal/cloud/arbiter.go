@@ -478,14 +478,28 @@ func (a *Arbiter) Counts() Counts {
 	return n
 }
 
+// Gauges is the arbiter's clock and occupancy: the scalars of Stats that
+// need neither its per-class nor its per-tenant slice.
+type Gauges struct {
+	Now      float64
+	InFlight int
+	Queued   int
+	Free     int // free containers
+}
+
+// Gauges reads the clock and occupancy without building Stats.
+func (a *Arbiter) Gauges() Gauges {
+	return Gauges{Now: a.pool.Now(), InFlight: len(a.inflight), Queued: a.queuedCount(), Free: a.pool.Free()}
+}
+
 // Stats summarizes the arbiter's current state.
 func (a *Arbiter) Stats() Stats {
-	n := a.n
+	n, g := a.n, a.Gauges()
 	st := Stats{
-		Now:              a.pool.Now(),
+		Now:              g.Now,
 		Completed:        int(n.Completed),
-		InFlight:         len(a.inflight),
-		Queued:           a.queuedCount(),
+		InFlight:         g.InFlight,
+		Queued:           g.Queued,
 		Submitted:        n.Submitted,
 		Rejected:         n.Shed + n.Dropped + n.Failed,
 		Preemptions:      n.Preemptions,
@@ -499,7 +513,7 @@ func (a *Arbiter) Stats() Stats {
 		ScaleUps:         n.ScaleUps,
 		ScaleDowns:       n.ScaleDowns,
 		Capacity:         a.pool.Capacity(),
-		Free:             a.pool.Free(),
+		Free:             g.Free,
 		SpendUSD:         a.pool.SpendUSD(),
 		Classes:          a.pool.Stats(),
 	}

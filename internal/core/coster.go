@@ -72,7 +72,7 @@ type Coster struct {
 	pruned   int64
 	resIters int64
 
-	ctx *costerContext // Memo's copy of this coster's context, once interned
+	ctx *memoContext // Memo's record of this coster's context, held until endCall
 
 	// Set between beginCall and endCall: the cache behind Resources and,
 	// for a call that prices trees, its answer table; reused counts the
@@ -111,9 +111,14 @@ func (c *Coster) beginCall(trees bool) {
 	}
 }
 
-// endCall ends a planning call: it counts the reused answers as the cache
-// hits they stand for and returns the answer table to its pool.
+// endCall ends a planning call: it releases the memo context the call
+// held, counts the reused answers as the cache hits they stand for and
+// returns the answer table to its pool.
 func (c *Coster) endCall() {
+	if c.ctx != nil {
+		c.Memo.release(c.ctx)
+		c.ctx = nil
+	}
 	if c.cache == nil {
 		return
 	}
@@ -173,7 +178,7 @@ func (c *Coster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
 		return oc, err
 	}
 	if c.ctx == nil {
-		c.ctx = c.Memo.intern(c.context())
+		c.ctx = c.Memo.acquire(c.context())
 	}
 	k := memoKey{model: model.Name(), bits: math.Float64bits(j.SmallerInputGB()), ctx: c.ctx}
 	e, hit := c.Memo.do(k, func() memoEntry {

@@ -10,14 +10,34 @@ import (
 
 // memoKey identifies one operator-costing problem: the cost model, the
 // operator's data characteristic (exact bits of the smaller input size), and
-// the coster context, interned by the memo (CostMemo.intern) so keys compare
-// it by pointer. Two joins with the same key have provably the same cost and
-// resource assignment under a deterministic resource planner.
+// the coster context, interned by the memo (CostMemo.acquire) so keys
+// compare it by pointer. Two joins with the same key have provably the same
+// cost and resource assignment under a deterministic resource planner.
 type memoKey struct {
 	model string
 	bits  uint64
-	ctx   *costerContext
+	ctx   *memoContext
 }
+
+// memoContext is the memo's one record of a coster context: how many
+// entries are filed under it, and how many calls hold it, which eviction
+// must leave alone. Its CostMemo's mu covers both counts.
+type memoContext struct {
+	ctx     costerContext
+	entries int
+	users   int // acquired, not yet released
+}
+
+// MaxMemoEntries bounds a CostMemo. Past it, whole contexts go, oldest
+// first, skipping any a call is using, so no call loses its own entries
+// mid-search and its evaluation counts stay deterministic. A served
+// optimizer holds at most ~6 700 entries in ~80 contexts under the
+// repository benchmark's workloads, so none of them evicts; a client
+// sending new conditions with every request (each a new context) cannot
+// grow the memo without end. An eviction goes down to three quarters of
+// the bound, so its pass over the entries is paid once per quarter of new
+// ones.
+const MaxMemoEntries = 1 << 15
 
 // costerContext is everything outside the operator itself that costing
 // depends on: the cluster conditions, the fixed configuration, whether a
@@ -60,9 +80,10 @@ type memoFlight struct {
 // across concurrent requests. Safe for concurrent use.
 type CostMemo struct {
 	mu       sync.Mutex
-	contexts map[costerContext]*costerContext // guarded by mu
-	entries  map[memoKey]memoEntry            // guarded by mu
-	flights  map[memoKey]*memoFlight          // guarded by mu
+	contexts map[costerContext]*memoContext // guarded by mu
+	order    []*memoContext                 // guarded by mu; contexts, oldest first
+	entries  map[memoKey]memoEntry          // guarded by mu
+	flights  map[memoKey]*memoFlight        // guarded by mu
 
 	hits   atomic.Int64
 	misses atomic.Int64
@@ -71,22 +92,57 @@ type CostMemo struct {
 // NewCostMemo returns an empty memo.
 func NewCostMemo() *CostMemo { return &CostMemo{} }
 
-// intern returns the memo's one copy of ctx. A pointer handed out before a
-// Reset stays unique to its context, so keys built from it never match
-// another context's.
-func (m *CostMemo) intern(ctx costerContext) *costerContext {
+// acquire returns the memo's one record of ctx and holds it for the
+// caller until release: eviction never drops a context a call is using. A
+// record handed out before a Reset stays unique to its context, so keys
+// built from it never match another context's.
+func (m *CostMemo) acquire(ctx costerContext) *memoContext {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if p, ok := m.contexts[ctx]; ok {
-		return p
+	p, ok := m.contexts[ctx]
+	if !ok {
+		if m.contexts == nil {
+			m.contexts = make(map[costerContext]*memoContext)
+		}
+		p = &memoContext{ctx: ctx}
+		m.contexts[ctx] = p
+		m.order = append(m.order, p)
 	}
-	if m.contexts == nil {
-		m.contexts = make(map[costerContext]*costerContext)
-	}
-	p := new(costerContext)
-	*p = ctx
-	m.contexts[ctx] = p
+	p.users++
 	return p
+}
+
+// release ends the caller's hold on p.
+func (m *CostMemo) release(p *memoContext) {
+	m.mu.Lock()
+	p.users--
+	m.mu.Unlock()
+}
+
+// evictLocked drops whole contexts, oldest first, until the memo holds at
+// most three quarters of MaxMemoEntries entries or only contexts in use
+// are left, then deletes their entries in one pass.
+func (m *CostMemo) evictLocked() {
+	drop := make(map[*memoContext]bool)
+	var held []*memoContext
+	n, i := len(m.entries), 0
+	for ; i < len(m.order) && n > MaxMemoEntries-MaxMemoEntries/4; i++ {
+		p := m.order[i]
+		if p.users > 0 {
+			held = append(held, p)
+			continue
+		}
+		drop[p] = true
+		n -= p.entries
+		delete(m.contexts, p.ctx)
+	}
+	m.order = append(held, m.order[i:]...)
+	//raqolint:ignore maprange deleting every entry of a dropped context comes to the same in any order
+	for k := range m.entries {
+		if drop[k.ctx] {
+			delete(m.entries, k)
+		}
+	}
 }
 
 // do returns the memoized entry for k, computing it via compute on the
@@ -122,6 +178,10 @@ func (m *CostMemo) do(k memoKey, compute func() memoEntry) (memoEntry, bool) {
 		m.entries = make(map[memoKey]memoEntry)
 	}
 	m.entries[k] = e
+	k.ctx.entries++
+	if len(m.entries) > MaxMemoEntries {
+		m.evictLocked()
+	}
 	m.mu.Unlock()
 	close(fl.done)
 	return e, false
@@ -145,6 +205,6 @@ func (m *CostMemo) Size() int {
 // conditions, so Reset is about memory, not correctness).
 func (m *CostMemo) Reset() {
 	m.mu.Lock()
-	m.contexts, m.entries = nil, nil
+	m.contexts, m.order, m.entries = nil, nil, nil
 	m.mu.Unlock()
 }

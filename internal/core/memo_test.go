@@ -56,6 +56,71 @@ func TestMemoizeCosts(t *testing.T) {
 	}
 }
 
+// TestCostMemoEvictsOldestIdleContexts: past MaxMemoEntries the memo drops
+// whole contexts in the order they were first acquired, and never one a
+// call still holds, whatever its age.
+func TestCostMemoEvictsOldestIdleContexts(t *testing.T) {
+	const perCtx = 64
+	m := NewCostMemo()
+	fill := func(p *memoContext) {
+		for i := uint64(0); i < perCtx; i++ {
+			m.do(memoKey{model: "smj", bits: i, ctx: p}, func() memoEntry { return memoEntry{} })
+		}
+	}
+	// kept counts p's entries still in the memo: all or none.
+	kept := func(p *memoContext) bool {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		n := 0
+		for i := uint64(0); i < perCtx; i++ {
+			if _, ok := m.entries[memoKey{model: "smj", bits: i, ctx: p}]; ok {
+				n++
+			}
+		}
+		if n != 0 && n != perCtx {
+			t.Fatalf("a context keeps %d of its %d entries", n, perCtx)
+		}
+		return n == perCtx
+	}
+	busy := m.acquire(costerContext{fixed: -1}) // a call that never ends here
+	fill(busy)
+	var idle []*memoContext
+	for i := 0; i < 2*MaxMemoEntries/perCtx; i++ {
+		p := m.acquire(costerContext{fixed: i})
+		fill(p)
+		m.release(p)
+		idle = append(idle, p)
+		if n := m.Size(); n > MaxMemoEntries {
+			t.Fatalf("after %d contexts the memo holds %d entries, bound %d", i+1, n, MaxMemoEntries)
+		}
+	}
+	if !kept(busy) {
+		t.Fatal("the oldest context was evicted while a call held it")
+	}
+	// The evicted idle contexts are the oldest ones.
+	gone := 0
+	for gone < len(idle) && !kept(idle[gone]) {
+		gone++
+	}
+	if gone == 0 {
+		t.Fatal("twice the bound in entries and nothing was evicted")
+	}
+	for i, p := range idle[gone:] {
+		if !kept(p) {
+			t.Fatalf("idle context %d was evicted, but context %d, older, was kept", gone+i, gone)
+		}
+	}
+	m.release(busy)
+	for i := len(idle); kept(busy); i++ {
+		if i > 3*MaxMemoEntries/perCtx {
+			t.Fatal("a released context outlived newer ones past the bound")
+		}
+		p := m.acquire(costerContext{fixed: i})
+		fill(p)
+		m.release(p)
+	}
+}
+
 // TestDerivedSeedsReproducible: randomized planning through the core API
 // must reproduce per query — across calls and across Optimizer instances —
 // and distinct queries must draw distinct seeds.

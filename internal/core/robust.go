@@ -89,9 +89,7 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 		per := make([]float64, len(scenarios))
 		feasible := true
 		for i, c := range scenarios {
-			coster := o.coster(o.opts.Resource, plan.Resources{}, c)
-			tree := cand.tree.Clone()
-			oc, err := optimizer.PlanCost(coster, tree)
+			oc, err := o.priceTree(cand.tree.Clone(), c)
 			if err != nil {
 				feasible = false
 				break
@@ -118,7 +116,7 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 		if best == nil || agg < best.Objective {
 			// Annotate the winner for the first scenario.
 			tree := cand.tree.Clone()
-			if _, err := optimizer.PlanCost(o.coster(o.opts.Resource, plan.Resources{}, scenarios[0]), tree); err != nil {
+			if _, err := o.priceTree(tree, scenarios[0]); err != nil {
 				return nil, err
 			}
 			best = &RobustDecision{Plan: tree, PerCondition: per, Objective: agg}
@@ -129,4 +127,13 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 	}
 	best.Elapsed = time.Since(start)
 	return best, nil
+}
+
+// priceTree prices tree under cond, re-planning each operator's resources,
+// as a planning call of its own.
+func (o *Optimizer) priceTree(tree *plan.Node, cond cluster.Conditions) (optimizer.OpCost, error) {
+	c := o.coster(o.opts.Resource, plan.Resources{}, cond)
+	c.beginCall(false)
+	defer c.endCall()
+	return optimizer.PlanCost(c, tree)
 }

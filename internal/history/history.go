@@ -24,7 +24,11 @@
 // acknowledged point survives a process crash, not an OS crash or power
 // loss. Sealed segments have their rollup aggregates appended to the
 // rollup logs *before* raw retention may delete them, so downsampled
-// history outlives the raw points it summarizes.
+// history outlives the raw points it summarizes. Close seals the active
+// segment too, so Open takes every surviving segment's aggregates from the
+// rollup logs; it re-rolls from raw points only a segment whose blocks are
+// missing (a crash left it active), torn, in one log only, duplicated, or
+// in disagreement with its raw point count (open.go).
 //
 // All timestamps are injected by the caller (unix seconds, wall or
 // virtual) — the package never reads the wall clock (enforced by the
@@ -139,6 +143,7 @@ type Store struct {
 
 	hwm       int64 // guarded by mu; newest committed timestamp
 	committed int64 // guarded by mu; points ever committed
+	rerolled  int64 // guarded by mu; raw points Open re-rolled into rollup buckets
 	sealSeq   int64 // guarded by mu; segments ever sealed
 	retained  int64 // guarded by mu; segments deleted by retention
 	err       error // guarded by mu; sticky background error (Record path), surfaced at Commit
@@ -324,9 +329,10 @@ func (st *Store) commitLocked() error {
 	for off := 0; off+pointRecordLen <= len(st.pending); off += pointRecordLen {
 		sid, ts, bits := getPoint(st.pending[off:])
 		v := math.Float64frombits(bits)
+		k := sketchKey(v)
 		s := st.series[sid]
-		st.lv1m.bump(sid, &s.cur1m, ts, v)
-		st.lv1h.bump(sid, &s.cur1h, ts, v)
+		st.lv1m.bump(sid, &s.cur1m, ts, v, k)
+		st.lv1h.bump(sid, &s.cur1h, ts, v, k)
 	}
 	if st.activeCount == 0 {
 		st.activeMin, st.activeMax = st.pendingMin, st.pendingMax
@@ -441,11 +447,16 @@ func (st *Store) retainLocked() error {
 	return nil
 }
 
-// Close commits staged points and closes every file.
+// Close commits staged points, seals the active segment and closes every
+// file. Sealing writes the segment's aggregates to the rollup logs, so the
+// next Open takes them from there rather than re-rolling its raw points.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	err := st.commitLocked()
+	if err == nil {
+		err = st.sealLocked()
+	}
 	if cerr := st.closeFilesLocked(); err == nil {
 		err = cerr
 	}
@@ -478,6 +489,10 @@ type Stats struct {
 	HighWater      int64
 	SealedTotal    int64
 	RetainedTotal  int64 // segments deleted by retention
+	// RerolledAtOpen counts the raw points Open folded into rollup buckets
+	// itself, for segments the rollup logs did not cover: 0 after a clean
+	// Close, the active segment's points after a crash.
+	RerolledAtOpen int64
 }
 
 // Stats snapshots the store.
@@ -494,6 +509,7 @@ func (st *Store) Stats() Stats {
 		HighWater:      st.hwm,
 		SealedTotal:    st.sealSeq,
 		RetainedTotal:  st.retained,
+		RerolledAtOpen: st.rerolled,
 	}
 	if st.active != nil {
 		s.SegmentBytes = st.active.Size()

@@ -12,27 +12,33 @@ import (
 )
 
 // recoverLocked rebuilds the store's in-memory state from disk after Open:
-// truncate torn tails, re-roll every surviving segment, fold the rollup
-// logs' aggregates for already-deleted segments into the persisted views,
-// and rewrite both logs compacted. Crash-safe at every step — the logs
-// are replaced atomically via rename, and a crash mid-recovery just means
-// the next Open redoes the same deterministic work.
+// truncate torn tails, take each surviving segment's aggregates from the
+// rollup logs or re-roll them from its raw points, fold the logs'
+// aggregates for already-deleted segments into the persisted views, and
+// rewrite both logs compacted. Crash-safe at every step — the logs are
+// replaced atomically via rename, and a crash mid-recovery just means the
+// next Open redoes the same deterministic work.
 func (st *Store) recoverLocked() error {
-	// 1. Read the rollup logs, keeping aggregates grouped per segment so
-	// entries for segments that still exist (which are re-rolled from
-	// their raw points below) can be discarded without double counting.
+	// 1. Read the rollup logs, keeping aggregates grouped per segment, with
+	// the number of blocks each segment has in each log.
 	levels := [2]*level{st.lv1m, st.lv1h}
-	var logged [2]map[uint64][]rollupEntry
+	var logged [2]map[uint64]*loggedSeg
 	for li, lv := range levels {
 		// Read-only: the compacted rewrite below replaces the file, torn
 		// tail and all.
-		bySeg := make(map[uint64][]rollupEntry)
+		bySeg := make(map[uint64]*loggedSeg)
 		err := applog.ScanBlocks(lv.logPath, rollupMagic, func(payload []byte) error {
 			segID, entries, err := decodeRollupBlock(payload)
 			if err != nil {
 				return err
 			}
-			bySeg[segID] = append(bySeg[segID], entries...)
+			ls := bySeg[segID]
+			if ls == nil {
+				ls = new(loggedSeg)
+				bySeg[segID] = ls
+			}
+			ls.entries = append(ls.entries, entries...)
+			ls.blocks++
 			return nil
 		})
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -41,19 +47,18 @@ func (st *Store) recoverLocked() error {
 		logged[li] = bySeg
 	}
 
-	// 2. Recover every segment on disk: truncate torn tails, collect
-	// metadata, and recompute each segment's rollup contribution from its
-	// raw points (deterministic, so re-rolling an already-rolled segment
-	// reproduces the logged aggregates exactly).
+	// 2. Recover every segment on disk: truncate torn tails and collect
+	// metadata. A segment's rollup contribution is its one block in each
+	// log when those agree with its raw points (a sealed segment's, which
+	// the seal wrote from the same points), and is re-rolled from the raw
+	// points otherwise (an active segment a crash left unsealed, or a block
+	// torn, missing from one log, duplicated or in disagreement). Rolling
+	// is deterministic, so both give the same buckets.
 	paths, err := filepath.Glob(filepath.Join(st.dir, "seg-*.log"))
 	if err != nil {
 		return fmt.Errorf("history: %w", err)
 	}
 	sort.Strings(paths) // zero-padded ids: lexicographic == numeric
-	type segRoll struct {
-		meta segMeta
-		by   [2]bucketSet // the segment's buckets per level
-	}
 	var segs []segRoll
 	for _, path := range paths {
 		var id uint64
@@ -61,21 +66,20 @@ func (st *Store) recoverLocked() error {
 			return fmt.Errorf("history: unrecognized segment file %s", path)
 		}
 		sr := segRoll{meta: segMeta{id: id, path: path}}
-		l, err := applog.Open(st.fs, path, segMagic, eachPoint(path, func(sid uint32, ts int64, bits uint64) {
+		logs := [2]*loggedSeg{logged[0][id], logged[1][id]}
+		rollNow := logs[0] == nil || logs[1] == nil // nothing to take: roll while scanning
+		var by [2]bucketSet
+		roll := func(sid uint32, ts int64, bits uint64) {
 			v := math.Float64frombits(bits)
-			if sr.meta.points == 0 {
-				sr.meta.minTs, sr.meta.maxTs = ts, ts
-			} else {
-				if ts < sr.meta.minTs {
-					sr.meta.minTs = ts
-				}
-				if ts > sr.meta.maxTs {
-					sr.meta.maxTs = ts
-				}
-			}
-			sr.meta.points++
+			k := sketchKey(v) // one logarithm for both levels
 			for li, lv := range levels {
-				sr.by[li].at(sid, alignDown(ts, lv.width)).add(v)
+				by[li].at(sid, alignDown(ts, lv.width)).addKey(v, k)
+			}
+		}
+		l, err := applog.Open(st.fs, path, segMagic, eachPoint(path, func(sid uint32, ts int64, bits uint64) {
+			sr.meta.observe(ts)
+			if rollNow {
+				roll(sid, ts, bits)
 			}
 		}))
 		if err != nil {
@@ -91,6 +95,23 @@ func (st *Store) recoverLocked() error {
 				return fmt.Errorf("history: %w", err)
 			}
 			continue
+		}
+		fromLogs := !rollNow && st.lv1m.agrees(logs[0], sr.meta) && st.lv1h.agrees(logs[1], sr.meta)
+		if !fromLogs && !rollNow {
+			// The scan above only counted the points; read them again.
+			if err := applog.ScanBlocks(path, segMagic, eachPoint(path, roll)); err != nil {
+				return fmt.Errorf("history: %w", err)
+			}
+		}
+		for li := range levels {
+			if fromLogs {
+				sr.entries[li] = logs[li].entries
+			} else {
+				sr.entries[li] = by[li].entries()
+			}
+		}
+		if !fromLogs {
+			st.rerolled += sr.meta.points
 		}
 		sr.meta.bytes = l.Size()
 		segs = append(segs, sr)
@@ -121,9 +142,9 @@ func (st *Store) recoverLocked() error {
 		sort.Slice(segIDs, func(i, j int) bool { return segIDs[i] < segIDs[j] })
 		for _, segID := range segIDs {
 			if exists[segID] {
-				continue // superseded by the re-roll from raw points
+				continue // the segment's own block is written below
 			}
-			for _, e := range logged[li][segID] {
+			for _, e := range logged[li][segID].entries {
 				historic.merge(e.key.sid, e.b)
 			}
 		}
@@ -155,7 +176,7 @@ func (st *Store) recoverLocked() error {
 		// whose buckets it takes over once they are in the file.
 		lv.persisted = *historic
 		for i := range segs {
-			entries := segs[i].by[li].entries()
+			entries := segs[i].entries[li]
 			if len(entries) > 0 {
 				if err := l.Append(encodeRollupBlock(segs[i].meta.id, entries)); err != nil {
 					return fmt.Errorf("history: %w", err)
@@ -172,4 +193,56 @@ func (st *Store) recoverLocked() error {
 	}
 
 	return st.retainLocked()
+}
+
+// loggedSeg is what one rollup log holds for one segment: the entries of
+// every block tagged with its id, and how many blocks that was.
+type loggedSeg struct {
+	entries []rollupEntry
+	blocks  int
+}
+
+// segRoll is one surviving segment's metadata and its rollup entries per
+// level, in (series, start) order.
+type segRoll struct {
+	meta    segMeta
+	entries [2][]rollupEntry
+}
+
+// observe counts one recovered point at ts into the segment's metadata.
+func (m *segMeta) observe(ts int64) {
+	if m.points == 0 || ts < m.minTs {
+		m.minTs = ts
+	}
+	if m.points == 0 || ts > m.maxTs {
+		m.maxTs = ts
+	}
+	m.points++
+}
+
+// agrees says whether ls, what the level's log holds for the segment m
+// describes, can stand in for re-rolling the segment's raw points: one
+// block, whose entries are in strictly ascending (series, start) order,
+// start on the level's grid inside the segment's time span, and count
+// exactly the segment's points. The seal writes such a block; a torn,
+// duplicated or foreign one fails the check.
+func (lv *level) agrees(ls *loggedSeg, m segMeta) bool {
+	if ls.blocks != 1 {
+		return false
+	}
+	lo := alignDown(m.minTs, lv.width)
+	var n int64
+	for i, e := range ls.entries {
+		k := e.key
+		if k.start < lo || k.start > m.maxTs || alignDown(k.start, lv.width) != k.start || e.b.Count <= 0 {
+			return false
+		}
+		if i > 0 {
+			if p := ls.entries[i-1].key; p.sid > k.sid || p.sid == k.sid && p.start >= k.start {
+				return false
+			}
+		}
+		n += e.b.Count
+	}
+	return n == m.points
 }

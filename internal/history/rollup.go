@@ -23,7 +23,10 @@ type Bucket struct {
 }
 
 // add folds one value into the bucket.
-func (b *Bucket) add(v float64) {
+func (b *Bucket) add(v float64) { b.addKey(v, sketchKey(v)) }
+
+// addKey folds one value whose sketchKey is k into the bucket.
+func (b *Bucket) addKey(v float64, k int16) {
 	if b.Count == 0 || v < b.Min {
 		b.Min = v
 	}
@@ -32,7 +35,7 @@ func (b *Bucket) add(v float64) {
 	}
 	b.Count++
 	b.Sum += v
-	b.sk.Add(v)
+	b.sk.addKey(k, 1)
 }
 
 // merge folds another bucket of the same series/window into b.
@@ -191,15 +194,16 @@ func newLevel(width, retention int64, logPath string) *level {
 	}
 }
 
-// bump folds one active-segment point into the level. The caller passes
-// the series' cached current-bucket pointer so in-order appends skip the
-// lookup entirely; the cache is invalidated on segment seal.
-func (lv *level) bump(sid uint32, cur **Bucket, ts int64, v float64) {
+// bump folds one active-segment point, whose sketchKey is k, into the
+// level. The caller passes the series' cached current-bucket pointer so
+// in-order appends skip the lookup entirely; the cache is invalidated on
+// segment seal.
+func (lv *level) bump(sid uint32, cur **Bucket, ts int64, v float64, k int16) {
 	start := alignDown(ts, lv.width)
 	if b := *cur; b == nil || b.Start != start {
 		*cur = lv.active.at(sid, start)
 	}
-	(*cur).add(v)
+	(*cur).addKey(v, k)
 }
 
 // compactedSegID tags log blocks holding the merged aggregates of

@@ -40,6 +40,19 @@ var (
 	sketchMinValue   = math.Exp(float64(sketchMinIdx) * sketchLnGamma)
 )
 
+// sketchZeroKey is the sketchKey of a value the zero bucket counts.
+const sketchZeroKey int16 = math.MinInt16
+
+// sketchKey is where v lands in a sketch: its bucket index, or
+// sketchZeroKey. Computing it once lets one point enter several sketches
+// (its 1m and 1h buckets) for one logarithm.
+func sketchKey(v float64) int16 {
+	if v < sketchMinValue || math.IsNaN(v) {
+		return sketchZeroKey
+	}
+	return sketchIdx(v)
+}
+
 // sketchIdx maps a value onto its bucket index.
 func sketchIdx(v float64) int16 {
 	i := int(math.Floor(math.Log(v) * sketchInvLnGamma))
@@ -82,12 +95,16 @@ func (s *Sketch) AddN(v float64, n int64) {
 	if n <= 0 {
 		return
 	}
+	s.addKey(sketchKey(v), n)
+}
+
+// addKey records n (> 0) values whose sketchKey is idx.
+func (s *Sketch) addKey(idx int16, n int64) {
 	s.total += n
-	if v < sketchMinValue || math.IsNaN(v) {
+	if idx == sketchZeroKey {
 		s.zero += n
 		return
 	}
-	idx := sketchIdx(v)
 	if i := int(idx) - int(s.lo); i < 0 || i >= len(s.counts) {
 		s.cover(idx, idx)
 	}

@@ -143,12 +143,12 @@ type ArbiterStats struct {
 // Stats summarizes the shared cluster's current state.
 func (c *SharedCluster) Stats() ArbiterStats {
 	e := c.arb //raqolint:ignore locks the handler holds mu; other callers hold the server alone (SharedCluster)
-	st, n := e.Stats(), e.Counts()
+	g, n := e.Gauges(), e.Counts()
 	return ArbiterStats{
-		Now:            st.Now,
-		Completed:      st.Completed,
-		InFlight:       st.InFlight,
-		Queued:         st.Queued,
+		Now:            g.Now,
+		Completed:      int(n.Completed),
+		InFlight:       g.InFlight,
+		Queued:         g.Queued,
 		Rejected:       n.Shed + n.Dropped,
 		Failed:         n.Failed,
 		AdmittedWait:   n.Admitted[scheduler.Wait],
@@ -158,7 +158,7 @@ func (c *SharedCluster) Stats() ArbiterStats {
 		Degraded:       n.Degraded,
 		DegradeStalls:  n.DegradeStalls,
 		Recals:         c.recals(),
-		FreeContainers: st.Free,
+		FreeContainers: g.Free,
 		HeldGB:         e.Pool().HeldGB(),
 		ReoptFull:      n.ReoptFull,
 		ReoptExact:     n.ReoptExact,
