@@ -203,14 +203,41 @@ func serveHistoryGET(tb testing.TB, s *server.Server) {
 
 // BenchmarkHistoryGET times one GET /v1/history through the full handler
 // stack: parameter parsing, the rollup query and the encoded answer.
+// static re-reads a store nothing writes to, every row a memo hit from
+// the second read on; written first commits one eight-observation batch
+// into the newest minute of the read's window (untimed), as feedback_rw
+// sends about three batches per read, so that minute's bucket and row
+// change before every read.
 func BenchmarkHistoryGET(b *testing.B) {
-	s := newHistoryBenchServer(b)
-	serveHistoryGET(b, s)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	b.Run("static", func(b *testing.B) {
+		s := newHistoryBenchServer(b)
 		serveHistoryGET(b, s)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveHistoryGET(b, s)
+		}
+	})
+	b.Run("written", func(b *testing.B) {
+		s := newHistoryBenchServer(b)
+		serveHistoryGET(b, s)
+		rng := rand.New(rand.NewSource(2))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j := 0; j < 8; j++ {
+				if err := s.Recalibrator().Feed(benchShapeObservation(rng, 1_700_000_900)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := s.History().Commit(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			serveHistoryGET(b, s)
+		}
+	})
 }
 
 // historyOpenObservations is the feedback_rw restart's state size: 50 000

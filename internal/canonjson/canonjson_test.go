@@ -253,8 +253,11 @@ func TestAppendFloat(t *testing.T) {
 
 // floatHardCases are literals at the edges of Float's one pass and of
 // its table: signed zeros, leading zeros, the first integer float64
-// cannot hold, mantissas at and past 19 digits, halfway points, and the
-// exponents on either side of the table's range.
+// cannot hold, mantissas at and past 19 digits, halfway points, the
+// exponents on either side of the table's range, and runs of digits
+// around the eight-digit step: seven, eight, nine, eight twice and a
+// third cut short at the 19th digit, leading fraction zeros before a
+// chunk, and a chunk broken by the bytes either side of '0'-'9'.
 var floatHardCases = []string{
 	"0", "-0", "0.0", "-0.0", "0e0", "-0e-400", "0e99999999999999999999", "0.000000000000000000000000000",
 	"012", "-012", "00", "0.00001", "0.000001", "0.0000001", "000.5",
@@ -273,6 +276,13 @@ var floatHardCases = []string{
 	"1e308", "1.7976931348623157e308", "1.7976931348623159e308", "1e309", "-1e309", "1e-324", "5e-324",
 	"2.5e-3", "1E+05", "1e0005", "1e-0005", "-12.50", "123 ", "1.5\n\t ,", "7.", "-", "", ".5", "1e",
 	"1e+", "+1", "--1", "1.e5", "x", "0x10", "1_000", "Infinity", "NaN", "1e99999999999999999999",
+	"1234567", "12345678", "123456789", "1234567812345678", "123456781234567812", "1234567812345678123",
+	"12345678123456781234", "12345678123456781230", "1234567812345678.5", "12345678.87654321",
+	"0.12345678", "0.1234567", "0.00000000123456789", "0.0000000012345678901234567", "0.00000000000000001",
+	"12345678.1234567812345678", "1.12345678123456781", "1.123456781234567812", "99999999.99999999e-5",
+	"1234/678", "1234:678", "1234\xb5678", "0.1234/678", "0.1234:678", "12345678e8", "0.00000000",
+	"9999.9999999999999999", "99999999999.99999999", "999999999999.99999999", "0.99999999999999999999",
+	"0.00000000999999999999999999999", "0.0000000999999999999999999999", "-99999999999999999999.5",
 }
 
 func TestFloatHardCases(t *testing.T) {

@@ -19,7 +19,8 @@ import (
 //   - encoding: strings of printable ASCII without `"`, `\`, `<`, `>`, `&`
 //     and finite floats; anything else goes through json.Marshal.
 //   - decoding: objects whose keys are the exact field names, each at most
-//     once, in any order, with whitespace anywhere JSON allows it; strings
+//     once, in any order, with whitespace anywhere JSON allows it (the key
+//     json.Marshal writes next is compared first, in one step); strings
 //     of ASCII with no escapes; JSON number literals (an integer literal
 //     for observedAt); a non-empty operators array. null, an empty array,
 //     an unknown, repeated or differently-cased key, an escape or a number
@@ -159,22 +160,56 @@ func (d *decoder) line(b []byte, o *Observation) bool {
 	return i >= 0 && canonjson.SkipSpace(b, i) == len(b)
 }
 
-// Bits of the seen masks: one per key, to decline a repeated key.
+// The members of an observation and of an operator sample, numbered in
+// the order json.Marshal writes them; a member's number is also its bit
+// in the decoder's seen mask, which declines a repeated key.
 const (
-	seenSignature = 1 << iota
-	seenEngine
-	seenPredictedSeconds
-	seenObservedSeconds
-	seenPredictedDollars
-	seenObservedDollars
-	seenObservedAt
-	seenOperators
-
-	seenAlgo = 1 << iota
-	seenSSGB
-	seenCSGB
-	seenNC
+	obsSignature = iota
+	obsEngine
+	obsPredictedSeconds
+	obsObservedSeconds
+	obsPredictedDollars
+	obsObservedDollars
+	obsObservedAt
+	obsOperators
 )
+
+const (
+	opAlgo = iota
+	opSSGB
+	opCSGB
+	opNC
+	opPredictedSeconds
+	opObservedSeconds
+)
+
+// obsKeys and opKeys are the members' keys, indexed by number, each as it
+// leads its member in json.Marshal's output: quoted, then the colon.
+var (
+	obsKeys = []string{`"signature":`, `"engine":`, `"predictedSeconds":`, `"observedSeconds":`,
+		`"predictedDollars":`, `"observedDollars":`, `"observedAt":`, `"operators":`}
+	opKeys = []string{`"algo":`, `"ssGB":`, `"csGB":`, `"nc":`, `"predictedSeconds":`, `"observedSeconds":`}
+)
+
+// member scans the key of the member at b[i] and returns its number in
+// keys, len(keys) for a key that is none of them, and the index past the
+// colon and any whitespace. It first compares keys[next], the key
+// json.Marshal writes next, in one step; any other spelling — another
+// key, whitespace before the colon — is scanned by canonjson.Member and
+// looked up, so the result is the same in any key order and spacing.
+func member(b []byte, i int, keys []string, next int) (int, int) {
+	if next < len(keys) && i >= 0 {
+		if k := keys[next]; len(b)-i >= len(k) && string(b[i:i+len(k)]) == k {
+			return next, canonjson.SkipSpace(b, i+len(k))
+		}
+	}
+	key, i := canonjson.Member(b, i)
+	n := 0
+	for n < len(keys) && keys[n][1:len(keys[n])-2] != string(key) {
+		n++
+	}
+	return n, i
+}
 
 // observation decodes one observation object at b[i] into *o.
 func (d *decoder) observation(b []byte, i int, o *Observation) int {
@@ -186,37 +221,29 @@ func (d *decoder) observation(b []byte, i int, o *Observation) int {
 		return canonjson.SkipSpace(b, i+1)
 	}
 	seen := 0
-	for more := true; more; {
-		var key, s []byte
-		var bit int
+	for n, more := -1, true; more; {
+		var s []byte
 		var f float64
-		switch key, i = canonjson.Member(b, i); string(key) {
-		case "signature":
-			bit = seenSignature
+		switch n, i = member(b, i, obsKeys, n+1); n {
+		case obsSignature:
 			s, i = canonjson.Str(b, i)
 			o.Signature = string(s)
-		case "engine":
-			bit = seenEngine
+		case obsEngine:
 			if s, i = canonjson.Str(b, i); string(s) != d.engine {
 				d.engine = string(s)
 			}
 			o.Engine = d.engine
-		case "predictedSeconds":
-			bit = seenPredictedSeconds
+		case obsPredictedSeconds:
 			o.PredictedSeconds, i = canonjson.Float(b, i)
-		case "observedSeconds":
-			bit = seenObservedSeconds
+		case obsObservedSeconds:
 			o.ObservedSeconds, i = canonjson.Float(b, i)
-		case "predictedDollars":
-			bit = seenPredictedDollars
+		case obsPredictedDollars:
 			f, i = canonjson.Float(b, i)
 			o.PredictedDollars = units.USD(f)
-		case "observedDollars":
-			bit = seenObservedDollars
+		case obsObservedDollars:
 			f, i = canonjson.Float(b, i)
 			o.ObservedDollars = units.USD(f)
-		case "observedAt":
-			bit = seenObservedAt
+		case obsObservedAt:
 			var integer bool
 			if s, integer, i = canonjson.Number(b, i); i >= 0 {
 				var err error
@@ -224,16 +251,15 @@ func (d *decoder) observation(b []byte, i int, o *Observation) int {
 					return -1
 				}
 			}
-		case "operators":
-			bit = seenOperators
+		case obsOperators:
 			o.Operators, i = d.operators(b, i)
 		default:
 			return -1
 		}
-		if i < 0 || seen&bit != 0 {
+		if i < 0 || seen&(1<<n) != 0 {
 			return -1
 		}
-		seen |= bit
+		seen |= 1 << n
 		i, more = canonjson.Next(b, i, '}')
 	}
 	return i
@@ -276,36 +302,29 @@ func operator(b []byte, i int, s *OperatorSample) int {
 		return canonjson.SkipSpace(b, i+1)
 	}
 	seen := 0
-	for more := true; more; {
-		var key []byte
-		var bit int
-		switch key, i = canonjson.Member(b, i); string(key) {
-		case "algo":
-			bit = seenAlgo
-			key, i = canonjson.Str(b, i)
-			s.Algo = algoName(key)
-		case "ssGB":
-			bit = seenSSGB
+	for n, more := -1, true; more; {
+		switch n, i = member(b, i, opKeys, n+1); n {
+		case opAlgo:
+			var name []byte
+			name, i = canonjson.Str(b, i)
+			s.Algo = algoName(name)
+		case opSSGB:
 			s.SSGB, i = canonjson.Float(b, i)
-		case "csGB":
-			bit = seenCSGB
+		case opCSGB:
 			s.CSGB, i = canonjson.Float(b, i)
-		case "nc":
-			bit = seenNC
+		case opNC:
 			s.NC, i = canonjson.Float(b, i)
-		case "predictedSeconds":
-			bit = seenPredictedSeconds
+		case opPredictedSeconds:
 			s.PredictedSeconds, i = canonjson.Float(b, i)
-		case "observedSeconds":
-			bit = seenObservedSeconds
+		case opObservedSeconds:
 			s.ObservedSeconds, i = canonjson.Float(b, i)
 		default:
 			return -1
 		}
-		if i < 0 || seen&bit != 0 {
+		if i < 0 || seen&(1<<n) != 0 {
 			return -1
 		}
-		seen |= bit
+		seen |= 1 << n
 		i, more = canonjson.Next(b, i, '}')
 	}
 	return i

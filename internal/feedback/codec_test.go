@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
+	"strings"
 	"testing"
 
 	"raqo/internal/units"
@@ -23,6 +24,8 @@ var codecLines = []struct {
 	{"hand-written, no observedAt", `{"signature":"smoke-3","engine":"hive","predictedSeconds":30,"observedSeconds":120,"operators":[{"algo":"SMJ","ssGB":3,"csGB":5,"nc":7,"predictedSeconds":30,"observedSeconds":120}]}`, true},
 	{"hand-written, with observedAt", `{"signature":"smoke-0","engine":"hive","predictedSeconds":10,"observedSeconds":40,"observedAt":1700000000}`, true},
 	{"whitespace and any key order", " {\n\t\"engine\" : \"spark\" ,\r\n \"observedSeconds\":1e0, \"signature\":\"\" } ", true},
+	{"marshal order, spaced colons", `{"signature" :"a","engine"	:"hive","predictedSeconds": 1,"observedSeconds" : 2,"operators":[{"algo" :"SMJ","ssGB":1,"csGB" :2}]}`, true},
+	{"marshal order, one key skipped", `{"signature":"a","predictedSeconds":1,"engine":"hive","observedSeconds":2,"operators":[{"algo":"BHJ","nc":3,"ssGB":1}]}`, true},
 	{"empty object", `{}`, true},
 	{"html characters in a string", `{"signature":"a<b>&c","engine":"hive","observedSeconds":1}`, true},
 	{"exponents and negative zero", `{"engine":"hive","predictedSeconds":1e21,"observedSeconds":1E-7,"predictedDollars":-0,"observedDollars":-0.0e+0}`, true},
@@ -38,6 +41,10 @@ var codecLines = []struct {
 	{"control character", "{\"signature\":\"a\tb\",\"engine\":\"hive\",\"observedSeconds\":1}", false},
 	{"mixed-case key", `{"Engine":"hive","observedSeconds":1}`, false},
 	{"duplicate key", `{"engine":"hive","engine":"spark","observedSeconds":1}`, false},
+	{"duplicate key in marshal order", `{"signature":"a","engine":"hive","engine":"spark","observedSeconds":1}`, false},
+	{"duplicate operator key", `{"engine":"hive","observedSeconds":1,"operators":[{"algo":"SMJ","ssGB":1,"ssGB":2}]}`, false},
+	{"key prefixed by the next one", `{"signature":"a","engineX":"hive","observedSeconds":1}`, false},
+	{"next key cut short", `{"signature":"a","engi`, false},
 	{"duplicate operators", `{"engine":"hive","observedSeconds":1,"operators":[{"algo":"SMJ"}],"operators":[{"algo":"BHJ"}]}`, false},
 	{"unknown key", `{"engine":"hive","observedSeconds":1,"frobnicate":1}`, false},
 	{"null string", `{"engine":null,"observedSeconds":1}`, false},
@@ -76,6 +83,26 @@ func decodeBoth(t *testing.T, line []byte) bool {
 		t.Fatalf("line %q\n codec %#v\n json  %#v", line, got, want)
 	}
 	return ok
+}
+
+// TestKeysInMarshalOrder: the keys the decoder expects first are the
+// struct fields' JSON names in declaration order, the order json.Marshal
+// writes them in.
+func TestKeysInMarshalOrder(t *testing.T) {
+	for _, c := range []struct {
+		typ  reflect.Type
+		keys []string
+	}{{reflect.TypeOf(Observation{}), obsKeys}, {reflect.TypeOf(OperatorSample{}), opKeys}} {
+		if len(c.keys) != c.typ.NumField() {
+			t.Fatalf("%s: %d keys, %d fields", c.typ, len(c.keys), c.typ.NumField())
+		}
+		for i := range c.keys {
+			name, _, _ := strings.Cut(c.typ.Field(i).Tag.Get("json"), ",")
+			if want := `"` + name + `":`; c.keys[i] != want {
+				t.Errorf("%s key %d is %s, json.Marshal writes %s", c.typ, i, c.keys[i], want)
+			}
+		}
+	}
 }
 
 func TestDecoderGrammar(t *testing.T) {

@@ -133,7 +133,7 @@ func (st *Store) recoverLocked() error {
 		exists[sr.meta.id] = true
 	}
 	var historics [2]bucketSet
-	for li, lv := range levels {
+	for li := range levels {
 		historic := &historics[li]
 		segIDs := make([]uint64, 0, len(logged[li]))
 		for segID := range logged[li] {
@@ -148,11 +148,13 @@ func (st *Store) recoverLocked() error {
 				historic.merge(e.key.sid, e.b)
 			}
 		}
-		// Raw points of these buckets are gone; their bucket end bounds
-		// the high-water mark they imply.
+		// Raw points of these buckets are gone; a bucket's start is the
+		// newest time its points are known to have reached. (Its end
+		// would be up to width-1 seconds past any of them, and the raw
+		// retention below would then delete segments still inside it.)
 		for _, r := range historic.runs {
 			if n := len(r.buckets); n > 0 {
-				st.hwm = max(st.hwm, r.buckets[n-1].Start+lv.width-1)
+				st.hwm = max(st.hwm, r.buckets[n-1].Start)
 			}
 		}
 	}

@@ -29,19 +29,16 @@ type Row struct {
 	P50, P90, P99 float64
 }
 
-// row reads b as the output bucket that starts at start, its quantiles in
-// one pass over its sketch. An empty b reads as the empty row, what
-// merging it into an empty bucket leaves (and not a NaN mean).
+// row reads b as the output bucket that starts at start, its quantiles
+// from b's memo or one pass over its sketch. An empty b reads as the empty
+// row, what merging it into an empty bucket leaves (and not a NaN mean).
 func row(start int64, b *Bucket) Row {
 	if b.Count == 0 {
 		return Row{Start: start}
 	}
-	r := Row{Start: start, Count: b.Count, Sum: b.Sum, Min: b.Min, Max: b.Max}
-	r.Mean = r.Sum / float64(r.Count)
-	q := [3]float64{0.5, 0.9, 0.99}
-	b.sk.quantiles(q[:])
-	r.P50, r.P90, r.P99 = q[0], q[1], q[2]
-	return r
+	q := b.quantiles()
+	return Row{Start: start, Count: b.Count, Sum: b.Sum, Min: b.Min, Max: b.Max,
+		Mean: b.Sum / float64(b.Count), P50: q[0], P90: q[1], P99: q[2]}
 }
 
 // Query returns series' aggregates over [from, to) at step-second
@@ -113,6 +110,8 @@ func (st *Store) queryLevelLocked(lv *level, sid uint32, from, to, step int64) [
 		start := alignDown(b.Start, step)
 		if r.more() && alignDown(r.peek().Start, step) == start {
 			m := &st.merged
+			// Assigned whole, quantile memo included; the window's array
+			// is kept for the merges.
 			*m = Bucket{Start: start, sk: Sketch{counts: m.sk.counts[:0]}}
 			m.merge(b)
 			for r.more() && alignDown(r.peek().Start, step) == start {

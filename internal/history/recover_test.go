@@ -624,3 +624,47 @@ func truncate(t *testing.T, path string, delta int64) {
 		t.Fatal(err)
 	}
 }
+
+// TestReopenKeepsHighWater: the rollup buckets of a segment raw retention
+// deleted imply a high-water mark no later than their start, so a reopen
+// neither moves the mark past the newest committed point nor lets its
+// retention pass delete raw segments still inside RawRetention of it.
+func TestReopenKeepsHighWater(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{SegmentMaxBytes: 1, RawRetention: 900}
+	st, err := Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range []int64{0, 1000, 1100} {
+		st.Record("r.hwm", ts, 1)
+		if err := st.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := func(st *Store) int64 {
+		rows, err := st.Query("r.hwm", 0, 2000, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int64
+		for _, r := range rows {
+			n += r.Count
+		}
+		return n
+	}
+	if hw, n := st.Stats().HighWater, raw(st); hw != 1100 || n != 2 {
+		t.Fatalf("before Close: high water %d, %d raw points; want 1100 and 2", hw, n)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if hw, n := st.Stats().HighWater, raw(st); hw != 1100 || n != 2 {
+		t.Errorf("after reopen: high water %d, %d raw points; want 1100 and 2", hw, n)
+	}
+}

@@ -3,6 +3,7 @@ package history
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -322,5 +323,102 @@ func TestQueryLevelMatchesReference(t *testing.T) {
 	}
 	if single == 0 || merged == 0 {
 		t.Fatalf("%d one-source and %d merged rows: both paths must run", single, merged)
+	}
+}
+
+// sameRowBits reports whether two row sets are equal with every float
+// compared by its bits.
+func sameRowBits(got, want []Row) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		g, w := &got[i], &want[i]
+		if g.Start != w.Start || g.Count != w.Count {
+			return false
+		}
+		for _, f := range [...][2]float64{{g.Sum, w.Sum}, {g.Min, w.Min}, {g.Max, w.Max}, {g.Mean, w.Mean}, {g.P50, w.P50}, {g.P90, w.P90}, {g.P99, w.P99}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestQuantileMemoMatchesFreshScan interleaves Record, Commit (sealing
+// every few kilobytes) and Query on a store whose points land in buckets
+// queries have already read, behind and ahead of a seal. Every row a query
+// answers, one-source and merged, equals the parent's rows read off fresh
+// sketch scans, bit for bit; and every bucket's memo, read after the run,
+// equals a fresh scan of its sketch. A memo some mutation left standing
+// answers a stale quantile here.
+func TestQuantileMemoMatchesFreshScan(t *testing.T) {
+	st, err := Open(t.TempDir(), Config{SegmentMaxBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rng := rand.New(rand.NewSource(5))
+	names := []string{"m.a", "m.b"}
+	steps := []int64{60, 120, 3600}
+	now, queries, merged, sealed := int64(0), 0, 0, st.Stats().SealedTotal
+	for op := 0; op < 6000; op++ {
+		switch k := rng.Intn(10); {
+		case k < 6:
+			now += rng.Int63n(20)
+			v := math.Exp(rng.NormFloat64() * 3)
+			st.Record(names[rng.Intn(2)], now-rng.Int63n(400), v)
+		case k < 8:
+			if err := st.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			name, step := names[rng.Intn(2)], steps[rng.Intn(len(steps))]
+			from := now - 900 - rng.Int63n(3600)
+			rows, err := st.Query(name, from, now+1, step)
+			if err != nil {
+				if errors.Is(err, ErrUnknownSeries) {
+					continue
+				}
+				t.Fatal(err)
+			}
+			queries++
+			st.mu.Lock()
+			lv := st.lv1m
+			if step >= 3600 {
+				lv = st.lv1h
+			}
+			sid := st.byName[name].id
+			ref := parentQueryLevel(lv, sid, from, now+1, step)
+			for _, b := range ref {
+				if len(lv.persisted.span(sid, b.Start, b.Start+step))+len(lv.active.span(sid, b.Start, b.Start+step)) > 1 {
+					merged++
+				}
+			}
+			st.mu.Unlock()
+			if want := parentRows(ref); !sameRowBits(rows, want) {
+				t.Fatalf("op %d: query %s [%d, %d) step %d:\n got %+v\nwant %+v", op, name, from, now+1, step, rows, want)
+			}
+		}
+	}
+	if err := st.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if queries == 0 || merged == 0 || st.Stats().SealedTotal-sealed < 3 {
+		t.Fatalf("%d queries, %d merged rows, %d seals: every path must run", queries, merged, st.Stats().SealedTotal-sealed)
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for _, lv := range []*level{st.lv1m, st.lv1h} {
+		for _, set := range []*bucketSet{&lv.persisted, &lv.active} {
+			for _, e := range set.entries() {
+				want := [3]float64{0.5, 0.9, 0.99}
+				e.b.sk.quantiles(want[:])
+				if got := e.b.quantiles(); got != want {
+					t.Fatalf("width %d bucket %d of series %d: memo %v, fresh scan %v", lv.width, e.b.Start, e.key.sid, got, want)
+				}
+			}
+		}
 	}
 }

@@ -13,6 +13,12 @@ import (
 // timestamp falls in [Start, Start+width) folded into count/sum/min/max
 // plus a quantile sketch. Buckets of the same (series, window) merge
 // additively, so rollups of rollups equal rollups of the raw points.
+//
+// A bucket memoizes the p50, p90 and p99 of its sketch: range reads ask a
+// bucket that no point has reached since for the same three again. Every
+// mutation clears the memo: addKey and merge themselves, and a re-use of
+// the struct by assigning it whole; nothing infers its validity from
+// Count.
 type Bucket struct {
 	Start int64
 	Count int64
@@ -20,6 +26,8 @@ type Bucket struct {
 	Min   float64
 	Max   float64
 	sk    Sketch
+	q     [3]float64 // p50, p90, p99 of sk while qSet
+	qSet  bool
 }
 
 // add folds one value into the bucket.
@@ -27,6 +35,7 @@ func (b *Bucket) add(v float64) { b.addKey(v, sketchKey(v)) }
 
 // addKey folds one value whose sketchKey is k into the bucket.
 func (b *Bucket) addKey(v float64, k int16) {
+	b.qSet = false
 	if b.Count == 0 || v < b.Min {
 		b.Min = v
 	}
@@ -40,6 +49,7 @@ func (b *Bucket) addKey(v float64, k int16) {
 
 // merge folds another bucket of the same series/window into b.
 func (b *Bucket) merge(o *Bucket) {
+	b.qSet = false
 	if o.Count == 0 {
 		return
 	}
@@ -52,6 +62,17 @@ func (b *Bucket) merge(o *Bucket) {
 	b.Count += o.Count
 	b.Sum += o.Sum
 	b.sk.Merge(&o.sk)
+}
+
+// quantiles returns b's p50, p90 and p99, scanning the sketch only when a
+// mutation has cleared the memo since the last call.
+func (b *Bucket) quantiles() [3]float64 {
+	if !b.qSet {
+		b.q = [3]float64{0.5, 0.9, 0.99}
+		b.sk.quantiles(b.q[:])
+		b.qSet = true
+	}
+	return b.q
 }
 
 // bucketKey addresses one bucket within a level.

@@ -3,9 +3,11 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"raqo/internal/history"
@@ -121,7 +123,7 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, code, err)
 		return
 	}
-	writeHistory(w, series, from, to, step, rows)
+	writeHistory(w, s.rows, series, from, to, step, rows)
 }
 
 // newHistoryResponse is the wire form of a range query's rows.
@@ -140,12 +142,13 @@ func newHistoryResponse(series string, from, to, step int64, rows []history.Row)
 }
 
 // writeHistory answers a range query with WriteResult's bytes for
-// newHistoryResponse(...), written straight from the rows. A series name
-// that would need escaping, or a value that does not encode, goes through
+// newHistoryResponse(...), written straight from the rows, each row's
+// object taken from rm when it holds the row's bits. A series name that
+// would need escaping, or a value that does not encode, goes through
 // WriteResult itself, which answers the latter with its 500.
-func writeHistory(w http.ResponseWriter, series string, from, to, step int64, rows []history.Row) {
+func writeHistory(w http.ResponseWriter, rm *rowMemo, series string, from, to, step int64, rows []history.Row) {
 	b := jsonBuffers.Get().(*jsonBuffer)
-	out, ok := appendHistoryResponse(b.out[:0], series, from, to, step, rows)
+	out, ok := appendHistoryResponse(b.out[:0], rm, series, from, to, step, rows)
 	b.out = out
 	if ok {
 		writeEncoded(w, out)
@@ -158,7 +161,9 @@ func writeHistory(w http.ResponseWriter, series string, from, to, step int64, ro
 // appendHistoryResponse appends the indented JSON of
 // newHistoryResponse(...) to dst; ok is false, and what it appended not
 // that JSON, when the series name needs escaping or a value is not finite.
-func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows []history.Row) (_ []byte, ok bool) {
+// A row rm holds is copied from it; any other is encoded, and filed in rm
+// when it is finite.
+func appendHistoryResponse(dst []byte, rm *rowMemo, series string, from, to, step int64, rows []history.Row) (_ []byte, ok bool) {
 	o := openObject(dst, "  ")
 	o.stringMember("series", series)
 	o.intMember("from", from)
@@ -168,6 +173,12 @@ func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows
 	for i := range rows {
 		b := &rows[i]
 		row := o.element(i)
+		at := len(row.dst) - 1 // the row's opening brace
+		k := newRowKey(b)
+		if enc, hit := rm.appendRow(row.dst[:at], &k); hit {
+			o.dst = enc
+			continue
+		}
 		row.intMember("start", b.Start)
 		row.intMember("count", b.Count)
 		row.floatMember("sum", b.Sum)
@@ -178,9 +189,76 @@ func appendHistoryResponse(dst []byte, series string, from, to, step int64, rows
 		row.floatMember("p90", b.P90)
 		row.floatMember("p99", b.P99)
 		o.endElement(&row)
+		if row.ok {
+			rm.file(&k, o.dst[at:])
+		}
 	}
 	o.closeArray(len(rows))
 	return o.end()
+}
+
+// rowMemoSlots is how many encoded rows a rowMemo holds. Rows run to
+// about 350 bytes at most (nine members, seven floats of up to 24
+// characters), so a full memo holds about 180 KB.
+const (
+	rowMemoBits  = 9
+	rowMemoSlots = 1 << rowMemoBits
+)
+
+// rowKey is a history row's exact bits: its start, its count and the
+// math.Float64bits of its seven floats, so −0 and +0 never share a key.
+type rowKey [9]uint64
+
+func newRowKey(r *history.Row) rowKey {
+	return rowKey{uint64(r.Start), uint64(r.Count),
+		math.Float64bits(r.Sum), math.Float64bits(r.Min), math.Float64bits(r.Max), math.Float64bits(r.Mean),
+		math.Float64bits(r.P50), math.Float64bits(r.P90), math.Float64bits(r.P99)}
+}
+
+// slot is the memo slot k maps to: a multiplicative hash of its words.
+func (k *rowKey) slot() int {
+	h := uint64(0)
+	for _, w := range k {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	return int(h >> (64 - rowMemoBits))
+}
+
+// rowMemo is GET /v1/history's exact, value-keyed row tier: the encoded
+// `{…}` object of recently served rows, keyed by rowKey. A row's bytes are
+// a function of its key alone, so a hit is the encoding and the memo
+// needs no invalidation: a feedback commit that changes a bucket changes
+// its row's key. It is direct-mapped, one row a slot, a new row taking the
+// slot of the one it collides with, so it holds at most rowMemoSlots rows;
+// a slot's byte slice is reused by its next row. Only finite rows are
+// filed, so a hit never stands in for WriteResult's 500. The zero value is
+// ready.
+type rowMemo struct {
+	mu    sync.Mutex
+	slots [rowMemoSlots]struct {
+		key rowKey
+		enc []byte // nil: empty
+	}
+}
+
+// appendRow appends the encoding of the row k keys and reports true, or
+// returns dst unchanged and false when rm does not hold it.
+func (rm *rowMemo) appendRow(dst []byte, k *rowKey) ([]byte, bool) {
+	rm.mu.Lock()
+	defer rm.mu.Unlock()
+	s := &rm.slots[k.slot()]
+	if s.enc == nil || s.key != *k {
+		return dst, false
+	}
+	return append(dst, s.enc...), true
+}
+
+// file keeps enc as the encoding of the row k keys.
+func (rm *rowMemo) file(k *rowKey, enc []byte) {
+	rm.mu.Lock()
+	s := &rm.slots[k.slot()]
+	s.key, s.enc = *k, append(s.enc[:0], enc...)
+	rm.mu.Unlock()
 }
 
 // gatherHistory samples every telemetry series into the history store at

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"testing"
 
 	"raqo/internal/history"
@@ -41,22 +42,28 @@ func parentWriteHistory(w http.ResponseWriter, series string, from, to, step int
 	WriteResult(w, resp)
 }
 
-// checkHistoryJSON answers rows with writeHistory and parentWriteHistory
-// and fails unless both sent the same status, headers and bytes. It
-// returns whether the fixed-shape encoder wrote the answer.
+// checkHistoryJSON answers rows with writeHistory twice, through one row
+// memo — cold, then with every row the first answer filed — and with
+// parentWriteHistory, and fails unless all three sent the same status,
+// headers and bytes. It returns whether the fixed-shape encoder wrote the
+// answer.
 func checkHistoryJSON(t *testing.T, series string, from, to, step int64, rows []history.Row) bool {
 	t.Helper()
-	got, want := httptest.NewRecorder(), httptest.NewRecorder()
-	writeHistory(got, series, from, to, step, rows)
+	want := httptest.NewRecorder()
 	parentWriteHistory(want, series, from, to, step, rows)
-	if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
-		t.Fatalf("series %q, %d rows:\n answered %d %q\n parent   %d %q",
-			series, len(rows), got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
+	rm := new(rowMemo)
+	for _, pass := range []string{"cold", "memo"} {
+		got := httptest.NewRecorder()
+		writeHistory(got, rm, series, from, to, step, rows)
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("%s: series %q, %d rows:\n answered %d %q\n parent   %d %q",
+				pass, series, len(rows), got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
+		}
+		if !reflect.DeepEqual(got.Header(), want.Header()) {
+			t.Fatalf("%s: series %q: headers %v, parent %v", pass, series, got.Header(), want.Header())
+		}
 	}
-	if !reflect.DeepEqual(got.Header(), want.Header()) {
-		t.Fatalf("series %q: headers %v, parent %v", series, got.Header(), want.Header())
-	}
-	_, fixed := appendHistoryResponse(nil, series, from, to, step, rows)
+	_, fixed := appendHistoryResponse(nil, new(rowMemo), series, from, to, step, rows)
 	return fixed
 }
 
@@ -135,7 +142,7 @@ func TestHistoryJSONMatchesWriteResult(t *testing.T) {
 		}
 	}
 	w := httptest.NewRecorder()
-	writeHistory(w, "s", 0, 1, 1, []history.Row{{Count: 1, Sum: math.NaN()}})
+	writeHistory(w, new(rowMemo), "s", 0, 1, 1, []history.Row{{Count: 1, Sum: math.NaN()}})
 	if w.Code != http.StatusInternalServerError {
 		t.Errorf("NaN row answered %d, want 500", w.Code)
 	}
@@ -168,4 +175,104 @@ func FuzzHistoryJSON(f *testing.F) {
 		}
 		checkHistoryJSON(t, series, from, to, step, rows)
 	})
+}
+
+// TestHistoryRowMemoKeys holds the row memo to its key: rows one float's
+// last bit apart, −0 against +0 in each float, and rows one apart in
+// start or count alone are answered with their own bytes after their
+// neighbour was filed; a finite row is a hit once filed; and a row that is
+// not finite is never filed, so every answer holding it is WriteResult's
+// 500.
+func TestHistoryRowMemoKeys(t *testing.T) {
+	base := storeRows(t, 1)[0]
+	floats := func(r *history.Row) []*float64 {
+		return []*float64{&r.Sum, &r.Min, &r.Max, &r.Mean, &r.P50, &r.P90, &r.P99}
+	}
+	answer := func(rm *rowMemo, r history.Row) *httptest.ResponseRecorder {
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeHistory(got, rm, "s", 0, 120, 60, []history.Row{r})
+		parentWriteHistory(want, "s", 0, 120, 60, []history.Row{r})
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("row %+v:\n answered %d %q\n parent   %d %q", r, got.Code, got.Body.Bytes(), want.Code, want.Body.Bytes())
+		}
+		return got
+	}
+	hit := func(rm *rowMemo, r history.Row) bool {
+		k := newRowKey(&r)
+		_, ok := rm.appendRow(nil, &k)
+		return ok
+	}
+	for _, bump := range []func(r *history.Row){
+		func(r *history.Row) { r.Start++ },
+		func(r *history.Row) { r.Count++ },
+	} {
+		rm, b := new(rowMemo), base
+		bump(&b)
+		answer(rm, base)
+		if !hit(rm, base) || hit(rm, b) {
+			t.Fatalf("%+v then %+v: filed %v, neighbour hit %v", base, b, hit(rm, base), hit(rm, b))
+		}
+		answer(rm, b)
+	}
+	for f := range floats(&base) {
+		for _, pair := range [][2]float64{
+			{*floats(&base)[f], math.Nextafter(*floats(&base)[f], math.Inf(1))}, // the last bit
+			{0, math.Copysign(0, -1)},
+			{math.Copysign(0, -1), 0},
+		} {
+			rm := new(rowMemo)
+			a, b := base, base
+			*floats(&a)[f], *floats(&b)[f] = pair[0], pair[1]
+			answer(rm, a)
+			if !hit(rm, a) || hit(rm, b) {
+				t.Fatalf("float %d, %v then %v: filed %v, neighbour hit %v", f, pair[0], pair[1], hit(rm, a), hit(rm, b))
+			}
+			answer(rm, b)
+			answer(rm, a)
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			rm := new(rowMemo)
+			r := base
+			*floats(&r)[f] = bad
+			for range 2 {
+				if w := answer(rm, r); w.Code != http.StatusInternalServerError {
+					t.Fatalf("float %d = %v answered %d, want 500", f, bad, w.Code)
+				}
+				if hit(rm, r) {
+					t.Fatalf("float %d = %v: a row that is not finite was filed", f, bad)
+				}
+			}
+		}
+	}
+}
+
+// TestHistoryRowMemoConcurrent answers row sets through one row memo from
+// several goroutines at once, as concurrent GET /v1/history handlers do:
+// every answer is still the parent's bytes. Run under -race.
+func TestHistoryRowMemoConcurrent(t *testing.T) {
+	pool := storeRows(t, 40)
+	want := make([][]byte, len(pool)-9)
+	for i := range want {
+		w := httptest.NewRecorder()
+		parentWriteHistory(w, "s", 0, 1, 60, pool[i:i+10])
+		want[i] = w.Body.Bytes()
+	}
+	rm := new(rowMemo)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 200; k++ {
+				i := (g*7 + k*3) % len(want)
+				w := httptest.NewRecorder()
+				writeHistory(w, rm, "s", 0, 1, 60, pool[i:i+10])
+				if !bytes.Equal(w.Body.Bytes(), want[i]) {
+					t.Errorf("goroutine %d, rows %d..%d: answered %q, parent %q", g, i, i+9, w.Body.Bytes(), want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -213,6 +213,7 @@ type Server struct {
 	rec     *feedback.Recalibrator
 	journal *feedback.Journal // nil unless Config.JournalPath was set
 	hist    *history.Store    // nil unless Config.HistoryDir was set
+	rows    *rowMemo          // GET /v1/history's encoded rows; nil without hist
 	arb     *SharedCluster
 	cld     *sim
 }
@@ -346,6 +347,9 @@ func New(cfg Config) (_ *Server, err error) {
 		hist:    hist,
 		arb:     arb,
 		cld:     &sim{arb: cld},
+	}
+	if hist != nil {
+		s.rows = new(rowMemo)
 	}
 	reg.GaugeFunc("raqo_uptime_seconds", "Seconds since the server started.",
 		func() float64 { return time.Since(s.start).Seconds() })
