@@ -51,7 +51,7 @@ race:
 #   FuzzPeerAnswer         peer answer reader == net/http's response reader: bounded, nothing taken that net/http refuses
 #   FuzzObservationDecode  /v1/feedback codec == encoding/json, handler answers as before the codec; history clock and model version bounded
 #   FuzzObservationAppend  AppendJSON == json.Marshal, and reads back what it wrote
-#   FuzzEnumeration        random tree and Selinger DP == the pair scan and the full mask sweep, call for call: candidate stats and relations
+#   FuzzEnumeration        random tree and Selinger DP == the pair scan and the full mask sweep, call for call: candidate stats and relations; scripted refusals, one Query through scratch, published and reused form
 #   FuzzRegressionCost     unrolled cost model == Predict
 #   FuzzDrawSource         seed-free math/rand source == rand.NewSource
 #   FuzzWriteJSON          response encoder == json.Encoder with SetIndent

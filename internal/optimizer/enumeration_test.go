@@ -68,6 +68,15 @@ func enumSchemas(t testing.TB) map[string]*catalog.Schema {
 	return out
 }
 
+// drawTree draws a random tree for q from ts, over q's planning form.
+func drawTree(ts *optimizer.TreeScratch, rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
+	f, err := q.Form(nil)
+	if err != nil {
+		return nil, err
+	}
+	return ts.RandomTree(rng, f)
+}
+
 // checkRandomTrees draws trees for q from ts and from the pair-scan
 // reference with equally seeded generators and fails on the first tree,
 // error or generator position that differs.
@@ -75,7 +84,7 @@ func checkRandomTrees(t testing.TB, ts *optimizer.TreeScratch, q *plan.Query, se
 	t.Helper()
 	got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 	for d := range draws {
-		a, errA := ts.RandomTree(got, q)
+		a, errA := drawTree(ts, got, q)
 		b, errB := pairScanRandomTree(want, q)
 		if !sameError(errA, errB) {
 			t.Fatalf("%v seed %d draw %d: error %v, reference %v", q.Rels, seed, d, errA, errB)
@@ -102,7 +111,7 @@ func checkMutations(t testing.TB, ts *optimizer.TreeScratch, q *plan.Query, seed
 	defer ts.Reset()
 	var hs optimizer.HeapScratch
 	got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-	a, errA := ts.RandomTree(got, q)
+	a, errA := drawTree(ts, got, q)
 	b, errB := hs.RandomTree(want, q)
 	if !sameError(errA, errB) {
 		t.Fatalf("%v seed %d: error %v, heap reference %v", q.Rels, seed, errA, errB)
@@ -174,8 +183,7 @@ func TestRandomTreeMatchesPairScan(t *testing.T) {
 			}
 			for seed := range int64(6) {
 				if seed == 3 {
-					// The same query again, in the recycled arena: its
-					// leaves must be rebuilt, not the old ones handed out.
+					// The same query again, in the recycled arena.
 					ts.Reset()
 				}
 				checkRandomTrees(t, &ts, q, seed, 4)
@@ -243,10 +251,10 @@ func TestMutateMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestRandomTreeAfterSchemaMutation: a TreeScratch caches a query's scan
-// leaves and their join graph, keyed by the query and the schema's index
-// snapshot, so reusing it with the same *Query after AddTable shifted the
-// ranks re-derives both instead of joining stale scans.
+// TestRandomTreeAfterSchemaMutation: a query's planning form, its scans
+// and their join graph, is keyed to the schema's index snapshot, so a tree
+// drawn for the same *Query after AddTable shifted the ranks, through the
+// same scratch, is drawn over a fresh form instead of joining stale scans.
 func TestRandomTreeAfterSchemaMutation(t *testing.T) {
 	s := catalog.TPCH(10)
 	q, err := plan.NewQuery(s, s.Tables()...)
@@ -261,9 +269,9 @@ func TestRandomTreeAfterSchemaMutation(t *testing.T) {
 	if err := s.AddJoin("aaa_first", catalog.Region, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	tree, err := ts.RandomTree(rand.New(rand.NewSource(2)), q)
+	tree, err := drawTree(&ts, rand.New(rand.NewSource(2)), q)
 	if errors.Is(err, plan.ErrStaleSchema) {
-		t.Fatalf("reused scratch joined scans from before the mutation: %v", err)
+		t.Fatalf("the tree joined scans from before the mutation: %v", err)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -275,21 +283,28 @@ func TestRandomTreeAfterSchemaMutation(t *testing.T) {
 }
 
 // checkSelinger plans q with the Selinger DP and with the full sweep, each
-// behind a fresh recording coster — the joint coster over an empty
-// nearest-neighbour cache, then the size coster, which prices by the
-// candidate's output and larger input — and fails unless the two asked the
+// behind a fresh recording coster, and fails unless the two asked the
 // coster the same questions about the same candidates in the same order and
-// returned the same result or error. Up to optimizertest.MaxOptimumRelations
-// relations, the size coster's DP cost is also optimizertest.Optimum's
-// left-deep cost, bit for bit, and a query one fails the other fails.
+// returned the same result or error. The costers are the size coster,
+// which prices by the candidate's output and larger input, behind two
+// scripts that refuse candidates and so leave subsets unplanned, then the
+// joint coster over an empty nearest-neighbour cache, then the size coster
+// alone. The DP plans one new Query under all four in turn: the first call
+// builds the query's planning form in the pooled scratch, the second
+// publishes it, and the later ones read it, so a schedule that kept only
+// the subsets some call planned would miss subsets a later call plans. Up
+// to optimizertest.MaxOptimumRelations relations, the size coster's DP
+// cost is also optimizertest.Optimum's left-deep cost, bit for bit, and a
+// query one fails the other fails.
 func checkSelinger(t testing.TB, q *plan.Query) {
 	t.Helper()
 	sizeCoster := func(q *plan.Query) *recordingCoster {
 		return &recordingCoster{q: q, inner: &optimizertest.SizeCoster{Res: plan.Resources{Containers: 10, ContainerGB: 3}}}
 	}
-	for _, coster := range []func(*plan.Query) *recordingCoster{nnCoster, sizeCoster} {
+	shared := &plan.Query{Schema: q.Schema, Rels: q.Rels}
+	for _, coster := range []func(*plan.Query) *recordingCoster{refusingSizeCoster(1), refusingSizeCoster(2), nnCoster, sizeCoster} {
 		gotC, wantC := coster(q), coster(q)
-		got, errG := (&selinger.Planner{Coster: gotC}).Plan(q)
+		got, errG := (&selinger.Planner{Coster: gotC}).Plan(shared)
 		want, errW := sweepSelinger(wantC, q)
 		if !sameError(errG, errW) {
 			t.Fatalf("%v: error %v, full sweep %v", q.Rels, errG, errW)

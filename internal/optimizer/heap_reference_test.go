@@ -23,7 +23,7 @@ import (
 // HeapScratch is the former TreeScratch.
 type HeapScratch struct {
 	comps []*plan.Node
-	adj   []uint64 // comps' join graph, as AppendJoinGraph lays it out
+	adj   []uint64 // comps' join graph, as appendJoinGraph lays it out
 	joins []*plan.Node
 
 	leavesOf *plan.Query
@@ -43,7 +43,7 @@ func (ts *HeapScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 			}
 			ts.leaves = append(ts.leaves, leaf)
 		}
-		ts.leafAdj = AppendJoinGraph(ts.leafAdj[:0], ts.leaves)
+		ts.leafAdj = appendJoinGraph(ts.leafAdj[:0], ts.leaves)
 		ts.leavesOf, ts.leavesAt = q, g
 	}
 	comps := append(ts.comps[:0], ts.leaves...)
@@ -75,6 +75,26 @@ func (ts *HeapScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 	comps[0] = nil
 	ts.comps = comps[:0]
 	return root, nil
+}
+
+// appendJoinGraph is the former optimizer.AppendJoinGraph: it appends to
+// dst the join graph among leaves as a bit matrix of ⌈len(leaves)/64⌉-word
+// rows, one per leaf: row i has bit j set when plan.Joinable(leaves[i],
+// leaves[j]). The diagonal is clear.
+func appendJoinGraph(dst []uint64, leaves []*plan.Node) []uint64 {
+	words := (len(leaves) + 63) / 64
+	for i, a := range leaves {
+		row := len(dst)
+		for range words {
+			dst = append(dst, 0)
+		}
+		for j, b := range leaves {
+			if i != j && plan.Joinable(a, b) {
+				dst[row+j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+	return dst
 }
 
 // pairCount is the former per-step recount: the pairs above the diagonal

@@ -98,69 +98,40 @@ type Planner interface {
 	Plan(q *plan.Query) (*Result, error)
 }
 
-// AppendJoinGraph appends to dst the join graph among leaves as a bit
-// matrix of ⌈len(leaves)/64⌉-word rows, one per leaf: row i has bit j set
-// when plan.Joinable(leaves[i], leaves[j]). The diagonal is clear.
-func AppendJoinGraph(dst []uint64, leaves []*plan.Node) []uint64 {
-	words := (len(leaves) + 63) / 64
-	for i, a := range leaves {
-		row := len(dst)
-		for range words {
-			dst = append(dst, 0)
-		}
-		for j, b := range leaves {
-			if i != j && plan.Joinable(a, b) {
-				dst[row+j/64] |= 1 << (j % 64)
-			}
-		}
-	}
-	return dst
-}
-
 // TreeScratch holds the reusable state of the random-tree and mutation
-// paths: the arena every node they build comes from, the component
+// paths: the arena every join they build comes from, the component
 // worklist and its adjacency matrix, and the join-node list the mutation
 // target is drawn from. A zero TreeScratch is ready to use; it grows to
 // the working-set size once, and after a Reset it builds again into the
 // same storage. The trees it returns live in its arena: they are valid
 // until the next Reset, and whatever must outlive that is Clone()d out.
-// Not safe for concurrent use — the randomized planner keeps one per
-// restart.
+// Their scans are the leaves of the query's planning form, shared by
+// every tree drawn from it. Not safe for concurrent use — the
+// randomized planner keeps one per restart.
 type TreeScratch struct {
 	arena plan.Arena
 	comps []*plan.Node
-	adj   []uint64 // comps' join graph, as AppendJoinGraph lays it out
+	adj   []uint64 // comps' join graph, as plan.Form.Graph lays it out
 	joins []*plan.Node
-
-	// leaves are the scan leaves of leavesOf as of the index snapshot
-	// leavesAt, and leafAdj their join graph: the query and schema form
-	// RandomTree last drew a tree for. Scans are
-	// immutable, so all the trees drawn for one query share theirs, as
-	// mutated trees share untouched subtrees.
-	leavesOf *plan.Query
-	leavesAt *catalog.Index
-	leaves   []*plan.Node
-	leafAdj  []uint64
 }
 
-// Reset recycles every node the scratch has built. It also forgets the
-// cached leaves: they were carved from the recycled arena, and the key
-// they are cached under is pointer identity, which a later query can
-// reuse.
-func (ts *TreeScratch) Reset() {
-	ts.arena.Reset()
-	clear(ts.leaves)
-	ts.leavesOf, ts.leavesAt, ts.leaves = nil, nil, ts.leaves[:0]
-}
+// Reset recycles every node the scratch has built.
+func (ts *TreeScratch) Reset() { ts.arena.Reset() }
 
 // RandomTree builds a uniformly random bushy join tree for the query: it
 // repeatedly joins two random joinable connected components with a random
 // operator implementation. Used to seed the randomized planner.
 func RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
-	return new(TreeScratch).RandomTree(rng, q)
+	f, err := q.Form(nil)
+	if err != nil {
+		return nil, err
+	}
+	return new(TreeScratch).RandomTree(rng, f)
 }
 
-// RandomTree is the storage-reusing form of the package-level RandomTree.
+// RandomTree is the storage-reusing form of the package-level RandomTree,
+// for the query whose planning form f is: the tree's scans are f's
+// leaves, and the components' join graph starts as f's.
 //
 // The joinable component pairs are never listed: the scratch keeps the
 // components' join graph as a symmetric bit matrix and a running count of
@@ -169,21 +140,12 @@ func RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
 // same draws from rng, so the same tree. A merge updates only the rows of
 // the merged components' neighbours (mergeRows), and takes from the count
 // the pairs it folds away.
-func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
-	if g := q.Schema.Index(); ts.leavesOf != q || ts.leavesAt != g {
-		ts.leavesOf, ts.leavesAt, ts.leaves = nil, nil, ts.leaves[:0]
-		for _, r := range q.Rels {
-			leaf, err := ts.arena.Scan(q.Schema, r)
-			if err != nil {
-				return nil, err
-			}
-			ts.leaves = append(ts.leaves, leaf)
-		}
-		ts.leafAdj = AppendJoinGraph(ts.leafAdj[:0], ts.leaves)
-		ts.leavesOf, ts.leavesAt = q, g
+func (ts *TreeScratch) RandomTree(rng *rand.Rand, f *plan.Form) (*plan.Node, error) {
+	comps := ts.comps[:0]
+	for i := range f.Len() {
+		comps = append(comps, f.Leaf(i))
 	}
-	comps := append(ts.comps[:0], ts.leaves...)
-	adj := append(ts.adj[:0], ts.leafAdj...)
+	adj := append(ts.adj[:0], f.Graph()...)
 	ts.adj = adj
 	w := (len(comps) + 63) / 64
 	total := 0
@@ -198,7 +160,7 @@ func (ts *TreeScratch) RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, er
 		}
 		p0, p1 := nthPair(adj, w, rng.Intn(total))
 		algo := plan.Algos[rng.Intn(len(plan.Algos))]
-		joined, err := ts.arena.Join(q.Schema, algo, comps[p0], comps[p1])
+		joined, err := ts.arena.Join(f.Schema(), algo, comps[p0], comps[p1])
 		if err != nil {
 			ts.comps = comps[:0]
 			// The arena returns the bare sentinel; say what NewJoin says.

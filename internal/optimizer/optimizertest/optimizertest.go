@@ -71,13 +71,13 @@ func Optimum(c optimizer.OperatorCoster, q *plan.Query) (bushy, leftDeep *optimi
 		cost     optimizer.OpCost
 		leftDeep bool
 	}
+	f, err := q.Form(nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	trees := make([][]tree, 1<<n) // by subset of q.Rels, a bit per relation
-	for i, rel := range q.Rels {
-		scan, err := plan.NewScan(q.Schema, rel)
-		if err != nil {
-			return nil, nil, err
-		}
-		trees[1<<i] = []tree{{node: scan, leftDeep: true}}
+	for i := range n {
+		trees[1<<i] = []tree{{node: f.Leaf(i), leftDeep: true}}
 	}
 	// A subset's splits are smaller subsets, so ascending order has them built.
 	for set := 3; set < len(trees); set++ {

@@ -97,11 +97,14 @@ func addEntry(archive []ParetoEntry, e ParetoEntry) []ParetoEntry {
 	return append(kept, e)
 }
 
-// searchState is the reusable working memory of one search: the tree
-// scratch whose arena holds every plan the search builds, a generator to
-// re-seed, and the archive buffers. States are pooled, so a search
-// allocates its trees, its generator and its slices only on a pool miss.
+// searchState is the reusable working memory of one search: the scratch
+// form a query's first search reads its scans and join graph from (later
+// ones read the query's own, plan.Query.Form), the tree scratch whose
+// arena holds every join the search builds, a generator to re-seed, and
+// the archive buffers. States are pooled, so a search allocates its trees,
+// its generator and its slices only on a pool miss.
 type searchState struct {
+	form     plan.Form
 	ts       optimizer.TreeScratch
 	rng      *rand.Rand
 	archive  []ParetoEntry
@@ -132,6 +135,10 @@ func putState(st *searchState) {
 // reuse st's buffers, so the inner loop allocates nothing once the state
 // has grown.
 func (p *Planner) searchOnce(ctx context.Context, st *searchState, q *plan.Query, opts Options) ([]ParetoEntry, int, error) {
+	f, err := q.Form(&st.form)
+	if err != nil {
+		return nil, 0, err
+	}
 	rng := st.rng
 	archive := st.archive[:0]
 	considered := 0
@@ -148,7 +155,7 @@ func (p *Planner) searchOnce(ctx context.Context, st *searchState, q *plan.Query
 		if err := ctx.Err(); err != nil {
 			return nil, considered, fmt.Errorf("randomized: search cancelled: %w", err)
 		}
-		t, err := st.ts.RandomTree(rng, q)
+		t, err := st.ts.RandomTree(rng, f)
 		if err != nil {
 			return nil, considered, err
 		}

@@ -1,6 +1,7 @@
 package optimizer_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/bits"
@@ -11,6 +12,7 @@ import (
 	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/optimizer"
+	"raqo/internal/optimizer/optimizertest"
 	"raqo/internal/optimizer/selinger"
 	"raqo/internal/plan"
 	"raqo/internal/resource"
@@ -199,4 +201,46 @@ func nnCoster(q *plan.Query) *recordingCoster {
 		Resources: &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.01},
 		Cond:      cluster.Default(),
 	}}
+}
+
+// errRefused is what a refusingCoster answers a candidate its script
+// picks.
+var errRefused = errors.New("refused by script")
+
+// refusingCoster refuses, by a script seeded with seed, whole subsets —
+// every candidate with the same relations, about one in four — and single
+// candidates — by their relations, left input and algorithm, about one in
+// five of the rest — and passes the others on to inner. A refused subset
+// goes unplanned, and the DP must still visit the subsets above it where
+// the full sweep does. relationsCode codes the candidates over q, so the
+// DP's and the sweep's candidates get the same answers.
+type refusingCoster struct {
+	inner optimizer.OperatorCoster
+	q     *plan.Query
+	seed  uint64
+}
+
+func (r *refusingCoster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
+	const mix = 0x9e3779b97f4a7c15
+	rels := relationsCode(r.q, j.Relations())
+	if (rels^r.seed)*mix>>62 == 0 {
+		return optimizer.OpCost{}, errRefused
+	}
+	one := rels<<1 | uint64(j.Algo)
+	if (one^relationsCode(r.q, j.Left.Relations())*mix^r.seed)*mix%5 == 0 {
+		return optimizer.OpCost{}, errRefused
+	}
+	return r.inner.CostOperator(j)
+}
+
+// refusingSizeCoster records calls, over q, to the size coster behind a
+// refusingCoster seeded with seed.
+func refusingSizeCoster(seed uint64) func(q *plan.Query) *recordingCoster {
+	return func(q *plan.Query) *recordingCoster {
+		return &recordingCoster{q: q, inner: &refusingCoster{
+			inner: &optimizertest.SizeCoster{Res: plan.Resources{Containers: 10, ContainerGB: 3}},
+			q:     q,
+			seed:  seed,
+		}}
+	}
 }

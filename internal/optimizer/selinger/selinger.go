@@ -3,23 +3,34 @@
 // al., SIGMOD 1979), with the per-operator costing hook that lets RAQO plug
 // resource planning into the enumeration.
 //
-// The DP runs over connected subsets only. Level s+1's masks are the
-// one-leaf extensions of the masks level s planned by a leaf joinable with
-// them, visited in ascending mask order; a subset the join graph does not
-// connect is never generated, and a leaf not joinable with the rest of a
-// mask is skipped before any candidate is priced. The candidates, their
-// order and so every costing call must stay those of a sweep over all 2^n
-// masks: the resource-plan cache answers by what it was asked before.
+// The DP runs over connected subsets only, in the query's schedule: every
+// subset of two or more relations the join graph connects, by size and
+// then in ascending mask order. A subset the join graph does not connect
+// is never visited, and a leaf not joinable with the rest of a mask is
+// skipped before any candidate is priced. The candidates, their order and
+// so every costing call must stay those of a sweep over all 2^n masks: the
+// resource-plan cache answers by what it was asked before. The schedule
+// holds every connected subset, planned or not, and one with no planned
+// split makes no costing call; so every subset with a candidate is visited
+// where the sweep reaches it, whatever the coster refused before.
+//
+// What depends on the query alone — its scans, their join graph and
+// selectivities and, up to sliceTableMax relations, the schedule — is the
+// query's planning form (plan.Query.Form), derived once and read by every
+// later call. A query's first planning derives it in the pooled state's
+// scratch, so a query planned once costs no more than before; above
+// sliceTableMax relations the schedule is generated per call into pooled
+// buffers.
 //
 // The DP works on values, not plan nodes. Its table holds, per planned
 // subset, the winner's recipe — the left input's mask, the right leaf, the
 // operator and its resources — with its cumulative cost and its estimated
 // output. A split's statistics come from the table: the left input's and
 // the leaf's estimates, and the product of the selectivities of the edges
-// between the leaf and the left input's members, taken from a per-query
-// leaf-pair vector in catalog.Index.CrossSelectivity's fold order (members
-// in ascending query index are in ascending rank: the query's relations
-// and the ranks are both name-sorted). The coster prices a
+// between the leaf and the left input's members, folded by the form in
+// catalog.Index.CrossSelectivity's order (members in ascending query index
+// are in ascending rank: the query's relations and the ranks are both
+// name-sorted). The coster prices a
 // plan.JoinScratch candidate that reads as the join of the materialized
 // sub-plan with the leaf, and the one plan returned is built from the
 // recipes at the end and deep-copied out.
@@ -35,8 +46,8 @@
 // DP does make still see what the full sweep's would.
 //
 // That working state — the table, its entries' relation sets and kept
-// answers, the per-level mask buffer, the candidate scratch and the arena
-// the scans and the returned plan are built in — lives in a sync.Pool of
+// answers, the scratch form, the schedule buffers, the candidate scratch
+// and the arena the returned plan is built in — lives in a sync.Pool of
 // dpState values, so repeated planning calls allocate near-zero.
 package selinger
 
@@ -44,7 +55,6 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"raqo/internal/catalog"
@@ -60,8 +70,9 @@ const MaxRelations = 22
 // sliceTableMax is the largest relation count for which the DP table's
 // index is a dense mask-indexed slice (2^n slots); beyond it the index
 // falls back to a map to avoid multi-megabyte slabs for the rare huge
-// query.
-const sliceTableMax = 16
+// query. It is the bound up to which a query's planning form keeps the
+// DP's schedule.
+const sliceTableMax = plan.ScheduleMax
 
 // Planner is a Selinger-style left-deep query planner.
 type Planner struct {
@@ -98,12 +109,13 @@ type answer struct {
 
 // dpState is the reusable working memory of one Plan call.
 type dpState struct {
-	arena  plan.Arena
-	leaves []*plan.Node
-	ranks  []int     // per leaf, its table's rank in the schema's index
-	adj    []uint64  // per leaf, the leaves it is joinable with (one word: n <= MaxRelations)
-	sel    []float64 // sel[i*n+l]: the selectivity of the edge between leaves l and i, as CrossSelectivity multiplies it
-	n      int
+	arena plan.Arena
+
+	// f is the query's planning form: the leaves, their join graph and
+	// selectivities and the schedule. form is the scratch q.Form builds a
+	// query's first planning in.
+	f    *plan.Form
+	form plan.Form
 
 	// entries are the planned subsets, the leaves first, in the order they
 	// were planned; entry k's relation sets are sets[k*setWords:][:setWords].
@@ -126,22 +138,18 @@ type dpState struct {
 	m        map[uint32]int32
 	useSlice bool
 
-	level   []uint32 // masks of the current DP level, ascending
-	next    []uint64 // 2^n-bit set of the next level's masks; all zero between levels
+	// Above sliceTableMax relations the form keeps no schedule: it is
+	// generated into sched per call, deduplicated through the 2^n-bit seen.
+	sched   []uint32
+	seen    []uint64
 	scratch plan.JoinScratch
 }
 
 var statePool = sync.Pool{New: func() any { return new(dpState) }}
 
-// prepare sizes the table index and the next-level bitmap for an
-// n-relation query and clears any previous run's slots (bounded to the 2^n
-// this query uses).
+// prepare sizes the table index for an n-relation query and clears any
+// previous run's slots (bounded to the 2^n this query uses).
 func (st *dpState) prepare(n int) {
-	if words := (1<<uint(n) + 63) / 64; cap(st.next) < words {
-		st.next = make([]uint64, words)
-	} else {
-		st.next = st.next[:words]
-	}
 	if n <= sliceTableMax {
 		size := 1 << uint(n)
 		if cap(st.slot) < size {
@@ -165,12 +173,10 @@ func (st *dpState) prepare(n int) {
 // pooled state never retains a previous query's plans.
 func (st *dpState) release() {
 	st.arena.Reset()
-	clear(st.leaves)
-	st.leaves = st.leaves[:0]
+	st.f = nil
 	st.scratch = plan.JoinScratch{}
 	st.entries = st.entries[:0]
 	st.sets = st.sets[:0]
-	st.level = st.level[:0]
 	st.keeper, st.answers, st.reused = nil, st.answers[:0], 0
 }
 
@@ -204,43 +210,44 @@ func (st *dpState) setsOf(k int) []uint64 {
 	return st.sets[k*st.setWords : (k+1)*st.setWords]
 }
 
-// load builds the query's scans and derives its leaf-pair tables: the
-// join graph among the leaves and the selectivity of each of its edges.
-// The leaves become the table's first n entries.
+// load reads the query's planning form and makes its leaves the table's
+// first n entries.
 func (st *dpState) load(q *plan.Query) error {
-	g := q.Schema.Index()
-	n := len(q.Rels)
-	st.n, st.setWords = n, 2*g.Words()
-	st.adj = slices.Grow(st.adj[:0], n)[:n]
-	st.sel = slices.Grow(st.sel[:0], n*n)[:n*n]
-	st.ranks = st.ranks[:0]
-	for i, r := range q.Rels {
-		leaf, err := st.arena.Scan(q.Schema, r)
-		if err != nil {
-			return err
-		}
-		// The selectivity fold walks a mask's members in query order, which
-		// is CrossSelectivity's rank order only over name-sorted relations.
-		rank := g.Rank(r)
-		if i > 0 && rank <= st.ranks[i-1] {
+	f, err := q.Form(&st.form)
+	if err != nil {
+		return err
+	}
+	// The selectivity fold walks a mask's members in query order, which is
+	// CrossSelectivity's rank order only over name-sorted relations.
+	for i := 1; i < f.Len(); i++ {
+		if f.Rank(i) <= f.Rank(i-1) {
 			return fmt.Errorf("selinger: query relations %v are not sorted and unique", q.Rels)
 		}
-		st.ranks = append(st.ranks, rank)
-		st.leaves = append(st.leaves, leaf)
+	}
+	st.f = f
+	st.setWords = 2 * q.Schema.Index().Words()
+	for i := range f.Len() {
+		leaf := f.Leaf(i)
 		st.sets = leaf.AppendSets(st.sets)
 		st.add(1<<uint(i), entry{leaf: int32(i), out: leaf.Estimate()})
 	}
-	for i := range n {
-		st.adj[i] = 0
-		for l := range n {
-			sel, ok := g.Selectivity(st.ranks[l], st.ranks[i])
-			if ok {
-				st.adj[i] |= 1 << uint(l)
-			}
-			st.sel[i*n+l] = sel
-		}
-	}
 	return nil
+}
+
+// schedule returns the masks the DP plans, in order: every connected
+// subset of two or more leaves, by size and then ascending mask. The form
+// keeps them up to sliceTableMax relations; beyond, they are generated
+// per call into the state's buffers.
+func (st *dpState) schedule() []uint32 {
+	if masks, ok := st.f.Schedule(); ok {
+		return masks
+	}
+	words := (1<<uint(st.f.Len()) + 63) / 64
+	if cap(st.seen) < words {
+		st.seen = make([]uint64, words)
+	}
+	st.sched = st.f.AppendSchedule(st.sched[:0], st.seen[:words])
+	return st.sched
 }
 
 // bestFor prices every (subset, join-algo) candidate for one mask, reading
@@ -253,6 +260,7 @@ func (st *dpState) load(q *plan.Query) error {
 // others. Ties keep the earlier candidate (strict improvement only).
 func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, bool) {
 	sc := &st.scratch
+	f, graph := st.f, st.f.Graph()
 	var best entry
 	found := false
 	var sets []uint64
@@ -260,7 +268,7 @@ func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, boo
 	for sub := mask; sub != 0; sub &= sub - 1 {
 		i := bits.TrailingZeros32(sub)
 		rest := mask &^ (1 << uint(i))
-		nbr := rest & uint32(st.adj[i])
+		nbr := rest & uint32(graph[i])
 		if nbr == 0 {
 			continue // cross product: relation i not joinable with rest
 		}
@@ -268,17 +276,13 @@ func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, boo
 		if !ok {
 			continue // rest has no plan: disconnected, or no feasible one
 		}
-		prev, leaf := &st.entries[k], st.leaves[i]
+		prev, leaf := &st.entries[k], f.Leaf(i)
 		if sets == nil {
 			at := len(st.entries) * st.setWords
 			st.sets = plan.AppendJoinSets(st.sets[:at], st.setsOf(k), leaf)
 			sets = st.sets[at:]
 		}
-		sel := 1.0
-		for row := st.sel[i*st.n:]; nbr != 0; nbr &= nbr - 1 {
-			sel *= row[bits.TrailingZeros32(nbr)]
-		}
-		out := plan.JoinEstimate(prev.out, st.entries[i].out, sel)
+		out := plan.JoinEstimate(prev.out, st.entries[i].out, f.Cross(i, uint64(nbr)))
 		var kept []answer
 		if st.keeper != nil {
 			small := i
@@ -337,51 +341,18 @@ func (st *dpState) build(s *catalog.Schema, mask uint32) (*plan.Node, error) {
 	}
 	e := &st.entries[k]
 	if e.rest == 0 {
-		return st.leaves[e.leaf], nil
+		return st.f.Leaf(int(e.leaf)), nil
 	}
 	left, err := st.build(s, e.rest)
 	if err != nil {
 		return nil, err
 	}
-	j, err := st.arena.Join(s, e.algo, left, st.leaves[e.leaf])
+	j, err := st.arena.Join(s, e.algo, left, st.f.Leaf(int(e.leaf)))
 	if err != nil {
 		return nil, fmt.Errorf("selinger: internal: rebuilding the winner for %b: %w", mask, err)
 	}
 	j.Res = e.res
 	return j, nil
-}
-
-// nextLevel replaces st.level, the masks one DP level planned, with the
-// candidate masks of the level above in ascending order: each planned
-// mask extended by one leaf it is joinable with. Those are exactly the
-// masks bestFor can find a candidate for — every other mask of that size
-// has no split into a planned subset and a leaf joinable with it — so the
-// DP visits the connected subsets only, in the order a sweep of all
-// same-size masks would reach them. The extensions are deduplicated and
-// ordered through the st.next bitmap, which the drain leaves zero.
-func (st *dpState) nextLevel() []uint32 {
-	lo, hi := len(st.next), -1
-	for _, m := range st.level {
-		var nbr uint64
-		for x := m; x != 0; x &= x - 1 {
-			nbr |= st.adj[bits.TrailingZeros32(x)]
-		}
-		for x := uint32(nbr) &^ m; x != 0; x &= x - 1 {
-			ext := m | x&-x
-			w := int(ext / 64)
-			st.next[w] |= 1 << (ext % 64)
-			lo, hi = min(lo, w), max(hi, w)
-		}
-	}
-	level := st.level[:0]
-	for w := lo; w <= hi; w++ {
-		for x := st.next[w]; x != 0; x &= x - 1 {
-			level = append(level, uint32(w*64+bits.TrailingZeros64(x)))
-		}
-		st.next[w] = 0
-	}
-	st.level = level
-	return level
 }
 
 // Plan runs the DP and returns the cheapest (by time) left-deep plan.
@@ -411,28 +382,19 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 	if err := st.load(q); err != nil {
 		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		st.level = append(st.level, 1<<uint(i))
-	}
 	considered := 0
 
 	ctx := p.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for size := 2; size <= n; size++ {
-		masks := st.nextLevel()
-		planned := masks[:0]
-		for _, mask := range masks {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("selinger: planning cancelled: %w", err)
-			}
-			if e, ok := p.bestFor(st, mask, &considered); ok {
-				st.add(mask, e)
-				planned = append(planned, mask)
-			}
+	for _, mask := range st.schedule() {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("selinger: planning cancelled: %w", err)
 		}
-		st.level = planned
+		if e, ok := p.bestFor(st, mask, &considered); ok {
+			st.add(mask, e)
+		}
 	}
 	full := uint32(1)<<uint(n) - 1
 	k, ok := st.lookup(full)

@@ -1,20 +1,16 @@
 package plan
 
-import (
-	"fmt"
-
-	"raqo/internal/catalog"
-)
+import "raqo/internal/catalog"
 
 // This file provides the zero-allocation construction paths the planners'
 // hot loops use: an Arena that hands out reusable Node storage in chunks,
 // and a JoinScratch that re-initializes one Node in place for
 // cost-and-discard candidate evaluation. The arena recomputes the same
-// statistics as NewScan/NewJoin — plans built in it are
-// indistinguishable from heap-constructed ones except for lifetime:
-// arena nodes are valid only until the next Reset, and anything that
-// outlives the arena must be deep-copied out with Clone. The scratch
-// takes the statistics its caller derived.
+// statistics as NewJoin — joins built in it are indistinguishable from
+// heap-constructed ones except for lifetime: arena nodes are valid only
+// until the next Reset, and anything that outlives the arena must be
+// deep-copied out with Clone. The scans below them are a query's planning
+// form's (form.go). The scratch takes the statistics its caller derived.
 
 // arenaChunk is the node count of one arena slab. Chunks are fixed-size
 // so handed-out *Node pointers never move when the arena grows.
@@ -71,18 +67,6 @@ func (a *Arena) carve(need int) []uint64 {
 	start := len(a.sets)
 	a.sets = a.sets[:start+need]
 	return a.sets[start : start+need : start+need]
-}
-
-// Scan builds a scan leaf in the arena, equivalent to NewScan.
-func (a *Arena) Scan(s *catalog.Schema, table string) (*Node, error) {
-	g := s.Index()
-	rank := g.Rank(table)
-	if rank < 0 {
-		return nil, fmt.Errorf("plan: unknown table %q", table)
-	}
-	n := a.alloc()
-	n.initScan(g, rank, a.carve(2*g.Words()))
-	return n, nil
 }
 
 // Join builds a join node in the arena, equivalent to NewJoin but

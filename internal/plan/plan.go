@@ -12,6 +12,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"raqo/internal/catalog"
 	"raqo/internal/units"
@@ -84,9 +85,16 @@ func (r Resources) String() string {
 // Query is a logical join query: the set of relations to join over a
 // schema's join graph. The paper's queries "consist of a set of relations
 // that need to be joined".
+//
+// A Query is not mutated after construction: its planning form (Form) is
+// derived from Schema and Rels and kept for the Query's lifetime, keyed
+// to the schema's index snapshot, so only a schema change derives it again.
 type Query struct {
 	Schema *catalog.Schema
 	Rels   []string // sorted, unique
+
+	form    atomic.Pointer[Form] // the published form; see Form
+	planned atomic.Bool          // a Form call has been made with a scratch
 }
 
 // NewQuery validates and normalizes a query. The relations must exist, be

@@ -207,11 +207,11 @@ func TestArenaMatchesNew(t *testing.T) {
 	s := sigSchema(t)
 	var a Arena
 	for round := 0; round < 3; round++ {
-		la, err := a.Scan(s, "a")
+		la, err := NewScan(s, "a")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lb, err := a.Scan(s, "b")
+		lb, err := NewScan(s, "b")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,12 +238,12 @@ func TestArenaMatchesNew(t *testing.T) {
 func TestArenaRejectsBadJoins(t *testing.T) {
 	s := sigSchema(t)
 	var a Arena
-	la, _ := a.Scan(s, "a")
-	lc, _ := a.Scan(s, "c")
+	la, _ := NewScan(s, "a")
+	lc, _ := NewScan(s, "c")
 	if _, err := a.Join(s, SMJ, la, lc); err != ErrCrossProduct {
 		t.Fatalf("cross product err = %v, want ErrCrossProduct", err)
 	}
-	la2, _ := a.Scan(s, "a")
+	la2, _ := NewScan(s, "a")
 	if _, err := a.Join(s, SMJ, la, la2); err != ErrOverlap {
 		t.Fatalf("overlap err = %v, want ErrOverlap", err)
 	}
