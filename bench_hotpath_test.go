@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,6 +144,20 @@ func coldOptimizer(tb testing.TB, planner core.PlannerKind, rp resource.Planner)
 	return o
 }
 
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestHotPathAllocCeilings asserts hard allocation ceilings on the
 // steady-state hot paths. Most ceilings carry slack over the measured
 // numbers (`go test -bench HotPath -benchmem .`) so noise does not flake
@@ -190,6 +205,20 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(20, coldPlanner(t, core.FastRandomized, 30, coldEach)); got > 41 {
 		t.Errorf("cold FastRandomized-30 allocates %.0f/op, ceiling 41", got)
+	}
+
+	// The largest query the Selinger DP plans, selinger.MaxRelations = 16
+	// relations, over the full 2^16-slot table of its pooled state:
+	// measured 37 allocations and about 8 KB per call, as Selinger-12. The
+	// count's ceiling is that plus 15 %. The 256 KB table is reused, not
+	// reallocated: the bytes' ceiling, 64 KB a call, leaves room for one
+	// pool refill after a collection but not for a table per call.
+	sel16 := coldPlanner(t, core.Selinger, 16, coldEach)
+	if got := testing.AllocsPerRun(20, sel16); got > 43 {
+		t.Errorf("cold Selinger-16 allocates %.0f/op, ceiling 43", got)
+	}
+	if got := bytesPerRun(20, sel16); got > 64<<10 {
+		t.Errorf("cold Selinger-16 allocates %d B/op, ceiling 64 KB", got)
 	}
 
 	// The same cases with a new plan.Query per call, as a one-shot request

@@ -80,8 +80,12 @@ func (w *window) len() int {
 	return w.next
 }
 
-// quantileIdx is the position of the q-quantile among n sorted samples
-// (nearest-rank, deterministic).
+// quantileIdx is the position of the q-quantile among n sorted samples:
+// ⌊q·n⌋−1, clamped to the samples, so the ⌊q·n⌋-th smallest. That is the
+// nearest rank (stats.Percentile's ⌈q·n⌉-th) only where q·n is a whole
+// number; elsewhere it is the sample one below, so the median of a
+// 17-sample window is its 8th smallest. The feedback figure's drift flags
+// pin this rule.
 func quantileIdx(q float64, n int) int {
 	idx := int(q*float64(n)) - 1
 	if idx < 0 {

@@ -192,22 +192,6 @@ func TestRandomTreeMatchesPairScan(t *testing.T) {
 			checkRandomTrees(t, &ts, disconnected, int64(k), 4)
 		}
 	}
-	// The package-level form draws through a fresh scratch.
-	q, err := workload.RandomQuery(rng, schemas["random100"], 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := optimizer.RandomTree(rand.New(rand.NewSource(3)), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pairScanRandomTree(rand.New(rand.NewSource(3)), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameTree(a, b) {
-		t.Fatalf("package-level RandomTree:\n%s\nreference\n%s", a, b)
-	}
 }
 
 // TestMutateMatchesHeap holds the arena-built mutations to the heap-built
@@ -215,7 +199,8 @@ func TestRandomTreeMatchesPairScan(t *testing.T) {
 // connected queries of 2 to 60 relations, chains of mutations through one
 // TreeScratch reused (and reset) throughout draw the same trees from the
 // same generator positions, and none of them changes while the chain grows.
-// The package-level Mutate, over a fresh scratch, does the same.
+// A tree the scratch did not build, mutated through a fresh scratch each
+// step, does the same.
 func TestMutateMatchesHeap(t *testing.T) {
 	schemas := enumSchemas(t)
 	rng := rand.New(rand.NewSource(1994))
@@ -243,10 +228,10 @@ func TestMutateMatchesHeap(t *testing.T) {
 	}
 	got, want := rand.New(rand.NewSource(6)), rand.New(rand.NewSource(6))
 	for step := range 20 {
-		a, okA := optimizer.Mutate(got, q.Schema, root)
+		a, okA := new(optimizer.TreeScratch).Mutate(got, q.Schema, root)
 		b, okB := hs.Mutate(want, q.Schema, root)
 		if okA != okB || okA && !sameTree(a, b) {
-			t.Fatalf("package-level Mutate step %d: %v\n%s\nheap reference %v\n%s", step, okA, a, okB, b)
+			t.Fatalf("fresh-scratch Mutate step %d: %v\n%s\nheap reference %v\n%s", step, okA, a, okB, b)
 		}
 	}
 }
@@ -345,13 +330,41 @@ func sameResult(t testing.TB, q *plan.Query, got, want *optimizer.Result) {
 	}
 }
 
+// cliqueSchema is an n-table schema whose join graph is complete, with a
+// selectivity on every edge that no binary fraction spells (1/3, 1/5,
+// 1/7, …): a leaf joins every member of any left input, so the DP folds
+// three or more selectivities per split of a subset of four or more, and
+// a fold in another order than CrossSelectivity's gives other bits.
+func cliqueSchema(t testing.TB, n int) *catalog.Schema {
+	t.Helper()
+	s := catalog.NewSchema()
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("k%02d", i)
+		if err := s.AddTable(catalog.Table{Name: names[i], Rows: 1_000_003 * int64(1+i*i), RowBytes: 40 + 13*i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edge := 0
+	for i := range names {
+		for j := i + 1; j < n; j++ {
+			if err := s.AddJoin(names[i], names[j], 1/float64(3+2*edge)); err != nil {
+				t.Fatal(err)
+			}
+			edge++
+		}
+	}
+	return s
+}
+
 // TestSelingerMatchesFullSweep holds the connected-subset DP to the full
 // mask sweep it replaced. A recording coster over a real nearest-neighbour
 // cache must see the identical call sequence — its answers depend on that
 // order — and the plans (resources included), costs and PlansConsidered
 // must match bit for bit. Queries: TPC-H's, connected ones of 2 to 12
-// relations on the random schemas, one past the dense table's 16, and
-// disconnected ones, which must fail with the same error.
+// relations on the random schemas, a 6-relation clique, one of the DP's
+// largest, selinger.MaxRelations, and disconnected ones, which must fail
+// with the same error.
 func TestSelingerMatchesFullSweep(t *testing.T) {
 	schemas := enumSchemas(t)
 	rng := rand.New(rand.NewSource(1979))
@@ -377,7 +390,9 @@ func TestSelingerMatchesFullSweep(t *testing.T) {
 			queries = append(queries, q, rawQuery(s, randomSubset(rng, s, k)))
 		}
 	}
-	big, err := workload.RandomQuery(rng, schemas["random30"], 17)
+	clique := cliqueSchema(t, 6)
+	queries = append(queries, rawQuery(clique, clique.Tables()))
+	big, err := workload.RandomQuery(rng, schemas["random30"], selinger.MaxRelations)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,10 +418,13 @@ func (b *fuzzInput) next() int {
 // FuzzEnumeration decodes a join graph of 2 to 72 tables — past one
 // 64-bit row word — whose name order differs from their insertion order,
 // with up to three edges per table and so often disconnected, and a query
-// over it that NewQuery has not vetted. The random tree must match the
-// pair scan draw for draw, a chain of mutations from one must match the
-// heap-built reference step for step and, up to 12 relations, the Selinger
-// DP must match the full sweep call for call. The seed corpus (below and
+// over it that NewQuery has not vetted. Selectivities are k/257, not
+// binary fractions, so a product of three or more of them has bits that
+// depend on the order of its fold (the clique seeds meet that). The
+// random tree must match the pair scan draw for draw, a chain of
+// mutations from one must match the heap-built reference step for step
+// and, up to 12 relations, the Selinger DP must match the full sweep call
+// for call. The seed corpus (below and
 // under testdata/fuzz) runs under plain `go test`.
 func FuzzEnumeration(f *testing.F) {
 	f.Add([]byte{})
@@ -427,7 +445,7 @@ func FuzzEnumeration(f *testing.F) {
 			if a == b {
 				continue
 			}
-			if err := s.AddJoin(names[a], names[b], float64(1+in.next())/256); err != nil {
+			if err := s.AddJoin(names[a], names[b], float64(1+in.next())/257); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -118,20 +118,11 @@ type TreeScratch struct {
 // Reset recycles every node the scratch has built.
 func (ts *TreeScratch) Reset() { ts.arena.Reset() }
 
-// RandomTree builds a uniformly random bushy join tree for the query: it
-// repeatedly joins two random joinable connected components with a random
-// operator implementation. Used to seed the randomized planner.
-func RandomTree(rng *rand.Rand, q *plan.Query) (*plan.Node, error) {
-	f, err := q.Form(nil)
-	if err != nil {
-		return nil, err
-	}
-	return new(TreeScratch).RandomTree(rng, f)
-}
-
-// RandomTree is the storage-reusing form of the package-level RandomTree,
-// for the query whose planning form f is: the tree's scans are f's
-// leaves, and the components' join graph starts as f's.
+// RandomTree builds a uniformly random bushy join tree for the query
+// whose planning form f is: it repeatedly joins two random joinable
+// connected components with a random operator implementation. Used to
+// seed the randomized planner. The tree's scans are f's leaves, and the
+// components' join graph starts as f's.
 //
 // The joinable component pairs are never listed: the scratch keeps the
 // components' join graph as a symmetric bit matrix and a running count of
@@ -274,14 +265,9 @@ const (
 var Mutations = []Mutation{Exchange, AssocLeft, AssocRight, FlipAlgo}
 
 // Mutate applies a random mutation at a random join node, returning the new
-// tree. ok is false when the chosen mutation is inapplicable at the chosen
-// node (the caller simply retries); the input tree is never modified.
-func Mutate(rng *rand.Rand, s *catalog.Schema, root *plan.Node) (*plan.Node, bool) {
-	return new(TreeScratch).Mutate(rng, s, root)
-}
-
-// Mutate is the storage-reusing form of the package-level Mutate: the
-// nodes it builds come from the scratch's arena.
+// tree, whose new nodes come from the scratch's arena. ok is false when
+// the chosen mutation is inapplicable at the chosen node (the caller
+// simply retries); the input tree is never modified.
 func (ts *TreeScratch) Mutate(rng *rand.Rand, s *catalog.Schema, root *plan.Node) (*plan.Node, bool) {
 	joins := root.AppendJoins(ts.joins[:0])
 	ts.joins = joins

@@ -33,8 +33,9 @@ func qAll(t *testing.T) *plan.Query {
 func TestRandomTreeValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	q := qAll(t)
+	var ts optimizer.TreeScratch
 	for i := 0; i < 50; i++ {
-		tree, err := optimizer.RandomTree(rng, q)
+		tree, err := drawTree(&ts, rng, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,9 +48,10 @@ func TestRandomTreeValid(t *testing.T) {
 func TestRandomTreeDiversity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	q := qAll(t)
+	var ts optimizer.TreeScratch
 	sigs := map[string]bool{}
 	for i := 0; i < 30; i++ {
-		tree, err := optimizer.RandomTree(rng, q)
+		tree, err := drawTree(&ts, rng, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,13 +65,14 @@ func TestRandomTreeDiversity(t *testing.T) {
 func TestMutatePreservesValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := qAll(t)
-	tree, err := optimizer.RandomTree(rng, q)
+	var ts optimizer.TreeScratch
+	tree, err := drawTree(&ts, rng, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutated, changed := 0, 0
 	for i := 0; i < 300; i++ {
-		mut, ok := optimizer.Mutate(rng, q.Schema, tree)
+		mut, ok := ts.Mutate(rng, q.Schema, tree)
 		if !ok {
 			continue
 		}
@@ -101,9 +104,10 @@ func TestMutateReachesOtherAlgos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var ts optimizer.TreeScratch
 	sawBHJ := false
 	for i := 0; i < 200 && !sawBHJ; i++ {
-		mut, ok := optimizer.Mutate(rng, q.Schema, tree)
+		mut, ok := ts.Mutate(rng, q.Schema, tree)
 		if !ok {
 			continue
 		}
@@ -126,7 +130,7 @@ func TestMutateScanOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := optimizer.Mutate(rng, s, scan); ok {
+	if _, ok := new(optimizer.TreeScratch).Mutate(rng, s, scan); ok {
 		t.Error("mutating a scan should be inapplicable")
 	}
 }

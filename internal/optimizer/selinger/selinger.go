@@ -15,12 +15,10 @@
 // where the sweep reaches it, whatever the coster refused before.
 //
 // What depends on the query alone — its scans, their join graph and
-// selectivities and, up to sliceTableMax relations, the schedule — is the
-// query's planning form (plan.Query.Form), derived once and read by every
-// later call. A query's first planning derives it in the pooled state's
-// scratch, so a query planned once costs no more than before; above
-// sliceTableMax relations the schedule is generated per call into pooled
-// buffers.
+// selectivities and the schedule — is the query's planning form
+// (plan.Query.Form), derived once and read by every later call. A query's
+// first planning derives it in the pooled state's scratch, so a query
+// planned once costs no more than before.
 //
 // The DP works on values, not plan nodes. Its table holds, per planned
 // subset, the winner's recipe — the left input's mask, the right leaf, the
@@ -46,9 +44,9 @@
 // DP does make still see what the full sweep's would.
 //
 // That working state — the table, its entries' relation sets and kept
-// answers, the scratch form, the schedule buffers, the candidate scratch
-// and the arena the returned plan is built in — lives in a sync.Pool of
-// dpState values, so repeated planning calls allocate near-zero.
+// answers, the scratch form, the candidate scratch and the arena the
+// returned plan is built in — lives in a sync.Pool of dpState values, so
+// repeated planning calls allocate near-zero.
 package selinger
 
 import (
@@ -62,17 +60,12 @@ import (
 	"raqo/internal/plan"
 )
 
-// MaxRelations bounds the DP: the table is O(2^n). Queries beyond this are
-// for the randomized planner (the paper uses Selinger on TPC-H and the
-// randomized planner for the 100-table scaling experiments).
-const MaxRelations = 22
-
-// sliceTableMax is the largest relation count for which the DP table's
-// index is a dense mask-indexed slice (2^n slots); beyond it the index
-// falls back to a map to avoid multi-megabyte slabs for the rare huge
-// query. It is the bound up to which a query's planning form keeps the
-// DP's schedule.
-const sliceTableMax = plan.ScheduleMax
+// MaxRelations bounds the DP: its table index is a dense 2^n-slot slice,
+// and its schedule is the one a query's planning form keeps, up to
+// plan.ScheduleMax relations. Queries beyond this are for the randomized
+// planner (the paper uses Selinger on TPC-H and the randomized planner for
+// the 100-table scaling experiments).
+const MaxRelations = plan.ScheduleMax
 
 // Planner is a Selinger-style left-deep query planner.
 type Planner struct {
@@ -131,17 +124,9 @@ type dpState struct {
 	answers []answer
 	reused  int64
 
-	// The table's index from mask to entry: a dense mask-indexed slice
-	// holding the entry's index + 1 (0: unplanned) up to sliceTableMax
-	// relations, a map holding the index beyond.
-	slot     []int32
-	m        map[uint32]int32
-	useSlice bool
-
-	// Above sliceTableMax relations the form keeps no schedule: it is
-	// generated into sched per call, deduplicated through the 2^n-bit seen.
-	sched   []uint32
-	seen    []uint64
+	// slot is the table's index from mask to entry: slot[mask] holds the
+	// entry's index + 1, 0 when mask is unplanned.
+	slot    []int32
 	scratch plan.JoinScratch
 }
 
@@ -150,23 +135,13 @@ var statePool = sync.Pool{New: func() any { return new(dpState) }}
 // prepare sizes the table index for an n-relation query and clears any
 // previous run's slots (bounded to the 2^n this query uses).
 func (st *dpState) prepare(n int) {
-	if n <= sliceTableMax {
-		size := 1 << uint(n)
-		if cap(st.slot) < size {
-			st.slot = make([]int32, size)
-		} else {
-			st.slot = st.slot[:size]
-			clear(st.slot)
-		}
-		st.useSlice = true
-		return
-	}
-	if st.m == nil {
-		st.m = make(map[uint32]int32, 1<<12)
+	size := 1 << uint(n)
+	if cap(st.slot) < size {
+		st.slot = make([]int32, size)
 	} else {
-		clear(st.m)
+		st.slot = st.slot[:size]
+		clear(st.slot)
 	}
-	st.useSlice = false
 }
 
 // release recycles the arena and drops every plan-node pointer so a
@@ -182,12 +157,8 @@ func (st *dpState) release() {
 
 // lookup returns the index of mask's entry, if mask is planned.
 func (st *dpState) lookup(mask uint32) (int, bool) {
-	if st.useSlice {
-		k := st.slot[mask]
-		return int(k) - 1, k != 0
-	}
-	k, ok := st.m[mask]
-	return int(k), ok
+	k := st.slot[mask]
+	return int(k) - 1, k != 0
 }
 
 // add records e as mask's entry. Its relation sets must already be
@@ -198,11 +169,7 @@ func (st *dpState) add(mask uint32, e entry) {
 	if st.keeper != nil {
 		st.answers = append(st.answers, make([]answer, len(plan.Algos))...)
 	}
-	if st.useSlice {
-		st.slot[mask] = k + 1
-		return
-	}
-	st.m[mask] = k
+	st.slot[mask] = k + 1
 }
 
 // setsOf returns the relation sets of entry k.
@@ -232,22 +199,6 @@ func (st *dpState) load(q *plan.Query) error {
 		st.add(1<<uint(i), entry{leaf: int32(i), out: leaf.Estimate()})
 	}
 	return nil
-}
-
-// schedule returns the masks the DP plans, in order: every connected
-// subset of two or more leaves, by size and then ascending mask. The form
-// keeps them up to sliceTableMax relations; beyond, they are generated
-// per call into the state's buffers.
-func (st *dpState) schedule() []uint32 {
-	if masks, ok := st.f.Schedule(); ok {
-		return masks
-	}
-	words := (1<<uint(st.f.Len()) + 63) / 64
-	if cap(st.seen) < words {
-		st.seen = make([]uint64, words)
-	}
-	st.sched = st.f.AppendSchedule(st.sched[:0], st.seen[:words])
-	return st.sched
 }
 
 // bestFor prices every (subset, join-algo) candidate for one mask, reading
@@ -388,7 +339,7 @@ func (p *Planner) Plan(q *plan.Query) (*optimizer.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, mask := range st.schedule() {
+	for _, mask := range st.f.Schedule() {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("selinger: planning cancelled: %w", err)
 		}

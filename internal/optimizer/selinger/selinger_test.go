@@ -1,12 +1,14 @@
 package selinger
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"raqo/internal/catalog"
 	"raqo/internal/optimizer/optimizertest"
+	"raqo/internal/optimizer/randomized"
 	"raqo/internal/plan"
 )
 
@@ -126,16 +128,45 @@ func TestPlanErrors(t *testing.T) {
 	if _, err := p.Plan(q); err == nil || !strings.Contains(err.Error(), "no feasible plan") {
 		t.Errorf("failing coster: err = %v", err)
 	}
-	// Too many relations.
-	rng := rand.New(rand.NewSource(1))
-	big, err := catalog.Random(rng, MaxRelations+1, catalog.DefaultRandomConfig())
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestPlanRelationBound: the DP's bound is the planning form's schedule
+// bound. It plans a query of MaxRelations relations over its full dense
+// table, and refuses one of MaxRelations+1 with the error that sends it
+// to the randomized planner, which plans it.
+func TestPlanRelationBound(t *testing.T) {
+	if MaxRelations != plan.ScheduleMax {
+		t.Fatalf("MaxRelations = %d, the planning form keeps schedules up to %d relations", MaxRelations, plan.ScheduleMax)
 	}
-	qb := query(t, big, big.Tables()...)
-	p = &Planner{Coster: coster()}
-	if _, err := p.Plan(qb); err == nil {
-		t.Error("oversized query accepted")
+	rng := rand.New(rand.NewSource(1))
+	allTables := func(n int) *plan.Query {
+		s, err := catalog.Random(rng, n, catalog.DefaultRandomConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return query(t, s, s.Tables()...)
+	}
+	q := allTables(MaxRelations)
+	res, err := (&Planner{Coster: coster()}).Plan(q)
+	if err == nil {
+		err = res.Plan.Validate(q)
+	}
+	if err != nil {
+		t.Fatalf("%d relations: %v", MaxRelations, err)
+	}
+
+	q = allTables(MaxRelations + 1)
+	want := fmt.Sprintf("selinger: %d relations exceeds the DP limit of %d; use the randomized planner", MaxRelations+1, MaxRelations)
+	if _, err := (&Planner{Coster: coster()}).Plan(q); err == nil || err.Error() != want {
+		t.Fatalf("%d relations: error %v, want %q", MaxRelations+1, err, want)
+	}
+	rp := &randomized.Planner{Coster: coster(), Seed: 1, Opts: randomized.Options{Iterations: 2, Seeds: 2, MutationsPerPlan: 2}}
+	res, err = rp.Plan(q)
+	if err == nil {
+		err = res.Plan.Validate(q)
+	}
+	if err != nil {
+		t.Fatalf("%d relations, randomized: %v", MaxRelations+1, err)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // ScheduleMax is the largest leaf count for which a Form keeps its
-// connected-subset schedule: the bound of the Selinger DP's dense table,
-// whose queries are the ones planned over and over. Deduplicating one
-// level of the schedule takes a 2^n-bit map.
+// connected-subset schedule, and so the largest query the Selinger DP,
+// which plans in that schedule over a dense 2^n-slot table, accepts.
+// Deduplicating one level of the schedule takes a 2^n-bit map.
 const ScheduleMax = 16
 
 // Form is a query's planning form: what the planners read that depends
@@ -43,8 +43,7 @@ type Form struct {
 	selAt []int32
 	sel   []float64
 
-	sched    []uint32
-	hasSched bool
+	sched []uint32
 }
 
 // Form returns the query's planning form at its schema's current index.
@@ -142,12 +141,12 @@ func (f *Form) build(q *Query, g *catalog.Index) error {
 	}
 	f.selAt[n] = int32(k)
 
-	f.sched, f.hasSched = f.sched[:0], n <= ScheduleMax
-	if f.hasSched {
+	f.sched = f.sched[:0]
+	if n <= ScheduleMax {
 		sc := schedulePool.Get().(*scheduleScratch)
-		sc.masks = f.AppendSchedule(sc.masks[:0], sc.seen[:])
+		sc.masks = f.appendSchedule(sc.masks[:0], &sc.seen)
 		f.sched = append(f.sched, sc.masks...)
-		sc.masks = sc.masks[:0] // seen is left zero by AppendSchedule
+		sc.masks = sc.masks[:0] // seen is left zero by appendSchedule
 		schedulePool.Put(sc)
 	}
 	return nil
@@ -187,19 +186,19 @@ func (f *Form) Cross(i int, nbr uint64) float64 {
 }
 
 // Schedule returns every connected subset of at least two leaves, as a
-// mask over leaf indices, by size and then in ascending mask order, as
-// AppendSchedule generates it; ok is false above ScheduleMax leaves,
-// where the form keeps none.
-func (f *Form) Schedule() (masks []uint32, ok bool) { return f.sched, f.hasSched }
+// mask over leaf indices, by size and then in ascending mask order. It is
+// empty above ScheduleMax leaves, where the form keeps none. The caller
+// must not modify it.
+func (f *Form) Schedule() []uint32 { return f.sched }
 
-// AppendSchedule appends to dst every connected subset of at least two
+// appendSchedule appends to dst every connected subset of at least two
 // leaves, as a mask over leaf indices, by size and then in ascending mask
 // order, and returns the extended slice. The subsets of size s+1 are the
 // subsets of size s extended by one leaf of their neighbourhood — every
 // connected subset has a connected subset one leaf smaller — deduplicated
-// and ordered through seen, which must hold at least 2^Len() bits, all
-// zero, and is left zero. The form must have at most 32 leaves.
-func (f *Form) AppendSchedule(dst []uint32, seen []uint64) []uint32 {
+// and ordered through seen, which must be all zero and is left zero. The
+// form must have at most ScheduleMax leaves.
+func (f *Form) appendSchedule(dst []uint32, seen *[1 << ScheduleMax / 64]uint64) []uint32 {
 	n := len(f.leaves)
 	from, to := 0, 0 // dst[from:to] is the last level; empty: the leaves
 	for size := 2; size <= n; size++ {

@@ -65,7 +65,8 @@ func formQueries(t *testing.T) []*plan.Query {
 // table's rank; graph row i holds Joinable(leaf i, leaf j) for every j;
 // Cross of one neighbour is the edge's Selectivity and of a random set of
 // neighbours is CrossSelectivity's fold; and the schedule is every
-// connected subset of two or more leaves by size and then mask.
+// connected subset of two or more leaves by size and then mask, or empty
+// past ScheduleMax leaves.
 func checkForm(t *testing.T, q *plan.Query, f *plan.Form, rng *rand.Rand) {
 	t.Helper()
 	g := q.Schema.Index()
@@ -128,18 +129,15 @@ func checkForm(t *testing.T, q *plan.Query, f *plan.Form, rng *rand.Rand) {
 			}
 		}
 	}
-	masks, ok := f.Schedule()
-	if ok != (n <= plan.ScheduleMax) {
-		t.Fatalf("%v: schedule kept %v for %d leaves", q.Rels, ok, n)
+	masks := f.Schedule()
+	if n > plan.ScheduleMax {
+		if len(masks) != 0 {
+			t.Fatalf("%v: schedule of %d masks kept for %d leaves", q.Rels, len(masks), n)
+		}
+		return
 	}
-	if n <= 18 {
-		want := connectedSubsets(graph, n)
-		if !ok {
-			masks = f.AppendSchedule(nil, make([]uint64, (1<<n+63)/64))
-		}
-		if !slices.Equal(masks, want) {
-			t.Fatalf("%v: schedule of %d masks, want the %d connected subsets", q.Rels, len(masks), len(want))
-		}
+	if want := connectedSubsets(graph, n); !slices.Equal(masks, want) {
+		t.Fatalf("%v: schedule of %d masks, want the %d connected subsets", q.Rels, len(masks), len(want))
 	}
 }
 
@@ -263,7 +261,7 @@ func TestFormConcurrentPlanning(t *testing.T) {
 		}
 		return out, nil
 	}
-	for _, k := range []int{3, 8, 12, 17} {
+	for _, k := range []int{3, 8, 12, plan.ScheduleMax} {
 		base, err := workload.RandomQuery(rng, s, k)
 		if err != nil {
 			t.Fatal(err)
