@@ -281,8 +281,8 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 
 	// Warm resource-plan cache hit, the probe every costed candidate pays:
-	// a nearest-neighbour answer from a populated index is one read lock
-	// and one binary search, no allocation.
+	// a nearest-neighbour answer from a populated index is one lock and
+	// one binary search, no allocation.
 	cache := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.NearestNeighbor, ThresholdGB: 0.1}
 	smj := cost.PaperSMJ()
 	for i := 0; i < 64; i++ {
@@ -312,6 +312,26 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		}
 	}); got > 0 {
 		t.Errorf("warm weighted-average cache hit allocates %.0f/op, ceiling 0", got)
+	}
+
+	// A miss into an index with spare capacity: the climb and the insert
+	// allocate nothing; the index's arrays allocate only when an append
+	// grows them (here 40 entries and 21 misses fit in the capacity the
+	// 33rd insert doubled to).
+	filling := &resource.Cache{Inner: &resource.HillClimb{}, Mode: resource.Exact}
+	for i := 0; i < 40; i++ {
+		if _, err := filling.Plan(smj, float64(i), cluster.Default()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nextKey := 100.0
+	if got := testing.AllocsPerRun(20, func() {
+		nextKey++
+		if _, n, err := filling.PlanCounted(smj, nextKey, cluster.Default()); err != nil || n == 0 {
+			t.Fatalf("cache miss: evaluations=%d err=%v", n, err)
+		}
+	}); got > 0 {
+		t.Errorf("cache miss into spare capacity allocates %.0f/op, ceiling 0", got)
 	}
 
 	// Plan identity: the arbiters' "did the re-plan change anything?" is a

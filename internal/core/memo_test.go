@@ -1,9 +1,15 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
+	"time"
 
 	"raqo/internal/cluster"
+	"raqo/internal/cost"
+	"raqo/internal/plan"
+	"raqo/internal/stats"
 	"raqo/internal/workload"
 )
 
@@ -152,5 +158,49 @@ func TestDerivedSeedsReproducible(t *testing.T) {
 	}
 	if a.seedFor(q(t, workload.Q3)) == a.seedFor(q(t, workload.Q12)) {
 		t.Error("distinct queries should derive distinct seeds")
+	}
+}
+
+// TestMemoizedNaNModelEnds: a cost model with finite coefficients, as a
+// peer's model set may carry, prices the hill climb's start NaN for large
+// inputs (1e307·ss and -1e305·ss² overflow to +Inf and -Inf past
+// ss ≈ 42 GB). The climb refuses such an operator instead of climbing
+// forever, so planning ends — with the cost memo on, whose singleflight
+// would otherwise park every later request for the key — and the plan
+// holds no sort-merge join the model prices NaN.
+func TestMemoizedNaNModelEnds(t *testing.T) {
+	smj := cost.NewRegression("overflowing-smj", &stats.LinearModel{Coef: []float64{1e307, -1e305, 0, 0, 0, 0, 0}})
+	models := cost.NewModels().Set(plan.SMJ, smj).Set(plan.BHJ, cost.PaperBHJ())
+	o, err := New(cluster.Default(), Options{Models: models, MemoizeCosts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := q(t, workload.All)
+	done := make(chan error, 2)
+	for range 2 {
+		go func() {
+			d, err := o.Optimize(query)
+			if err == nil {
+				for _, j := range d.Plan.Joins() {
+					if j.Algo == plan.SMJ && math.IsNaN(smj.Cost(j.SmallerInputGB(), 1, 1)) {
+						err = fmt.Errorf("the plan keeps a sort-merge join over %.1f GB that the model prices NaN", j.SmallerInputGB())
+					}
+				}
+			}
+			done <- err
+		}()
+	}
+	for range 2 {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("planning with a model that prices the climb's start NaN still running after 30 s")
+		}
+	}
+	if o.Memo().Misses() == 0 {
+		t.Error("the memo saw no costing")
 	}
 }

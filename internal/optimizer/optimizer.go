@@ -46,8 +46,14 @@ type OperatorCoster interface {
 // the bits of the smaller input's size. An answer may be kept only if
 // CostOperator returned no error and Epoch read the same value before and
 // after the call. A kept answer — the cost and the operator's resources —
-// may be served while Epoch still reads that value. The planner reports
-// the answers it served through Reused before the planning call ends.
+// may be served while Epoch still reads that value. Answers a planner
+// serves after one reading of Epoch count as served at that reading: each
+// was a valid answer then, so they may be ordered there even if another
+// user of the coster's state moves the epoch meanwhile. The planner must
+// read Epoch again after each of its own CostOperator calls, which may
+// move it (the Selinger DP reads it once per split and after each call).
+// The planner reports the answers it served through Reused before the
+// planning call ends.
 type AnswerKeeper interface {
 	// Epoch returns the current epoch; ok is false when no answer may be
 	// kept during this call.

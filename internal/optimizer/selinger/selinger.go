@@ -172,6 +172,12 @@ func (st *dpState) add(mask uint32, e entry) {
 	st.slot[mask] = k + 1
 }
 
+// joinOut is the estimated output of entry k joined with leaf i, whose
+// neighbours in k's relations are nbr.
+func (st *dpState) joinOut(k, i int, nbr uint32) plan.Estimate {
+	return plan.JoinEstimate(st.entries[k].out, st.entries[i].out, st.f.Cross(i, uint64(nbr)))
+}
+
 // setsOf returns the relation sets of entry k.
 func (st *dpState) setsOf(k int) []uint64 {
 	return st.sets[k*st.setWords : (k+1)*st.setWords]
@@ -203,12 +209,16 @@ func (st *dpState) load(q *plan.Query) error {
 
 // bestFor prices every (subset, join-algo) candidate for one mask, reading
 // only entries of strictly smaller subsets from the table, and returns the
-// winner's entry. A split's statistics are derived once from the table and
-// shared by every join algorithm; the mask's relation sets, the same for
-// every split, are derived at the first and left as st.sets' next words.
-// A candidate whose answer the smaller input's entry keeps at the current
-// epoch is priced from there; the candidate node is built only for the
-// others. Ties keep the earlier candidate (strict improvement only).
+// winner's entry. A split's estimate is derived from the table at most
+// once, and only for a split that is built for costing or wins; the
+// mask's relation sets, the same for every split, are derived at the
+// first and left as st.sets' next words. The keeper's epoch is read once
+// per split and again after each costing call, which may move it; kept
+// answers served after one reading count as served at that reading
+// (optimizer.AnswerKeeper). A candidate whose answer the smaller input's
+// entry keeps at that epoch is priced from there; the candidate node is
+// built only for the others. Ties keep the earlier candidate (strict
+// improvement only).
 func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, bool) {
 	sc := &st.scratch
 	f, graph := st.f, st.f.Graph()
@@ -233,49 +243,54 @@ func (p *Planner) bestFor(st *dpState, mask uint32, considered *int) (entry, boo
 			st.sets = plan.AppendJoinSets(st.sets[:at], st.setsOf(k), leaf)
 			sets = st.sets[at:]
 		}
-		out := plan.JoinEstimate(prev.out, st.entries[i].out, f.Cross(i, uint64(nbr)))
+		var out plan.Estimate
+		haveOut := false
 		var kept []answer
+		var epoch uint64
 		if st.keeper != nil {
 			small := i
 			if plan.LeftIsSmaller(prev.out, st.entries[i].out) {
 				small = k
 			}
 			kept = st.answers[small*nAlgos : (small+1)*nAlgos]
+			epoch, _ = st.keeper.Epoch()
 		}
 		built := false
 		for a, algo := range plan.Algos {
 			var oc optimizer.OpCost
 			var res plan.Resources
-			var epoch uint64
-			reuse := false
-			if kept != nil {
-				epoch, _ = st.keeper.Epoch()
-				reuse = kept[a].at == epoch+1
-			}
-			if reuse {
+			if kept != nil && kept[a].at == epoch+1 {
 				oc, res = kept[a].oc, kept[a].res
 				st.reused++
 			} else {
 				if !built {
+					if !haveOut {
+						out, haveOut = st.joinOut(k, i, nbr), true
+					}
 					sc.Join(algo, prev.out, st.setsOf(k), leaf, out, sets)
 					built = true
 				}
 				j := sc.Rejoin(algo)
 				var err error
 				oc, err = p.Coster.CostOperator(j)
+				if kept != nil {
+					now, _ := st.keeper.Epoch()
+					if err == nil && now == epoch {
+						kept[a] = answer{at: epoch + 1, res: j.Res, oc: oc}
+					}
+					epoch = now
+				}
 				if err != nil {
 					continue // e.g. no feasible resources for this operator
 				}
 				res = j.Res
-				if kept != nil {
-					if now, _ := st.keeper.Epoch(); now == epoch {
-						kept[a] = answer{at: epoch + 1, res: res, oc: oc}
-					}
-				}
 			}
 			*considered++
 			total := prev.cost.Add(oc)
 			if !found || total.Seconds < best.cost.Seconds {
+				if !haveOut {
+					out, haveOut = st.joinOut(k, i, nbr), true
+				}
 				best = entry{rest: rest, leaf: int32(i), algo: algo, res: res, cost: total, out: out}
 				found = true
 			}

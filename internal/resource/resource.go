@@ -102,70 +102,73 @@ type HillClimb struct {
 	evals atomic.Int64
 }
 
-// Plan implements Planner, following Algorithm 1's control flow: in each
-// round, for each resource dimension, try one step backward and one step
-// forward (within cluster conditions), keep the best improving step, and
-// stop when no step improves the current cost.
+// Plan implements Planner, in Algorithm 1's visiting order: in each round,
+// for the container count and then the container size, try one step
+// backward and one step forward (within cluster conditions), moving along
+// the dimension to the cheapest neighbour that beats the best cost so far
+// in the round, and stop after a round in which no neighbour was strictly
+// cheaper. A start configuration the model prices NaN is an error: no
+// neighbour can beat it, and it is no answer either.
 func (h *HillClimb) Plan(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, error) {
 	r, _, err := h.PlanCounted(m, ssGB, cond)
 	return r, err
 }
 
-// PlanCounted implements Counted.
+// PlanCounted implements Counted. Each round's start price counts as one
+// evaluation, as Algorithm 1 prices it; after the first round it is the
+// winning neighbour's price, carried over rather than recomputed. The
+// container axis steps in integers (exact for counts below 2^53, as the
+// float steps it replaces were).
 func (h *HillClimb) PlanCounted(m cost.Model, ssGB float64, cond cluster.Conditions) (plan.Resources, int64, error) {
 	if err := cond.Validate(); err != nil {
 		return plan.Resources{}, 0, err
 	}
-	cur := cond.MinResources()
+	nc, gb := cond.MinContainers, cond.MinContainerGB
+	cur := m.Cost(ssGB, gb, float64(nc))
+	if cur != cur {
+		h.evals.Add(1)
+		return plan.Resources{}, 1, fmt.Errorf("resource: cost model %s prices the start configuration %v NaN",
+			m.Name(), cond.MinResources())
+	}
+	ncStep, gbStep := cond.ContainerStep, cond.GBStep
+	lo, hi := cond.MinContainerGB-1e-9, cond.MaxContainerGB+1e-9
 	evals := int64(0)
-	eval := func(r plan.Resources) float64 {
-		evals++
-		return m.Cost(ssGB, r.ContainerGB, float64(r.Containers))
-	}
-	// dims: 0 = containers, 1 = container size.
-	step := [2]float64{float64(cond.ContainerStep), cond.GBStep}
-	get := func(r plan.Resources, i int) float64 {
-		if i == 0 {
-			return float64(r.Containers)
-		}
-		return r.ContainerGB
-	}
-	set := func(r plan.Resources, i int, v float64) plan.Resources {
-		if i == 0 {
-			r.Containers = int(math.Round(v))
-		} else {
-			r.ContainerGB = v
-		}
-		return r
-	}
-	lo := [2]float64{float64(cond.MinContainers), cond.MinContainerGB}
-	hi := [2]float64{float64(cond.MaxContainers), cond.MaxContainerGB}
-	candidate := [2]float64{-1, 1}
-
 	for {
-		curCost := eval(cur)
-		bestCost := curCost
-		for i := 0; i < 2; i++ {
-			bestJ := -1
-			for j := range candidate {
-				v := get(cur, i) + step[i]*candidate[j]
-				if v < lo[i]-1e-9 || v > hi[i]+1e-9 {
-					continue
-				}
-				temp := eval(set(cur, i, v))
-				if temp < bestCost {
-					bestCost = temp
-					bestJ = j
-				}
-			}
-			if bestJ != -1 {
-				cur = set(cur, i, get(cur, i)+step[i]*candidate[bestJ])
+		evals++ // the round's start price
+		best, moved := cur, false
+		step := 0
+		if nc-cond.MinContainers >= ncStep {
+			evals++
+			if c := m.Cost(ssGB, gb, float64(nc-ncStep)); c < best {
+				best, step, moved = c, -ncStep, true
 			}
 		}
-		if bestCost >= curCost {
+		if cond.MaxContainers-nc >= ncStep {
+			evals++
+			if c := m.Cost(ssGB, gb, float64(nc+ncStep)); c < best {
+				best, step, moved = c, ncStep, true
+			}
+		}
+		nc += step
+		next := gb
+		if v := gb - gbStep; !(v < lo || v > hi) {
+			evals++
+			if c := m.Cost(ssGB, v, float64(nc)); c < best {
+				best, next, moved = c, v, true
+			}
+		}
+		if v := gb + gbStep; !(v < lo || v > hi) {
+			evals++
+			if c := m.Cost(ssGB, v, float64(nc)); c < best {
+				best, next, moved = c, v, true
+			}
+		}
+		gb = next
+		if !moved {
 			h.evals.Add(evals)
-			return cur, evals, nil // local optimum: no improving neighbor
+			return plan.Resources{Containers: nc, ContainerGB: gb}, evals, nil // local optimum
 		}
+		cur = best
 	}
 }
 

@@ -2,12 +2,15 @@ package resource
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"raqo/internal/cluster"
 	"raqo/internal/cost"
 	"raqo/internal/plan"
+	"raqo/internal/stats"
 )
 
 // quadModel has a unique global optimum at (ncOpt, csOpt), convex, so hill
@@ -370,5 +373,38 @@ func TestHillClimbReductionFactor(t *testing.T) {
 	}
 	if factor := float64(bf.Evaluations()) / float64(hc.Evaluations()); factor < 2 {
 		t.Errorf("hill climb reduction factor = %.1fx, want >= 2x", factor)
+	}
+}
+
+// TestHillClimbNaNStart: finite coefficients can price the start
+// configuration NaN (1e307·ss and -1e305·ss² overflow to +Inf and -Inf at
+// ss = 100). No neighbour compares below NaN, so the climb once ran
+// forever; it must end with an error naming the model, having priced the
+// start once.
+func TestHillClimbNaNStart(t *testing.T) {
+	m := cost.NewRegression("overflowing", &stats.LinearModel{Coef: []float64{1e307, -1e305, 0, 0, 0, 0, 0}})
+	if c := m.Cost(100, 1, 1); !math.IsNaN(c) {
+		t.Fatalf("start price %v, want NaN", c)
+	}
+	h := &HillClimb{}
+	type result struct {
+		n   int64
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, n, err := h.PlanCounted(m, 100, cond())
+		done <- result{n, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err == nil || !strings.Contains(r.err.Error(), "overflowing") {
+			t.Errorf("err = %v, want an error naming the model", r.err)
+		}
+		if r.n != 1 || h.Evaluations() != 1 {
+			t.Errorf("evaluations = %d (cumulative %d), want 1", r.n, h.Evaluations())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("hill climb from a NaN start still running after 10 s")
 	}
 }
