@@ -36,8 +36,14 @@ func Default() Conditions {
 	}
 }
 
-// Validate checks that the conditions describe a non-empty discrete space.
+// Validate checks that the conditions describe a non-empty discrete space
+// with finite container-size bounds and step.
 func (c Conditions) Validate() error {
+	for _, v := range [...]float64{c.MinContainerGB, c.MaxContainerGB, c.GBStep} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("cluster: container-size range [%g,%g] step %g is not finite", c.MinContainerGB, c.MaxContainerGB, c.GBStep)
+		}
+	}
 	if c.MinContainers < 1 || c.MaxContainers < c.MinContainers {
 		return fmt.Errorf("cluster: bad container range [%d,%d]", c.MinContainers, c.MaxContainers)
 	}

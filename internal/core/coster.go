@@ -207,9 +207,9 @@ func (c *Coster) CostOperator(j *plan.Node) (optimizer.OpCost, error) {
 // hit, is the one recorded.
 func (c *Coster) costReusing(j *plan.Node, model cost.Model) (optimizer.OpCost, error) {
 	bits := math.Float64bits(j.SmallerInputGB())
-	s := c.answers.find(j.Algo, bits)
+	s := &c.answers.slots[answerIndex(j.Algo, bits)]
 	v := c.cache.Version()
-	if s != nil && s.version == v {
+	if s.epoch == c.answers.epoch && s.algo == j.Algo && s.bits == bits && s.version == v {
 		c.reused++
 		j.Res = s.res
 		return s.oc, nil
@@ -217,12 +217,7 @@ func (c *Coster) costReusing(j *plan.Node, model cost.Model) (optimizer.OpCost, 
 	iters := c.resIters
 	oc, _, err := c.costJoin(j, model)
 	if err == nil && c.resIters == iters && c.cache.Version() == v {
-		a := answerSlot{epoch: c.answers.epoch, algo: j.Algo, bits: bits, version: v, res: j.Res, oc: oc}
-		if s != nil {
-			*s = a
-		} else {
-			c.answers.insert(a)
-		}
+		*s = answerSlot{epoch: c.answers.epoch, algo: j.Algo, bits: bits, version: v, res: j.Res, oc: oc}
 	}
 	return oc, err
 }

@@ -343,8 +343,34 @@ func TestCosterReuseMatchesCache(t *testing.T) {
 
 // reuseSizes are the smaller-input sizes, in GB, of the scripted joins: a
 // ladder with gaps on both sides of every threshold the tests use, so
-// nearest-neighbour and weighted answers move as entries arrive.
-var reuseSizes = []float64{0.05, 0.3, 1, 1.004, 1.2, 2, 2.6, 3.1, 5, 8, 12, 20}
+// nearest-neighbour and weighted answers move as entries arrive. The last
+// two collide with the sort-merge question at 2.6 GB (index 6) in the
+// answer table: index 12 as a sort-merge question, index 13 as a
+// broadcast one.
+var reuseSizes = append([]float64{0.05, 0.3, 1, 1.004, 1.2, 2, 2.6, 3.1, 5, 8, 12, 20},
+	collider(plan.SMJ, 2.6), collider(plan.BHJ, 2.6))
+
+// reuseRowBytes is the row width of the scripted joins' tables.
+const reuseRowBytes = 100
+
+// scriptedGB is the smaller-input size a scripted join built for gb
+// reports: gb in whole rows.
+func scriptedGB(gb float64) float64 {
+	return float64(int64(gb*float64(units.GB)/reuseRowBytes)*reuseRowBytes) / float64(units.GB)
+}
+
+// collider finds, by brute force over whole-row sizes from 10 GB up, a
+// size whose question by algo takes the answer-table slot of the
+// sort-merge question at gb.
+func collider(algo plan.JoinAlgo, gb float64) float64 {
+	want := answerIndex(plan.SMJ, math.Float64bits(scriptedGB(gb)))
+	for rows := int64(10 * units.GB / reuseRowBytes); ; rows += 1 << 14 {
+		size := float64(rows*reuseRowBytes) / float64(units.GB)
+		if answerIndex(algo, math.Float64bits(size)) == want {
+			return size
+		}
+	}
+}
 
 // reuseContext is one Coster context a script plans under: its own cache
 // on each side, its conditions and engine.
@@ -379,14 +405,13 @@ type reuseAnswer struct {
 func reuseJoins(t testing.TB) (ours, theirs [2][]*plan.Node) {
 	t.Helper()
 	s := catalog.NewSchema()
-	const rowBytes = 100
-	big := catalog.Table{Name: "big", Rows: 1 << 32, RowBytes: rowBytes}
+	big := catalog.Table{Name: "big", Rows: 1 << 32, RowBytes: reuseRowBytes}
 	if err := s.AddTable(big); err != nil {
 		t.Fatal(err)
 	}
 	for i, gb := range reuseSizes {
 		name := fmt.Sprintf("t%02d", i)
-		if err := s.AddTable(catalog.Table{Name: name, Rows: int64(gb * float64(units.GB) / rowBytes), RowBytes: rowBytes}); err != nil {
+		if err := s.AddTable(catalog.Table{Name: name, Rows: int64(gb * float64(units.GB) / reuseRowBytes), RowBytes: reuseRowBytes}); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.AddJoin(name, "big", 1e-9); err != nil {
@@ -572,6 +597,39 @@ func TestCosterReuseKeysAlgorithm(t *testing.T) {
 		[]reuseContext{{cond: cluster.Default()}}, []reuseCall{{ops: ops}})
 }
 
+// TestCosterReuseCollision: questions that share one answer-table slot,
+// asked alternately within one call while misses insert around them,
+// overwrite each other's answers and go back to the cache, which answers
+// them as it would have. A slot served without comparing its bits hands
+// one question the other's configuration, one served without comparing
+// its Version misses the drift a later insert causes, and a table keyed
+// without the algorithm prices the broadcast question at 2.6 GB from the
+// sort-merge answer.
+func TestCosterReuseCollision(t *testing.T) {
+	const a, b, d, y, z = 5, 6, 7, 12, 13 // 2, 2.6 and 3.1 GB; y and z take b's slot
+	ours, _ := reuseJoins(t)
+	slot := func(algo plan.JoinAlgo, rel int) uint64 {
+		return answerIndex(algo, math.Float64bits(ours[algo][rel].SmallerInputGB()))
+	}
+	if slot(plan.SMJ, y) != slot(plan.SMJ, b) || slot(plan.BHJ, z) != slot(plan.SMJ, b) {
+		t.Fatal("the colliding sizes do not take the 2.6 GB question's slot")
+	}
+	ops := costOps(plan.SMJ, a, b, b, y, b, y, y, b)
+	ops = append(ops, costOps(plan.BHJ, z, z, b, b)...)
+	ops = append(ops, costOps(plan.SMJ, b, b, d, b, y, b, b)...)
+	const yAfterB, bBeforeD, bAfterD = 5, 13, 15
+	for _, mode := range []resource.LookupMode{resource.Exact, resource.NearestNeighbor, resource.WeightedAverage} {
+		got := runReuseScript(t, cost.PaperModels(), mode, 1,
+			[]reuseContext{{cond: cluster.Default()}}, []reuseCall{{ops: ops}})[0]
+		if got[yAfterB].res == got[yAfterB-1].res {
+			t.Fatalf("%v: the colliding questions have one configuration (%v); the bits comparison covers nothing", mode, got[yAfterB].res)
+		}
+		if mode == resource.NearestNeighbor && got[bAfterD].res == got[bBeforeD].res {
+			t.Fatalf("the 2.6 GB question does not drift when 3.1 GB arrives (%v); the Version comparison covers nothing", got[bAfterD].res)
+		}
+	}
+}
+
 // decodeReuseScript turns bytes into a script. The first byte picks the
 // lookup mode and threshold, the second the engine; then each byte is one
 // op: a new call (under either of two contexts, the default and the
@@ -613,6 +671,9 @@ func FuzzCosterReuse(f *testing.F) {
 	f.Add([]byte{7, 1, 6, 6, 8, 0xe8, 6, 8, 6, 7, 7})
 	f.Add([]byte{0, 0, 16, 0xf1, 16, 0xf0, 16, 16, 0xf1, 16, 17, 17})
 	f.Add([]byte{11, 1, 0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 1, 3, 5, 7, 9, 11, 13, 15, 0xf1, 2, 4, 2, 4})
+	// TestCosterReuseCollision's script: 2.6 GB (12) and the sizes that
+	// take its slot (24 by sort-merge, 27 by broadcast), asked alternately.
+	f.Add([]byte{10, 0, 10, 12, 12, 24, 12, 24, 24, 12, 27, 27, 13, 13, 12, 12, 14, 12, 24, 12, 12})
 	models := cost.PaperModels()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		mode, threshold, contexts, calls := decodeReuseScript(data)

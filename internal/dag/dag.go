@@ -61,18 +61,20 @@ type Stage struct {
 	Deps []int
 }
 
-// AutoReducers returns Hive's automatic reducer count for the stage
-// (roughly one reducer per 256 MB of shuffled data), which the paper
-// reports "gave us close to optimal performance".
+// AutoReducers returns AutoReducers(ShuffleGB) for a shuffle join stage,
+// and 0 for a stage that shuffles nothing.
 func (s *Stage) AutoReducers() int {
 	if s.Kind != ShuffleJoin {
 		return 0
 	}
-	n := int(math.Ceil(s.ShuffleGB / SplitGB))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return AutoReducers(s.ShuffleGB)
+}
+
+// AutoReducers is Hive's automatic reducer count for a shuffle of
+// shuffleGB, one reducer per SplitGB (256 MB) and at least one, which the
+// paper reports "gave us close to optimal performance".
+func AutoReducers(shuffleGB float64) int {
+	return max(int(math.Ceil(shuffleGB/SplitGB)), 1)
 }
 
 // String renders one stage compactly.

@@ -165,7 +165,7 @@ func (p Params) memPenalty(hashGB, cs float64) float64 {
 // 256 MB of shuffle data).
 func (p Params) SMJTime(shuffleGB float64, r plan.Resources, reducers int) float64 {
 	if reducers <= 0 {
-		reducers = autoReducers(shuffleGB)
+		reducers = dag.AutoReducers(shuffleGB)
 	}
 	nc := float64(r.Containers)
 	mapTasks := math.Ceil(shuffleGB / dag.SplitGB)
@@ -185,14 +185,6 @@ func (p Params) SMJTime(shuffleGB float64, r plan.Resources, reducers int) float
 	t += shuffleGB / (ncRed * p.ShuffleRate) * spill
 	t += (mapTasks + float64(reducers)) * p.TaskOverhead / nc
 	return t
-}
-
-func autoReducers(shuffleGB float64) int {
-	n := int(math.Ceil(shuffleGB / dag.SplitGB))
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // BHJTime models a broadcast hash join map stage: distribute the hash
@@ -315,7 +307,7 @@ func (p Params) JoinTime(algo plan.JoinAlgo, ssGB, lsGB float64, r plan.Resource
 	case plan.SMJ:
 		reducers := p.ForcedReducers
 		if reducers <= 0 {
-			reducers = autoReducers(ssGB + lsGB)
+			reducers = dag.AutoReducers(ssGB + lsGB)
 		}
 		return p.SMJTime(ssGB+lsGB, r, reducers), nil
 	case plan.BHJ:

@@ -163,10 +163,8 @@ func (o *Observation) Validate() error {
 
 // parseAlgo maps the wire name onto the plan operator enum.
 func parseAlgo(name string) (plan.JoinAlgo, error) {
-	for _, a := range plan.Algos {
-		if a.String() == name {
-			return a, nil
-		}
+	if a, ok := plan.ParseAlgo(name); ok {
+		return a, nil
 	}
 	return 0, fmt.Errorf("feedback: unknown join algorithm %q", name)
 }

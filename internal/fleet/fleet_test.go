@@ -17,7 +17,9 @@ import (
 	"raqo/internal/execsim"
 	"raqo/internal/feedback"
 	"raqo/internal/fleet"
+	"raqo/internal/plan"
 	"raqo/internal/server"
+	"raqo/internal/stats"
 	"raqo/internal/workload"
 )
 
@@ -506,6 +508,59 @@ func TestFleetModelPushRefused(t *testing.T) {
 		if v := tn.srv.Recalibrator().Current().Version; v != 1 {
 			t.Errorf("node %s at model version %d after a refused push, want 1", tn.addr, v)
 		}
+	}
+}
+
+// TestFleetModelNaNSetRefused: a peer serving a model set that prices NaN
+// inside the resource space is not followed; the node keeps the last good
+// version it pulled.
+func TestFleetModelNaNSetRefused(t *testing.T) {
+	nodes := startTestFleet(t, 2)
+	startLoops(t, nodes)
+	a, b := nodes[0], nodes[1]
+	wire, err := fleet.EncodeModelInfo("test", a.srv.Recalibrator().Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire.Version = 2
+	models, err := wire.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !a.srv.Recalibrator().Install(2, models, 0) {
+		t.Fatal("node A refused version 2")
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for b.srv.Recalibrator().Current().Version < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("node B never pulled the good version 2")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// Past a smaller input of about 42 GB the ss and ss² terms overflow to
+	// +Inf and -Inf, and the sort-merge model prices NaN.
+	models, err = wire.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	models.Set(plan.SMJ, cost.NewRegression("overflowing", &stats.LinearModel{Coef: []float64{1e307, -1e305, 0, 0, 0, 0, 0}}))
+	if !a.srv.Recalibrator().Install(3, models, 0) {
+		t.Fatal("node A refused version 3")
+	}
+	served, err := fleet.EncodeModelInfo("test", a.srv.Recalibrator().Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := served.Decode(); err == nil || !strings.Contains(err.Error(), `"overflowing"`) {
+		t.Fatalf("Decode = %v, want an error naming the model", err)
+	}
+	time.Sleep(8 * probeInterval)
+	if v := b.srv.Recalibrator().Current().Version; v != 2 {
+		t.Errorf("node B at model version %d after its peer served a NaN-pricing set, want 2", v)
+	}
+	if v := b.node.Metrics().Installs.Value(); v != 1 {
+		t.Errorf("node B installed %d times, want 1", v)
 	}
 }
 

@@ -2,11 +2,14 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 
+	"raqo/internal/cluster"
 	"raqo/internal/cost"
 	"raqo/internal/feedback"
 	"raqo/internal/plan"
 	"raqo/internal/stats"
+	"raqo/internal/units"
 )
 
 // This file is the fleet's model-distribution wire format. A
@@ -70,7 +73,10 @@ func EncodeModelInfo(origin string, info *feedback.ModelInfo) (*ModelWire, error
 	return w, nil
 }
 
-// Decode rebuilds the cost-model set from the wire form.
+// Decode rebuilds the cost-model set from the wire form. It refuses a set
+// with a model that prices a probe configuration non-finite (see
+// probeFinite): such a model prices whole regions of the resource space
+// NaN, and the hill climb drops the operators it meets there.
 func (w *ModelWire) Decode() (*cost.Models, error) {
 	if w.Version == 0 {
 		return nil, fmt.Errorf("fleet: model wire missing version")
@@ -80,9 +86,9 @@ func (w *ModelWire) Decode() (*cost.Models, error) {
 	}
 	out := cost.NewModels()
 	for _, e := range w.Models {
-		algo, err := parseAlgo(e.Algo)
-		if err != nil {
-			return nil, err
+		algo, ok := plan.ParseAlgo(e.Algo)
+		if !ok {
+			return nil, fmt.Errorf("fleet: unknown join algorithm %q", e.Algo)
 		}
 		if e.Name == "" {
 			return nil, fmt.Errorf("fleet: model for %s missing name", e.Algo)
@@ -93,17 +99,28 @@ func (w *ModelWire) Decode() (*cost.Models, error) {
 		coef := append([]float64(nil), e.Coef...)
 		reg := cost.NewRegression(e.Name, &stats.LinearModel{Coef: coef, Intercept: e.Intercept})
 		reg.Unfloored = e.Unfloored
+		if err := probeFinite(reg); err != nil {
+			return nil, err
+		}
 		out.Set(algo, reg)
 	}
 	return out, nil
 }
 
-// parseAlgo maps a wire algorithm label back to its plan.JoinAlgo.
-func parseAlgo(s string) (plan.JoinAlgo, error) {
-	for _, a := range plan.Algos {
-		if a.String() == s {
-			return a, nil
+// probeFinite prices m at the corners of cluster.Default()'s resource
+// space, for a 1 MB and a 1 TB smaller input, and names m if any price is
+// NaN or infinite.
+func probeFinite(m cost.Model) error {
+	c := cluster.Default()
+	for _, ss := range [...]units.Bytes{units.MB, units.TB} {
+		ssGB := float64(ss) / float64(units.GB)
+		for _, nc := range [...]int{c.MinContainers, c.MaxContainers} {
+			for _, gb := range [...]float64{c.MinContainerGB, c.MaxContainerGB} {
+				if v := m.Cost(ssGB, gb, float64(nc)); math.IsNaN(v) || math.IsInf(v, 0) {
+					return fmt.Errorf("fleet: model %q prices %v at ss=%s, %d x %gGB", m.Name(), v, ss, nc, gb)
+				}
+			}
 		}
 	}
-	return 0, fmt.Errorf("fleet: unknown join algorithm %q", s)
+	return nil
 }

@@ -69,13 +69,8 @@ func fromJSON(s *catalog.Schema, w *nodeJSON) (*Node, error) {
 		}
 		return NewScan(s, w.Table)
 	}
-	var algo JoinAlgo
-	switch w.Algo {
-	case "SMJ":
-		algo = SMJ
-	case "BHJ":
-		algo = BHJ
-	default:
+	algo, ok := ParseAlgo(w.Algo)
+	if !ok {
 		return nil, fmt.Errorf("plan: decode: unknown algorithm %q", w.Algo)
 	}
 	left, err := fromJSON(s, w.Left)

@@ -59,6 +59,17 @@ func (a JoinAlgo) String() string {
 	return fmt.Sprintf("JoinAlgo(%d)", int(a))
 }
 
+// ParseAlgo maps an operator name, as String writes it, back to its
+// JoinAlgo; it reports false for any other name.
+func ParseAlgo(name string) (JoinAlgo, bool) {
+	for _, a := range Algos {
+		if a.String() == name {
+			return a, true
+		}
+	}
+	return 0, false
+}
+
 // Resources is the resource configuration of one plan operator: the number
 // of concurrent containers and the size of each container. It corresponds
 // to the YARN container model in Section II-B. A zero value means

@@ -286,3 +286,16 @@ func TestRandomLeftDeepProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestParseAlgo(t *testing.T) {
+	for _, a := range Algos {
+		if got, ok := ParseAlgo(a.String()); !ok || got != a {
+			t.Errorf("ParseAlgo(%q) = %v, %v; want %v", a.String(), got, ok, a)
+		}
+	}
+	for _, name := range []string{"", "smj", "NLJ", "JoinAlgo(2)", " BHJ"} {
+		if _, ok := ParseAlgo(name); ok {
+			t.Errorf("ParseAlgo(%q) accepted", name)
+		}
+	}
+}

@@ -406,9 +406,11 @@ func (c *Cache) Hits() int64 { return c.hits.Load() }
 // Misses returns the number of cache misses so far.
 func (c *Cache) Misses() int64 { return c.misses.Load() }
 
-// Stats is a point-in-time snapshot of the cache's counters — the stable
-// export consumed by the service's /metrics endpoint and the CLI batch
-// summary.
+// Stats is a point-in-time snapshot of the cache's counters. The served
+// path plans through a cost memo, not this cache, so no /metrics family
+// and no CLI summary reads it; the figures (the recalibration figure's
+// Generation), the benchmark's per-layer hit ratio and the reuse oracles
+// do.
 type Stats struct {
 	// Hits counts lookups served without running the inner planner.
 	Hits int64

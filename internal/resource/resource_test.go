@@ -1,6 +1,7 @@
 package resource
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -406,5 +407,37 @@ func TestHillClimbNaNStart(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("hill climb from a NaN start still running after 10 s")
+	}
+}
+
+// TestNonFiniteConditionsRefused: a NaN or infinite container-size bound or
+// step passes no comparison, so it must be refused by name, before either
+// planner prices anything; a NaN step once made BruteForce report an empty
+// space and HillClimb answer at the start size.
+func TestNonFiniteConditionsRefused(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*cluster.Conditions, float64)
+	}{
+		{"MinContainerGB", func(c *cluster.Conditions, v float64) { c.MinContainerGB = v }},
+		{"MaxContainerGB", func(c *cluster.Conditions, v float64) { c.MaxContainerGB = v }},
+		{"GBStep", func(c *cluster.Conditions, v float64) { c.GBStep = v }},
+	}
+	m := quadModel(10, 4)
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			c := cond()
+			f.set(&c, v)
+			what := fmt.Sprintf("%s = %g", f.name, v)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Errorf("%s: Validate = %v, want a non-finite error", what, err)
+			}
+			for _, p := range []Counted{&BruteForce{}, &HillClimb{}} {
+				r, n, err := p.PlanCounted(m, 5, c)
+				if err == nil || !strings.Contains(err.Error(), "not finite") || n != 0 || !r.IsZero() {
+					t.Errorf("%s: %T = %v after %d evaluations, %v; want the non-finite error and none", what, p, r, n, err)
+				}
+			}
+		}
 	}
 }
