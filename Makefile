@@ -50,11 +50,11 @@ race:
 #   FuzzPeerResponse       fleet peer transport on a peer's arbitrary answer: bounded, never pooled dirty
 #   FuzzPeerAnswer         peer answer reader == net/http's response reader: bounded, nothing taken that net/http refuses
 #   FuzzObservationDecode  /v1/feedback codec == encoding/json, handler answers as before the codec; history clock and model version bounded
-#   FuzzObservationAppend  AppendJSON == json.Marshal, and reads back what it wrote
+#   FuzzObservationAppend  json.Marshal's journal line reads back, through the codec when canonical
 #   FuzzEnumeration        random tree and Selinger DP == the pair scan and the full mask sweep, call for call: candidate stats and relations; scripted refusals, one Query through scratch, published and reused form
 #   FuzzRegressionCost     unrolled cost model == Predict
 #   FuzzDrawSource         seed-free math/rand source == rand.NewSource
-#   FuzzWriteJSON          response encoder == json.Encoder with SetIndent
+#   FuzzWriteJSON          pooled response encoder == a fresh json.Encoder with SetIndent, value after value
 #   FuzzHistoryJSON        /v1/history fixed-shape encoder == WriteResult
 #   FuzzCosterReuse        the tree-pricing calls' answer table == asking the cache every time
 #   FuzzSelingerReuse      the Selinger DP's kept answers == asking the cache every time, scripted drift included
@@ -132,11 +132,10 @@ bench-check:
 # (Selinger-12 and randomized-30 over an empty resource-plan cache and,
 # -passwarm, over one cache kept across runs as in a plan_scale pass; one
 # random tree, the enumeration kernels), one cost-model evaluation, and the
-# submit path's kernels (a cloud SubmitWait, one fault draw, the response
-# encoder); failures here are correctness failures (the benchmarks assert
-# planner errors, the shape of history answers, a ten-bucket 200 from the
-# history handler, a reopened store holding its points, a 200 through the
-# peer transport, a 200 for a feedback batch, a full journal replay,
-# admissions and encodes).
+# submit path's kernels (a cloud SubmitWait, one fault draw); failures here
+# are correctness failures (the benchmarks assert planner errors, the shape
+# of history answers, a ten-bucket 200 from the history handler, a reopened
+# store holding its points, a 200 through the peer transport, a 200 for a
+# feedback batch, a full journal replay and admissions).
 bench:
-	$(GO) test -run xxx -bench 'HistoryQueryRollup|HistoryQuantileRange|HistoryGET|HistoryOpen|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw|WriteJSON' -benchtime=0.2s -benchmem -cpu 1 .
+	$(GO) test -run xxx -bench 'HistoryQueryRollup|HistoryQuantileRange|HistoryGET|HistoryOpen|FleetForward|FeedbackIngest|HotPathCold|RandomTree|RegressionCost|CloudSubmitWait|InjectorDraw' -benchtime=0.2s -benchmem -cpu 1 .

@@ -1,5 +1,5 @@
 // The trained models and TPC-H queries the root tests and benchmarks
-// share, and a shared cluster built on them.
+// share.
 package raqo_test
 
 import (
@@ -8,8 +8,6 @@ import (
 
 	"raqo/internal/catalog"
 	"raqo/internal/cloud"
-	"raqo/internal/cluster"
-	"raqo/internal/core"
 	"raqo/internal/cost"
 	"raqo/internal/plan"
 	"raqo/internal/workload"
@@ -39,38 +37,4 @@ func benchFixtures(tb testing.TB) (*cost.Models, map[string]*plan.Query) {
 		tb.Fatal(fixtureErr)
 	}
 	return fixtureModels, fixtureQueries
-}
-
-// newBenchArbiter is the shared cluster of `raqo figure arbiter`: 100
-// containers, three weighted tenants.
-func newBenchArbiter(tb testing.TB) *cloud.Arbiter {
-	tb.Helper()
-	models, queries := benchFixtures(tb)
-	engine := cloud.Engine()
-	opt, err := core.New(cluster.Default(), core.Options{
-		Models:       models,
-		Engine:       &engine,
-		MemoizeCosts: true,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cfg, err := cloud.SharedCluster(cloud.Workload{
-		Base:      cluster.Default(),
-		Optimizer: opt,
-		Queries:   queries,
-		Tenants: []cloud.TenantConfig{
-			{Name: "etl", Weight: 2},
-			{Name: "bi", Weight: 1},
-			{Name: "adhoc", Weight: 1},
-		},
-	}, 100)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	a, err := cloud.New(cfg)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return a
 }

@@ -478,6 +478,24 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		t.Error("the benchmark-shaped batch fell back to encoding/json")
 	}
 
+	// GET /v1/model on the same server, 7 % of the feedback_rw stream: the
+	// drift detector's stats over its three full 64-sample windows (a
+	// sorted copy of each in one reused buffer) and the fixed-shape
+	// encoder, plus the test's own request and recorder, the mux and the
+	// metrics (measured 26, as with the quantile selection it replaced).
+	// The ceiling is the measurement plus 15 %.
+	serveModel := func() {
+		rec := httptest.NewRecorder()
+		fb.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/model", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/model: status = %d, body %s", rec.Code, rec.Body)
+		}
+	}
+	serveModel()
+	if got := testing.AllocsPerRun(50, serveModel); got > 30 {
+		t.Errorf("GET /v1/model allocates %.0f/op, ceiling 30", got)
+	}
+
 	// The /v1/history read: ten minute buckets at step 60 from the day-scale
 	// store is the row slice alone, each row's quantiles read under the
 	// store's lock off its one source's sketch (measured 1; 2 when the

@@ -1,25 +1,19 @@
 // Benchmarks for the optimizer service's request path: the fleet hop
-// between two in-process nodes and the response encoder. Run with:
+// between two in-process nodes. Run with:
 //
 //	go test -bench FleetForward -benchtime=0.5s -cpu 1 .
-//	go test -bench WriteJSON -benchtime=0.2s .
 package raqo_test
 
 import (
 	"context"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"raqo/internal/cloud"
-	"raqo/internal/core"
 	"raqo/internal/fleet"
-	"raqo/internal/scheduler"
 	"raqo/internal/server"
-	"raqo/internal/workload"
 )
 
 func newBenchServer(b testing.TB) *server.Server {
@@ -129,37 +123,6 @@ func BenchmarkFleetForward(b *testing.B) {
 					post(false, "t/default", "/v1/submit", submit)
 				case "hot-optimize":
 					post(true, "q/Q3", "/v1/optimize", optimize)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkWriteJSON times the response encoder on the two bodies that
-// dominate the submit and optimize paths: a /v1/submit outcome and the
-// plan of TPC-H All.
-func BenchmarkWriteJSON(b *testing.B) {
-	out, err := newBenchArbiter(b).SubmitWaitWith(cloud.Arrival{Tenant: "etl", Query: workload.Q3, Policy: scheduler.Reoptimize})
-	if err != nil {
-		b.Fatal(err)
-	}
-	o, q := hotPathOptimizer(b)
-	d, err := o.Optimize(q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		v    any
-	}{
-		{"submit", server.NewSubmitResponse(out)},
-		{"optimize-All", server.NewOptimizeResponse(workload.All, "joint", core.Selinger, d)},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := server.WriteJSON(io.Discard, c.v); err != nil {
-					b.Fatal(err)
 				}
 			}
 		})

@@ -517,17 +517,20 @@ func (a *Arbiter) Stats() Stats {
 		SpendUSD:         a.pool.SpendUSD(),
 		Classes:          a.pool.Stats(),
 	}
-	st.Lost = n.Submitted - int64(st.Completed) - int64(st.InFlight) - int64(st.Queued) - n.Dropped - n.Failed
+	st.Lost = lost(n, g)
 	for _, ts := range a.tenants {
 		st.Tenants = append(st.Tenants, TenantStats{
 			Name:     ts.cfg.Name,
 			SpentUSD: ts.billed,
 		})
 	}
-	if m := a.cfg.Metrics; m != nil {
-		m.Lost.Set(st.Lost)
-	}
 	return st
+}
+
+// lost is the accounting invariant, zero while it holds: submissions
+// neither completed, running, queued, dropped nor failed.
+func lost(n Counts, g Gauges) int64 {
+	return n.Submitted - n.Completed - int64(g.InFlight) - int64(g.Queued) - n.Dropped - n.Failed
 }
 
 // errorf formats an error under the arbiter's name.
@@ -670,6 +673,7 @@ func (a *Arbiter) observe() {
 	}
 	m.Capacity.Set(int64(a.pool.Capacity()))
 	m.InUse.Set(int64(a.pool.InUse()))
+	m.Lost.Set(lost(a.n, a.Gauges()))
 	classes := a.pool.Classes()
 	for i := 0; i < classes; i++ {
 		a.spend[i].observe(a.pool.SpendOf(i))
@@ -811,6 +815,9 @@ func (a *Arbiter) start(p *pending, ci int, d *core.Decision, replanned bool) er
 		p.ts.popHead()
 		p.failed = true
 		a.n.Failed++
+		if m := a.cfg.Metrics; m != nil {
+			m.Rejections.Inc()
+		}
 		return nil
 	}
 	return a.place(p, ci, d, res, replanned, false)

@@ -2,6 +2,7 @@ package cloud_test
 
 import (
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"reflect"
@@ -500,6 +501,58 @@ func TestRejectedSubmitWaitIsNotLost(t *testing.T) {
 		if got := cfg.Metrics.Lost.Value(); got != 0 {
 			t.Fatalf("elastic=%v: lost gauge %d", elastic, got)
 		}
+	}
+}
+
+// TestMetricsMatchStats: /metrics agrees with the market's stats without
+// anyone reading the stats first. A non-memory-aware optimizer over the
+// paper's models picks broadcast joins the engine cannot run, so queries
+// fail at their chosen resources: raqo_cloud_rejections_total counts them
+// as Stats' rejected does, the lost gauge is set by the event loop, and
+// Stats writes no metric.
+func TestMetricsMatchStats(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	cfg := testConfig(t, testMarket(false))
+	opt, err := core.New(cluster.Default(), core.Options{Models: cost.PaperModels(), MemoizeCosts: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Optimizer = opt
+	cfg.Metrics = cloud.NewMetrics(reg)
+	a, err := cloud.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arrivals, err := cloud.GenerateTrace(testTrace(cloud.Steady, 40, cloud.RecoverReoptimize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Run(arrivals); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.Counts(); n.Failed == 0 {
+		t.Fatal("no query failed at its chosen resources: the comparison covers nothing")
+	}
+	var text strings.Builder
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	st := a.Stats()
+	for _, want := range []string{
+		fmt.Sprintf("\nraqo_cloud_rejections_total %d\n", st.Rejected),
+		fmt.Sprintf("\nraqo_cloud_lost_queries %d\n", st.Lost),
+	} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("/metrics lacks %q (stats: rejected %d, lost %d):\n%s", strings.TrimSpace(want), st.Rejected, st.Lost, text.String())
+		}
+	}
+	cfg.Metrics.Lost.Set(-7)
+	a.Stats()
+	if got := cfg.Metrics.Lost.Value(); got != -7 {
+		t.Errorf("Stats set the lost gauge to %d", got)
 	}
 }
 

@@ -16,7 +16,8 @@ type Metrics struct {
 	TenantSpend *telemetry.CounterVec
 	// Admissions counts placed gangs by procurement tier.
 	Admissions *telemetry.CounterVec
-	// Rejections counts backpressure and infeasibility rejections.
+	// Rejections counts backpressure and infeasibility rejections and
+	// queries that fail at their chosen resources: Stats' Rejected.
 	Rejections *telemetry.Counter
 	// Preemptions counts mid-run spot revocations per class.
 	Preemptions *telemetry.CounterVec
@@ -55,7 +56,7 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 		Admissions: r.CounterVec("raqo_cloud_admissions_total",
 			"Gangs placed onto the market, by procurement tier.", "tier"),
 		Rejections: r.Counter("raqo_cloud_rejections_total",
-			"Submissions rejected by backpressure or infeasibility."),
+			"Submissions rejected by backpressure or infeasibility, or failed at their chosen resources."),
 		Preemptions: r.CounterVec("raqo_cloud_preemptions_total",
 			"Mid-run spot revocations, by instance class.", "class"),
 		OOMAborts: r.Counter("raqo_cloud_oom_aborts_total",

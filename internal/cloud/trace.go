@@ -42,6 +42,10 @@ type Share struct {
 	Weight float64
 }
 
+// diurnalAmplitude is the diurnal shape's swing: the arrival rate moves
+// between 0.2 and 1.8 times its mean.
+const diurnalAmplitude = 0.8
+
 // TraceConfig parameterizes a deterministic seeded arrival stream for the
 // cloud arbiter. The same config always yields the same stream; streams
 // differing only in Recovery are identical except for that field, so
@@ -54,9 +58,8 @@ type TraceConfig struct {
 	MeanIntervalSeconds float64
 	Shape               Shape
 	// PeriodSeconds is the diurnal period (default 7200); the rate swings
-	// by Amplitude (default 0.8) around the mean.
+	// by diurnalAmplitude around the mean.
 	PeriodSeconds float64
-	Amplitude     float64
 	// BurstSize sizes the bursty waves (default 8).
 	BurstSize int
 	Tenants   []Share
@@ -96,13 +99,6 @@ func GenerateTrace(cfg TraceConfig) ([]Arrival, error) {
 	if period <= 0 {
 		period = 7200
 	}
-	amp := cfg.Amplitude
-	if amp <= 0 {
-		amp = 0.8
-	}
-	if amp > 1 {
-		amp = 1
-	}
 	burst := cfg.BurstSize
 	if burst <= 0 {
 		burst = 8
@@ -129,6 +125,7 @@ func GenerateTrace(cfg TraceConfig) ([]Arrival, error) {
 			// Lewis-Shedler thinning against the peak rate: candidate
 			// points at rate (1+amp)/mean, accepted with probability
 			// rate(t)/peak where rate(t) swings sinusoidally.
+			const amp = diurnalAmplitude
 			peak := (1 + amp) / cfg.MeanIntervalSeconds
 			for {
 				now += rng.ExpFloat64() / peak

@@ -274,11 +274,8 @@ func (o *Optimizer) OptimizeForBudgetCtx(ctx context.Context, q *plan.Query, max
 // plan's shape and asks only for resources (and the resulting cost). The
 // plan's operators are annotated in place.
 func (o *Optimizer) PlanResources(p *plan.Node) (*Decision, error) {
-	c := o.coster(o.opts.Resource, plan.Resources{}, o.cond)
-	c.beginCall(true)
-	defer c.endCall()
 	start := time.Now()
-	oc, err := optimizer.PlanCost(c, p)
+	oc, iters, err := o.priceTree(p, o.cond)
 	if err != nil {
 		return nil, err
 	}
@@ -286,9 +283,21 @@ func (o *Optimizer) PlanResources(p *plan.Node) (*Decision, error) {
 		Plan:               p,
 		Time:               oc.Seconds,
 		Money:              oc.Money,
-		ResourceIterations: c.ResourceIters(),
+		ResourceIterations: iters,
 		Elapsed:            time.Since(start),
 	}, nil
+}
+
+// priceTree prices tree under cond, re-planning each operator's resources
+// and annotating them in place, as a planning call of its own that keeps
+// its answers in the per-call table. It also returns the resource
+// iterations the call consumed.
+func (o *Optimizer) priceTree(tree *plan.Node, cond cluster.Conditions) (optimizer.OpCost, int64, error) {
+	c := o.coster(o.opts.Resource, plan.Resources{}, cond)
+	c.beginCall(true)
+	defer c.endCall()
+	oc, err := optimizer.PlanCost(c, tree)
+	return oc, c.ResourceIters(), err
 }
 
 // OptimizeForPrice is the c ⇒ (p, r) mode: find the fastest joint plan

@@ -159,6 +159,8 @@ type reuseOutcome struct {
 	pruned      int64
 	err         string
 	stats       resource.Stats
+	// perCondition is OptimizeRobust's per-scenario times, as bits.
+	perCondition string
 }
 
 func decisionOutcome(d *Decision, err error, stats resource.Stats) reuseOutcome {
@@ -172,6 +174,22 @@ func decisionOutcome(d *Decision, err error, stats resource.Stats) reuseOutcome 
 	out.money = math.Float64bits(float64(d.Money))
 	out.considered = d.PlansConsidered
 	out.iters = d.ResourceIterations
+	return out
+}
+
+// robustOutcome is decisionOutcome for OptimizeRobust: the plan, its
+// objective in time and its per-scenario times.
+func robustOutcome(d *RobustDecision, err error, stats resource.Stats) reuseOutcome {
+	out := reuseOutcome{stats: stats}
+	if err != nil {
+		out.err = err.Error()
+		return out
+	}
+	out.plan = d.Plan
+	out.time = math.Float64bits(d.Objective)
+	for _, v := range d.PerCondition {
+		out.perCondition = fmt.Sprintf("%s %x", out.perCondition, math.Float64bits(v))
+	}
 	return out
 }
 
@@ -264,8 +282,9 @@ func reuseQueries(t *testing.T, schema string) map[PlannerKind][]*plan.Query {
 // optimizers with identical caches, one planning through the cache and one
 // through refCache, and every call must agree on the plan and its resources,
 // time and money bits, the search counters, the prune count and the cache's
-// full Stats. Resource-only planning and price-bounded planning go through
-// the same per-call table and are compared the same way.
+// full Stats. Resource-only planning, price-bounded planning and robust
+// planning over two scenarios price trees through the same per-call table
+// and are compared the same way.
 //
 // Behind a hill climb, a reused answer rarely differs from what the cache
 // would say by enough to change a plan. Behind scriptedPlanner it does:
@@ -301,6 +320,11 @@ func TestCosterReuseMatchesCache(t *testing.T) {
 								Planner: kind, Models: models, Engine: engine, Seed: 7,
 								Randomized: randomized.Options{Iterations: 3, Seeds: 4, MutationsPerPlan: 2},
 							}
+							half, err := cd.cond.Restrict(cd.cond.MaxContainers/2, cd.cond.MaxContainerGB/2)
+							if err != nil {
+								t.Fatal(err)
+							}
+							scenarios := []cluster.Conditions{cd.cond, half}
 							reuse := newReuseSide(t, false, cd.cond, opts, newInner(scripted), lk.mode, lk.thresholdGB)
 							ref := newReuseSide(t, true, cd.cond, opts, newInner(scripted), lk.mode, lk.thresholdGB)
 							for pass := range 2 {
@@ -321,6 +345,9 @@ func TestCosterReuseMatchesCache(t *testing.T) {
 										wd, werr := ref.o.OptimizeForPrice(query, units.Dollars(1e9))
 										sameOutcome(t, what+" OptimizeForPrice", decisionOutcome(gd, gerr, reuse.cache.Stats()), decisionOutcome(wd, werr, ref.cache.Stats()))
 									}
+									gr, gerr := reuse.o.OptimizeRobust(query, scenarios, WorstCase)
+									wr, werr := ref.o.OptimizeRobust(query, scenarios, WorstCase)
+									sameOutcome(t, what+" OptimizeRobust", robustOutcome(gr, gerr, reuse.cache.Stats()), robustOutcome(wr, werr, ref.cache.Stats()))
 								}
 							}
 							if scripted && kind == Selinger {

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"raqo/internal/cluster"
-	"raqo/internal/optimizer"
 	"raqo/internal/plan"
 )
 
@@ -89,7 +88,7 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 		per := make([]float64, len(scenarios))
 		feasible := true
 		for i, c := range scenarios {
-			oc, err := o.priceTree(cand.tree.Clone(), c)
+			oc, _, err := o.priceTree(cand.tree.Clone(), c)
 			if err != nil {
 				feasible = false
 				break
@@ -116,7 +115,7 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 		if best == nil || agg < best.Objective {
 			// Annotate the winner for the first scenario.
 			tree := cand.tree.Clone()
-			if _, err := o.priceTree(tree, scenarios[0]); err != nil {
+			if _, _, err := o.priceTree(tree, scenarios[0]); err != nil {
 				return nil, err
 			}
 			best = &RobustDecision{Plan: tree, PerCondition: per, Objective: agg}
@@ -127,13 +126,4 @@ func (o *Optimizer) OptimizeRobust(q *plan.Query, scenarios []cluster.Conditions
 	}
 	best.Elapsed = time.Since(start)
 	return best, nil
-}
-
-// priceTree prices tree under cond, re-planning each operator's resources,
-// as a planning call of its own.
-func (o *Optimizer) priceTree(tree *plan.Node, cond cluster.Conditions) (optimizer.OpCost, error) {
-	c := o.coster(o.opts.Resource, plan.Resources{}, cond)
-	c.beginCall(false)
-	defer c.endCall()
-	return optimizer.PlanCost(c, tree)
 }

@@ -2,7 +2,6 @@ package feedback
 
 import (
 	"bytes"
-	"encoding/json"
 	"strconv"
 
 	"raqo/internal/canonjson"
@@ -10,95 +9,27 @@ import (
 	"raqo/internal/units"
 )
 
-// This file is the one JSON codec for Observation, shared by the wire
-// (POST /v1/feedback), the journal writer and journal replay. It covers
-// the canonical shape only — what json.Marshal writes and what clients
-// send in practice — and hands everything else to encoding/json, so every
-// accepted oddity and every error text stays encoding/json's:
+// This file is the one JSON decoder for Observation, shared by the wire
+// (POST /v1/feedback) and journal replay. It covers the canonical shape
+// only — what json.Marshal writes and what clients send in practice — and
+// hands everything else to encoding/json, so every accepted oddity and
+// every error text stays encoding/json's: objects whose keys are the exact
+// field names, each at most once, in any order, with whitespace anywhere
+// JSON allows it (the key json.Marshal writes next is compared first, in
+// one step); strings of ASCII with no escapes; JSON number literals (an
+// integer literal for observedAt); a non-empty operators array. null, an
+// empty array, an unknown, repeated or differently-cased key, an escape or
+// a number out of range is "not canonical": the decoder reports it and the
+// caller decodes the same bytes with encoding/json instead.
 //
-//   - encoding: strings of printable ASCII without `"`, `\`, `<`, `>`, `&`
-//     and finite floats; anything else goes through json.Marshal.
-//   - decoding: objects whose keys are the exact field names, each at most
-//     once, in any order, with whitespace anywhere JSON allows it (the key
-//     json.Marshal writes next is compared first, in one step); strings
-//     of ASCII with no escapes; JSON number literals (an integer literal
-//     for observedAt); a non-empty operators array. null, an empty array,
-//     an unknown, repeated or differently-cased key, an escape or a number
-//     out of range is "not canonical": the decoder reports it and the
-//     caller decodes the same bytes with encoding/json instead.
-//
-// The scanners and the float formatter are internal/canonjson's, shared
-// with the server's submit and response codecs.
+// The scanners are internal/canonjson's, shared with the server's submit
+// codec.
 //
 // The journal line of an observation that arrived in the canonical shape
 // is the span of the request it was decoded from (DecodeBatch's lines):
-// the codec decodes it back to the same observation, and for what
-// json.Marshal wrote it is byte for byte what AppendJSON would write.
-
-// AppendJSON appends the JSON encoding of o to dst: the bytes, or the
-// error, of json.Marshal(o).
-func AppendJSON(dst []byte, o *Observation) ([]byte, error) {
-	if !canonical(o) {
-		b, err := json.Marshal(*o) // a copy: o must not escape on the fast path
-		if err != nil {
-			return dst, err
-		}
-		return append(dst, b...), nil
-	}
-	dst = append(dst, `{"signature":"`...)
-	dst = append(dst, o.Signature...)
-	dst = append(dst, `","engine":"`...)
-	dst = append(dst, o.Engine...)
-	dst = append(dst, `","predictedSeconds":`...)
-	dst = canonjson.AppendFloat(dst, o.PredictedSeconds)
-	dst = append(dst, `,"observedSeconds":`...)
-	dst = canonjson.AppendFloat(dst, o.ObservedSeconds)
-	dst = append(dst, `,"predictedDollars":`...)
-	dst = canonjson.AppendFloat(dst, float64(o.PredictedDollars))
-	dst = append(dst, `,"observedDollars":`...)
-	dst = canonjson.AppendFloat(dst, float64(o.ObservedDollars))
-	if o.ObservedAt != 0 {
-		dst = append(dst, `,"observedAt":`...)
-		dst = strconv.AppendInt(dst, o.ObservedAt, 10)
-	}
-	if len(o.Operators) > 0 {
-		dst = append(dst, `,"operators":[`...)
-		for i := range o.Operators {
-			s := &o.Operators[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `{"algo":"`...)
-			dst = append(dst, s.Algo...)
-			dst = append(dst, `","ssGB":`...)
-			dst = canonjson.AppendFloat(dst, s.SSGB)
-			dst = append(dst, `,"csGB":`...)
-			dst = canonjson.AppendFloat(dst, s.CSGB)
-			dst = append(dst, `,"nc":`...)
-			dst = canonjson.AppendFloat(dst, s.NC)
-			dst = append(dst, `,"predictedSeconds":`...)
-			dst = canonjson.AppendFloat(dst, s.PredictedSeconds)
-			dst = append(dst, `,"observedSeconds":`...)
-			dst = canonjson.AppendFloat(dst, s.ObservedSeconds)
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	return append(dst, '}'), nil
-}
-
-// canonical reports whether AppendJSON can write o itself.
-func canonical(o *Observation) bool {
-	ok := canonjson.PlainString(o.Signature) && canonjson.PlainString(o.Engine) &&
-		canonjson.Finite(o.PredictedSeconds) && canonjson.Finite(o.ObservedSeconds) &&
-		canonjson.Finite(float64(o.PredictedDollars)) && canonjson.Finite(float64(o.ObservedDollars))
-	for i := range o.Operators {
-		s := &o.Operators[i]
-		ok = ok && canonjson.PlainString(s.Algo) && canonjson.Finite(s.SSGB) && canonjson.Finite(s.CSGB) && canonjson.Finite(s.NC) &&
-			canonjson.Finite(s.PredictedSeconds) && canonjson.Finite(s.ObservedSeconds)
-	}
-	return ok
-}
+// the decoder reads it back to the same observation, and for what
+// json.Marshal wrote it is byte for byte json.Marshal's line, which the
+// journal writes for every other observation.
 
 // DecodeBatch decodes the canonical form of a POST /v1/feedback body,
 // {"observations":[...]} with at least one canonical observation, into

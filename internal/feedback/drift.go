@@ -2,7 +2,6 @@ package feedback
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 )
@@ -97,74 +96,16 @@ func quantileIdx(q float64, n int) int {
 	return idx
 }
 
-// quantile returns the q-quantile of the window's samples: the one
-// sort.Float64s would put at quantileIdx, found by selection over a copy
-// in buf (grown as needed and returned for reuse).
+// quantile returns the q-quantile of the window's samples: a sorted copy
+// in buf (grown as needed and returned for reuse), indexed at quantileIdx.
 func (w *window) quantile(q float64, buf []float64) (float64, []float64) {
 	n := w.len()
 	if n == 0 {
 		return 0, buf
 	}
-	idx := quantileIdx(q, n)
 	buf = append(buf[:0], w.errs[:n]...)
-	v := selectFloat(buf, idx)
-	if (v == 0 || v != v) && equalOrderOtherBits(buf, v) {
-		// Zeros of both signs, or NaNs of different payloads: which one
-		// sort.Float64s leaves at idx depends on its algorithm, so ask it,
-		// on the window in its own order. (Relative errors are never -0.)
-		buf = append(buf[:0], w.errs[:n]...)
-		sort.Float64s(buf)
-		v = buf[idx]
-	}
-	return v, buf
-}
-
-// equalOrderOtherBits reports whether vs holds a value that floatLess
-// orders equal to v but whose bits differ from v's.
-func equalOrderOtherBits(vs []float64, v float64) bool {
-	for _, x := range vs {
-		if !floatLess(x, v) && !floatLess(v, x) && math.Float64bits(x) != math.Float64bits(v) {
-			return true
-		}
-	}
-	return false
-}
-
-// floatLess is sort.Float64s's order: ascending, NaN first.
-func floatLess(x, y float64) bool { return x < y || (x != x && y == y) }
-
-// selectFloat reorders v around v[k] and returns the value sort.Float64s
-// would leave at k: Hoare's selection over the same order. (Values that
-// order equal are the same number, short of the sign of a zero or a NaN's
-// payload.)
-func selectFloat(v []float64, k int) float64 {
-	lo, hi := 0, len(v)-1
-	for lo < hi {
-		p := v[lo+(hi-lo)/2]
-		i, j := lo, hi
-		for i <= j {
-			for floatLess(v[i], p) {
-				i++
-			}
-			for floatLess(p, v[j]) {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return v[k] // between the two halves, equal to the pivot
-		}
-	}
-	return v[k]
+	sort.Float64s(buf)
+	return buf[quantileIdx(q, n)], buf
 }
 
 // quantileExceeds reports quantile(q) > threshold without sorting: the
@@ -201,7 +142,7 @@ type Detector struct {
 
 	mu      sync.Mutex
 	windows map[classKey]*window // guarded by mu
-	scratch []float64            // guarded by mu; Stats' selection buffer
+	scratch []float64            // guarded by mu; Stats' sort buffer
 	rec     Recorder             // guarded by mu
 }
 

@@ -13,7 +13,7 @@
 //     that the codec decodes to exactly the acknowledged observation: the
 //     request bytes the observation was decoded from when it arrived in
 //     the canonical shape with its own observedAt (for what json.Marshal
-//     writes, byte for byte AppendJSON's line), AppendJSON's encoding
+//     writes, byte for byte json.Marshal's line), json.Marshal's encoding
 //     otherwise.
 //   - Detector: windowed relative-error quantiles per (engine, operator
 //     class); when the configured quantile exceeds the threshold, the
@@ -363,7 +363,7 @@ func (j *Journal) Writes() int64 { return j.writes.Load() }
 // AppendBatch writes the observations as JSON lines with one write. A line
 // is lines[i] when lines is not nil and lines[i] is not: the bytes obs[i]
 // was decoded from, a single-line object the codec decodes to exactly
-// obs[i] (DecodeBatch's lines). Every other line is AppendJSON's encoding. The
+// obs[i] (DecodeBatch's lines). Every other line is json.Marshal's. The
 // lines are copied; nothing keeps a reference to them. With
 // rotation on, the files end up byte for byte as if the lines had been
 // appended one at a time: a line that would push the active file past the
@@ -379,10 +379,11 @@ func (j *Journal) AppendBatch(obs []Observation, lines [][]byte) error {
 		if lines != nil && lines[i] != nil {
 			buf = append(buf, lines[i]...)
 		} else {
-			var err error
-			if buf, err = AppendJSON(buf, &obs[i]); err != nil {
+			b, err := json.Marshal(obs[i]) // a copy: obs must not escape
+			if err != nil {
 				return fmt.Errorf("feedback: journal encode: %w", err)
 			}
+			buf = append(buf, b...)
 		}
 		buf = append(buf, '\n')
 	}
@@ -506,8 +507,8 @@ func (j *Journal) Close() error {
 // rotated files (`<path>.<n>`) oldest first, then the active file. Each
 // line is a single-line JSON object that decodes to exactly the
 // observation that was acknowledged: the codec's canonical shape as the
-// client sent it or as AppendJSON wrote it, or (from AppendJSON's
-// json.Marshal fallback) anything encoding/json reads. Invalid lines fail
+// client sent it or as json.Marshal wrote it, or anything else
+// encoding/json reads (a string json.Marshal escaped, say). Invalid lines fail
 // the replay: a journal is written only through AppendBatch, so
 // corruption is worth surfacing, not skipping. The one exception is what
 // follows a file's last newline, a write a crash cut short.

@@ -384,6 +384,26 @@ func TestDriftedMatchesStats(t *testing.T) {
 	}
 }
 
+// TestWindowQuantileRule pins the drift windows' rule where q·n is 8.5:
+// the ⌊8.5⌋ = 8th smallest, one below stats.Percentile's nearest rank.
+// quantileExceeds, which counts instead of sorting, agrees at that
+// sample's value and one step below it.
+func TestWindowQuantileRule(t *testing.T) {
+	if got := quantileIdx(0.5, 17); got != 7 {
+		t.Fatalf("quantileIdx(0.5, 17) = %d, want 7", got)
+	}
+	w := &window{errs: make([]float64, 17)}
+	for i := range 17 {
+		w.push(float64(17 - i))
+	}
+	if got, _ := w.quantile(0.5, nil); got != 8 {
+		t.Errorf("median of a 1…17 window = %v, want the 8th smallest, 8", got)
+	}
+	if w.quantileExceeds(0.5, 8) || !w.quantileExceeds(0.5, 7.5) {
+		t.Error("quantileExceeds disagrees with the 8th smallest sample")
+	}
+}
+
 func TestDetectorWindowEvictsOldErrors(t *testing.T) {
 	d := NewDetector(DriftConfig{Window: 4, Quantile: 0.5, Threshold: 0.5, MinSamples: 2})
 	for i := 0; i < 4; i++ {

@@ -23,7 +23,7 @@ import (
 
 // parentHandleFeedback is handleFeedback as it stood before the feedback
 // codec: encoding/json on the request stream, one Feed per observation,
-// each journal line re-encoded by AppendJSON. It is the reference the
+// each journal line re-encoded by json.Marshal. It is the reference the
 // handler's status, body and journal are held to, with one rule added
 // since: observedAt's wire domain, checked before anything else about the
 // observations.
@@ -143,7 +143,7 @@ func clip(body []byte) string {
 // parent's status and bytes and leaves the store, the detector and the
 // journal as the parent would. Replayed, both journals hold bit-identical
 // observations; the handler's holds each accepted observation's wire line
-// or, where DecodeBatch gave none, AppendJSON's; and for a body json.Marshal
+// or, where DecodeBatch gave none, json.Marshal's; and for a body json.Marshal
 // wrote, the two files are byte-identical. It returns whether the handler
 // let the codec take the body.
 func checkFeedbackBody(t *testing.T, js *feedbackJournals, body []byte) bool {
@@ -218,7 +218,7 @@ func serveFeedbackPair(t *testing.T, js *feedbackJournals, body []byte) (took bo
 	checkJournals(t, body, s.journal.Path(), ref.journal.Path())
 	journal, parentJournal = readFile(t, s.journal.Path()), readFile(t, ref.journal.Path())
 	if took && w.Code == http.StatusOK {
-		var lineFile []byte // the wire lines, AppendJSON where there is none
+		var lineFile []byte // the wire lines, json.Marshal where there is none
 		for i := range got {
 			if lines[i] != nil {
 				lineFile = append(lineFile, lines[i]...)
@@ -227,9 +227,11 @@ func serveFeedbackPair(t *testing.T, js *feedbackJournals, body []byte) (took bo
 				if o.ObservedAt == 0 {
 					o.ObservedAt = now
 				}
-				if lineFile, err = feedback.AppendJSON(lineFile, &o); err != nil {
+				b, err := json.Marshal(&o)
+				if err != nil {
 					t.Fatal(err)
 				}
+				lineFile = append(lineFile, b...)
 			}
 			lineFile = append(lineFile, '\n')
 		}

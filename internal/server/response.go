@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -295,11 +294,10 @@ type ErrorResponse struct {
 }
 
 // WriteJSON is the one encoder both the HTTP handlers and the CLI -json
-// flags use: two-space indented, trailing newline, HTML escaping off so
-// plan trees and query names render verbatim. The bytes are those of a
-// json.Encoder with SetIndent("", "  "). Encoding finishes before the one
-// Write: a value that does not encode (a NaN, say) returns the encoder's
-// error and writes nothing.
+// flags use: a json.Encoder with SetIndent("", "  ") and HTML escaping
+// off, so plan trees and query names render verbatim, and its trailing
+// newline. Encoding finishes before the one Write: a value that does not
+// encode (a NaN, say) returns the encoder's error and writes nothing.
 func WriteJSON(w io.Writer, v any) error {
 	b, err := encodeJSON(v)
 	if err != nil {
@@ -310,18 +308,24 @@ func WriteJSON(w io.Writer, v any) error {
 	return err
 }
 
-// jsonBuffer is one encoding's scratch: an encoder writing compact JSON
-// into compact, and out for its indented form.
+// jsonBuffer is one encoding's scratch: out, and an encoder that appends
+// to it. The fixed-shape encoders append to out directly.
 type jsonBuffer struct {
-	compact bytes.Buffer
-	enc     *json.Encoder
-	out     []byte
+	out []byte
+	enc *json.Encoder
+}
+
+// Write appends p to out; the encoder writes each value with one call.
+func (b *jsonBuffer) Write(p []byte) (int, error) {
+	b.out = append(b.out, p...)
+	return len(p), nil
 }
 
 var jsonBuffers = sync.Pool{New: func() any {
 	b := new(jsonBuffer)
-	b.enc = json.NewEncoder(&b.compact)
+	b.enc = json.NewEncoder(b)
 	b.enc.SetEscapeHTML(false)
+	b.enc.SetIndent("", "  ")
 	return b
 }}
 
@@ -329,82 +333,23 @@ var jsonBuffers = sync.Pool{New: func() any {
 // big batch or explain) does not stay resident in the pool.
 const maxPooledJSON = 64 << 10
 
-// encodeJSON encodes v into a pooled buffer, indented in out. The caller
-// releases the buffer once out has been written.
+// encodeJSON encodes v into a pooled buffer's out. The caller releases the
+// buffer once out has been written.
 func encodeJSON(v any) (*jsonBuffer, error) {
 	b := jsonBuffers.Get().(*jsonBuffer)
 	if err := b.enc.Encode(v); err != nil {
 		b.release()
 		return nil, err
 	}
-	b.out = appendIndent(b.out, b.compact.Bytes())
 	return b, nil
 }
 
 func (b *jsonBuffer) release() {
-	if b.compact.Cap() > maxPooledJSON || cap(b.out) > maxPooledJSON {
+	if cap(b.out) > maxPooledJSON {
 		return
 	}
-	b.compact.Reset()
 	b.out = b.out[:0]
 	jsonBuffers.Put(b)
-}
-
-// appendIndent appends src, compact JSON as json.Encoder writes it, to
-// dst with json.Indent's layout at prefix "" and indent "  ": a newline
-// and the new depth's indent after '{', '[' and ',' and before a closing
-// bracket, ": " after a key, "{}" and "[]" kept whole, everything else —
-// string bodies and the trailing newline included — copied as is. Unlike
-// json.Indent it runs no validating scanner: src is the output of an
-// encoder, so it is valid, and its only whitespace is that newline.
-func appendIndent(dst, src []byte) []byte {
-	depth := 0
-	opened := false // the last byte was '{' or '['; its newline waits
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		if opened && c != '}' && c != ']' {
-			opened = false
-			depth++
-			dst = appendNewline(dst, depth)
-		}
-		switch c {
-		case '"':
-			j := i + 1
-			for ; src[j] != '"'; j++ {
-				if src[j] == '\\' {
-					j++
-				}
-			}
-			dst = append(dst, src[i:j+1]...)
-			i = j
-		case '{', '[':
-			opened = true
-			dst = append(dst, c)
-		case ',':
-			dst = appendNewline(append(dst, c), depth)
-		case ':':
-			dst = append(dst, ':', ' ')
-		case '}', ']':
-			if opened {
-				opened = false
-			} else {
-				depth--
-				dst = appendNewline(dst, depth)
-			}
-			dst = append(dst, c)
-		default:
-			dst = append(dst, c)
-		}
-	}
-	return dst
-}
-
-func appendNewline(dst []byte, depth int) []byte {
-	dst = append(dst, '\n')
-	for ; depth > 0; depth-- {
-		dst = append(dst, ' ', ' ')
-	}
-	return dst
 }
 
 // The fixed-shape encoders write WriteResult's bytes for one response type

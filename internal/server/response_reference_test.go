@@ -15,9 +15,10 @@ import (
 	"raqo/internal/scheduler"
 )
 
-// parentWriteJSON is WriteJSON as it was before the pooled indenter:
-// json.Encoder with SetIndent straight onto w. WriteJSON is held to its
-// bytes and its errors.
+// parentWriteJSON is WriteJSON's encoder unpooled: a fresh json.Encoder
+// with SetIndent straight onto w. WriteJSON is held to its bytes and its
+// errors, so a pooled buffer or encoder that carries anything from one
+// encoding into the next shows.
 func parentWriteJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -265,6 +266,8 @@ func TestWriteResultRefusesUnencodable(t *testing.T) {
 	}
 }
 
+// FuzzWriteJSON runs arbitrary values through the pooled encoder, two per
+// input, each held to a fresh encoder by checkWriteJSON.
 func FuzzWriteJSON(f *testing.F) {
 	for _, seed := range []string{
 		`{}`, `[]`, `null`, `"\u2028<>&"`, `1e21`, `-0.000001`, `[[[[]]]]`,
